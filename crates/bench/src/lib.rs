@@ -1,5 +1,5 @@
-//! Shared machinery for the `tc-bench` experiment CLI and the engine
-//! throughput benchmark.
+//! Shared machinery for the `tc-bench` experiment CLI: the campaign
+//! catalog, the table renderers, and the command-line parser.
 //!
 //! One binary, `tc-bench`, resolves *named campaigns* — each regenerating a
 //! table or figure of the paper's evaluation — from the
@@ -15,27 +15,28 @@
 //! | `fig5-runtime` | Figure 5a — runtime, Directory & Hammer vs TokenB |
 //! | `fig5-traffic` | Figure 5b — traffic, Directory & Hammer vs TokenB |
 //! | `scalability`  | Section 6, Question 5 — traffic scaling to 64 processors |
-//! | `sweep64`      | 64-node scale sweep, with wall-clock recording for `BENCH_engine.json` |
+//! | `sweep64`      | 64-node scale sweep (every protocol on every legal topology) |
 //! | `faultsweep`   | Robustness: every protocol under its tolerated fault classes |
 //!
-//! Run `tc-bench list` for the catalog. Options are shared across
-//! campaigns: `--ops N` (operations per node), `--threads N` (campaign
-//! worker threads), `--workload NAME` (restrict figure campaigns to one
-//! workload), `--protocol NAME` (filter points), `--faults SPEC` (inject a
-//! fault spec such as `drop=0.01,dup=0.005,reorder=4` into every point that
-//! does not carry its own), `--json PATH` (dump the campaign report), and
-//! for `sweep64` additionally `--record PATH` (merge wall-clock fields into
-//! a `BENCH_engine.json`-style file) and `--serial-baseline` (also run
-//! single-threaded, check bit-identical reports, and record the speedup).
+//! Run `tc-bench list` for the catalog and `tc-bench <subcommand> --help`
+//! for a subcommand's options. Every subcommand's flags are declared in one
+//! [`Subcommand`] table and parsed by [`parse_cli`], which turns an argument
+//! vector into a fully validated [`Command`] (or a usage error) without
+//! touching the file system or the engine. Performance numbers are not this
+//! crate's job: they are defined in `BENCHMARK.json` and measured by
+//! `bash benchmark/run.sh`.
 
 #![warn(missing_docs)]
 
+use tc_serve::{ServeOptions, Submission};
 use tc_system::campaign::CampaignReport;
 use tc_system::experiment::{
     figure4a_points, figure4b_points, figure5a_points, figure5b_points, scalability_points,
     table2_points, ExperimentPoint,
 };
-use tc_types::{ProtocolKind, SystemConfig, TrafficClass};
+use tc_system::RunOptions;
+use tc_testkit::HuntOptions;
+use tc_types::{FaultSpec, JobPriority, ProtocolKind, SystemConfig, TrafficClass};
 use tc_workloads::WorkloadProfile;
 
 /// How one campaign section's reports are rendered.
@@ -431,30 +432,624 @@ pub fn traffic_classes_cover_total(report: &CampaignReport) -> bool {
     })
 }
 
-/// Merges `fields` into the flat one-field-per-line JSON file at `path`
-/// (the `BENCH_engine.json` format), replacing same-named fields and
-/// preserving everything else. Creates the file if missing. Values are
-/// inserted verbatim, so callers pass pre-formatted JSON scalars.
-///
-/// # Errors
-///
-/// Returns any I/O error from writing the file.
-pub fn merge_bench_fields(path: &str, fields: &[(String, String)]) -> std::io::Result<()> {
-    let previous = std::fs::read_to_string(path).unwrap_or_default();
-    let mut kept: Vec<String> = previous
-        .lines()
-        .map(|line| line.trim().trim_end_matches(',').to_string())
-        .filter(|line| !line.is_empty() && line != "{" && line != "}")
-        .filter(|line| {
-            !fields
-                .iter()
-                .any(|(key, _)| line.starts_with(&format!("\"{key}\"")))
-        })
-        .collect();
-    for (key, value) in fields {
-        kept.push(format!("\"{key}\": {value}"));
+// ---------------------------------------------------------------------------
+// Command line
+// ---------------------------------------------------------------------------
+
+/// One flag a subcommand accepts: `"--name VALUE"` (just `"--name"` for a
+/// switch) and its help text.
+pub type FlagSpec = (&'static str, &'static str);
+
+/// The declaration of one `tc-bench` subcommand; its parser and its `--help`
+/// text are both derived from it.
+#[derive(Debug)]
+pub struct Subcommand {
+    /// What follows `tc-bench` on the command line, e.g. `submit <campaign>`.
+    pub synopsis: &'static str,
+    /// One line for the top-level usage.
+    pub summary: &'static str,
+    /// The paragraph under the usage line.
+    pub about: &'static str,
+    /// The flags it accepts.
+    pub flags: &'static [FlagSpec],
+}
+
+impl Subcommand {
+    /// The word that selects this subcommand.
+    pub fn name(&self) -> &'static str {
+        self.synopsis.split(' ').next().unwrap_or_default()
     }
-    std::fs::write(path, format!("{{\n  {}\n}}\n", kept.join(",\n  ")))
+}
+
+/// `tc-bench <campaign>`: the one-shot campaign path, and the top-level usage.
+pub const CAMPAIGN: Subcommand = Subcommand {
+    synopsis: "<campaign>",
+    summary: "",
+    about: "Runs a named campaign through the multi-threaded campaign driver and\n\
+            renders its tables; `tc-bench list` prints the catalog alone.",
+    flags: &[
+        (
+            "--ops N",
+            "memory operations per node (campaign-specific default)",
+        ),
+        (
+            "--threads N",
+            "campaign worker threads (default: all cores)",
+        ),
+        (
+            "--workload NAME",
+            "restrict figure campaigns to one workload",
+        ),
+        ("--protocol NAME", "keep only points of one protocol"),
+        (
+            "--faults SPEC",
+            "inject faults, e.g. drop=0.01,dup=0.005,reorder=4,link=2-5@1000..5000\n\
+             (points carrying their own spec, e.g. faultsweep's, keep it)",
+        ),
+        ("--json PATH", "write the campaign report as JSON"),
+        (
+            "--runs-json PATH",
+            "write one NDJSON line per run (the campaign service's wire format)",
+        ),
+        (
+            "--shards N",
+            "run every point on the sharded PDES engine with N shards",
+        ),
+        (
+            "--serial-baseline",
+            "also run with one thread and assert the reports are bit-identical",
+        ),
+    ],
+};
+
+/// Every subcommand that is not a campaign name.
+pub const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        synopsis: "run-one",
+        summary: "one point run directly on the engine, with checkpoint/resume",
+        about: "Runs one experiment point directly (no campaign driver), with optional\n\
+                engine checkpointing, crash simulation, and resume-from-snapshot.",
+        flags: &[
+            ("--protocol NAME", "protocol (default: tokenb)"),
+            ("--workload NAME", "workload profile (default: oltp)"),
+            ("--nodes N", "node count (default: 4)"),
+            ("--seed N", "seed (default: 12)"),
+            ("--ops N", "memory operations per node (default: 20000)"),
+            ("--max-cycles N", "cycle budget (default: 1000000000)"),
+            ("--faults SPEC", "inject faults into the fabric"),
+            (
+                "--checkpoint-every N",
+                "seal a snapshot every N delivered events",
+            ),
+            (
+                "--checkpoint-dir DIR",
+                "write snap-<events>.tcsnap + journal.tcj into DIR",
+            ),
+            (
+                "--resume FILE",
+                "restore FILE and run to completion instead of starting fresh",
+            ),
+            (
+                "--crash-after K",
+                "exit(42) right after sealing the K-th checkpoint (CI crash gate)",
+            ),
+            (
+                "--report-out PATH",
+                "write the final report (deterministic debug form; sharded runs\n\
+                 write the determinism view) to PATH",
+            ),
+            (
+                "--shards N",
+                "run on the sharded PDES engine with N shards (clamped to the\n\
+                 node count; incompatible with the checkpoint options)",
+            ),
+        ],
+    },
+    Subcommand {
+        synopsis: "hunt",
+        summary: "budgeted adversarial-schedule search for persistent-request pathologies",
+        about: "Budgeted adversarial-schedule search: random probes over the\n\
+                AdversarySpec knobs, then greedy mutation of the worst schedule found,\n\
+                scored by the pathology objective (worst/p99 miss latency, reissue and\n\
+                persistent-request pressure, completion skew). Deterministic in every\n\
+                option: the same invocation always reports the same outcome. Any\n\
+                verifier violation is shrunk to a minimal replay recipe and fails the\n\
+                command.",
+        flags: &[
+            ("--protocol NAME", "protocol to attack (default: tokenb)"),
+            (
+                "--scenario NAME",
+                "conformance scenario to perturb (default: hot_block_contention)",
+            ),
+            ("--seed N", "workload + probe seed (default: 44382)"),
+            (
+                "--budget N",
+                "adversarial evaluations to spend (default: 24)",
+            ),
+            (
+                "--ops N",
+                "memory operations per node per evaluation (default: 200)",
+            ),
+            (
+                "--smoke",
+                "fixed CI configuration (seed 44382, budget 8, ops 150);\n\
+                 rejects combining with the knobs above",
+            ),
+        ],
+    },
+    Subcommand {
+        synopsis: "serve",
+        summary: "host the resident campaign service",
+        about: "Hosts the resident campaign service: submissions arrive as JSON over\n\
+                HTTP, wait in a priority job queue, run on a worker pool, and stream\n\
+                back as NDJSON — with a dedup result cache keyed on the full\n\
+                determinism tuple, so repeated sweeps are free. Runs until a client\n\
+                sends `tc-bench shutdown` (queued jobs finish first).",
+        flags: &[
+            (
+                "--addr HOST:PORT",
+                "bind address (default: 127.0.0.1:7533; port 0 picks one)",
+            ),
+            ("--workers N", "jobs simulated concurrently (default: 2)"),
+            (
+                "--cache PATH",
+                "persist the result cache here across restarts",
+            ),
+        ],
+    },
+    Subcommand {
+        synopsis: "submit <campaign>",
+        summary: "expand a campaign and submit it to a running service",
+        about: "Expands a campaign into explicit experiment points (exactly as the\n\
+                one-shot path would run them) and submits it to a running\n\
+                `tc-bench serve`, streaming each run line to stdout as it lands.",
+        flags: &[
+            CLIENT_ADDR,
+            (
+                "--priority LEVEL",
+                "queue priority: low, normal, or high (default: normal)",
+            ),
+            (
+                "--ops N",
+                "memory operations per node (campaign-specific default)",
+            ),
+            (
+                "--workload NAME",
+                "restrict figure campaigns to one workload",
+            ),
+            ("--protocol NAME", "keep only points of one protocol"),
+            ("--faults SPEC", "campaign-wide fault injection"),
+            (
+                "--runs-json PATH",
+                "also write the streamed run lines to PATH",
+            ),
+        ],
+    },
+    Subcommand {
+        synopsis: "status",
+        summary: "print a running service's status page",
+        about: "Prints the status page of a running `tc-bench serve`.",
+        flags: &[CLIENT_ADDR],
+    },
+    Subcommand {
+        synopsis: "shutdown",
+        summary: "drain and stop a running service",
+        about: "Asks a running `tc-bench serve` to finish its queued jobs, persist its\n\
+                cache, and exit.",
+        flags: &[CLIENT_ADDR],
+    },
+];
+
+const CLIENT_ADDR: FlagSpec = (
+    "--addr HOST:PORT",
+    "service address (default: 127.0.0.1:7533)",
+);
+
+/// The campaign catalog, one `name  about` row each; `simulated_only` leaves
+/// out `table1`, which the service cannot run (it is a static table).
+pub fn render_catalog(simulated_only: bool) -> String {
+    let listed = CAMPAIGNS
+        .iter()
+        .filter(|spec| !(simulated_only && spec.name == "table1"));
+    listed
+        .map(|spec| format!("  {:<14} {}\n", spec.name, spec.about))
+        .collect()
+}
+
+/// The `--help` text of `sub`, generated from its declaration.
+pub fn usage(sub: &Subcommand) -> String {
+    let mut out = format!(
+        "usage: tc-bench {} [options]\n\n{}\n",
+        sub.synopsis, sub.about
+    );
+    if sub.synopsis.contains("<campaign>") {
+        out.push_str("\ncampaigns:\n");
+        out.push_str(&render_catalog(sub.name() == "submit"));
+    }
+    if sub.name() == CAMPAIGN.name() {
+        out.push_str("\nsubcommands (`tc-bench <subcommand> --help` prints each one's options):\n");
+        for other in SUBCOMMANDS {
+            out.push_str(&format!("  {:<14} {}\n", other.name(), other.summary));
+        }
+    }
+    out.push_str("\noptions:\n");
+    for (flag, help) in sub.flags {
+        let help = help.replace('\n', &format!("\n{:25}", ""));
+        out.push_str(&format!("  {flag:<22} {help}\n"));
+    }
+    out
+}
+
+/// Every value a `tc-bench` flag can set, named after its flag; `None` or
+/// `false` means the flag was not given. A subcommand only ever sees the
+/// fields its [`Subcommand::flags`] list.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Args {
+    pub ops: Option<u64>,
+    pub threads: Option<usize>,
+    pub workload: Option<WorkloadProfile>,
+    pub protocol: Option<ProtocolKind>,
+    pub faults: Option<FaultSpec>,
+    pub json: Option<String>,
+    pub runs_json: Option<String>,
+    pub shards: Option<u32>,
+    pub serial_baseline: bool,
+    pub nodes: Option<usize>,
+    pub seed: Option<u64>,
+    pub max_cycles: Option<u64>,
+    pub checkpoint_every: Option<u64>,
+    pub checkpoint_dir: Option<String>,
+    pub resume: Option<String>,
+    pub crash_after: Option<u64>,
+    pub report_out: Option<String>,
+    pub scenario: Option<String>,
+    pub budget: Option<u64>,
+    pub smoke: bool,
+    pub addr: Option<String>,
+    pub workers: Option<usize>,
+    pub cache: Option<String>,
+    pub priority: Option<JobPriority>,
+}
+
+/// A count: zero is never meaningful (no operations, no threads, no nodes).
+fn positive(text: &str) -> Result<u64, String> {
+    match text.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err("expected a whole number of at least 1".to_string()),
+    }
+}
+
+/// Parses and stores the value of the flag `name` — the one place a flag's
+/// value is typed and range-checked, whichever subcommand accepts it.
+fn set_flag(args: &mut Args, name: &str, text: &str) -> Result<(), String> {
+    let owned = || Some(text.to_string());
+    match name {
+        "--ops" => args.ops = Some(positive(text)?),
+        "--threads" => args.threads = Some(positive(text)? as usize),
+        "--workload" => {
+            args.workload = Some(WorkloadProfile::by_name(text).ok_or("unknown workload")?);
+        }
+        "--protocol" => {
+            args.protocol = Some(ProtocolKind::by_name(text).ok_or("unknown protocol")?);
+        }
+        "--faults" => args.faults = Some(FaultSpec::parse(text).map_err(|e| e.to_string())?),
+        "--json" => args.json = owned(),
+        "--runs-json" => args.runs_json = owned(),
+        "--shards" => {
+            args.shards = Some(u32::try_from(positive(text)?).map_err(|_| "too many shards")?);
+        }
+        "--serial-baseline" => args.serial_baseline = true,
+        // Range-checked with the rest of the configuration, by `validate`.
+        "--nodes" => args.nodes = Some(text.parse().map_err(|_| "expected a whole number")?),
+        "--seed" => args.seed = Some(text.parse().map_err(|_| "expected a whole number")?),
+        "--max-cycles" => args.max_cycles = Some(positive(text)?),
+        "--checkpoint-every" => args.checkpoint_every = Some(positive(text)?),
+        "--checkpoint-dir" => args.checkpoint_dir = owned(),
+        "--resume" => args.resume = owned(),
+        "--crash-after" => args.crash_after = Some(positive(text)?),
+        "--report-out" => args.report_out = owned(),
+        "--scenario" => {
+            tc_testkit::Scenario::by_name(text).ok_or("unknown scenario")?;
+            args.scenario = owned();
+        }
+        "--budget" => args.budget = Some(positive(text)?),
+        "--smoke" => args.smoke = true,
+        "--addr" => args.addr = owned(),
+        "--workers" => args.workers = Some(positive(text)? as usize),
+        "--cache" => args.cache = owned(),
+        "--priority" => args.priority = Some(JobPriority::parse(text)?),
+        _ => unreachable!("{name} is declared in a Subcommand but has no parser"),
+    }
+    Ok(())
+}
+
+/// Parses the flags of `sub`; `Ok(None)` means `--help` was asked for.
+fn parse_flags(sub: &Subcommand, argv: &[String]) -> Result<Option<Args>, String> {
+    let mut args = Args::default();
+    let mut words = argv.iter();
+    while let Some(name) = words.next() {
+        if name == "--help" || name == "-h" {
+            return Ok(None);
+        }
+        let mut declared = sub.flags.iter().map(|flag| flag.0);
+        let Some(flag) = declared.find(|f| f.split(' ').next() == Some(name.as_str())) else {
+            return Err(format!("unknown option: {name}"));
+        };
+        let text = if flag.contains(' ') {
+            let value = words.next();
+            value.ok_or_else(|| format!("{name} requires a value"))?
+        } else {
+            ""
+        };
+        set_flag(&mut args, name, text).map_err(|e| format!("bad {name} value `{text}`: {e}"))?;
+    }
+    if args.checkpoint_every.is_some() && args.checkpoint_dir.is_none() {
+        return Err("--checkpoint-every requires --checkpoint-dir".to_string());
+    }
+    if args.crash_after.is_some() && args.checkpoint_every.is_none() {
+        return Err("--crash-after requires --checkpoint-every".to_string());
+    }
+    // The sharded engine has no snapshot plane; a CLI error beats the
+    // engine's own panic.
+    if args.shards.is_some() && (args.checkpoint_every.is_some() || args.resume.is_some()) {
+        return Err("--shards is incompatible with --checkpoint-every/--resume".to_string());
+    }
+    let tuned = args.protocol.is_some()
+        || args.scenario.is_some()
+        || args.seed.is_some()
+        || args.budget.is_some()
+        || args.ops.is_some();
+    if args.smoke && tuned {
+        return Err("--smoke fixes every knob; drop the other options".to_string());
+    }
+    Ok(Some(args))
+}
+
+/// A campaign resolved to exactly what will run: the one expansion the
+/// one-shot path and `submit` share, so the two cannot drift apart.
+#[derive(Debug, Clone)]
+pub struct CampaignPlan {
+    /// The catalog entry.
+    pub spec: &'static CampaignSpec,
+    /// Its sections, after the `--workload`/`--protocol` filters.
+    pub sections: Vec<Section>,
+    /// The run options every point starts from.
+    pub options: RunOptions,
+}
+
+impl CampaignPlan {
+    /// The flattened point list, in the order it runs and is reported.
+    pub fn points(&self) -> Vec<ExperimentPoint> {
+        let sections = self.sections.iter();
+        sections.flat_map(|s| s.points.iter().cloned()).collect()
+    }
+}
+
+/// Expands `spec` under `args` into a plan, or says why it cannot be run.
+fn plan_campaign(spec: &'static CampaignSpec, args: &Args) -> Result<CampaignPlan, String> {
+    // Only the figure campaigns iterate workloads; rejecting --workload
+    // elsewhere beats silently running all three commercial profiles.
+    if args.workload.is_some() && !spec.name.starts_with("fig") {
+        return Err(format!(
+            "--workload applies only to the figure campaigns; {} runs a fixed workload set",
+            spec.name
+        ));
+    }
+    // The scalability renderer compares fixed protocol columns, so a
+    // filtered run would print NaN columns.
+    if args.protocol.is_some() && spec.name == "scalability" {
+        return Err(
+            "--protocol does not apply to scalability (its table compares protocols)".to_string(),
+        );
+    }
+    let mut sections = campaign_sections(spec.name, args.workload.as_ref())
+        .ok_or("table1 is a static parameter table; nothing to simulate")?;
+    if let Some(protocol) = args.protocol {
+        for section in &mut sections {
+            section.points.retain(|p| p.config.protocol == protocol);
+        }
+        sections.retain(|s| !s.points.is_empty());
+        if sections.is_empty() {
+            return Err("no points left after --protocol filter".to_string());
+        }
+    }
+    let standard = RunOptions::standard();
+    let mut options = match spec.name {
+        "sweep64" => RunOptions::sweep64(),
+        // The 64-node points are large; the shorter default lets a bare
+        // `tc-bench scalability` finish in minutes.
+        "scalability" => RunOptions {
+            ops_per_node: standard.ops_per_node.min(6_000),
+            ..standard
+        },
+        _ => standard,
+    };
+    if let Some(ops) = args.ops {
+        options.ops_per_node = ops;
+    }
+    // Campaign-wide fault injection; a point carrying its own spec (the
+    // faultsweep catalog's per-class points) overrides this at run time.
+    if let Some(faults) = args.faults {
+        options.faults = faults;
+    }
+    if let Some(shards) = args.shards {
+        options = options.with_shards(shards);
+    }
+    Ok(CampaignPlan {
+        spec,
+        sections,
+        options,
+    })
+}
+
+/// `tc-bench run-one`, resolved: one validated point plus where its
+/// checkpoints and report go.
+#[derive(Debug, Clone)]
+pub struct RunOnePlan {
+    /// The (validated) system to build.
+    pub config: SystemConfig,
+    /// The workload to run on it.
+    pub workload: WorkloadProfile,
+    /// Operation count, cycle budget, faults, checkpoint cadence, shards.
+    pub options: RunOptions,
+    /// Where `snap-<events>.tcsnap` and `journal.tcj` are written.
+    pub checkpoint_dir: Option<String>,
+    /// The snapshot to restore instead of starting fresh.
+    pub resume: Option<String>,
+    /// Exit with status 42 right after sealing this many checkpoints.
+    pub crash_after: Option<u64>,
+    /// Where the final report is written.
+    pub report_out: Option<String>,
+}
+
+fn plan_run_one(args: Args) -> Result<RunOnePlan, String> {
+    let config = SystemConfig::isca03_default()
+        .with_nodes(args.nodes.unwrap_or(4))
+        .with_protocol(args.protocol.unwrap_or(ProtocolKind::TokenB))
+        .with_seed(args.seed.unwrap_or(12));
+    config.validate().map_err(|e| e.to_string())?;
+    let mut options = RunOptions {
+        ops_per_node: args.ops.unwrap_or(20_000),
+        max_cycles: args.max_cycles.unwrap_or(1_000_000_000),
+        ..RunOptions::default()
+    };
+    if let Some(faults) = args.faults {
+        options.faults = faults;
+    }
+    if let Some(every) = args.checkpoint_every {
+        options = options.with_checkpoint_every(every);
+    }
+    if let Some(shards) = args.shards {
+        options = options.with_shards(shards);
+    }
+    Ok(RunOnePlan {
+        config,
+        workload: args.workload.unwrap_or_else(WorkloadProfile::oltp),
+        options,
+        checkpoint_dir: args.checkpoint_dir,
+        resume: args.resume,
+        crash_after: args.crash_after,
+        report_out: args.report_out,
+    })
+}
+
+/// What a `tc-bench` invocation asks for, fully validated.
+// One value exists per process, so the variants' sizes do not matter.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Command {
+    /// Print this usage text on stdout and exit 0.
+    Help(String),
+    /// Print the campaign catalog.
+    List,
+    /// Print Table 1 (no simulation).
+    Table1,
+    /// Run a campaign here; `Args` carries `threads`, the output paths and
+    /// `serial_baseline`.
+    Campaign(CampaignPlan, Args),
+    /// Send `submission` to the service at `addr`, streaming run lines to
+    /// stdout and, when set, to `runs_json`.
+    Submit {
+        /// The service's address.
+        addr: String,
+        /// The expanded campaign, exactly as the one-shot path would run it.
+        submission: Submission,
+        /// Where to also write the streamed run lines.
+        runs_json: Option<String>,
+    },
+    /// Run one point directly on the engine.
+    RunOne(RunOnePlan),
+    /// Search for adversarial schedules.
+    Hunt(HuntOptions),
+    /// Host the campaign service.
+    Serve(ServeOptions),
+    /// Print the status page of the service at this address.
+    Status(String),
+    /// Drain and stop the service at this address.
+    Shutdown(String),
+}
+
+/// Parses everything after `tc-bench` into a [`Command`]. An `Err` is a
+/// usage error — the message followed by the subcommand's usage text — for
+/// the caller to print on stderr before exiting with status 2.
+pub fn parse_cli(argv: &[String]) -> Result<Command, String> {
+    let Some((first, mut rest)) = argv.split_first() else {
+        return Ok(Command::Help(usage(&CAMPAIGN)));
+    };
+    match first.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help(usage(&CAMPAIGN))),
+        "list" => return Ok(Command::List),
+        _ => {}
+    }
+    let sub = SUBCOMMANDS.iter().find(|s| s.name() == first);
+    let sub = sub.unwrap_or(&CAMPAIGN);
+    let usage_error = |message: String| format!("{message}\n\n{}", usage(sub));
+    // The campaign name: the first word itself, or `submit`'s positional.
+    let campaign = match sub.name() {
+        "<campaign>" => Some(first),
+        "submit" => match rest.split_first() {
+            None => return Ok(Command::Help(usage(sub))),
+            Some((name, flags)) if !name.starts_with('-') => {
+                rest = flags;
+                Some(name)
+            }
+            Some(_) => None,
+        },
+        _ => None,
+    };
+    let unknown = |name: &String| usage_error(format!("unknown campaign: {name}"));
+    let spec = campaign
+        .map(|name| resolve_campaign(name).ok_or_else(|| unknown(name)))
+        .transpose()?;
+    let Some(args) = parse_flags(sub, rest).map_err(usage_error)? else {
+        return Ok(Command::Help(usage(sub)));
+    };
+    // One default address, for the server and its clients alike.
+    let serve_defaults = ServeOptions::default();
+    let addr = args.addr.clone().unwrap_or(serve_defaults.addr);
+    let command = match (sub.name(), spec) {
+        ("<campaign>", Some(spec)) if spec.name == "table1" => Ok(Command::Table1),
+        ("<campaign>", Some(spec)) => {
+            plan_campaign(spec, &args).map(|plan| Command::Campaign(plan, args))
+        }
+        ("submit", Some(spec)) => plan_campaign(spec, &args).map(|plan| Command::Submit {
+            addr,
+            submission: Submission {
+                priority: args.priority.unwrap_or_default(),
+                options: plan.options,
+                points: plan.points(),
+            },
+            runs_json: args.runs_json,
+        }),
+        ("submit", None) => Err("submit needs a campaign name".to_string()),
+        ("run-one", _) => plan_run_one(args).map(Command::RunOne),
+        ("hunt", _) => {
+            let mut defaults = HuntOptions::default();
+            if args.smoke {
+                // The CI configuration: small, fast, and pinned. CI runs it
+                // twice and diffs the stdout.
+                defaults.budget = 8;
+                defaults.ops_per_node = 150;
+            }
+            Ok(Command::Hunt(HuntOptions {
+                protocol: args.protocol.unwrap_or(defaults.protocol),
+                scenario: args.scenario.unwrap_or(defaults.scenario),
+                seed: args.seed.unwrap_or(defaults.seed),
+                budget: args.budget.unwrap_or(defaults.budget),
+                ops_per_node: args.ops.unwrap_or(defaults.ops_per_node),
+            }))
+        }
+        ("serve", _) => Ok(Command::Serve(ServeOptions {
+            addr,
+            workers: args.workers.unwrap_or(serve_defaults.workers),
+            cache_path: args.cache.map(Into::into),
+        })),
+        ("status", _) => Ok(Command::Status(addr)),
+        ("shutdown", _) => Ok(Command::Shutdown(addr)),
+        (name, _) => unreachable!("subcommand {name} is declared but not dispatched"),
+    };
+    command.map_err(usage_error)
 }
 
 #[cfg(test)]
@@ -579,26 +1174,195 @@ mod tests {
         assert!(scal.contains("TokenB/Dir"));
     }
 
+    fn cli(line: &str) -> Result<Command, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_cli(&argv)
+    }
+
+    /// The whole command line as one table: `Ok` rows list fragments the
+    /// parsed command's `Debug` form must contain, `Err` rows the text the
+    /// usage error must start with.
     #[test]
-    fn merge_bench_fields_replaces_and_preserves() {
-        let path = std::env::temp_dir().join("tc_bench_merge_test.json");
-        let path = path.to_str().unwrap().to_string();
-        let _ = std::fs::remove_file(&path);
-        merge_bench_fields(
-            &path,
-            &[
-                ("alpha".to_string(), "1".to_string()),
-                ("beta".to_string(), "2.5".to_string()),
-            ],
-        )
-        .unwrap();
-        merge_bench_fields(&path, &[("alpha".to_string(), "7".to_string())]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"alpha\": 7"));
-        assert!(text.contains("\"beta\": 2.5"));
-        assert_eq!(text.matches("alpha").count(), 1);
-        assert!(text.starts_with("{\n"));
-        assert!(text.ends_with("}\n"));
-        let _ = std::fs::remove_file(&path);
+    fn command_lines_parse_to_commands_or_usage_errors() {
+        #[rustfmt::skip]
+        let table: &[(&str, Result<&[&str], &str>)] = &[
+            // Usage: the top level, and --help / -h on every subcommand.
+            ("", Ok(&["Help(", "usage: tc-bench <campaign>", "run-one", "shutdown"])),
+            ("help", Ok(&["usage: tc-bench <campaign>"])),
+            ("--help", Ok(&["usage: tc-bench <campaign>"])),
+            ("-h", Ok(&["usage: tc-bench <campaign>"])),
+            ("table2 --help", Ok(&["Help(", "usage: tc-bench <campaign>", "--serial-baseline"])),
+            ("table1 -h", Ok(&["Help(", "usage: tc-bench <campaign>"])),
+            ("run-one --help", Ok(&["Help(", "usage: tc-bench run-one", "--crash-after K"])),
+            ("run-one --nodes 8 -h", Ok(&["Help(", "usage: tc-bench run-one"])),
+            ("hunt --help", Ok(&["Help(", "usage: tc-bench hunt", "--smoke"])),
+            ("serve --help", Ok(&["Help(", "usage: tc-bench serve", "--workers N"])),
+            ("submit", Ok(&["Help(", "usage: tc-bench submit <campaign>"])),
+            ("submit --help", Ok(&["Help(", "usage: tc-bench submit <campaign>", "--priority"])),
+            ("submit table2 -h", Ok(&["Help(", "usage: tc-bench submit <campaign>"])),
+            ("status --help", Ok(&["Help(", "usage: tc-bench status", "--addr HOST:PORT"])),
+            ("shutdown --help", Ok(&["Help(", "usage: tc-bench shutdown", "--addr HOST:PORT"])),
+            // Every subcommand's flags.
+            ("list", Ok(&["List"])),
+            ("table1", Ok(&["Table1"])),
+            ("table2", Ok(&["Campaign(", "name: \"table2\"", "threads: None", "shards: 0 }"])),
+            ("fig5b --ops 5", Ok(&["name: \"fig5-traffic\"", "ops_per_node: 5,"])),
+            ("fig5-traffic --ops 400 --threads 2 --workload oltp --protocol tokenb \
+              --faults drop=0.01 --json a.json --runs-json b.ndjson --shards 2 --serial-baseline",
+             Ok(&["Campaign(", "ops_per_node: 400,", "threads: Some(2)", "Workload: OLTP",
+                  "json: Some(\"a.json\")", "runs_json: Some(\"b.ndjson\")", "shards: 2 }",
+                  "serial_baseline: true"])),
+            ("sweep64 --shards 4", Ok(&["name: \"sweep64\"", "shards: 4 }"])),
+            ("run-one", Ok(&["RunOne(", "num_nodes: 4,", "protocol: TokenB", "seed: 12 }",
+                             "ops_per_node: 20000,", "max_cycles: 1000000000,", "shards: 0 }",
+                             "checkpoint_every: None", "resume: None"])),
+            ("run-one --protocol directory --workload apache --nodes 8 --seed 3 --ops 50 \
+              --max-cycles 9000 --faults drop=0.01 --checkpoint-every 100 --checkpoint-dir d \
+              --crash-after 2 --report-out r.txt",
+             Ok(&["protocol: Directory", "name: \"Apache\"", "num_nodes: 8,", "seed: 3 }",
+                  "ops_per_node: 50,", "max_cycles: 9000,", "checkpoint_every: Some(100)",
+                  "checkpoint_dir: Some(\"d\")", "crash_after: Some(2)",
+                  "report_out: Some(\"r.txt\")"])),
+            ("run-one --resume s.tcsnap", Ok(&["resume: Some(\"s.tcsnap\")"])),
+            ("run-one --shards 4", Ok(&["shards: 4 }"])),
+            ("hunt", Ok(&["Hunt(", "seed: 44382,", "budget: 24,", "ops_per_node: 200"])),
+            ("hunt --protocol hammer --scenario migratory_ring --seed 9 --budget 3 --ops 70",
+             Ok(&["protocol: Hammer", "scenario: \"migratory_ring\"", "seed: 9,", "budget: 3,",
+                  "ops_per_node: 70"])),
+            ("hunt --smoke", Ok(&["seed: 44382,", "budget: 8,", "ops_per_node: 150"])),
+            ("serve", Ok(&["Serve(", "addr: \"127.0.0.1:7533\"", "workers: 2,", "cache_path: None"])),
+            ("serve --addr 0.0.0.0:9 --workers 5 --cache c.snap",
+             Ok(&["addr: \"0.0.0.0:9\"", "workers: 5,", "cache_path: Some(\"c.snap\")"])),
+            ("submit table2", Ok(&["Submit {", "addr: \"127.0.0.1:7533\"", "priority: Normal",
+                                   "runs_json: None"])),
+            ("submit fig4a --addr h:1 --priority high --ops 9 --workload specjbb \
+              --protocol snooping --faults dup=0.5 --runs-json s.ndjson",
+             Ok(&["addr: \"h:1\"", "priority: High", "ops_per_node: 9,", "protocol: Snooping",
+                  "runs_json: Some(\"s.ndjson\")"])),
+            ("status", Ok(&["Status(\"127.0.0.1:7533\")"])),
+            ("status --addr h:2", Ok(&["Status(\"h:2\")"])),
+            ("shutdown --addr h:3", Ok(&["Shutdown(\"h:3\")"])),
+            // A missing value, an unknown flag, a flag of another subcommand.
+            ("table2 --ops", Err("--ops requires a value")),
+            ("status --addr", Err("--addr requires a value")),
+            ("table2 --bogus", Err("unknown option: --bogus")),
+            ("run-one --threads 2", Err("unknown option: --threads")),
+            ("submit table2 --shards 2", Err("unknown option: --shards")),
+            ("status --bogus", Err("unknown option: --bogus")),
+            ("shutdown --bogus", Err("unknown option: --bogus")),
+            // Each numeric flag's zero and garbage; each name that must resolve.
+            ("table2 --ops 0", Err("bad --ops value `0`: expected a whole number of at least 1")),
+            ("run-one --ops 0", Err("bad --ops value `0`")),
+            ("hunt --ops 0", Err("bad --ops value `0`")),
+            ("submit table2 --ops 0", Err("bad --ops value `0`")),
+            ("table2 --ops many", Err("bad --ops value `many`")),
+            ("table2 --threads 0", Err("bad --threads value `0`")),
+            ("table2 --threads -1", Err("bad --threads value `-1`")),
+            ("table2 --shards 0", Err("bad --shards value `0`")),
+            ("run-one --shards 99999999999", Err("bad --shards value `99999999999`: too many")),
+            ("run-one --nodes 0", Err("invalid configuration: system must have at least one node")),
+            ("run-one --nodes x", Err("bad --nodes value `x`")),
+            ("run-one --seed x", Err("bad --seed value `x`")),
+            ("run-one --max-cycles 0", Err("bad --max-cycles value `0`")),
+            ("run-one --checkpoint-dir d --checkpoint-every 0", Err("bad --checkpoint-every value")),
+            ("run-one --crash-after 0", Err("bad --crash-after value `0`")),
+            ("hunt --budget 0", Err("bad --budget value `0`")),
+            ("serve --workers 0", Err("bad --workers value `0`")),
+            ("table2 --protocol mesi", Err("bad --protocol value `mesi`: unknown protocol")),
+            ("fig4a --workload tpcc", Err("bad --workload value `tpcc`: unknown workload")),
+            ("hunt --scenario nope", Err("bad --scenario value `nope`: unknown scenario")),
+            ("submit table2 --priority urgent", Err("bad --priority value `urgent`")),
+            ("table2 --faults drop=2", Err("bad --faults value `drop=2`")),
+            // The cross-flag rules.
+            ("run-one --checkpoint-every 5", Err("--checkpoint-every requires --checkpoint-dir")),
+            ("run-one --crash-after 1", Err("--crash-after requires --checkpoint-every")),
+            ("run-one --shards 2 --checkpoint-every 5 --checkpoint-dir d",
+             Err("--shards is incompatible with --checkpoint-every/--resume")),
+            ("run-one --shards 2 --resume s", Err("--shards is incompatible")),
+            ("hunt --smoke --seed 3", Err("--smoke fixes every knob")),
+            ("hunt --ops 9 --smoke", Err("--smoke fixes every knob")),
+            ("table2 --workload oltp", Err("--workload applies only to the figure campaigns")),
+            ("submit sweep64 --workload oltp", Err("--workload applies only to the figure")),
+            ("scalability --protocol tokenb", Err("--protocol does not apply to scalability")),
+            ("submit scalability --protocol tokenb", Err("--protocol does not apply to scal")),
+            ("fig4a --protocol hammer", Err("no points left after --protocol filter")),
+            // Campaign names.
+            ("bogus", Err("unknown campaign: bogus")),
+            ("bogus --help", Err("unknown campaign: bogus")),
+            ("submit bogus", Err("unknown campaign: bogus")),
+            ("submit --addr h:1", Err("submit needs a campaign name")),
+            ("submit table1", Err("table1 is a static parameter table")),
+        ];
+        for (line, expected) in table {
+            match (cli(line), expected) {
+                (Ok(command), Ok(fragments)) => {
+                    let debug = format!("{command:?}");
+                    for fragment in *fragments {
+                        assert!(
+                            debug.contains(fragment),
+                            "`{line}`: no {fragment:?} in {debug}"
+                        );
+                    }
+                }
+                (Err(error), Err(prefix)) => {
+                    assert!(error.starts_with(prefix), "`{line}`: {error}");
+                    let sub = line.split(' ').next().unwrap();
+                    let sub = SUBCOMMANDS.iter().find(|s| s.name() == sub);
+                    let usage = usage(sub.unwrap_or(&CAMPAIGN));
+                    assert!(
+                        error.ends_with(&format!("\n\n{usage}")),
+                        "`{line}`: {error}"
+                    );
+                }
+                (got, want) => panic!("`{line}`: expected {want:?}, got {got:?}"),
+            }
+        }
+        // Every declared flag is one the table above exercised a parser for.
+        for sub in SUBCOMMANDS.iter().chain([&CAMPAIGN]) {
+            for (flag, help) in sub.flags {
+                let name = flag.split(' ').next().unwrap();
+                let _ = set_flag(&mut Args::default(), name, "1");
+                assert!(!help.is_empty(), "{} {name} has no help", sub.name());
+            }
+        }
+    }
+
+    /// The byte-identity CI gate (served stream == one-shot `--runs-json`)
+    /// rests on `submit` sending exactly the points, under exactly the run
+    /// options, that the one-shot path runs.
+    #[test]
+    fn submit_sends_exactly_what_the_one_shot_path_runs() {
+        for spec in CAMPAIGNS {
+            let mut flags = String::from("--ops 200 --faults drop=0.01");
+            if spec.name.starts_with("fig") {
+                flags.push_str(" --workload oltp");
+            }
+            if spec.name != "scalability" {
+                flags.push_str(" --protocol tokenb");
+            }
+            let one_shot = cli(&format!("{} {flags}", spec.name));
+            let submitted = cli(&format!("submit {} {flags}", spec.name));
+            if spec.name == "table1" {
+                assert!(matches!(one_shot, Ok(Command::Table1)));
+                assert!(submitted.is_err());
+                continue;
+            }
+            let (Ok(Command::Campaign(plan, _)), Ok(Command::Submit { submission, .. })) =
+                (one_shot, submitted)
+            else {
+                panic!("{}: both paths must expand", spec.name);
+            };
+            assert_eq!(plan.options, submission.options, "{}", spec.name);
+            assert_eq!(plan.options.ops_per_node, 200);
+            let (ran, sent) = (plan.points(), submission.points);
+            assert!(!ran.is_empty());
+            assert_eq!(ran.len(), sent.len(), "{}", spec.name);
+            for (a, b) in ran.iter().zip(&sent) {
+                assert_eq!(a.label, b.label, "{}", spec.name);
+                assert_eq!(a.config, b.config, "{}: {}", spec.name, a.label);
+                assert_eq!(a.workload, b.workload, "{}: {}", spec.name, a.label);
+                assert_eq!(a.faults, b.faults, "{}: {}", spec.name, a.label);
+            }
+        }
     }
 }

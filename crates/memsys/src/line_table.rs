@@ -113,7 +113,7 @@ impl<V> LineTable<V> {
 
     /// What this table's *peak* entry population would have cost on the
     /// retired `std::collections::BTreeMap` plane, for the before/after
-    /// state-bytes comparison in `BENCH_engine.json`. Estimate: B=6 B-tree
+    /// state-bytes comparison (DESIGN.md, line-state plane). Estimate: B=6 B-tree
     /// leaves hold up to 11 `(key, value)` pairs at ~8/11 typical fill
     /// (×11/8 slack) plus ~24 amortized bytes per entry of node headers,
     /// parent edges, and internal nodes.

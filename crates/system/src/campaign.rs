@@ -711,7 +711,7 @@ impl CampaignReport {
 
     /// Serializes the whole campaign — per-point reports and the three
     /// aggregates — as JSON, using a hand-rolled writer (the offline build
-    /// has no serde; same policy as `BENCH_engine.json`).
+    /// has no serde).
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.open('{');

@@ -397,7 +397,7 @@ pub struct LineStateStats {
     /// What the same peak populations would have cost on the retired
     /// `BTreeMap`/`HashMap` plane (documented estimate; see
     /// `tc_memsys::LineTable::retired_container_bytes_estimate`) — the
-    /// before/after comparison `BENCH_engine.json` records.
+    /// before/after comparison DESIGN.md's line-state section quotes.
     pub retired_bytes_est: u64,
 }
 

@@ -89,7 +89,7 @@ fn every_protocol_passes_verification_on_every_commercial_workload() {
 /// 3.2 GB/s links the broadcast request traffic congests the fabric and masks
 /// the latency advantage; with ample bandwidth (the regime the paper's
 /// workloads effectively run in) TokenB's removal of the home-node
-/// indirection shows directly. See EXPERIMENTS.md for the discussion.
+/// indirection shows directly.
 #[test]
 fn tokenb_beats_directory_and_hammer_when_bandwidth_is_ample() {
     let run_unlimited = |protocol: ProtocolKind| {
