@@ -243,14 +243,7 @@ fn run_one(plan: RunOnePlan) {
     }
 
     println!("{report}");
-    // The sharded engine counts deliveries in the report, not on the
-    // serial engine's counter.
-    let events = if run_options.shards > 0 {
-        report.engine.events_delivered
-    } else {
-        system.events_delivered()
-    };
-    println!("events_delivered: {events}");
+    println!("events_delivered: {}", system.events_delivered());
     if let Some(path) = &plan.report_out {
         // A sharded run's deterministic form is its determinism view: the
         // per-shard capacity telemetry legitimately varies with shard count,

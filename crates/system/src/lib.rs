@@ -61,6 +61,7 @@ pub mod processor;
 pub mod report;
 pub mod runner;
 mod sharded;
+mod step;
 pub mod verify;
 
 pub use campaign::{

@@ -1,18 +1,21 @@
-//! The event-driven system runner.
+//! The event-driven system runner: run options and run control, the serial
+//! event loop with its checkpoint/trace cuts, the finish path both engines
+//! share, and the snapshot codec.
 
 use tc_interconnect::{Adversary, FaultPlane, Interconnect};
 use tc_protocols::ProtocolRegistry;
 use tc_sim::{Arena, ArenaRef, EventQueue, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
-    AccessOutcome, AdversarySpec, BlockAddr, CoherenceController, ControllerStats, Cycle,
-    EngineStats, FastHashMap, FaultSpec, LineStateStats, Message, MissKind, MissStats, MsgKind,
-    NodeId, Outbox, ProtocolKind, ReissueStats, ReqId, SystemConfig, Timer, TimerKind,
+    AdversarySpec, BlockAddr, CoherenceController, ControllerStats, Cycle, EngineStats,
+    FastHashMap, FaultSpec, LineStateStats, Message, MissStats, NodeId, Outbox, ProtocolKind,
+    ReissueStats, ReqId, SystemConfig, Timer, TimerKind,
 };
 use tc_workloads::WorkloadProfile;
 
-use crate::processor::{IssueDecision, Processor};
+use crate::processor::Processor;
 use crate::report::RunReport;
-use crate::verify::Verifier;
+use crate::step::{Event, Scheduler, StepCore};
+use crate::verify::{Verifier, VerifyOp};
 
 /// Options controlling one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,12 +46,13 @@ pub struct RunOptions {
     /// adversary existed.
     pub adversary: AdversarySpec,
     /// Number of spatial shards (worker threads) to split the run across.
-    /// `0` (the default) runs the original serial engine, bit-identical to
-    /// every release before sharding existed. Any value `>= 1` selects the
-    /// conservative-PDES windowed engine, whose reports are bit-identical
-    /// across *all* shard counts (behavioral fields; see
+    /// `0` (the default) runs the serial schedule: one calendar queue, each
+    /// send committed to the fabric as its event pops. Any value `>= 1`
+    /// selects the conservative-PDES windowed schedule — the same step core,
+    /// sends committed at lookahead-window boundaries — whose reports are
+    /// bit-identical across *all* shard counts (behavioral fields; see
     /// [`RunReport::determinism_view`]) but follow a different — equally
-    /// legal — message schedule than the serial engine. Clamped to the node
+    /// legal — message schedule than the serial one. Clamped to the node
     /// count at run time. Incompatible with `checkpoint_every`.
     pub shards: u32,
 }
@@ -134,12 +138,14 @@ impl Default for RunOptions {
     }
 }
 
-/// The loop-carried state of a run in flight: everything [`System::run`]
-/// used to keep in locals, lifted out so a run can be cut at any event
-/// boundary, serialized into a snapshot, and resumed bit-identically.
+/// The run-control state of a run in flight — on either engine — lifted out
+/// of the loop so a serial run can be cut at any event boundary, serialized
+/// into a snapshot, and resumed bit-identically. The serial loop advances
+/// it once per popped event, the windowed coordinator once per window; the
+/// transitions themselves are written once, here.
 #[derive(Debug)]
 pub struct RunProgress {
-    draining: bool,
+    pub(crate) draining: bool,
     drain_limit_hit: bool,
     /// The cycle at which the completion target (or cycle limit) was
     /// reached; `None` while the run is still making progress. An `Option`
@@ -165,7 +171,11 @@ pub struct RunProgress {
 }
 
 impl RunProgress {
-    fn start(options: &RunOptions, config: &SystemConfig) -> Self {
+    /// A fresh run's state. Each plane exists only when its spec perturbs
+    /// something; `per_node` selects its RNG streams (see the two callers).
+    fn new(options: &RunOptions, config: &SystemConfig, per_node: bool) -> Self {
+        let (seed, link_latency) = (config.seed, config.interconnect.link_latency_ns);
+        let (faults, adversary, nodes) = (options.faults, options.adversary, config.num_nodes);
         RunProgress {
             draining: false,
             drain_limit_hit: false,
@@ -174,33 +184,113 @@ impl RunProgress {
             transactions_at_target: 0,
             events_since_progress: 0,
             livelock_hit: false,
-            fault_plane: RunProgress::build_fault_plane(options, config),
-            adversary_plane: RunProgress::build_adversary_plane(options, config),
+            fault_plane: (!faults.is_none()).then(|| {
+                if per_node {
+                    FaultPlane::new_per_node(faults, config.protocol, seed, link_latency, nodes)
+                } else {
+                    FaultPlane::new(faults, config.protocol, seed, link_latency)
+                }
+            }),
+            adversary_plane: (!adversary.is_none()).then(|| {
+                if per_node {
+                    Adversary::new_per_node(adversary, seed, link_latency, nodes)
+                } else {
+                    Adversary::new(adversary, seed, link_latency)
+                }
+            }),
         }
     }
 
-    fn build_fault_plane(options: &RunOptions, config: &SystemConfig) -> Option<FaultPlane> {
-        if options.faults.is_none() {
-            None
-        } else {
-            Some(FaultPlane::new(
-                options.faults,
-                config.protocol,
-                config.seed,
-                config.interconnect.link_latency_ns,
-            ))
-        }
+    /// A fresh serial run: each plane draws from one RNG stream.
+    fn start(options: &RunOptions, config: &SystemConfig) -> Self {
+        RunProgress::new(options, config, false)
     }
 
-    fn build_adversary_plane(options: &RunOptions, config: &SystemConfig) -> Option<Adversary> {
-        if options.adversary.is_none() {
-            None
-        } else {
-            Some(Adversary::new(
-                options.adversary,
-                config.seed,
-                config.interconnect.link_latency_ns,
-            ))
+    /// A fresh windowed run: the planes fork one RNG stream per *source
+    /// node*, so the dice a message sees depend on which node sent it, never
+    /// on which shard the node landed on — fault and adversary decisions
+    /// reproduce (seed, spec) exactly at any shard count.
+    pub(crate) fn start_per_node(options: &RunOptions, config: &SystemConfig) -> Self {
+        RunProgress::new(options, config, true)
+    }
+
+    /// The target/drain transition, checked before the event (or window)
+    /// at cycle `now` runs: the run starts draining once `completed`
+    /// reaches `target_total` or `now` the cycle limit, recording `stamp` as
+    /// the runtime, and is cut off — returning `false` — once a draining
+    /// run reaches twice the cycle limit.
+    pub(crate) fn keep_going(
+        &mut self,
+        options: &RunOptions,
+        target_total: u64,
+        now: Cycle,
+        stamp: Cycle,
+        completed: u64,
+        transactions: impl FnOnce() -> u64,
+    ) -> bool {
+        if !self.draining && (completed >= target_total || now >= options.max_cycles) {
+            self.draining = true;
+            self.reached_target_at = Some(stamp);
+            self.ops_at_target = completed;
+            self.transactions_at_target = transactions();
+        }
+        if self.draining && now >= drain_limit(options) {
+            self.drain_limit_hit = true;
+            return false;
+        }
+        true
+    }
+
+    /// The livelock watchdog, fed after `events` events were handled:
+    /// returns `true` — cut the run off — once the budget's worth of events
+    /// has gone by without `progressed` (an operation completing).
+    pub(crate) fn livelock_tick(
+        &mut self,
+        options: &RunOptions,
+        progressed: bool,
+        events: u64,
+        now: Cycle,
+    ) -> bool {
+        if progressed {
+            self.events_since_progress = 0;
+            return false;
+        }
+        self.events_since_progress += events;
+        if self.events_since_progress < options.livelock_events_budget {
+            return false;
+        }
+        self.livelock_hit = true;
+        eprintln!(
+            "livelock watchdog: {} events without a completed \
+             op at cycle {now}; cutting the run off (rerun with TC_TRACE_BLOCK=<blk> \
+             for a causal trace of the spinning block)",
+            self.events_since_progress
+        );
+        true
+    }
+
+    /// Commits one send to the fabric at cycle `now`, leaving in `arrivals`
+    /// when and where it arrives: the fabric's routing and bandwidth model
+    /// first, then the fault plane, then the adversary (which perturbs the
+    /// arrivals that actually survived injection). Fault-dropped arrivals
+    /// shrink the fan-out (possibly to nothing); duplicates grow it.
+    pub(crate) fn commit_send(
+        &mut self,
+        fabric: &mut Interconnect,
+        now: Cycle,
+        msg: &Message,
+        arrivals: &mut Vec<(Cycle, NodeId)>,
+    ) {
+        arrivals.clear();
+        fabric.send_arrivals(now, msg, arrivals);
+        if let Some(plane) = self.fault_plane.as_mut() {
+            if msg.reissue {
+                plane.stats_mut().reissue_timeouts += 1;
+            }
+            plane.apply(now, msg, arrivals);
+        }
+        if let Some(plane) = self.adversary_plane.as_mut() {
+            plane.apply(now, msg, arrivals);
         }
     }
 
@@ -223,17 +313,18 @@ impl RunProgress {
         options: &RunOptions,
         config: &SystemConfig,
     ) -> Result<Self, SnapshotError> {
-        let draining = r.bool()?;
-        let drain_limit_hit = r.bool()?;
-        let reached_target_at = r.option(|r| r.u64())?;
-        let ops_at_target = r.u64()?;
-        let transactions_at_target = r.u64()?;
-        let events_since_progress = r.u64()?;
-        let livelock_hit = r.bool()?;
+        let mut progress = RunProgress::start(options, config);
+        progress.draining = r.bool()?;
+        progress.drain_limit_hit = r.bool()?;
+        progress.reached_target_at = r.option(|r| r.u64())?;
+        progress.ops_at_target = r.u64()?;
+        progress.transactions_at_target = r.u64()?;
+        progress.events_since_progress = r.u64()?;
+        progress.livelock_hit = r.bool()?;
         // The plane skeleton is config-derived; only the RNG position and
         // fault statistics travel in the snapshot.
-        let fault_plane = r.option(|r| {
-            let mut plane = RunProgress::build_fault_plane(options, config).ok_or_else(|| {
+        progress.fault_plane = r.option(|r| {
+            let mut plane = progress.fault_plane.take().ok_or_else(|| {
                 SnapshotError::Corrupt(
                     "snapshot has a fault plane but the options inject no faults".into(),
                 )
@@ -241,55 +332,44 @@ impl RunProgress {
             plane.load_state(r)?;
             Ok(plane)
         })?;
-        let adversary_plane = r.option(|r| {
-            let mut plane =
-                RunProgress::build_adversary_plane(options, config).ok_or_else(|| {
-                    SnapshotError::Corrupt(
-                        "snapshot has an adversary plane but the options perturb nothing".into(),
-                    )
-                })?;
+        progress.adversary_plane = r.option(|r| {
+            let mut plane = progress.adversary_plane.take().ok_or_else(|| {
+                SnapshotError::Corrupt(
+                    "snapshot has an adversary plane but the options perturb nothing".into(),
+                )
+            })?;
             plane.load_state(r)?;
             Ok(plane)
         })?;
-        Ok(RunProgress {
-            draining,
-            drain_limit_hit,
-            reached_target_at,
-            ops_at_target,
-            transactions_at_target,
-            events_since_progress,
-            livelock_hit,
-            fault_plane,
-            adversary_plane,
-        })
+        Ok(progress)
     }
 }
 
-/// A handle to a [`Message`] parked in the runner's payload arena. The
-/// arena checks a generation stamp on every access, so a handle that
-/// outlives its message (a double-delivery bug) panics loudly instead of
-/// reading a recycled slot.
-type MsgRef = ArenaRef;
+/// A draining run is cut off (a structured deadlock) at twice the cycle
+/// limit.
+pub(crate) fn drain_limit(options: &RunOptions) -> Cycle {
+    options.max_cycles.saturating_mul(2)
+}
 
-/// Events driving the system.
-///
-/// Deliberately small plain-old-data: the calendar queue moves entries on
-/// every push/pop/migration, so the (large) `Message` payloads live in the
-/// runner's [`Arena`] and events carry only a [`MsgRef`]. A message's slot
-/// is occupied from the moment its `Send` is scheduled until its last
-/// `Deliver` is handled; a fan-out (multicast/broadcast) parks one shared
-/// slot for all of its deliveries — controllers receive `&Message`, so
-/// nothing is ever cloned on the delivery path.
-#[derive(Debug, Clone, Copy)]
-enum SystemEvent {
-    /// A processor is ready to issue its next operation.
-    Wakeup(NodeId),
-    /// A controller hands a message to the interconnect.
-    Send(MsgRef),
-    /// The interconnect delivers a message to a node.
-    Deliver { node: NodeId, msg: MsgRef },
-    /// A controller timer fires.
-    Timer { node: NodeId, timer: Timer },
+/// The serial engine's two answers to the step core: events go onto the one
+/// calendar queue (same-cycle ties pop FIFO, so `origin` is not needed), and
+/// verifier calls are applied on the spot.
+struct Serial<'a> {
+    queue: &'a mut EventQueue<Event>,
+    verifier: &'a mut Verifier,
+    starvation_bound: Cycle,
+}
+
+impl Scheduler for Serial<'_> {
+    #[inline]
+    fn schedule(&mut self, at: Cycle, _origin: NodeId, event: Event) {
+        self.queue.schedule(at, event);
+    }
+
+    #[inline]
+    fn verify(&mut self, op: VerifyOp) {
+        self.verifier.apply(op, self.starvation_bound);
+    }
 }
 
 /// One simulated multiprocessor: N nodes, an interconnect, a verifier, and a
@@ -297,47 +377,17 @@ enum SystemEvent {
 #[derive(Debug)]
 pub struct System {
     pub(crate) config: SystemConfig,
-    pub(crate) workload: WorkloadProfile,
-    pub(crate) controllers: Vec<Box<dyn CoherenceController>>,
-    pub(crate) processors: Vec<Processor>,
+    workload: WorkloadProfile,
+    /// Every node's controller and processor, and what stepping them
+    /// accumulates. A windowed run deals it out to the shards and merges it
+    /// back, so post-run inspection works the same on either engine.
+    pub(crate) core: StepCore,
     pub(crate) interconnect: Interconnect,
-    queue: EventQueue<SystemEvent>,
+    queue: EventQueue<Event>,
     pub(crate) verifier: Verifier,
-    /// Whether each outstanding miss (by request id) is a store, so that
-    /// completions can be classified per operation rather than per miss.
-    outstanding_writes: FastHashMap<tc_types::ReqId, bool>,
-    /// Operations completed across all processors, maintained incrementally
-    /// at hit/completion sites so the event loop never re-sums per node.
-    pub(crate) completed_ops: u64,
-    /// In-flight message payloads; events reference them by [`MsgRef`].
-    messages: Arena<Message>,
-    /// Scratch outbox handed to controllers; drained (capacity kept) after
-    /// every event so the steady-state loop allocates nothing.
-    scratch_out: Outbox,
-    /// Scratch buffer for interconnect arrival times, reused across sends.
-    arrival_buf: Vec<(Cycle, NodeId)>,
-    /// Worst end-to-end miss latency observed, reported as the worst-case
-    /// recovery latency when fault injection is active.
-    pub(crate) max_miss_latency: Cycle,
-    /// Every completed miss's end-to-end latency, for the report's
-    /// p50/p99/max percentiles. Bounded by the op count, not the event
-    /// count, so a full OLTP calibration stays in the hundreds of
-    /// kilobytes.
-    pub(crate) miss_latency_samples: Vec<Cycle>,
-    /// Operations completed per node (hits and misses), the input to the
-    /// report's completion-share skew — the fairness metric the adversary
-    /// tries to maximize.
-    pub(crate) completions_per_node: Vec<u64>,
-    /// The fairness oracle's bounded-wait threshold for this run, set from
-    /// [`RunOptions::starvation_bound`] when a run starts.
-    pub(crate) starvation_bound: Cycle,
-    /// When set (`TC_TRACE_BLOCK` env var), every send/delivery touching this
-    /// block is printed to stderr — the deterministic replay makes this a
-    /// complete causal trace of one block's protocol activity, and the
-    /// runner keeps a rolling window snapshot so the first violation
-    /// triggers an automatic time-travel replay of the window leading up
-    /// to it (`TC_TRACE_WINDOW` events, default 65536).
-    trace_block: Option<BlockAddr>,
+    /// Events delivered by shard queues in windowed runs, which never touch
+    /// `queue`'s own counter.
+    pub(crate) windowed_events: u64,
     /// True while this system is re-executing a trace window, so the
     /// replay neither re-snapshots nor recursively replays.
     replaying: bool,
@@ -391,29 +441,24 @@ impl System {
         let interconnect = Interconnect::new(config.num_nodes, config.interconnect);
         let mut queue = EventQueue::new();
         for n in 0..config.num_nodes {
-            queue.schedule(0, SystemEvent::Wakeup(NodeId::new(n)));
+            queue.schedule(0, Event::Wakeup(NodeId::new(n)));
         }
+        // With a trace block set, the serial runner also keeps a rolling
+        // window snapshot so the first violation triggers an automatic
+        // time-travel replay of the window leading up to it
+        // (`TC_TRACE_WINDOW` events, default 65536).
+        let trace_block = std::env::var("TC_TRACE_BLOCK")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .map(BlockAddr::new);
         System {
             config: config.clone(),
             workload: profile.clone(),
-            controllers,
-            processors,
+            core: StepCore::new(0, config.block_bytes, trace_block, controllers, processors),
             interconnect,
             queue,
             verifier: Verifier::new(),
-            outstanding_writes: FastHashMap::default(),
-            completed_ops: 0,
-            messages: Arena::new(),
-            scratch_out: Outbox::new(),
-            arrival_buf: Vec::new(),
-            max_miss_latency: 0,
-            miss_latency_samples: Vec::new(),
-            completions_per_node: vec![0; config.num_nodes],
-            starvation_bound: Cycle::MAX,
-            trace_block: std::env::var("TC_TRACE_BLOCK")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .map(BlockAddr::new),
+            windowed_events: 0,
             replaying: false,
         }
     }
@@ -427,23 +472,19 @@ impl System {
     /// wedged runs (`examples/conformance_repro.rs` prints this for stuck
     /// nodes).
     pub fn controller_debug(&self, node: NodeId) -> String {
-        format!("{:#?}", self.controllers[node.index()])
+        format!("{:#?}", self.core.controllers[node.index()])
     }
 
     /// The blocks each node is still waiting on, for post-mortem reports.
     pub fn outstanding_blocks(&self, node: NodeId) -> Vec<BlockAddr> {
-        self.controllers[node.index()].outstanding_blocks()
+        self.core.controllers[node.index()].outstanding_blocks()
     }
 
-    /// Total number of events the runner has delivered so far. The
-    /// engine-throughput benchmark divides this by wall-clock seconds to get
-    /// events per second.
+    /// Total number of events this system has delivered so far, on either
+    /// engine; after a run it equals the report's
+    /// `engine.events_delivered`.
     pub fn events_delivered(&self) -> u64 {
-        self.queue.total_delivered()
-    }
-
-    fn total_transactions(&self) -> u64 {
-        self.processors.iter().map(|p| p.transactions()).sum()
+        self.queue.total_delivered() + self.windowed_events
     }
 
     /// Runs the simulation until every node has completed
@@ -478,7 +519,7 @@ impl System {
         }
         let mut progress = RunProgress::start(&options, &self.config);
         self.drive(&options, &mut progress, sink, None);
-        self.finish(&options, progress)
+        self.finish_serial(&options, progress)
     }
 
     /// Continues a run restored by [`System::restore`] to completion. The
@@ -497,14 +538,27 @@ impl System {
         sink: &mut dyn FnMut(u64, &[u8]),
     ) -> RunReport {
         self.drive(&options, &mut progress, sink, None);
-        self.finish(&options, progress)
+        self.finish_serial(&options, progress)
     }
 
-    /// The event loop. Pulled out of [`System::run`] so the same loop
-    /// serves fresh runs, resumed runs, and bounded trace replays
-    /// (`stop_after_events`). Checkpoint and trace-window cuts happen
-    /// *before* each pop, at an event boundary where the scratch outbox is
-    /// empty — the snapshot never has to serialize mid-event state.
+    /// Run-entry setup both engines share: arms the test-only arbiter
+    /// sabotage, aimed at the victim node's controller (the starvation
+    /// oracle must catch what this breaks). Idempotent, so resumed runs and
+    /// replays re-arm it.
+    pub(crate) fn arm_sabotage(&mut self, options: &RunOptions) {
+        if options.adversary.sabotage != 0 {
+            let victim = options.adversary.victim_node as usize % self.config.num_nodes;
+            self.core.controllers[victim].set_arbiter_sabotage(true);
+        }
+    }
+
+    /// The serial event loop: one calendar queue over every node, each send
+    /// committed to the fabric the moment its event pops. Pulled out of
+    /// [`System::run`] so the same loop serves fresh runs, resumed runs, and
+    /// bounded trace replays (`stop_after_events`). Checkpoint and
+    /// trace-window cuts happen *before* each pop, at an event boundary
+    /// where the scratch outbox is empty — the snapshot never has to
+    /// serialize mid-event state.
     fn drive(
         &mut self,
         options: &RunOptions,
@@ -513,16 +567,8 @@ impl System {
         stop_after_events: Option<u64>,
     ) {
         let target_total = options.ops_per_node * self.config.num_nodes as u64;
-        let drain_limit = options.max_cycles.saturating_mul(2);
-        self.starvation_bound = options.starvation_bound(&self.config);
-        if options.adversary.sabotage != 0 {
-            // Test-only arbiter sabotage, aimed at the victim node's
-            // controller: the starvation oracle must catch what this
-            // breaks. Applied at loop entry so resumed runs and replays
-            // re-arm it (idempotent).
-            let victim = options.adversary.victim_node as usize % self.config.num_nodes;
-            self.controllers[victim].set_arbiter_sabotage(true);
-        }
+        self.arm_sabotage(options);
+        let starvation_bound = options.starvation_bound(&self.config);
         let mut next_checkpoint = options
             .checkpoint_every
             .map(|k| (self.queue.total_delivered() / k + 1) * k);
@@ -530,7 +576,7 @@ impl System {
         // block set, keep the snapshot from the last window boundary so a
         // violation can replay the window leading up to it. Never active
         // inside a replay (no recursion).
-        let trace_window: Option<u64> = if self.trace_block.is_some() && !self.replaying {
+        let trace_window: Option<u64> = if self.core.trace_block.is_some() && !self.replaying {
             Some(
                 std::env::var("TC_TRACE_WINDOW")
                     .ok()
@@ -546,10 +592,11 @@ impl System {
         // very first window still has a snapshot to replay from.
         let mut next_window_cut = trace_window.map(|w| (self.queue.total_delivered() / w) * w);
         let mut violations_seen = self.verifier.violations().len();
-        // The scratch outbox lives in a local for the whole loop instead of
-        // being swapped out of and back into `self` around every controller
-        // call.
-        let mut out = std::mem::take(&mut self.scratch_out);
+        // Scratch outbox handed to controllers and scratch buffer for
+        // arrival times: both are drained (capacity kept) after every event,
+        // so the steady-state loop allocates nothing.
+        let mut out = Outbox::new();
+        let mut arrivals: Vec<(Cycle, NodeId)> = Vec::new();
 
         loop {
             let delivered = self.queue.total_delivered();
@@ -573,77 +620,34 @@ impl System {
             let Some((now, event)) = self.queue.pop() else {
                 break;
             };
-            if !progress.draining
-                && (self.completed_ops >= target_total || now >= options.max_cycles)
-            {
-                progress.draining = true;
-                progress.reached_target_at = Some(now);
-                progress.ops_at_target = self.completed_ops;
-                progress.transactions_at_target = self.total_transactions();
-            }
-            if progress.draining && now >= drain_limit {
-                progress.drain_limit_hit = true;
+            let core = &self.core;
+            if !progress.keep_going(options, target_total, now, now, core.completed_ops, || {
+                core.total_transactions()
+            }) {
                 break;
             }
-            let ops_before = self.completed_ops;
-            match event {
-                SystemEvent::Wakeup(node) => {
-                    if !progress.draining {
-                        self.processor_step(now, node, &mut out);
+            let ops_before = self.core.completed_ops;
+            let mut sched = Serial {
+                queue: &mut self.queue,
+                verifier: &mut self.verifier,
+                starvation_bound,
+            };
+            let sent = self
+                .core
+                .step(now, event, progress.draining, &mut sched, &mut out);
+            if let Some(msg_ref) = sent {
+                let msg = self.core.messages.take(msg_ref);
+                progress.commit_send(&mut self.interconnect, now, &msg, &mut arrivals);
+                // Park the payload once, shared by every delivery of the
+                // fan-out; the last delivery's release frees it. Nothing is
+                // cloned, broadcast or not, and a fully-dropped message is
+                // never parked.
+                if !arrivals.is_empty() {
+                    let parked = self.core.messages.insert_shared(msg, arrivals.len() as u32);
+                    for &(at, node) in &arrivals {
+                        self.queue
+                            .schedule(at, Event::Deliver { node, msg: parked });
                     }
-                }
-                SystemEvent::Send(msg_ref) => {
-                    let msg = self.messages.take(msg_ref);
-                    if self.trace_block == Some(msg.addr) {
-                        eprintln!("[{now}] SEND {msg} kind={:?}", msg.kind);
-                    }
-                    if matches!(msg.kind, MsgKind::PersistentRequest { .. }) {
-                        // Fairness oracle: the bounded-wait clock starts at
-                        // the first persistent request a (node, block) pair
-                        // puts on the wire.
-                        self.verifier
-                            .note_persistent_request(msg.src, msg.addr, now);
-                    }
-                    let mut arrivals = std::mem::take(&mut self.arrival_buf);
-                    self.interconnect.send_arrivals(now, &msg, &mut arrivals);
-                    if let Some(plane) = progress.fault_plane.as_mut() {
-                        if msg.reissue {
-                            plane.stats_mut().reissue_timeouts += 1;
-                        }
-                        plane.apply(now, &msg, &mut arrivals);
-                    }
-                    if let Some(plane) = progress.adversary_plane.as_mut() {
-                        // After the fault plane: the adversary perturbs the
-                        // arrivals that actually survived injection.
-                        plane.apply(now, &msg, &mut arrivals);
-                    }
-                    // Park the payload once, shared by every delivery of
-                    // the fan-out; the last delivery's release frees it.
-                    // Nothing is cloned, broadcast or not. Fault-dropped
-                    // arrivals shrink the share count (a fully-dropped
-                    // message is never parked); duplicates grow it.
-                    if !arrivals.is_empty() {
-                        let parked = self.messages.insert_shared(msg, arrivals.len() as u32);
-                        for &(at, node) in &arrivals {
-                            self.queue
-                                .schedule(at, SystemEvent::Deliver { node, msg: parked });
-                        }
-                    }
-                    arrivals.clear();
-                    self.arrival_buf = arrivals;
-                }
-                SystemEvent::Deliver { node, msg: msg_ref } => {
-                    let msg = self.messages.get(msg_ref);
-                    if self.trace_block == Some(msg.addr) {
-                        eprintln!("[{now}] DELIVER to {node} {msg} kind={:?}", msg.kind);
-                    }
-                    self.controllers[node.index()].handle_message(now, msg, &mut out);
-                    self.messages.release(msg_ref);
-                    self.process_outbox(now, node, &mut out);
-                }
-                SystemEvent::Timer { node, timer } => {
-                    self.controllers[node.index()].handle_timer(now, timer, &mut out);
-                    self.process_outbox(now, node, &mut out);
                 }
             }
             if trace_window.is_some() && self.verifier.violations().len() > violations_seen {
@@ -652,50 +656,67 @@ impl System {
                     self.windowed_replay(options, snap, *from, self.queue.total_delivered());
                 }
             }
-            if self.completed_ops != ops_before {
-                progress.events_since_progress = 0;
-            } else {
-                progress.events_since_progress += 1;
-                if progress.events_since_progress >= options.livelock_events_budget {
-                    progress.livelock_hit = true;
-                    eprintln!(
-                        "livelock watchdog: {} events without a completed \
-                         op at cycle {now}; cutting the run off (rerun with TC_TRACE_BLOCK=<blk> \
-                         for a causal trace of the spinning block)",
-                        progress.events_since_progress
-                    );
-                    break;
-                }
+            let progressed = self.core.completed_ops != ops_before;
+            if progress.livelock_tick(options, progressed, 1, now) {
+                break;
             }
         }
-        self.scratch_out = out;
     }
 
-    /// Post-loop wrap-up: final audit, stats merge, report assembly.
-    fn finish(&mut self, options: &RunOptions, mut progress: RunProgress) -> RunReport {
+    fn finish_serial(&mut self, options: &RunOptions, progress: RunProgress) -> RunReport {
+        let mut in_flight_tokens = FastHashMap::default();
+        self.core
+            .add_in_flight(self.queue.iter(), &mut in_flight_tokens);
+        let engine = EngineStats {
+            peak_queue_depth: self.queue.max_depth() as u64,
+            peak_arena_occupancy: self.core.messages.high_water() as u64,
+            arena_accounting_errors: self.core.messages.accounting_errors(),
+            ..EngineStats::default()
+        };
+        let now = self.queue.now();
+        self.finish(options, progress, now, &in_flight_tokens, engine)
+    }
+
+    /// Post-loop wrap-up for either engine: final audit, stats merge, report
+    /// assembly. The step core must be whole again (shards absorbed). The
+    /// engine supplies what only its queues and arenas know: the final
+    /// clock `now`, per block the (total, owner) tokens of deliveries still
+    /// pending, and the capacity fields of `engine` (the rest is filled in
+    /// here).
+    pub(crate) fn finish(
+        &mut self,
+        options: &RunOptions,
+        mut progress: RunProgress,
+        now: Cycle,
+        in_flight_tokens: &FastHashMap<BlockAddr, (i64, i64)>,
+        engine: EngineStats,
+    ) -> RunReport {
         let runtime_cycles = match progress.reached_target_at {
             Some(cycles) => cycles,
             None => {
                 // The queue drained (or the drain limit hit) before the
                 // target was reached: report the state at the end of the run.
-                progress.ops_at_target = self.completed_ops;
-                progress.transactions_at_target = self.total_transactions();
-                self.queue.now()
+                progress.ops_at_target = self.core.completed_ops;
+                progress.transactions_at_target = self.core.total_transactions();
+                now
             }
         };
 
         // Fairness oracle: anything still escalated after the drain is
         // checked against the bound before the liveness audit runs.
         self.verifier
-            .sweep_escalations(self.queue.now(), self.starvation_bound);
+            .sweep_escalations(now, options.starvation_bound(&self.config));
         self.final_audit(
+            in_flight_tokens,
+            now,
             progress.drain_limit_hit,
             progress
                 .livelock_hit
                 .then_some(progress.events_since_progress),
         );
 
-        let (misses, reissue, controllers, line_state) = merge_controller_stats(&self.controllers);
+        let (misses, reissue, controllers, line_state) =
+            merge_controller_stats(&self.core.controllers);
 
         // Recovery-side fault numbers: how hard the correctness substrate
         // had to work. Left all-zero on faultless runs so the default
@@ -707,12 +728,12 @@ impl System {
             .unwrap_or_default();
         if progress.fault_plane.is_some() {
             fault_stats.persistent_activations = controllers.persistent_requests_initiated;
-            fault_stats.max_recovery_ns = self.max_miss_latency;
+            fault_stats.max_recovery_ns = self.core.max_miss_latency;
         }
 
         let (miss_latency_p50, miss_latency_p99, miss_latency_max) =
-            latency_percentiles(&mut self.miss_latency_samples);
-        let completion_skew_ppm = completion_skew_ppm(&self.completions_per_node);
+            latency_percentiles(&mut self.core.miss_latency_samples);
+        let completion_skew_ppm = completion_skew_ppm(&self.core.completions_per_node);
 
         let adversary_stats = progress
             .adversary_plane
@@ -740,14 +761,11 @@ impl System {
             miss_latency_max,
             completion_skew_ppm,
             engine: EngineStats {
-                peak_queue_depth: self.queue.max_depth() as u64,
-                peak_arena_occupancy: self.messages.high_water() as u64,
-                events_delivered: self.queue.total_delivered(),
-                arena_accounting_errors: self.messages.accounting_errors(),
+                events_delivered: self.events_delivered(),
                 state: line_state,
                 faults: fault_stats,
                 adversary: adversary_stats,
-                sharding: tc_types::ShardStats::default(),
+                ..engine
             },
             violations: self.verifier.violations().to_vec(),
         }
@@ -759,19 +777,20 @@ impl System {
     /// sealed (versioned + checksummed) snapshot. Must be called at an
     /// event boundary (the runner only calls it between pops).
     pub fn snapshot(&self, options: &RunOptions, progress: &RunProgress) -> Vec<u8> {
+        let core = &self.core;
         let mut w = SnapWriter::new();
         w.u64(self.fingerprint(options));
-        w.u64(self.completed_ops);
-        w.u64(self.max_miss_latency);
-        w.seq(self.miss_latency_samples.iter(), |w, &s| w.u64(s));
-        w.seq(self.completions_per_node.iter(), |w, &c| w.u64(c));
-        self.queue.save_state(&mut w, emit_system_event);
-        self.messages.save_state(&mut w, |w, msg| msg.save_state(w));
+        w.u64(core.completed_ops);
+        w.u64(core.max_miss_latency);
+        w.seq(core.miss_latency_samples.iter(), |w, &s| w.u64(s));
+        w.seq(core.completions_per_node.iter(), |w, &c| w.u64(c));
+        self.queue.save_state(&mut w, emit_event);
+        core.messages.save_state(&mut w, |w, msg| msg.save_state(w));
         self.interconnect.save_state(&mut w);
         self.verifier.save_state(&mut w);
         // The hash map iterates in arbitrary order; sort so identical
         // states produce identical snapshot bytes.
-        let mut writes: Vec<(u64, bool)> = self
+        let mut writes: Vec<(u64, bool)> = core
             .outstanding_writes
             .iter()
             .map(|(id, &is_write)| (id.value(), is_write))
@@ -781,8 +800,8 @@ impl System {
             w.u64(id);
             w.bool(is_write);
         });
-        w.seq(self.processors.iter(), |w, p| p.save_state(w));
-        w.seq(self.controllers.iter(), |w, c| c.save_state(w));
+        w.seq(core.processors.iter(), |w, p| p.save_state(w));
+        w.seq(core.controllers.iter(), |w, c| c.save_state(w));
         progress.save_state(&mut w);
         tc_sim::seal(tc_sim::snapshot::SNAPSHOT_VERSION, &w.into_bytes())
     }
@@ -807,52 +826,53 @@ impl System {
                 self.fingerprint(options)
             )));
         }
-        self.completed_ops = r.u64()?;
-        self.max_miss_latency = r.u64()?;
+        let core = &mut self.core;
+        core.completed_ops = r.u64()?;
+        core.max_miss_latency = r.u64()?;
         let num_samples = r.bounded_len(8)?;
-        self.miss_latency_samples = Vec::with_capacity(num_samples);
+        core.miss_latency_samples = Vec::with_capacity(num_samples);
         for _ in 0..num_samples {
-            self.miss_latency_samples.push(r.u64()?);
+            core.miss_latency_samples.push(r.u64()?);
         }
         let num_counts = r.bounded_len(8)?;
-        if num_counts != self.completions_per_node.len() {
+        if num_counts != core.completions_per_node.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot has completion counts for {num_counts} nodes, system has {}",
-                self.completions_per_node.len()
+                core.completions_per_node.len()
             )));
         }
-        for count in &mut self.completions_per_node {
+        for count in &mut core.completions_per_node {
             *count = r.u64()?;
         }
-        self.queue = EventQueue::load_state(&mut r, read_system_event)?;
-        self.messages = Arena::load_state(&mut r, Message::load_state)?;
+        self.queue = EventQueue::load_state(&mut r, read_event)?;
+        core.messages = Arena::load_state(&mut r, Message::load_state)?;
         self.interconnect.load_state(&mut r)?;
         self.verifier.load_state(&mut r)?;
-        self.outstanding_writes.clear();
+        core.outstanding_writes.clear();
         let num_writes = r.bounded_len(9)?;
         for _ in 0..num_writes {
             let id = ReqId::new(r.u64()?);
             let is_write = r.bool()?;
-            self.outstanding_writes.insert(id, is_write);
+            core.outstanding_writes.insert(id, is_write);
         }
         let num_processors = r.bounded_len(8)?;
-        if num_processors != self.processors.len() {
+        if num_processors != core.processors.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot has {num_processors} processors, system has {}",
-                self.processors.len()
+                core.processors.len()
             )));
         }
-        for processor in &mut self.processors {
+        for processor in &mut core.processors {
             processor.load_state(&mut r)?;
         }
         let num_controllers = r.bounded_len(1)?;
-        if num_controllers != self.controllers.len() {
+        if num_controllers != core.controllers.len() {
             return Err(SnapshotError::Corrupt(format!(
                 "snapshot has {num_controllers} controllers, system has {}",
-                self.controllers.len()
+                core.controllers.len()
             )));
         }
-        for controller in &mut self.controllers {
+        for controller in &mut core.controllers {
             controller.load_state(&mut r)?;
         }
         let progress = RunProgress::load_state(&mut r, options, &self.config)?;
@@ -866,10 +886,10 @@ impl System {
     /// excluded — checkpointing is observational, so a snapshot taken at
     /// one cadence restores fine under another (or under none).
     fn fingerprint(&self, options: &RunOptions) -> u64 {
-        // `shards` is folded in even though sharded runs never snapshot:
+        // `shards` is folded in even though windowed runs never snapshot:
         // a snapshot taken serially (shards = 0) then restored under
-        // shards > 0 must fail as a structured `Corrupt`, not resume on the
-        // wrong engine.
+        // shards > 0 must fail as a structured `Corrupt`, not resume on a
+        // different schedule.
         let key = format!(
             "{:?}|{:?}|{}|{}|{:?}|{}|{:?}|{}",
             self.config,
@@ -904,116 +924,6 @@ impl System {
         }
     }
 
-    fn processor_step(&mut self, now: Cycle, node: NodeId, out: &mut Outbox) {
-        let (decision, think) = self.processors[node.index()].next_issue(now);
-        match decision {
-            IssueDecision::Finished | IssueDecision::Blocked => {}
-            IssueDecision::Issue(op) => {
-                let issue_time = now + think;
-                let block = op.addr.block(self.config.block_bytes);
-                let is_write = op.kind.is_write();
-                let outcome = self.controllers[node.index()].access(issue_time, &op, out);
-                match outcome {
-                    AccessOutcome::Hit {
-                        latency,
-                        version,
-                        valid_since,
-                    } => {
-                        self.processors[node.index()].note_hit(issue_time);
-                        self.completed_ops += 1;
-                        self.completions_per_node[node.index()] += 1;
-                        let done_at = issue_time + latency;
-                        if is_write {
-                            self.verifier.record_write(node, block, version, done_at);
-                        } else {
-                            // The legality window opens at the serialization
-                            // lower bound the protocol reports for the copy,
-                            // not at the access: an unacknowledged snooping
-                            // hit may legally observe a value a later-ordered
-                            // remote write has already superseded, until the
-                            // invalidation arrives (see `AccessOutcome::Hit`).
-                            self.verifier.check_read(
-                                node,
-                                block,
-                                version,
-                                valid_since.min(issue_time),
-                                done_at,
-                            );
-                        }
-                        self.queue
-                            .schedule(done_at.max(issue_time + 1), SystemEvent::Wakeup(node));
-                    }
-                    AccessOutcome::Miss => {
-                        self.outstanding_writes.insert(op.id, is_write);
-                        self.processors[node.index()].note_miss(op.id, issue_time);
-                        // Keep issuing under the miss (hit-under-miss and
-                        // miss-under-miss) until the processor blocks itself.
-                        self.queue
-                            .schedule(issue_time + 1, SystemEvent::Wakeup(node));
-                    }
-                }
-                self.process_outbox(now, node, out);
-            }
-        }
-    }
-
-    /// Drains `out` into the event queue and the verifier, keeping its
-    /// allocations for reuse.
-    fn process_outbox(&mut self, now: Cycle, node: NodeId, out: &mut Outbox) {
-        for msg in out.messages.drain(..) {
-            let at = msg.sent_at.max(now);
-            let parked = self.messages.insert(msg);
-            self.queue.schedule(at, SystemEvent::Send(parked));
-        }
-        for (at, timer) in out.timers.drain(..) {
-            self.queue
-                .schedule(at.max(now), SystemEvent::Timer { node, timer });
-        }
-        for completion in out.completions.drain(..) {
-            let latency = completion.completed_at.saturating_sub(completion.issued_at);
-            self.max_miss_latency = self.max_miss_latency.max(latency);
-            self.miss_latency_samples.push(latency);
-            // Fairness oracle: a completion on this (node, block) pair
-            // stops its bounded-wait clock, if one was running.
-            self.verifier.note_completion(
-                node,
-                completion.addr,
-                completion.completed_at,
-                self.starvation_bound,
-            );
-            // Classify by the original operation, not the miss: a store that
-            // merged into a read miss is still a store.
-            let is_write = self
-                .outstanding_writes
-                .remove(&completion.req_id)
-                .unwrap_or(completion.kind != MissKind::Read);
-            if is_write {
-                self.verifier.record_write(
-                    node,
-                    completion.addr,
-                    completion.data_version,
-                    completion.completed_at,
-                );
-            } else {
-                self.verifier.check_read(
-                    node,
-                    completion.addr,
-                    completion.data_version,
-                    completion.issued_at,
-                    completion.completed_at,
-                );
-            }
-            let outcome = self.processors[node.index()].note_completion(completion.req_id, now);
-            if outcome.completed {
-                self.completed_ops += 1;
-                self.completions_per_node[node.index()] += 1;
-            }
-            if outcome.was_blocked {
-                self.queue.schedule(now + 1, SystemEvent::Wakeup(node));
-            }
-        }
-    }
-
     /// Audits the quiesced final state: token conservation, single-writer,
     /// and starvation/deadlock/livelock. `drain_limit_hit` distinguishes a
     /// run that was cut off with events still flowing (deadlock — something
@@ -1022,54 +932,99 @@ impl System {
     /// complete them); `livelock` carries the watchdog's
     /// events-without-progress count when the forward-progress budget
     /// tripped, which takes precedence over both.
-    fn final_audit(&mut self, drain_limit_hit: bool, livelock: Option<u64>) {
-        let now = self.queue.now();
-        // Tokens in flight at quiescence: exactly the token counts of
-        // `Deliver` events still pending in the queue (their payloads are
-        // still parked in the arena). Derived here once instead of being
-        // tracked by per-send/per-delivery map updates in the hot loop; a
-        // message whose `Send` was never processed is deliberately *not*
-        // counted, matching the incremental accounting this replaces (its
-        // tokens were never injected into the fabric).
-        let mut in_flight_tokens: FastHashMap<BlockAddr, (i64, i64)> = FastHashMap::default();
-        for event in self.queue.iter() {
-            if let SystemEvent::Deliver { msg, .. } = event {
-                let msg = self.messages.get(*msg);
-                add_in_flight_tokens(&mut in_flight_tokens, msg);
+    fn final_audit(
+        &mut self,
+        in_flight_tokens: &FastHashMap<BlockAddr, (i64, i64)>,
+        now: Cycle,
+        drain_limit_hit: bool,
+        livelock: Option<u64>,
+    ) {
+        let verifier = &mut self.verifier;
+        let controllers = &self.core.controllers;
+        let expected_tokens = match self.config.protocol {
+            ProtocolKind::TokenB => Some(self.config.token.tokens_per_block),
+            _ => None,
+        };
+
+        let mut blocks: Vec<BlockAddr> = Vec::new();
+        for controller in controllers {
+            blocks.extend(controller.audited_blocks());
+        }
+        blocks.sort_unstable();
+        blocks.dedup();
+
+        for addr in blocks {
+            let mut audits = Vec::new();
+            for controller in controllers {
+                audits.extend(controller.audit_block(addr));
+            }
+            let (in_flight, in_flight_owner) =
+                in_flight_tokens.get(&addr).copied().unwrap_or((0, 0));
+            verifier.audit_block(
+                addr,
+                &audits,
+                in_flight.max(0) as u32,
+                in_flight_owner.max(0) as u32,
+                expected_tokens,
+                now,
+            );
+        }
+
+        // Liveness: after the drain, nothing may still be outstanding. A
+        // stuck request is a deadlock if the drain limit cut the run off
+        // (events were still flowing) and starvation otherwise; either way
+        // the violation names the block the requester is stuck on.
+        for (processor, controller) in self.core.processors.iter().zip(controllers) {
+            if controller.outstanding_misses() > 0 || processor.outstanding_misses() > 0 {
+                let stuck_block = controller
+                    .outstanding_blocks()
+                    .first()
+                    .copied()
+                    .unwrap_or(BlockAddr::new(0));
+                let issued_at = processor
+                    .oldest_outstanding()
+                    .map(|(_, at)| at)
+                    .unwrap_or(now);
+                if let Some(events_without_progress) = livelock {
+                    verifier.record_livelock(
+                        processor.node(),
+                        stuck_block,
+                        issued_at,
+                        now,
+                        events_without_progress,
+                    );
+                } else if drain_limit_hit {
+                    verifier.record_deadlock(processor.node(), stuck_block, issued_at, now);
+                } else {
+                    verifier.record_starvation(processor.node(), stuck_block, issued_at, now);
+                }
             }
         }
-        final_audit_merged(
-            &mut self.verifier,
-            &self.config,
-            &self.controllers,
-            &self.processors,
-            &in_flight_tokens,
-            now,
-            drain_limit_hit,
-            livelock,
-        );
-    }
-}
 
-/// Accumulates one in-flight message's token counts into the final-audit
-/// map (total tokens, owner tokens) for its block.
-pub(crate) fn add_in_flight_tokens(
-    in_flight_tokens: &mut FastHashMap<BlockAddr, (i64, i64)>,
-    msg: &Message,
-) {
-    let tokens = msg.kind.token_count() as i64;
-    if tokens > 0 {
-        let entry = in_flight_tokens.entry(msg.addr).or_insert((0, 0));
-        entry.0 += tokens;
-        if msg.kind.carries_owner_token() {
-            entry.1 += 1;
+        // A tripped watchdog must surface even when no request happens to
+        // be outstanding at the cut (pure message ping-pong): attribute it
+        // to node 0 rather than dropping the violation.
+        if let Some(events_without_progress) = livelock {
+            let already_recorded = verifier
+                .violations()
+                .iter()
+                .any(|v| matches!(v, tc_types::InvariantViolation::Livelock { .. }));
+            if !already_recorded {
+                verifier.record_livelock(
+                    NodeId::new(0),
+                    BlockAddr::new(0),
+                    now,
+                    now,
+                    events_without_progress,
+                );
+            }
         }
     }
 }
 
 /// Merges per-controller statistics into the report's aggregate
 /// (miss, reissue, controller, line-state) tuples.
-pub(crate) fn merge_controller_stats(
+fn merge_controller_stats(
     controllers: &[Box<dyn CoherenceController>],
 ) -> (MissStats, ReissueStats, ControllerStats, LineStateStats) {
     let mut misses = MissStats::default();
@@ -1088,7 +1043,7 @@ pub(crate) fn merge_controller_stats(
 
 /// Miss-latency percentiles `(p50, p99, max)` over every completed miss.
 /// Sorts in place: the run is over and the samples have no other consumer.
-pub(crate) fn latency_percentiles(samples: &mut [Cycle]) -> (Cycle, Cycle, Cycle) {
+fn latency_percentiles(samples: &mut [Cycle]) -> (Cycle, Cycle, Cycle) {
     samples.sort_unstable();
     let percentile = |p: usize| -> Cycle {
         match samples.len() {
@@ -1106,7 +1061,7 @@ pub(crate) fn latency_percentiles(samples: &mut [Cycle]) -> (Cycle, Cycle, Cycle
 /// Completion-share skew: (max - min) per-node completions relative to the
 /// mean, in parts per million. Zero on a perfectly fair run; the
 /// adversary's objective is to drive it up.
-pub(crate) fn completion_skew_ppm(completions_per_node: &[u64]) -> u64 {
+fn completion_skew_ppm(completions_per_node: &[u64]) -> u64 {
     let total_completions: u64 = completions_per_node.iter().sum();
     if total_completions == 0 {
         0
@@ -1121,126 +1076,27 @@ pub(crate) fn completion_skew_ppm(completions_per_node: &[u64]) -> u64 {
     }
 }
 
-/// Audits the quiesced final state: token conservation, single-writer, and
-/// starvation/deadlock/livelock. Engine-agnostic — the serial engine hands
-/// it its one queue's pending-delivery tokens, the sharded engine the merged
-/// map across all shard queues. `drain_limit_hit` distinguishes a run that
-/// was cut off with events still flowing (deadlock — something is spinning
-/// or stranded) from one whose event queue drained with requests still
-/// outstanding (starvation — nothing left that could complete them);
-/// `livelock` carries the watchdog's events-without-progress count when the
-/// forward-progress budget tripped, which takes precedence over both.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn final_audit_merged(
-    verifier: &mut Verifier,
-    config: &SystemConfig,
-    controllers: &[Box<dyn CoherenceController>],
-    processors: &[Processor],
-    in_flight_tokens: &FastHashMap<BlockAddr, (i64, i64)>,
-    now: Cycle,
-    drain_limit_hit: bool,
-    livelock: Option<u64>,
-) {
-    let expected_tokens = match config.protocol {
-        ProtocolKind::TokenB => Some(config.token.tokens_per_block),
-        _ => None,
-    };
-
-    let mut blocks: Vec<BlockAddr> = Vec::new();
-    for controller in controllers {
-        blocks.extend(controller.audited_blocks());
-    }
-    blocks.sort_unstable();
-    blocks.dedup();
-
-    for addr in blocks {
-        let mut audits = Vec::new();
-        for controller in controllers {
-            audits.extend(controller.audit_block(addr));
-        }
-        let (in_flight, in_flight_owner) = in_flight_tokens.get(&addr).copied().unwrap_or((0, 0));
-        verifier.audit_block(
-            addr,
-            &audits,
-            in_flight.max(0) as u32,
-            in_flight_owner.max(0) as u32,
-            expected_tokens,
-            now,
-        );
-    }
-
-    // Liveness: after the drain, nothing may still be outstanding. A
-    // stuck request is a deadlock if the drain limit cut the run off
-    // (events were still flowing) and starvation otherwise; either way
-    // the violation names the block the requester is stuck on.
-    for (processor, controller) in processors.iter().zip(controllers) {
-        if controller.outstanding_misses() > 0 || processor.outstanding_misses() > 0 {
-            let stuck_block = controller
-                .outstanding_blocks()
-                .first()
-                .copied()
-                .unwrap_or(BlockAddr::new(0));
-            let issued_at = processor
-                .oldest_outstanding()
-                .map(|(_, at)| at)
-                .unwrap_or(now);
-            if let Some(events_without_progress) = livelock {
-                verifier.record_livelock(
-                    processor.node(),
-                    stuck_block,
-                    issued_at,
-                    now,
-                    events_without_progress,
-                );
-            } else if drain_limit_hit {
-                verifier.record_deadlock(processor.node(), stuck_block, issued_at, now);
-            } else {
-                verifier.record_starvation(processor.node(), stuck_block, issued_at, now);
-            }
-        }
-    }
-
-    // A tripped watchdog must surface even when no request happens to
-    // be outstanding at the cut (pure message ping-pong): attribute it
-    // to node 0 rather than dropping the violation.
-    if let Some(events_without_progress) = livelock {
-        let already_recorded = verifier
-            .violations()
-            .iter()
-            .any(|v| matches!(v, tc_types::InvariantViolation::Livelock { .. }));
-        if !already_recorded {
-            verifier.record_livelock(
-                NodeId::new(0),
-                BlockAddr::new(0),
-                now,
-                now,
-                events_without_progress,
-            );
-        }
-    }
-}
-
 // --- snapshot codecs ------------------------------------------------------
 //
 // Tags are part of the snapshot wire format; append new variants, never
 // renumber.
 
-fn emit_system_event(w: &mut SnapWriter, event: &SystemEvent) {
+fn emit_event(w: &mut SnapWriter, event: &Event) {
     match event {
-        SystemEvent::Wakeup(node) => {
+        Event::Wakeup(node) => {
             w.u8(0);
             w.u32(node.index() as u32);
         }
-        SystemEvent::Send(msg) => {
+        Event::Send(msg) => {
             w.u8(1);
             w.u64(msg.to_bits());
         }
-        SystemEvent::Deliver { node, msg } => {
+        Event::Deliver { node, msg } => {
             w.u8(2);
             w.u32(node.index() as u32);
             w.u64(msg.to_bits());
         }
-        SystemEvent::Timer { node, timer } => {
+        Event::Timer { node, timer } => {
             w.u8(3);
             w.u32(node.index() as u32);
             emit_timer(w, timer);
@@ -1248,15 +1104,15 @@ fn emit_system_event(w: &mut SnapWriter, event: &SystemEvent) {
     }
 }
 
-fn read_system_event(r: &mut SnapReader<'_>) -> Result<SystemEvent, SnapshotError> {
+fn read_event(r: &mut SnapReader<'_>) -> Result<Event, SnapshotError> {
     Ok(match r.u8()? {
-        0 => SystemEvent::Wakeup(NodeId::new(r.u32()? as usize)),
-        1 => SystemEvent::Send(ArenaRef::from_bits(r.u64()?)),
-        2 => SystemEvent::Deliver {
+        0 => Event::Wakeup(NodeId::new(r.u32()? as usize)),
+        1 => Event::Send(ArenaRef::from_bits(r.u64()?)),
+        2 => Event::Deliver {
             node: NodeId::new(r.u32()? as usize),
             msg: ArenaRef::from_bits(r.u64()?),
         },
-        3 => SystemEvent::Timer {
+        3 => Event::Timer {
             node: NodeId::new(r.u32()? as usize),
             timer: read_timer(r)?,
         },

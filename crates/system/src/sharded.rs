@@ -6,13 +6,17 @@
 //!
 //! Each shard owns a *contiguous* range of nodes — their controllers,
 //! processors, line tables, and outstanding-miss bookkeeping — plus its own
-//! event queue and message arena. Everything a node does to itself (wakeups,
-//! timers, cache hits) stays on its shard. The only cross-shard interaction
-//! is a message send, and every send goes through the *one* global
-//! interconnect model at a window boundary: the fabric's per-link bandwidth
-//! state (`free_at` under [`tc_types::BandwidthMode::Limited`]) is
-//! order-sensitive global state, so sends are committed serially, in a
-//! canonical merged order, by the coordinator.
+//! event queue and message arena: one [`StepCore`], the same code the serial
+//! loop steps, under this module's [`Scheduler`] (keyed heap, logged
+//! verifier calls). What lives here is only what is genuinely sharded:
+//! keys, logs, envelopes, the window loop and the merge. Everything a node
+//! does to itself (wakeups, timers, cache hits) stays on its shard. The only
+//! cross-shard interaction is a message send, and every send goes through
+//! the *one* global interconnect model at a window boundary: the fabric's
+//! per-link bandwidth state (`free_at` under
+//! [`tc_types::BandwidthMode::Limited`]) is order-sensitive global state, so
+//! sends are committed serially, in a canonical merged order, by the
+//! coordinator.
 //!
 //! # Why the windows are safe (lookahead)
 //!
@@ -41,9 +45,10 @@
 //!   history alone. Committed deliveries are keyed by the coordinator's
 //!   global commit counter plus the arrival's index in the fan-out.
 //! * Shards only exchange *logs* (sends and verifier operations), each
-//!   tagged with the originating event's `(cycle, key)`; the coordinator
-//!   merges them into one canonical order before touching shared state
-//!   (fabric, fault/adversary planes, verifier).
+//!   entry tagged with the originating event's `(cycle, key)` and its index
+//!   within that event; the coordinator merges them into one canonical
+//!   order before touching shared state (fabric, fault/adversary planes,
+//!   verifier).
 //! * Fault and adversary RNG streams are forked *per source node* (see
 //!   [`tc_interconnect::FaultPlane::new_per_node`]), so the dice a message
 //!   sees depend on which node sent it, never on which shard or thread.
@@ -60,19 +65,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::mpsc;
 
-use tc_interconnect::{Adversary, FaultPlane, Interconnect};
-use tc_sim::{Arena, ArenaRef};
-use tc_types::{
-    AccessOutcome, BlockAddr, CoherenceController, Cycle, EngineStats, FastHashMap, Message,
-    MissKind, MsgKind, NodeId, Outbox, ReqId, ShardStats, Timer,
-};
+use tc_types::{Cycle, EngineStats, FastHashMap, Message, NodeId, Outbox, ShardStats};
 
-use crate::processor::{IssueDecision, Processor};
 use crate::report::RunReport;
-use crate::runner::{
-    add_in_flight_tokens, completion_skew_ppm, final_audit_merged, latency_percentiles,
-    merge_controller_stats, RunOptions, System,
-};
+use crate::runner::{drain_limit, RunOptions, RunProgress, System};
+use crate::step::{add_in_flight_tokens, Event, Scheduler, StepCore};
+use crate::verify::VerifyOp;
 
 /// High bit distinguishes coordinator-committed deliveries from
 /// node-originated events; within a cycle, all node events order before all
@@ -95,22 +93,13 @@ fn delivery_key(commit_seq: u64, arrival_idx: usize) -> u64 {
     DELIVERY_KEY_BIT | (commit_seq << 12) | arrival_idx as u64
 }
 
-/// A shard-local event. Mirrors the serial engine's `SystemEvent`.
-#[derive(Debug, Clone, Copy)]
-enum ShardEvent {
-    Wakeup(NodeId),
-    Send(ArenaRef),
-    Deliver { node: NodeId, msg: ArenaRef },
-    Timer { node: NodeId, timer: Timer },
-}
-
 /// One queued event. Ordered by `(at, key)`; keys are unique, so the order
 /// is total and the payload is never compared.
 #[derive(Debug)]
 struct QEntry {
     at: Cycle,
     key: u64,
-    event: ShardEvent,
+    event: Event,
 }
 
 impl PartialEq for QEntry {
@@ -130,52 +119,22 @@ impl Ord for QEntry {
     }
 }
 
-/// A send logged by a shard, to be committed to the global fabric by the
-/// coordinator in canonical `(at, key)` order.
+/// One entry of a shard's window log: a popped send, for the coordinator to
+/// commit to the global fabric, or a verifier call, for it to apply to the
+/// one verifier.
 #[derive(Debug)]
-struct SendRec {
-    at: Cycle,
-    key: u64,
-    msg: Message,
+enum Logged {
+    Send(Message),
+    Verify(VerifyOp),
 }
 
-/// One verifier call logged by a shard. `(at, key, sub)` is the canonical
-/// position of the call — the popped event's cycle and key plus a per-event
-/// counter — while the payload carries the call's actual arguments (which
-/// may reference future cycles, e.g. a hit's `done_at`).
+/// A log entry at its canonical position `(cycle, key, sub)`: the popped
+/// event's cycle and key plus a per-event counter. The coordinator merges
+/// every shard's log into that order before touching shared state.
 #[derive(Debug)]
-struct VRec {
-    at: Cycle,
-    key: u64,
-    sub: u32,
-    op: VerifyOp,
-}
-
-#[derive(Debug)]
-enum VerifyOp {
-    Write {
-        node: NodeId,
-        addr: BlockAddr,
-        version: u64,
-        at: Cycle,
-    },
-    Read {
-        node: NodeId,
-        addr: BlockAddr,
-        version: u64,
-        valid_since: Cycle,
-        at: Cycle,
-    },
-    Persistent {
-        node: NodeId,
-        addr: BlockAddr,
-        at: Cycle,
-    },
-    Completion {
-        node: NodeId,
-        addr: BlockAddr,
-        at: Cycle,
-    },
+struct Rec {
+    pos: (Cycle, u64, u32),
+    what: Logged,
 }
 
 /// A committed message headed for one shard: the payload plus every
@@ -187,19 +146,16 @@ struct Envelope {
     deliveries: Vec<(Cycle, u64, NodeId)>,
 }
 
-enum Cmd {
-    Window {
-        end: Cycle,
-        draining: bool,
-        envelopes: Vec<Envelope>,
-    },
-    Finish,
+/// One window's marching orders. Closing the channel ends the worker.
+struct Window {
+    end: Cycle,
+    draining: bool,
+    envelopes: Vec<Envelope>,
 }
 
 /// What a shard reports back at each window boundary.
 struct WindowDone {
-    sends: Vec<SendRec>,
-    vops: Vec<VRec>,
+    log: Vec<Rec>,
     popped: u64,
     /// Cumulative operations completed on this shard.
     completed: u64,
@@ -208,431 +164,166 @@ struct WindowDone {
     /// Earliest pending event after the window, for global-min derivation.
     next_pending: Option<Cycle>,
     /// Latest cycle this shard has processed, for the final clock.
-    max_popped: Cycle,
+    last_popped: Cycle,
 }
 
-/// Everything a shard hands back when the run ends.
-struct ShardFinal {
-    controllers: Vec<Box<dyn CoherenceController>>,
-    processors: Vec<Processor>,
-    completions: Vec<u64>,
-    samples: Vec<Cycle>,
-    max_miss_latency: Cycle,
-    delivered: u64,
-    peak_queue: u64,
-    arena_peak: u64,
-    arena_errors: u64,
-    /// Per still-pending delivery: `(block, tokens, owner-token count)`,
-    /// the shard's contribution to the final token-conservation audit.
-    in_flight: Vec<(BlockAddr, i64, i64)>,
-}
-
-/// One shard: a contiguous node range `[lo, hi)` and everything those nodes
-/// own, plus this window's outgoing logs.
-struct Shard {
+/// The windowed engine's two answers to the step core: events go onto a
+/// heap under the originating node's next canonical key, and verifier calls
+/// are logged under the current event's canonical position.
+struct Windowed {
     lo: usize,
-    block_bytes: u64,
     queue: BinaryHeap<Reverse<QEntry>>,
-    arena: Arena<Message>,
-    controllers: Vec<Box<dyn CoherenceController>>,
-    processors: Vec<Processor>,
-    outstanding_writes: FastHashMap<ReqId, bool>,
-    node_seq: Vec<u64>,
-    completions: Vec<u64>,
-    samples: Vec<Cycle>,
-    max_miss_latency: Cycle,
-    completed: u64,
-    delivered: u64,
     peak_queue: u64,
-    max_popped: Cycle,
-    draining: bool,
-    sends: Vec<SendRec>,
-    vops: Vec<VRec>,
-    /// Canonical position of the event being processed, stamped onto every
-    /// verifier op it emits.
-    cur_at: Cycle,
-    cur_key: u64,
-    cur_sub: u32,
+    /// Per owned node, how many keys it has drawn.
+    node_seq: Vec<u64>,
+    log: Vec<Rec>,
+    /// Canonical position the next log entry takes: the cycle and key of
+    /// the event being processed, and how many entries it has logged.
+    pos: (Cycle, u64, u32),
 }
 
-impl Shard {
-    fn new(
-        lo: usize,
-        hi: usize,
-        controllers: Vec<Box<dyn CoherenceController>>,
-        processors: Vec<Processor>,
-        block_bytes: u64,
-    ) -> Self {
-        let mut shard = Shard {
-            lo,
-            block_bytes,
-            queue: BinaryHeap::new(),
-            arena: Arena::new(),
-            controllers,
-            processors,
-            outstanding_writes: FastHashMap::default(),
-            node_seq: vec![0; hi - lo],
-            completions: vec![0; hi - lo],
-            samples: Vec::new(),
-            max_miss_latency: 0,
-            completed: 0,
-            delivered: 0,
-            peak_queue: 0,
-            max_popped: 0,
-            draining: false,
-            sends: Vec::new(),
-            vops: Vec::new(),
-            cur_at: 0,
-            cur_key: 0,
-            cur_sub: 0,
-        };
-        for n in lo..hi {
-            let key = shard.next_key(NodeId::new(n));
-            shard.schedule(0, key, ShardEvent::Wakeup(NodeId::new(n)));
-        }
-        shard
-    }
-
-    fn local(&self, node: NodeId) -> usize {
-        node.index() - self.lo
-    }
-
-    fn next_key(&mut self, node: NodeId) -> u64 {
-        let local = node.index() - self.lo;
-        let seq = self.node_seq[local];
-        self.node_seq[local] += 1;
-        node_key(node.index(), seq)
-    }
-
-    fn schedule(&mut self, at: Cycle, key: u64, event: ShardEvent) {
+impl Windowed {
+    fn push(&mut self, at: Cycle, key: u64, event: Event) {
         self.queue.push(Reverse(QEntry { at, key, event }));
         self.peak_queue = self.peak_queue.max(self.queue.len() as u64);
     }
 
-    fn vop(&mut self, op: VerifyOp) {
-        let sub = self.cur_sub;
-        self.cur_sub += 1;
-        self.vops.push(VRec {
-            at: self.cur_at,
-            key: self.cur_key,
-            sub,
-            op,
-        });
+    /// Pops the earliest event, if it is due before cycle `end`.
+    fn pop_before(&mut self, end: Cycle) -> Option<QEntry> {
+        if self.queue.peek()?.0.at >= end {
+            return None;
+        }
+        self.queue.pop().map(|Reverse(entry)| entry)
     }
 
-    fn ingest(&mut self, envelopes: Vec<Envelope>) {
-        for env in envelopes {
+    fn log(&mut self, what: Logged) {
+        self.log.push(Rec {
+            pos: self.pos,
+            what,
+        });
+        self.pos.2 += 1;
+    }
+}
+
+impl Scheduler for Windowed {
+    fn schedule(&mut self, at: Cycle, origin: NodeId, event: Event) {
+        let seq = &mut self.node_seq[origin.index() - self.lo];
+        let key = node_key(origin.index(), *seq);
+        *seq += 1;
+        self.push(at, key, event);
+    }
+
+    fn verify(&mut self, op: VerifyOp) {
+        self.log(Logged::Verify(op));
+    }
+}
+
+/// One shard: the step core over its node range, its keyed queue and log.
+struct Shard {
+    core: StepCore,
+    sched: Windowed,
+}
+
+impl Shard {
+    fn new(core: StepCore) -> Self {
+        let nodes = core.nodes();
+        let mut sched = Windowed {
+            lo: nodes.start,
+            queue: BinaryHeap::new(),
+            peak_queue: 0,
+            node_seq: vec![0; nodes.len()],
+            log: Vec::new(),
+            pos: (0, 0, 0),
+        };
+        for node in nodes.map(NodeId::new) {
+            sched.schedule(0, node, Event::Wakeup(node));
+        }
+        Shard { core, sched }
+    }
+
+    /// Queues the window's committed deliveries, then steps every pending
+    /// event with `cycle < end` in `(cycle, key)` order. Popped sends are
+    /// logged for the coordinator to commit at the boundary, not applied.
+    fn process_window(&mut self, window: Window, out: &mut Outbox) -> WindowDone {
+        for env in window.envelopes {
             let parked = self
-                .arena
+                .core
+                .messages
                 .insert_shared(env.msg, env.deliveries.len() as u32);
             for (at, key, node) in env.deliveries {
-                self.schedule(at, key, ShardEvent::Deliver { node, msg: parked });
+                self.sched
+                    .push(at, key, Event::Deliver { node, msg: parked });
             }
         }
-    }
-
-    /// Processes every pending event with `cycle < end` in `(cycle, key)`
-    /// order, logging sends and verifier ops instead of applying them.
-    fn process_window(&mut self, end: Cycle, draining: bool, out: &mut Outbox) -> WindowDone {
-        self.draining = draining;
         let mut popped = 0u64;
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at >= end {
-                break;
-            }
-            let Reverse(QEntry {
-                at: now,
-                key,
-                event,
-            }) = self.queue.pop().unwrap();
-            self.cur_at = now;
-            self.cur_key = key;
-            self.cur_sub = 0;
-            self.max_popped = self.max_popped.max(now);
+        while let Some(QEntry { at, key, event }) = self.sched.pop_before(window.end) {
+            self.sched.pos = (at, key, 0);
             popped += 1;
-            match event {
-                ShardEvent::Wakeup(node) => {
-                    if !self.draining {
-                        self.processor_step(now, node, out);
-                    }
-                }
-                ShardEvent::Send(msg_ref) => {
-                    let msg = self.arena.take(msg_ref);
-                    if matches!(msg.kind, MsgKind::PersistentRequest { .. }) {
-                        // Fairness oracle: the bounded-wait clock starts at
-                        // the first persistent request a (node, block) pair
-                        // puts on the wire.
-                        self.vop(VerifyOp::Persistent {
-                            node: msg.src,
-                            addr: msg.addr,
-                            at: now,
-                        });
-                    }
-                    self.sends.push(SendRec { at: now, key, msg });
-                }
-                ShardEvent::Deliver { node, msg: msg_ref } => {
-                    let msg = self.arena.get(msg_ref);
-                    self.controllers[node.index() - self.lo].handle_message(now, msg, out);
-                    self.arena.release(msg_ref);
-                    self.process_outbox(now, node, out);
-                }
-                ShardEvent::Timer { node, timer } => {
-                    self.controllers[node.index() - self.lo].handle_timer(now, timer, out);
-                    self.process_outbox(now, node, out);
-                }
+            let sent = self
+                .core
+                .step(at, event, window.draining, &mut self.sched, out);
+            if let Some(msg_ref) = sent {
+                self.sched
+                    .log(Logged::Send(self.core.messages.take(msg_ref)));
             }
         }
-        self.delivered += popped;
         WindowDone {
-            sends: std::mem::take(&mut self.sends),
-            vops: std::mem::take(&mut self.vops),
+            log: std::mem::take(&mut self.sched.log),
             popped,
-            completed: self.completed,
-            transactions: self.processors.iter().map(|p| p.transactions()).sum(),
-            next_pending: self.queue.peek().map(|Reverse(e)| e.at),
-            max_popped: self.max_popped,
-        }
-    }
-
-    /// Mirror of the serial engine's `processor_step`, with verifier calls
-    /// replaced by log records.
-    fn processor_step(&mut self, now: Cycle, node: NodeId, out: &mut Outbox) {
-        let local = self.local(node);
-        let (decision, think) = self.processors[local].next_issue(now);
-        match decision {
-            IssueDecision::Finished | IssueDecision::Blocked => {}
-            IssueDecision::Issue(op) => {
-                let issue_time = now + think;
-                let block = op.addr.block(self.block_bytes);
-                let is_write = op.kind.is_write();
-                let outcome = self.controllers[local].access(issue_time, &op, out);
-                match outcome {
-                    AccessOutcome::Hit {
-                        latency,
-                        version,
-                        valid_since,
-                    } => {
-                        self.processors[local].note_hit(issue_time);
-                        self.completed += 1;
-                        self.completions[local] += 1;
-                        let done_at = issue_time + latency;
-                        if is_write {
-                            self.vop(VerifyOp::Write {
-                                node,
-                                addr: block,
-                                version,
-                                at: done_at,
-                            });
-                        } else {
-                            // See the serial engine: the legality window
-                            // opens at the serialization lower bound the
-                            // protocol reports, not at the access.
-                            self.vop(VerifyOp::Read {
-                                node,
-                                addr: block,
-                                version,
-                                valid_since: valid_since.min(issue_time),
-                                at: done_at,
-                            });
-                        }
-                        let key = self.next_key(node);
-                        self.schedule(done_at.max(issue_time + 1), key, ShardEvent::Wakeup(node));
-                    }
-                    AccessOutcome::Miss => {
-                        self.outstanding_writes.insert(op.id, is_write);
-                        self.processors[local].note_miss(op.id, issue_time);
-                        let key = self.next_key(node);
-                        self.schedule(issue_time + 1, key, ShardEvent::Wakeup(node));
-                    }
-                }
-                self.process_outbox(now, node, out);
-            }
-        }
-    }
-
-    /// Mirror of the serial engine's `process_outbox`: sends are parked
-    /// locally and handed to the coordinator when their `Send` event pops;
-    /// completions log their verifier calls.
-    fn process_outbox(&mut self, now: Cycle, node: NodeId, out: &mut Outbox) {
-        for msg in out.messages.drain(..) {
-            let at = msg.sent_at.max(now);
-            let parked = self.arena.insert(msg);
-            let key = self.next_key(node);
-            self.schedule(at, key, ShardEvent::Send(parked));
-        }
-        for (at, timer) in out.timers.drain(..) {
-            let key = self.next_key(node);
-            self.schedule(at.max(now), key, ShardEvent::Timer { node, timer });
-        }
-        for completion in out.completions.drain(..) {
-            let latency = completion.completed_at.saturating_sub(completion.issued_at);
-            self.max_miss_latency = self.max_miss_latency.max(latency);
-            self.samples.push(latency);
-            self.vop(VerifyOp::Completion {
-                node,
-                addr: completion.addr,
-                at: completion.completed_at,
-            });
-            let is_write = self
-                .outstanding_writes
-                .remove(&completion.req_id)
-                .unwrap_or(completion.kind != MissKind::Read);
-            if is_write {
-                self.vop(VerifyOp::Write {
-                    node,
-                    addr: completion.addr,
-                    version: completion.data_version,
-                    at: completion.completed_at,
-                });
-            } else {
-                self.vop(VerifyOp::Read {
-                    node,
-                    addr: completion.addr,
-                    version: completion.data_version,
-                    valid_since: completion.issued_at,
-                    at: completion.completed_at,
-                });
-            }
-            let local = self.local(node);
-            let outcome = self.processors[local].note_completion(completion.req_id, now);
-            if outcome.completed {
-                self.completed += 1;
-                self.completions[local] += 1;
-            }
-            if outcome.was_blocked {
-                let key = self.next_key(node);
-                self.schedule(now + 1, key, ShardEvent::Wakeup(node));
-            }
-        }
-    }
-
-    fn into_final(mut self) -> ShardFinal {
-        // Tokens still in flight to this shard's nodes: pending `Deliver`
-        // events, exactly like the serial engine's final audit. Unprocessed
-        // `Send` events are deliberately not counted — their tokens were
-        // never injected into the fabric.
-        let mut in_flight = Vec::new();
-        for Reverse(entry) in self.queue.iter() {
-            if let ShardEvent::Deliver { msg, .. } = entry.event {
-                let msg = self.arena.get(msg);
-                let tokens = msg.kind.token_count() as i64;
-                if tokens > 0 {
-                    let owner = if msg.kind.carries_owner_token() { 1 } else { 0 };
-                    in_flight.push((msg.addr, tokens, owner));
-                }
-            }
-        }
-        ShardFinal {
-            controllers: std::mem::take(&mut self.controllers),
-            processors: std::mem::take(&mut self.processors),
-            completions: std::mem::take(&mut self.completions),
-            samples: std::mem::take(&mut self.samples),
-            max_miss_latency: self.max_miss_latency,
-            delivered: self.delivered,
-            peak_queue: self.peak_queue,
-            arena_peak: self.arena.high_water() as u64,
-            arena_errors: self.arena.accounting_errors(),
-            in_flight,
+            completed: self.core.completed_ops,
+            transactions: self.core.total_transactions(),
+            next_pending: self.sched.queue.peek().map(|Reverse(e)| e.at),
+            // Events pop in cycle order within and across windows.
+            last_popped: self.sched.pos.0,
         }
     }
 }
 
-fn worker(
-    mut shard: Shard,
-    rx: mpsc::Receiver<Cmd>,
-    tx: mpsc::SyncSender<WindowDone>,
-) -> ShardFinal {
+fn worker(mut shard: Shard, rx: mpsc::Receiver<Window>, tx: mpsc::SyncSender<WindowDone>) -> Shard {
     let mut out = Outbox::new();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Window {
-                end,
-                draining,
-                envelopes,
-            } => {
-                shard.ingest(envelopes);
-                let done = shard.process_window(end, draining, &mut out);
-                if tx.send(done).is_err() {
-                    break;
-                }
-            }
-            Cmd::Finish => break,
+    while let Ok(window) = rx.recv() {
+        if tx.send(shard.process_window(window, &mut out)).is_err() {
+            break;
         }
     }
-    shard.into_final()
+    shard
 }
 
 /// Runs `system` to completion across `options.shards` worker threads.
-/// Called by [`System::run`] when `options.shards > 0`; restores the merged
-/// controllers, processors, fabric, and verifier into `system` afterwards so
-/// post-run inspection (`controller_debug`, `outstanding_blocks`) works the
-/// same as after a serial run.
+/// Called by [`System::run`] when `options.shards > 0`: deals the system's
+/// step core out to the shards, drives the window loop against the system's
+/// own fabric and verifier, and merges the core back before the shared
+/// finish path, so post-run inspection (`controller_debug`,
+/// `outstanding_blocks`, `events_delivered`) works the same as after a
+/// serial run.
+///
+/// # Panics
+///
+/// Re-raises, with its original payload, the first panic of a shard worker
+/// (a controller bug, say) once every worker has been joined.
 pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunReport {
     let num_nodes = system.config.num_nodes;
     let num_shards = (options.shards.max(1) as usize).min(num_nodes);
     let target_total = options.ops_per_node * num_nodes as u64;
-    let drain_limit = options.max_cycles.saturating_mul(2);
+    let drain_limit = drain_limit(options);
     let lookahead = system.interconnect.lookahead_ns();
-    system.starvation_bound = options.starvation_bound(&system.config);
-    let bound = system.starvation_bound;
-    if options.adversary.sabotage != 0 {
-        let victim = options.adversary.victim_node as usize % num_nodes;
-        system.controllers[victim].set_arbiter_sabotage(true);
-    }
+    system.arm_sabotage(options);
+    let bound = options.starvation_bound(&system.config);
+    let mut progress = RunProgress::start_per_node(options, &system.config);
 
-    // Move the shared state out of the system: controllers and processors
-    // are dealt to the shards, the fabric and verifier stay with the
-    // coordinator. Everything is put back (merged, in node order) at the
-    // end.
-    let mut fabric = std::mem::replace(
-        &mut system.interconnect,
-        Interconnect::new(num_nodes, system.config.interconnect),
-    );
-    let mut verifier = std::mem::take(&mut system.verifier);
-    let mut citer = std::mem::take(&mut system.controllers).into_iter();
-    let mut piter = std::mem::take(&mut system.processors).into_iter();
-
+    let ranges: Vec<(usize, usize)> = (0..num_shards)
+        .map(|s| (s * num_nodes / num_shards, (s + 1) * num_nodes / num_shards))
+        .collect();
     let mut node_shard = vec![0usize; num_nodes];
-    let mut shards: Vec<Shard> = Vec::with_capacity(num_shards);
-    let mut shard_lo = vec![0usize; num_shards];
-    for (s, lo_slot) in shard_lo.iter_mut().enumerate() {
-        let lo = s * num_nodes / num_shards;
-        let hi = (s + 1) * num_nodes / num_shards;
-        *lo_slot = lo;
-        for slot in node_shard.iter_mut().take(hi).skip(lo) {
-            *slot = s;
-        }
-        let controllers: Vec<_> = (lo..hi).map(|_| citer.next().unwrap()).collect();
-        let processors: Vec<_> = (lo..hi).map(|_| piter.next().unwrap()).collect();
-        shards.push(Shard::new(
-            lo,
-            hi,
-            controllers,
-            processors,
-            system.config.block_bytes,
-        ));
+    for (s, &(lo, hi)) in ranges.iter().enumerate() {
+        node_shard[lo..hi].fill(s);
     }
-
-    // Per-source-node RNG streams: the dice a message sees depend on which
-    // node sent it, never on which shard the node landed on, so fault and
-    // adversary decisions reproduce (seed, spec) exactly at any shard count.
-    let mut fault_plane = (!options.faults.is_none()).then(|| {
-        FaultPlane::new_per_node(
-            options.faults,
-            system.config.protocol,
-            system.config.seed,
-            system.config.interconnect.link_latency_ns,
-            num_nodes,
-        )
-    });
-    let mut adversary_plane = (!options.adversary.is_none()).then(|| {
-        Adversary::new_per_node(
-            options.adversary,
-            system.config.seed,
-            system.config.interconnect.link_latency_ns,
-            num_nodes,
-        )
-    });
+    let shards: Vec<Shard> = system
+        .core
+        .split(&ranges)
+        .into_iter()
+        .map(Shard::new)
+        .collect();
 
     let mut stats = ShardStats {
         shards: num_shards as u32,
@@ -644,14 +335,8 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
         shard_peak_arena: vec![0; num_shards],
     };
 
-    // Run-control state, all mutated at window boundaries only.
-    let mut draining = false;
-    let mut drain_limit_hit = false;
-    let mut reached_target_at: Option<Cycle> = None;
-    let mut ops_at_target = 0u64;
-    let mut transactions_at_target = 0u64;
-    let mut events_since_progress = 0u64;
-    let mut livelock_hit = false;
+    // Merged totals, refreshed at window boundaries only — quantities that
+    // are themselves shard-invariant, so every run-control decision is.
     let mut completed_total = 0u64;
     let mut transactions_total = 0u64;
     let mut final_now: Cycle = 0;
@@ -659,14 +344,13 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
     let mut commit_seq = 0u64;
     let mut pending: Vec<Vec<Envelope>> = (0..num_shards).map(|_| Vec::new()).collect();
     let mut next_pending: Vec<Option<Cycle>> = vec![Some(0); num_shards];
-    let mut finals: Vec<ShardFinal> = Vec::with_capacity(num_shards);
 
-    std::thread::scope(|scope| {
+    let shards: Vec<Shard> = std::thread::scope(|scope| {
         let mut cmd_txs = Vec::with_capacity(num_shards);
         let mut done_rxs = Vec::with_capacity(num_shards);
         let mut handles = Vec::with_capacity(num_shards);
-        for shard in shards.drain(..) {
-            let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Cmd>(1);
+        for shard in shards {
+            let (cmd_tx, cmd_rx) = mpsc::sync_channel::<Window>(1);
             let (done_tx, done_rx) = mpsc::sync_channel::<WindowDone>(1);
             cmd_txs.push(cmd_tx);
             done_rxs.push(done_rx);
@@ -677,7 +361,9 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
             (0..num_shards).map(|_| Vec::new()).collect();
         let mut arrivals: Vec<(Cycle, NodeId)> = Vec::new();
 
-        loop {
+        // A channel that closes mid-run means its worker panicked: stop
+        // issuing windows and let the joins below surface the payload.
+        'windows: loop {
             // Global minimum pending cycle across shard queues and
             // not-yet-dispatched envelopes; `None` means the run drained.
             let mut global_min: Option<Cycle> = None;
@@ -694,42 +380,47 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
             }
             let Some(global_min) = global_min else { break };
 
-            if !draining && (completed_total >= target_total || global_min >= options.max_cycles) {
-                draining = true;
-                // The serial engine stamps the cycle of the pop that crossed
-                // the target; boundary quantization makes that the end of
-                // the window the target was crossed in (within one lookahead
-                // of any legal schedule's stamp, and shard-count-invariant).
-                reached_target_at = Some(if completed_total >= target_total {
-                    boundary
-                } else {
-                    global_min
-                });
-                ops_at_target = completed_total;
-                transactions_at_target = transactions_total;
-            }
-            if draining && global_min >= drain_limit {
-                drain_limit_hit = true;
+            // The serial loop stamps the cycle of the pop that crossed the
+            // target; boundary quantization makes that the end of the
+            // window the target was crossed in (within one lookahead of any
+            // legal schedule's stamp, and shard-count-invariant).
+            let stamp = if completed_total >= target_total {
+                boundary
+            } else {
+                global_min
+            };
+            if !progress.keep_going(
+                options,
+                target_total,
+                global_min,
+                stamp,
+                completed_total,
+                || transactions_total,
+            ) {
                 break;
             }
 
             let mut end = (global_min / lookahead + 1) * lookahead;
-            if draining {
+            if progress.draining {
                 end = end.min(drain_limit);
             }
             stats.windows += 1;
             for s in 0..num_shards {
-                cmd_txs[s]
-                    .send(Cmd::Window {
-                        end,
-                        draining,
-                        envelopes: std::mem::take(&mut pending[s]),
-                    })
-                    .expect("shard worker hung up mid-run");
+                let window = Window {
+                    end,
+                    draining: progress.draining,
+                    envelopes: std::mem::take(&mut pending[s]),
+                };
+                if cmd_txs[s].send(window).is_err() {
+                    break 'windows;
+                }
             }
             let mut dones: Vec<WindowDone> = Vec::with_capacity(num_shards);
             for done_rx in &done_rxs {
-                dones.push(done_rx.recv().expect("shard worker hung up mid-run"));
+                let Ok(done) = done_rx.recv() else {
+                    break 'windows;
+                };
+                dones.push(done);
             }
 
             let mut window_events = 0u64;
@@ -745,62 +436,29 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
                 completed_total += done.completed;
                 transactions_total += done.transactions;
                 next_pending[s] = done.next_pending;
-                final_now = final_now.max(done.max_popped);
+                final_now = final_now.max(done.last_popped);
             }
 
-            // Verifier merge: every shard's logged calls, replayed into the
-            // one verifier in canonical (cycle, key, sub) order.
-            let mut vops: Vec<VRec> = Vec::new();
+            // Log merge: every shard's logged verifier calls and sends,
+            // applied to the one verifier and the one global fabric (and
+            // fault/adversary planes) in canonical (cycle, key, sub) order.
+            // Arrivals are clamped to the boundary — a no-op for anything
+            // that crossed a link (the lookahead guarantees it) and a legal
+            // delay for self-sends.
+            let mut log: Vec<Rec> = Vec::new();
             for done in &mut dones {
-                vops.append(&mut done.vops);
+                log.append(&mut done.log);
             }
-            vops.sort_unstable_by_key(|v| (v.at, v.key, v.sub));
-            for vrec in vops {
-                match vrec.op {
-                    VerifyOp::Write {
-                        node,
-                        addr,
-                        version,
-                        at,
-                    } => verifier.record_write(node, addr, version, at),
-                    VerifyOp::Read {
-                        node,
-                        addr,
-                        version,
-                        valid_since,
-                        at,
-                    } => verifier.check_read(node, addr, version, valid_since, at),
-                    VerifyOp::Persistent { node, addr, at } => {
-                        verifier.note_persistent_request(node, addr, at)
+            log.sort_unstable_by_key(|rec| rec.pos);
+            for Rec { pos, what } in log {
+                let msg = match what {
+                    Logged::Verify(op) => {
+                        system.verifier.apply(op, bound);
+                        continue;
                     }
-                    VerifyOp::Completion { node, addr, at } => {
-                        verifier.note_completion(node, addr, at, bound)
-                    }
-                }
-            }
-
-            // Send commit: every shard's logged sends, applied to the one
-            // global fabric (and fault/adversary planes) in canonical
-            // (cycle, key) order. Arrivals are clamped to the boundary —
-            // a no-op for anything that crossed a link (the lookahead
-            // guarantees it) and a legal delay for self-sends.
-            let mut sends: Vec<SendRec> = Vec::new();
-            for done in &mut dones {
-                sends.append(&mut done.sends);
-            }
-            sends.sort_unstable_by_key(|s| (s.at, s.key));
-            for rec in sends {
-                arrivals.clear();
-                fabric.send_arrivals(rec.at, &rec.msg, &mut arrivals);
-                if let Some(plane) = fault_plane.as_mut() {
-                    if rec.msg.reissue {
-                        plane.stats_mut().reissue_timeouts += 1;
-                    }
-                    plane.apply(rec.at, &rec.msg, &mut arrivals);
-                }
-                if let Some(plane) = adversary_plane.as_mut() {
-                    plane.apply(rec.at, &rec.msg, &mut arrivals);
-                }
+                    Logged::Send(msg) => msg,
+                };
+                progress.commit_send(&mut system.interconnect, pos.0, &msg, &mut arrivals);
                 if arrivals.is_empty() {
                     continue;
                 }
@@ -818,7 +476,7 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
                         continue;
                     }
                     pending[s].push(Envelope {
-                        msg: rec.msg.clone(),
+                        msg: msg.clone(),
                         deliveries: std::mem::take(&mut by_shard[s]),
                     });
                 }
@@ -828,157 +486,73 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
 
             // Livelock watchdog, window-quantized: windows are at most one
             // lookahead wide, so the budget still bounds the run tightly.
-            if completed_total != prev_completed {
-                events_since_progress = 0;
-            } else {
-                events_since_progress += window_events;
-                if events_since_progress >= options.livelock_events_budget {
-                    livelock_hit = true;
-                    eprintln!(
-                        "livelock watchdog: {events_since_progress} events without a completed \
-                         op at cycle {boundary}; cutting the sharded run off"
-                    );
-                    break;
-                }
+            let progressed = completed_total != prev_completed;
+            if progress.livelock_tick(options, progressed, window_events, boundary) {
+                break;
             }
         }
 
-        for cmd_tx in &cmd_txs {
-            let _ = cmd_tx.send(Cmd::Finish);
-        }
+        drop(cmd_txs);
+        let mut shards = Vec::with_capacity(num_shards);
+        let mut first_panic = None;
         for handle in handles {
-            finals.push(handle.join().expect("shard worker panicked"));
+            match handle.join() {
+                Ok(shard) => shards.push(shard),
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
+                }
+            }
         }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
+        }
+        shards
     });
 
     // Merge the shards back together, in node order.
-    let mut controllers_back: Vec<Box<dyn CoherenceController>> = Vec::with_capacity(num_nodes);
-    let mut processors_back: Vec<Processor> = Vec::with_capacity(num_nodes);
-    let mut completions_per_node = vec![0u64; num_nodes];
-    let mut samples: Vec<Cycle> = Vec::new();
-    let mut max_miss_latency: Cycle = 0;
-    let mut delivered_total = 0u64;
-    let mut arena_errors = 0u64;
-    let mut peak_queue = 0u64;
-    let mut peak_arena = 0u64;
-    let mut in_flight_tokens: FastHashMap<BlockAddr, (i64, i64)> = FastHashMap::default();
-    for (s, fin) in finals.into_iter().enumerate() {
-        stats.shard_peak_queue[s] = fin.peak_queue;
-        stats.shard_peak_arena[s] = fin.arena_peak;
-        peak_queue = peak_queue.max(fin.peak_queue);
-        peak_arena = peak_arena.max(fin.arena_peak);
-        delivered_total += fin.delivered;
-        arena_errors += fin.arena_errors;
-        for (addr, tokens, owner) in fin.in_flight {
-            let entry = in_flight_tokens.entry(addr).or_insert((0, 0));
-            entry.0 += tokens;
-            entry.1 += owner;
-        }
-        for (i, c) in fin.completions.into_iter().enumerate() {
-            completions_per_node[shard_lo[s] + i] = c;
-        }
-        samples.extend(fin.samples);
-        max_miss_latency = max_miss_latency.max(fin.max_miss_latency);
-        controllers_back.extend(fin.controllers);
-        processors_back.extend(fin.processors);
+    system.windowed_events += stats.shard_events.iter().sum::<u64>();
+    let mut engine = EngineStats {
+        sharding: stats,
+        ..EngineStats::default()
+    };
+    let mut in_flight_tokens = FastHashMap::default();
+    for (s, shard) in shards.into_iter().enumerate() {
+        let peak_arena = shard.core.messages.high_water() as u64;
+        engine.sharding.shard_peak_queue[s] = shard.sched.peak_queue;
+        engine.sharding.shard_peak_arena[s] = peak_arena;
+        engine.peak_queue_depth = engine.peak_queue_depth.max(shard.sched.peak_queue);
+        engine.peak_arena_occupancy = engine.peak_arena_occupancy.max(peak_arena);
+        engine.arena_accounting_errors += shard.core.messages.accounting_errors();
+        shard.core.add_in_flight(
+            shard.sched.queue.iter().map(|Reverse(entry)| &entry.event),
+            &mut in_flight_tokens,
+        );
+        system.core.absorb(shard.core);
     }
     // Committed-but-undispatched envelopes (a drain-limit or livelock cut
     // mid-flight): their tokens are in the fabric, so the conservation
     // audit must see them — one count per delivery, like pending `Deliver`
     // events.
-    for bucket in &pending {
-        for env in bucket {
-            for _ in &env.deliveries {
-                add_in_flight_tokens(&mut in_flight_tokens, &env.msg);
-            }
+    for env in pending.iter().flatten() {
+        for _ in &env.deliveries {
+            add_in_flight_tokens(&mut in_flight_tokens, &env.msg);
         }
     }
-
-    let runtime_cycles = match reached_target_at {
-        Some(cycles) => cycles,
-        None => {
-            ops_at_target = completed_total;
-            transactions_at_target = transactions_total;
-            final_now
-        }
-    };
-
-    verifier.sweep_escalations(final_now, bound);
-    final_audit_merged(
-        &mut verifier,
-        &system.config,
-        &controllers_back,
-        &processors_back,
-        &in_flight_tokens,
-        final_now,
-        drain_limit_hit,
-        livelock_hit.then_some(events_since_progress),
-    );
-
-    let (misses, reissue, controller_stats, line_state) = merge_controller_stats(&controllers_back);
-
-    let mut fault_stats = fault_plane.as_ref().map(|p| p.stats()).unwrap_or_default();
-    if fault_plane.is_some() {
-        fault_stats.persistent_activations = controller_stats.persistent_requests_initiated;
-        fault_stats.max_recovery_ns = max_miss_latency;
-    }
-    let adversary_stats = adversary_plane
-        .as_ref()
-        .map(|p| p.stats())
-        .unwrap_or_default();
-
-    let (miss_latency_p50, miss_latency_p99, miss_latency_max) = latency_percentiles(&mut samples);
-    let skew = completion_skew_ppm(&completions_per_node);
-
-    // Put the merged state back so post-run accessors behave as after a
-    // serial run.
-    system.controllers = controllers_back;
-    system.processors = processors_back;
-    system.interconnect = fabric;
-    system.verifier = verifier;
-    system.completed_ops = completed_total;
-    system.max_miss_latency = max_miss_latency;
-    system.miss_latency_samples = samples;
-    system.completions_per_node = completions_per_node;
-
-    RunReport {
-        protocol: system.config.protocol,
-        topology: system.config.interconnect.topology,
-        bandwidth: system.config.interconnect.bandwidth,
-        workload: system.workload.name.to_string(),
-        num_nodes,
-        runtime_cycles,
-        total_ops: ops_at_target,
-        total_transactions: transactions_at_target,
-        misses,
-        reissue,
-        controllers: controller_stats,
-        traffic: system.interconnect.traffic().clone(),
-        faults: options.faults,
-        adversary: options.adversary,
-        miss_latency_p50,
-        miss_latency_p99,
-        miss_latency_max,
-        completion_skew_ppm: skew,
-        engine: EngineStats {
-            peak_queue_depth: peak_queue,
-            peak_arena_occupancy: peak_arena,
-            events_delivered: delivered_total,
-            arena_accounting_errors: arena_errors,
-            state: line_state,
-            faults: fault_stats,
-            adversary: adversary_stats,
-            sharding: stats,
-        },
-        violations: system.verifier.violations().to_vec(),
-    }
+    system.finish(options, progress, final_now, &in_flight_tokens, engine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_types::{AdversarySpec, FaultSpec, ProtocolKind, SystemConfig};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tc_protocols::ProtocolRegistry;
+    use tc_types::{
+        AccessOutcome, AdversarySpec, BlockAddr, BlockAudit, CoherenceController, ControllerStats,
+        FaultSpec, MemOp, ProtocolKind, SystemConfig, Timer,
+    };
     use tc_workloads::WorkloadProfile;
+
+    use crate::{Campaign, ExperimentPoint};
 
     fn small_config(protocol: ProtocolKind, seed: u64) -> SystemConfig {
         let mut config = SystemConfig::isca03_default()
@@ -1081,10 +655,94 @@ mod tests {
             sharding.shard_events.iter().sum::<u64>(),
             report.engine.events_delivered
         );
-        // Serial runs stay untouched: no shard stats, and the legacy
-        // engine's schedule.
+        // Serial runs carry no shard stats.
         let serial = run_at(&config, base_options(), 0);
         assert_eq!(serial.engine.sharding, ShardStats::default());
+    }
+
+    /// `System::events_delivered` reports the run that just ended on the
+    /// windowed engine too, not the idle serial queue's counter.
+    #[test]
+    fn events_delivered_accessor_matches_the_sharded_report() {
+        let config = small_config(ProtocolKind::TokenB, 12);
+        let mut system = System::build(&config, &WorkloadProfile::oltp());
+        let report = system.run(base_options().with_shards(2));
+        assert!(report.engine.events_delivered > 0);
+        assert_eq!(system.events_delivered(), report.engine.events_delivered);
+    }
+
+    /// A TokenB controller that panics on the 500th message it is handed.
+    #[derive(Debug)]
+    struct PanicsMidRun {
+        inner: Box<dyn CoherenceController>,
+        messages: u32,
+    }
+
+    impl CoherenceController for PanicsMidRun {
+        fn node(&self) -> NodeId {
+            self.inner.node()
+        }
+        fn protocol_name(&self) -> &'static str {
+            self.inner.protocol_name()
+        }
+        fn access(&mut self, now: Cycle, op: &MemOp, out: &mut Outbox) -> AccessOutcome {
+            self.inner.access(now, op, out)
+        }
+        fn handle_message(&mut self, now: Cycle, msg: &Message, out: &mut Outbox) {
+            self.messages += 1;
+            assert!(self.messages < 500, "controller bug at message 500");
+            self.inner.handle_message(now, msg, out)
+        }
+        fn handle_timer(&mut self, now: Cycle, timer: Timer, out: &mut Outbox) {
+            self.inner.handle_timer(now, timer, out)
+        }
+        fn stats(&self) -> ControllerStats {
+            self.inner.stats()
+        }
+        fn audit_block(&self, addr: BlockAddr) -> Vec<BlockAudit> {
+            self.inner.audit_block(addr)
+        }
+        fn audited_blocks(&self) -> Vec<BlockAddr> {
+            self.inner.audited_blocks()
+        }
+        fn outstanding_misses(&self) -> usize {
+            self.inner.outstanding_misses()
+        }
+    }
+
+    /// A panic inside a shard worker must reach the campaign driver as that
+    /// panic — the failing point's label and the original message — not as
+    /// the coordinator's "worker hung up" and never as a stalled barrier.
+    #[test]
+    fn a_panicking_shard_worker_surfaces_its_own_message_through_the_campaign() {
+        let mut registry = ProtocolRegistry::empty();
+        registry.register("panics-mid-run", ProtocolKind::TokenB, |node, config| {
+            Box::new(PanicsMidRun {
+                inner: tc_protocols::default_registry().build(node, config),
+                messages: 0,
+            })
+        });
+        let point = ExperimentPoint::new(
+            "doomed-point".to_string(),
+            small_config(ProtocolKind::TokenB, 12),
+            WorkloadProfile::oltp(),
+        );
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            Campaign::new(vec![point])
+                .options(base_options().with_shards(2))
+                .registry(registry)
+                .threads(1)
+                .run()
+        }))
+        .expect_err("the worker's panic must fail the campaign");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains("doomed-point") && message.contains("controller bug at message 500"),
+            "panic must carry the point's label and the worker's message, got: {message}"
+        );
     }
 
     /// Checkpointing composes with the serial engine only; the combination

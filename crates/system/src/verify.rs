@@ -89,10 +89,65 @@ pub struct Verifier {
     writes_recorded: u64,
 }
 
+/// One verifier call made while stepping an event: the vocabulary the step
+/// core speaks, whether the call is applied on the spot (serial engine) or
+/// logged and applied in merged canonical order (windowed engine). The
+/// payload carries the call's actual arguments, which may reference future
+/// cycles (e.g. a hit's completion time).
+#[derive(Debug)]
+pub(crate) enum VerifyOp {
+    /// A load or store of `version` completed at `at`:
+    /// [`Verifier::record_write`] for a store, [`Verifier::check_read`] with
+    /// the legality window opening at `valid_since` for a load.
+    Access {
+        node: NodeId,
+        addr: BlockAddr,
+        version: u64,
+        is_write: bool,
+        valid_since: Cycle,
+        at: Cycle,
+    },
+    /// [`Verifier::note_persistent_request`].
+    Persistent {
+        node: NodeId,
+        addr: BlockAddr,
+        at: Cycle,
+    },
+    /// [`Verifier::note_completion`], against the run's starvation bound.
+    Completion {
+        node: NodeId,
+        addr: BlockAddr,
+        at: Cycle,
+    },
+}
+
 impl Verifier {
     /// Creates an empty verifier.
     pub fn new() -> Self {
         Verifier::default()
+    }
+
+    /// Applies one stepped call; `bound` is the run's starvation bound.
+    #[inline]
+    pub(crate) fn apply(&mut self, op: VerifyOp, bound: Cycle) {
+        match op {
+            VerifyOp::Access {
+                node,
+                addr,
+                version,
+                is_write,
+                valid_since,
+                at,
+            } => {
+                if is_write {
+                    self.record_write(node, addr, version, at)
+                } else {
+                    self.check_read(node, addr, version, valid_since, at)
+                }
+            }
+            VerifyOp::Persistent { node, addr, at } => self.note_persistent_request(node, addr, at),
+            VerifyOp::Completion { node, addr, at } => self.note_completion(node, addr, at, bound),
+        }
     }
 
     /// Records a completed store of `version` to `addr` at time `at`.

@@ -82,22 +82,55 @@ fn resume_is_bit_identical_under_fault_injection() {
     assert_reports_identical("tokenb faulted", &baseline, &resumed);
 }
 
-/// The determinism pin, checkable from a snapshot: the benchmark
-/// configuration (TokenB, OLTP, 4 nodes, 20k ops/node, seed 12) restored
-/// at a mid-run checkpoint still lands on exactly 317430 delivered events.
-#[test]
-fn pinned_benchmark_configuration_resumes_to_the_pinned_event_count() {
+/// The pinned benchmark configuration, checkpointing every 100000 events.
+fn pinned_configuration() -> (
+    SystemConfig,
+    WorkloadProfile,
+    token_coherence::system::RunOptions,
+) {
     let config = SystemConfig::isca03_default()
         .with_nodes(4)
         .with_protocol(ProtocolKind::TokenB)
         .with_seed(12);
-    let profile = WorkloadProfile::oltp();
     let options = token_coherence::system::RunOptions {
         ops_per_node: 20_000,
         max_cycles: 1_000_000_000,
         ..Default::default()
     }
     .with_checkpoint_every(100_000);
+    (config, WorkloadProfile::oltp(), options)
+}
+
+/// The snapshot wire format, pinned: the first checkpoint of the pinned
+/// configuration must keep its exact bytes. The payload is explicit
+/// little-endian counts and ids (no `size_of`), so the figures do not move
+/// with the toolchain. They move only when the format does — and then
+/// `SNAPSHOT_VERSION` must be bumped with them, because persisted `tc-serve`
+/// caches and checkpoint directories hold bytes in the old format. A
+/// refactor that moves serialized fields between structs must leave this
+/// test passing unchanged.
+#[test]
+fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
+    let (config, profile, options) = pinned_configuration();
+    let mut first: Option<(u64, usize, u64)> = None;
+    System::build(&config, &profile).run_with_checkpoints(options, &mut |at, bytes| {
+        first.get_or_insert_with(|| (at, bytes.len(), token_coherence::sim::fnv1a64(bytes)));
+    });
+    let (at, len, hash) = first.expect("a 317k-event run must cross the 100k cadence");
+    assert_eq!(at, 100_000);
+    assert_eq!(
+        (len, hash),
+        (800_966, 0xc78bda8d58b805e1),
+        "snapshot bytes changed: bump SNAPSHOT_VERSION and re-record, or restore the format"
+    );
+}
+
+/// The determinism pin, checkable from a snapshot: the benchmark
+/// configuration (TokenB, OLTP, 4 nodes, 20k ops/node, seed 12) restored
+/// at a mid-run checkpoint still lands on exactly 317430 delivered events.
+#[test]
+fn pinned_benchmark_configuration_resumes_to_the_pinned_event_count() {
+    let (config, profile, options) = pinned_configuration();
 
     let mut snapshot: Option<(u64, Vec<u8>)> = None;
     let mut full = System::build(&config, &profile);
