@@ -15,24 +15,20 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use tc_memsys::{HomeMemory, L1Filter, MshrTable, OpList, OpSlab, SetAssocCache};
+use tc_memsys::{OpList, OpSlab};
 use tc_sim::{SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
-    AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
-    Destination, DirectoryMode, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MsgKind,
-    NodeId, Outbox, ReqId, SystemConfig, Timer, Vnet,
+    BlockAddr, Cycle, DataPayload, Destination, DirectoryMode, Message, MsgKind, NodeId, Outbox,
+    SystemConfig, Vnet,
 };
 
-use crate::common::{
-    apply_pending_ops, emit_mosi_line, emit_pending_op, miss_kind, mosi_hit_path, read_mosi_line,
-    read_pending_op, record_completed_miss, version_node_bits, MosiLine, MosiState, PendingOp,
-    WritebackPlane,
-};
+use crate::common::MosiState;
+use crate::node::{emit_pending_op, read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
 
 /// Requester-side bookkeeping for an outstanding directory miss. The
 /// pending-op list lives in the controller's [`OpSlab`] pool.
 #[derive(Debug)]
-struct DirMshr {
+pub struct DirMshr {
     pending: OpList,
     write: bool,
     upgrade: bool,
@@ -48,92 +44,28 @@ struct DirMshr {
 
 /// The home node's directory entry for one block.
 #[derive(Debug, Clone, Default)]
-struct DirEntry {
+pub struct DirEntry {
     owner: Option<NodeId>,
     sharers: BTreeSet<NodeId>,
     busy: bool,
     queue: VecDeque<(NodeId, bool)>,
 }
 
-/// The directory-protocol controller for one node (cache side plus the
-/// directory/home side for the blocks it homes).
+/// The directory policy: requests go to the home, which forwards,
+/// invalidates and blocks; the requester collects acknowledgements and
+/// unblocks the home. Evicted shared lines are dropped silently, so the
+/// sharer list may over-approximate; that only costs an occasional spurious
+/// invalidation (answered with an ack as usual).
 #[derive(Debug)]
-pub struct DirectoryController {
-    node: NodeId,
-    home_map: HomeMap,
-    l1: L1Filter,
-    l2: SetAssocCache<MosiLine>,
-    l2_latency: Cycle,
-    controller_latency: Cycle,
-    dram_latency: Cycle,
+pub struct Directory {
     directory_latency: Cycle,
-    memory: HomeMemory<DirEntry>,
-    mshrs: MshrTable<DirMshr>,
-    /// In-flight writebacks (PutM sent, WbAck pending) on the shared plane.
-    wb: WritebackPlane,
-    migratory_optimization: bool,
-    stats: ControllerStats,
-    store_counter: u64,
-    /// Pooled storage for every MSHR entry's pending-op list.
-    pending_ops: OpSlab<PendingOp>,
-    /// Reusable completion/deferral scratch for `apply_pending_ops`.
-    completion_scratch: Vec<(ReqId, u64)>,
-    deferred_scratch: Vec<PendingOp>,
 }
 
-impl DirectoryController {
-    /// Creates the directory controller for `node` under `config`.
-    pub fn new(node: NodeId, config: &SystemConfig) -> Self {
-        let home_map = HomeMap::new(config.num_nodes, config.block_bytes);
-        let directory_latency = match config.directory_mode {
-            DirectoryMode::InDram => config.dram_latency_ns,
-            DirectoryMode::Perfect => 0,
-        };
-        DirectoryController {
-            node,
-            home_map,
-            l1: L1Filter::new(&config.l1, config.block_bytes),
-            l2: SetAssocCache::new(&config.l2, config.block_bytes),
-            l2_latency: config.l2.latency_ns,
-            controller_latency: config.controller_latency_ns,
-            dram_latency: config.dram_latency_ns,
-            directory_latency,
-            memory: HomeMemory::new(node, home_map, config.dram_latency_ns),
-            mshrs: MshrTable::new(config.processor.max_outstanding_misses.max(1)),
-            wb: WritebackPlane::new(),
-            migratory_optimization: config.token.migratory_optimization,
-            stats: ControllerStats::new(),
-            store_counter: 0,
-            pending_ops: OpSlab::new(),
-            completion_scratch: Vec::new(),
-            deferred_scratch: Vec::new(),
-        }
-    }
+/// The directory-protocol controller for one node (cache side plus the
+/// directory/home side for the blocks it homes).
+pub type DirectoryController = MosiNode<Directory>;
 
-    fn is_home(&self, addr: BlockAddr) -> bool {
-        self.home_map.is_home(self.node, addr)
-    }
-
-    fn home_of(&self, addr: BlockAddr) -> NodeId {
-        self.home_map.home_of(addr)
-    }
-
-    fn send(&mut self, out: &mut Outbox, msg: Message) {
-        self.stats.messages_sent += 1;
-        out.send(msg);
-    }
-
-    fn unicast(
-        &self,
-        at: Cycle,
-        dest: NodeId,
-        addr: BlockAddr,
-        kind: MsgKind,
-        vnet: Vnet,
-    ) -> Message {
-        Message::new(self.node, Destination::Node(dest), addr, kind, vnet, at)
-    }
-
+impl MosiNode<Directory> {
     // ------------------------------------------------------------------
     // Home / directory side.
     // ------------------------------------------------------------------
@@ -164,8 +96,8 @@ impl DirectoryController {
         write: bool,
         out: &mut Outbox,
     ) {
-        let dir_delay = self.controller_latency + self.directory_latency;
-        let mem_delay = self.controller_latency + self.directory_latency + self.dram_latency;
+        let dir_delay = self.controller_latency + self.policy.directory_latency;
+        let mem_delay = self.controller_latency + self.policy.directory_latency + self.dram_latency;
         let mem_version = self.memory.data_version(addr);
         let entry = self.memory.state_mut(addr);
         let owner = entry.owner;
@@ -315,7 +247,7 @@ impl DirectoryController {
             entry.sharers.remove(&from);
         }
         let ack = self.unicast(
-            now + self.controller_latency + self.directory_latency,
+            now + self.controller_latency + self.policy.directory_latency,
             from,
             addr,
             MsgKind::WbAck,
@@ -327,38 +259,6 @@ impl DirectoryController {
     // ------------------------------------------------------------------
     // Cache side.
     // ------------------------------------------------------------------
-
-    fn line_or_wb(&self, addr: BlockAddr) -> Option<MosiLine> {
-        self.l2.peek(addr).copied().or_else(|| self.wb.line(addr))
-    }
-
-    fn install_line(&mut self, now: Cycle, addr: BlockAddr, line: MosiLine, out: &mut Outbox) {
-        if let Some(victim) = self.l2.insert(addr, line) {
-            self.evict(now, victim.addr, victim.state, out);
-        }
-    }
-
-    fn evict(&mut self, now: Cycle, addr: BlockAddr, line: MosiLine, out: &mut Outbox) {
-        self.l1.invalidate(addr);
-        if line.state.is_owner() {
-            self.stats.misses.writebacks += 1;
-            self.wb.stash(addr, line);
-            let home = self.home_of(addr);
-            let putm = Message::new(
-                self.node,
-                Destination::Node(home),
-                addr,
-                MsgKind::PutM,
-                Vnet::Writeback,
-                now + self.controller_latency,
-            )
-            .with_req_id(ReqId::new(line.version));
-            self.send(out, putm);
-        }
-        // Shared lines are dropped silently; the directory's sharer list may
-        // over-approximate, which only costs an occasional spurious
-        // invalidation (answered with an ack as usual).
-    }
 
     fn handle_forward(
         &mut self,
@@ -373,60 +273,29 @@ impl DirectoryController {
             self.stats.bump("forwards_without_copy", 1);
             return;
         };
-        let at = now + self.controller_latency + self.l2_latency;
-        if write {
-            let data = self.unicast(
-                at,
-                requester,
-                addr,
-                MsgKind::Data {
-                    acks_expected,
-                    exclusive: true,
-                    from_memory: false,
-                    payload: DataPayload::new(line.version),
-                },
-                Vnet::Response,
-            );
-            self.send(out, data);
+        // A write takes the block whole; so does a read of a dirty Modified
+        // line under the migratory optimization. Otherwise the owner keeps
+        // an Owned copy.
+        let exclusive = write
+            || (self.migratory_optimization && line.state == MosiState::Modified && line.dirty);
+        let data = self.unicast(
+            now + self.controller_latency + self.l2_latency,
+            requester,
+            addr,
+            MsgKind::Data {
+                acks_expected,
+                exclusive,
+                from_memory: false,
+                payload: DataPayload::new(line.version),
+            },
+            Vnet::Response,
+        );
+        self.send(out, data);
+        if exclusive {
             self.l2.remove(addr);
             self.l1.invalidate(addr);
-        } else {
-            let migratory =
-                self.migratory_optimization && line.state == MosiState::Modified && line.dirty;
-            if migratory {
-                let data = self.unicast(
-                    at,
-                    requester,
-                    addr,
-                    MsgKind::Data {
-                        acks_expected: 0,
-                        exclusive: true,
-                        from_memory: false,
-                        payload: DataPayload::new(line.version),
-                    },
-                    Vnet::Response,
-                );
-                self.send(out, data);
-                self.l2.remove(addr);
-                self.l1.invalidate(addr);
-            } else {
-                let data = self.unicast(
-                    at,
-                    requester,
-                    addr,
-                    MsgKind::Data {
-                        acks_expected: 0,
-                        exclusive: false,
-                        from_memory: false,
-                        payload: DataPayload::new(line.version),
-                    },
-                    Vnet::Response,
-                );
-                self.send(out, data);
-                if let Some(l) = self.l2.get(addr) {
-                    l.state = MosiState::Owned;
-                }
-            }
+        } else if let Some(l) = self.l2.get(addr) {
+            l.state = MosiState::Owned;
         }
     }
 
@@ -477,175 +346,31 @@ impl DirectoryController {
         }
         self.try_complete(now, addr, out);
     }
-
-    fn try_complete(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let Some(mshr) = self.mshrs.get(addr) else {
-            return;
-        };
-        if !mshr.data_received {
-            return;
-        }
-        if mshr.write {
-            let expected = mshr.acks_expected.unwrap_or(0);
-            if mshr.acks_received < expected {
-                return;
-            }
-        }
-        let mut mshr = self.mshrs.release(addr).expect("checked above");
-
-        // Install the line.
-        let granted_exclusive = mshr.write || mshr.exclusive;
-        let state = if granted_exclusive {
-            MosiState::Modified
-        } else {
-            MosiState::Shared
-        };
-        let mut line = MosiLine {
-            state,
-            dirty: mshr.dirty && state.is_owner(),
-            version: mshr.version,
-            valid_since: mshr.issued_at,
-        };
-        // Stores merged into a read miss cannot be performed with only a
-        // shared copy; they are re-issued below as an upgrade transaction.
-        apply_pending_ops(
-            &mut line,
-            self.pending_ops.iter(&mshr.pending),
-            granted_exclusive,
-            &mut self.store_counter,
-            version_node_bits(self.node),
-            &mut self.completion_scratch,
-            &mut self.deferred_scratch,
-        );
-        self.pending_ops.clear(&mut mshr.pending);
-        self.install_line(now, addr, line, out);
-
-        let kind = miss_kind(mshr.write, mshr.upgrade);
-        for (req_id, version) in self.completion_scratch.drain(..) {
-            out.complete(MissCompletion {
-                req_id,
-                addr,
-                kind,
-                issued_at: mshr.issued_at,
-                completed_at: now,
-                data_version: version,
-                cache_to_cache: mshr.from_cache,
-            });
-        }
-
-        let latency = now.saturating_sub(mshr.issued_at);
-        record_completed_miss(&mut self.stats, kind, latency, mshr.from_cache);
-
-        // Tell the home the transaction is over so it can unblock.
-        let home = self.home_of(addr);
-        let unblock_kind = if granted_exclusive {
-            MsgKind::ExclusiveUnblock
-        } else {
-            MsgKind::Unblock
-        };
-        let unblock = self.unicast(
-            now + self.controller_latency,
-            home,
-            addr,
-            unblock_kind,
-            Vnet::Response,
-        );
-        self.send(out, unblock);
-
-        // Re-issue any stores that merged into this read miss as a fresh
-        // upgrade transaction.
-        if !self.deferred_scratch.is_empty() {
-            self.stats.bump("merged_store_upgrades", 1);
-            let mut deferred = OpList::new();
-            for i in 0..self.deferred_scratch.len() {
-                let op = self.deferred_scratch[i];
-                self.pending_ops.push(&mut deferred, op);
-            }
-            self.deferred_scratch.clear();
-            let upgrade = DirMshr {
-                pending: deferred,
-                write: true,
-                upgrade: true,
-                issued_at: now,
-                data_received: false,
-                exclusive: false,
-                acks_expected: None,
-                acks_received: 0,
-                version: 0,
-                dirty: false,
-                from_cache: false,
-            };
-            self.mshrs
-                .allocate(addr, upgrade)
-                .unwrap_or_else(|_| panic!("upgrade MSHR conflict at {}", self.node));
-            let getm = self.unicast(
-                now + self.controller_latency,
-                home,
-                addr,
-                MsgKind::GetM,
-                Vnet::Request,
-            );
-            self.send(out, getm);
-        }
-    }
 }
 
-impl CoherenceController for DirectoryController {
-    fn node(&self) -> NodeId {
-        self.node
+impl MosiPolicy for Directory {
+    const NAME: &'static str = "Directory";
+    type Mshr = DirMshr;
+    type Home = DirEntry;
+
+    fn new(config: &SystemConfig) -> Self {
+        Directory {
+            directory_latency: match config.directory_mode {
+                DirectoryMode::InDram => config.dram_latency_ns,
+                DirectoryMode::Perfect => 0,
+            },
+        }
     }
 
-    fn protocol_name(&self) -> &'static str {
-        "Directory"
+    fn destination(&self, home: NodeId) -> Destination {
+        Destination::Node(home)
     }
 
-    fn access(&mut self, now: Cycle, op: &MemOp, out: &mut Outbox) -> AccessOutcome {
-        let addr = op.addr.block(self.home_map.block_bytes());
-        let write = op.kind.is_write();
-        // Directory hits are acknowledgement-protected, so read hits are
-        // wall-clock fresh (`valid_since = now`).
-        if let Some(outcome) = mosi_hit_path(
-            &mut self.l1,
-            &mut self.l2,
-            addr,
-            write,
-            now,
-            self.l2_latency,
-            &mut self.store_counter,
-            version_node_bits(self.node),
-            &mut self.stats.misses,
-            false,
-        ) {
-            return outcome;
-        }
-
-        let had_copy = self
-            .l2
-            .peek(addr)
-            .map(|l| l.state.readable())
-            .unwrap_or(false);
-        if let Some(mshr) = self.mshrs.get_mut(addr) {
-            // Merge into the outstanding miss. A store merged into a read
-            // miss is satisfied later: if the read returns without write
-            // permission, the store is re-issued as an upgrade transaction
-            // when the read completes (see `try_complete`).
-            self.pending_ops.push(
-                &mut mshr.pending,
-                PendingOp {
-                    req_id: op.id,
-                    write,
-                },
-            );
-            return AccessOutcome::Miss;
-        }
-
-        let mshr = DirMshr {
-            pending: self.pending_ops.singleton(PendingOp {
-                req_id: op.id,
-                write,
-            }),
-            write,
-            upgrade: write && had_copy,
+    fn new_mshr(&self, pending: OpList, first: PendingOp, upgrade: bool, now: Cycle) -> DirMshr {
+        DirMshr {
+            pending,
+            write: first.write,
+            upgrade,
             issued_at: now,
             data_received: false,
             exclusive: false,
@@ -654,43 +379,66 @@ impl CoherenceController for DirectoryController {
             version: 0,
             dirty: false,
             from_cache: false,
-        };
-        self.mshrs
-            .allocate(addr, mshr)
-            .unwrap_or_else(|_| panic!("MSHR overflow at {}", self.node));
-        let home = self.home_of(addr);
-        let kind = if write { MsgKind::GetM } else { MsgKind::GetS };
-        let msg = self.unicast(
-            now + self.controller_latency,
-            home,
-            addr,
-            kind,
-            Vnet::Request,
-        );
-        self.send(out, msg);
-        AccessOutcome::Miss
+        }
     }
 
-    fn handle_message(&mut self, now: Cycle, msg: &Message, out: &mut Outbox) {
-        self.stats.messages_received += 1;
+    fn pending(mshr: &mut DirMshr) -> &mut OpList {
+        &mut mshr.pending
+    }
+
+    /// Data, plus — for a write — every invalidation acknowledgement.
+    fn ready(_node: &DirectoryController, _addr: BlockAddr, mshr: &DirMshr) -> Option<Grant> {
+        let acked = !mshr.write || mshr.acks_received >= mshr.acks_expected.unwrap_or(0);
+        (mshr.data_received && acked).then_some(Grant {
+            write: mshr.write,
+            upgrade: mshr.upgrade,
+            exclusive: mshr.exclusive,
+            issued_at: mshr.issued_at,
+            version: mshr.version,
+            dirty: mshr.dirty,
+            from_cache: mshr.from_cache,
+        })
+    }
+
+    /// Tells the home the transaction is over so it can unblock.
+    fn completed(
+        node: &mut DirectoryController,
+        now: Cycle,
+        addr: BlockAddr,
+        _mshr: DirMshr,
+        granted_exclusive: bool,
+        out: &mut Outbox,
+    ) {
+        let kind = if granted_exclusive {
+            MsgKind::ExclusiveUnblock
+        } else {
+            MsgKind::Unblock
+        };
+        let at = now + node.controller_latency;
+        let unblock = node.unicast(at, node.home_of(addr), addr, kind, Vnet::Response);
+        node.send(out, unblock);
+    }
+
+    #[inline]
+    fn handle_message(node: &mut DirectoryController, now: Cycle, msg: &Message, out: &mut Outbox) {
         let addr = msg.addr;
         match &msg.kind {
-            MsgKind::GetS => self.home_handle_request(now, msg.src, addr, false, out),
-            MsgKind::GetM => self.home_handle_request(now, msg.src, addr, true, out),
+            MsgKind::GetS => node.home_handle_request(now, msg.src, addr, false, out),
+            MsgKind::GetM => node.home_handle_request(now, msg.src, addr, true, out),
             MsgKind::FwdGetS { requester } => {
-                self.handle_forward(now, *requester, addr, false, 0, out)
+                node.handle_forward(now, *requester, addr, false, 0, out)
             }
             MsgKind::FwdGetM {
                 requester,
                 acks_expected,
-            } => self.handle_forward(now, *requester, addr, true, *acks_expected, out),
-            MsgKind::Inv { requester } => self.handle_inv(now, *requester, addr, out),
+            } => node.handle_forward(now, *requester, addr, true, *acks_expected, out),
+            MsgKind::Inv { requester } => node.handle_inv(now, *requester, addr, out),
             MsgKind::Data {
                 acks_expected,
                 exclusive,
                 from_memory,
                 payload,
-            } => self.handle_data(
+            } => node.handle_data(
                 now,
                 addr,
                 *acks_expected,
@@ -699,15 +447,15 @@ impl CoherenceController for DirectoryController {
                 *payload,
                 out,
             ),
-            MsgKind::InvAck => self.handle_inv_ack(now, addr, out),
-            MsgKind::Unblock => self.home_handle_unblock(now, msg.src, addr, false, out),
-            MsgKind::ExclusiveUnblock => self.home_handle_unblock(now, msg.src, addr, true, out),
+            MsgKind::InvAck => node.handle_inv_ack(now, addr, out),
+            MsgKind::Unblock => node.home_handle_unblock(now, msg.src, addr, false, out),
+            MsgKind::ExclusiveUnblock => node.home_handle_unblock(now, msg.src, addr, true, out),
             MsgKind::PutM => {
                 let version = msg.req_id.map(|r| r.value()).unwrap_or(0);
-                self.home_handle_putm(now, msg.src, addr, version, out);
+                node.home_handle_putm(now, msg.src, addr, version, out);
             }
             MsgKind::WbAck => {
-                self.wb.take(addr);
+                node.wb.take(addr);
             }
             other => {
                 debug_assert!(false, "Directory received unexpected message {other:?}");
@@ -715,177 +463,76 @@ impl CoherenceController for DirectoryController {
         }
     }
 
-    fn handle_timer(&mut self, _now: Cycle, _timer: Timer, _out: &mut Outbox) {
-        // The directory protocol arms no timers.
+    fn emit_home(w: &mut SnapWriter, entry: &DirEntry) {
+        w.option(entry.owner, |w, owner| w.u32(owner.index() as u32));
+        w.seq(entry.sharers.iter(), |w, s| w.u32(s.index() as u32));
+        w.bool(entry.busy);
+        w.seq(entry.queue.iter(), |w, &(node, write)| {
+            w.u32(node.index() as u32);
+            w.bool(write);
+        });
     }
 
-    fn stats(&self) -> ControllerStats {
-        self.stats.clone()
-    }
-
-    fn audit_block(&self, addr: BlockAddr) -> Vec<BlockAudit> {
-        let mut audits = Vec::new();
-        if let Some(line) = self.l2.peek(addr) {
-            audits.push(BlockAudit {
-                tokens: 0,
-                owner_token: line.state.is_owner(),
-                readable: line.state.readable(),
-                writable: line.state.writable(),
-                data_version: line.version,
-                in_memory: false,
-            });
+    fn read_home(r: &mut SnapReader<'_>) -> Result<DirEntry, SnapshotError> {
+        let owner = r.option(|r| Ok(NodeId::new(r.u32()? as usize)))?;
+        let sharer_len = r.bounded_len(4)?;
+        let mut sharers = BTreeSet::new();
+        for _ in 0..sharer_len {
+            sharers.insert(NodeId::new(r.u32()? as usize));
         }
-        audits
-    }
-
-    fn audited_blocks(&self) -> Vec<BlockAddr> {
-        self.l2.blocks()
-    }
-
-    fn outstanding_misses(&self) -> usize {
-        self.mshrs.len()
-    }
-
-    fn outstanding_blocks(&self) -> Vec<BlockAddr> {
-        self.mshrs.blocks_sorted()
-    }
-
-    fn line_state_stats(&self) -> LineStateStats {
-        let (wb_buffer_peak, wb_window_peak) = self.wb.peaks();
-        LineStateStats {
-            mshr_peak: self.mshrs.high_water() as u64,
-            wb_buffer_peak,
-            wb_window_peak,
-            home_peak: self.memory.entries_high_water(),
-            persistent_peak: 0,
-            state_bytes: self.mshrs.state_bytes()
-                + self.wb.state_bytes()
-                + self.memory.state_bytes(),
-            retired_bytes_est: self.mshrs.retired_bytes_estimate()
-                + self.wb.retired_bytes_estimate()
-                + self.memory.retired_bytes_estimate(),
+        let busy = r.bool()?;
+        let queue_len = r.bounded_len(5)?;
+        let mut queue = VecDeque::with_capacity(queue_len);
+        for _ in 0..queue_len {
+            queue.push_back((NodeId::new(r.u32()? as usize), r.bool()?));
         }
+        Ok(DirEntry {
+            owner,
+            sharers,
+            busy,
+            queue,
+        })
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.store_counter);
-        self.stats.save_state(w);
-        self.l1.save_state(w);
-        self.l2.save_state(w, emit_mosi_line);
-        self.memory.save_state(w, emit_dir_entry);
-        self.mshrs
-            .save_state(w, |w, mshr| emit_dir_mshr(w, mshr, &self.pending_ops));
-        self.wb.save_state(w);
+    fn emit_mshr(w: &mut SnapWriter, mshr: &DirMshr, slab: &OpSlab<PendingOp>) {
+        w.seq(slab.iter(&mshr.pending), emit_pending_op);
+        w.bool(mshr.write);
+        w.bool(mshr.upgrade);
+        w.u64(mshr.issued_at);
+        w.bool(mshr.data_received);
+        w.bool(mshr.exclusive);
+        w.option(mshr.acks_expected, |w, acks| w.u32(acks));
+        w.u32(mshr.acks_received);
+        w.u64(mshr.version);
+        w.bool(mshr.dirty);
+        w.bool(mshr.from_cache);
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.store_counter = r.u64()?;
-        self.stats = ControllerStats::load_state(r)?;
-        self.l1.load_state(r)?;
-        self.l2.load_state(r, read_mosi_line)?;
-        self.memory.load_state(r, read_dir_entry)?;
-        // Rebuild the pending-op pool from scratch; handles saved inside the
-        // reloaded MSHR entries are re-minted as they are read.
-        self.pending_ops.reset();
-        let slab = &mut self.pending_ops;
-        self.mshrs.load_state(r, |r| read_dir_mshr(r, slab))?;
-        self.wb.load_state(r)?;
-        Ok(())
+    fn read_mshr(
+        r: &mut SnapReader<'_>,
+        slab: &mut OpSlab<PendingOp>,
+    ) -> Result<DirMshr, SnapshotError> {
+        Ok(DirMshr {
+            pending: read_pending_list(r, slab)?,
+            write: r.bool()?,
+            upgrade: r.bool()?,
+            issued_at: r.u64()?,
+            data_received: r.bool()?,
+            exclusive: r.bool()?,
+            acks_expected: r.option(|r| r.u32())?,
+            acks_received: r.u32()?,
+            version: r.u64()?,
+            dirty: r.bool()?,
+            from_cache: r.bool()?,
+        })
     }
-}
-
-fn emit_dir_entry(w: &mut SnapWriter, entry: &DirEntry) {
-    w.option(entry.owner, |w, owner| w.u32(owner.index() as u32));
-    w.seq(entry.sharers.iter(), |w, s| w.u32(s.index() as u32));
-    w.bool(entry.busy);
-    w.seq(entry.queue.iter(), |w, &(node, write)| {
-        w.u32(node.index() as u32);
-        w.bool(write);
-    });
-}
-
-fn read_dir_entry(r: &mut SnapReader<'_>) -> Result<DirEntry, SnapshotError> {
-    let owner = r.option(|r| Ok(NodeId::new(r.u32()? as usize)))?;
-    let sharer_len = r.bounded_len(4)?;
-    let mut sharers = BTreeSet::new();
-    for _ in 0..sharer_len {
-        sharers.insert(NodeId::new(r.u32()? as usize));
-    }
-    let busy = r.bool()?;
-    let queue_len = r.bounded_len(5)?;
-    let mut queue = VecDeque::with_capacity(queue_len);
-    for _ in 0..queue_len {
-        queue.push_back((NodeId::new(r.u32()? as usize), r.bool()?));
-    }
-    Ok(DirEntry {
-        owner,
-        sharers,
-        busy,
-        queue,
-    })
-}
-
-fn emit_dir_mshr(w: &mut SnapWriter, mshr: &DirMshr, slab: &OpSlab<PendingOp>) {
-    w.seq(slab.iter(&mshr.pending), emit_pending_op);
-    w.bool(mshr.write);
-    w.bool(mshr.upgrade);
-    w.u64(mshr.issued_at);
-    w.bool(mshr.data_received);
-    w.bool(mshr.exclusive);
-    w.option(mshr.acks_expected, |w, acks| w.u32(acks));
-    w.u32(mshr.acks_received);
-    w.u64(mshr.version);
-    w.bool(mshr.dirty);
-    w.bool(mshr.from_cache);
-}
-
-fn read_dir_mshr(
-    r: &mut SnapReader<'_>,
-    slab: &mut OpSlab<PendingOp>,
-) -> Result<DirMshr, SnapshotError> {
-    let pending_len = r.bounded_len(9)?;
-    let mut pending = OpList::new();
-    for _ in 0..pending_len {
-        slab.push(&mut pending, read_pending_op(r)?);
-    }
-    Ok(DirMshr {
-        pending,
-        write: r.bool()?,
-        upgrade: r.bool()?,
-        issued_at: r.u64()?,
-        data_received: r.bool()?,
-        exclusive: r.bool()?,
-        acks_expected: r.option(|r| r.u32())?,
-        acks_received: r.u32()?,
-        version: r.u64()?,
-        dirty: r.bool()?,
-        from_cache: r.bool()?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_types::{Address, MemOpKind, MissKind};
-
-    fn config() -> SystemConfig {
-        SystemConfig::isca03_default()
-            .with_nodes(4)
-            .with_protocol(tc_types::ProtocolKind::Directory)
-            .with_topology(tc_types::TopologyKind::Torus)
-    }
-
-    fn controller(node: usize) -> DirectoryController {
-        DirectoryController::new(NodeId::new(node), &config())
-    }
-
-    fn load(addr: u64, id: u64) -> MemOp {
-        MemOp::new(ReqId::new(id), Address::new(addr), MemOpKind::Load)
-    }
-
-    fn store(addr: u64, id: u64) -> MemOp {
-        MemOp::new(ReqId::new(id), Address::new(addr), MemOpKind::Store)
-    }
+    use crate::node::test_support::{controller, load, store};
+    use tc_types::{AccessOutcome, CoherenceController, MissKind};
 
     fn deliver(out: &Outbox, to: &mut DirectoryController, now: Cycle) -> Outbox {
         let mut next = Outbox::new();
@@ -1077,7 +724,7 @@ mod tests {
     fn requests_queue_while_the_directory_is_busy() {
         let mut home = controller(0);
         let mut a = controller(1);
-        let mut b = controller(2);
+        let mut b: DirectoryController = controller(2);
 
         // A starts a write miss; home forwards nothing (memory owner) but
         // becomes busy until the unblock.
@@ -1128,7 +775,7 @@ mod tests {
         let home_out = deliver(&out, &mut home, 300);
         assert!(home_out.messages.iter().any(|m| m.kind == MsgKind::WbAck));
         // Memory is the owner again: a later read is served from memory.
-        let mut reader = controller(2);
+        let mut reader: DirectoryController = controller(2);
         let mut rout = Outbox::new();
         reader.access(400, &load(0, 5), &mut rout);
         let resp = deliver(&rout, &mut home, 410);

@@ -19,9 +19,15 @@
 //!   owner, acknowledgements from everyone else), trading directory state and
 //!   lookup latency for broadcast and acknowledgement traffic.
 //!
-//! All three implement the same [`tc_types::CoherenceController`] interface
-//! as the TokenB controller in `tc-core`, so the system runner and the
-//! benchmark harness can swap protocols freely.
+//! The three are one machine, [`MosiNode`], under three [`MosiPolicy`]s: the
+//! node owns the caches, MSHRs, writeback plane, home memory, the requester
+//! side of a miss and the single [`tc_types::CoherenceController`]
+//! implementation; each protocol's file holds only its policy — its MSHR and
+//! home-entry types, when a miss is ready, where requests go, what follows a
+//! completion, and its home/snoop message handlers. A new MOSI-family
+//! variant is a fourth policy, not a fourth controller. The interface is the
+//! one the TokenB controller in `tc-core` implements, so the system runner
+//! and the benchmark harness can swap protocols freely.
 //!
 //! Construction goes through the [`registry`]: a table of
 //! [`registry::ProtocolFactory`] functions keyed by [`tc_types::ProtocolKind`]
@@ -35,11 +41,13 @@
 pub mod common;
 pub mod directory;
 pub mod hammer;
+pub mod node;
 pub mod registry;
 pub mod snooping;
 
 pub use common::{MosiLine, MosiState, WritebackPlane};
 pub use directory::DirectoryController;
 pub use hammer::HammerController;
+pub use node::{MosiNode, MosiPolicy};
 pub use registry::{default_registry, ProtocolEntry, ProtocolFactory, ProtocolRegistry};
 pub use snooping::SnoopingController;

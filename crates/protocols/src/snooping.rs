@@ -35,22 +35,21 @@
 //! it fundamentally cannot run on the unordered torus, which is exactly the
 //! limitation TokenB removes.
 
-use tc_memsys::{HomeMemory, L1Filter, MshrTable, OpList, OpSlab, SetAssocCache};
+use tc_memsys::{OpList, OpSlab};
 use tc_sim::{SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
-    AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
-    Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MsgKind, NodeId, Outbox,
-    ReqId, SystemConfig, Timer, Vnet,
+    BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, ReqId,
+    SystemConfig, Vnet,
 };
 
 use crate::common::{
-    apply_pending_ops, emit_mosi_line, emit_pending_op, miss_kind, mosi_hit_path, read_mosi_line,
-    read_pending_op, record_completed_miss, version_node_bits, MosiLine, MosiState, PendingOp,
-    QueuedRequest, WbHandshake, WritebackPlane,
+    emit_queued_request, read_queued_request, MosiState, QueuedRequest, WbHandshake, WbResolution,
 };
+use crate::node::{emit_pending_op, read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
 
+/// Requester-side bookkeeping for an outstanding snooping miss.
 #[derive(Debug)]
-struct SnoopMshr {
+pub struct SnoopMshr {
     pending: OpList,
     /// The request id this transaction was broadcast under. Every data
     /// response echoes it, so a late response to an already-completed
@@ -78,9 +77,9 @@ struct SnoopMshr {
 
 /// Memory-side state: the "owner bit" — true when memory must respond.
 /// Writebacks in flight are tracked separately by the per-block handshake
-/// windows of the [`WritebackPlane`].
+/// windows of the [`crate::WritebackPlane`].
 #[derive(Debug, Clone, Copy)]
-struct OwnerBit {
+pub struct OwnerBit {
     memory_owner: bool,
 }
 
@@ -90,87 +89,20 @@ impl Default for OwnerBit {
     }
 }
 
-/// The snooping controller for one node.
+/// The snooping policy: requests and PutMs are broadcast to everyone —
+/// including the sender, whose self-delivery, ordered by the root switch,
+/// tells it where its request falls in the total order.
 #[derive(Debug)]
-pub struct SnoopingController {
-    node: NodeId,
-    home_map: HomeMap,
-    l1: L1Filter,
-    l2: SetAssocCache<MosiLine>,
-    l2_latency: Cycle,
-    controller_latency: Cycle,
-    dram_latency: Cycle,
-    memory: HomeMemory<OwnerBit>,
-    mshrs: MshrTable<SnoopMshr>,
-    /// In-flight writebacks plus (for the blocks this node homes) the
-    /// ordered-PutM handshake windows, on the shared line-state plane.
-    wb: WritebackPlane,
-    migratory_optimization: bool,
-    stats: ControllerStats,
-    store_counter: u64,
-    /// Pooled storage for every MSHR entry's pending-op list.
-    pending_ops: OpSlab<PendingOp>,
-    /// Reusable completion/deferral scratch for `apply_pending_ops`.
-    completion_scratch: Vec<(ReqId, u64)>,
-    deferred_scratch: Vec<PendingOp>,
-    /// Cached all-nodes destination: snooping broadcasts every request, so
-    /// this Arc-backed set is cloned (refcount bump, no allocation) per send.
+pub struct Snooping {
+    /// Cached all-nodes destination: this Arc-backed set is cloned
+    /// (refcount bump, no allocation) per send.
     everyone: Destination,
 }
 
-impl SnoopingController {
-    /// Creates the snooping controller for `node` under `config`.
-    pub fn new(node: NodeId, config: &SystemConfig) -> Self {
-        let home_map = HomeMap::new(config.num_nodes, config.block_bytes);
-        SnoopingController {
-            node,
-            home_map,
-            l1: L1Filter::new(&config.l1, config.block_bytes),
-            l2: SetAssocCache::new(&config.l2, config.block_bytes),
-            l2_latency: config.l2.latency_ns,
-            controller_latency: config.controller_latency_ns,
-            dram_latency: config.dram_latency_ns,
-            memory: HomeMemory::new(node, home_map, config.dram_latency_ns),
-            mshrs: MshrTable::new(config.processor.max_outstanding_misses.max(1)),
-            wb: WritebackPlane::new(),
-            migratory_optimization: config.token.migratory_optimization,
-            stats: ControllerStats::new(),
-            store_counter: 0,
-            pending_ops: OpSlab::new(),
-            completion_scratch: Vec::new(),
-            deferred_scratch: Vec::new(),
-            everyone: Destination::Multicast((0..config.num_nodes).map(NodeId::new).collect()),
-        }
-    }
+/// The snooping controller for one node.
+pub type SnoopingController = MosiNode<Snooping>;
 
-    fn is_home(&self, addr: BlockAddr) -> bool {
-        self.home_map.is_home(self.node, addr)
-    }
-
-    fn send(&mut self, out: &mut Outbox, msg: Message) {
-        self.stats.messages_sent += 1;
-        out.send(msg);
-    }
-
-    fn everyone(&self) -> Destination {
-        self.everyone.clone()
-    }
-
-    fn unicast(
-        &self,
-        at: Cycle,
-        dest: NodeId,
-        addr: BlockAddr,
-        kind: MsgKind,
-        vnet: Vnet,
-    ) -> Message {
-        Message::new(self.node, Destination::Node(dest), addr, kind, vnet, at)
-    }
-
-    fn line_or_wb(&self, addr: BlockAddr) -> Option<MosiLine> {
-        self.l2.peek(addr).copied().or_else(|| self.wb.line(addr))
-    }
-
+impl MosiNode<Snooping> {
     // ------------------------------------------------------------------
     // Snoop handling: every node sees every request in the same order.
     // ------------------------------------------------------------------
@@ -218,67 +150,42 @@ impl SnoopingController {
         req_id: Option<ReqId>,
         out: &mut Outbox,
     ) {
-        let at = now + self.controller_latency + self.l2_latency;
+        let request = QueuedRequest {
+            requester,
+            write,
+            req_id,
+        };
 
         // If we have an ordered outstanding request for this block, we are
         // (or are about to become) the block's owner in the total order, so
         // we must remember this request and answer it once our data arrives.
-        let we_are_ordered_first = self.mshrs.get(addr).map(|m| m.ordered).unwrap_or(false);
-        if we_are_ordered_first {
-            if let Some(mshr) = self.mshrs.get_mut(addr) {
-                mshr.forward_queue.push(QueuedRequest {
-                    requester,
-                    write,
-                    req_id,
-                });
-            }
+        if let Some(mshr) = self.mshrs.get_mut(addr).filter(|m| m.ordered) {
+            mshr.forward_queue.push(request);
             return;
         }
 
         let in_live_cache = self.l2.contains(addr);
-        let line = self.line_or_wb(addr);
-        match line {
+        match self.line_or_wb(addr) {
             Some(line) if line.state.is_owner() => {
                 // The migratory hand-off is only applied from a live cache
                 // line; a block sitting in the write-back buffer answers GetS
                 // requests with a plain shared copy so that ownership only
                 // leaves the buffer through a GetM (which the home can track).
-                let migratory = !write
-                    && self.migratory_optimization
-                    && in_live_cache
-                    && line.state == MosiState::Modified
-                    && line.dirty;
-                let exclusive = write || migratory;
-                let mut data = self.unicast(
-                    at,
-                    requester,
-                    addr,
-                    MsgKind::Data {
-                        acks_expected: 0,
-                        exclusive,
-                        from_memory: false,
-                        payload: DataPayload::new(line.version),
-                    },
-                    Vnet::Response,
-                );
-                data.req_id = req_id;
-                self.send(out, data);
+                let exclusive = self.answer_as_owner(now, addr, line, request, in_live_cache, out);
                 self.stats.bump("snoop_data_responses", 1);
                 if exclusive {
-                    self.l2.remove(addr);
-                    self.l1.invalidate(addr);
                     // Ownership (and the writeback obligation) moves to the
                     // requester; the pending writeback is cancelled.
                     self.wb.take(addr);
-                } else if let Some(l) = self.l2.get(addr) {
-                    l.state = MosiState::Owned;
-                } else if let Some(entry) = self.wb.line_mut(addr) {
+                } else if !in_live_cache {
                     // The shared copy came out of the writeback buffer: the
                     // entry must demote to Owned just like a live line, or a
                     // pullback (re-access before the PutM is ordered) would
                     // reinstall it as Modified and let a store hit locally
                     // while the requester's shared copy is never invalidated.
-                    entry.state = MosiState::Owned;
+                    if let Some(entry) = self.wb.line_mut(addr) {
+                        entry.state = MosiState::Owned;
+                    }
                 }
             }
             Some(_) if write => {
@@ -392,7 +299,7 @@ impl SnoopingController {
                 .line(addr)
                 .map(|line| line.version == version)
                 .unwrap_or(false);
-            let home = self.home_map.home_of(addr);
+            let home = self.home_of(addr);
             let handshake = if still_held {
                 let line = self.wb.take(addr).expect("checked above");
                 Message::new(
@@ -446,7 +353,7 @@ impl SnoopingController {
         &mut self,
         now: Cycle,
         addr: BlockAddr,
-        resolutions: Vec<crate::common::WbResolution>,
+        resolutions: Vec<WbResolution>,
         out: &mut Outbox,
     ) {
         for resolution in resolutions {
@@ -509,257 +416,58 @@ impl SnoopingController {
         self.try_complete(now, addr, out);
     }
 
-    fn try_complete(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let Some(mshr) = self.mshrs.get(addr) else {
-            return;
-        };
-        if !mshr.ordered {
-            return;
-        }
-        let satisfied = if mshr.write {
-            // An upgrade whose copy survived until its request was ordered
-            // completes immediately; otherwise we need data.
-            mshr.data_received || mshr.still_valid
-        } else {
-            mshr.data_received
-        };
-        if !satisfied {
-            return;
-        }
-        let mut mshr = self.mshrs.release(addr).expect("checked above");
-
-        // Determine the version we start from.
-        let base_version = if mshr.data_received {
-            mshr.version
-        } else {
-            self.l2.peek(addr).map(|l| l.version).unwrap_or(0)
-        };
-        let granted_exclusive = mshr.write || mshr.exclusive;
-        let state = if granted_exclusive {
-            MosiState::Modified
-        } else {
-            MosiState::Shared
-        };
-        let mut line = MosiLine {
-            state,
-            dirty: (mshr.dirty || mshr.write) && state.is_owner(),
-            version: base_version,
-            valid_since: mshr.issued_at,
-        };
-        // Stores merged into a read miss wait for their own upgrade.
-        apply_pending_ops(
-            &mut line,
-            self.pending_ops.iter(&mshr.pending),
-            granted_exclusive,
-            &mut self.store_counter,
-            version_node_bits(self.node),
-            &mut self.completion_scratch,
-            &mut self.deferred_scratch,
-        );
-        self.pending_ops.clear(&mut mshr.pending);
-        if let Some(victim) = self.l2.insert(addr, line) {
-            self.evict(now, victim.addr, victim.state, out);
-        }
-
-        let kind = miss_kind(mshr.write, mshr.upgrade);
-        for (req_id, v) in self.completion_scratch.drain(..) {
-            out.complete(MissCompletion {
-                req_id,
-                addr,
-                kind,
-                issued_at: mshr.issued_at,
-                completed_at: now,
-                data_version: v,
-                cache_to_cache: mshr.from_cache,
-            });
-        }
-        let latency = now.saturating_sub(mshr.issued_at);
-        record_completed_miss(&mut self.stats, kind, latency, mshr.from_cache);
-
-        // Serve the requests we promised to answer, in order, until one of
-        // them takes ownership away from us.
-        let mut still_owner = self
-            .l2
-            .peek(addr)
-            .map(|l| l.state.is_owner())
-            .unwrap_or(false);
-        for request in mshr.forward_queue {
-            let QueuedRequest {
-                requester, write, ..
-            } = request;
+    /// Serves the requests this node promised to answer while its own miss
+    /// was in flight, in order, until one of them takes ownership away.
+    fn serve_forward_queue(
+        &mut self,
+        now: Cycle,
+        addr: BlockAddr,
+        forward_queue: Vec<QueuedRequest>,
+        out: &mut Outbox,
+    ) {
+        let mut still_owner = self.l2.peek(addr).is_some_and(|l| l.state.is_owner());
+        for request in forward_queue {
             if !still_owner {
                 // The request is someone else's responsibility now; if it was
                 // an exclusive request, our copy must go.
-                if write {
+                if request.write {
                     self.l2.remove(addr);
                     self.l1.invalidate(addr);
                 }
                 continue;
             }
-            let line = match self.l2.peek(addr).copied() {
-                Some(line) => line,
-                None => break,
+            let Some(line) = self.l2.peek(addr).copied() else {
+                break;
             };
-            let at = now + self.controller_latency + self.l2_latency;
-            let migratory = !write
-                && self.migratory_optimization
-                && line.state == MosiState::Modified
-                && line.dirty;
-            let exclusive = write || migratory;
-            let mut data = self.unicast(
-                at,
-                requester,
-                addr,
-                MsgKind::Data {
-                    acks_expected: 0,
-                    exclusive,
-                    from_memory: false,
-                    payload: DataPayload::new(line.version),
-                },
-                Vnet::Response,
-            );
-            data.req_id = request.req_id;
-            self.send(out, data);
-            if exclusive {
-                self.l2.remove(addr);
-                self.l1.invalidate(addr);
-                still_owner = false;
-            } else if let Some(l) = self.l2.get(addr) {
-                l.state = MosiState::Owned;
-            }
-        }
-
-        // Re-issue merged stores as an upgrade transaction of their own.
-        if !self.deferred_scratch.is_empty() {
-            self.stats.bump("merged_store_upgrades", 1);
-            let upgrade_req_id = self.deferred_scratch[0].req_id;
-            let mut deferred = OpList::new();
-            for i in 0..self.deferred_scratch.len() {
-                let op = self.deferred_scratch[i];
-                self.pending_ops.push(&mut deferred, op);
-            }
-            self.deferred_scratch.clear();
-            let upgrade = SnoopMshr {
-                pending: deferred,
-                req_id: upgrade_req_id,
-                write: true,
-                upgrade: true,
-                issued_at: now,
-                ordered: false,
-                data_received: false,
-                exclusive: false,
-                version: 0,
-                dirty: false,
-                from_cache: false,
-                still_valid: false,
-                forward_queue: Vec::new(),
-            };
-            self.mshrs
-                .allocate(addr, upgrade)
-                .unwrap_or_else(|_| panic!("upgrade MSHR conflict at {}", self.node));
-            let getm = Message::new(
-                self.node,
-                self.everyone(),
-                addr,
-                MsgKind::GetM,
-                Vnet::Request,
-                now + self.controller_latency,
-            )
-            .with_req_id(upgrade_req_id);
-            self.send(out, getm);
-        }
-    }
-
-    fn evict(&mut self, now: Cycle, addr: BlockAddr, line: MosiLine, out: &mut Outbox) {
-        self.l1.invalidate(addr);
-        if line.state.is_owner() {
-            self.stats.misses.writebacks += 1;
-            self.wb.stash(addr, line);
-            // Writebacks are broadcast so the total order covers them too.
-            let putm = Message::new(
-                self.node,
-                self.everyone(),
-                addr,
-                MsgKind::PutM,
-                Vnet::Writeback,
-                now + self.controller_latency,
-            )
-            .with_req_id(ReqId::new(line.version));
-            self.send(out, putm);
+            still_owner = !self.answer_as_owner(now, addr, line, request, true, out);
         }
     }
 }
 
-impl CoherenceController for SnoopingController {
-    fn node(&self) -> NodeId {
-        self.node
+impl MosiPolicy for Snooping {
+    const NAME: &'static str = "Snooping";
+    const READ_HITS_DATE_FROM_COPY: bool = true;
+    const TAGS_REQUESTS: bool = true;
+    type Mshr = SnoopMshr;
+    type Home = OwnerBit;
+
+    fn new(config: &SystemConfig) -> Self {
+        Snooping {
+            everyone: Destination::Multicast((0..config.num_nodes).map(NodeId::new).collect()),
+        }
     }
 
-    fn protocol_name(&self) -> &'static str {
-        "Snooping"
+    /// Writebacks are broadcast too, so the total order covers them.
+    fn destination(&self, _home: NodeId) -> Destination {
+        self.everyone.clone()
     }
 
-    fn access(&mut self, now: Cycle, op: &MemOp, out: &mut Outbox) -> AccessOutcome {
-        let addr = op.addr.block(self.home_map.block_bytes());
-        let write = op.kind.is_write();
-
-        // A block sitting in the writeback buffer is pulled straight back
-        // into the cache: this node is still the block's owner of record, so
-        // broadcasting a request for it would go unanswered (the old
-        // self-deadlock). The in-flight PutM resolves as a WbCancel when this
-        // node observes it with the buffer entry gone.
-        if let Some(line) = self.wb.take(addr) {
-            self.stats.bump("writeback_pullbacks", 1);
-            if let Some(victim) = self.l2.insert(addr, line) {
-                self.evict(now, victim.addr, victim.state, out);
-            }
-        }
-
-        // Read hits report the copy's `valid_since` (not `now`): an
-        // unacknowledged ordered broadcast is coherent but not linearizable,
-        // so the legality window opens at the copy's serialization bound.
-        if let Some(outcome) = mosi_hit_path(
-            &mut self.l1,
-            &mut self.l2,
-            addr,
-            write,
-            now,
-            self.l2_latency,
-            &mut self.store_counter,
-            version_node_bits(self.node),
-            &mut self.stats.misses,
-            true,
-        ) {
-            return outcome;
-        }
-
-        let had_copy = self
-            .l2
-            .peek(addr)
-            .map(|l| l.state.readable())
-            .unwrap_or(false);
-        if let Some(mshr) = self.mshrs.get_mut(addr) {
-            // Merge into the outstanding miss; stores that arrive without
-            // write permission are re-issued as an upgrade once the current
-            // transaction completes.
-            self.pending_ops.push(
-                &mut mshr.pending,
-                PendingOp {
-                    req_id: op.id,
-                    write,
-                },
-            );
-            return AccessOutcome::Miss;
-        }
-
-        let mshr = SnoopMshr {
-            pending: self.pending_ops.singleton(PendingOp {
-                req_id: op.id,
-                write,
-            }),
-            req_id: op.id,
-            write,
-            upgrade: write && had_copy,
+    fn new_mshr(&self, pending: OpList, first: PendingOp, upgrade: bool, now: Cycle) -> SnoopMshr {
+        SnoopMshr {
+            pending,
+            req_id: first.req_id,
+            write: first.write,
+            upgrade,
             issued_at: now,
             ordered: false,
             data_received: false,
@@ -769,36 +477,69 @@ impl CoherenceController for SnoopingController {
             from_cache: false,
             still_valid: false,
             forward_queue: Vec::new(),
-        };
-        self.mshrs
-            .allocate(addr, mshr)
-            .unwrap_or_else(|_| panic!("MSHR overflow at {}", self.node));
-        let kind = if write { MsgKind::GetM } else { MsgKind::GetS };
-        // The request is broadcast to every node, *including this one*: the
-        // self-delivery, ordered by the root switch, tells the requester
-        // where its request falls in the total order.
-        let msg = Message::new(
-            self.node,
-            self.everyone(),
-            addr,
-            kind,
-            Vnet::Request,
-            now + self.controller_latency,
-        )
-        .with_req_id(op.id);
-        self.send(out, msg);
-        AccessOutcome::Miss
+        }
     }
 
-    fn handle_message(&mut self, now: Cycle, msg: &Message, out: &mut Outbox) {
-        self.stats.messages_received += 1;
+    fn pending(mshr: &mut SnoopMshr) -> &mut OpList {
+        &mut mshr.pending
+    }
+
+    /// A block sitting in the writeback buffer is pulled straight back into
+    /// the cache: this node is still the block's owner of record, so
+    /// broadcasting a request for it would go unanswered (the old
+    /// self-deadlock). The in-flight PutM resolves as a WbCancel when this
+    /// node observes it with the buffer entry gone.
+    #[inline]
+    fn before_access(node: &mut SnoopingController, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
+        if let Some(line) = node.wb.take(addr) {
+            node.stats.bump("writeback_pullbacks", 1);
+            node.install_line(now, addr, line, out);
+        }
+    }
+
+    /// The node's own request has been ordered, and the data has arrived —
+    /// or, for an upgrade, the copy survived until then, in which case the
+    /// resident copy's version is the one to start from.
+    fn ready(node: &SnoopingController, addr: BlockAddr, mshr: &SnoopMshr) -> Option<Grant> {
+        if !mshr.ordered || !(mshr.data_received || (mshr.write && mshr.still_valid)) {
+            return None;
+        }
+        let version = if mshr.data_received {
+            mshr.version
+        } else {
+            node.l2.peek(addr).map(|l| l.version).unwrap_or(0)
+        };
+        Some(Grant {
+            write: mshr.write,
+            upgrade: mshr.upgrade,
+            exclusive: mshr.exclusive,
+            issued_at: mshr.issued_at,
+            version,
+            dirty: mshr.dirty,
+            from_cache: mshr.from_cache,
+        })
+    }
+
+    fn completed(
+        node: &mut SnoopingController,
+        now: Cycle,
+        addr: BlockAddr,
+        mshr: SnoopMshr,
+        _granted_exclusive: bool,
+        out: &mut Outbox,
+    ) {
+        node.serve_forward_queue(now, addr, mshr.forward_queue, out);
+    }
+
+    #[inline]
+    fn handle_message(node: &mut SnoopingController, now: Cycle, msg: &Message, out: &mut Outbox) {
         let addr = msg.addr;
         match &msg.kind {
-            MsgKind::GetS => self.snoop_request(now, msg.src, addr, false, msg.req_id, out),
-            MsgKind::GetM => self.snoop_request(now, msg.src, addr, true, msg.req_id, out),
+            MsgKind::GetS => node.snoop_request(now, msg.src, addr, false, msg.req_id, out),
+            MsgKind::GetM => node.snoop_request(now, msg.src, addr, true, msg.req_id, out),
             MsgKind::PutM => {
                 let version = msg.req_id.map(|r| r.value()).unwrap_or(0);
-                self.snoop_writeback(now, msg.src, addr, version, out);
+                node.snoop_writeback(now, msg.src, addr, version, out);
             }
             MsgKind::Data {
                 exclusive,
@@ -807,7 +548,7 @@ impl CoherenceController for SnoopingController {
                 ..
             } => {
                 if msg.vnet == Vnet::Writeback {
-                    self.on_wb_handshake(
+                    node.on_wb_handshake(
                         now,
                         msg.src,
                         addr,
@@ -816,7 +557,7 @@ impl CoherenceController for SnoopingController {
                         out,
                     );
                 } else {
-                    self.handle_data(
+                    node.handle_data(
                         now,
                         addr,
                         *exclusive,
@@ -829,7 +570,7 @@ impl CoherenceController for SnoopingController {
             }
             MsgKind::WbCancel => {
                 let version = msg.req_id.map(|r| r.value()).unwrap_or(0);
-                self.on_wb_handshake(now, msg.src, addr, version, WbHandshake::Cancel, out);
+                node.on_wb_handshake(now, msg.src, addr, version, WbHandshake::Cancel, out);
             }
             other => {
                 debug_assert!(false, "Snooping received unexpected message {other:?}");
@@ -837,177 +578,61 @@ impl CoherenceController for SnoopingController {
         }
     }
 
-    fn handle_timer(&mut self, _now: Cycle, _timer: Timer, _out: &mut Outbox) {
-        // Snooping arms no timers.
+    fn emit_home(w: &mut SnapWriter, bit: &OwnerBit) {
+        w.bool(bit.memory_owner);
     }
 
-    fn stats(&self) -> ControllerStats {
-        self.stats.clone()
+    fn read_home(r: &mut SnapReader<'_>) -> Result<OwnerBit, SnapshotError> {
+        Ok(OwnerBit {
+            memory_owner: r.bool()?,
+        })
     }
 
-    fn audit_block(&self, addr: BlockAddr) -> Vec<BlockAudit> {
-        let mut audits = Vec::new();
-        if let Some(line) = self.l2.peek(addr) {
-            audits.push(BlockAudit {
-                tokens: 0,
-                owner_token: line.state.is_owner(),
-                readable: line.state.readable(),
-                writable: line.state.writable(),
-                data_version: line.version,
-                in_memory: false,
-            });
-        }
-        audits
+    fn emit_mshr(w: &mut SnapWriter, mshr: &SnoopMshr, slab: &OpSlab<PendingOp>) {
+        w.seq(slab.iter(&mshr.pending), emit_pending_op);
+        w.u64(mshr.req_id.value());
+        w.bool(mshr.write);
+        w.bool(mshr.upgrade);
+        w.u64(mshr.issued_at);
+        w.bool(mshr.ordered);
+        w.bool(mshr.data_received);
+        w.bool(mshr.exclusive);
+        w.u64(mshr.version);
+        w.bool(mshr.dirty);
+        w.bool(mshr.from_cache);
+        w.bool(mshr.still_valid);
+        w.seq(mshr.forward_queue.iter(), emit_queued_request);
     }
 
-    fn audited_blocks(&self) -> Vec<BlockAddr> {
-        self.l2.blocks()
-    }
-
-    fn outstanding_misses(&self) -> usize {
-        self.mshrs.len()
-    }
-
-    fn outstanding_blocks(&self) -> Vec<BlockAddr> {
-        self.mshrs.blocks_sorted()
-    }
-
-    fn line_state_stats(&self) -> LineStateStats {
-        let (wb_buffer_peak, wb_window_peak) = self.wb.peaks();
-        LineStateStats {
-            mshr_peak: self.mshrs.high_water() as u64,
-            wb_buffer_peak,
-            wb_window_peak,
-            home_peak: self.memory.entries_high_water(),
-            persistent_peak: 0,
-            state_bytes: self.mshrs.state_bytes()
-                + self.wb.state_bytes()
-                + self.memory.state_bytes(),
-            retired_bytes_est: self.mshrs.retired_bytes_estimate()
-                + self.wb.retired_bytes_estimate()
-                + self.memory.retired_bytes_estimate(),
-        }
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.store_counter);
-        self.stats.save_state(w);
-        self.l1.save_state(w);
-        self.l2.save_state(w, emit_mosi_line);
-        self.memory.save_state(w, |w, bit| w.bool(bit.memory_owner));
-        self.mshrs
-            .save_state(w, |w, mshr| emit_snoop_mshr(w, mshr, &self.pending_ops));
-        self.wb.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.store_counter = r.u64()?;
-        self.stats = ControllerStats::load_state(r)?;
-        self.l1.load_state(r)?;
-        self.l2.load_state(r, read_mosi_line)?;
-        self.memory.load_state(r, |r| {
-            Ok(OwnerBit {
-                memory_owner: r.bool()?,
-            })
-        })?;
-        // Rebuild the pending-op pool from scratch; handles saved inside the
-        // reloaded MSHR entries are re-minted as they are read.
-        self.pending_ops.reset();
-        let slab = &mut self.pending_ops;
-        self.mshrs.load_state(r, |r| read_snoop_mshr(r, slab))?;
-        self.wb.load_state(r)?;
-        Ok(())
-    }
-}
-
-fn emit_snoop_mshr(w: &mut SnapWriter, mshr: &SnoopMshr, slab: &OpSlab<PendingOp>) {
-    w.seq(slab.iter(&mshr.pending), emit_pending_op);
-    w.u64(mshr.req_id.value());
-    w.bool(mshr.write);
-    w.bool(mshr.upgrade);
-    w.u64(mshr.issued_at);
-    w.bool(mshr.ordered);
-    w.bool(mshr.data_received);
-    w.bool(mshr.exclusive);
-    w.u64(mshr.version);
-    w.bool(mshr.dirty);
-    w.bool(mshr.from_cache);
-    w.bool(mshr.still_valid);
-    w.seq(mshr.forward_queue.iter(), |w, q| {
-        w.u32(q.requester.index() as u32);
-        w.bool(q.write);
-        w.option(q.req_id, |w, id| w.u64(id.value()));
-    });
-}
-
-fn read_snoop_mshr(
-    r: &mut SnapReader<'_>,
-    slab: &mut OpSlab<PendingOp>,
-) -> Result<SnoopMshr, SnapshotError> {
-    let pending_len = r.bounded_len(9)?;
-    let mut pending = OpList::new();
-    for _ in 0..pending_len {
-        slab.push(&mut pending, read_pending_op(r)?);
-    }
-    let req_id = ReqId::new(r.u64()?);
-    let write = r.bool()?;
-    let upgrade = r.bool()?;
-    let issued_at = r.u64()?;
-    let ordered = r.bool()?;
-    let data_received = r.bool()?;
-    let exclusive = r.bool()?;
-    let version = r.u64()?;
-    let dirty = r.bool()?;
-    let from_cache = r.bool()?;
-    let still_valid = r.bool()?;
-    let forward_len = r.bounded_len(6)?;
-    let mut forward_queue = Vec::with_capacity(forward_len);
-    for _ in 0..forward_len {
-        forward_queue.push(QueuedRequest {
-            requester: NodeId::new(r.u32()? as usize),
+    fn read_mshr(
+        r: &mut SnapReader<'_>,
+        slab: &mut OpSlab<PendingOp>,
+    ) -> Result<SnoopMshr, SnapshotError> {
+        Ok(SnoopMshr {
+            pending: read_pending_list(r, slab)?,
+            req_id: ReqId::new(r.u64()?),
             write: r.bool()?,
-            req_id: r.option(|r| Ok(ReqId::new(r.u64()?)))?,
-        });
+            upgrade: r.bool()?,
+            issued_at: r.u64()?,
+            ordered: r.bool()?,
+            data_received: r.bool()?,
+            exclusive: r.bool()?,
+            version: r.u64()?,
+            dirty: r.bool()?,
+            from_cache: r.bool()?,
+            still_valid: r.bool()?,
+            forward_queue: (0..r.bounded_len(6)?)
+                .map(|_| read_queued_request(r))
+                .collect::<Result<_, _>>()?,
+        })
     }
-    Ok(SnoopMshr {
-        pending,
-        req_id,
-        write,
-        upgrade,
-        issued_at,
-        ordered,
-        data_received,
-        exclusive,
-        version,
-        dirty,
-        from_cache,
-        still_valid,
-        forward_queue,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_types::{Address, MemOpKind, MissKind, ProtocolKind};
-
-    fn config() -> SystemConfig {
-        SystemConfig::isca03_default()
-            .with_nodes(4)
-            .with_protocol(ProtocolKind::Snooping)
-    }
-
-    fn controller(node: usize) -> SnoopingController {
-        SnoopingController::new(NodeId::new(node), &config())
-    }
-
-    fn load(addr: u64, id: u64) -> MemOp {
-        MemOp::new(ReqId::new(id), Address::new(addr), MemOpKind::Load)
-    }
-
-    fn store(addr: u64, id: u64) -> MemOp {
-        MemOp::new(ReqId::new(id), Address::new(addr), MemOpKind::Store)
-    }
+    use crate::node::test_support::{controller, load, store};
+    use tc_types::{AccessOutcome, CoherenceController, MissCompletion, MissKind};
 
     /// Delivers messages to every addressed node in a fixed global order,
     /// mimicking the total order the tree interconnect provides.
@@ -1044,7 +669,7 @@ mod tests {
 
     #[test]
     fn requests_are_broadcast_to_everyone_including_self() {
-        let mut c = controller(1);
+        let mut c: SnoopingController = controller(1);
         let mut out = Outbox::new();
         c.access(0, &load(0, 1), &mut out);
         assert_eq!(out.messages.len(), 1);

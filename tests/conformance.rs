@@ -114,40 +114,53 @@ fn tokenb_conserves_tokens_across_random_interleavings_and_retry_storms() {
     }
 }
 
-/// Satellite: the engine determinism pin. The benchmark configuration
-/// (TokenB, OLTP, 4 nodes, 20k ops/node, seed 12 — the run the `pin4`
-/// workload of `BENCHMARK.json` repeats as its house pin before it measures
-/// anything) must deliver *precisely* this many events. If a pure-performance engine change
-/// moves this number, simulation behaviour drifted and before/after
-/// measurements are no longer comparable; see DESIGN.md "Determinism is
-/// load-bearing". The same run bounds the line-state plane's peak footprint.
+/// Satellite: the determinism pin, one row per protocol. The benchmark
+/// configuration (OLTP, 4 nodes, 20k ops/node, seed 12; its TokenB row is
+/// the run the `pin4` workload of `BENCHMARK.json` repeats as its house pin
+/// before it measures anything) must deliver *precisely* these event counts
+/// and end on these cycles. If a pure-performance or refactoring change
+/// moves a row, simulation behaviour drifted and before/after measurements
+/// are no longer comparable; see DESIGN.md "Determinism is load-bearing".
+/// The TokenB run also bounds the line-state plane's peak footprint.
 #[test]
 fn benchmark_configuration_event_count_is_pinned() {
-    let (mut system, options) = benchmark_configuration();
-    let report = system.run(options);
-    assert!(report.verified().is_ok(), "{:?}", report.violations);
-    assert_eq!(
-        system.events_delivered(),
-        317_430,
-        "events_delivered drifted: the engine's simulated behaviour changed \
-         (move this pin, the benchmark's pin4 check and DESIGN.md only for an \
-         intentional semantic fix, never for a perf-only change)"
-    );
-    // 135168 bytes as first recorded, x 1.10. The exact figure moves with
-    // struct layout across rustc versions, hence a one-sided ceiling; the
-    // exact value is compared parent-vs-change as `sim.peak_state_bytes`.
-    assert!(
-        report.engine.state.state_bytes <= 148_684,
-        "peak line-state bytes grew more than 10% to {}: raise the ceiling only \
-         for an intentional working-set change",
-        report.engine.state.state_bytes
-    );
+    // (protocol, events_delivered, runtime_cycles); Snooping runs on the
+    // ordered tree, the rest on the torus (`with_protocol` picks).
+    for (protocol, events, cycles) in [
+        (ProtocolKind::TokenB, 317_430, 1_268_828),
+        (ProtocolKind::Snooping, 273_533, 1_500_518),
+        (ProtocolKind::Directory, 274_606, 1_343_468),
+        (ProtocolKind::Hammer, 501_198, 1_291_500),
+    ] {
+        let (mut system, options) = benchmark_configuration(protocol);
+        let report = system.run(options);
+        assert!(report.verified().is_ok(), "{:?}", report.violations);
+        assert_eq!(
+            (system.events_delivered(), report.runtime_cycles),
+            (events, cycles),
+            "{protocol} drifted: simulated behaviour changed (move this pin, the \
+             benchmark's pin4 check and DESIGN.md only for an intentional semantic \
+             fix, never for a perf-only change or a refactor)"
+        );
+        if protocol == ProtocolKind::TokenB {
+            // 135168 bytes as first recorded, x 1.10. The exact figure moves
+            // with struct layout across rustc versions, hence a one-sided
+            // ceiling; the exact value is compared parent-vs-change as
+            // `sim.peak_state_bytes`.
+            assert!(
+                report.engine.state.state_bytes <= 148_684,
+                "peak line-state bytes grew more than 10% to {}: raise the ceiling only \
+                 for an intentional working-set change",
+                report.engine.state.state_bytes
+            );
+        }
+    }
 }
 
-fn benchmark_configuration() -> (System, RunOptions) {
+fn benchmark_configuration(protocol: ProtocolKind) -> (System, RunOptions) {
     let config = SystemConfig::isca03_default()
         .with_nodes(4)
-        .with_protocol(ProtocolKind::TokenB)
+        .with_protocol(protocol)
         .with_seed(12);
     let options = RunOptions {
         ops_per_node: 20_000,
@@ -164,7 +177,7 @@ fn benchmark_configuration() -> (System, RunOptions) {
 /// not notice the shared step core moving all of them alike; this does.
 #[test]
 fn benchmark_configuration_event_count_is_pinned_on_the_windowed_schedule() {
-    let (mut system, options) = benchmark_configuration();
+    let (mut system, options) = benchmark_configuration(ProtocolKind::TokenB);
     let report = system.run(options.with_shards(1));
     assert!(report.verified().is_ok(), "{:?}", report.violations);
     assert_eq!(

@@ -82,15 +82,18 @@ fn resume_is_bit_identical_under_fault_injection() {
     assert_reports_identical("tokenb faulted", &baseline, &resumed);
 }
 
-/// The pinned benchmark configuration, checkpointing every 100000 events.
-fn pinned_configuration() -> (
+/// The pinned benchmark configuration under `protocol` (Snooping on the
+/// ordered tree, the rest on the torus), checkpointing every 100000 events.
+fn pinned_configuration(
+    protocol: ProtocolKind,
+) -> (
     SystemConfig,
     WorkloadProfile,
     token_coherence::system::RunOptions,
 ) {
     let config = SystemConfig::isca03_default()
         .with_nodes(4)
-        .with_protocol(ProtocolKind::TokenB)
+        .with_protocol(protocol)
         .with_seed(12);
     let options = token_coherence::system::RunOptions {
         ops_per_node: 20_000,
@@ -111,18 +114,26 @@ fn pinned_configuration() -> (
 /// test passing unchanged.
 #[test]
 fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
-    let (config, profile, options) = pinned_configuration();
-    let mut first: Option<(u64, usize, u64)> = None;
-    System::build(&config, &profile).run_with_checkpoints(options, &mut |at, bytes| {
-        first.get_or_insert_with(|| (at, bytes.len(), token_coherence::sim::fnv1a64(bytes)));
-    });
-    let (at, len, hash) = first.expect("a 317k-event run must cross the 100k cadence");
-    assert_eq!(at, 100_000);
-    assert_eq!(
-        (len, hash),
-        (800_966, 0xc78bda8d58b805e1),
-        "snapshot bytes changed: bump SNAPSHOT_VERSION and re-record, or restore the format"
-    );
+    for (protocol, pinned) in [
+        (ProtocolKind::TokenB, (800_966, 0xc78bda8d58b805e1)),
+        (ProtocolKind::Snooping, (827_573, 0x764a8a8dceae3231)),
+        (ProtocolKind::Directory, (949_959, 0xe11bd84c1e1c9a8e)),
+        (ProtocolKind::Hammer, (561_848, 0x8d32754354a5e531)),
+    ] {
+        let (config, profile, options) = pinned_configuration(protocol);
+        let mut first: Option<(u64, usize, u64)> = None;
+        System::build(&config, &profile).run_with_checkpoints(options, &mut |at, bytes| {
+            first.get_or_insert_with(|| (at, bytes.len(), token_coherence::sim::fnv1a64(bytes)));
+        });
+        let (at, len, hash) = first.expect("the pinned run must cross the 100k cadence");
+        assert_eq!(at, 100_000);
+        assert_eq!(
+            (len, hash),
+            pinned,
+            "{protocol}: snapshot bytes changed ({len}, {hash:#x}): bump SNAPSHOT_VERSION \
+             and re-record, or restore the format"
+        );
+    }
 }
 
 /// The determinism pin, checkable from a snapshot: the benchmark
@@ -130,7 +141,7 @@ fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
 /// at a mid-run checkpoint still lands on exactly 317430 delivered events.
 #[test]
 fn pinned_benchmark_configuration_resumes_to_the_pinned_event_count() {
-    let (config, profile, options) = pinned_configuration();
+    let (config, profile, options) = pinned_configuration(ProtocolKind::TokenB);
 
     let mut snapshot: Option<(u64, Vec<u8>)> = None;
     let mut full = System::build(&config, &profile);
