@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{BlockAddr, NodeId};
 
 /// A request waiting at (or being served by) the arbiter.
@@ -20,6 +20,12 @@ struct QueuedRequest {
     requester: NodeId,
     write: bool,
 }
+
+snap_struct!(QueuedRequest {
+    addr,
+    requester,
+    write,
+});
 
 /// What the controller hosting the arbiter must do next: broadcast an
 /// activation or deactivation to every node (and apply it locally).
@@ -60,6 +66,13 @@ enum ArbiterState {
         acks_remaining: usize,
     },
 }
+
+snap_enum!(ArbiterState, "arbiter state" {
+    0 => Idle,
+    1 => Activating { request, acks_remaining, complete_received },
+    2 => Active { request },
+    3 => Deactivating { addr, acks_remaining },
+});
 
 /// The persistent-request arbiter at one home node.
 #[derive(Debug, Clone)]
@@ -164,7 +177,7 @@ impl PersistentArbiter {
                             addr: request.addr,
                             acks_remaining: self.acks_expected(),
                         };
-                        return self.emit_deactivate(request.addr);
+                        return self.broadcast_deactivate(request.addr);
                     }
                     self.state = ArbiterState::Active { request };
                 }
@@ -192,7 +205,7 @@ impl PersistentArbiter {
                     addr,
                     acks_remaining: self.acks_expected(),
                 };
-                self.emit_deactivate(addr)
+                self.broadcast_deactivate(addr)
             }
             ArbiterState::Activating {
                 request,
@@ -237,7 +250,7 @@ impl PersistentArbiter {
         }]
     }
 
-    fn emit_deactivate(&mut self, addr: BlockAddr) -> Vec<ArbiterAction> {
+    fn broadcast_deactivate(&mut self, addr: BlockAddr) -> Vec<ArbiterAction> {
         if self.acks_expected() == 0 {
             self.state = ArbiterState::Idle;
             let mut actions = vec![ArbiterAction::BroadcastDeactivate { addr }];
@@ -252,37 +265,8 @@ impl PersistentArbiter {
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.activations);
         w.bool(self.sabotaged);
-        let request = |w: &mut SnapWriter, r: &QueuedRequest| {
-            w.u64(r.addr.value());
-            w.u32(r.requester.index() as u32);
-            w.bool(r.write);
-        };
-        match &self.state {
-            ArbiterState::Idle => w.u8(0),
-            ArbiterState::Activating {
-                request: req,
-                acks_remaining,
-                complete_received,
-            } => {
-                w.u8(1);
-                request(w, req);
-                w.usize(*acks_remaining);
-                w.bool(*complete_received);
-            }
-            ArbiterState::Active { request: req } => {
-                w.u8(2);
-                request(w, req);
-            }
-            ArbiterState::Deactivating {
-                addr,
-                acks_remaining,
-            } => {
-                w.u8(3);
-                w.u64(addr.value());
-                w.usize(*acks_remaining);
-            }
-        }
-        w.seq(self.queue.iter(), request);
+        self.state.save(w);
+        self.queue.save(w);
     }
 
     /// Restores [`PersistentArbiter::save_state`] bytes onto a same-config
@@ -290,30 +274,8 @@ impl PersistentArbiter {
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.activations = r.u64()?;
         self.sabotaged = r.bool()?;
-        let request = |r: &mut SnapReader<'_>| -> Result<QueuedRequest, SnapshotError> {
-            Ok(QueuedRequest {
-                addr: BlockAddr::new(r.u64()?),
-                requester: NodeId::new(r.u32()? as usize),
-                write: r.bool()?,
-            })
-        };
-        self.state = match r.u8()? {
-            0 => ArbiterState::Idle,
-            1 => ArbiterState::Activating {
-                request: request(r)?,
-                acks_remaining: r.usize()?,
-                complete_received: r.bool()?,
-            },
-            2 => ArbiterState::Active {
-                request: request(r)?,
-            },
-            3 => ArbiterState::Deactivating {
-                addr: BlockAddr::new(r.u64()?),
-                acks_remaining: r.usize()?,
-            },
-            other => return Err(SnapshotError::Corrupt(format!("arbiter state tag {other}"))),
-        };
-        self.queue = r.seq(request)?.into();
+        self.state = Snap::load(r)?;
+        self.queue = Snap::load(r)?;
         Ok(())
     }
 
@@ -542,6 +504,30 @@ mod tests {
         arb.set_sabotage(false);
         let actions = arb.request(BlockAddr::new(7), NodeId::new(2), true);
         assert_eq!(activate_addr(&actions), Some(BlockAddr::new(7)));
+    }
+
+    #[test]
+    fn every_arbiter_state_round_trips() {
+        let request = QueuedRequest {
+            addr: BlockAddr::new(5),
+            requester: NodeId::new(2),
+            write: true,
+        };
+        for state in [
+            ArbiterState::Idle,
+            ArbiterState::Activating {
+                request,
+                acks_remaining: 3,
+                complete_received: true,
+            },
+            ArbiterState::Active { request },
+            ArbiterState::Deactivating {
+                addr: BlockAddr::new(6),
+                acks_remaining: 2,
+            },
+        ] {
+            tc_testkit::assert_snap_round_trip(&state);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-node table of active persistent requests.
 
 use tc_memsys::LineTable;
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{BlockAddr, NodeId};
 
 /// One active persistent request, as remembered by every node.
@@ -13,6 +13,8 @@ pub struct PersistentEntry {
     /// either way; the flag is kept for reporting).
     pub write: bool,
 }
+
+snap_struct!(PersistentEntry { requester, write });
 
 /// The hardware table each node keeps of activated persistent requests
 /// (Section 3.2: an 8-byte entry per home-memory arbiter).
@@ -95,21 +97,13 @@ impl PersistentTable {
     /// Serializes the table's entries and activation counter.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.activations_seen);
-        self.entries.save_state(w, |w, e| {
-            w.u32(e.requester.index() as u32);
-            w.bool(e.write);
-        });
+        self.entries.save_state(w, |w, e| e.save(w));
     }
 
     /// Restores [`PersistentTable::save_state`] bytes.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.activations_seen = r.u64()?;
-        self.entries = LineTable::load_state(r, |r| {
-            Ok(PersistentEntry {
-                requester: NodeId::new(r.u32()? as usize),
-                write: r.bool()?,
-            })
-        })?;
+        self.entries = LineTable::load_state(r, PersistentEntry::load)?;
         Ok(())
     }
 }
@@ -117,6 +111,14 @@ impl PersistentTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn entry_round_trips() {
+        tc_testkit::assert_snap_round_trip(&PersistentEntry {
+            requester: NodeId::new(2),
+            write: true,
+        });
+    }
 
     #[test]
     fn activate_then_deactivate_round_trips() {

@@ -1,5 +1,7 @@
 //! Per-block token state held in caches and at the home memory.
 
+use tc_sim::snap_struct;
+
 /// Token state of one cache line.
 ///
 /// Possession of tokens maps directly onto the familiar MOESI states
@@ -23,6 +25,14 @@ pub struct TokenLine {
     /// Simulated block contents (version number).
     pub version: u64,
 }
+
+snap_struct!(TokenLine {
+    tokens,
+    owner,
+    valid_data,
+    dirty,
+    version,
+});
 
 impl TokenLine {
     /// A line with no tokens and no data.
@@ -82,6 +92,12 @@ pub struct MemTokens {
     pub owner: bool,
 }
 
+snap_struct!(MemTokens {
+    initialized,
+    tokens,
+    owner,
+});
+
 impl MemTokens {
     /// Materializes the initial state (all `total` tokens at home) if this
     /// entry has never been touched.
@@ -104,6 +120,22 @@ impl MemTokens {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn line_and_memory_state_round_trip() {
+        tc_testkit::assert_snap_round_trip(&TokenLine {
+            tokens: 3,
+            owner: true,
+            valid_data: true,
+            dirty: false,
+            version: 9,
+        });
+        tc_testkit::assert_snap_round_trip(&MemTokens {
+            initialized: true,
+            tokens: 13,
+            owner: false,
+        });
+    }
 
     #[test]
     fn empty_line_is_invalid_and_unreadable() {

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use tc_memsys::{hinted_get, HomeMemory, L1Filter, MshrTable, OpList, OpSlab, SetAssocCache};
-use tc_sim::{DeterministicRng, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, DeterministicRng, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
     Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind, MsgKind,
@@ -17,11 +17,13 @@ use crate::state::{MemTokens, TokenLine};
 use crate::timeout::MissLatencyTracker;
 
 /// One pending processor operation merged into an outstanding miss.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PendingOp {
     req_id: ReqId,
     write: bool,
 }
+
+snap_struct!(PendingOp { req_id, write });
 
 /// Bookkeeping for one outstanding TokenB miss. The pending-op list lives
 /// in the controller's [`OpSlab`] pool.
@@ -1202,14 +1204,14 @@ impl CoherenceController for TokenBController {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.rng.state());
+        self.rng.save(w);
         w.u64(self.store_counter);
         w.u64(self.timer_seq);
-        self.stats.save_state(w);
+        self.stats.save(w);
         self.latency.save_state(w);
         self.l1.save_state(w);
-        self.l2.save_state(w, emit_token_line);
-        self.memory.save_state(w, emit_mem_tokens);
+        self.l2.save_state(w);
+        self.memory.save_state(w);
         self.mshrs
             .save_state(w, |w, mshr| emit_token_mshr(w, mshr, &self.pending_ops));
         self.persistent_table.save_state(w);
@@ -1217,14 +1219,14 @@ impl CoherenceController for TokenBController {
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rng = DeterministicRng::from_state(r.u64()?);
+        self.rng = Snap::load(r)?;
         self.store_counter = r.u64()?;
         self.timer_seq = r.u64()?;
-        self.stats = ControllerStats::load_state(r)?;
+        self.stats = Snap::load(r)?;
         self.latency.load_state(r)?;
         self.l1.load_state(r)?;
-        self.l2.load_state(r, read_token_line)?;
-        self.memory.load_state(r, read_mem_tokens)?;
+        self.l2.load_state(r)?;
+        self.memory.load_state(r)?;
         // Rebuild the pending-op pool from scratch; handles saved inside the
         // reloaded MSHR entries are re-minted as they are read.
         self.pending_ops.reset();
@@ -1236,43 +1238,10 @@ impl CoherenceController for TokenBController {
     }
 }
 
-fn emit_token_line(w: &mut SnapWriter, line: &TokenLine) {
-    w.u32(line.tokens);
-    w.bool(line.owner);
-    w.bool(line.valid_data);
-    w.bool(line.dirty);
-    w.u64(line.version);
-}
-
-fn read_token_line(r: &mut SnapReader<'_>) -> Result<TokenLine, SnapshotError> {
-    Ok(TokenLine {
-        tokens: r.u32()?,
-        owner: r.bool()?,
-        valid_data: r.bool()?,
-        dirty: r.bool()?,
-        version: r.u64()?,
-    })
-}
-
-fn emit_mem_tokens(w: &mut SnapWriter, mem: &MemTokens) {
-    w.bool(mem.initialized);
-    w.u32(mem.tokens);
-    w.bool(mem.owner);
-}
-
-fn read_mem_tokens(r: &mut SnapReader<'_>) -> Result<MemTokens, SnapshotError> {
-    Ok(MemTokens {
-        initialized: r.bool()?,
-        tokens: r.u32()?,
-        owner: r.bool()?,
-    })
-}
-
+// The MSHR codec needs the op pool its pending list lives in, so it is the
+// one layout here written out by hand: pending ops first, then the fields.
 fn emit_token_mshr(w: &mut SnapWriter, mshr: &TokenMshr, slab: &OpSlab<PendingOp>) {
-    w.seq(slab.iter(&mshr.pending), |w, op| {
-        w.u64(op.req_id.value());
-        w.bool(op.write);
-    });
+    w.seq(slab.iter(&mshr.pending), |w, op| op.save(w));
     w.bool(mshr.write);
     w.bool(mshr.upgrade);
     w.u64(mshr.issued_at);
@@ -1287,14 +1256,9 @@ fn read_token_mshr(
     r: &mut SnapReader<'_>,
     slab: &mut OpSlab<PendingOp>,
 ) -> Result<TokenMshr, SnapshotError> {
-    let len = r.bounded_len(9)?;
     let mut pending = OpList::new();
-    for _ in 0..len {
-        let op = PendingOp {
-            req_id: ReqId::new(r.u64()?),
-            write: r.bool()?,
-        };
-        slab.push(&mut pending, op);
+    for _ in 0..r.bounded_len(9)? {
+        slab.push(&mut pending, PendingOp::load(r)?);
     }
     Ok(TokenMshr {
         pending,
@@ -2049,6 +2013,14 @@ mod tests {
             format!("{:?}", restored.audit_block(BlockAddr::new(4)))
         );
         assert_eq!(c.line_state_stats(), restored.line_state_stats());
+    }
+
+    #[test]
+    fn pending_op_round_trips() {
+        tc_testkit::assert_snap_round_trip(&PendingOp {
+            req_id: ReqId::new(7),
+            write: true,
+        });
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! `(seed, AdversarySpec)` pair reproduces the exact same schedule
 //! bit-for-bit regardless of host, thread count, or wall-clock.
 
-use tc_sim::{DeterministicRng, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::adversary::{AdversarySpec, AdversaryStats};
 use tc_types::{BlockAddr, Cycle, Message, MsgKind, NodeId};
+
+use crate::plane_rng::PlaneRng;
 
 /// Distinct stream tag so the adversary RNG never collides with the
 /// workload, pump, or fault streams forked from the same run seed.
@@ -34,11 +36,7 @@ const ADVERSARY_STREAM: u64 = 0xAD_5E_47_21;
 #[derive(Debug)]
 pub struct Adversary {
     spec: AdversarySpec,
-    rng: DeterministicRng,
-    /// Per-source-node streams for the sharded runner (empty in the serial
-    /// engine's single-stream mode); see `FaultPlane::node_rngs` — the same
-    /// scheme, on the adversary's stream tag.
-    node_rngs: Vec<DeterministicRng>,
+    rngs: PlaneRng,
     stats: AdversaryStats,
     /// Skew quantum for reorder scheduling, set to the link latency so one
     /// reorder step is one link hop of displacement — the same "legal
@@ -52,34 +50,28 @@ impl Adversary {
     /// be varied independently of the workload. `link_latency_ns` becomes
     /// the reorder skew quantum.
     pub fn new(spec: AdversarySpec, run_seed: u64, link_latency_ns: u64) -> Self {
-        let rng =
-            DeterministicRng::new(run_seed ^ spec.seed.rotate_left(17)).fork(ADVERSARY_STREAM);
         Adversary {
             spec,
-            rng,
-            node_rngs: Vec::new(),
+            rngs: PlaneRng::new(run_seed, spec.seed, ADVERSARY_STREAM),
             stats: AdversaryStats::default(),
             quantum: link_latency_ns.max(1),
         }
     }
 
     /// [`Adversary::new`] in per-source-node stream mode, for the sharded
-    /// runner: node `n`'s sends draw from a stream forked off the same
-    /// `(run seed, spec seed)` base on tag `ADVERSARY_STREAM ^ (n + 1)`, so
-    /// the perturbation schedule depends only on each node's own message
-    /// sequence — identical at any shard count.
+    /// runner (see [`PlaneRng::new_per_node`]): the perturbation schedule
+    /// depends only on each node's own message sequence — identical at any
+    /// shard count.
     pub fn new_per_node(
         spec: AdversarySpec,
         run_seed: u64,
         link_latency_ns: u64,
         num_nodes: usize,
     ) -> Self {
-        let mut plane = Adversary::new(spec, run_seed, link_latency_ns);
-        let mut base = DeterministicRng::new(run_seed ^ spec.seed.rotate_left(17));
-        plane.node_rngs = (0..num_nodes)
-            .map(|n| base.fork(ADVERSARY_STREAM ^ (n as u64 + 1)))
-            .collect();
-        plane
+        Adversary {
+            rngs: PlaneRng::new_per_node(run_seed, spec.seed, ADVERSARY_STREAM, num_nodes),
+            ..Adversary::new(spec, run_seed, link_latency_ns)
+        }
     }
 
     /// The spec this plane executes.
@@ -108,12 +100,7 @@ impl Adversary {
         let competing = on_victim_block
             && msg.src.index() != victim_node
             && matches!(msg.kind, MsgKind::GetM | MsgKind::GetS);
-        // Split borrows: the stream for this message's source (or the
-        // single global stream) alongside the stats field.
-        let rng = match self.node_rngs.is_empty() {
-            true => &mut self.rng,
-            false => &mut self.node_rngs[msg.src.index()],
-        };
+        let rng = self.rngs.stream(msg.src);
 
         for (at, node) in arrivals.iter_mut() {
             let original_at = *at;
@@ -158,16 +145,14 @@ impl Adversary {
     /// Serializes the plane's mutable state: the RNG stream position(s)
     /// and the accumulated counters. Spec and quantum are config-derived.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.rng.state());
-        w.seq(self.node_rngs.iter(), |w, rng| w.u64(rng.state()));
-        self.stats.save_state(w);
+        self.rngs.save(w);
+        self.stats.save(w);
     }
 
     /// Restores [`Adversary::save_state`] bytes onto a same-config plane.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rng = DeterministicRng::from_state(r.u64()?);
-        self.node_rngs = r.seq(|r| Ok(DeterministicRng::from_state(r.u64()?)))?;
-        self.stats = AdversaryStats::load_state(r)?;
+        self.rngs = Snap::load(r)?;
+        self.stats = Snap::load(r)?;
         Ok(())
     }
 }

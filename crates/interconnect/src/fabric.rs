@@ -1,7 +1,7 @@
 //! The interconnect fabric: link contention, multicast routing, and traffic
 //! accounting on top of a [`Topology`].
 
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     BandwidthMode, Cycle, Destination, FastHashMap, InterconnectConfig, Message, NodeId,
     TopologyKind, TrafficClass, TrafficStats,
@@ -34,13 +34,20 @@ pub struct LinkUtilization {
     pub busy_ns: Cycle,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct LinkState {
     free_at: Cycle,
     bytes: u64,
     messages: u64,
     busy_ns: Cycle,
 }
+
+snap_struct!(LinkState {
+    free_at,
+    bytes,
+    messages,
+    busy_ns,
+});
 
 /// Dense precomputed routing: the topology is static, so every `(src, dst)`
 /// path is resolved once at construction into one flat link array indexed by
@@ -430,34 +437,22 @@ impl Interconnect {
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.total_deliveries);
         w.u64(self.total_sends);
-        self.traffic.save_state(w);
-        w.seq(self.links.iter(), |w, l| {
-            w.u64(l.free_at);
-            w.u64(l.bytes);
-            w.u64(l.messages);
-            w.u64(l.busy_ns);
-        });
-        w.seq(self.injection_free_at.iter(), |w, &t| w.u64(t));
+        self.traffic.save(w);
+        self.links.save(w);
+        self.injection_free_at.save(w);
     }
 
     /// Restores [`Interconnect::save_state`] bytes onto a same-config fabric.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.total_deliveries = r.u64()?;
         self.total_sends = r.u64()?;
-        self.traffic = TrafficStats::load_state(r)?;
-        let links = r.seq(|r| {
-            Ok(LinkState {
-                free_at: r.u64()?,
-                bytes: r.u64()?,
-                messages: r.u64()?,
-                busy_ns: r.u64()?,
-            })
-        })?;
+        self.traffic = Snap::load(r)?;
+        let links = Vec::<LinkState>::load(r)?;
         if links.len() != self.links.len() {
             return Err(SnapshotError::Corrupt("link count mismatch".into()));
         }
         self.links = links;
-        let injection = r.seq(|r| r.u64())?;
+        let injection = Vec::<Cycle>::load(r)?;
         if injection.len() != self.injection_free_at.len() {
             return Err(SnapshotError::Corrupt("node count mismatch".into()));
         }
@@ -704,6 +699,16 @@ mod tests {
         let got = net.send(7, request(5, Destination::multicast(novel.clone())));
         let expected = fresh.send(7, request(5, Destination::multicast(novel)));
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn link_state_round_trips() {
+        tc_testkit::assert_snap_round_trip(&LinkState {
+            free_at: 1,
+            bytes: 2,
+            messages: 3,
+            busy_ns: 4,
+        });
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! `(seed, FaultSpec)` pair reproduces the exact same fault sequence
 //! bit-for-bit regardless of host, thread count, or wall-clock.
 
-use tc_sim::{DeterministicRng, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{DeterministicRng, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::fault::{FaultSpec, FaultStats};
 use tc_types::{Cycle, Message, NodeId, ProtocolKind};
+
+use crate::plane_rng::PlaneRng;
 
 /// Distinct stream tag so the fault RNG never collides with the workload or
 /// pump streams forked from the same run seed.
@@ -36,15 +38,7 @@ const FAULT_STREAM: u64 = 0xFA_17_B1_A5;
 pub struct FaultPlane {
     spec: FaultSpec,
     protocol: ProtocolKind,
-    rng: DeterministicRng,
-    /// Per-source-node streams for the sharded runner (empty in the serial
-    /// engine's single-stream mode): each node's sends draw faults from the
-    /// node's own stream, forked off the same base as `rng` by node index.
-    /// Every node lives on exactly one shard, so these are the sharded
-    /// runner's per-shard streams — and because a draw depends only on the
-    /// source node's own message sequence, the injected schedule is
-    /// identical at every shard count.
-    node_rngs: Vec<DeterministicRng>,
+    rngs: PlaneRng,
     stats: FaultStats,
     /// Skew quantum for reorder/duplicate scheduling, set to the link
     /// latency so one reorder step is one link hop of displacement.
@@ -66,12 +60,10 @@ impl FaultPlane {
         run_seed: u64,
         link_latency_ns: u64,
     ) -> Self {
-        let rng = DeterministicRng::new(run_seed ^ spec.seed.rotate_left(17)).fork(FAULT_STREAM);
         FaultPlane {
             spec,
             protocol,
-            rng,
-            node_rngs: Vec::new(),
+            rngs: PlaneRng::new(run_seed, spec.seed, FAULT_STREAM),
             stats: FaultStats::default(),
             quantum: link_latency_ns.max(1),
             scratch: Vec::new(),
@@ -79,10 +71,8 @@ impl FaultPlane {
     }
 
     /// [`FaultPlane::new`] in per-source-node stream mode, for the sharded
-    /// runner: node `n`'s sends draw from a stream forked off the same
-    /// `(run seed, spec seed)` base on tag `FAULT_STREAM ^ (n + 1)`,
-    /// exactly the stream-id scheme the workload generators use. Same
-    /// `(seed, spec)` ⇒ same per-node fault schedule, at any shard count.
+    /// runner (see [`PlaneRng::new_per_node`]). Same `(seed, spec)` ⇒ same
+    /// per-node fault schedule, at any shard count.
     pub fn new_per_node(
         spec: FaultSpec,
         protocol: ProtocolKind,
@@ -90,12 +80,10 @@ impl FaultPlane {
         link_latency_ns: u64,
         num_nodes: usize,
     ) -> Self {
-        let mut plane = FaultPlane::new(spec, protocol, run_seed, link_latency_ns);
-        let mut base = DeterministicRng::new(run_seed ^ spec.seed.rotate_left(17));
-        plane.node_rngs = (0..num_nodes)
-            .map(|n| base.fork(FAULT_STREAM ^ (n as u64 + 1)))
-            .collect();
-        plane
+        FaultPlane {
+            rngs: PlaneRng::new_per_node(run_seed, spec.seed, FAULT_STREAM, num_nodes),
+            ..FaultPlane::new(spec, protocol, run_seed, link_latency_ns)
+        }
     }
 
     /// The spec this plane executes.
@@ -130,12 +118,7 @@ impl FaultPlane {
         let loss_ok = (self.spec.drop_ppm > 0 || self.spec.dup_ppm > 0)
             && FaultSpec::loss_eligible(self.protocol, msg);
         let src = msg.src.index() as u32;
-        // Split borrows: the stream for this message's source (or the
-        // single global stream) alongside the stats and scratch fields.
-        let rng = match self.node_rngs.is_empty() {
-            true => &mut self.rng,
-            false => &mut self.node_rngs[msg.src.index()],
-        };
+        let rng = self.rngs.stream(msg.src);
 
         self.scratch.clear();
         for &(original_at, node) in arrivals.iter() {
@@ -187,16 +170,14 @@ impl FaultPlane {
     /// the accumulated counters. Spec, protocol, and quantum are
     /// config-derived.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.rng.state());
-        w.seq(self.node_rngs.iter(), |w, rng| w.u64(rng.state()));
-        self.stats.save_state(w);
+        self.rngs.save(w);
+        self.stats.save(w);
     }
 
     /// Restores [`FaultPlane::save_state`] bytes onto a same-config plane.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rng = DeterministicRng::from_state(r.u64()?);
-        self.node_rngs = r.seq(|r| Ok(DeterministicRng::from_state(r.u64()?)))?;
-        self.stats = FaultStats::load_state(r)?;
+        self.rngs = Snap::load(r)?;
+        self.stats = Snap::load(r)?;
         Ok(())
     }
 }

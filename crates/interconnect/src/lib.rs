@@ -50,6 +50,7 @@
 pub mod adversary;
 pub mod fabric;
 pub mod fault;
+mod plane_rng;
 pub mod topology;
 pub mod torus;
 pub mod tree;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tc_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{BlockAddr, CacheConfig};
 
 /// One cache line: the block it holds and the protocol-defined state.
@@ -382,7 +382,10 @@ impl<S> SetAssocCache<S> {
     /// LRU/statistics counters. Geometry is *not* serialized — it is
     /// config-derived, so restore happens onto a freshly-constructed cache
     /// of the same configuration (validated by slot bounds).
-    pub fn save_state(&self, w: &mut SnapWriter, mut emit: impl FnMut(&mut SnapWriter, &S)) {
+    pub fn save_state(&self, w: &mut SnapWriter)
+    where
+        S: Snap,
+    {
         w.usize(self.len);
         w.u64(self.use_counter);
         w.u64(self.lookups);
@@ -395,17 +398,19 @@ impl<S> SetAssocCache<S> {
             w.usize(i);
             w.u64(tag);
             w.u64(self.last_use[i]);
-            emit(w, self.states[i].as_ref().expect("occupied tag has state"));
+            self.states[i]
+                .as_ref()
+                .expect("occupied tag has state")
+                .save(w);
         }
     }
 
     /// Restores [`SetAssocCache::save_state`] bytes onto this cache, which
     /// must have the same geometry (same configuration) as the saved one.
-    pub fn load_state(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        mut read: impl FnMut(&mut SnapReader<'_>) -> Result<S, SnapshotError>,
-    ) -> Result<(), SnapshotError> {
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError>
+    where
+        S: Snap,
+    {
         self.tags.fill(EMPTY_TAG);
         for state in &mut self.states {
             *state = None;
@@ -427,7 +432,7 @@ impl<S> SetAssocCache<S> {
             }
             self.tags[slot] = tag;
             self.last_use[slot] = r.u64()?;
-            self.states[slot] = Some(read(r)?);
+            self.states[slot] = Some(S::load(r)?);
         }
         self.len = len;
         Ok(())
@@ -456,6 +461,16 @@ impl SlotHint {
     /// "No hint yet" sentinel — never a valid slot (the L2 would need 2^32
     /// lines).
     const NONE: u32 = u32::MAX;
+}
+
+/// On the wire a hint is its raw `u32`.
+impl Snap for SlotHint {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u32(self.0);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(SlotHint(r.u32()?))
+    }
 }
 
 impl Default for SlotHint {
@@ -529,12 +544,12 @@ impl L1Filter {
 
     /// Serializes the filter's resident set and slot hints.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        self.cache.save_state(w, |w, hint| w.u32(hint.0));
+        self.cache.save_state(w);
     }
 
     /// Restores [`L1Filter::save_state`] bytes onto a same-config filter.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.cache.load_state(r, |r| Ok(SlotHint(r.u32()?)))
+        self.cache.load_state(r)
     }
 }
 

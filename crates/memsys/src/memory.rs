@@ -1,6 +1,6 @@
 //! Home-memory state storage.
 
-use tc_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{BlockAddr, HomeMap, NodeId};
 
 use crate::line_table::LineTable;
@@ -122,21 +122,23 @@ impl<S: Default + Clone> HomeMemory<S> {
     /// Serializes the mutable home-side state (protocol state table, DRAM
     /// data versions, access counter). Node, home map, and latency are
     /// config-derived and restored by construction.
-    pub fn save_state(&self, w: &mut SnapWriter, emit: impl FnMut(&mut SnapWriter, &S)) {
+    pub fn save_state(&self, w: &mut SnapWriter)
+    where
+        S: Snap,
+    {
         w.u64(self.accesses);
-        self.state.save_state(w, emit);
-        self.data.save_state(w, |w, &v| w.u64(v));
+        self.state.save_state(w, |w, s| s.save(w));
+        self.data.save_state(w, |w, v| v.save(w));
     }
 
     /// Restores [`HomeMemory::save_state`] bytes onto a same-config memory.
-    pub fn load_state(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        read: impl FnMut(&mut SnapReader<'_>) -> Result<S, SnapshotError>,
-    ) -> Result<(), SnapshotError> {
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError>
+    where
+        S: Snap,
+    {
         self.accesses = r.u64()?;
-        self.state = LineTable::load_state(r, read)?;
-        self.data = LineTable::load_state(r, |r| r.u64())?;
+        self.state = LineTable::load_state(r, S::load)?;
+        self.data = LineTable::load_state(r, u64::load)?;
         Ok(())
     }
 }

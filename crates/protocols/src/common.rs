@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use tc_memsys::LineTable;
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{BlockAddr, Cycle, NodeId, ReqId};
 
 /// Stable MOSI cache states used by the Snooping, Directory, and Hammer
@@ -185,7 +185,7 @@ enum WbEntry {
 /// *different* writers can overtake each other, so resolutions that arrive
 /// while an earlier marker is still open are stashed until their marker
 /// reaches the head of the window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WbWindow {
     queue: VecDeque<WbEntry>,
     /// Resolutions that arrived before their marker reached the head,
@@ -445,146 +445,84 @@ impl WritebackPlane {
 
     /// Serializes the plane: the buffered lines then the handshake windows.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        self.buffer.save_state(w, emit_mosi_line);
-        self.windows.save_state(w, |w, window| window.save_state(w));
+        self.buffer.save_state(w, |w, line| line.save(w));
+        self.windows.save_state(w, |w, window| window.save(w));
     }
 
     /// Restores [`WritebackPlane::save_state`] bytes.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.buffer = LineTable::load_state(r, read_mosi_line)?;
-        self.windows = LineTable::load_state(r, WbWindow::load_state)?;
+        self.buffer = LineTable::load_state(r, MosiLine::load)?;
+        self.windows = LineTable::load_state(r, WbWindow::load)?;
         Ok(())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot codecs for the shared MOSI state.
-//
-// Tags are part of the snapshot wire format; append new variants, never
-// renumber.
-// ---------------------------------------------------------------------------
-
-impl MosiState {
-    fn snapshot_tag(self) -> u8 {
-        match self {
-            MosiState::Modified => 0,
-            MosiState::Owned => 1,
-            MosiState::Shared => 2,
-            MosiState::Invalid => 3,
-        }
-    }
-
-    fn from_snapshot_tag(tag: u8) -> Result<Self, SnapshotError> {
-        Ok(match tag {
-            0 => MosiState::Modified,
-            1 => MosiState::Owned,
-            2 => MosiState::Shared,
-            3 => MosiState::Invalid,
-            other => return Err(SnapshotError::Corrupt(format!("MOSI state tag {other}"))),
-        })
-    }
-}
-
-/// Emits one [`MosiLine`] (state tag, dirty, version, valid_since).
-pub(crate) fn emit_mosi_line(w: &mut SnapWriter, line: &MosiLine) {
-    w.u8(line.state.snapshot_tag());
-    w.bool(line.dirty);
-    w.u64(line.version);
-    w.u64(line.valid_since);
-}
-
-/// Reads one [`MosiLine`].
-pub(crate) fn read_mosi_line(r: &mut SnapReader<'_>) -> Result<MosiLine, SnapshotError> {
-    Ok(MosiLine {
-        state: MosiState::from_snapshot_tag(r.u8()?)?,
-        dirty: r.bool()?,
-        version: r.u64()?,
-        valid_since: r.u64()?,
-    })
-}
-
-pub(crate) fn emit_queued_request(w: &mut SnapWriter, q: &QueuedRequest) {
-    w.u32(q.requester.index() as u32);
-    w.bool(q.write);
-    w.option(q.req_id, |w, id| w.u64(id.value()));
-}
-
-pub(crate) fn read_queued_request(r: &mut SnapReader<'_>) -> Result<QueuedRequest, SnapshotError> {
-    Ok(QueuedRequest {
-        requester: NodeId::new(r.u32()? as usize),
-        write: r.bool()?,
-        req_id: r.option(|r| Ok(ReqId::new(r.u64()?)))?,
-    })
-}
-
-impl WbHandshake {
-    fn snapshot_tag(self) -> u8 {
-        match self {
-            WbHandshake::Data => 0,
-            WbHandshake::Cancel => 1,
-        }
-    }
-
-    fn from_snapshot_tag(tag: u8) -> Result<Self, SnapshotError> {
-        Ok(match tag {
-            0 => WbHandshake::Data,
-            1 => WbHandshake::Cancel,
-            other => return Err(SnapshotError::Corrupt(format!("handshake tag {other}"))),
-        })
-    }
-}
-
-impl WbWindow {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.seq(self.queue.iter(), |w, entry| match entry {
-            WbEntry::Marker { writer, version } => {
-                w.u8(0);
-                w.u32(writer.index() as u32);
-                w.u64(*version);
-            }
-            WbEntry::Request(q) => {
-                w.u8(1);
-                emit_queued_request(w, q);
-            }
-        });
-        w.seq(self.stash.iter(), |w, (writer, version, outcome)| {
-            w.u32(writer.index() as u32);
-            w.u64(*version);
-            w.u8(outcome.snapshot_tag());
-        });
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<WbWindow, SnapshotError> {
-        let queue_len = r.bounded_len(10)?;
-        let mut queue = VecDeque::with_capacity(queue_len);
-        for _ in 0..queue_len {
-            queue.push_back(match r.u8()? {
-                0 => WbEntry::Marker {
-                    writer: NodeId::new(r.u32()? as usize),
-                    version: r.u64()?,
-                },
-                1 => WbEntry::Request(read_queued_request(r)?),
-                other => {
-                    return Err(SnapshotError::Corrupt(format!("wb entry tag {other}")));
-                }
-            });
-        }
-        let stash_len = r.bounded_len(13)?;
-        let mut stash = VecDeque::with_capacity(stash_len);
-        for _ in 0..stash_len {
-            stash.push_back((
-                NodeId::new(r.u32()? as usize),
-                r.u64()?,
-                WbHandshake::from_snapshot_tag(r.u8()?)?,
-            ));
-        }
-        Ok(WbWindow { queue, stash })
-    }
-}
+// Wire layouts of the shared MOSI state. Tags are append-only.
+snap_enum!(MosiState, "MOSI state" {
+    0 => Modified,
+    1 => Owned,
+    2 => Shared,
+    3 => Invalid,
+});
+snap_struct!(MosiLine {
+    state,
+    dirty,
+    version,
+    valid_since,
+});
+snap_struct!(QueuedRequest {
+    requester,
+    write,
+    req_id,
+});
+snap_enum!(WbHandshake, "handshake" {
+    0 => Data,
+    1 => Cancel,
+});
+snap_enum!(WbEntry, "wb entry" {
+    0 => Marker { writer, version },
+    1 => Request(request),
+});
+snap_struct!(WbWindow { queue, stash });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shared_mosi_layouts_round_trip() {
+        use tc_testkit::assert_snap_round_trip;
+        for state in [
+            MosiState::Modified,
+            MosiState::Owned,
+            MosiState::Shared,
+            MosiState::Invalid,
+        ] {
+            assert_snap_round_trip(&MosiLine {
+                state,
+                dirty: true,
+                version: 7,
+                valid_since: 40,
+            });
+        }
+        let request = QueuedRequest {
+            requester: NodeId::new(2),
+            write: true,
+            req_id: Some(ReqId::new(9)),
+        };
+        assert_snap_round_trip(&request);
+        assert_snap_round_trip(&crate::node::PendingOp {
+            req_id: ReqId::new(9),
+            write: false,
+        });
+        // One window holding both entry kinds and both handshake outcomes.
+        let mut window = WbWindow::new();
+        window.on_handshake(NodeId::new(3), 5, WbHandshake::Cancel);
+        window.on_handshake(NodeId::new(3), 6, WbHandshake::Data);
+        window.on_putm(NodeId::new(1), 4);
+        window.on_request(request);
+        assert_snap_round_trip(&window);
+    }
 
     #[test]
     fn permissions_follow_mosi_semantics() {

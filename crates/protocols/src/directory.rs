@@ -16,14 +16,14 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use tc_memsys::{OpList, OpSlab};
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, DirectoryMode, Message, MsgKind, NodeId, Outbox,
     SystemConfig, Vnet,
 };
 
 use crate::common::MosiState;
-use crate::node::{emit_pending_op, read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
+use crate::node::{read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
 
 /// Requester-side bookkeeping for an outstanding directory miss. The
 /// pending-op list lives in the controller's [`OpSlab`] pool.
@@ -43,13 +43,20 @@ pub struct DirMshr {
 }
 
 /// The home node's directory entry for one block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DirEntry {
     owner: Option<NodeId>,
     sharers: BTreeSet<NodeId>,
     busy: bool,
     queue: VecDeque<(NodeId, bool)>,
 }
+
+snap_struct!(DirEntry {
+    owner,
+    sharers,
+    busy,
+    queue,
+});
 
 /// The directory policy: requests go to the home, which forwards,
 /// invalidates and blocks; the requester collects acknowledgements and
@@ -463,45 +470,14 @@ impl MosiPolicy for Directory {
         }
     }
 
-    fn emit_home(w: &mut SnapWriter, entry: &DirEntry) {
-        w.option(entry.owner, |w, owner| w.u32(owner.index() as u32));
-        w.seq(entry.sharers.iter(), |w, s| w.u32(s.index() as u32));
-        w.bool(entry.busy);
-        w.seq(entry.queue.iter(), |w, &(node, write)| {
-            w.u32(node.index() as u32);
-            w.bool(write);
-        });
-    }
-
-    fn read_home(r: &mut SnapReader<'_>) -> Result<DirEntry, SnapshotError> {
-        let owner = r.option(|r| Ok(NodeId::new(r.u32()? as usize)))?;
-        let sharer_len = r.bounded_len(4)?;
-        let mut sharers = BTreeSet::new();
-        for _ in 0..sharer_len {
-            sharers.insert(NodeId::new(r.u32()? as usize));
-        }
-        let busy = r.bool()?;
-        let queue_len = r.bounded_len(5)?;
-        let mut queue = VecDeque::with_capacity(queue_len);
-        for _ in 0..queue_len {
-            queue.push_back((NodeId::new(r.u32()? as usize), r.bool()?));
-        }
-        Ok(DirEntry {
-            owner,
-            sharers,
-            busy,
-            queue,
-        })
-    }
-
     fn emit_mshr(w: &mut SnapWriter, mshr: &DirMshr, slab: &OpSlab<PendingOp>) {
-        w.seq(slab.iter(&mshr.pending), emit_pending_op);
+        w.seq(slab.iter(&mshr.pending), |w, op| op.save(w));
         w.bool(mshr.write);
         w.bool(mshr.upgrade);
         w.u64(mshr.issued_at);
         w.bool(mshr.data_received);
         w.bool(mshr.exclusive);
-        w.option(mshr.acks_expected, |w, acks| w.u32(acks));
+        mshr.acks_expected.save(w);
         w.u32(mshr.acks_received);
         w.u64(mshr.version);
         w.bool(mshr.dirty);
@@ -519,7 +495,7 @@ impl MosiPolicy for Directory {
             issued_at: r.u64()?,
             data_received: r.bool()?,
             exclusive: r.bool()?,
-            acks_expected: r.option(|r| r.u32())?,
+            acks_expected: Snap::load(r)?,
             acks_received: r.u32()?,
             version: r.u64()?,
             dirty: r.bool()?,
@@ -533,6 +509,17 @@ mod tests {
     use super::*;
     use crate::node::test_support::{controller, load, store};
     use tc_types::{AccessOutcome, CoherenceController, MissKind};
+
+    #[test]
+    fn directory_entry_round_trips() {
+        tc_testkit::assert_snap_round_trip(&DirEntry::default());
+        tc_testkit::assert_snap_round_trip(&DirEntry {
+            owner: Some(NodeId::new(2)),
+            sharers: [NodeId::new(1), NodeId::new(3)].into(),
+            busy: true,
+            queue: [(NodeId::new(0), true), (NodeId::new(3), false)].into(),
+        });
+    }
 
     fn deliver(out: &Outbox, to: &mut DirectoryController, now: Cycle) -> Outbox {
         let mut next = Outbox::new();

@@ -18,14 +18,14 @@
 use std::collections::VecDeque;
 
 use tc_memsys::{OpList, OpSlab};
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, SystemConfig,
     Vnet,
 };
 
 use crate::common::QueuedRequest;
-use crate::node::{emit_pending_op, read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
+use crate::node::{read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
 
 /// Requester-side bookkeeping for an outstanding Hammer miss.
 #[derive(Debug)]
@@ -46,11 +46,13 @@ pub struct HammerMshr {
 }
 
 /// Home-side serialization state for one block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HammerEntry {
     busy: bool,
     queue: VecDeque<(NodeId, bool)>,
 }
+
+snap_struct!(HammerEntry { busy, queue });
 
 /// The Hammer policy: requests go to the home, which probes everyone; the
 /// requester waits for every node's answer plus memory's, then unblocks the
@@ -334,26 +336,8 @@ impl MosiPolicy for Hammer {
         }
     }
 
-    fn emit_home(w: &mut SnapWriter, entry: &HammerEntry) {
-        w.bool(entry.busy);
-        w.seq(entry.queue.iter(), |w, &(node, write)| {
-            w.u32(node.index() as u32);
-            w.bool(write);
-        });
-    }
-
-    fn read_home(r: &mut SnapReader<'_>) -> Result<HammerEntry, SnapshotError> {
-        let busy = r.bool()?;
-        let queue_len = r.bounded_len(5)?;
-        let mut queue = VecDeque::with_capacity(queue_len);
-        for _ in 0..queue_len {
-            queue.push_back((NodeId::new(r.u32()? as usize), r.bool()?));
-        }
-        Ok(HammerEntry { busy, queue })
-    }
-
     fn emit_mshr(w: &mut SnapWriter, mshr: &HammerMshr, slab: &OpSlab<PendingOp>) {
-        w.seq(slab.iter(&mshr.pending), emit_pending_op);
+        w.seq(slab.iter(&mshr.pending), |w, op| op.save(w));
         w.bool(mshr.write);
         w.bool(mshr.upgrade);
         w.u64(mshr.issued_at);
@@ -396,6 +380,14 @@ mod tests {
     use crate::common::MosiState;
     use crate::node::test_support::{controller, load, store};
     use tc_types::{CoherenceController, MissKind};
+
+    #[test]
+    fn hammer_entry_round_trips() {
+        tc_testkit::assert_snap_round_trip(&HammerEntry {
+            busy: true,
+            queue: [(NodeId::new(0), true), (NodeId::new(3), false)].into(),
+        });
+    }
 
     fn deliver_all(out: &Outbox, nodes: &mut [HammerController], now: Cycle) -> Outbox {
         let mut next = Outbox::new();

@@ -23,25 +23,25 @@
 use std::fmt;
 
 use tc_memsys::{hinted_get, HomeMemory, L1Filter, MshrTable, OpList, OpSlab, SetAssocCache};
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
     Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind, MsgKind,
     NodeId, Outbox, ReqId, SystemConfig, Timer, Vnet,
 };
 
-use crate::common::{
-    emit_mosi_line, read_mosi_line, MosiLine, MosiState, QueuedRequest, WritebackPlane,
-};
+use crate::common::{MosiLine, MosiState, QueuedRequest, WritebackPlane};
 
 /// One pending processor operation merged into an outstanding miss.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PendingOp {
     /// The processor request to complete.
     pub req_id: ReqId,
     /// Whether it is a store.
     pub write: bool,
 }
+
+snap_struct!(PendingOp { req_id, write });
 
 /// The version-counter node tag: per-node store versions are
 /// `((node + 1) << 40) | counter`, unique across nodes and monotone per
@@ -88,7 +88,7 @@ pub trait MosiPolicy: fmt::Debug + Send + Sized {
     /// Requester-side bookkeeping for one outstanding miss.
     type Mshr: fmt::Debug + Send;
     /// Home-side state for one block.
-    type Home: Default + Clone + fmt::Debug + Send;
+    type Home: Default + Clone + fmt::Debug + Send + Snap;
 
     /// The policy's own configuration-derived state.
     fn new(config: &SystemConfig) -> Self;
@@ -125,10 +125,6 @@ pub trait MosiPolicy: fmt::Debug + Send + Sized {
     /// the responses that feed [`MosiNode::try_complete`].
     fn handle_message(node: &mut MosiNode<Self>, now: Cycle, msg: &Message, out: &mut Outbox);
 
-    /// Snapshot codec of a home entry.
-    fn emit_home(w: &mut SnapWriter, entry: &Self::Home);
-    /// Reads [`MosiPolicy::emit_home`] bytes.
-    fn read_home(r: &mut SnapReader<'_>) -> Result<Self::Home, SnapshotError>;
     /// Snapshot codec of an MSHR, pending ops first.
     fn emit_mshr(w: &mut SnapWriter, mshr: &Self::Mshr, slab: &OpSlab<PendingOp>);
     /// Reads [`MosiPolicy::emit_mshr`] bytes, re-minting the pending list
@@ -566,10 +562,10 @@ impl<P: MosiPolicy> CoherenceController for MosiNode<P> {
 
     fn save_state(&self, w: &mut SnapWriter) {
         w.u64(self.store_counter);
-        self.stats.save_state(w);
+        self.stats.save(w);
         self.l1.save_state(w);
-        self.l2.save_state(w, emit_mosi_line);
-        self.memory.save_state(w, P::emit_home);
+        self.l2.save_state(w);
+        self.memory.save_state(w);
         self.mshrs
             .save_state(w, |w, mshr| P::emit_mshr(w, mshr, &self.pending_ops));
         self.wb.save_state(w);
@@ -577,10 +573,10 @@ impl<P: MosiPolicy> CoherenceController for MosiNode<P> {
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.store_counter = r.u64()?;
-        self.stats = ControllerStats::load_state(r)?;
+        self.stats = Snap::load(r)?;
         self.l1.load_state(r)?;
-        self.l2.load_state(r, read_mosi_line)?;
-        self.memory.load_state(r, P::read_home)?;
+        self.l2.load_state(r)?;
+        self.memory.load_state(r)?;
         // Rebuild the pending-op pool from scratch; handles saved inside the
         // reloaded MSHR entries are re-minted as they are read.
         self.pending_ops.reset();
@@ -590,12 +586,6 @@ impl<P: MosiPolicy> CoherenceController for MosiNode<P> {
     }
 }
 
-/// Emits one [`PendingOp`].
-pub(crate) fn emit_pending_op(w: &mut SnapWriter, op: &PendingOp) {
-    w.u64(op.req_id.value());
-    w.bool(op.write);
-}
-
 /// Reads the pending-op list every MSHR codec starts with into `slab`.
 pub(crate) fn read_pending_list(
     r: &mut SnapReader<'_>,
@@ -603,11 +593,7 @@ pub(crate) fn read_pending_list(
 ) -> Result<OpList, SnapshotError> {
     let mut pending = OpList::new();
     for _ in 0..r.bounded_len(9)? {
-        let op = PendingOp {
-            req_id: ReqId::new(r.u64()?),
-            write: r.bool()?,
-        };
-        slab.push(&mut pending, op);
+        slab.push(&mut pending, PendingOp::load(r)?);
     }
     Ok(pending)
 }

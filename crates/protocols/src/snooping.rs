@@ -36,16 +36,14 @@
 //! limitation TokenB removes.
 
 use tc_memsys::{OpList, OpSlab};
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, ReqId,
     SystemConfig, Vnet,
 };
 
-use crate::common::{
-    emit_queued_request, read_queued_request, MosiState, QueuedRequest, WbHandshake, WbResolution,
-};
-use crate::node::{emit_pending_op, read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
+use crate::common::{MosiState, QueuedRequest, WbHandshake, WbResolution};
+use crate::node::{read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
 
 /// Requester-side bookkeeping for an outstanding snooping miss.
 #[derive(Debug)]
@@ -78,10 +76,12 @@ pub struct SnoopMshr {
 /// Memory-side state: the "owner bit" — true when memory must respond.
 /// Writebacks in flight are tracked separately by the per-block handshake
 /// windows of the [`crate::WritebackPlane`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OwnerBit {
     memory_owner: bool,
 }
+
+snap_struct!(OwnerBit { memory_owner });
 
 impl Default for OwnerBit {
     fn default() -> Self {
@@ -578,19 +578,9 @@ impl MosiPolicy for Snooping {
         }
     }
 
-    fn emit_home(w: &mut SnapWriter, bit: &OwnerBit) {
-        w.bool(bit.memory_owner);
-    }
-
-    fn read_home(r: &mut SnapReader<'_>) -> Result<OwnerBit, SnapshotError> {
-        Ok(OwnerBit {
-            memory_owner: r.bool()?,
-        })
-    }
-
     fn emit_mshr(w: &mut SnapWriter, mshr: &SnoopMshr, slab: &OpSlab<PendingOp>) {
-        w.seq(slab.iter(&mshr.pending), emit_pending_op);
-        w.u64(mshr.req_id.value());
+        w.seq(slab.iter(&mshr.pending), |w, op| op.save(w));
+        mshr.req_id.save(w);
         w.bool(mshr.write);
         w.bool(mshr.upgrade);
         w.u64(mshr.issued_at);
@@ -601,7 +591,7 @@ impl MosiPolicy for Snooping {
         w.bool(mshr.dirty);
         w.bool(mshr.from_cache);
         w.bool(mshr.still_valid);
-        w.seq(mshr.forward_queue.iter(), emit_queued_request);
+        mshr.forward_queue.save(w);
     }
 
     fn read_mshr(
@@ -610,7 +600,7 @@ impl MosiPolicy for Snooping {
     ) -> Result<SnoopMshr, SnapshotError> {
         Ok(SnoopMshr {
             pending: read_pending_list(r, slab)?,
-            req_id: ReqId::new(r.u64()?),
+            req_id: Snap::load(r)?,
             write: r.bool()?,
             upgrade: r.bool()?,
             issued_at: r.u64()?,
@@ -621,9 +611,7 @@ impl MosiPolicy for Snooping {
             dirty: r.bool()?,
             from_cache: r.bool()?,
             still_valid: r.bool()?,
-            forward_queue: (0..r.bounded_len(6)?)
-                .map(|_| read_queued_request(r))
-                .collect::<Result<_, _>>()?,
+            forward_queue: Snap::load(r)?,
         })
     }
 }
@@ -633,6 +621,14 @@ mod tests {
     use super::*;
     use crate::node::test_support::{controller, load, store};
     use tc_types::{AccessOutcome, CoherenceController, MissCompletion, MissKind};
+
+    #[test]
+    fn owner_bit_round_trips() {
+        tc_testkit::assert_snap_round_trip(&OwnerBit::default());
+        tc_testkit::assert_snap_round_trip(&OwnerBit {
+            memory_owner: false,
+        });
+    }
 
     /// Delivers messages to every addressed node in a fixed global order,
     /// mimicking the total order the tree interconnect provides.

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use tc_sim::{open, seal, SnapReader, SnapWriter, SnapshotError, SNAPSHOT_VERSION};
+use tc_sim::{open, seal, Snap, SnapReader, SnapWriter, SnapshotError, SNAPSHOT_VERSION};
 use tc_system::RunReport;
 
 /// Version of the cache payload layout *inside* the sealed envelope. Bump
@@ -83,10 +83,7 @@ impl ResultCache {
     pub fn to_snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.u32(CACHE_FORMAT_VERSION);
-        w.seq(self.entries.iter(), |w, (key, report)| {
-            w.str(key);
-            report.save_state(w);
-        });
+        self.entries.save(&mut w);
         seal(SNAPSHOT_VERSION, &w.into_bytes())
     }
 
@@ -105,13 +102,7 @@ impl ResultCache {
                 expected: CACHE_FORMAT_VERSION,
             });
         }
-        let count = r.bounded_len(2)?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..count {
-            let key = r.str()?;
-            let report = RunReport::load_state(&mut r)?;
-            entries.insert(key, report);
-        }
+        let entries = Snap::load(&mut r)?;
         r.finish()?;
         Ok(ResultCache {
             entries,

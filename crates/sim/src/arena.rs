@@ -23,7 +23,7 @@
 //!
 //! [`Message`]: https://docs.rs/tc-types
 
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// A copyable handle to a value parked in an [`Arena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,6 +45,16 @@ impl ArenaRef {
             index: (bits >> 32) as u32,
             generation: bits as u32,
         }
+    }
+}
+
+/// On the wire a handle is [`ArenaRef::to_bits`].
+impl Snap for ArenaRef {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(self.to_bits());
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ArenaRef::from_bits(r.u64()?))
     }
 }
 
@@ -264,37 +274,37 @@ impl<T> Arena<T> {
     /// uses, value) plus the free list in LIFO order. Slot *positions* and
     /// free-list order are preserved byte-for-byte, because recycled slot
     /// indices feed handle allocation and must replay identically.
-    pub fn save_state(&self, w: &mut SnapWriter, mut emit: impl FnMut(&mut SnapWriter, &T)) {
+    pub fn save_state(&self, w: &mut SnapWriter)
+    where
+        T: Snap,
+    {
         w.usize(self.len);
         w.usize(self.high_water);
         w.u64(self.accounting_errors);
         w.seq(self.slots.iter(), |w, slot| {
             w.u32(slot.generation);
             w.u32(slot.remaining);
-            w.option(slot.value.as_ref(), |w, v| emit(w, v));
+            slot.value.save(w);
         });
-        w.seq(self.free.iter(), |w, &i| w.u32(i));
+        self.free.save(w);
     }
 
     /// Rebuilds an arena from [`Arena::save_state`] bytes.
-    pub fn load_state(
-        r: &mut SnapReader<'_>,
-        mut read: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapshotError>,
-    ) -> Result<Arena<T>, SnapshotError> {
+    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Arena<T>, SnapshotError>
+    where
+        T: Snap,
+    {
         let len = r.usize()?;
         let high_water = r.usize()?;
         let accounting_errors = r.u64()?;
         let slots = r.seq(|r| {
-            let generation = r.u32()?;
-            let remaining = r.u32()?;
-            let value = r.option(&mut read)?;
             Ok(Slot {
-                generation,
-                remaining,
-                value,
+                generation: r.u32()?,
+                remaining: r.u32()?,
+                value: Snap::load(r)?,
             })
         })?;
-        let free = r.seq(|r| r.u32())?;
+        let free = Vec::<u32>::load(r)?;
         let occupied = slots.iter().filter(|s| s.value.is_some()).count();
         if occupied != len || free.len() != slots.len() - occupied {
             return Err(SnapshotError::Corrupt("arena slot accounting".into()));
@@ -457,10 +467,10 @@ mod tests {
         arena.release(c);
 
         let mut w = SnapWriter::new();
-        arena.save_state(&mut w, |w, v| w.u64(*v));
+        arena.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let mut restored = Arena::load_state(&mut r, |r| r.u64()).unwrap();
+        let mut restored = Arena::load_state(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(restored.len(), arena.len());
@@ -486,14 +496,14 @@ mod tests {
         arena.take(h);
         arena.insert(2u64);
         let mut w = SnapWriter::new();
-        arena.save_state(&mut w, |w, v| w.u64(*v));
+        arena.save_state(&mut w);
         let bytes = w.into_bytes();
         // Corrupt the stored `len` (first field).
         let mut bad = bytes.clone();
         bad[0] = 9;
         let mut r = SnapReader::new(&bad);
         assert!(matches!(
-            Arena::<u64>::load_state(&mut r, |r| r.u64()),
+            Arena::<u64>::load_state(&mut r),
             Err(SnapshotError::Corrupt(_)) | Err(SnapshotError::Truncated)
         ));
     }

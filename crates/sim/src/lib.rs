@@ -38,7 +38,7 @@ pub use arena::{Arena, ArenaRef};
 pub use queue::EventQueue;
 pub use rng::DeterministicRng;
 pub use snapshot::{
-    fnv1a64, open, seal, JournalRecord, RunJournal, SnapReader, SnapWriter, SnapshotError,
+    fnv1a64, open, seal, JournalRecord, RunJournal, Snap, SnapReader, SnapWriter, SnapshotError,
     SNAPSHOT_VERSION,
 };
 

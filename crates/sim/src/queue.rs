@@ -39,7 +39,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 use crate::Cycle;
 
 /// Length of the calendar window in cycles (must be a power of two).
@@ -288,7 +288,10 @@ impl<E> EventQueue<E> {
     /// calendar bucket (slot index + FIFO contents), and the overflow
     /// level in time order. FIFO order within a bucket is part of the
     /// determinism contract, so it round-trips byte-for-byte.
-    pub fn save_state(&self, w: &mut SnapWriter, mut emit: impl FnMut(&mut SnapWriter, &E)) {
+    pub fn save_state(&self, w: &mut SnapWriter)
+    where
+        E: Snap,
+    {
         w.u64(self.now);
         w.u64(self.scheduled);
         w.u64(self.delivered);
@@ -301,19 +304,19 @@ impl<E> EventQueue<E> {
         w.usize(occupied.clone().count());
         for (slot, bucket) in occupied {
             w.usize(slot);
-            w.seq(bucket.iter(), &mut emit);
+            bucket.save(w);
         }
         w.seq(self.overflow.iter(), |w, (&time, events)| {
             w.u64(time);
-            w.seq(events.iter(), &mut emit);
+            events.save(w);
         });
     }
 
     /// Rebuilds a queue from [`EventQueue::save_state`] bytes.
-    pub fn load_state(
-        r: &mut SnapReader<'_>,
-        mut read: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapshotError>,
-    ) -> Result<EventQueue<E>, SnapshotError> {
+    pub fn load_state(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapshotError>
+    where
+        E: Snap,
+    {
         let mut q = EventQueue::new();
         q.now = r.u64()?;
         q.scheduled = r.u64()?;
@@ -326,19 +329,15 @@ impl<E> EventQueue<E> {
             if slot >= HORIZON_CYCLES as usize {
                 return Err(SnapshotError::Corrupt(format!("bucket slot {slot}")));
             }
-            let events = r.seq(&mut read)?;
+            let events = VecDeque::<E>::load(r)?;
             if events.is_empty() || !q.buckets[slot].is_empty() {
                 return Err(SnapshotError::Corrupt("bucket layout".into()));
             }
             len += events.len();
-            q.buckets[slot] = events.into();
+            q.buckets[slot] = events;
             q.occupied[slot / 64] |= 1 << (slot % 64);
         }
-        let overflow = r.seq(|r| {
-            let time = r.u64()?;
-            let events = r.seq(&mut read)?;
-            Ok((time, events))
-        })?;
+        let overflow = Vec::<(Cycle, VecDeque<E>)>::load(r)?;
         let mut last_time = None;
         for (time, events) in overflow {
             if events.is_empty() || last_time.is_some_and(|t| time <= t) {
@@ -347,7 +346,7 @@ impl<E> EventQueue<E> {
             last_time = Some(time);
             len += events.len();
             q.overflow_len += events.len();
-            q.overflow.insert(time, events.into());
+            q.overflow.insert(time, events);
         }
         q.len = len;
         if q.max_depth < len {
@@ -648,10 +647,10 @@ mod tests {
         }
 
         let mut w = SnapWriter::new();
-        q.save_state(&mut w, |w, e| w.u64(*e));
+        q.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let mut restored = EventQueue::load_state(&mut r, |r| r.u64()).unwrap();
+        let mut restored = EventQueue::load_state(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(restored.now(), q.now());

@@ -12,6 +12,8 @@
 //! statistically adequate for simulation decisions (this is not a
 //! cryptographic generator).
 
+use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 /// Deterministic pseudo-random number generator (SplitMix64).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeterministicRng {
@@ -110,6 +112,16 @@ impl DeterministicRng {
     /// argument *is* the internal state.
     pub fn from_state(state: u64) -> DeterministicRng {
         DeterministicRng { state }
+    }
+}
+
+/// On the wire a generator is its raw [`DeterministicRng::state`].
+impl Snap for DeterministicRng {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(self.state);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(DeterministicRng::from_state(r.u64()?))
     }
 }
 

@@ -14,7 +14,9 @@
 //! rebuilt by re-insertion, because iteration order feeds the
 //! deterministic event loop.
 
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every sealed snapshot (`TCSNAP` + 2 format bytes).
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
@@ -305,6 +307,266 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// A type with one wire layout: [`Snap::save`] appends it to a payload and
+/// [`Snap::load`] reads the same bytes back. Implemented here for the
+/// primitives and sequences the format is built from; every plain struct
+/// and enum declares its layout once with [`snap_struct!`](crate::snap_struct)
+/// or [`snap_enum!`](crate::snap_enum), which generate both halves, so a
+/// field cannot be written and not read.
+pub trait Snap: Sized {
+    /// Appends this value's wire bytes to `w`.
+    fn save(&self, w: &mut SnapWriter);
+
+    /// Reads one value back from `r`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when the bytes end early,
+    /// [`SnapshotError::Corrupt`] when they decode to an impossible value.
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError>;
+}
+
+macro_rules! snap_primitive {
+    ($($ty:ident),*) => {$(
+        impl Snap for $ty {
+            fn save(&self, w: &mut SnapWriter) {
+                w.$ty(*self);
+            }
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+                r.$ty()
+            }
+        }
+    )*};
+}
+snap_primitive!(u8, u32, u64, usize, bool, f64);
+
+impl Snap for String {
+    fn save(&self, w: &mut SnapWriter) {
+        w.str(self);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        r.str()
+    }
+}
+
+/// Most distinct names loading will ever intern, and the longest it accepts.
+const MAX_INTERNED_NAMES: usize = 256;
+const MAX_INTERNED_NAME_BYTES: usize = 64;
+
+/// The names [`Snap::load`] has handed out as `&'static str`. Each distinct
+/// name is leaked once; the two caps bound the total, because the bytes
+/// come from files a checksum that is not cryptographic cannot vouch for.
+struct Interner(Vec<&'static str>);
+
+impl Interner {
+    fn intern(&mut self, name: &str) -> Result<&'static str, SnapshotError> {
+        if let Some(&known) = self.0.iter().find(|&&n| n == name) {
+            return Ok(known);
+        }
+        if name.len() > MAX_INTERNED_NAME_BYTES {
+            return Err(SnapshotError::Corrupt(format!(
+                "{}-byte name (limit {MAX_INTERNED_NAME_BYTES})",
+                name.len()
+            )));
+        }
+        if self.0.len() >= MAX_INTERNED_NAMES {
+            return Err(SnapshotError::Corrupt(format!(
+                "more than {MAX_INTERNED_NAMES} distinct names"
+            )));
+        }
+        let leaked: &'static str = Box::leak(name.into());
+        self.0.push(leaked);
+        Ok(leaked)
+    }
+}
+
+/// A static name (a protocol counter's, say) is a string on the wire and
+/// loads by interning: the vocabulary is a handful of names fixed in the
+/// source, so a payload that presents more than [`MAX_INTERNED_NAMES`]
+/// distinct ones, or one longer than [`MAX_INTERNED_NAME_BYTES`], is corrupt.
+impl Snap for &'static str {
+    fn save(&self, w: &mut SnapWriter) {
+        w.str(self);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        static NAMES: Mutex<Interner> = Mutex::new(Interner(Vec::new()));
+        let name = std::str::from_utf8(r.bytes()?)
+            .map_err(|_| SnapshotError::Corrupt("non-UTF-8 string".into()))?;
+        // A panic cannot leave the list half-updated, so a poisoned lock
+        // still guards a valid one.
+        let mut names = NAMES.lock().unwrap_or_else(|poison| poison.into_inner());
+        names.intern(name)
+    }
+}
+
+impl<T: Snap> Snap for Option<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.option(self.as_ref(), |w, v| v.save(w));
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        r.option(T::load)
+    }
+}
+
+/// A fixed-size array is its elements back to back, with no length prefix.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn save(&self, w: &mut SnapWriter) {
+        self.iter().for_each(|v| v.save(w));
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let items = (0..N).map(|_| T::load(r)).collect::<Result<Vec<T>, _>>()?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("N items were read")))
+    }
+}
+
+// Every growable sequence is a length prefix, then the elements in
+// iteration order.
+macro_rules! snap_sequence {
+    ($($seq:ty $(where T: $bound:path)?),*) => {$(
+        impl<T: Snap $(+ $bound)?> Snap for $seq {
+            fn save(&self, w: &mut SnapWriter) {
+                w.seq(self.iter(), |w, v| v.save(w));
+            }
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+                let len = r.bounded_len(1)?;
+                (0..len).map(|_| T::load(r)).collect()
+            }
+        }
+    )*};
+}
+snap_sequence!(Vec<T>, VecDeque<T>, Arc<[T]>, BTreeSet<T> where T: Ord);
+
+/// A map is the sequence of its `(key, value)` pairs in key order.
+impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.seq(self.iter(), |w, (k, v)| {
+            k.save(w);
+            v.save(w);
+        });
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let len = r.bounded_len(1)?;
+        (0..len).map(|_| Snap::load(r)).collect()
+    }
+}
+
+macro_rules! snap_tuple {
+    ($($name:ident),*) => {
+        impl<$($name: Snap),*> Snap for ($($name,)*) {
+            #[allow(non_snake_case)]
+            fn save(&self, w: &mut SnapWriter) {
+                let ($($name,)*) = self;
+                $($name.save(w);)*
+            }
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+                Ok(($($name::load(r)?,)*))
+            }
+        }
+    };
+}
+snap_tuple!(A, B);
+snap_tuple!(A, B, C);
+
+/// Declares a struct's wire layout — its fields, in wire order — and
+/// generates [`Snap`] for it.
+///
+/// ```
+/// # use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter};
+/// #[derive(Debug, PartialEq)]
+/// struct Line {
+///     tokens: u32,
+///     dirty: bool,
+/// }
+/// snap_struct!(Line { tokens, dirty });
+///
+/// let mut w = SnapWriter::new();
+/// Line { tokens: 3, dirty: true }.save(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes, [3, 0, 0, 0, 1]);
+/// let back = Line::load(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!(back, Line { tokens: 3, dirty: true });
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                $($crate::Snap::save(&self.$field, w);)*
+            }
+            fn load(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapshotError> {
+                Ok($ty { $($field: $crate::Snap::load(r)?),* })
+            }
+        }
+    };
+}
+
+/// Declares an enum's wire layout — `tag => Variant`, the variant's fields
+/// in wire order — and generates [`Snap`] for it: one tag byte, then the
+/// fields. A tag the declaration does not list loads as
+/// `Corrupt("<what> tag <n>")`. Tags are wire format and append-only: a
+/// retired tag is left out of the list, never given to another variant.
+///
+/// ```
+/// # use tc_sim::{snap_enum, Snap, SnapReader, SnapWriter, SnapshotError};
+/// #[derive(Debug, PartialEq)]
+/// enum Kind {
+///     Plain,
+///     Sized { bytes: u32 },
+///     Wrapped(u64),
+/// }
+/// snap_enum!(Kind, "kind" {
+///     0 => Plain,
+///     1 => Sized { bytes },
+///     3 => Wrapped(value),
+/// });
+///
+/// let mut w = SnapWriter::new();
+/// Kind::Sized { bytes: 7 }.save(&mut w);
+/// assert_eq!(w.into_bytes(), [1, 7, 0, 0, 0]);
+/// assert_eq!(
+///     Kind::load(&mut SnapReader::new(&[2])),
+///     Err(SnapshotError::Corrupt("kind tag 2".into()))
+/// );
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident),* $(,)? })?
+            $(( $($item:ident),* $(,)? ))?
+        ),* $(,)?
+    }) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(( $($item),* ))? => {
+                        w.u8($tag);
+                        $($($crate::Snap::save($field, w);)*)?
+                        $($($crate::Snap::save($item, w);)*)?
+                    })*
+                }
+            }
+            fn load(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapshotError> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $($(let $field = $crate::Snap::load(r)?;)*)?
+                        $($(let $item = $crate::Snap::load(r)?;)*)?
+                        $ty::$variant $({ $($field),* })? $(( $($item),* ))?
+                    })*
+                    other => {
+                        return Err($crate::SnapshotError::Corrupt(format!(
+                            concat!($what, " tag {}"),
+                            other
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
 /// Seals `payload` into the on-disk container:
 /// `magic(8) | version(4) | payload_len(8) | fnv1a64(payload)(8) | payload`.
 pub fn seal(version: u32, payload: &[u8]) -> Vec<u8> {
@@ -572,6 +834,28 @@ mod tests {
         assert_eq!(r.option(|r| r.u64()).unwrap(), None);
         assert_eq!(r.seq(|r| r.u64()).unwrap(), vec![10, 20, 30]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn interner_leaks_at_most_its_caps() {
+        let mut names = Interner(Vec::new());
+        let first = names.intern("directory_lookups").unwrap();
+        assert!(std::ptr::eq(
+            first,
+            names.intern("directory_lookups").unwrap()
+        ));
+        let long = "x".repeat(MAX_INTERNED_NAME_BYTES + 1);
+        assert!(matches!(
+            names.intern(&long),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        let accepted = (0..10_000)
+            .filter(|i| names.intern(&format!("name{i}")).is_ok())
+            .count();
+        assert_eq!(accepted, MAX_INTERNED_NAMES - 1);
+        assert_eq!(names.0.len(), MAX_INTERNED_NAMES);
+        // Names already handed out keep loading once the table is full.
+        assert!(names.intern("name0").is_ok());
     }
 
     #[test]

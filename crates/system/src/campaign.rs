@@ -1251,13 +1251,7 @@ mod tests {
             .threads(1)
             .run();
         for run in &report.runs {
-            let mut w = tc_sim::SnapWriter::new();
-            run.report.save_state(&mut w);
-            let payload = w.into_bytes();
-            let mut r = tc_sim::SnapReader::new(&payload);
-            let restored = RunReport::load_state(&mut r).expect("round trip must decode");
-            r.finish().expect("no trailing bytes");
-            assert_eq!(restored, run.report, "label={}", run.label);
+            tc_testkit::assert_snap_round_trip(&run.report);
         }
     }
 }

@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
-use tc_types::{Address, Cycle, MemOp, MemOpKind, NodeId, ProcessorConfig, ReqId};
+use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_types::{Cycle, MemOp, NodeId, ProcessorConfig, ReqId};
 use tc_workloads::{GeneratedOp, WorkloadGenerator, WorkloadProfile};
 
 /// What [`Processor::note_completion`] did, so the runner can maintain its
@@ -206,18 +206,10 @@ impl Processor {
         self.generator.save_state(w);
         w.u64(self.issued);
         w.u64(self.completed);
-        w.seq(self.outstanding.iter(), |w, (req, &at)| {
-            w.u64(req.value());
-            w.u64(at);
-        });
+        self.outstanding.save(w);
         w.usize(self.issued_past_miss);
         w.bool(self.blocked);
-        w.option(self.staged.as_ref(), |w, staged| {
-            w.u64(staged.think_cycles);
-            w.u64(staged.op.id.value());
-            w.u64(staged.op.addr.value());
-            w.u8(mem_op_kind_tag(staged.op.kind));
-        });
+        self.staged.save(w);
         w.u64(self.transactions);
         w.usize(self.ops_in_transaction);
         w.u64(self.total_think);
@@ -228,49 +220,15 @@ impl Processor {
         self.generator.load_state(r)?;
         self.issued = r.u64()?;
         self.completed = r.u64()?;
-        let outstanding_len = r.bounded_len(16)?;
-        self.outstanding.clear();
-        for _ in 0..outstanding_len {
-            let req = ReqId::new(r.u64()?);
-            let at = r.u64()?;
-            self.outstanding.insert(req, at);
-        }
+        self.outstanding = Snap::load(r)?;
         self.issued_past_miss = r.usize()?;
         self.blocked = r.bool()?;
-        self.staged = r.option(|r| {
-            Ok(GeneratedOp {
-                think_cycles: r.u64()?,
-                op: MemOp::new(
-                    ReqId::new(r.u64()?),
-                    Address::new(r.u64()?),
-                    mem_op_kind_from_tag(r.u8()?)?,
-                ),
-            })
-        })?;
+        self.staged = Snap::load(r)?;
         self.transactions = r.u64()?;
         self.ops_in_transaction = r.usize()?;
         self.total_think = r.u64()?;
         Ok(())
     }
-}
-
-fn mem_op_kind_tag(kind: MemOpKind) -> u8 {
-    match kind {
-        MemOpKind::Load => 0,
-        MemOpKind::Store => 1,
-        MemOpKind::Ifetch => 2,
-        MemOpKind::Atomic => 3,
-    }
-}
-
-fn mem_op_kind_from_tag(tag: u8) -> Result<MemOpKind, SnapshotError> {
-    Ok(match tag {
-        0 => MemOpKind::Load,
-        1 => MemOpKind::Store,
-        2 => MemOpKind::Ifetch,
-        3 => MemOpKind::Atomic,
-        other => return Err(SnapshotError::Corrupt(format!("mem op tag {other}"))),
-    })
 }
 
 #[cfg(test)]

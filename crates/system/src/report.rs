@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     AdversarySpec, BandwidthMode, ControllerStats, Cycle, EngineStats, FaultSpec,
     InvariantViolation, MissStats, ProtocolKind, ReissueStats, TopologyKind, TrafficClass,
     TrafficStats,
 };
-
-use crate::verify::{emit_violation, read_violation};
 
 /// Traffic normalized per miss, broken down by message class, as in
 /// Figures 4b and 5b of the paper.
@@ -182,42 +180,11 @@ impl RunReport {
     }
 
     /// Serializes every field through the snapshot codec — the persistence
-    /// format of the campaign service's result cache. Enum variants are
-    /// written as stable tags (append, never renumber); the fault and
+    /// format of the campaign service's result cache. The fault and
     /// adversary specs travel as their canonical `Display` strings, whose
     /// `parse` round-trips are pinned in `tc_types`.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u8(match self.protocol {
-            ProtocolKind::TokenB => 0,
-            ProtocolKind::Snooping => 1,
-            ProtocolKind::Directory => 2,
-            ProtocolKind::Hammer => 3,
-        });
-        w.u8(match self.topology {
-            TopologyKind::Tree => 0,
-            TopologyKind::Torus => 1,
-        });
-        w.u8(match self.bandwidth {
-            BandwidthMode::Limited => 0,
-            BandwidthMode::Unlimited => 1,
-        });
-        w.str(&self.workload);
-        w.usize(self.num_nodes);
-        w.u64(self.runtime_cycles);
-        w.u64(self.total_ops);
-        w.u64(self.total_transactions);
-        self.misses.save_state(w);
-        self.reissue.save_state(w);
-        self.controllers.save_state(w);
-        self.traffic.save_state(w);
-        w.str(&self.faults.to_string());
-        w.str(&self.adversary.to_string());
-        w.u64(self.miss_latency_p50);
-        w.u64(self.miss_latency_p99);
-        w.u64(self.miss_latency_max);
-        w.u64(self.completion_skew_ppm);
-        self.engine.save_state(w);
-        w.seq(self.violations.iter(), emit_violation);
+        self.save(w);
     }
 
     /// Rebuilds a report from [`RunReport::save_state`] bytes.
@@ -227,66 +194,32 @@ impl RunReport {
     /// Returns a [`SnapshotError`] on truncated or corrupt input (including
     /// an unknown enum tag or an unparseable spec string).
     pub fn load_state(r: &mut SnapReader<'_>) -> Result<RunReport, SnapshotError> {
-        let protocol = match r.u8()? {
-            0 => ProtocolKind::TokenB,
-            1 => ProtocolKind::Snooping,
-            2 => ProtocolKind::Directory,
-            3 => ProtocolKind::Hammer,
-            _ => return Err(SnapshotError::Corrupt("unknown protocol tag".to_string())),
-        };
-        let topology = match r.u8()? {
-            0 => TopologyKind::Tree,
-            1 => TopologyKind::Torus,
-            _ => return Err(SnapshotError::Corrupt("unknown topology tag".to_string())),
-        };
-        let bandwidth = match r.u8()? {
-            0 => BandwidthMode::Limited,
-            1 => BandwidthMode::Unlimited,
-            _ => return Err(SnapshotError::Corrupt("unknown bandwidth tag".to_string())),
-        };
-        let workload = r.str()?;
-        let num_nodes = r.usize()?;
-        let runtime_cycles = r.u64()?;
-        let total_ops = r.u64()?;
-        let total_transactions = r.u64()?;
-        let misses = MissStats::load_state(r)?;
-        let reissue = ReissueStats::load_state(r)?;
-        let controllers = ControllerStats::load_state(r)?;
-        let traffic = TrafficStats::load_state(r)?;
-        let faults = FaultSpec::parse(&r.str()?)
-            .map_err(|_| SnapshotError::Corrupt("unparseable fault spec".to_string()))?;
-        let adversary = AdversarySpec::parse(&r.str()?)
-            .map_err(|_| SnapshotError::Corrupt("unparseable adversary spec".to_string()))?;
-        let miss_latency_p50 = r.u64()?;
-        let miss_latency_p99 = r.u64()?;
-        let miss_latency_max = r.u64()?;
-        let completion_skew_ppm = r.u64()?;
-        let engine = EngineStats::load_state(r)?;
-        let violations = r.seq(read_violation)?;
-        Ok(RunReport {
-            protocol,
-            topology,
-            bandwidth,
-            workload,
-            num_nodes,
-            runtime_cycles,
-            total_ops,
-            total_transactions,
-            misses,
-            reissue,
-            controllers,
-            traffic,
-            faults,
-            adversary,
-            miss_latency_p50,
-            miss_latency_p99,
-            miss_latency_max,
-            completion_skew_ppm,
-            engine,
-            violations,
-        })
+        RunReport::load(r)
     }
 }
+
+snap_struct!(RunReport {
+    protocol,
+    topology,
+    bandwidth,
+    workload,
+    num_nodes,
+    runtime_cycles,
+    total_ops,
+    total_transactions,
+    misses,
+    reissue,
+    controllers,
+    traffic,
+    faults,
+    adversary,
+    miss_latency_p50,
+    miss_latency_p99,
+    miss_latency_max,
+    completion_skew_ppm,
+    engine,
+    violations,
+});
 
 impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -4,11 +4,11 @@
 
 use tc_interconnect::{Adversary, FaultPlane, Interconnect};
 use tc_protocols::ProtocolRegistry;
-use tc_sim::{Arena, ArenaRef, EventQueue, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{Arena, EventQueue, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     AdversarySpec, BlockAddr, CoherenceController, ControllerStats, Cycle, EngineStats,
     FastHashMap, FaultSpec, LineStateStats, Message, MissStats, NodeId, Outbox, ProtocolKind,
-    ReissueStats, ReqId, SystemConfig, Timer, TimerKind,
+    ReissueStats, ReqId, SystemConfig,
 };
 use tc_workloads::WorkloadProfile;
 
@@ -297,7 +297,7 @@ impl RunProgress {
     fn save_state(&self, w: &mut SnapWriter) {
         w.bool(self.draining);
         w.bool(self.drain_limit_hit);
-        w.option(self.reached_target_at, |w, at| w.u64(at));
+        self.reached_target_at.save(w);
         w.u64(self.ops_at_target);
         w.u64(self.transactions_at_target);
         w.u64(self.events_since_progress);
@@ -316,7 +316,7 @@ impl RunProgress {
         let mut progress = RunProgress::start(options, config);
         progress.draining = r.bool()?;
         progress.drain_limit_hit = r.bool()?;
-        progress.reached_target_at = r.option(|r| r.u64())?;
+        progress.reached_target_at = Snap::load(r)?;
         progress.ops_at_target = r.u64()?;
         progress.transactions_at_target = r.u64()?;
         progress.events_since_progress = r.u64()?;
@@ -782,24 +782,21 @@ impl System {
         w.u64(self.fingerprint(options));
         w.u64(core.completed_ops);
         w.u64(core.max_miss_latency);
-        w.seq(core.miss_latency_samples.iter(), |w, &s| w.u64(s));
-        w.seq(core.completions_per_node.iter(), |w, &c| w.u64(c));
-        self.queue.save_state(&mut w, emit_event);
-        core.messages.save_state(&mut w, |w, msg| msg.save_state(w));
+        core.miss_latency_samples.save(&mut w);
+        core.completions_per_node.save(&mut w);
+        self.queue.save_state(&mut w);
+        core.messages.save_state(&mut w);
         self.interconnect.save_state(&mut w);
         self.verifier.save_state(&mut w);
         // The hash map iterates in arbitrary order; sort so identical
         // states produce identical snapshot bytes.
-        let mut writes: Vec<(u64, bool)> = core
+        let mut writes: Vec<(ReqId, bool)> = core
             .outstanding_writes
             .iter()
-            .map(|(id, &is_write)| (id.value(), is_write))
+            .map(|(&id, &is_write)| (id, is_write))
             .collect();
         writes.sort_unstable();
-        w.seq(writes.iter(), |w, &(id, is_write)| {
-            w.u64(id);
-            w.bool(is_write);
-        });
+        writes.save(&mut w);
         w.seq(core.processors.iter(), |w, p| p.save_state(w));
         w.seq(core.controllers.iter(), |w, c| c.save_state(w));
         progress.save_state(&mut w);
@@ -829,11 +826,7 @@ impl System {
         let core = &mut self.core;
         core.completed_ops = r.u64()?;
         core.max_miss_latency = r.u64()?;
-        let num_samples = r.bounded_len(8)?;
-        core.miss_latency_samples = Vec::with_capacity(num_samples);
-        for _ in 0..num_samples {
-            core.miss_latency_samples.push(r.u64()?);
-        }
+        core.miss_latency_samples = Snap::load(&mut r)?;
         let num_counts = r.bounded_len(8)?;
         if num_counts != core.completions_per_node.len() {
             return Err(SnapshotError::Corrupt(format!(
@@ -844,17 +837,11 @@ impl System {
         for count in &mut core.completions_per_node {
             *count = r.u64()?;
         }
-        self.queue = EventQueue::load_state(&mut r, read_event)?;
-        core.messages = Arena::load_state(&mut r, Message::load_state)?;
+        self.queue = EventQueue::load_state(&mut r)?;
+        core.messages = Arena::load_state(&mut r)?;
         self.interconnect.load_state(&mut r)?;
         self.verifier.load_state(&mut r)?;
-        core.outstanding_writes.clear();
-        let num_writes = r.bounded_len(9)?;
-        for _ in 0..num_writes {
-            let id = ReqId::new(r.u64()?);
-            let is_write = r.bool()?;
-            core.outstanding_writes.insert(id, is_write);
-        }
+        core.outstanding_writes = Vec::<(ReqId, bool)>::load(&mut r)?.into_iter().collect();
         let num_processors = r.bounded_len(8)?;
         if num_processors != core.processors.len() {
             return Err(SnapshotError::Corrupt(format!(
@@ -1076,81 +1063,30 @@ fn completion_skew_ppm(completions_per_node: &[u64]) -> u64 {
     }
 }
 
-// --- snapshot codecs ------------------------------------------------------
-//
-// Tags are part of the snapshot wire format; append new variants, never
-// renumber.
-
-fn emit_event(w: &mut SnapWriter, event: &Event) {
-    match event {
-        Event::Wakeup(node) => {
-            w.u8(0);
-            w.u32(node.index() as u32);
-        }
-        Event::Send(msg) => {
-            w.u8(1);
-            w.u64(msg.to_bits());
-        }
-        Event::Deliver { node, msg } => {
-            w.u8(2);
-            w.u32(node.index() as u32);
-            w.u64(msg.to_bits());
-        }
-        Event::Timer { node, timer } => {
-            w.u8(3);
-            w.u32(node.index() as u32);
-            emit_timer(w, timer);
-        }
-    }
-}
-
-fn read_event(r: &mut SnapReader<'_>) -> Result<Event, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Event::Wakeup(NodeId::new(r.u32()? as usize)),
-        1 => Event::Send(ArenaRef::from_bits(r.u64()?)),
-        2 => Event::Deliver {
-            node: NodeId::new(r.u32()? as usize),
-            msg: ArenaRef::from_bits(r.u64()?),
-        },
-        3 => Event::Timer {
-            node: NodeId::new(r.u32()? as usize),
-            timer: read_timer(r)?,
-        },
-        tag => return Err(SnapshotError::Corrupt(format!("system event tag {tag}"))),
-    })
-}
-
-fn emit_timer(w: &mut SnapWriter, timer: &Timer) {
-    w.u64(timer.id);
-    w.u64(timer.addr.value());
-    match timer.kind {
-        TimerKind::Reissue => w.u8(0),
-        TimerKind::PersistentEscalation => w.u8(1),
-        TimerKind::MemoryAccess => w.u8(2),
-        TimerKind::Other(code) => {
-            w.u8(3);
-            w.u32(code);
-        }
-    }
-}
-
-fn read_timer(r: &mut SnapReader<'_>) -> Result<Timer, SnapshotError> {
-    let id = r.u64()?;
-    let addr = BlockAddr::new(r.u64()?);
-    let kind = match r.u8()? {
-        0 => TimerKind::Reissue,
-        1 => TimerKind::PersistentEscalation,
-        2 => TimerKind::MemoryAccess,
-        3 => TimerKind::Other(r.u32()?),
-        tag => return Err(SnapshotError::Corrupt(format!("timer kind tag {tag}"))),
-    };
-    Ok(Timer { id, addr, kind })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tc_types::{BandwidthMode, TopologyKind, TrafficClass};
+
+    #[test]
+    fn every_event_kind_round_trips() {
+        use tc_sim::ArenaRef;
+        use tc_types::{Timer, TimerKind};
+        let (node, msg) = (NodeId::new(3), ArenaRef::from_bits(0x0000_0007_0000_0002));
+        let timer = Timer {
+            id: 9,
+            addr: BlockAddr::new(5),
+            kind: TimerKind::Other(4),
+        };
+        for event in [
+            Event::Wakeup(node),
+            Event::Send(msg),
+            Event::Deliver { node, msg },
+            Event::Timer { node, timer },
+        ] {
+            tc_testkit::assert_snap_round_trip(&event);
+        }
+    }
 
     fn small_config(protocol: ProtocolKind) -> SystemConfig {
         let mut config = SystemConfig::isca03_default()

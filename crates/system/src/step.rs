@@ -11,7 +11,7 @@
 //! is the third difference, and it stays with the caller: [`StepCore::step`]
 //! hands the message's handle back.
 
-use tc_sim::{Arena, ArenaRef};
+use tc_sim::{snap_enum, Arena, ArenaRef};
 use tc_types::{
     AccessOutcome, BlockAddr, CoherenceController, Cycle, FastHashMap, Message, MissKind, MsgKind,
     NodeId, Outbox, ReqId, Timer,
@@ -34,7 +34,7 @@ pub(crate) type MsgRef = ArenaRef;
 /// is handled; a fan-out (multicast/broadcast) parks one shared slot for all
 /// of its deliveries — controllers receive `&Message`, so nothing is ever
 /// cloned on the delivery path.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Event {
     /// A processor is ready to issue its next operation.
     Wakeup(NodeId),
@@ -45,6 +45,13 @@ pub(crate) enum Event {
     /// A controller timer fires.
     Timer { node: NodeId, timer: Timer },
 }
+
+snap_enum!(Event, "system event" {
+    0 => Wakeup(node),
+    1 => Send(msg),
+    2 => Deliver { node, msg },
+    3 => Timer { node, timer },
+});
 
 /// The two decisions an engine makes for the step core.
 pub(crate) trait Scheduler {

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{BlockAddr, BlockAudit, Cycle, FastHashMap, InvariantViolation, NodeId};
 
 /// Recent write history for one block: which version was current when.
@@ -14,6 +14,8 @@ struct BlockHistory {
     /// the whole window on every write to a hot block.
     versions: VecDeque<(u64, Cycle)>,
 }
+
+snap_struct!(BlockHistory { versions });
 
 impl BlockHistory {
     const MAX_ENTRIES: usize = 128;
@@ -383,232 +385,29 @@ impl Verifier {
         let mut blocks: Vec<(&BlockAddr, &BlockHistory)> = self.history.iter().collect();
         blocks.sort_unstable_by_key(|(addr, _)| **addr);
         w.seq(blocks.into_iter(), |w, (addr, history)| {
-            w.u64(addr.value());
-            w.seq(history.versions.iter(), |w, &(version, at)| {
-                w.u64(version);
-                w.u64(at);
-            });
+            addr.save(w);
+            history.save(w);
         });
-        w.seq(self.violations.iter(), emit_violation);
-        let mut escalations: Vec<(&(NodeId, BlockAddr), &Cycle)> =
-            self.escalations.iter().collect();
-        escalations.sort_unstable_by_key(|((node, addr), _)| (node.index(), addr.value()));
-        w.seq(escalations.into_iter(), |w, ((node, addr), at)| {
-            w.u32(node.index() as u32);
-            w.u64(addr.value());
-            w.u64(*at);
-        });
+        self.violations.save(w);
+        let mut escalations: Vec<((NodeId, BlockAddr), Cycle)> =
+            self.escalations.iter().map(|(&k, &at)| (k, at)).collect();
+        escalations.sort_unstable();
+        escalations.save(w);
     }
 
     /// Restores [`Verifier::save_state`] bytes.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.reads_checked = r.u64()?;
         self.writes_recorded = r.u64()?;
-        let block_count = r.bounded_len(16)?;
-        self.history.clear();
-        for _ in 0..block_count {
-            let addr = BlockAddr::new(r.u64()?);
-            let version_count = r.bounded_len(16)?;
-            let mut versions = VecDeque::with_capacity(version_count);
-            for _ in 0..version_count {
-                versions.push_back((r.u64()?, r.u64()?));
-            }
-            self.history.insert(addr, BlockHistory { versions });
-        }
-        let violation_count = r.bounded_len(9)?;
-        self.violations = Vec::with_capacity(violation_count);
-        for _ in 0..violation_count {
-            self.violations.push(read_violation(r)?);
-        }
-        let escalation_count = r.bounded_len(20)?;
-        self.escalations.clear();
-        for _ in 0..escalation_count {
-            let node = NodeId::new(r.u32()? as usize);
-            let addr = BlockAddr::new(r.u64()?);
-            let at = r.u64()?;
-            self.escalations.insert((node, addr), at);
-        }
+        self.history = Vec::<(BlockAddr, BlockHistory)>::load(r)?
+            .into_iter()
+            .collect();
+        self.violations = Snap::load(r)?;
+        self.escalations = Vec::<((NodeId, BlockAddr), Cycle)>::load(r)?
+            .into_iter()
+            .collect();
         Ok(())
     }
-}
-
-// Snapshot codec for violations. Tags are wire format: append, never
-// renumber.
-pub(crate) fn emit_violation(w: &mut SnapWriter, v: &InvariantViolation) {
-    match *v {
-        InvariantViolation::TokenConservation {
-            addr,
-            expected,
-            found,
-            at,
-        } => {
-            w.u8(0);
-            w.u64(addr.value());
-            w.u32(expected);
-            w.u32(found);
-            w.u64(at);
-        }
-        InvariantViolation::DuplicateOwner { addr, at } => {
-            w.u8(1);
-            w.u64(addr.value());
-            w.u64(at);
-        }
-        InvariantViolation::WriteWithoutExclusive {
-            node,
-            addr,
-            held,
-            required,
-            at,
-        } => {
-            w.u8(2);
-            w.u32(node.index() as u32);
-            w.u64(addr.value());
-            w.u32(held);
-            w.u32(required);
-            w.u64(at);
-        }
-        InvariantViolation::ReadWithoutToken { node, addr, at } => {
-            w.u8(3);
-            w.u32(node.index() as u32);
-            w.u64(addr.value());
-            w.u64(at);
-        }
-        InvariantViolation::OwnerTokenWithoutData { addr, at } => {
-            w.u8(4);
-            w.u64(addr.value());
-            w.u64(at);
-        }
-        InvariantViolation::StaleDataRead {
-            node,
-            addr,
-            observed_version,
-            expected_version,
-            at,
-        } => {
-            w.u8(5);
-            w.u32(node.index() as u32);
-            w.u64(addr.value());
-            w.u64(observed_version);
-            w.u64(expected_version);
-            w.u64(at);
-        }
-        // Tag 6 was the four-field Starvation without `waited`; tag 9 is the
-        // five-field replacement. Tag 6 is still *read* (below) for
-        // compatibility with pre-existing snapshots, never written.
-        InvariantViolation::Starvation {
-            node,
-            addr,
-            issued_at,
-            at,
-            waited,
-        } => {
-            w.u8(9);
-            w.u32(node.index() as u32);
-            w.u64(addr.value());
-            w.u64(issued_at);
-            w.u64(at);
-            w.u64(waited);
-        }
-        InvariantViolation::Livelock {
-            node,
-            addr,
-            issued_at,
-            at,
-            events_without_progress,
-        } => {
-            w.u8(7);
-            w.u32(node.index() as u32);
-            w.u64(addr.value());
-            w.u64(issued_at);
-            w.u64(at);
-            w.u64(events_without_progress);
-        }
-        InvariantViolation::Deadlock {
-            node,
-            addr,
-            issued_at,
-            at,
-        } => {
-            w.u8(8);
-            w.u32(node.index() as u32);
-            w.u64(addr.value());
-            w.u64(issued_at);
-            w.u64(at);
-        }
-    }
-}
-
-pub(crate) fn read_violation(r: &mut SnapReader<'_>) -> Result<InvariantViolation, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => InvariantViolation::TokenConservation {
-            addr: BlockAddr::new(r.u64()?),
-            expected: r.u32()?,
-            found: r.u32()?,
-            at: r.u64()?,
-        },
-        1 => InvariantViolation::DuplicateOwner {
-            addr: BlockAddr::new(r.u64()?),
-            at: r.u64()?,
-        },
-        2 => InvariantViolation::WriteWithoutExclusive {
-            node: NodeId::new(r.u32()? as usize),
-            addr: BlockAddr::new(r.u64()?),
-            held: r.u32()?,
-            required: r.u32()?,
-            at: r.u64()?,
-        },
-        3 => InvariantViolation::ReadWithoutToken {
-            node: NodeId::new(r.u32()? as usize),
-            addr: BlockAddr::new(r.u64()?),
-            at: r.u64()?,
-        },
-        4 => InvariantViolation::OwnerTokenWithoutData {
-            addr: BlockAddr::new(r.u64()?),
-            at: r.u64()?,
-        },
-        5 => InvariantViolation::StaleDataRead {
-            node: NodeId::new(r.u32()? as usize),
-            addr: BlockAddr::new(r.u64()?),
-            observed_version: r.u64()?,
-            expected_version: r.u64()?,
-            at: r.u64()?,
-        },
-        6 => {
-            // Legacy four-field Starvation: derive the wait it implied.
-            let node = NodeId::new(r.u32()? as usize);
-            let addr = BlockAddr::new(r.u64()?);
-            let issued_at = r.u64()?;
-            let at = r.u64()?;
-            InvariantViolation::Starvation {
-                node,
-                addr,
-                issued_at,
-                at,
-                waited: at.saturating_sub(issued_at),
-            }
-        }
-        7 => InvariantViolation::Livelock {
-            node: NodeId::new(r.u32()? as usize),
-            addr: BlockAddr::new(r.u64()?),
-            issued_at: r.u64()?,
-            at: r.u64()?,
-            events_without_progress: r.u64()?,
-        },
-        8 => InvariantViolation::Deadlock {
-            node: NodeId::new(r.u32()? as usize),
-            addr: BlockAddr::new(r.u64()?),
-            issued_at: r.u64()?,
-            at: r.u64()?,
-        },
-        9 => InvariantViolation::Starvation {
-            node: NodeId::new(r.u32()? as usize),
-            addr: BlockAddr::new(r.u64()?),
-            issued_at: r.u64()?,
-            at: r.u64()?,
-            waited: r.u64()?,
-        },
-        other => return Err(SnapshotError::Corrupt(format!("violation tag {other}"))),
-    })
 }
 
 #[cfg(test)]
@@ -898,28 +697,5 @@ mod tests {
         // The restored oracle still holds the original escalation times.
         restored.note_completion(NodeId::new(1), BlockAddr::new(5), 50_000, 10_000);
         assert_eq!(restored.violations().len(), 2);
-    }
-
-    #[test]
-    fn legacy_tag6_starvation_still_decodes() {
-        // Hand-rolled pre-`waited` wire bytes: tag 6 with four fields.
-        let mut w = SnapWriter::new();
-        w.u8(6);
-        w.u32(4);
-        w.u64(11);
-        w.u64(200);
-        w.u64(90_200);
-        let bytes = w.into_bytes();
-        let v = read_violation(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(
-            v,
-            InvariantViolation::Starvation {
-                node: NodeId::new(4),
-                addr: BlockAddr::new(11),
-                issued_at: 200,
-                at: 90_200,
-                waited: 90_000,
-            }
-        );
     }
 }

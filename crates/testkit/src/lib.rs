@@ -33,6 +33,8 @@
 //!   randomizes delivery order and timer firing (timeout/retry storms) while
 //!   asserting token conservation after every step, independent of the
 //!   system runner.
+//! * [`assert_snap_round_trip`] — the one check every [`tc_sim::Snap`]
+//!   layout gets: round trip, no trailing bytes, every truncation an error.
 
 mod hunt;
 mod pump;
@@ -44,8 +46,36 @@ pub use scenario::Scenario;
 
 use std::fmt;
 
+use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_system::RunReport;
 use tc_types::{AdversarySpec, FaultKind, FaultSpec, InvariantViolation, ProtocolKind};
+
+/// Asserts `value`'s wire layout is sound: `load(save(x)) == x` consuming
+/// every byte, and every strict prefix of the encoding loads as
+/// [`SnapshotError::Truncated`] or [`SnapshotError::Corrupt`] — an error
+/// value, never a panic or a short read that passes.
+///
+/// # Panics
+///
+/// Panics, naming the offending prefix length, when any of that fails.
+pub fn assert_snap_round_trip<T: Snap + PartialEq + fmt::Debug>(value: &T) {
+    let mut w = SnapWriter::new();
+    value.save(&mut w);
+    let bytes = w.into_bytes();
+    let mut r = SnapReader::new(&bytes);
+    let back = T::load(&mut r).expect("a saved value must load");
+    r.finish().expect("load must consume every saved byte");
+    assert_eq!(&back, value, "load(save(x)) != x");
+    for cut in 0..bytes.len() {
+        match T::load(&mut SnapReader::new(&bytes[..cut])) {
+            Err(SnapshotError::Truncated | SnapshotError::Corrupt(_)) => {}
+            other => panic!(
+                "{cut} of {} bytes of {value:?} loaded as {other:?}",
+                bytes.len()
+            ),
+        }
+    }
+}
 
 /// One failing (protocol, scenario, seed, faults, adversary) cell of the
 /// conformance sweep. `faults` is `FaultSpec::none()` and `adversary` is
@@ -414,6 +444,42 @@ pub fn failure_report(failures: &[Failure], scenarios: &[Scenario]) -> String {
 mod tests {
     use super::*;
     use tc_types::{BlockAddr, NodeId};
+
+    #[test]
+    fn the_wire_primitives_round_trip() {
+        use std::collections::{BTreeMap, BTreeSet, VecDeque};
+        assert_snap_round_trip(&(7u8, 0xDEAD_BEEFu32, u64::MAX - 3));
+        assert_snap_round_trip(&(usize::MAX, true, -0.125f64));
+        assert_snap_round_trip(&"token coherence".to_string());
+        assert_snap_round_trip(&(Some(42u64), None::<u64>));
+        assert_snap_round_trip(&vec![vec![1u32, 2], vec![], vec![3]]);
+        assert_snap_round_trip(&[[1u64, 2, 3], [4, 5, 6]]);
+        assert_snap_round_trip(&VecDeque::from([(NodeId::new(1), false)]));
+        assert_snap_round_trip(&BTreeSet::from([BlockAddr::new(9), BlockAddr::new(2)]));
+        assert_snap_round_trip(&BTreeMap::from([("hits", 1u64), ("misses", 2)]));
+        assert_snap_round_trip(&std::sync::Arc::<[NodeId]>::from(vec![NodeId::new(3)]));
+        assert_snap_round_trip(&tc_sim::ArenaRef::from_bits(0x0000_0007_0000_0002));
+        assert_snap_round_trip(&tc_sim::DeterministicRng::new(12));
+    }
+
+    /// The skew the declaration macros rule out, written by hand: a field
+    /// saved and never loaded.
+    #[test]
+    #[should_panic(expected = "load must consume every saved byte")]
+    fn a_layout_that_reads_less_than_it_writes_is_caught() {
+        #[derive(Debug, PartialEq)]
+        struct Skewed(u32);
+        impl Snap for Skewed {
+            fn save(&self, w: &mut SnapWriter) {
+                w.u32(self.0);
+                w.bool(true);
+            }
+            fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+                Ok(Skewed(r.u32()?))
+            }
+        }
+        assert_snap_round_trip(&Skewed(1));
+    }
 
     fn scenario() -> Scenario {
         let mut s = Scenario::standard()

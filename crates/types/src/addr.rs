@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::ids::NodeId;
 
 /// A physical byte address.
@@ -26,6 +28,15 @@ impl Address {
     /// Panics if `block_bytes` is not a power of two.
     pub fn block(self, block_bytes: u64) -> BlockAddr {
         BlockAddr::from_address(self, block_bytes)
+    }
+}
+
+impl Snap for Address {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(self.0);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Address(r.u64()?))
     }
 }
 
@@ -76,6 +87,15 @@ impl BlockAddr {
     /// Returns the first byte address covered by this block.
     pub fn base_address(self, block_bytes: u64) -> Address {
         Address::new(self.0 * block_bytes)
+    }
+}
+
+impl Snap for BlockAddr {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(self.0);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(BlockAddr(r.u64()?))
     }
 }
 

@@ -14,6 +14,8 @@
 
 use std::fmt;
 
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+
 /// The classes of perturbation the adversary plane can apply. Unlike fault
 /// classes, none of these violate the fabric's delivery contract: every
 /// arrival still happens, exactly once, never earlier than scheduled.
@@ -243,6 +245,17 @@ impl AdversarySpec {
 /// Canonical spec string: parseable by [`AdversarySpec::parse`] and stable,
 /// so hunt results and replay recipes can embed it. Every non-default field
 /// of an active spec is emitted, so `parse(spec.to_string()) == spec`.
+/// On the wire a spec is its canonical `Display` string.
+impl Snap for AdversarySpec {
+    fn save(&self, w: &mut SnapWriter) {
+        w.str(&self.to_string());
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        AdversarySpec::parse(&r.str()?)
+            .map_err(|_| SnapshotError::Corrupt("unparseable adversary spec".to_string()))
+    }
+}
+
 impl fmt::Display for AdversarySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_none() {
@@ -299,27 +312,14 @@ impl AdversaryStats {
     pub fn total_perturbed(&self) -> u64 {
         self.reordered + self.targeted + self.stormed
     }
-
-    /// Serializes every counter into an engine snapshot.
-    pub fn save_state(&self, w: &mut tc_sim::SnapWriter) {
-        w.u64(self.reordered);
-        w.u64(self.targeted);
-        w.u64(self.stormed);
-        w.u64(self.max_skew_ns);
-    }
-
-    /// Restores [`AdversaryStats::save_state`] bytes.
-    pub fn load_state(
-        r: &mut tc_sim::SnapReader<'_>,
-    ) -> Result<AdversaryStats, tc_sim::SnapshotError> {
-        Ok(AdversaryStats {
-            reordered: r.u64()?,
-            targeted: r.u64()?,
-            stormed: r.u64()?,
-            max_skew_ns: r.u64()?,
-        })
-    }
 }
+
+snap_struct!(AdversaryStats {
+    reordered,
+    targeted,
+    stormed,
+    max_skew_ns,
+});
 
 impl fmt::Display for AdversaryStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -416,14 +416,8 @@ mod tests {
             stormed: 3,
             max_skew_ns: 4,
         };
-        let mut w = tc_sim::SnapWriter::new();
-        stats.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = tc_sim::SnapReader::new(&bytes);
-        let back = AdversaryStats::load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(stats, back);
-        assert_eq!(back.total_perturbed(), 6);
-        assert!(!back.to_string().is_empty());
+        tc_testkit::assert_snap_round_trip(&stats);
+        assert_eq!(stats.total_perturbed(), 6);
+        assert!(!stats.to_string().is_empty());
     }
 }

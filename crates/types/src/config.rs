@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tc_sim::snap_enum;
+
 use crate::error::ConfigError;
 
 /// Which coherence protocol a system instance runs.
@@ -19,6 +21,13 @@ pub enum ProtocolKind {
     /// node responds to the requester.
     Hammer,
 }
+
+snap_enum!(ProtocolKind, "protocol" {
+    0 => TokenB,
+    1 => Snooping,
+    2 => Directory,
+    3 => Hammer,
+});
 
 impl ProtocolKind {
     /// All protocols evaluated in the paper.
@@ -71,6 +80,11 @@ pub enum TopologyKind {
     Torus,
 }
 
+snap_enum!(TopologyKind, "topology" {
+    0 => Tree,
+    1 => Torus,
+});
+
 impl TopologyKind {
     /// Returns `true` if this topology delivers broadcasts in a total order.
     pub fn is_totally_ordered(self) -> bool {
@@ -104,6 +118,11 @@ pub enum BandwidthMode {
     /// Links never serialize or queue (latency-only model).
     Unlimited,
 }
+
+snap_enum!(BandwidthMode, "bandwidth" {
+    0 => Limited,
+    1 => Unlimited,
+});
 
 /// How the directory protocol stores its directory state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -383,6 +402,14 @@ mod tests {
         assert_eq!(c.interconnect.link_latency_ns, 15);
         assert!((c.interconnect.link_bandwidth_bytes_per_ns - 3.2).abs() < 1e-9);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn report_header_enums_round_trip() {
+        use tc_testkit::assert_snap_round_trip;
+        ProtocolKind::ALL.iter().for_each(assert_snap_round_trip);
+        assert_snap_round_trip(&(TopologyKind::Tree, TopologyKind::Torus));
+        assert_snap_round_trip(&(BandwidthMode::Limited, BandwidthMode::Unlimited));
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! expirations — and the controller communicates back through an [`Outbox`]:
 //! messages to inject into the interconnect, completed misses to hand back to
 //! the processor, and timers to arm.
+//!
+//! A controller also snapshots itself: [`CoherenceController::save_state`] /
+//! [`CoherenceController::load_state`] write and restore its mutable state,
+//! built from the `tc_sim::Snap` layouts its lines, home entries and
+//! statistics declare next to their types.
 
 use std::fmt;
 
 use tc_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_enum, snap_struct};
 
 use crate::addr::BlockAddr;
 use crate::ids::{Cycle, NodeId, ReqId};
@@ -106,6 +112,14 @@ pub struct Timer {
     /// Why the timer was armed.
     pub kind: TimerKind,
 }
+
+snap_enum!(TimerKind, "timer kind" {
+    0 => Reissue,
+    1 => PersistentEscalation,
+    2 => MemoryAccess,
+    3 => Other(code),
+});
+snap_struct!(Timer { id, addr, kind });
 
 /// Collects the outputs of one controller invocation.
 #[derive(Debug, Default)]
@@ -269,6 +283,22 @@ pub trait CoherenceController: fmt::Debug + Send {
 mod tests {
     use super::*;
     use crate::addr::BlockAddr;
+
+    #[test]
+    fn timers_round_trip_every_kind() {
+        for kind in [
+            TimerKind::Reissue,
+            TimerKind::PersistentEscalation,
+            TimerKind::MemoryAccess,
+            TimerKind::Other(7),
+        ] {
+            tc_testkit::assert_snap_round_trip(&Timer {
+                id: 9,
+                addr: BlockAddr::new(2),
+                kind,
+            });
+        }
+    }
 
     #[test]
     fn outbox_accumulates_and_drains() {

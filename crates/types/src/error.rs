@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use tc_sim::snap_enum;
+
 use crate::addr::BlockAddr;
 use crate::ids::{Cycle, NodeId};
 
@@ -151,6 +153,20 @@ pub enum InvariantViolation {
     },
 }
 
+// Tag 6 was the four-field `Starvation` of snapshot v1, before `waited`;
+// tag 9 replaced it. Never reuse 6.
+snap_enum!(InvariantViolation, "violation" {
+    0 => TokenConservation { addr, expected, found, at },
+    1 => DuplicateOwner { addr, at },
+    2 => WriteWithoutExclusive { node, addr, held, required, at },
+    3 => ReadWithoutToken { node, addr, at },
+    4 => OwnerTokenWithoutData { addr, at },
+    5 => StaleDataRead { node, addr, observed_version, expected_version, at },
+    7 => Livelock { node, addr, issued_at, at, events_without_progress },
+    8 => Deadlock { node, addr, issued_at, at },
+    9 => Starvation { node, addr, issued_at, at, waited },
+});
+
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -264,6 +280,64 @@ mod tests {
             at: 77,
         };
         assert!(v.to_string().contains("stale"));
+    }
+
+    #[test]
+    fn every_violation_round_trips_and_the_retired_tag_is_corrupt() {
+        use tc_sim::{Snap, SnapReader, SnapshotError};
+        let (node, addr) = (NodeId::new(3), BlockAddr::new(9));
+        for v in [
+            InvariantViolation::TokenConservation {
+                addr,
+                expected: 16,
+                found: 15,
+                at: 1,
+            },
+            InvariantViolation::DuplicateOwner { addr, at: 2 },
+            InvariantViolation::WriteWithoutExclusive {
+                node,
+                addr,
+                held: 1,
+                required: 16,
+                at: 3,
+            },
+            InvariantViolation::ReadWithoutToken { node, addr, at: 4 },
+            InvariantViolation::OwnerTokenWithoutData { addr, at: 5 },
+            InvariantViolation::StaleDataRead {
+                node,
+                addr,
+                observed_version: 6,
+                expected_version: 7,
+                at: 8,
+            },
+            InvariantViolation::Starvation {
+                node,
+                addr,
+                issued_at: 100,
+                at: 90_000,
+                waited: 89_900,
+            },
+            InvariantViolation::Livelock {
+                node,
+                addr,
+                issued_at: 9,
+                at: 10,
+                events_without_progress: 11,
+            },
+            InvariantViolation::Deadlock {
+                node,
+                addr,
+                issued_at: 12,
+                at: 13,
+            },
+        ] {
+            tc_testkit::assert_snap_round_trip(&v);
+        }
+        // The pre-`waited` Starvation's tag is retired, not reassigned.
+        assert_eq!(
+            InvariantViolation::load(&mut SnapReader::new(&[6; 29])),
+            Err(SnapshotError::Corrupt("violation tag 6".into()))
+        );
     }
 
     #[test]

@@ -26,6 +26,8 @@
 
 use std::fmt;
 
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::config::ProtocolKind;
 use crate::ids::Cycle;
 use crate::message::{Message, MsgKind};
@@ -356,6 +358,17 @@ impl FaultSpec {
 
 /// Canonical spec string: parseable by [`FaultSpec::parse`] and stable, so
 /// replay recipes and campaign JSON can embed it.
+/// On the wire a spec is its canonical `Display` string.
+impl Snap for FaultSpec {
+    fn save(&self, w: &mut SnapWriter) {
+        w.str(&self.to_string());
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        FaultSpec::parse(&r.str()?)
+            .map_err(|_| SnapshotError::Corrupt("unparseable fault spec".to_string()))
+    }
+}
+
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_none() {
@@ -472,33 +485,18 @@ impl FaultStats {
     pub fn total_injected(&self) -> u64 {
         self.dropped + self.duplicated + self.delayed + self.reordered + self.link_deferred
     }
-
-    /// Serializes every counter into an engine snapshot.
-    pub fn save_state(&self, w: &mut tc_sim::SnapWriter) {
-        w.u64(self.dropped);
-        w.u64(self.duplicated);
-        w.u64(self.delayed);
-        w.u64(self.reordered);
-        w.u64(self.link_deferred);
-        w.u64(self.reissue_timeouts);
-        w.u64(self.persistent_activations);
-        w.u64(self.max_recovery_ns);
-    }
-
-    /// Restores [`FaultStats::save_state`] bytes.
-    pub fn load_state(r: &mut tc_sim::SnapReader<'_>) -> Result<FaultStats, tc_sim::SnapshotError> {
-        Ok(FaultStats {
-            dropped: r.u64()?,
-            duplicated: r.u64()?,
-            delayed: r.u64()?,
-            reordered: r.u64()?,
-            link_deferred: r.u64()?,
-            reissue_timeouts: r.u64()?,
-            persistent_activations: r.u64()?,
-            max_recovery_ns: r.u64()?,
-        })
-    }
 }
+
+snap_struct!(FaultStats {
+    dropped,
+    duplicated,
+    delayed,
+    reordered,
+    link_deferred,
+    reissue_timeouts,
+    persistent_activations,
+    max_recovery_ns,
+});
 
 impl fmt::Display for FaultStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -616,13 +614,7 @@ mod tests {
             persistent_activations: 7,
             max_recovery_ns: 8,
         };
-        let mut w = tc_sim::SnapWriter::new();
-        stats.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = tc_sim::SnapReader::new(&bytes);
-        let back = FaultStats::load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(stats, back);
+        tc_testkit::assert_snap_round_trip(&stats);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 /// Simulated time, in nanoseconds.
 ///
 /// The target system runs a 1 GHz processor clock (ISCA 2003 Table 1), so one
@@ -26,6 +28,16 @@ impl NodeId {
     /// Returns the dense index of this node.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// On the wire a node id is a `u32`.
+impl Snap for NodeId {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u32(u32::from(self.0));
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(NodeId::new(r.u32()? as usize))
     }
 }
 
@@ -57,6 +69,15 @@ impl ReqId {
     /// Returns the raw value of this request identifier.
     pub fn value(self) -> u64 {
         self.0
+    }
+}
+
+impl Snap for ReqId {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(self.0);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ReqId(r.u64()?))
     }
 }
 

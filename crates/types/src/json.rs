@@ -1,8 +1,11 @@
 //! A minimal JSON value type: the matching *reader* for the hand-rolled
 //! campaign JSON writer (the offline build environment has no serde).
 //!
-//! The writer side of the workspace ([`tc_system`'s campaign serializer and
-//! the serve wire format]) emits compact JSON with a fixed escaping policy.
+//! The writer side of the workspace (`tc_system::CampaignReport::to_json`
+//! and `run_to_json`, which the serve wire format streams line by line)
+//! emits compact JSON with a fixed escaping policy. JSON is the *report*
+//! surface only: engine state and the result cache travel in the binary
+//! `tc_sim::Snap` layouts each type declares, never through this module.
 //! This module parses that JSON back into a [`Json`] tree — and re-emits it
 //! *byte-identically*: numbers are kept as their raw source tokens and
 //! object members preserve insertion order, so

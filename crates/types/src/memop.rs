@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tc_sim::{snap_enum, snap_struct};
+
 use crate::addr::Address;
 use crate::ids::ReqId;
 
@@ -65,6 +67,14 @@ impl MemOp {
     }
 }
 
+snap_enum!(MemOpKind, "mem op" {
+    0 => Load,
+    1 => Store,
+    2 => Ifetch,
+    3 => Atomic,
+});
+snap_struct!(MemOp { id, addr, kind });
+
 impl fmt::Display for MemOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let k = match self.kind {
@@ -93,6 +103,19 @@ mod tests {
         assert_eq!(MemOpKind::Store.access_type(), AccessType::Write);
         assert_eq!(MemOpKind::Atomic.access_type(), AccessType::Write);
         assert!(MemOpKind::Atomic.is_write());
+    }
+
+    #[test]
+    fn mem_ops_round_trip_every_kind() {
+        for kind in [
+            MemOpKind::Load,
+            MemOpKind::Store,
+            MemOpKind::Ifetch,
+            MemOpKind::Atomic,
+        ] {
+            let op = MemOp::new(ReqId::new(1), Address::new(0x40), kind);
+            tc_testkit::assert_snap_round_trip(&op);
+        }
     }
 
     #[test]

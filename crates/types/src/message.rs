@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_enum, snap_struct};
 
 use crate::addr::BlockAddr;
 use crate::ids::{Cycle, NodeId, ReqId};
@@ -372,214 +372,53 @@ impl Message {
     }
 }
 
-impl Vnet {
-    fn snapshot_tag(self) -> u8 {
-        match self {
-            Vnet::Request => 0,
-            Vnet::Response => 1,
-            Vnet::Forwarded => 2,
-            Vnet::Persistent => 3,
-            Vnet::Writeback => 4,
-        }
-    }
-
-    fn from_snapshot_tag(tag: u8) -> Result<Vnet, SnapshotError> {
-        Ok(match tag {
-            0 => Vnet::Request,
-            1 => Vnet::Response,
-            2 => Vnet::Forwarded,
-            3 => Vnet::Persistent,
-            4 => Vnet::Writeback,
-            other => return Err(SnapshotError::Corrupt(format!("vnet tag {other}"))),
-        })
-    }
-}
-
-impl Destination {
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            Destination::Node(n) => {
-                w.u8(0);
-                w.u32(n.index() as u32);
-            }
-            Destination::Broadcast => w.u8(1),
-            Destination::Multicast(nodes) => {
-                w.u8(2);
-                w.seq(nodes.iter(), |w, n| w.u32(n.index() as u32));
-            }
-        }
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Destination, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Destination::Node(NodeId::new(r.u32()? as usize)),
-            1 => Destination::Broadcast,
-            2 => {
-                let nodes = r.seq(|r| Ok(NodeId::new(r.u32()? as usize)))?;
-                Destination::Multicast(nodes.into())
-            }
-            other => return Err(SnapshotError::Corrupt(format!("destination tag {other}"))),
-        })
-    }
-}
-
-impl MsgKind {
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            MsgKind::GetS => w.u8(0),
-            MsgKind::GetM => w.u8(1),
-            MsgKind::PutM => w.u8(2),
-            MsgKind::PutS => w.u8(3),
-            MsgKind::TokenData {
-                tokens,
-                owner,
-                dirty,
-                from_memory,
-                payload,
-            } => {
-                w.u8(4);
-                w.u32(*tokens);
-                w.bool(*owner);
-                w.bool(*dirty);
-                w.bool(*from_memory);
-                w.u64(payload.version);
-            }
-            MsgKind::TokenOnly { tokens } => {
-                w.u8(5);
-                w.u32(*tokens);
-            }
-            MsgKind::PersistentRequest { write } => {
-                w.u8(6);
-                w.bool(*write);
-            }
-            MsgKind::PersistentActivate { requester, write } => {
-                w.u8(7);
-                w.u32(requester.index() as u32);
-                w.bool(*write);
-            }
-            MsgKind::PersistentDeactivate => w.u8(8),
-            MsgKind::PersistentAck => w.u8(9),
-            MsgKind::PersistentComplete => w.u8(10),
-            MsgKind::Data {
-                acks_expected,
-                exclusive,
-                from_memory,
-                payload,
-            } => {
-                w.u8(11);
-                w.u32(*acks_expected);
-                w.bool(*exclusive);
-                w.bool(*from_memory);
-                w.u64(payload.version);
-            }
-            MsgKind::FwdGetS { requester } => {
-                w.u8(12);
-                w.u32(requester.index() as u32);
-            }
-            MsgKind::FwdGetM {
-                requester,
-                acks_expected,
-            } => {
-                w.u8(13);
-                w.u32(requester.index() as u32);
-                w.u32(*acks_expected);
-            }
-            MsgKind::Inv { requester } => {
-                w.u8(14);
-                w.u32(requester.index() as u32);
-            }
-            MsgKind::InvAck => w.u8(15),
-            MsgKind::WbAck => w.u8(16),
-            MsgKind::WbCancel => w.u8(17),
-            MsgKind::Unblock => w.u8(18),
-            MsgKind::ExclusiveUnblock => w.u8(19),
-            MsgKind::HammerProbe { requester, write } => {
-                w.u8(20);
-                w.u32(requester.index() as u32);
-                w.bool(*write);
-            }
-        }
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<MsgKind, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => MsgKind::GetS,
-            1 => MsgKind::GetM,
-            2 => MsgKind::PutM,
-            3 => MsgKind::PutS,
-            4 => MsgKind::TokenData {
-                tokens: r.u32()?,
-                owner: r.bool()?,
-                dirty: r.bool()?,
-                from_memory: r.bool()?,
-                payload: DataPayload::new(r.u64()?),
-            },
-            5 => MsgKind::TokenOnly { tokens: r.u32()? },
-            6 => MsgKind::PersistentRequest { write: r.bool()? },
-            7 => MsgKind::PersistentActivate {
-                requester: NodeId::new(r.u32()? as usize),
-                write: r.bool()?,
-            },
-            8 => MsgKind::PersistentDeactivate,
-            9 => MsgKind::PersistentAck,
-            10 => MsgKind::PersistentComplete,
-            11 => MsgKind::Data {
-                acks_expected: r.u32()?,
-                exclusive: r.bool()?,
-                from_memory: r.bool()?,
-                payload: DataPayload::new(r.u64()?),
-            },
-            12 => MsgKind::FwdGetS {
-                requester: NodeId::new(r.u32()? as usize),
-            },
-            13 => MsgKind::FwdGetM {
-                requester: NodeId::new(r.u32()? as usize),
-                acks_expected: r.u32()?,
-            },
-            14 => MsgKind::Inv {
-                requester: NodeId::new(r.u32()? as usize),
-            },
-            15 => MsgKind::InvAck,
-            16 => MsgKind::WbAck,
-            17 => MsgKind::WbCancel,
-            18 => MsgKind::Unblock,
-            19 => MsgKind::ExclusiveUnblock,
-            20 => MsgKind::HammerProbe {
-                requester: NodeId::new(r.u32()? as usize),
-                write: r.bool()?,
-            },
-            other => return Err(SnapshotError::Corrupt(format!("msg kind tag {other}"))),
-        })
-    }
-}
-
-impl Message {
-    /// Serializes the full message into an engine snapshot.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u32(self.src.index() as u32);
-        self.dest.save_state(w);
-        w.u64(self.addr.value());
-        self.kind.save_state(w);
-        w.u8(self.vnet.snapshot_tag());
-        w.u64(self.sent_at);
-        w.option(self.req_id, |w, id| w.u64(id.value()));
-        w.bool(self.reissue);
-    }
-
-    /// Restores [`Message::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Message, SnapshotError> {
-        Ok(Message {
-            src: NodeId::new(r.u32()? as usize),
-            dest: Destination::load_state(r)?,
-            addr: BlockAddr::new(r.u64()?),
-            kind: MsgKind::load_state(r)?,
-            vnet: Vnet::from_snapshot_tag(r.u8()?)?,
-            sent_at: r.u64()?,
-            req_id: r.option(|r| Ok(ReqId::new(r.u64()?)))?,
-            reissue: r.bool()?,
-        })
-    }
-}
+// Wire layouts. Tags are append-only.
+snap_struct!(DataPayload { version });
+snap_enum!(Vnet, "vnet" {
+    0 => Request,
+    1 => Response,
+    2 => Forwarded,
+    3 => Persistent,
+    4 => Writeback,
+});
+snap_enum!(Destination, "destination" {
+    0 => Node(node),
+    1 => Broadcast,
+    2 => Multicast(nodes),
+});
+snap_enum!(MsgKind, "msg kind" {
+    0 => GetS,
+    1 => GetM,
+    2 => PutM,
+    3 => PutS,
+    4 => TokenData { tokens, owner, dirty, from_memory, payload },
+    5 => TokenOnly { tokens },
+    6 => PersistentRequest { write },
+    7 => PersistentActivate { requester, write },
+    8 => PersistentDeactivate,
+    9 => PersistentAck,
+    10 => PersistentComplete,
+    11 => Data { acks_expected, exclusive, from_memory, payload },
+    12 => FwdGetS { requester },
+    13 => FwdGetM { requester, acks_expected },
+    14 => Inv { requester },
+    15 => InvAck,
+    16 => WbAck,
+    17 => WbCancel,
+    18 => Unblock,
+    19 => ExclusiveUnblock,
+    20 => HammerProbe { requester, write },
+});
+snap_struct!(Message {
+    src,
+    dest,
+    addr,
+    kind,
+    vnet,
+    sent_at,
+    req_id,
+    reissue,
+});
 
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -598,6 +437,7 @@ impl fmt::Display for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_sim::{Snap, SnapReader, SnapWriter};
 
     fn msg(kind: MsgKind) -> Message {
         Message::new(
@@ -771,13 +611,7 @@ mod tests {
             if i % 3 == 0 {
                 m = m.as_reissue();
             }
-            let mut w = SnapWriter::new();
-            m.save_state(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = SnapReader::new(&bytes);
-            let back = Message::load_state(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(m, back);
+            tc_testkit::assert_snap_round_trip(&m);
         }
     }
 
@@ -788,7 +622,7 @@ mod tests {
         w.u8(9); // bogus destination tag
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert!(Message::load_state(&mut r).is_err());
+        assert!(Message::load(&mut r).is_err());
     }
 
     #[test]

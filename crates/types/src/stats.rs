@@ -3,28 +3,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
-use tc_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snap_struct;
 
 use crate::ids::Cycle;
 use crate::message::{Message, MsgKind};
-
-/// Interns a counter name so a deserialized [`ControllerStats::extra`] key
-/// can become the `&'static str` the map requires. The vocabulary is the
-/// handful of protocol counter names, so leaking each distinct name once is
-/// bounded and cheap.
-pub fn intern_counter_name(name: &str) -> &'static str {
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let names = NAMES.get_or_init(|| Mutex::new(Vec::new()));
-    let mut guard = names.lock().unwrap_or_else(|poison| poison.into_inner());
-    if let Some(&existing) = guard.iter().find(|&&n| n == name) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    guard.push(leaked);
-    leaked
-}
 
 /// Traffic classification used by the paper's traffic breakdowns
 /// (Figures 4b and 5b).
@@ -178,27 +161,13 @@ impl TrafficStats {
             self.link_bytes[i] += other.link_bytes[i];
         }
     }
-
-    /// Serializes all per-class counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for arr in [&self.bytes, &self.messages, &self.link_bytes] {
-            for &v in arr {
-                w.u64(v);
-            }
-        }
-    }
-
-    /// Rebuilds from [`TrafficStats::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<TrafficStats, SnapshotError> {
-        let mut out = TrafficStats::new();
-        for arr in [&mut out.bytes, &mut out.messages, &mut out.link_bytes] {
-            for v in arr.iter_mut() {
-                *v = r.u64()?;
-            }
-        }
-        Ok(out)
-    }
 }
+
+snap_struct!(TrafficStats {
+    bytes,
+    messages,
+    link_bytes,
+});
 
 /// Cache-miss statistics for one node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -250,40 +219,6 @@ impl MissStats {
         }
     }
 
-    /// Serializes every counter.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for v in [
-            self.l1_hits,
-            self.l2_hits,
-            self.read_misses,
-            self.write_misses,
-            self.upgrade_misses,
-            self.cache_to_cache,
-            self.from_memory,
-            self.total_miss_latency,
-            self.completed_misses,
-            self.writebacks,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Rebuilds from [`MissStats::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<MissStats, SnapshotError> {
-        Ok(MissStats {
-            l1_hits: r.u64()?,
-            l2_hits: r.u64()?,
-            read_misses: r.u64()?,
-            write_misses: r.u64()?,
-            upgrade_misses: r.u64()?,
-            cache_to_cache: r.u64()?,
-            from_memory: r.u64()?,
-            total_miss_latency: r.u64()?,
-            completed_misses: r.u64()?,
-            writebacks: r.u64()?,
-        })
-    }
-
     /// Merges another node's statistics into this one.
     pub fn merge(&mut self, other: &MissStats) {
         self.l1_hits += other.l1_hits;
@@ -298,6 +233,19 @@ impl MissStats {
         self.writebacks += other.writebacks;
     }
 }
+
+snap_struct!(MissStats {
+    l1_hits,
+    l2_hits,
+    read_misses,
+    write_misses,
+    upgrade_misses,
+    cache_to_cache,
+    from_memory,
+    total_miss_latency,
+    completed_misses,
+    writebacks,
+});
 
 /// Reissue/persistent-request statistics (Table 2 of the paper).
 ///
@@ -345,29 +293,14 @@ impl ReissueStats {
         self.reissued_more += other.reissued_more;
         self.persistent += other.persistent;
     }
-
-    /// Serializes every counter.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for v in [
-            self.not_reissued,
-            self.reissued_once,
-            self.reissued_more,
-            self.persistent,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Rebuilds from [`ReissueStats::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<ReissueStats, SnapshotError> {
-        Ok(ReissueStats {
-            not_reissued: r.u64()?,
-            reissued_once: r.u64()?,
-            reissued_more: r.u64()?,
-            persistent: r.u64()?,
-        })
-    }
 }
+
+snap_struct!(ReissueStats {
+    not_reissued,
+    reissued_once,
+    reissued_more,
+    persistent,
+});
 
 /// Per-structure occupancy of the sparse line-state plane — the compact
 /// per-block-address tables (MSHRs, writeback buffers and handshake windows,
@@ -423,35 +356,17 @@ impl LineStateStats {
             + self.home_peak
             + self.persistent_peak
     }
-
-    /// Serializes every peak.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for v in [
-            self.mshr_peak,
-            self.wb_buffer_peak,
-            self.wb_window_peak,
-            self.home_peak,
-            self.persistent_peak,
-            self.state_bytes,
-            self.retired_bytes_est,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Rebuilds from [`LineStateStats::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<LineStateStats, SnapshotError> {
-        Ok(LineStateStats {
-            mshr_peak: r.u64()?,
-            wb_buffer_peak: r.u64()?,
-            wb_window_peak: r.u64()?,
-            home_peak: r.u64()?,
-            persistent_peak: r.u64()?,
-            state_bytes: r.u64()?,
-            retired_bytes_est: r.u64()?,
-        })
-    }
 }
+
+snap_struct!(LineStateStats {
+    mshr_peak,
+    wb_buffer_peak,
+    wb_window_peak,
+    home_peak,
+    persistent_peak,
+    state_bytes,
+    retired_bytes_est,
+});
 
 /// Engine-level (simulator, not simulated-system) statistics for one run.
 ///
@@ -490,33 +405,16 @@ pub struct EngineStats {
     pub sharding: ShardStats,
 }
 
-impl EngineStats {
-    /// Serializes every counter, including the nested planes.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.peak_queue_depth);
-        w.u64(self.peak_arena_occupancy);
-        w.u64(self.events_delivered);
-        w.u64(self.arena_accounting_errors);
-        self.state.save_state(w);
-        self.faults.save_state(w);
-        self.adversary.save_state(w);
-        self.sharding.save_state(w);
-    }
-
-    /// Rebuilds from [`EngineStats::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<EngineStats, SnapshotError> {
-        Ok(EngineStats {
-            peak_queue_depth: r.u64()?,
-            peak_arena_occupancy: r.u64()?,
-            events_delivered: r.u64()?,
-            arena_accounting_errors: r.u64()?,
-            state: LineStateStats::load_state(r)?,
-            faults: crate::fault::FaultStats::load_state(r)?,
-            adversary: crate::adversary::AdversaryStats::load_state(r)?,
-            sharding: ShardStats::load_state(r)?,
-        })
-    }
-}
+snap_struct!(EngineStats {
+    peak_queue_depth,
+    peak_arena_occupancy,
+    events_delivered,
+    arena_accounting_errors,
+    state,
+    faults,
+    adversary,
+    sharding,
+});
 
 /// Telemetry from the sharded (conservative-PDES) runner: how the run was
 /// partitioned, how the windowed synchronization behaved, and the per-shard
@@ -549,31 +447,15 @@ pub struct ShardStats {
     pub shard_peak_arena: Vec<u64>,
 }
 
-impl ShardStats {
-    /// Serializes every counter.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u32(self.shards);
-        w.u64(self.lookahead_ns);
-        w.u64(self.windows);
-        w.u64(self.sync_stalls);
-        w.seq(self.shard_events.iter(), |w, &v| w.u64(v));
-        w.seq(self.shard_peak_queue.iter(), |w, &v| w.u64(v));
-        w.seq(self.shard_peak_arena.iter(), |w, &v| w.u64(v));
-    }
-
-    /// Rebuilds from [`ShardStats::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<ShardStats, SnapshotError> {
-        Ok(ShardStats {
-            shards: r.u32()?,
-            lookahead_ns: r.u64()?,
-            windows: r.u64()?,
-            sync_stalls: r.u64()?,
-            shard_events: r.seq(|r| r.u64())?,
-            shard_peak_queue: r.seq(|r| r.u64())?,
-            shard_peak_arena: r.seq(|r| r.u64())?,
-        })
-    }
-}
+snap_struct!(ShardStats {
+    shards,
+    lookahead_ns,
+    windows,
+    sync_stalls,
+    shard_events,
+    shard_peak_queue,
+    shard_peak_arena,
+});
 
 /// Statistics exported by a coherence controller.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -620,44 +502,18 @@ impl ControllerStats {
             *self.extra.entry(k).or_insert(0) += v;
         }
     }
-
-    /// Serializes every counter, including the named extras (in the
-    /// `BTreeMap`'s deterministic key order).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.misses.save_state(w);
-        self.reissue.save_state(w);
-        w.u64(self.persistent_requests_initiated);
-        w.u64(self.messages_sent);
-        w.u64(self.messages_received);
-        w.seq(self.extra.iter(), |w, (&k, &v)| {
-            w.str(k);
-            w.u64(v);
-        });
-    }
-
-    /// Rebuilds from [`ControllerStats::save_state`] bytes. Counter names
-    /// round-trip through [`intern_counter_name`].
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<ControllerStats, SnapshotError> {
-        let misses = MissStats::load_state(r)?;
-        let reissue = ReissueStats::load_state(r)?;
-        let persistent_requests_initiated = r.u64()?;
-        let messages_sent = r.u64()?;
-        let messages_received = r.u64()?;
-        let entries = r.seq(|r| {
-            let name = r.str()?;
-            let value = r.u64()?;
-            Ok((intern_counter_name(&name), value))
-        })?;
-        Ok(ControllerStats {
-            misses,
-            reissue,
-            persistent_requests_initiated,
-            messages_sent,
-            messages_received,
-            extra: entries.into_iter().collect(),
-        })
-    }
 }
+
+// The named extras travel in the `BTreeMap`'s key order; loading a name
+// interns it (see `Snap for &'static str`).
+snap_struct!(ControllerStats {
+    misses,
+    reissue,
+    persistent_requests_initiated,
+    messages_sent,
+    messages_received,
+    extra,
+});
 
 #[cfg(test)]
 mod tests {
@@ -771,6 +627,82 @@ mod tests {
     #[test]
     fn empty_reissue_stats_percentages_are_zero() {
         assert_eq!(ReissueStats::default().percentages(), [0.0; 4]);
+    }
+
+    #[test]
+    fn every_stats_layout_round_trips() {
+        use tc_testkit::assert_snap_round_trip;
+        let mut traffic = TrafficStats::new();
+        traffic.record(TrafficClass::Request, 8, 3);
+        traffic.record(TrafficClass::DataResponseOrWriteback, 72, 2);
+        assert_snap_round_trip(&traffic);
+        let misses = MissStats {
+            l1_hits: 1,
+            l2_hits: 2,
+            read_misses: 3,
+            write_misses: 4,
+            upgrade_misses: 5,
+            cache_to_cache: 6,
+            from_memory: 7,
+            total_miss_latency: 8,
+            completed_misses: 9,
+            writebacks: 10,
+        };
+        assert_snap_round_trip(&misses);
+        let reissue = ReissueStats {
+            not_reissued: 97,
+            reissued_once: 2,
+            reissued_more: 1,
+            persistent: 4,
+        };
+        assert_snap_round_trip(&reissue);
+        let mut controller = ControllerStats {
+            misses,
+            reissue,
+            persistent_requests_initiated: 1,
+            messages_sent: 2,
+            messages_received: 3,
+            ..ControllerStats::default()
+        };
+        controller.bump("directory_lookups", 5);
+        controller.bump("snoop_responses", 6);
+        assert_snap_round_trip(&controller);
+        let state = LineStateStats {
+            mshr_peak: 1,
+            wb_buffer_peak: 2,
+            wb_window_peak: 3,
+            home_peak: 4,
+            persistent_peak: 5,
+            state_bytes: 6,
+            retired_bytes_est: 7,
+        };
+        assert_snap_round_trip(&state);
+        let sharding = ShardStats {
+            shards: 2,
+            lookahead_ns: 15,
+            windows: 3,
+            sync_stalls: 4,
+            shard_events: vec![5, 6],
+            shard_peak_queue: vec![7, 8],
+            shard_peak_arena: vec![9, 10],
+        };
+        assert_snap_round_trip(&sharding);
+        assert_snap_round_trip(&EngineStats {
+            peak_queue_depth: 1,
+            peak_arena_occupancy: 2,
+            events_delivered: 3,
+            arena_accounting_errors: 4,
+            state,
+            faults: crate::fault::FaultStats {
+                dropped: 5,
+                ..Default::default()
+            },
+            adversary: crate::adversary::AdversaryStats {
+                stormed: 6,
+                ..Default::default()
+            },
+            sharding,
+        });
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use tc_sim::{DeterministicRng, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, DeterministicRng, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{Address, Cycle, MemOp, MemOpKind, NodeId, ReqId};
 
 use crate::profile::{RegionKind, WorkloadProfile};
@@ -27,6 +27,8 @@ pub struct GeneratedOp {
     /// The memory operation to issue.
     pub op: MemOp,
 }
+
+snap_struct!(GeneratedOp { think_cycles, op });
 
 /// A deterministic stream of memory operations for one processor.
 ///
@@ -199,41 +201,19 @@ impl WorkloadGenerator {
     /// counter, the queued tail of a partially-consumed multi-op sequence,
     /// and the ops counter. Profile, node, and node count are config-derived.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.rng.state());
+        self.rng.save(w);
         w.u64(self.next_req);
         w.u64(self.ops_generated);
-        w.seq(self.pending.iter(), |w, &(think, block, kind)| {
-            w.u64(think);
-            w.u64(block);
-            w.u8(match kind {
-                MemOpKind::Load => 0,
-                MemOpKind::Store => 1,
-                MemOpKind::Ifetch => 2,
-                MemOpKind::Atomic => 3,
-            });
-        });
+        self.pending.save(w);
     }
 
     /// Restores [`WorkloadGenerator::save_state`] bytes onto a same-config
     /// generator.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rng = DeterministicRng::from_state(r.u64()?);
+        self.rng = Snap::load(r)?;
         self.next_req = r.u64()?;
         self.ops_generated = r.u64()?;
-        self.pending = r
-            .seq(|r| {
-                let think = r.u64()?;
-                let block = r.u64()?;
-                let kind = match r.u8()? {
-                    0 => MemOpKind::Load,
-                    1 => MemOpKind::Store,
-                    2 => MemOpKind::Ifetch,
-                    3 => MemOpKind::Atomic,
-                    other => return Err(SnapshotError::Corrupt(format!("mem op tag {other}"))),
-                };
-                Ok((think, block, kind))
-            })?
-            .into();
+        self.pending = Snap::load(r)?;
         Ok(())
     }
 
@@ -397,6 +377,12 @@ mod tests {
                 "block {block:#x} outside every region"
             );
         }
+    }
+
+    #[test]
+    fn generated_op_round_trips() {
+        let op = generator(WorkloadProfile::oltp(), 3).next_op();
+        tc_testkit::assert_snap_round_trip(&op);
     }
 
     #[test]

@@ -104,6 +104,18 @@ fn pinned_configuration(
     (config, WorkloadProfile::oltp(), options)
 }
 
+/// The sealed snapshot the pinned configuration takes at event 100000.
+fn first_checkpoint(protocol: ProtocolKind) -> Vec<u8> {
+    let (config, profile, options) = pinned_configuration(protocol);
+    let mut first: Option<(u64, Vec<u8>)> = None;
+    System::build(&config, &profile).run_with_checkpoints(options, &mut |at, bytes| {
+        first.get_or_insert_with(|| (at, bytes.to_vec()));
+    });
+    let (at, bytes) = first.expect("the pinned run must cross the 100k cadence");
+    assert_eq!(at, 100_000);
+    bytes
+}
+
 /// The snapshot wire format, pinned: the first checkpoint of the pinned
 /// configuration must keep its exact bytes. The payload is explicit
 /// little-endian counts and ids (no `size_of`), so the figures do not move
@@ -120,19 +132,77 @@ fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
         (ProtocolKind::Directory, (949_959, 0xe11bd84c1e1c9a8e)),
         (ProtocolKind::Hammer, (561_848, 0x8d32754354a5e531)),
     ] {
-        let (config, profile, options) = pinned_configuration(protocol);
-        let mut first: Option<(u64, usize, u64)> = None;
-        System::build(&config, &profile).run_with_checkpoints(options, &mut |at, bytes| {
-            first.get_or_insert_with(|| (at, bytes.len(), token_coherence::sim::fnv1a64(bytes)));
-        });
-        let (at, len, hash) = first.expect("the pinned run must cross the 100k cadence");
-        assert_eq!(at, 100_000);
+        let bytes = first_checkpoint(protocol);
+        let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
         assert_eq!(
             (len, hash),
             pinned,
             "{protocol}: snapshot bytes changed ({len}, {hash:#x}): bump SNAPSHOT_VERSION \
              and re-record, or restore the format"
         );
+    }
+}
+
+/// The report codec, pinned the same way: `RunReport::save_state` of the
+/// pinned configuration's final report is what `tc-serve`'s cache file
+/// stores and what the benchmark's `sim.fingerprint` hashes, so a drift in
+/// its bytes must fail here, not nine minutes into the benchmark. The two
+/// line-state byte estimates are priced at `size_of` and move with the
+/// toolchain (`tests/conformance.rs` holds them under a ceiling), so they are
+/// zeroed before hashing; every other field is a count or an id.
+#[test]
+fn final_report_of_the_pinned_configuration_keeps_its_bytes() {
+    for (protocol, pinned) in [
+        (ProtocolKind::TokenB, (805, 0xf33b2e857dbba821)),
+        (ProtocolKind::Snooping, (863, 0x1a471d09627f6a8a)),
+        (ProtocolKind::Directory, (861, 0x94c6b39bfa1bb083)),
+        (ProtocolKind::Hammer, (789, 0x93c85d2b6002f0)),
+    ] {
+        let (config, profile, options) = pinned_configuration(protocol);
+        let mut report = System::build(&config, &profile).run(options);
+        report.engine.state.state_bytes = 0;
+        report.engine.state.retired_bytes_est = 0;
+        let mut w = token_coherence::sim::SnapWriter::new();
+        report.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
+        assert_eq!(
+            (len, hash),
+            pinned,
+            "{protocol}: report bytes changed ({len}, {hash:#x}): bump SNAPSHOT_VERSION \
+             and re-record, or restore the format"
+        );
+    }
+}
+
+/// A payload cut short is an error even when the container vouches for it:
+/// each first checkpoint, truncated at 256 seeded points and re-sealed (so
+/// the length and checksum are valid and `open` passes), must come back
+/// `Err` from `System::restore` — every container's load side bounds its
+/// reads, none panics or restores a prefix.
+#[test]
+fn truncated_and_resealed_checkpoints_are_rejected_without_panicking() {
+    use token_coherence::sim::{open, seal, DeterministicRng, SNAPSHOT_VERSION};
+    for protocol in ProtocolKind::ALL {
+        let (config, profile, options) = pinned_configuration(protocol);
+        let sealed = first_checkpoint(protocol);
+        let (_, payload) = open(&sealed).expect("a checkpoint opens");
+        let mut rng = DeterministicRng::new(0x7C0B ^ payload.len() as u64);
+        // One system takes every attempt: a failed restore leaves it
+        // half-written, which the next restore must also survive.
+        let mut system = System::build(&config, &profile);
+        for _ in 0..256 {
+            let cut = rng.next_below(payload.len() as u64) as usize;
+            let resealed = seal(SNAPSHOT_VERSION, &payload[..cut]);
+            assert!(
+                system.restore(&options, &resealed).is_err(),
+                "{protocol}: {cut} of {} payload bytes restored",
+                payload.len()
+            );
+        }
+        system
+            .restore(&options, &sealed)
+            .expect("the whole checkpoint still restores onto the same system");
     }
 }
 
