@@ -12,14 +12,19 @@
 //!   persistent request. Performance-protocol bugs can cost performance but
 //!   never correctness.
 //!
-//! This crate implements the substrate ([`state`], [`persistent`],
-//! [`arbiter`]) and **TokenB** ([`TokenBController`]), the broadcast
-//! performance protocol the paper evaluates: transient requests are broadcast
-//! to all nodes, components respond as a MOSI snooping protocol would
-//! (including the migratory-sharing optimization), and unsatisfied requests
-//! are reissued after roughly twice the average miss latency plus a
-//! randomized backoff, escalating to a persistent request after about four
-//! reissues.
+//! This crate is cut along that line. The substrate is [`state`] (a cache
+//! line, the home memory and a message in flight are the same kind of token
+//! holder, [`Holding`], and tokens leave one by exactly two rules that
+//! conserve them and keep data with the owner token), [`persistent`] and
+//! [`arbiter`]. **TokenB** ([`TokenBController`]), the broadcast performance
+//! protocol the paper evaluates, decides only which holder is asked, by
+//! which rule, when and for whom: transient requests are broadcast to all
+//! nodes, components respond as a MOSI snooping protocol would (including
+//! the migratory-sharing optimization), and unsatisfied requests are
+//! reissued after roughly twice the average miss latency plus a randomized
+//! backoff, escalating to a persistent request after about four reissues.
+//! DESIGN.md, "Token substrate and TokenB", maps each invariant to the line
+//! that enforces it.
 //!
 //! The controller implements the protocol-agnostic
 //! [`tc_types::CoherenceController`] interface, so the system runner can
@@ -49,6 +54,6 @@ pub mod tokenb;
 
 pub use arbiter::{ArbiterAction, PersistentArbiter};
 pub use persistent::{PersistentEntry, PersistentTable};
-pub use state::{MemTokens, TokenLine};
+pub use state::{Holding, MemTokens, TokenLine, TokenTransfer};
 pub use timeout::MissLatencyTracker;
 pub use tokenb::TokenBController;

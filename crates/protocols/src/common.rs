@@ -511,7 +511,7 @@ mod tests {
             req_id: Some(ReqId::new(9)),
         };
         assert_snap_round_trip(&request);
-        assert_snap_round_trip(&crate::node::PendingOp {
+        assert_snap_round_trip(&tc_memsys::PendingOp {
             req_id: ReqId::new(9),
             write: false,
         });

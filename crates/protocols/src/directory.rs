@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use tc_memsys::{OpList, OpSlab};
+use tc_memsys::{read_pending_list, OpList, OpSlab, PendingOp};
 use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, DirectoryMode, Message, MsgKind, NodeId, Outbox,
@@ -23,7 +23,7 @@ use tc_types::{
 };
 
 use crate::common::MosiState;
-use crate::node::{read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
+use crate::node::{Grant, MosiNode, MosiPolicy};
 
 /// Requester-side bookkeeping for an outstanding directory miss. The
 /// pending-op list lives in the controller's [`OpSlab`] pool.

@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use tc_memsys::{OpList, OpSlab};
+use tc_memsys::{read_pending_list, OpList, OpSlab, PendingOp};
 use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, SystemConfig,
@@ -25,7 +25,7 @@ use tc_types::{
 };
 
 use crate::common::QueuedRequest;
-use crate::node::{read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
+use crate::node::{Grant, MosiNode, MosiPolicy};
 
 /// Requester-side bookkeeping for an outstanding Hammer miss.
 #[derive(Debug)]

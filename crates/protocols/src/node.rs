@@ -22,8 +22,11 @@
 
 use std::fmt;
 
-use tc_memsys::{hinted_get, HomeMemory, L1Filter, MshrTable, OpList, OpSlab, SetAssocCache};
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_memsys::{
+    hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, OpList, OpSlab, PendingOp,
+    SetAssocCache,
+};
+use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
     Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind, MsgKind,
@@ -31,25 +34,6 @@ use tc_types::{
 };
 
 use crate::common::{MosiLine, MosiState, QueuedRequest, WritebackPlane};
-
-/// One pending processor operation merged into an outstanding miss.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PendingOp {
-    /// The processor request to complete.
-    pub req_id: ReqId,
-    /// Whether it is a store.
-    pub write: bool,
-}
-
-snap_struct!(PendingOp { req_id, write });
-
-/// The version-counter node tag: per-node store versions are
-/// `((node + 1) << 40) | counter`, unique across nodes and monotone per
-/// node.
-#[inline]
-pub fn version_node_bits(node: NodeId) -> u64 {
-    (node.index() as u64 + 1) << 40
-}
 
 /// What a miss that is ready to complete was asked for and what it
 /// obtained, read out of the protocol's MSHR by [`MosiPolicy::ready`].
@@ -128,7 +112,7 @@ pub trait MosiPolicy: fmt::Debug + Send + Sized {
     /// Snapshot codec of an MSHR, pending ops first.
     fn emit_mshr(w: &mut SnapWriter, mshr: &Self::Mshr, slab: &OpSlab<PendingOp>);
     /// Reads [`MosiPolicy::emit_mshr`] bytes, re-minting the pending list
-    /// in `slab` (see [`read_pending_list`]).
+    /// in `slab` (see [`tc_memsys::read_pending_list`]).
     fn read_mshr(
         r: &mut SnapReader<'_>,
         slab: &mut OpSlab<PendingOp>,
@@ -438,7 +422,12 @@ impl<P: MosiPolicy> MosiNode<P> {
                 cache_to_cache: grant.from_cache,
             });
         }
-        self.record_completed_miss(kind, now.saturating_sub(grant.issued_at), grant.from_cache);
+        let latency = now.saturating_sub(grant.issued_at);
+        self.stats
+            .misses
+            .record_completed(kind, latency, grant.from_cache);
+        // The baselines never reissue.
+        self.stats.reissue.not_reissued += 1;
 
         P::completed(self, now, addr, mshr, granted_exclusive, out);
 
@@ -450,26 +439,6 @@ impl<P: MosiPolicy> MosiNode<P> {
             }
             self.issue(now, addr, deferred, first, true, out);
         }
-    }
-
-    /// Records one completed miss (latency, class histogram, data source,
-    /// and the never-reissued bucket the non-token protocols always land
-    /// in).
-    fn record_completed_miss(&mut self, kind: MissKind, latency: Cycle, from_cache: bool) {
-        let misses = &mut self.stats.misses;
-        misses.completed_misses += 1;
-        misses.total_miss_latency += latency;
-        match kind {
-            MissKind::Read => misses.read_misses += 1,
-            MissKind::Write => misses.write_misses += 1,
-            MissKind::Upgrade => misses.upgrade_misses += 1,
-        }
-        if from_cache {
-            misses.cache_to_cache += 1;
-        } else {
-            misses.from_memory += 1;
-        }
-        self.stats.reissue.not_reissued += 1;
     }
 }
 
@@ -584,18 +553,6 @@ impl<P: MosiPolicy> CoherenceController for MosiNode<P> {
         self.mshrs.load_state(r, |r| P::read_mshr(r, slab))?;
         self.wb.load_state(r)
     }
-}
-
-/// Reads the pending-op list every MSHR codec starts with into `slab`.
-pub(crate) fn read_pending_list(
-    r: &mut SnapReader<'_>,
-    slab: &mut OpSlab<PendingOp>,
-) -> Result<OpList, SnapshotError> {
-    let mut pending = OpList::new();
-    for _ in 0..r.bounded_len(9)? {
-        slab.push(&mut pending, PendingOp::load(r)?);
-    }
-    Ok(pending)
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 //! it fundamentally cannot run on the unordered torus, which is exactly the
 //! limitation TokenB removes.
 
-use tc_memsys::{OpList, OpSlab};
+use tc_memsys::{read_pending_list, OpList, OpSlab, PendingOp};
 use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, ReqId,
@@ -43,7 +43,7 @@ use tc_types::{
 };
 
 use crate::common::{MosiState, QueuedRequest, WbHandshake, WbResolution};
-use crate::node::{read_pending_list, Grant, MosiNode, MosiPolicy, PendingOp};
+use crate::node::{Grant, MosiNode, MosiPolicy};
 
 /// Requester-side bookkeeping for an outstanding snooping miss.
 #[derive(Debug)]

@@ -6,6 +6,7 @@ use std::fmt;
 
 use tc_sim::snap_struct;
 
+use crate::controller::MissKind;
 use crate::ids::Cycle;
 use crate::message::{Message, MsgKind};
 
@@ -216,6 +217,23 @@ impl MissStats {
             0.0
         } else {
             self.cache_to_cache as f64 / done as f64
+        }
+    }
+
+    /// Records one completed miss: its latency, its class, and whether
+    /// another cache (rather than memory) supplied the data.
+    pub fn record_completed(&mut self, kind: MissKind, latency: Cycle, from_cache: bool) {
+        self.completed_misses += 1;
+        self.total_miss_latency += latency;
+        match kind {
+            MissKind::Read => self.read_misses += 1,
+            MissKind::Write => self.write_misses += 1,
+            MissKind::Upgrade => self.upgrade_misses += 1,
+        }
+        if from_cache {
+            self.cache_to_cache += 1;
+        } else {
+            self.from_memory += 1;
         }
     }
 
