@@ -758,7 +758,9 @@ fn set_flag(args: &mut Args, name: &str, text: &str) -> Result<(), String> {
         "--addr" => args.addr = owned(),
         "--workers" => args.workers = Some(positive(text)? as usize),
         "--cache" => args.cache = owned(),
-        "--priority" => args.priority = Some(JobPriority::parse(text)?),
+        "--priority" => {
+            args.priority = Some(JobPriority::by_name(text).ok_or("unknown priority")?);
+        }
         _ => unreachable!("{name} is declared in a Subcommand but has no parser"),
     }
     Ok(())

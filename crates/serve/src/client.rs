@@ -7,6 +7,7 @@ use std::fmt;
 use tc_types::Json;
 
 use crate::http::roundtrip;
+use crate::line::JobLine;
 use crate::submission::Submission;
 
 /// A client-side failure: transport errors, non-200 responses (with the
@@ -92,30 +93,16 @@ pub fn submit_json(
     let mut job: Option<(String, usize)> = None;
     let mut finished: Option<Result<(usize, usize), String>> = None;
     let response = roundtrip(addr, "POST", "/submit", body.as_bytes(), |line| {
-        let parsed = match Json::parse(line) {
-            Ok(parsed) => parsed,
-            Err(_) => return, // tolerate unknown noise on the stream
-        };
-        if parsed.get("label").is_some() {
-            on_run_line(line);
-        } else if let Some(done) = parsed.get("done").and_then(Json::as_bool) {
-            finished = Some(if done {
-                Ok((
-                    parsed.get("ran").and_then(Json::as_u64).unwrap_or(0) as usize,
-                    parsed.get("cache_hits").and_then(Json::as_u64).unwrap_or(0) as usize,
-                ))
-            } else {
-                Err(parsed
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("job failed")
-                    .to_string())
-            });
-        } else if let Some(id) = parsed.get("job").and_then(Json::as_str) {
-            job = Some((
-                id.to_string(),
-                parsed.get("points").and_then(Json::as_u64).unwrap_or(0) as usize,
-            ));
+        match JobLine::parse(line) {
+            Ok(JobLine::Run(_)) => on_run_line(line),
+            Ok(JobLine::Ack {
+                job: id, points, ..
+            }) => job = Some((id, points)),
+            Ok(JobLine::Done {
+                ran, cache_hits, ..
+            }) => finished = Some(Ok((ran, cache_hits))),
+            Ok(JobLine::Failed { error, .. }) => finished = Some(Err(error)),
+            Err(_) => {} // tolerate unknown noise on the stream
         }
     })
     .map_err(|e| ClientError::new(format!("transport error talking to {addr}: {e}")))?;

@@ -27,6 +27,7 @@
 pub mod cache;
 pub mod client;
 pub mod http;
+mod line;
 pub mod server;
 pub mod submission;
 

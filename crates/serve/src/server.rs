@@ -41,6 +41,7 @@ use tc_types::{JobId, JobPriority, JobState, Json};
 
 use crate::cache::ResultCache;
 use crate::http::{read_request, write_response, ChunkedWriter, Request};
+use crate::line::JobLine;
 use crate::submission::{cache_key, Submission};
 
 /// How often the accept loop wakes to reap finished connection threads and
@@ -109,17 +110,6 @@ impl PartialOrd for QueuedJob {
     }
 }
 
-/// What a worker streams back to the connection thread that owns the job.
-enum StreamEvent {
-    /// One complete NDJSON run line, in submission order.
-    Line(String),
-    /// Job finished; `ran` points were simulated, `cache_hits` served from
-    /// cache.
-    Done { ran: usize, cache_hits: usize },
-    /// Job died (a point panicked); the queue keeps serving.
-    Failed(String),
-}
-
 struct JobRecord {
     state: JobState,
     priority: JobPriority,
@@ -129,7 +119,7 @@ struct JobRecord {
     /// Taken by the worker when the job starts.
     submission: Option<Submission>,
     /// Stream back to the connection thread; dropped when the job ends.
-    events: Option<Sender<StreamEvent>>,
+    events: Option<Sender<JobLine>>,
 }
 
 struct ServerState {
@@ -281,14 +271,15 @@ impl Server {
 // Connection handling
 // ---------------------------------------------------------------------------
 
-fn json_line(fields: Vec<(&str, Json)>) -> String {
-    let obj = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    format!("{obj}\n")
+/// Answers with `body` (a JSON document) as one line. The write's result is
+/// dropped: a client that has gone away is nothing the server acts on.
+fn respond_json(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
+    let line = format!("{body}\n");
+    let _ = write_response(stream, status, reason, "application/json", line.as_bytes());
+}
+
+fn error_body(message: impl Into<String>) -> String {
+    Json::obj([("error", Json::Str(message.into()))]).to_string()
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -320,21 +311,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 state.draining = true;
             }
             shared.work_ready.notify_all();
-            let body = json_line(vec![("draining", Json::Bool(true))]);
-            let _ = write_response(&mut stream, 200, "OK", "application/json", body.as_bytes());
+            let body = Json::obj([("draining", Json::Bool(true))]).to_string();
+            respond_json(&mut stream, 200, "OK", &body);
         }
         _ => {
-            let body = json_line(vec![(
-                "error",
-                Json::Str(format!("no route for {} {}", request.method, request.path)),
-            )]);
-            let _ = write_response(
-                &mut stream,
-                404,
-                "Not Found",
-                "application/json",
-                body.as_bytes(),
-            );
+            let body = error_body(format!("no route for {} {}", request.method, request.path));
+            respond_json(&mut stream, 404, "Not Found", &body);
         }
     }
 }
@@ -343,13 +325,11 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => {
-            let body = json_line(vec![("error", Json::Str("body is not UTF-8".to_string()))]);
-            let _ = write_response(
+            respond_json(
                 &mut stream,
                 400,
                 "Bad Request",
-                "application/json",
-                body.as_bytes(),
+                &error_body("body is not UTF-8"),
             );
             return;
         }
@@ -360,14 +340,7 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
     let submission = match Submission::parse(text) {
         Ok(submission) => submission,
         Err(e) => {
-            let body = format!("{}\n", e.to_json());
-            let _ = write_response(
-                &mut stream,
-                400,
-                "Bad Request",
-                "application/json",
-                body.as_bytes(),
-            );
+            respond_json(&mut stream, 400, "Bad Request", &e.to_json());
             return;
         }
     };
@@ -376,17 +349,8 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
     let (job_id, points_total, priority) = {
         let mut state = shared.state.lock().unwrap();
         if state.draining {
-            let body = json_line(vec![(
-                "error",
-                Json::Str("server is draining; submission rejected".to_string()),
-            )]);
-            let _ = write_response(
-                &mut stream,
-                503,
-                "Service Unavailable",
-                "application/json",
-                body.as_bytes(),
-            );
+            let body = error_body("server is draining; submission rejected");
+            respond_json(&mut stream, 503, "Service Unavailable", &body);
             return;
         }
         let id = state.next_job_id;
@@ -420,40 +384,21 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
         Ok(chunked) => chunked,
         Err(_) => return,
     };
-    let ack = json_line(vec![
-        ("job", Json::Str(JobId(job_id).to_string())),
-        ("points", Json::Num(points_total.to_string())),
-        ("priority", Json::Str(priority.name().to_string())),
-    ]);
-    if chunked.chunk(ack.as_bytes()).is_err() {
+    let ack = JobLine::Ack {
+        job: JobId(job_id).to_string(),
+        points: points_total,
+        priority,
+    };
+    if chunked.chunk(ack.render().as_bytes()).is_err() {
         return; // client went away; the worker still runs and fills the cache
     }
-    for event in rx {
-        match event {
-            StreamEvent::Line(line) => {
-                if chunked.chunk(line.as_bytes()).is_err() {
-                    return;
-                }
-            }
-            StreamEvent::Done { ran, cache_hits } => {
-                let line = json_line(vec![
-                    ("done", Json::Bool(true)),
-                    ("job", Json::Str(JobId(job_id).to_string())),
-                    ("ran", Json::Num(ran.to_string())),
-                    ("cache_hits", Json::Num(cache_hits.to_string())),
-                ]);
-                let _ = chunked.chunk(line.as_bytes());
-                break;
-            }
-            StreamEvent::Failed(message) => {
-                let line = json_line(vec![
-                    ("done", Json::Bool(false)),
-                    ("job", Json::Str(JobId(job_id).to_string())),
-                    ("error", Json::Str(message)),
-                ]);
-                let _ = chunked.chunk(line.as_bytes());
-                break;
-            }
+    for line in rx {
+        let last = !matches!(line, JobLine::Run(_));
+        if chunked.chunk(line.render().as_bytes()).is_err() {
+            return;
+        }
+        if last {
+            break;
         }
     }
     let _ = chunked.end();
@@ -557,11 +502,11 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn flush_ready(
     ready: &mut BTreeMap<usize, String>,
     next_emit: &mut usize,
-    sender: Option<&Sender<StreamEvent>>,
+    sender: Option<&Sender<JobLine>>,
 ) {
     while let Some(line) = ready.remove(next_emit) {
         if let Some(sender) = sender {
-            let _ = sender.send(StreamEvent::Line(line));
+            let _ = sender.send(JobLine::Run(line));
         }
         *next_emit += 1;
     }
@@ -574,7 +519,7 @@ fn run_job(
     shared: &Arc<Shared>,
     job_id: u64,
     submission: Submission,
-    sender: Option<&Sender<StreamEvent>>,
+    sender: Option<&Sender<JobLine>>,
 ) -> Result<(usize, usize), String> {
     let Submission {
         options, points, ..
@@ -592,7 +537,7 @@ fn run_job(
             let key = cache_key(&point, &options);
             if let Some(report) = state.cache.lookup(&key) {
                 // Cached under any label: re-render with *this* label.
-                ready.insert(i, format!("{}\n", run_to_json(&point.label, report)));
+                ready.insert(i, run_to_json(&point.label, report));
             } else {
                 run_keys.push(key);
                 run_index.push(i);
@@ -616,8 +561,7 @@ fn run_job(
                 .options(options)
                 .threads(1)
                 .run_streaming(|index, run| {
-                    let line = format!("{}\n", run_to_json(&run.label, &run.report));
-                    ready.insert(run_index[index], line);
+                    ready.insert(run_index[index], run_to_json(&run.label, &run.report));
                     computed.push((index, run.report.clone()));
                     flush_ready(&mut ready, &mut next_emit, sender);
                     let mut state = shared.state.lock().unwrap();
@@ -643,7 +587,10 @@ fn run_job(
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
             if let Some(sender) = sender {
-                let _ = sender.send(StreamEvent::Failed(message.clone()));
+                let _ = sender.send(JobLine::Failed {
+                    job: JobId(job_id).to_string(),
+                    error: message.clone(),
+                });
             }
             return Err(message);
         }
@@ -651,7 +598,11 @@ fn run_job(
 
     debug_assert_eq!(next_emit, total, "every line must have been emitted");
     if let Some(sender) = sender {
-        let _ = sender.send(StreamEvent::Done { ran, cache_hits });
+        let _ = sender.send(JobLine::Done {
+            job: JobId(job_id).to_string(),
+            ran,
+            cache_hits,
+        });
     }
     Ok((ran, cache_hits))
 }
@@ -659,6 +610,66 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_system::{ExperimentPoint, RunOptions};
+    use tc_types::SystemConfig;
+    use tc_workloads::WorkloadProfile;
+
+    /// The worker-side crash contract. `Submission::parse` refuses every
+    /// configuration known to panic, so this hands `run_job` an unvalidated
+    /// one directly: the job fails with the panic's message as its trailer,
+    /// the point that finished first is streamed and cached, and the caller
+    /// (a worker thread) gets an `Err`, not an unwind.
+    #[test]
+    fn a_panicking_point_fails_its_job_and_keeps_what_finished() {
+        let mut config = SystemConfig::isca03_default().with_nodes(4);
+        config.l2.size_bytes = 256 * 1024;
+        let good = ExperimentPoint::new("good", config.clone(), WorkloadProfile::specjbb());
+        config.l1.size_bytes = 192; // 3 lines, 4-way: `System::build` panics
+        let bad = ExperimentPoint::new("bad", config, WorkloadProfile::specjbb());
+        let submission = Submission {
+            priority: JobPriority::Normal,
+            options: RunOptions {
+                ops_per_node: 100,
+                max_cycles: 20_000_000,
+                ..RunOptions::default()
+            },
+            points: vec![good, bad],
+        };
+        let server = Server::bind(ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            cache_path: None,
+        })
+        .expect("bind on an ephemeral port");
+        server.shared.state.lock().unwrap().jobs.insert(
+            1,
+            JobRecord {
+                state: JobState::Running,
+                priority: submission.priority,
+                points_total: 2,
+                points_done: 0,
+                cache_hits: 0,
+                submission: None,
+                events: None,
+            },
+        );
+
+        let (tx, rx) = mpsc::channel();
+        let error = run_job(&server.shared, 1, submission, Some(&tx)).expect_err("job fails");
+        drop(tx);
+        let lines: Vec<JobLine> = rx.iter().collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(matches!(&lines[0], JobLine::Run(line) if line.contains("\"label\":\"good\"")));
+        assert_eq!(
+            lines[1],
+            JobLine::Failed {
+                job: "job-1".to_string(),
+                error: error.clone()
+            }
+        );
+        assert!(error.contains("bad"), "the panic names the point: {error}");
+        assert_eq!(server.shared.state.lock().unwrap().cache.len(), 1);
+    }
 
     #[test]
     fn queue_orders_by_priority_then_submission() {

@@ -13,54 +13,17 @@
 //! rejected with a structured, field-addressed error *before* the job is
 //! queued — a malformed submission must never panic a worker.
 
-use std::fmt;
-
 use tc_system::{ExperimentPoint, RunOptions};
-use tc_types::{
-    AdversarySpec, BandwidthMode, CacheConfig, DirectoryMode, FaultSpec, InterconnectConfig,
-    JobPriority, Json, ProcessorConfig, ProtocolKind, SystemConfig, TokenConfig, TopologyKind,
-};
-use tc_workloads::WorkloadProfile;
+use tc_types::{FaultSpec, JobPriority, Json, SystemConfig, Wire, WireError};
 
 /// Hard ceiling on points per submission; a sweep bigger than this should
 /// be split into multiple jobs so status stays legible and one job cannot
 /// monopolize the queue forever.
 pub const MAX_POINTS_PER_SUBMISSION: usize = 65_536;
 
-/// A structured rejection: what was wrong and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubmitError {
-    /// Dotted path to the offending field, e.g. `points[2].config.protocol`.
-    pub field: String,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl SubmitError {
-    fn new(field: impl Into<String>, message: impl Into<String>) -> Self {
-        SubmitError {
-            field: field.into(),
-            message: message.into(),
-        }
-    }
-
-    /// Renders the error as the JSON object the server returns with a 400.
-    pub fn to_json(&self) -> String {
-        let obj = Json::Obj(vec![
-            ("error".to_string(), Json::Str(self.message.clone())),
-            ("field".to_string(), Json::Str(self.field.clone())),
-        ]);
-        obj.to_string()
-    }
-}
-
-impl fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.field, self.message)
-    }
-}
-
-impl std::error::Error for SubmitError {}
+/// A structured rejection: what was wrong and the dotted path to where,
+/// e.g. `points[2].config.protocol`.
+pub type SubmitError = WireError;
 
 /// A validated experiment submission.
 #[derive(Debug, Clone)]
@@ -73,131 +36,27 @@ pub struct Submission {
     pub points: Vec<ExperimentPoint>,
 }
 
-// ---------------------------------------------------------------------------
-// Serialization (client side)
-// ---------------------------------------------------------------------------
-
-fn num_u64(v: u64) -> Json {
-    Json::Num(v.to_string())
-}
-
-fn num_usize(v: usize) -> Json {
-    Json::Num(v.to_string())
-}
-
-/// `{:?}` is Rust's shortest-round-trip float formatting: parsing the token
-/// back with `str::parse::<f64>` recovers the exact bits, which the cache
-/// key and the bit-identical serving contract both rely on.
-fn num_f64(v: f64) -> Json {
-    Json::Num(format!("{v:?}"))
-}
-
-fn cache_to_json(c: &CacheConfig) -> Json {
-    Json::Obj(vec![
-        ("size_bytes".to_string(), num_u64(c.size_bytes)),
-        ("associativity".to_string(), num_usize(c.associativity)),
-        ("latency_ns".to_string(), num_u64(c.latency_ns)),
+fn point_to_json(point: &ExperimentPoint) -> Json {
+    Json::obj([
+        ("label", point.label.to_json()),
+        ("config", point.config.to_json()),
+        ("workload", point.workload.to_json()),
+        ("faults", point.faults.to_json()),
     ])
 }
 
-fn config_to_json(c: &SystemConfig) -> Json {
-    Json::Obj(vec![
-        ("num_nodes".to_string(), num_usize(c.num_nodes)),
-        ("block_bytes".to_string(), num_u64(c.block_bytes)),
-        ("l1".to_string(), cache_to_json(&c.l1)),
-        ("l2".to_string(), cache_to_json(&c.l2)),
-        ("dram_latency_ns".to_string(), num_u64(c.dram_latency_ns)),
-        (
-            "controller_latency_ns".to_string(),
-            num_u64(c.controller_latency_ns),
-        ),
-        (
-            "interconnect".to_string(),
-            Json::Obj(vec![
-                (
-                    "topology".to_string(),
-                    Json::Str(c.interconnect.topology.name().to_string()),
-                ),
-                (
-                    "link_bandwidth_bytes_per_ns".to_string(),
-                    num_f64(c.interconnect.link_bandwidth_bytes_per_ns),
-                ),
-                (
-                    "link_latency_ns".to_string(),
-                    num_u64(c.interconnect.link_latency_ns),
-                ),
-                (
-                    "bandwidth".to_string(),
-                    Json::Str(bandwidth_name(c.interconnect.bandwidth).to_string()),
-                ),
-            ]),
-        ),
-        (
-            "processor".to_string(),
-            Json::Obj(vec![
-                (
-                    "max_outstanding_misses".to_string(),
-                    num_usize(c.processor.max_outstanding_misses),
-                ),
-                (
-                    "overlap_window".to_string(),
-                    num_usize(c.processor.overlap_window),
-                ),
-                (
-                    "ops_per_transaction".to_string(),
-                    num_usize(c.processor.ops_per_transaction),
-                ),
-            ]),
-        ),
-        (
-            "protocol".to_string(),
-            Json::Str(c.protocol.name().to_string()),
-        ),
-        (
-            "directory_mode".to_string(),
-            Json::Str(directory_name(c.directory_mode).to_string()),
-        ),
-        (
-            "token".to_string(),
-            Json::Obj(vec![
-                (
-                    "tokens_per_block".to_string(),
-                    num_u64(u64::from(c.token.tokens_per_block)),
-                ),
-                (
-                    "reissues_before_persistent".to_string(),
-                    num_u64(u64::from(c.token.reissues_before_persistent)),
-                ),
-                (
-                    "reissue_latency_multiplier".to_string(),
-                    num_f64(c.token.reissue_latency_multiplier),
-                ),
-                (
-                    "persistent_latency_multiplier".to_string(),
-                    num_f64(c.token.persistent_latency_multiplier),
-                ),
-                (
-                    "migratory_optimization".to_string(),
-                    Json::Bool(c.token.migratory_optimization),
-                ),
-            ]),
-        ),
-        ("seed".to_string(), num_u64(c.seed)),
-    ])
-}
-
-fn bandwidth_name(mode: BandwidthMode) -> &'static str {
-    match mode {
-        BandwidthMode::Limited => "Limited",
-        BandwidthMode::Unlimited => "Unlimited",
-    }
-}
-
-fn directory_name(mode: DirectoryMode) -> &'static str {
-    match mode {
-        DirectoryMode::InDram => "InDram",
-        DirectoryMode::Perfect => "Perfect",
-    }
+/// Reads one point. Layout belongs to the members' own [`Wire`] impls; what
+/// is decided here is policy: the configuration must pass
+/// [`SystemConfig::validate`], and a point without `faults` injects none.
+fn point_from_json(json: &Json, path: &str) -> Result<ExperimentPoint, SubmitError> {
+    let label: String = json.member(path, "label")?;
+    let config: SystemConfig = json.member(path, "config")?;
+    config
+        .validate()
+        .map_err(|e| SubmitError::new(format!("{path}.config"), e.to_string()))?;
+    let point = ExperimentPoint::new(label, config, json.member(path, "workload")?);
+    let faults = json.member_opt(path, "faults")?;
+    Ok(point.with_faults(faults.unwrap_or(FaultSpec::none())))
 }
 
 impl Submission {
@@ -205,193 +64,26 @@ impl Submission {
     /// accepts. Round-trips exactly: enums by name, floats shortest-form.
     pub fn to_json(&self) -> String {
         let o = &self.options;
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    ("label".to_string(), Json::Str(p.label.clone())),
-                    ("config".to_string(), config_to_json(&p.config)),
-                    (
-                        "workload".to_string(),
-                        Json::Str(p.workload.name.to_string()),
-                    ),
-                    ("faults".to_string(), Json::Str(p.faults.to_string())),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
+        Json::obj([
+            ("priority", self.priority.to_json()),
+            ("ops_per_node", o.ops_per_node.to_json()),
+            ("max_cycles", o.max_cycles.to_json()),
+            ("faults", o.faults.to_json()),
+            ("adversary", o.adversary.to_json()),
+            ("livelock_events_budget", o.livelock_events_budget.to_json()),
+            ("checkpoint_every", o.checkpoint_every.to_json()),
             (
-                "priority".to_string(),
-                Json::Str(self.priority.name().to_string()),
+                "points",
+                Json::Arr(self.points.iter().map(point_to_json).collect()),
             ),
-            ("ops_per_node".to_string(), num_u64(o.ops_per_node)),
-            ("max_cycles".to_string(), num_u64(o.max_cycles)),
-            ("faults".to_string(), Json::Str(o.faults.to_string())),
-            ("adversary".to_string(), Json::Str(o.adversary.to_string())),
-            (
-                "livelock_events_budget".to_string(),
-                num_u64(o.livelock_events_budget),
-            ),
-            (
-                "checkpoint_every".to_string(),
-                match o.checkpoint_every {
-                    Some(n) => num_u64(n),
-                    None => Json::Null,
-                },
-            ),
-            ("points".to_string(), Json::Arr(points)),
         ])
         .to_string()
     }
-}
 
-// ---------------------------------------------------------------------------
-// Parsing (server side)
-// ---------------------------------------------------------------------------
-
-fn want<'a>(obj: &'a Json, field: &str, path: &str) -> Result<&'a Json, SubmitError> {
-    obj.get(field)
-        .ok_or_else(|| SubmitError::new(join(path, field), "missing required field"))
-}
-
-fn join(path: &str, field: &str) -> String {
-    if path.is_empty() {
-        field.to_string()
-    } else {
-        format!("{path}.{field}")
-    }
-}
-
-fn get_u64(obj: &Json, field: &str, path: &str) -> Result<u64, SubmitError> {
-    want(obj, field, path)?
-        .as_u64()
-        .ok_or_else(|| SubmitError::new(join(path, field), "expected a non-negative integer"))
-}
-
-fn get_usize(obj: &Json, field: &str, path: &str) -> Result<usize, SubmitError> {
-    Ok(get_u64(obj, field, path)? as usize)
-}
-
-fn get_f64(obj: &Json, field: &str, path: &str) -> Result<f64, SubmitError> {
-    want(obj, field, path)?
-        .as_f64()
-        .ok_or_else(|| SubmitError::new(join(path, field), "expected a number"))
-}
-
-fn get_bool(obj: &Json, field: &str, path: &str) -> Result<bool, SubmitError> {
-    want(obj, field, path)?
-        .as_bool()
-        .ok_or_else(|| SubmitError::new(join(path, field), "expected true or false"))
-}
-
-fn get_str<'a>(obj: &'a Json, field: &str, path: &str) -> Result<&'a str, SubmitError> {
-    want(obj, field, path)?
-        .as_str()
-        .ok_or_else(|| SubmitError::new(join(path, field), "expected a string"))
-}
-
-fn parse_cache(obj: &Json, path: &str) -> Result<CacheConfig, SubmitError> {
-    Ok(CacheConfig {
-        size_bytes: get_u64(obj, "size_bytes", path)?,
-        associativity: get_usize(obj, "associativity", path)?,
-        latency_ns: get_u64(obj, "latency_ns", path)?,
-    })
-}
-
-fn parse_config(obj: &Json, path: &str) -> Result<SystemConfig, SubmitError> {
-    let protocol_name = get_str(obj, "protocol", path)?;
-    let protocol = ProtocolKind::by_name(protocol_name).ok_or_else(|| {
-        SubmitError::new(
-            join(path, "protocol"),
-            format!(
-                "unknown protocol `{protocol_name}` (expected one of: {})",
-                ProtocolKind::ALL.map(|p| p.name()).join(", ")
-            ),
-        )
-    })?;
-    let ic = want(obj, "interconnect", path)?;
-    let ic_path = join(path, "interconnect");
-    let topology = match get_str(ic, "topology", &ic_path)? {
-        t if t.eq_ignore_ascii_case("tree") => TopologyKind::Tree,
-        t if t.eq_ignore_ascii_case("torus") => TopologyKind::Torus,
-        t => {
-            return Err(SubmitError::new(
-                join(&ic_path, "topology"),
-                format!("unknown topology `{t}` (expected Tree or Torus)"),
-            ))
-        }
-    };
-    let bandwidth = match get_str(ic, "bandwidth", &ic_path)? {
-        b if b.eq_ignore_ascii_case("limited") => BandwidthMode::Limited,
-        b if b.eq_ignore_ascii_case("unlimited") => BandwidthMode::Unlimited,
-        b => {
-            return Err(SubmitError::new(
-                join(&ic_path, "bandwidth"),
-                format!("unknown bandwidth mode `{b}` (expected Limited or Unlimited)"),
-            ))
-        }
-    };
-    let directory_mode = match get_str(obj, "directory_mode", path)? {
-        d if d.eq_ignore_ascii_case("indram") => DirectoryMode::InDram,
-        d if d.eq_ignore_ascii_case("perfect") => DirectoryMode::Perfect,
-        d => {
-            return Err(SubmitError::new(
-                join(path, "directory_mode"),
-                format!("unknown directory mode `{d}` (expected InDram or Perfect)"),
-            ))
-        }
-    };
-    let proc = want(obj, "processor", path)?;
-    let proc_path = join(path, "processor");
-    let token = want(obj, "token", path)?;
-    let token_path = join(path, "token");
-    let config = SystemConfig {
-        num_nodes: get_usize(obj, "num_nodes", path)?,
-        block_bytes: get_u64(obj, "block_bytes", path)?,
-        l1: parse_cache(want(obj, "l1", path)?, &join(path, "l1"))?,
-        l2: parse_cache(want(obj, "l2", path)?, &join(path, "l2"))?,
-        dram_latency_ns: get_u64(obj, "dram_latency_ns", path)?,
-        controller_latency_ns: get_u64(obj, "controller_latency_ns", path)?,
-        interconnect: InterconnectConfig {
-            topology,
-            link_bandwidth_bytes_per_ns: get_f64(ic, "link_bandwidth_bytes_per_ns", &ic_path)?,
-            link_latency_ns: get_u64(ic, "link_latency_ns", &ic_path)?,
-            bandwidth,
-        },
-        processor: ProcessorConfig {
-            max_outstanding_misses: get_usize(proc, "max_outstanding_misses", &proc_path)?,
-            overlap_window: get_usize(proc, "overlap_window", &proc_path)?,
-            ops_per_transaction: get_usize(proc, "ops_per_transaction", &proc_path)?,
-        },
-        protocol,
-        directory_mode,
-        token: TokenConfig {
-            tokens_per_block: get_u64(token, "tokens_per_block", &token_path)? as u32,
-            reissues_before_persistent: get_u64(token, "reissues_before_persistent", &token_path)?
-                as u32,
-            reissue_latency_multiplier: get_f64(token, "reissue_latency_multiplier", &token_path)?,
-            persistent_latency_multiplier: get_f64(
-                token,
-                "persistent_latency_multiplier",
-                &token_path,
-            )?,
-            migratory_optimization: get_bool(token, "migratory_optimization", &token_path)?,
-        },
-        seed: get_u64(obj, "seed", path)?,
-    };
-    config
-        .validate()
-        .map_err(|e| SubmitError::new(path.to_string(), e.to_string()))?;
-    Ok(config)
-}
-
-fn parse_faults(text: &str, path: &str) -> Result<FaultSpec, SubmitError> {
-    FaultSpec::parse(text).map_err(|e| SubmitError::new(path.to_string(), e))
-}
-
-impl Submission {
     /// Parses and validates a submission from its JSON wire form.
+    /// `priority`, `livelock_events_budget` and a point's `faults` may be
+    /// left out (their defaults apply); `checkpoint_every` may be left out
+    /// or `null`.
     ///
     /// # Errors
     ///
@@ -405,41 +97,26 @@ impl Submission {
         if root.as_object().is_none() {
             return Err(SubmitError::new("body", "expected a JSON object"));
         }
-
-        let priority = match root.get("priority") {
-            None => JobPriority::default(),
-            Some(p) => {
-                let name = p
-                    .as_str()
-                    .ok_or_else(|| SubmitError::new("priority", "expected a string"))?;
-                JobPriority::parse(name).map_err(|e| SubmitError::new("priority", e))?
-            }
-        };
-
-        let mut options = RunOptions {
-            ops_per_node: get_u64(&root, "ops_per_node", "")?,
-            max_cycles: get_u64(&root, "max_cycles", "")?,
-            faults: parse_faults(get_str(&root, "faults", "")?, "faults")?,
-            adversary: AdversarySpec::parse(get_str(&root, "adversary", "")?)
-                .map_err(|e| SubmitError::new("adversary", e))?,
-            ..RunOptions::default()
-        };
-        if let Some(budget) = root.get("livelock_events_budget") {
-            options.livelock_events_budget = budget.as_u64().ok_or_else(|| {
-                SubmitError::new("livelock_events_budget", "expected a non-negative integer")
-            })?;
-        }
-        options.checkpoint_every = match root.get("checkpoint_every") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                SubmitError::new("checkpoint_every", "expected null or an integer")
-            })?),
+        let priority = root.member_opt("", "priority")?.unwrap_or_default();
+        let defaults = RunOptions::default();
+        let options = RunOptions {
+            ops_per_node: root.member("", "ops_per_node")?,
+            max_cycles: root.member("", "max_cycles")?,
+            faults: root.member("", "faults")?,
+            adversary: root.member("", "adversary")?,
+            livelock_events_budget: root
+                .member_opt("", "livelock_events_budget")?
+                .unwrap_or(defaults.livelock_events_budget),
+            checkpoint_every: root.member_opt("", "checkpoint_every")?.flatten(),
+            ..defaults
         };
         if options.ops_per_node == 0 {
             return Err(SubmitError::new("ops_per_node", "must be at least 1"));
         }
 
-        let raw_points = want(&root, "points", "")?
+        let raw_points = root
+            .get("points")
+            .ok_or_else(|| SubmitError::new("points", "missing required field"))?
             .as_array()
             .ok_or_else(|| SubmitError::new("points", "expected an array"))?;
         if raw_points.is_empty() {
@@ -454,36 +131,11 @@ impl Submission {
                 ),
             ));
         }
-
-        let mut points = Vec::with_capacity(raw_points.len());
-        for (i, p) in raw_points.iter().enumerate() {
-            let path = format!("points[{i}]");
-            if p.as_object().is_none() {
-                return Err(SubmitError::new(path, "expected an object"));
-            }
-            let label = get_str(p, "label", &path)?.to_string();
-            let config = parse_config(want(p, "config", &path)?, &join(&path, "config"))?;
-            let workload_name = get_str(p, "workload", &path)?;
-            let workload = WorkloadProfile::by_name(workload_name).ok_or_else(|| {
-                SubmitError::new(
-                    join(&path, "workload"),
-                    format!(
-                        "unknown workload `{workload_name}` (expected one of: {})",
-                        WorkloadProfile::ALL_NAMES.join(", ")
-                    ),
-                )
-            })?;
-            let faults = match p.get("faults") {
-                None => FaultSpec::none(),
-                Some(f) => {
-                    let text = f.as_str().ok_or_else(|| {
-                        SubmitError::new(join(&path, "faults"), "expected a string")
-                    })?;
-                    parse_faults(text, &join(&path, "faults"))?
-                }
-            };
-            points.push(ExperimentPoint::new(label, config, workload).with_faults(faults));
-        }
+        let points = raw_points
+            .iter()
+            .enumerate()
+            .map(|(i, point)| point_from_json(point, &format!("points[{i}]")))
+            .collect::<Result<_, _>>()?;
 
         Ok(Submission {
             priority,
@@ -526,6 +178,8 @@ pub fn cache_key(point: &ExperimentPoint, options: &RunOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_types::{AdversarySpec, ProtocolKind, TopologyKind};
+    use tc_workloads::WorkloadProfile;
 
     fn sample() -> Submission {
         let mut config = SystemConfig::isca03_default().with_nodes(4).with_seed(11);
@@ -609,6 +263,66 @@ mod tests {
         let err = Submission::parse(&sub.to_json()).unwrap_err();
         assert_eq!(err.field, "points[0].config");
         assert!(err.message.contains("snooping"), "{}", err.message);
+    }
+
+    /// Geometries `System::build` would panic on, alias node ids under, or
+    /// abort the process allocating for are refused at the door.
+    #[test]
+    fn unbuildable_configurations_are_rejected_at_parse_time() {
+        let text = sample().to_json();
+        for (from, to) in [
+            ("\"associativity\":4", "\"associativity\":0"),
+            ("\"size_bytes\":262144", "\"size_bytes\":1000"),
+            ("\"num_nodes\":4", "\"num_nodes\":70000"),
+            (
+                "\"size_bytes\":262144",
+                "\"size_bytes\":1152921504606846976",
+            ),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let err = Submission::parse(&text.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(err.field, "points[0].config", "{to}: {err}");
+        }
+    }
+
+    #[test]
+    fn integers_are_range_checked_not_truncated() {
+        // 2^32 + 4 would narrow to 4 tokens, which a 4-node system accepts.
+        let text = sample().to_json().replacen(
+            "\"tokens_per_block\":16",
+            "\"tokens_per_block\":4294967300",
+            1,
+        );
+        let err = Submission::parse(&text).unwrap_err();
+        assert_eq!(err.field, "points[0].config.token.tokens_per_block");
+        assert!(err.message.contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn optional_members_take_their_defaults() {
+        let mut sub = sample();
+        sub.priority = JobPriority::Normal;
+        sub.points.truncate(1);
+        let text = sub.to_json();
+        let mut trimmed = text.clone();
+        for member in [
+            "\"priority\":\"normal\",",
+            "\"livelock_events_budget\":50000000,",
+            "\"checkpoint_every\":null,",
+            ",\"faults\":\"none\"}",
+        ] {
+            assert!(trimmed.contains(member), "{member}");
+            trimmed = trimmed.replacen(member, if member.ends_with('}') { "}" } else { "" }, 1);
+        }
+        assert_eq!(Submission::parse(&trimmed).unwrap().to_json(), text);
+        let not_object =
+            text.replacen("{\"label\"", "[{\"label\"", 1)
+                .replacen("\"none\"}", "\"none\"}]", 1);
+        let err = Submission::parse(&not_object).unwrap_err();
+        assert_eq!(
+            (err.field.as_str(), err.message.as_str()),
+            ("points[0]", "expected an object")
+        );
     }
 
     #[test]

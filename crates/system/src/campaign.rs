@@ -8,8 +8,8 @@
 //! never results. The returned [`CampaignReport`] holds the per-point
 //! [`RunReport`]s in submission order (whatever order the workers finished
 //! in) plus the aggregate tables the paper's figures are built from, and
-//! serializes to JSON with a hand-rolled writer (the offline build
-//! environment has no serde).
+//! serializes to JSON through `tc_types::Json`, the workspace's one JSON
+//! codec.
 //!
 //! ```no_run
 //! use tc_system::campaign::Campaign;
@@ -40,7 +40,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tc_protocols::ProtocolRegistry;
-use tc_types::{InvariantViolation, TrafficClass};
+use tc_types::{InvariantViolation, Json, TrafficClass, Wire};
 
 use crate::experiment::ExperimentPoint;
 use crate::report::RunReport;
@@ -710,65 +710,73 @@ impl CampaignReport {
     }
 
     /// Serializes the whole campaign — per-point reports and the three
-    /// aggregates — as JSON, using a hand-rolled writer (the offline build
-    /// has no serde).
+    /// aggregates — as JSON.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.open('{');
-        w.field_u64("points", self.runs.len() as u64);
-        w.field_u64("threads", self.threads as u64);
-        w.field_u64("ops_per_node", self.options.ops_per_node);
-        w.field_u64("max_cycles", self.options.max_cycles);
-        w.field_str("faults", &self.options.faults.to_string());
-        w.field_str("adversary", &self.options.adversary.to_string());
-        w.field_f64("wall_seconds", self.wall_seconds, 3);
-        w.key("runs");
-        w.open('[');
-        for run in &self.runs {
-            write_run_object(&mut w, &run.label, &run.report);
-        }
-        w.close(']');
-        w.key("normalized_runtime");
-        w.open('[');
-        for row in self.runtime_rows() {
-            w.open('{');
-            w.field_str("label", &row.label);
-            w.field_f64("cycles_per_transaction", row.cycles_per_transaction, 2);
-            w.field_f64("normalized", row.normalized, 4);
-            w.close('}');
-        }
-        w.close(']');
-        w.key("traffic_bytes_per_miss");
-        w.open('[');
-        for row in self.traffic_rows() {
-            w.open('{');
-            w.field_str("label", &row.label);
-            for (class, bytes) in &row.per_class {
-                w.field_f64(class_key(*class), *bytes, 2);
-            }
-            w.field_f64("total", row.total, 2);
-            w.close('}');
-        }
-        w.close(']');
-        w.key("miss_latency");
-        w.open('[');
-        for row in self.miss_latency_rows() {
-            w.open('{');
-            w.field_str("label", &row.label);
-            w.field_u64("misses", row.misses);
-            w.field_f64("avg_latency_ns", row.avg_latency_ns, 2);
-            w.field_u64("p50_latency_ns", row.p50_latency_ns);
-            w.field_u64("p99_latency_ns", row.p99_latency_ns);
-            w.field_u64("max_latency_ns", row.max_latency_ns);
-            w.field_u64("completion_skew_ppm", row.completion_skew_ppm);
-            w.field_f64("cache_to_cache_pct", row.cache_to_cache_pct, 2);
-            w.field_f64("reissued_pct", row.reissued_pct, 3);
-            w.close('}');
-        }
-        w.close(']');
-        w.close('}');
-        w.finish()
+        Json::obj([
+            ("points", self.runs.len().to_json()),
+            ("threads", self.threads.to_json()),
+            ("ops_per_node", self.options.ops_per_node.to_json()),
+            ("max_cycles", self.options.max_cycles.to_json()),
+            ("faults", self.options.faults.to_json()),
+            ("adversary", self.options.adversary.to_json()),
+            ("wall_seconds", Json::fixed(self.wall_seconds, 3)),
+            (
+                "runs",
+                rows(&self.runs, |run| run_json(&run.label, &run.report)),
+            ),
+            (
+                "normalized_runtime",
+                rows(&self.runtime_rows(), runtime_row_json),
+            ),
+            (
+                "traffic_bytes_per_miss",
+                rows(&self.traffic_rows(), traffic_row_json),
+            ),
+            (
+                "miss_latency",
+                rows(&self.miss_latency_rows(), latency_row_json),
+            ),
+        ])
+        .to_string()
     }
+}
+
+fn rows<T>(items: &[T], row: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(row).collect())
+}
+
+fn runtime_row_json(row: &RuntimeRow) -> Json {
+    Json::obj([
+        ("label", row.label.to_json()),
+        (
+            "cycles_per_transaction",
+            Json::fixed(row.cycles_per_transaction, 2),
+        ),
+        ("normalized", Json::fixed(row.normalized, 4)),
+    ])
+}
+
+fn traffic_row_json(row: &TrafficRow) -> Json {
+    let mut members = vec![("label", row.label.to_json())];
+    for (class, bytes) in &row.per_class {
+        members.push((class_key(*class), Json::fixed(*bytes, 2)));
+    }
+    members.push(("total", Json::fixed(row.total, 2)));
+    Json::obj(members)
+}
+
+fn latency_row_json(row: &MissLatencyRow) -> Json {
+    Json::obj([
+        ("label", row.label.to_json()),
+        ("misses", row.misses.to_json()),
+        ("avg_latency_ns", Json::fixed(row.avg_latency_ns, 2)),
+        ("p50_latency_ns", row.p50_latency_ns.to_json()),
+        ("p99_latency_ns", row.p99_latency_ns.to_json()),
+        ("max_latency_ns", row.max_latency_ns.to_json()),
+        ("completion_skew_ppm", row.completion_skew_ppm.to_json()),
+        ("cache_to_cache_pct", Json::fixed(row.cache_to_cache_pct, 2)),
+        ("reissued_pct", Json::fixed(row.reissued_pct, 3)),
+    ])
 }
 
 /// Serializes one run as a compact JSON object — the canonical per-run
@@ -778,55 +786,70 @@ impl CampaignReport {
 /// contract rather than a semantic one. Every field is a deterministic
 /// function of the simulation (no wall-clock, no thread count).
 pub fn run_to_json(label: &str, report: &RunReport) -> String {
-    let mut w = JsonWriter::new();
-    write_run_object(&mut w, label, report);
-    w.finish()
+    run_json(label, report).to_string()
 }
 
 /// The shared body behind [`run_to_json`] and [`CampaignReport::to_json`].
-fn write_run_object(w: &mut JsonWriter, label: &str, r: &RunReport) {
-    w.open('{');
-    w.field_str("label", label);
-    w.field_str("protocol", r.protocol.name());
-    w.field_str("topology", r.topology.name());
-    w.field_str("workload", &r.workload);
-    w.field_u64("num_nodes", r.num_nodes as u64);
-    w.field_u64("runtime_cycles", r.runtime_cycles);
-    w.field_u64("total_ops", r.total_ops);
-    w.field_u64("total_transactions", r.total_transactions);
-    w.field_f64("cycles_per_transaction", r.cycles_per_transaction(), 2);
-    w.field_u64("misses", r.misses.total_misses());
-    w.field_f64("avg_miss_latency_ns", r.misses.average_miss_latency(), 2);
-    w.field_u64("miss_latency_p50_ns", r.miss_latency_p50);
-    w.field_u64("miss_latency_p99_ns", r.miss_latency_p99);
-    w.field_u64("miss_latency_max_ns", r.miss_latency_max);
-    w.field_u64("completion_skew_ppm", r.completion_skew_ppm);
-    w.field_f64("bytes_per_miss", r.bytes_per_miss(), 2);
-    w.field_u64("events_delivered", r.engine.events_delivered);
-    w.field_u64("peak_state_entries", r.engine.state.total_entries());
-    w.field_u64("peak_state_bytes", r.engine.state.state_bytes);
-    w.field_str("faults", &r.faults.to_string());
+fn run_json(label: &str, r: &RunReport) -> Json {
+    let mut members = vec![
+        ("label", Json::Str(label.to_string())),
+        ("protocol", r.protocol.to_json()),
+        ("topology", r.topology.to_json()),
+        ("workload", r.workload.to_json()),
+        ("num_nodes", r.num_nodes.to_json()),
+        ("runtime_cycles", r.runtime_cycles.to_json()),
+        ("total_ops", r.total_ops.to_json()),
+        ("total_transactions", r.total_transactions.to_json()),
+        (
+            "cycles_per_transaction",
+            Json::fixed(r.cycles_per_transaction(), 2),
+        ),
+        ("misses", r.misses.total_misses().to_json()),
+        (
+            "avg_miss_latency_ns",
+            Json::fixed(r.misses.average_miss_latency(), 2),
+        ),
+        ("miss_latency_p50_ns", r.miss_latency_p50.to_json()),
+        ("miss_latency_p99_ns", r.miss_latency_p99.to_json()),
+        ("miss_latency_max_ns", r.miss_latency_max.to_json()),
+        ("completion_skew_ppm", r.completion_skew_ppm.to_json()),
+        ("bytes_per_miss", Json::fixed(r.bytes_per_miss(), 2)),
+        ("events_delivered", r.engine.events_delivered.to_json()),
+        (
+            "peak_state_entries",
+            r.engine.state.total_entries().to_json(),
+        ),
+        ("peak_state_bytes", r.engine.state.state_bytes.to_json()),
+        ("faults", r.faults.to_json()),
+    ];
     if !r.faults.is_none() {
         let fs = &r.engine.faults;
-        w.field_u64("faults_dropped", fs.dropped);
-        w.field_u64("faults_duplicated", fs.duplicated);
-        w.field_u64("faults_delayed", fs.delayed);
-        w.field_u64("faults_reordered", fs.reordered);
-        w.field_u64("faults_link_deferred", fs.link_deferred);
-        w.field_u64("reissue_timeouts", fs.reissue_timeouts);
-        w.field_u64("persistent_activations", fs.persistent_activations);
-        w.field_u64("max_recovery_ns", fs.max_recovery_ns);
+        members.extend([
+            ("faults_dropped", fs.dropped.to_json()),
+            ("faults_duplicated", fs.duplicated.to_json()),
+            ("faults_delayed", fs.delayed.to_json()),
+            ("faults_reordered", fs.reordered.to_json()),
+            ("faults_link_deferred", fs.link_deferred.to_json()),
+            ("reissue_timeouts", fs.reissue_timeouts.to_json()),
+            (
+                "persistent_activations",
+                fs.persistent_activations.to_json(),
+            ),
+            ("max_recovery_ns", fs.max_recovery_ns.to_json()),
+        ]);
     }
     if !r.adversary.is_none() {
-        w.field_str("adversary", &r.adversary.to_string());
         let adv = &r.engine.adversary;
-        w.field_u64("adversary_reordered", adv.reordered);
-        w.field_u64("adversary_targeted", adv.targeted);
-        w.field_u64("adversary_stormed", adv.stormed);
-        w.field_u64("adversary_max_skew_ns", adv.max_skew_ns);
+        members.extend([
+            ("adversary", r.adversary.to_json()),
+            ("adversary_reordered", adv.reordered.to_json()),
+            ("adversary_targeted", adv.targeted.to_json()),
+            ("adversary_stormed", adv.stormed.to_json()),
+            ("adversary_max_skew_ns", adv.max_skew_ns.to_json()),
+        ]);
     }
-    w.field_u64("violations", r.violations.len() as u64);
-    w.close('}');
+    members.push(("violations", r.violations.len().to_json()));
+    Json::obj(members)
 }
 
 /// Stable JSON key for a traffic class.
@@ -837,98 +860,6 @@ fn class_key(class: TrafficClass) -> &'static str {
         TrafficClass::DataResponseOrWriteback => "data_or_writeback",
         TrafficClass::OtherControl => "other_control",
         TrafficClass::ReissueOrPersistent => "reissue_or_persistent",
-    }
-}
-
-/// A minimal hand-rolled JSON emitter: objects, arrays, strings, and
-/// numbers, with comma placement handled by tracking whether the current
-/// container already has a member. Kept private to this module — it emits
-/// exactly the subset [`CampaignReport::to_json`] needs.
-struct JsonWriter {
-    out: String,
-    /// Whether the innermost open container already holds a member.
-    has_member: Vec<bool>,
-}
-
-impl JsonWriter {
-    fn new() -> Self {
-        JsonWriter {
-            out: String::new(),
-            has_member: Vec::new(),
-        }
-    }
-
-    fn comma(&mut self) {
-        if let Some(has) = self.has_member.last_mut() {
-            if *has {
-                self.out.push(',');
-            }
-            *has = true;
-        }
-    }
-
-    fn open(&mut self, bracket: char) {
-        self.comma();
-        self.out.push(bracket);
-        self.has_member.push(false);
-    }
-
-    fn close(&mut self, bracket: char) {
-        self.out.push(bracket);
-        self.has_member.pop();
-    }
-
-    /// Emits `"key":`, leaving the value to the next `open` call. The
-    /// pending-comma state is cleared so that `open` does not emit a second
-    /// comma for the same member.
-    fn key(&mut self, key: &str) {
-        self.comma();
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\":");
-        if let Some(has) = self.has_member.last_mut() {
-            *has = false;
-        }
-    }
-
-    fn field_str(&mut self, key: &str, value: &str) {
-        self.comma();
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\":\"");
-        for c in value.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-
-    fn field_u64(&mut self, key: &str, value: u64) {
-        self.comma();
-        self.out.push_str(&format!("\"{key}\":{value}"));
-    }
-
-    fn field_f64(&mut self, key: &str, value: f64, decimals: usize) {
-        self.comma();
-        if value.is_finite() {
-            self.out.push_str(&format!("\"{key}\":{value:.decimals$}"));
-        } else {
-            // JSON has no NaN/Infinity; an undefined metric (0 misses makes
-            // bytes-per-miss 0/0) must not masquerade as a measured zero.
-            self.out.push_str(&format!("\"{key}\":null"));
-        }
-    }
-
-    fn finish(self) -> String {
-        debug_assert!(self.has_member.is_empty(), "unbalanced JSON containers");
-        self.out
     }
 }
 
@@ -1174,11 +1105,11 @@ mod tests {
 
     #[test]
     fn json_escapes_quotes_and_backslashes_in_labels() {
-        let mut w = JsonWriter::new();
-        w.open('{');
-        w.field_str("label", "a \"quoted\\label\"\n");
-        w.close('}');
-        assert_eq!(w.finish(), "{\"label\":\"a \\\"quoted\\\\label\\\"\\n\"}");
+        let json = Json::obj([("label", Json::Str("a \"quoted\\label\"\n".to_string()))]);
+        assert_eq!(
+            json.to_string(),
+            "{\"label\":\"a \\\"quoted\\\\label\\\"\\n\"}"
+        );
     }
 
     /// The slow-sink contract: when the consumer lags the workers, the

@@ -35,6 +35,9 @@
 //!   system runner.
 //! * [`assert_snap_round_trip`] — the one check every [`tc_sim::Snap`]
 //!   layout gets: round trip, no trailing bytes, every truncation an error.
+//! * [`assert_wire_round_trip`] — its twin for a `tc_types::json_struct!`
+//!   text layout: round trip, every missing member named, no integer
+//!   silently narrowed.
 
 mod hunt;
 mod pump;
@@ -48,7 +51,7 @@ use std::fmt;
 
 use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_system::RunReport;
-use tc_types::{AdversarySpec, FaultKind, FaultSpec, InvariantViolation, ProtocolKind};
+use tc_types::{AdversarySpec, FaultKind, FaultSpec, InvariantViolation, Json, ProtocolKind, Wire};
 
 /// Asserts `value`'s wire layout is sound: `load(save(x)) == x` consuming
 /// every byte, and every strict prefix of the encoding loads as
@@ -73,6 +76,45 @@ pub fn assert_snap_round_trip<T: Snap + PartialEq + fmt::Debug>(value: &T) {
                 "{cut} of {} bytes of {value:?} loaded as {other:?}",
                 bytes.len()
             ),
+        }
+    }
+}
+
+/// Asserts a [`json_struct!`](tc_types::json_struct) layout is sound:
+/// `from_json(to_json(x)) == x` and re-serializes to the same bytes, a
+/// document with any one member removed is rejected with a [`WireError`]
+/// naming exactly that member, and an integer member set to `2^64 - 1`
+/// either round-trips or is rejected there as out of range — never
+/// truncated into a smaller value.
+///
+/// [`WireError`]: tc_types::WireError
+///
+/// # Panics
+///
+/// Panics, naming the offending member, when any of that fails.
+pub fn assert_wire_round_trip<T: Wire + PartialEq + fmt::Debug>(value: &T) {
+    let json = value.to_json();
+    let back = T::from_json(&json, "v").expect("a written value must read back");
+    assert_eq!(&back, value, "from_json(to_json(x)) != x");
+    assert_eq!(back.to_json().to_string(), json.to_string());
+    let members = json.as_object().expect("the layout is an object");
+    for (i, (key, member)) in members.iter().enumerate() {
+        let at = format!("v.{key}");
+        let mut without = members.to_vec();
+        without.remove(i);
+        let err = T::from_json(&Json::Obj(without), "v").expect_err("a member is missing");
+        assert_eq!(err.field, at, "{err}");
+        if member.as_u64().is_some() {
+            let huge = Json::Num(u64::MAX.to_string());
+            let mut inflated = members.to_vec();
+            inflated[i].1 = huge.clone();
+            match T::from_json(&Json::Obj(inflated), "v") {
+                Ok(wide) => assert_eq!(wide.to_json().get(key), Some(&huge), "{at} truncated"),
+                Err(err) => {
+                    assert_eq!(err.field, at, "{err}");
+                    assert!(err.message.contains("out of range"), "{err}");
+                }
+            }
         }
     }
 }

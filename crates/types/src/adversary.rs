@@ -14,7 +14,10 @@
 
 use std::fmt;
 
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snap_struct;
+
+use crate::clauses::{clauses, number, spec_string, split, ClauseWriter};
+use crate::named_enum;
 
 /// The classes of perturbation the adversary plane can apply. Unlike fault
 /// classes, none of these violate the fabric's delivery contract: every
@@ -34,29 +37,12 @@ pub enum AdversaryKind {
     RetryStorm,
 }
 
-impl AdversaryKind {
-    /// Every perturbation class, in display order.
-    pub const ALL: [AdversaryKind; 3] = [
-        AdversaryKind::Reorder,
-        AdversaryKind::TargetedDelay,
-        AdversaryKind::RetryStorm,
-    ];
-
-    /// Short lowercase name, matching the spec syntax.
-    pub fn name(self) -> &'static str {
-        match self {
-            AdversaryKind::Reorder => "reorder",
-            AdversaryKind::TargetedDelay => "delay",
-            AdversaryKind::RetryStorm => "storm",
-        }
-    }
-}
-
-impl fmt::Display for AdversaryKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+// Short lowercase names, matching the spec syntax.
+named_enum!(AdversaryKind, "perturbation class" {
+    Reorder => "reorder",
+    TargetedDelay => "delay",
+    RetryStorm => "storm",
+});
 
 /// Declarative description of an adversarial (but legal) delivery schedule.
 ///
@@ -177,64 +163,23 @@ impl AdversarySpec {
 
     /// Parses the adversary spec syntax: comma-separated `reorder=W`,
     /// `victim=NODE@BLOCK`, `delay=NS`, `storm=NS`, `sabotage=1`, `seed=N`,
-    /// e.g. `reorder=4,victim=2@17,delay=300,storm=900,seed=7`.
-    ///
+    /// e.g. `reorder=4,victim=2@17,delay=300,storm=900,seed=7`, or `none`.
     /// Whitespace around clauses, keys, and values is ignored; each key may
-    /// appear at most once (a repeated clause is a typo a sweep config
-    /// wants rejected loudly, not silently last-wins).
+    /// appear at most once.
     pub fn parse(text: &str) -> Result<AdversarySpec, String> {
         let mut spec = AdversarySpec::none();
-        // `Display` prints an inactive spec as `none`; accept it back so
-        // the documented parse(to_string()) round-trip holds for every spec.
-        if text.trim().eq_ignore_ascii_case("none") {
-            return Ok(spec);
-        }
-        let mut seen: Vec<&str> = Vec::new();
-        for part in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("adversary clause `{part}` is not key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            if seen.contains(&key) {
-                return Err(format!("duplicate adversary clause `{key}`"));
-            }
-            seen.push(key);
+        for (key, value) in clauses(text, "adversary", &[])? {
             match key {
-                "reorder" => {
-                    spec.reorder_window = value
-                        .parse()
-                        .map_err(|_| format!("bad reorder window `{value}`"))?;
-                }
+                "reorder" => spec.reorder_window = number(value, "reorder window")?,
                 "victim" => {
-                    let (node, block) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("victim spec `{value}` is not NODE@BLOCK"))?;
-                    spec.victim_node = node
-                        .parse()
-                        .map_err(|_| format!("bad victim node `{node}`"))?;
-                    spec.victim_block = block
-                        .parse()
-                        .map_err(|_| format!("bad victim block `{block}`"))?;
+                    let (node, block) = split(value, "@", "victim spec", "NODE@BLOCK")?;
+                    spec.victim_node = number(node, "victim node")?;
+                    spec.victim_block = number(block, "victim block")?;
                 }
-                "delay" => {
-                    spec.target_delay_ns = value
-                        .parse()
-                        .map_err(|_| format!("bad delay bound `{value}`"))?;
-                }
-                "storm" => {
-                    spec.storm_window_ns = value
-                        .parse()
-                        .map_err(|_| format!("bad storm window `{value}`"))?;
-                }
-                "sabotage" => {
-                    spec.sabotage = value
-                        .parse()
-                        .map_err(|_| format!("bad sabotage flag `{value}`"))?;
-                }
-                "seed" => {
-                    spec.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-                }
+                "delay" => spec.target_delay_ns = number(value, "delay bound")?,
+                "storm" => spec.storm_window_ns = number(value, "storm window")?,
+                "sabotage" => spec.sabotage = number(value, "sabotage flag")?,
+                "seed" => spec.seed = number(value, "seed")?,
                 other => return Err(format!("unknown adversary clause `{other}`")),
             }
         }
@@ -242,53 +187,36 @@ impl AdversarySpec {
     }
 }
 
-/// Canonical spec string: parseable by [`AdversarySpec::parse`] and stable,
-/// so hunt results and replay recipes can embed it. Every non-default field
-/// of an active spec is emitted, so `parse(spec.to_string()) == spec`.
-/// On the wire a spec is its canonical `Display` string.
-impl Snap for AdversarySpec {
-    fn save(&self, w: &mut SnapWriter) {
-        w.str(&self.to_string());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        AdversarySpec::parse(&r.str()?)
-            .map_err(|_| SnapshotError::Corrupt("unparseable adversary spec".to_string()))
-    }
-}
+spec_string!(AdversarySpec, "adversary");
 
+/// Canonical spec string: stable, so hunt results and replay recipes can
+/// embed it. Every non-default field is written, inert or not, so
+/// `parse(spec.to_string()) == spec` for every spec.
 impl fmt::Display for AdversarySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_none() {
-            return f.write_str("none");
-        }
-        let mut sep = "";
-        let mut clause = |f: &mut fmt::Formatter<'_>, text: String| {
-            let r = write!(f, "{sep}{text}");
-            sep = ",";
-            r
-        };
-        if self.reorder_window > 0 {
-            clause(f, format!("reorder={}", self.reorder_window))?;
-        }
-        if self.victim_node != 0 || self.victim_block != 0 {
-            clause(
-                f,
-                format!("victim={}@{}", self.victim_node, self.victim_block),
-            )?;
-        }
-        if self.target_delay_ns > 0 {
-            clause(f, format!("delay={}", self.target_delay_ns))?;
-        }
-        if self.storm_window_ns > 0 {
-            clause(f, format!("storm={}", self.storm_window_ns))?;
-        }
-        if self.sabotage != 0 {
-            clause(f, format!("sabotage={}", self.sabotage))?;
-        }
-        if self.seed != 0 {
-            clause(f, format!("seed={}", self.seed))?;
-        }
-        Ok(())
+        let mut w = ClauseWriter::new(f);
+        w.clause(
+            self.reorder_window > 0,
+            format_args!("reorder={}", self.reorder_window),
+        )?;
+        w.clause(
+            self.victim_node != 0 || self.victim_block != 0,
+            format_args!("victim={}@{}", self.victim_node, self.victim_block),
+        )?;
+        w.clause(
+            self.target_delay_ns > 0,
+            format_args!("delay={}", self.target_delay_ns),
+        )?;
+        w.clause(
+            self.storm_window_ns > 0,
+            format_args!("storm={}", self.storm_window_ns),
+        )?;
+        w.clause(
+            self.sabotage != 0,
+            format_args!("sabotage={}", self.sabotage),
+        )?;
+        w.clause(self.seed != 0, format_args!("seed={}", self.seed))?;
+        w.finish()
     }
 }
 
@@ -361,6 +289,53 @@ mod tests {
         // Sabotage round-trips too.
         let sab = spec.with_sabotage();
         assert_eq!(AdversarySpec::parse(&sab.to_string()).unwrap(), sab);
+    }
+
+    /// `parse(to_string()) == spec` for every spec, inert ones included,
+    /// and the two layouts derived from that pair — `Snap` for the
+    /// result-cache file, `Wire` for submissions — agree.
+    #[test]
+    fn every_spec_round_trips_through_its_string() {
+        use crate::json::{Json, Wire};
+        let mut rng = tc_sim::DeterministicRng::new(0xAD7E);
+        // Half the draws leave a field at its default, so inert
+        // combinations (a victim pair or a seed alone) are common.
+        let mut draw = |bound: u64| {
+            if rng.chance(0.5) {
+                0
+            } else {
+                rng.next_below(bound)
+            }
+        };
+        for _ in 0..4000 {
+            let spec = AdversarySpec {
+                reorder_window: draw(1 << 32) as u32,
+                victim_node: draw(1 << 32) as u32,
+                victim_block: draw(u64::MAX),
+                target_delay_ns: draw(1 << 32) as u32,
+                storm_window_ns: draw(1 << 32) as u32,
+                sabotage: draw(2) as u32,
+                seed: draw(u64::MAX),
+            };
+            let text = spec.to_string();
+            assert_eq!(AdversarySpec::parse(&text), Ok(spec), "{text}");
+            assert_eq!(text == "none", spec == AdversarySpec::none(), "{text}");
+            tc_testkit::assert_snap_round_trip(&spec);
+            assert_eq!(spec.to_json(), Json::Str(text));
+            assert_eq!(
+                AdversarySpec::from_json(&spec.to_json(), "adversary"),
+                Ok(spec)
+            );
+        }
+        let aimed = AdversarySpec::none().with_victim(2, 17);
+        assert_eq!(aimed.to_string(), "victim=2@17");
+        let err = AdversarySpec::from_json(&Json::Num("1".into()), "adversary").unwrap_err();
+        assert_eq!(err.field, "adversary");
+    }
+
+    #[test]
+    fn perturbation_class_names_resolve() {
+        crate::json::assert_named_enum(&AdversaryKind::ALL);
     }
 
     #[test]

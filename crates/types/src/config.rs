@@ -1,10 +1,9 @@
 //! System configuration, with defaults matching Table 1 of the paper.
 
-use std::fmt;
-
 use tc_sim::snap_enum;
 
 use crate::error::ConfigError;
+use crate::{json_struct, named_enum};
 
 /// Which coherence protocol a system instance runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,42 +28,17 @@ snap_enum!(ProtocolKind, "protocol" {
     3 => Hammer,
 });
 
-impl ProtocolKind {
-    /// All protocols evaluated in the paper.
-    pub const ALL: [ProtocolKind; 4] = [
-        ProtocolKind::TokenB,
-        ProtocolKind::Snooping,
-        ProtocolKind::Directory,
-        ProtocolKind::Hammer,
-    ];
+named_enum!(ProtocolKind, "protocol" {
+    TokenB => "TokenB",
+    Snooping => "Snooping",
+    Directory => "Directory",
+    Hammer => "Hammer",
+});
 
+impl ProtocolKind {
     /// Returns `true` if the protocol requires a totally-ordered interconnect.
     pub fn requires_total_order(self) -> bool {
         matches!(self, ProtocolKind::Snooping)
-    }
-
-    /// Human-readable name matching the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::TokenB => "TokenB",
-            ProtocolKind::Snooping => "Snooping",
-            ProtocolKind::Directory => "Directory",
-            ProtocolKind::Hammer => "Hammer",
-        }
-    }
-
-    /// Looks a kind up by (case-insensitive) name; the inverse of
-    /// [`ProtocolKind::name`], used by command-line protocol filters.
-    pub fn by_name(name: &str) -> Option<ProtocolKind> {
-        ProtocolKind::ALL
-            .into_iter()
-            .find(|kind| kind.name().eq_ignore_ascii_case(name))
-    }
-}
-
-impl fmt::Display for ProtocolKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -85,24 +59,15 @@ snap_enum!(TopologyKind, "topology" {
     1 => Torus,
 });
 
+named_enum!(TopologyKind, "topology" {
+    Tree => "Tree",
+    Torus => "Torus",
+});
+
 impl TopologyKind {
     /// Returns `true` if this topology delivers broadcasts in a total order.
     pub fn is_totally_ordered(self) -> bool {
         matches!(self, TopologyKind::Tree)
-    }
-
-    /// Human-readable name matching the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            TopologyKind::Tree => "Tree",
-            TopologyKind::Torus => "Torus",
-        }
-    }
-}
-
-impl fmt::Display for TopologyKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -124,6 +89,11 @@ snap_enum!(BandwidthMode, "bandwidth" {
     1 => Unlimited,
 });
 
+named_enum!(BandwidthMode, "bandwidth mode" {
+    Limited => "Limited",
+    Unlimited => "Unlimited",
+});
+
 /// How the directory protocol stores its directory state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DirectoryMode {
@@ -133,6 +103,11 @@ pub enum DirectoryMode {
     /// A "perfect" directory cache: zero-cycle directory access.
     Perfect,
 }
+
+named_enum!(DirectoryMode, "directory mode" {
+    InDram => "InDram",
+    Perfect => "Perfect",
+});
 
 /// Parameters of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,20 +120,44 @@ pub struct CacheConfig {
     pub latency_ns: u64,
 }
 
+json_struct!(CacheConfig {
+    size_bytes,
+    associativity,
+    latency_ns,
+});
+
 impl CacheConfig {
+    /// Checks that this cache is a whole, non-zero number of
+    /// `associativity`-way sets of `block_bytes` lines, and returns how many
+    /// lines (tag-array slots) that is. `level` names the cache in errors.
+    fn lines(&self, level: &str, block_bytes: u64) -> Result<u64, ConfigError> {
+        if self.associativity == 0 {
+            return Err(ConfigError::new(format!(
+                "{level}.associativity must be at least 1"
+            )));
+        }
+        match block_bytes.checked_mul(self.associativity as u64) {
+            Some(set) if self.size_bytes >= set && self.size_bytes.is_multiple_of(set) => {
+                Ok(self.size_bytes / block_bytes)
+            }
+            _ => Err(ConfigError::new(format!(
+                "{level}.size_bytes must be a whole number of {}-way sets of \
+                 {block_bytes}-byte lines",
+                self.associativity
+            ))),
+        }
+    }
+
     /// Number of sets for a given block size.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly.
+    /// Panics if the cache is not a whole number of sets, which
+    /// [`SystemConfig::validate`] rules out.
     pub fn num_sets(&self, block_bytes: u64) -> usize {
-        let lines = self.size_bytes / block_bytes;
-        assert!(
-            lines.is_multiple_of(self.associativity as u64),
-            "cache of {} lines is not divisible into {}-way sets",
-            lines,
-            self.associativity
-        );
+        let lines = self
+            .lines("cache", block_bytes)
+            .unwrap_or_else(|e| panic!("{e}"));
         (lines / self.associativity as u64) as usize
     }
 }
@@ -175,6 +174,13 @@ pub struct InterconnectConfig {
     /// Whether bandwidth is modelled.
     pub bandwidth: BandwidthMode,
 }
+
+json_struct!(InterconnectConfig {
+    topology,
+    link_bandwidth_bytes_per_ns,
+    link_latency_ns,
+    bandwidth,
+});
 
 /// Processor model parameters.
 ///
@@ -195,6 +201,12 @@ pub struct ProcessorConfig {
     /// report normalized runtime, as in the paper's cycles-per-transaction).
     pub ops_per_transaction: usize,
 }
+
+json_struct!(ProcessorConfig {
+    max_outstanding_misses,
+    overlap_window,
+    ops_per_transaction,
+});
 
 impl Default for ProcessorConfig {
     fn default() -> Self {
@@ -224,6 +236,14 @@ pub struct TokenConfig {
     pub migratory_optimization: bool,
 }
 
+json_struct!(TokenConfig {
+    tokens_per_block,
+    reissues_before_persistent,
+    reissue_latency_multiplier,
+    persistent_latency_multiplier,
+    migratory_optimization,
+});
+
 impl Default for TokenConfig {
     fn default() -> Self {
         TokenConfig {
@@ -235,6 +255,16 @@ impl Default for TokenConfig {
         }
     }
 }
+
+/// Most nodes a system may have: a `NodeId` is 16 bits.
+pub const MAX_NODES: usize = 1 << 16;
+
+/// Most cache lines (tag-array slots, L1 plus L2 over all nodes) a system
+/// may have. Every slot is allocated when the system is built, and a failed
+/// allocation aborts the process rather than unwinding, so a configuration
+/// from outside is refused here instead. Table 1 has 1.1 M, its 64-node
+/// sweep 4.3 M.
+pub const MAX_CACHE_LINES: u64 = 1 << 24;
 
 /// Full system configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -265,6 +295,21 @@ pub struct SystemConfig {
     /// Deterministic seed for workload generation and randomized backoff.
     pub seed: u64,
 }
+
+json_struct!(SystemConfig {
+    num_nodes,
+    block_bytes,
+    l1,
+    l2,
+    dram_latency_ns,
+    controller_latency_ns,
+    interconnect,
+    processor,
+    protocol,
+    directory_mode,
+    token,
+    seed,
+});
 
 impl SystemConfig {
     /// The 16-processor target system of the paper (Table 1), running TokenB
@@ -344,13 +389,31 @@ impl SystemConfig {
     ///
     /// Returns a [`ConfigError`] if the configuration is internally
     /// inconsistent (for example, snooping on an unordered interconnect, or
-    /// fewer tokens than processors).
+    /// fewer tokens than processors) or asks for something the simulator
+    /// cannot build (a cache that is not a whole number of sets, more nodes
+    /// than [`MAX_NODES`], more cache lines than [`MAX_CACHE_LINES`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_nodes == 0 {
             return Err(ConfigError::new("system must have at least one node"));
         }
+        if self.num_nodes > MAX_NODES {
+            return Err(ConfigError::new(format!(
+                "num_nodes must be at most {MAX_NODES} (node ids are 16 bits)"
+            )));
+        }
         if !self.block_bytes.is_power_of_two() {
             return Err(ConfigError::new("block size must be a power of two"));
+        }
+        let lines_per_node = self
+            .l1
+            .lines("l1", self.block_bytes)?
+            .saturating_add(self.l2.lines("l2", self.block_bytes)?);
+        if lines_per_node.saturating_mul(self.num_nodes as u64) > MAX_CACHE_LINES {
+            return Err(ConfigError::new(format!(
+                "l1.size_bytes and l2.size_bytes ask for more than {MAX_CACHE_LINES} cache lines \
+                 over {} nodes",
+                self.num_nodes
+            )));
         }
         if self.protocol.requires_total_order() && !self.interconnect.topology.is_totally_ordered()
         {
@@ -410,6 +473,48 @@ mod tests {
         ProtocolKind::ALL.iter().for_each(assert_snap_round_trip);
         assert_snap_round_trip(&(TopologyKind::Tree, TopologyKind::Torus));
         assert_snap_round_trip(&(BandwidthMode::Limited, BandwidthMode::Unlimited));
+    }
+
+    #[test]
+    fn enum_names_resolve_in_any_case_and_rejections_list_them() {
+        use crate::json::assert_named_enum;
+        assert_named_enum(&ProtocolKind::ALL);
+        assert_named_enum(&TopologyKind::ALL);
+        assert_named_enum(&BandwidthMode::ALL);
+        assert_named_enum(&DirectoryMode::ALL);
+        assert_eq!(ProtocolKind::by_name("tokenb"), Some(ProtocolKind::TokenB));
+        assert_eq!(ProtocolKind::by_name("TokenZ"), None);
+    }
+
+    #[test]
+    fn unbuildable_geometries_are_rejected_naming_the_field() {
+        let base = SystemConfig::isca03_default;
+        let rejected = |c: SystemConfig, field: &str| {
+            let err = c.validate().expect_err(field);
+            assert!(err.message().contains(field), "{err}");
+        };
+        let mut c = base();
+        c.l2.associativity = 0;
+        rejected(c, "l2.associativity");
+        let mut c = base();
+        c.l2.size_bytes = 1000;
+        rejected(c, "l2.size_bytes");
+        let mut c = base();
+        c.l1.size_bytes = 192; // 3 lines, 4-way
+        rejected(c, "l1.size_bytes");
+        let mut c = base();
+        c.l1.size_bytes = 0;
+        rejected(c, "l1.size_bytes");
+        let mut c = base();
+        c.l2.associativity = usize::MAX;
+        rejected(c, "l2.size_bytes");
+        rejected(base().with_nodes(70_000), "num_nodes");
+        let mut c = base();
+        c.l2.size_bytes = 1 << 60;
+        rejected(c, "cache lines");
+        // The bound is on the whole system, not one cache.
+        assert!(base().with_nodes(64).validate().is_ok());
+        rejected(base().with_nodes(1024), "cache lines");
     }
 
     #[test]

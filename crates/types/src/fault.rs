@@ -26,11 +26,13 @@
 
 use std::fmt;
 
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snap_struct;
 
+use crate::clauses::{clauses, number, spec_string, split, ClauseWriter};
 use crate::config::ProtocolKind;
 use crate::ids::Cycle;
 use crate::message::{Message, MsgKind};
+use crate::named_enum;
 
 /// One part per million; probabilities in [`FaultSpec`] are stored in ppm so
 /// the spec stays all-integer (`Copy + Eq + Hash`, usable inside
@@ -54,33 +56,14 @@ pub enum FaultKind {
     LinkDown,
 }
 
-impl FaultKind {
-    /// Every fault class, in display order.
-    pub const ALL: [FaultKind; 5] = [
-        FaultKind::Drop,
-        FaultKind::Duplicate,
-        FaultKind::Delay,
-        FaultKind::Reorder,
-        FaultKind::LinkDown,
-    ];
-
-    /// Short lowercase name, matching the `--faults` spec syntax.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Duplicate => "dup",
-            FaultKind::Delay => "delay",
-            FaultKind::Reorder => "reorder",
-            FaultKind::LinkDown => "link",
-        }
-    }
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+// Short lowercase names, matching the `--faults` spec syntax.
+named_enum!(FaultKind, "fault class" {
+    Drop => "drop",
+    Duplicate => "dup",
+    Delay => "delay",
+    Reorder => "reorder",
+    LinkDown => "link",
+});
 
 /// A scheduled outage of the (undirected) link between two nodes.
 ///
@@ -279,76 +262,38 @@ impl FaultSpec {
     /// Parses the `--faults` spec syntax: comma-separated
     /// `drop=P`, `dup=P`, `delay=P@MAXNS`, `reorder=DEPTH`,
     /// `link=A-B@FROM..UNTIL`, `seed=N`, e.g.
-    /// `drop=0.01,dup=0.005,reorder=4,link=2-5@1000..5000`.
+    /// `drop=0.01,dup=0.005,reorder=4,link=2-5@1000..5000`, or `none`.
     ///
     /// Whitespace around clauses, keys, and values is ignored. Each scalar
-    /// key may appear at most once — a repeated `drop=` would silently keep
-    /// only the last value, which is exactly the kind of typo a sweep config
-    /// wants rejected loudly — while `link=` may repeat up to
-    /// [`MAX_OUTAGES`] times because each clause schedules a distinct outage.
+    /// key may appear at most once, while `link=` may repeat up
+    /// to [`MAX_OUTAGES`] times because each clause schedules a distinct
+    /// outage.
     pub fn parse(text: &str) -> Result<FaultSpec, String> {
         let mut spec = FaultSpec::none();
-        // `Display` prints an inactive spec as `none`; accept it back so
-        // the documented parse(to_string()) round-trip holds for every spec.
-        if text.trim().eq_ignore_ascii_case("none") {
-            return Ok(spec);
-        }
-        let mut seen: Vec<&str> = Vec::new();
-        for part in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault clause `{part}` is not key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            if key != "link" {
-                if seen.contains(&key) {
-                    return Err(format!("duplicate fault clause `{key}`"));
-                }
-                seen.push(key);
-            }
+        for (key, value) in clauses(text, "fault", &["link"])? {
             match key {
                 "drop" => spec.drop_ppm = parse_probability(value)?,
                 "dup" => spec.dup_ppm = parse_probability(value)?,
                 "delay" => {
-                    let (p, max) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("delay spec `{value}` is not P@MAXNS"))?;
+                    let (p, max) = split(value, "@", "delay spec", "P@MAXNS")?;
                     spec.delay_ppm = parse_probability(p)?;
-                    spec.delay_max_ns = max
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad delay bound `{max}`"))?
-                        .max(1);
+                    spec.delay_max_ns = number::<u64>(max, "delay bound")?.max(1);
                 }
-                "reorder" => {
-                    spec.reorder_depth = value
-                        .parse()
-                        .map_err(|_| format!("bad reorder depth `{value}`"))?;
-                }
+                "reorder" => spec.reorder_depth = number(value, "reorder depth")?,
                 "link" => {
-                    let (pair, window) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("link spec `{value}` is not A-B@FROM..UNTIL"))?;
-                    let (a, b) = pair
-                        .split_once('-')
-                        .ok_or_else(|| format!("link pair `{pair}` is not A-B"))?;
-                    let (from, until) = window
-                        .split_once("..")
-                        .ok_or_else(|| format!("link window `{window}` is not FROM..UNTIL"))?;
-                    let a = a.parse().map_err(|_| format!("bad node `{a}`"))?;
-                    let b = b.parse().map_err(|_| format!("bad node `{b}`"))?;
-                    let from = from.parse().map_err(|_| format!("bad cycle `{from}`"))?;
-                    let until = until.parse().map_err(|_| format!("bad cycle `{until}`"))?;
+                    let (pair, window) = split(value, "@", "link spec", "A-B@FROM..UNTIL")?;
+                    let (a, b) = split(pair, "-", "link pair", "A-B")?;
+                    let (from, until) = split(window, "..", "link window", "FROM..UNTIL")?;
+                    let (from, until) = (number(from, "cycle")?, number(until, "cycle")?);
                     if until <= from {
                         return Err(format!("empty link outage window `{window}`"));
                     }
                     if spec.outages.iter().all(|o| o.is_some()) {
                         return Err(format!("more than {MAX_OUTAGES} link outages"));
                     }
-                    spec = spec.with_outage(a, b, from, until);
+                    spec = spec.with_outage(number(a, "node")?, number(b, "node")?, from, until);
                 }
-                "seed" => {
-                    spec.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?;
-                }
+                "seed" => spec.seed = number(value, "seed")?,
                 other => return Err(format!("unknown fault clause `{other}`")),
             }
         }
@@ -356,52 +301,37 @@ impl FaultSpec {
     }
 }
 
-/// Canonical spec string: parseable by [`FaultSpec::parse`] and stable, so
-/// replay recipes and campaign JSON can embed it.
-/// On the wire a spec is its canonical `Display` string.
-impl Snap for FaultSpec {
-    fn save(&self, w: &mut SnapWriter) {
-        w.str(&self.to_string());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        FaultSpec::parse(&r.str()?)
-            .map_err(|_| SnapshotError::Corrupt("unparseable fault spec".to_string()))
-    }
-}
+spec_string!(FaultSpec, "fault");
 
+/// Canonical spec string: stable, so replay recipes and campaign JSON can
+/// embed it, and `parse(spec.to_string()) == spec` for every spec the
+/// builders and [`FaultSpec::parse`] can make — a field that is set but
+/// inert (a seed with no fault class, a delay bound with no delay
+/// probability) is written like any other.
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_none() {
-            return f.write_str("none");
-        }
-        let mut sep = "";
-        let mut clause = |f: &mut fmt::Formatter<'_>, text: String| {
-            let r = write!(f, "{sep}{text}");
-            sep = ",";
-            r
-        };
-        if self.drop_ppm > 0 {
-            clause(f, format!("drop={}", from_ppm(self.drop_ppm)))?;
-        }
-        if self.dup_ppm > 0 {
-            clause(f, format!("dup={}", from_ppm(self.dup_ppm)))?;
-        }
-        if self.delay_ppm > 0 {
-            clause(
-                f,
-                format!("delay={}@{}", from_ppm(self.delay_ppm), self.delay_max_ns),
-            )?;
-        }
-        if self.reorder_depth > 0 {
-            clause(f, format!("reorder={}", self.reorder_depth))?;
-        }
+        let mut w = ClauseWriter::new(f);
+        w.clause(
+            self.drop_ppm > 0,
+            format_args!("drop={}", from_ppm(self.drop_ppm)),
+        )?;
+        w.clause(
+            self.dup_ppm > 0,
+            format_args!("dup={}", from_ppm(self.dup_ppm)),
+        )?;
+        w.clause(
+            self.delay_ppm > 0 || self.delay_max_ns > 0,
+            format_args!("delay={}@{}", from_ppm(self.delay_ppm), self.delay_max_ns),
+        )?;
+        w.clause(
+            self.reorder_depth > 0,
+            format_args!("reorder={}", self.reorder_depth),
+        )?;
         for outage in self.outages.iter().flatten() {
-            clause(f, outage.to_string())?;
+            w.clause(true, format_args!("{outage}"))?;
         }
-        if self.seed != 0 {
-            clause(f, format!("seed={}", self.seed))?;
-        }
-        Ok(())
+        w.clause(self.seed != 0, format_args!("seed={}", self.seed))?;
+        w.finish()
     }
 }
 
@@ -554,6 +484,54 @@ mod tests {
         assert_eq!(spec.seed, 9);
         let reparsed = FaultSpec::parse(&spec.to_string()).unwrap();
         assert_eq!(spec, reparsed);
+    }
+
+    /// `parse(to_string()) == spec` for every spec the builders can make,
+    /// inert ones included, and the two layouts derived from that pair —
+    /// `Snap` for the result-cache file, `Wire` for submissions — agree.
+    #[test]
+    fn every_spec_round_trips_through_its_string() {
+        use crate::json::{Json, Wire};
+        let mut rng = tc_sim::DeterministicRng::new(0xFA17);
+        // Half the draws leave a field at its default, so inert
+        // combinations (a seed alone, a delay bound alone) are common.
+        let mut draw = |bound: u64| {
+            if rng.chance(0.5) {
+                0
+            } else {
+                rng.next_below(bound)
+            }
+        };
+        for _ in 0..4000 {
+            let mut spec = FaultSpec::none()
+                .with_drop(draw(PPM as u64 + 1) as f64 / PPM as f64)
+                .with_dup(draw(PPM as u64 + 1) as f64 / PPM as f64)
+                .with_reorder(draw(1 << 32) as u32)
+                .with_seed(draw(u64::MAX));
+            if draw(2) == 1 {
+                spec = spec.with_delay(draw(PPM as u64 + 1) as f64 / PPM as f64, draw(1 << 40));
+            }
+            for _ in 0..draw(MAX_OUTAGES as u64 + 1) {
+                let from = draw(1 << 40);
+                let (a, b) = (draw(1 << 16) as u32, draw(1 << 16) as u32);
+                spec = spec.with_outage(a, b, from, from + 1 + draw(1 << 40));
+            }
+            let text = spec.to_string();
+            assert_eq!(FaultSpec::parse(&text), Ok(spec), "{text}");
+            assert_eq!(text == "none", spec == FaultSpec::none(), "{text}");
+            tc_testkit::assert_snap_round_trip(&spec);
+            assert_eq!(spec.to_json(), Json::Str(text));
+            assert_eq!(FaultSpec::from_json(&spec.to_json(), "faults"), Ok(spec));
+        }
+        let seeded = FaultSpec::none().with_seed(7);
+        assert_eq!(seeded.to_string(), "seed=7");
+        let err = FaultSpec::from_json(&Json::Str("drop=2".into()), "faults").unwrap_err();
+        assert_eq!(err.field, "faults");
+    }
+
+    #[test]
+    fn fault_class_names_resolve() {
+        crate::json::assert_named_enum(&FaultKind::ALL);
     }
 
     #[test]

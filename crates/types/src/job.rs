@@ -1,33 +1,18 @@
 //! Job vocabulary for the campaign service: identifiers, priorities, and
 //! lifecycle states.
 //!
-//! These types are the wire vocabulary between `tc-serve` and its clients,
-//! so every one of them has a stable `Display` form and a matching `parse`
-//! (round-trips pinned by tests), the same contract the fault and adversary
-//! specs follow.
+//! These types are the wire vocabulary between `tc-serve` and its clients.
+//! A priority and a state travel as their names, declared once each with
+//! [`named_enum!`](crate::named_enum); a job id only ever travels outward,
+//! as its `Display` form.
 
 use std::fmt;
+
+use crate::named_enum;
 
 /// A server-assigned job identifier, printed as `job-<n>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
-
-impl JobId {
-    /// Parses the `job-<n>` form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the malformed input.
-    pub fn parse(text: &str) -> Result<JobId, String> {
-        let digits = text
-            .strip_prefix("job-")
-            .ok_or_else(|| format!("job id `{text}` is not job-<n>"))?;
-        digits
-            .parse()
-            .map(JobId)
-            .map_err(|_| format!("job id `{text}` is not job-<n>"))
-    }
-}
 
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -48,38 +33,11 @@ pub enum JobPriority {
     High,
 }
 
-impl JobPriority {
-    /// Canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            JobPriority::Low => "low",
-            JobPriority::Normal => "normal",
-            JobPriority::High => "high",
-        }
-    }
-
-    /// Parses a priority name (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the accepted names.
-    pub fn parse(text: &str) -> Result<JobPriority, String> {
-        match text.to_ascii_lowercase().as_str() {
-            "low" => Ok(JobPriority::Low),
-            "normal" => Ok(JobPriority::Normal),
-            "high" => Ok(JobPriority::High),
-            other => Err(format!(
-                "unknown priority `{other}` (expected low, normal, or high)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for JobPriority {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+named_enum!(JobPriority, "priority" {
+    Low => "low",
+    Normal => "normal",
+    High => "high",
+});
 
 /// Lifecycle state of a job on the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,63 +52,23 @@ pub enum JobState {
     Failed,
 }
 
-impl JobState {
-    /// Canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-        }
-    }
-
-    /// Parses a state name (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message listing the accepted names.
-    pub fn parse(text: &str) -> Result<JobState, String> {
-        match text.to_ascii_lowercase().as_str() {
-            "queued" => Ok(JobState::Queued),
-            "running" => Ok(JobState::Running),
-            "done" => Ok(JobState::Done),
-            "failed" => Ok(JobState::Failed),
-            other => Err(format!(
-                "unknown job state `{other}` (expected queued, running, done, or failed)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for JobState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+named_enum!(JobState, "job state" {
+    Queued => "queued",
+    Running => "running",
+    Done => "done",
+    Failed => "failed",
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn job_ids_round_trip() {
-        for n in [0u64, 1, 17, u64::MAX] {
-            let id = JobId(n);
-            assert_eq!(JobId::parse(&id.to_string()), Ok(id));
-        }
-        assert!(JobId::parse("job-").is_err());
-        assert!(JobId::parse("7").is_err());
-        assert!(JobId::parse("job-x").is_err());
-    }
+    use crate::json::assert_named_enum;
 
     #[test]
     fn priorities_round_trip_and_order() {
-        for p in [JobPriority::Low, JobPriority::Normal, JobPriority::High] {
-            assert_eq!(JobPriority::parse(&p.to_string()), Ok(p));
-        }
-        assert_eq!(JobPriority::parse("HIGH"), Ok(JobPriority::High));
-        assert!(JobPriority::parse("urgent").is_err());
+        assert_named_enum(&JobPriority::ALL);
+        assert_eq!(JobPriority::by_name("HIGH"), Some(JobPriority::High));
+        assert_eq!(JobPriority::by_name("urgent"), None);
         assert!(JobPriority::Low < JobPriority::Normal);
         assert!(JobPriority::Normal < JobPriority::High);
         assert_eq!(JobPriority::default(), JobPriority::Normal);
@@ -158,14 +76,7 @@ mod tests {
 
     #[test]
     fn states_round_trip() {
-        for s in [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Done,
-            JobState::Failed,
-        ] {
-            assert_eq!(JobState::parse(&s.to_string()), Ok(s));
-        }
-        assert!(JobState::parse("paused").is_err());
+        assert_named_enum(&JobState::ALL);
+        assert_eq!(JobId(17).to_string(), "job-17");
     }
 }

@@ -1,18 +1,29 @@
-//! A minimal JSON value type: the matching *reader* for the hand-rolled
-//! campaign JSON writer (the offline build environment has no serde).
+//! The workspace's one JSON codec: the [`Json`] value, its parser and
+//! serializer, and the [`Wire`] trait that gives a type its text layout (the
+//! offline build environment has no serde).
 //!
-//! The writer side of the workspace (`tc_system::CampaignReport::to_json`
-//! and `run_to_json`, which the serve wire format streams line by line)
-//! emits compact JSON with a fixed escaping policy. JSON is the *report*
-//! surface only: engine state and the result cache travel in the binary
-//! `tc_sim::Snap` layouts each type declares, never through this module.
-//! This module parses that JSON back into a [`Json`] tree — and re-emits it
-//! *byte-identically*: numbers are kept as their raw source tokens and
-//! object members preserve insertion order, so
+//! Everything the workspace says in JSON — submissions, the NDJSON run lines
+//! the campaign service streams, campaign reports, the service's own lines —
+//! is built as a [`Json`] value and printed by its `Display`, so one function
+//! ([`escape_json_str_into`]) knows how a string is escaped and one knows
+//! where commas go. JSON is the *text* surface only: engine state and the
+//! result cache travel in the binary `tc_sim::Snap` layouts each type
+//! declares, never through this module.
+//!
+//! A type's text layout is declared once, next to the type: [`json_struct!`]
+//! for an object with one member per field, [`named_enum!`] for a closed enum
+//! that travels as its name, a hand-written [`Wire`] impl for the few types
+//! that travel as a string with its own grammar (the fault and adversary
+//! specs). Reading is the trust boundary: [`Wire::from_json`] never panics,
+//! narrows integers through `try_from`, and reports every rejection as a
+//! [`WireError`] carrying the dotted path of the offending member.
+//!
+//! Serialization is *byte-stable*: numbers are kept as their raw source
+//! tokens and object members preserve insertion order, so
 //! `Json::parse(text)?.to_string() == text` holds for everything the
-//! workspace writers produce. That round-trip is pinned by tests and is what
-//! lets the campaign service's clients parse, inspect, and forward streamed
-//! reports without perturbing a byte.
+//! workspace emits. That round-trip is pinned by tests and is what lets the
+//! campaign service's clients parse, inspect, and forward streamed reports
+//! without perturbing a byte.
 //!
 //! The parser accepts standard JSON (insignificant whitespace, all escape
 //! forms, nested containers up to a fixed depth) and rejects everything else
@@ -141,41 +152,326 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object with the given members, in order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// `value` with exactly `decimals` fractional digits, or `null` when it
+    /// is not finite: JSON has no NaN/Infinity, and an undefined metric (0
+    /// misses makes bytes-per-miss 0/0) must not masquerade as a measured
+    /// zero.
+    pub fn fixed(value: f64, decimals: usize) -> Json {
+        if value.is_finite() {
+            Json::Num(format!("{value:.decimals$}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// Reads the required member `key` of this object, which sits at `path`
+    /// (empty for the document root), through `T`'s [`Wire`] layout.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] at `path` if this is not an object, at `path.key` if
+    /// the member is missing, or whatever `T` rejects the member with.
+    pub fn member<T: Wire>(&self, path: &str, key: &str) -> Result<T, WireError> {
+        self.member_opt(path, key)?
+            .ok_or_else(|| WireError::new(join(path, key), "missing required field"))
+    }
+
+    /// Like [`Json::member`], but an absent member is `Ok(None)`; the caller
+    /// writes the default at the one place it applies.
+    ///
+    /// # Errors
+    ///
+    /// See [`Json::member`].
+    pub fn member_opt<T: Wire>(&self, path: &str, key: &str) -> Result<Option<T>, WireError> {
+        if self.as_object().is_none() {
+            return Err(WireError::new(path, "expected an object"));
+        }
+        self.get(key)
+            .map(|value| T::from_json(value, &join(path, key)))
+            .transpose()
+    }
 }
 
-/// Appends `value` to `out` with the workspace writers' escaping policy:
-/// `"` and `\` are backslash-escaped, `\n` stays readable, every other
-/// control character becomes `\u00XX`, everything else passes through.
-pub fn escape_json_str_into(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+/// A structured rejection of a JSON document: what was wrong and where.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireError {
+    /// Dotted path to the offending member, e.g. `points[2].config.protocol`.
+    pub field: String,
+    /// What was wrong with it.
+    pub message: String,
+}
+
+impl WireError {
+    /// A rejection of the member at `field`.
+    pub fn new(field: impl Into<String>, message: impl Into<String>) -> Self {
+        WireError {
+            field: field.into(),
+            message: message.into(),
+        }
+    }
+
+    /// Renders the error as the JSON object the campaign service returns
+    /// with a 400.
+    pub fn to_json(&self) -> String {
+        Json::obj([
+            ("error", self.message.to_json()),
+            ("field", self.field.to_json()),
+        ])
+        .to_string()
+    }
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.field, self.message)
+    }
+}
+
+impl std::error::Error for WireError {}
+
+/// A type's text layout: how it is written as a [`Json`] value and read back
+/// from one. The text twin of `tc_sim::Snap`; declare it with
+/// [`json_struct!`] or [`named_enum!`] where one of them fits.
+pub trait Wire: Sized {
+    /// This value as JSON. `from_json(&v.to_json(), _) == Ok(v)`.
+    fn to_json(&self) -> Json;
+
+    /// Reads a value from the JSON found at `path`.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] naming `path`, or a member below it.
+    fn from_json(json: &Json, path: &str) -> Result<Self, WireError>;
+}
+
+macro_rules! wire_unsigned {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::Num(self.to_string())
             }
-            c => out.push(c),
+            fn from_json(json: &Json, path: &str) -> Result<Self, WireError> {
+                let wide = json
+                    .as_u64()
+                    .ok_or_else(|| WireError::new(path, "expected a non-negative integer"))?;
+                $ty::try_from(wide).map_err(|_| {
+                    WireError::new(path, format!("{wide} is out of range (at most {})", $ty::MAX))
+                })
+            }
+        }
+    )*};
+}
+wire_unsigned!(u32, u64, usize);
+
+impl Wire for f64 {
+    /// `{:?}` is Rust's shortest-round-trip float formatting: parsing the
+    /// token back with `str::parse::<f64>` recovers the exact bits, which
+    /// the cache key and the bit-identical serving contract both rely on.
+    fn to_json(&self) -> Json {
+        Json::Num(format!("{self:?}"))
+    }
+    fn from_json(json: &Json, path: &str) -> Result<Self, WireError> {
+        json.as_f64()
+            .ok_or_else(|| WireError::new(path, "expected a number"))
+    }
+}
+
+impl Wire for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(json: &Json, path: &str) -> Result<Self, WireError> {
+        json.as_bool()
+            .ok_or_else(|| WireError::new(path, "expected true or false"))
+    }
+}
+
+impl Wire for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(json: &Json, path: &str) -> Result<Self, WireError> {
+        json.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| WireError::new(path, "expected a string"))
+    }
+}
+
+/// `None` is `null`.
+impl<T: Wire> Wire for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn from_json(json: &Json, path: &str) -> Result<Self, WireError> {
+        match json {
+            Json::Null => Ok(None),
+            value => T::from_json(value, path).map(Some),
         }
     }
 }
 
+/// Declares a struct's text layout — an object with one member per field,
+/// named after the field, in the order given — and generates [`Wire`] for
+/// it. Every member is required on reading; members the declaration does not
+/// list are ignored.
+///
+/// ```
+/// # use tc_types::json::{Json, Wire};
+/// #[derive(Debug, PartialEq)]
+/// struct Line {
+///     tokens: u32,
+///     dirty: bool,
+/// }
+/// tc_types::json_struct!(Line { tokens, dirty });
+///
+/// let line = Line { tokens: 3, dirty: true };
+/// assert_eq!(line.to_json().to_string(), "{\"tokens\":3,\"dirty\":true}");
+/// assert_eq!(Line::from_json(&line.to_json(), "line"), Ok(line));
+/// let err = Line::from_json(&Json::parse("{\"tokens\":3}").unwrap(), "line").unwrap_err();
+/// assert_eq!(err.field, "line.dirty");
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::json::Wire for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj([
+                    $((stringify!($field), $crate::json::Wire::to_json(&self.$field))),*
+                ])
+            }
+            fn from_json(
+                json: &$crate::json::Json,
+                path: &str,
+            ) -> Result<Self, $crate::json::WireError> {
+                Ok($ty { $($field: json.member(path, stringify!($field))?),* })
+            }
+        }
+    };
+}
+
+/// Declares the names of a closed, field-less enum — `Variant => "Name"` —
+/// and generates `ALL` (every variant, in declaration order), `name()`, the
+/// case-insensitive `by_name()`, `Display` (the name) and a [`Wire`] layout
+/// (the name as a string) whose rejection lists the accepted names.
+///
+/// ```
+/// # use tc_types::json::{Json, Wire};
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Mode {
+///     Fast,
+///     Exact,
+/// }
+/// tc_types::named_enum!(Mode, "mode" { Fast => "fast", Exact => "exact" });
+///
+/// assert_eq!(Mode::ALL, [Mode::Fast, Mode::Exact]);
+/// assert_eq!(Mode::Exact.to_string(), "exact");
+/// assert_eq!(Mode::by_name("FAST"), Some(Mode::Fast));
+/// let err = Mode::from_json(&Json::Str("slow".into()), "m").unwrap_err();
+/// assert_eq!(err.message, "unknown mode `slow` (expected one of: fast, exact)");
+/// ```
+#[macro_export]
+macro_rules! named_enum {
+    ($ty:ident, $what:literal { $($variant:ident => $name:literal),* $(,)? }) => {
+        impl $ty {
+            /// Every variant, in declaration (and display) order.
+            pub const ALL: [$ty; [$($name),*].len()] = [$($ty::$variant),*];
+
+            /// The canonical name: what `Display` prints and the text
+            /// formats carry.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+
+            /// Looks a variant up by (ASCII-case-insensitive) name; the
+            /// inverse of `name`.
+            pub fn by_name(name: &str) -> Option<$ty> {
+                $ty::ALL
+                    .into_iter()
+                    .find(|v| v.name().eq_ignore_ascii_case(name))
+            }
+        }
+
+        impl ::std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+
+        impl $crate::json::Wire for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Str(self.name().to_string())
+            }
+            fn from_json(
+                json: &$crate::json::Json,
+                path: &str,
+            ) -> Result<Self, $crate::json::WireError> {
+                let name: String = $crate::json::Wire::from_json(json, path)?;
+                $ty::by_name(&name).ok_or_else(|| {
+                    $crate::json::WireError::new(
+                        path,
+                        format!(
+                            concat!("unknown ", $what, " `{}` (expected one of: {})"),
+                            name,
+                            [$($name),*].join(", ")
+                        ),
+                    )
+                })
+            }
+        }
+    };
+}
+
+/// Appends `value` to `out` with the workspace's escaping policy: `"` and
+/// `\` are backslash-escaped, `\n` stays readable, every other control
+/// character becomes `\u00XX`, everything else passes through.
+///
+/// # Errors
+///
+/// Whatever `out` fails with.
+pub fn escape_json_str_into(out: &mut impl fmt::Write, value: &str) -> fmt::Result {
+    for c in value.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    Ok(())
+}
+
+fn quoted(f: &mut fmt::Formatter<'_>, text: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    escape_json_str_into(f, text)?;
+    f.write_str("\"")
+}
+
 impl fmt::Display for Json {
-    /// Compact serialization, byte-identical to what the workspace's JSON
-    /// writers emit (numbers verbatim, members in order, writer escaping).
+    /// Compact serialization: numbers verbatim, members in order.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(true) => f.write_str("true"),
             Json::Bool(false) => f.write_str("false"),
             Json::Num(tok) => f.write_str(tok),
-            Json::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                out.push('"');
-                escape_json_str_into(&mut out, s);
-                out.push('"');
-                f.write_str(&out)
-            }
+            Json::Str(s) => quoted(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -192,12 +488,8 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    let mut out = String::with_capacity(key.len() + 3);
-                    out.push('"');
-                    escape_json_str_into(&mut out, key);
-                    out.push_str("\":");
-                    f.write_str(&out)?;
-                    write!(f, "{value}")?;
+                    quoted(f, key)?;
+                    write!(f, ":{value}")?;
                 }
                 f.write_str("}")
             }
@@ -447,9 +739,124 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The one check every [`named_enum!`] type gets: each variant's name reads
+/// back as that variant in any ASCII case, no two variants share a name, and
+/// the rejection of an unknown name is addressed and lists every name.
+#[cfg(test)]
+pub(crate) fn assert_named_enum<T>(all: &[T])
+where
+    T: Wire + Copy + PartialEq + fmt::Debug + fmt::Display,
+{
+    for (i, variant) in all.iter().enumerate() {
+        let name = variant.to_string();
+        assert_eq!(variant.to_json(), Json::Str(name.clone()));
+        for cased in [
+            name.clone(),
+            name.to_ascii_lowercase(),
+            name.to_ascii_uppercase(),
+        ] {
+            assert_eq!(T::from_json(&Json::Str(cased), "at"), Ok(*variant));
+        }
+        for other in &all[..i] {
+            assert!(
+                !other.to_string().eq_ignore_ascii_case(&name),
+                "{other:?} and {variant:?} share a name"
+            );
+        }
+    }
+    let err = T::from_json(&Json::Str("no such name".to_string()), "at").unwrap_err();
+    assert_eq!(err.field, "at");
+    assert!(err.message.contains("`no such name`"), "{err}");
+    for variant in all {
+        assert!(err.message.contains(&variant.to_string()), "{err}");
+    }
+    assert_eq!(
+        T::from_json(&Json::Num("1".to_string()), "at")
+            .unwrap_err()
+            .field,
+        "at"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integers_are_range_checked_never_truncated() {
+        let big = Json::Num("4294967300".to_string());
+        assert_eq!(u64::from_json(&big, "n"), Ok(4_294_967_300));
+        let err = u32::from_json(&big, "n").unwrap_err();
+        assert_eq!(err.field, "n");
+        assert!(err.message.contains("out of range"), "{err}");
+        assert_eq!(
+            u32::from_json(&Json::Num(u32::MAX.to_string()), "n"),
+            Ok(u32::MAX)
+        );
+        for not_an_integer in ["-1", "1.5", "1e3", "18446744073709551616"] {
+            let err = u64::from_json(&Json::Num(not_an_integer.to_string()), "n").unwrap_err();
+            assert_eq!(err.message, "expected a non-negative integer");
+        }
+        assert!(usize::from_json(&Json::Str("7".to_string()), "n").is_err());
+    }
+
+    #[test]
+    fn scalars_round_trip_through_their_layouts() {
+        for bits in [0.1f64, 3.2, 1e300, -0.0, 5e-324] {
+            let back = f64::from_json(&bits.to_json(), "x").unwrap();
+            assert_eq!(back.to_bits(), bits.to_bits());
+        }
+        assert_eq!(2.0f64.to_json().to_string(), "2.0");
+        assert_eq!(bool::from_json(&true.to_json(), "b"), Ok(true));
+        assert_eq!(String::from_json(&Json::Null, "s").unwrap_err().field, "s");
+        assert_eq!(Some(7u64).to_json().to_string(), "7");
+        assert_eq!(None::<u64>.to_json(), Json::Null);
+        assert_eq!(Option::<u64>::from_json(&Json::Null, "o"), Ok(None));
+        assert_eq!(
+            Option::<u64>::from_json(&Json::Num("7".into()), "o"),
+            Ok(Some(7))
+        );
+        assert!(Option::<u64>::from_json(&Json::Bool(true), "o").is_err());
+    }
+
+    #[test]
+    fn members_build_the_dotted_path() {
+        let doc = Json::parse("{\"a\":{\"n\":5},\"s\":\"x\"}").unwrap();
+        let a = doc.get("a").unwrap();
+        assert_eq!(a.member::<u64>("a", "n"), Ok(5));
+        assert_eq!(doc.member::<String>("", "s"), Ok("x".to_string()));
+        let missing = a.member::<u64>("a", "m").unwrap_err();
+        assert_eq!(
+            (missing.field.as_str(), missing.message.as_str()),
+            ("a.m", "missing required field")
+        );
+        assert_eq!(doc.member::<u64>("", "m").unwrap_err().field, "m");
+        assert_eq!(a.member_opt::<u64>("a", "m"), Ok(None));
+        assert_eq!(a.member::<bool>("a", "n").unwrap_err().field, "a.n");
+        // A non-object is rejected where it sits, not member by member.
+        let not_object = doc.get("s").unwrap().member::<u64>("s", "n").unwrap_err();
+        assert_eq!(
+            (not_object.field.as_str(), not_object.message.as_str()),
+            ("s", "expected an object")
+        );
+        assert_eq!(
+            missing.to_json(),
+            "{\"error\":\"missing required field\",\"field\":\"a.m\"}"
+        );
+        assert_eq!(missing.to_string(), "a.m: missing required field");
+    }
+
+    #[test]
+    fn fixed_prints_decimals_and_nulls_the_undefined() {
+        assert_eq!(Json::fixed(1.0 / 3.0, 2).to_string(), "0.33");
+        assert_eq!(Json::fixed(2.0, 3).to_string(), "2.000");
+        assert_eq!(Json::fixed(f64::NAN, 2), Json::Null);
+        assert_eq!(Json::fixed(f64::INFINITY, 2), Json::Null);
+        assert_eq!(
+            Json::obj([("k", Json::fixed(0.5, 1))]).to_string(),
+            "{\"k\":0.5}"
+        );
+    }
 
     #[test]
     fn scalars_parse_and_round_trip() {

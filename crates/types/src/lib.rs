@@ -38,6 +38,7 @@
 
 pub mod addr;
 pub mod adversary;
+mod clauses;
 pub mod config;
 pub mod controller;
 pub mod error;
@@ -65,7 +66,7 @@ pub use fault::{FaultKind, FaultSpec, FaultStats, LinkOutage};
 pub use hash::{FastHashMap, FastHashSet, FastHasher};
 pub use ids::{Cycle, NodeId, ReqId};
 pub use job::{JobId, JobPriority, JobState};
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonError, Wire, WireError};
 pub use memop::{AccessType, MemOp, MemOpKind};
 pub use message::{
     DataPayload, Destination, Message, MsgKind, Vnet, CONTROL_MSG_BYTES, DATA_MSG_BYTES,

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tc_types::{Json, Wire, WireError};
+
 /// The kinds of memory regions a synthetic workload touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
@@ -284,6 +286,26 @@ impl WorkloadProfile {
     }
 }
 
+/// In the text formats a workload travels as its catalog name: the profile's
+/// parameters are the catalog's, not the sender's.
+impl Wire for WorkloadProfile {
+    fn to_json(&self) -> Json {
+        Json::Str(self.name.to_string())
+    }
+    fn from_json(json: &Json, path: &str) -> Result<Self, WireError> {
+        let name = String::from_json(json, path)?;
+        WorkloadProfile::by_name(&name).ok_or_else(|| {
+            WireError::new(
+                path,
+                format!(
+                    "unknown workload `{name}` (expected one of: {})",
+                    WorkloadProfile::ALL_NAMES.join(", ")
+                ),
+            )
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,6 +353,20 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all.len());
+    }
+
+    #[test]
+    fn a_profile_travels_as_its_catalog_name() {
+        for profile in WorkloadProfile::all() {
+            let json = profile.to_json();
+            assert_eq!(json, Json::Str(profile.name.to_string()));
+            assert_eq!(WorkloadProfile::from_json(&json, "w"), Ok(profile));
+        }
+        let err = WorkloadProfile::from_json(&Json::Str("speccpu".into()), "w").unwrap_err();
+        assert_eq!(err.field, "w");
+        for name in WorkloadProfile::ALL_NAMES {
+            assert!(err.message.contains(name), "{err}");
+        }
     }
 
     #[test]

@@ -1,0 +1,77 @@
+//! The text wire format, pinned: twin of the first-checkpoint pin in
+//! `restore_equivalence.rs`, for the bytes that cross the *text* boundary.
+//!
+//! One dump holds every text form the workspace emits: a submission (all of
+//! `SystemConfig`, every enum name, both spec strings, a nullable option and
+//! a label that needs every escape), the same submission after
+//! `parse -> to_json`, the NDJSON run lines the campaign service streams, and
+//! the campaign JSON (minus `wall_seconds`, the one member that is not a
+//! function of the simulation). A change to a `json_struct!` /
+//! `named_enum!` declaration, to the clause writer behind the two spec
+//! strings, or to `Json`'s serializer moves the pin; nothing else should.
+
+use tc_serve::Submission;
+use token_coherence::prelude::*;
+use token_coherence::sim::fnv1a64;
+use token_coherence::system::experiment::{faultsweep_points, figure5a_points};
+use token_coherence::system::run_to_json;
+use token_coherence::types::{AdversarySpec, FaultSpec, JobPriority};
+
+/// Length and `fnv1a64` of the dump, recorded at the commit before the
+/// `Wire` trait existed (hand-paired `to_json` / `parse`, `JsonWriter`).
+const PINNED: (usize, u64) = (85_699, 0x43dc85c77c4363ca);
+
+fn dump() -> String {
+    let mut points = figure5a_points(&WorkloadProfile::oltp());
+    points.extend(faultsweep_points());
+    assert_eq!(points.len(), 24);
+    points[0].label = "quote \" backslash \\ tab \t newline \n end".to_string();
+    let submission = Submission {
+        priority: JobPriority::High,
+        options: RunOptions {
+            ops_per_node: 120,
+            max_cycles: 50_000_000,
+            faults: FaultSpec::parse("delay=0.02@40,reorder=2,seed=3").unwrap(),
+            adversary: AdversarySpec::parse("reorder=2,victim=1@7,delay=30").unwrap(),
+            checkpoint_every: Some(5000),
+            ..RunOptions::default()
+        },
+        points,
+    };
+
+    let text = submission.to_json();
+    let reparsed = Submission::parse(&text).expect("the dump's submission must parse");
+    let mut out = format!("{text}\n{}\n", reparsed.to_json());
+
+    let report = Campaign::new(reparsed.points)
+        .options(RunOptions {
+            checkpoint_every: None,
+            ..reparsed.options
+        })
+        .threads(1)
+        .run();
+    for run in &report.runs {
+        out.push_str(&run_to_json(&run.label, &run.report));
+        out.push('\n');
+    }
+    let campaign = report.to_json();
+    let (head, tail) = campaign
+        .split_once("\"wall_seconds\":")
+        .expect("campaign JSON carries wall_seconds");
+    let (_, tail) = tail.split_once(',').expect("wall_seconds is not last");
+    out.push_str(head);
+    out.push_str(tail);
+    out.push('\n');
+    out
+}
+
+#[test]
+fn text_wire_dump_keeps_its_bytes() {
+    let dump = dump();
+    assert_eq!(
+        (dump.len(), fnv1a64(dump.as_bytes())),
+        PINNED,
+        "text wire bytes moved (len, fnv1a64); dump starts: {:.400}",
+        dump
+    );
+}
