@@ -132,6 +132,18 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     })
 }
 
+/// Sends `head` and `body` as one `write`. A frame that goes out in pieces
+/// is a write-write-read exchange: over a real link Nagle's algorithm holds
+/// the second piece until the peer's delayed ACK of the first.
+fn write_frame(stream: &mut TcpStream, head: &str, body: &[u8], tail: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(head.len() + body.len() + tail.len());
+    frame.extend_from_slice(head.as_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(tail);
+    stream.write_all(&frame)?;
+    stream.flush()
+}
+
 /// Writes a complete fixed-length response and flushes it.
 pub fn write_response(
     stream: &mut TcpStream,
@@ -144,9 +156,7 @@ pub fn write_response(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    write_frame(stream, &head, body, b"")
 }
 
 /// A chunked-transfer response in progress: call [`ChunkedWriter::begin`],
@@ -173,10 +183,8 @@ impl<'a> ChunkedWriter<'a> {
         if payload.is_empty() {
             return Ok(()); // an empty chunk would terminate the stream
         }
-        write!(self.stream, "{:x}\r\n", payload.len())?;
-        self.stream.write_all(payload)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        let size = format!("{:x}\r\n", payload.len());
+        write_frame(self.stream, &size, payload, b"\r\n")
     }
 
     /// Sends the terminating zero-length chunk.
@@ -208,13 +216,12 @@ pub fn roundtrip(
     mut on_line: impl FnMut(&str),
 ) -> io::Result<Response> {
     let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    write_frame(&mut stream, &head, body, b"")?;
 
     let mut reader = BufReader::new(stream);
     let (first, headers) = read_head(&mut reader)?;

@@ -3,13 +3,17 @@
 //!
 //! # Architecture
 //!
-//! One thread per accepted connection parses the request and, for
-//! `/submit`, owns the response stream for its job's lifetime. Jobs wait in
-//! a priority queue (higher [`JobPriority`] first, FIFO within a priority)
-//! drained by a fixed pool of worker threads. Each worker runs its job as a
-//! single-threaded [`Campaign`] — pool parallelism is *across* jobs — and
-//! forwards results through a per-job channel: the connection thread turns
-//! them into HTTP chunks the moment they arrive.
+//! Nothing in the service polls or sleeps: every thread blocks on the event
+//! it serves. [`Server::run`] blocks in `accept` and spawns one thread per
+//! connection, which parses the request and, for `/submit`, owns the
+//! response stream for its job's lifetime. Jobs wait in a priority queue
+//! (higher [`JobPriority`] first, FIFO within a priority) drained by a
+//! fixed pool of worker threads parked on a condvar. Each worker runs its
+//! job as a single-threaded [`Campaign`] — pool parallelism is *across*
+//! jobs — and forwards results through a per-job channel: the connection
+//! thread turns them into HTTP chunks the moment they arrive. The worker
+//! looks the points up when the job *starts*, so dedup is completion-based:
+//! what an earlier job finished in the meantime is served, not simulated.
 //!
 //! # The serving contract
 //!
@@ -23,16 +27,19 @@
 //! # Shutdown
 //!
 //! `/shutdown` puts the server into *draining*: new submissions get a 503,
-//! queued and running jobs finish and stream out normally, then workers
-//! exit, the cache is persisted, and [`Server::run`] returns.
+//! queued and running jobs finish and stream out normally. Whoever makes
+//! the drain complete — the `/shutdown` handler on an idle server, else the
+//! worker that finishes the last job — wakes the accept loop with one
+//! loopback connect; the loop checks for a completed drain on every accept,
+//! then workers exit, the cache is persisted, and [`Server::run`] returns.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -44,9 +51,23 @@ use crate::http::{read_request, write_response, ChunkedWriter, Request};
 use crate::line::JobLine;
 use crate::submission::{cache_key, Submission};
 
-/// How often the accept loop wakes to reap finished connection threads and
-/// check the drain-complete condition.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How long a connection thread waits for a request to arrive: a dead
+/// client must not pin its thread forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long one write may block: a client that stops reading fills its
+/// window, and its connection thread gives the stream up after this long
+/// (the worker still finishes the job and fills the cache).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Finished jobs `/status` still lists. Older records are dropped, so the
+/// job table — walked under the state lock — is bounded by this plus the
+/// jobs still queued or running.
+const FINISHED_JOBS_KEPT: usize = 256;
+
+/// Bound on one wake-up connect, and how many are tried.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+const WAKE_ATTEMPTS: usize = 5;
 
 /// Server construction options.
 #[derive(Debug, Clone)]
@@ -124,7 +145,12 @@ struct JobRecord {
 
 struct ServerState {
     queue: BinaryHeap<QueuedJob>,
+    /// Every queued and running job, and the latest finished ones.
     jobs: BTreeMap<u64, JobRecord>,
+    /// The finished jobs still in `jobs`, oldest first.
+    finished: VecDeque<u64>,
+    /// Finished records dropped to keep `jobs` bounded.
+    jobs_dropped: u64,
     next_job_id: u64,
     next_seq: u64,
     running: usize,
@@ -136,9 +162,74 @@ struct ServerState {
     points_cached: u64,
 }
 
+impl ServerState {
+    /// Draining, and nothing left that needs a worker: `run` may return.
+    /// Once true it stays true — a draining server queues nothing.
+    fn drained(&self) -> bool {
+        self.draining && self.queue.is_empty() && self.running == 0
+    }
+
+    /// Records how a job ended, `Ok((ran, cache_hits))` or failed, in its
+    /// record and the lifetime counters, then drops the oldest finished
+    /// record beyond [`FINISHED_JOBS_KEPT`].
+    fn finish(&mut self, job: u64, outcome: Result<(usize, usize), String>) {
+        let record = self
+            .jobs
+            .get_mut(&job)
+            .expect("a job that ends has a record");
+        record.events = None;
+        match outcome {
+            Ok((ran, cache_hits)) => {
+                record.state = JobState::Done;
+                record.points_done = record.points_total;
+                record.cache_hits = cache_hits;
+                self.jobs_completed += 1;
+                self.points_run += ran as u64;
+                self.points_cached += cache_hits as u64;
+            }
+            Err(_) => {
+                record.state = JobState::Failed;
+                self.jobs_failed += 1;
+            }
+        }
+        self.finished.push_back(job);
+        if self.finished.len() > FINISHED_JOBS_KEPT {
+            let oldest = self.finished.pop_front().expect("just pushed");
+            self.jobs.remove(&oldest);
+            self.jobs_dropped += 1;
+        }
+    }
+}
+
 struct Shared {
     state: Mutex<ServerState>,
     work_ready: Condvar,
+    /// Where a connect reaches the listener: the bound address, with the
+    /// loopback address of the same family in place of an unspecified one.
+    wake_addr: SocketAddr,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, ServerState> {
+        self.state
+            .lock()
+            .expect("no thread panics while it holds the state lock")
+    }
+
+    /// Gets the accept loop out of `accept` so that it sees the drain is
+    /// complete. Called by whoever made [`ServerState::drained`] true, after
+    /// releasing the lock. A refused connect means `run` has returned
+    /// already; any other failure is retried, and if every attempt fails the
+    /// next connection of any kind ends the loop instead.
+    fn wake_accept_loop(&self) {
+        for _ in 0..WAKE_ATTEMPTS {
+            match TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT) {
+                Ok(_) => return,
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => return,
+                Err(_) => {}
+            }
+        }
+    }
 }
 
 /// A bound, not-yet-running campaign service.
@@ -161,6 +252,13 @@ impl Server {
     /// with [`Server::cache_warning`] set instead of failing.
     pub fn bind(options: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(&options.addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let (cache, cache_warning) = match &options.cache_path {
             Some(path) => ResultCache::load_or_empty(path),
             None => (ResultCache::new(), None),
@@ -171,6 +269,8 @@ impl Server {
                 state: Mutex::new(ServerState {
                     queue: BinaryHeap::new(),
                     jobs: BTreeMap::new(),
+                    finished: VecDeque::new(),
+                    jobs_dropped: 0,
                     next_job_id: 1,
                     next_seq: 0,
                     running: 0,
@@ -182,6 +282,7 @@ impl Server {
                     points_cached: 0,
                 }),
                 work_ready: Condvar::new(),
+                wake_addr,
             }),
             workers: options.workers.max(1),
             cache_path: options.cache_path,
@@ -206,7 +307,6 @@ impl Server {
     ///
     /// Returns accept-loop or cache-persistence I/O errors.
     pub fn run(self) -> io::Result<ServeStats> {
-        self.listener.set_nonblocking(true)?;
         let workers: Vec<JoinHandle<()>> = (0..self.workers)
             .map(|_| {
                 let shared = self.shared.clone();
@@ -216,30 +316,30 @@ impl Server {
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
 
         loop {
-            match self.listener.accept() {
+            let accepted = self.listener.accept();
+            let (finished, live): (Vec<_>, Vec<_>) =
+                handlers.into_iter().partition(|h| h.is_finished());
+            for h in finished {
+                let _ = h.join();
+            }
+            handlers = live;
+            match accepted {
+                // The wake-up connect gets a handler like any other: it
+                // reads EOF and returns, while a real client that connected
+                // late still gets its 503 or its status.
                 Ok((stream, _)) => {
                     let shared = self.shared.clone();
                     handlers.push(std::thread::spawn(move || {
                         handle_connection(stream, &shared);
                     }));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let (finished, live): (Vec<_>, Vec<_>) =
-                        handlers.into_iter().partition(|h| h.is_finished());
-                    for h in finished {
-                        let _ = h.join();
-                    }
-                    handlers = live;
-                    {
-                        let state = self.shared.state.lock().unwrap();
-                        if state.draining && state.queue.is_empty() && state.running == 0 {
-                            break;
-                        }
-                    }
-                    std::thread::sleep(ACCEPT_POLL);
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
+            }
+            // A completed drain is announced by a connect (see
+            // `wake_accept_loop`), so this is the one place it is noticed.
+            if self.shared.lock().drained() {
+                break;
             }
         }
 
@@ -253,7 +353,7 @@ impl Server {
             let _ = h.join();
         }
 
-        let state = self.shared.state.lock().unwrap();
+        let state = self.shared.lock();
         if let Some(path) = &self.cache_path {
             state.cache.persist(path)?;
         }
@@ -282,13 +382,17 @@ fn error_body(message: impl Into<String>) -> String {
     Json::obj([("error", Json::Str(message.into()))]).to_string()
 }
 
+/// Every frame is one `write` (see [`crate::http`]), so it goes out at once;
+/// and neither a client that sends nothing nor one that stops reading may
+/// pin the connection's thread.
+fn configure(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+}
+
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    // Accepted sockets must not inherit the listener's nonblocking mode,
-    // and a dead client must not pin this thread forever.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    configure(&stream);
     let request = match read_request(&mut stream) {
         Ok(request) => request,
         Err(_) => return,
@@ -306,11 +410,15 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             );
         }
         ("POST", "/shutdown") => {
-            {
-                let mut state = shared.state.lock().unwrap();
+            let drained = {
+                let mut state = shared.lock();
                 state.draining = true;
-            }
+                state.drained()
+            };
             shared.work_ready.notify_all();
+            if drained {
+                shared.wake_accept_loop();
+            }
             let body = Json::obj([("draining", Json::Bool(true))]).to_string();
             respond_json(&mut stream, 200, "OK", &body);
         }
@@ -347,7 +455,7 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
 
     let (tx, rx) = mpsc::channel();
     let (job_id, points_total, priority) = {
-        let mut state = shared.state.lock().unwrap();
+        let mut state = shared.lock();
         if state.draining {
             let body = error_body("server is draining; submission rejected");
             respond_json(&mut stream, 503, "Service Unavailable", &body);
@@ -406,7 +514,7 @@ fn handle_submit(mut stream: TcpStream, shared: &Arc<Shared>, request: &Request)
 
 fn render_status(shared: &Arc<Shared>) -> String {
     use std::fmt::Write as _;
-    let state = shared.state.lock().unwrap();
+    let state = shared.lock();
     let mut out = String::new();
     let _ = writeln!(out, "tc-serve campaign service");
     let _ = writeln!(
@@ -430,6 +538,13 @@ fn render_status(shared: &Arc<Shared>) -> String {
         state.jobs_completed, state.jobs_failed, state.points_run, state.points_cached
     );
     let _ = writeln!(out, "jobs:");
+    if state.jobs_dropped > 0 {
+        let _ = writeln!(
+            out,
+            "  ({} older finished jobs no longer listed)",
+            state.jobs_dropped
+        );
+    }
     for (id, rec) in &state.jobs {
         let _ = writeln!(
             out,
@@ -452,7 +567,7 @@ fn render_status(shared: &Arc<Shared>) -> String {
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let (job_id, submission, sender) = {
-            let mut state = shared.state.lock().unwrap();
+            let mut state = shared.lock();
             loop {
                 if let Some(next) = state.queue.pop() {
                     let record = state
@@ -477,23 +592,14 @@ fn worker_loop(shared: &Arc<Shared>) {
 
         let outcome = run_job(shared, job_id, submission, sender.as_ref());
 
-        let mut state = shared.state.lock().unwrap();
-        state.running -= 1;
-        let record = state.jobs.get_mut(&job_id).expect("job record");
-        record.events = None;
-        match outcome {
-            Ok((ran, cache_hits)) => {
-                record.state = JobState::Done;
-                record.points_done = record.points_total;
-                record.cache_hits = cache_hits;
-                state.jobs_completed += 1;
-                state.points_run += ran as u64;
-                state.points_cached += cache_hits as u64;
-            }
-            Err(_) => {
-                record.state = JobState::Failed;
-                state.jobs_failed += 1;
-            }
+        let drained = {
+            let mut state = shared.lock();
+            state.running -= 1;
+            state.finish(job_id, outcome);
+            state.drained()
+        };
+        if drained {
+            shared.wake_accept_loop();
         }
     }
 }
@@ -525,30 +631,38 @@ fn run_job(
         options, points, ..
     } = submission;
     let total = points.len();
+    // Formatting a key and rendering a line are the expensive parts of a
+    // hit; both happen outside the state lock, which covers the lookups.
+    let keys: Vec<String> = points
+        .iter()
+        .map(|point| cache_key(point, &options))
+        .collect();
 
-    // Partition into cache hits (line pre-rendered now) and points to run.
-    let mut ready: BTreeMap<usize, String> = BTreeMap::new();
+    // Partition into cache hits and points to run.
+    let mut hits: Vec<(usize, String, RunReport)> = Vec::new();
     let mut to_run = Vec::new();
     let mut run_keys: Vec<String> = Vec::new();
     let mut run_index: Vec<usize> = Vec::new();
     {
-        let mut state = shared.state.lock().unwrap();
-        for (i, point) in points.into_iter().enumerate() {
-            let key = cache_key(&point, &options);
+        let mut state = shared.lock();
+        for (i, (point, key)) in points.into_iter().zip(keys).enumerate() {
             if let Some(report) = state.cache.lookup(&key) {
-                // Cached under any label: re-render with *this* label.
-                ready.insert(i, run_to_json(&point.label, report));
+                hits.push((i, point.label, report.clone()));
             } else {
                 run_keys.push(key);
                 run_index.push(i);
                 to_run.push(point);
             }
         }
-        let cache_hits = total - to_run.len();
         let record = state.jobs.get_mut(&job_id).expect("job record");
-        record.cache_hits = cache_hits;
+        record.cache_hits = hits.len();
     }
-    let cache_hits = total - to_run.len();
+    // Cached under any label: rendered with *this* submission's.
+    let cache_hits = hits.len();
+    let mut ready: BTreeMap<usize, String> = hits
+        .into_iter()
+        .map(|(i, label, report)| (i, run_to_json(&label, &report)))
+        .collect();
     let ran = to_run.len();
 
     let mut next_emit = 0usize;
@@ -564,7 +678,7 @@ fn run_job(
                     ready.insert(run_index[index], run_to_json(&run.label, &run.report));
                     computed.push((index, run.report.clone()));
                     flush_ready(&mut ready, &mut next_emit, sender);
-                    let mut state = shared.state.lock().unwrap();
+                    let mut state = shared.lock();
                     if let Some(record) = state.jobs.get_mut(&job_id) {
                         record.points_done = next_emit;
                     }
@@ -574,7 +688,7 @@ fn run_job(
         // Whatever completed before a panic is still a valid, bit-exact
         // result: cache it so the work is not lost.
         {
-            let mut state = shared.state.lock().unwrap();
+            let mut state = shared.lock();
             for (index, report) in computed {
                 state.cache.insert(run_keys[index].clone(), report);
             }
@@ -614,6 +728,41 @@ mod tests {
     use tc_types::SystemConfig;
     use tc_workloads::WorkloadProfile;
 
+    fn bound() -> Server {
+        Server::bind(ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            cache_path: None,
+        })
+        .expect("bind on an ephemeral port")
+    }
+
+    fn options() -> RunOptions {
+        RunOptions {
+            ops_per_node: 100,
+            max_cycles: 20_000_000,
+            ..RunOptions::default()
+        }
+    }
+
+    fn point(label: &str, seed: u64) -> ExperimentPoint {
+        let mut config = SystemConfig::isca03_default().with_nodes(4).with_seed(seed);
+        config.l2.size_bytes = 256 * 1024;
+        ExperimentPoint::new(label, config, WorkloadProfile::specjbb())
+    }
+
+    fn record(state: JobState, points_total: usize) -> JobRecord {
+        JobRecord {
+            state,
+            priority: JobPriority::Normal,
+            points_total,
+            points_done: 0,
+            cache_hits: 0,
+            submission: None,
+            events: None,
+        }
+    }
+
     /// The worker-side crash contract. `Submission::parse` refuses every
     /// configuration known to panic, so this hands `run_job` an unvalidated
     /// one directly: the job fails with the panic's message as its trailer,
@@ -621,38 +770,20 @@ mod tests {
     /// (a worker thread) gets an `Err`, not an unwind.
     #[test]
     fn a_panicking_point_fails_its_job_and_keeps_what_finished() {
-        let mut config = SystemConfig::isca03_default().with_nodes(4);
-        config.l2.size_bytes = 256 * 1024;
-        let good = ExperimentPoint::new("good", config.clone(), WorkloadProfile::specjbb());
-        config.l1.size_bytes = 192; // 3 lines, 4-way: `System::build` panics
-        let bad = ExperimentPoint::new("bad", config, WorkloadProfile::specjbb());
+        let good = point("good", 0);
+        let mut bad = point("bad", 0);
+        bad.config.l1.size_bytes = 192; // 3 lines, 4-way: `System::build` panics
         let submission = Submission {
             priority: JobPriority::Normal,
-            options: RunOptions {
-                ops_per_node: 100,
-                max_cycles: 20_000_000,
-                ..RunOptions::default()
-            },
+            options: options(),
             points: vec![good, bad],
         };
-        let server = Server::bind(ServeOptions {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            cache_path: None,
-        })
-        .expect("bind on an ephemeral port");
-        server.shared.state.lock().unwrap().jobs.insert(
-            1,
-            JobRecord {
-                state: JobState::Running,
-                priority: submission.priority,
-                points_total: 2,
-                points_done: 0,
-                cache_hits: 0,
-                submission: None,
-                events: None,
-            },
-        );
+        let server = bound();
+        server
+            .shared
+            .lock()
+            .jobs
+            .insert(1, record(JobState::Running, 2));
 
         let (tx, rx) = mpsc::channel();
         let error = run_job(&server.shared, 1, submission, Some(&tx)).expect_err("job fails");
@@ -668,7 +799,96 @@ mod tests {
             }
         );
         assert!(error.contains("bad"), "the panic names the point: {error}");
-        assert_eq!(server.shared.state.lock().unwrap().cache.len(), 1);
+        assert_eq!(server.shared.lock().cache.len(), 1);
+    }
+
+    #[test]
+    fn the_job_table_keeps_every_unfinished_job_and_a_bounded_tail_of_finished_ones() {
+        let server = bound();
+        let shared = &server.shared;
+        {
+            let mut state = shared.lock();
+            state.jobs.insert(1, record(JobState::Queued, 1));
+            state.jobs.insert(2, record(JobState::Running, 1));
+            let extra = 44;
+            for id in 3..3 + (FINISHED_JOBS_KEPT + extra) as u64 {
+                state.jobs.insert(id, record(JobState::Running, 2));
+                let outcome = if id % 7 == 0 {
+                    Err("a point panicked".to_string())
+                } else {
+                    Ok((1, 1))
+                };
+                state.finish(id, outcome);
+                assert!(state.jobs.len() <= FINISHED_JOBS_KEPT + 2);
+            }
+            assert_eq!(state.jobs.len(), FINISHED_JOBS_KEPT + 2);
+            assert_eq!(state.jobs_dropped, extra as u64);
+            assert_eq!(state.jobs[&1].state, JobState::Queued);
+            assert_eq!(state.jobs[&2].state, JobState::Running);
+            // The finished ones kept are the most recent.
+            assert_eq!(*state.jobs.keys().nth(2).unwrap(), 3 + extra as u64);
+            // Dropping a record takes nothing out of the lifetime counters.
+            let total = (FINISHED_JOBS_KEPT + extra) as u64;
+            assert_eq!(state.jobs_completed + state.jobs_failed, total);
+            assert_eq!(state.points_run, state.jobs_completed);
+        }
+        let status = render_status(shared);
+        assert!(
+            status.contains("(44 older finished jobs no longer listed)"),
+            "{status}"
+        );
+        assert!(status.contains("job-1 "), "{status}");
+        assert!(!status.contains("job-3 "), "{status}");
+    }
+
+    /// One lookup a submitted point, counted once, for a cold job, a job
+    /// that is all hits and a job with both.
+    #[test]
+    fn cache_counters_advance_once_a_submitted_point() {
+        let server = bound();
+        let shared = server.shared.clone();
+        let addr = server.local_addr().unwrap().to_string();
+        let running = std::thread::spawn(move || server.run().expect("server run"));
+        let submit = |points: Vec<ExperimentPoint>| {
+            let submission = Submission {
+                priority: JobPriority::Normal,
+                options: options(),
+                points,
+            };
+            crate::submit(&addr, &submission, |_| {}).expect("submission")
+        };
+        let counters = || {
+            let state = shared.lock();
+            (state.cache.hits, state.cache.misses)
+        };
+
+        let cold = submit(vec![point("a", 1), point("b", 2)]);
+        assert_eq!((cold.ran, cold.cache_hits), (2, 0));
+        assert_eq!(counters(), (0, 2));
+
+        let hot = submit(vec![point("b2", 2), point("a2", 1), point("a3", 1)]);
+        assert_eq!((hot.ran, hot.cache_hits), (0, 3));
+        assert_eq!(counters(), (3, 2));
+
+        let mixed = submit(vec![point("a", 1), point("c", 3), point("b", 2)]);
+        assert_eq!((mixed.ran, mixed.cache_hits), (1, 2));
+        assert_eq!(counters(), (5, 3));
+
+        crate::shutdown(&addr).expect("shutdown");
+        let stats = running.join().expect("server thread");
+        assert_eq!(stats.jobs_completed, 3);
+        assert_eq!((stats.points_run, stats.points_cached), (3, 5));
+    }
+
+    #[test]
+    fn accepted_sockets_bound_both_directions_of_a_stalled_client() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure(&accepted);
+        assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
+        assert_eq!(accepted.write_timeout().unwrap(), Some(WRITE_TIMEOUT));
+        assert!(accepted.nodelay().unwrap());
     }
 
     #[test]

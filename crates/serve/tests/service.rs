@@ -2,9 +2,13 @@
 //! socket, real HTTP round trips, and the three contracts the subsystem
 //! exists for — served results byte-identical to one-shot output,
 //! identical resubmission served entirely from cache, and a poisoned
-//! submission rejected before the queue, which keeps serving.
+//! submission rejected before the queue, which keeps serving. Then the
+//! service's timing contracts: a cached job never waits for a worker,
+//! nothing on the request path polls, and a drain ends `run()` at once.
 
+use std::sync::mpsc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use tc_serve::{ServeOptions, ServeStats, Server, Submission};
 use tc_system::{run_to_json, Campaign, ExperimentPoint, RunOptions};
@@ -66,6 +70,57 @@ fn start_server(options: ServeOptions) -> (String, JoinHandle<ServeStats>) {
     let addr = server.local_addr().expect("bound address").to_string();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
     (addr, handle)
+}
+
+fn one_worker() -> ServeOptions {
+    ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        cache_path: None,
+    }
+}
+
+/// A cold job that keeps one worker busy for over half a second in a
+/// release build (several seconds in a debug one): `LONG_JOB_POINTS`
+/// 16-node points, every seed new to the cache.
+const LONG_JOB_POINTS: usize = 24;
+
+fn long_job() -> Submission {
+    let points = (0..LONG_JOB_POINTS)
+        .map(|i| {
+            let config = SystemConfig::isca03_default()
+                .with_nodes(16)
+                .with_seed(1000 + i as u64);
+            ExperimentPoint::new(format!("long-{i}"), config, WorkloadProfile::oltp())
+        })
+        .collect();
+    Submission {
+        priority: JobPriority::Normal,
+        options: RunOptions {
+            ops_per_node: 400,
+            max_cycles: 200_000_000,
+            ..RunOptions::default()
+        },
+        points,
+    }
+}
+
+/// Submits [`long_job`] from a thread of its own and returns once its first
+/// run line has arrived, that is, with the job running on a worker and most
+/// of its points still to do. The thread returns the job's outcome.
+fn start_long_job(addr: &str) -> JoinHandle<tc_serve::SubmitOutcome> {
+    let (first_line, started) = mpsc::channel();
+    let addr = addr.to_string();
+    let client = std::thread::spawn(move || {
+        tc_serve::submit(&addr, &long_job(), |_| {
+            let _ = first_line.send(());
+        })
+        .expect("the long job")
+    });
+    started
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the long job streams a first line");
+    client
 }
 
 #[test]
@@ -288,4 +343,126 @@ fn priorities_and_streaming_hold_under_concurrent_submissions() {
     assert_eq!(outcome.cache_hits, 3);
     tc_serve::shutdown(&addr).expect("shutdown");
     handle.join().expect("server thread");
+}
+
+/// A tripwire for any wait on the request path: the work behind a hit or a
+/// status page is well under a millisecond, while behind an accept loop that
+/// polls every 25 ms each request of a closed loop waits out a whole sleep.
+/// The lower quartile is what is bounded, not the median: the other tests
+/// of this binary simulate on every core meanwhile, and that may delay many
+/// of the samples, but a poll delays all of them.
+#[test]
+fn hits_and_status_pages_are_answered_in_well_under_a_poll_interval() {
+    const SAMPLES: usize = 21;
+    const LIMIT_MS: f64 = 10.0;
+    let (addr, handle) = start_server(one_worker());
+    let body = submission(small_points()).to_json();
+    tc_serve::submit_json(&addr, &body, |_| {}).expect("cold submission");
+
+    let quartile_ms = |request: &dyn Fn()| {
+        let mut samples: Vec<f64> = (0..SAMPLES)
+            .map(|_| {
+                let began = Instant::now();
+                request();
+                began.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[SAMPLES / 4]
+    };
+    let hit_ms = quartile_ms(&|| {
+        let outcome = tc_serve::submit_json(&addr, &body, |_| {}).expect("cached submission");
+        assert_eq!(outcome.ran, 0);
+    });
+    let status_ms = quartile_ms(&|| {
+        tc_serve::status(&addr).expect("status");
+    });
+    assert!(
+        hit_ms < LIMIT_MS,
+        "a quarter of the all-hit jobs took {hit_ms:.2} ms or less"
+    );
+    assert!(
+        status_ms < LIMIT_MS,
+        "a quarter of the /status calls took {status_ms:.2} ms or less"
+    );
+
+    tc_serve::shutdown(&addr).expect("shutdown");
+    let stats = handle.join().expect("server thread");
+    assert_eq!(stats.jobs_completed, 1 + SAMPLES as u64);
+    assert_eq!(stats.points_cached, 3 * SAMPLES as u64);
+}
+
+/// `/shutdown` on an idle server wakes the accept loop itself — also when
+/// the server is bound to an unspecified address, where the wake-up has to
+/// go to the loopback address of the same family.
+#[test]
+fn an_idle_server_drains_at_once_on_any_bind_address() {
+    for (bind, loopback) in [
+        ("127.0.0.1:0", "127.0.0.1"),
+        ("0.0.0.0:0", "127.0.0.1"),
+        ("[::]:0", "[::1]"),
+    ] {
+        let server = match Server::bind(ServeOptions {
+            addr: bind.to_string(),
+            ..one_worker()
+        }) {
+            Ok(server) => server,
+            // A host without IPv6 has nothing to drain there.
+            Err(_) if bind.starts_with('[') => continue,
+            Err(e) => panic!("bind {bind}: {e}"),
+        };
+        let port = server.local_addr().expect("bound address").port();
+        let addr = format!("{loopback}:{port}");
+        let (returned, drained) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let stats = server.run().expect("server run");
+            let _ = returned.send(());
+            stats
+        });
+        tc_serve::status(&addr).expect("status");
+
+        tc_serve::shutdown(&addr).expect("shutdown");
+        drained
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("run() still going 1 s after /shutdown on {bind}"));
+        let stats = handle.join().expect("server thread");
+        assert_eq!(stats.jobs_completed, 0);
+    }
+}
+
+/// `/shutdown` with a job on a worker: the job streams to its trailer,
+/// whoever submits meanwhile is told 503, and the worker that finishes the
+/// job ends `run()`. A job that was all hits is in the lifetime counters
+/// like any other, and served the cold job's bytes.
+#[test]
+fn a_drain_lets_the_running_job_finish_and_refuses_new_ones() {
+    let (addr, handle) = start_server(one_worker());
+    let mut cold_lines = Vec::new();
+    tc_serve::submit(&addr, &submission(small_points()), |line| {
+        cold_lines.push(line.to_string());
+    })
+    .expect("cold submission");
+    let mut hit_lines = Vec::new();
+    let outcome = tc_serve::submit(&addr, &submission(small_points()), |line| {
+        hit_lines.push(line.to_string());
+    })
+    .expect("cached submission");
+    assert_eq!((outcome.ran, outcome.cache_hits), (0, 3));
+    assert_eq!(hit_lines, cold_lines, "a hit serves the cold job's bytes");
+
+    let long = start_long_job(&addr);
+    tc_serve::shutdown(&addr).expect("shutdown");
+    // Cached or not, nothing new is taken on.
+    let refused = tc_serve::submit(&addr, &submission(small_points()), |_| {})
+        .expect_err("a draining server takes no submissions");
+    assert!(refused.message.contains("503"), "{refused}");
+    assert!(refused.message.contains("draining"), "{refused}");
+
+    let outcome = long.join().expect("long job's client");
+    assert_eq!((outcome.ran, outcome.cache_hits), (LONG_JOB_POINTS, 0));
+    let stats = handle.join().expect("server thread");
+    assert_eq!(stats.jobs_completed, 3);
+    assert_eq!(stats.jobs_failed, 0);
+    assert_eq!(stats.points_run, 3 + LONG_JOB_POINTS as u64);
+    assert_eq!(stats.points_cached, 3);
 }
