@@ -18,6 +18,8 @@
 //! topology emitted them and a draw happens only for enabled classes, so a
 //! `(seed, AdversarySpec)` pair reproduces the exact same schedule
 //! bit-for-bit regardless of host, thread count, or wall-clock.
+//!
+//! [`DeterministicRng`]: tc_sim::DeterministicRng
 
 use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::adversary::{AdversarySpec, AdversaryStats};
@@ -59,7 +61,7 @@ impl Adversary {
     }
 
     /// [`Adversary::new`] in per-source-node stream mode, for the sharded
-    /// runner (see [`PlaneRng::new_per_node`]): the perturbation schedule
+    /// runner (see `PlaneRng::new_per_node`): the perturbation schedule
     /// depends only on each node's own message sequence — identical at any
     /// shard count.
     pub fn new_per_node(

@@ -71,7 +71,7 @@ impl FaultPlane {
     }
 
     /// [`FaultPlane::new`] in per-source-node stream mode, for the sharded
-    /// runner (see [`PlaneRng::new_per_node`]). Same `(seed, spec)` ⇒ same
+    /// runner (see `PlaneRng::new_per_node`). Same `(seed, spec)` ⇒ same
     /// per-node fault schedule, at any shard count.
     pub fn new_per_node(
         spec: FaultSpec,

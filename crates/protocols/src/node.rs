@@ -106,7 +106,7 @@ pub trait MosiPolicy: fmt::Debug + Send + Sized {
     );
 
     /// Every coherence message: the home side, the snoop/forward side and
-    /// the responses that feed [`MosiNode::try_complete`].
+    /// the responses that feed `MosiNode::try_complete`.
     fn handle_message(node: &mut MosiNode<Self>, now: Cycle, msg: &Message, out: &mut Outbox);
 
     /// Snapshot codec of an MSHR, pending ops first.

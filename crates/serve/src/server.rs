@@ -43,6 +43,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use tc_system::campaign::panic_message;
 use tc_system::{run_to_json, Campaign, RunReport};
 use tc_types::{JobId, JobPriority, JobState, Json};
 
@@ -695,11 +696,7 @@ fn run_job(
         }
 
         if let Err(payload) = result {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let message = panic_message(&*payload);
             if let Some(sender) = sender {
                 let _ = sender.send(JobLine::Failed {
                     job: JobId(job_id).to_string(),

@@ -219,6 +219,24 @@ fn served_results_are_byte_identical_and_resubmission_hits_the_cache() {
     std::fs::remove_dir_all(&cache_dir).ok();
 }
 
+/// `checkpoint_every` is an accepted member of a submission, but a served
+/// run has no checkpoint sink: the cadence cuts nothing, and the job streams
+/// the lines of the same submission without it, byte for byte. (It is part
+/// of the cache key, so every point here is simulated, not a hit.)
+#[test]
+fn a_checkpoint_cadence_on_the_wire_changes_no_served_byte() {
+    let (addr, handle) = start_server(one_worker());
+    let mut cadenced = submission(small_points());
+    cadenced.options.checkpoint_every = Some(1);
+    let mut lines = Vec::new();
+    let outcome = tc_serve::submit(&addr, &cadenced, |line| lines.push(format!("{line}\n")))
+        .expect("a submission with a checkpoint cadence");
+    assert_eq!(lines, one_shot_lines(small_points()));
+    assert_eq!((outcome.ran, outcome.cache_hits), (3, 0));
+    tc_serve::shutdown(&addr).expect("shutdown");
+    assert_eq!(handle.join().expect("server thread").jobs_failed, 0);
+}
+
 #[test]
 fn poisoned_submissions_are_rejected_and_the_queue_keeps_serving() {
     let (addr, handle) = start_server(ServeOptions {

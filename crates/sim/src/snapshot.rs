@@ -382,8 +382,8 @@ impl Interner {
 
 /// A static name (a protocol counter's, say) is a string on the wire and
 /// loads by interning: the vocabulary is a handful of names fixed in the
-/// source, so a payload that presents more than [`MAX_INTERNED_NAMES`]
-/// distinct ones, or one longer than [`MAX_INTERNED_NAME_BYTES`], is corrupt.
+/// source, so a payload that presents more than `MAX_INTERNED_NAMES`
+/// distinct ones, or one longer than `MAX_INTERNED_NAME_BYTES`, is corrupt.
 impl Snap for &'static str {
     fn save(&self, w: &mut SnapWriter) {
         w.str(self);
@@ -617,13 +617,6 @@ pub enum JournalRecord {
         /// Simulated cycle when the snapshot was sealed.
         cycle: u64,
     },
-    /// The verifier recorded a new invariant violation.
-    Violation {
-        /// Engine event count when the violation was recorded.
-        events_delivered: u64,
-        /// Simulated cycle when the violation was recorded.
-        cycle: u64,
-    },
     /// The run completed (drained or hit its cycle budget).
     End {
         /// Final engine event count.
@@ -631,111 +624,20 @@ pub enum JournalRecord {
         /// Final simulated cycle.
         cycle: u64,
     },
-    /// A starvation violation, with enough detail to reconstruct the
-    /// fairness report without the full snapshot: who starved, on what,
-    /// and for how long.
-    StarvationDetail {
-        /// Engine event count when starvation was declared.
-        events_delivered: u64,
-        /// Simulated cycle when starvation was declared.
-        cycle: u64,
-        /// Index of the starved node.
-        node: u32,
-        /// Block the starved request was for.
-        addr: u64,
-        /// How long the request had waited, in cycles.
-        waited: u64,
-    },
 }
-
-impl JournalRecord {
-    fn tag(&self) -> u8 {
-        match self {
-            JournalRecord::Checkpoint { .. } => 0,
-            JournalRecord::Violation { .. } => 1,
-            JournalRecord::End { .. } => 2,
-            JournalRecord::StarvationDetail { .. } => 3,
-        }
-    }
-
-    /// Encodes the record body (tag byte included, checksum excluded).
-    fn encode_body(&self, body: &mut Vec<u8>) {
-        body.push(self.tag());
-        match *self {
-            JournalRecord::Checkpoint {
-                events_delivered,
-                cycle,
-            }
-            | JournalRecord::Violation {
-                events_delivered,
-                cycle,
-            }
-            | JournalRecord::End {
-                events_delivered,
-                cycle,
-            } => {
-                body.extend_from_slice(&events_delivered.to_le_bytes());
-                body.extend_from_slice(&cycle.to_le_bytes());
-            }
-            JournalRecord::StarvationDetail {
-                events_delivered,
-                cycle,
-                node,
-                addr,
-                waited,
-            } => {
-                body.extend_from_slice(&events_delivered.to_le_bytes());
-                body.extend_from_slice(&cycle.to_le_bytes());
-                body.extend_from_slice(&node.to_le_bytes());
-                body.extend_from_slice(&addr.to_le_bytes());
-                body.extend_from_slice(&waited.to_le_bytes());
-            }
-        }
-    }
-
-    /// Decodes a checksum-verified body. `None` means the record kind (or
-    /// its layout) is unknown to this build — a *newer* writer appended it
-    /// — and the loader should skip it rather than declare the file torn.
-    fn decode_body(body: &[u8]) -> Option<JournalRecord> {
-        let le_u64 = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-        match body[0] {
-            tag @ 0..=2 if body.len() == 17 => {
-                let events_delivered = le_u64(&body[1..9]);
-                let cycle = le_u64(&body[9..17]);
-                Some(match tag {
-                    0 => JournalRecord::Checkpoint {
-                        events_delivered,
-                        cycle,
-                    },
-                    1 => JournalRecord::Violation {
-                        events_delivered,
-                        cycle,
-                    },
-                    _ => JournalRecord::End {
-                        events_delivered,
-                        cycle,
-                    },
-                })
-            }
-            3 if body.len() == 37 => Some(JournalRecord::StarvationDetail {
-                events_delivered: le_u64(&body[1..9]),
-                cycle: le_u64(&body[9..17]),
-                node: u32::from_le_bytes(body[17..21].try_into().unwrap()),
-                addr: le_u64(&body[21..29]),
-                waited: le_u64(&body[29..37]),
-            }),
-            _ => None,
-        }
-    }
-}
+// Tags 1 and 3 are retired: two violation records no writer ever appended.
+snap_enum!(JournalRecord, "journal record" {
+    0 => Checkpoint { events_delivered, cycle },
+    2 => End { events_delivered, cycle },
+});
 
 /// Append-only record of a run's progress between snapshots: checkpoints
-/// taken, violations seen, and the final event count. Each record is
-/// individually framed (`len u8 | body | fnv1a64(body) u64`, where
-/// `body[0]` is the record tag) and checksummed, so a journal truncated
-/// by a crash loads every record up to the tear, and a record kind this
-/// build does not know — appended by a newer writer — is skipped rather
-/// than mistaken for corruption.
+/// taken and the final event count. Each record is individually framed
+/// (`len u8 | body | fnv1a64(body) u64`, the body being the record's
+/// [`Snap`] layout) and checksummed, so a journal truncated by a crash
+/// loads every record up to the tear, and a record this build cannot load
+/// — a kind or layout appended by a newer writer — is skipped rather than
+/// mistaken for corruption.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RunJournal {
     records: Vec<JournalRecord>,
@@ -760,10 +662,10 @@ impl RunJournal {
     /// Serializes every record as a framed, per-record-checksummed stream.
     pub fn as_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.records.len() * 26);
-        let mut body = Vec::with_capacity(64);
         for record in &self.records {
-            body.clear();
-            record.encode_body(&mut body);
+            let mut w = SnapWriter::new();
+            record.save(&mut w);
+            let body = w.into_bytes();
             debug_assert!(!body.is_empty() && body.len() <= usize::from(u8::MAX));
             out.push(body.len() as u8);
             out.extend_from_slice(&body);
@@ -775,7 +677,7 @@ impl RunJournal {
     /// Loads a journal, keeping every intact record before the first torn
     /// one. Returns the journal and whether a tear was detected (a crashed
     /// run legitimately leaves one). A record whose checksum verifies but
-    /// whose kind is unknown was written by a newer build: it is skipped
+    /// whose body does not load was written by a newer build: it is skipped
     /// and the load continues — framing makes that safe.
     pub fn load(bytes: &[u8]) -> (Self, bool) {
         let mut journal = RunJournal::new();
@@ -795,7 +697,11 @@ impl RunJournal {
                 break;
             }
             pos += 1 + len + 8;
-            if let Some(record) = JournalRecord::decode_body(body) {
+            let mut r = SnapReader::new(body);
+            if let Ok(record) = JournalRecord::load(&mut r).and_then(|record| {
+                r.finish()?;
+                Ok(record)
+            }) {
                 journal.append(record);
             }
         }
@@ -917,7 +823,7 @@ mod tests {
             events_delivered: 1000,
             cycle: 40,
         });
-        journal.append(JournalRecord::Violation {
+        journal.append(JournalRecord::Checkpoint {
             events_delivered: 1500,
             cycle: 61,
         });
@@ -952,23 +858,44 @@ mod tests {
         assert_eq!(partial.records(), &journal.records()[..1]);
     }
 
+    /// The journal's bytes, pinned: one length byte, the body (one tag
+    /// byte, then little-endian fields), the body's `fnv1a64`. Checkpoint
+    /// directories on disk hold journals in this layout, so the figures
+    /// move only with a deliberate format change.
     #[test]
-    fn starvation_detail_round_trips() {
+    fn journal_bytes_are_pinned() {
         let mut journal = RunJournal::new();
-        journal.append(JournalRecord::StarvationDetail {
-            events_delivered: 5_000,
-            cycle: 77_000,
-            node: 3,
-            addr: 42,
-            waited: 60_000,
+        journal.append(JournalRecord::Checkpoint {
+            events_delivered: 100_000,
+            cycle: 399_712,
+        });
+        journal.append(JournalRecord::Checkpoint {
+            events_delivered: 200_000,
+            cycle: 801_004,
         });
         journal.append(JournalRecord::End {
-            events_delivered: 6_000,
-            cycle: 80_000,
+            events_delivered: 317_430,
+            cycle: 1_268_828,
         });
-        let (loaded, torn) = RunJournal::load(&journal.as_bytes());
-        assert!(!torn);
-        assert_eq!(loaded, journal);
+        let bytes = journal.as_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (78, 0x9c0a3bc83debe35b),
+            "journal wire bytes moved"
+        );
+        assert_eq!(bytes[..2], [17, 0], "frame length, then the Checkpoint tag");
+        assert_eq!(bytes[53], 2, "the End tag");
+        // Every proper prefix loads the whole frames before the cut and
+        // reports the tear, unless the cut falls on a frame boundary.
+        for cut in 0..bytes.len() {
+            let (loaded, torn) = RunJournal::load(&bytes[..cut]);
+            assert_eq!(
+                loaded.records(),
+                &journal.records()[..cut / 26],
+                "cut {cut}"
+            );
+            assert_eq!(torn, cut % 26 != 0, "cut {cut}");
+        }
     }
 
     #[test]

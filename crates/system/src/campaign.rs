@@ -33,6 +33,8 @@
 //! shared between points, and reports are reassembled in submission order.
 //! `tests/campaign.rs` pins this contract in CI.
 
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -186,65 +188,35 @@ impl Campaign {
     }
 
     /// Runs every point and returns the collected reports in submission
-    /// order.
-    ///
-    /// Work is distributed dynamically: workers claim the next unstarted
-    /// point from a shared counter, so a campaign of unevenly sized points
-    /// (64-node sweeps next to smoke runs) keeps all cores busy until the
-    /// tail. The claim order affects only scheduling — each point's
-    /// simulation is hermetic, and the report vector is indexed by
-    /// submission order, not completion order.
+    /// order: [`Campaign::run_streaming`] with a sink that keeps each run.
     pub fn run(self) -> CampaignReport {
-        let total = self.points.len();
-        let workers = self.threads.min(total.max(1));
-        let results: Mutex<Vec<(usize, RunReport)>> = Mutex::new(Vec::with_capacity(total));
-        let started = Instant::now();
-
-        self.execute(workers, &|index, report| {
-            results
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((index, report));
-        });
-
-        let mut collected = results.into_inner().unwrap_or_else(|e| e.into_inner());
-        collected.sort_unstable_by_key(|(index, _)| *index);
-        debug_assert_eq!(collected.len(), total);
-        let runs = collected
-            .into_iter()
-            .zip(&self.points)
-            .map(|((_, report), point)| CampaignRun {
-                label: point.label.clone(),
-                report,
-            })
-            .collect();
-
+        let mut runs = Vec::with_capacity(self.points.len());
+        let summary = self.run_streaming(|_, run| runs.push(run.clone()));
         CampaignReport {
             runs,
-            options: self.options,
-            threads: workers,
-            wall_seconds: started.elapsed().as_secs_f64(),
+            options: summary.options,
+            threads: summary.threads,
+            wall_seconds: summary.wall_seconds,
         }
     }
 
-    /// The one worker pool behind [`Campaign::run`] and
-    /// [`Campaign::run_streaming`]: `workers` scoped threads claim points
-    /// dynamically off a shared counter, emit the progress events, run each
-    /// point hermetically, and hand `(index, report)` to `on_done` (invoked
-    /// concurrently from worker threads; the caller synchronizes). Keeping
-    /// both public paths on this loop is what keeps their scheduling — and
-    /// therefore the bit-identical-aggregates contract — in lockstep.
+    /// The worker pool: `workers` scoped threads claim points dynamically
+    /// off a shared counter — so a campaign of unevenly sized points
+    /// (64-node sweeps next to smoke runs) keeps all cores busy until the
+    /// tail — emit the progress events, run each point hermetically, and
+    /// hand `(index, report)` to `on_done` (invoked concurrently from worker
+    /// threads; the caller synchronizes). The claim order affects only
+    /// scheduling, never a report.
     fn execute(&self, workers: usize, on_done: &(impl Fn(usize, RunReport) + Sync)) {
         let total = self.points.len();
         let next = AtomicUsize::new(0);
-        // A panic in one point used to strand the campaign: the panicking
-        // worker died, the survivors ground through every remaining point,
-        // and the eventual re-panic from the thread scope had lost which
-        // point failed. Now the first panic is caught, the other workers
-        // abort their next claim, and the panic resurfaces with the failing
-        // point's label attached.
+        // The first panic in a point is caught, the other workers abort
+        // their next claim, and the panic resurfaces with the failing
+        // point's label attached — instead of a dead worker, survivors
+        // grinding through every remaining point, and a thread-scope
+        // re-panic that has lost which point failed.
         let abort = AtomicBool::new(false);
-        let first_panic: Mutex<Option<(String, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
+        let first_panic: Mutex<Option<(String, Box<dyn Any + Send>)>> = Mutex::new(None);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -292,115 +264,78 @@ impl Campaign {
         });
         let first_panic = first_panic.into_inner().unwrap_or_else(|e| e.into_inner());
         if let Some((label, payload)) = first_panic {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            panic!("campaign point '{label}' panicked: {message}");
+            panic!(
+                "campaign point '{label}' panicked: {}",
+                panic_message(&*payload)
+            );
         }
     }
 
-    /// Runs every point like [`Campaign::run`], but *streams* each completed
-    /// [`CampaignRun`] to `sink` in submission order and drops it immediately
-    /// after folding it into the aggregates — the campaign never holds more
-    /// than the out-of-order completion window of full `RunReport`s in
-    /// memory, so thousand-point parameter scans stay flat.
-    ///
-    /// The returned [`CampaignSummary`] carries exactly the aggregates
-    /// [`CampaignReport`] computes — built from the same per-run rows, in the
-    /// same submission order — so the streamed aggregates are bit-identical
-    /// to the buffered path's (pinned by tests). `sink` is called under a
-    /// lock, one run at a time, in submission order, from whichever worker
-    /// thread completed the gap-filling point.
+    /// Runs every point and *streams* each completed [`CampaignRun`] to
+    /// `sink` in submission order, dropping it as soon as the sink returns —
+    /// the campaign never holds more than the out-of-order completion
+    /// window of full `RunReport`s in memory, so thousand-point parameter
+    /// scans stay flat. `sink` is called under a lock, one run at a time,
+    /// from whichever worker thread completed the gap-filling point.
     pub fn run_streaming<F>(self, sink: F) -> CampaignSummary
     where
         F: FnMut(usize, &CampaignRun) + Send,
     {
-        /// Reorders worker completions back into submission order, feeds the
-        /// sink, folds the aggregate rows, and drops each report.
-        struct Emitter<F> {
+        /// Puts worker completions back into submission order.
+        struct Reorder<F> {
             next_emit: usize,
             /// Completed runs waiting for an earlier point to finish.
-            pending: std::collections::BTreeMap<usize, CampaignRun>,
-            sink: F,
-            /// First run's cycles/transaction (the normalization baseline).
-            baseline: Option<f64>,
-            /// High-water mark of `pending` — the reorder buffer's worst
-            /// occupancy over the run.
+            pending: BTreeMap<usize, CampaignRun>,
             peak_pending: usize,
-            runtime: Vec<RuntimeRow>,
-            traffic: Vec<TrafficRow>,
-            miss_latency: Vec<MissLatencyRow>,
-            failures: Vec<(String, InvariantViolation)>,
-        }
-
-        impl<F: FnMut(usize, &CampaignRun)> Emitter<F> {
-            fn submit(&mut self, index: usize, run: CampaignRun) {
-                self.pending.insert(index, run);
-                self.peak_pending = self.peak_pending.max(self.pending.len());
-                while let Some(run) = self.pending.remove(&self.next_emit) {
-                    let index = self.next_emit;
-                    self.next_emit += 1;
-                    let baseline = *self
-                        .baseline
-                        .get_or_insert_with(|| run.report.cycles_per_transaction());
-                    self.runtime.push(RuntimeRow::from_run(&run, baseline));
-                    self.traffic.push(TrafficRow::from_run(&run));
-                    self.miss_latency.push(MissLatencyRow::from_run(&run));
-                    if let Err(violation) = run.report.verified() {
-                        self.failures.push((run.label.clone(), violation));
-                    }
-                    (self.sink)(index, &run);
-                    // `run` drops here: the full RunReport is released.
-                }
-            }
+            sink: F,
         }
 
         let total = self.points.len();
         let workers = self.threads.min(total.max(1));
-        let emitter = Mutex::new(Emitter {
+        let reorder = Mutex::new(Reorder {
             next_emit: 0,
-            pending: std::collections::BTreeMap::new(),
-            sink,
-            baseline: None,
+            pending: BTreeMap::new(),
             peak_pending: 0,
-            runtime: Vec::with_capacity(total),
-            traffic: Vec::with_capacity(total),
-            miss_latency: Vec::with_capacity(total),
-            failures: Vec::new(),
+            sink,
         });
         let started = Instant::now();
 
         self.execute(workers, &|index, report| {
-            emitter.lock().unwrap_or_else(|e| e.into_inner()).submit(
-                index,
-                CampaignRun {
-                    label: self.points[index].label.clone(),
-                    report,
-                },
-            );
+            let label = self.points[index].label.clone();
+            let mut guard = reorder.lock().unwrap_or_else(|e| e.into_inner());
+            let reorder = &mut *guard;
+            reorder.pending.insert(index, CampaignRun { label, report });
+            reorder.peak_pending = reorder.peak_pending.max(reorder.pending.len());
+            while let Some(run) = reorder.pending.remove(&reorder.next_emit) {
+                (reorder.sink)(reorder.next_emit, &run);
+                reorder.next_emit += 1;
+            }
         });
 
-        let emitter = emitter.into_inner().unwrap_or_else(|e| e.into_inner());
-        debug_assert_eq!(emitter.next_emit, total);
+        let reorder = reorder.into_inner().unwrap_or_else(|e| e.into_inner());
+        debug_assert_eq!(reorder.next_emit, total);
         CampaignSummary {
             points: total,
             options: self.options,
             threads: workers,
             wall_seconds: started.elapsed().as_secs_f64(),
-            peak_reorder_buffer: emitter.peak_pending,
-            runtime: emitter.runtime,
-            traffic: emitter.traffic,
-            miss_latency: emitter.miss_latency,
-            failures: emitter.failures,
+            peak_reorder_buffer: reorder.peak_pending,
         }
     }
 }
 
-/// The aggregate results of a streamed campaign ([`Campaign::run_streaming`]):
-/// the same per-run aggregate rows a buffered [`CampaignReport`] computes,
-/// without retaining any full [`RunReport`]s.
+/// The message a caught panic carried (`panic!` payloads are a `&str` or a
+/// `String`).
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// What a streamed campaign ([`Campaign::run_streaming`]) knows that its
+/// sink does not.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSummary {
     /// Number of points that ran.
@@ -411,37 +346,11 @@ pub struct CampaignSummary {
     pub threads: usize,
     /// Wall-clock seconds for the whole campaign.
     pub wall_seconds: f64,
-    /// Peak occupancy of the streaming reorder buffer: the most completed
-    /// runs ever held back waiting for an earlier point. Bounded by the
-    /// worker count when the sink is the bottleneck. Scheduling-dependent —
-    /// like `wall_seconds`, it is *excluded* from the determinism contract
-    /// (and reported as 0 by [`CampaignReport::summary`], which never
-    /// buffers out of order).
+    /// Peak occupancy of the reorder buffer: the most completed runs ever
+    /// held back waiting for an earlier point. Bounded by the worker count
+    /// when the sink is the bottleneck. Scheduling-dependent — like
+    /// `wall_seconds`, it is *excluded* from the determinism contract.
     pub peak_reorder_buffer: usize,
-    /// The normalized-runtime aggregate, in submission order.
-    pub runtime: Vec<RuntimeRow>,
-    /// The traffic-breakdown aggregate, in submission order.
-    pub traffic: Vec<TrafficRow>,
-    /// The miss-latency aggregate, in submission order.
-    pub miss_latency: Vec<MissLatencyRow>,
-    /// Label and first violation of every run that failed verification.
-    pub failures: Vec<(String, InvariantViolation)>,
-}
-
-impl CampaignSummary {
-    /// `Ok` if every run passed verification; otherwise the first failing
-    /// label and violation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the label of the first unverified run plus its first
-    /// violation.
-    pub fn verified(&self) -> Result<(), (String, InvariantViolation)> {
-        match self.failures.first() {
-            None => Ok(()),
-            Some((label, violation)) => Err((label.clone(), violation.clone())),
-        }
-    }
 }
 
 /// One row of the normalized-runtime aggregate (Figures 4a / 5a).
@@ -455,20 +364,6 @@ pub struct RuntimeRow {
     pub normalized: f64,
     /// Percentage of misses served cache-to-cache.
     pub cache_to_cache_pct: f64,
-}
-
-impl RuntimeRow {
-    /// Builds the row for one run. `baseline` is the first run's
-    /// cycles-per-transaction — shared by the buffered and streaming paths
-    /// so their aggregates are bit-identical.
-    fn from_run(run: &CampaignRun, baseline: f64) -> RuntimeRow {
-        RuntimeRow {
-            label: run.label.clone(),
-            cycles_per_transaction: run.report.cycles_per_transaction(),
-            normalized: run.report.cycles_per_transaction() / baseline,
-            cache_to_cache_pct: 100.0 * run.report.misses.cache_to_cache_fraction(),
-        }
-    }
 }
 
 /// One row of the traffic-breakdown aggregate (Figures 4b / 5b).
@@ -598,7 +493,12 @@ impl CampaignReport {
             .unwrap_or(1.0);
         self.runs
             .iter()
-            .map(|run| RuntimeRow::from_run(run, baseline))
+            .map(|run| RuntimeRow {
+                label: run.label.clone(),
+                cycles_per_transaction: run.report.cycles_per_transaction(),
+                normalized: run.report.cycles_per_transaction() / baseline,
+                cache_to_cache_pct: 100.0 * run.report.misses.cache_to_cache_fraction(),
+            })
             .collect()
     }
 
@@ -610,32 +510,6 @@ impl CampaignReport {
     /// The miss-latency aggregate.
     pub fn miss_latency_rows(&self) -> Vec<MissLatencyRow> {
         self.runs.iter().map(MissLatencyRow::from_run).collect()
-    }
-
-    /// The aggregate-only view of this report — what
-    /// [`Campaign::run_streaming`] returns. Used by tests to pin the
-    /// streaming path bit-identical to the buffered one.
-    pub fn summary(&self) -> CampaignSummary {
-        CampaignSummary {
-            points: self.runs.len(),
-            options: self.options,
-            threads: self.threads,
-            wall_seconds: self.wall_seconds,
-            peak_reorder_buffer: 0,
-            runtime: self.runtime_rows(),
-            traffic: self.traffic_rows(),
-            miss_latency: self.miss_latency_rows(),
-            failures: self
-                .runs
-                .iter()
-                .filter_map(|run| {
-                    run.report
-                        .verified()
-                        .err()
-                        .map(|violation| (run.label.clone(), violation))
-                })
-                .collect(),
-        }
     }
 
     /// Renders the normalized-runtime aggregate as an aligned text table,
@@ -1016,49 +890,33 @@ mod tests {
             .threads(8)
             .run_streaming(|_, _| {});
         assert_eq!(summary.points, 0);
-        assert!(summary.verified().is_ok());
     }
 
-    /// The streaming satellite's contract: `run_streaming` must produce
-    /// aggregates bit-identical to the buffered path at any thread count,
-    /// and deliver runs to the sink in submission order exactly once.
+    /// `run` is `run_streaming` with a sink that keeps each run: at any
+    /// thread count the sink sees every point once, in submission order,
+    /// and `run` returns exactly those runs.
     #[test]
-    fn streaming_aggregates_are_bit_identical_to_buffered() {
-        let buffered = Campaign::new(small_points())
-            .options(tiny_options())
-            .threads(1)
-            .run();
-        let reference = buffered.summary();
-        for threads in [1usize, 3] {
-            let seen = Mutex::new(Vec::new());
+    fn streaming_runs_are_bit_identical_to_buffered() {
+        for threads in [1usize, 3, 4] {
+            let buffered = Campaign::new(small_points())
+                .options(tiny_options())
+                .threads(threads)
+                .run();
+            let mut seen = Vec::new();
             let summary = Campaign::new(small_points())
                 .options(tiny_options())
                 .threads(threads)
-                .run_streaming(|index, run| {
-                    seen.lock().unwrap().push((index, run.label.clone()));
-                });
-            let seen = seen.into_inner().unwrap();
-            // Submission order, each point exactly once.
+                .run_streaming(|index, run| seen.push((index, run.clone())));
             assert_eq!(
                 seen.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-                (0..buffered.runs.len()).collect::<Vec<_>>(),
+                (0..small_points().len()).collect::<Vec<_>>(),
                 "threads={threads}"
             );
-            for ((_, label), run) in seen.iter().zip(&buffered.runs) {
-                assert_eq!(label, &run.label, "threads={threads}");
-            }
-            // Bit-identical aggregates (wall-clock and thread count are the
-            // only legitimately differing fields).
-            assert_eq!(summary.runtime, reference.runtime, "threads={threads}");
-            assert_eq!(summary.traffic, reference.traffic, "threads={threads}");
-            assert_eq!(
-                summary.miss_latency, reference.miss_latency,
-                "threads={threads}"
-            );
-            assert_eq!(summary.failures, reference.failures, "threads={threads}");
-            assert_eq!(summary.points, reference.points);
-            assert_eq!(summary.options, reference.options);
-            assert!(summary.verified().is_ok());
+            let streamed: Vec<CampaignRun> = seen.into_iter().map(|(_, run)| run).collect();
+            assert_eq!(streamed, buffered.runs, "threads={threads}");
+            assert_eq!(summary.points, buffered.runs.len());
+            assert_eq!(summary.options, buffered.options);
+            assert_eq!(summary.threads, buffered.threads);
         }
     }
 
@@ -1145,7 +1003,6 @@ mod tests {
             summary.peak_reorder_buffer,
             threads
         );
-        assert!(summary.verified().is_ok());
     }
 
     /// The wire-format satellite: the hand-rolled writer's output must be

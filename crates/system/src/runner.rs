@@ -1,5 +1,5 @@
 //! The event-driven system runner: run options and run control, the serial
-//! event loop with its checkpoint/trace cuts, the finish path both engines
+//! event loop with its checkpoint cut, the finish path both engines
 //! share, and the snapshot codec.
 
 use tc_interconnect::{Adversary, FaultPlane, Interconnect};
@@ -372,6 +372,10 @@ impl Scheduler for Serial<'_> {
     }
 }
 
+/// Where a checkpointing run hands each sealed snapshot:
+/// `(events_delivered, bytes)`.
+type CheckpointSink<'a> = &'a mut dyn FnMut(u64, &[u8]);
+
 /// One simulated multiprocessor: N nodes, an interconnect, a verifier, and a
 /// deterministic event queue.
 #[derive(Debug)]
@@ -388,9 +392,6 @@ pub struct System {
     /// Events delivered by shard queues in windowed runs, which never touch
     /// `queue`'s own counter.
     pub(crate) windowed_events: u64,
-    /// True while this system is re-executing a trace window, so the
-    /// replay neither re-snapshots nor recursively replays.
-    replaying: bool,
 }
 
 impl System {
@@ -443,10 +444,6 @@ impl System {
         for n in 0..config.num_nodes {
             queue.schedule(0, Event::Wakeup(NodeId::new(n)));
         }
-        // With a trace block set, the serial runner also keeps a rolling
-        // window snapshot so the first violation triggers an automatic
-        // time-travel replay of the window leading up to it
-        // (`TC_TRACE_WINDOW` events, default 65536).
         let trace_block = std::env::var("TC_TRACE_BLOCK")
             .ok()
             .and_then(|v| v.parse().ok())
@@ -459,7 +456,6 @@ impl System {
             queue,
             verifier: Verifier::new(),
             windowed_events: 0,
-            replaying: false,
         }
     }
 
@@ -489,9 +485,10 @@ impl System {
 
     /// Runs the simulation until every node has completed
     /// `options.ops_per_node` operations (or the cycle limit is hit), drains
-    /// outstanding transactions, audits the final state, and reports.
+    /// outstanding transactions, audits the final state, and reports. No
+    /// checkpoint is cut: there is no sink to hand one to.
     pub fn run(&mut self, options: RunOptions) -> RunReport {
-        self.run_with_checkpoints(options, &mut |_, _| {})
+        self.start(options, None)
     }
 
     /// [`System::run`] with a checkpoint sink: when
@@ -505,6 +502,10 @@ impl System {
         options: RunOptions,
         sink: &mut dyn FnMut(u64, &[u8]),
     ) -> RunReport {
+        self.start(options, Some(sink))
+    }
+
+    fn start(&mut self, options: RunOptions, sink: Option<CheckpointSink<'_>>) -> RunReport {
         if options.shards > 0 {
             // The snapshot plane serializes the serial engine's single
             // calendar queue and arena; a sharded run has S of each plus a
@@ -517,16 +518,15 @@ impl System {
             );
             return crate::sharded::run_sharded(self, &options);
         }
-        let mut progress = RunProgress::start(&options, &self.config);
-        self.drive(&options, &mut progress, sink, None);
-        self.finish_serial(&options, progress)
+        let progress = RunProgress::start(&options, &self.config);
+        self.drive(&options, progress, sink)
     }
 
     /// Continues a run restored by [`System::restore`] to completion. The
     /// options must match the original run's (enforced by the snapshot
     /// fingerprint at restore time).
     pub fn resume(&mut self, options: RunOptions, progress: RunProgress) -> RunReport {
-        self.resume_with_checkpoints(options, progress, &mut |_, _| {})
+        self.drive(&options, progress, None)
     }
 
     /// [`System::resume`] with a checkpoint sink, so a resumed run keeps
@@ -534,17 +534,16 @@ impl System {
     pub fn resume_with_checkpoints(
         &mut self,
         options: RunOptions,
-        mut progress: RunProgress,
+        progress: RunProgress,
         sink: &mut dyn FnMut(u64, &[u8]),
     ) -> RunReport {
-        self.drive(&options, &mut progress, sink, None);
-        self.finish_serial(&options, progress)
+        self.drive(&options, progress, Some(sink))
     }
 
     /// Run-entry setup both engines share: arms the test-only arbiter
     /// sabotage, aimed at the victim node's controller (the starvation
-    /// oracle must catch what this breaks). Idempotent, so resumed runs and
-    /// replays re-arm it.
+    /// oracle must catch what this breaks). Idempotent, so resumed runs
+    /// re-arm it.
     pub(crate) fn arm_sabotage(&mut self, options: &RunOptions) {
         if options.adversary.sabotage != 0 {
             let victim = options.adversary.victim_node as usize % self.config.num_nodes;
@@ -552,46 +551,25 @@ impl System {
         }
     }
 
-    /// The serial event loop: one calendar queue over every node, each send
-    /// committed to the fabric the moment its event pops. Pulled out of
-    /// [`System::run`] so the same loop serves fresh runs, resumed runs, and
-    /// bounded trace replays (`stop_after_events`). Checkpoint and
-    /// trace-window cuts happen *before* each pop, at an event boundary
-    /// where the scratch outbox is empty — the snapshot never has to
-    /// serialize mid-event state.
+    /// The serial event loop, from wherever `progress` stands to the report:
+    /// one calendar queue over every node, each send committed to the fabric
+    /// the moment its event pops. With a `sink` and a cadence in `options`,
+    /// checkpoints are cut *before* a pop, at an event boundary where the
+    /// scratch outbox is empty — the snapshot never has to serialize
+    /// mid-event state.
     fn drive(
         &mut self,
         options: &RunOptions,
-        progress: &mut RunProgress,
-        sink: &mut dyn FnMut(u64, &[u8]),
-        stop_after_events: Option<u64>,
-    ) {
+        mut progress: RunProgress,
+        sink: Option<CheckpointSink<'_>>,
+    ) -> RunReport {
         let target_total = options.ops_per_node * self.config.num_nodes as u64;
         self.arm_sabotage(options);
         let starvation_bound = options.starvation_bound(&self.config);
-        let mut next_checkpoint = options
-            .checkpoint_every
-            .map(|k| (self.queue.total_delivered() / k + 1) * k);
-        // Rolling window snapshot for time-travel replay: with a trace
-        // block set, keep the snapshot from the last window boundary so a
-        // violation can replay the window leading up to it. Never active
-        // inside a replay (no recursion).
-        let trace_window: Option<u64> = if self.core.trace_block.is_some() && !self.replaying {
-            Some(
-                std::env::var("TC_TRACE_WINDOW")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(65_536)
-                    .max(1),
-            )
-        } else {
-            None
-        };
-        let mut window_snap: Option<(u64, Vec<u8>)> = None;
-        // First cut fires immediately on loop entry, so a violation in the
-        // very first window still has a snapshot to replay from.
-        let mut next_window_cut = trace_window.map(|w| (self.queue.total_delivered() / w) * w);
-        let mut violations_seen = self.verifier.violations().len();
+        // (sink, cadence, next cut), all in delivered events.
+        let mut checkpoint = sink
+            .zip(options.checkpoint_every)
+            .map(|(sink, k)| (sink, k, (self.queue.total_delivered() / k + 1) * k));
         // Scratch outbox handed to controllers and scratch buffer for
         // arrival times: both are drained (capacity kept) after every event,
         // so the steady-state loop allocates nothing.
@@ -599,22 +577,11 @@ impl System {
         let mut arrivals: Vec<(Cycle, NodeId)> = Vec::new();
 
         loop {
-            let delivered = self.queue.total_delivered();
-            if let Some(limit) = stop_after_events {
-                if delivered >= limit {
-                    break;
-                }
-            }
-            if let (Some(k), Some(at)) = (options.checkpoint_every, next_checkpoint) {
-                if delivered >= at {
-                    sink(delivered, &self.snapshot(options, progress));
-                    next_checkpoint = Some((delivered / k + 1) * k);
-                }
-            }
-            if let (Some(w), Some(at)) = (trace_window, next_window_cut) {
-                if delivered >= at {
-                    window_snap = Some((delivered, self.snapshot(options, progress)));
-                    next_window_cut = Some((delivered / w + 1) * w);
+            if let Some((sink, k, at)) = checkpoint.as_mut() {
+                let delivered = self.queue.total_delivered();
+                if delivered >= *at {
+                    sink(delivered, &self.snapshot(options, &progress));
+                    *at = (delivered / *k + 1) * *k;
                 }
             }
             let Some((now, event)) = self.queue.pop() else {
@@ -650,20 +617,12 @@ impl System {
                     }
                 }
             }
-            if trace_window.is_some() && self.verifier.violations().len() > violations_seen {
-                violations_seen = self.verifier.violations().len();
-                if let Some((from, snap)) = window_snap.as_ref() {
-                    self.windowed_replay(options, snap, *from, self.queue.total_delivered());
-                }
-            }
             let progressed = self.core.completed_ops != ops_before;
             if progress.livelock_tick(options, progressed, 1, now) {
                 break;
             }
         }
-    }
 
-    fn finish_serial(&mut self, options: &RunOptions, progress: RunProgress) -> RunReport {
         let mut in_flight_tokens = FastHashMap::default();
         self.core
             .add_in_flight(self.queue.iter(), &mut in_flight_tokens);
@@ -889,26 +848,6 @@ impl System {
             options.shards
         );
         tc_sim::fnv1a64(key.as_bytes())
-    }
-
-    /// Time-travel replay: rebuild a fresh system, restore the rolling
-    /// window snapshot, and re-drive it up to the violating event so the
-    /// `TC_TRACE_BLOCK` trace covers the whole window leading up to the
-    /// violation. The replay uses the default protocol registry; runs built
-    /// with a custom registry get the trace but not the replay.
-    fn windowed_replay(&self, options: &RunOptions, snap: &[u8], from: u64, upto: u64) {
-        eprintln!(
-            "violation at event {upto}; replaying the trace window from event {from} \
-             (adjust with TC_TRACE_WINDOW)"
-        );
-        let mut replay = System::build(&self.config, &self.workload);
-        replay.replaying = true;
-        match replay.restore(options, snap) {
-            Ok(mut progress) => {
-                replay.drive(options, &mut progress, &mut |_, _| {}, Some(upto));
-            }
-            Err(e) => eprintln!("trace replay could not restore the window snapshot: {e}"),
-        }
     }
 
     /// Audits the quiesced final state: token conservation, single-writer,

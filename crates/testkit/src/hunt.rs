@@ -35,10 +35,10 @@ use std::fmt;
 
 use tc_sim::DeterministicRng;
 use tc_system::RunReport;
-use tc_types::{AdversarySpec, FaultSpec, ProtocolKind};
+use tc_types::{AdversarySpec, ProtocolKind};
 
 use crate::scenario::Scenario;
-use crate::{check_adversarial, shrink, Failure};
+use crate::{check, shrink, Failure};
 
 /// RNG stream tag for the hunter's own draws, so a hunt seed never collides
 /// with a workload or adversary stream derived from the same integer.
@@ -189,31 +189,28 @@ fn mutate(rng: &mut DeterministicRng, spec: AdversarySpec, num_nodes: u64) -> Ad
 /// by tests and the `tc-bench hunt` CLI, both of which want a loud failure,
 /// not a silently empty outcome.
 pub fn hunt(options: &HuntOptions) -> HuntOutcome {
-    let scenario = Scenario::by_name(&options.scenario)
-        .unwrap_or_else(|| panic!("unknown scenario '{}'", options.scenario));
+    let scenario = Scenario {
+        ops_per_node: options.ops_per_node,
+        ..Scenario::by_name(&options.scenario)
+            .unwrap_or_else(|| panic!("unknown scenario '{}'", options.scenario))
+    };
     let num_nodes = scenario.num_nodes as u64;
     let mut rng = DeterministicRng::new(options.seed).fork(HUNT_STREAM);
 
+    let base = scenario.run_options();
     let mut evaluations = 0u64;
     let mut failure: Option<Failure> = None;
     let evaluate =
         |spec: AdversarySpec, evaluations: &mut u64, failure: &mut Option<Failure>| -> u64 {
-            let report = scenario.run_adversarial(
-                options.protocol,
-                options.seed,
-                options.ops_per_node,
-                FaultSpec::none(),
-                spec,
-            );
+            let run_options = base.with_adversary(spec);
+            let report = scenario.run_under(options.protocol, options.seed, run_options);
             *evaluations += 1;
             if failure.is_none() {
-                *failure = check_adversarial(
+                *failure = check(
                     options.protocol,
                     &scenario,
                     options.seed,
-                    options.ops_per_node,
-                    FaultSpec::none(),
-                    spec,
+                    run_options,
                     &report,
                 );
             }
@@ -222,16 +219,7 @@ pub fn hunt(options: &HuntOptions) -> HuntOutcome {
 
     // The baseline anchors the objective scale and is not charged against
     // the adversarial budget.
-    let baseline_objective = {
-        let report = scenario.run_adversarial(
-            options.protocol,
-            options.seed,
-            options.ops_per_node,
-            FaultSpec::none(),
-            AdversarySpec::none(),
-        );
-        objective(&report)
-    };
+    let baseline_objective = objective(&scenario.run_under(options.protocol, options.seed, base));
 
     let budget = options.budget.max(1);
     let probes = budget.div_ceil(2);
@@ -312,15 +300,13 @@ impl Pathology {
     ///
     /// Panics if the pinned scenario name is unknown — a catalog bug.
     pub fn run(&self) -> RunReport {
-        let scenario = Scenario::by_name(self.scenario)
-            .unwrap_or_else(|| panic!("pathology '{}' names unknown scenario", self.name));
-        scenario.run_adversarial(
-            self.protocol,
-            self.seed,
-            self.ops_per_node,
-            FaultSpec::none(),
-            self.adversary(),
-        )
+        let scenario = Scenario {
+            ops_per_node: self.ops_per_node,
+            ..Scenario::by_name(self.scenario)
+                .unwrap_or_else(|| panic!("pathology '{}' names unknown scenario", self.name))
+        };
+        let options = scenario.run_options().with_adversary(self.adversary());
+        scenario.run_under(self.protocol, self.seed, options)
     }
 }
 

@@ -50,7 +50,7 @@ pub use scenario::Scenario;
 use std::fmt;
 
 use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
-use tc_system::RunReport;
+use tc_system::{RunOptions, RunReport};
 use tc_types::{AdversarySpec, FaultKind, FaultSpec, InvariantViolation, Json, ProtocolKind, Wire};
 
 /// Asserts `value`'s wire layout is sound: `load(save(x)) == x` consuming
@@ -119,9 +119,8 @@ pub fn assert_wire_round_trip<T: Wire + PartialEq + fmt::Debug>(value: &T) {
     }
 }
 
-/// One failing (protocol, scenario, seed, faults, adversary) cell of the
-/// conformance sweep. `faults` is `FaultSpec::none()` and `adversary` is
-/// `AdversarySpec::none()` for the reliable, unperturbed-fabric sweep.
+/// One failing (protocol, scenario, seed, options) cell of the conformance
+/// sweep.
 #[derive(Debug, Clone)]
 pub struct Failure {
     /// Protocol under test.
@@ -130,53 +129,39 @@ pub struct Failure {
     pub scenario: String,
     /// Workload seed the failure reproduces under.
     pub seed: u64,
-    /// Operations per node the failing run used (shrunk runs lower this).
-    pub ops_per_node: u64,
-    /// The fault spec injected during the failing run (shrunk runs thin it).
-    pub faults: FaultSpec,
-    /// The adversarial schedule the failing run executed under (shrunk runs
-    /// zero the knobs the failure does not need).
-    pub adversary: AdversarySpec,
+    /// The options the failing run used: the scenario's own, except that a
+    /// shrunk failure has a lower `ops_per_node` and thinner `faults` and
+    /// `adversary` (`none` for the reliable, unperturbed-fabric sweep).
+    pub options: RunOptions,
     /// The violations the verifier reported.
     pub violations: Vec<InvariantViolation>,
 }
 
 impl fmt::Display for Failure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let RunOptions {
+            ops_per_node,
+            faults,
+            adversary,
+            ..
+        } = self.options;
         writeln!(
             f,
-            "{} on scenario '{}' (seed {}, {} ops/node, faults {}, adversary {}) violated:",
-            self.protocol, self.scenario, self.seed, self.ops_per_node, self.faults, self.adversary
+            "{} on scenario '{}' (seed {}, {ops_per_node} ops/node, faults {faults}, \
+             adversary {adversary}) violated:",
+            self.protocol, self.scenario, self.seed
         )?;
         for violation in &self.violations {
             writeln!(f, "  - {violation}")?;
         }
-        if !self.adversary.is_none() {
-            let faults = if self.faults.is_none() {
-                "FaultSpec::none()".to_string()
-            } else {
-                format!("FaultSpec::parse(\"{}\").unwrap()", self.faults)
-            };
-            write!(
-                f,
-                "  replay: Scenario::by_name(\"{}\").unwrap().run_adversarial(ProtocolKind::{:?}, {}, {}, \
-                 {}, AdversarySpec::parse(\"{}\").unwrap())",
-                self.scenario, self.protocol, self.seed, self.ops_per_node, faults, self.adversary
-            )
-        } else if self.faults.is_none() {
-            write!(
-                f,
-                "  replay: Scenario::by_name(\"{}\").unwrap().run_with_ops(ProtocolKind::{:?}, {}, {})",
-                self.scenario, self.protocol, self.seed, self.ops_per_node
-            )
-        } else {
-            write!(
-                f,
-                "  replay: Scenario::by_name(\"{}\").unwrap().run_faulted(ProtocolKind::{:?}, {}, {}, \
-                 FaultSpec::parse(\"{}\").unwrap())",
-                self.scenario, self.protocol, self.seed, self.ops_per_node, self.faults
-            )
-        }
+        write!(
+            f,
+            "  replay: let s = Scenario::by_name(\"{}\").unwrap(); \
+             s.run_under(ProtocolKind::{:?}, {}, RunOptions {{ ops_per_node: {ops_per_node}, \
+             faults: FaultSpec::parse(\"{faults}\").unwrap(), \
+             adversary: AdversarySpec::parse(\"{adversary}\").unwrap(), ..s.run_options() }})",
+            self.scenario, self.protocol, self.seed
+        )
     }
 }
 
@@ -204,76 +189,31 @@ impl fmt::Display for CapabilityGap {
     }
 }
 
-/// Extracts the failure (if any) from a finished run: any invariant
-/// violation, including the structured starvation/deadlock liveness
-/// violations the runner emits for stuck requesters.
+/// Extracts the failure (if any) from a finished run of `scenario` under
+/// `options`: any invariant violation, including the structured
+/// starvation/deadlock liveness violations the runner emits for stuck
+/// requesters.
 pub fn check(
     protocol: ProtocolKind,
     scenario: &Scenario,
     seed: u64,
-    ops_per_node: u64,
-    faults: FaultSpec,
+    options: RunOptions,
     report: &RunReport,
 ) -> Option<Failure> {
-    check_adversarial(
+    (!report.violations.is_empty()).then(|| Failure {
         protocol,
-        scenario,
+        scenario: scenario.name.to_string(),
         seed,
-        ops_per_node,
-        faults,
-        AdversarySpec::none(),
-        report,
-    )
-}
-
-/// [`check`] for runs that also executed under an [`AdversarySpec`] — the
-/// hunter's failure-extraction hook.
-pub fn check_adversarial(
-    protocol: ProtocolKind,
-    scenario: &Scenario,
-    seed: u64,
-    ops_per_node: u64,
-    faults: FaultSpec,
-    adversary: AdversarySpec,
-    report: &RunReport,
-) -> Option<Failure> {
-    if report.violations.is_empty() {
-        None
-    } else {
-        Some(Failure {
-            protocol,
-            scenario: scenario.name.to_string(),
-            seed,
-            ops_per_node,
-            faults,
-            adversary,
-            violations: report.violations.clone(),
-        })
-    }
+        options,
+        violations: report.violations.clone(),
+    })
 }
 
 /// Runs every protocol through every scenario for every seed, returning the
 /// failing cells (empty means full conformance). Deterministic: the same
 /// inputs always produce the same failures.
 pub fn stress(protocols: &[ProtocolKind], scenarios: &[Scenario], seeds: &[u64]) -> Vec<Failure> {
-    let mut failures = Vec::new();
-    for scenario in scenarios {
-        for &protocol in protocols {
-            for &seed in seeds {
-                let report = scenario.run(protocol, seed);
-                if let Some(failure) = check(
-                    protocol,
-                    scenario,
-                    seed,
-                    scenario.ops_per_node,
-                    FaultSpec::none(),
-                    &report,
-                ) {
-                    failures.push(failure);
-                }
-            }
-        }
-    }
+    let (failures, _) = stress_faulted(protocols, scenarios, seeds, FaultSpec::none());
     failures
 }
 
@@ -302,39 +242,14 @@ pub fn stress_faulted(
             }
         }
         for scenario in scenarios {
+            let options = scenario.run_options().with_faults(gated);
             for &seed in seeds {
-                let report = scenario.run_faulted(protocol, seed, scenario.ops_per_node, gated);
-                if let Some(failure) = check(
-                    protocol,
-                    scenario,
-                    seed,
-                    scenario.ops_per_node,
-                    gated,
-                    &report,
-                ) {
-                    failures.push(failure);
-                }
+                let report = scenario.run_under(protocol, seed, options);
+                failures.extend(check(protocol, scenario, seed, options, &report));
             }
         }
     }
     (failures, gaps)
-}
-
-/// Returns `spec` with one fault class disabled — the shrinker's class
-/// removal step.
-fn without_class(spec: FaultSpec, class: FaultKind) -> FaultSpec {
-    let mut s = spec;
-    match class {
-        FaultKind::Drop => s.drop_ppm = 0,
-        FaultKind::Duplicate => s.dup_ppm = 0,
-        FaultKind::Delay => {
-            s.delay_ppm = 0;
-            s.delay_max_ns = 0;
-        }
-        FaultKind::Reorder => s.reorder_depth = 0,
-        FaultKind::LinkDown => s.outages = [None; tc_types::fault::MAX_OUTAGES],
-    }
-    s
 }
 
 /// Returns `spec` with every intensity knob halved (probabilities, jitter
@@ -385,40 +300,30 @@ fn halved_adversary(spec: AdversarySpec) -> AdversarySpec {
 /// minimal replayable reproduction, not a flaky sample.
 pub fn shrink(failure: &Failure, scenario: &Scenario) -> Failure {
     debug_assert_eq!(failure.scenario, scenario.name);
-    let reproduces = |ops: u64, faults: FaultSpec, adversary: AdversarySpec| -> Option<Failure> {
-        let report =
-            scenario.run_adversarial(failure.protocol, failure.seed, ops, faults, adversary);
-        check_adversarial(
-            failure.protocol,
-            scenario,
-            failure.seed,
-            ops,
-            faults,
-            adversary,
-            &report,
-        )
+    let reproduces = |options: RunOptions| -> Option<Failure> {
+        let report = scenario.run_under(failure.protocol, failure.seed, options);
+        check(failure.protocol, scenario, failure.seed, options, &report)
+    };
+    let with_ops = |options: RunOptions, ops_per_node: u64| RunOptions {
+        ops_per_node,
+        ..options
     };
 
     let mut best = failure.clone();
     // Phase 1: exponential descent on the operation count.
-    let mut ops = failure.ops_per_node;
-    while ops > 1 {
-        let half = ops / 2;
-        match reproduces(half, best.faults, best.adversary) {
-            Some(smaller) => {
-                best = smaller;
-                ops = half;
-            }
+    while best.options.ops_per_node > 1 {
+        match reproduces(with_ops(best.options, best.options.ops_per_node / 2)) {
+            Some(smaller) => best = smaller,
             None => break,
         }
     }
     // Phase 2: binary search between the largest passing and the smallest
     // failing count found so far.
-    let mut lo = best.ops_per_node / 2; // passes (or zero)
-    let mut hi = best.ops_per_node; // fails
+    let mut lo = best.options.ops_per_node / 2; // passes (or zero)
+    let mut hi = best.options.ops_per_node; // fails
     while lo + 1 < hi {
         let mid = lo + (hi - lo) / 2;
-        match reproduces(mid, best.faults, best.adversary) {
+        match reproduces(with_ops(best.options, mid)) {
             Some(smaller) => {
                 best = smaller;
                 hi = mid;
@@ -429,35 +334,35 @@ pub fn shrink(failure: &Failure, scenario: &Scenario) -> Failure {
     // Phase 3: greedy fault-class removal — keep a class zeroed whenever the
     // failure reproduces without it.
     for class in FaultKind::ALL {
-        if !best.faults.enables(class) {
+        if !best.options.faults.enables(class) {
             continue;
         }
-        if let Some(smaller) = reproduces(
-            best.ops_per_node,
-            without_class(best.faults, class),
-            best.adversary,
-        ) {
+        let thinner = best.options.faults.without(class);
+        if let Some(smaller) = reproduces(best.options.with_faults(thinner)) {
             best = smaller;
         }
     }
     // Phase 4: greedy adversary-knob removal, same discipline.
     for knob in 0..4 {
-        let thinner = without_adversary_knob(best.adversary, knob);
-        if thinner == best.adversary {
+        let thinner = without_adversary_knob(best.options.adversary, knob);
+        if thinner == best.options.adversary {
             continue;
         }
-        if let Some(smaller) = reproduces(best.ops_per_node, best.faults, thinner) {
+        if let Some(smaller) = reproduces(best.options.with_adversary(thinner)) {
             best = smaller;
         }
     }
     // Phase 5: halve the surviving intensities (fault and adversary alike)
     // while the failure persists.
     loop {
-        let thinner = (halved(best.faults), halved_adversary(best.adversary));
-        if thinner == (best.faults, best.adversary) {
+        let thinner = best
+            .options
+            .with_faults(halved(best.options.faults))
+            .with_adversary(halved_adversary(best.options.adversary));
+        if thinner == best.options {
             break;
         }
-        match reproduces(best.ops_per_node, thinner.0, thinner.1) {
+        match reproduces(thinner) {
             Some(smaller) => best = smaller,
             None => break,
         }
@@ -536,15 +441,7 @@ mod tests {
     fn clean_runs_produce_no_failure() {
         let s = scenario();
         let report = s.run(ProtocolKind::TokenB, 42);
-        assert!(check(
-            ProtocolKind::TokenB,
-            &s,
-            42,
-            s.ops_per_node,
-            FaultSpec::none(),
-            &report
-        )
-        .is_none());
+        assert!(check(ProtocolKind::TokenB, &s, 42, s.run_options(), &report).is_none());
     }
 
     #[test]
@@ -561,9 +458,10 @@ mod tests {
             protocol: ProtocolKind::Snooping,
             scenario: "oltp_calibration".to_string(),
             seed: 7,
-            ops_per_node: 300,
-            faults: FaultSpec::none(),
-            adversary: AdversarySpec::none(),
+            options: RunOptions {
+                ops_per_node: 300,
+                ..RunOptions::default()
+            },
             violations: vec![InvariantViolation::Deadlock {
                 node: NodeId::new(5),
                 addr: BlockAddr::new(46),
@@ -573,7 +471,8 @@ mod tests {
         };
         let text = failure.to_string();
         assert!(text.contains("replay:"));
-        assert!(text.contains("run_with_ops"));
+        assert!(text.contains("run_under"));
+        assert!(text.contains("ops_per_node: 300"));
         assert!(text.contains("oltp_calibration"));
         assert!(text.contains("Snooping"));
         assert!(text.contains("seed 7"));
@@ -587,9 +486,11 @@ mod tests {
             protocol: ProtocolKind::TokenB,
             scenario: "hot_block_contention".to_string(),
             seed: 9,
-            ops_per_node: 100,
-            faults,
-            adversary: AdversarySpec::none(),
+            options: RunOptions {
+                ops_per_node: 100,
+                ..RunOptions::default()
+            }
+            .with_faults(faults),
             violations: vec![InvariantViolation::Deadlock {
                 node: NodeId::new(1),
                 addr: BlockAddr::new(2),
@@ -598,7 +499,6 @@ mod tests {
             }],
         };
         let text = failure.to_string();
-        assert!(text.contains("run_faulted"));
         // The recipe round-trips: the printed spec parses back to itself.
         let printed = text
             .split("FaultSpec::parse(\"")
@@ -635,43 +535,32 @@ mod tests {
 
     #[test]
     fn shrink_minimizes_the_fault_schedule_alongside_the_op_count() {
-        // Drive snooping *outside* its contract on purpose (run_faulted
+        // Drive snooping *outside* its contract on purpose (run_under
         // injects the spec as given): delay jitter breaks its total-order
         // assumption. The drop class rides along but never fires for
         // snooping (loss is gated to TokenB transient requests), so the
         // shrinker must discard it and keep delay.
         let s = scenario();
         let spec = FaultSpec::none().with_drop(0.01).with_delay(0.05, 200);
-        let (failure, seed) = [1u64, 2, 3, 7]
+        let options = s.run_options().with_faults(spec);
+        let failure = [1u64, 2, 3, 7]
             .iter()
             .find_map(|&seed| {
-                let report = s.run_faulted(ProtocolKind::Snooping, seed, s.ops_per_node, spec);
-                check(
-                    ProtocolKind::Snooping,
-                    &s,
-                    seed,
-                    s.ops_per_node,
-                    spec,
-                    &report,
-                )
-                .map(|f| (f, seed))
+                let report = s.run_under(ProtocolKind::Snooping, seed, options);
+                check(ProtocolKind::Snooping, &s, seed, options, &report)
             })
             .expect("snooping under delay jitter must violate on some probe seed");
         let minimal = shrink(&failure, &s);
-        assert!(minimal.ops_per_node <= failure.ops_per_node);
-        assert_eq!(minimal.faults.drop_ppm, 0, "needless class not discarded");
+        assert!(minimal.options.ops_per_node <= failure.options.ops_per_node);
+        let faults = minimal.options.faults;
+        assert_eq!(faults.drop_ppm, 0, "needless class not discarded");
         assert!(
-            minimal.faults.enables(FaultKind::Delay),
+            faults.enables(FaultKind::Delay),
             "the class that causes the failure must survive shrinking"
         );
         assert!(!minimal.violations.is_empty());
         // And the shrunk recipe still reproduces bit-for-bit.
-        let replay = s.run_faulted(
-            ProtocolKind::Snooping,
-            seed,
-            minimal.ops_per_node,
-            minimal.faults,
-        );
+        let replay = s.run_under(ProtocolKind::Snooping, minimal.seed, minimal.options);
         assert_eq!(replay.violations, minimal.violations);
     }
 }

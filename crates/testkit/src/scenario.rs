@@ -2,7 +2,7 @@
 
 use tc_system::experiment::ExperimentPoint;
 use tc_system::{RunOptions, RunReport, System};
-use tc_types::{AdversarySpec, Cycle, FaultSpec, ProtocolKind, SystemConfig};
+use tc_types::{Cycle, ProtocolKind, SystemConfig};
 use tc_workloads::WorkloadProfile;
 
 /// A named conformance scenario: a workload plus the system shape that makes
@@ -140,84 +140,26 @@ impl Scenario {
         }
     }
 
-    /// Runs the scenario to completion and returns the audited report.
+    /// Runs the scenario to completion under [`Scenario::run_options`] and
+    /// returns the audited report.
     pub fn run(&self, protocol: ProtocolKind, seed: u64) -> RunReport {
-        self.run_with_ops(protocol, seed, self.ops_per_node)
+        self.run_under(protocol, seed, self.run_options())
     }
 
-    /// [`Scenario::run`] with an overridden per-node operation count — the
-    /// shrinking hook.
-    pub fn run_with_ops(&self, protocol: ProtocolKind, seed: u64, ops_per_node: u64) -> RunReport {
-        self.run_faulted(protocol, seed, ops_per_node, FaultSpec::none())
-    }
-
-    /// [`Scenario::run_with_ops`] under a fault spec — the fault-campaign
-    /// and fault-shrinking hook. Note this injects the spec *as given*: the
-    /// per-protocol tolerance gating lives in `stress_faulted`, so tests
-    /// can also drive a protocol outside its contract deliberately.
-    pub fn run_faulted(
-        &self,
-        protocol: ProtocolKind,
-        seed: u64,
-        ops_per_node: u64,
-        faults: FaultSpec,
-    ) -> RunReport {
-        self.run_adversarial(protocol, seed, ops_per_node, faults, AdversarySpec::none())
-    }
-
-    /// [`Scenario::run_faulted`] under an additional adversarial-scheduling
-    /// spec — the hook the pathology hunter (`crate::hunt`) probes through.
-    /// Deterministic in every argument; `AdversarySpec::none()` makes this
-    /// exactly `run_faulted`.
-    pub fn run_adversarial(
-        &self,
-        protocol: ProtocolKind,
-        seed: u64,
-        ops_per_node: u64,
-        faults: FaultSpec,
-        adversary: AdversarySpec,
-    ) -> RunReport {
-        let config = self.config(protocol, seed);
-        let mut system = System::build(&config, &self.workload);
-        system.run(RunOptions {
-            ops_per_node,
-            max_cycles: self.max_cycles,
-            faults,
-            adversary,
-            ..RunOptions::default()
-        })
-    }
-
-    /// [`Scenario::run_with_ops`] under sharded execution: the same run
-    /// partitioned across `shards` worker threads by the conservative-PDES
-    /// engine. The determinism contract is that
-    /// `run_sharded(.., 1).determinism_view()` equals
-    /// `run_sharded(.., N).determinism_view()` for every `N` — shard count
-    /// may only move per-shard capacity telemetry, never results.
-    pub fn run_sharded(
-        &self,
-        protocol: ProtocolKind,
-        seed: u64,
-        ops_per_node: u64,
-        shards: u32,
-    ) -> RunReport {
-        let config = self.config(protocol, seed);
-        let mut system = System::build(&config, &self.workload);
-        system.run(
-            RunOptions {
-                ops_per_node,
-                max_cycles: self.max_cycles,
-                ..RunOptions::default()
-            }
-            .with_shards(shards),
-        )
+    /// Runs the scenario's [`Scenario::experiment_point`] under `options`,
+    /// *as given*: a shorter run (the shrinking hook), a fault or adversary
+    /// spec (the per-protocol tolerance gating lives in `stress_faulted`, so
+    /// tests can also drive a protocol outside its contract deliberately),
+    /// a shard count. Deterministic in every argument.
+    pub fn run_under(&self, protocol: ProtocolKind, seed: u64, options: RunOptions) -> RunReport {
+        self.experiment_point(protocol, seed).run(options)
     }
 
     /// Runs the scenario interrupted-and-resumed: the run is checkpointed
-    /// every `checkpoint_every` delivered events, cut at the *first*
+    /// every `options.checkpoint_every` delivered events, cut at the *first*
     /// checkpoint past the cadence, and a **fresh** system restores that
     /// snapshot and finishes the run. Conformance asserts the returned
-    /// report is bit-identical to [`Scenario::run_faulted`]'s — the
+    /// report is bit-identical to [`Scenario::run_under`]'s — the
     /// restore-equivalence oracle of the snapshot plane.
     ///
     /// # Panics
@@ -225,22 +167,8 @@ impl Scenario {
     /// Panics if the run delivers too few events to reach even one
     /// checkpoint, or if the snapshot fails to restore — both are test
     /// failures, not conditions for a conformance suite to tolerate.
-    pub fn run_resumed(
-        &self,
-        protocol: ProtocolKind,
-        seed: u64,
-        ops_per_node: u64,
-        faults: FaultSpec,
-        checkpoint_every: u64,
-    ) -> RunReport {
+    pub fn run_resumed(&self, protocol: ProtocolKind, seed: u64, options: RunOptions) -> RunReport {
         let config = self.config(protocol, seed);
-        let options = RunOptions {
-            ops_per_node,
-            max_cycles: self.max_cycles,
-            faults,
-            ..RunOptions::default()
-        }
-        .with_checkpoint_every(checkpoint_every);
 
         // First leg: run to completion but keep the first snapshot. (The
         // engine has no mid-run abort; cutting at the first checkpoint and
@@ -254,8 +182,8 @@ impl Scenario {
         });
         let snapshot = first_snapshot.unwrap_or_else(|| {
             panic!(
-                "scenario {} delivered too few events for a checkpoint every {} events",
-                self.name, checkpoint_every
+                "scenario {} delivered too few events for a checkpoint every {:?} events",
+                self.name, options.checkpoint_every
             )
         });
 

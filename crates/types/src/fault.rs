@@ -224,19 +224,25 @@ impl FaultSpec {
         for kind in FaultKind::ALL {
             if self.enables(kind) && !protocol.tolerates(kind) {
                 gaps.push(kind);
-                match kind {
-                    FaultKind::Drop => gated.drop_ppm = 0,
-                    FaultKind::Duplicate => gated.dup_ppm = 0,
-                    FaultKind::Delay => {
-                        gated.delay_ppm = 0;
-                        gated.delay_max_ns = 0;
-                    }
-                    FaultKind::Reorder => gated.reorder_depth = 0,
-                    FaultKind::LinkDown => gated.outages = [None; MAX_OUTAGES],
-                }
+                gated = gated.without(kind);
             }
         }
         (gated, gaps)
+    }
+
+    /// This spec with one fault class disabled.
+    pub fn without(mut self, kind: FaultKind) -> FaultSpec {
+        match kind {
+            FaultKind::Drop => self.drop_ppm = 0,
+            FaultKind::Duplicate => self.dup_ppm = 0,
+            FaultKind::Delay => {
+                self.delay_ppm = 0;
+                self.delay_max_ns = 0;
+            }
+            FaultKind::Reorder => self.reorder_depth = 0,
+            FaultKind::LinkDown => self.outages = [None; MAX_OUTAGES],
+        }
+        self
     }
 
     /// May this message be dropped or duplicated without breaking the

@@ -29,6 +29,9 @@
 //! forms, nested containers up to a fixed depth) and rejects everything else
 //! with a [`JsonError`] carrying the byte offset — it parses untrusted
 //! network input, so there is a hard recursion limit and no panics.
+//!
+//! [`json_struct!`]: crate::json_struct
+//! [`named_enum!`]: crate::named_enum
 
 use std::fmt;
 
@@ -246,6 +249,9 @@ impl std::error::Error for WireError {}
 /// A type's text layout: how it is written as a [`Json`] value and read back
 /// from one. The text twin of `tc_sim::Snap`; declare it with
 /// [`json_struct!`] or [`named_enum!`] where one of them fits.
+///
+/// [`json_struct!`]: crate::json_struct
+/// [`named_enum!`]: crate::named_enum
 pub trait Wire: Sized {
     /// This value as JSON. `from_json(&v.to_json(), _) == Ok(v)`.
     fn to_json(&self) -> Json;

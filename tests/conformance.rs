@@ -17,8 +17,8 @@ use token_coherence::prelude::*;
 use token_coherence::types::{AdversarySpec, FaultKind, FaultSpec, InvariantViolation};
 
 use tc_testkit::{
-    check_adversarial, failure_report, hunt, pathology_catalog, shrink, stress, stress_faulted,
-    token_pump, CapabilityGap, HuntOptions, PumpOptions, Scenario,
+    check, failure_report, hunt, pathology_catalog, shrink, stress, stress_faulted, token_pump,
+    CapabilityGap, HuntOptions, PumpOptions, Scenario,
 };
 
 /// The fixed seed set for the sweep: 16 seeds, deliberately spanning small
@@ -228,8 +228,8 @@ fn sixty_four_node_scenario_stays_under_the_oracle() {
 fn sixty_four_node_scenario_is_shard_count_invariant_at_four_shards() {
     let scenario = Scenario::sweep64();
     for protocol in [ProtocolKind::TokenB, ProtocolKind::Directory] {
-        let one = scenario.run_sharded(protocol, 12, scenario.ops_per_node, 1);
-        let four = scenario.run_sharded(protocol, 12, scenario.ops_per_node, 4);
+        let one = scenario.run_under(protocol, 12, scenario.run_options().with_shards(1));
+        let four = scenario.run_under(protocol, 12, scenario.run_options().with_shards(4));
         assert!(
             four.verified().is_ok(),
             "{protocol} at shards(4): {:?}",
@@ -268,10 +268,11 @@ fn adversarial_spec() -> FaultSpec {
 fn fault_tokenb_stays_safe_and_live_under_loss_duplication_and_reorder() {
     let scenario = Scenario::by_name("hot_block_contention").unwrap();
     let spec = adversarial_spec();
+    let options = scenario.run_options().with_faults(spec);
     let mut total = token_coherence::types::FaultStats::default();
     let mut seeds_with_persistent = 0usize;
     for &seed in &SEEDS {
-        let report = scenario.run_faulted(ProtocolKind::TokenB, seed, scenario.ops_per_node, spec);
+        let report = scenario.run_under(ProtocolKind::TokenB, seed, options);
         assert!(
             report.violations.is_empty(),
             "seed {seed}: TokenB violated under {spec}: {:?}",
@@ -351,12 +352,14 @@ fn fault_contract_matrix_gates_injection_per_protocol() {
 /// included — and runs under different fault seeds diverge.
 #[test]
 fn fault_same_seed_fault_runs_replay_bit_identically() {
-    let scenario = Scenario::by_name("hot_block_contention").unwrap();
+    let mut scenario = Scenario::by_name("hot_block_contention").unwrap();
+    scenario.ops_per_node = 300;
     let spec = adversarial_spec().with_seed(0xF457);
     for protocol in [ProtocolKind::TokenB, ProtocolKind::Hammer] {
         let (gated, _) = spec.gated_for(protocol);
-        let a = scenario.run_faulted(protocol, 12, 300, gated);
-        let b = scenario.run_faulted(protocol, 12, 300, gated);
+        let options = scenario.run_options().with_faults(gated);
+        let a = scenario.run_under(protocol, 12, options);
+        let b = scenario.run_under(protocol, 12, options);
         assert_eq!(a, b, "{protocol}: same (seed, FaultSpec) diverged");
         assert!(
             a.engine.faults.total_injected() > 0,
@@ -365,8 +368,13 @@ fn fault_same_seed_fault_runs_replay_bit_identically() {
     }
     // A different fault seed reshuffles the fault sequence without touching
     // the workload stream.
-    let a = scenario.run_faulted(ProtocolKind::TokenB, 12, 300, spec);
-    let c = scenario.run_faulted(ProtocolKind::TokenB, 12, 300, spec.with_seed(0x0DD5));
+    let options = scenario.run_options();
+    let a = scenario.run_under(ProtocolKind::TokenB, 12, options.with_faults(spec));
+    let c = scenario.run_under(
+        ProtocolKind::TokenB,
+        12,
+        options.with_faults(spec.with_seed(0x0DD5)),
+    );
     assert_ne!(
         a.engine.faults, c.engine.faults,
         "fault seed must steer the fault stream"
@@ -420,11 +428,13 @@ fn fault_livelock_watchdog_emits_structured_violation() {
 /// discipline that keeps the 317430 events-delivered pin intact.
 #[test]
 fn inert_adversary_spec_runs_bit_identical_to_no_adversary() {
-    let scenario = Scenario::by_name("hot_block_contention").unwrap();
+    let mut scenario = Scenario::by_name("hot_block_contention").unwrap();
+    scenario.ops_per_node = 300;
     let inert = AdversarySpec::none().with_victim(2, 17).with_seed(9);
     assert!(inert.is_none());
-    let a = scenario.run_adversarial(ProtocolKind::TokenB, 12, 300, FaultSpec::none(), inert);
-    let mut b = scenario.run_with_ops(ProtocolKind::TokenB, 12, 300);
+    let options = scenario.run_options().with_adversary(inert);
+    let a = scenario.run_under(ProtocolKind::TokenB, 12, options);
+    let mut b = scenario.run(ProtocolKind::TokenB, 12);
     assert_eq!(a.adversary, inert, "the report records the spec as given");
     b.adversary = inert; // the only field allowed to differ
     assert_eq!(a, b, "an inert spec must not perturb the simulation");
@@ -497,21 +507,23 @@ fn pathology_hunt_smoke_configuration_is_bit_for_bit_reproducible() {
 /// not merely that healthy runs pass.
 #[test]
 fn pathology_sabotaged_arbiter_is_caught_and_shrunk_by_the_starvation_oracle() {
-    let scenario = Scenario::by_name("hot_block_contention").unwrap();
+    let mut scenario = Scenario::by_name("hot_block_contention").unwrap();
     // Message loss is what drives requesters into the persistent-request
     // machinery at all (fault-free contention resolves at the transient
     // level); the sabotage then swallows the escalations at one arbiter.
     // 3000 ops/node keeps the other nodes busy long past the oracle's
     // bounded-wait horizon, so the victim's wedge is observable as
     // starvation rather than only as an end-of-run deadlock.
-    let faults = FaultSpec::none().with_drop(0.02);
-    let ops_per_node = 3_000;
-    let (failure, sabotage) = (0..scenario.num_nodes as u32)
+    scenario.ops_per_node = 3_000;
+    let faulted = scenario
+        .run_options()
+        .with_faults(FaultSpec::none().with_drop(0.02));
+    let failure = (0..scenario.num_nodes as u32)
         .flat_map(|victim| [1u64, 2, 12].map(|seed| (victim, seed)))
         .find_map(|(victim, seed)| {
             let spec = AdversarySpec::none().with_victim(victim, 0).with_sabotage();
-            let report =
-                scenario.run_adversarial(ProtocolKind::TokenB, seed, ops_per_node, faults, spec);
+            let options = faulted.with_adversary(spec);
+            let report = scenario.run_under(ProtocolKind::TokenB, seed, options);
             if !report
                 .violations
                 .iter()
@@ -519,16 +531,7 @@ fn pathology_sabotaged_arbiter_is_caught_and_shrunk_by_the_starvation_oracle() {
             {
                 return None;
             }
-            check_adversarial(
-                ProtocolKind::TokenB,
-                &scenario,
-                seed,
-                ops_per_node,
-                faults,
-                spec,
-                &report,
-            )
-            .map(|f| (f, spec))
+            check(ProtocolKind::TokenB, &scenario, seed, options, &report)
         })
         .expect(
             "no (victim, seed) probe starved under a sabotaged arbiter — \
@@ -536,9 +539,9 @@ fn pathology_sabotaged_arbiter_is_caught_and_shrunk_by_the_starvation_oracle() {
         );
 
     let minimal = shrink(&failure, &scenario);
-    assert!(minimal.ops_per_node <= failure.ops_per_node);
+    assert!(minimal.options.ops_per_node <= failure.options.ops_per_node);
     assert_ne!(
-        minimal.adversary.sabotage, 0,
+        minimal.options.adversary.sabotage, 0,
         "shrinking removed the sabotage the failure needs"
     );
     assert!(
@@ -550,19 +553,12 @@ fn pathology_sabotaged_arbiter_is_caught_and_shrunk_by_the_starvation_oracle() {
         minimal.violations
     );
     // The recipe replays bit-for-bit, violations included.
-    let replay = scenario.run_adversarial(
-        ProtocolKind::TokenB,
-        minimal.seed,
-        minimal.ops_per_node,
-        minimal.faults,
-        minimal.adversary,
-    );
+    let replay = scenario.run_under(ProtocolKind::TokenB, minimal.seed, minimal.options);
     assert_eq!(replay.violations, minimal.violations);
-    // And the printed replay recipe names the adversarial entry point.
+    // And the printed replay recipe carries the adversarial schedule.
     let text = minimal.to_string();
-    assert!(text.contains("run_adversarial"), "{text}");
+    assert!(text.contains("run_under"), "{text}");
     assert!(text.contains("sabotage=1"), "{text}");
-    let _ = sabotage;
 }
 
 /// Replaying a failing seed must be bit-identical: the failure reporter's
@@ -570,10 +566,11 @@ fn pathology_sabotaged_arbiter_is_caught_and_shrunk_by_the_starvation_oracle() {
 /// fully determines the run.
 #[test]
 fn conformance_cells_replay_identically() {
-    let scenario = Scenario::by_name("eviction_storm").unwrap();
+    let mut scenario = Scenario::by_name("eviction_storm").unwrap();
+    scenario.ops_per_node = 200;
     for protocol in ProtocolKind::ALL {
-        let a = scenario.run_with_ops(protocol, 0xD00D, 200);
-        let b = scenario.run_with_ops(protocol, 0xD00D, 200);
+        let a = scenario.run(protocol, 0xD00D);
+        let b = scenario.run(protocol, 0xD00D);
         assert_eq!(a.runtime_cycles, b.runtime_cycles, "{protocol}");
         assert_eq!(a.total_ops, b.total_ops, "{protocol}");
         assert_eq!(

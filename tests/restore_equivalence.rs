@@ -50,14 +50,16 @@ fn assert_reports_identical(context: &str, a: &RunReport, b: &RunReport) {
 /// resumed run must reproduce the uninterrupted report exactly.
 #[test]
 fn resume_matrix_is_bit_identical_across_protocols_seeds_and_cadences() {
-    let scenario = Scenario::by_name("hot_block_contention").expect("standard scenario");
-    let ops = 300;
+    let mut scenario = Scenario::by_name("hot_block_contention").expect("standard scenario");
+    scenario.ops_per_node = 300;
+    let options = scenario.run_options();
     for protocol in ProtocolKind::ALL {
         for seed in [2, 12] {
-            let baseline = scenario.run_faulted(protocol, seed, ops, FaultSpec::none());
+            let baseline = scenario.run_under(protocol, seed, options);
             // Early cut (warm-up) and late cut (steady state / drain).
             for cadence in [500u64, 3_000] {
-                let resumed = scenario.run_resumed(protocol, seed, ops, FaultSpec::none(), cadence);
+                let resumed =
+                    scenario.run_resumed(protocol, seed, options.with_checkpoint_every(cadence));
                 assert_reports_identical(
                     &format!("{protocol} seed {seed} cadence {cadence}"),
                     &baseline,
@@ -75,10 +77,16 @@ fn resume_matrix_is_bit_identical_across_protocols_seeds_and_cadences() {
 /// class.
 #[test]
 fn resume_is_bit_identical_under_fault_injection() {
-    let scenario = Scenario::by_name("hot_block_contention").expect("standard scenario");
+    let mut scenario = Scenario::by_name("hot_block_contention").expect("standard scenario");
+    scenario.ops_per_node = 300;
     let faults = FaultSpec::parse("drop=0.002,dup=0.002").expect("valid spec");
-    let baseline = scenario.run_faulted(ProtocolKind::TokenB, 12, 300, faults);
-    let resumed = scenario.run_resumed(ProtocolKind::TokenB, 12, 300, faults, 4_000);
+    let options = scenario.run_options().with_faults(faults);
+    let baseline = scenario.run_under(ProtocolKind::TokenB, 12, options);
+    let resumed = scenario.run_resumed(
+        ProtocolKind::TokenB,
+        12,
+        options.with_checkpoint_every(4_000),
+    );
     assert_reports_identical("tokenb faulted", &baseline, &resumed);
 }
 
@@ -229,6 +237,36 @@ fn pinned_benchmark_configuration_resumes_to_the_pinned_event_count() {
     let report = resumed.resume(options, progress);
     assert_eq!(resumed.events_delivered(), 317_430, "resumed pin");
     assert_reports_identical("pinned benchmark", &baseline, &report);
+}
+
+/// A cadence with no sink cuts nothing. `System::run` has nowhere to hand a
+/// snapshot, and `checkpoint_every` reaches it off the wire in a `tc-serve`
+/// submission, so it must cost the run nothing and change nothing. Sealing
+/// one 0.8 MB snapshot per delivered event for no reader took this run 600
+/// times as long as the plain one (5.07 s against 8.4 ms); the bound is 100
+/// times, and no less than a second so that a loaded host cannot trip it.
+#[test]
+fn a_checkpoint_cadence_without_a_sink_cuts_no_snapshot() {
+    let (config, profile, pinned) = pinned_configuration(ProtocolKind::TokenB);
+    let options = token_coherence::system::RunOptions {
+        ops_per_node: 400,
+        checkpoint_every: None,
+        ..pinned
+    };
+    let timed = |options| {
+        let began = std::time::Instant::now();
+        let report = System::build(&config, &profile).run(options);
+        (report, began.elapsed())
+    };
+    let (plain, fixed) = timed(options);
+    let (cadenced, took) = timed(options.with_checkpoint_every(1));
+    assert_reports_identical("cadence without a sink", &plain, &cadenced);
+    let bound = (100 * fixed).max(std::time::Duration::from_secs(1));
+    assert!(
+        took < bound,
+        "{} events took {took:?} under checkpoint_every(1) with no sink, {fixed:?} without",
+        plain.engine.events_delivered
+    );
 }
 
 /// The snapshot plane's sharding stance: snapshots are a serial-engine
