@@ -18,15 +18,10 @@
 //! run-time failure (an unreachable service, an unwritable path, a
 //! verification failure), 42 on a simulated crash.
 
-use tc_bench::{
-    parse_cli, render_catalog, render_fault_table, render_reissue_table, render_scalability_table,
-    render_table1, traffic_classes_cover_total, Args, CampaignPlan, Command, RunOnePlan, Section,
-    TableKind, SCALABILITY_NODE_COUNTS,
-};
+use tc_bench::{parse_cli, Args, CampaignPlan, Command, RunOnePlan};
 use tc_sim::{JournalRecord, RunJournal};
 use tc_system::campaign::{Campaign, CampaignReport};
-use tc_system::experiment::ExperimentPoint;
-use tc_system::{RunOptions, System};
+use tc_system::System;
 
 /// Reports a run-time failure on `what` (a path or an address) and exits 1.
 fn fail(what: &str, error: impl std::fmt::Display) -> ! {
@@ -38,102 +33,31 @@ fn write_file(path: &str, contents: impl AsRef<[u8]>) {
     std::fs::write(path, contents).unwrap_or_else(|e| fail(path, e));
 }
 
-/// Runs `points` as one campaign with progress on stderr.
-fn run_campaign(
-    points: Vec<ExperimentPoint>,
-    options: RunOptions,
-    threads: usize,
-) -> CampaignReport {
-    Campaign::new(points)
-        .options(options)
+/// Runs the plan's points as one campaign with progress on stderr.
+fn run_campaign(plan: &CampaignPlan, threads: usize) -> CampaignReport {
+    Campaign::new(plan.points())
+        .options(plan.options)
         .threads(threads)
         .on_progress(|event| eprintln!("  {event}"))
         .run()
 }
 
-/// Re-slices a flattened multi-section campaign report per section.
-fn section_slices(report: &CampaignReport, sections: &[Section]) -> Vec<CampaignReport> {
-    let mut slices = Vec::with_capacity(sections.len());
-    let mut offset = 0;
-    for section in sections {
-        slices.push(report.slice(offset, section.points.len()));
-        offset += section.points.len();
-    }
-    slices
-}
-
-/// `tc-bench <campaign>`: run the plan's points as one flattened campaign
-/// (which keeps every core busy across section boundaries), then render
-/// each section's tables from its slice of the report.
+/// `tc-bench <campaign>`: run the plan's points as one flattened campaign,
+/// then print what the plan renders from the runs.
 fn run_campaign_command(plan: CampaignPlan, args: Args) {
-    let CampaignPlan {
-        spec,
-        sections,
-        options,
-    } = &plan;
     let threads = args.threads.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     });
-    let points = plan.points();
-    println!(
-        "campaign {} ({} points, {} ops/node, {threads} threads)",
-        spec.name,
-        points.len(),
-        options.ops_per_node
-    );
-    let report = run_campaign(points, *options, threads);
+    println!("{}", plan.banner(threads));
+    let report = run_campaign(&plan, threads);
 
-    if !traffic_classes_cover_total(&report) {
-        eprintln!(
-            "WARNING: per-class traffic bytes do not sum to the total; \
-             a TrafficClass is missing from the breakdown"
-        );
-    }
-
-    let slices = section_slices(&report, sections);
-    for (section, slice) in sections.iter().zip(&slices) {
-        match section.table {
-            TableKind::Runtime => {
-                println!("\n{}", slice.render_runtime_table(&section.title));
-            }
-            TableKind::Traffic => {
-                println!("\n{}", slice.render_traffic_table(&section.title));
-            }
-            TableKind::Reissue => {
-                println!("\n{}\n{}", section.title, render_reissue_table(slice));
-            }
-            TableKind::Fault => {
-                println!("\n{}\n{}", section.title, render_fault_table(slice));
-            }
-            TableKind::Sweep => {
-                println!("\n{}", slice.render_runtime_table(&section.title));
-                println!("\n{}", slice.render_traffic_table("Traffic (bytes/miss)"));
-                println!(
-                    "\n{}",
-                    slice.render_miss_latency_table("Miss latency summary")
-                );
-            }
-            // One table across all sections, below.
-            TableKind::Scalability => {}
-        }
-    }
-    if sections.iter().any(|s| s.table == TableKind::Scalability) {
-        let rows: Vec<(usize, CampaignReport)> = SCALABILITY_NODE_COUNTS
-            .iter()
-            .copied()
-            .zip(slices)
-            .collect();
-        println!("\n{}", render_scalability_table(&rows));
-    }
-    if !spec.paper_note.is_empty() {
-        println!("\n{}", spec.paper_note);
-    }
+    print!("{}", plan.render(&report.runs));
 
     if args.serial_baseline {
         eprintln!("serial baseline: re-running the campaign with 1 thread ...");
-        let serial = run_campaign(plan.points(), *options, 1);
+        let serial = run_campaign(&plan, 1);
         assert_eq!(
             serial.runs, report.runs,
             "threads(1) and threads(N) must produce bit-identical reports"
@@ -149,7 +73,7 @@ fn run_campaign_command(plan: CampaignPlan, args: Args) {
         report.wall_seconds, report.threads
     );
     if let Some(path) = &args.json {
-        write_file(path, report.to_json());
+        write_file(path, plan.to_json(&report));
         eprintln!("wrote {path}");
     }
     if let Some(path) = &args.runs_json {
@@ -317,11 +241,7 @@ fn main() {
             eprintln!("{usage_error}");
             std::process::exit(2);
         }
-        Ok(Command::Help(text)) => print!("{text}"),
-        Ok(Command::List) => {
-            print!("available campaigns:\n{}", render_catalog(false));
-        }
-        Ok(Command::Table1) => print!("{}", render_table1()),
+        Ok(Command::Print(text)) => print!("{text}"),
         Ok(Command::Campaign(plan, args)) => run_campaign_command(plan, args),
         Ok(Command::RunOne(plan)) => run_one(plan),
         Ok(Command::Hunt(options)) => {

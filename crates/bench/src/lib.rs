@@ -1,10 +1,11 @@
-//! Shared machinery for the `tc-bench` experiment CLI: the campaign
-//! catalog, the table renderers, and the command-line parser.
+//! The `tc-bench` experiment CLI as a library: the campaign catalog, what a
+//! campaign prints, and the command-line parser.
 //!
 //! One binary, `tc-bench`, resolves *named campaigns* — each regenerating a
-//! table or figure of the paper's evaluation — from the
-//! `tc_system::experiment` point catalogs and executes them through the
-//! multi-threaded `tc_system::Campaign` driver:
+//! table or figure of the paper's evaluation — from [`CAMPAIGNS`], where
+//! a campaign is one row (its points from `tc_system::experiment`, its
+//! run length, its tables from `tc_system::table`), and executes them
+//! through the multi-threaded `tc_system::Campaign` driver:
 //!
 //! | campaign       | paper artifact |
 //! |----------------|----------------|
@@ -29,45 +30,31 @@
 #![warn(missing_docs)]
 
 use tc_serve::{ServeOptions, Submission};
-use tc_system::campaign::CampaignReport;
+use tc_system::campaign::{CampaignReport, CampaignRun};
 use tc_system::experiment::{
-    figure4a_points, figure4b_points, figure5a_points, figure5b_points, scalability_points,
-    table2_points, ExperimentPoint,
+    faultsweep_points, figure4a_points, figure4b_points, figure5a_points, figure5b_points,
+    scalability_points, sweep64_points, table2_points, ExperimentPoint,
 };
+use tc_system::table::{Table, FAULT, MISS_LATENCY, REISSUE, RUNTIME, TRAFFIC};
 use tc_system::RunOptions;
 use tc_testkit::HuntOptions;
-use tc_types::{FaultSpec, JobPriority, ProtocolKind, SystemConfig, TrafficClass};
+use tc_types::{FaultSpec, JobPriority, ProtocolKind, SystemConfig};
 use tc_workloads::WorkloadProfile;
 
-/// How one campaign section's reports are rendered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableKind {
-    /// Normalized runtime (Figures 4a / 5a).
-    Runtime,
-    /// Traffic breakdown in bytes per miss (Figures 4b / 5b).
-    Traffic,
-    /// Reissue-rate percentages (Table 2).
-    Reissue,
-    /// Bytes-per-miss comparison across node counts (Question 5).
-    Scalability,
-    /// Runtime plus traffic plus miss latency (the scale sweep).
-    Sweep,
-    /// Injected-fault counts and recovery statistics (the fault sweep).
-    Fault,
-}
-
-/// One renderable slice of a campaign: a title plus the points it runs.
+/// One slice of a campaign: a title plus the points it runs.
 #[derive(Debug, Clone)]
 pub struct Section {
     /// Section heading, e.g. `"Workload: OLTP"`.
     pub title: String,
     /// The experiment points of this section.
     pub points: Vec<ExperimentPoint>,
-    /// How to render the section's reports.
-    pub table: TableKind,
 }
 
-/// A named campaign in the `tc-bench` catalog.
+/// The sections of a campaign that ran, each with its slice of the runs.
+pub type SectionRuns<'a> = [(&'a Section, &'a [CampaignRun])];
+
+/// A named campaign: one row of the `tc-bench` catalog, and everything
+/// that is particular to the campaign.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignSpec {
     /// Canonical name (`tc-bench <name>`).
@@ -78,16 +65,56 @@ pub struct CampaignSpec {
     pub about: &'static str,
     /// What the paper reports for this artifact, printed after the tables.
     pub paper_note: &'static str,
+    /// The run options every point starts from (the default run length).
+    pub options: fn() -> RunOptions,
+    /// Builds the sections, for one workload if the campaign iterates
+    /// workloads and the user named one. A campaign with no sections
+    /// simulates nothing: its output is its `summary` alone.
+    pub sections: fn(Option<&WorkloadProfile>) -> Vec<Section>,
+    /// The tables printed from each section's runs, each under its own
+    /// title; an empty title stands for the section's.
+    pub tables: &'static [(&'static Table, &'static str)],
+    /// Whether `--workload` applies (the campaign iterates workloads).
+    pub takes_workload: bool,
+    /// Whether `--protocol` applies (no table needs every protocol's run).
+    pub takes_protocol: bool,
+    /// What is printed after the sections' tables, from all sections at once.
+    pub summary: Option<fn(&SectionRuns<'_>) -> String>,
+}
+
+/// One section per commercial workload (or just `only`), titled after it.
+fn per_workload(
+    only: Option<&WorkloadProfile>,
+    points: fn(&WorkloadProfile) -> Vec<ExperimentPoint>,
+) -> Vec<Section> {
+    let workloads = only.map_or_else(WorkloadProfile::commercial, |w| vec![w.clone()]);
+    let section = |w: &WorkloadProfile| Section {
+        title: format!("Workload: {}", w.name),
+        points: points(w),
+    };
+    workloads.iter().map(section).collect()
+}
+
+/// A campaign of one section.
+fn one_section(title: &str, points: Vec<ExperimentPoint>) -> Vec<Section> {
+    let title = title.to_string();
+    vec![Section { title, points }]
 }
 
 /// The campaign catalog: every table and figure of the evaluation plus the
-/// scale sweep.
+/// scale sweep and the fault sweep.
 pub const CAMPAIGNS: &[CampaignSpec] = &[
     CampaignSpec {
         name: "table1",
         aliases: &[],
         about: "Table 1: target system parameters (no simulation)",
         paper_note: "",
+        options: RunOptions::standard,
+        sections: |_| Vec::new(),
+        tables: &[],
+        takes_workload: false,
+        takes_protocol: true,
+        summary: Some(render_table1),
     },
     CampaignSpec {
         name: "table2",
@@ -96,6 +123,15 @@ pub const CAMPAIGNS: &[CampaignSpec] = &[
         paper_note: "Paper reports (Table 2): Apache 95.75 / 3.25 / 0.71 / 0.29, OLTP 97.57 / \
                      1.79 / 0.43 / 0.21, SPECjbb 97.60 / 2.03 / 0.30 / 0.07, average 96.97 / \
                      2.36 / 0.48 / 0.19.",
+        options: RunOptions::standard,
+        sections: |_| {
+            let title = "Table 2: overhead due to reissued requests (TokenB, 16-node torus)";
+            one_section(title, table2_points())
+        },
+        tables: &[(&REISSUE, "")],
+        takes_workload: false,
+        takes_protocol: true,
+        summary: None,
     },
     CampaignSpec {
         name: "fig4-runtime",
@@ -105,6 +141,12 @@ pub const CAMPAIGNS: &[CampaignSpec] = &[
                      faster than TokenB (reissues); by exploiting the unordered torus, TokenB \
                      becomes 26-65% faster than Snooping-on-Tree with 3.2 GB/s links and 15-28% \
                      faster with unlimited bandwidth.",
+        options: RunOptions::standard,
+        sections: |only| per_workload(only, figure4a_points),
+        tables: &[(&RUNTIME, "")],
+        takes_workload: true,
+        takes_protocol: true,
+        summary: None,
     },
     CampaignSpec {
         name: "fig4-traffic",
@@ -114,6 +156,12 @@ pub const CAMPAIGNS: &[CampaignSpec] = &[
                      interconnect bandwidth; data responses and writebacks dominate both, with \
                      broadcast requests a modest additional component for TokenB (plus a small \
                      sliver of reissued requests).",
+        options: RunOptions::standard,
+        sections: |only| per_workload(only, figure4b_points),
+        tables: &[(&TRAFFIC, "")],
+        takes_workload: true,
+        takes_protocol: true,
+        summary: None,
     },
     CampaignSpec {
         name: "fig5-runtime",
@@ -124,6 +172,12 @@ pub const CAMPAIGNS: &[CampaignSpec] = &[
                      misses; Hammer is 7-17% faster than Directory by avoiding the DRAM directory \
                      lookup; even with a perfect (zero-cycle) directory, TokenB remains 6-18% \
                      faster than Directory.",
+        options: RunOptions::standard,
+        sections: |only| per_workload(only, figure5a_points),
+        tables: &[(&RUNTIME, "")],
+        takes_workload: true,
+        takes_protocol: true,
+        summary: None,
     },
     CampaignSpec {
         name: "fig5-traffic",
@@ -133,6 +187,12 @@ pub const CAMPAIGNS: &[CampaignSpec] = &[
                      (both are dominated by 72-byte data messages), while Hammer uses 79-90% more \
                      than TokenB because every miss broadcasts probes and collects an \
                      acknowledgement from every node.",
+        options: RunOptions::standard,
+        sections: |only| per_workload(only, figure5b_points),
+        tables: &[(&TRAFFIC, "")],
+        takes_workload: true,
+        takes_protocol: true,
+        summary: None,
     },
     CampaignSpec {
         name: "scalability",
@@ -142,12 +202,45 @@ pub const CAMPAIGNS: &[CampaignSpec] = &[
                      uses roughly twice the interconnect bandwidth of Directory (but far less \
                      than Hammer, whose acknowledgement storm grows fastest). TokenB remains \
                      practical to perhaps 32-64 processors when bandwidth is plentiful.",
+        // The 64-node points are large; the shorter default lets a bare
+        // `tc-bench scalability` finish in minutes.
+        options: || RunOptions {
+            ops_per_node: 6_000,
+            ..RunOptions::standard()
+        },
+        sections: |_| {
+            let section = |nodes| Section {
+                title: format!("{nodes} nodes"),
+                points: scalability_points(nodes),
+            };
+            [16, 32, 64].map(section).into()
+        },
+        // Nothing per node count: the pivot over all three is the summary.
+        tables: &[],
+        takes_workload: false,
+        // The pivot compares fixed protocol columns; a filtered run would
+        // print NaN columns.
+        takes_protocol: false,
+        summary: Some(scalability_pivot),
     },
     CampaignSpec {
         name: "sweep64",
         aliases: &["sweep"],
         about: "64-node scale sweep (every protocol on every legal topology, contended OLTP)",
         paper_note: "",
+        options: RunOptions::sweep64,
+        sections: |_| {
+            let title = "64-node scale sweep (contended OLTP, every legal protocol/topology)";
+            one_section(title, sweep64_points())
+        },
+        tables: &[
+            (&RUNTIME, ""),
+            (&TRAFFIC, "Traffic (bytes/miss)"),
+            (&MISS_LATENCY, "Miss latency summary"),
+        ],
+        takes_workload: false,
+        takes_protocol: true,
+        summary: None,
     },
     CampaignSpec {
         name: "faultsweep",
@@ -158,11 +251,20 @@ pub const CAMPAIGNS: &[CampaignSpec] = &[
                      delays, and reorders them — reissue timeouts and persistent requests \
                      restore liveness while token counting keeps safety. The ordered baselines \
                      tolerate only the classes their ordering assumptions survive.",
+        options: RunOptions::standard,
+        sections: |_| {
+            let title = "Fault sweep: contract-gated injection, contended hot-block, 4-node torus";
+            one_section(title, faultsweep_points())
+        },
+        tables: &[(&FAULT, "")],
+        takes_workload: false,
+        takes_protocol: true,
+        summary: None,
     },
 ];
 
 /// Resolves a campaign by name or alias, ignoring case and treating `-`/`_`
-/// as equivalent.
+/// as equivalent. The one place a campaign name is compared.
 pub fn resolve_campaign(name: &str) -> Option<&'static CampaignSpec> {
     let normalize = |s: &str| s.replace(['-', '_'], "").to_ascii_lowercase();
     let wanted = normalize(name);
@@ -171,133 +273,24 @@ pub fn resolve_campaign(name: &str) -> Option<&'static CampaignSpec> {
     })
 }
 
-/// The commercial workloads a figure campaign iterates, or just the one the
-/// user asked for.
-fn figure_workloads(only: Option<&WorkloadProfile>) -> Vec<WorkloadProfile> {
-    match only {
-        Some(workload) => vec![workload.clone()],
-        None => WorkloadProfile::commercial(),
-    }
-}
-
-/// The node counts of the scalability campaign.
-pub const SCALABILITY_NODE_COUNTS: [usize; 3] = [16, 32, 64];
-
-/// Builds the sections of a simulation campaign (everything except
-/// `table1`, which prints a static parameter table). Returns `None` for
-/// unknown names and for `table1`.
-pub fn campaign_sections(name: &str, workload: Option<&WorkloadProfile>) -> Option<Vec<Section>> {
-    let spec = resolve_campaign(name)?;
-    let sections = match spec.name {
-        "table2" => vec![Section {
-            title: "Table 2: overhead due to reissued requests (TokenB, 16-node torus)".to_string(),
-            points: table2_points(),
-            table: TableKind::Reissue,
-        }],
-        "fig4-runtime" => figure_workloads(workload)
-            .into_iter()
-            .map(|w| Section {
-                title: format!("Workload: {}", w.name),
-                points: figure4a_points(&w),
-                table: TableKind::Runtime,
-            })
-            .collect(),
-        "fig4-traffic" => figure_workloads(workload)
-            .into_iter()
-            .map(|w| Section {
-                title: format!("Workload: {}", w.name),
-                points: figure4b_points(&w),
-                table: TableKind::Traffic,
-            })
-            .collect(),
-        "fig5-runtime" => figure_workloads(workload)
-            .into_iter()
-            .map(|w| Section {
-                title: format!("Workload: {}", w.name),
-                points: figure5a_points(&w),
-                table: TableKind::Runtime,
-            })
-            .collect(),
-        "fig5-traffic" => figure_workloads(workload)
-            .into_iter()
-            .map(|w| Section {
-                title: format!("Workload: {}", w.name),
-                points: figure5b_points(&w),
-                table: TableKind::Traffic,
-            })
-            .collect(),
-        "scalability" => SCALABILITY_NODE_COUNTS
-            .iter()
-            .map(|&nodes| Section {
-                title: format!("{nodes} nodes"),
-                points: scalability_points(nodes),
-                table: TableKind::Scalability,
-            })
-            .collect(),
-        "sweep64" => vec![Section {
-            title: "64-node scale sweep (contended OLTP, every legal protocol/topology)"
-                .to_string(),
-            points: tc_system::experiment::sweep64_points(),
-            table: TableKind::Sweep,
-        }],
-        "faultsweep" => vec![Section {
-            title: "Fault sweep: contract-gated injection, contended hot-block, 4-node torus"
-                .to_string(),
-            points: tc_system::experiment::faultsweep_points(),
-            table: TableKind::Fault,
-        }],
-        _ => return None, // table1 has no simulation sections
-    };
-    Some(sections)
-}
-
-/// Renders the Table 2 reissue percentages (plus the cross-workload average
-/// row) from a campaign report.
-pub fn render_reissue_table(report: &CampaignReport) -> String {
-    let mut out = format!(
-        "{:<12} {:>14} {:>14} {:>15} {:>14}\n",
-        "workload", "not reissued", "reissued once", "reissued > once", "persistent"
-    );
-    let mut averages = [0.0f64; 4];
-    for run in &report.runs {
-        let row = run.report.table2_row();
-        for (avg, value) in averages.iter_mut().zip(row.iter()) {
-            *avg += value / report.runs.len() as f64;
-        }
-        out.push_str(&format!(
-            "{:<12} {:>13.2}% {:>13.2}% {:>14.2}% {:>13.2}%\n",
-            run.label, row[0], row[1], row[2], row[3]
-        ));
-    }
-    out.push_str(&format!(
-        "{:<12} {:>13.2}% {:>13.2}% {:>14.2}% {:>13.2}%\n",
-        "Average", averages[0], averages[1], averages[2], averages[3]
-    ));
-    out
-}
-
-/// Renders the Question 5 scalability comparison: one row per node count,
-/// one column per protocol, from the per-node-count campaign slices.
-pub fn render_scalability_table(slices: &[(usize, CampaignReport)]) -> String {
+/// The `scalability` summary, Question 5's comparison: one row per section
+/// (a node count), one bytes-per-miss column per protocol.
+fn scalability_pivot(sections: &SectionRuns<'_>) -> String {
     let mut out = format!(
         "{:>6} {:>18} {:>18} {:>18} {:>12}\n",
         "nodes", "TokenB B/miss", "Directory B/miss", "Hammer B/miss", "TokenB/Dir"
     );
-    for (nodes, slice) in slices {
+    for (section, runs) in sections {
         let find = |protocol: ProtocolKind| {
-            slice
-                .runs
-                .iter()
-                .find(|run| run.report.protocol == protocol)
-                .map(|run| run.report.bytes_per_miss())
-                .unwrap_or(f64::NAN)
+            let run = runs.iter().find(|run| run.report.protocol == protocol);
+            run.map_or(f64::NAN, |run| run.report.bytes_per_miss())
         };
         let tokenb = find(ProtocolKind::TokenB);
         let directory = find(ProtocolKind::Directory);
         let hammer = find(ProtocolKind::Hammer);
         out.push_str(&format!(
             "{:>6} {:>18.1} {:>18.1} {:>18.1} {:>11.2}x\n",
-            nodes,
+            section.points[0].config.num_nodes,
             tokenb,
             directory,
             hammer,
@@ -307,129 +300,52 @@ pub fn render_scalability_table(slices: &[(usize, CampaignReport)]) -> String {
     out
 }
 
-/// Renders the fault sweep: per point, the injected-fault counts and the
-/// recovery-side statistics (reissue timeouts fired, persistent-request
-/// activations, worst-case miss recovery latency), plus the verifier's
-/// verdict — the row-by-row version of "safe and live under fire".
-pub fn render_fault_table(report: &CampaignReport) -> String {
-    let mut out = format!(
-        "{:<22} {:>7} {:>5} {:>7} {:>7} {:>6} {:>8} {:>10} {:>12} {:>9}\n",
-        "point",
-        "dropped",
-        "dup",
-        "delayed",
-        "reorder",
-        "outage",
-        "reissues",
-        "persistent",
-        "recovery ns",
-        "verdict"
-    );
-    for run in &report.runs {
-        let f = run.report.engine.faults;
-        let verdict = if run.report.violations.is_empty() {
-            "ok"
-        } else {
-            "VIOLATED"
-        };
-        out.push_str(&format!(
-            "{:<22} {:>7} {:>5} {:>7} {:>7} {:>6} {:>8} {:>10} {:>12} {:>9}\n",
-            run.label,
-            f.dropped,
-            f.duplicated,
-            f.delayed,
-            f.reordered,
-            f.link_deferred,
-            f.reissue_timeouts,
-            f.persistent_activations,
-            f.max_recovery_ns,
-            verdict
-        ));
-    }
-    out
-}
-
-/// Renders Table 1 (the target system parameters) — the one campaign that
-/// runs no simulation.
-pub fn render_table1() -> String {
+/// The `table1` summary: Table 1 (the target system parameters), which is
+/// the whole output of the one campaign that runs no simulation.
+fn render_table1(_: &SectionRuns<'_>) -> String {
     let c = SystemConfig::isca03_default();
-    let mut out = String::from("Table 1: target system parameters (ISCA 2003)\n\n");
-    out.push_str("Coherent memory system\n");
-    out.push_str(&format!(
-        "  split L1 I & D caches    {} kB, {}-way, {} ns\n",
+    format!(
+        "Table 1: target system parameters (ISCA 2003)\n\
+         \n\
+         Coherent memory system\n\
+         \x20 split L1 I & D caches    {} kB, {}-way, {} ns\n\
+         \x20 unified L2 cache         {} MB, {}-way, {} ns\n\
+         \x20 cache block size         {} bytes\n\
+         \x20 DRAM / directory latency {} ns\n\
+         \x20 memory/dir controllers   {} ns\n\
+         \x20 network link bandwidth   {:.1} GB/s\n\
+         \x20 network link latency     {} ns (wire + sync + route)\n\
+         \n\
+         Processors\n\
+         \x20 nodes                    {}\n\
+         \x20 outstanding misses       {} (reorder window {} memory ops)\n\
+         \x20 ops per transaction      {}\n\
+         \n\
+         Token Coherence\n\
+         \x20 tokens per block (T)     {}\n\
+         \x20 reissue timeout          {}x average miss latency + randomized backoff\n\
+         \x20 persistent escalation    after ~{} reissues\n\
+         \x20 token state per block    {} bits\n",
         c.l1.size_bytes / 1024,
         c.l1.associativity,
-        c.l1.latency_ns
-    ));
-    out.push_str(&format!(
-        "  unified L2 cache         {} MB, {}-way, {} ns\n",
+        c.l1.latency_ns,
         c.l2.size_bytes / (1024 * 1024),
         c.l2.associativity,
-        c.l2.latency_ns
-    ));
-    out.push_str(&format!(
-        "  cache block size         {} bytes\n",
-        c.block_bytes
-    ));
-    out.push_str(&format!(
-        "  DRAM / directory latency {} ns\n",
-        c.dram_latency_ns
-    ));
-    out.push_str(&format!(
-        "  memory/dir controllers   {} ns\n",
-        c.controller_latency_ns
-    ));
-    out.push_str(&format!(
-        "  network link bandwidth   {:.1} GB/s\n",
-        c.interconnect.link_bandwidth_bytes_per_ns
-    ));
-    out.push_str(&format!(
-        "  network link latency     {} ns (wire + sync + route)\n",
-        c.interconnect.link_latency_ns
-    ));
-    out.push_str("\nProcessors\n");
-    out.push_str(&format!("  nodes                    {}\n", c.num_nodes));
-    out.push_str(&format!(
-        "  outstanding misses       {} (reorder window {} memory ops)\n",
-        c.processor.max_outstanding_misses, c.processor.overlap_window
-    ));
-    out.push_str(&format!(
-        "  ops per transaction      {}\n",
-        c.processor.ops_per_transaction
-    ));
-    out.push_str("\nToken Coherence\n");
-    out.push_str(&format!(
-        "  tokens per block (T)     {}\n",
-        c.token.tokens_per_block
-    ));
-    out.push_str(&format!(
-        "  reissue timeout          {}x average miss latency + randomized backoff\n",
-        c.token.reissue_latency_multiplier
-    ));
-    out.push_str(&format!(
-        "  persistent escalation    after ~{} reissues\n",
-        c.token.reissues_before_persistent
-    ));
-    out.push_str(&format!(
-        "  token state per block    {} bits\n",
+        c.l2.latency_ns,
+        c.block_bytes,
+        c.dram_latency_ns,
+        c.controller_latency_ns,
+        c.interconnect.link_bandwidth_bytes_per_ns,
+        c.interconnect.link_latency_ns,
+        c.num_nodes,
+        c.processor.max_outstanding_misses,
+        c.processor.overlap_window,
+        c.processor.ops_per_transaction,
+        c.token.tokens_per_block,
+        c.token.reissue_latency_multiplier,
+        c.token.reissues_before_persistent,
         c.token_state_bits()
-    ));
-    out
-}
-
-/// A sanity cross-check the `tc-bench` CLI runs after every campaign: the
-/// sum of the per-class bytes must equal the total for every run (guards
-/// the traffic renderers against a class being silently dropped from
-/// [`TrafficClass::ALL`]).
-pub fn traffic_classes_cover_total(report: &CampaignReport) -> bool {
-    report.runs.iter().all(|run| {
-        let breakdown = run.report.traffic_breakdown();
-        let sum: f64 = TrafficClass::ALL
-            .iter()
-            .map(|class| breakdown.class(*class))
-            .sum();
-        (sum - breakdown.total()).abs() < 1e-6
-    })
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -646,11 +562,11 @@ const CLIENT_ADDR: FlagSpec = (
 );
 
 /// The campaign catalog, one `name  about` row each; `simulated_only` leaves
-/// out `table1`, which the service cannot run (it is a static table).
-pub fn render_catalog(simulated_only: bool) -> String {
+/// out a campaign with no sections, which the service has nothing to run for.
+fn render_catalog(simulated_only: bool) -> String {
     let listed = CAMPAIGNS
         .iter()
-        .filter(|spec| !(simulated_only && spec.name == "table1"));
+        .filter(|spec| !(simulated_only && (spec.sections)(None).is_empty()));
     listed
         .map(|spec| format!("  {:<14} {}\n", spec.name, spec.about))
         .collect()
@@ -826,27 +742,76 @@ impl CampaignPlan {
         let sections = self.sections.iter();
         sections.flat_map(|s| s.points.iter().cloned()).collect()
     }
+
+    /// The line `tc-bench <campaign>` prints before it runs the points.
+    pub fn banner(&self, threads: usize) -> String {
+        let points: usize = self.sections.iter().map(|s| s.points.len()).sum();
+        format!(
+            "campaign {} ({points} points, {} ops/node, {threads} threads)",
+            self.spec.name, self.options.ops_per_node
+        )
+    }
+
+    /// Everything `tc-bench <campaign>` prints once the points have run —
+    /// each section's tables from its slice of `runs` (the campaign runs
+    /// flattened, so every core stays busy across section boundaries), the
+    /// summary, the paper's note — each block between blank lines.
+    pub fn render(&self, runs: &[CampaignRun]) -> String {
+        let mut rest = runs;
+        let slices: Vec<(&Section, &[CampaignRun])> = (self.sections.iter())
+            .map(|section| {
+                let (slice, tail) = rest.split_at(section.points.len());
+                rest = tail;
+                (section, slice)
+            })
+            .collect();
+        let mut blocks = Vec::new();
+        for (section, slice) in &slices {
+            for (table, title) in self.spec.tables {
+                let title = if title.is_empty() {
+                    &section.title
+                } else {
+                    *title
+                };
+                blocks.push(table.render(title, slice));
+            }
+        }
+        blocks.extend(self.spec.summary.map(|summary| summary(&slices)));
+        if !self.spec.paper_note.is_empty() {
+            blocks.push(self.spec.paper_note.to_string());
+        }
+        blocks.iter().map(|block| format!("\n{block}\n")).collect()
+    }
+
+    /// The `--json` file: the runs, and per section its title, its place in
+    /// the runs and the aggregates over its own slice — the numbers of the
+    /// printed tables, from the same slices and column lists.
+    pub fn to_json(&self, report: &CampaignReport) -> String {
+        let sections = self.sections.iter();
+        let spans: Vec<(&str, usize)> = sections
+            .map(|s| (s.title.as_str(), s.points.len()))
+            .collect();
+        report.to_json_by_section(&spans)
+    }
 }
 
 /// Expands `spec` under `args` into a plan, or says why it cannot be run.
 fn plan_campaign(spec: &'static CampaignSpec, args: &Args) -> Result<CampaignPlan, String> {
-    // Only the figure campaigns iterate workloads; rejecting --workload
-    // elsewhere beats silently running all three commercial profiles.
-    if args.workload.is_some() && !spec.name.starts_with("fig") {
+    // Rejecting --workload where nothing iterates workloads beats silently
+    // running the fixed set.
+    if args.workload.is_some() && !spec.takes_workload {
         return Err(format!(
             "--workload applies only to the figure campaigns; {} runs a fixed workload set",
             spec.name
         ));
     }
-    // The scalability renderer compares fixed protocol columns, so a
-    // filtered run would print NaN columns.
-    if args.protocol.is_some() && spec.name == "scalability" {
-        return Err(
-            "--protocol does not apply to scalability (its table compares protocols)".to_string(),
-        );
+    if args.protocol.is_some() && !spec.takes_protocol {
+        return Err(format!(
+            "--protocol does not apply to {} (its table compares protocols)",
+            spec.name
+        ));
     }
-    let mut sections = campaign_sections(spec.name, args.workload.as_ref())
-        .ok_or("table1 is a static parameter table; nothing to simulate")?;
+    let mut sections = (spec.sections)(args.workload.as_ref());
     if let Some(protocol) = args.protocol {
         for section in &mut sections {
             section.points.retain(|p| p.config.protocol == protocol);
@@ -856,17 +821,7 @@ fn plan_campaign(spec: &'static CampaignSpec, args: &Args) -> Result<CampaignPla
             return Err("no points left after --protocol filter".to_string());
         }
     }
-    let standard = RunOptions::standard();
-    let mut options = match spec.name {
-        "sweep64" => RunOptions::sweep64(),
-        // The 64-node points are large; the shorter default lets a bare
-        // `tc-bench scalability` finish in minutes.
-        "scalability" => RunOptions {
-            ops_per_node: standard.ops_per_node.min(6_000),
-            ..standard
-        },
-        _ => standard,
-    };
+    let mut options = (spec.options)();
     if let Some(ops) = args.ops {
         options.ops_per_node = ops;
     }
@@ -941,12 +896,9 @@ fn plan_run_one(args: Args) -> Result<RunOnePlan, String> {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Command {
-    /// Print this usage text on stdout and exit 0.
-    Help(String),
-    /// Print the campaign catalog.
-    List,
-    /// Print Table 1 (no simulation).
-    Table1,
+    /// Print this text on stdout and exit 0: a usage text, the catalog, or
+    /// a campaign that simulates nothing.
+    Print(String),
     /// Run a campaign here; `Args` carries `threads`, the output paths and
     /// `serial_baseline`.
     Campaign(CampaignPlan, Args),
@@ -977,11 +929,14 @@ pub enum Command {
 /// the caller to print on stderr before exiting with status 2.
 pub fn parse_cli(argv: &[String]) -> Result<Command, String> {
     let Some((first, mut rest)) = argv.split_first() else {
-        return Ok(Command::Help(usage(&CAMPAIGN)));
+        return Ok(Command::Print(usage(&CAMPAIGN)));
     };
     match first.as_str() {
-        "help" | "--help" | "-h" => return Ok(Command::Help(usage(&CAMPAIGN))),
-        "list" => return Ok(Command::List),
+        "help" | "--help" | "-h" => return Ok(Command::Print(usage(&CAMPAIGN))),
+        "list" => {
+            let catalog = render_catalog(false);
+            return Ok(Command::Print(format!("available campaigns:\n{catalog}")));
+        }
         _ => {}
     }
     let sub = SUBCOMMANDS.iter().find(|s| s.name() == first);
@@ -991,7 +946,7 @@ pub fn parse_cli(argv: &[String]) -> Result<Command, String> {
     let campaign = match sub.name() {
         "<campaign>" => Some(first),
         "submit" => match rest.split_first() {
-            None => return Ok(Command::Help(usage(sub))),
+            None => return Ok(Command::Print(usage(sub))),
             Some((name, flags)) if !name.starts_with('-') => {
                 rest = flags;
                 Some(name)
@@ -1005,24 +960,36 @@ pub fn parse_cli(argv: &[String]) -> Result<Command, String> {
         .map(|name| resolve_campaign(name).ok_or_else(|| unknown(name)))
         .transpose()?;
     let Some(args) = parse_flags(sub, rest).map_err(usage_error)? else {
-        return Ok(Command::Help(usage(sub)));
+        return Ok(Command::Print(usage(sub)));
     };
     // One default address, for the server and its clients alike.
     let serve_defaults = ServeOptions::default();
     let addr = args.addr.clone().unwrap_or(serve_defaults.addr);
     let command = match (sub.name(), spec) {
-        ("<campaign>", Some(spec)) if spec.name == "table1" => Ok(Command::Table1),
-        ("<campaign>", Some(spec)) => {
-            plan_campaign(spec, &args).map(|plan| Command::Campaign(plan, args))
-        }
-        ("submit", Some(spec)) => plan_campaign(spec, &args).map(|plan| Command::Submit {
-            addr,
-            submission: Submission {
-                priority: args.priority.unwrap_or_default(),
-                options: plan.options,
-                points: plan.points(),
-            },
-            runs_json: args.runs_json,
+        ("<campaign>", Some(spec)) => plan_campaign(spec, &args).map(|plan| {
+            if plan.sections.is_empty() {
+                // Nothing to run: what is left of `render` is the summary.
+                Command::Print(spec.summary.map_or_else(String::new, |text| text(&[])))
+            } else {
+                Command::Campaign(plan, args)
+            }
+        }),
+        ("submit", Some(spec)) => plan_campaign(spec, &args).and_then(|plan| {
+            if plan.sections.is_empty() {
+                let name = spec.name;
+                return Err(format!(
+                    "{name} is a static parameter table; nothing to simulate"
+                ));
+            }
+            Ok(Command::Submit {
+                addr,
+                submission: Submission {
+                    priority: args.priority.unwrap_or_default(),
+                    options: plan.options,
+                    points: plan.points(),
+                },
+                runs_json: args.runs_json,
+            })
         }),
         ("submit", None) => Err("submit needs a campaign name".to_string()),
         ("run-one", _) => plan_run_one(args).map(Command::RunOne),
@@ -1078,34 +1045,49 @@ mod tests {
         assert!(resolve_campaign("nope").is_none());
     }
 
+    fn sections_of(name: &str, workload: Option<&WorkloadProfile>) -> Vec<Section> {
+        (resolve_campaign(name).unwrap().sections)(workload)
+    }
+
+    /// The first value header of each table the campaign prints per section.
+    fn first_headers(name: &str) -> Vec<&'static str> {
+        let tables = resolve_campaign(name).unwrap().tables.iter();
+        tables.map(|(table, _)| table.columns[0].header).collect()
+    }
+
     #[test]
     fn figure_campaigns_have_one_section_per_commercial_workload() {
-        let sections = campaign_sections("fig4-runtime", None).unwrap();
+        let sections = sections_of("fig4-runtime", None);
         assert_eq!(sections.len(), 3);
-        assert!(sections.iter().all(|s| s.table == TableKind::Runtime));
+        assert_eq!(first_headers("fig4-runtime"), ["cycles/txn"]);
         assert_eq!(sections[0].points.len(), 6);
         let only = WorkloadProfile::oltp();
-        let restricted = campaign_sections("fig5-traffic", Some(&only)).unwrap();
+        let restricted = sections_of("fig5-traffic", Some(&only));
         assert_eq!(restricted.len(), 1);
         assert!(restricted[0].title.contains("OLTP"));
+        assert_eq!(first_headers("fig5-traffic"), ["data+wb"]);
     }
 
     #[test]
     fn scalability_sections_follow_the_node_counts() {
-        let sections = campaign_sections("scalability", None).unwrap();
-        assert_eq!(sections.len(), SCALABILITY_NODE_COUNTS.len());
-        for (section, nodes) in sections.iter().zip(SCALABILITY_NODE_COUNTS) {
+        let sections = sections_of("scalability", None);
+        assert_eq!(sections.len(), 3);
+        for (section, nodes) in sections.iter().zip([16, 32, 64]) {
             assert!(section.points.iter().all(|p| p.config.num_nodes == nodes));
         }
+        // Nothing is printed per node count: the pivot is the summary.
+        assert!(first_headers("scalability").is_empty());
+        assert!(resolve_campaign("scalability").unwrap().summary.is_some());
+        assert_eq!(first_headers("sweep64").len(), 3);
     }
 
     #[test]
     fn faultsweep_resolves_and_gates_points_per_protocol() {
         assert!(resolve_campaign("faultsweep").is_some());
         assert!(resolve_campaign("faults").is_some());
-        let sections = campaign_sections("faultsweep", None).unwrap();
+        let sections = sections_of("faultsweep", None);
         assert_eq!(sections.len(), 1);
-        assert_eq!(sections[0].table, TableKind::Fault);
+        assert_eq!(first_headers("faultsweep"), ["dropped"]);
         let points = &sections[0].points;
         // TokenB takes a baseline + all five classes + combined; the
         // unordered baselines take baseline + three classes + combined.
@@ -1139,7 +1121,7 @@ mod tests {
             .threads(1)
             .run();
         assert!(report.verified().is_ok());
-        let table = render_fault_table(&report);
+        let table = FAULT.render("Fault sweep", &report.runs);
         assert!(table.contains("TokenB (reliable)"));
         assert!(table.contains("persistent"));
         assert!(table.contains("ok"));
@@ -1148,7 +1130,7 @@ mod tests {
 
     #[test]
     fn table1_renders_the_parameter_table() {
-        let text = render_table1();
+        let text = render_table1(&[]);
         assert!(text.contains("Table 1"));
         assert!(text.contains("tokens per block"));
         assert!(text.contains("3.2 GB/s"));
@@ -1169,11 +1151,12 @@ mod tests {
             .threads(1)
             .run();
         assert!(report.verified().is_ok());
-        let reissue = render_reissue_table(&report);
+        let reissue = REISSUE.render("Table 2", &report.runs);
         assert!(reissue.contains("Average"));
-        assert!(traffic_classes_cover_total(&report));
-        let scal = render_scalability_table(&[(4, report)]);
+        let section = &sections_of("scalability", None)[0];
+        let scal = scalability_pivot(&[(section, &report.runs)]);
         assert!(scal.contains("TokenB/Dir"));
+        assert!(scal.contains("\n    16 "));
     }
 
     fn cli(line: &str) -> Result<Command, String> {
@@ -1189,24 +1172,24 @@ mod tests {
         #[rustfmt::skip]
         let table: &[(&str, Result<&[&str], &str>)] = &[
             // Usage: the top level, and --help / -h on every subcommand.
-            ("", Ok(&["Help(", "usage: tc-bench <campaign>", "run-one", "shutdown"])),
+            ("", Ok(&["Print(", "usage: tc-bench <campaign>", "run-one", "shutdown"])),
             ("help", Ok(&["usage: tc-bench <campaign>"])),
             ("--help", Ok(&["usage: tc-bench <campaign>"])),
             ("-h", Ok(&["usage: tc-bench <campaign>"])),
-            ("table2 --help", Ok(&["Help(", "usage: tc-bench <campaign>", "--serial-baseline"])),
-            ("table1 -h", Ok(&["Help(", "usage: tc-bench <campaign>"])),
-            ("run-one --help", Ok(&["Help(", "usage: tc-bench run-one", "--crash-after K"])),
-            ("run-one --nodes 8 -h", Ok(&["Help(", "usage: tc-bench run-one"])),
-            ("hunt --help", Ok(&["Help(", "usage: tc-bench hunt", "--smoke"])),
-            ("serve --help", Ok(&["Help(", "usage: tc-bench serve", "--workers N"])),
-            ("submit", Ok(&["Help(", "usage: tc-bench submit <campaign>"])),
-            ("submit --help", Ok(&["Help(", "usage: tc-bench submit <campaign>", "--priority"])),
-            ("submit table2 -h", Ok(&["Help(", "usage: tc-bench submit <campaign>"])),
-            ("status --help", Ok(&["Help(", "usage: tc-bench status", "--addr HOST:PORT"])),
-            ("shutdown --help", Ok(&["Help(", "usage: tc-bench shutdown", "--addr HOST:PORT"])),
+            ("table2 --help", Ok(&["Print(", "usage: tc-bench <campaign>", "--serial-baseline"])),
+            ("table1 -h", Ok(&["Print(", "usage: tc-bench <campaign>"])),
+            ("run-one --help", Ok(&["Print(", "usage: tc-bench run-one", "--crash-after K"])),
+            ("run-one --nodes 8 -h", Ok(&["Print(", "usage: tc-bench run-one"])),
+            ("hunt --help", Ok(&["Print(", "usage: tc-bench hunt", "--smoke"])),
+            ("serve --help", Ok(&["Print(", "usage: tc-bench serve", "--workers N"])),
+            ("submit", Ok(&["Print(", "usage: tc-bench submit <campaign>"])),
+            ("submit --help", Ok(&["Print(", "usage: tc-bench submit <campaign>", "--priority"])),
+            ("submit table2 -h", Ok(&["Print(", "usage: tc-bench submit <campaign>"])),
+            ("status --help", Ok(&["Print(", "usage: tc-bench status", "--addr HOST:PORT"])),
+            ("shutdown --help", Ok(&["Print(", "usage: tc-bench shutdown", "--addr HOST:PORT"])),
             // Every subcommand's flags.
-            ("list", Ok(&["List"])),
-            ("table1", Ok(&["Table1"])),
+            ("list", Ok(&["Print(\"available campaigns:", "table1", "faultsweep"])),
+            ("table1", Ok(&["Print(\"Table 1: target system parameters"])),
             ("table2", Ok(&["Campaign(", "name: \"table2\"", "threads: None", "shards: 0 }"])),
             ("fig5b --ops 5", Ok(&["name: \"fig5-traffic\"", "ops_per_node: 5,"])),
             ("fig5-traffic --ops 400 --threads 2 --workload oltp --protocol tokenb \
@@ -1329,6 +1312,79 @@ mod tests {
         }
     }
 
+    /// The `--json` file of a multi-section campaign: every aggregate row
+    /// sits in its section, normalized within it, and reads what the
+    /// printed table reads.
+    #[test]
+    fn json_file_attributes_every_aggregate_row_to_its_section() {
+        use tc_types::Json;
+        let Ok(Command::Campaign(plan, _)) = cli("fig4-runtime --ops 60") else {
+            panic!("fig4-runtime must plan");
+        };
+        let report = Campaign::new(plan.points())
+            .options(plan.options)
+            .threads(1)
+            .run();
+        let printed = plan.render(&report.runs);
+        let mut lines = printed.lines();
+        let json = Json::parse(&plan.to_json(&report)).unwrap();
+        let array =
+            |json: &Json, key: &str| json.get(key).and_then(Json::as_array).unwrap().to_vec();
+        let text = |json: &Json, key: &str| json.get(key).unwrap().to_string();
+        assert_eq!(array(&json, "runs").len(), 18);
+        assert!(json.get("normalized_runtime").is_none());
+        let sections = array(&json, "sections");
+        assert_eq!(sections.len(), 3);
+        for (i, (section, planned)) in sections.iter().zip(&plan.sections).enumerate() {
+            assert_eq!(text(section, "title"), format!("{:?}", planned.title));
+            assert_eq!(text(section, "first"), (6 * i).to_string());
+            assert_eq!(text(section, "count"), "6");
+            let rows = array(section, "normalized_runtime");
+            assert_eq!(rows.len(), 6);
+            assert_eq!(text(&rows[0], "normalized"), "1.0000");
+            lines.find(|line| *line == planned.title).unwrap();
+            lines.next(); // the header line
+            for (row, point) in rows.iter().zip(&planned.points) {
+                assert_eq!(text(row, "label"), format!("{:?}", point.label));
+                // The printed cells are the JSON numbers at fewer decimals.
+                let line = lines.next().unwrap();
+                let shown = line[38..]
+                    .split_whitespace()
+                    .map(|cell| cell.parse::<f64>());
+                for ((key, ulp), shown) in [("cycles_per_transaction", 1.0), ("normalized", 1e-3)]
+                    .into_iter()
+                    .zip(shown)
+                {
+                    let written: f64 = text(row, key).parse().unwrap();
+                    assert!(
+                        (shown.unwrap() - written).abs() <= 0.51 * ulp,
+                        "{line} vs {row}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The campaign tables in this crate's module docs and in README.md are
+    /// hand copies of the catalog: each must list exactly its names.
+    #[test]
+    fn documented_campaign_tables_list_exactly_the_catalog() {
+        let names: Vec<&str> = CAMPAIGNS.iter().map(|spec| spec.name).collect();
+        for (file, text) in [
+            ("lib.rs", include_str!("lib.rs")),
+            ("README.md", include_str!("../../../README.md")),
+        ] {
+            // The rows under the `| campaign |` header, by their first cell.
+            let lines = text.lines().map(|l| l.trim_start_matches("//!").trim());
+            let listed: Vec<&str> = lines
+                .skip_while(|l| !l.starts_with("| campaign"))
+                .skip(2)
+                .map_while(|l| Some(l.strip_prefix("| `")?.split_once('`')?.0))
+                .collect();
+            assert_eq!(listed, names, "{file}'s campaign table");
+        }
+    }
+
     /// The byte-identity CI gate (served stream == one-shot `--runs-json`)
     /// rests on `submit` sending exactly the points, under exactly the run
     /// options, that the one-shot path runs.
@@ -1336,17 +1392,17 @@ mod tests {
     fn submit_sends_exactly_what_the_one_shot_path_runs() {
         for spec in CAMPAIGNS {
             let mut flags = String::from("--ops 200 --faults drop=0.01");
-            if spec.name.starts_with("fig") {
+            if spec.takes_workload {
                 flags.push_str(" --workload oltp");
             }
-            if spec.name != "scalability" {
+            if spec.takes_protocol {
                 flags.push_str(" --protocol tokenb");
             }
             let one_shot = cli(&format!("{} {flags}", spec.name));
             let submitted = cli(&format!("submit {} {flags}", spec.name));
-            if spec.name == "table1" {
-                assert!(matches!(one_shot, Ok(Command::Table1)));
-                assert!(submitted.is_err());
+            if (spec.sections)(None).is_empty() {
+                assert!(matches!(cli(spec.name), Ok(Command::Print(_))));
+                assert!(one_shot.is_err() && submitted.is_err());
                 continue;
             }
             let (Ok(Command::Campaign(plan, _)), Ok(Command::Submit { submission, .. })) =

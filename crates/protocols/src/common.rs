@@ -210,14 +210,6 @@ impl WbWindow {
         self.queue.is_empty() && self.stash.is_empty()
     }
 
-    /// Number of queued (unanswered) requests, for audits and tests.
-    pub fn queued_requests(&self) -> usize {
-        self.queue
-            .iter()
-            .filter(|e| matches!(e, WbEntry::Request(_)))
-            .count()
-    }
-
     /// An ordered PutM from `writer` carrying `version` opens (or extends)
     /// the window. Returns any resolutions that can now be cascaded (a
     /// handshake for this marker may already have been stashed).

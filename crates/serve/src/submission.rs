@@ -151,24 +151,20 @@ impl Submission {
 
 /// Derives the dedup-cache key for one point under the given options: the
 /// full determinism tuple — configuration, workload, run length, effective
-/// fault spec (per-point override applied, mirroring
-/// [`ExperimentPoint::run_with`]), livelock budget, checkpoint cadence, and
-/// adversary spec. The *label* is deliberately excluded: the same physical
-/// experiment under a different name is still the same experiment, and the
-/// served line is re-rendered with the submitted label on a hit.
+/// fault spec ([`ExperimentPoint::effective_options`]), livelock budget,
+/// checkpoint cadence, and adversary spec. The *label* is deliberately
+/// excluded: the same physical experiment under a different name is still
+/// the same experiment, and the served line is re-rendered with the
+/// submitted label on a hit.
 pub fn cache_key(point: &ExperimentPoint, options: &RunOptions) -> String {
-    let effective_faults = if point.faults.is_none() {
-        options.faults
-    } else {
-        point.faults
-    };
+    let options = point.effective_options(options);
     format!(
         "{:?}|{:?}|ops={}|cycles={}|faults={}|livelock={}|ckpt={:?}|adversary={}",
         point.config,
         point.workload,
         options.ops_per_node,
         options.max_cycles,
-        effective_faults,
+        options.faults,
         options.livelock_events_budget,
         options.checkpoint_every,
         options.adversary,

@@ -7,13 +7,14 @@
 //! embarrassingly parallel and the worker count changes *wall-clock only*,
 //! never results. The returned [`CampaignReport`] holds the per-point
 //! [`RunReport`]s in submission order (whatever order the workers finished
-//! in) plus the aggregate tables the paper's figures are built from, and
-//! serializes to JSON through `tc_types::Json`, the workspace's one JSON
-//! codec.
+//! in); the tables the paper's figures are built from are declared in
+//! [`crate::table`] and rendered from those runs, and the report serializes
+//! to JSON through `tc_types::Json`, the workspace's one JSON codec.
 //!
 //! ```no_run
 //! use tc_system::campaign::Campaign;
 //! use tc_system::experiment::table2_points;
+//! use tc_system::table::RUNTIME;
 //! use tc_system::RunOptions;
 //!
 //! let report = Campaign::new(table2_points())
@@ -22,7 +23,7 @@
 //!     .on_progress(|event| eprintln!("{event}"))
 //!     .run();
 //! assert_eq!(report.runs.len(), 3);
-//! println!("{}", report.render_runtime_table("Table 2 configurations"));
+//! println!("{}", RUNTIME.render("Table 2 configurations", &report.runs));
 //! ```
 //!
 //! # Determinism contract
@@ -42,11 +43,12 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use tc_protocols::ProtocolRegistry;
-use tc_types::{InvariantViolation, Json, TrafficClass, Wire};
+use tc_types::{InvariantViolation, Json, Wire};
 
 use crate::experiment::ExperimentPoint;
 use crate::report::RunReport;
 use crate::runner::RunOptions;
+use crate::table::{MISS_LATENCY, RUNTIME, TRAFFIC};
 
 /// A progress notification delivered to [`Campaign::on_progress`] callbacks.
 ///
@@ -353,87 +355,8 @@ pub struct CampaignSummary {
     pub peak_reorder_buffer: usize,
 }
 
-/// One row of the normalized-runtime aggregate (Figures 4a / 5a).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuntimeRow {
-    /// Point label.
-    pub label: String,
-    /// Cycles per transaction (the paper's figure of merit).
-    pub cycles_per_transaction: f64,
-    /// Runtime normalized against the campaign's first point.
-    pub normalized: f64,
-    /// Percentage of misses served cache-to-cache.
-    pub cache_to_cache_pct: f64,
-}
-
-/// One row of the traffic-breakdown aggregate (Figures 4b / 5b).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrafficRow {
-    /// Point label.
-    pub label: String,
-    /// Bytes per miss for every [`TrafficClass`], in the paper's stacked-bar
-    /// order.
-    pub per_class: Vec<(TrafficClass, f64)>,
-    /// Total link-crossing bytes per miss.
-    pub total: f64,
-}
-
-impl TrafficRow {
-    fn from_run(run: &CampaignRun) -> TrafficRow {
-        let breakdown = run.report.traffic_breakdown();
-        TrafficRow {
-            label: run.label.clone(),
-            total: breakdown.total(),
-            per_class: breakdown.per_class,
-        }
-    }
-}
-
-/// One row of the miss-latency aggregate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MissLatencyRow {
-    /// Point label.
-    pub label: String,
-    /// Total misses in the run.
-    pub misses: u64,
-    /// Average miss latency in nanoseconds.
-    pub avg_latency_ns: f64,
-    /// Median end-to-end miss latency in nanoseconds.
-    pub p50_latency_ns: u64,
-    /// 99th-percentile end-to-end miss latency in nanoseconds.
-    pub p99_latency_ns: u64,
-    /// Worst end-to-end miss latency in nanoseconds.
-    pub max_latency_ns: u64,
-    /// Per-node completion-share skew in parts per million (0 = perfectly
-    /// fair).
-    pub completion_skew_ppm: u64,
-    /// Percentage of misses served cache-to-cache.
-    pub cache_to_cache_pct: f64,
-    /// Percentage of misses that needed at least one reissue or a persistent
-    /// request (zero for the non-token protocols).
-    pub reissued_pct: f64,
-}
-
-impl MissLatencyRow {
-    fn from_run(run: &CampaignRun) -> MissLatencyRow {
-        let misses = &run.report.misses;
-        let [_, once, more, persistent] = run.report.reissue.percentages();
-        MissLatencyRow {
-            label: run.label.clone(),
-            misses: misses.total_misses(),
-            avg_latency_ns: misses.average_miss_latency(),
-            p50_latency_ns: run.report.miss_latency_p50,
-            p99_latency_ns: run.report.miss_latency_p99,
-            max_latency_ns: run.report.miss_latency_max,
-            completion_skew_ppm: run.report.completion_skew_ppm,
-            cache_to_cache_pct: 100.0 * misses.cache_to_cache_fraction(),
-            reissued_pct: once + more + persistent,
-        }
-    }
-}
-
-/// Everything a finished campaign measured: per-point reports in submission
-/// order plus the aggregate tables.
+/// Everything a finished campaign measured: the per-point reports in
+/// submission order, and how they were run.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Per-point runs, in the order the points were submitted.
@@ -452,22 +375,6 @@ impl CampaignReport {
         self.runs.iter().map(|run| &run.report)
     }
 
-    /// A sub-report over `count` runs starting at `start` (used to render a
-    /// flattened multi-section campaign section by section). Wall-clock and
-    /// thread count are inherited from the whole campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, start: usize, count: usize) -> CampaignReport {
-        CampaignReport {
-            runs: self.runs[start..start + count].to_vec(),
-            options: self.options,
-            threads: self.threads,
-            wall_seconds: self.wall_seconds,
-        }
-    }
-
     /// `Ok` if every run passed verification; otherwise the first failing
     /// label and violation.
     ///
@@ -484,109 +391,40 @@ impl CampaignReport {
         Ok(())
     }
 
-    /// The normalized-runtime aggregate, normalized against the first run.
-    pub fn runtime_rows(&self) -> Vec<RuntimeRow> {
-        let baseline = self
-            .runs
-            .first()
-            .map(|run| run.report.cycles_per_transaction())
-            .unwrap_or(1.0);
-        self.runs
-            .iter()
-            .map(|run| RuntimeRow {
-                label: run.label.clone(),
-                cycles_per_transaction: run.report.cycles_per_transaction(),
-                normalized: run.report.cycles_per_transaction() / baseline,
-                cache_to_cache_pct: 100.0 * run.report.misses.cache_to_cache_fraction(),
-            })
-            .collect()
-    }
-
-    /// The traffic-breakdown aggregate, in bytes per miss.
-    pub fn traffic_rows(&self) -> Vec<TrafficRow> {
-        self.runs.iter().map(TrafficRow::from_run).collect()
-    }
-
-    /// The miss-latency aggregate.
-    pub fn miss_latency_rows(&self) -> Vec<MissLatencyRow> {
-        self.runs.iter().map(MissLatencyRow::from_run).collect()
-    }
-
-    /// Renders the normalized-runtime aggregate as an aligned text table,
-    /// mirroring the "normalized runtime" bars of Figures 4a and 5a (smaller
-    /// is better).
-    pub fn render_runtime_table(&self, title: &str) -> String {
-        let mut out = format!(
-            "{title}\n{:<38} {:>16} {:>12} {:>12}\n",
-            "configuration", "cycles/txn", "normalized", "c2c misses"
-        );
-        for row in self.runtime_rows() {
-            out.push_str(&format!(
-                "{:<38} {:>16.0} {:>12.3} {:>11.1}%\n",
-                row.label, row.cycles_per_transaction, row.normalized, row.cache_to_cache_pct
-            ));
-        }
-        out
-    }
-
-    /// Renders the traffic-breakdown aggregate as an aligned text table,
-    /// mirroring the stacked bars of Figures 4b and 5b.
-    pub fn render_traffic_table(&self, title: &str) -> String {
-        let mut out = format!(
-            "{title}\n{:<24} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
-            "configuration", "data+wb", "requests", "fwd+inv", "other", "reissue+per", "total"
-        );
-        for run in &self.runs {
-            let breakdown = run.report.traffic_breakdown();
-            out.push_str(&format!(
-                "{:<24} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1}\n",
-                run.label,
-                breakdown.class(TrafficClass::DataResponseOrWriteback),
-                breakdown.class(TrafficClass::Request),
-                breakdown.class(TrafficClass::ForwardedOrInvalidation),
-                breakdown.class(TrafficClass::OtherControl),
-                breakdown.class(TrafficClass::ReissueOrPersistent),
-                breakdown.total()
-            ));
-        }
-        out
-    }
-
-    /// Renders the miss-latency aggregate as an aligned text table.
-    pub fn render_miss_latency_table(&self, title: &str) -> String {
-        let mut out = format!(
-            "{title}\n{:<38} {:>10} {:>14} {:>9} {:>9} {:>9} {:>10} {:>12} {:>10}\n",
-            "configuration",
-            "misses",
-            "avg lat (ns)",
-            "p50",
-            "p99",
-            "max",
-            "skew ppm",
-            "c2c misses",
-            "reissued"
-        );
-        for row in self.miss_latency_rows() {
-            out.push_str(&format!(
-                "{:<38} {:>10} {:>14.1} {:>9} {:>9} {:>9} {:>10} {:>11.1}% {:>9.2}%\n",
-                row.label,
-                row.misses,
-                row.avg_latency_ns,
-                row.p50_latency_ns,
-                row.p99_latency_ns,
-                row.max_latency_ns,
-                row.completion_skew_ppm,
-                row.cache_to_cache_pct,
-                row.reissued_pct
-            ));
-        }
-        out
-    }
-
-    /// Serializes the whole campaign — per-point reports and the three
-    /// aggregates — as JSON.
+    /// Serializes the whole campaign as JSON: the per-point reports, then
+    /// the three aggregates over all of them, as one section.
     pub fn to_json(&self) -> String {
-        Json::obj([
+        self.json_with(aggregates(&self.runs))
+    }
+
+    /// Serializes a campaign of several sections — `(title, run count)`, in
+    /// run order — as JSON: the per-point reports, then one `sections`
+    /// entry each holding its title, the index of its first run, its run
+    /// count, and the three aggregates over its own runs (so "normalized"
+    /// is against the section's first run, as in its printed table).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counts add up to more runs than the campaign has.
+    pub fn to_json_by_section(&self, sections: &[(&str, usize)]) -> String {
+        let mut first = 0;
+        let sections = sections.iter().map(|&(title, count)| {
+            let mut members = vec![
+                ("title", Json::Str(title.to_string())),
+                ("first", first.to_json()),
+                ("count", count.to_json()),
+            ];
+            members.extend(aggregates(&self.runs[first..first + count]));
+            first += count;
+            Json::obj(members)
+        });
+        self.json_with(vec![("sections", Json::Arr(sections.collect()))])
+    }
+
+    /// The members every campaign JSON starts with, then `tail`.
+    fn json_with(&self, tail: Vec<(&'static str, Json)>) -> String {
+        let runs = self.runs.iter();
+        let mut members = vec![
             ("points", self.runs.len().to_json()),
             ("threads", self.threads.to_json()),
             ("ops_per_node", self.options.ops_per_node.to_json()),
@@ -596,61 +434,21 @@ impl CampaignReport {
             ("wall_seconds", Json::fixed(self.wall_seconds, 3)),
             (
                 "runs",
-                rows(&self.runs, |run| run_json(&run.label, &run.report)),
+                Json::Arr(runs.map(|run| run_json(&run.label, &run.report)).collect()),
             ),
-            (
-                "normalized_runtime",
-                rows(&self.runtime_rows(), runtime_row_json),
-            ),
-            (
-                "traffic_bytes_per_miss",
-                rows(&self.traffic_rows(), traffic_row_json),
-            ),
-            (
-                "miss_latency",
-                rows(&self.miss_latency_rows(), latency_row_json),
-            ),
-        ])
-        .to_string()
+        ];
+        members.extend(tail);
+        Json::obj(members).to_string()
     }
 }
 
-fn rows<T>(items: &[T], row: impl Fn(&T) -> Json) -> Json {
-    Json::Arr(items.iter().map(row).collect())
-}
-
-fn runtime_row_json(row: &RuntimeRow) -> Json {
-    Json::obj([
-        ("label", row.label.to_json()),
-        (
-            "cycles_per_transaction",
-            Json::fixed(row.cycles_per_transaction, 2),
-        ),
-        ("normalized", Json::fixed(row.normalized, 4)),
-    ])
-}
-
-fn traffic_row_json(row: &TrafficRow) -> Json {
-    let mut members = vec![("label", row.label.to_json())];
-    for (class, bytes) in &row.per_class {
-        members.push((class_key(*class), Json::fixed(*bytes, 2)));
-    }
-    members.push(("total", Json::fixed(row.total, 2)));
-    Json::obj(members)
-}
-
-fn latency_row_json(row: &MissLatencyRow) -> Json {
-    Json::obj([
-        ("label", row.label.to_json()),
-        ("misses", row.misses.to_json()),
-        ("avg_latency_ns", Json::fixed(row.avg_latency_ns, 2)),
-        ("p50_latency_ns", row.p50_latency_ns.to_json()),
-        ("p99_latency_ns", row.p99_latency_ns.to_json()),
-        ("max_latency_ns", row.max_latency_ns.to_json()),
-        ("completion_skew_ppm", row.completion_skew_ppm.to_json()),
-        ("cache_to_cache_pct", Json::fixed(row.cache_to_cache_pct, 2)),
-        ("reissued_pct", Json::fixed(row.reissued_pct, 3)),
-    ])
+/// The three aggregates every campaign JSON carries for a slice of runs.
+fn aggregates(runs: &[CampaignRun]) -> Vec<(&'static str, Json)> {
+    vec![
+        ("normalized_runtime", RUNTIME.json_rows(runs)),
+        ("traffic_bytes_per_miss", TRAFFIC.json_rows(runs)),
+        ("miss_latency", MISS_LATENCY.json_rows(runs)),
+    ]
 }
 
 /// Serializes one run as a compact JSON object — the canonical per-run
@@ -724,17 +522,6 @@ fn run_json(label: &str, r: &RunReport) -> Json {
     }
     members.push(("violations", r.violations.len().to_json()));
     Json::obj(members)
-}
-
-/// Stable JSON key for a traffic class.
-fn class_key(class: TrafficClass) -> &'static str {
-    match class {
-        TrafficClass::Request => "requests",
-        TrafficClass::ForwardedOrInvalidation => "forwarded_or_invalidation",
-        TrafficClass::DataResponseOrWriteback => "data_or_writeback",
-        TrafficClass::OtherControl => "other_control",
-        TrafficClass::ReissueOrPersistent => "reissue_or_persistent",
-    }
 }
 
 #[cfg(test)]
@@ -813,37 +600,37 @@ mod tests {
             .options(tiny_options())
             .threads(1)
             .run();
-        let runtime = report.runtime_rows();
+        let json = Json::parse(&report.to_json()).unwrap();
+        let rows = |key: &str| json.get(key).and_then(Json::as_array).unwrap().to_vec();
+        let number = |row: &Json, key: &str| row.get(key).unwrap().to_string();
+        let runtime = rows("normalized_runtime");
         assert_eq!(runtime.len(), 4);
-        assert!((runtime[0].normalized - 1.0).abs() < 1e-12);
-        let traffic = report.traffic_rows();
-        assert!(traffic.iter().all(|row| row.total >= 0.0));
-        let latency = report.miss_latency_rows();
-        assert!(latency.iter().all(|row| row.misses > 0));
+        assert_eq!(number(&runtime[0], "normalized"), "1.0000");
+        assert!(rows("traffic_bytes_per_miss")
+            .iter()
+            .all(|row| number(row, "total").parse::<f64>().unwrap() >= 0.0));
+        assert!(rows("miss_latency")
+            .iter()
+            .all(|row| number(row, "misses") != "0"));
+        // A section is normalized against its own first run, and the JSON
+        // and the printed table agree because they are one column list.
+        let by_section = report.to_json_by_section(&[("head", 1), ("tail", 3)]);
+        let by_section = Json::parse(&by_section).unwrap();
+        let tail = &by_section.get("sections").and_then(Json::as_array).unwrap()[1];
+        assert_eq!(tail.get("first").unwrap().to_string(), "1");
+        let tail_runtime = tail.get("normalized_runtime").and_then(Json::as_array);
+        assert_eq!(number(&tail_runtime.unwrap()[0], "normalized"), "1.0000");
+        assert!(RUNTIME.render("t", &report.runs[1..]).contains(" 1.000 "));
         // The renderers must not panic and must mention every label.
         let text = format!(
             "{}{}{}",
-            report.render_runtime_table("runtime"),
-            report.render_traffic_table("traffic"),
-            report.render_miss_latency_table("latency")
+            RUNTIME.render("runtime", &report.runs),
+            TRAFFIC.render("traffic", &report.runs),
+            MISS_LATENCY.render("latency", &report.runs)
         );
         for run in &report.runs {
             assert!(text.contains(&run.label));
         }
-    }
-
-    #[test]
-    fn slice_returns_contiguous_sections() {
-        let report = Campaign::new(small_points())
-            .options(tiny_options())
-            .threads(2)
-            .run();
-        let head = report.slice(0, 2);
-        let tail = report.slice(2, 2);
-        assert_eq!(head.runs.len(), 2);
-        assert_eq!(tail.runs.len(), 2);
-        assert_eq!(head.runs[0], report.runs[0]);
-        assert_eq!(tail.runs[1], report.runs[3]);
     }
 
     /// The crash-path contract: a panic inside one point must fail the

@@ -49,12 +49,19 @@ impl ExperimentPoint {
     /// Builds and runs the point, constructing controllers through
     /// `registry` (for experimental protocol variants).
     pub fn run_with(&self, options: RunOptions, registry: &ProtocolRegistry) -> RunReport {
-        let mut options = options;
+        let mut system = System::build_with(&self.config, &self.workload, registry);
+        system.run(self.effective_options(&options))
+    }
+
+    /// The options this point runs under when its campaign runs under
+    /// `options`: the point's own `faults`, when set, replace the
+    /// campaign-wide ones. What is run and what the result cache keys on.
+    pub fn effective_options(&self, options: &RunOptions) -> RunOptions {
+        let mut options = *options;
         if !self.faults.is_none() {
             options.faults = self.faults;
         }
-        let mut system = System::build_with(&self.config, &self.workload, registry);
-        system.run(options)
+        options
     }
 }
 

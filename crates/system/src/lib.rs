@@ -25,7 +25,10 @@
 //! * [`Campaign`] — a builder-style driver that executes a whole set of
 //!   experiment points across OS threads (each point is an independently
 //!   seeded, hermetic simulation, so parallelism changes wall-clock only,
-//!   never results) and aggregates the reports into the paper's tables.
+//!   never results) and serializes the reports as JSON;
+//! * [`table`] — the evaluation's tables (runtime, traffic, miss latency,
+//!   Table 2, the fault sweep), each one column list that both the printed
+//!   table and its JSON rows come from.
 //!
 //! Controllers are constructed through the `tc_protocols` registry: the four
 //! paper protocols are registered by default, and [`System::build_with`]
@@ -62,6 +65,7 @@ pub mod report;
 pub mod runner;
 mod sharded;
 mod step;
+pub mod table;
 pub mod verify;
 
 pub use campaign::{

@@ -113,11 +113,6 @@ impl Processor {
         self.outstanding.len()
     }
 
-    /// Total think (compute) cycles consumed so far.
-    pub fn total_think_cycles(&self) -> Cycle {
-        self.total_think
-    }
-
     /// Decides what to do when woken at time `now`. If an operation is
     /// issued, the caller must pass it to the coherence controller and then
     /// call either [`Processor::note_hit`] or [`Processor::note_miss`].

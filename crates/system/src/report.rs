@@ -148,12 +148,6 @@ impl RunReport {
         self.traffic_breakdown().total()
     }
 
-    /// Total link-crossing bytes per completed memory operation (used by the
-    /// scalability experiment, where miss rates differ between protocols).
-    pub fn bytes_per_op(&self) -> f64 {
-        self.traffic.total_link_bytes() as f64 / self.total_ops.max(1) as f64
-    }
-
     /// The Table 2 row for this run: percentage of misses not reissued,
     /// reissued once, reissued more than once, and completed by a persistent
     /// request.

@@ -10,6 +10,7 @@
 //! ```
 
 use token_coherence::prelude::*;
+use token_coherence::system::table::RUNTIME;
 
 fn main() {
     // Table 1 of the paper: 16 nodes, 128 kB L1s, 4 MB L2, 64 B blocks,
@@ -65,7 +66,7 @@ fn main() {
         .run();
     println!(
         "\n{}",
-        campaign.render_runtime_table("TokenB vs Directory (normalized runtime)")
+        RUNTIME.render("TokenB vs Directory (normalized runtime)", &campaign.runs)
     );
     println!(
         "campaign: {} points in {:.1} s across {} threads",

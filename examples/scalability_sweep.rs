@@ -67,9 +67,11 @@ fn main() {
         "{:>6} {:>18} {:>18} {:>18} {:>12}",
         "nodes", "TokenB bytes/miss", "Directory B/miss", "Hammer B/miss", "TokenB/Dir"
     );
-    for (i, nodes) in NODE_COUNTS.iter().enumerate() {
-        let slice = campaign.slice(i * PROTOCOLS.len(), PROTOCOLS.len());
-        let per_protocol: Vec<f64> = slice.reports().map(|r| r.bytes_per_miss()).collect();
+    for (nodes, runs) in NODE_COUNTS
+        .iter()
+        .zip(campaign.runs.chunks(PROTOCOLS.len()))
+    {
+        let per_protocol: Vec<f64> = runs.iter().map(|r| r.report.bytes_per_miss()).collect();
         println!(
             "{:>6} {:>18.1} {:>18.1} {:>18.1} {:>11.2}x",
             nodes,
