@@ -21,26 +21,35 @@ pub struct CacheLine<S> {
 /// L2 stores token counts and a valid-data bit, the MOESI protocols store a
 /// stable/transient state enum. The cache itself knows nothing about
 /// coherence; it only finds, inserts, and evicts lines.
+///
+/// Storage is proportional to the sets that have ever been filled, not to
+/// the configured capacity: a set is appended to the line arrays by the
+/// first fill that lands in it, so building a cache writes only the per-set
+/// index. A line's *slot* — what hints remember and snapshots record — is
+/// `set * ways + way`, whatever order the sets were filled in.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<S> {
-    num_sets: usize,
-    /// `num_sets - 1` when `num_sets` is a power of two (the common case:
+    /// `num_sets - 1` when the set count is a power of two (the common case:
     /// every configured geometry divides powers-of-two sizes), letting
     /// [`SetAssocCache::set_index`] mask instead of paying an integer
     /// division on every lookup of the hot access path. Zero disables it.
     set_mask: u64,
     ways: usize,
-    /// Block tags, `ways` consecutive entries per set, struct-of-arrays
-    /// against `states`/`last_use`: a set probe scans one contiguous run of
-    /// bare `u64`s (a whole 4-way set fits in a single host cache line) and
-    /// touches the bulkier state arrays only on a hit. [`EMPTY_TAG`] marks
-    /// an invalid way. This matters because the simulated L2 tag arrays are
-    /// far larger than the host's caches: the probe is a dependent-load
-    /// chain and every avoided line is an avoided stall.
+    /// One entry per set: 0 while the set has never been filled, else 1 + its
+    /// rank in the line arrays below (its ways start at `rank * ways`). The
+    /// only capacity-sized allocation, and zeroed rather than written.
+    set_rank: Vec<u32>,
+    /// Block tags, `ways` consecutive entries per filled set,
+    /// struct-of-arrays against `states`/`last_use`: a set probe scans one
+    /// contiguous run of bare `u64`s (a whole 4-way set fits in a single
+    /// host cache line) and touches the bulkier state arrays only on a hit.
+    /// [`EMPTY_TAG`] marks an invalid way. This matters because a populated
+    /// L2's tag array is far larger than the host's caches: the probe is a
+    /// dependent-load chain and every avoided line is an avoided stall.
     tags: Vec<u64>,
-    /// Per-slot protocol state; `None` on empty ways (parallel to `tags`).
+    /// Per-way protocol state; `None` on empty ways (parallel to `tags`).
     states: Vec<Option<S>>,
-    /// Per-slot LRU stamp (parallel to `tags`; garbage on empty ways).
+    /// Per-way LRU stamp (parallel to `tags`; garbage on empty ways).
     last_use: Vec<u64>,
     len: usize,
     use_counter: u64,
@@ -54,10 +63,11 @@ pub struct SetAssocCache<S> {
 /// size; [`SetAssocCache::insert`] debug-asserts against it.
 const EMPTY_TAG: u64 = u64::MAX;
 
-/// Outcome of [`SetAssocCache::probe_for_fill`].
+/// Outcome of [`SetAssocCache::probe_for_fill`]; each carries an index into
+/// the line arrays.
 #[derive(Debug, Clone, Copy)]
 enum FillSlot {
-    /// The block is already resident at this slot.
+    /// The block is already resident here.
     Resident(usize),
     /// The block is absent; this free way takes it without eviction.
     Free(usize),
@@ -82,16 +92,16 @@ impl<S> SetAssocCache<S> {
     pub fn with_geometry(num_sets: usize, ways: usize) -> Self {
         assert!(num_sets > 0 && ways > 0, "degenerate cache geometry");
         SetAssocCache {
-            num_sets,
             set_mask: if num_sets.is_power_of_two() {
                 num_sets as u64 - 1
             } else {
                 0
             },
             ways,
-            tags: vec![EMPTY_TAG; num_sets * ways],
-            states: (0..num_sets * ways).map(|_| None).collect(),
-            last_use: vec![0; num_sets * ways],
+            set_rank: vec![0; num_sets],
+            tags: Vec::new(),
+            states: Vec::new(),
+            last_use: Vec::new(),
             len: 0,
             use_counter: 0,
             lookups: 0,
@@ -100,19 +110,44 @@ impl<S> SetAssocCache<S> {
         }
     }
 
-    /// Where a fill of `addr` would land in its set: the resident slot if
-    /// the block is already cached, otherwise the first free way, otherwise
-    /// the LRU way. One probe discipline shared by every filling operation
-    /// ([`SetAssocCache::insert`], [`SetAssocCache::touch`],
-    /// [`SetAssocCache::victim_for`]) so eviction order can never silently
-    /// diverge between them — `events_delivered` determinism rides on it.
+    /// Index of `set`'s first way in the line arrays, or `None` while
+    /// nothing has ever been filled into it (every way is free, no block is
+    /// resident) — the answer a probe of an unfilled set stops at.
     #[inline]
-    fn probe_for_fill(&self, addr: BlockAddr) -> FillSlot {
-        let start = self.set_index(addr) * self.ways;
-        let tag = addr.value();
+    fn base_of(&self, set: usize) -> Option<usize> {
+        match self.set_rank[set] {
+            0 => None,
+            rank => Some((rank as usize - 1) * self.ways),
+        }
+    }
+
+    /// [`SetAssocCache::base_of`] for an operation about to fill `set`:
+    /// appends the set, every way empty, if this is its first fill.
+    fn base_for_fill(&mut self, set: usize) -> usize {
+        if let Some(base) = self.base_of(set) {
+            return base;
+        }
+        let base = self.tags.len();
+        self.set_rank[set] =
+            u32::try_from(base / self.ways + 1).expect("a cache has fewer than 2^32 sets");
+        self.tags.resize(base + self.ways, EMPTY_TAG);
+        self.states.resize_with(base + self.ways, || None);
+        self.last_use.resize(base + self.ways, 0);
+        base
+    }
+
+    /// Where a fill of `tag` would land in the filled set starting at
+    /// `base`: the resident way if the block is already cached, otherwise
+    /// the first free way, otherwise the LRU way. One probe discipline shared
+    /// by every filling operation ([`SetAssocCache::insert`],
+    /// [`SetAssocCache::touch`], [`SetAssocCache::victim_for`]) so eviction
+    /// order can never silently diverge between them — `events_delivered`
+    /// determinism rides on it.
+    #[inline]
+    fn probe_for_fill(&self, base: usize, tag: u64) -> FillSlot {
         let mut free: Option<usize> = None;
         let mut lru: Option<usize> = None;
-        for i in start..start + self.ways {
+        for i in base..base + self.ways {
             let t = self.tags[i];
             if t == tag {
                 return FillSlot::Resident(i);
@@ -134,15 +169,16 @@ impl<S> SetAssocCache<S> {
         }
     }
 
-    /// Index of `addr`'s slot within its set, if resident.
+    /// `(slot, index into the line arrays)` of `addr`'s line, if resident.
     #[inline]
-    fn find(&self, addr: BlockAddr) -> Option<usize> {
-        let start = self.set_index(addr) * self.ways;
+    fn find(&self, addr: BlockAddr) -> Option<(usize, usize)> {
+        let set = self.set_index(addr);
+        let base = self.base_of(set)?;
         let tag = addr.value();
-        self.tags[start..start + self.ways]
+        self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == tag)
-            .map(|way| start + way)
+            .map(|way| (set * self.ways + way, base + way))
     }
 
     #[inline]
@@ -150,13 +186,23 @@ impl<S> SetAssocCache<S> {
         if self.set_mask != 0 {
             (addr.value() & self.set_mask) as usize
         } else {
-            (addr.value() % self.num_sets as u64) as usize
+            (addr.value() % self.set_rank.len() as u64) as usize
         }
+    }
+
+    /// `(slot, index into the line arrays)` of every resident line, in slot
+    /// order — the order [`SetAssocCache::iter`] and
+    /// [`SetAssocCache::save_state`] promise.
+    fn resident(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.set_rank.len())
+            .filter_map(|set| Some((set * self.ways, self.base_of(set)?)))
+            .flat_map(|(first_slot, base)| (0..self.ways).map(move |w| (first_slot + w, base + w)))
+            .filter(|&(_, i)| self.tags[i] != EMPTY_TAG)
     }
 
     /// Total number of lines the cache can hold.
     pub fn capacity(&self) -> usize {
-        self.num_sets * self.ways
+        self.set_rank.len() * self.ways
     }
 
     /// Number of lines currently resident.
@@ -172,46 +218,49 @@ impl<S> SetAssocCache<S> {
     /// Looks up a block without affecting LRU state or statistics.
     pub fn peek(&self, addr: BlockAddr) -> Option<&S> {
         self.find(addr)
-            .map(|i| self.states[i].as_ref().expect("occupied tag has state"))
+            .map(|(_, i)| self.states[i].as_ref().expect("occupied tag has state"))
     }
 
     /// Looks up a block mutably without affecting LRU state or statistics
     /// (used to refresh slot hints, never on the simulated access path).
     pub fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut S> {
-        let i = self.find(addr)?;
+        let (_, i) = self.find(addr)?;
         Some(self.states[i].as_mut().expect("occupied tag has state"))
     }
 
-    /// Validates a remembered slot hint: returns the slot if it still holds
-    /// `addr`'s line. A tag can only ever live in its own set, so a tag
-    /// match *is* residency — no set arithmetic needed.
+    /// Validates a remembered slot hint: returns where the line is (for
+    /// [`SetAssocCache::get_at`]) if slot `hint` still holds `addr`'s line.
+    /// A tag can only ever live in its own set, so the hint is valid exactly
+    /// when it names a way of that set and the way's tag matches.
     #[inline]
     pub fn hinted_slot(&self, hint: u32, addr: BlockAddr) -> Option<usize> {
-        let i = hint as usize;
-        if i < self.tags.len() && self.tags[i] == addr.value() {
-            Some(i)
-        } else {
-            None
+        let set = self.set_index(addr);
+        let way = (hint as usize).wrapping_sub(set * self.ways);
+        if way >= self.ways {
+            return None;
         }
+        let i = self.base_of(set)? + way;
+        (self.tags[i] == addr.value()).then_some(i)
     }
 
-    /// Accesses a resident line directly by slot, updating LRU order and the
-    /// hit statistics exactly as a tag-probe hit in [`SetAssocCache::get`]
-    /// would — the hinted fast path is behaviourally indistinguishable from
-    /// the full probe, it only skips the set scan.
+    /// Accesses a resident line directly where [`SetAssocCache::hinted_slot`]
+    /// found it, updating LRU order and the hit statistics exactly as a
+    /// tag-probe hit in [`SetAssocCache::get`] would — the hinted fast path
+    /// is behaviourally indistinguishable from the full probe, it only skips
+    /// the set scan.
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the slot is occupied; callers validate with
+    /// Debug-asserts that the way is occupied; callers validate with
     /// [`SetAssocCache::hinted_slot`] first.
     #[inline]
-    pub fn get_at(&mut self, slot: usize) -> &mut S {
-        debug_assert!(self.tags[slot] != EMPTY_TAG, "hinted slot is empty");
+    pub fn get_at(&mut self, at: usize) -> &mut S {
+        debug_assert!(self.tags[at] != EMPTY_TAG, "hinted slot is empty");
         self.lookups += 1;
         self.hits += 1;
         self.use_counter += 1;
-        self.last_use[slot] = self.use_counter;
-        self.states[slot].as_mut().expect("occupied tag has state")
+        self.last_use[at] = self.use_counter;
+        self.states[at].as_mut().expect("occupied tag has state")
     }
 
     /// [`SetAssocCache::get`] that also reports which slot the line occupies,
@@ -220,28 +269,17 @@ impl<S> SetAssocCache<S> {
         self.lookups += 1;
         self.use_counter += 1;
         let counter = self.use_counter;
-        if let Some(i) = self.find(addr) {
-            self.last_use[i] = counter;
-            self.hits += 1;
-            Some((i, self.states[i].as_mut().expect("occupied tag has state")))
-        } else {
-            None
-        }
+        let (slot, i) = self.find(addr)?;
+        self.last_use[i] = counter;
+        self.hits += 1;
+        let state = self.states[i].as_mut().expect("occupied tag has state");
+        Some((slot, state))
     }
 
     /// Looks up a block, updating LRU order and hit statistics, and returns a
     /// mutable reference to its state.
     pub fn get(&mut self, addr: BlockAddr) -> Option<&mut S> {
-        self.lookups += 1;
-        self.use_counter += 1;
-        let counter = self.use_counter;
-        if let Some(i) = self.find(addr) {
-            self.last_use[i] = counter;
-            self.hits += 1;
-            Some(self.states[i].as_mut().expect("occupied tag has state"))
-        } else {
-            None
-        }
+        self.get_with_slot(addr).map(|(_, state)| state)
     }
 
     /// Returns `true` if the block is resident (without touching LRU state).
@@ -258,7 +296,8 @@ impl<S> SetAssocCache<S> {
         );
         self.use_counter += 1;
         let counter = self.use_counter;
-        let (i, victim) = match self.probe_for_fill(addr) {
+        let base = self.base_for_fill(self.set_index(addr));
+        let (i, victim) = match self.probe_for_fill(base, addr.value()) {
             FillSlot::Resident(i) => {
                 self.states[i] = Some(state);
                 self.last_use[i] = counter;
@@ -308,7 +347,8 @@ impl<S> SetAssocCache<S> {
         self.lookups += 1;
         self.use_counter += 1;
         let counter = self.use_counter;
-        let (hit, i) = match self.probe_for_fill(addr) {
+        let base = self.base_for_fill(self.set_index(addr));
+        let (hit, i) = match self.probe_for_fill(base, addr.value()) {
             FillSlot::Resident(i) => {
                 self.last_use[i] = counter;
                 self.hits += 1;
@@ -336,7 +376,7 @@ impl<S> SetAssocCache<S> {
 
     /// Removes a block, returning its state if it was resident.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<S> {
-        let i = self.find(addr)?;
+        let (_, i) = self.find(addr)?;
         self.tags[i] = EMPTY_TAG;
         self.len -= 1;
         self.states[i].take()
@@ -345,7 +385,8 @@ impl<S> SetAssocCache<S> {
     /// Chooses the line that would be evicted if `addr` were inserted now,
     /// without inserting. Returns `None` if there is a free way.
     pub fn victim_for(&self, addr: BlockAddr) -> Option<(BlockAddr, &S)> {
-        match self.probe_for_fill(addr) {
+        let base = self.base_of(self.set_index(addr))?;
+        match self.probe_for_fill(base, addr.value()) {
             FillSlot::Resident(_) | FillSlot::Free(_) => None,
             FillSlot::Evict(i) => Some((
                 BlockAddr::new(self.tags[i]),
@@ -354,18 +395,14 @@ impl<S> SetAssocCache<S> {
         }
     }
 
-    /// Iterates over every resident line.
+    /// Iterates over every resident line, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &S)> {
-        self.tags
-            .iter()
-            .zip(&self.states)
-            .filter(|(&t, _)| t != EMPTY_TAG)
-            .map(|(&t, s)| {
-                (
-                    BlockAddr::new(t),
-                    s.as_ref().expect("occupied tag has state"),
-                )
-            })
+        self.resident().map(|(_, i)| {
+            (
+                BlockAddr::new(self.tags[i]),
+                self.states[i].as_ref().expect("occupied tag has state"),
+            )
+        })
     }
 
     /// Every resident block address.
@@ -391,12 +428,9 @@ impl<S> SetAssocCache<S> {
         w.u64(self.lookups);
         w.u64(self.hits);
         w.u64(self.evictions);
-        for (i, &tag) in self.tags.iter().enumerate() {
-            if tag == EMPTY_TAG {
-                continue;
-            }
-            w.usize(i);
-            w.u64(tag);
+        for (slot, i) in self.resident() {
+            w.usize(slot);
+            w.u64(self.tags[i]);
             w.u64(self.last_use[i]);
             self.states[i]
                 .as_ref()
@@ -411,11 +445,10 @@ impl<S> SetAssocCache<S> {
     where
         S: Snap,
     {
-        self.tags.fill(EMPTY_TAG);
-        for state in &mut self.states {
-            *state = None;
-        }
-        self.last_use.fill(0);
+        self.set_rank.fill(0);
+        self.tags.clear();
+        self.states.clear();
+        self.last_use.clear();
         let len = r.usize()?;
         if len > self.capacity() {
             return Err(SnapshotError::Corrupt("cache population".into()));
@@ -427,12 +460,16 @@ impl<S> SetAssocCache<S> {
         for _ in 0..len {
             let slot = r.usize()?;
             let tag = r.u64()?;
-            if slot >= self.capacity() || self.tags[slot] != EMPTY_TAG || tag == EMPTY_TAG {
+            if slot >= self.capacity() || tag == EMPTY_TAG {
                 return Err(SnapshotError::Corrupt("cache slot".into()));
             }
-            self.tags[slot] = tag;
-            self.last_use[slot] = r.u64()?;
-            self.states[slot] = Some(S::load(r)?);
+            let i = self.base_for_fill(slot / self.ways) + slot % self.ways;
+            if self.tags[i] != EMPTY_TAG {
+                return Err(SnapshotError::Corrupt("cache slot".into()));
+            }
+            self.tags[i] = tag;
+            self.last_use[i] = r.u64()?;
+            self.states[i] = Some(S::load(r)?);
         }
         self.len = len;
         Ok(())
@@ -444,7 +481,7 @@ impl<S> fmt::Display for SetAssocCache<S> {
         write!(
             f,
             "{}x{}-way cache, {}/{} lines resident",
-            self.num_sets,
+            self.set_rank.len(),
             self.ways,
             self.len(),
             self.capacity()
@@ -773,6 +810,69 @@ mod tests {
         l2.insert(BlockAddr::new(0), 10);
         let (_, line) = hinted_get(&mut l1, &mut l2, BlockAddr::new(0));
         assert_eq!(line.copied(), Some(10));
+    }
+
+    /// `save_state` bytes for a `SetAssocCache<u32>` claiming `len` lines and
+    /// carrying `lines` as (slot, tag).
+    fn snapshot_of(len: usize, lines: &[(usize, u64)]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.usize(len);
+        for counter in [9u64, 5, 3, 1] {
+            w.u64(counter);
+        }
+        for &(slot, tag) in lines {
+            w.usize(slot);
+            w.u64(tag);
+            w.u64(7);
+            w.u32(70);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_state_refuses_corrupt_populations_and_slots() {
+        // 3 sets x 2 ways: capacity 6, slots 0..6, tag t lives in set t % 3.
+        let cases: [(&str, Vec<u8>, &str); 4] = [
+            (
+                "more lines than ways",
+                snapshot_of(7, &[]),
+                "cache population",
+            ),
+            (
+                "slot past the last way",
+                snapshot_of(1, &[(6, 0)]),
+                "cache slot",
+            ),
+            (
+                "slot given twice",
+                snapshot_of(3, &[(2, 1), (4, 2), (2, 4)]),
+                "cache slot",
+            ),
+            (
+                "the empty-way tag",
+                snapshot_of(2, &[(0, 0), (1, EMPTY_TAG)]),
+                "cache slot",
+            ),
+        ];
+        for (what, bytes, expected) in cases {
+            let mut c: SetAssocCache<u32> = SetAssocCache::with_geometry(3, 2);
+            c.insert(BlockAddr::new(5), 50);
+            match c.load_state(&mut SnapReader::new(&bytes)) {
+                Err(SnapshotError::Corrupt(message)) => assert_eq!(message, expected, "{what}"),
+                other => panic!("{what}: expected a Corrupt error, got {other:?}"),
+            }
+            assert!(
+                c.tags.len() <= c.capacity(),
+                "{what}: a refused file filled more than the cache holds"
+            );
+        }
+        // The same writer, given a consistent file, is accepted.
+        let mut c: SetAssocCache<u32> = SetAssocCache::with_geometry(3, 2);
+        let good = snapshot_of(2, &[(2, 1), (5, 2)]);
+        c.load_state(&mut SnapReader::new(&good))
+            .expect("consistent");
+        assert_eq!(c.blocks(), vec![BlockAddr::new(1), BlockAddr::new(2)]);
+        assert_eq!(c.counters(), (5, 3, 1));
     }
 
     #[test]

@@ -260,10 +260,11 @@ impl Default for TokenConfig {
 pub const MAX_NODES: usize = 1 << 16;
 
 /// Most cache lines (tag-array slots, L1 plus L2 over all nodes) a system
-/// may have. Every slot is allocated when the system is built, and a failed
-/// allocation aborts the process rather than unwinding, so a configuration
-/// from outside is refused here instead. Table 1 has 1.1 M, its 64-node
-/// sweep 4.3 M.
+/// may have. Building a system allocates 4 bytes per cache *set* (lines are
+/// allocated as sets are first filled): 64 MiB at this bound with 1-way sets,
+/// and a run may then fill every line. A failed allocation aborts the
+/// process rather than unwinding, so a configuration from outside is refused
+/// here instead. Table 1 has 1.1 M, its 64-node sweep 4.3 M.
 pub const MAX_CACHE_LINES: u64 = 1 << 24;
 
 /// Full system configuration.
