@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use tc_sim::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_enum, snap_state, snap_struct};
 use tc_types::{BlockAddr, NodeId};
 
 /// A request waiting at (or being served by) the arbiter.
@@ -260,25 +260,6 @@ impl PersistentArbiter {
         vec![ArbiterAction::BroadcastDeactivate { addr }]
     }
 
-    /// Serializes the arbiter's state machine, queue, and activation counter
-    /// (node and node count are config-derived).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.activations);
-        w.bool(self.sabotaged);
-        self.state.save(w);
-        self.queue.save(w);
-    }
-
-    /// Restores [`PersistentArbiter::save_state`] bytes onto a same-config
-    /// arbiter.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.activations = r.u64()?;
-        self.sabotaged = r.bool()?;
-        self.state = Snap::load(r)?;
-        self.queue = Snap::load(r)?;
-        Ok(())
-    }
-
     /// The node whose persistent request is currently being served, if any.
     pub fn active_requester(&self) -> Option<(BlockAddr, NodeId)> {
         match &self.state {
@@ -295,9 +276,18 @@ impl PersistentArbiter {
     }
 }
 
+// Node and node count are config-derived.
+snap_state!(PersistentArbiter {
+    activations,
+    sabotaged,
+    state,
+    queue,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_sim::{SnapReader, SnapState, SnapWriter};
 
     fn activate_addr(actions: &[ArbiterAction]) -> Option<BlockAddr> {
         actions.iter().find_map(|a| match a {

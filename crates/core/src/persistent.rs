@@ -1,7 +1,7 @@
 //! The per-node table of active persistent requests.
 
 use tc_memsys::LineTable;
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snap_struct;
 use tc_types::{BlockAddr, NodeId};
 
 /// One active persistent request, as remembered by every node.
@@ -93,20 +93,12 @@ impl PersistentTable {
     pub fn retired_bytes_estimate(&self) -> u64 {
         self.entries.retired_container_bytes_estimate()
     }
-
-    /// Serializes the table's entries and activation counter.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.activations_seen);
-        self.entries.save_state(w, |w, e| e.save(w));
-    }
-
-    /// Restores [`PersistentTable::save_state`] bytes.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.activations_seen = r.u64()?;
-        self.entries = LineTable::load_state(r, PersistentEntry::load)?;
-        Ok(())
-    }
 }
+
+snap_struct!(PersistentTable {
+    activations_seen,
+    entries,
+});
 
 #[cfg(test)]
 mod tests {

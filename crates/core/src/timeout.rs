@@ -1,7 +1,7 @@
 //! Reissue-timeout policy: average-miss-latency tracking and randomized
 //! exponential backoff.
 
-use tc_sim::{DeterministicRng, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, DeterministicRng};
 use tc_types::Cycle;
 
 /// Tracks the recent average miss latency with an exponential moving average
@@ -58,21 +58,6 @@ impl MissLatencyTracker {
         self.samples
     }
 
-    /// Serializes the moving average and sample count (multiplier and
-    /// backoff fraction are config-derived).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.f64(self.average);
-        w.u64(self.samples);
-    }
-
-    /// Restores [`MissLatencyTracker::save_state`] bytes onto a same-config
-    /// tracker.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.average = r.f64()?;
-        self.samples = r.u64()?;
-        Ok(())
-    }
-
     /// The timeout to arm for the `issue_count`-th issue of a transient
     /// request (1 = the first issue). Later issues back off exponentially,
     /// with a small random jitter so that two racing processors do not
@@ -89,6 +74,9 @@ impl MissLatencyTracker {
         (base as Cycle).max(1) + jitter
     }
 }
+
+// The multiplier and backoff fraction are config-derived.
+snap_state!(MissLatencyTracker { average, samples });
 
 #[cfg(test)]
 mod tests {

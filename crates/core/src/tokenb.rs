@@ -4,10 +4,10 @@
 use std::collections::BTreeSet;
 
 use tc_memsys::{
-    hinted_get, read_pending_list, version_node_bits, HomeMemory, L1Filter, MshrTable, OpList,
-    OpSlab, PendingOp, SetAssocCache,
+    hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, OpList, OpSlab, PendingOp,
+    SetAssocCache,
 };
-use tc_sim::{DeterministicRng, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, snap_struct, DeterministicRng};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
     Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind, MsgKind,
@@ -41,6 +41,18 @@ struct TokenMshr {
     /// Whether any data arrived from memory.
     data_from_memory: bool,
 }
+
+snap_struct!(TokenMshr in OpSlab<PendingOp> {
+    pending,
+    write,
+    upgrade,
+    issued_at,
+    issue_count,
+    persistent,
+    timer_seq,
+    data_from_cache,
+    data_from_memory,
+});
 
 /// The TokenB coherence controller for one node.
 ///
@@ -887,75 +899,25 @@ impl CoherenceController for TokenBController {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.rng.save(w);
-        w.u64(self.store_counter);
-        w.u64(self.timer_seq);
-        self.stats.save(w);
-        self.latency.save_state(w);
-        self.l1.save_state(w);
-        self.l2.save_state(w);
-        self.memory.save_state(w);
-        self.mshrs
-            .save_state(w, |w, mshr| emit_token_mshr(w, mshr, &self.pending_ops));
-        self.persistent_table.save_state(w);
-        self.arbiter.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rng = Snap::load(r)?;
-        self.store_counter = r.u64()?;
-        self.timer_seq = r.u64()?;
-        self.stats = Snap::load(r)?;
-        self.latency.load_state(r)?;
-        self.l1.load_state(r)?;
-        self.l2.load_state(r)?;
-        self.memory.load_state(r)?;
-        // Rebuild the pending-op pool from scratch; handles saved inside the
-        // reloaded MSHR entries are re-minted as they are read.
-        self.pending_ops.reset();
-        let slab = &mut self.pending_ops;
-        self.mshrs.load_state(r, |r| read_token_mshr(r, slab))?;
-        self.persistent_table.load_state(r)?;
-        self.arbiter.load_state(r)?;
-        Ok(())
-    }
-}
-
-// The MSHR codec needs the op pool its pending list lives in, so it is the
-// one layout here written out by hand: pending ops first, then the fields.
-fn emit_token_mshr(w: &mut SnapWriter, mshr: &TokenMshr, slab: &OpSlab<PendingOp>) {
-    w.seq(slab.iter(&mshr.pending), |w, op| op.save(w));
-    w.bool(mshr.write);
-    w.bool(mshr.upgrade);
-    w.u64(mshr.issued_at);
-    w.u32(mshr.issue_count);
-    w.bool(mshr.persistent);
-    w.u64(mshr.timer_seq);
-    w.bool(mshr.data_from_cache);
-    w.bool(mshr.data_from_memory);
-}
-
-fn read_token_mshr(
-    r: &mut SnapReader<'_>,
-    slab: &mut OpSlab<PendingOp>,
-) -> Result<TokenMshr, SnapshotError> {
-    Ok(TokenMshr {
-        pending: read_pending_list(r, slab)?,
-        write: r.bool()?,
-        upgrade: r.bool()?,
-        issued_at: r.u64()?,
-        issue_count: r.u32()?,
-        persistent: r.bool()?,
-        timer_seq: r.u64()?,
-        data_from_cache: r.bool()?,
-        data_from_memory: r.bool()?,
-    })
+    snap_state!(fn {
+        rng,
+        store_counter,
+        timer_seq,
+        stats,
+        latency,
+        l1,
+        l2,
+        memory,
+        mshrs in pending_ops,
+        persistent_table,
+        arbiter,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_sim::{SnapReader, SnapWriter};
     use tc_types::{Address, MemOpKind, ReqId};
 
     const BLOCK: u64 = 64;

@@ -21,7 +21,7 @@
 //!
 //! [`DeterministicRng`]: tc_sim::DeterministicRng
 
-use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snap_state;
 use tc_types::adversary::{AdversarySpec, AdversaryStats};
 use tc_types::{BlockAddr, Cycle, Message, MsgKind, NodeId};
 
@@ -74,11 +74,6 @@ impl Adversary {
             rngs: PlaneRng::new_per_node(run_seed, spec.seed, ADVERSARY_STREAM, num_nodes),
             ..Adversary::new(spec, run_seed, link_latency_ns)
         }
-    }
-
-    /// The spec this plane executes.
-    pub fn spec(&self) -> AdversarySpec {
-        self.spec
     }
 
     /// Counters accumulated so far.
@@ -143,25 +138,15 @@ impl Adversary {
             self.stats.max_skew_ns = self.stats.max_skew_ns.max(*at - original_at);
         }
     }
-
-    /// Serializes the plane's mutable state: the RNG stream position(s)
-    /// and the accumulated counters. Spec and quantum are config-derived.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.rngs.save(w);
-        self.stats.save(w);
-    }
-
-    /// Restores [`Adversary::save_state`] bytes onto a same-config plane.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rngs = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
-    }
 }
+
+// Spec and quantum are config-derived.
+snap_state!(Adversary { rngs, stats });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_sim::{SnapReader, SnapState, SnapWriter};
     use tc_types::{Destination, Vnet};
 
     fn request(src: usize, block: u64, kind: MsgKind) -> Message {

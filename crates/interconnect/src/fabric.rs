@@ -1,7 +1,7 @@
 //! The interconnect fabric: link contention, multicast routing, and traffic
 //! accounting on top of a [`Topology`].
 
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, snap_struct};
 use tc_types::{
     BandwidthMode, Cycle, Destination, FastHashMap, InterconnectConfig, Message, NodeId,
     TopologyKind, TrafficClass, TrafficStats,
@@ -429,37 +429,6 @@ impl Interconnect {
         }
     }
 
-    /// Serializes the fabric's mutable state: per-link occupancy/utilization,
-    /// traffic accounting, send/delivery counters, and injection-port
-    /// occupancy. Topology, routes, and the multicast tree cache are
-    /// config-derived (trees are deterministic per pattern, so an empty cache
-    /// refills to identical contents) and rebuilt by construction.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.total_deliveries);
-        w.u64(self.total_sends);
-        self.traffic.save(w);
-        self.links.save(w);
-        self.injection_free_at.save(w);
-    }
-
-    /// Restores [`Interconnect::save_state`] bytes onto a same-config fabric.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.total_deliveries = r.u64()?;
-        self.total_sends = r.u64()?;
-        self.traffic = Snap::load(r)?;
-        let links = Vec::<LinkState>::load(r)?;
-        if links.len() != self.links.len() {
-            return Err(SnapshotError::Corrupt("link count mismatch".into()));
-        }
-        self.links = links;
-        let injection = Vec::<Cycle>::load(r)?;
-        if injection.len() != self.injection_free_at.len() {
-            return Err(SnapshotError::Corrupt("node count mismatch".into()));
-        }
-        self.injection_free_at = injection;
-        Ok(())
-    }
-
     /// Computes the multicast tree for one `(source, destination)` pattern:
     /// the union of the deterministic source routes is a tree, so
     /// deduplicating links gives each shared link exactly one copy of the
@@ -494,6 +463,16 @@ impl Interconnect {
         }
     }
 }
+
+// Topology, routes and the tree cache are config-derived (trees are
+// deterministic per pattern, so an empty cache refills identically).
+snap_state!(Interconnect {
+    total_deliveries,
+    total_sends,
+    traffic,
+    [links],
+    [injection_free_at],
+});
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,7 @@
 //! `(seed, FaultSpec)` pair reproduces the exact same fault sequence
 //! bit-for-bit regardless of host, thread count, or wall-clock.
 
-use tc_sim::{DeterministicRng, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, DeterministicRng};
 use tc_types::fault::{FaultSpec, FaultStats};
 use tc_types::{Cycle, Message, NodeId, ProtocolKind};
 
@@ -84,11 +84,6 @@ impl FaultPlane {
             rngs: PlaneRng::new_per_node(run_seed, spec.seed, FAULT_STREAM, num_nodes),
             ..FaultPlane::new(spec, protocol, run_seed, link_latency_ns)
         }
-    }
-
-    /// The spec this plane executes.
-    pub fn spec(&self) -> FaultSpec {
-        self.spec
     }
 
     /// Counters accumulated so far.
@@ -165,22 +160,10 @@ impl FaultPlane {
         }
         std::mem::swap(arrivals, &mut self.scratch);
     }
-
-    /// Serializes the plane's mutable state: the RNG stream position(s) and
-    /// the accumulated counters. Spec, protocol, and quantum are
-    /// config-derived.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.rngs.save(w);
-        self.stats.save(w);
-    }
-
-    /// Restores [`FaultPlane::save_state`] bytes onto a same-config plane.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rngs = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
-    }
 }
+
+// Spec, protocol and quantum are config-derived.
+snap_state!(FaultPlane { rngs, stats });
 
 /// If the `src -> dst` arrival at `at` crosses a downed link, returns the
 /// end of the longest covering outage window.

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tc_sim::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, snap_struct, Snap, SnapReader, SnapState, SnapWriter, SnapshotError};
 use tc_types::{BlockAddr, CacheConfig};
 
 /// One cache line: the block it holds and the protocol-defined state.
@@ -414,15 +414,14 @@ impl<S> SetAssocCache<S> {
     pub fn counters(&self) -> (u64, u64, u64) {
         (self.lookups, self.hits, self.evictions)
     }
+}
 
-    /// Serializes resident lines (slot, tag, LRU stamp, state) plus the
-    /// LRU/statistics counters. Geometry is *not* serialized — it is
-    /// config-derived, so restore happens onto a freshly-constructed cache
-    /// of the same configuration (validated by slot bounds).
-    pub fn save_state(&self, w: &mut SnapWriter)
-    where
-        S: Snap,
-    {
+/// The LRU/statistics counters and resident lines (slot, tag, LRU stamp,
+/// state); geometry is config-derived. The load checks the population
+/// against the capacity and each slot against its bounds, the empty-way tag
+/// and the slots already filled.
+impl<S: Snap> SnapState for SetAssocCache<S> {
+    fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.len);
         w.u64(self.use_counter);
         w.u64(self.lookups);
@@ -439,12 +438,7 @@ impl<S> SetAssocCache<S> {
         }
     }
 
-    /// Restores [`SetAssocCache::save_state`] bytes onto this cache, which
-    /// must have the same geometry (same configuration) as the saved one.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError>
-    where
-        S: Snap,
-    {
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.set_rank.fill(0);
         self.tags.clear();
         self.states.clear();
@@ -500,15 +494,8 @@ impl SlotHint {
     const NONE: u32 = u32::MAX;
 }
 
-/// On the wire a hint is its raw `u32`.
-impl Snap for SlotHint {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SlotHint(r.u32()?))
-    }
-}
+// On the wire a hint is its raw `u32`.
+snap_struct!(SlotHint(slot));
 
 impl Default for SlotHint {
     fn default() -> Self {
@@ -578,17 +565,10 @@ impl L1Filter {
     pub fn contains(&self, addr: BlockAddr) -> bool {
         self.cache.contains(addr)
     }
-
-    /// Serializes the filter's resident set and slot hints.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.cache.save_state(w);
-    }
-
-    /// Restores [`L1Filter::save_state`] bytes onto a same-config filter.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.cache.load_state(r)
-    }
 }
+
+// The resident set and slot hints; the latency is config-derived.
+snap_state!(L1Filter { cache });
 
 /// The shared front-side fast path of all four coherence controllers: one
 /// L1-filter touch plus a hint-validated L2 access.

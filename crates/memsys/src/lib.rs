@@ -20,8 +20,8 @@
 //! * [`OpSlab`] — a pooled store for the small FIFO lists MSHR entries keep
 //!   (pending processor ops merged into a miss), recycling nodes through an
 //!   intrusive free list so churny miss traffic allocates nothing in the
-//!   steady state — with [`PendingOp`], the record those lists hold, its
-//!   snapshot reader and the per-node store-version tag beside it.
+//!   steady state — with [`PendingOp`], the record those lists hold, the
+//!   lists' snapshot codec and the per-node store-version tag beside it.
 //! * [`HomeMemory`] — per-home-node storage: the DRAM copy of each block (a
 //!   version number standing in for 64 bytes of data) plus protocol-specific
 //!   home state (directory entries, memory token counts, owner bits).
@@ -53,4 +53,4 @@ pub use line_table::LineTable;
 pub use memory::HomeMemory;
 pub use mshr::MshrTable;
 pub use op_slab::{OpIter, OpList, OpSlab};
-pub use pending::{read_pending_list, version_node_bits, PendingOp};
+pub use pending::{version_node_bits, PendingOp};

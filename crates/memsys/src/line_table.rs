@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use tc_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_types::BlockAddr;
 
 /// Key marking an empty slot. A real block with this address would need the
@@ -368,6 +368,16 @@ impl<V> LineTable<V> {
             len,
             high_water,
         })
+    }
+}
+
+/// A table of plain values is the layout above with each value's own bytes.
+impl<V: Snap> Snap for LineTable<V> {
+    fn save(&self, w: &mut SnapWriter) {
+        self.save_state(w, |w, v| v.save(w));
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        LineTable::load_state(r, V::load)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Home-memory state storage.
 
-use tc_sim::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, Snap, SnapState};
 use tc_types::{BlockAddr, HomeMap, NodeId};
 
 use crate::line_table::LineTable;
@@ -118,29 +118,11 @@ impl<S: Default + Clone> HomeMemory<S> {
     pub fn retired_bytes_estimate(&self) -> u64 {
         self.state.retired_container_bytes_estimate() + self.data.retired_container_bytes_estimate()
     }
+}
 
-    /// Serializes the mutable home-side state (protocol state table, DRAM
-    /// data versions, access counter). Node, home map, and latency are
-    /// config-derived and restored by construction.
-    pub fn save_state(&self, w: &mut SnapWriter)
-    where
-        S: Snap,
-    {
-        w.u64(self.accesses);
-        self.state.save_state(w, |w, s| s.save(w));
-        self.data.save_state(w, |w, v| v.save(w));
-    }
-
-    /// Restores [`HomeMemory::save_state`] bytes onto a same-config memory.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError>
-    where
-        S: Snap,
-    {
-        self.accesses = r.u64()?;
-        self.state = LineTable::load_state(r, S::load)?;
-        self.data = LineTable::load_state(r, u64::load)?;
-        Ok(())
-    }
+// Node, home map and latency are config-derived.
+impl<S: Snap> SnapState for HomeMemory<S> {
+    snap_state!(fn { accesses, state, data });
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Miss status holding registers (MSHRs): bookkeeping for outstanding misses.
 
-use tc_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{SnapReader, SnapWith, SnapWriter, SnapshotError};
 use tc_types::BlockAddr;
 
 use crate::line_table::LineTable;
+use crate::op_slab::OpSlab;
+use crate::pending::PendingOp;
 
 /// A table of outstanding misses, at most one entry per block, with a
 /// configurable capacity.
@@ -126,23 +128,31 @@ impl<E> MshrTable<E> {
     pub fn counters(&self) -> (u64, u64) {
         (self.allocations, self.capacity_stalls)
     }
+}
 
-    /// Serializes the entry table and counters (capacity is config-derived).
-    pub fn save_state(&self, w: &mut SnapWriter, emit: impl FnMut(&mut SnapWriter, &E)) {
+/// The `mshrs in pending_ops` field of a controller's `snap_state!`: the
+/// counters, then the entry table with each pending list written through
+/// the pool (capacity is config-derived).
+impl<E: SnapWith<OpSlab<PendingOp>>> MshrTable<E> {
+    /// Serializes the table, reading pending lists out of `slab`.
+    pub fn save_state(&self, w: &mut SnapWriter, slab: &OpSlab<PendingOp>) {
         w.u64(self.allocations);
         w.u64(self.capacity_stalls);
-        self.entries.save_state(w, emit);
+        self.entries.save_state(w, |w, e| e.save_with(w, slab));
     }
 
-    /// Restores [`MshrTable::save_state`] bytes onto a same-capacity table.
+    /// Restores [`MshrTable::save_state`] bytes onto a same-capacity table,
+    /// refusing more entries than it holds. `slab` holds exactly this
+    /// table's pending lists, so it is emptied and every list re-minted.
     pub fn load_state(
         &mut self,
         r: &mut SnapReader<'_>,
-        read: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapshotError>,
+        slab: &mut OpSlab<PendingOp>,
     ) -> Result<(), SnapshotError> {
         self.allocations = r.u64()?;
         self.capacity_stalls = r.u64()?;
-        self.entries = LineTable::load_state(r, read)?;
+        slab.reset();
+        self.entries = LineTable::load_state(r, |r| E::load_with(r, slab))?;
         if self.entries.len() > self.capacity {
             return Err(SnapshotError::Corrupt("MSHR population".into()));
         }

@@ -1,8 +1,8 @@
 //! What every controller's MSHR keeps per merged processor operation, and
-//! the two small conventions that go with it: how the pending list is read
-//! back from a snapshot, and how a node tags the store versions it mints.
+//! the two small conventions that go with it: how a pending list travels in
+//! a snapshot, and how a node tags the store versions it mints.
 
-use tc_sim::{snap_struct, Snap, SnapReader, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWith, SnapWriter, SnapshotError};
 use tc_types::{NodeId, ReqId};
 
 use crate::op_slab::{OpList, OpSlab};
@@ -18,17 +18,22 @@ pub struct PendingOp {
 
 snap_struct!(PendingOp { req_id, write });
 
-/// Reads the pending-op list every MSHR codec starts with (written as
-/// `w.seq(slab.iter(&list), ..)`), re-minting it in `slab`.
-pub fn read_pending_list(
-    r: &mut SnapReader<'_>,
-    slab: &mut OpSlab<PendingOp>,
-) -> Result<OpList, SnapshotError> {
-    let mut pending = OpList::new();
-    for _ in 0..r.bounded_len(9)? {
-        slab.push(&mut pending, PendingOp::load(r)?);
+/// A pending list is its ops, front to back, as a sequence: written out of
+/// the controller's pool and re-minted into it on load.
+impl SnapWith<OpSlab<PendingOp>> for OpList {
+    fn save_with(&self, w: &mut SnapWriter, slab: &OpSlab<PendingOp>) {
+        w.seq(slab.iter(self), |w, op| op.save(w));
     }
-    Ok(pending)
+    fn load_with(
+        r: &mut SnapReader<'_>,
+        slab: &mut OpSlab<PendingOp>,
+    ) -> Result<OpList, SnapshotError> {
+        let mut pending = OpList::new();
+        for _ in 0..r.bounded_len(9)? {
+            slab.push(&mut pending, PendingOp::load(r)?);
+        }
+        Ok(pending)
+    }
 }
 
 /// The version-counter node tag: per-node store versions are
@@ -42,7 +47,6 @@ pub fn version_node_bits(node: NodeId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_sim::SnapWriter;
 
     #[test]
     fn pending_list_reads_back_in_order_and_rejects_truncation() {
@@ -53,18 +57,21 @@ mod tests {
             slab.push(&mut list, PendingOp { req_id, write });
         }
         let mut w = SnapWriter::new();
-        w.seq(slab.iter(&list), |w, op| op.save(w));
+        list.save_with(&mut w, &slab);
         let bytes = w.into_bytes();
+        let mut seq = SnapWriter::new();
+        seq.seq(slab.iter(&list), |w, op| op.save(w));
+        assert_eq!(bytes, seq.into_bytes(), "a list is the sequence of its ops");
 
         let mut fresh = OpSlab::new();
         let mut r = SnapReader::new(&bytes);
-        let read = read_pending_list(&mut r, &mut fresh).unwrap();
+        let read = OpList::load_with(&mut r, &mut fresh).unwrap();
         r.finish().unwrap();
         let ops = |slab: &OpSlab<PendingOp>, l: &OpList| slab.iter(l).copied().collect::<Vec<_>>();
         assert_eq!(ops(&fresh, &read), ops(&slab, &list));
 
         let mut r = SnapReader::new(&bytes[..bytes.len() - 1]);
-        assert!(read_pending_list(&mut r, &mut OpSlab::new()).is_err());
+        assert!(OpList::load_with(&mut r, &mut OpSlab::new()).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::fmt::Debug;
 
 use tc_memsys::{hinted_get, L1Filter, SetAssocCache};
-use tc_sim::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snapshot::{Snap, SnapReader, SnapState, SnapWriter, SnapshotError};
 use tc_sim::DeterministicRng;
 use tc_types::{BlockAddr, CacheConfig};
 

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use tc_memsys::LineTable;
-use tc_sim::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_enum, snap_struct};
 use tc_types::{BlockAddr, Cycle, NodeId, ReqId};
 
 /// Stable MOSI cache states used by the Snooping, Directory, and Hammer
@@ -434,20 +434,10 @@ impl WritebackPlane {
         self.buffer.retired_container_bytes_estimate()
             + self.windows.retired_container_bytes_estimate()
     }
-
-    /// Serializes the plane: the buffered lines then the handshake windows.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.buffer.save_state(w, |w, line| line.save(w));
-        self.windows.save_state(w, |w, window| window.save(w));
-    }
-
-    /// Restores [`WritebackPlane::save_state`] bytes.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.buffer = LineTable::load_state(r, MosiLine::load)?;
-        self.windows = LineTable::load_state(r, WbWindow::load)?;
-        Ok(())
-    }
 }
+
+// The buffered lines, then the handshake windows.
+snap_struct!(WritebackPlane { buffer, windows });
 
 // Wire layouts of the shared MOSI state. Tags are append-only.
 snap_enum!(MosiState, "MOSI state" {

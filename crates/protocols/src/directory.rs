@@ -15,8 +15,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use tc_memsys::{read_pending_list, OpList, OpSlab, PendingOp};
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_memsys::{OpList, OpSlab, PendingOp};
+use tc_sim::snap_struct;
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, DirectoryMode, Message, MsgKind, NodeId, Outbox,
     SystemConfig, Vnet,
@@ -41,6 +41,20 @@ pub struct DirMshr {
     dirty: bool,
     from_cache: bool,
 }
+
+snap_struct!(DirMshr in OpSlab<PendingOp> {
+    pending,
+    write,
+    upgrade,
+    issued_at,
+    data_received,
+    exclusive,
+    acks_expected,
+    acks_received,
+    version,
+    dirty,
+    from_cache,
+});
 
 /// The home node's directory entry for one block.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -468,39 +482,6 @@ impl MosiPolicy for Directory {
                 debug_assert!(false, "Directory received unexpected message {other:?}");
             }
         }
-    }
-
-    fn emit_mshr(w: &mut SnapWriter, mshr: &DirMshr, slab: &OpSlab<PendingOp>) {
-        w.seq(slab.iter(&mshr.pending), |w, op| op.save(w));
-        w.bool(mshr.write);
-        w.bool(mshr.upgrade);
-        w.u64(mshr.issued_at);
-        w.bool(mshr.data_received);
-        w.bool(mshr.exclusive);
-        mshr.acks_expected.save(w);
-        w.u32(mshr.acks_received);
-        w.u64(mshr.version);
-        w.bool(mshr.dirty);
-        w.bool(mshr.from_cache);
-    }
-
-    fn read_mshr(
-        r: &mut SnapReader<'_>,
-        slab: &mut OpSlab<PendingOp>,
-    ) -> Result<DirMshr, SnapshotError> {
-        Ok(DirMshr {
-            pending: read_pending_list(r, slab)?,
-            write: r.bool()?,
-            upgrade: r.bool()?,
-            issued_at: r.u64()?,
-            data_received: r.bool()?,
-            exclusive: r.bool()?,
-            acks_expected: Snap::load(r)?,
-            acks_received: r.u32()?,
-            version: r.u64()?,
-            dirty: r.bool()?,
-            from_cache: r.bool()?,
-        })
     }
 }
 

@@ -17,8 +17,8 @@
 
 use std::collections::VecDeque;
 
-use tc_memsys::{read_pending_list, OpList, OpSlab, PendingOp};
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_memsys::{OpList, OpSlab, PendingOp};
+use tc_sim::snap_struct;
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, SystemConfig,
     Vnet,
@@ -44,6 +44,22 @@ pub struct HammerMshr {
     memory_version: u64,
     memory_data_received: bool,
 }
+
+snap_struct!(HammerMshr in OpSlab<PendingOp> {
+    pending,
+    write,
+    upgrade,
+    issued_at,
+    responses_expected,
+    responses_received,
+    data_received,
+    exclusive,
+    version,
+    dirty,
+    from_cache,
+    memory_version,
+    memory_data_received,
+});
 
 /// Home-side serialization state for one block.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -334,43 +350,6 @@ impl MosiPolicy for Hammer {
                 debug_assert!(false, "Hammer received unexpected message {other:?}");
             }
         }
-    }
-
-    fn emit_mshr(w: &mut SnapWriter, mshr: &HammerMshr, slab: &OpSlab<PendingOp>) {
-        w.seq(slab.iter(&mshr.pending), |w, op| op.save(w));
-        w.bool(mshr.write);
-        w.bool(mshr.upgrade);
-        w.u64(mshr.issued_at);
-        w.u32(mshr.responses_expected);
-        w.u32(mshr.responses_received);
-        w.bool(mshr.data_received);
-        w.bool(mshr.exclusive);
-        w.u64(mshr.version);
-        w.bool(mshr.dirty);
-        w.bool(mshr.from_cache);
-        w.u64(mshr.memory_version);
-        w.bool(mshr.memory_data_received);
-    }
-
-    fn read_mshr(
-        r: &mut SnapReader<'_>,
-        slab: &mut OpSlab<PendingOp>,
-    ) -> Result<HammerMshr, SnapshotError> {
-        Ok(HammerMshr {
-            pending: read_pending_list(r, slab)?,
-            write: r.bool()?,
-            upgrade: r.bool()?,
-            issued_at: r.u64()?,
-            responses_expected: r.u32()?,
-            responses_received: r.u32()?,
-            data_received: r.bool()?,
-            exclusive: r.bool()?,
-            version: r.u64()?,
-            dirty: r.bool()?,
-            from_cache: r.bool()?,
-            memory_version: r.u64()?,
-            memory_data_received: r.bool()?,
-        })
     }
 }
 

@@ -16,9 +16,9 @@
 //! each table at `size_of::<Option<V>>()` per slot, so the MSHR types stay
 //! flat per protocol (an embedded common struct would add padding and move
 //! `peak_state_bytes`); the node reads them through [`MosiPolicy::ready`]
-//! and [`MosiPolicy::pending`]. And the MSHR codecs interleave common and
-//! protocol fields in a different order per protocol, so they stay with the
-//! policy too: the snapshot wire format is unchanged.
+//! and [`MosiPolicy::pending`]. And the MSHR wire layouts interleave common
+//! and protocol fields in a different order per protocol, so each MSHR type
+//! declares its own next to it.
 
 use std::fmt;
 
@@ -26,7 +26,7 @@ use tc_memsys::{
     hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, OpList, OpSlab, PendingOp,
     SetAssocCache,
 };
-use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, Snap, SnapWith};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
     Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind, MsgKind,
@@ -69,8 +69,9 @@ pub trait MosiPolicy: fmt::Debug + Send + Sized {
     /// miss, for responses to echo.
     const TAGS_REQUESTS: bool = false;
 
-    /// Requester-side bookkeeping for one outstanding miss.
-    type Mshr: fmt::Debug + Send;
+    /// Requester-side bookkeeping for one outstanding miss, with its wire
+    /// layout (pending ops first, through the node's [`OpSlab`]).
+    type Mshr: fmt::Debug + Send + SnapWith<OpSlab<PendingOp>>;
     /// Home-side state for one block.
     type Home: Default + Clone + fmt::Debug + Send + Snap;
 
@@ -108,15 +109,6 @@ pub trait MosiPolicy: fmt::Debug + Send + Sized {
     /// Every coherence message: the home side, the snoop/forward side and
     /// the responses that feed `MosiNode::try_complete`.
     fn handle_message(node: &mut MosiNode<Self>, now: Cycle, msg: &Message, out: &mut Outbox);
-
-    /// Snapshot codec of an MSHR, pending ops first.
-    fn emit_mshr(w: &mut SnapWriter, mshr: &Self::Mshr, slab: &OpSlab<PendingOp>);
-    /// Reads [`MosiPolicy::emit_mshr`] bytes, re-minting the pending list
-    /// in `slab` (see [`tc_memsys::read_pending_list`]).
-    fn read_mshr(
-        r: &mut SnapReader<'_>,
-        slab: &mut OpSlab<PendingOp>,
-    ) -> Result<Self::Mshr, SnapshotError>;
 }
 
 /// The controller of one node of a MOSI baseline (cache side plus the home
@@ -529,30 +521,15 @@ impl<P: MosiPolicy> CoherenceController for MosiNode<P> {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.store_counter);
-        self.stats.save(w);
-        self.l1.save_state(w);
-        self.l2.save_state(w);
-        self.memory.save_state(w);
-        self.mshrs
-            .save_state(w, |w, mshr| P::emit_mshr(w, mshr, &self.pending_ops));
-        self.wb.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.store_counter = r.u64()?;
-        self.stats = Snap::load(r)?;
-        self.l1.load_state(r)?;
-        self.l2.load_state(r)?;
-        self.memory.load_state(r)?;
-        // Rebuild the pending-op pool from scratch; handles saved inside the
-        // reloaded MSHR entries are re-minted as they are read.
-        self.pending_ops.reset();
-        let slab = &mut self.pending_ops;
-        self.mshrs.load_state(r, |r| P::read_mshr(r, slab))?;
-        self.wb.load_state(r)
-    }
+    snap_state!(fn {
+        store_counter,
+        stats,
+        l1,
+        l2,
+        memory,
+        mshrs in pending_ops,
+        wb,
+    });
 }
 
 #[cfg(test)]

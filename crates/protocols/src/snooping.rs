@@ -35,8 +35,8 @@
 //! it fundamentally cannot run on the unordered torus, which is exactly the
 //! limitation TokenB removes.
 
-use tc_memsys::{read_pending_list, OpList, OpSlab, PendingOp};
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_memsys::{OpList, OpSlab, PendingOp};
+use tc_sim::snap_struct;
 use tc_types::{
     BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, ReqId,
     SystemConfig, Vnet,
@@ -72,6 +72,22 @@ pub struct SnoopMshr {
     /// answer once we obtain the block.
     forward_queue: Vec<QueuedRequest>,
 }
+
+snap_struct!(SnoopMshr in OpSlab<PendingOp> {
+    pending,
+    req_id,
+    write,
+    upgrade,
+    issued_at,
+    ordered,
+    data_received,
+    exclusive,
+    version,
+    dirty,
+    from_cache,
+    still_valid,
+    forward_queue,
+});
 
 /// Memory-side state: the "owner bit" — true when memory must respond.
 /// Writebacks in flight are tracked separately by the per-block handshake
@@ -576,43 +592,6 @@ impl MosiPolicy for Snooping {
                 debug_assert!(false, "Snooping received unexpected message {other:?}");
             }
         }
-    }
-
-    fn emit_mshr(w: &mut SnapWriter, mshr: &SnoopMshr, slab: &OpSlab<PendingOp>) {
-        w.seq(slab.iter(&mshr.pending), |w, op| op.save(w));
-        mshr.req_id.save(w);
-        w.bool(mshr.write);
-        w.bool(mshr.upgrade);
-        w.u64(mshr.issued_at);
-        w.bool(mshr.ordered);
-        w.bool(mshr.data_received);
-        w.bool(mshr.exclusive);
-        w.u64(mshr.version);
-        w.bool(mshr.dirty);
-        w.bool(mshr.from_cache);
-        w.bool(mshr.still_valid);
-        mshr.forward_queue.save(w);
-    }
-
-    fn read_mshr(
-        r: &mut SnapReader<'_>,
-        slab: &mut OpSlab<PendingOp>,
-    ) -> Result<SnoopMshr, SnapshotError> {
-        Ok(SnoopMshr {
-            pending: read_pending_list(r, slab)?,
-            req_id: Snap::load(r)?,
-            write: r.bool()?,
-            upgrade: r.bool()?,
-            issued_at: r.u64()?,
-            ordered: r.bool()?,
-            data_received: r.bool()?,
-            exclusive: r.bool()?,
-            version: r.u64()?,
-            dirty: r.bool()?,
-            from_cache: r.bool()?,
-            still_valid: r.bool()?,
-            forward_queue: Snap::load(r)?,
-        })
     }
 }
 

@@ -269,15 +269,14 @@ impl<T> Arena<T> {
     pub fn accounting_errors(&self) -> u64 {
         self.accounting_errors
     }
+}
 
-    /// Serializes the arena exactly: every slot (generation, remaining
-    /// uses, value) plus the free list in LIFO order. Slot *positions* and
-    /// free-list order are preserved byte-for-byte, because recycled slot
-    /// indices feed handle allocation and must replay identically.
-    pub fn save_state(&self, w: &mut SnapWriter)
-    where
-        T: Snap,
-    {
+/// The arena exactly: every slot (generation, remaining uses, value) plus
+/// the free list in LIFO order, because recycled slot indices feed handle
+/// allocation and must replay identically. The load checks the occupancy
+/// count and that every free-listed slot is empty.
+impl<T: Snap> Snap for Arena<T> {
+    fn save(&self, w: &mut SnapWriter) {
         w.usize(self.len);
         w.usize(self.high_water);
         w.u64(self.accounting_errors);
@@ -289,11 +288,7 @@ impl<T> Arena<T> {
         self.free.save(w);
     }
 
-    /// Rebuilds an arena from [`Arena::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Arena<T>, SnapshotError>
-    where
-        T: Snap,
-    {
+    fn load(r: &mut SnapReader<'_>) -> Result<Arena<T>, SnapshotError> {
         let len = r.usize()?;
         let high_water = r.usize()?;
         let accounting_errors = r.u64()?;
@@ -467,10 +462,10 @@ mod tests {
         arena.release(c);
 
         let mut w = SnapWriter::new();
-        arena.save_state(&mut w);
+        arena.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let mut restored = Arena::load_state(&mut r).unwrap();
+        let mut restored = Arena::load(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(restored.len(), arena.len());
@@ -496,14 +491,14 @@ mod tests {
         arena.take(h);
         arena.insert(2u64);
         let mut w = SnapWriter::new();
-        arena.save_state(&mut w);
+        arena.save(&mut w);
         let bytes = w.into_bytes();
         // Corrupt the stored `len` (first field).
         let mut bad = bytes.clone();
         bad[0] = 9;
         let mut r = SnapReader::new(&bad);
         assert!(matches!(
-            Arena::<u64>::load_state(&mut r),
+            Arena::<u64>::load(&mut r),
             Err(SnapshotError::Corrupt(_)) | Err(SnapshotError::Truncated)
         ));
     }

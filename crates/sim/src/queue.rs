@@ -283,15 +283,14 @@ impl<E> EventQueue<E> {
             .flat_map(|bucket| bucket.iter())
             .chain(self.overflow.values().flat_map(|events| events.iter()))
     }
+}
 
-    /// Serializes the queue exactly: clock, counters, every non-empty
-    /// calendar bucket (slot index + FIFO contents), and the overflow
-    /// level in time order. FIFO order within a bucket is part of the
-    /// determinism contract, so it round-trips byte-for-byte.
-    pub fn save_state(&self, w: &mut SnapWriter)
-    where
-        E: Snap,
-    {
+/// The queue exactly: clock, counters, every non-empty calendar bucket (slot
+/// index + FIFO contents, whose order the determinism contract fixes) and the
+/// overflow level in time order. The load checks slots, that no bucket or
+/// overflow cycle repeats or is empty, and the depth accounting.
+impl<E: Snap> Snap for EventQueue<E> {
+    fn save(&self, w: &mut SnapWriter) {
         w.u64(self.now);
         w.u64(self.scheduled);
         w.u64(self.delivered);
@@ -306,17 +305,10 @@ impl<E> EventQueue<E> {
             w.usize(slot);
             bucket.save(w);
         }
-        w.seq(self.overflow.iter(), |w, (&time, events)| {
-            w.u64(time);
-            events.save(w);
-        });
+        self.overflow.save(w);
     }
 
-    /// Rebuilds a queue from [`EventQueue::save_state`] bytes.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapshotError>
-    where
-        E: Snap,
-    {
+    fn load(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapshotError> {
         let mut q = EventQueue::new();
         q.now = r.u64()?;
         q.scheduled = r.u64()?;
@@ -337,18 +329,12 @@ impl<E> EventQueue<E> {
             q.buckets[slot] = events;
             q.occupied[slot / 64] |= 1 << (slot % 64);
         }
-        let overflow = Vec::<(Cycle, VecDeque<E>)>::load(r)?;
-        let mut last_time = None;
-        for (time, events) in overflow {
-            if events.is_empty() || last_time.is_some_and(|t| time <= t) {
-                return Err(SnapshotError::Corrupt("overflow layout".into()));
-            }
-            last_time = Some(time);
-            len += events.len();
-            q.overflow_len += events.len();
-            q.overflow.insert(time, events);
+        q.overflow = BTreeMap::load(r)?;
+        if q.overflow.values().any(VecDeque::is_empty) {
+            return Err(SnapshotError::Corrupt("overflow layout".into()));
         }
-        q.len = len;
+        q.overflow_len = q.overflow.values().map(VecDeque::len).sum();
+        q.len = len + q.overflow_len;
         if q.max_depth < len {
             return Err(SnapshotError::Corrupt("queue depth accounting".into()));
         }
@@ -647,10 +633,10 @@ mod tests {
         }
 
         let mut w = SnapWriter::new();
-        q.save_state(&mut w);
+        q.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let mut restored = EventQueue::load_state(&mut r).unwrap();
+        let mut restored = EventQueue::load(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(restored.now(), q.now());

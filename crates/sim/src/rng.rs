@@ -12,7 +12,7 @@
 //! statistically adequate for simulation decisions (this is not a
 //! cryptographic generator).
 
-use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+use crate::snap_struct;
 
 /// Deterministic pseudo-random number generator (SplitMix64).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,31 +99,11 @@ impl DeterministicRng {
     pub fn fork(&mut self, stream: u64) -> DeterministicRng {
         DeterministicRng::new(self.next_u64() ^ stream.wrapping_mul(0xA24B_AED4_963E_E407))
     }
-
-    /// The raw generator state, for snapshotting. Pair with
-    /// [`DeterministicRng::from_state`]; round-tripping through these
-    /// reproduces the stream exactly.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuilds a generator from a [`DeterministicRng::state`] value.
-    /// Unlike [`DeterministicRng::new`], no seed mixing is applied — the
-    /// argument *is* the internal state.
-    pub fn from_state(state: u64) -> DeterministicRng {
-        DeterministicRng { state }
-    }
 }
 
-/// On the wire a generator is its raw [`DeterministicRng::state`].
-impl Snap for DeterministicRng {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.state);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DeterministicRng::from_state(r.u64()?))
-    }
-}
+// On the wire a generator is its raw state (no seed mixing on load), so a
+// round trip reproduces the stream exactly.
+snap_struct!(DeterministicRng { state });
 
 #[cfg(test)]
 mod tests {

@@ -14,8 +14,9 @@
 //! rebuilt by re-insertion, because iteration order feeds the
 //! deterministic event loop.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every sealed snapshot (`TCSNAP` + 2 format bytes).
@@ -441,15 +442,43 @@ snap_sequence!(Vec<T>, VecDeque<T>, Arc<[T]>, BTreeSet<T> where T: Ord);
 /// A map is the sequence of its `(key, value)` pairs in key order.
 impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     fn save(&self, w: &mut SnapWriter) {
-        w.seq(self.iter(), |w, (k, v)| {
-            k.save(w);
-            v.save(w);
-        });
+        w.seq(self.iter(), save_pair);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let len = r.bounded_len(1)?;
-        (0..len).map(|_| Snap::load(r)).collect()
+        Ok(load_pairs(r)?.into_iter().collect())
     }
+}
+
+/// A hash map is saved as the ordered map with the same pairs would be, so
+/// its bytes do not depend on the hasher's iteration order.
+impl<K: Snap + Ord + Hash, V: Snap, S: BuildHasher + Default> Snap for HashMap<K, V, S> {
+    fn save(&self, w: &mut SnapWriter) {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.seq(pairs.into_iter(), save_pair);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(load_pairs(r)?.into_iter().collect())
+    }
+}
+
+fn save_pair<K: Snap, V: Snap>(w: &mut SnapWriter, (k, v): (&K, &V)) {
+    k.save(w);
+    v.save(w);
+}
+
+/// Reads a map's pairs, refusing a key that does not sort strictly after
+/// the one before it: every writer saves in key order, so a repeated key
+/// (one pair would silently win) or a step back (the map would re-save to
+/// other bytes) is a file no writer made.
+fn load_pairs<K: Snap + Ord, V: Snap>(
+    r: &mut SnapReader<'_>,
+) -> Result<Vec<(K, V)>, SnapshotError> {
+    let pairs = Vec::<(K, V)>::load(r)?;
+    if pairs.windows(2).any(|p| p[0].0 >= p[1].0) {
+        return Err(SnapshotError::Corrupt("map keys out of order".into()));
+    }
+    Ok(pairs)
 }
 
 macro_rules! snap_tuple {
@@ -488,6 +517,12 @@ snap_tuple!(A, B, C);
 /// let back = Line::load(&mut SnapReader::new(&bytes)).unwrap();
 /// assert_eq!(back, Line { tokens: 3, dirty: true });
 /// ```
+///
+/// A tuple struct names its fields as bindings, `snap_struct!(Id(value))`.
+/// `snap_struct!(Type in Context { .. })` declares a [`SnapWith<Context>`]
+/// layout instead, for a struct with a field that decodes through the
+/// context (an MSHR's pending list, kept in its controller's op pool); the
+/// plain fields ignore the context.
 #[macro_export]
 macro_rules! snap_struct {
     ($ty:ident { $($field:ident),* $(,)? }) => {
@@ -497,6 +532,31 @@ macro_rules! snap_struct {
             }
             fn load(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapshotError> {
                 Ok($ty { $($field: $crate::Snap::load(r)?),* })
+            }
+        }
+    };
+    ($ty:ident ( $($item:ident),* $(,)? )) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                let $ty($($item),*) = self;
+                $($crate::Snap::save($item, w);)*
+            }
+            fn load(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapshotError> {
+                $(let $item = $crate::Snap::load(r)?;)*
+                Ok($ty($($item),*))
+            }
+        }
+    };
+    ($ty:ident in $ctx:ty { $($field:ident),* $(,)? }) => {
+        impl $crate::SnapWith<$ctx> for $ty {
+            fn save_with(&self, w: &mut $crate::SnapWriter, ctx: &$ctx) {
+                $($crate::SnapWith::save_with(&self.$field, w, ctx);)*
+            }
+            fn load_with(
+                r: &mut $crate::SnapReader<'_>,
+                ctx: &mut $ctx,
+            ) -> Result<Self, $crate::SnapshotError> {
+                Ok($ty { $($field: $crate::SnapWith::load_with(r, ctx)?),* })
             }
         }
     };
@@ -563,6 +623,157 @@ macro_rules! snap_enum {
                     }
                 })
             }
+        }
+    };
+}
+
+/// A value whose bytes go through a context it does not own: an MSHR's
+/// pending list is written out of, and re-minted into, its controller's op
+/// pool. Every [`Snap`] type is one for any context, ignoring it, so
+/// `snap_struct!(Type in Context { .. })` lists plain and pooled fields alike.
+pub trait SnapWith<C>: Sized {
+    /// Appends this value's bytes to `w`, reading pooled parts in `ctx`.
+    fn save_with(&self, w: &mut SnapWriter, ctx: &C);
+    /// Reads one value back from `r`, minting pooled parts in `ctx`.
+    fn load_with(r: &mut SnapReader<'_>, ctx: &mut C) -> Result<Self, SnapshotError>;
+}
+
+impl<T: Snap, C> SnapWith<C> for T {
+    fn save_with(&self, w: &mut SnapWriter, _ctx: &C) {
+        self.save(w);
+    }
+    fn load_with(r: &mut SnapReader<'_>, _ctx: &mut C) -> Result<Self, SnapshotError> {
+        T::load(r)
+    }
+}
+
+/// State restored in place onto a skeleton the configuration built (its
+/// geometry, latencies, specs and node ids): only what a run changes is
+/// written. Every [`Snap`] type is one by replacing the whole value; a type
+/// with a skeleton declares its state once with [`snap_state!`](crate::snap_state).
+pub trait SnapState {
+    /// Appends this value's mutable state to `w`.
+    fn save_state(&self, w: &mut SnapWriter);
+    /// Reads [`SnapState::save_state`] bytes back over this value; a failed
+    /// load may leave it half overwritten.
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError>;
+}
+
+impl<T: Snap> SnapState for T {
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save(w);
+    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        *self = T::load(r)?;
+        Ok(())
+    }
+}
+
+/// Skeletons the configuration built a number of — a `Vec` (its length is
+/// written) or an `Option` (a presence byte): the saved count must be the
+/// built one, then each is restored in place. The `[field]` form of
+/// [`snap_state!`](crate::snap_state).
+pub trait SnapEach {
+    /// Writes the count, then each element's state.
+    fn save_each(&self, w: &mut SnapWriter);
+    /// Reads [`SnapEach::save_each`] bytes back, naming the elements `what`
+    /// in the `Corrupt` error a count mismatch is.
+    fn load_each(&mut self, r: &mut SnapReader<'_>, what: &str) -> Result<(), SnapshotError>;
+}
+
+fn same_count(saved: usize, built: usize, what: &str) -> Result<(), SnapshotError> {
+    if saved == built {
+        return Ok(());
+    }
+    Err(SnapshotError::Corrupt(format!(
+        "snapshot has {saved} {what}, the system built {built}"
+    )))
+}
+
+impl<T: SnapState> SnapEach for Vec<T> {
+    fn save_each(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        self.iter().for_each(|v| v.save_state(w));
+    }
+    fn load_each(&mut self, r: &mut SnapReader<'_>, what: &str) -> Result<(), SnapshotError> {
+        same_count(r.usize()?, self.len(), what)?;
+        self.iter_mut().try_for_each(|v| v.load_state(r))
+    }
+}
+
+impl<T: SnapState> SnapEach for Option<T> {
+    fn save_each(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        self.iter().for_each(|v| v.save_state(w));
+    }
+    fn load_each(&mut self, r: &mut SnapReader<'_>, what: &str) -> Result<(), SnapshotError> {
+        same_count(usize::from(r.bool()?), usize::from(self.is_some()), what)?;
+        self.iter_mut().try_for_each(|v| v.load_state(r))
+    }
+}
+
+/// Declares the state of a type restored onto a skeleton — its fields, in
+/// wire order — and generates [`SnapState`] for it. A field is `a.b` (any
+/// [`SnapState`]: a value is replaced, a nested skeleton restored in place),
+/// `[a.b]` (a [`SnapEach`]: as many skeletons as the configuration built),
+/// or `a in b` (a table whose entries decode through its sibling `b`, by
+/// `a.save_state(w, &b)` / `a.load_state(r, &mut b)`: an MSHR table and the
+/// op pool its pending lists live in). `snap_state!(fn { .. })` is just the
+/// two methods, for an impl of a trait with the same ones (a controller's).
+///
+/// ```
+/// # use tc_sim::{snap_state, SnapReader, SnapState, SnapWriter};
+/// struct Link {
+///     latency: u64, // from the configuration
+///     busy_until: u64,
+///     sent: u32,
+/// }
+/// snap_state!(Link { busy_until, sent });
+///
+/// let mut w = SnapWriter::new();
+/// Link { latency: 15, busy_until: 9, sent: 2 }.save_state(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes.len(), 12);
+/// let mut link = Link { latency: 15, busy_until: 0, sent: 0 };
+/// link.load_state(&mut SnapReader::new(&bytes)).unwrap();
+/// assert_eq!((link.latency, link.busy_until, link.sent), (15, 9, 2));
+/// ```
+#[macro_export]
+macro_rules! snap_state {
+    // One field at a time onto the two bodies. `self`, `w` and `r` are the
+    // `fn` arm's tokens, passed along so every use names the same binding.
+    (@ $s:tt $w:tt $r:tt [$($save:tt)*] [$($load:tt)*]) => {
+        fn save_state(&$s, $w: &mut $crate::SnapWriter) { $($save)* }
+        fn load_state(&mut $s, $r: &mut $crate::SnapReader<'_>)
+            -> ::core::result::Result<(), $crate::SnapshotError> { $($load)* Ok(()) }
+    };
+    (@ $s:tt $w:tt $r:tt [$($save:tt)*] [$($load:tt)*]
+        [$($p:ident).+] $(, $($rest:tt)*)?) => {
+        $crate::snap_state!(@ $s $w $r
+            [$($save)* $crate::SnapEach::save_each(&$s.$($p).+, $w);]
+            [$($load)* $crate::SnapEach::load_each(&mut $s.$($p).+, $r, stringify!($($p).+))?;]
+            $($($rest)*)?);
+    };
+    (@ $s:tt $w:tt $r:tt [$($save:tt)*] [$($load:tt)*]
+        $($p:ident).+ in $ctx:ident $(, $($rest:tt)*)?) => {
+        $crate::snap_state!(@ $s $w $r
+            [$($save)* $s.$($p).+.save_state($w, &$s.$ctx);]
+            [$($load)* $s.$($p).+.load_state($r, &mut $s.$ctx)?;]
+            $($($rest)*)?);
+    };
+    (@ $s:tt $w:tt $r:tt [$($save:tt)*] [$($load:tt)*]
+        $($p:ident).+ $(, $($rest:tt)*)?) => {
+        $crate::snap_state!(@ $s $w $r
+            [$($save)* $crate::SnapState::save_state(&$s.$($p).+, $w);]
+            [$($load)* $crate::SnapState::load_state(&mut $s.$($p).+, $r)?;]
+            $($($rest)*)?);
+    };
+    (fn { $($fields:tt)* }) => {
+        $crate::snap_state!(@ self w r [] [] $($fields)*);
+    };
+    ($ty:ty { $($fields:tt)* }) => {
+        impl $crate::SnapState for $ty {
+            $crate::snap_state!(fn { $($fields)* });
         }
     };
 }
@@ -762,6 +973,161 @@ mod tests {
         assert_eq!(names.0.len(), MAX_INTERNED_NAMES);
         // Names already handed out keep loading once the table is full.
         assert!(names.intern("name0").is_ok());
+    }
+
+    /// `(key, key * 10)` pairs for `keys`, in the given order, as a map's
+    /// bytes.
+    fn map_bytes(keys: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.seq(keys.iter(), |w, &k| {
+            w.u64(k);
+            w.u64(k * 10);
+        });
+        w.into_bytes()
+    }
+
+    #[test]
+    fn ordered_map_loads_refuse_repeated_and_out_of_order_keys() {
+        for keys in [&[3, 3][..], &[5, 2], &[1, 4, 4, 9]] {
+            let loaded = BTreeMap::<u64, u64>::load(&mut SnapReader::new(&map_bytes(keys)));
+            assert!(
+                matches!(loaded, Err(SnapshotError::Corrupt(_))),
+                "{keys:?}: {loaded:?}"
+            );
+        }
+        let map = BTreeMap::<u64, u64>::load(&mut SnapReader::new(&map_bytes(&[2, 5]))).unwrap();
+        assert_eq!(map, BTreeMap::from([(2, 20), (5, 50)]));
+    }
+
+    #[test]
+    fn hash_maps_save_in_key_order_and_refuse_repeated_or_out_of_order_keys() {
+        let map: HashMap<u64, u64> = [9, 1, 4, 7].into_iter().map(|k| (k, k * 10)).collect();
+        let mut w = SnapWriter::new();
+        map.save(&mut w);
+        assert_eq!(w.into_bytes(), map_bytes(&[1, 4, 7, 9]));
+        for keys in [&[3, 3][..], &[5, 2]] {
+            let loaded = HashMap::<u64, u64>::load(&mut SnapReader::new(&map_bytes(keys)));
+            assert!(
+                matches!(loaded, Err(SnapshotError::Corrupt(_))),
+                "{keys:?}: {loaded:?}"
+            );
+        }
+        round_trip(&map);
+    }
+
+    fn round_trip<T: Snap + PartialEq + fmt::Debug>(value: &T) {
+        let mut w = SnapWriter::new();
+        value.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(&T::load(&mut r).unwrap(), value);
+        r.finish().unwrap();
+    }
+
+    /// A skeleton with every field form: a replaced value, a nested
+    /// skeleton, a sequence and an optional skeleton whose counts the
+    /// configuration fixes, and a table decoding through a sibling pool.
+    #[derive(Debug, PartialEq)]
+    struct Part {
+        size: u64, // configuration
+        used: u64,
+    }
+    snap_state!(Part { used });
+
+    #[derive(Debug, PartialEq)]
+    struct Pool(Vec<u64>);
+
+    #[derive(Debug, PartialEq)]
+    struct Table(Vec<u64>);
+
+    impl Table {
+        fn save_state(&self, w: &mut SnapWriter, pool: &Pool) {
+            w.seq(self.0.iter(), |w, &i| w.u64(pool.0[i as usize]));
+        }
+        fn load_state(
+            &mut self,
+            r: &mut SnapReader<'_>,
+            pool: &mut Pool,
+        ) -> Result<(), SnapshotError> {
+            pool.0.clear();
+            self.0.clear();
+            for _ in 0..r.bounded_len(8)? {
+                self.0.push(pool.0.len() as u64);
+                pool.0.push(r.u64()?);
+            }
+            Ok(())
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Machine {
+        ticks: u64,
+        head: Part,
+        parts: Vec<Part>,
+        spare: Option<Part>,
+        table: Table,
+        pool: Pool,
+    }
+    snap_state!(Machine { ticks, head, [parts], [spare], table in pool });
+
+    fn machine(parts: usize, spare: bool) -> Machine {
+        let part = |used| Part { size: 8, used };
+        Machine {
+            ticks: 0,
+            head: part(0),
+            parts: (0..parts as u64).map(part).collect(),
+            spare: spare.then(|| part(0)),
+            table: Table(Vec::new()),
+            pool: Pool(Vec::new()),
+        }
+    }
+
+    #[test]
+    fn snap_state_restores_every_field_form_in_place() {
+        let mut saved = machine(3, true);
+        saved.ticks = 41;
+        saved.head.used = 2;
+        saved.parts[1].used = 7;
+        saved.spare.as_mut().unwrap().used = 5;
+        saved.pool = Pool(vec![70, 80, 90]);
+        saved.table = Table(vec![2, 0]);
+        let mut w = SnapWriter::new();
+        saved.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // ticks, head, 3 parts after their count, the spare after its
+        // presence byte, the table's two entries after their count.
+        assert_eq!(bytes.len(), 8 + 8 + (8 + 3 * 8) + (1 + 8) + (8 + 2 * 8));
+
+        let mut restored = machine(3, true);
+        let mut r = SnapReader::new(&bytes);
+        restored.load_state(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut w = SnapWriter::new();
+        restored.save_state(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+        assert_eq!(restored.parts[1], Part { size: 8, used: 7 });
+        assert_eq!(restored.pool, Pool(vec![90, 70]));
+
+        // The configuration fixes how many parts and whether a spare exists.
+        for (parts, spare, what) in [(2, true, "parts"), (3, false, "spare"), (4, true, "parts")] {
+            let err = machine(parts, spare)
+                .load_state(&mut SnapReader::new(&bytes))
+                .unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Corrupt(why) if why.contains(what)),
+                "{parts} parts, spare {spare}: {err}"
+            );
+        }
+        let mut w = SnapWriter::new();
+        machine(3, false).save_state(&mut w);
+        let without_spare = w.into_bytes();
+        let err = machine(3, true)
+            .load_state(&mut SnapReader::new(&without_spare))
+            .unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt(why) if why.contains("spare")),
+            "{err}"
+        );
     }
 
     #[test]

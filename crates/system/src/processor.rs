@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snap_state;
 use tc_types::{Cycle, MemOp, NodeId, ProcessorConfig, ReqId};
 use tc_workloads::{GeneratedOp, WorkloadGenerator, WorkloadProfile};
 
@@ -193,38 +193,21 @@ impl Processor {
             self.transactions += 1;
         }
     }
-
-    /// Serializes the processor's mutable state (the generator cursor, issue
-    /// and completion counters, and outstanding misses). `node`, `config`,
-    /// and `target_ops` are construction parameters and not written.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.generator.save_state(w);
-        w.u64(self.issued);
-        w.u64(self.completed);
-        self.outstanding.save(w);
-        w.usize(self.issued_past_miss);
-        w.bool(self.blocked);
-        self.staged.save(w);
-        w.u64(self.transactions);
-        w.usize(self.ops_in_transaction);
-        w.u64(self.total_think);
-    }
-
-    /// Restores [`Processor::save_state`] bytes onto a same-config processor.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.generator.load_state(r)?;
-        self.issued = r.u64()?;
-        self.completed = r.u64()?;
-        self.outstanding = Snap::load(r)?;
-        self.issued_past_miss = r.usize()?;
-        self.blocked = r.bool()?;
-        self.staged = Snap::load(r)?;
-        self.transactions = r.u64()?;
-        self.ops_in_transaction = r.usize()?;
-        self.total_think = r.u64()?;
-        Ok(())
-    }
 }
+
+// `node`, `config` and `target_ops` are construction parameters.
+snap_state!(Processor {
+    generator,
+    issued,
+    completed,
+    outstanding,
+    issued_past_miss,
+    blocked,
+    staged,
+    transactions,
+    ops_in_transaction,
+    total_think,
+});
 
 #[cfg(test)]
 mod tests {

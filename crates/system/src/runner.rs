@@ -4,11 +4,11 @@
 
 use tc_interconnect::{Adversary, FaultPlane, Interconnect};
 use tc_protocols::ProtocolRegistry;
-use tc_sim::{Arena, EventQueue, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, EventQueue, SnapReader, SnapState, SnapWriter, SnapshotError};
 use tc_types::{
     AdversarySpec, BlockAddr, CoherenceController, ControllerStats, Cycle, EngineStats,
     FastHashMap, FaultSpec, LineStateStats, Message, MissStats, NodeId, Outbox, ProtocolKind,
-    ReissueStats, ReqId, SystemConfig,
+    ReissueStats, SystemConfig,
 };
 use tc_workloads::WorkloadProfile;
 
@@ -293,57 +293,21 @@ impl RunProgress {
             plane.apply(now, msg, arrivals);
         }
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.bool(self.draining);
-        w.bool(self.drain_limit_hit);
-        self.reached_target_at.save(w);
-        w.u64(self.ops_at_target);
-        w.u64(self.transactions_at_target);
-        w.u64(self.events_since_progress);
-        w.bool(self.livelock_hit);
-        w.option(self.fault_plane.as_ref(), |w, plane| plane.save_state(w));
-        w.option(self.adversary_plane.as_ref(), |w, plane| {
-            plane.save_state(w)
-        });
-    }
-
-    fn load_state(
-        r: &mut SnapReader<'_>,
-        options: &RunOptions,
-        config: &SystemConfig,
-    ) -> Result<Self, SnapshotError> {
-        let mut progress = RunProgress::start(options, config);
-        progress.draining = r.bool()?;
-        progress.drain_limit_hit = r.bool()?;
-        progress.reached_target_at = Snap::load(r)?;
-        progress.ops_at_target = r.u64()?;
-        progress.transactions_at_target = r.u64()?;
-        progress.events_since_progress = r.u64()?;
-        progress.livelock_hit = r.bool()?;
-        // The plane skeleton is config-derived; only the RNG position and
-        // fault statistics travel in the snapshot.
-        progress.fault_plane = r.option(|r| {
-            let mut plane = progress.fault_plane.take().ok_or_else(|| {
-                SnapshotError::Corrupt(
-                    "snapshot has a fault plane but the options inject no faults".into(),
-                )
-            })?;
-            plane.load_state(r)?;
-            Ok(plane)
-        })?;
-        progress.adversary_plane = r.option(|r| {
-            let mut plane = progress.adversary_plane.take().ok_or_else(|| {
-                SnapshotError::Corrupt(
-                    "snapshot has an adversary plane but the options perturb nothing".into(),
-                )
-            })?;
-            plane.load_state(r)?;
-            Ok(plane)
-        })?;
-        Ok(progress)
-    }
 }
+
+// The planes are restored onto the ones the run options arm: a snapshot that
+// has a plane the options do not arm, or lacks one they do, is corrupt.
+snap_state!(RunProgress {
+    draining,
+    drain_limit_hit,
+    reached_target_at,
+    ops_at_target,
+    transactions_at_target,
+    events_since_progress,
+    livelock_hit,
+    [fault_plane],
+    [adversary_plane],
+});
 
 /// A draining run is cut off (a structured deadlock) at twice the cycle
 /// limit.
@@ -730,34 +694,14 @@ impl System {
         }
     }
 
-    /// Serializes the full engine state — clock and calendar queue, message
-    /// arena, interconnect, verifier history, per-processor and
-    /// per-controller state, and the loop-carried [`RunProgress`] — into one
-    /// sealed (versioned + checksummed) snapshot. Must be called at an
-    /// event boundary (the runner only calls it between pops).
+    /// Seals the full engine state — this system's [`SnapState`] and the
+    /// loop-carried [`RunProgress`], behind the fingerprint of what they
+    /// were built from — into one versioned, checksummed snapshot. Must be
+    /// called at an event boundary (the runner only calls it between pops).
     pub fn snapshot(&self, options: &RunOptions, progress: &RunProgress) -> Vec<u8> {
-        let core = &self.core;
         let mut w = SnapWriter::new();
         w.u64(self.fingerprint(options));
-        w.u64(core.completed_ops);
-        w.u64(core.max_miss_latency);
-        core.miss_latency_samples.save(&mut w);
-        core.completions_per_node.save(&mut w);
-        self.queue.save_state(&mut w);
-        core.messages.save_state(&mut w);
-        self.interconnect.save_state(&mut w);
-        self.verifier.save_state(&mut w);
-        // The hash map iterates in arbitrary order; sort so identical
-        // states produce identical snapshot bytes.
-        let mut writes: Vec<(ReqId, bool)> = core
-            .outstanding_writes
-            .iter()
-            .map(|(&id, &is_write)| (id, is_write))
-            .collect();
-        writes.sort_unstable();
-        writes.save(&mut w);
-        w.seq(core.processors.iter(), |w, p| p.save_state(w));
-        w.seq(core.controllers.iter(), |w, c| c.save_state(w));
+        self.save_state(&mut w);
         progress.save_state(&mut w);
         tc_sim::seal(tc_sim::snapshot::SNAPSHOT_VERSION, &w.into_bytes())
     }
@@ -782,46 +726,9 @@ impl System {
                 self.fingerprint(options)
             )));
         }
-        let core = &mut self.core;
-        core.completed_ops = r.u64()?;
-        core.max_miss_latency = r.u64()?;
-        core.miss_latency_samples = Snap::load(&mut r)?;
-        let num_counts = r.bounded_len(8)?;
-        if num_counts != core.completions_per_node.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot has completion counts for {num_counts} nodes, system has {}",
-                core.completions_per_node.len()
-            )));
-        }
-        for count in &mut core.completions_per_node {
-            *count = r.u64()?;
-        }
-        self.queue = EventQueue::load_state(&mut r)?;
-        core.messages = Arena::load_state(&mut r)?;
-        self.interconnect.load_state(&mut r)?;
-        self.verifier.load_state(&mut r)?;
-        core.outstanding_writes = Vec::<(ReqId, bool)>::load(&mut r)?.into_iter().collect();
-        let num_processors = r.bounded_len(8)?;
-        if num_processors != core.processors.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot has {num_processors} processors, system has {}",
-                core.processors.len()
-            )));
-        }
-        for processor in &mut core.processors {
-            processor.load_state(&mut r)?;
-        }
-        let num_controllers = r.bounded_len(1)?;
-        if num_controllers != core.controllers.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot has {num_controllers} controllers, system has {}",
-                core.controllers.len()
-            )));
-        }
-        for controller in &mut core.controllers {
-            controller.load_state(&mut r)?;
-        }
-        let progress = RunProgress::load_state(&mut r, options, &self.config)?;
+        self.load_state(&mut r)?;
+        let mut progress = RunProgress::start(options, &self.config);
+        progress.load_state(&mut r)?;
         r.finish()?;
         Ok(progress)
     }
@@ -947,6 +854,21 @@ impl System {
         }
     }
 }
+
+// All a snapshot holds but its fingerprint and the run's progress.
+snap_state!(System {
+    core.completed_ops,
+    core.max_miss_latency,
+    core.miss_latency_samples,
+    [core.completions_per_node],
+    queue,
+    core.messages,
+    interconnect,
+    verifier,
+    core.outstanding_writes,
+    [core.processors],
+    [core.controllers],
+});
 
 /// Merges per-controller statistics into the report's aggregate
 /// (miss, reissue, controller, line-state) tuples.

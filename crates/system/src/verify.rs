@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snap_struct;
 use tc_types::{BlockAddr, BlockAudit, Cycle, FastHashMap, InvariantViolation, NodeId};
 
 /// Recent write history for one block: which version was current when.
@@ -376,43 +376,70 @@ impl Verifier {
     pub fn into_violations(self) -> Vec<InvariantViolation> {
         self.violations
     }
-
-    /// Serializes the verifier. The write-history map is iterated in block
-    /// order so identical verifier states always produce identical bytes.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.reads_checked);
-        w.u64(self.writes_recorded);
-        let mut blocks: Vec<(&BlockAddr, &BlockHistory)> = self.history.iter().collect();
-        blocks.sort_unstable_by_key(|(addr, _)| **addr);
-        w.seq(blocks.into_iter(), |w, (addr, history)| {
-            addr.save(w);
-            history.save(w);
-        });
-        self.violations.save(w);
-        let mut escalations: Vec<((NodeId, BlockAddr), Cycle)> =
-            self.escalations.iter().map(|(&k, &at)| (k, at)).collect();
-        escalations.sort_unstable();
-        escalations.save(w);
-    }
-
-    /// Restores [`Verifier::save_state`] bytes.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.reads_checked = r.u64()?;
-        self.writes_recorded = r.u64()?;
-        self.history = Vec::<(BlockAddr, BlockHistory)>::load(r)?
-            .into_iter()
-            .collect();
-        self.violations = Snap::load(r)?;
-        self.escalations = Vec::<((NodeId, BlockAddr), Cycle)>::load(r)?
-            .into_iter()
-            .collect();
-        Ok(())
-    }
 }
+
+// Both maps are written in key order, so identical verifier states always
+// produce identical bytes.
+snap_struct!(Verifier {
+    reads_checked,
+    writes_recorded,
+    history,
+    violations,
+    escalations,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_sim::{Snap, SnapReader, SnapState, SnapWriter, SnapshotError};
+
+    /// A verifier's bytes with empty histories for `blocks` and an
+    /// escalation at cycle 7 for each `(node, block)`, both in the given
+    /// order.
+    fn verifier_bytes(blocks: &[u64], escalations: &[(usize, u64)]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(3);
+        w.u64(2);
+        let history: Vec<_> = blocks
+            .iter()
+            .map(|&b| (BlockAddr::new(b), BlockHistory::default()))
+            .collect();
+        history.save(&mut w);
+        Vec::<InvariantViolation>::new().save(&mut w);
+        let escalations: Vec<_> = escalations
+            .iter()
+            .map(|&(n, b)| ((NodeId::new(n), BlockAddr::new(b)), 7u64))
+            .collect();
+        escalations.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn verifier_loads_refuse_repeated_or_out_of_order_keys() {
+        let good = verifier_bytes(&[1, 4], &[(0, 9), (1, 2)]);
+        let loaded = Verifier::load(&mut SnapReader::new(&good)).unwrap();
+        let mut w = SnapWriter::new();
+        loaded.save(&mut w);
+        assert_eq!(w.into_bytes(), good);
+        for (what, bad) in [
+            ("repeated block", verifier_bytes(&[4, 4], &[])),
+            ("blocks out of order", verifier_bytes(&[4, 1], &[])),
+            (
+                "repeated escalation",
+                verifier_bytes(&[], &[(1, 2), (1, 2)]),
+            ),
+            (
+                "escalations out of order",
+                verifier_bytes(&[], &[(1, 2), (0, 9)]),
+            ),
+        ] {
+            let loaded = Verifier::load(&mut SnapReader::new(&bad));
+            assert!(
+                matches!(loaded, Err(SnapshotError::Corrupt(_))),
+                "{what}: {loaded:?}"
+            );
+        }
+    }
 
     fn audit(tokens: u32, owner: bool, readable: bool, writable: bool) -> BlockAudit {
         BlockAudit {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::snap_struct;
 
 use crate::ids::NodeId;
 
@@ -31,14 +31,7 @@ impl Address {
     }
 }
 
-impl Snap for Address {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Address(r.u64()?))
-    }
-}
+snap_struct!(Address(addr));
 
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -90,14 +83,7 @@ impl BlockAddr {
     }
 }
 
-impl Snap for BlockAddr {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BlockAddr(r.u64()?))
-    }
-}
+snap_struct!(BlockAddr(block_number));
 
 impl fmt::Display for BlockAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -9,13 +9,12 @@
 //!
 //! A controller also snapshots itself: [`CoherenceController::save_state`] /
 //! [`CoherenceController::load_state`] write and restore its mutable state,
-//! built from the `tc_sim::Snap` layouts its lines, home entries and
-//! statistics declare next to their types.
+//! both generated from one `tc_sim::snap_state!` field list.
 
 use std::fmt;
 
 use tc_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
-use tc_sim::{snap_enum, snap_struct};
+use tc_sim::{snap_enum, snap_struct, SnapState};
 
 use crate::addr::BlockAddr;
 use crate::ids::{Cycle, NodeId, ReqId};
@@ -276,6 +275,16 @@ pub trait CoherenceController: fmt::Debug + Send {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         let _ = r;
         Ok(())
+    }
+}
+
+/// A boxed controller is restored in place through its own codec.
+impl SnapState for Box<dyn CoherenceController> {
+    fn save_state(&self, w: &mut SnapWriter) {
+        CoherenceController::save_state(&**self, w);
+    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        CoherenceController::load_state(&mut **self, r)
     }
 }
 

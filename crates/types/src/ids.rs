@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Simulated time, in nanoseconds.
 ///
@@ -72,14 +72,7 @@ impl ReqId {
     }
 }
 
-impl Snap for ReqId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ReqId(r.u64()?))
-    }
-}
+snap_struct!(ReqId(value));
 
 impl fmt::Display for ReqId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

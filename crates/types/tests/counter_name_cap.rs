@@ -32,8 +32,11 @@ fn a_payload_of_ten_thousand_counter_names_is_corrupt_and_leaks_at_most_the_cap(
     assert!(matches!(load(&flood), Err(SnapshotError::Corrupt(_))));
 
     // Exactly the first 256 names were interned: they still load (a name
-    // already handed out costs nothing), and no 257th ever does.
-    let interned = stats_with_counters((0..256).map(|i| format!("counter{i}")));
+    // already handed out costs nothing), and no 257th ever does. A map
+    // loads only in key order, the order every writer saves it in.
+    let mut first: Vec<String> = (0..256).map(|i| format!("counter{i}")).collect();
+    first.sort();
+    let interned = stats_with_counters(first.into_iter());
     let stats = load(&interned).expect("interned names keep loading");
     assert_eq!(stats.counter("counter255"), 1);
     let one_more = stats_with_counters(["one_more".to_string()].into_iter());

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use tc_sim::{snap_struct, DeterministicRng, Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, snap_struct, DeterministicRng};
 use tc_types::{Address, Cycle, MemOp, MemOpKind, NodeId, ReqId};
 
 use crate::profile::{RegionKind, WorkloadProfile};
@@ -197,26 +197,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// Serializes the generator's cursor: RNG stream position, request
-    /// counter, the queued tail of a partially-consumed multi-op sequence,
-    /// and the ops counter. Profile, node, and node count are config-derived.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.rng.save(w);
-        w.u64(self.next_req);
-        w.u64(self.ops_generated);
-        self.pending.save(w);
-    }
-
-    /// Restores [`WorkloadGenerator::save_state`] bytes onto a same-config
-    /// generator.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rng = Snap::load(r)?;
-        self.next_req = r.u64()?;
-        self.ops_generated = r.u64()?;
-        self.pending = Snap::load(r)?;
-        Ok(())
-    }
-
     fn shared_or_private_code_block(&mut self) -> u64 {
         if self.profile.shared_read_blocks > 0 {
             self.shared_read_block()
@@ -226,10 +206,19 @@ impl WorkloadGenerator {
     }
 }
 
+// Profile, node and node count are config-derived.
+snap_state!(WorkloadGenerator {
+    rng,
+    next_req,
+    ops_generated,
+    pending,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use tc_sim::{SnapReader, SnapState, SnapWriter};
     use tc_types::AccessType;
 
     fn generator(profile: WorkloadProfile, node: usize) -> WorkloadGenerator {

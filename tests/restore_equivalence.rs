@@ -12,7 +12,7 @@
 
 use token_coherence::prelude::*;
 use token_coherence::system::{RunReport, System};
-use token_coherence::types::{FaultSpec, SystemConfig};
+use token_coherence::types::{AdversarySpec, FaultSpec, SystemConfig};
 use token_coherence::workloads::WorkloadProfile;
 
 use tc_testkit::Scenario;
@@ -112,16 +112,43 @@ fn pinned_configuration(
     (config, WorkloadProfile::oltp(), options)
 }
 
+/// The pinned TokenB configuration with both perturbation planes armed: a
+/// fault spec that drops, duplicates and reorders, and an adversary that
+/// reorders, delays the victim (node 1 on the first migratory block) and
+/// aligns retry storms.
+fn planed_configuration() -> (
+    SystemConfig,
+    WorkloadProfile,
+    token_coherence::system::RunOptions,
+) {
+    let (config, profile, options) = pinned_configuration(ProtocolKind::TokenB);
+    let faults = FaultSpec::parse("drop=0.002,dup=0.002,reorder=2").expect("valid spec");
+    let adversary = AdversarySpec::parse("reorder=2,victim=1@150994944,delay=300,storm=900")
+        .expect("valid spec");
+    let options = options.with_faults(faults).with_adversary(adversary);
+    (config, profile, options)
+}
+
 /// The sealed snapshot the pinned configuration takes at event 100000.
 fn first_checkpoint(protocol: ProtocolKind) -> Vec<u8> {
     let (config, profile, options) = pinned_configuration(protocol);
+    first_checkpoint_of(&config, &profile, options).1
+}
+
+/// A run of `config` to the end, and the sealed snapshot it took at event
+/// 100000.
+fn first_checkpoint_of(
+    config: &SystemConfig,
+    profile: &WorkloadProfile,
+    options: token_coherence::system::RunOptions,
+) -> (RunReport, Vec<u8>) {
     let mut first: Option<(u64, Vec<u8>)> = None;
-    System::build(&config, &profile).run_with_checkpoints(options, &mut |at, bytes| {
+    let report = System::build(config, profile).run_with_checkpoints(options, &mut |at, bytes| {
         first.get_or_insert_with(|| (at, bytes.to_vec()));
     });
     let (at, bytes) = first.expect("the pinned run must cross the 100k cadence");
     assert_eq!(at, 100_000);
-    bytes
+    (report, bytes)
 }
 
 /// The snapshot wire format, pinned: the first checkpoint of the pinned
@@ -149,6 +176,85 @@ fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
              and re-record, or restore the format"
         );
     }
+}
+
+/// The same pin with both perturbation planes armed, so the bytes of the
+/// fault plane, the adversary, their RNG streams and the plane options
+/// `RunProgress` carries are held too. The run must really perturb: every
+/// adversary class and the three fault classes fire before the cut.
+#[test]
+fn first_checkpoint_under_both_planes_keeps_its_bytes() {
+    let (config, profile, options) = planed_configuration();
+    let (report, bytes) = first_checkpoint_of(&config, &profile, options);
+    let (faults, adversary) = (report.engine.faults, report.engine.adversary);
+    assert!(faults.dropped > 0 && faults.duplicated > 0 && faults.reordered > 0);
+    assert!(adversary.reordered > 0 && adversary.targeted > 0 && adversary.stormed > 0);
+    let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
+    assert_eq!(
+        (len, hash),
+        (796_703, 0x3405c31ce57d161a),
+        "planed TokenB: snapshot bytes changed ({len}, {hash:#x}): bump SNAPSHOT_VERSION \
+         and re-record, or restore the format"
+    );
+}
+
+/// Restoring a checkpoint and saving it again gives the same bytes, for
+/// every protocol's first checkpoint and for the planed one: nothing is
+/// written that the restore does not read back into place.
+#[test]
+fn restored_snapshots_re_save_their_exact_bytes() {
+    let mut cases: Vec<_> = ProtocolKind::ALL
+        .into_iter()
+        .map(pinned_configuration)
+        .collect();
+    cases.push(planed_configuration());
+    for (config, profile, options) in cases {
+        let bytes = first_checkpoint_of(&config, &profile, options).1;
+        let mut system = System::build(&config, &profile);
+        let progress = system.restore(&options, &bytes).expect("restore");
+        assert!(
+            system.snapshot(&options, &progress) == bytes,
+            "{}: re-saving a restored system changed the snapshot bytes",
+            config.protocol
+        );
+    }
+}
+
+/// A snapshot that lost a plane the options arm must not restore: a run
+/// resumed from it would inject nothing from there on. The faulted
+/// checkpoint's payload ends `fault presence (1) | fault plane (80 bytes:
+/// the one RNG stream, an empty per-node stream list, eight counters) |
+/// adversary presence (0)`; the tampered copy says "no fault plane" and is
+/// resealed so the checksum passes.
+#[test]
+fn a_snapshot_missing_an_armed_plane_is_rejected() {
+    use token_coherence::sim::{open, seal, SnapshotError, SNAPSHOT_VERSION};
+    let mut scenario = Scenario::by_name("hot_block_contention").expect("standard scenario");
+    scenario.ops_per_node = 300;
+    let config = scenario.config(ProtocolKind::TokenB, 12);
+    let faults = FaultSpec::parse("drop=0.002,dup=0.002").expect("valid spec");
+    let options = scenario
+        .run_options()
+        .with_faults(faults)
+        .with_checkpoint_every(2_000);
+    let mut snapshot: Option<Vec<u8>> = None;
+    System::build(&config, &scenario.workload).run_with_checkpoints(options, &mut |_, bytes| {
+        snapshot.get_or_insert_with(|| bytes.to_vec());
+    });
+    let sealed = snapshot.expect("at least one checkpoint");
+    let (_, payload) = open(&sealed).expect("a checkpoint opens");
+    let plane_at = payload.len() - 1 - 80 - 1;
+    assert_eq!(payload[plane_at], 1, "fault plane presence byte");
+    assert_eq!(payload[payload.len() - 1], 0, "adversary presence byte");
+    let mut tampered = payload[..plane_at].to_vec();
+    tampered.extend_from_slice(&[0, 0]);
+    let err = System::build(&config, &scenario.workload)
+        .restore(&options, &seal(SNAPSHOT_VERSION, &tampered))
+        .expect_err("a snapshot without the armed fault plane must not restore");
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    System::build(&config, &scenario.workload)
+        .restore(&options, &sealed)
+        .expect("the untouched checkpoint restores");
 }
 
 /// The report codec, pinned the same way: `RunReport::save_state` of the
