@@ -1,7 +1,8 @@
 //! Discrete-event simulation kernel.
 //!
 //! The kernel is intentionally small: a time-ordered [`EventQueue`] (a
-//! calendar queue with deterministic FIFO tie-breaking), a generation-checked
+//! calendar queue with deterministic FIFO tie-breaking, its events linked
+//! per cycle through one pooled node slab), a generation-checked
 //! slab [`Arena`] that keeps large event payloads out of the queue's moves,
 //! and a tiny deterministic pseudo-random number generator
 //! ([`DeterministicRng`]) used for randomized exponential backoff and

@@ -10,9 +10,9 @@
 //!    smallest delivery time.
 //! 2. **FIFO ties.** Events scheduled for the same time are delivered in the
 //!    order they were scheduled, regardless of internal layout. The calendar
-//!    queue gets this *structurally*: each per-cycle bucket is a FIFO deque,
-//!    and the overflow level keeps one FIFO deque per far-future cycle — no
-//!    global monotonically-growing sequence counter is needed (the old heap
+//!    queue gets this *structurally*: the events of one cycle form one FIFO
+//!    list, in a calendar bucket and in the overflow level alike — no global
+//!    monotonically-growing sequence counter is needed (the old heap
 //!    implementation carried a `u64` tie-break per entry forever).
 //! 3. **Clamp to now.** Scheduling in the past is clamped to the current
 //!    time rather than panicking; protocol code computes firing times from
@@ -23,11 +23,19 @@
 //! The queue is a classic calendar queue specialized for a simulator whose
 //! event latencies are almost always small: a ring of [`HORIZON_CYCLES`]
 //! per-cycle buckets covering the window `[now, now + HORIZON_CYCLES)`,
-//! plus a sorted overflow level (`BTreeMap<Cycle, VecDeque<E>>`) for
-//! far-future events such as reissue and persistent-request timers. An
-//! occupancy bitmap (one bit per bucket) lets `pop` find the next non-empty
-//! bucket by scanning words and counting trailing zeros instead of walking
-//! empty cycles one by one.
+//! plus a sorted overflow level (a `BTreeMap` keyed by cycle) for events
+//! beyond it. An occupancy bitmap (one bit per bucket) lets `pop` find the
+//! next non-empty bucket by scanning words and counting trailing zeros
+//! instead of walking empty cycles one by one.
+//!
+//! Every pending event lives in a node of one slab (a `Vec`), beside the
+//! `u32` index of the next event due in the same cycle. A bucket, and an
+//! overflow cycle, is only the `(head, tail)` indices of its list:
+//! `schedule` links a node at the tail, `pop` unlinks the head, and a freed
+//! node goes on a LIFO free list, so the next `schedule` reuses the node
+//! the last `pop` left in the host's cache. No bucket owns a buffer, the
+//! steady state allocates nothing, and migrating an overflow cycle into the
+//! ring moves two indices.
 //!
 //! The ring index of an in-window event is `time & (HORIZON_CYCLES - 1)`;
 //! because the window is exactly as long as the ring, a slot maps to one
@@ -36,8 +44,18 @@
 //! *before* any new event can be scheduled directly into those cycles, so
 //! FIFO order between a migrated event and a later direct schedule is
 //! preserved.
+//!
+//! # The wire
+//!
+//! Snapshot bytes do not depend on the ring's size. The layout (snapshot
+//! version 3) was fixed while the ring was 4096 cycles long and still
+//! splits the pending events at `now + 4096`: a calendar section holding
+//! the cycles before that boundary, keyed by `time % 4096` in slot order,
+//! then an overflow section holding every later cycle in time order. A load
+//! places each cycle in the ring or the overflow level by the in-memory
+//! window, exactly where `schedule` would have put its events.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 use crate::Cycle;
@@ -46,32 +64,168 @@ use crate::Cycle;
 ///
 /// Sized to the latency horizon of the simulated system: cache and memory
 /// latencies are tens of nanoseconds, a contended multi-hop fabric traversal
-/// hundreds, and reissue timeouts (2x recent average miss latency) low
-/// thousands. Everything beyond the window — persistent-request escalations
-/// under pathological contention, drain-limit sentinels — takes the sorted
-/// overflow path, which is correct at any distance, merely slower.
-pub const HORIZON_CYCLES: u64 = 4096;
+/// hundreds, and reissue timeouts (2x recent average miss latency)
+/// thousands — the 64-node torus's median miss takes about 3800 cycles, so
+/// its reissue timers land well past 4096. Everything beyond the window —
+/// persistent-request escalations under pathological contention,
+/// drain-limit sentinels — takes the sorted overflow path, which is correct
+/// at any distance, merely slower. The buckets cost 8 bytes each (128 KiB).
+pub const HORIZON_CYCLES: u64 = 16_384;
 
 const MASK: u64 = HORIZON_CYCLES - 1;
 const WORDS: usize = (HORIZON_CYCLES as usize) / 64;
+
+/// Where the snapshot layout splits its calendar section from its overflow
+/// section: the ring's length when the layout was fixed. Independent of
+/// [`HORIZON_CYCLES`]; the next snapshot version may drop it.
+const WIRE_WINDOW: u64 = 4096;
+const WIRE_MASK: u64 = WIRE_WINDOW - 1;
+
+/// End of a list (and of the free list): no node.
+const NIL: u32 = u32::MAX;
+
+/// One cycle's events, as the slab indices of the first and the last.
+/// `head == NIL` marks an empty list; `tail` is then meaningless.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+    };
+
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.head == NIL
+    }
+}
+
+/// A slab node: a pending event (`None` while the node is free) and the
+/// index of the next node in its list.
+#[derive(Debug)]
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
+}
+
+/// The nodes behind every list, with the free ones threaded LIFO through
+/// `next` from `free`.
+#[derive(Debug)]
+struct Slab<E> {
+    nodes: Vec<Node<E>>,
+    free: u32,
+}
+
+impl<E> Slab<E> {
+    fn new() -> Self {
+        Slab {
+            nodes: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Links `event` at the tail of `fifo`, in the most recently freed node.
+    #[inline]
+    fn push(&mut self, fifo: &mut Fifo, event: E) {
+        let node = Node {
+            event: Some(event),
+            next: NIL,
+        };
+        let index = if self.free == NIL {
+            let index = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&index| index != NIL)
+                .expect("more than u32::MAX - 1 pending events");
+            self.nodes.push(node);
+            index
+        } else {
+            let index = self.free;
+            let slot = &mut self.nodes[index as usize];
+            self.free = slot.next;
+            *slot = node;
+            index
+        };
+        if fifo.is_empty() {
+            fifo.head = index;
+        } else {
+            self.nodes[fifo.tail as usize].next = index;
+        }
+        fifo.tail = index;
+    }
+
+    /// Unlinks the head of `fifo`, freeing its node.
+    #[inline]
+    fn pop(&mut self, fifo: &mut Fifo) -> Option<E> {
+        if fifo.is_empty() {
+            return None;
+        }
+        let index = fifo.head;
+        let node = &mut self.nodes[index as usize];
+        fifo.head = node.next;
+        node.next = self.free;
+        self.free = index;
+        node.event.take()
+    }
+
+    /// The events of `fifo`, head first.
+    fn events(&self, fifo: Fifo) -> impl Iterator<Item = &E> {
+        let mut at = fifo.head;
+        std::iter::from_fn(move || {
+            let node = (at != NIL).then(|| &self.nodes[at as usize])?;
+            at = node.next;
+            node.event.as_ref()
+        })
+    }
+}
+
+impl<E: Snap> Slab<E> {
+    /// A list on the wire: its length, then its events head first (the
+    /// bytes a `VecDeque` of them saves as).
+    fn save(&self, w: &mut SnapWriter, fifo: Fifo) {
+        w.usize(self.events(fifo).count());
+        self.events(fifo).for_each(|event| event.save(w));
+    }
+
+    /// Reads a list written by [`Slab::save`] into fresh nodes. No cycle is
+    /// saved without an event, so an empty list is corrupt.
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<Fifo, SnapshotError> {
+        let len = r.bounded_len(1)?;
+        if len == 0 || self.nodes.len().saturating_add(len) >= NIL as usize {
+            return Err(SnapshotError::Corrupt(format!(
+                "queue cycle of {len} events"
+            )));
+        }
+        let mut fifo = Fifo::EMPTY;
+        for _ in 0..len {
+            self.push(&mut fifo, E::load(r)?);
+        }
+        Ok(fifo)
+    }
+}
 
 /// A deterministic, time-ordered event queue (calendar queue).
 ///
 /// See the module documentation for the determinism contract and layout.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Ring of per-cycle FIFO buckets; index = `time & MASK`.
-    buckets: Box<[VecDeque<E>]>,
+    /// Every pending event, linked into its cycle's list.
+    slab: Slab<E>,
+    /// Ring of per-cycle lists; index = `time & MASK`.
+    buckets: Box<[Fifo]>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
-    /// Far-future events, FIFO per cycle, sorted by cycle.
-    overflow: BTreeMap<Cycle, VecDeque<E>>,
-    /// Number of events currently in `overflow`.
-    overflow_len: usize,
+    /// Far-future cycles' lists, sorted by cycle.
+    overflow: BTreeMap<Cycle, Fifo>,
     now: Cycle,
     len: usize,
     scheduled: u64,
     delivered: u64,
+    /// Events scheduled straight into `overflow` (not serialized).
+    overflowed: u64,
     /// High-water mark of `len`, for bottleneck reports.
     max_depth: usize,
 }
@@ -79,16 +233,16 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        let buckets = (0..HORIZON_CYCLES).map(|_| VecDeque::new()).collect();
         EventQueue {
-            buckets,
+            slab: Slab::new(),
+            buckets: vec![Fifo::EMPTY; HORIZON_CYCLES as usize].into_boxed_slice(),
             occupied: [0; WORDS],
             overflow: BTreeMap::new(),
-            overflow_len: 0,
             now: 0,
             len: 0,
             scheduled: 0,
             delivered: 0,
+            overflowed: 0,
             max_depth: 0,
         }
     }
@@ -109,11 +263,12 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         if time < self.horizon_end() {
             let slot = (time & MASK) as usize;
-            self.buckets[slot].push_back(event);
+            self.slab.push(&mut self.buckets[slot], event);
             self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
-            self.overflow.entry(time).or_default().push_back(event);
-            self.overflow_len += 1;
+            let fifo = self.overflow.entry(time).or_insert(Fifo::EMPTY);
+            self.slab.push(fifo, event);
+            self.overflowed += 1;
         }
         self.len += 1;
         self.scheduled += 1;
@@ -132,8 +287,9 @@ impl<E> EventQueue<E> {
             if let Some(time) = self.next_bucket_time() {
                 let slot = (time & MASK) as usize;
                 let bucket = &mut self.buckets[slot];
-                let event = bucket
-                    .pop_front()
+                let event = self
+                    .slab
+                    .pop(bucket)
                     .expect("occupied bit set on empty bucket");
                 if bucket.is_empty() {
                     self.occupied[slot / 64] &= !(1 << (slot % 64));
@@ -149,7 +305,7 @@ impl<E> EventQueue<E> {
             // The whole window is empty: jump the clock to the first
             // overflow cycle and pull the events that entered the window
             // into their buckets.
-            debug_assert!(self.overflow_len > 0, "len > 0 but nothing pending");
+            debug_assert!(!self.overflow.is_empty(), "len > 0 but nothing pending");
             let (&first, _) = self.overflow.first_key_value()?;
             self.now = first;
             self.migrate_overflow();
@@ -162,31 +318,21 @@ impl<E> EventQueue<E> {
     /// only be scheduled into directly once it is inside the window, and it
     /// enters the window in the same instant its overflow events migrate.
     fn migrate_overflow(&mut self) {
-        if self.overflow_len == 0 {
-            return;
-        }
         let end = self.horizon_end();
-        while let Some((&time, _)) = self.overflow.first_key_value() {
+        while let Some(entry) = self.overflow.first_entry() {
+            let time = *entry.key();
             // `time == self.now` only matters when `horizon_end` saturates
             // at `Cycle::MAX`: the window is then empty-length at the top
             // end, but an event due *now* must still migrate.
             if time >= end && time > self.now {
                 break;
             }
-            let (_, mut events) = self.overflow.pop_first().expect("checked non-empty");
-            self.overflow_len -= events.len();
             let slot = (time & MASK) as usize;
             debug_assert!(
                 self.buckets[slot].is_empty(),
                 "bucket occupied while its cycle was still in overflow"
             );
-            if self.buckets[slot].capacity() == 0 {
-                // Donate the overflow deque's allocation instead of copying
-                // into a fresh one.
-                self.buckets[slot] = events;
-            } else {
-                self.buckets[slot].append(&mut events);
-            }
+            self.buckets[slot] = entry.remove();
             self.occupied[slot / 64] |= 1 << (slot % 64);
         }
     }
@@ -261,6 +407,14 @@ impl<E> EventQueue<E> {
         self.delivered
     }
 
+    /// Number of events scheduled beyond the calendar window, into the
+    /// overflow level, since this queue was created or loaded (the count
+    /// is not serialized). Against [`total_scheduled`](Self::total_scheduled)
+    /// it says whether [`HORIZON_CYCLES`] still covers a run's latencies.
+    pub fn total_overflowed(&self) -> u64 {
+        self.overflowed
+    }
+
     /// High-water mark of the number of pending events, for bottleneck
     /// hunting (reported as `peak_queue_depth` in run reports).
     pub fn max_depth(&self) -> usize {
@@ -268,44 +422,80 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of events currently parked in the overflow level (events
-    /// scheduled beyond the calendar window).
+    /// scheduled beyond the calendar window). Walks the overflow lists.
     pub fn overflow_len(&self) -> usize {
-        self.overflow_len
+        self.overflow
+            .values()
+            .map(|&fifo| self.slab.events(fifo).count())
+            .sum()
     }
 
-    /// Iterates over every pending event in no particular order (calendar
-    /// buckets first, then the overflow level). End-of-run audits use this
-    /// to account for payloads still in flight; nothing order-sensitive may
-    /// depend on it.
+    /// Iterates over every pending event in no particular order (slab
+    /// order). End-of-run audits use this to account for payloads still in
+    /// flight; nothing order-sensitive may depend on it.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.buckets
+        self.slab
+            .nodes
             .iter()
-            .flat_map(|bucket| bucket.iter())
-            .chain(self.overflow.values().flat_map(|events| events.iter()))
+            .filter_map(|node| node.event.as_ref())
+    }
+
+    /// The non-empty buckets as `(cycle, list)`, in time order.
+    fn ring(&self) -> impl Iterator<Item = (Cycle, Fifo)> + '_ {
+        (0..HORIZON_CYCLES)
+            .map_while(|ahead| self.now.checked_add(ahead))
+            .map(|time| (time, self.buckets[(time & MASK) as usize]))
+            .filter(|&(_, fifo)| !fifo.is_empty())
+    }
+
+    /// End of the wire's calendar section, which also holds the cycle due
+    /// now when the clock saturated at `Cycle::MAX`.
+    fn wire_end(&self) -> Cycle {
+        self.now.saturating_add(WIRE_WINDOW)
+    }
+
+    /// Puts a loaded in-window cycle's list in its bucket. A bucket filled
+    /// twice is a repeated wire slot.
+    fn load_bucket(&mut self, time: Cycle, fifo: Fifo) -> Result<(), SnapshotError> {
+        let slot = (time & MASK) as usize;
+        if !self.buckets[slot].is_empty() {
+            return Err(SnapshotError::Corrupt(format!("queue cycle {time} twice")));
+        }
+        self.buckets[slot] = fifo;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        Ok(())
     }
 }
 
-/// The queue exactly: clock, counters, every non-empty calendar bucket (slot
-/// index + FIFO contents, whose order the determinism contract fixes) and the
-/// overflow level in time order. The load checks slots, that no bucket or
-/// overflow cycle repeats or is empty, and the depth accounting.
+/// The queue exactly: clock, counters, then the pending events in the v3
+/// layout (see the module documentation, "The wire"): the calendar section,
+/// one `(slot, events)` entry per non-empty cycle of `[now, now + 4096)` in
+/// slot order, then the overflow section, one `(cycle, events)` entry per
+/// later cycle in time order, each list head first. The load refuses a slot
+/// outside the wire window, a repeated or empty cycle, an overflow cycle
+/// inside the wire window or out of order, counters that do not account
+/// for the pending events, and a depth high-water mark below them.
 impl<E: Snap> Snap for EventQueue<E> {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.now);
         w.u64(self.scheduled);
         w.u64(self.delivered);
         w.usize(self.max_depth);
-        let occupied = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty());
-        w.usize(occupied.clone().count());
-        for (slot, bucket) in occupied {
-            w.usize(slot);
-            bucket.save(w);
-        }
-        self.overflow.save(w);
+        let wire_end = self.wire_end();
+        let (mut calendar, later): (Vec<_>, Vec<_>) = self
+            .ring()
+            .partition(|&(time, _)| time < wire_end || time == self.now);
+        calendar.sort_unstable_by_key(|&(time, _)| time & WIRE_MASK);
+        w.seq(calendar.into_iter(), |w, (time, fifo)| {
+            w.usize((time & WIRE_MASK) as usize);
+            self.slab.save(w, fifo);
+        });
+        let overflow = self.overflow.iter().map(|(&time, &fifo)| (time, fifo));
+        let later: Vec<_> = later.into_iter().chain(overflow).collect();
+        w.seq(later.into_iter(), |w, (time, fifo)| {
+            w.u64(time);
+            self.slab.save(w, fifo);
+        });
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapshotError> {
@@ -314,28 +504,49 @@ impl<E: Snap> Snap for EventQueue<E> {
         q.scheduled = r.u64()?;
         q.delivered = r.u64()?;
         q.max_depth = r.usize()?;
-        let num_buckets = r.bounded_len(1)?;
-        let mut len = 0usize;
-        for _ in 0..num_buckets {
+        let wire_end = q.wire_end();
+        for _ in 0..r.bounded_len(1)? {
             let slot = r.usize()?;
-            if slot >= HORIZON_CYCLES as usize {
-                return Err(SnapshotError::Corrupt(format!("bucket slot {slot}")));
-            }
-            let events = VecDeque::<E>::load(r)?;
-            if events.is_empty() || !q.buckets[slot].is_empty() {
-                return Err(SnapshotError::Corrupt("bucket layout".into()));
-            }
-            len += events.len();
-            q.buckets[slot] = events;
-            q.occupied[slot / 64] |= 1 << (slot % 64);
+            // The one cycle of the calendar section with this residue.
+            let time = (slot < WIRE_WINDOW as usize)
+                .then(|| {
+                    q.now
+                        .checked_add((slot as u64).wrapping_sub(q.now) & WIRE_MASK)
+                })
+                .flatten()
+                .filter(|&time| time < wire_end || time == q.now)
+                .ok_or_else(|| SnapshotError::Corrupt(format!("bucket slot {slot}")))?;
+            let fifo = q.slab.load(r)?;
+            q.load_bucket(time, fifo)?;
         }
-        q.overflow = BTreeMap::load(r)?;
-        if q.overflow.values().any(VecDeque::is_empty) {
-            return Err(SnapshotError::Corrupt("overflow layout".into()));
+        let mut last = None;
+        for _ in 0..r.bounded_len(1)? {
+            let time = r.u64()?;
+            if time < wire_end || last.is_some_and(|last| time <= last) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "overflow cycle {time} at cycle {} after {last:?}",
+                    q.now
+                )));
+            }
+            last = Some(time);
+            // Where `schedule` would have put it (at `Cycle::MAX`, a cycle
+            // due now but not yet migrated stays in the overflow level).
+            let fifo = q.slab.load(r)?;
+            if time < q.horizon_end() {
+                q.load_bucket(time, fifo)?;
+            } else {
+                q.overflow.insert(time, fifo);
+            }
         }
-        q.overflow_len = q.overflow.values().map(VecDeque::len).sum();
-        q.len = len + q.overflow_len;
-        if q.max_depth < len {
+        // A freshly loaded slab has no free node: one per pending event.
+        q.len = q.slab.nodes.len();
+        if q.scheduled.checked_sub(q.delivered) != Some(q.len as u64) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} scheduled, {} delivered, {} pending",
+                q.scheduled, q.delivered, q.len
+            )));
+        }
+        if q.max_depth < q.len {
             return Err(SnapshotError::Corrupt("queue depth accounting".into()));
         }
         Ok(q)
@@ -527,6 +738,23 @@ mod tests {
         assert_eq!(q.len(), 6);
     }
 
+    /// Freed nodes are reused before the slab grows: a steady schedule/pop
+    /// rhythm, in the ring and the overflow level alike, keeps as many
+    /// nodes as its peak depth.
+    #[test]
+    fn popped_nodes_are_reused_before_the_slab_grows() {
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.schedule(i * 300, i);
+        }
+        for i in 100..10_100u64 {
+            q.schedule(q.now() + i % 5 * HORIZON_CYCLES / 2, i);
+            q.pop();
+        }
+        assert_eq!(q.slab.nodes.len(), q.max_depth());
+        assert_eq!(q.iter().count(), q.len());
+    }
+
     // ------------------------------------------------------------------
     // Overflow-level edge cases.
     // ------------------------------------------------------------------
@@ -608,9 +836,41 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle::MAX, 'w')));
     }
 
+    /// Only a schedule past the window counts, once, however the event
+    /// later migrates.
+    #[test]
+    fn total_overflowed_counts_the_schedules_past_the_window() {
+        let mut q = EventQueue::new();
+        q.schedule(HORIZON_CYCLES - 1, 'a');
+        q.schedule(HORIZON_CYCLES, 'b');
+        q.schedule(5 * HORIZON_CYCLES, 'c');
+        assert_eq!((q.total_overflowed(), q.overflow_len()), (2, 2));
+        assert_eq!(q.pop(), Some((HORIZON_CYCLES - 1, 'a')));
+        assert_eq!((q.total_overflowed(), q.overflow_len()), (2, 1));
+        q.schedule(HORIZON_CYCLES + 1, 'd');
+        assert_eq!((q.total_overflowed(), q.total_scheduled()), (2, 4));
+    }
+
     // ------------------------------------------------------------------
     // Snapshot round-trips.
     // ------------------------------------------------------------------
+
+    /// Saves `q`, loads the bytes back (all of them), and checks the
+    /// restored copy's clock and counters.
+    fn round_trip(q: &EventQueue<u64>) -> EventQueue<u64> {
+        let mut w = SnapWriter::new();
+        q.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let restored = EventQueue::load(&mut r).expect("a saved queue loads");
+        r.finish().unwrap();
+        let view = |q: &EventQueue<u64>| {
+            let counters = (q.total_scheduled(), q.total_delivered(), q.max_depth());
+            (q.now(), q.len(), q.overflow_len(), counters)
+        };
+        assert_eq!(view(&restored), view(q));
+        restored
+    }
 
     /// Snapshot/restore mid-run must be invisible: the restored queue and
     /// the original must produce identical pop streams, including bucket
@@ -662,6 +922,147 @@ mod tests {
         }
     }
 
+    /// Near `Cycle::MAX` the window saturates: events due at the very top
+    /// sit in the overflow level until the clock gets there, and with the
+    /// clock at the top one can be in a bucket (migrated) and another in
+    /// the overflow level (scheduled after). A snapshot at every point of
+    /// that drain restores to the same stream.
+    #[test]
+    fn save_load_round_trips_at_the_top_of_time() {
+        let top = [
+            Cycle::MAX - 20_000,
+            Cycle::MAX - 5_000,
+            Cycle::MAX - 1,
+            Cycle::MAX,
+            Cycle::MAX,
+        ];
+        for pops in 0..=top.len() as u64 {
+            let mut q = EventQueue::new();
+            for (id, &time) in (0..).zip(&top) {
+                q.schedule(time, id);
+            }
+            for _ in 0..pops {
+                q.pop();
+            }
+            q.schedule(0, 10 + pops);
+            let mut restored = round_trip(&q);
+            loop {
+                let (a, b) = (q.pop(), restored.pop());
+                assert_eq!(a, b, "after {pops} pops");
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The wire: a byte pin and the load's refusals. Written against the
+    // 4096-cycle ring and carried over unedited: the in-memory window may
+    // grow, the bytes may not move.
+    // ------------------------------------------------------------------
+
+    /// The queue's wire bytes, as length + fnv1a64, for a seeded
+    /// schedule/pop sequence that leaves events pending in all three
+    /// regions: the wire's calendar window `[now, now + 4096)`, the cycles
+    /// from there to `now + 16384`, and beyond. A restored copy re-saves
+    /// the same bytes.
+    #[test]
+    fn saved_queue_bytes_are_pinned_across_the_window_boundaries() {
+        use crate::snapshot::fnv1a64;
+        let mut rng = DeterministicRng::new(0x0EE0_4096);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut due = Vec::new();
+        for id in 0..4_000u64 {
+            let offset = match rng.next_below(8) {
+                0..=3 => rng.next_below(64),
+                4 | 5 => rng.next_below(4096),
+                6 => 4096 + rng.next_below(16_384 - 4096),
+                _ => 16_384 + rng.next_below(40_000),
+            };
+            let time = q.now() + offset;
+            due.push(time);
+            q.schedule(time, id);
+            if rng.next_below(5) < 2 {
+                q.pop();
+            }
+        }
+        let mut regions = [0usize; 3];
+        for &id in q.iter() {
+            let ahead = due[id as usize] - q.now();
+            regions[usize::from(ahead >= 4096) + usize::from(ahead >= 16_384)] += 1;
+        }
+        assert!(regions.iter().all(|&n| n > 0), "regions {regions:?}");
+
+        let mut w = SnapWriter::new();
+        q.save(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (48_144, 0x028e_11c2_4d7c_a046),
+            "regions {regions:?}"
+        );
+
+        let mut r = SnapReader::new(&bytes);
+        let restored = EventQueue::<u64>::load(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut w = SnapWriter::new();
+        restored.save(&mut w);
+        assert!(w.into_bytes() == bytes, "re-save moved the bytes");
+    }
+
+    /// Bytes of a hand-built queue: clock, counters, no calendar bucket,
+    /// and one event (numbered in order) at each of `cycles` in the
+    /// overflow section.
+    fn overflow_only_bytes(
+        now: Cycle,
+        scheduled: u64,
+        delivered: u64,
+        cycles: &[Cycle],
+    ) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(now);
+        w.u64(scheduled);
+        w.u64(delivered);
+        w.usize(cycles.len());
+        w.usize(0);
+        w.usize(cycles.len());
+        for (id, &cycle) in cycles.iter().enumerate() {
+            w.u64(cycle);
+            w.usize(1);
+            w.u64(id as u64);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_hand_built_queue_that_keeps_the_invariants_loads() {
+        let bytes = overflow_only_bytes(100, 7, 5, &[100 + 4096, 100 + 20_000]);
+        let mut q = EventQueue::<u64>::load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(q.pop(), Some((100 + 4096, 0)));
+        assert_eq!(q.pop(), Some((100 + 20_000, 1)));
+        assert_eq!(q.total_delivered(), 7);
+    }
+
+    /// Cycle 105 at `now = 100` belongs in a calendar bucket. Loaded into
+    /// the overflow level it would be delivered 4096 cycles late, after
+    /// anything scheduled in between.
+    #[test]
+    fn load_refuses_an_overflow_cycle_inside_the_calendar_window() {
+        let bytes = overflow_only_bytes(100, 1, 0, &[105]);
+        let err = EventQueue::<u64>::load(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
+
+    /// Every queue `schedule` and `pop` can produce has
+    /// `scheduled == delivered + pending`.
+    #[test]
+    fn load_refuses_counters_that_do_not_account_for_the_pending_events() {
+        let bytes = overflow_only_bytes(100, 5, 0, &[100 + 4096]);
+        let err = EventQueue::<u64>::load(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
+
     // ------------------------------------------------------------------
     // Differential test against the legacy binary-heap implementation.
     // ------------------------------------------------------------------
@@ -669,8 +1070,10 @@ mod tests {
     /// Drives the calendar queue and the legacy heap through identical
     /// seeded schedule/pop interleavings and requires identical
     /// `(time, event)` streams. The offset distribution deliberately mixes
-    /// same-cycle storms (offset 0), in-window latencies, horizon-boundary
-    /// values, and far-overflow timers.
+    /// same-cycle storms (offset 0), in-window latencies, values at both
+    /// window boundaries (the wire's 4096 and the ring's), and
+    /// far-overflow timers. Every 400 steps the calendar queue is replaced
+    /// by its own save/load round trip, which must be invisible.
     #[test]
     fn calendar_queue_matches_legacy_heap_on_random_interleavings() {
         for seed in [1u64, 7, 42, 0xBEEF, 0xD00D, 987_654_321] {
@@ -681,6 +1084,9 @@ mod tests {
             let mut pending: usize = 0;
 
             for step in 0..20_000 {
+                if step % 400 == 399 {
+                    calendar = round_trip(&calendar);
+                }
                 // Bias toward scheduling so the queue stays populated, but
                 // drain it completely every so often.
                 let drain = step % 4_000 == 3_999;
@@ -696,11 +1102,13 @@ mod tests {
                 } else {
                     let base = calendar.now();
                     let offset = match rng.next_below(100) {
-                        0..=29 => 0,                                       // same-cycle storm
-                        30..=69 => rng.next_below(64),                     // short latency
-                        70..=84 => rng.next_below(HORIZON_CYCLES),         // anywhere in window
-                        85..=94 => HORIZON_CYCLES - 2 + rng.next_below(4), // boundary
-                        _ => HORIZON_CYCLES * (1 + rng.next_below(20)),    // far overflow
+                        0..=24 => 0,                                          // same-cycle storm
+                        25..=59 => rng.next_below(64),                        // short latency
+                        60..=69 => rng.next_below(HORIZON_CYCLES),            // anywhere in window
+                        70..=79 => WIRE_WINDOW - 2 + rng.next_below(4),       // wire boundary
+                        80..=89 => HORIZON_CYCLES - 2 + rng.next_below(4),    // ring boundary
+                        90..=94 => HORIZON_CYCLES * (1 + rng.next_below(20)), // far overflow
+                        _ => rng.next_below(20 * HORIZON_CYCLES),             // anywhere at all
                     };
                     // Occasionally aim before `now` to exercise the clamp.
                     let time = if rng.next_below(20) == 0 {

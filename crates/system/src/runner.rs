@@ -1140,6 +1140,36 @@ mod tests {
         assert!(matches!(err, SnapshotError::Checksum), "{err}");
     }
 
+    /// Tripwire for the calendar window, host-independent (it counts and
+    /// times nothing): on the 64-node reference point, the benchmark's
+    /// `scale64`, fewer than 1% of scheduled events may land beyond the
+    /// ring into the `BTreeMap` overflow level. A 16384-cycle ring sends
+    /// 598 of 1.69 M there; a 4096-cycle ring sent 16.5%, the contended
+    /// deliveries and reissue timers of a ~3800-cycle median miss.
+    #[test]
+    fn sixty_four_node_run_schedules_under_one_percent_past_the_calendar_window() {
+        let config = SystemConfig::isca03_default()
+            .with_nodes(64)
+            .with_protocol(ProtocolKind::TokenB)
+            .with_topology(TopologyKind::Torus)
+            .with_seed(12);
+        let mut system = System::build(&config, &WorkloadProfile::oltp());
+        let report = system.run(RunOptions {
+            ops_per_node: 375,
+            ..RunOptions::default()
+        });
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let (overflowed, scheduled) = (
+            system.queue.total_overflowed(),
+            system.queue.total_scheduled(),
+        );
+        assert!(
+            overflowed * 100 < scheduled,
+            "{overflowed} of {scheduled} events went past the {}-cycle calendar window",
+            tc_sim::queue::HORIZON_CYCLES
+        );
+    }
+
     #[test]
     fn traffic_report_includes_requests_and_data() {
         let report = run(ProtocolKind::TokenB, WorkloadProfile::oltp(), 1200);
