@@ -19,7 +19,6 @@
 //! verification failure), 42 on a simulated crash.
 
 use tc_bench::{parse_cli, Args, CampaignPlan, Command, RunOnePlan};
-use tc_sim::{JournalRecord, RunJournal};
 use tc_system::campaign::{Campaign, CampaignReport};
 use tc_system::System;
 
@@ -95,47 +94,25 @@ fn run_campaign_command(plan: CampaignPlan, args: Args) {
 
 /// `tc-bench run-one`: one point, run directly on the engine so snapshots
 /// can be cut, crashed on, and resumed — the CLI face of the snapshot
-/// plane. Writes `snap-<events>.tcsnap` plus an append-only `journal.tcj`
-/// (both torn-tail tolerant) into the checkpoint directory.
+/// plane. Writes each `snap-<events>.tcsnap` into the checkpoint directory
+/// through a temp file and a rename, so a run killed mid-write never
+/// leaves a torn one.
 fn run_one(plan: RunOnePlan) {
     let run_options = plan.options;
     let mut system = System::build(&plan.config, &plan.workload);
 
-    // The checkpoint sink: seal each snapshot to its own file and keep the
-    // journal current, so a crash at any instant leaves a resumable trail.
     let dir = plan.checkpoint_dir;
     if let Some(dir) = &dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir, e));
     }
-    let mut journal = match &dir {
-        Some(dir) => match std::fs::read(format!("{dir}/journal.tcj")) {
-            Ok(bytes) => {
-                let (journal, torn) = RunJournal::load(&bytes);
-                if torn {
-                    eprintln!(
-                        "journal.tcj has a torn tail (crashed run); {} intact records kept",
-                        journal.records().len()
-                    );
-                }
-                journal
-            }
-            Err(_) => RunJournal::new(),
-        },
-        None => RunJournal::new(),
-    };
     let crash_after = plan.crash_after;
     let mut checkpoints_sealed: u64 = 0;
     let mut sink = |events: u64, bytes: &[u8]| {
         let Some(dir) = &dir else { return };
         let path = format!("{dir}/snap-{events}.tcsnap");
-        write_file(&path, bytes);
-        journal.append(JournalRecord::Checkpoint {
-            events_delivered: events,
-            // The snapshot is cut between events; the journal's cycle is
-            // informational, so the event count doubles as its stamp.
-            cycle: events,
-        });
-        write_file(&format!("{dir}/journal.tcj"), journal.as_bytes());
+        let tmp = format!("{dir}/snap-{events}.tmp");
+        write_file(&tmp, bytes);
+        std::fs::rename(&tmp, &path).unwrap_or_else(|e| fail(&path, e));
         eprintln!("checkpoint at event {events}: {path}");
         checkpoints_sealed += 1;
         if crash_after == Some(checkpoints_sealed) {
@@ -157,14 +134,6 @@ fn run_one(plan: RunOnePlan) {
     } else {
         system.run_with_checkpoints(run_options, &mut sink)
     };
-
-    if let Some(dir) = &dir {
-        journal.append(JournalRecord::End {
-            events_delivered: system.events_delivered(),
-            cycle: report.runtime_cycles,
-        });
-        write_file(&format!("{dir}/journal.tcj"), journal.as_bytes());
-    }
 
     println!("{report}");
     println!("events_delivered: {}", system.events_delivered());

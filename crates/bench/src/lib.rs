@@ -439,7 +439,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
             ),
             (
                 "--checkpoint-dir DIR",
-                "write snap-<events>.tcsnap + journal.tcj into DIR",
+                "write each snapshot to DIR/snap-<events>.tcsnap",
             ),
             (
                 "--resume FILE",
@@ -850,7 +850,7 @@ pub struct RunOnePlan {
     pub workload: WorkloadProfile,
     /// Operation count, cycle budget, faults, checkpoint cadence, shards.
     pub options: RunOptions,
-    /// Where `snap-<events>.tcsnap` and `journal.tcj` are written.
+    /// Where each `snap-<events>.tcsnap` is written.
     pub checkpoint_dir: Option<String>,
     /// The snapshot to restore instead of starting fresh.
     pub resume: Option<String>,

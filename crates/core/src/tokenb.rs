@@ -9,9 +9,9 @@ use tc_memsys::{
 };
 use tc_sim::{snap_state, snap_struct, DeterministicRng};
 use tc_types::{
-    AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
-    Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind, MsgKind,
-    NodeId, Outbox, SystemConfig, Timer, TimerKind, Vnet,
+    AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Counter, Cycle,
+    DataPayload, Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind,
+    MsgKind, NodeId, Outbox, SystemConfig, Timer, TimerKind, Vnet,
 };
 
 use crate::arbiter::{ArbiterAction, PersistentArbiter};
@@ -818,17 +818,16 @@ impl CoherenceController for TokenBController {
             TimerKind::MemoryAccess => {
                 self.supply_from_local_memory(now, timer.addr, out);
             }
-            TimerKind::PersistentEscalation | TimerKind::Other(_) => {}
         }
     }
 
     fn stats(&self) -> ControllerStats {
         let mut stats = self.stats.clone();
         stats.bump(
-            "persistent_activations_observed",
+            Counter::PersistentActivationsObserved,
             self.persistent_table.activations_seen(),
         );
-        stats.bump("arbiter_activations", self.arbiter.activations());
+        stats.bump(Counter::ArbiterActivations, self.arbiter.activations());
         stats
     }
 

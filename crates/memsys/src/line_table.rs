@@ -33,6 +33,7 @@
 use std::fmt;
 
 use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
+use tc_types::config::MAX_LINE_TABLE_ENTRIES;
 use tc_types::BlockAddr;
 
 /// Key marking an empty slot. A real block with this address would need the
@@ -154,6 +155,19 @@ impl<V> LineTable<V> {
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// The capacity growth has reached once a table has held `high_water`
+    /// entries: none for none, else the smallest power of two, at least
+    /// [`INITIAL_CAPACITY`], that keeps them under the 3/4 ceiling.
+    fn capacity_for(high_water: usize) -> usize {
+        if high_water == 0 {
+            return 0;
+        }
+        (high_water * 4)
+            .div_ceil(3)
+            .next_power_of_two()
+            .max(INITIAL_CAPACITY)
     }
 
     /// Grows (or allocates) the backing arrays and reinserts every entry.
@@ -335,20 +349,29 @@ impl<V> LineTable<V> {
         }
     }
 
-    /// Rebuilds a table from [`LineTable::save_state`] bytes.
+    /// Rebuilds a table from [`LineTable::save_state`] bytes. Capacity only
+    /// changes by doubling under the 3/4 ceiling, so a saved capacity other
+    /// than the one growth gives for the high-water mark is a file no
+    /// writer made, and a high-water mark past [`MAX_LINE_TABLE_ENTRIES`]
+    /// is refused before anything is allocated for it.
     pub fn load_state(
         r: &mut SnapReader<'_>,
         mut read: impl FnMut(&mut SnapReader<'_>) -> Result<V, SnapshotError>,
     ) -> Result<LineTable<V>, SnapshotError> {
         let capacity = r.usize()?;
-        if capacity != 0 && !capacity.is_power_of_two() {
-            return Err(SnapshotError::Corrupt(format!(
-                "line table capacity {capacity}"
-            )));
-        }
         let high_water = r.usize()?;
         let len = r.usize()?;
-        if len > capacity || high_water < len {
+        if high_water > MAX_LINE_TABLE_ENTRIES {
+            return Err(SnapshotError::Corrupt(format!(
+                "line table high-water mark {high_water} (limit {MAX_LINE_TABLE_ENTRIES})"
+            )));
+        }
+        if capacity != Self::capacity_for(high_water) {
+            return Err(SnapshotError::Corrupt(format!(
+                "line table capacity {capacity} for high-water mark {high_water}"
+            )));
+        }
+        if len > high_water {
             return Err(SnapshotError::Corrupt("line table accounting".into()));
         }
         let mut keys = vec![EMPTY_KEY; capacity];
@@ -549,6 +572,67 @@ mod tests {
         // A genuinely new key at the ceiling does grow.
         t.insert(BlockAddr::new(99), 99);
         assert!(t.capacity() > capacity);
+    }
+
+    /// Every table growth builds round-trips, whatever its churn: the
+    /// capacity a load expects is the one growth gave.
+    #[test]
+    fn saved_tables_reload_at_every_size_and_churn() {
+        let mut t = table();
+        for i in 0..200u64 {
+            t.insert(BlockAddr::new(i * 7), i);
+            if i % 3 == 0 {
+                t.remove(BlockAddr::new(i * 7 / 2));
+            }
+            assert_eq!(t.capacity(), LineTable::<u64>::capacity_for(t.high_water()));
+            let mut w = SnapWriter::new();
+            t.save(&mut w);
+            let bytes = w.into_bytes();
+            let back = LineTable::<u64>::load(&mut SnapReader::new(&bytes)).unwrap();
+            let mut w = SnapWriter::new();
+            back.save(&mut w);
+            assert_eq!(w.into_bytes(), bytes, "after {i} inserts");
+        }
+    }
+
+    /// A header of `capacity`, `high_water` and `len` with no entries.
+    fn header(capacity: u64, high_water: u64, len: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        for v in [capacity, high_water, len] {
+            w.u64(v);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_refuses_a_capacity_growth_never_reaches() {
+        for (capacity, high_water, len) in [
+            (1 << 62, 0, 0),
+            (1 << 40, 0, 0),
+            (1 << 40, 1 << 39, 0),
+            (32, 12, 0), // 12 entries fit in 16 slots
+            (16, 13, 0), // 13 do not
+            (16, 0, 0),
+            (0, 1, 0),
+            (24, 12, 0),
+            (16, 4, 5),
+        ] {
+            let bytes = header(capacity, high_water, len);
+            let loaded = LineTable::<u64>::load(&mut SnapReader::new(&bytes));
+            assert!(
+                matches!(loaded, Err(SnapshotError::Corrupt(_))),
+                "capacity {capacity}, high water {high_water}, len {len}"
+            );
+        }
+        let peak = MAX_LINE_TABLE_ENTRIES as u64 + 1;
+        let capacity = LineTable::<u64>::capacity_for(peak as usize) as u64;
+        let loaded = LineTable::<u64>::load(&mut SnapReader::new(&header(capacity, peak, 0)));
+        assert!(
+            matches!(&loaded, Err(SnapshotError::Corrupt(why)) if why.contains("limit")),
+            "{loaded:?}"
+        );
+        let empty = LineTable::<u64>::load(&mut SnapReader::new(&header(0, 0, 0))).unwrap();
+        assert_eq!(empty.capacity(), 0);
     }
 
     #[test]

@@ -18,8 +18,8 @@ use std::collections::{BTreeSet, VecDeque};
 use tc_memsys::{OpList, OpSlab, PendingOp};
 use tc_sim::snap_struct;
 use tc_types::{
-    BlockAddr, Cycle, DataPayload, Destination, DirectoryMode, Message, MsgKind, NodeId, Outbox,
-    SystemConfig, Vnet,
+    BlockAddr, Counter, Cycle, DataPayload, Destination, DirectoryMode, Message, MsgKind, NodeId,
+    Outbox, SystemConfig, Vnet,
 };
 
 use crate::common::MosiState;
@@ -100,7 +100,7 @@ impl MosiNode<Directory> {
         out: &mut Outbox,
     ) {
         debug_assert!(self.is_home(addr));
-        self.stats.bump("directory_lookups", 1);
+        self.stats.bump(Counter::DirectoryLookups, 1);
         let entry = self.memory.state_mut(addr);
         if entry.busy {
             entry.queue.push_back((requester, write));
@@ -149,7 +149,7 @@ impl MosiNode<Directory> {
                         Vnet::Forwarded,
                     );
                     self.send(out, fwd);
-                    self.stats.bump("directory_forwards", 1);
+                    self.stats.bump(Counter::DirectoryForwards, 1);
                 }
                 _ => {
                     // Memory owns the block (or the requester is upgrading a
@@ -179,7 +179,7 @@ impl MosiNode<Directory> {
                     Vnet::Forwarded,
                 );
                 self.send(out, inv);
-                self.stats.bump("invalidations_sent", 1);
+                self.stats.bump(Counter::InvalidationsSent, 1);
             }
         } else {
             match owner {
@@ -195,7 +195,7 @@ impl MosiNode<Directory> {
                         Vnet::Forwarded,
                     );
                     self.send(out, fwd);
-                    self.stats.bump("directory_forwards", 1);
+                    self.stats.bump(Counter::DirectoryForwards, 1);
                 }
                 _ => {
                     // Memory owns the block: respond directly. The entry
@@ -291,7 +291,7 @@ impl MosiNode<Directory> {
         out: &mut Outbox,
     ) {
         let Some(line) = self.line_or_wb(addr) else {
-            self.stats.bump("forwards_without_copy", 1);
+            self.stats.bump(Counter::ForwardsWithoutCopy, 1);
             return;
         };
         // A write takes the block whole; so does a read of a dirty Modified

@@ -20,8 +20,8 @@ use std::collections::VecDeque;
 use tc_memsys::{OpList, OpSlab, PendingOp};
 use tc_sim::snap_struct;
 use tc_types::{
-    BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, SystemConfig,
-    Vnet,
+    BlockAddr, Counter, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox,
+    SystemConfig, Vnet,
 };
 
 use crate::common::QueuedRequest;
@@ -127,7 +127,7 @@ impl MosiNode<Hammer> {
             now + self.controller_latency,
         );
         self.send(out, probe);
-        self.stats.bump("hammer_probes", 1);
+        self.stats.bump(Counter::HammerProbes, 1);
 
         // In parallel, memory supplies its copy of the data.
         let version = self.memory.data_version(addr);

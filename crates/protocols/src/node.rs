@@ -28,9 +28,9 @@ use tc_memsys::{
 };
 use tc_sim::{snap_state, Snap, SnapWith};
 use tc_types::{
-    AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Cycle, DataPayload,
-    Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind, MsgKind,
-    NodeId, Outbox, ReqId, SystemConfig, Timer, Vnet,
+    AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Counter, Cycle,
+    DataPayload, Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind,
+    MsgKind, NodeId, Outbox, ReqId, SystemConfig, Timer, Vnet,
 };
 
 use crate::common::{MosiLine, MosiState, QueuedRequest, WritebackPlane};
@@ -424,7 +424,7 @@ impl<P: MosiPolicy> MosiNode<P> {
         P::completed(self, now, addr, mshr, granted_exclusive, out);
 
         if let Some(&first) = self.deferred_scratch.first() {
-            self.stats.bump("merged_store_upgrades", 1);
+            self.stats.bump(Counter::MergedStoreUpgrades, 1);
             let mut deferred = OpList::new();
             for op in self.deferred_scratch.drain(..) {
                 self.pending_ops.push(&mut deferred, op);

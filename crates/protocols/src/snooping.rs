@@ -38,7 +38,7 @@
 use tc_memsys::{OpList, OpSlab, PendingOp};
 use tc_sim::snap_struct;
 use tc_types::{
-    BlockAddr, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, ReqId,
+    BlockAddr, Counter, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, ReqId,
     SystemConfig, Vnet,
 };
 
@@ -188,7 +188,7 @@ impl MosiNode<Snooping> {
                 // requests with a plain shared copy so that ownership only
                 // leaves the buffer through a GetM (which the home can track).
                 let exclusive = self.answer_as_owner(now, addr, line, request, in_live_cache, out);
-                self.stats.bump("snoop_data_responses", 1);
+                self.stats.bump(Counter::SnoopDataResponses, 1);
                 if exclusive {
                     // Ownership (and the writeback obligation) moves to the
                     // requester; the pending writeback is cancelled.
@@ -209,7 +209,7 @@ impl MosiNode<Snooping> {
                 // acknowledgement is needed because the order is authoritative.
                 self.l2.remove(addr);
                 self.l1.invalidate(addr);
-                self.stats.bump("snoop_invalidations", 1);
+                self.stats.bump(Counter::SnoopInvalidations, 1);
             }
             _ => {}
         }
@@ -250,7 +250,7 @@ impl MosiNode<Snooping> {
                     req_id,
                 },
             );
-            self.stats.bump("wb_window_queued_requests", 1);
+            self.stats.bump(Counter::WbWindowQueuedRequests, 1);
         }
         // Otherwise some cache owns the block and observes this same ordered
         // request; answering is its responsibility.
@@ -283,7 +283,7 @@ impl MosiNode<Snooping> {
         );
         data.req_id = req_id;
         self.send(out, data);
-        self.stats.bump("memory_responses", 1);
+        self.stats.bump(Counter::MemoryResponses, 1);
     }
 
     /// An ordered PutM marker: opens the home's writeback window, and — at
@@ -332,7 +332,7 @@ impl MosiNode<Snooping> {
                     now + self.controller_latency,
                 )
             } else {
-                self.stats.bump("writebacks_cancelled", 1);
+                self.stats.bump(Counter::WritebacksCancelled, 1);
                 Message::new(
                     self.node,
                     Destination::Node(home),
@@ -389,7 +389,7 @@ impl MosiNode<Snooping> {
                         request.req_id,
                         out,
                     );
-                    self.stats.bump("wb_window_served_requests", 1);
+                    self.stats.bump(Counter::WbWindowServedRequests, 1);
                 }
             }
             // A cancelled marker needs no action: ownership never left the
@@ -508,7 +508,7 @@ impl MosiPolicy for Snooping {
     #[inline]
     fn before_access(node: &mut SnoopingController, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
         if let Some(line) = node.wb.take(addr) {
-            node.stats.bump("writeback_pullbacks", 1);
+            node.stats.bump(Counter::WritebackPullbacks, 1);
             node.install_line(now, addr, line, out);
         }
     }
@@ -671,7 +671,7 @@ mod tests {
         );
         // Memory stays the owner for shared data.
         let home_stats = nodes[0].stats();
-        assert_eq!(home_stats.counter("memory_responses"), 1);
+        assert_eq!(home_stats.counter(Counter::MemoryResponses), 1);
     }
 
     #[test]
@@ -822,7 +822,7 @@ mod tests {
             after_gets.messages.is_empty(),
             "no response while the window is open"
         );
-        assert_eq!(nodes[0].stats().counter("wb_window_queued_requests"), 1);
+        assert_eq!(nodes[0].stats().counter(Counter::WbWindowQueuedRequests), 1);
 
         // The writeback data arrives: memory applies it and serves the queue.
         let mut served = Outbox::new();
@@ -832,7 +832,7 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert!(!completions[0].cache_to_cache);
         assert_eq!(completions[0].data_version, line.version);
-        assert_eq!(nodes[0].stats().counter("wb_window_served_requests"), 1);
+        assert_eq!(nodes[0].stats().counter(Counter::WbWindowServedRequests), 1);
     }
 
     /// Re-accessing a block whose writeback is still in flight pulls it back
@@ -875,8 +875,8 @@ mod tests {
         let mut quiet = Outbox::new();
         nodes[0].handle_message(2200, &handshake.messages[0], &mut quiet);
         assert!(quiet.messages.is_empty());
-        assert_eq!(nodes[1].stats().counter("writeback_pullbacks"), 1);
-        assert_eq!(nodes[1].stats().counter("writebacks_cancelled"), 1);
+        assert_eq!(nodes[1].stats().counter(Counter::WritebackPullbacks), 1);
+        assert_eq!(nodes[1].stats().counter(Counter::WritebacksCancelled), 1);
 
         let mut out = Outbox::new();
         nodes[3].access(3000, &load(0, 9), &mut out);

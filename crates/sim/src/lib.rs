@@ -39,8 +39,8 @@ pub use arena::{Arena, ArenaRef};
 pub use queue::EventQueue;
 pub use rng::DeterministicRng;
 pub use snapshot::{
-    fnv1a64, open, seal, JournalRecord, RunJournal, Snap, SnapEach, SnapReader, SnapState,
-    SnapWith, SnapWriter, SnapshotError, SNAPSHOT_VERSION,
+    fnv1a64, open, seal, Snap, SnapEach, SnapReader, SnapState, SnapWith, SnapWriter,
+    SnapshotError, SNAPSHOT_VERSION,
 };
 
 /// Simulated time in nanoseconds (equal to processor cycles at 1 GHz).

@@ -1,4 +1,4 @@
-//! Versioned, checksummed engine snapshots and the append-only run journal.
+//! Versioned, checksummed engine snapshots.
 //!
 //! Everything here is hand-rolled and offline-safe: fixed-width
 //! little-endian fields, length-prefixed sequences, an FNV-1a-64 payload
@@ -13,11 +13,15 @@
 //! order, bucket FIFO order) round-trip byte-for-byte rather than being
 //! rebuilt by re-insertion, because iteration order feeds the
 //! deterministic event loop.
+//!
+//! Decoding is a pure function of the bytes: a load touches no state
+//! outside the value it builds, so the same bytes get the same verdict
+//! whatever the process loaded before.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Magic bytes opening every sealed snapshot (`TCSNAP` + 2 format bytes).
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
@@ -34,7 +38,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 ///   the runner fingerprint folds in `RunOptions::shards`.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Why a snapshot or journal could not be decoded.
+/// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The byte stream ended before the announced payload did.
@@ -73,9 +77,9 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a 64-bit over `bytes` — the integrity check for sealed payloads
-/// and journal records. Not cryptographic; it catches torn writes and
-/// bit rot, which is the failure model for a crash-resume file.
+/// FNV-1a 64-bit over `bytes` — the integrity check for sealed payloads.
+/// Not cryptographic; it catches torn writes and bit rot, which is the
+/// failure model for a crash-resume file.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -347,56 +351,6 @@ impl Snap for String {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         r.str()
-    }
-}
-
-/// Most distinct names loading will ever intern, and the longest it accepts.
-const MAX_INTERNED_NAMES: usize = 256;
-const MAX_INTERNED_NAME_BYTES: usize = 64;
-
-/// The names [`Snap::load`] has handed out as `&'static str`. Each distinct
-/// name is leaked once; the two caps bound the total, because the bytes
-/// come from files a checksum that is not cryptographic cannot vouch for.
-struct Interner(Vec<&'static str>);
-
-impl Interner {
-    fn intern(&mut self, name: &str) -> Result<&'static str, SnapshotError> {
-        if let Some(&known) = self.0.iter().find(|&&n| n == name) {
-            return Ok(known);
-        }
-        if name.len() > MAX_INTERNED_NAME_BYTES {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}-byte name (limit {MAX_INTERNED_NAME_BYTES})",
-                name.len()
-            )));
-        }
-        if self.0.len() >= MAX_INTERNED_NAMES {
-            return Err(SnapshotError::Corrupt(format!(
-                "more than {MAX_INTERNED_NAMES} distinct names"
-            )));
-        }
-        let leaked: &'static str = Box::leak(name.into());
-        self.0.push(leaked);
-        Ok(leaked)
-    }
-}
-
-/// A static name (a protocol counter's, say) is a string on the wire and
-/// loads by interning: the vocabulary is a handful of names fixed in the
-/// source, so a payload that presents more than `MAX_INTERNED_NAMES`
-/// distinct ones, or one longer than `MAX_INTERNED_NAME_BYTES`, is corrupt.
-impl Snap for &'static str {
-    fn save(&self, w: &mut SnapWriter) {
-        w.str(self);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        static NAMES: Mutex<Interner> = Mutex::new(Interner(Vec::new()));
-        let name = std::str::from_utf8(r.bytes()?)
-            .map_err(|_| SnapshotError::Corrupt("non-UTF-8 string".into()))?;
-        // A panic cannot leave the list half-updated, so a poisoned lock
-        // still guards a valid one.
-        let mut names = NAMES.lock().unwrap_or_else(|poison| poison.into_inner());
-        names.intern(name)
     }
 }
 
@@ -818,108 +772,6 @@ pub fn open(bytes: &[u8]) -> Result<(u32, &[u8]), SnapshotError> {
     Ok((version, payload))
 }
 
-/// One entry in the append-only run journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalRecord {
-    /// A snapshot was taken at this point in the run.
-    Checkpoint {
-        /// Engine event count when the snapshot was sealed.
-        events_delivered: u64,
-        /// Simulated cycle when the snapshot was sealed.
-        cycle: u64,
-    },
-    /// The run completed (drained or hit its cycle budget).
-    End {
-        /// Final engine event count.
-        events_delivered: u64,
-        /// Final simulated cycle.
-        cycle: u64,
-    },
-}
-// Tags 1 and 3 are retired: two violation records no writer ever appended.
-snap_enum!(JournalRecord, "journal record" {
-    0 => Checkpoint { events_delivered, cycle },
-    2 => End { events_delivered, cycle },
-});
-
-/// Append-only record of a run's progress between snapshots: checkpoints
-/// taken and the final event count. Each record is individually framed
-/// (`len u8 | body | fnv1a64(body) u64`, the body being the record's
-/// [`Snap`] layout) and checksummed, so a journal truncated by a crash
-/// loads every record up to the tear, and a record this build cannot load
-/// — a kind or layout appended by a newer writer — is skipped rather than
-/// mistaken for corruption.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RunJournal {
-    records: Vec<JournalRecord>,
-}
-
-impl RunJournal {
-    /// Empty journal.
-    pub fn new() -> Self {
-        RunJournal::default()
-    }
-
-    /// Appends one record.
-    pub fn append(&mut self, record: JournalRecord) {
-        self.records.push(record);
-    }
-
-    /// All records, in append order.
-    pub fn records(&self) -> &[JournalRecord] {
-        &self.records
-    }
-
-    /// Serializes every record as a framed, per-record-checksummed stream.
-    pub fn as_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.records.len() * 26);
-        for record in &self.records {
-            let mut w = SnapWriter::new();
-            record.save(&mut w);
-            let body = w.into_bytes();
-            debug_assert!(!body.is_empty() && body.len() <= usize::from(u8::MAX));
-            out.push(body.len() as u8);
-            out.extend_from_slice(&body);
-            out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-        }
-        out
-    }
-
-    /// Loads a journal, keeping every intact record before the first torn
-    /// one. Returns the journal and whether a tear was detected (a crashed
-    /// run legitimately leaves one). A record whose checksum verifies but
-    /// whose body does not load was written by a newer build: it is skipped
-    /// and the load continues — framing makes that safe.
-    pub fn load(bytes: &[u8]) -> (Self, bool) {
-        let mut journal = RunJournal::new();
-        let mut pos = 0;
-        let mut torn = false;
-        while pos < bytes.len() {
-            let len = usize::from(bytes[pos]);
-            if len == 0 || bytes.len() - pos < 1 + len + 8 {
-                torn = true;
-                break;
-            }
-            let body = &bytes[pos + 1..pos + 1 + len];
-            let want =
-                u64::from_le_bytes(bytes[pos + 1 + len..pos + 1 + len + 8].try_into().unwrap());
-            if fnv1a64(body) != want {
-                torn = true;
-                break;
-            }
-            pos += 1 + len + 8;
-            let mut r = SnapReader::new(body);
-            if let Ok(record) = JournalRecord::load(&mut r).and_then(|record| {
-                r.finish()?;
-                Ok(record)
-            }) {
-                journal.append(record);
-            }
-        }
-        (journal, torn)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -951,28 +803,6 @@ mod tests {
         assert_eq!(r.option(|r| r.u64()).unwrap(), None);
         assert_eq!(r.seq(|r| r.u64()).unwrap(), vec![10, 20, 30]);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn interner_leaks_at_most_its_caps() {
-        let mut names = Interner(Vec::new());
-        let first = names.intern("directory_lookups").unwrap();
-        assert!(std::ptr::eq(
-            first,
-            names.intern("directory_lookups").unwrap()
-        ));
-        let long = "x".repeat(MAX_INTERNED_NAME_BYTES + 1);
-        assert!(matches!(
-            names.intern(&long),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        let accepted = (0..10_000)
-            .filter(|i| names.intern(&format!("name{i}")).is_ok())
-            .count();
-        assert_eq!(accepted, MAX_INTERNED_NAMES - 1);
-        assert_eq!(names.0.len(), MAX_INTERNED_NAMES);
-        // Names already handed out keep loading once the table is full.
-        assert!(names.intern("name0").is_ok());
     }
 
     /// `(key, key * 10)` pairs for `keys`, in the given order, as a map's
@@ -1180,125 +1010,5 @@ mod tests {
             open(&sealed),
             Err(SnapshotError::BadVersion { found, .. }) if found == SNAPSHOT_VERSION + 9
         ));
-    }
-
-    #[test]
-    fn journal_round_trips_and_survives_a_tear() {
-        let mut journal = RunJournal::new();
-        journal.append(JournalRecord::Checkpoint {
-            events_delivered: 1000,
-            cycle: 40,
-        });
-        journal.append(JournalRecord::Checkpoint {
-            events_delivered: 1500,
-            cycle: 61,
-        });
-        journal.append(JournalRecord::End {
-            events_delivered: 317_430,
-            cycle: 99_000,
-        });
-        let bytes = journal.as_bytes();
-        let (loaded, torn) = RunJournal::load(&bytes);
-        assert!(!torn);
-        assert_eq!(loaded, journal);
-
-        // A crash mid-append leaves a torn tail: earlier records survive.
-        let (partial, torn) = RunJournal::load(&bytes[..bytes.len() - 10]);
-        assert!(torn);
-        assert_eq!(partial.records(), &journal.records()[..2]);
-
-        // A corrupted record body stops the load at the corruption point
-        // (frames are 26 bytes for the 17-byte-body kinds; byte 27 is
-        // inside the second record's body).
-        let mut bad = bytes.clone();
-        bad[27] ^= 0xFF;
-        let (partial, torn) = RunJournal::load(&bad);
-        assert!(torn);
-        assert_eq!(partial.records(), &journal.records()[..1]);
-
-        // A corrupted length byte desynchronizes the stream: also a tear.
-        let mut bad = bytes.clone();
-        bad[26] ^= 0xFF;
-        let (partial, torn) = RunJournal::load(&bad);
-        assert!(torn);
-        assert_eq!(partial.records(), &journal.records()[..1]);
-    }
-
-    /// The journal's bytes, pinned: one length byte, the body (one tag
-    /// byte, then little-endian fields), the body's `fnv1a64`. Checkpoint
-    /// directories on disk hold journals in this layout, so the figures
-    /// move only with a deliberate format change.
-    #[test]
-    fn journal_bytes_are_pinned() {
-        let mut journal = RunJournal::new();
-        journal.append(JournalRecord::Checkpoint {
-            events_delivered: 100_000,
-            cycle: 399_712,
-        });
-        journal.append(JournalRecord::Checkpoint {
-            events_delivered: 200_000,
-            cycle: 801_004,
-        });
-        journal.append(JournalRecord::End {
-            events_delivered: 317_430,
-            cycle: 1_268_828,
-        });
-        let bytes = journal.as_bytes();
-        assert_eq!(
-            (bytes.len(), fnv1a64(&bytes)),
-            (78, 0x9c0a3bc83debe35b),
-            "journal wire bytes moved"
-        );
-        assert_eq!(bytes[..2], [17, 0], "frame length, then the Checkpoint tag");
-        assert_eq!(bytes[53], 2, "the End tag");
-        // Every proper prefix loads the whole frames before the cut and
-        // reports the tear, unless the cut falls on a frame boundary.
-        for cut in 0..bytes.len() {
-            let (loaded, torn) = RunJournal::load(&bytes[..cut]);
-            assert_eq!(
-                loaded.records(),
-                &journal.records()[..cut / 26],
-                "cut {cut}"
-            );
-            assert_eq!(torn, cut % 26 != 0, "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn unknown_record_kinds_are_skipped_not_torn() {
-        let mut journal = RunJournal::new();
-        journal.append(JournalRecord::Checkpoint {
-            events_delivered: 100,
-            cycle: 10,
-        });
-        journal.append(JournalRecord::End {
-            events_delivered: 200,
-            cycle: 20,
-        });
-        let bytes = journal.as_bytes();
-
-        // Splice a well-formed frame with a future record kind (tag 200)
-        // between the two known records, as a newer writer would.
-        let future_body = [200u8, 1, 2, 3, 4, 5];
-        let mut spliced = bytes[..26].to_vec();
-        spliced.push(future_body.len() as u8);
-        spliced.extend_from_slice(&future_body);
-        spliced.extend_from_slice(&fnv1a64(&future_body).to_le_bytes());
-        spliced.extend_from_slice(&bytes[26..]);
-
-        let (loaded, torn) = RunJournal::load(&spliced);
-        assert!(!torn, "a valid unknown kind must not read as a tear");
-        assert_eq!(loaded.records(), journal.records());
-
-        // A known tag with an impossible body length is likewise a layout
-        // from some other build: skipped, not torn.
-        let short_known = [0u8, 9, 9];
-        let mut spliced = bytes.to_vec();
-        spliced.push(short_known.len() as u8);
-        spliced.extend_from_slice(&short_known);
-        spliced.extend_from_slice(&fnv1a64(&short_known).to_le_bytes());
-        let (loaded, torn) = RunJournal::load(&spliced);
-        assert!(!torn);
-        assert_eq!(loaded.records(), journal.records());
     }
 }

@@ -937,7 +937,7 @@ mod tests {
         let timer = Timer {
             id: 9,
             addr: BlockAddr::new(5),
-            kind: TimerKind::Other(4),
+            kind: TimerKind::MemoryAccess,
         };
         for event in [
             Event::Wakeup(node),

@@ -708,6 +708,15 @@ mod tests {
         fn outstanding_misses(&self) -> usize {
             self.inner.outstanding_misses()
         }
+        fn save_state(&self, w: &mut tc_sim::SnapWriter) {
+            self.inner.save_state(w)
+        }
+        fn load_state(
+            &mut self,
+            r: &mut tc_sim::SnapReader<'_>,
+        ) -> Result<(), tc_sim::SnapshotError> {
+            self.inner.load_state(r)
+        }
     }
 
     /// A panic inside a shard worker must reach the campaign driver as that

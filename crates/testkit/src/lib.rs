@@ -403,7 +403,10 @@ mod tests {
         assert_snap_round_trip(&[[1u64, 2, 3], [4, 5, 6]]);
         assert_snap_round_trip(&VecDeque::from([(NodeId::new(1), false)]));
         assert_snap_round_trip(&BTreeSet::from([BlockAddr::new(9), BlockAddr::new(2)]));
-        assert_snap_round_trip(&BTreeMap::from([("hits", 1u64), ("misses", 2)]));
+        assert_snap_round_trip(&BTreeMap::from([
+            ("hits".to_string(), 1u64),
+            ("misses".into(), 2),
+        ]));
         assert_snap_round_trip(&std::sync::Arc::<[NodeId]>::from(vec![NodeId::new(3)]));
         assert_snap_round_trip(&tc_sim::ArenaRef::from_bits(0x0000_0007_0000_0002));
         assert_snap_round_trip(&tc_sim::DeterministicRng::new(12));

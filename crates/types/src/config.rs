@@ -267,6 +267,14 @@ pub const MAX_NODES: usize = 1 << 16;
 /// here instead. Table 1 has 1.1 M, its 64-node sweep 4.3 M.
 pub const MAX_CACHE_LINES: u64 = 1 << 24;
 
+/// Most entries one line-state table (an MSHR table, a home's state, a
+/// writeback buffer) may have held for a snapshot of it to load: a table
+/// allocates slots for its high-water mark, which a file states. A table
+/// keyed by block address holds at most the blocks a workload touches; the
+/// largest any table of the 64-node sweep reaches is 552 entries (at
+/// 20000 and at 150000 operations per node alike).
+pub const MAX_LINE_TABLE_ENTRIES: usize = 1 << 20;
+
 /// Full system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {

@@ -92,12 +92,8 @@ impl MissCompletion {
 pub enum TimerKind {
     /// Reissue a transient request that has not completed (TokenB).
     Reissue,
-    /// Escalate a starving transient request to a persistent request (TokenB).
-    PersistentEscalation,
     /// Memory/DRAM access completes (used by home controllers).
     MemoryAccess,
-    /// Protocol-specific timer.
-    Other(u32),
 }
 
 /// A timer armed by a controller; delivered back via
@@ -112,11 +108,10 @@ pub struct Timer {
     pub kind: TimerKind,
 }
 
+// Tags 1 and 3 are retired: two kinds no controller ever armed.
 snap_enum!(TimerKind, "timer kind" {
     0 => Reissue,
-    1 => PersistentEscalation,
     2 => MemoryAccess,
-    3 => Other(code),
 });
 snap_struct!(Timer { id, addr, kind });
 
@@ -259,23 +254,15 @@ pub trait CoherenceController: fmt::Debug + Send {
     /// Serializes this controller's *mutable* state into an engine snapshot
     /// (see `tc_sim::snapshot`). Config-derived state (latencies, home
     /// maps, capacities, geometry) is rebuilt by construction and must not
-    /// be written here.
-    ///
-    /// The default writes nothing, which is only correct for a controller
-    /// with no mutable state beyond construction. Every real protocol must
-    /// override both this and [`CoherenceController::load_state`] — the
-    /// restore-equivalence contract (a resumed run's `RunReport` is
-    /// bit-identical to the uninterrupted run) depends on it.
-    fn save_state(&self, w: &mut SnapWriter) {
-        let _ = w;
-    }
+    /// be written here. The restore-equivalence contract (a resumed run's
+    /// `RunReport` is bit-identical to the uninterrupted run) depends on
+    /// this and [`CoherenceController::load_state`] covering every field a
+    /// run changes, so neither has a default.
+    fn save_state(&self, w: &mut SnapWriter);
 
     /// Restores state produced by [`CoherenceController::save_state`] onto
     /// a freshly-constructed controller of the same configuration.
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let _ = r;
-        Ok(())
-    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError>;
 }
 
 /// A boxed controller is restored in place through its own codec.
@@ -292,20 +279,23 @@ impl SnapState for Box<dyn CoherenceController> {
 mod tests {
     use super::*;
     use crate::addr::BlockAddr;
+    use tc_sim::Snap;
 
     #[test]
     fn timers_round_trip_every_kind() {
-        for kind in [
-            TimerKind::Reissue,
-            TimerKind::PersistentEscalation,
-            TimerKind::MemoryAccess,
-            TimerKind::Other(7),
-        ] {
+        for kind in [TimerKind::Reissue, TimerKind::MemoryAccess] {
             tc_testkit::assert_snap_round_trip(&Timer {
                 id: 9,
                 addr: BlockAddr::new(2),
                 kind,
             });
+        }
+        // The retired tags load as corrupt, never as another kind.
+        for tag in [1, 3] {
+            assert_eq!(
+                TimerKind::load(&mut SnapReader::new(&[tag])),
+                Err(SnapshotError::Corrupt(format!("timer kind tag {tag}")))
+            );
         }
     }
 

@@ -119,7 +119,7 @@ pub enum InvariantViolation {
         at: Cycle,
         /// How long the request had been waiting when starvation was
         /// declared (`at - issued_at`, in cycles). Carried explicitly so
-        /// journal records and fairness reports need no re-derivation.
+        /// fairness reports need no re-derivation.
         waited: Cycle,
     },
     /// The run made no forward progress for an entire event budget: events

@@ -72,6 +72,6 @@ pub use message::{
     DataPayload, Destination, Message, MsgKind, Vnet, CONTROL_MSG_BYTES, DATA_MSG_BYTES,
 };
 pub use stats::{
-    ControllerStats, EngineStats, LineStateStats, MissStats, ReissueStats, ShardStats,
+    ControllerStats, Counter, EngineStats, LineStateStats, MissStats, ReissueStats, ShardStats,
     TrafficClass, TrafficStats,
 };

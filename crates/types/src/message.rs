@@ -142,8 +142,6 @@ pub enum MsgKind {
     GetM,
     /// Writeback of an owned/modified block to its home (carries data).
     PutM,
-    /// Eviction notice of a shared block (control only; used by Directory).
-    PutS,
 
     // ------------------------------------------------------------------
     // Token Coherence (correctness substrate + TokenB).
@@ -285,7 +283,6 @@ impl MsgKind {
             MsgKind::GetS => "GetS",
             MsgKind::GetM => "GetM",
             MsgKind::PutM => "PutM",
-            MsgKind::PutS => "PutS",
             MsgKind::TokenData { .. } => "TokenData",
             MsgKind::TokenOnly { .. } => "TokenOnly",
             MsgKind::PersistentRequest { .. } => "PersistentRequest",
@@ -372,7 +369,8 @@ impl Message {
     }
 }
 
-// Wire layouts. Tags are append-only.
+// Wire layouts. Tags are append-only; `MsgKind` tag 3 is retired (a
+// shared-eviction notice no protocol ever sent).
 snap_struct!(DataPayload { version });
 snap_enum!(Vnet, "vnet" {
     0 => Request,
@@ -390,7 +388,6 @@ snap_enum!(MsgKind, "msg kind" {
     0 => GetS,
     1 => GetM,
     2 => PutM,
-    3 => PutS,
     4 => TokenData { tokens, owner, dirty, from_memory, payload },
     5 => TokenOnly { tokens },
     6 => PersistentRequest { write },
@@ -437,7 +434,7 @@ impl fmt::Display for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_sim::{Snap, SnapReader, SnapWriter};
+    use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
 
     fn msg(kind: MsgKind) -> Message {
         Message::new(
@@ -548,7 +545,6 @@ mod tests {
             MsgKind::GetS,
             MsgKind::GetM,
             MsgKind::PutM,
-            MsgKind::PutS,
             MsgKind::TokenData {
                 tokens: 3,
                 owner: true,
@@ -613,6 +609,11 @@ mod tests {
             }
             tc_testkit::assert_snap_round_trip(&m);
         }
+        // The retired tag loads as corrupt, never as another kind.
+        assert_eq!(
+            MsgKind::load(&mut SnapReader::new(&[3])),
+            Err(SnapshotError::Corrupt("msg kind tag 3".into()))
+        );
     }
 
     #[test]

@@ -4,11 +4,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tc_sim::snap_struct;
+use tc_sim::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::controller::MissKind;
 use crate::ids::Cycle;
 use crate::message::{Message, MsgKind};
+use crate::named_enum;
 
 /// Traffic classification used by the paper's traffic breakdowns
 /// (Figures 4b and 5b).
@@ -68,8 +69,7 @@ impl TrafficClass {
             | MsgKind::PersistentDeactivate
             | MsgKind::PersistentAck
             | MsgKind::PersistentComplete => TrafficClass::ReissueOrPersistent,
-            MsgKind::PutS
-            | MsgKind::TokenOnly { .. }
+            MsgKind::TokenOnly { .. }
             | MsgKind::InvAck
             | MsgKind::WbAck
             | MsgKind::WbCancel
@@ -475,6 +475,95 @@ snap_struct!(ShardStats {
     shard_peak_arena,
 });
 
+/// A protocol-specific counter: something one protocol counts beyond the
+/// shared statistics. The variants are declared in the byte order of their
+/// names, so a map keyed by them iterates, and saves, in name order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Counter {
+    /// Persistent requests the home arbiters activated (TokenB).
+    ArbiterActivations,
+    /// Requests a directory forwarded to the block's owner (Directory).
+    DirectoryForwards,
+    /// Requests a directory looked up at the home (Directory).
+    DirectoryLookups,
+    /// Forwarded requests that found no copy left to answer with
+    /// (Directory).
+    ForwardsWithoutCopy,
+    /// Probes a home broadcast for a request (Hammer).
+    HammerProbes,
+    /// Invalidations a directory sent to sharers (Directory).
+    InvalidationsSent,
+    /// Requests the home memory answered with data (Snooping).
+    MemoryResponses,
+    /// Read misses that completed with stores merged into them, re-issued
+    /// as one upgrade (the three baselines).
+    MergedStoreUpgrades,
+    /// Persistent-request activations a node's table observed (TokenB).
+    PersistentActivationsObserved,
+    /// Ordered requests an owner answered with data (Snooping).
+    SnoopDataResponses,
+    /// Shared copies an ordered GetM invalidated (Snooping).
+    SnoopInvalidations,
+    /// Requests queued behind an open writeback window (Snooping).
+    WbWindowQueuedRequests,
+    /// Queued requests served when their writeback window closed
+    /// (Snooping).
+    WbWindowServedRequests,
+    /// Blocks pulled back from the writeback buffer into the cache
+    /// (Snooping).
+    WritebackPullbacks,
+    /// Writebacks cancelled because the writer no longer held the block
+    /// when its PutM was ordered (Snooping).
+    WritebacksCancelled,
+}
+
+named_enum!(Counter, "counter" {
+    ArbiterActivations => "arbiter_activations",
+    DirectoryForwards => "directory_forwards",
+    DirectoryLookups => "directory_lookups",
+    ForwardsWithoutCopy => "forwards_without_copy",
+    HammerProbes => "hammer_probes",
+    InvalidationsSent => "invalidations_sent",
+    MemoryResponses => "memory_responses",
+    MergedStoreUpgrades => "merged_store_upgrades",
+    PersistentActivationsObserved => "persistent_activations_observed",
+    SnoopDataResponses => "snoop_data_responses",
+    SnoopInvalidations => "snoop_invalidations",
+    WbWindowQueuedRequests => "wb_window_queued_requests",
+    WbWindowServedRequests => "wb_window_served_requests",
+    WritebackPullbacks => "writeback_pullbacks",
+    WritebacksCancelled => "writebacks_cancelled",
+});
+
+/// A counter debug-prints as its quoted name, the form `run-one
+/// --report-out` writes.
+impl fmt::Debug for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.name(), f)
+    }
+}
+
+/// On the wire a counter is its name, and it loads by exact match: the
+/// names above are every one a writer produces, so any other string,
+/// another case of one included, is `Corrupt`.
+impl Snap for Counter {
+    fn save(&self, w: &mut SnapWriter) {
+        w.str(self.name());
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let name = r.bytes()?;
+        Counter::ALL
+            .into_iter()
+            .find(|c| c.name().as_bytes() == name)
+            .ok_or_else(|| {
+                SnapshotError::Corrupt(format!(
+                    "unknown counter {:?}",
+                    String::from_utf8_lossy(name)
+                ))
+            })
+    }
+}
+
 /// Statistics exported by a coherence controller.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ControllerStats {
@@ -488,9 +577,11 @@ pub struct ControllerStats {
     pub messages_sent: u64,
     /// Number of messages this controller received.
     pub messages_received: u64,
-    /// Protocol-specific named counters (for example directory lookups or
-    /// snoop responses), reported verbatim in experiment output.
-    pub extra: BTreeMap<&'static str, u64>,
+    /// Protocol-specific counters (for example directory lookups or snoop
+    /// responses). They ride in the `RunReport` bytes (snapshots, the result
+    /// cache, the benchmark fingerprint) and its debug form (`run-one
+    /// --report-out`); [`ControllerStats::counter`] reads one.
+    pub extra: BTreeMap<Counter, u64>,
 }
 
 impl ControllerStats {
@@ -499,14 +590,14 @@ impl ControllerStats {
         ControllerStats::default()
     }
 
-    /// Adds `amount` to a protocol-specific named counter.
-    pub fn bump(&mut self, counter: &'static str, amount: u64) {
+    /// Adds `amount` to a protocol-specific counter.
+    pub fn bump(&mut self, counter: Counter, amount: u64) {
         *self.extra.entry(counter).or_insert(0) += amount;
     }
 
-    /// Reads a protocol-specific named counter.
-    pub fn counter(&self, counter: &str) -> u64 {
-        self.extra.get(counter).copied().unwrap_or(0)
+    /// Reads a protocol-specific counter.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.extra.get(&counter).copied().unwrap_or(0)
     }
 
     /// Merges another controller's statistics into this one.
@@ -516,14 +607,13 @@ impl ControllerStats {
         self.persistent_requests_initiated += other.persistent_requests_initiated;
         self.messages_sent += other.messages_sent;
         self.messages_received += other.messages_received;
-        for (k, v) in &other.extra {
+        for (&k, v) in &other.extra {
             *self.extra.entry(k).or_insert(0) += v;
         }
     }
 }
 
-// The named extras travel in the `BTreeMap`'s key order; loading a name
-// interns it (see `Snap for &'static str`).
+// The counters travel in the map's key order, which is their names' order.
 snap_struct!(ControllerStats {
     misses,
     reissue,
@@ -682,9 +772,33 @@ mod tests {
             messages_received: 3,
             ..ControllerStats::default()
         };
-        controller.bump("directory_lookups", 5);
-        controller.bump("snoop_responses", 6);
+        controller.bump(Counter::DirectoryLookups, 5);
+        controller.bump(Counter::SnoopDataResponses, 6);
         assert_snap_round_trip(&controller);
+        // A counter is one of the declared names, in name byte order (the
+        // order `extra` saves in), and loads by exact match alone. The same
+        // bytes get the same verdict however often they are loaded.
+        crate::json::assert_named_enum(&Counter::ALL);
+        assert!(Counter::ALL.windows(2).all(|p| p[0].name() < p[1].name()));
+        for name in ["no_such_counter", "Directory_Lookups"] {
+            let mut w = SnapWriter::new();
+            ControllerStats::new().save(&mut w);
+            let mut bytes = w.into_bytes();
+            bytes.truncate(bytes.len() - 8); // the empty map's length prefix
+            let mut w = SnapWriter::new();
+            w.seq([name].into_iter(), |w, name| {
+                w.str(name);
+                w.u64(1);
+            });
+            bytes.extend(w.into_bytes());
+            for _ in 0..2 {
+                let loaded = ControllerStats::load(&mut SnapReader::new(&bytes));
+                assert!(
+                    matches!(&loaded, Err(SnapshotError::Corrupt(why)) if why.contains(name)),
+                    "{name}: {loaded:?}"
+                );
+            }
+        }
         let state = LineStateStats {
             mshr_peak: 1,
             wb_buffer_peak: 2,
@@ -726,14 +840,14 @@ mod tests {
     #[test]
     fn controller_stats_merge_and_counters() {
         let mut a = ControllerStats::new();
-        a.bump("directory_lookups", 5);
+        a.bump(Counter::DirectoryLookups, 5);
         a.messages_sent = 10;
         let mut b = ControllerStats::new();
-        b.bump("directory_lookups", 3);
+        b.bump(Counter::DirectoryLookups, 3);
         b.messages_sent = 2;
         a.merge(&b);
-        assert_eq!(a.counter("directory_lookups"), 8);
+        assert_eq!(a.counter(Counter::DirectoryLookups), 8);
         assert_eq!(a.messages_sent, 12);
-        assert_eq!(a.counter("missing"), 0);
+        assert_eq!(a.counter(Counter::HammerProbes), 0);
     }
 }

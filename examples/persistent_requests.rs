@@ -14,6 +14,7 @@
 //! ```
 
 use token_coherence::prelude::*;
+use token_coherence::types::Counter;
 
 fn main() {
     let config = SystemConfig::isca03_default();
@@ -43,7 +44,7 @@ fn main() {
         println!(
             "  persistent requests initiated: {}   arbiter activations: {}   safety checks: {}\n",
             report.controllers.persistent_requests_initiated,
-            report.controllers.counter("arbiter_activations"),
+            report.controllers.counter(Counter::ArbiterActivations),
             if report.verified().is_ok() {
                 "all passed"
             } else {
