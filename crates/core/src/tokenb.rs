@@ -4,10 +4,9 @@
 use std::collections::BTreeSet;
 
 use tc_memsys::{
-    hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, OpList, OpSlab, PendingOp,
-    SetAssocCache,
+    hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, PendingOp, SetAssocCache,
 };
-use tc_sim::{snap_state, snap_struct, DeterministicRng};
+use tc_sim::{snap_state, snap_struct, DeterministicRng, Fifo, FifoPool};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Counter, Cycle,
     DataPayload, Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind,
@@ -20,10 +19,10 @@ use crate::state::{Holding, MemTokens, TokenLine, TokenTransfer};
 use crate::timeout::MissLatencyTracker;
 
 /// Bookkeeping for one outstanding TokenB miss. The pending-op list lives
-/// in the controller's [`OpSlab`] pool.
+/// in the controller's [`FifoPool`].
 #[derive(Debug)]
 struct TokenMshr {
-    pending: OpList,
+    pending: Fifo,
     /// Whether the miss needs all tokens (any pending store).
     write: bool,
     /// Whether the processor already held a readable copy (upgrade miss).
@@ -42,7 +41,7 @@ struct TokenMshr {
     data_from_memory: bool,
 }
 
-snap_struct!(TokenMshr in OpSlab<PendingOp> {
+snap_struct!(TokenMshr in FifoPool<PendingOp> {
     pending,
     write,
     upgrade,
@@ -87,7 +86,7 @@ pub struct TokenBController {
     store_counter: u64,
     timer_seq: u64,
     /// Pooled storage for every MSHR entry's pending-op list.
-    pending_ops: OpSlab<PendingOp>,
+    pending_ops: FifoPool<PendingOp>,
 }
 
 impl TokenBController {
@@ -124,7 +123,7 @@ impl TokenBController {
             migratory_optimization: config.token.migratory_optimization,
             store_counter: 0,
             timer_seq: 0,
-            pending_ops: OpSlab::new(),
+            pending_ops: FifoPool::new(),
         }
     }
 
@@ -972,8 +971,8 @@ mod tests {
         let home_out = deliver(&out, &mut home, 20);
         deliver(&home_out, &mut requester, 120);
         assert_eq!(requester.outstanding_misses(), 0);
-        let (fresh_after_warmup, _) = requester.pending_ops.counters();
-        assert_eq!(fresh_after_warmup, 1);
+        let nodes_after_warmup = requester.pending_ops.nodes();
+        assert_eq!(nodes_after_warmup, 1);
 
         // Steady state: churn many more misses (distinct home-0 blocks so
         // each access is a genuine miss) than the warm-up population.
@@ -987,13 +986,12 @@ mod tests {
             assert_eq!(requester.outstanding_misses(), 0);
         }
 
-        let (fresh, recycled) = requester.pending_ops.counters();
         assert_eq!(
-            fresh, fresh_after_warmup,
+            requester.pending_ops.nodes(),
+            nodes_after_warmup,
             "steady-state misses must recycle pending-op storage, not grow it"
         );
-        assert_eq!(recycled, 199);
-        assert_eq!(requester.pending_ops.live(), 0);
+        assert_eq!(requester.pending_ops.values().count(), 0);
     }
 
     #[test]

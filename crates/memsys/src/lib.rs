@@ -17,11 +17,10 @@
 //!   skips the L2 tag probe on hits.
 //! * [`MshrTable`] — bookkeeping for outstanding misses (miss status holding
 //!   registers), with a configurable capacity.
-//! * [`OpSlab`] — a pooled store for the small FIFO lists MSHR entries keep
-//!   (pending processor ops merged into a miss), recycling nodes through an
-//!   intrusive free list so churny miss traffic allocates nothing in the
-//!   steady state — with [`PendingOp`], the record those lists hold, the
-//!   lists' snapshot codec and the per-node store-version tag beside it.
+//! * [`PendingOp`] — the record an MSHR entry keeps per processor op merged
+//!   into its miss (in a `tc_sim::FifoPool` list, so churny miss traffic
+//!   allocates nothing in the steady state), with the per-node
+//!   store-version tag beside it.
 //! * [`HomeMemory`] — per-home-node storage: the DRAM copy of each block (a
 //!   version number standing in for 64 bytes of data) plus protocol-specific
 //!   home state (directory entries, memory token counts, owner bits).
@@ -45,12 +44,10 @@ pub mod cache;
 pub mod line_table;
 pub mod memory;
 pub mod mshr;
-pub mod op_slab;
 pub mod pending;
 
 pub use cache::{hinted_get, CacheLine, L1Filter, SetAssocCache};
 pub use line_table::LineTable;
 pub use memory::HomeMemory;
 pub use mshr::MshrTable;
-pub use op_slab::{OpIter, OpList, OpSlab};
 pub use pending::{version_node_bits, PendingOp};

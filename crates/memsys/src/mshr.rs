@@ -1,10 +1,9 @@
 //! Miss status holding registers (MSHRs): bookkeeping for outstanding misses.
 
-use tc_sim::{SnapReader, SnapWith, SnapWriter, SnapshotError};
+use tc_sim::{FifoPool, SnapReader, SnapWith, SnapWriter, SnapshotError};
 use tc_types::BlockAddr;
 
 use crate::line_table::LineTable;
-use crate::op_slab::OpSlab;
 use crate::pending::PendingOp;
 
 /// A table of outstanding misses, at most one entry per block, with a
@@ -133,26 +132,26 @@ impl<E> MshrTable<E> {
 /// The `mshrs in pending_ops` field of a controller's `snap_state!`: the
 /// counters, then the entry table with each pending list written through
 /// the pool (capacity is config-derived).
-impl<E: SnapWith<OpSlab<PendingOp>>> MshrTable<E> {
-    /// Serializes the table, reading pending lists out of `slab`.
-    pub fn save_state(&self, w: &mut SnapWriter, slab: &OpSlab<PendingOp>) {
+impl<E: SnapWith<FifoPool<PendingOp>>> MshrTable<E> {
+    /// Serializes the table, reading pending lists out of `pool`.
+    pub fn save_state(&self, w: &mut SnapWriter, pool: &FifoPool<PendingOp>) {
         w.u64(self.allocations);
         w.u64(self.capacity_stalls);
-        self.entries.save_state(w, |w, e| e.save_with(w, slab));
+        self.entries.save_state(w, |w, e| e.save_with(w, pool));
     }
 
     /// Restores [`MshrTable::save_state`] bytes onto a same-capacity table,
-    /// refusing more entries than it holds. `slab` holds exactly this
+    /// refusing more entries than it holds. `pool` holds exactly this
     /// table's pending lists, so it is emptied and every list re-minted.
     pub fn load_state(
         &mut self,
         r: &mut SnapReader<'_>,
-        slab: &mut OpSlab<PendingOp>,
+        pool: &mut FifoPool<PendingOp>,
     ) -> Result<(), SnapshotError> {
         self.allocations = r.u64()?;
         self.capacity_stalls = r.u64()?;
-        slab.reset();
-        self.entries = LineTable::load_state(r, |r| E::load_with(r, slab))?;
+        pool.reset();
+        self.entries = LineTable::load_state(r, |r| E::load_with(r, pool))?;
         if self.entries.len() > self.capacity {
             return Err(SnapshotError::Corrupt("MSHR population".into()));
         }

@@ -1,11 +1,9 @@
-//! What every controller's MSHR keeps per merged processor operation, and
-//! the two small conventions that go with it: how a pending list travels in
-//! a snapshot, and how a node tags the store versions it mints.
+//! What every controller's MSHR keeps per merged processor operation (in a
+//! `tc_sim::FifoPool` list), and how a node tags the store versions it
+//! mints.
 
-use tc_sim::{snap_struct, Snap, SnapReader, SnapWith, SnapWriter, SnapshotError};
+use tc_sim::snap_struct;
 use tc_types::{NodeId, ReqId};
-
-use crate::op_slab::{OpList, OpSlab};
 
 /// One pending processor operation merged into an outstanding miss.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,24 +16,6 @@ pub struct PendingOp {
 
 snap_struct!(PendingOp { req_id, write });
 
-/// A pending list is its ops, front to back, as a sequence: written out of
-/// the controller's pool and re-minted into it on load.
-impl SnapWith<OpSlab<PendingOp>> for OpList {
-    fn save_with(&self, w: &mut SnapWriter, slab: &OpSlab<PendingOp>) {
-        w.seq(slab.iter(self), |w, op| op.save(w));
-    }
-    fn load_with(
-        r: &mut SnapReader<'_>,
-        slab: &mut OpSlab<PendingOp>,
-    ) -> Result<OpList, SnapshotError> {
-        let mut pending = OpList::new();
-        for _ in 0..r.bounded_len(9)? {
-            slab.push(&mut pending, PendingOp::load(r)?);
-        }
-        Ok(pending)
-    }
-}
-
 /// The version-counter node tag: per-node store versions are
 /// `((node + 1) << 40) | counter`, unique across nodes and monotone per
 /// node.
@@ -47,31 +27,32 @@ pub fn version_node_bits(node: NodeId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_sim::{Fifo, FifoPool, Snap, SnapReader, SnapWith, SnapWriter};
 
     #[test]
     fn pending_list_reads_back_in_order_and_rejects_truncation() {
-        let mut slab = OpSlab::new();
-        let mut list = OpList::new();
+        let mut pool = FifoPool::new();
+        let mut list = Fifo::new();
         for (id, write) in [(7, false), (8, true), (9, false)] {
             let req_id = ReqId::new(id);
-            slab.push(&mut list, PendingOp { req_id, write });
+            pool.push(&mut list, PendingOp { req_id, write });
         }
         let mut w = SnapWriter::new();
-        list.save_with(&mut w, &slab);
+        list.save_with(&mut w, &pool);
         let bytes = w.into_bytes();
         let mut seq = SnapWriter::new();
-        seq.seq(slab.iter(&list), |w, op| op.save(w));
+        seq.seq(pool.iter(&list), |w, op| op.save(w));
         assert_eq!(bytes, seq.into_bytes(), "a list is the sequence of its ops");
 
-        let mut fresh = OpSlab::new();
+        let mut fresh = FifoPool::new();
         let mut r = SnapReader::new(&bytes);
-        let read = OpList::load_with(&mut r, &mut fresh).unwrap();
+        let read = Fifo::load_with(&mut r, &mut fresh).unwrap();
         r.finish().unwrap();
-        let ops = |slab: &OpSlab<PendingOp>, l: &OpList| slab.iter(l).copied().collect::<Vec<_>>();
-        assert_eq!(ops(&fresh, &read), ops(&slab, &list));
+        let ops = |pool: &FifoPool<PendingOp>, l: &Fifo| pool.iter(l).copied().collect::<Vec<_>>();
+        assert_eq!(ops(&fresh, &read), ops(&pool, &list));
 
         let mut r = SnapReader::new(&bytes[..bytes.len() - 1]);
-        assert!(OpList::load_with(&mut r, &mut OpSlab::new()).is_err());
+        assert!(Fifo::load_with(&mut r, &mut FifoPool::<PendingOp>::new()).is_err());
     }
 
     #[test]

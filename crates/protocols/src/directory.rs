@@ -15,8 +15,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use tc_memsys::{OpList, OpSlab, PendingOp};
-use tc_sim::snap_struct;
+use tc_memsys::PendingOp;
+use tc_sim::{snap_struct, Fifo, FifoPool};
 use tc_types::{
     BlockAddr, Counter, Cycle, DataPayload, Destination, DirectoryMode, Message, MsgKind, NodeId,
     Outbox, SystemConfig, Vnet,
@@ -26,10 +26,10 @@ use crate::common::MosiState;
 use crate::node::{Grant, MosiNode, MosiPolicy};
 
 /// Requester-side bookkeeping for an outstanding directory miss. The
-/// pending-op list lives in the controller's [`OpSlab`] pool.
+/// pending-op list lives in the controller's [`FifoPool`].
 #[derive(Debug)]
 pub struct DirMshr {
-    pending: OpList,
+    pending: Fifo,
     write: bool,
     upgrade: bool,
     issued_at: Cycle,
@@ -42,7 +42,7 @@ pub struct DirMshr {
     from_cache: bool,
 }
 
-snap_struct!(DirMshr in OpSlab<PendingOp> {
+snap_struct!(DirMshr in FifoPool<PendingOp> {
     pending,
     write,
     upgrade,
@@ -387,7 +387,7 @@ impl MosiPolicy for Directory {
         Destination::Node(home)
     }
 
-    fn new_mshr(&self, pending: OpList, first: PendingOp, upgrade: bool, now: Cycle) -> DirMshr {
+    fn new_mshr(&self, pending: Fifo, first: PendingOp, upgrade: bool, now: Cycle) -> DirMshr {
         DirMshr {
             pending,
             write: first.write,
@@ -403,7 +403,7 @@ impl MosiPolicy for Directory {
         }
     }
 
-    fn pending(mshr: &mut DirMshr) -> &mut OpList {
+    fn pending(mshr: &mut DirMshr) -> &mut Fifo {
         &mut mshr.pending
     }
 
@@ -529,8 +529,8 @@ mod tests {
         let done = deliver(&home_out, &mut requester, 200);
         deliver(&done, &mut home, 210);
         assert_eq!(requester.outstanding_misses(), 0);
-        let (fresh_after_warmup, _) = requester.pending_ops.counters();
-        assert!(fresh_after_warmup >= 2);
+        let nodes_after_warmup = requester.pending_ops.nodes();
+        assert!(nodes_after_warmup >= 2);
 
         // Steady state: churn many more misses (distinct home-0 blocks so
         // each access is a genuine miss) than the warm-up population.
@@ -545,15 +545,12 @@ mod tests {
             assert_eq!(requester.outstanding_misses(), 0);
         }
 
-        let (fresh, recycled) = requester.pending_ops.counters();
         assert_eq!(
-            fresh, fresh_after_warmup,
+            requester.pending_ops.nodes(),
+            nodes_after_warmup,
             "steady-state misses must recycle pending-op storage, not grow it"
         );
-        // 199 steady-state singletons plus the warm-up's deferred-upgrade
-        // list, which was already served from the free list.
-        assert_eq!(recycled, 200);
-        assert_eq!(requester.pending_ops.live(), 0);
+        assert_eq!(requester.pending_ops.values().count(), 0);
     }
 
     #[test]

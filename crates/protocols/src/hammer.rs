@@ -17,8 +17,8 @@
 
 use std::collections::VecDeque;
 
-use tc_memsys::{OpList, OpSlab, PendingOp};
-use tc_sim::snap_struct;
+use tc_memsys::PendingOp;
+use tc_sim::{snap_struct, Fifo, FifoPool};
 use tc_types::{
     BlockAddr, Counter, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox,
     SystemConfig, Vnet,
@@ -30,7 +30,7 @@ use crate::node::{Grant, MosiNode, MosiPolicy};
 /// Requester-side bookkeeping for an outstanding Hammer miss.
 #[derive(Debug)]
 pub struct HammerMshr {
-    pending: OpList,
+    pending: Fifo,
     write: bool,
     upgrade: bool,
     issued_at: Cycle,
@@ -45,7 +45,7 @@ pub struct HammerMshr {
     memory_data_received: bool,
 }
 
-snap_struct!(HammerMshr in OpSlab<PendingOp> {
+snap_struct!(HammerMshr in FifoPool<PendingOp> {
     pending,
     write,
     upgrade,
@@ -256,7 +256,7 @@ impl MosiPolicy for Hammer {
         Destination::Node(home)
     }
 
-    fn new_mshr(&self, pending: OpList, first: PendingOp, upgrade: bool, now: Cycle) -> HammerMshr {
+    fn new_mshr(&self, pending: Fifo, first: PendingOp, upgrade: bool, now: Cycle) -> HammerMshr {
         HammerMshr {
             pending,
             write: first.write,
@@ -275,7 +275,7 @@ impl MosiPolicy for Hammer {
         }
     }
 
-    fn pending(mshr: &mut HammerMshr) -> &mut OpList {
+    fn pending(mshr: &mut HammerMshr) -> &mut Fifo {
         &mut mshr.pending
     }
 

@@ -23,10 +23,9 @@
 use std::fmt;
 
 use tc_memsys::{
-    hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, OpList, OpSlab, PendingOp,
-    SetAssocCache,
+    hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, PendingOp, SetAssocCache,
 };
-use tc_sim::{snap_state, Snap, SnapWith};
+use tc_sim::{snap_state, Fifo, FifoPool, Snap, SnapWith};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Counter, Cycle,
     DataPayload, Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind,
@@ -70,8 +69,8 @@ pub trait MosiPolicy: fmt::Debug + Send + Sized {
     const TAGS_REQUESTS: bool = false;
 
     /// Requester-side bookkeeping for one outstanding miss, with its wire
-    /// layout (pending ops first, through the node's [`OpSlab`]).
-    type Mshr: fmt::Debug + Send + SnapWith<OpSlab<PendingOp>>;
+    /// layout (pending ops first, through the node's [`FifoPool`]).
+    type Mshr: fmt::Debug + Send + SnapWith<FifoPool<PendingOp>>;
     /// Home-side state for one block.
     type Home: Default + Clone + fmt::Debug + Send + Snap;
 
@@ -82,10 +81,10 @@ pub trait MosiPolicy: fmt::Debug + Send + Sized {
     fn destination(&self, home: NodeId) -> Destination;
 
     /// A fresh MSHR for a miss opened by `first` at `now`.
-    fn new_mshr(&self, pending: OpList, first: PendingOp, upgrade: bool, now: Cycle) -> Self::Mshr;
+    fn new_mshr(&self, pending: Fifo, first: PendingOp, upgrade: bool, now: Cycle) -> Self::Mshr;
 
-    /// The MSHR's pending-op list (stored in the node's [`OpSlab`]).
-    fn pending(mshr: &mut Self::Mshr) -> &mut OpList;
+    /// The MSHR's pending-op list (stored in the node's [`FifoPool`]).
+    fn pending(mshr: &mut Self::Mshr) -> &mut Fifo;
 
     /// Runs before the hit path of every access.
     #[inline]
@@ -131,7 +130,7 @@ pub struct MosiNode<P: MosiPolicy> {
     pub(crate) stats: ControllerStats,
     store_counter: u64,
     /// Pooled storage for every MSHR entry's pending-op list.
-    pub(crate) pending_ops: OpSlab<PendingOp>,
+    pub(crate) pending_ops: FifoPool<PendingOp>,
     /// Reusable completion/deferral scratch for `apply_pending_ops`, so the
     /// completion path allocates nothing in the steady state.
     completion_scratch: Vec<(ReqId, u64)>,
@@ -157,7 +156,7 @@ impl<P: MosiPolicy> MosiNode<P> {
             migratory_optimization: config.token.migratory_optimization,
             stats: ControllerStats::new(),
             store_counter: 0,
-            pending_ops: OpSlab::new(),
+            pending_ops: FifoPool::new(),
             completion_scratch: Vec::new(),
             deferred_scratch: Vec::new(),
             policy: P::new(config),
@@ -314,7 +313,7 @@ impl<P: MosiPolicy> MosiNode<P> {
         &mut self,
         now: Cycle,
         addr: BlockAddr,
-        pending: OpList,
+        pending: Fifo,
         first: PendingOp,
         upgrade: bool,
         out: &mut Outbox,
@@ -346,12 +345,7 @@ impl<P: MosiPolicy> MosiNode<P> {
     /// line: stores not granted exclusivity are left in `deferred_scratch`
     /// for re-issue as an upgrade, everything else yields `(req_id,
     /// version)` completions in `completion_scratch`, in order.
-    fn apply_pending_ops(
-        &mut self,
-        line: &mut MosiLine,
-        pending: &OpList,
-        granted_exclusive: bool,
-    ) {
+    fn apply_pending_ops(&mut self, line: &mut MosiLine, pending: &Fifo, granted_exclusive: bool) {
         self.completion_scratch.clear();
         self.deferred_scratch.clear();
         for op in self.pending_ops.iter(pending) {
@@ -425,7 +419,7 @@ impl<P: MosiPolicy> MosiNode<P> {
 
         if let Some(&first) = self.deferred_scratch.first() {
             self.stats.bump(Counter::MergedStoreUpgrades, 1);
-            let mut deferred = OpList::new();
+            let mut deferred = Fifo::new();
             for op in self.deferred_scratch.drain(..) {
                 self.pending_ops.push(&mut deferred, op);
             }

@@ -35,8 +35,8 @@
 //! it fundamentally cannot run on the unordered torus, which is exactly the
 //! limitation TokenB removes.
 
-use tc_memsys::{OpList, OpSlab, PendingOp};
-use tc_sim::snap_struct;
+use tc_memsys::PendingOp;
+use tc_sim::{snap_struct, Fifo, FifoPool};
 use tc_types::{
     BlockAddr, Counter, Cycle, DataPayload, Destination, Message, MsgKind, NodeId, Outbox, ReqId,
     SystemConfig, Vnet,
@@ -48,7 +48,7 @@ use crate::node::{Grant, MosiNode, MosiPolicy};
 /// Requester-side bookkeeping for an outstanding snooping miss.
 #[derive(Debug)]
 pub struct SnoopMshr {
-    pending: OpList,
+    pending: Fifo,
     /// The request id this transaction was broadcast under. Every data
     /// response echoes it, so a late response to an already-completed
     /// transaction (for example the redundant memory response to an upgrade
@@ -73,7 +73,7 @@ pub struct SnoopMshr {
     forward_queue: Vec<QueuedRequest>,
 }
 
-snap_struct!(SnoopMshr in OpSlab<PendingOp> {
+snap_struct!(SnoopMshr in FifoPool<PendingOp> {
     pending,
     req_id,
     write,
@@ -478,7 +478,7 @@ impl MosiPolicy for Snooping {
         self.everyone.clone()
     }
 
-    fn new_mshr(&self, pending: OpList, first: PendingOp, upgrade: bool, now: Cycle) -> SnoopMshr {
+    fn new_mshr(&self, pending: Fifo, first: PendingOp, upgrade: bool, now: Cycle) -> SnoopMshr {
         SnoopMshr {
             pending,
             req_id: first.req_id,
@@ -496,7 +496,7 @@ impl MosiPolicy for Snooping {
         }
     }
 
-    fn pending(mshr: &mut SnoopMshr) -> &mut OpList {
+    fn pending(mshr: &mut SnoopMshr) -> &mut Fifo {
         &mut mshr.pending
     }
 

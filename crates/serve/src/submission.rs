@@ -8,10 +8,12 @@
 //! (`table1` → points) happens client-side in `tc-bench submit`; the server
 //! only ever sees explicit point lists.
 //!
-//! Parsing is strict: unknown protocol/workload/topology names, missing
-//! fields, or a configuration that fails [`SystemConfig::validate`] are
-//! rejected with a structured, field-addressed error *before* the job is
-//! queued — a malformed submission must never panic a worker.
+//! Parsing is strict: unknown protocol/workload/topology names, missing,
+//! repeated or unknown members, or a configuration that fails
+//! [`SystemConfig::validate`] are rejected with a structured,
+//! field-addressed error *before* the job is queued — a malformed
+//! submission must never panic a worker, and a misspelt one must never run
+//! as something else.
 
 use tc_system::{ExperimentPoint, RunOptions};
 use tc_types::{FaultSpec, JobPriority, Json, SystemConfig, Wire, WireError};
@@ -56,6 +58,7 @@ fn point_from_json(json: &Json, path: &str) -> Result<ExperimentPoint, SubmitErr
         .map_err(|e| SubmitError::new(format!("{path}.config"), e.to_string()))?;
     let point = ExperimentPoint::new(label, config, json.member(path, "workload")?);
     let faults = json.member_opt(path, "faults")?;
+    json.only_members(path, &["label", "config", "workload", "faults"])?;
     Ok(point.with_faults(faults.unwrap_or(FaultSpec::none())))
 }
 
@@ -88,9 +91,9 @@ impl Submission {
     /// # Errors
     ///
     /// Returns a [`SubmitError`] naming the offending field for syntax
-    /// errors, missing fields, unknown protocol/workload/topology names,
-    /// out-of-range values, and configurations that fail
-    /// [`SystemConfig::validate`].
+    /// errors, missing, repeated or unknown members, unknown
+    /// protocol/workload/topology names, out-of-range values, and
+    /// configurations that fail [`SystemConfig::validate`].
     pub fn parse(text: &str) -> Result<Submission, SubmitError> {
         let root = Json::parse(text)
             .map_err(|e| SubmitError::new("body", format!("invalid JSON: {e}")))?;
@@ -115,7 +118,7 @@ impl Submission {
         }
 
         let raw_points = root
-            .get("points")
+            .member_value("", "points")?
             .ok_or_else(|| SubmitError::new("points", "missing required field"))?
             .as_array()
             .ok_or_else(|| SubmitError::new("points", "expected an array"))?;
@@ -136,6 +139,19 @@ impl Submission {
             .enumerate()
             .map(|(i, point)| point_from_json(point, &format!("points[{i}]")))
             .collect::<Result<_, _>>()?;
+        root.only_members(
+            "",
+            &[
+                "priority",
+                "ops_per_node",
+                "max_cycles",
+                "faults",
+                "adversary",
+                "livelock_events_budget",
+                "checkpoint_every",
+                "points",
+            ],
+        )?;
 
         Ok(Submission {
             priority,
@@ -329,6 +345,44 @@ mod tests {
         assert_eq!(Submission::parse(&no_points).unwrap_err().field, "points");
         let err = SubmitError::new("points", "submission has no points");
         assert!(err.to_json().contains("\"field\":\"points\""));
+    }
+
+    /// Each of these used to parse and run something other than what was
+    /// written: the first of two values, the default priority, no faults,
+    /// a configuration without the misspelt knob.
+    #[test]
+    fn repeated_and_unknown_members_are_refused_where_they_sit() {
+        let text = sample().to_json();
+        for (from, to, field, message) in [
+            (
+                "\"ops_per_node\":500",
+                "\"ops_per_node\":1,\"ops_per_node\":500",
+                "ops_per_node",
+                "member given twice",
+            ),
+            (
+                "\"priority\":\"high\"",
+                "\"priorty\":\"high\"",
+                "priorty",
+                "unknown member",
+            ),
+            (
+                ",\"faults\":\"none\"}",
+                ",\"fault\":\"drop=0.5\"}",
+                "points[0].fault",
+                "unknown member",
+            ),
+            (
+                "\"tokens_per_block\":16",
+                "\"tokens_per_block\":16,\"tokens\":4",
+                "points[0].config.token.tokens",
+                "unknown member",
+            ),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let err = Submission::parse(&text.replacen(from, to, 1)).unwrap_err();
+            assert_eq!((err.field.as_str(), err.message.as_str()), (field, message));
+        }
     }
 
     #[test]

@@ -261,6 +261,17 @@ fn poisoned_submissions_are_rejected_and_the_queue_keeps_serving() {
     let err = tc_serve::submit_json(&addr, &bad_protocol, |_| {}).expect_err("must reject");
     assert!(err.message.contains("Sledgehammer"), "{err}");
 
+    // So is a misspelt member, which used to run as the default it hid.
+    let misspelt = submission(small_points())
+        .to_json()
+        .replacen("\"priority\"", "\"priorty\"", 1);
+    let err = tc_serve::submit_json(&addr, &misspelt, |_| {}).expect_err("must reject");
+    assert!(
+        err.message
+            .contains("(400): unknown member (field: priorty)"),
+        "{err}"
+    );
+
     // And plain JSON garbage.
     let err = tc_serve::submit_json(&addr, "{not json", |_| {}).expect_err("must reject");
     assert!(err.message.contains("invalid JSON"), "{err}");

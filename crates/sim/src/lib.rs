@@ -2,7 +2,8 @@
 //!
 //! The kernel is intentionally small: a time-ordered [`EventQueue`] (a
 //! calendar queue with deterministic FIFO tie-breaking, its events linked
-//! per cycle through one pooled node slab), a generation-checked
+//! per cycle through a [`FifoPool`], the pooled FIFO lists the controllers'
+//! MSHRs keep their merged operations in too), a generation-checked
 //! slab [`Arena`] that keeps large event payloads out of the queue's moves,
 //! and a tiny deterministic pseudo-random number generator
 //! ([`DeterministicRng`]) used for randomized exponential backoff and
@@ -31,11 +32,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod arena;
+pub mod fifo;
 pub mod queue;
 pub mod rng;
 pub mod snapshot;
 
 pub use arena::{Arena, ArenaRef};
+pub use fifo::{Fifo, FifoPool};
 pub use queue::EventQueue;
 pub use rng::DeterministicRng;
 pub use snapshot::{

@@ -28,14 +28,12 @@
 //! next non-empty bucket by scanning words and counting trailing zeros
 //! instead of walking empty cycles one by one.
 //!
-//! Every pending event lives in a node of one slab (a `Vec`), beside the
-//! `u32` index of the next event due in the same cycle. A bucket, and an
-//! overflow cycle, is only the `(head, tail)` indices of its list:
-//! `schedule` links a node at the tail, `pop` unlinks the head, and a freed
-//! node goes on a LIFO free list, so the next `schedule` reuses the node
-//! the last `pop` left in the host's cache. No bucket owns a buffer, the
+//! Every pending event lives in one [`FifoPool`]: a bucket, and an
+//! overflow cycle, is only the [`Fifo`] handle of its list of events.
+//! `schedule` links an event at the tail, `pop` unlinks the head, and the
+//! pool reuses the node the last `pop` freed. No bucket owns a buffer, the
 //! steady state allocates nothing, and migrating an overflow cycle into the
-//! ring moves two indices.
+//! ring moves one handle.
 //!
 //! The ring index of an in-window event is `time & (HORIZON_CYCLES - 1)`;
 //! because the window is exactly as long as the ring, a slot maps to one
@@ -57,7 +55,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+use crate::fifo::{Fifo, FifoPool};
+use crate::snapshot::{Snap, SnapReader, SnapWith, SnapWriter, SnapshotError};
 use crate::Cycle;
 
 /// Length of the calendar window in cycles (must be a power of two).
@@ -69,7 +68,7 @@ use crate::Cycle;
 /// its reissue timers land well past 4096. Everything beyond the window —
 /// persistent-request escalations under pathological contention,
 /// drain-limit sentinels — takes the sorted overflow path, which is correct
-/// at any distance, merely slower. The buckets cost 8 bytes each (128 KiB).
+/// at any distance, merely slower. The buckets cost 12 bytes each (192 KiB).
 pub const HORIZON_CYCLES: u64 = 16_384;
 
 const MASK: u64 = HORIZON_CYCLES - 1;
@@ -81,139 +80,13 @@ const WORDS: usize = (HORIZON_CYCLES as usize) / 64;
 const WIRE_WINDOW: u64 = 4096;
 const WIRE_MASK: u64 = WIRE_WINDOW - 1;
 
-/// End of a list (and of the free list): no node.
-const NIL: u32 = u32::MAX;
-
-/// One cycle's events, as the slab indices of the first and the last.
-/// `head == NIL` marks an empty list; `tail` is then meaningless.
-#[derive(Debug, Clone, Copy)]
-struct Fifo {
-    head: u32,
-    tail: u32,
-}
-
-impl Fifo {
-    const EMPTY: Fifo = Fifo {
-        head: NIL,
-        tail: NIL,
-    };
-
-    #[inline]
-    fn is_empty(self) -> bool {
-        self.head == NIL
-    }
-}
-
-/// A slab node: a pending event (`None` while the node is free) and the
-/// index of the next node in its list.
-#[derive(Debug)]
-struct Node<E> {
-    event: Option<E>,
-    next: u32,
-}
-
-/// The nodes behind every list, with the free ones threaded LIFO through
-/// `next` from `free`.
-#[derive(Debug)]
-struct Slab<E> {
-    nodes: Vec<Node<E>>,
-    free: u32,
-}
-
-impl<E> Slab<E> {
-    fn new() -> Self {
-        Slab {
-            nodes: Vec::new(),
-            free: NIL,
-        }
-    }
-
-    /// Links `event` at the tail of `fifo`, in the most recently freed node.
-    #[inline]
-    fn push(&mut self, fifo: &mut Fifo, event: E) {
-        let node = Node {
-            event: Some(event),
-            next: NIL,
-        };
-        let index = if self.free == NIL {
-            let index = u32::try_from(self.nodes.len())
-                .ok()
-                .filter(|&index| index != NIL)
-                .expect("more than u32::MAX - 1 pending events");
-            self.nodes.push(node);
-            index
-        } else {
-            let index = self.free;
-            let slot = &mut self.nodes[index as usize];
-            self.free = slot.next;
-            *slot = node;
-            index
-        };
-        if fifo.is_empty() {
-            fifo.head = index;
-        } else {
-            self.nodes[fifo.tail as usize].next = index;
-        }
-        fifo.tail = index;
-    }
-
-    /// Unlinks the head of `fifo`, freeing its node.
-    #[inline]
-    fn pop(&mut self, fifo: &mut Fifo) -> Option<E> {
-        if fifo.is_empty() {
-            return None;
-        }
-        let index = fifo.head;
-        let node = &mut self.nodes[index as usize];
-        fifo.head = node.next;
-        node.next = self.free;
-        self.free = index;
-        node.event.take()
-    }
-
-    /// The events of `fifo`, head first.
-    fn events(&self, fifo: Fifo) -> impl Iterator<Item = &E> {
-        let mut at = fifo.head;
-        std::iter::from_fn(move || {
-            let node = (at != NIL).then(|| &self.nodes[at as usize])?;
-            at = node.next;
-            node.event.as_ref()
-        })
-    }
-}
-
-impl<E: Snap> Slab<E> {
-    /// A list on the wire: its length, then its events head first (the
-    /// bytes a `VecDeque` of them saves as).
-    fn save(&self, w: &mut SnapWriter, fifo: Fifo) {
-        w.usize(self.events(fifo).count());
-        self.events(fifo).for_each(|event| event.save(w));
-    }
-
-    /// Reads a list written by [`Slab::save`] into fresh nodes. No cycle is
-    /// saved without an event, so an empty list is corrupt.
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<Fifo, SnapshotError> {
-        let len = r.bounded_len(1)?;
-        if len == 0 || self.nodes.len().saturating_add(len) >= NIL as usize {
-            return Err(SnapshotError::Corrupt(format!(
-                "queue cycle of {len} events"
-            )));
-        }
-        let mut fifo = Fifo::EMPTY;
-        for _ in 0..len {
-            self.push(&mut fifo, E::load(r)?);
-        }
-        Ok(fifo)
-    }
-}
-
 /// A deterministic, time-ordered event queue (calendar queue).
 ///
 /// See the module documentation for the determinism contract and layout.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Every pending event, linked into its cycle's list.
-    slab: Slab<E>,
+    pool: FifoPool<E>,
     /// Ring of per-cycle lists; index = `time & MASK`.
     buckets: Box<[Fifo]>,
     /// One bit per bucket: set iff the bucket is non-empty.
@@ -234,8 +107,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            slab: Slab::new(),
-            buckets: vec![Fifo::EMPTY; HORIZON_CYCLES as usize].into_boxed_slice(),
+            pool: FifoPool::new(),
+            buckets: (0..HORIZON_CYCLES).map(|_| Fifo::new()).collect(),
             occupied: [0; WORDS],
             overflow: BTreeMap::new(),
             now: 0,
@@ -263,11 +136,11 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         if time < self.horizon_end() {
             let slot = (time & MASK) as usize;
-            self.slab.push(&mut self.buckets[slot], event);
+            self.pool.push(&mut self.buckets[slot], event);
             self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
-            let fifo = self.overflow.entry(time).or_insert(Fifo::EMPTY);
-            self.slab.push(fifo, event);
+            let fifo = self.overflow.entry(time).or_default();
+            self.pool.push(fifo, event);
             self.overflowed += 1;
         }
         self.len += 1;
@@ -288,7 +161,7 @@ impl<E> EventQueue<E> {
                 let slot = (time & MASK) as usize;
                 let bucket = &mut self.buckets[slot];
                 let event = self
-                    .slab
+                    .pool
                     .pop(bucket)
                     .expect("occupied bit set on empty bucket");
                 if bucket.is_empty() {
@@ -424,27 +297,21 @@ impl<E> EventQueue<E> {
     /// Number of events currently parked in the overflow level (events
     /// scheduled beyond the calendar window). Walks the overflow lists.
     pub fn overflow_len(&self) -> usize {
-        self.overflow
-            .values()
-            .map(|&fifo| self.slab.events(fifo).count())
-            .sum()
+        self.overflow.values().map(Fifo::len).sum()
     }
 
     /// Iterates over every pending event in no particular order (slab
     /// order). End-of-run audits use this to account for payloads still in
     /// flight; nothing order-sensitive may depend on it.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.slab
-            .nodes
-            .iter()
-            .filter_map(|node| node.event.as_ref())
+        self.pool.values()
     }
 
     /// The non-empty buckets as `(cycle, list)`, in time order.
-    fn ring(&self) -> impl Iterator<Item = (Cycle, Fifo)> + '_ {
+    fn ring(&self) -> impl Iterator<Item = (Cycle, &Fifo)> + '_ {
         (0..HORIZON_CYCLES)
             .map_while(|ahead| self.now.checked_add(ahead))
-            .map(|time| (time, self.buckets[(time & MASK) as usize]))
+            .map(|time| (time, &self.buckets[(time & MASK) as usize]))
             .filter(|&(_, fifo)| !fifo.is_empty())
     }
 
@@ -488,13 +355,13 @@ impl<E: Snap> Snap for EventQueue<E> {
         calendar.sort_unstable_by_key(|&(time, _)| time & WIRE_MASK);
         w.seq(calendar.into_iter(), |w, (time, fifo)| {
             w.usize((time & WIRE_MASK) as usize);
-            self.slab.save(w, fifo);
+            fifo.save_with(w, &self.pool);
         });
-        let overflow = self.overflow.iter().map(|(&time, &fifo)| (time, fifo));
+        let overflow = self.overflow.iter().map(|(&time, fifo)| (time, fifo));
         let later: Vec<_> = later.into_iter().chain(overflow).collect();
         w.seq(later.into_iter(), |w, (time, fifo)| {
             w.u64(time);
-            self.slab.save(w, fifo);
+            fifo.save_with(w, &self.pool);
         });
     }
 
@@ -516,7 +383,7 @@ impl<E: Snap> Snap for EventQueue<E> {
                 .flatten()
                 .filter(|&time| time < wire_end || time == q.now)
                 .ok_or_else(|| SnapshotError::Corrupt(format!("bucket slot {slot}")))?;
-            let fifo = q.slab.load(r)?;
+            let fifo = load_cycle(r, &mut q.pool)?;
             q.load_bucket(time, fifo)?;
         }
         let mut last = None;
@@ -531,15 +398,15 @@ impl<E: Snap> Snap for EventQueue<E> {
             last = Some(time);
             // Where `schedule` would have put it (at `Cycle::MAX`, a cycle
             // due now but not yet migrated stays in the overflow level).
-            let fifo = q.slab.load(r)?;
+            let fifo = load_cycle(r, &mut q.pool)?;
             if time < q.horizon_end() {
                 q.load_bucket(time, fifo)?;
             } else {
                 q.overflow.insert(time, fifo);
             }
         }
-        // A freshly loaded slab has no free node: one per pending event.
-        q.len = q.slab.nodes.len();
+        // A freshly loaded pool has no free node: one per pending event.
+        q.len = q.pool.nodes();
         if q.scheduled.checked_sub(q.delivered) != Some(q.len as u64) {
             return Err(SnapshotError::Corrupt(format!(
                 "{} scheduled, {} delivered, {} pending",
@@ -551,6 +418,19 @@ impl<E: Snap> Snap for EventQueue<E> {
         }
         Ok(q)
     }
+}
+
+/// One pending cycle's list, read into `pool`. No cycle is saved without
+/// an event, so an empty list is corrupt.
+fn load_cycle<E: Snap>(
+    r: &mut SnapReader<'_>,
+    pool: &mut FifoPool<E>,
+) -> Result<Fifo, SnapshotError> {
+    let fifo = Fifo::load_with(r, pool)?;
+    if fifo.is_empty() {
+        return Err(SnapshotError::Corrupt("queue cycle of 0 events".into()));
+    }
+    Ok(fifo)
 }
 
 impl<E> Default for EventQueue<E> {
@@ -751,7 +631,7 @@ mod tests {
             q.schedule(q.now() + i % 5 * HORIZON_CYCLES / 2, i);
             q.pop();
         }
-        assert_eq!(q.slab.nodes.len(), q.max_depth());
+        assert_eq!(q.pool.nodes(), q.max_depth());
         assert_eq!(q.iter().count(), q.len());
     }
 

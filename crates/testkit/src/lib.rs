@@ -82,10 +82,10 @@ pub fn assert_snap_round_trip<T: Snap + PartialEq + fmt::Debug>(value: &T) {
 
 /// Asserts a [`json_struct!`](tc_types::json_struct) layout is sound:
 /// `from_json(to_json(x)) == x` and re-serializes to the same bytes, a
-/// document with any one member removed is rejected with a [`WireError`]
-/// naming exactly that member, and an integer member set to `2^64 - 1`
-/// either round-trips or is rejected there as out of range — never
-/// truncated into a smaller value.
+/// document with any one member removed, repeated, or joined by an unknown
+/// one is rejected with a [`WireError`] naming exactly that member, and an
+/// integer member set to `2^64 - 1` either round-trips or is rejected there
+/// as out of range — never truncated into a smaller value.
 ///
 /// [`WireError`]: tc_types::WireError
 ///
@@ -98,11 +98,19 @@ pub fn assert_wire_round_trip<T: Wire + PartialEq + fmt::Debug>(value: &T) {
     assert_eq!(&back, value, "from_json(to_json(x)) != x");
     assert_eq!(back.to_json().to_string(), json.to_string());
     let members = json.as_object().expect("the layout is an object");
+    let mut extended = members.to_vec();
+    extended.push(("unlisted".to_string(), Json::Null));
+    let err = T::from_json(&Json::Obj(extended), "v").expect_err("a member is unknown");
+    assert_eq!(err.field, "v.unlisted", "{err}");
     for (i, (key, member)) in members.iter().enumerate() {
         let at = format!("v.{key}");
         let mut without = members.to_vec();
         without.remove(i);
         let err = T::from_json(&Json::Obj(without), "v").expect_err("a member is missing");
+        assert_eq!(err.field, at, "{err}");
+        let mut repeated = members.to_vec();
+        repeated.push((key.clone(), member.clone()));
+        let err = T::from_json(&Json::Obj(repeated), "v").expect_err("a member is repeated");
         assert_eq!(err.field, at, "{err}");
         if member.as_u64().is_some() {
             let huge = Json::Num(u64::MAX.to_string());

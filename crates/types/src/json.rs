@@ -192,12 +192,54 @@ impl Json {
     ///
     /// See [`Json::member`].
     pub fn member_opt<T: Wire>(&self, path: &str, key: &str) -> Result<Option<T>, WireError> {
-        if self.as_object().is_none() {
-            return Err(WireError::new(path, "expected an object"));
-        }
-        self.get(key)
+        self.member_value(path, key)?
             .map(|value| T::from_json(value, &join(path, key)))
             .transpose()
+    }
+
+    /// The member `key` of this object, which sits at `path`, as JSON;
+    /// `Ok(None)` when it is absent. [`Json::get`] for a reader: a key
+    /// given twice is refused rather than read as its first value.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] at `path` if this is not an object, or at `path.key`
+    /// if the object gives `key` more than once.
+    pub fn member_value(&self, path: &str, key: &str) -> Result<Option<&Json>, WireError> {
+        let mut found = self
+            .object_at(path)?
+            .iter()
+            .filter(|(k, _)| k == key)
+            .map(|(_, value)| value);
+        let value = found.next();
+        if found.next().is_some() {
+            return Err(WireError::new(join(path, key), "member given twice"));
+        }
+        Ok(value)
+    }
+
+    /// Refuses a member of this object, which sits at `path`, that `known`
+    /// does not name: a reader that skipped it would run something other
+    /// than what was written.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] at `path` if this is not an object, or at
+    /// `path.member` for the first unknown member.
+    pub fn only_members(&self, path: &str, known: &[&str]) -> Result<(), WireError> {
+        match self
+            .object_at(path)?
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()))
+        {
+            Some((k, _)) => Err(WireError::new(join(path, k), "unknown member")),
+            None => Ok(()),
+        }
+    }
+
+    fn object_at(&self, path: &str) -> Result<&[(String, Json)], WireError> {
+        self.as_object()
+            .ok_or_else(|| WireError::new(path, "expected an object"))
     }
 }
 
@@ -332,8 +374,8 @@ impl<T: Wire> Wire for Option<T> {
 
 /// Declares a struct's text layout — an object with one member per field,
 /// named after the field, in the order given — and generates [`Wire`] for
-/// it. Every member is required on reading; members the declaration does not
-/// list are ignored.
+/// it. Every member is required on reading, once; a member the declaration
+/// does not list is refused.
 ///
 /// ```
 /// # use tc_types::json::{Json, Wire};
@@ -349,6 +391,9 @@ impl<T: Wire> Wire for Option<T> {
 /// assert_eq!(Line::from_json(&line.to_json(), "line"), Ok(line));
 /// let err = Line::from_json(&Json::parse("{\"tokens\":3}").unwrap(), "line").unwrap_err();
 /// assert_eq!(err.field, "line.dirty");
+/// let err = Line::from_json(&Json::parse("{\"tokens\":3,\"dirty\":true,\"age\":1}").unwrap(), "line")
+///     .unwrap_err();
+/// assert_eq!((err.field.as_str(), err.message.as_str()), ("line.age", "unknown member"));
 /// ```
 #[macro_export]
 macro_rules! json_struct {
@@ -363,7 +408,9 @@ macro_rules! json_struct {
                 json: &$crate::json::Json,
                 path: &str,
             ) -> Result<Self, $crate::json::WireError> {
-                Ok($ty { $($field: json.member(path, stringify!($field))?),* })
+                let value = $ty { $($field: json.member(path, stringify!($field))?),* };
+                json.only_members(path, &[$(stringify!($field)),*])?;
+                Ok(value)
             }
         }
     };
