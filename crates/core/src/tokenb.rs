@@ -37,8 +37,6 @@ struct TokenMshr {
     timer_seq: u64,
     /// Whether any data that arrived came from another cache.
     data_from_cache: bool,
-    /// Whether any data arrived from memory.
-    data_from_memory: bool,
 }
 
 snap_struct!(TokenMshr in FifoPool<PendingOp> {
@@ -50,7 +48,6 @@ snap_struct!(TokenMshr in FifoPool<PendingOp> {
     persistent,
     timer_seq,
     data_from_cache,
-    data_from_memory,
 });
 
 /// The TokenB coherence controller for one node.
@@ -433,11 +430,7 @@ impl TokenBController {
             }
             line.valid_data = true;
             if let Some(mshr) = self.mshrs.get_mut(addr) {
-                if transfer.from_memory {
-                    mshr.data_from_memory = true;
-                } else {
-                    mshr.data_from_cache = true;
-                }
+                mshr.data_from_cache |= !transfer.from_memory;
             }
         }
         line.dirty |= transfer.dirty;
@@ -722,7 +715,6 @@ impl CoherenceController for TokenBController {
             persistent: false,
             timer_seq: 0,
             data_from_cache: false,
-            data_from_memory: false,
         };
         self.mshrs
             .allocate(addr, mshr)

@@ -142,8 +142,6 @@ pub struct Interconnect {
     config: InterconnectConfig,
     links: Vec<LinkState>,
     traffic: TrafficStats,
-    total_deliveries: u64,
-    total_sends: u64,
     /// Per-node injection port occupancy, modelling the node's single
     /// interface into the fabric.
     injection_free_at: Vec<Cycle>,
@@ -193,8 +191,6 @@ impl Interconnect {
             config,
             links,
             traffic: TrafficStats::new(),
-            total_deliveries: 0,
-            total_sends: 0,
             injection_free_at: vec![0; num_nodes],
             routes,
             node_routers,
@@ -236,16 +232,6 @@ impl Interconnect {
     /// Traffic accumulated so far, by message class.
     pub fn traffic(&self) -> &TrafficStats {
         &self.traffic
-    }
-
-    /// Number of individual deliveries produced so far.
-    pub fn total_deliveries(&self) -> u64 {
-        self.total_deliveries
-    }
-
-    /// Number of messages injected so far.
-    pub fn total_sends(&self) -> u64 {
-        self.total_sends
     }
 
     /// Per-link utilization, indexed by link.
@@ -337,7 +323,6 @@ impl Interconnect {
         if tree.deliveries.is_empty() {
             return;
         }
-        self.total_sends += 1;
 
         let size = msg.size_bytes();
         let serialization = self.serialization_ns(size);
@@ -424,7 +409,6 @@ impl Interconnect {
                     self.arrival_time[router.index()]
                 }
             };
-            self.total_deliveries += 1;
             out.push((at, dst));
         }
     }
@@ -467,8 +451,6 @@ impl Interconnect {
 // Topology, routes and the tree cache are config-derived (trees are
 // deterministic per pattern, so an empty cache refills identically).
 snap_state!(Interconnect {
-    total_deliveries,
-    total_sends,
     traffic,
     [links],
     [injection_free_at],
@@ -646,10 +628,8 @@ mod tests {
     #[test]
     fn utilization_and_counters_accumulate() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Limited));
-        net.send(0, data(0, 1));
-        net.send(10, data(2, 3));
-        assert_eq!(net.total_sends(), 2);
-        assert_eq!(net.total_deliveries(), 2);
+        assert_eq!(net.send(0, data(0, 1)).len(), 1);
+        assert_eq!(net.send(10, data(2, 3)).len(), 1);
         let util = net.link_utilization();
         let carried: u64 = util.iter().map(|u| u.bytes).sum();
         assert_eq!(carried, 144);
@@ -670,7 +650,7 @@ mod tests {
                 .collect();
             net.send(0, request(0, Destination::multicast(nodes)));
         }
-        assert!(net.total_sends() > TREE_CACHE_CAP as u64);
+        assert_eq!(net.trees.len(), TREE_CACHE_CAP);
         // A pattern beyond the cap: compare against an uncapped fresh fabric.
         let novel: Vec<NodeId> = vec![NodeId::new(3), NodeId::new(9), NodeId::new(14)];
         let mut fresh =

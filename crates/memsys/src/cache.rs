@@ -53,9 +53,6 @@ pub struct SetAssocCache<S> {
     last_use: Vec<u64>,
     len: usize,
     use_counter: u64,
-    lookups: u64,
-    hits: u64,
-    evictions: u64,
 }
 
 /// Tag marking an empty way. A real block with this address would need the
@@ -104,9 +101,6 @@ impl<S> SetAssocCache<S> {
             last_use: Vec::new(),
             len: 0,
             use_counter: 0,
-            lookups: 0,
-            hits: 0,
-            evictions: 0,
         }
     }
 
@@ -215,14 +209,14 @@ impl<S> SetAssocCache<S> {
         self.len() == 0
     }
 
-    /// Looks up a block without affecting LRU state or statistics.
+    /// Looks up a block without affecting LRU state.
     pub fn peek(&self, addr: BlockAddr) -> Option<&S> {
         self.find(addr)
             .map(|(_, i)| self.states[i].as_ref().expect("occupied tag has state"))
     }
 
-    /// Looks up a block mutably without affecting LRU state or statistics
-    /// (used to refresh slot hints, never on the simulated access path).
+    /// Looks up a block mutably without affecting LRU state (used to
+    /// refresh slot hints, never on the simulated access path).
     pub fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut S> {
         let (_, i) = self.find(addr)?;
         Some(self.states[i].as_mut().expect("occupied tag has state"))
@@ -244,8 +238,8 @@ impl<S> SetAssocCache<S> {
     }
 
     /// Accesses a resident line directly where [`SetAssocCache::hinted_slot`]
-    /// found it, updating LRU order and the hit statistics exactly as a
-    /// tag-probe hit in [`SetAssocCache::get`] would — the hinted fast path
+    /// found it, updating LRU order exactly as a tag-probe hit in
+    /// [`SetAssocCache::get`] would — the hinted fast path
     /// is behaviourally indistinguishable from the full probe, it only skips
     /// the set scan.
     ///
@@ -256,8 +250,6 @@ impl<S> SetAssocCache<S> {
     #[inline]
     pub fn get_at(&mut self, at: usize) -> &mut S {
         debug_assert!(self.tags[at] != EMPTY_TAG, "hinted slot is empty");
-        self.lookups += 1;
-        self.hits += 1;
         self.use_counter += 1;
         self.last_use[at] = self.use_counter;
         self.states[at].as_mut().expect("occupied tag has state")
@@ -266,18 +258,16 @@ impl<S> SetAssocCache<S> {
     /// [`SetAssocCache::get`] that also reports which slot the line occupies,
     /// so the caller can remember it as a hint for the next access.
     pub fn get_with_slot(&mut self, addr: BlockAddr) -> Option<(usize, &mut S)> {
-        self.lookups += 1;
         self.use_counter += 1;
         let counter = self.use_counter;
         let (slot, i) = self.find(addr)?;
         self.last_use[i] = counter;
-        self.hits += 1;
         let state = self.states[i].as_mut().expect("occupied tag has state");
         Some((slot, state))
     }
 
-    /// Looks up a block, updating LRU order and hit statistics, and returns a
-    /// mutable reference to its state.
+    /// Looks up a block, updating LRU order, and returns a mutable reference
+    /// to its state.
     pub fn get(&mut self, addr: BlockAddr) -> Option<&mut S> {
         self.get_with_slot(addr).map(|(_, state)| state)
     }
@@ -307,17 +297,14 @@ impl<S> SetAssocCache<S> {
                 self.len += 1;
                 (i, None)
             }
-            FillSlot::Evict(i) => {
-                self.evictions += 1;
-                (
-                    i,
-                    Some(CacheLine {
-                        addr: BlockAddr::new(self.tags[i]),
-                        state: self.states[i].take().expect("occupied tag has state"),
-                        last_use: self.last_use[i],
-                    }),
-                )
-            }
+            FillSlot::Evict(i) => (
+                i,
+                Some(CacheLine {
+                    addr: BlockAddr::new(self.tags[i]),
+                    state: self.states[i].take().expect("occupied tag has state"),
+                    last_use: self.last_use[i],
+                }),
+            ),
         };
         self.tags[i] = addr.value();
         self.states[i] = Some(state);
@@ -326,9 +313,9 @@ impl<S> SetAssocCache<S> {
     }
 
     /// Records an access to `addr` in a presence-only cache (`S: Default`):
-    /// returns `true` if the block was already resident (updating LRU order
-    /// and the hit counter, like [`SetAssocCache::get`]) and fills it in the
-    /// same set pass otherwise (evicting the LRU line, like
+    /// returns `true` if the block was already resident (updating LRU order,
+    /// like [`SetAssocCache::get`]) and fills it in the same set pass
+    /// otherwise (evicting the LRU line, like
     /// [`SetAssocCache::insert`]).
     pub fn touch(&mut self, addr: BlockAddr) -> bool
     where
@@ -344,24 +331,19 @@ impl<S> SetAssocCache<S> {
     where
         S: Default,
     {
-        self.lookups += 1;
         self.use_counter += 1;
         let counter = self.use_counter;
         let base = self.base_for_fill(self.set_index(addr));
         let (hit, i) = match self.probe_for_fill(base, addr.value()) {
             FillSlot::Resident(i) => {
                 self.last_use[i] = counter;
-                self.hits += 1;
                 (true, i)
             }
             FillSlot::Free(i) => {
                 self.len += 1;
                 (false, i)
             }
-            FillSlot::Evict(i) => {
-                self.evictions += 1;
-                (false, i)
-            }
+            FillSlot::Evict(i) => (false, i),
         };
         if !hit {
             self.tags[i] = addr.value();
@@ -409,24 +391,16 @@ impl<S> SetAssocCache<S> {
     pub fn blocks(&self) -> Vec<BlockAddr> {
         self.iter().map(|(a, _)| a).collect()
     }
-
-    /// (lookups, hits, evictions) counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.lookups, self.hits, self.evictions)
-    }
 }
 
-/// The LRU/statistics counters and resident lines (slot, tag, LRU stamp,
-/// state); geometry is config-derived. The load checks the population
-/// against the capacity and each slot against its bounds, the empty-way tag
-/// and the slots already filled.
+/// The LRU clock and resident lines (slot, tag, LRU stamp, state);
+/// geometry is config-derived. The load checks the population against the
+/// capacity and each slot against its bounds, the empty-way tag and the
+/// slots already filled.
 impl<S: Snap> SnapState for SetAssocCache<S> {
     fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.len);
         w.u64(self.use_counter);
-        w.u64(self.lookups);
-        w.u64(self.hits);
-        w.u64(self.evictions);
         for (slot, i) in self.resident() {
             w.usize(slot);
             w.u64(self.tags[i]);
@@ -448,9 +422,6 @@ impl<S: Snap> SnapState for SetAssocCache<S> {
             return Err(SnapshotError::Corrupt("cache population".into()));
         }
         self.use_counter = r.u64()?;
-        self.lookups = r.u64()?;
-        self.hits = r.u64()?;
-        self.evictions = r.u64()?;
         for _ in 0..len {
             let slot = r.usize()?;
             let tag = r.u64()?;
@@ -548,7 +519,7 @@ impl L1Filter {
     }
 
     /// Remembers `slot` as `addr`'s L2 home for the next access. A pure
-    /// host-side memo: no LRU or statistics change.
+    /// host-side memo: no LRU change.
     pub fn remember(&mut self, addr: BlockAddr, slot: u32) {
         if let Some(hint) = self.cache.peek_mut(addr) {
             hint.0 = slot;
@@ -577,9 +548,9 @@ snap_state!(L1Filter { cache });
 /// resident. When the L1 holds a valid slot hint the L2 set scan is skipped
 /// entirely — a single tag compare replaces the dependent-load probe chain —
 /// and a stale or missing hint falls back to the full probe and re-learns
-/// the slot. LRU order and hit statistics are updated identically on both
-/// paths (see [`SetAssocCache::get_at`]), so the fast path is invisible to
-/// the simulation: `events_delivered` is pinned across it.
+/// the slot. LRU order is updated identically on both paths (see
+/// [`SetAssocCache::get_at`]), so the fast path is invisible to the
+/// simulation: `events_delivered` is pinned across it.
 pub fn hinted_get<'a, S>(
     l1: &mut L1Filter,
     l2: &'a mut SetAssocCache<S>,
@@ -681,20 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_hits_and_evictions() {
-        let mut c = small();
-        c.insert(BlockAddr::new(0), 0);
-        c.get(BlockAddr::new(0));
-        c.get(BlockAddr::new(2));
-        c.insert(BlockAddr::new(2), 2);
-        c.insert(BlockAddr::new(4), 4);
-        let (lookups, hits, evictions) = c.counters();
-        assert_eq!(lookups, 2);
-        assert_eq!(hits, 1);
-        assert_eq!(evictions, 1);
-    }
-
-    #[test]
     fn geometry_from_config_matches_table1_l2() {
         let config = CacheConfig {
             size_bytes: 4 * 1024 * 1024,
@@ -757,15 +714,14 @@ mod tests {
         let (l1_hit, line) = hinted_get(&mut l1, &mut l2, BlockAddr::new(8));
         assert!(l1_hit);
         assert_eq!(line.copied(), Some(80));
-        // Third access rides the hint; counters advance exactly like a
-        // tag-probe hit would.
-        let (lookups_before, hits_before, _) = l2.counters();
+        // Third access rides the hint; the LRU clock advances and stamps
+        // the line exactly like a tag-probe hit would.
+        let clock_before = l2.use_counter;
         let (l1_hit, line) = hinted_get(&mut l1, &mut l2, BlockAddr::new(8));
         assert!(l1_hit);
         assert_eq!(line.copied(), Some(80));
-        let (lookups, hits, _) = l2.counters();
-        assert_eq!(lookups, lookups_before + 1);
-        assert_eq!(hits, hits_before + 1);
+        assert_eq!(l2.use_counter, clock_before + 1);
+        assert!(l2.last_use.contains(&l2.use_counter));
     }
 
     #[test]
@@ -797,9 +753,7 @@ mod tests {
     fn snapshot_of(len: usize, lines: &[(usize, u64)]) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.usize(len);
-        for counter in [9u64, 5, 3, 1] {
-            w.u64(counter);
-        }
+        w.u64(9);
         for &(slot, tag) in lines {
             w.usize(slot);
             w.u64(tag);
@@ -852,7 +806,7 @@ mod tests {
         c.load_state(&mut SnapReader::new(&good))
             .expect("consistent");
         assert_eq!(c.blocks(), vec![BlockAddr::new(1), BlockAddr::new(2)]);
-        assert_eq!(c.counters(), (5, 3, 1));
+        assert_eq!(c.use_counter, 9);
     }
 
     #[test]

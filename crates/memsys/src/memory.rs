@@ -30,7 +30,6 @@ pub struct HomeMemory<S> {
     dram_latency_ns: u64,
     state: LineTable<S>,
     data: LineTable<u64>,
-    accesses: u64,
 }
 
 impl<S: Default + Clone> HomeMemory<S> {
@@ -42,7 +41,6 @@ impl<S: Default + Clone> HomeMemory<S> {
             dram_latency_ns,
             state: LineTable::new(),
             data: LineTable::new(),
-            accesses: 0,
         }
     }
 
@@ -69,7 +67,6 @@ impl<S: Default + Clone> HomeMemory<S> {
             "{} is not the home for {addr}",
             self.node
         );
-        self.accesses += 1;
         self.state.or_default(addr)
     }
 
@@ -86,12 +83,6 @@ impl<S: Default + Clone> HomeMemory<S> {
     /// Updates the DRAM copy's data version (a writeback).
     pub fn write_data(&mut self, addr: BlockAddr, version: u64) {
         self.data.insert(addr, version);
-    }
-
-    /// Number of home-state accesses performed (a proxy for directory
-    /// lookups / memory controller occupancy).
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// Iterates over blocks with explicit (non-default) home state.
@@ -122,7 +113,7 @@ impl<S: Default + Clone> HomeMemory<S> {
 
 // Node, home map and latency are config-derived.
 impl<S: Snap> SnapState for HomeMemory<S> {
-    snap_state!(fn { accesses, state, data });
+    snap_state!(fn { state, data });
 }
 
 #[cfg(test)]
@@ -152,7 +143,6 @@ mod tests {
         assert!(m.state(BlockAddr::new(5)).is_none());
         m.state_mut(BlockAddr::new(5)).sharers.push(3);
         assert_eq!(m.state(BlockAddr::new(5)).unwrap().sharers, vec![3]);
-        assert_eq!(m.accesses(), 1);
         assert_eq!(m.touched_blocks().count(), 1);
     }
 

@@ -20,8 +20,6 @@ use crate::pending::PendingOp;
 pub struct MshrTable<E> {
     capacity: usize,
     entries: LineTable<E>,
-    allocations: u64,
-    capacity_stalls: u64,
 }
 
 impl<E> MshrTable<E> {
@@ -35,8 +33,6 @@ impl<E> MshrTable<E> {
         MshrTable {
             capacity,
             entries: LineTable::new(),
-            allocations: 0,
-            capacity_stalls: 0,
         }
     }
 
@@ -63,14 +59,9 @@ impl<E> MshrTable<E> {
     /// Allocates an entry for `addr`. Returns `Err(entry)` (handing the entry
     /// back) if the table is full or the block already has an entry.
     pub fn allocate(&mut self, addr: BlockAddr, entry: E) -> Result<&mut E, E> {
-        if self.entries.contains(addr) {
+        if self.entries.contains(addr) || !self.has_room() {
             return Err(entry);
         }
-        if !self.has_room() {
-            self.capacity_stalls += 1;
-            return Err(entry);
-        }
-        self.allocations += 1;
         Ok(self.entries.or_insert_with(addr, || entry))
     }
 
@@ -122,21 +113,14 @@ impl<E> MshrTable<E> {
     pub fn retired_bytes_estimate(&self) -> u64 {
         self.entries.retired_container_bytes_estimate()
     }
-
-    /// (total allocations, allocations rejected for capacity) counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.allocations, self.capacity_stalls)
-    }
 }
 
 /// The `mshrs in pending_ops` field of a controller's `snap_state!`: the
-/// counters, then the entry table with each pending list written through
-/// the pool (capacity is config-derived).
+/// entry table, each pending list written through the pool (capacity is
+/// config-derived).
 impl<E: SnapWith<FifoPool<PendingOp>>> MshrTable<E> {
     /// Serializes the table, reading pending lists out of `pool`.
     pub fn save_state(&self, w: &mut SnapWriter, pool: &FifoPool<PendingOp>) {
-        w.u64(self.allocations);
-        w.u64(self.capacity_stalls);
         self.entries.save_state(w, |w, e| e.save_with(w, pool));
     }
 
@@ -148,8 +132,6 @@ impl<E: SnapWith<FifoPool<PendingOp>>> MshrTable<E> {
         r: &mut SnapReader<'_>,
         pool: &mut FifoPool<PendingOp>,
     ) -> Result<(), SnapshotError> {
-        self.allocations = r.u64()?;
-        self.capacity_stalls = r.u64()?;
         pool.reset();
         self.entries = LineTable::load_state(r, |r| E::load_with(r, pool))?;
         if self.entries.len() > self.capacity {
@@ -188,9 +170,9 @@ mod tests {
         t.allocate(BlockAddr::new(1), 1).unwrap();
         assert!(!t.has_room());
         assert_eq!(t.allocate(BlockAddr::new(2), 2), Err(2));
-        let (allocs, stalls) = t.counters();
-        assert_eq!(allocs, 1);
-        assert_eq!(stalls, 1);
+        assert_eq!(t.len(), 1);
+        t.release(BlockAddr::new(1));
+        assert!(t.allocate(BlockAddr::new(2), 2).is_ok());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! needs for `hinted_get`, by one seeded operation stream over geometries
 //! that include non-power-of-two set and way counts, a single set and a
 //! single way. Every return value (evicted lines and reported slots
-//! included), and after every few operations the counters, the population,
-//! the iteration order and the `save_state` bytes, must match exactly. A
+//! included), and after every few operations the population, the
+//! iteration order and the `save_state` bytes, must match exactly. A
 //! second test holds a cache restored from its own snapshot to the same
 //! standard against the original: restoring fills sets in slot order, a run
 //! fills them in touch order, and nothing outside the cache may see that.
@@ -44,8 +44,7 @@ struct FlatCache<S> {
     last_use: Vec<u64>,
     len: usize,
     use_counter: u64,
-    lookups: u64,
-    hits: u64,
+    /// Lines evicted, so the tests can tell the stream made sets conflict.
     evictions: u64,
 }
 
@@ -65,8 +64,6 @@ impl<S> FlatCache<S> {
             last_use: vec![0; num_sets * ways],
             len: 0,
             use_counter: 0,
-            lookups: 0,
-            hits: 0,
             evictions: 0,
         }
     }
@@ -116,19 +113,15 @@ impl<S> FlatCache<S> {
     }
 
     fn get_at(&mut self, slot: usize) -> &mut S {
-        self.lookups += 1;
-        self.hits += 1;
         self.use_counter += 1;
         self.last_use[slot] = self.use_counter;
         self.states[slot].as_mut().unwrap()
     }
 
     fn get_with_slot(&mut self, addr: BlockAddr) -> Option<(usize, &mut S)> {
-        self.lookups += 1;
         self.use_counter += 1;
         let i = self.find(addr)?;
         self.last_use[i] = self.use_counter;
-        self.hits += 1;
         Some((i, self.states[i].as_mut().unwrap()))
     }
 
@@ -160,13 +153,9 @@ impl<S> FlatCache<S> {
     where
         S: Default,
     {
-        self.lookups += 1;
         self.use_counter += 1;
         let (hit, i) = match self.probe_for_fill(addr) {
-            FillSlot::Resident(i) => {
-                self.hits += 1;
-                (true, i)
-            }
+            FillSlot::Resident(i) => (true, i),
             FillSlot::Free(i) => {
                 self.len += 1;
                 (false, i)
@@ -213,9 +202,6 @@ impl<S> FlatCache<S> {
     {
         w.usize(self.len);
         w.u64(self.use_counter);
-        w.u64(self.lookups);
-        w.u64(self.hits);
-        w.u64(self.evictions);
         for (i, &tag) in self.tags.iter().enumerate() {
             if tag != EMPTY_TAG {
                 w.usize(i);
@@ -317,7 +303,7 @@ impl Subject for Lazy {
 
     fn observe(&self) -> String {
         let lines: Vec<_> = self.l2.iter().collect();
-        show((self.l2.counters(), self.l2.len(), self.l2.blocks(), lines))
+        show((self.l2.len(), self.l2.blocks(), lines))
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -371,8 +357,7 @@ impl Subject for Flat {
     fn observe(&self) -> String {
         let lines: Vec<_> = self.l2.iter().collect();
         let blocks: Vec<_> = self.l2.iter().map(|(a, _)| a).collect();
-        let counters = (self.l2.lookups, self.l2.hits, self.l2.evictions);
-        show((counters, self.l2.len, blocks, lines))
+        show((self.l2.len, blocks, lines))
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -496,7 +481,7 @@ fn lazy_sets_are_indistinguishable_from_eager_ones() {
         }
         compare(&new, &old, &format!("{sets}x{ways}, end"));
         assert!(
-            new.l2.counters().2 > 0 && !slots.is_empty(),
+            old.l2.evictions > 0 && !slots.is_empty(),
             "{sets}x{ways}: the stream never evicted or never learned a slot"
         );
     }

@@ -199,9 +199,18 @@ mod tests {
         assert!(warning.is_none());
         assert_eq!(restored.len(), 1);
 
+        // What a server built before snapshot version 4 persisted: the
+        // same entries sealed with version 3, refused by the version alone.
+        let bytes = std::fs::read(&good).unwrap();
+        let v3 = dir.join("v3.snap");
+        std::fs::write(&v3, seal(3, open(&bytes).unwrap().1)).unwrap();
+        let (old, warning) = ResultCache::load_or_empty(&v3);
+        assert!(old.is_empty());
+        let warning = warning.expect("a version-3 file is discarded with a warning");
+        assert!(warning.contains("snapshot version 3"), "{warning}");
+
         // A truncated file (simulated crash mid-write of a non-atomic
         // writer) must also degrade, not panic.
-        let bytes = std::fs::read(&good).unwrap();
         std::fs::write(&good, &bytes[..bytes.len() / 2]).unwrap();
         let (truncated, warning) = ResultCache::load_or_empty(&good);
         assert!(truncated.is_empty());

@@ -37,7 +37,11 @@
 //!
 //! The ring index of an in-window event is `time & (HORIZON_CYCLES - 1)`;
 //! because the window is exactly as long as the ring, a slot maps to one
-//! absolute cycle at a time. Whenever `now` advances (only `pop` advances
+//! absolute cycle at a time. One predicate, `in_window`, says which cycles
+//! the ring holds: those before `now + HORIZON_CYCLES`, and `now` itself
+//! once that end saturates at `Cycle::MAX`. `schedule`, the overflow
+//! migration and a snapshot load all ask it, so a cycle's events are always
+//! one list in one place. Whenever `now` advances (only `pop` advances
 //! it), overflow cycles that entered the window migrate into their buckets
 //! *before* any new event can be scheduled directly into those cycles, so
 //! FIFO order between a migrated event and a later direct schedule is
@@ -45,13 +49,10 @@
 //!
 //! # The wire
 //!
-//! Snapshot bytes do not depend on the ring's size. The layout (snapshot
-//! version 3) was fixed while the ring was 4096 cycles long and still
-//! splits the pending events at `now + 4096`: a calendar section holding
-//! the cycles before that boundary, keyed by `time % 4096` in slot order,
-//! then an overflow section holding every later cycle in time order. A load
-//! places each cycle in the ring or the overflow level by the in-memory
-//! window, exactly where `schedule` would have put its events.
+//! Snapshot bytes do not depend on the ring's size: after the clock and
+//! counters come the pending cycles in time order, one `(cycle, events)`
+//! entry each (the ring's, then the overflow level's). A load places each
+//! cycle where `schedule` would have put its events.
 
 use std::collections::BTreeMap;
 
@@ -74,11 +75,15 @@ pub const HORIZON_CYCLES: u64 = 16_384;
 const MASK: u64 = HORIZON_CYCLES - 1;
 const WORDS: usize = (HORIZON_CYCLES as usize) / 64;
 
-/// Where the snapshot layout splits its calendar section from its overflow
-/// section: the ring's length when the layout was fixed. Independent of
-/// [`HORIZON_CYCLES`]; the next snapshot version may drop it.
-const WIRE_WINDOW: u64 = 4096;
-const WIRE_MASK: u64 = WIRE_WINDOW - 1;
+/// Whether cycle `time` belongs in the ring while the clock reads `now`:
+/// it is before the window's end, or it is `now` itself. The end saturates
+/// near `Cycle::MAX`; the window then covers fewer than `HORIZON_CYCLES`
+/// cycles, which keeps the ring mapping injective, and the second clause
+/// keeps the cycle due now in its bucket.
+#[inline]
+fn in_window(now: Cycle, time: Cycle) -> bool {
+    time < now.saturating_add(HORIZON_CYCLES) || time == now
+}
 
 /// A deterministic, time-ordered event queue (calendar queue).
 ///
@@ -120,21 +125,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// End of the calendar window. Saturates near `Cycle::MAX`; the window
-    /// then covers fewer than `HORIZON_CYCLES` cycles, which keeps the ring
-    /// mapping injective (events at the saturated end live in overflow).
-    #[inline]
-    fn horizon_end(&self) -> Cycle {
-        self.now.saturating_add(HORIZON_CYCLES)
-    }
-
     /// Schedules `event` to be delivered at absolute time `time`.
     ///
     /// Scheduling in the past is clamped to the current time (see the module
     /// documentation: clamping is part of the determinism contract).
     pub fn schedule(&mut self, time: Cycle, event: E) {
         let time = time.max(self.now);
-        if time < self.horizon_end() {
+        if in_window(self.now, time) {
             let slot = (time & MASK) as usize;
             self.pool.push(&mut self.buckets[slot], event);
             self.occupied[slot / 64] |= 1 << (slot % 64);
@@ -191,23 +188,23 @@ impl<E> EventQueue<E> {
     /// only be scheduled into directly once it is inside the window, and it
     /// enters the window in the same instant its overflow events migrate.
     fn migrate_overflow(&mut self) {
-        let end = self.horizon_end();
+        let now = self.now;
         while let Some(entry) = self.overflow.first_entry() {
             let time = *entry.key();
-            // `time == self.now` only matters when `horizon_end` saturates
-            // at `Cycle::MAX`: the window is then empty-length at the top
-            // end, but an event due *now* must still migrate.
-            if time >= end && time > self.now {
+            if !in_window(now, time) {
                 break;
             }
-            let slot = (time & MASK) as usize;
-            debug_assert!(
-                self.buckets[slot].is_empty(),
-                "bucket occupied while its cycle was still in overflow"
-            );
-            self.buckets[slot] = entry.remove();
-            self.occupied[slot / 64] |= 1 << (slot % 64);
+            let fifo = entry.remove();
+            self.place_bucket(time, fifo);
         }
+    }
+
+    /// Puts in-window cycle `time`'s whole list in its (empty) bucket.
+    fn place_bucket(&mut self, time: Cycle, fifo: Fifo) {
+        let slot = (time & MASK) as usize;
+        debug_assert!(self.buckets[slot].is_empty(), "cycle {time} split");
+        self.buckets[slot] = fifo;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
     }
 
     /// The absolute cycle of the earliest non-empty bucket in the window, if
@@ -314,52 +311,22 @@ impl<E> EventQueue<E> {
             .map(|time| (time, &self.buckets[(time & MASK) as usize]))
             .filter(|&(_, fifo)| !fifo.is_empty())
     }
-
-    /// End of the wire's calendar section, which also holds the cycle due
-    /// now when the clock saturated at `Cycle::MAX`.
-    fn wire_end(&self) -> Cycle {
-        self.now.saturating_add(WIRE_WINDOW)
-    }
-
-    /// Puts a loaded in-window cycle's list in its bucket. A bucket filled
-    /// twice is a repeated wire slot.
-    fn load_bucket(&mut self, time: Cycle, fifo: Fifo) -> Result<(), SnapshotError> {
-        let slot = (time & MASK) as usize;
-        if !self.buckets[slot].is_empty() {
-            return Err(SnapshotError::Corrupt(format!("queue cycle {time} twice")));
-        }
-        self.buckets[slot] = fifo;
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-        Ok(())
-    }
 }
 
-/// The queue exactly: clock, counters, then the pending events in the v3
-/// layout (see the module documentation, "The wire"): the calendar section,
-/// one `(slot, events)` entry per non-empty cycle of `[now, now + 4096)` in
-/// slot order, then the overflow section, one `(cycle, events)` entry per
-/// later cycle in time order, each list head first. The load refuses a slot
-/// outside the wire window, a repeated or empty cycle, an overflow cycle
-/// inside the wire window or out of order, counters that do not account
-/// for the pending events, and a depth high-water mark below them.
+/// The queue exactly: clock, counters, then one `(cycle, events)` entry per
+/// pending cycle in time order, each list head first (see the module
+/// documentation, "The wire"). The load refuses a cycle before the clock or
+/// not after the one before it, an empty list, counters that do not
+/// account for the pending events, and a depth high-water mark below them.
 impl<E: Snap> Snap for EventQueue<E> {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.now);
         w.u64(self.scheduled);
         w.u64(self.delivered);
         w.usize(self.max_depth);
-        let wire_end = self.wire_end();
-        let (mut calendar, later): (Vec<_>, Vec<_>) = self
-            .ring()
-            .partition(|&(time, _)| time < wire_end || time == self.now);
-        calendar.sort_unstable_by_key(|&(time, _)| time & WIRE_MASK);
-        w.seq(calendar.into_iter(), |w, (time, fifo)| {
-            w.usize((time & WIRE_MASK) as usize);
-            fifo.save_with(w, &self.pool);
-        });
         let overflow = self.overflow.iter().map(|(&time, fifo)| (time, fifo));
-        let later: Vec<_> = later.into_iter().chain(overflow).collect();
-        w.seq(later.into_iter(), |w, (time, fifo)| {
+        let pending: Vec<_> = self.ring().chain(overflow).collect();
+        w.seq(pending.into_iter(), |w, (time, fifo)| {
             w.u64(time);
             fifo.save_with(w, &self.pool);
         });
@@ -371,36 +338,19 @@ impl<E: Snap> Snap for EventQueue<E> {
         q.scheduled = r.u64()?;
         q.delivered = r.u64()?;
         q.max_depth = r.usize()?;
-        let wire_end = q.wire_end();
-        for _ in 0..r.bounded_len(1)? {
-            let slot = r.usize()?;
-            // The one cycle of the calendar section with this residue.
-            let time = (slot < WIRE_WINDOW as usize)
-                .then(|| {
-                    q.now
-                        .checked_add((slot as u64).wrapping_sub(q.now) & WIRE_MASK)
-                })
-                .flatten()
-                .filter(|&time| time < wire_end || time == q.now)
-                .ok_or_else(|| SnapshotError::Corrupt(format!("bucket slot {slot}")))?;
-            let fifo = load_cycle(r, &mut q.pool)?;
-            q.load_bucket(time, fifo)?;
-        }
         let mut last = None;
         for _ in 0..r.bounded_len(1)? {
             let time = r.u64()?;
-            if time < wire_end || last.is_some_and(|last| time <= last) {
+            if time < q.now || last.is_some_and(|last| time <= last) {
                 return Err(SnapshotError::Corrupt(format!(
-                    "overflow cycle {time} at cycle {} after {last:?}",
+                    "queue cycle {time} at cycle {} after {last:?}",
                     q.now
                 )));
             }
             last = Some(time);
-            // Where `schedule` would have put it (at `Cycle::MAX`, a cycle
-            // due now but not yet migrated stays in the overflow level).
             let fifo = load_cycle(r, &mut q.pool)?;
-            if time < q.horizon_end() {
-                q.load_bucket(time, fifo)?;
+            if in_window(q.now, time) {
+                q.place_bucket(time, fifo);
             } else {
                 q.overflow.insert(time, fifo);
             }
@@ -735,12 +685,18 @@ mod tests {
     // Snapshot round-trips.
     // ------------------------------------------------------------------
 
-    /// Saves `q`, loads the bytes back (all of them), and checks the
-    /// restored copy's clock and counters.
-    fn round_trip(q: &EventQueue<u64>) -> EventQueue<u64> {
+    /// The queue's wire bytes.
+    fn saved(q: &EventQueue<u64>) -> Vec<u8> {
         let mut w = SnapWriter::new();
         q.save(&mut w);
-        let bytes = w.into_bytes();
+        w.into_bytes()
+    }
+
+    /// Saves `q`, loads the bytes back (all of them), and checks the
+    /// restored copy's clock and counters, and that it re-saves the same
+    /// bytes.
+    fn round_trip(q: &EventQueue<u64>) -> EventQueue<u64> {
+        let bytes = saved(q);
         let mut r = SnapReader::new(&bytes);
         let restored = EventQueue::load(&mut r).expect("a saved queue loads");
         r.finish().unwrap();
@@ -749,6 +705,7 @@ mod tests {
             (q.now(), q.len(), q.overflow_len(), counters)
         };
         assert_eq!(view(&restored), view(q));
+        assert!(saved(&restored) == bytes, "re-save moved the bytes");
         restored
     }
 
@@ -757,7 +714,6 @@ mod tests {
     /// FIFO ties and overflow migration.
     #[test]
     fn save_load_round_trips_mid_run() {
-        use crate::snapshot::{SnapReader, SnapWriter};
         let mut rng = DeterministicRng::new(0x5EED);
         let mut q: EventQueue<u64> = EventQueue::new();
         for i in 0..500 {
@@ -772,19 +728,7 @@ mod tests {
             }
         }
 
-        let mut w = SnapWriter::new();
-        q.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let mut restored = EventQueue::load(&mut r).unwrap();
-        r.finish().unwrap();
-
-        assert_eq!(restored.now(), q.now());
-        assert_eq!(restored.len(), q.len());
-        assert_eq!(restored.overflow_len(), q.overflow_len());
-        assert_eq!(restored.total_scheduled(), q.total_scheduled());
-        assert_eq!(restored.total_delivered(), q.total_delivered());
-        assert_eq!(restored.max_depth(), q.max_depth());
+        let mut restored = round_trip(&q);
         // Interleave fresh schedules with the drain on both queues.
         let mut i = 1000;
         loop {
@@ -803,10 +747,11 @@ mod tests {
     }
 
     /// Near `Cycle::MAX` the window saturates: events due at the very top
-    /// sit in the overflow level until the clock gets there, and with the
-    /// clock at the top one can be in a bucket (migrated) and another in
-    /// the overflow level (scheduled after). A snapshot at every point of
-    /// that drain restores to the same stream.
+    /// sit in the overflow level until the clock gets there. Once it does,
+    /// the migrated list and every later schedule at `Cycle::MAX` (clamped
+    /// or aimed there) share one bucket, so the cycle is saved as one
+    /// entry. A snapshot at every point of that drain restores to the same
+    /// stream.
     #[test]
     fn save_load_round_trips_at_the_top_of_time() {
         let top = [
@@ -825,6 +770,7 @@ mod tests {
                 q.pop();
             }
             q.schedule(0, 10 + pops);
+            q.schedule(Cycle::MAX, 20 + pops);
             let mut restored = round_trip(&q);
             loop {
                 let (a, b) = (q.pop(), restored.pop());
@@ -837,16 +783,14 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // The wire: a byte pin and the load's refusals. Written against the
-    // 4096-cycle ring and carried over unedited: the in-memory window may
-    // grow, the bytes may not move.
+    // The wire: a byte pin and the load's refusals. The bytes do not
+    // depend on the ring's size; they move only with the snapshot version.
     // ------------------------------------------------------------------
 
     /// The queue's wire bytes, as length + fnv1a64, for a seeded
-    /// schedule/pop sequence that leaves events pending in all three
-    /// regions: the wire's calendar window `[now, now + 4096)`, the cycles
-    /// from there to `now + 16384`, and beyond. A restored copy re-saves
-    /// the same bytes.
+    /// schedule/pop sequence that leaves events pending in three regions:
+    /// `[now, now + 4096)`, the rest of the ring to `now + 16384`, and the
+    /// overflow level beyond. A restored copy re-saves the same bytes.
     #[test]
     fn saved_queue_bytes_are_pinned_across_the_window_boundaries() {
         use crate::snapshot::fnv1a64;
@@ -874,71 +818,79 @@ mod tests {
         }
         assert!(regions.iter().all(|&n| n > 0), "regions {regions:?}");
 
-        let mut w = SnapWriter::new();
-        q.save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = saved(&q);
         assert_eq!(
             (bytes.len(), fnv1a64(&bytes)),
-            (48_144, 0x028e_11c2_4d7c_a046),
+            (48_136, 0x6c24_a144_0a0c_8d57),
             "regions {regions:?}"
         );
-
-        let mut r = SnapReader::new(&bytes);
-        let restored = EventQueue::<u64>::load(&mut r).unwrap();
-        r.finish().unwrap();
-        let mut w = SnapWriter::new();
-        restored.save(&mut w);
-        assert!(w.into_bytes() == bytes, "re-save moved the bytes");
+        round_trip(&q);
     }
 
-    /// Bytes of a hand-built queue: clock, counters, no calendar bucket,
-    /// and one event (numbered in order) at each of `cycles` in the
-    /// overflow section.
-    fn overflow_only_bytes(
+    /// Bytes of a hand-built queue: clock, counters (the depth mark is the
+    /// pending count), then each `(cycle, events)` entry of `cycles` with
+    /// its events numbered in order.
+    fn queue_bytes(
         now: Cycle,
         scheduled: u64,
         delivered: u64,
-        cycles: &[Cycle],
+        cycles: &[(Cycle, usize)],
     ) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.u64(now);
         w.u64(scheduled);
         w.u64(delivered);
+        w.usize(cycles.iter().map(|&(_, events)| events).sum());
         w.usize(cycles.len());
-        w.usize(0);
-        w.usize(cycles.len());
-        for (id, &cycle) in cycles.iter().enumerate() {
+        let mut id = 0..;
+        for &(cycle, events) in cycles {
             w.u64(cycle);
-            w.usize(1);
-            w.u64(id as u64);
+            w.usize(events);
+            for id in id.by_ref().take(events) {
+                w.u64(id);
+            }
         }
         w.into_bytes()
     }
 
     #[test]
     fn a_hand_built_queue_that_keeps_the_invariants_loads() {
-        let bytes = overflow_only_bytes(100, 7, 5, &[100 + 4096, 100 + 20_000]);
+        let bytes = queue_bytes(100, 8, 5, &[(105, 2), (100 + 20_000, 1)]);
         let mut q = EventQueue::<u64>::load(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(q.pop(), Some((100 + 4096, 0)));
-        assert_eq!(q.pop(), Some((100 + 20_000, 1)));
-        assert_eq!(q.total_delivered(), 7);
+        assert_eq!(q.overflow_len(), 1);
+        assert_eq!(q.pop(), Some((105, 0)));
+        assert_eq!(q.pop(), Some((105, 1)));
+        assert_eq!(q.pop(), Some((100 + 20_000, 2)));
+        assert_eq!(q.total_delivered(), 8);
     }
 
-    /// Cycle 105 at `now = 100` belongs in a calendar bucket. Loaded into
-    /// the overflow level it would be delivered 4096 cycles late, after
-    /// anything scheduled in between.
+    /// A cycle before the clock could never be popped in order, and a
+    /// cycle saved twice or out of order, or with no event, is not what
+    /// `save` writes.
     #[test]
-    fn load_refuses_an_overflow_cycle_inside_the_calendar_window() {
-        let bytes = overflow_only_bytes(100, 1, 0, &[105]);
-        let err = EventQueue::<u64>::load(&mut SnapReader::new(&bytes)).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    fn load_refuses_cycles_out_of_time_order_or_empty() {
+        for (what, cycles) in [
+            ("before the clock", &[(99, 1)][..]),
+            ("repeated", &[(105, 1), (105, 1)]),
+            ("out of order", &[(100 + 20_000, 1), (105, 1)]),
+            ("empty", &[(105, 0)]),
+        ] {
+            let pending: usize = cycles.iter().map(|&(_, events)| events).sum();
+            let bytes = queue_bytes(100, pending as u64, 0, cycles);
+            match EventQueue::<u64>::load(&mut SnapReader::new(&bytes)) {
+                Err(SnapshotError::Corrupt(why)) => {
+                    assert!(why.starts_with("queue cycle"), "{what}: {why}")
+                }
+                other => panic!("{what}: expected a Corrupt error, got {other:?}"),
+            }
+        }
     }
 
     /// Every queue `schedule` and `pop` can produce has
     /// `scheduled == delivered + pending`.
     #[test]
     fn load_refuses_counters_that_do_not_account_for_the_pending_events() {
-        let bytes = overflow_only_bytes(100, 5, 0, &[100 + 4096]);
+        let bytes = queue_bytes(100, 5, 0, &[(100 + 4096, 1)]);
         let err = EventQueue::<u64>::load(&mut SnapReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
@@ -950,8 +902,8 @@ mod tests {
     /// Drives the calendar queue and the legacy heap through identical
     /// seeded schedule/pop interleavings and requires identical
     /// `(time, event)` streams. The offset distribution deliberately mixes
-    /// same-cycle storms (offset 0), in-window latencies, values at both
-    /// window boundaries (the wire's 4096 and the ring's), and
+    /// same-cycle storms (offset 0), in-window latencies, values around
+    /// 4096 cycles ahead and at the end of the ring, and
     /// far-overflow timers. Every 400 steps the calendar queue is replaced
     /// by its own save/load round trip, which must be invisible.
     #[test]
@@ -985,7 +937,7 @@ mod tests {
                         0..=24 => 0,                                          // same-cycle storm
                         25..=59 => rng.next_below(64),                        // short latency
                         60..=69 => rng.next_below(HORIZON_CYCLES),            // anywhere in window
-                        70..=79 => WIRE_WINDOW - 2 + rng.next_below(4),       // wire boundary
+                        70..=79 => 4094 + rng.next_below(4),                  // 4096 +- 2
                         80..=89 => HORIZON_CYCLES - 2 + rng.next_below(4),    // ring boundary
                         90..=94 => HORIZON_CYCLES * (1 + rng.next_below(20)), // far overflow
                         _ => rng.next_below(20 * HORIZON_CYCLES),             // anywhere at all

@@ -36,7 +36,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 /// * v3 — fault/adversary plane state carries per-source-node RNG streams
 ///   (empty in single-stream mode); `EngineStats` carries shard telemetry;
 ///   the runner fingerprint folds in `RunOptions::shards`.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// * v4 — the event queue writes its pending cycles as one time-ordered
+///   section; the caches, MSHR tables, home memories, workload generators,
+///   processors, verifier and fabric drop the counters nothing reads.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

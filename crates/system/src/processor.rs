@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use tc_sim::snap_state;
 use tc_types::{Cycle, MemOp, NodeId, ProcessorConfig, ReqId};
-use tc_workloads::{GeneratedOp, WorkloadGenerator, WorkloadProfile};
+use tc_workloads::{WorkloadGenerator, WorkloadProfile};
 
 /// What [`Processor::note_completion`] did, so the runner can maintain its
 /// incremental completed-operation counter and wake blocked processors
@@ -48,10 +48,8 @@ pub struct Processor {
     outstanding: BTreeMap<ReqId, Cycle>,
     issued_past_miss: usize,
     blocked: bool,
-    staged: Option<GeneratedOp>,
     transactions: u64,
     ops_in_transaction: usize,
-    total_think: Cycle,
 }
 
 impl Processor {
@@ -75,10 +73,8 @@ impl Processor {
             outstanding: BTreeMap::new(),
             issued_past_miss: 0,
             blocked: false,
-            staged: None,
             transactions: 0,
             ops_in_transaction: 0,
-            total_think: 0,
         }
     }
 
@@ -131,12 +127,8 @@ impl Processor {
             self.blocked = true;
             return (IssueDecision::Blocked, 0);
         }
-        let generated = self
-            .staged
-            .take()
-            .unwrap_or_else(|| self.generator.next_op());
+        let generated = self.generator.next_op();
         let think = generated.think_cycles;
-        self.total_think += think;
         self.issued += 1;
         if !self.outstanding.is_empty() {
             self.issued_past_miss += 1;
@@ -203,10 +195,8 @@ snap_state!(Processor {
     outstanding,
     issued_past_miss,
     blocked,
-    staged,
     transactions,
     ops_in_transaction,
-    total_think,
 });
 
 #[cfg(test)]

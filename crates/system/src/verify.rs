@@ -87,8 +87,6 @@ pub struct Verifier {
     /// unordered map stays deterministic.
     escalations: FastHashMap<(NodeId, BlockAddr), Cycle>,
     violations: Vec<InvariantViolation>,
-    reads_checked: u64,
-    writes_recorded: u64,
 }
 
 /// One verifier call made while stepping an event: the vocabulary the step
@@ -154,7 +152,6 @@ impl Verifier {
 
     /// Records a completed store of `version` to `addr` at time `at`.
     pub fn record_write(&mut self, _node: NodeId, addr: BlockAddr, version: u64, at: Cycle) {
-        self.writes_recorded += 1;
         self.history.entry(addr).or_default().record(version, at);
     }
 
@@ -174,7 +171,6 @@ impl Verifier {
         issued_at: Cycle,
         at: Cycle,
     ) {
-        self.reads_checked += 1;
         let entry = self.history.entry(addr).or_default();
         entry.ensure_initial();
         // Observing the globally newest value is never stale (a write that
@@ -367,11 +363,6 @@ impl Verifier {
         &self.violations
     }
 
-    /// (reads checked, writes recorded) counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.reads_checked, self.writes_recorded)
-    }
-
     /// Consumes the verifier, returning its violations.
     pub fn into_violations(self) -> Vec<InvariantViolation> {
         self.violations
@@ -381,8 +372,6 @@ impl Verifier {
 // Both maps are written in key order, so identical verifier states always
 // produce identical bytes.
 snap_struct!(Verifier {
-    reads_checked,
-    writes_recorded,
     history,
     violations,
     escalations,
@@ -398,8 +387,6 @@ mod tests {
     /// order.
     fn verifier_bytes(blocks: &[u64], escalations: &[(usize, u64)]) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.u64(3);
-        w.u64(2);
         let history: Vec<_> = blocks
             .iter()
             .map(|&b| (BlockAddr::new(b), BlockHistory::default()))
@@ -458,7 +445,6 @@ mod tests {
         v.record_write(NodeId::new(0), BlockAddr::new(1), 10, 100);
         v.check_read(NodeId::new(1), BlockAddr::new(1), 10, 150, 200);
         assert!(v.violations().is_empty());
-        assert_eq!(v.counters(), (1, 1));
     }
 
     #[test]

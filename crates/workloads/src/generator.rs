@@ -43,7 +43,6 @@ pub struct WorkloadGenerator {
     rng: DeterministicRng,
     next_req: u64,
     pending: VecDeque<(Cycle, u64, MemOpKind)>,
-    ops_generated: u64,
 }
 
 impl WorkloadGenerator {
@@ -59,18 +58,12 @@ impl WorkloadGenerator {
             rng,
             next_req: 0,
             pending: VecDeque::new(),
-            ops_generated: 0,
         }
     }
 
     /// The profile driving this generator.
     pub fn profile(&self) -> &WorkloadProfile {
         &self.profile
-    }
-
-    /// Number of operations generated so far.
-    pub fn ops_generated(&self) -> u64 {
-        self.ops_generated
     }
 
     fn think(&mut self) -> Cycle {
@@ -140,7 +133,6 @@ impl WorkloadGenerator {
             .expect("generate_sequence always enqueues at least one operation");
         let id = ReqId::new((self.node.index() as u64) << 48 | self.next_req);
         self.next_req += 1;
-        self.ops_generated += 1;
         GeneratedOp {
             think_cycles,
             op: MemOp::new(id, Address::new(block * BLOCK_BYTES), kind),
@@ -210,7 +202,6 @@ impl WorkloadGenerator {
 snap_state!(WorkloadGenerator {
     rng,
     next_req,
-    ops_generated,
     pending,
 });
 
@@ -389,18 +380,8 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         restored.load_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(restored.ops_generated(), g.ops_generated());
         for _ in 0..2000 {
             assert_eq!(g.next_op(), restored.next_op());
         }
-    }
-
-    #[test]
-    fn ops_generated_counter_tracks_output() {
-        let mut g = generator(WorkloadProfile::specjbb(), 1);
-        for _ in 0..10 {
-            g.next_op();
-        }
-        assert_eq!(g.ops_generated(), 10);
     }
 }

@@ -162,10 +162,10 @@ fn first_checkpoint_of(
 #[test]
 fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
     for (protocol, pinned) in [
-        (ProtocolKind::TokenB, (800_966, 0xc78bda8d58b805e1)),
-        (ProtocolKind::Snooping, (827_573, 0x764a8a8dceae3231)),
-        (ProtocolKind::Directory, (949_959, 0xe11bd84c1e1c9a8e)),
-        (ProtocolKind::Hammer, (561_848, 0x8d32754354a5e531)),
+        (ProtocolKind::TokenB, (800_566, 0x53542f3a0438ebd1)),
+        (ProtocolKind::Snooping, (827_177, 0xb4e2bfb7d6b1965d)),
+        (ProtocolKind::Directory, (949_563, 0x9a753eb725a7419c)),
+        (ProtocolKind::Hammer, (561_452, 0xdebe9b335521d234)),
     ] {
         let bytes = first_checkpoint(protocol);
         let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
@@ -192,7 +192,7 @@ fn first_checkpoint_under_both_planes_keeps_its_bytes() {
     let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
     assert_eq!(
         (len, hash),
-        (796_703, 0x3405c31ce57d161a),
+        (796_299, 0xe4914c81a4d24382),
         "planed TokenB: snapshot bytes changed ({len}, {hash:#x}): bump SNAPSHOT_VERSION \
          and re-record, or restore the format"
     );
