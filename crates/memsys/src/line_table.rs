@@ -326,14 +326,14 @@ impl<V> LineTable<V> {
         blocks
     }
 
-    /// Serializes the table's *exact* slot layout: capacity plus every
-    /// occupied slot as `(slot index, key, value)`. Backward-shift deletion
-    /// means the layout is a function of the whole insert/remove history —
-    /// it cannot be reproduced by re-inserting the surviving entries — and
-    /// iteration order (which some audit paths consume) depends on it, so
-    /// snapshots must round-trip positions, not just contents.
+    /// Serializes the table's *exact* slot layout: the high-water mark
+    /// (which determines the capacity) plus every occupied slot as `(slot
+    /// index, key, value)`. Backward-shift deletion means the layout is a
+    /// function of the whole insert/remove history — it cannot be
+    /// reproduced by re-inserting the surviving entries — and iteration
+    /// order (which some audit paths consume) depends on it, so snapshots
+    /// must round-trip positions, not just contents.
     pub fn save_state(&self, w: &mut SnapWriter, mut emit: impl FnMut(&mut SnapWriter, &V)) {
-        w.usize(self.capacity());
         w.usize(self.high_water);
         let occupied = self
             .keys
@@ -350,15 +350,13 @@ impl<V> LineTable<V> {
     }
 
     /// Rebuilds a table from [`LineTable::save_state`] bytes. Capacity only
-    /// changes by doubling under the 3/4 ceiling, so a saved capacity other
-    /// than the one growth gives for the high-water mark is a file no
-    /// writer made, and a high-water mark past [`MAX_LINE_TABLE_ENTRIES`]
-    /// is refused before anything is allocated for it.
+    /// changes by doubling under the 3/4 ceiling, so the high-water mark
+    /// determines it; a high-water mark past [`MAX_LINE_TABLE_ENTRIES`] is
+    /// refused before anything is allocated for it.
     pub fn load_state(
         r: &mut SnapReader<'_>,
         mut read: impl FnMut(&mut SnapReader<'_>) -> Result<V, SnapshotError>,
     ) -> Result<LineTable<V>, SnapshotError> {
-        let capacity = r.usize()?;
         let high_water = r.usize()?;
         let len = r.usize()?;
         if high_water > MAX_LINE_TABLE_ENTRIES {
@@ -366,14 +364,10 @@ impl<V> LineTable<V> {
                 "line table high-water mark {high_water} (limit {MAX_LINE_TABLE_ENTRIES})"
             )));
         }
-        if capacity != Self::capacity_for(high_water) {
-            return Err(SnapshotError::Corrupt(format!(
-                "line table capacity {capacity} for high-water mark {high_water}"
-            )));
-        }
         if len > high_water {
             return Err(SnapshotError::Corrupt("line table accounting".into()));
         }
+        let capacity = Self::capacity_for(high_water);
         let mut keys = vec![EMPTY_KEY; capacity];
         let mut values: Vec<Option<V>> = (0..capacity).map(|_| None).collect();
         for _ in 0..len {
@@ -595,44 +589,37 @@ mod tests {
         }
     }
 
-    /// A header of `capacity`, `high_water` and `len` with no entries.
-    fn header(capacity: u64, high_water: u64, len: u64) -> Vec<u8> {
+    /// A header of `high_water` and `len` with no entries.
+    fn header(high_water: u64, len: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        for v in [capacity, high_water, len] {
+        for v in [high_water, len] {
             w.u64(v);
         }
         w.into_bytes()
     }
 
+    /// A high-water mark past the limit is refused before anything is
+    /// allocated for it (`1 << 62` once overflowed the allocation), and so
+    /// is a table holding more entries than it ever held.
     #[test]
-    fn load_refuses_a_capacity_growth_never_reaches() {
-        for (capacity, high_water, len) in [
-            (1 << 62, 0, 0),
-            (1 << 40, 0, 0),
-            (1 << 40, 1 << 39, 0),
-            (32, 12, 0), // 12 entries fit in 16 slots
-            (16, 13, 0), // 13 do not
-            (16, 0, 0),
-            (0, 1, 0),
-            (24, 12, 0),
-            (16, 4, 5),
-        ] {
-            let bytes = header(capacity, high_water, len);
-            let loaded = LineTable::<u64>::load(&mut SnapReader::new(&bytes));
+    fn load_refuses_a_high_water_mark_past_the_limit_or_below_the_entries() {
+        let past_limit = MAX_LINE_TABLE_ENTRIES as u64 + 1;
+        for (high_water, len) in [(1 << 62, 0), (1 << 39, 0), (past_limit, 0)] {
+            let loaded = LineTable::<u64>::load(&mut SnapReader::new(&header(high_water, len)));
             assert!(
-                matches!(loaded, Err(SnapshotError::Corrupt(_))),
-                "capacity {capacity}, high water {high_water}, len {len}"
+                matches!(&loaded, Err(SnapshotError::Corrupt(why)) if why.contains("limit")),
+                "high water {high_water}: {loaded:?}"
             );
         }
-        let peak = MAX_LINE_TABLE_ENTRIES as u64 + 1;
-        let capacity = LineTable::<u64>::capacity_for(peak as usize) as u64;
-        let loaded = LineTable::<u64>::load(&mut SnapReader::new(&header(capacity, peak, 0)));
+        let loaded = LineTable::<u64>::load(&mut SnapReader::new(&header(4, 5)));
         assert!(
-            matches!(&loaded, Err(SnapshotError::Corrupt(why)) if why.contains("limit")),
+            matches!(&loaded, Err(SnapshotError::Corrupt(why)) if why.contains("accounting")),
             "{loaded:?}"
         );
-        let empty = LineTable::<u64>::load(&mut SnapReader::new(&header(0, 0, 0))).unwrap();
+        let empty = LineTable::<u64>::load(&mut SnapReader::new(&header(0, 0))).unwrap();
         assert_eq!(empty.capacity(), 0);
+        let churned = LineTable::<u64>::load(&mut SnapReader::new(&header(13, 0))).unwrap();
+        assert_eq!(churned.capacity(), 32);
     }
 
     #[test]

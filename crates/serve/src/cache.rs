@@ -199,15 +199,21 @@ mod tests {
         assert!(warning.is_none());
         assert_eq!(restored.len(), 1);
 
-        // What a server built before snapshot version 4 persisted: the
-        // same entries sealed with version 3, refused by the version alone.
+        // What servers built before snapshot versions 4 and 5 persisted:
+        // the same entries sealed with version 3 or 4, refused by the
+        // version alone.
         let bytes = std::fs::read(&good).unwrap();
-        let v3 = dir.join("v3.snap");
-        std::fs::write(&v3, seal(3, open(&bytes).unwrap().1)).unwrap();
-        let (old, warning) = ResultCache::load_or_empty(&v3);
-        assert!(old.is_empty());
-        let warning = warning.expect("a version-3 file is discarded with a warning");
-        assert!(warning.contains("snapshot version 3"), "{warning}");
+        for version in [3, 4] {
+            let old_file = dir.join(format!("v{version}.snap"));
+            std::fs::write(&old_file, seal(version, open(&bytes).unwrap().1)).unwrap();
+            let (old, warning) = ResultCache::load_or_empty(&old_file);
+            assert!(old.is_empty());
+            let warning = warning.expect("an old version's file is discarded with a warning");
+            assert!(
+                warning.contains(&format!("snapshot version {version}")),
+                "{warning}"
+            );
+        }
 
         // A truncated file (simulated crash mid-write of a non-atomic
         // writer) must also degrade, not panic.

@@ -15,7 +15,7 @@
 //! submission must never panic a worker, and a misspelt one must never run
 //! as something else.
 
-use tc_system::{ExperimentPoint, RunOptions};
+use tc_system::{determinism_key, ExperimentPoint, RunOptions};
 use tc_types::{FaultSpec, JobPriority, Json, SystemConfig, Wire, WireError};
 
 /// Hard ceiling on points per submission; a sweep bigger than this should
@@ -166,24 +166,16 @@ impl Submission {
 // ---------------------------------------------------------------------------
 
 /// Derives the dedup-cache key for one point under the given options: the
-/// full determinism tuple — configuration, workload, run length, effective
-/// fault spec ([`ExperimentPoint::effective_options`]), livelock budget,
-/// checkpoint cadence, and adversary spec. The *label* is deliberately
-/// excluded: the same physical experiment under a different name is still
-/// the same experiment, and the served line is re-rendered with the
-/// submitted label on a hit.
+/// [`determinism_key`] of the point's configuration and workload under its
+/// effective options ([`ExperimentPoint::effective_options`]). The *label*
+/// is deliberately excluded: the same physical experiment under a
+/// different name is still the same experiment, and the served line is
+/// re-rendered with the submitted label on a hit.
 pub fn cache_key(point: &ExperimentPoint, options: &RunOptions) -> String {
-    let options = point.effective_options(options);
-    format!(
-        "{:?}|{:?}|ops={}|cycles={}|faults={}|livelock={}|ckpt={:?}|adversary={}",
-        point.config,
-        point.workload,
-        options.ops_per_node,
-        options.max_cycles,
-        options.faults,
-        options.livelock_events_budget,
-        options.checkpoint_every,
-        options.adversary,
+    determinism_key(
+        &point.config,
+        &point.workload,
+        &point.effective_options(options),
     )
 }
 

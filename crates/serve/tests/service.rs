@@ -221,18 +221,22 @@ fn served_results_are_byte_identical_and_resubmission_hits_the_cache() {
 
 /// `checkpoint_every` is an accepted member of a submission, but a served
 /// run has no checkpoint sink: the cadence cuts nothing, and the job streams
-/// the lines of the same submission without it, byte for byte. (It is part
-/// of the cache key, so every point here is simulated, not a hit.)
+/// the lines of the same submission without it, byte for byte. It is not
+/// part of the cache key either, so after the plain submission every
+/// cadenced point is a hit, not a second simulation.
 #[test]
 fn a_checkpoint_cadence_on_the_wire_changes_no_served_byte() {
     let (addr, handle) = start_server(one_worker());
+    let plain =
+        tc_serve::submit(&addr, &submission(small_points()), |_| {}).expect("the plain submission");
+    assert_eq!((plain.ran, plain.cache_hits), (3, 0));
     let mut cadenced = submission(small_points());
     cadenced.options.checkpoint_every = Some(1);
     let mut lines = Vec::new();
     let outcome = tc_serve::submit(&addr, &cadenced, |line| lines.push(format!("{line}\n")))
         .expect("a submission with a checkpoint cadence");
     assert_eq!(lines, one_shot_lines(small_points()));
-    assert_eq!((outcome.ran, outcome.cache_hits), (3, 0));
+    assert_eq!((outcome.ran, outcome.cache_hits), (0, 3));
     tc_serve::shutdown(&addr).expect("shutdown");
     assert_eq!(handle.join().expect("server thread").jobs_failed, 0);
 }
@@ -285,6 +289,18 @@ fn poisoned_submissions_are_rejected_and_the_queue_keeps_serving() {
     let err = tc_serve::submit(&addr, &submission(poisoned), |_| {}).expect_err("must reject");
     assert!(err.message.contains("points[1].config"), "{err}");
     assert!(err.message.contains("l1.size_bytes"), "{err}");
+
+    // And a processor with no MSHR, which used to validate, run to zero
+    // operations with no violation, and be cached as a clean result.
+    let mut no_mshrs = small_points();
+    no_mshrs[0].config.processor.max_outstanding_misses = 0;
+    let err = tc_serve::submit(&addr, &submission(no_mshrs), |_| {}).expect_err("must reject");
+    assert!(err.message.contains("(400)"), "{err}");
+    assert!(err.message.contains("points[0].config"), "{err}");
+    assert!(
+        err.message.contains("processor.max_outstanding_misses"),
+        "{err}"
+    );
 
     // The queue is still serving: a good submission right after runs fine.
     let mut lines = Vec::new();

@@ -273,11 +273,11 @@ impl<T> Arena<T> {
 
 /// The arena exactly: every slot (generation, remaining uses, value) plus
 /// the free list in LIFO order, because recycled slot indices feed handle
-/// allocation and must replay identically. The load checks the occupancy
-/// count and that every free-listed slot is empty.
+/// allocation and must replay identically. The occupancy count is the
+/// number of filled slots; the load checks that the free list names exactly
+/// as many slots as are empty, each of them empty.
 impl<T: Snap> Snap for Arena<T> {
     fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.len);
         w.usize(self.high_water);
         w.u64(self.accounting_errors);
         w.seq(self.slots.iter(), |w, slot| {
@@ -289,7 +289,6 @@ impl<T: Snap> Snap for Arena<T> {
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Arena<T>, SnapshotError> {
-        let len = r.usize()?;
         let high_water = r.usize()?;
         let accounting_errors = r.u64()?;
         let slots = r.seq(|r| {
@@ -300,8 +299,8 @@ impl<T: Snap> Snap for Arena<T> {
             })
         })?;
         let free = Vec::<u32>::load(r)?;
-        let occupied = slots.iter().filter(|s| s.value.is_some()).count();
-        if occupied != len || free.len() != slots.len() - occupied {
+        let len = slots.iter().filter(|s| s.value.is_some()).count();
+        if free.len() != slots.len() - len {
             return Err(SnapshotError::Corrupt("arena slot accounting".into()));
         }
         if free.iter().any(|&i| {
@@ -484,22 +483,39 @@ mod tests {
         assert_eq!(drive(&mut arena), drive(&mut restored));
     }
 
+    /// Bytes of a hand-built arena of `u64`s: each of `slots` filled or
+    /// empty, then the free list.
+    fn arena_bytes(slots: &[Option<u64>], free: &[u32]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.usize(slots.iter().flatten().count());
+        w.u64(0);
+        w.seq(slots.iter(), |w, value| {
+            w.u32(0);
+            w.u32(u32::from(value.is_some()));
+            value.save(w);
+        });
+        free.to_vec().save(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn load_rejects_inconsistent_accounting() {
-        let mut arena = Arena::new();
-        let h = arena.insert(1u64);
-        arena.take(h);
-        arena.insert(2u64);
-        let mut w = SnapWriter::new();
-        arena.save(&mut w);
-        let bytes = w.into_bytes();
-        // Corrupt the stored `len` (first field).
-        let mut bad = bytes.clone();
-        bad[0] = 9;
-        let mut r = SnapReader::new(&bad);
-        assert!(matches!(
-            Arena::<u64>::load(&mut r),
-            Err(SnapshotError::Corrupt(_)) | Err(SnapshotError::Truncated)
-        ));
+        let good = arena_bytes(&[Some(1), None], &[1]);
+        let arena = Arena::<u64>::load(&mut SnapReader::new(&good)).unwrap();
+        assert_eq!((arena.len(), arena.capacity()), (1, 2));
+        for (what, free) in [
+            ("an empty slot the free list does not name", &[][..]),
+            ("a free list naming a filled slot", &[0]),
+            ("a free list naming no slot", &[2]),
+        ] {
+            let bytes = arena_bytes(&[Some(1), None], free);
+            assert!(
+                matches!(
+                    Arena::<u64>::load(&mut SnapReader::new(&bytes)),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        }
     }
 }

@@ -39,7 +39,14 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 /// * v4 — the event queue writes its pending cycles as one time-ordered
 ///   section; the caches, MSHR tables, home memories, workload generators,
 ///   processors, verifier and fabric drop the counters nothing reads.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// * v5 — each fact is saved once: a processor's outstanding misses carry
+///   their store flag, and its completion count is the only one (the
+///   runner's total, per-node counts and write map, and the processor's
+///   issue and transaction counters, go); the miss-latency maximum, the
+///   drain flag and the queue, arena and line-table counters that their
+///   contents determine are computed on load. The fingerprint key writes
+///   the fault and adversary specs in their `Display` form.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -74,5 +74,5 @@ pub use campaign::{
 pub use experiment::ExperimentPoint;
 pub use processor::{CompletionOutcome, Processor};
 pub use report::{RunReport, TrafficBreakdown};
-pub use runner::{RunOptions, RunProgress, System};
+pub use runner::{determinism_key, RunOptions, RunProgress, System};
 pub use verify::Verifier;

@@ -6,27 +6,17 @@ use tc_sim::snap_state;
 use tc_types::{Cycle, MemOp, NodeId, ProcessorConfig, ReqId};
 use tc_workloads::{WorkloadGenerator, WorkloadProfile};
 
-/// What [`Processor::note_completion`] did, so the runner can maintain its
-/// incremental completed-operation counter and wake blocked processors
-/// without re-scanning every node.
+/// What [`Processor::note_completion`] did with an outstanding miss, so the
+/// step core can classify the operation and wake a blocked processor without
+/// re-scanning every node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletionOutcome {
-    /// Whether an outstanding miss was actually completed (false for stale
-    /// responses to unknown request ids).
-    pub completed: bool,
+    /// Whether the operation behind the miss was a store. Classified by the
+    /// operation, not the miss: a store that merged into a read miss is
+    /// still a store.
+    pub is_write: bool,
     /// Whether the processor was blocked and should be woken.
     pub was_blocked: bool,
-}
-
-/// What the processor wants to do next when it is woken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IssueDecision {
-    /// Issue this operation now.
-    Issue(MemOp),
-    /// Nothing can be issued until an outstanding miss completes.
-    Blocked,
-    /// The processor has issued every operation it was asked to.
-    Finished,
 }
 
 /// A simplified dynamically-scheduled processor.
@@ -36,45 +26,38 @@ pub enum IssueDecision {
 /// at once (up to the MSHR count), and the reorder window limits how far the
 /// processor can run ahead of an outstanding miss. Instruction-level detail
 /// (pipelines, branch prediction) is deliberately omitted; its effect is
-/// folded into the workload's "think time" between memory operations.
+/// folded into the workload's "think time" between memory operations. The
+/// processor never stops on its own: the runner ends the run once enough
+/// operations have completed.
 #[derive(Debug)]
 pub struct Processor {
     node: NodeId,
     config: ProcessorConfig,
     generator: WorkloadGenerator,
-    target_ops: u64,
-    issued: u64,
     completed: u64,
-    outstanding: BTreeMap<ReqId, Cycle>,
+    /// Each outstanding miss's issue time and whether it is a store.
+    outstanding: BTreeMap<ReqId, (Cycle, bool)>,
     issued_past_miss: usize,
     blocked: bool,
-    transactions: u64,
-    ops_in_transaction: usize,
 }
 
 impl Processor {
-    /// Creates a processor for `node` running `profile`, which will issue
-    /// `target_ops` memory operations and then stop.
+    /// Creates a processor for `node` running `profile`.
     pub fn new(
         node: NodeId,
         profile: &WorkloadProfile,
         config: ProcessorConfig,
         num_nodes: usize,
         seed: u64,
-        target_ops: u64,
     ) -> Self {
         Processor {
             node,
             config,
             generator: WorkloadGenerator::new(profile, node, num_nodes, seed),
-            target_ops,
-            issued: 0,
             completed: 0,
             outstanding: BTreeMap::new(),
             issued_past_miss: 0,
             blocked: false,
-            transactions: 0,
-            ops_in_transaction: 0,
         }
     }
 
@@ -90,13 +73,7 @@ impl Processor {
 
     /// Transactions (groups of `ops_per_transaction` operations) completed.
     pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    /// Whether the processor has completed every operation it was asked to
-    /// issue.
-    pub fn is_done(&self) -> bool {
-        self.completed >= self.target_ops
+        self.completed / self.config.ops_per_transaction.max(1) as u64
     }
 
     /// Whether the processor is stalled waiting for a miss.
@@ -109,63 +86,49 @@ impl Processor {
         self.outstanding.len()
     }
 
-    /// Decides what to do when woken at time `now`. If an operation is
-    /// issued, the caller must pass it to the coherence controller and then
-    /// call either [`Processor::note_hit`] or [`Processor::note_miss`].
-    ///
-    /// Returns the decision plus the think time consumed before the issued
-    /// operation (so the caller can account for it when scheduling).
-    pub fn next_issue(&mut self, _now: Cycle) -> (IssueDecision, Cycle) {
-        if self.issued >= self.target_ops {
-            return (IssueDecision::Finished, 0);
-        }
-        if self.outstanding.len() >= self.config.max_outstanding_misses {
+    /// The next operation to issue and the think time consumed before it,
+    /// or `None` if the processor is blocked until an outstanding miss
+    /// completes. The caller must pass an issued operation to the coherence
+    /// controller and then call either [`Processor::note_hit`] or
+    /// [`Processor::note_miss`].
+    pub fn next_issue(&mut self) -> Option<(MemOp, Cycle)> {
+        if self.outstanding.len() >= self.config.max_outstanding_misses
+            || (!self.outstanding.is_empty() && self.issued_past_miss >= self.config.overlap_window)
+        {
             self.blocked = true;
-            return (IssueDecision::Blocked, 0);
-        }
-        if !self.outstanding.is_empty() && self.issued_past_miss >= self.config.overlap_window {
-            self.blocked = true;
-            return (IssueDecision::Blocked, 0);
+            return None;
         }
         let generated = self.generator.next_op();
-        let think = generated.think_cycles;
-        self.issued += 1;
         if !self.outstanding.is_empty() {
             self.issued_past_miss += 1;
         }
-        (IssueDecision::Issue(generated.op), think)
+        Some((generated.op, generated.think_cycles))
     }
 
     /// Records that the most recently issued operation hit in the caches.
-    pub fn note_hit(&mut self, _now: Cycle) {
-        self.complete_one();
+    pub fn note_hit(&mut self) {
+        self.completed += 1;
     }
 
-    /// Records that the most recently issued operation missed and is now
-    /// outstanding.
-    pub fn note_miss(&mut self, req: ReqId, now: Cycle) {
-        self.outstanding.insert(req, now);
+    /// Records that the most recently issued operation, a store if
+    /// `is_write`, missed at cycle `now` and is now outstanding.
+    pub fn note_miss(&mut self, req: ReqId, now: Cycle, is_write: bool) {
+        self.outstanding.insert(req, (now, is_write));
     }
 
-    /// Records the completion of an outstanding miss. Completions for
-    /// unknown request ids (stale responses) are ignored.
-    pub fn note_completion(&mut self, req: ReqId, _now: Cycle) -> CompletionOutcome {
-        if self.outstanding.remove(&req).is_none() {
-            return CompletionOutcome {
-                completed: false,
-                was_blocked: false,
-            };
-        }
-        self.complete_one();
+    /// Records the completion of an outstanding miss. A completion for an
+    /// unknown request id (a stale response) is ignored: `None`.
+    pub fn note_completion(&mut self, req: ReqId) -> Option<CompletionOutcome> {
+        let (_, is_write) = self.outstanding.remove(&req)?;
+        self.completed += 1;
         if self.outstanding.is_empty() {
             self.issued_past_miss = 0;
         }
-        let was_blocked = self.blocked;
-        self.blocked = false;
-        CompletionOutcome {
-            completed: true,
+        let was_blocked = std::mem::replace(&mut self.blocked, false);
+        Some(CompletionOutcome {
+            is_write,
             was_blocked,
-        }
+        })
     }
 
     /// The issue time of the oldest outstanding miss, if any (used by the
@@ -173,37 +136,25 @@ impl Processor {
     pub fn oldest_outstanding(&self) -> Option<(ReqId, Cycle)> {
         self.outstanding
             .iter()
-            .min_by_key(|(_, t)| **t)
-            .map(|(r, t)| (*r, *t))
-    }
-
-    fn complete_one(&mut self) {
-        self.completed += 1;
-        self.ops_in_transaction += 1;
-        if self.ops_in_transaction >= self.config.ops_per_transaction {
-            self.ops_in_transaction = 0;
-            self.transactions += 1;
-        }
+            .min_by_key(|(_, (t, _))| *t)
+            .map(|(r, (t, _))| (*r, *t))
     }
 }
 
-// `node`, `config` and `target_ops` are construction parameters.
+// `node` and `config` are construction parameters.
 snap_state!(Processor {
     generator,
-    issued,
     completed,
     outstanding,
     issued_past_miss,
     blocked,
-    transactions,
-    ops_in_transaction,
 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn processor(target: u64) -> Processor {
+    fn processor() -> Processor {
         Processor::new(
             NodeId::new(0),
             &WorkloadProfile::private_only(),
@@ -214,80 +165,54 @@ mod tests {
             },
             4,
             1,
-            target,
         )
     }
 
     #[test]
-    fn issues_until_target_then_finishes() {
-        let mut p = processor(3);
-        for _ in 0..3 {
-            match p.next_issue(0) {
-                (IssueDecision::Issue(_), _) => p.note_hit(0),
-                other => panic!("expected issue, got {other:?}"),
-            }
-        }
-        assert!(matches!(p.next_issue(0), (IssueDecision::Finished, 0)));
-        assert!(p.is_done());
-        assert_eq!(p.completed_ops(), 3);
-    }
-
-    #[test]
     fn blocks_when_mshrs_are_full() {
-        let mut p = processor(100);
+        let mut p = processor();
         for i in 0..2 {
-            let (decision, _) = p.next_issue(0);
-            let IssueDecision::Issue(op) = decision else {
-                panic!("expected issue");
-            };
-            p.note_miss(op.id, i);
+            let (op, _) = p.next_issue().expect("expected issue");
+            p.note_miss(op.id, i, false);
         }
-        assert!(matches!(p.next_issue(5), (IssueDecision::Blocked, _)));
+        assert_eq!(p.next_issue(), None);
         assert!(p.is_blocked());
         assert_eq!(p.outstanding_misses(), 2);
     }
 
     #[test]
     fn completion_unblocks_and_counts() {
-        let mut p = processor(100);
-        let (decision, _) = p.next_issue(0);
-        let IssueDecision::Issue(op) = decision else {
-            panic!()
-        };
-        p.note_miss(op.id, 0);
+        let mut p = processor();
+        let (op, _) = p.next_issue().unwrap();
+        p.note_miss(op.id, 0, true);
         // Fill the second MSHR too.
-        let (decision, _) = p.next_issue(1);
-        let IssueDecision::Issue(op2) = decision else {
-            panic!()
-        };
-        p.note_miss(op2.id, 1);
-        let _ = p.next_issue(2); // blocks
-        assert!(p.note_completion(op.id, 50).was_blocked);
+        let (op2, _) = p.next_issue().unwrap();
+        p.note_miss(op2.id, 1, false);
+        assert_eq!(p.next_issue(), None);
+        assert_eq!(
+            p.note_completion(op.id),
+            Some(CompletionOutcome {
+                is_write: true,
+                was_blocked: true,
+            })
+        );
         assert!(!p.is_blocked());
         assert_eq!(p.completed_ops(), 1);
         // Unknown completions are ignored.
-        assert!(!p.note_completion(ReqId::new(9999), 60).completed);
+        assert_eq!(p.note_completion(ReqId::new(9999)), None);
+        assert_eq!(p.completed_ops(), 1);
     }
 
     #[test]
     fn overlap_window_limits_run_ahead() {
-        let mut p = processor(100);
-        let (decision, _) = p.next_issue(0);
-        let IssueDecision::Issue(op) = decision else {
-            panic!()
-        };
-        p.note_miss(op.id, 0);
+        let mut p = processor();
+        let (op, _) = p.next_issue().unwrap();
+        p.note_miss(op.id, 0, false);
         // The window allows 4 more issues past the outstanding miss.
         let mut issued = 0;
-        loop {
-            match p.next_issue(1) {
-                (IssueDecision::Issue(_), _) => {
-                    p.note_hit(1);
-                    issued += 1;
-                }
-                (IssueDecision::Blocked, _) => break,
-                (IssueDecision::Finished, _) => break,
-            }
+        while p.next_issue().is_some() {
+            p.note_hit();
+            issued += 1;
             assert!(issued < 50, "window must eventually block");
         }
         assert_eq!(issued, 4);
@@ -295,12 +220,10 @@ mod tests {
 
     #[test]
     fn transactions_count_groups_of_ops() {
-        let mut p = processor(25);
-        while !p.is_done() {
-            match p.next_issue(0) {
-                (IssueDecision::Issue(_), _) => p.note_hit(0),
-                _ => break,
-            }
+        let mut p = processor();
+        for _ in 0..25 {
+            p.next_issue().expect("nothing outstanding");
+            p.note_hit();
         }
         assert_eq!(p.completed_ops(), 25);
         assert_eq!(p.transactions(), 2);
@@ -308,15 +231,11 @@ mod tests {
 
     #[test]
     fn oldest_outstanding_tracks_issue_times() {
-        let mut p = processor(10);
-        let (IssueDecision::Issue(op1), _) = p.next_issue(0) else {
-            panic!()
-        };
-        p.note_miss(op1.id, 100);
-        let (IssueDecision::Issue(op2), _) = p.next_issue(0) else {
-            panic!()
-        };
-        p.note_miss(op2.id, 200);
+        let mut p = processor();
+        let (op1, _) = p.next_issue().unwrap();
+        p.note_miss(op1.id, 100, false);
+        let (op2, _) = p.next_issue().unwrap();
+        p.note_miss(op2.id, 200, true);
         assert_eq!(p.oldest_outstanding(), Some((op1.id, 100)));
     }
 }

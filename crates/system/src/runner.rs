@@ -145,13 +145,13 @@ impl Default for RunOptions {
 /// transitions themselves are written once, here.
 #[derive(Debug)]
 pub struct RunProgress {
-    pub(crate) draining: bool,
     drain_limit_hit: bool,
     /// The cycle at which the completion target (or cycle limit) was
-    /// reached; `None` while the run is still making progress. An `Option`
-    /// rather than a zero sentinel: a run can legitimately reach its target
-    /// at cycle 0, and a run that drains without ever reaching it must fall
-    /// back to the final clock instead of garbage.
+    /// reached, from when on the run drains; `None` while the run is still
+    /// making progress. An `Option` rather than a zero sentinel: a run can
+    /// legitimately reach its target at cycle 0, and a run that drains
+    /// without ever reaching it must fall back to the final clock instead
+    /// of garbage.
     reached_target_at: Option<Cycle>,
     ops_at_target: u64,
     transactions_at_target: u64,
@@ -177,7 +177,6 @@ impl RunProgress {
         let (seed, link_latency) = (config.seed, config.interconnect.link_latency_ns);
         let (faults, adversary, nodes) = (options.faults, options.adversary, config.num_nodes);
         RunProgress {
-            draining: false,
             drain_limit_hit: false,
             reached_target_at: None,
             ops_at_target: 0,
@@ -214,6 +213,12 @@ impl RunProgress {
         RunProgress::new(options, config, true)
     }
 
+    /// Whether the run has reached its target (or the cycle limit) and is
+    /// draining: processors issue nothing more, in-flight work completes.
+    pub(crate) fn draining(&self) -> bool {
+        self.reached_target_at.is_some()
+    }
+
     /// The target/drain transition, checked before the event (or window)
     /// at cycle `now` runs: the run starts draining once `completed`
     /// reaches `target_total` or `now` the cycle limit, recording `stamp` as
@@ -228,13 +233,12 @@ impl RunProgress {
         completed: u64,
         transactions: impl FnOnce() -> u64,
     ) -> bool {
-        if !self.draining && (completed >= target_total || now >= options.max_cycles) {
-            self.draining = true;
+        if !self.draining() && (completed >= target_total || now >= options.max_cycles) {
             self.reached_target_at = Some(stamp);
             self.ops_at_target = completed;
             self.transactions_at_target = transactions();
         }
-        if self.draining && now >= drain_limit(options) {
+        if self.draining() && now >= drain_limit(options) {
             self.drain_limit_hit = true;
             return false;
         }
@@ -298,7 +302,6 @@ impl RunProgress {
 // The planes are restored onto the ones the run options arm: a snapshot that
 // has a plane the options do not arm, or lacks one they do, is corrupt.
 snap_state!(RunProgress {
-    draining,
     drain_limit_hit,
     reached_target_at,
     ops_at_target,
@@ -308,6 +311,33 @@ snap_state!(RunProgress {
     [fault_plane],
     [adversary_plane],
 });
+
+/// Everything that determines a run, as one string: the system
+/// configuration, the workload profile and the behavior-relevant run
+/// options, the fault and adversary specs in their canonical `Display`
+/// form. The snapshot fingerprint hashes it and the service's result cache
+/// keys on it. `checkpoint_every` is excluded: checkpointing is
+/// observational, so a snapshot taken at one cadence restores under
+/// another (or under none), and a served result is the same with or
+/// without one. `shards` is included even though windowed runs never
+/// snapshot: a snapshot taken serially then restored under `shards > 0`
+/// must fail as a structured `Corrupt`, not resume on a different
+/// schedule.
+pub fn determinism_key(
+    config: &SystemConfig,
+    workload: &WorkloadProfile,
+    options: &RunOptions,
+) -> String {
+    format!(
+        "{config:?}|{workload:?}|ops={}|cycles={}|faults={}|livelock={}|adversary={}|shards={}",
+        options.ops_per_node,
+        options.max_cycles,
+        options.faults,
+        options.livelock_events_budget,
+        options.adversary,
+        options.shards
+    )
+}
 
 /// A draining run is cut off (a structured deadlock) at twice the cycle
 /// limit.
@@ -399,7 +429,6 @@ impl System {
                     config.processor,
                     config.num_nodes,
                     config.seed,
-                    u64::MAX,
                 )
             })
             .collect();
@@ -565,7 +594,7 @@ impl System {
             };
             let sent = self
                 .core
-                .step(now, event, progress.draining, &mut sched, &mut out);
+                .step(now, event, progress.draining(), &mut sched, &mut out);
             if let Some(msg_ref) = sent {
                 let msg = self.core.messages.take(msg_ref);
                 progress.commit_send(&mut self.interconnect, now, &msg, &mut arrivals);
@@ -641,6 +670,9 @@ impl System {
         let (misses, reissue, controllers, line_state) =
             merge_controller_stats(&self.core.controllers);
 
+        let (miss_latency_p50, miss_latency_p99, miss_latency_max) =
+            latency_percentiles(&mut self.core.miss_latency_samples);
+
         // Recovery-side fault numbers: how hard the correctness substrate
         // had to work. Left all-zero on faultless runs so the default
         // report is unchanged.
@@ -651,12 +683,16 @@ impl System {
             .unwrap_or_default();
         if progress.fault_plane.is_some() {
             fault_stats.persistent_activations = controllers.persistent_requests_initiated;
-            fault_stats.max_recovery_ns = self.core.max_miss_latency;
+            fault_stats.max_recovery_ns = miss_latency_max;
         }
 
-        let (miss_latency_p50, miss_latency_p99, miss_latency_max) =
-            latency_percentiles(&mut self.core.miss_latency_samples);
-        let completion_skew_ppm = completion_skew_ppm(&self.core.completions_per_node);
+        let completions_per_node: Vec<u64> = self
+            .core
+            .processors
+            .iter()
+            .map(|p| p.completed_ops())
+            .collect();
+        let completion_skew_ppm = completion_skew_ppm(&completions_per_node);
 
         let adversary_stats = progress
             .adversary_plane
@@ -727,6 +763,7 @@ impl System {
             )));
         }
         self.load_state(&mut r)?;
+        self.core.completed_ops = self.core.processors.iter().map(|p| p.completed_ops()).sum();
         let mut progress = RunProgress::start(options, &self.config);
         progress.load_state(&mut r)?;
         r.finish()?;
@@ -734,27 +771,10 @@ impl System {
     }
 
     /// A 64-bit digest of everything a snapshot depends on but does not
-    /// carry: the system configuration, the workload profile, and the
-    /// behavior-relevant run options. `checkpoint_every` is deliberately
-    /// excluded — checkpointing is observational, so a snapshot taken at
-    /// one cadence restores fine under another (or under none).
+    /// carry: the [`determinism_key`] of this system's configuration and
+    /// workload under `options`.
     fn fingerprint(&self, options: &RunOptions) -> u64 {
-        // `shards` is folded in even though windowed runs never snapshot:
-        // a snapshot taken serially (shards = 0) then restored under
-        // shards > 0 must fail as a structured `Corrupt`, not resume on a
-        // different schedule.
-        let key = format!(
-            "{:?}|{:?}|{}|{}|{:?}|{}|{:?}|{}",
-            self.config,
-            self.workload,
-            options.ops_per_node,
-            options.max_cycles,
-            options.faults,
-            options.livelock_events_budget,
-            options.adversary,
-            options.shards
-        );
-        tc_sim::fnv1a64(key.as_bytes())
+        tc_sim::fnv1a64(determinism_key(&self.config, &self.workload, options).as_bytes())
     }
 
     /// Audits the quiesced final state: token conservation, single-writer,
@@ -855,17 +875,14 @@ impl System {
     }
 }
 
-// All a snapshot holds but its fingerprint and the run's progress.
+// All a snapshot holds but its fingerprint and the run's progress. The
+// core's `completed_ops` is the processors' sum, recomputed by `restore`.
 snap_state!(System {
-    core.completed_ops,
-    core.max_miss_latency,
     core.miss_latency_samples,
-    [core.completions_per_node],
     queue,
     core.messages,
     interconnect,
     verifier,
-    core.outstanding_writes,
     [core.processors],
     [core.controllers],
 });

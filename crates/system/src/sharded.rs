@@ -401,14 +401,14 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
             }
 
             let mut end = (global_min / lookahead + 1) * lookahead;
-            if progress.draining {
+            if progress.draining() {
                 end = end.min(drain_limit);
             }
             stats.windows += 1;
             for s in 0..num_shards {
                 let window = Window {
                     end,
-                    draining: progress.draining,
+                    draining: progress.draining(),
                     envelopes: std::mem::take(&mut pending[s]),
                 };
                 if cmd_txs[s].send(window).is_err() {

@@ -2,10 +2,10 @@
 //! the serial and the windowed engine.
 //!
 //! A [`StepCore`] owns a contiguous node range `[lo, hi)` — controllers,
-//! processors, outstanding-miss bookkeeping, completion counters, latency
-//! samples — and the arena its in-flight messages are parked in. The serial
-//! engine runs one core over every node; the windowed engine runs one per
-//! shard. The engines differ in exactly two decisions, which the core takes
+//! processors (each with its own outstanding misses and completion count),
+//! latency samples — and the arena its in-flight messages are parked in.
+//! The serial engine runs one core over every node; the windowed engine
+//! runs one per shard. The engines differ in exactly two decisions, which the core takes
 //! as a statically dispatched [`Scheduler`]: where a scheduled event goes,
 //! and where a verifier call goes. *When* a popped send reaches the fabric
 //! is the third difference, and it stays with the caller: [`StepCore::step`]
@@ -14,10 +14,10 @@
 use tc_sim::{snap_enum, Arena, ArenaRef};
 use tc_types::{
     AccessOutcome, BlockAddr, CoherenceController, Cycle, FastHashMap, Message, MissKind, MsgKind,
-    NodeId, Outbox, ReqId, Timer,
+    NodeId, Outbox, Timer,
 };
 
-use crate::processor::{IssueDecision, Processor};
+use crate::processor::Processor;
 use crate::verify::VerifyOp;
 
 /// A handle to a [`Message`] parked in a core's arena. The arena checks a
@@ -77,27 +77,18 @@ pub(crate) struct StepCore {
     pub(crate) trace_block: Option<BlockAddr>,
     pub(crate) controllers: Vec<Box<dyn CoherenceController>>,
     pub(crate) processors: Vec<Processor>,
-    /// Whether each outstanding miss (by request id) is a store, so that
-    /// completions can be classified per operation rather than per miss.
-    pub(crate) outstanding_writes: FastHashMap<ReqId, bool>,
     /// Operations completed across these processors, maintained
     /// incrementally at hit/completion sites so the event loop never
-    /// re-sums per node.
+    /// re-sums per node. Not saved: a restore sums the processors.
     pub(crate) completed_ops: u64,
     /// In-flight message payloads; events reference them by [`MsgRef`].
     pub(crate) messages: Arena<Message>,
-    /// Worst end-to-end miss latency observed, reported as the worst-case
-    /// recovery latency when fault injection is active.
-    pub(crate) max_miss_latency: Cycle,
     /// Every completed miss's end-to-end latency, for the report's
-    /// p50/p99/max percentiles. Bounded by the op count, not the event
-    /// count, so a full OLTP calibration stays in the hundreds of
+    /// p50/p99/max percentiles (the max doubles as the worst-case recovery
+    /// latency under fault injection). Bounded by the op count, not the
+    /// event count, so a full OLTP calibration stays in the hundreds of
     /// kilobytes.
     pub(crate) miss_latency_samples: Vec<Cycle>,
-    /// Operations completed per node (hits and misses), the input to the
-    /// report's completion-share skew — the fairness metric the adversary
-    /// tries to maximize.
-    pub(crate) completions_per_node: Vec<u64>,
 }
 
 impl StepCore {
@@ -109,19 +100,15 @@ impl StepCore {
         controllers: Vec<Box<dyn CoherenceController>>,
         processors: Vec<Processor>,
     ) -> Self {
-        let completions_per_node = vec![0; controllers.len()];
         StepCore {
             lo,
             block_bytes,
             trace_block,
             controllers,
             processors,
-            outstanding_writes: FastHashMap::default(),
             completed_ops: 0,
             messages: Arena::new(),
-            max_miss_latency: 0,
             miss_latency_samples: Vec::new(),
-            completions_per_node,
         }
     }
 
@@ -156,11 +143,8 @@ impl StepCore {
     pub(crate) fn absorb(&mut self, part: StepCore) {
         self.controllers.extend(part.controllers);
         self.processors.extend(part.processors);
-        self.outstanding_writes.extend(part.outstanding_writes);
         self.completed_ops += part.completed_ops;
-        self.max_miss_latency = self.max_miss_latency.max(part.max_miss_latency);
         self.miss_latency_samples.extend(part.miss_latency_samples);
-        self.completions_per_node.extend(part.completions_per_node);
     }
 
     /// The node indices this core owns.
@@ -259,52 +243,46 @@ impl StepCore {
         out: &mut Outbox,
     ) {
         let local = node.index() - self.lo;
-        let (decision, think) = self.processors[local].next_issue(now);
-        match decision {
-            IssueDecision::Finished | IssueDecision::Blocked => {}
-            IssueDecision::Issue(op) => {
-                let issue_time = now + think;
-                let block = op.addr.block(self.block_bytes);
-                let is_write = op.kind.is_write();
-                let outcome = self.controllers[local].access(issue_time, &op, out);
-                match outcome {
-                    AccessOutcome::Hit {
-                        latency,
-                        version,
-                        valid_since,
-                    } => {
-                        self.processors[local].note_hit(issue_time);
-                        self.completed_ops += 1;
-                        self.completions_per_node[local] += 1;
-                        let done_at = issue_time + latency;
-                        sched.verify(VerifyOp::Access {
-                            node,
-                            addr: block,
-                            version,
-                            is_write,
-                            // A load's legality window opens at the
-                            // serialization lower bound the protocol reports
-                            // for the copy, not at the access: an
-                            // unacknowledged snooping hit may legally observe
-                            // a value a later-ordered remote write has
-                            // already superseded, until the invalidation
-                            // arrives (see `AccessOutcome::Hit`).
-                            valid_since: valid_since.min(issue_time),
-                            at: done_at,
-                        });
-                        sched.schedule(done_at.max(issue_time + 1), node, Event::Wakeup(node));
-                    }
-                    AccessOutcome::Miss => {
-                        self.outstanding_writes.insert(op.id, is_write);
-                        self.processors[local].note_miss(op.id, issue_time);
-                        // Keep issuing under the miss (hit-under-miss and
-                        // miss-under-miss) until the processor blocks itself.
-                        sched.schedule(issue_time + 1, node, Event::Wakeup(node));
-                    }
-                }
-                self.process_outbox(now, node, sched, out);
+        let Some((op, think)) = self.processors[local].next_issue() else {
+            return;
+        };
+        let issue_time = now + think;
+        let block = op.addr.block(self.block_bytes);
+        let is_write = op.kind.is_write();
+        let outcome = self.controllers[local].access(issue_time, &op, out);
+        match outcome {
+            AccessOutcome::Hit {
+                latency,
+                version,
+                valid_since,
+            } => {
+                self.processors[local].note_hit();
+                self.completed_ops += 1;
+                let done_at = issue_time + latency;
+                sched.verify(VerifyOp::Access {
+                    node,
+                    addr: block,
+                    version,
+                    is_write,
+                    // A load's legality window opens at the serialization
+                    // lower bound the protocol reports for the copy, not at
+                    // the access: an unacknowledged snooping hit may legally
+                    // observe a value a later-ordered remote write has
+                    // already superseded, until the invalidation arrives
+                    // (see `AccessOutcome::Hit`).
+                    valid_since: valid_since.min(issue_time),
+                    at: done_at,
+                });
+                sched.schedule(done_at.max(issue_time + 1), node, Event::Wakeup(node));
+            }
+            AccessOutcome::Miss => {
+                self.processors[local].note_miss(op.id, issue_time, is_write);
+                // Keep issuing under the miss (hit-under-miss and
+                // miss-under-miss) until the processor blocks itself.
+                sched.schedule(issue_time + 1, node, Event::Wakeup(node));
             }
         }
+        self.process_outbox(now, node, sched, out);
     }
 
     /// Drains `out` into the scheduler and the verifier, keeping its
@@ -328,8 +306,8 @@ impl StepCore {
         }
         for completion in out.completions.drain(..) {
             let latency = completion.completed_at.saturating_sub(completion.issued_at);
-            self.max_miss_latency = self.max_miss_latency.max(latency);
             self.miss_latency_samples.push(latency);
+            let outcome = self.processors[local].note_completion(completion.req_id);
             // Fairness oracle: a completion on this (node, block) pair
             // stops its bounded-wait clock, if one was running.
             sched.verify(VerifyOp::Completion {
@@ -337,12 +315,10 @@ impl StepCore {
                 addr: completion.addr,
                 at: completion.completed_at,
             });
-            // Classify by the original operation, not the miss: a store that
-            // merged into a read miss is still a store.
-            let is_write = self
-                .outstanding_writes
-                .remove(&completion.req_id)
-                .unwrap_or(completion.kind != MissKind::Read);
+            // Classify by the original operation, not the miss (a store that
+            // merged into a read miss is still a store); a stale completion
+            // falls back to the miss.
+            let is_write = outcome.map_or(completion.kind != MissKind::Read, |o| o.is_write);
             sched.verify(VerifyOp::Access {
                 node,
                 addr: completion.addr,
@@ -351,13 +327,11 @@ impl StepCore {
                 valid_since: completion.issued_at,
                 at: completion.completed_at,
             });
-            let outcome = self.processors[local].note_completion(completion.req_id, now);
-            if outcome.completed {
+            if let Some(outcome) = outcome {
                 self.completed_ops += 1;
-                self.completions_per_node[local] += 1;
-            }
-            if outcome.was_blocked {
-                sched.schedule(now + 1, node, Event::Wakeup(node));
+                if outcome.was_blocked {
+                    sched.schedule(now + 1, node, Event::Wakeup(node));
+                }
             }
         }
     }

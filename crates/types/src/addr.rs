@@ -31,8 +31,6 @@ impl Address {
     }
 }
 
-snap_struct!(Address(addr));
-
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:#x}", self.0)

@@ -400,7 +400,8 @@ impl SystemConfig {
     /// inconsistent (for example, snooping on an unordered interconnect, or
     /// fewer tokens than processors) or asks for something the simulator
     /// cannot build (a cache that is not a whole number of sets, more nodes
-    /// than [`MAX_NODES`], more cache lines than [`MAX_CACHE_LINES`]).
+    /// than [`MAX_NODES`], more cache lines than [`MAX_CACHE_LINES`], a
+    /// processor with no MSHR or a transaction of no operations).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_nodes == 0 {
             return Err(ConfigError::new("system must have at least one node"));
@@ -439,6 +440,19 @@ impl SystemConfig {
         }
         if self.interconnect.link_bandwidth_bytes_per_ns <= 0.0 {
             return Err(ConfigError::new("link bandwidth must be positive"));
+        }
+        // A processor with no MSHR never issues, so its run ends at once
+        // with nothing done; a transaction of no operations has no size.
+        // `overlap_window` 0 (no run-ahead past a miss) is legal.
+        if self.processor.max_outstanding_misses == 0 {
+            return Err(ConfigError::new(
+                "processor.max_outstanding_misses must be at least 1",
+            ));
+        }
+        if self.processor.ops_per_transaction == 0 {
+            return Err(ConfigError::new(
+                "processor.ops_per_transaction must be at least 1",
+            ));
         }
         Ok(())
     }
@@ -524,6 +538,16 @@ mod tests {
         // The bound is on the whole system, not one cache.
         assert!(base().with_nodes(64).validate().is_ok());
         rejected(base().with_nodes(1024), "cache lines");
+        let mut c = base();
+        c.processor.max_outstanding_misses = 0;
+        rejected(c, "processor.max_outstanding_misses");
+        let mut c = base();
+        c.processor.ops_per_transaction = 0;
+        rejected(c, "processor.ops_per_transaction");
+        // No run-ahead past a miss is a legal processor.
+        let mut c = base();
+        c.processor.overlap_window = 0;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

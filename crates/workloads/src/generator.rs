@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use tc_sim::{snap_state, snap_struct, DeterministicRng};
+use tc_sim::{snap_state, DeterministicRng};
 use tc_types::{Address, Cycle, MemOp, MemOpKind, NodeId, ReqId};
 
 use crate::profile::{RegionKind, WorkloadProfile};
@@ -27,8 +27,6 @@ pub struct GeneratedOp {
     /// The memory operation to issue.
     pub op: MemOp,
 }
-
-snap_struct!(GeneratedOp { think_cycles, op });
 
 /// A deterministic stream of memory operations for one processor.
 ///
@@ -357,12 +355,6 @@ mod tests {
                 "block {block:#x} outside every region"
             );
         }
-    }
-
-    #[test]
-    fn generated_op_round_trips() {
-        let op = generator(WorkloadProfile::oltp(), 3).next_op();
-        tc_testkit::assert_snap_round_trip(&op);
     }
 
     #[test]

