@@ -3,13 +3,11 @@
 
 use tc_sim::{snap_state, snap_struct};
 use tc_types::{
-    BandwidthMode, Cycle, Destination, FastHashMap, InterconnectConfig, Message, NodeId,
-    TopologyKind, TrafficClass, TrafficStats,
+    BandwidthMode, Cycle, Destination, InterconnectConfig, Message, NodeId, TrafficClass,
+    TrafficStats,
 };
 
-use crate::topology::{LinkDescriptor, LinkId, RouterId, Topology};
-use crate::torus::TorusTopology;
-use crate::tree::TreeTopology;
+use crate::topology::{LinkId, RouterId, Topology};
 
 /// A message delivery produced by the fabric: `msg` arrives at `node` at
 /// absolute time `at`.
@@ -49,50 +47,51 @@ snap_struct!(LinkState {
     busy_ns,
 });
 
-/// Dense precomputed routing: the topology is static, so every `(src, dst)`
-/// path is resolved once at construction into one flat link array indexed by
-/// `src * num_nodes + dst`, and [`RouteTable::path`] is a slice borrow — the
-/// per-send `Topology::route` calls (and their `Vec` allocations) disappear
-/// from the steady-state path.
-#[derive(Debug)]
-struct RouteTable {
-    num_nodes: usize,
-    /// Offset of `(src, dst)`'s path in `links`; `offsets[n * n]` terminates.
-    offsets: Vec<u32>,
-    links: Vec<LinkId>,
-}
-
-impl RouteTable {
-    fn build(topology: &dyn Topology) -> Self {
-        let n = topology.num_nodes();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut links = Vec::new();
-        for src in 0..n {
-            for dst in 0..n {
-                offsets.push(links.len() as u32);
-                // Self-routes are included: the ordered tree routes
-                // `src -> src` through the root round trip (see
-                // `TreeTopology::route`), while the torus routes it over
-                // zero links (a local delivery).
-                links.extend(topology.route(NodeId::new(src), NodeId::new(dst)));
-            }
-        }
-        offsets.push(links.len() as u32);
-        RouteTable {
-            num_nodes: n,
-            offsets,
-            links,
-        }
-    }
-
+impl LinkState {
+    /// Carries one message that reaches the link's upstream router at
+    /// `upstream`, returning when it reaches the downstream router.
     #[inline]
-    fn path(&self, src: NodeId, dst: NodeId) -> &[LinkId] {
-        let i = src.index() * self.num_nodes + dst.index();
-        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    fn carry(&mut self, upstream: Cycle, size: u64, timing: LinkTiming) -> Cycle {
+        let start = if timing.limited {
+            upstream.max(self.free_at)
+        } else {
+            upstream
+        };
+        let done = start + timing.serialization;
+        if timing.limited {
+            self.free_at = done;
+        }
+        self.bytes += size;
+        self.messages += 1;
+        self.busy_ns += timing.serialization;
+        done + timing.latency
     }
 }
 
-/// How one destination of a cached multicast tree receives its copy.
+/// What crossing one link costs a message of the send in progress.
+#[derive(Debug, Clone, Copy)]
+struct LinkTiming {
+    limited: bool,
+    serialization: Cycle,
+    latency: Cycle,
+}
+
+impl LinkTiming {
+    /// Injection port: the node serializes the message onto the fabric once,
+    /// regardless of fan-out. Returns when the message enters the source
+    /// router.
+    fn inject(self, port_free_at: &mut Cycle, now: Cycle) -> Cycle {
+        if self.limited {
+            let start = now.max(*port_free_at);
+            *port_free_at = start + self.serialization;
+            start
+        } else {
+            now
+        }
+    }
+}
+
+/// How one destination of a multicast tree receives its copy.
 #[derive(Debug, Clone, Copy)]
 enum DeliveryVia {
     /// Zero-hop delivery at the injection time (a self-send on the torus,
@@ -107,19 +106,11 @@ enum DeliveryVia {
     AtRouter(RouterId),
 }
 
-/// Upper bound on the number of cached multicast trees. Unicast and
-/// broadcast patterns need at most `nodes * (nodes + 1)` entries (4 160 at
-/// 64 nodes), so they always fit; the cap only bites workloads that multicast
-/// to unboundedly many distinct sharer subsets (Hammer probes, directory
-/// invalidation sets), which fall back to a reusable scratch tree instead of
-/// growing fabric memory for the lifetime of the run.
-const TREE_CACHE_CAP: usize = 32 * 1024;
-
-/// A multicast tree computed once per distinct `(source, destination)`
-/// pattern: the deduplicated links in source-outward order plus, per
-/// receiving node, how its arrival time is read off the tree.
+/// The multicast tree of one `(source, destination)` pattern: the
+/// deduplicated links in source-outward order plus, per receiving node, how
+/// its arrival time is read off the tree.
 #[derive(Debug, Default)]
-struct CachedTree {
+struct RouteTree {
     /// Tree links in path order (shared prefixes first), deduplicated: each
     /// link carries the message exactly once regardless of fan-out.
     tree_links: Vec<LinkId>,
@@ -133,39 +124,35 @@ struct CachedTree {
 /// message sent at time `t` crosses each link on its path in turn; on every
 /// link it waits until the link is free, occupies it for
 /// `size / bandwidth` nanoseconds, and then spends the link latency in
-/// flight. Multicasts and broadcasts are routed as trees: a link shared by
-/// several destinations carries (and pays for) the message exactly once,
-/// matching the paper's bandwidth-efficient tree-based multicast routing.
+/// flight. A unicast crosses its source route; broadcasts and probes are
+/// routed as trees: a link shared by several destinations carries (and pays
+/// for) the message exactly once, matching the paper's bandwidth-efficient
+/// tree-based multicast routing.
 #[derive(Debug)]
 pub struct Interconnect {
-    topology: Box<dyn Topology>,
+    topology: Topology,
     config: InterconnectConfig,
     links: Vec<LinkState>,
     traffic: TrafficStats,
     /// Per-node injection port occupancy, modelling the node's single
     /// interface into the fabric.
     injection_free_at: Vec<Cycle>,
-    /// Dense `(src, dst) -> &[LinkId]` routes, built once at construction.
-    routes: RouteTable,
-    /// The router each node injects into, by node index.
-    node_routers: Vec<RouterId>,
-    /// Link endpoints copied out of the topology at construction, so the
-    /// per-link tree walk reads a flat array instead of making a virtual
-    /// `Topology::links` call every iteration.
-    link_descriptors: Vec<LinkDescriptor>,
-    /// Index of each distinct `(source, destination)` pattern in `trees`.
-    tree_cache: FastHashMap<(NodeId, Destination), usize>,
-    /// The cached multicast trees, appended on first use of each pattern.
-    trees: Vec<CachedTree>,
-    /// Reusable tree for patterns beyond [`TREE_CACHE_CAP`].
-    scratch_tree: CachedTree,
+    /// Each source's `Broadcast` tree at `2 * src` and its `All` tree at
+    /// `2 * src + 1`, built on first send: at most `2n` trees of at most `n`
+    /// deliveries each.
+    trees: Vec<Option<RouteTree>>,
+    /// Scratch: the tree of the `AllBut` send in progress. A source can
+    /// probe `n` different sets, so these trees are rebuilt per send (the
+    /// same order of work as the send's `n - 1` deliveries) instead of
+    /// growing fabric memory by `n²` trees of `n` deliveries.
+    probe_tree: RouteTree,
     /// Scratch: earliest arrival time per router for the send in progress.
     /// Entries are valid only when the matching `arrival_gen` stamp equals
     /// `generation`, so the arrays never need clearing between sends.
     arrival_time: Vec<Cycle>,
     arrival_gen: Vec<u64>,
     /// Scratch: generation stamp per link, marking links already in the tree
-    /// being built (cache misses only).
+    /// being built.
     link_gen: Vec<u64>,
     /// Current send's generation stamp.
     generation: u64,
@@ -174,45 +161,22 @@ pub struct Interconnect {
 impl Interconnect {
     /// Builds the interconnect described by `config` for `num_nodes` nodes.
     pub fn new(num_nodes: usize, config: InterconnectConfig) -> Self {
-        let topology: Box<dyn Topology> = match config.topology {
-            TopologyKind::Tree => Box::new(TreeTopology::new(num_nodes)),
-            TopologyKind::Torus => Box::new(TorusTopology::new(num_nodes)),
-        };
-        let links = vec![LinkState::default(); topology.links().len()];
-        let routes = RouteTable::build(topology.as_ref());
-        let node_routers = (0..num_nodes)
-            .map(|n| topology.node_router(NodeId::new(n)))
-            .collect();
+        let topology = Topology::new(config.topology, num_nodes);
         let num_routers = topology.num_routers();
         let num_links = topology.links().len();
-        let link_descriptors = topology.links().to_vec();
         Interconnect {
             topology,
             config,
-            links,
+            links: vec![LinkState::default(); num_links],
             traffic: TrafficStats::new(),
             injection_free_at: vec![0; num_nodes],
-            routes,
-            node_routers,
-            link_descriptors,
-            tree_cache: FastHashMap::default(),
-            trees: Vec::new(),
-            scratch_tree: CachedTree::default(),
+            trees: (0..2 * num_nodes).map(|_| None).collect(),
+            probe_tree: RouteTree::default(),
             arrival_time: vec![0; num_routers],
             arrival_gen: vec![0; num_routers],
             link_gen: vec![0; num_links],
             generation: 0,
         }
-    }
-
-    /// The topology the fabric was built on.
-    pub fn topology(&self) -> &dyn Topology {
-        self.topology.as_ref()
-    }
-
-    /// Whether this fabric delivers broadcasts in a total order.
-    pub fn provides_total_order(&self) -> bool {
-        self.topology.provides_total_order()
     }
 
     /// The conservative-PDES lookahead this fabric supports, in
@@ -294,57 +258,54 @@ impl Interconnect {
     /// entries stay small; `send_into` keeps the delivery-with-payload shape
     /// for tests and tools.
     pub fn send_arrivals(&mut self, now: Cycle, msg: &Message, out: &mut Vec<(Cycle, NodeId)>) {
-        let key = (msg.src, msg.dest.clone());
-        let tree_index = match self.tree_cache.get(&key) {
-            Some(&index) => Some(index),
-            None if self.trees.len() < TREE_CACHE_CAP => {
-                let tree = self.build_tree(msg.src, &msg.dest);
-                self.trees.push(tree);
-                let index = self.trees.len() - 1;
-                self.tree_cache.insert(key, index);
-                Some(index)
-            }
-            None => {
-                // Cache full (a workload generating unboundedly many distinct
-                // multicast subsets): compute into the reusable scratch tree
-                // instead of growing without limit. Unicast and broadcast
-                // patterns are O(nodes²) and always fit, so the steady-state
-                // paths stay cached.
-                let mut scratch = std::mem::take(&mut self.scratch_tree);
-                self.build_tree_into(msg.src, &msg.dest, &mut scratch);
-                self.scratch_tree = scratch;
-                None
-            }
+        let src = msg.src;
+        let size = msg.size_bytes();
+        let timing = LinkTiming {
+            limited: matches!(self.config.bandwidth, BandwidthMode::Limited),
+            serialization: self.serialization_ns(size),
+            latency: self.config.link_latency_ns,
         };
-        let tree = match tree_index {
-            Some(index) => &self.trees[index],
-            None => &self.scratch_tree,
+        let tree = match msg.dest {
+            Destination::Node(dst) => {
+                // A unicast crosses its source route link by link; no router
+                // repeats on a route, so each hop starts from the last.
+                let mut at = timing.inject(&mut self.injection_free_at[src.index()], now);
+                let path = self.topology.path(src, dst);
+                for link in path {
+                    at = self.links[link.index()].carry(at, size, timing);
+                }
+                self.traffic
+                    .record(TrafficClass::of(msg), size, path.len() as u64);
+                out.push((at, dst));
+                return;
+            }
+            Destination::AllBut(_) => {
+                let mut tree = std::mem::take(&mut self.probe_tree);
+                self.build_tree(&mut tree, src, msg.dest);
+                self.probe_tree = tree;
+                &self.probe_tree
+            }
+            Destination::Broadcast | Destination::All => {
+                let slot = 2 * src.index() + usize::from(msg.dest == Destination::All);
+                if self.trees[slot].is_none() {
+                    let mut tree = RouteTree::default();
+                    self.build_tree(&mut tree, src, msg.dest);
+                    self.trees[slot] = Some(tree);
+                }
+                self.trees[slot].as_ref().expect("built above")
+            }
         };
         if tree.deliveries.is_empty() {
             return;
         }
-
-        let size = msg.size_bytes();
-        let serialization = self.serialization_ns(size);
-        let latency = self.config.link_latency_ns;
-        let limited = matches!(self.config.bandwidth, BandwidthMode::Limited);
-
-        // Injection port: the node serializes the message onto the fabric
-        // once, regardless of fan-out.
-        let src_index = msg.src.index();
-        let inject_start = if limited {
-            let start = now.max(self.injection_free_at[src_index]);
-            self.injection_free_at[src_index] = start + serialization;
-            start
-        } else {
-            now
-        };
+        let inject_start = timing.inject(&mut self.injection_free_at[src.index()], now);
 
         // Stamp-based scratch: bumping the generation invalidates every
         // router's arrival entry at once, so nothing is cleared per send.
         self.generation += 1;
         let generation = self.generation;
-        let src_router = self.node_routers[src_index].index();
+        // Node `n` injects into router `n`.
+        let src_router = src.index();
         self.arrival_time[src_router] = inject_start;
         self.arrival_gen[src_router] = generation;
 
@@ -353,7 +314,7 @@ impl Interconnect {
         // a link's upstream router always has an arrival time by the time we
         // process it.
         for link_id in &tree.tree_links {
-            let descriptor = self.link_descriptors[link_id.index()];
+            let descriptor = self.topology.links()[link_id.index()];
             // A hard assert, not a debug_assert: if a topology ever violates
             // the prefix-closed routing contract, reading a stale arrival
             // stamp would silently produce wrong delivery times in release
@@ -364,20 +325,7 @@ impl Interconnect {
                 "multicast tree processed out of order"
             );
             let upstream = self.arrival_time[descriptor.from.index()];
-            let link = &mut self.links[link_id.index()];
-            let start = if limited {
-                upstream.max(link.free_at)
-            } else {
-                upstream
-            };
-            let done = start + serialization;
-            if limited {
-                link.free_at = done;
-            }
-            link.bytes += size;
-            link.messages += 1;
-            link.busy_ns += serialization;
-            let reach = done + latency;
+            let reach = self.links[link_id.index()].carry(upstream, size, timing);
             let to = descriptor.to.index();
             if to == src_router {
                 // The link back into the source router (the tail of an
@@ -413,26 +361,16 @@ impl Interconnect {
         }
     }
 
-    /// Computes the multicast tree for one `(source, destination)` pattern:
+    /// Computes into `tree` the multicast tree of `src`'s sends to `dest`:
     /// the union of the deterministic source routes is a tree, so
     /// deduplicating links gives each shared link exactly one copy of the
-    /// message. Runs once per pattern; steady-state sends hit the cache.
-    fn build_tree(&mut self, src: NodeId, dest: &Destination) -> CachedTree {
-        let mut tree = CachedTree::default();
-        self.build_tree_into(src, dest, &mut tree);
-        tree
-    }
-
-    /// [`Interconnect::build_tree`] writing into an existing tree, clearing
-    /// it first but keeping its allocations (used by the scratch fallback
-    /// once the cache is full).
-    fn build_tree_into(&mut self, src: NodeId, dest: &Destination, tree: &mut CachedTree) {
-        let destinations = dest.expand(self.topology.num_nodes(), src);
+    /// message.
+    fn build_tree(&mut self, tree: &mut RouteTree, src: NodeId, dest: Destination) {
         tree.tree_links.clear();
         tree.deliveries.clear();
         self.generation += 1;
-        for dst in destinations {
-            let path = self.routes.path(src, dst);
+        for dst in dest.expand(self.topology.num_nodes(), src) {
+            let path = self.topology.path(src, dst);
             for link in path {
                 if self.link_gen[link.index()] != self.generation {
                     self.link_gen[link.index()] = self.generation;
@@ -448,8 +386,8 @@ impl Interconnect {
     }
 }
 
-// Topology, routes and the tree cache are config-derived (trees are
-// deterministic per pattern, so an empty cache refills identically).
+// The topology and the trees are config-derived (trees are deterministic
+// per pattern, so an empty table refills identically).
 snap_state!(Interconnect {
     traffic,
     [links],
@@ -459,7 +397,7 @@ snap_state!(Interconnect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_types::{BlockAddr, DataPayload, Destination, MsgKind, Vnet};
+    use tc_types::{BlockAddr, DataPayload, MsgKind, TopologyKind, Vnet};
 
     fn config(topology: TopologyKind, bandwidth: BandwidthMode) -> InterconnectConfig {
         InterconnectConfig {
@@ -557,7 +495,6 @@ mod tests {
     #[test]
     fn broadcast_on_tree_is_simultaneous_and_ordered() {
         let mut net = Interconnect::new(16, config(TopologyKind::Tree, BandwidthMode::Unlimited));
-        assert!(net.provides_total_order());
         let deliveries = net.send(0, request(0, Destination::Broadcast));
         let times: std::collections::HashSet<_> = deliveries.iter().map(|d| d.at).collect();
         assert_eq!(times.len(), 1, "tree broadcast arrives everywhere at once");
@@ -594,8 +531,7 @@ mod tests {
     #[test]
     fn self_delivery_on_tree_costs_a_root_round_trip() {
         let mut net = Interconnect::new(16, config(TopologyKind::Tree, BandwidthMode::Unlimited));
-        let all: Vec<NodeId> = (0..16).map(NodeId::new).collect();
-        let deliveries = net.send(0, request(0, Destination::multicast(all)));
+        let deliveries = net.send(0, request(0, Destination::All));
         assert_eq!(deliveries.len(), 16);
         let self_delivery = deliveries
             .iter()
@@ -637,27 +573,40 @@ mod tests {
     }
 
     #[test]
-    fn tree_cache_overflow_falls_back_to_scratch_and_stays_correct() {
-        // Drive more distinct multicast patterns than the cache holds; the
-        // overflow patterns must still deliver exactly like a fresh fabric.
-        let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        for pattern in 0..(TREE_CACHE_CAP as u32 + 10) {
-            // Map the counter to a non-empty subset of the 16 nodes.
-            let bits = (pattern % 0xFFFF) + 1;
-            let nodes: Vec<NodeId> = (0..16)
-                .filter(|n| bits & (1 << n) != 0)
-                .map(NodeId::new)
-                .collect();
-            net.send(0, request(0, Destination::multicast(nodes)));
+    fn the_fabric_keeps_two_trees_per_source() {
+        // Every source sends every pattern twice. The fabric keeps only the
+        // `Broadcast` and `All` trees, at most `2n` of at most `n` deliveries
+        // each; unicasts read their route and probe trees are rebuilt per
+        // send. The second round delivers what a fresh fabric does.
+        let n = 5;
+        let patterns = (0..n)
+            .flat_map(|d| {
+                [
+                    Destination::Node(NodeId::new(d)),
+                    Destination::AllBut(NodeId::new(d)),
+                ]
+            })
+            .chain([Destination::Broadcast, Destination::All]);
+        for topology in [TopologyKind::Tree, TopologyKind::Torus] {
+            let config = config(topology, BandwidthMode::Unlimited);
+            let mut net = Interconnect::new(n, config);
+            for round in 0..2 {
+                for src in 0..n {
+                    for dest in patterns.clone() {
+                        let got = net.send(0, request(src, dest));
+                        if round == 1 {
+                            let fresh = Interconnect::new(n, config).send(0, request(src, dest));
+                            assert_eq!(got, fresh, "{topology:?}: {src} -> {dest:?}");
+                        }
+                    }
+                }
+            }
+            assert_eq!(net.trees.len(), 2 * n);
+            assert!(net
+                .trees
+                .iter()
+                .all(|tree| tree.as_ref().is_some_and(|tree| tree.deliveries.len() <= n)));
         }
-        assert_eq!(net.trees.len(), TREE_CACHE_CAP);
-        // A pattern beyond the cap: compare against an uncapped fresh fabric.
-        let novel: Vec<NodeId> = vec![NodeId::new(3), NodeId::new(9), NodeId::new(14)];
-        let mut fresh =
-            Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        let got = net.send(7, request(5, Destination::multicast(novel.clone())));
-        let expected = fresh.send(7, request(5, Destination::multicast(novel)));
-        assert_eq!(got, expected);
     }
 
     #[test]

@@ -52,12 +52,10 @@ pub mod fabric;
 pub mod fault;
 mod plane_rng;
 pub mod topology;
-pub mod torus;
-pub mod tree;
+mod torus;
+mod tree;
 
 pub use adversary::Adversary;
 pub use fabric::{Delivery, Interconnect, LinkUtilization};
 pub use fault::FaultPlane;
 pub use topology::{LinkId, RouterId, Topology};
-pub use torus::TorusTopology;
-pub use tree::TreeTopology;

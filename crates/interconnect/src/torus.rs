@@ -9,277 +9,178 @@
 
 use std::collections::HashMap;
 
-use tc_types::NodeId;
-
 use crate::topology::{LinkDescriptor, LinkId, RouterId, Topology};
 
-/// A 2D bidirectional torus topology.
-#[derive(Debug, Clone)]
-pub struct TorusTopology {
-    width: usize,
-    height: usize,
-    links: Vec<LinkDescriptor>,
-    link_index: HashMap<(usize, usize), LinkId>,
+/// Builds the torus for `num_nodes` nodes on the most square grid whose
+/// dimensions multiply to `num_nodes`; router `y * width + x` sits at
+/// `(x, y)`.
+pub(crate) fn build(num_nodes: usize) -> Topology {
+    let (width, height) = dimensions(num_nodes);
+    let mut links = Vec::new();
+    let mut link_index = HashMap::new();
+    let mut add_link = |from: usize, to: usize| {
+        if from == to || link_index.contains_key(&(from, to)) {
+            return;
+        }
+        link_index.insert((from, to), LinkId(links.len()));
+        links.push(LinkDescriptor {
+            from: RouterId(from),
+            to: RouterId(to),
+        });
+    };
+    for y in 0..height {
+        for x in 0..width {
+            let here = y * width + x;
+            if width > 1 {
+                add_link(here, y * width + (x + 1) % width);
+                add_link(here, y * width + (x + width - 1) % width);
+            }
+            if height > 1 {
+                add_link(here, ((y + 1) % height) * width + x);
+                add_link(here, ((y + height - 1) % height) * width + x);
+            }
+        }
+    }
+    Topology::resolve(num_nodes, num_nodes, links, |src, dst, path| {
+        let (mut x, mut y) = (src % width, src / width);
+        let (dx, dy) = (dst % width, dst / width);
+        for next in dimension_steps(x, dx, width) {
+            path.push(link_index[&(y * width + x, y * width + next)]);
+            x = next;
+        }
+        for next in dimension_steps(y, dy, height) {
+            path.push(link_index[&(y * width + x, next * width + x)]);
+            y = next;
+        }
+    })
 }
 
-impl TorusTopology {
-    /// Creates a torus for `num_nodes` nodes, choosing the most square grid
-    /// whose dimensions multiply to `num_nodes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_nodes` is zero.
-    pub fn new(num_nodes: usize) -> Self {
-        assert!(num_nodes > 0, "torus needs at least one node");
-        let (width, height) = Self::dimensions(num_nodes);
-        let mut links = Vec::new();
-        let mut link_index = HashMap::new();
-        let mut add_link = |from: usize, to: usize| {
-            if from == to || link_index.contains_key(&(from, to)) {
-                return;
-            }
-            let id = LinkId(links.len());
-            links.push(LinkDescriptor {
-                from: RouterId(from),
-                to: RouterId(to),
-            });
-            link_index.insert((from, to), id);
-        };
-        for y in 0..height {
-            for x in 0..width {
-                let here = y * width + x;
-                if width > 1 {
-                    add_link(here, y * width + (x + 1) % width);
-                    add_link(here, y * width + (x + width - 1) % width);
-                }
-                if height > 1 {
-                    add_link(here, ((y + 1) % height) * width + x);
-                    add_link(here, ((y + height - 1) % height) * width + x);
-                }
-            }
+/// Picks the most square `width x height` factorization of `n`.
+fn dimensions(n: usize) -> (usize, usize) {
+    let mut w = (n as f64).sqrt() as usize;
+    while w >= 1 {
+        if n.is_multiple_of(w) {
+            return (n / w, w);
         }
-        TorusTopology {
-            width,
-            height,
-            links,
-            link_index,
-        }
+        w -= 1;
     }
-
-    /// Picks the most square `width x height` factorization of `n`.
-    fn dimensions(n: usize) -> (usize, usize) {
-        let mut best = (n, 1);
-        let mut w = (n as f64).sqrt() as usize;
-        while w >= 1 {
-            if n.is_multiple_of(w) {
-                best = (n / w, w);
-                break;
-            }
-            w -= 1;
-        }
-        best
-    }
-
-    /// Grid width (number of columns).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Grid height (number of rows).
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    fn coords(&self, node: usize) -> (usize, usize) {
-        (node % self.width, node / self.width)
-    }
-
-    /// Steps along one dimension from `from` toward `to` (size `len`),
-    /// returning the successive coordinates, using the shortest wrap
-    /// direction (ties resolved toward increasing coordinates).
-    fn dimension_steps(from: usize, to: usize, len: usize) -> Vec<usize> {
-        if from == to || len <= 1 {
-            return Vec::new();
-        }
-        let forward = (to + len - from) % len;
-        let backward = (from + len - to) % len;
-        let (step_forward, count) = if forward <= backward {
-            (true, forward)
-        } else {
-            (false, backward)
-        };
-        let mut at = from;
-        let mut steps = Vec::with_capacity(count);
-        for _ in 0..count {
-            at = if step_forward {
-                (at + 1) % len
-            } else {
-                (at + len - 1) % len
-            };
-            steps.push(at);
-        }
-        steps
-    }
-
-    fn link_between(&self, from: usize, to: usize) -> LinkId {
-        *self
-            .link_index
-            .get(&(from, to))
-            .unwrap_or_else(|| panic!("no torus link {from}->{to}"))
-    }
+    (n, 1)
 }
 
-impl Topology for TorusTopology {
-    fn name(&self) -> &'static str {
-        "torus"
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.width * self.height
-    }
-
-    fn num_routers(&self) -> usize {
-        self.num_nodes()
-    }
-
-    fn links(&self) -> &[LinkDescriptor] {
-        &self.links
-    }
-
-    fn node_router(&self, node: NodeId) -> RouterId {
-        RouterId(node.index())
-    }
-
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
-        let (sx, sy) = self.coords(src.index());
-        let (dx, dy) = self.coords(dst.index());
-        let mut path = Vec::new();
-        let mut at = (sx, sy);
-        for x in Self::dimension_steps(sx, dx, self.width) {
-            let from = at.1 * self.width + at.0;
-            let to = at.1 * self.width + x;
-            path.push(self.link_between(from, to));
-            at = (x, at.1);
-        }
-        for y in Self::dimension_steps(sy, dy, self.height) {
-            let from = at.1 * self.width + at.0;
-            let to = y * self.width + at.0;
-            path.push(self.link_between(from, to));
-            at = (at.0, y);
-        }
-        path
-    }
-
-    fn provides_total_order(&self) -> bool {
-        false
-    }
+/// Steps along one dimension from `from` toward `to` (size `len`), yielding
+/// the successive coordinates, using the shortest wrap direction (ties
+/// resolved toward increasing coordinates).
+fn dimension_steps(from: usize, to: usize, len: usize) -> impl Iterator<Item = usize> {
+    let forward = (to + len - from) % len;
+    let backward = (from + len - to) % len;
+    let (step, count) = if forward <= backward {
+        (1, forward)
+    } else {
+        (len - 1, backward)
+    };
+    (1..=count).map(move |i| (from + i * step) % len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::validate_topology;
+    use tc_types::{NodeId, TopologyKind};
+
+    fn torus(n: usize) -> Topology {
+        Topology::new(TopologyKind::Torus, n)
+    }
+
+    fn hops(t: &Topology, s: usize, d: usize) -> usize {
+        t.path(NodeId::new(s), NodeId::new(d)).len()
+    }
 
     #[test]
     fn sixteen_nodes_make_a_four_by_four_grid() {
-        let t = TorusTopology::new(16);
-        assert_eq!(t.width(), 4);
-        assert_eq!(t.height(), 4);
+        assert_eq!(dimensions(16), (4, 4));
+        let t = torus(16);
         assert_eq!(t.num_nodes(), 16);
         assert_eq!(t.num_routers(), 16);
+        assert_eq!(t.links().len(), 64);
     }
 
     #[test]
     fn sixty_four_nodes_make_an_eight_by_eight_grid() {
-        let t = TorusTopology::new(64);
-        assert_eq!(t.width(), 8);
-        assert_eq!(t.height(), 8);
+        assert_eq!(dimensions(64), (8, 8));
+        // The diameter is four hops in each dimension.
+        assert_eq!(hops(&torus(64), 0, 4 * 8 + 4), 8);
     }
 
     #[test]
     fn non_square_counts_pick_closest_factorization() {
-        let t = TorusTopology::new(8);
-        assert_eq!(t.width() * t.height(), 8);
-        assert!(t.width() >= t.height());
-        assert_eq!(t.height(), 2);
+        assert_eq!(dimensions(8), (4, 2));
+        assert_eq!(dimensions(7), (7, 1));
     }
 
     #[test]
     fn routes_are_valid_paths() {
-        validate_topology(&TorusTopology::new(16));
-        validate_topology(&TorusTopology::new(8));
-        validate_topology(&TorusTopology::new(4));
-        validate_topology(&TorusTopology::new(2));
+        for n in [16, 8, 4, 2] {
+            torus(n).validate();
+        }
     }
 
     #[test]
     fn four_by_four_average_distance_is_two_hops() {
         // The paper quotes two link crossings on average for the 4x4 torus.
-        let t = TorusTopology::new(16);
-        let avg = t.average_hops();
+        let avg = torus(16).average_hops();
         assert!(
             (avg - 32.0 / 15.0).abs() < 1e-9,
             "expected ~2.13 average hops, got {avg}"
         );
+        assert_eq!(torus(16).min_hops(), 1);
     }
 
     #[test]
     fn neighbors_are_one_hop_apart() {
-        let t = TorusTopology::new(16);
-        assert_eq!(t.route(NodeId::new(0), NodeId::new(1)).len(), 1);
-        assert_eq!(t.route(NodeId::new(0), NodeId::new(4)).len(), 1);
+        let t = torus(16);
+        assert_eq!(hops(&t, 0, 1), 1);
+        assert_eq!(hops(&t, 0, 4), 1);
         // Wrap-around links.
-        assert_eq!(t.route(NodeId::new(0), NodeId::new(3)).len(), 1);
-        assert_eq!(t.route(NodeId::new(0), NodeId::new(12)).len(), 1);
-    }
-
-    #[test]
-    fn opposite_corner_is_the_diameter() {
-        let t = TorusTopology::new(16);
-        // Node 10 is at (2,2): two hops in each dimension from node 0.
-        assert_eq!(t.route(NodeId::new(0), NodeId::new(10)).len(), 4);
+        assert_eq!(hops(&t, 0, 3), 1);
+        assert_eq!(hops(&t, 0, 12), 1);
     }
 
     #[test]
     fn routing_uses_shortest_wrap_direction() {
-        let t = TorusTopology::new(16);
-        // From x=0 to x=3 the wrap-around direction (one hop) must be chosen
-        // over the three-hop forward direction.
-        let path = t.route(NodeId::new(0), NodeId::new(3));
+        // From x=0 to x=3 the wrap-around link (one hop) is chosen over the
+        // three-hop forward direction.
+        let t = torus(16);
+        let path = t.path(NodeId::new(0), NodeId::new(3));
         assert_eq!(path.len(), 1);
+        assert_eq!(t.links()[path[0].index()].to, RouterId(3));
     }
 
     #[test]
     fn torus_is_unordered() {
-        assert!(!TorusTopology::new(16).provides_total_order());
+        // No switch serializes the torus: routes between different pairs
+        // can share no link at all.
+        assert!(!TopologyKind::Torus.is_totally_ordered());
+        let t = torus(16);
+        let a = t.path(NodeId::new(0), NodeId::new(1));
+        let b = t.path(NodeId::new(2), NodeId::new(3));
+        assert!(a.iter().all(|link| !b.contains(link)));
+    }
+
+    #[test]
+    fn opposite_corner_is_the_diameter() {
+        // Node 10 is at (2,2): two hops in each dimension from node 0.
+        assert_eq!(hops(&torus(16), 0, 10), 4);
     }
 
     #[test]
     fn union_of_paths_from_one_source_is_a_tree() {
-        // Every router reached by any path from node 0 must be entered via a
-        // single unique link — the property multicast relies on.
-        let t = TorusTopology::new(16);
-        use std::collections::HashMap;
-        let mut entry_link: HashMap<usize, LinkId> = HashMap::new();
-        for d in 1..16 {
-            let path = t.route(NodeId::new(0), NodeId::new(d));
-            for link_id in path {
-                let link = t.links()[link_id.index()];
-                let existing = entry_link.entry(link.to.index()).or_insert(link_id);
-                assert_eq!(
-                    *existing, link_id,
-                    "router {} entered via two different links",
-                    link.to
-                );
-            }
-        }
+        torus(16).assert_routes_form_a_tree(0);
     }
 
     #[test]
     fn bidirectional_links_exist_in_both_directions() {
-        let t = TorusTopology::new(16);
-        let forward = t.route(NodeId::new(0), NodeId::new(1));
-        let backward = t.route(NodeId::new(1), NodeId::new(0));
+        let t = torus(16);
+        let forward = t.path(NodeId::new(0), NodeId::new(1));
+        let backward = t.path(NodeId::new(1), NodeId::new(0));
         assert_eq!(forward.len(), 1);
         assert_eq!(backward.len(), 1);
         assert_ne!(forward[0], backward[0], "links are unidirectional objects");
@@ -287,8 +188,9 @@ mod tests {
 
     #[test]
     fn single_node_torus_has_no_routes() {
-        let t = TorusTopology::new(1);
+        let t = torus(1);
         assert_eq!(t.num_nodes(), 1);
-        assert!(t.route(NodeId::new(0), NodeId::new(0)).is_empty());
+        assert!(t.path(NodeId::new(0), NodeId::new(0)).is_empty());
+        assert_eq!(t.min_hops(), 1);
     }
 }

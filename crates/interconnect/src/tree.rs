@@ -9,120 +9,32 @@
 //! order that traditional snooping requires. The cost is the indirection
 //! through discrete glue switches and the root bottleneck.
 
-use tc_types::NodeId;
-
 use crate::topology::{LinkDescriptor, LinkId, RouterId, Topology};
 
 /// Fan-out of each leaf switch (the paper uses four).
-pub const TREE_FANOUT: usize = 4;
+const TREE_FANOUT: usize = 4;
 
-/// A two-level indirect broadcast tree.
-#[derive(Debug, Clone)]
-pub struct TreeTopology {
-    num_nodes: usize,
-    groups: usize,
-    links: Vec<LinkDescriptor>,
-    /// Link from node i to its incoming switch.
-    up_node: Vec<LinkId>,
-    /// Link from incoming switch g to the root.
-    up_switch: Vec<LinkId>,
-    /// Link from the root to outgoing switch g.
-    down_switch: Vec<LinkId>,
-    /// Link from the outgoing switch of node i's group down to node i.
-    down_node: Vec<LinkId>,
-}
-
-impl TreeTopology {
-    /// Creates a tree for `num_nodes` nodes with fan-out
-    /// [`TREE_FANOUT`]. A 16-node system uses 4 incoming switches, 4 outgoing
-    /// switches, and one root switch — nine switch chips, as in the paper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_nodes` is zero.
-    pub fn new(num_nodes: usize) -> Self {
-        assert!(num_nodes > 0, "tree needs at least one node");
-        let groups = num_nodes.div_ceil(TREE_FANOUT);
-        let mut links = Vec::new();
-        let mut push = |from: RouterId, to: RouterId| {
-            let id = LinkId(links.len());
-            links.push(LinkDescriptor { from, to });
-            id
-        };
-
-        // Router numbering: nodes, then incoming switches, then outgoing
-        // switches, then the root.
-        let in_switch = |g: usize| RouterId(num_nodes + g);
-        let out_switch = |g: usize| RouterId(num_nodes + groups + g);
-        let root = RouterId(num_nodes + 2 * groups);
-
-        let mut up_node = Vec::with_capacity(num_nodes);
-        let mut down_node = Vec::with_capacity(num_nodes);
-        let mut up_switch = Vec::with_capacity(groups);
-        let mut down_switch = Vec::with_capacity(groups);
-
-        for node in 0..num_nodes {
-            up_node.push(push(RouterId(node), in_switch(node / TREE_FANOUT)));
-        }
-        for g in 0..groups {
-            up_switch.push(push(in_switch(g), root));
-        }
-        for g in 0..groups {
-            down_switch.push(push(root, out_switch(g)));
-        }
-        for node in 0..num_nodes {
-            down_node.push(push(out_switch(node / TREE_FANOUT), RouterId(node)));
-        }
-
-        TreeTopology {
-            num_nodes,
-            groups,
-            links,
-            up_node,
-            up_switch,
-            down_switch,
-            down_node,
-        }
-    }
-
-    /// Number of leaf-switch groups.
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// Total number of discrete switch chips (incoming + outgoing + root).
-    pub fn num_switches(&self) -> usize {
-        2 * self.groups + 1
-    }
-
-    /// The root switch router.
-    pub fn root(&self) -> RouterId {
-        RouterId(self.num_nodes + 2 * self.groups)
-    }
-}
-
-impl Topology for TreeTopology {
-    fn name(&self) -> &'static str {
-        "tree"
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    fn num_routers(&self) -> usize {
-        self.num_nodes + self.num_switches()
-    }
-
-    fn links(&self) -> &[LinkDescriptor] {
-        &self.links
-    }
-
-    fn node_router(&self, node: NodeId) -> RouterId {
-        RouterId(node.index())
-    }
-
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+/// Builds the tree for `num_nodes` nodes. A 16-node system uses 4 incoming
+/// switches, 4 outgoing switches, and one root switch — nine switch chips,
+/// as in the paper. Routers are numbered nodes first, then incoming
+/// switches, then outgoing switches, then the root.
+pub(crate) fn build(num_nodes: usize) -> Topology {
+    let groups = num_nodes.div_ceil(TREE_FANOUT);
+    let in_switch = |g: usize| RouterId(num_nodes + g);
+    let out_switch = |g: usize| RouterId(num_nodes + groups + g);
+    let root = RouterId(num_nodes + 2 * groups);
+    // Links in id order: node i up to its incoming switch (id i), incoming
+    // switch g up to the root (n + g), the root down to outgoing switch g
+    // (n + groups + g), and outgoing switch down to node i
+    // (n + 2 * groups + i).
+    let links = (0..num_nodes)
+        .map(|node| (RouterId(node), in_switch(node / TREE_FANOUT)))
+        .chain((0..groups).map(|g| (in_switch(g), root)))
+        .chain((0..groups).map(|g| (root, out_switch(g))))
+        .chain((0..num_nodes).map(|node| (out_switch(node / TREE_FANOUT), RouterId(node))))
+        .map(|(from, to)| LinkDescriptor { from, to })
+        .collect();
+    Topology::resolve(num_nodes, root.index() + 1, links, |src, dst, path| {
         // A self-route is deliberately NOT empty on the tree: a node snooping
         // its own broadcast must receive it through the same root round trip
         // — and the same contended links — as every other node, or the total
@@ -134,99 +46,87 @@ impl Topology for TreeTopology {
         // the second hand-off arrived at a completed MSHR and was dropped,
         // losing ownership. The conformance harness catches this as a
         // deadlock within seconds.)
-        let src_group = src.index() / TREE_FANOUT;
-        let dst_group = dst.index() / TREE_FANOUT;
-        vec![
-            self.up_node[src.index()],
-            self.up_switch[src_group],
-            self.down_switch[dst_group],
-            self.down_node[dst.index()],
-        ]
-    }
-
-    fn provides_total_order(&self) -> bool {
-        true
-    }
+        path.extend([
+            LinkId(src),
+            LinkId(num_nodes + src / TREE_FANOUT),
+            LinkId(num_nodes + groups + dst / TREE_FANOUT),
+            LinkId(num_nodes + 2 * groups + dst),
+        ]);
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use tc_types::{NodeId, TopologyKind};
+
     use super::*;
-    use crate::topology::validate_topology;
+
+    fn tree(n: usize) -> Topology {
+        Topology::new(TopologyKind::Tree, n)
+    }
 
     #[test]
     fn sixteen_node_tree_has_nine_switches() {
-        let t = TreeTopology::new(16);
-        assert_eq!(t.groups(), 4);
-        assert_eq!(t.num_switches(), 9);
-        assert_eq!(t.num_routers(), 25);
+        // Four incoming, four outgoing and one root switch.
+        assert_eq!(tree(16).num_routers(), 16 + 9);
+    }
+
+    #[test]
+    fn odd_node_counts_round_up_groups() {
+        // Five nodes: two groups, five switch chips.
+        assert_eq!(tree(5).num_routers(), 5 + 5);
     }
 
     #[test]
     fn every_route_is_four_link_crossings() {
-        let t = TreeTopology::new(16);
+        let t = tree(16);
         for s in 0..16 {
             for d in 0..16 {
-                if s == d {
-                    continue;
-                }
-                assert_eq!(t.route(NodeId::new(s), NodeId::new(d)).len(), 4);
+                assert_eq!(t.path(NodeId::new(s), NodeId::new(d)).len(), 4);
             }
         }
         assert!((t.average_hops() - 4.0).abs() < 1e-12);
+        assert_eq!(t.min_hops(), 4);
     }
 
     #[test]
     fn routes_are_valid_paths() {
-        validate_topology(&TreeTopology::new(16));
-        validate_topology(&TreeTopology::new(8));
-        validate_topology(&TreeTopology::new(5));
+        for n in [16, 8, 5] {
+            tree(n).validate();
+        }
     }
 
     #[test]
     fn tree_provides_total_order() {
-        assert!(TreeTopology::new(16).provides_total_order());
+        // A node's own copy takes the root round trip too, so it is ordered
+        // with everyone else's.
+        assert!(TopologyKind::Tree.is_totally_ordered());
+        let t = tree(16);
+        let root = RouterId(t.num_routers() - 1);
+        for n in 0..16 {
+            let path = t.path(NodeId::new(n), NodeId::new(n));
+            assert_eq!(t.links()[path[1].index()].to, root);
+            assert_eq!(t.links()[path[3].index()].to, RouterId(n));
+        }
     }
 
     #[test]
     fn every_route_passes_through_the_root() {
-        let t = TreeTopology::new(16);
-        let root = t.root();
+        let t = tree(16);
+        let root = RouterId(t.num_routers() - 1);
         for s in 0..16 {
             for d in 0..16 {
-                if s == d {
-                    continue;
-                }
                 let passes_root = t
-                    .route(NodeId::new(s), NodeId::new(d))
+                    .path(NodeId::new(s), NodeId::new(d))
                     .iter()
-                    .any(|l| t.links()[l.index()].to == root || t.links()[l.index()].from == root);
+                    .any(|l| t.links()[l.index()].to == root);
                 assert!(passes_root, "route {s}->{d} bypasses the root");
             }
         }
     }
 
     #[test]
-    fn odd_node_counts_round_up_groups() {
-        let t = TreeTopology::new(5);
-        assert_eq!(t.groups(), 2);
-        assert_eq!(t.num_switches(), 5);
-    }
-
-    #[test]
     fn union_of_paths_from_one_source_is_a_tree() {
-        let t = TreeTopology::new(16);
-        use std::collections::HashMap;
-        let mut entry_link: HashMap<usize, LinkId> = HashMap::new();
-        for d in 0..16 {
-            if d == 3 {
-                continue;
-            }
-            for link_id in t.route(NodeId::new(3), NodeId::new(d)) {
-                let link = t.links()[link_id.index()];
-                let existing = entry_link.entry(link.to.index()).or_insert(link_id);
-                assert_eq!(*existing, link_id);
-            }
-        }
+        tree(16).assert_routes_form_a_tree(3);
     }
 }

@@ -30,11 +30,10 @@ fn tree_config(bandwidth: BandwidthMode) -> InterconnectConfig {
 
 /// A self-inclusive broadcast (what snooping sends for every request),
 /// tagged with a sequence number through the block address.
-fn ordered_broadcast(src: usize, sequence: u64, num_nodes: usize, at: Cycle) -> Message {
-    let everyone: Vec<NodeId> = (0..num_nodes).map(NodeId::new).collect();
+fn ordered_broadcast(src: usize, sequence: u64, at: Cycle) -> Message {
     Message::new(
         NodeId::new(src),
-        Destination::multicast(everyone),
+        Destination::All,
         BlockAddr::new(sequence),
         MsgKind::GetS,
         Vnet::Request,
@@ -73,7 +72,7 @@ fn drive(bandwidth: BandwidthMode, num_nodes: usize, seed: u64) {
         now += rng.next_below(25);
         if rng.chance(0.5) {
             let src = rng.next_below(num_nodes as u64) as usize;
-            let msg = ordered_broadcast(src, sequence, num_nodes, now);
+            let msg = ordered_broadcast(src, sequence, now);
             sequence += 1;
             for delivery in net.send(now, msg) {
                 observed[delivery.node.index()].push((delivery.at, delivery.msg.addr.value()));
@@ -133,8 +132,8 @@ fn self_delivery_queues_behind_earlier_broadcasts() {
     let mut net = Interconnect::new(num_nodes, tree_config(BandwidthMode::Limited));
     // Node 0 broadcasts first; node 5 broadcasts immediately after. Node 5's
     // own copy must arrive after node 0's copy arrives at node 5.
-    let first = net.send(0, ordered_broadcast(0, 1, num_nodes, 0));
-    let second = net.send(1, ordered_broadcast(5, 2, num_nodes, 1));
+    let first = net.send(0, ordered_broadcast(0, 1, 0));
+    let second = net.send(1, ordered_broadcast(5, 2, 1));
     let first_at_5 = first
         .iter()
         .find(|d| d.node == NodeId::new(5))

@@ -1,14 +1,16 @@
-//! Property test: the route-cached, scratch-array fabric must be
-//! observationally identical to a naive fabric that recomputes every route on
-//! every send.
+//! Property test: the fabric (unicasts on their route, broadcast trees
+//! kept per source, probe trees rebuilt per send, scratch arrival arrays)
+//! must be observationally identical to a naive fabric that walks every
+//! route on every send.
 //!
 //! The reference implementation below is the pre-optimization `send`
-//! algorithm, kept verbatim: `Topology::route` per destination per send,
-//! link deduplication through a hash set, and arrival times in a hash map.
-//! Both fabrics are driven with the same deterministic pseudo-random message
-//! stream across tree and torus topologies, unicast/multicast/broadcast
-//! destinations, and both bandwidth modes; every delivery (node, time,
-//! message), the traffic accounting, and the per-link utilization must
+//! algorithm: `Topology::path` per destination per send, link deduplication
+//! through a hash set, and arrival times in a hash map. Both fabrics are
+//! driven with the same deterministic pseudo-random message stream across
+//! tree and torus topologies, every destination pattern (`Node` including
+//! self-sends, `Broadcast`, `All`, `AllBut`), and both bandwidth modes;
+//! every delivery (node, time, message), the traffic accounting, and the
+//! per-link utilization must
 //! match exactly. Cases are drawn from a [`DeterministicRng`] rather than
 //! proptest (unavailable in the offline build environment), so every run
 //! covers the same cases.
@@ -25,7 +27,7 @@ use tc_types::{
 
 /// The pre-optimization fabric: same timing model, no caching.
 struct NaiveFabric {
-    topology: Box<dyn Topology>,
+    topology: Topology,
     config: InterconnectConfig,
     free_at: Vec<Cycle>,
     bytes: Vec<u64>,
@@ -35,10 +37,7 @@ struct NaiveFabric {
 
 impl NaiveFabric {
     fn new(num_nodes: usize, config: InterconnectConfig) -> Self {
-        let topology: Box<dyn Topology> = match config.topology {
-            TopologyKind::Tree => Box::new(tc_interconnect::TreeTopology::new(num_nodes)),
-            TopologyKind::Torus => Box::new(tc_interconnect::TorusTopology::new(num_nodes)),
-        };
+        let topology = Topology::new(config.topology, num_nodes);
         let links = topology.links().len();
         NaiveFabric {
             topology,
@@ -78,7 +77,8 @@ impl NaiveFabric {
             now
         };
 
-        let src_router = self.topology.node_router(msg.src);
+        // Node `n` injects at router `n`.
+        let src_router = RouterId(msg.src.index());
         let mut arrival: HashMap<RouterId, Cycle> = HashMap::new();
         arrival.insert(src_router, inject_start);
         let mut tree_links: Vec<LinkId> = Vec::new();
@@ -89,8 +89,8 @@ impl NaiveFabric {
             // node's own copy pays the same root round trip (and queues on
             // the same links) as everyone else's, which is what keeps the
             // per-node delivery order equal to the root serialization order.
-            let path = self.topology.route(msg.src, *dst);
-            for link in &path {
+            let path = self.topology.path(msg.src, *dst);
+            for link in path {
                 if seen.insert(*link, ()).is_none() {
                     tree_links.push(*link);
                 }
@@ -145,22 +145,17 @@ impl NaiveFabric {
     }
 }
 
-/// Draws a pseudo-random message: any source, any destination shape
-/// (unicast incl. self-sends, broadcast, multicast of a random subset),
+/// Draws a pseudo-random message: any source, any destination pattern
+/// (unicast incl. self-sends, broadcast, all nodes, all but one node),
 /// control or data size.
 fn random_message(rng: &mut DeterministicRng, num_nodes: usize, at: Cycle) -> Message {
-    let src = NodeId::new(rng.next_below(num_nodes as u64) as usize);
+    let node = |rng: &mut DeterministicRng| NodeId::new(rng.next_below(num_nodes as u64) as usize);
+    let src = node(rng);
     let dest = match rng.next_below(4) {
-        0 => Destination::Node(NodeId::new(rng.next_below(num_nodes as u64) as usize)),
+        0 => Destination::Node(node(rng)),
         1 => Destination::Broadcast,
-        _ => {
-            // A random subset; may include the source, may be empty.
-            let nodes: Vec<NodeId> = (0..num_nodes)
-                .map(NodeId::new)
-                .filter(|_| rng.chance(0.4))
-                .collect();
-            Destination::multicast(nodes)
-        }
+        2 => Destination::All,
+        _ => Destination::AllBut(node(rng)),
     };
     let kind = if rng.chance(0.5) {
         MsgKind::GetS

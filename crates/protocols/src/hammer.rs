@@ -114,13 +114,9 @@ impl MosiNode<Hammer> {
     ) {
         // Probe every node except the requester (including this home node's
         // own cache, which receives the probe like any other node).
-        let probe_targets: Vec<NodeId> = (0..self.policy.num_nodes)
-            .map(NodeId::new)
-            .filter(|n| *n != requester)
-            .collect();
         let probe = Message::new(
             self.node,
-            Destination::multicast(probe_targets),
+            Destination::AllBut(requester),
             addr,
             MsgKind::HammerProbe { requester, write },
             Vnet::Forwarded,
@@ -396,13 +392,7 @@ mod tests {
             .iter()
             .find(|m| matches!(m.kind, MsgKind::HammerProbe { .. }))
             .expect("probe broadcast");
-        match &probe.dest {
-            Destination::Multicast(nodes) => {
-                assert_eq!(nodes.len(), 3);
-                assert!(!nodes.contains(&NodeId::new(1)));
-            }
-            other => panic!("expected multicast, got {other:?}"),
-        }
+        assert_eq!(probe.dest, Destination::AllBut(NodeId::new(1)));
         assert!(home_out.messages.iter().any(|m| matches!(
             m.kind,
             MsgKind::Data {

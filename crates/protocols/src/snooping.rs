@@ -109,11 +109,7 @@ impl Default for OwnerBit {
 /// including the sender, whose self-delivery, ordered by the root switch,
 /// tells it where its request falls in the total order.
 #[derive(Debug)]
-pub struct Snooping {
-    /// Cached all-nodes destination: this Arc-backed set is cloned
-    /// (refcount bump, no allocation) per send.
-    everyone: Destination,
-}
+pub struct Snooping;
 
 /// The snooping controller for one node.
 pub type SnoopingController = MosiNode<Snooping>;
@@ -467,15 +463,13 @@ impl MosiPolicy for Snooping {
     type Mshr = SnoopMshr;
     type Home = OwnerBit;
 
-    fn new(config: &SystemConfig) -> Self {
-        Snooping {
-            everyone: Destination::Multicast((0..config.num_nodes).map(NodeId::new).collect()),
-        }
+    fn new(_config: &SystemConfig) -> Self {
+        Snooping
     }
 
     /// Writebacks are broadcast too, so the total order covers them.
     fn destination(&self, _home: NodeId) -> Destination {
-        self.everyone.clone()
+        Destination::All
     }
 
     fn new_mshr(&self, pending: Fifo, first: PendingOp, upgrade: bool, now: Cycle) -> SnoopMshr {
@@ -648,13 +642,7 @@ mod tests {
         let mut out = Outbox::new();
         c.access(0, &load(0, 1), &mut out);
         assert_eq!(out.messages.len(), 1);
-        match &out.messages[0].dest {
-            Destination::Multicast(nodes) => {
-                assert_eq!(nodes.len(), 4);
-                assert!(nodes.contains(&NodeId::new(1)));
-            }
-            other => panic!("expected a full multicast, got {other:?}"),
-        }
+        assert_eq!(out.messages[0].dest, Destination::All);
     }
 
     #[test]

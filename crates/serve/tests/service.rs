@@ -302,6 +302,21 @@ fn poisoned_submissions_are_rejected_and_the_queue_keeps_serving() {
         "{err}"
     );
 
+    // And a node count whose routes the fabric could not allocate: with
+    // one-line caches nothing else bounds it, and building it used to abort
+    // the whole server.
+    let mut huge = small_points();
+    let config = &mut huge[2].config;
+    for cache in [&mut config.l1, &mut config.l2] {
+        cache.size_bytes = 64;
+        cache.associativity = 1;
+    }
+    *config = config.clone().with_nodes(4096);
+    let err = tc_serve::submit(&addr, &submission(huge), |_| {}).expect_err("must reject");
+    assert!(err.message.contains("(400)"), "{err}");
+    assert!(err.message.contains("points[2].config"), "{err}");
+    assert!(err.message.contains("num_nodes"), "{err}");
+
     // The queue is still serving: a good submission right after runs fine.
     let mut lines = Vec::new();
     let outcome = tc_serve::submit(&addr, &submission(small_points()), |line| {

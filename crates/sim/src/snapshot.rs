@@ -21,7 +21,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
-use std::sync::Arc;
 
 /// Magic bytes opening every sealed snapshot (`TCSNAP` + 2 format bytes).
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
@@ -46,7 +45,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 ///   drain flag and the queue, arena and line-table counters that their
 ///   contents determine are computed on load. The fingerprint key writes
 ///   the fault and adversary specs in their `Display` form.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// * v6 — a message's destination is one of four patterns: snooping's
+///   all-nodes broadcast and Hammer's probe, which carried explicit node
+///   lists (destination tag 2, now retired), write tags 3 and 4.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -401,7 +403,7 @@ macro_rules! snap_sequence {
         }
     )*};
 }
-snap_sequence!(Vec<T>, VecDeque<T>, Arc<[T]>, BTreeSet<T> where T: Ord);
+snap_sequence!(Vec<T>, VecDeque<T>, BTreeSet<T> where T: Ord);
 
 /// A map is the sequence of its `(key, value)` pairs in key order.
 impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {

@@ -415,7 +415,6 @@ mod tests {
             ("hits".to_string(), 1u64),
             ("misses".into(), 2),
         ]));
-        assert_snap_round_trip(&std::sync::Arc::<[NodeId]>::from(vec![NodeId::new(3)]));
         assert_snap_round_trip(&tc_sim::ArenaRef::from_bits(0x0000_0007_0000_0002));
         assert_snap_round_trip(&tc_sim::DeterministicRng::new(12));
     }

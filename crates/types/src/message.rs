@@ -1,7 +1,6 @@
 //! Coherence messages exchanged between nodes over the interconnect.
 
 use std::fmt;
-use std::sync::Arc;
 
 use tc_sim::{snap_enum, snap_struct};
 
@@ -73,56 +72,42 @@ impl Vnet {
     ];
 }
 
-/// Destination of a message.
+/// Destination of a message: one of the four patterns the protocols send.
 ///
-/// The multicast node set is reference-counted so that cloning a message —
-/// which the interconnect does once per delivery — never allocates: every
-/// delivery of a multicast shares one node list. `Hash`/`Eq` compare the
-/// *contents* of the list rather than the `Arc` pointer, so two
-/// independently built lists with the same nodes in the same order are the
-/// same destination — which the interconnect relies on to cache one
-/// multicast tree per distinct destination pattern. The comparison is
-/// order-sensitive (`[1, 2] != [2, 1]`); protocols build their node lists in
-/// ascending node order, so equivalent sets compare equal in practice, but
-/// differently-ordered lists would only cost duplicate cache entries, never
-/// wrong routing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Every pattern but `Node` is a fixed node set of the system, so the
+/// interconnect keeps one multicast tree per source and pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Destination {
     /// Deliver to a single node.
     Node(NodeId),
-    /// Deliver to every node except the sender (broadcast).
+    /// Deliver to every node except the sender (TokenB's broadcast).
     Broadcast,
-    /// Deliver to an explicit set of nodes.
-    Multicast(Arc<[NodeId]>),
+    /// Deliver to every node, the sender included (snooping's totally
+    /// ordered broadcast).
+    All,
+    /// Deliver to every node except this one (Hammer's probe from the home).
+    AllBut(NodeId),
 }
 
 impl Destination {
-    /// Creates a multicast destination from a node list.
-    pub fn multicast(nodes: impl Into<Arc<[NodeId]>>) -> Self {
-        Destination::Multicast(nodes.into())
-    }
-
     /// Returns `true` if `node` is covered by this destination, given the
     /// original sender (broadcasts do not loop back to the sender).
-    pub fn includes(&self, node: NodeId, sender: NodeId) -> bool {
+    pub fn includes(self, node: NodeId, sender: NodeId) -> bool {
         match self {
-            Destination::Node(n) => *n == node,
+            Destination::Node(n) => n == node,
             Destination::Broadcast => node != sender,
-            Destination::Multicast(nodes) => nodes.contains(&node),
+            Destination::All => true,
+            Destination::AllBut(n) => n != node,
         }
     }
 
-    /// Expands the destination into the list of receiving node indices for a
-    /// system of `num_nodes` nodes.
-    pub fn expand(&self, num_nodes: usize, sender: NodeId) -> Vec<NodeId> {
-        match self {
-            Destination::Node(n) => vec![*n],
-            Destination::Broadcast => (0..num_nodes)
-                .map(NodeId::new)
-                .filter(|n| *n != sender)
-                .collect(),
-            Destination::Multicast(nodes) => nodes.to_vec(),
-        }
+    /// Expands the destination into the receiving nodes of a system of
+    /// `num_nodes` nodes, in ascending order.
+    pub fn expand(self, num_nodes: usize, sender: NodeId) -> Vec<NodeId> {
+        (0..num_nodes)
+            .map(NodeId::new)
+            .filter(|&n| self.includes(n, sender))
+            .collect()
     }
 }
 
@@ -370,7 +355,8 @@ impl Message {
 }
 
 // Wire layouts. Tags are append-only; `MsgKind` tag 3 is retired (a
-// shared-eviction notice no protocol ever sent).
+// shared-eviction notice no protocol ever sent), and so is `Destination`
+// tag 2 (an explicit node list, which snooping and Hammer sent until v6).
 snap_struct!(DataPayload { version });
 snap_enum!(Vnet, "vnet" {
     0 => Request,
@@ -382,7 +368,8 @@ snap_enum!(Vnet, "vnet" {
 snap_enum!(Destination, "destination" {
     0 => Node(node),
     1 => Broadcast,
-    2 => Multicast(nodes),
+    3 => All,
+    4 => AllBut(node),
 });
 snap_enum!(MsgKind, "msg kind" {
     0 => GetS,
@@ -527,10 +514,19 @@ mod tests {
         assert!(!ucast.includes(NodeId::new(0), sender));
         assert_eq!(ucast.expand(4, sender), vec![NodeId::new(1)]);
 
-        let mcast = Destination::multicast(vec![NodeId::new(0), NodeId::new(3)]);
-        assert!(mcast.includes(NodeId::new(3), sender));
-        assert!(!mcast.includes(NodeId::new(1), sender));
-        assert_eq!(mcast.expand(4, sender).len(), 2);
+        let all = Destination::All;
+        assert_eq!(
+            all.expand(4, sender),
+            (0..4).map(NodeId::new).collect::<Vec<_>>()
+        );
+
+        let all_but = Destination::AllBut(NodeId::new(0));
+        assert!(all_but.includes(sender, sender));
+        assert!(!all_but.includes(NodeId::new(0), sender));
+        assert_eq!(
+            all_but.expand(4, sender),
+            [1, 2, 3].map(NodeId::new).to_vec()
+        );
     }
 
     #[test]
@@ -590,12 +586,13 @@ mod tests {
         let dests = [
             Destination::Node(NodeId::new(2)),
             Destination::Broadcast,
-            Destination::multicast(vec![NodeId::new(0), NodeId::new(3)]),
+            Destination::All,
+            Destination::AllBut(NodeId::new(1)),
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
             let mut m = Message::new(
                 NodeId::new(i % 4),
-                dests[i % dests.len()].clone(),
+                dests[i % dests.len()],
                 BlockAddr::new(64 + i as u64),
                 kind,
                 Vnet::ALL[i % Vnet::ALL.len()],
@@ -613,6 +610,15 @@ mod tests {
         assert_eq!(
             MsgKind::load(&mut SnapReader::new(&[3])),
             Err(SnapshotError::Corrupt("msg kind tag 3".into()))
+        );
+    }
+
+    #[test]
+    fn the_retired_destination_tag_loads_as_corrupt() {
+        // Tag 2 was an explicit node list; it never loads as a pattern.
+        assert_eq!(
+            Destination::load(&mut SnapReader::new(&[2, 0, 0, 0, 0])),
+            Err(SnapshotError::Corrupt("destination tag 2".into()))
         );
     }
 
