@@ -908,6 +908,7 @@ impl CoherenceController for TokenBController {
 mod tests {
     use super::*;
     use tc_sim::{SnapReader, SnapWriter};
+    use tc_testkit::deliver;
     use tc_types::{Address, MemOpKind, ReqId};
 
     const BLOCK: u64 = 64;
@@ -939,19 +940,6 @@ mod tests {
         MemOp::new(ReqId::new(id), Address::new(addr), MemOpKind::Store)
     }
 
-    /// Delivers every message in `out` that is destined for `to`, returning
-    /// the receiving controller's outbox. A tiny two-node harness for unit
-    /// tests; the full system runner lives in `tc-system`.
-    fn deliver(out: &Outbox, to: &mut TokenBController, now: Cycle) -> Outbox {
-        let mut next = Outbox::new();
-        for msg in &out.messages {
-            if msg.dest.includes(to.node(), msg.src) {
-                to.handle_message(now, msg, &mut next);
-            }
-        }
-        next
-    }
-
     #[test]
     fn steady_state_miss_traffic_recycles_pending_op_storage() {
         let mut home = controller(0, 4);
@@ -960,8 +948,8 @@ mod tests {
         // Warm-up: one full read-miss round trip establishes the pool.
         let mut out = Outbox::new();
         requester.access(0, &load(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 20);
-        deliver(&home_out, &mut requester, 120);
+        let home_out = deliver(&out.messages, [&mut home], 20);
+        deliver(&home_out.messages, [&mut requester], 120);
         assert_eq!(requester.outstanding_misses(), 0);
         let nodes_after_warmup = requester.pending_ops.nodes();
         assert_eq!(nodes_after_warmup, 1);
@@ -973,8 +961,8 @@ mod tests {
             let at = 1_000 * round;
             let mut out = Outbox::new();
             requester.access(at, &load(addr, round + 1), &mut out);
-            let home_out = deliver(&out, &mut home, at + 20);
-            deliver(&home_out, &mut requester, at + 120);
+            let home_out = deliver(&out.messages, [&mut home], at + 20);
+            deliver(&home_out.messages, [&mut requester], at + 120);
             assert_eq!(requester.outstanding_misses(), 0);
         }
 
@@ -1009,7 +997,7 @@ mod tests {
         requester.access(0, &load(0, 1), &mut req_out);
 
         // Deliver the GetS to the home node.
-        let home_out = deliver(&req_out, &mut home, 20);
+        let home_out = deliver(&req_out.messages, [&mut home], 20);
         assert_eq!(home_out.messages.len(), 1);
         let response = &home_out.messages[0];
         match &response.kind {
@@ -1029,7 +1017,7 @@ mod tests {
         assert_eq!(home.tokens_held(BlockAddr::new(0)), 15);
 
         // Deliver the response back: the requester's miss completes.
-        let final_out = deliver(&home_out, &mut requester, 120);
+        let final_out = deliver(&home_out.messages, [&mut requester], 120);
         assert_eq!(final_out.completions.len(), 1);
         assert_eq!(final_out.completions[0].kind, MissKind::Read);
         assert!(!final_out.completions[0].cache_to_cache);
@@ -1045,7 +1033,7 @@ mod tests {
         writer.access(0, &store(0, 1), &mut out);
         assert_eq!(out.messages[0].kind, MsgKind::GetM);
 
-        let home_out = deliver(&out, &mut home, 30);
+        let home_out = deliver(&out.messages, [&mut home], 30);
         // Memory hands over everything, including the owner token.
         let response = &home_out.messages[0];
         assert!(matches!(
@@ -1058,7 +1046,7 @@ mod tests {
         ));
         assert_eq!(home.tokens_held(BlockAddr::new(0)), 0);
 
-        let done = deliver(&home_out, &mut writer, 130);
+        let done = deliver(&home_out.messages, [&mut writer], 130);
         assert_eq!(done.completions.len(), 1);
         assert_eq!(done.completions[0].kind, MissKind::Write);
         assert_eq!(writer.cache_state_name(BlockAddr::new(0)), "M");
@@ -1071,8 +1059,8 @@ mod tests {
         let mut writer = controller(1, 4);
         let mut out = Outbox::new();
         writer.access(0, &store(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 30);
-        deliver(&home_out, &mut writer, 130);
+        let home_out = deliver(&out.messages, [&mut home], 30);
+        deliver(&home_out.messages, [&mut writer], 130);
 
         // Second store to the same block: a pure cache hit, no messages.
         let mut out2 = Outbox::new();
@@ -1093,14 +1081,14 @@ mod tests {
         // clean: obtain M, never write again). First get all tokens.
         let mut out = Outbox::new();
         writer.access(0, &store(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 30);
-        deliver(&home_out, &mut writer, 130);
+        let home_out = deliver(&out.messages, [&mut home], 30);
+        deliver(&home_out.messages, [&mut writer], 130);
 
         // Reader issues a load; writer is dirty M, so with the migratory
         // optimization it hands over everything.
         let mut rout = Outbox::new();
         reader.access(300, &load(0, 2), &mut rout);
-        let writer_out = deliver(&rout, &mut writer, 320);
+        let writer_out = deliver(&rout.messages, [&mut writer], 320);
         assert!(matches!(
             writer_out.messages[0].kind,
             MsgKind::TokenData {
@@ -1109,7 +1097,7 @@ mod tests {
                 ..
             }
         ));
-        let reader_done = deliver(&writer_out, &mut reader, 420);
+        let reader_done = deliver(&writer_out.messages, [&mut reader], 420);
         assert_eq!(reader_done.completions.len(), 1);
         assert!(reader_done.completions[0].cache_to_cache);
         assert_eq!(reader.cache_state_name(BlockAddr::new(0)), "M");
@@ -1658,8 +1646,8 @@ mod tests {
         let mut requester = controller(1, 4);
         let mut out = Outbox::new();
         requester.access(0, &load(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 30);
-        deliver(&home_out, &mut requester, 130);
+        let home_out = deliver(&out.messages, [&mut home], 30);
+        deliver(&home_out.messages, [&mut requester], 130);
         let stats = requester.stats();
         assert_eq!(stats.reissue.not_reissued, 1);
         assert_eq!(stats.reissue.total(), 1);
@@ -1677,8 +1665,8 @@ mod tests {
         assert_eq!(outcome, AccessOutcome::Miss);
         assert_eq!(c.outstanding_misses(), 1);
 
-        let home_out = deliver(&out, &mut home, 30);
-        let done = deliver(&home_out, &mut c, 130);
+        let home_out = deliver(&out.messages, [&mut home], 30);
+        let done = deliver(&home_out.messages, [&mut c], 130);
         assert_eq!(done.completions.len(), 2);
     }
 
@@ -1690,8 +1678,8 @@ mod tests {
         for (i, block) in [0u64, 4, 8].iter().enumerate() {
             let mut out = Outbox::new();
             c.access(i as Cycle * 1000, &store(block * BLOCK, i as u64), &mut out);
-            let home_out = deliver(&out, &mut home, i as Cycle * 1000 + 30);
-            let done = deliver(&home_out, &mut c, i as Cycle * 1000 + 130);
+            let home_out = deliver(&out.messages, [&mut home], i as Cycle * 1000 + 30);
+            let done = deliver(&home_out.messages, [&mut c], i as Cycle * 1000 + 130);
             versions.push(done.completions[0].data_version);
         }
         let mut sorted = versions.clone();
@@ -1708,8 +1696,8 @@ mod tests {
         // counter all carry non-trivial state into the snapshot.
         let mut out = Outbox::new();
         c.access(0, &store(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 30);
-        deliver(&home_out, &mut c, 130);
+        let home_out = deliver(&out.messages, [&mut home], 30);
+        deliver(&home_out.messages, [&mut c], 130);
         // Leave a miss outstanding (MSHR allocated, reissue timer armed).
         let mut out = Outbox::new();
         c.access(1000, &store(4 * BLOCK, 2), &mut out);
@@ -1727,9 +1715,9 @@ mod tests {
         assert_eq!(restored.outstanding_blocks(), c.outstanding_blocks());
         // Drive both copies through the identical completion and a follow-up
         // hit; every observable output must match.
-        let home_out = deliver(&out, &mut home, 1030);
-        let done_orig = deliver(&home_out, &mut c, 1130);
-        let done_rest = deliver(&home_out, &mut restored, 1130);
+        let home_out = deliver(&out.messages, [&mut home], 1030);
+        let done_orig = deliver(&home_out.messages, [&mut c], 1130);
+        let done_rest = deliver(&home_out.messages, [&mut restored], 1130);
         assert_eq!(format!("{done_orig:?}"), format!("{done_rest:?}"));
         let mut o1 = Outbox::new();
         let mut o2 = Outbox::new();

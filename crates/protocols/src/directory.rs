@@ -489,6 +489,7 @@ impl MosiPolicy for Directory {
 mod tests {
     use super::*;
     use crate::node::test_support::{controller, load, store};
+    use tc_testkit::deliver;
     use tc_types::{AccessOutcome, CoherenceController, MissKind};
 
     #[test]
@@ -502,20 +503,10 @@ mod tests {
         });
     }
 
-    fn deliver(out: &Outbox, to: &mut DirectoryController, now: Cycle) -> Outbox {
-        let mut next = Outbox::new();
-        for msg in &out.messages {
-            if msg.dest.includes(to.node(), msg.src) {
-                to.handle_message(now, msg, &mut next);
-            }
-        }
-        next
-    }
-
     #[test]
     fn steady_state_miss_traffic_recycles_pending_op_storage() {
-        let mut home = controller(0);
-        let mut requester = controller(1);
+        let mut home: DirectoryController = controller(0);
+        let mut requester: DirectoryController = controller(1);
 
         // Warm-up: a read miss with a store merged into it exercises both
         // the merge path and the deferred-upgrade re-issue path, so the pool
@@ -523,11 +514,11 @@ mod tests {
         let mut out = Outbox::new();
         requester.access(0, &load(0, 1), &mut out);
         requester.access(1, &store(0, 2), &mut out);
-        let home_out = deliver(&out, &mut home, 10);
-        let done = deliver(&home_out, &mut requester, 100);
-        let home_out = deliver(&done, &mut home, 110);
-        let done = deliver(&home_out, &mut requester, 200);
-        deliver(&done, &mut home, 210);
+        let home_out = deliver(&out.messages, [&mut home], 10);
+        let done = deliver(&home_out.messages, [&mut requester], 100);
+        let home_out = deliver(&done.messages, [&mut home], 110);
+        let done = deliver(&home_out.messages, [&mut requester], 200);
+        deliver(&done.messages, [&mut home], 210);
         assert_eq!(requester.outstanding_misses(), 0);
         let nodes_after_warmup = requester.pending_ops.nodes();
         assert!(nodes_after_warmup >= 2);
@@ -539,9 +530,9 @@ mod tests {
             let at = 1_000 * round;
             let mut out = Outbox::new();
             requester.access(at, &load(addr, 2 * round + 1), &mut out);
-            let home_out = deliver(&out, &mut home, at + 10);
-            let done = deliver(&home_out, &mut requester, at + 100);
-            deliver(&done, &mut home, at + 110);
+            let home_out = deliver(&out.messages, [&mut home], at + 10);
+            let done = deliver(&home_out.messages, [&mut requester], at + 100);
+            deliver(&done.messages, [&mut home], at + 110);
             assert_eq!(requester.outstanding_misses(), 0);
         }
 
@@ -555,8 +546,8 @@ mod tests {
 
     #[test]
     fn read_miss_goes_to_home_and_memory_responds() {
-        let mut home = controller(0);
-        let mut requester = controller(1);
+        let mut home: DirectoryController = controller(0);
+        let mut requester: DirectoryController = controller(1);
         let mut out = Outbox::new();
         assert_eq!(
             requester.access(0, &load(0, 1), &mut out),
@@ -566,7 +557,7 @@ mod tests {
         assert_eq!(out.messages[0].kind, MsgKind::GetS);
         assert_eq!(out.messages[0].dest, Destination::Node(NodeId::new(0)));
 
-        let home_out = deliver(&out, &mut home, 30);
+        let home_out = deliver(&out.messages, [&mut home], 30);
         assert!(matches!(
             home_out.messages[0].kind,
             MsgKind::Data {
@@ -576,7 +567,7 @@ mod tests {
             }
         ));
 
-        let done = deliver(&home_out, &mut requester, 200);
+        let done = deliver(&home_out.messages, [&mut requester], 200);
         assert_eq!(done.completions.len(), 1);
         assert_eq!(done.completions[0].kind, MissKind::Read);
         // The requester unblocks the home.
@@ -585,21 +576,21 @@ mod tests {
 
     #[test]
     fn write_miss_on_shared_block_invalidates_sharers() {
-        let mut home = controller(0);
-        let mut reader = controller(1);
-        let mut writer = controller(2);
+        let mut home: DirectoryController = controller(0);
+        let mut reader: DirectoryController = controller(1);
+        let mut writer: DirectoryController = controller(2);
 
         // Reader gets a shared copy first.
         let mut out = Outbox::new();
         reader.access(0, &load(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 10);
-        let reader_done = deliver(&home_out, &mut reader, 100);
-        deliver(&reader_done, &mut home, 110);
+        let home_out = deliver(&out.messages, [&mut home], 10);
+        let reader_done = deliver(&home_out.messages, [&mut reader], 100);
+        deliver(&reader_done.messages, [&mut home], 110);
 
         // Writer requests M.
         let mut out = Outbox::new();
         writer.access(200, &store(0, 2), &mut out);
-        let home_out = deliver(&out, &mut home, 210);
+        let home_out = deliver(&out.messages, [&mut home], 210);
         // Home sends data (with one ack expected) and an invalidation.
         let data = home_out
             .messages
@@ -622,9 +613,9 @@ mod tests {
         assert_eq!(inv.dest, Destination::Node(NodeId::new(1)));
 
         // Data alone is not enough; the ack must arrive too.
-        let partial = deliver(&home_out, &mut writer, 300);
+        let partial = deliver(&home_out.messages, [&mut writer], 300);
         assert!(partial.completions.is_empty());
-        let reader_out = deliver(&home_out, &mut reader, 310);
+        let reader_out = deliver(&home_out.messages, [&mut reader], 310);
         let ack = reader_out
             .messages
             .iter()
@@ -633,28 +624,28 @@ mod tests {
         assert_eq!(ack.dest, Destination::Node(NodeId::new(2)));
         assert_eq!(reader.audit_block(BlockAddr::new(0)).len(), 0);
 
-        let done = deliver(&reader_out, &mut writer, 400);
+        let done = deliver(&reader_out.messages, [&mut writer], 400);
         assert_eq!(done.completions.len(), 1);
         assert_eq!(done.completions[0].kind, MissKind::Write);
     }
 
     #[test]
     fn cache_to_cache_miss_is_forwarded_through_home() {
-        let mut home = controller(0);
-        let mut owner = controller(1);
-        let mut reader = controller(2);
+        let mut home: DirectoryController = controller(0);
+        let mut owner: DirectoryController = controller(1);
+        let mut reader: DirectoryController = controller(2);
 
         // Owner takes the block to M and dirties it.
         let mut out = Outbox::new();
         owner.access(0, &store(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 10);
-        let owner_done = deliver(&home_out, &mut owner, 100);
-        deliver(&owner_done, &mut home, 110);
+        let home_out = deliver(&out.messages, [&mut home], 10);
+        let owner_done = deliver(&home_out.messages, [&mut owner], 100);
+        deliver(&owner_done.messages, [&mut home], 110);
 
         // Reader misses; home forwards to the owner.
         let mut out = Outbox::new();
         reader.access(200, &load(0, 2), &mut out);
-        let home_out = deliver(&out, &mut home, 210);
+        let home_out = deliver(&out.messages, [&mut home], 210);
         let fwd = home_out
             .messages
             .iter()
@@ -663,7 +654,7 @@ mod tests {
         assert_eq!(fwd.dest, Destination::Node(NodeId::new(1)));
 
         // Owner responds straight to the reader (migratory: exclusive).
-        let owner_out = deliver(&home_out, &mut owner, 300);
+        let owner_out = deliver(&home_out.messages, [&mut owner], 300);
         let data = &owner_out.messages[0];
         assert!(matches!(
             data.kind,
@@ -675,7 +666,7 @@ mod tests {
         ));
         assert_eq!(data.dest, Destination::Node(NodeId::new(2)));
 
-        let done = deliver(&owner_out, &mut reader, 400);
+        let done = deliver(&owner_out.messages, [&mut reader], 400);
         assert_eq!(done.completions.len(), 1);
         assert!(done.completions[0].cache_to_cache);
         // The reader announces exclusive ownership to the home.
@@ -687,28 +678,28 @@ mod tests {
 
     #[test]
     fn requests_queue_while_the_directory_is_busy() {
-        let mut home = controller(0);
-        let mut a = controller(1);
+        let mut home: DirectoryController = controller(0);
+        let mut a: DirectoryController = controller(1);
         let mut b: DirectoryController = controller(2);
 
         // A starts a write miss; home forwards nothing (memory owner) but
         // becomes busy until the unblock.
         let mut out_a = Outbox::new();
         a.access(0, &store(0, 1), &mut out_a);
-        let home_out_a = deliver(&out_a, &mut home, 10);
+        let home_out_a = deliver(&out_a.messages, [&mut home], 10);
 
         // B's write miss arrives while the directory is still busy.
         let mut out_b = Outbox::new();
         b.access(20, &store(0, 2), &mut out_b);
-        let home_out_b = deliver(&out_b, &mut home, 30);
+        let home_out_b = deliver(&out_b.messages, [&mut home], 30);
         assert!(
             home_out_b.messages.is_empty(),
             "the busy directory must queue, not respond"
         );
 
         // A completes and unblocks; the home then serves B by forwarding to A.
-        let a_done = deliver(&home_out_a, &mut a, 100);
-        let home_after_unblock = deliver(&a_done, &mut home, 150);
+        let a_done = deliver(&home_out_a.messages, [&mut a], 100);
+        let home_after_unblock = deliver(&a_done.messages, [&mut home], 150);
         assert!(home_after_unblock
             .messages
             .iter()
@@ -717,13 +708,13 @@ mod tests {
 
     #[test]
     fn writeback_returns_ownership_to_memory() {
-        let mut home = controller(0);
-        let mut owner = controller(1);
+        let mut home: DirectoryController = controller(0);
+        let mut owner: DirectoryController = controller(1);
         let mut out = Outbox::new();
         owner.access(0, &store(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 10);
-        let owner_done = deliver(&home_out, &mut owner, 100);
-        deliver(&owner_done, &mut home, 110);
+        let home_out = deliver(&out.messages, [&mut home], 10);
+        let owner_done = deliver(&home_out.messages, [&mut owner], 100);
+        deliver(&owner_done.messages, [&mut home], 110);
 
         // Evict by inserting a conflicting line directly.
         let mut out = Outbox::new();
@@ -737,13 +728,13 @@ mod tests {
             .expect("writeback sent");
         assert_eq!(putm.dest, Destination::Node(NodeId::new(0)));
 
-        let home_out = deliver(&out, &mut home, 300);
+        let home_out = deliver(&out.messages, [&mut home], 300);
         assert!(home_out.messages.iter().any(|m| m.kind == MsgKind::WbAck));
         // Memory is the owner again: a later read is served from memory.
         let mut reader: DirectoryController = controller(2);
         let mut rout = Outbox::new();
         reader.access(400, &load(0, 5), &mut rout);
-        let resp = deliver(&rout, &mut home, 410);
+        let resp = deliver(&rout.messages, [&mut home], 410);
         assert!(matches!(
             resp.messages[0].kind,
             MsgKind::Data {
@@ -755,31 +746,31 @@ mod tests {
 
     #[test]
     fn upgrade_miss_counts_as_upgrade() {
-        let mut home = controller(0);
-        let mut c = controller(1);
+        let mut home: DirectoryController = controller(0);
+        let mut c: DirectoryController = controller(1);
         // Obtain a shared copy.
         let mut out = Outbox::new();
         c.access(0, &load(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 10);
-        let done = deliver(&home_out, &mut c, 100);
-        deliver(&done, &mut home, 110);
+        let home_out = deliver(&out.messages, [&mut home], 10);
+        let done = deliver(&home_out.messages, [&mut c], 100);
+        deliver(&done.messages, [&mut home], 110);
         // Now store to it.
         let mut out = Outbox::new();
         assert_eq!(c.access(200, &store(0, 2), &mut out), AccessOutcome::Miss);
-        let home_out = deliver(&out, &mut home, 210);
-        let done = deliver(&home_out, &mut c, 300);
+        let home_out = deliver(&out.messages, [&mut home], 210);
+        let done = deliver(&home_out.messages, [&mut c], 300);
         assert_eq!(done.completions[0].kind, MissKind::Upgrade);
         assert_eq!(c.stats().misses.upgrade_misses, 1);
     }
 
     #[test]
     fn hits_do_not_generate_traffic() {
-        let mut home = controller(0);
-        let mut c = controller(1);
+        let mut home: DirectoryController = controller(0);
+        let mut c: DirectoryController = controller(1);
         let mut out = Outbox::new();
         c.access(0, &store(0, 1), &mut out);
-        let home_out = deliver(&out, &mut home, 10);
-        deliver(&home_out, &mut c, 100);
+        let home_out = deliver(&out.messages, [&mut home], 10);
+        deliver(&home_out.messages, [&mut c], 100);
         let mut out = Outbox::new();
         assert!(matches!(
             c.access(200, &load(0, 2), &mut out),

@@ -354,6 +354,7 @@ mod tests {
     use super::*;
     use crate::common::MosiState;
     use crate::node::test_support::{controller, load, store};
+    use tc_testkit::deliver;
     use tc_types::{CoherenceController, MissKind};
 
     #[test]
@@ -364,29 +365,15 @@ mod tests {
         });
     }
 
-    fn deliver_all(out: &Outbox, nodes: &mut [HammerController], now: Cycle) -> Outbox {
-        let mut next = Outbox::new();
-        for msg in &out.messages {
-            for node in nodes.iter_mut() {
-                if msg.dest.includes(node.node(), msg.src) {
-                    node.handle_message(now, msg, &mut next);
-                }
-            }
-        }
-        next
-    }
-
     #[test]
     fn home_broadcasts_probes_and_memory_data() {
-        let mut home = controller(0);
+        let mut home: HammerController = controller(0);
         let mut requester: HammerController = controller(1);
         let mut out = Outbox::new();
         requester.access(0, &load(0, 1), &mut out);
         assert_eq!(out.messages[0].dest, Destination::Node(NodeId::new(0)));
 
-        let mut home_only = [home];
-        let home_out = deliver_all(&out, &mut home_only, 10);
-        home = home_only.into_iter().next().unwrap();
+        let home_out = deliver(&out.messages, [&mut home], 10);
         let probe = home_out
             .messages
             .iter()

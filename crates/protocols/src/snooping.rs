@@ -593,6 +593,7 @@ impl MosiPolicy for Snooping {
 mod tests {
     use super::*;
     use crate::node::test_support::{controller, load, store};
+    use tc_testkit::deliver;
     use tc_types::{AccessOutcome, CoherenceController, MissCompletion, MissKind};
 
     #[test]
@@ -601,20 +602,6 @@ mod tests {
         tc_testkit::assert_snap_round_trip(&OwnerBit {
             memory_owner: false,
         });
-    }
-
-    /// Delivers messages to every addressed node in a fixed global order,
-    /// mimicking the total order the tree interconnect provides.
-    fn broadcast_round(out: &Outbox, nodes: &mut [SnoopingController], now: Cycle) -> Outbox {
-        let mut next = Outbox::new();
-        for msg in &out.messages {
-            for node in nodes.iter_mut() {
-                if msg.dest.includes(node.node(), msg.src) {
-                    node.handle_message(now, msg, &mut next);
-                }
-            }
-        }
-        next
     }
 
     fn run_until_quiet(
@@ -629,7 +616,7 @@ mod tests {
                 break;
             }
             now += 60;
-            let next = broadcast_round(&frontier, nodes, now);
+            let next = deliver(&frontier.messages, &mut *nodes, now);
             completions.extend(next.completions.iter().copied());
             frontier = next;
         }
@@ -915,9 +902,7 @@ mod tests {
         assert!(upgrade_out.messages.iter().any(|m| m.kind == MsgKind::GetM));
 
         // Deliver the stale PutM (resolves as a cancel), then the upgrade.
-        let mut putm_out = Outbox::new();
-        putm_out.messages.push(putm);
-        let cancel_round = broadcast_round(&putm_out, &mut nodes, 2300);
+        let cancel_round = deliver(&[putm], &mut nodes, 2300);
         run_until_quiet(cancel_round, &mut nodes, 2300);
         let completions = run_until_quiet(upgrade_out, &mut nodes, 2400);
         assert_eq!(completions.len(), 1);

@@ -113,8 +113,17 @@ impl Submission {
             checkpoint_every: root.member_opt("", "checkpoint_every")?.flatten(),
             ..defaults
         };
-        if options.ops_per_node == 0 {
-            return Err(SubmitError::new("ops_per_node", "must be at least 1"));
+        // A zero bound would stop the run after its first event: no
+        // operations (and a result cached as clean), or a livelock reported
+        // that never happened.
+        for (field, value) in [
+            ("ops_per_node", options.ops_per_node),
+            ("max_cycles", options.max_cycles),
+            ("livelock_events_budget", options.livelock_events_budget),
+        ] {
+            if value == 0 {
+                return Err(SubmitError::new(field, "must be at least 1"));
+            }
         }
 
         let raw_points = root
@@ -286,6 +295,27 @@ mod tests {
             assert!(text.contains(from), "{from}");
             let err = Submission::parse(&text.replacen(from, to, 1)).unwrap_err();
             assert_eq!(err.field, "points[0].config", "{to}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_run_bounds_are_refused_by_name() {
+        let text = sample().to_json();
+        for (from, field) in [
+            ("\"ops_per_node\":500", "ops_per_node"),
+            ("\"max_cycles\":10000000", "max_cycles"),
+            (
+                "\"livelock_events_budget\":50000000",
+                "livelock_events_budget",
+            ),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let zeroed = text.replacen(from, &format!("\"{field}\":0"), 1);
+            let err = Submission::parse(&zeroed).unwrap_err();
+            assert_eq!(
+                (err.field.as_str(), err.message.as_str()),
+                (field, "must be at least 1")
+            );
         }
     }
 

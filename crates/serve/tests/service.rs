@@ -302,6 +302,35 @@ fn poisoned_submissions_are_rejected_and_the_queue_keeps_serving() {
         "{err}"
     );
 
+    // And zero run bounds: `max_cycles: 0` used to stop after one event and
+    // be cached as a clean result, `livelock_events_budget: 0` to report a
+    // livelock that never happened.
+    for (field, options) in [
+        (
+            "max_cycles",
+            RunOptions {
+                max_cycles: 0,
+                ..tiny_options()
+            },
+        ),
+        (
+            "livelock_events_budget",
+            RunOptions {
+                livelock_events_budget: 0,
+                ..tiny_options()
+            },
+        ),
+    ] {
+        let mut zeroed = submission(small_points());
+        zeroed.options = options;
+        let err = tc_serve::submit(&addr, &zeroed, |_| {}).expect_err("must reject");
+        assert!(
+            err.message
+                .contains(&format!("(400): must be at least 1 (field: {field})")),
+            "{err}"
+        );
+    }
+
     // And a node count whose routes the fabric could not allocate: with
     // one-line caches nothing else bounds it, and building it used to abort
     // the whole server.

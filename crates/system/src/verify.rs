@@ -5,6 +5,33 @@ use std::collections::VecDeque;
 use tc_sim::snap_struct;
 use tc_types::{BlockAddr, BlockAudit, Cycle, FastHashMap, InvariantViolation, NodeId};
 
+/// The token-counting rule (invariant #1') for one block: the tokens the
+/// `audits` hold plus `in_flight_tokens` must equal `expected`, and their
+/// owner tokens plus `in_flight_owners` must number exactly one. Yields a
+/// `TokenConservation` violation, then a `DuplicateOwner` one, for each
+/// half that fails. [`Verifier::audit_block`] records them; the
+/// interleaving pump of `tc-testkit` asserts there are none after every
+/// step.
+pub fn token_count_violations(
+    addr: BlockAddr,
+    audits: &[BlockAudit],
+    in_flight_tokens: u32,
+    in_flight_owners: u32,
+    expected: u32,
+    at: Cycle,
+) -> impl Iterator<Item = InvariantViolation> {
+    let found = audits.iter().map(|a| a.tokens).sum::<u32>() + in_flight_tokens;
+    let owners = audits.iter().filter(|a| a.owner_token).count() as u32 + in_flight_owners;
+    let conservation = (found != expected).then_some(InvariantViolation::TokenConservation {
+        addr,
+        expected,
+        found,
+        at,
+    });
+    let owner = (owners != 1).then_some(InvariantViolation::DuplicateOwner { addr, at });
+    conservation.into_iter().chain(owner)
+}
+
 /// Recent write history for one block: which version was current when.
 #[derive(Debug, Clone, Default)]
 struct BlockHistory {
@@ -203,20 +230,14 @@ impl Verifier {
         at: Cycle,
     ) {
         if let Some(expected) = expected_tokens {
-            let total: u32 = audits.iter().map(|a| a.tokens).sum::<u32>() + in_flight_tokens;
-            if total != expected {
-                self.violations.push(InvariantViolation::TokenConservation {
-                    addr,
-                    expected,
-                    found: total,
-                    at,
-                });
-            }
-            let owners = audits.iter().filter(|a| a.owner_token).count() as u32 + in_flight_owners;
-            if owners != 1 {
-                self.violations
-                    .push(InvariantViolation::DuplicateOwner { addr, at });
-            }
+            self.violations.extend(token_count_violations(
+                addr,
+                audits,
+                in_flight_tokens,
+                in_flight_owners,
+                expected,
+                at,
+            ));
         }
         let writers = audits.iter().filter(|a| a.writable).count();
         let readers = audits.iter().filter(|a| a.readable).count();

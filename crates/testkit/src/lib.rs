@@ -32,7 +32,8 @@
 //! * [`token_pump`] — a controller-level interleaving pump for TokenB that
 //!   randomizes delivery order and timer firing (timeout/retry storms) while
 //!   asserting token conservation after every step, independent of the
-//!   system runner.
+//!   system runner; [`deliver`] is its deterministic one-round counterpart
+//!   for any protocol's controllers.
 //! * [`assert_snap_round_trip`] — the one check every [`tc_sim::Snap`]
 //!   layout gets: round trip, no trailing bytes, every truncation an error.
 //! * [`assert_wire_round_trip`] — its twin for a `tc_types::json_struct!`
@@ -44,7 +45,7 @@ mod pump;
 mod scenario;
 
 pub use hunt::{hunt, pathology_catalog, HuntOptions, HuntOutcome, Pathology};
-pub use pump::{token_pump, PumpOptions, PumpOutcome};
+pub use pump::{deliver, token_pump, PumpOptions, PumpOutcome};
 pub use scenario::Scenario;
 
 use std::fmt;

@@ -14,13 +14,40 @@
 //! messages must equal the configured `T`, and exactly one owner token must
 //! exist. That is invariant #1' checked continuously under randomized
 //! message interleavings, not just at quiescence.
+//!
+//! [`deliver`] is the deterministic counterpart: one round of deliveries in a
+//! fixed order, for controller-level unit tests of any protocol and for the
+//! Figure 2 race.
 
 use tc_core::TokenBController;
 use tc_sim::DeterministicRng;
+use tc_system::verify::token_count_violations;
 use tc_types::{
-    Address, BlockAddr, CoherenceController, Cycle, MemOp, MemOpKind, Message, NodeId, Outbox,
-    ProtocolKind, ReqId, SystemConfig, Timer,
+    Address, BlockAddr, BlockAudit, CoherenceController, Cycle, MemOp, MemOpKind, Message, NodeId,
+    Outbox, ProtocolKind, ReqId, SystemConfig, Timer,
 };
+
+/// Delivers each of `messages` at time `now` to every controller in `nodes`
+/// it addresses, and returns the merged outbox. Message-major, node-minor:
+/// a message reaches its receivers in the order `nodes` yields them before
+/// the next message is delivered (for a snooping broadcast, one fixed
+/// global order).
+pub fn deliver<'a, C: CoherenceController + 'a>(
+    messages: &[Message],
+    nodes: impl IntoIterator<Item = &'a mut C>,
+    now: Cycle,
+) -> Outbox {
+    let mut nodes: Vec<&mut C> = nodes.into_iter().collect();
+    let mut out = Outbox::new();
+    for msg in messages {
+        for node in nodes.iter_mut() {
+            if msg.dest.includes(node.node(), msg.src) {
+                node.handle_message(now, msg, &mut out);
+            }
+        }
+    }
+    out
+}
 
 /// Tuning for one pump run.
 #[derive(Debug, Clone, Copy)]
@@ -108,14 +135,11 @@ impl Pump {
     fn absorb(&mut self, node: NodeId, out: Outbox) {
         self.outcome.completions += out.completions.len() as u64;
         for msg in out.messages {
-            for dst in 0..self.controllers.len() {
-                let dst = NodeId::new(dst);
-                if msg.dest.includes(dst, msg.src) {
-                    self.pending.push(PendingDelivery {
-                        node: dst,
-                        msg: msg.clone(),
-                    });
-                }
+            for dst in msg.dest.expand(self.controllers.len(), msg.src) {
+                self.pending.push(PendingDelivery {
+                    node: dst,
+                    msg: msg.clone(),
+                });
             }
         }
         for (at, timer) in out.timers {
@@ -184,38 +208,43 @@ impl Pump {
 
     /// The continuous conservation audit: for every touched block, tokens in
     /// caches + home memories + undelivered messages must equal `T`, with
-    /// exactly one owner token in the whole system.
+    /// exactly one owner token in the whole system (the system verifier's
+    /// [`token_count_violations`], with undelivered messages in flight).
     fn audit(&mut self, context: &str) {
         for &addr in &self.touched {
             self.outcome.audits += 1;
-            let mut tokens: u64 = 0;
-            let mut owners: u64 = 0;
-            let mut memory_audited = false;
-            for controller in &self.controllers {
-                for audit in controller.audit_block(addr) {
-                    tokens += u64::from(audit.tokens);
-                    owners += u64::from(audit.owner_token);
-                    memory_audited |= audit.in_memory;
-                }
-            }
-            if !memory_audited {
+            let audits: Vec<BlockAudit> = self
+                .controllers
+                .iter()
+                .flat_map(|controller| controller.audit_block(addr))
+                .collect();
+            let mut tokens: u32 = 0;
+            let mut owners: u32 = 0;
+            if !audits.iter().any(|audit| audit.in_memory) {
                 // Home state is stored sparsely: a home that has never
                 // responded holds all `T` tokens (owner included) implicitly.
-                tokens += u64::from(self.expected_tokens);
+                tokens += self.expected_tokens;
                 owners += 1;
             }
             for delivery in &self.pending {
                 if delivery.msg.addr == addr {
-                    tokens += u64::from(delivery.msg.kind.token_count());
-                    owners += u64::from(delivery.msg.kind.carries_owner_token());
+                    tokens += delivery.msg.kind.token_count();
+                    owners += u32::from(delivery.msg.kind.carries_owner_token());
                 }
             }
-            assert_eq!(
+            let violations: Vec<_> = token_count_violations(
+                addr,
+                &audits,
                 tokens,
-                u64::from(self.expected_tokens),
-                "token conservation violated for {addr} {context} (owners={owners})"
+                owners,
+                self.expected_tokens,
+                self.now,
+            )
+            .collect();
+            assert!(
+                violations.is_empty(),
+                "token rule violated for {addr} {context}: {violations:?}"
             );
-            assert_eq!(owners, 1, "owner-token count violated for {addr} {context}");
         }
     }
 }
@@ -276,6 +305,99 @@ pub fn token_pump(options: PumpOptions, seed: u64) -> PumpOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_sim::{SnapReader, SnapWriter, SnapshotError};
+    use tc_types::{AccessOutcome, ControllerStats, Destination, MsgKind, Vnet};
+
+    /// Answers every message it receives with a copy sent from itself.
+    #[derive(Debug)]
+    struct Echo(NodeId);
+
+    impl CoherenceController for Echo {
+        fn node(&self) -> NodeId {
+            self.0
+        }
+        fn protocol_name(&self) -> &'static str {
+            "Echo"
+        }
+        fn access(&mut self, _: Cycle, _: &MemOp, _: &mut Outbox) -> AccessOutcome {
+            unreachable!()
+        }
+        fn handle_message(&mut self, now: Cycle, msg: &Message, out: &mut Outbox) {
+            out.send(Message {
+                src: self.0,
+                sent_at: now,
+                ..msg.clone()
+            });
+        }
+        fn handle_timer(&mut self, _: Cycle, _: Timer, _: &mut Outbox) {
+            unreachable!()
+        }
+        fn stats(&self) -> ControllerStats {
+            ControllerStats::default()
+        }
+        fn audit_block(&self, _: BlockAddr) -> Vec<BlockAudit> {
+            Vec::new()
+        }
+        fn audited_blocks(&self) -> Vec<BlockAddr> {
+            Vec::new()
+        }
+        fn outstanding_misses(&self) -> usize {
+            0
+        }
+        fn save_state(&self, _: &mut SnapWriter) {}
+        fn load_state(&mut self, _: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn deliver_addresses_each_message_and_merges_in_message_then_node_order() {
+        let mut nodes: Vec<Echo> = (0..4).map(|n| Echo(NodeId::new(n))).collect();
+        let sender = NodeId::new(1);
+        let messages: Vec<Message> = [
+            Destination::Node(NodeId::new(2)),
+            Destination::AllBut(NodeId::new(3)),
+            Destination::Broadcast,
+            Destination::All,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, dest)| {
+            Message::new(
+                sender,
+                dest,
+                BlockAddr::new(i as u64),
+                MsgKind::GetS,
+                Vnet::Request,
+                0,
+            )
+        })
+        .collect();
+        // "message>receiver" for every reply, in the order merged.
+        let received = |out: &Outbox| {
+            assert!(out.messages.iter().all(|m| m.sent_at == 50));
+            let pairs: Vec<String> = out
+                .messages
+                .iter()
+                .map(|m| format!("{}>{}", m.addr.value(), m.src.index()))
+                .collect();
+            pairs.join(" ")
+        };
+
+        // `AllBut` and `All` include the sender, a `Broadcast` does not.
+        let all = deliver(&messages, &mut nodes, 50);
+        assert_eq!(
+            received(&all),
+            "0>2 1>0 1>1 1>2 2>0 2>2 2>3 3>0 3>1 3>2 3>3"
+        );
+        // Receivers go in the order they are passed; nodes left out get
+        // nothing.
+        let [a, b, c, _] = &mut nodes[..] else {
+            unreachable!()
+        };
+        let some = deliver(&messages, [c, a, b], 50);
+        assert_eq!(received(&some), "0>2 1>2 1>0 1>1 2>2 2>0 3>2 3>0 3>1");
+    }
 
     #[test]
     fn pump_quiesces_and_audits_continuously() {

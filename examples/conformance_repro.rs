@@ -8,7 +8,7 @@
 //! the blocks it is waiting on and its controller's full debug state. Set
 //! `TC_TRACE_BLOCK=<block-number>` to additionally get the runner's causal
 //! send/delivery trace for that block (runs are deterministic, so the trace
-//! is exact).
+//! is exact). Exits 1 if the cell has any violation.
 
 use tc_testkit::Scenario;
 use token_coherence::prelude::*;
@@ -65,5 +65,8 @@ fn main() {
             system.outstanding_blocks(node)
         );
         println!("{}", system.controller_debug(node));
+    }
+    if !report.violations.is_empty() {
+        std::process::exit(1);
     }
 }

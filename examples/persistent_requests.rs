@@ -5,7 +5,8 @@
 //! many must be reissued, and some escalate to persistent requests. The point
 //! of the correctness substrate is that even this workload completes with no
 //! starvation and no safety violations — the performance protocol can only
-//! lose performance, never correctness.
+//! lose performance, never correctness. Exits 1 if either run breaks a
+//! safety or starvation-freedom check.
 //!
 //! Run with:
 //!
@@ -21,6 +22,7 @@ fn main() {
 
     println!("Hot-block contention on 16 nodes under TokenB (worst case for transient requests)\n");
 
+    let mut failed = false;
     for (label, profile) in [
         ("hot-block microbenchmark", WorkloadProfile::hot_block()),
         ("OLTP (realistic sharing)", WorkloadProfile::oltp()),
@@ -32,6 +34,8 @@ fn main() {
             ..RunOptions::default()
         });
         let [none, once, more, persistent] = report.table2_row();
+        let passed = report.verified().is_ok();
+        failed |= !passed;
         println!("{label}:");
         println!(
             "  misses: {:>8}   not reissued: {:>6.2}%   once: {:>5.2}%   >once: {:>5.2}%   persistent: {:>5.2}%",
@@ -45,11 +49,7 @@ fn main() {
             "  persistent requests initiated: {}   arbiter activations: {}   safety checks: {}\n",
             report.controllers.persistent_requests_initiated,
             report.controllers.counter(Counter::ArbiterActivations),
-            if report.verified().is_ok() {
-                "all passed"
-            } else {
-                "FAILED"
-            }
+            if passed { "all passed" } else { "FAILED" }
         );
     }
 
@@ -58,4 +58,7 @@ fn main() {
          sharing, reissued and persistent requests are rare; even when contention is engineered \
          to be extreme, persistent requests keep every processor making progress."
     );
+    if failed {
+        std::process::exit(1);
+    }
 }

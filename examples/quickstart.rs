@@ -1,7 +1,8 @@
 //! Quickstart: build the paper's 16-processor target system, run an
 //! OLTP-like workload under TokenB, and print the headline measurements —
 //! then run a small campaign comparing TokenB against the directory
-//! baseline across worker threads.
+//! baseline across worker threads. Exits 1 if any run breaks a safety or
+//! starvation-freedom check.
 //!
 //! Run with:
 //!
@@ -40,10 +41,11 @@ fn main() {
     println!("  reissued > once:     {more:6.2}%");
     println!("  persistent requests: {persistent:6.2}%");
 
-    match report.verified() {
-        Ok(()) => println!("\nAll safety and starvation-freedom checks passed."),
-        Err(violation) => println!("\nVIOLATION DETECTED: {violation}"),
+    if let Err(violation) = report.verified() {
+        eprintln!("\nVIOLATION DETECTED: {violation}");
+        std::process::exit(1);
     }
+    println!("\nAll safety and starvation-freedom checks passed.");
 
     // A whole experiment set, driven by the campaign API: each point is an
     // independently seeded simulation, so the driver fans them out across
@@ -74,4 +76,10 @@ fn main() {
         campaign.wall_seconds,
         campaign.threads
     );
+    for run in &campaign.runs {
+        if let Err(violation) = run.report.verified() {
+            eprintln!("VIOLATION DETECTED in {}: {violation}", run.label);
+            std::process::exit(1);
+        }
+    }
 }

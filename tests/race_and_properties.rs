@@ -5,39 +5,35 @@
 //! a [`DeterministicRng`] rather than proptest (unavailable in the offline
 //! build environment), which keeps every CI run over the exact same cases.
 
+use tc_testkit::deliver;
 use token_coherence::core::TokenBController;
 use token_coherence::prelude::*;
 use token_coherence::sim::DeterministicRng;
-use token_coherence::types::{
-    Address, BlockAddr, Cycle, MemOp, MemOpKind, Outbox, ReqId, TimerKind,
-};
+use token_coherence::types::{Address, BlockAddr, MemOp, MemOpKind, Outbox, ReqId, TimerKind};
 
-/// A deterministic two-node message pump used by the race test.
-fn pump(
-    messages: &[token_coherence::types::Message],
-    nodes: &mut [TokenBController],
-    now: Cycle,
-) -> Outbox {
-    let mut next = Outbox::new();
-    for msg in messages {
-        for node in nodes.iter_mut() {
-            if msg.dest.includes(node.node(), msg.src) {
-                node.handle_message(now, msg, &mut next);
-            }
-        }
-    }
-    next
-}
-
+/// The motivating race of the paper's Figure 2, message by message. One
+/// processor wants to write a block while another wants to read it. On an
+/// unordered interconnect their broadcasts race: the reader answers the
+/// writer's request with nothing (it has no copy yet), the home answers the
+/// reader first, and the writer ends up with most, but not all, of the
+/// tokens. A naive protocol would now let the writer write while the reader
+/// still holds a readable copy. Under Token Coherence the writer cannot
+/// write until it holds every token, so it reissues its request and the
+/// reader hands over the missing token: the race costs latency, never
+/// correctness.
 #[test]
 fn figure2_race_is_resolved_by_reissue_without_violating_safety() {
     let config = SystemConfig::isca03_default().with_nodes(4);
     let block = BlockAddr::new(0);
+    // Node 0 homes the block and holds all 16 tokens; P1 and P2 are the
+    // racing processors (P0 and P1 in the paper's figure).
     let mut nodes: Vec<TokenBController> = (0..4)
         .map(|n| TokenBController::new(n.into(), &config))
         .collect();
 
-    // P1 wants to write, P2 wants to read; requests race.
+    // Both processors broadcast a transient request at nearly the same
+    // time: P1 a GetM at t=0 (it wants to write), P2 a GetS at t=1 (it
+    // wants to read).
     let mut writer_out = Outbox::new();
     nodes[1].access(
         0,
@@ -53,28 +49,20 @@ fn figure2_race_is_resolved_by_reissue_without_violating_safety() {
 
     // The reader handles the writer's racing GetM before it has any tokens
     // (time 2 in the paper's figure): it has nothing to contribute.
-    pump(&writer_out.messages[..1], &mut nodes[2..3], 35);
+    deliver(&writer_out.messages[..1], &mut nodes[2..3], 35);
 
-    // The reader's request is served first (home gives it data + one token);
-    // then the writer's request is served, leaving the writer one token short.
-    let home_to_reader = {
-        let mut out = Outbox::new();
-        for msg in &reader_out.messages {
-            nodes[0].handle_message(40, msg, &mut out);
-        }
-        out
-    };
-    let reader_completed = pump(&home_to_reader.messages, &mut nodes, 140);
+    // The reader's GetS reaches the home first (the writer's GetM is delayed
+    // in the congested interconnect): the home gives the reader data plus
+    // one token, and at t=140 the reader can read.
+    let home_to_reader = deliver(&reader_out.messages, &mut nodes[..1], 40);
+    let reader_completed = deliver(&home_to_reader.messages, &mut nodes, 140);
     assert_eq!(reader_completed.completions.len(), 1);
 
-    let home_to_writer = {
-        let mut out = Outbox::new();
-        for msg in &writer_out.messages {
-            nodes[0].handle_message(160, msg, &mut out);
-        }
-        out
-    };
-    let writer_partial = pump(&home_to_writer.messages, &mut nodes, 260);
+    // The writer's delayed GetM reaches the home at t=160, which sends the
+    // remaining tokens. At t=260 the writer holds 15 of 16 tokens: not
+    // enough to write, so safety holds.
+    let home_to_writer = deliver(&writer_out.messages, &mut nodes[..1], 160);
+    let writer_partial = deliver(&home_to_writer.messages, &mut nodes, 260);
     assert!(
         writer_partial.completions.is_empty(),
         "the writer must NOT complete with only part of the tokens"
@@ -82,7 +70,10 @@ fn figure2_race_is_resolved_by_reissue_without_violating_safety() {
     assert_eq!(nodes[1].tokens_held(block), 15);
     assert_eq!(nodes[2].tokens_held(block), 1);
 
-    // The reissue resolves the race.
+    // The writer's reissue timer fires and it rebroadcasts its GetM; this
+    // time the reader hands over its token (plus data), and the writer
+    // completes its write in M: the race was resolved by reissue, with no
+    // ordered interconnect and no directory indirection.
     let (fire_at, timer) = writer_out
         .timers
         .iter()
@@ -91,8 +82,8 @@ fn figure2_race_is_resolved_by_reissue_without_violating_safety() {
         .expect("reissue timer armed");
     let mut reissue = Outbox::new();
     nodes[1].handle_timer(fire_at, timer, &mut reissue);
-    let replies = pump(&reissue.messages, &mut nodes, fire_at + 40);
-    let done = pump(&replies.messages, &mut nodes, fire_at + 80);
+    let replies = deliver(&reissue.messages, &mut nodes, fire_at + 40);
+    let done = deliver(&replies.messages, &mut nodes, fire_at + 80);
     assert_eq!(done.completions.len(), 1, "the writer finally completes");
     assert_eq!(nodes[1].tokens_held(block), 16);
     assert_eq!(nodes[1].cache_state_name(block), "M");
