@@ -1,8 +1,6 @@
 //! TokenB: the broadcast performance protocol on top of the token-counting
 //! correctness substrate.
 
-use std::collections::BTreeSet;
-
 use tc_memsys::{
     hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, PendingOp, SetAssocCache,
 };
@@ -852,13 +850,13 @@ impl CoherenceController for TokenBController {
     }
 
     fn audited_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks: BTreeSet<BlockAddr> = self.l2.blocks().into_iter().collect();
-        for (addr, state) in self.memory.touched_blocks() {
-            if state.initialized {
-                blocks.insert(addr);
-            }
-        }
-        blocks.into_iter().collect()
+        let mut blocks = self.l2.blocks();
+        blocks.extend(
+            (self.memory.touched_blocks())
+                .filter(|(_, state)| state.initialized)
+                .map(|(addr, _)| addr),
+        );
+        blocks
     }
 
     fn outstanding_misses(&self) -> usize {

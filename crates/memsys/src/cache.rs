@@ -24,8 +24,10 @@ pub struct CacheLine<S> {
 ///
 /// Storage is proportional to the sets that have ever been filled, not to
 /// the configured capacity: a set is appended to the line arrays by the
-/// first fill that lands in it, so building a cache writes only the per-set
-/// index. A line's *slot* — what hints remember and snapshots record — is
+/// first fill that lands in it, and its rank there is kept in a two-level
+/// index whose second level is appended the same way, so building a cache
+/// writes only the group table (one `u32` per 16 sets). A line's
+/// *slot* — what hints remember and snapshots record — is
 /// `set * ways + way`, whatever order the sets were filled in.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<S> {
@@ -34,11 +36,17 @@ pub struct SetAssocCache<S> {
     /// [`SetAssocCache::set_index`] mask instead of paying an integer
     /// division on every lookup of the hot access path. Zero disables it.
     set_mask: u64,
+    num_sets: usize,
     ways: usize,
-    /// One entry per set: 0 while the set has never been filled, else 1 + its
-    /// rank in the line arrays below (its ways start at `rank * ways`). The
-    /// only capacity-sized allocation, and zeroed rather than written.
-    set_rank: Vec<u32>,
+    /// One entry per [`GROUP`] consecutive sets: 0 while no set of the group
+    /// has been filled, else 1 + the number of the group's page in `pages`.
+    /// The only capacity-sized allocation (4 KiB for a Table 1 L2), zeroed
+    /// rather than written.
+    groups: Vec<u32>,
+    /// Rank pages, appended on their group's first fill. Entry `set %
+    /// GROUP` is 0 while that set has never been filled, else 1 + its rank
+    /// in the line arrays below (its ways start at `rank * ways`).
+    pages: Vec<[u32; GROUP]>,
     /// Block tags, `ways` consecutive entries per filled set,
     /// struct-of-arrays against `states`/`last_use`: a set probe scans one
     /// contiguous run of bare `u64`s (a whole 4-way set fits in a single
@@ -59,6 +67,11 @@ pub struct SetAssocCache<S> {
 /// simulated physical address space to reach `2^64` bytes times the block
 /// size; [`SetAssocCache::insert`] debug-asserts against it.
 const EMPTY_TAG: u64 = u64::MAX;
+
+/// Sets per entry of a [`SetAssocCache`]'s group table, and entries per rank
+/// page. A probe of a set whose group was never filled reads the group table
+/// only; a full cache's index is `1 + 1 / GROUP` times one `u32` per set.
+const GROUP: usize = 16;
 
 /// Outcome of [`SetAssocCache::probe_for_fill`]; each carries an index into
 /// the line arrays.
@@ -94,8 +107,10 @@ impl<S> SetAssocCache<S> {
             } else {
                 0
             },
+            num_sets,
             ways,
-            set_rank: vec![0; num_sets],
+            groups: vec![0; num_sets.div_ceil(GROUP)],
+            pages: Vec::new(),
             tags: Vec::new(),
             states: Vec::new(),
             last_use: Vec::new(),
@@ -109,20 +124,29 @@ impl<S> SetAssocCache<S> {
     /// resident) — the answer a probe of an unfilled set stops at.
     #[inline]
     fn base_of(&self, set: usize) -> Option<usize> {
-        match self.set_rank[set] {
+        match self.groups[set / GROUP] {
             0 => None,
-            rank => Some((rank as usize - 1) * self.ways),
+            page => match self.pages[page as usize - 1][set % GROUP] {
+                0 => None,
+                rank => Some((rank as usize - 1) * self.ways),
+            },
         }
     }
 
     /// [`SetAssocCache::base_of`] for an operation about to fill `set`:
-    /// appends the set, every way empty, if this is its first fill.
+    /// appends the set, every way empty, if this is its first fill (and its
+    /// group's rank page, if this is the group's first fill).
     fn base_for_fill(&mut self, set: usize) -> usize {
         if let Some(base) = self.base_of(set) {
             return base;
         }
+        let group = &mut self.groups[set / GROUP];
+        if *group == 0 {
+            self.pages.push([0; GROUP]);
+            *group = self.pages.len() as u32;
+        }
         let base = self.tags.len();
-        self.set_rank[set] =
+        self.pages[*group as usize - 1][set % GROUP] =
             u32::try_from(base / self.ways + 1).expect("a cache has fewer than 2^32 sets");
         self.tags.resize(base + self.ways, EMPTY_TAG);
         self.states.resize_with(base + self.ways, || None);
@@ -180,23 +204,37 @@ impl<S> SetAssocCache<S> {
         if self.set_mask != 0 {
             (addr.value() & self.set_mask) as usize
         } else {
-            (addr.value() % self.set_rank.len() as u64) as usize
+            (addr.value() % self.num_sets as u64) as usize
         }
     }
 
     /// `(slot, index into the line arrays)` of every resident line, in slot
     /// order — the order [`SetAssocCache::iter`] and
-    /// [`SetAssocCache::save_state`] promise.
+    /// [`SetAssocCache::save_state`] promise. Reads the rank pages of filled
+    /// groups only.
     fn resident(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.set_rank.len())
-            .filter_map(|set| Some((set * self.ways, self.base_of(set)?)))
-            .flat_map(|(first_slot, base)| (0..self.ways).map(move |w| (first_slot + w, base + w)))
+        let ways = self.ways;
+        (self.groups.iter().enumerate())
+            .filter(|&(_, &page)| page != 0)
+            .flat_map(move |(group, &page)| {
+                (self.pages[page as usize - 1].iter().enumerate())
+                    .filter(|&(_, &rank)| rank != 0)
+                    .map(move |(i, &rank)| ((group * GROUP + i) * ways, (rank as usize - 1) * ways))
+            })
+            .flat_map(move |(first_slot, base)| (0..ways).map(move |w| (first_slot + w, base + w)))
             .filter(|&(_, i)| self.tags[i] != EMPTY_TAG)
     }
 
     /// Total number of lines the cache can hold.
     pub fn capacity(&self) -> usize {
-        self.set_rank.len() * self.ways
+        self.num_sets * self.ways
+    }
+
+    /// Bytes of the set index: the group table plus the rank pages filled
+    /// so far (spare `Vec` capacity, never written, is not counted). What
+    /// the cache costs beside its lines; no line-state figure includes it.
+    pub fn index_bytes(&self) -> usize {
+        std::mem::size_of_val(self.groups.as_slice()) + std::mem::size_of_val(self.pages.as_slice())
     }
 
     /// Number of lines currently resident.
@@ -413,7 +451,8 @@ impl<S: Snap> SnapState for SetAssocCache<S> {
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.set_rank.fill(0);
+        self.groups.fill(0);
+        self.pages.clear();
         self.tags.clear();
         self.states.clear();
         self.last_use.clear();
@@ -446,7 +485,7 @@ impl<S> fmt::Display for SetAssocCache<S> {
         write!(
             f,
             "{}x{}-way cache, {}/{} lines resident",
-            self.set_rank.len(),
+            self.num_sets,
             self.ways,
             self.len(),
             self.capacity()

@@ -6,10 +6,11 @@
 //! `num_sets * ways` tags, states and LRU stamps written at construction, a
 //! slot *is* the array index. Both are driven, behind the L1 filter each
 //! needs for `hinted_get`, by one seeded operation stream over geometries
-//! that include non-power-of-two set and way counts, a single set and a
-//! single way. Every return value (evicted lines and reported slots
-//! included), and after every few operations the population, the
-//! iteration order and the `save_state` bytes, must match exactly. A
+//! that include non-power-of-two set and way counts, a single set, a single
+//! way, and the Table 1 L2 under a sparse stream. Every return value
+//! (evicted lines and reported slots included), and after every few
+//! operations the population, the iteration order and the `save_state`
+//! bytes, must match exactly. A
 //! second test holds a cache restored from its own snapshot to the same
 //! standard against the original: restoring fills sets in slot order, a run
 //! fills them in touch order, and nothing outside the cache may see that.
@@ -376,17 +377,33 @@ const L1: CacheConfig = CacheConfig {
     associativity: 2,
     latency_ns: 2,
 };
-/// (sets, ways): one set, one way, both counts not a power of two, and
-/// power-of-two shapes that take the masked index.
-const GEOMETRIES: [(usize, usize); 8] = [
-    (1, 4),
-    (8, 1),
-    (1, 1),
-    (3, 3),
-    (5, 2),
-    (6, 4),
-    (16, 4),
-    (64, 2),
+/// Where a stream's block addresses come from.
+#[derive(Debug, Clone, Copy)]
+enum Addresses {
+    /// Uniform over three times the capacity: sets fill, conflict and evict.
+    Dense,
+    /// `ways + 2` conflicting blocks in each of up to 48 sets spread over
+    /// the cache at a prime stride: on a large cache most groups of the set
+    /// index are never filled, and the sets that are filled still evict.
+    Sparse,
+}
+
+/// (sets, ways, addresses): one set, one way, both counts not a power of
+/// two, power-of-two shapes that take the masked index, set counts that
+/// leave the index's last group of 16 sets part-filled (37, 100), and the
+/// Table 1 L2 (4 MB, 4-way, 64-byte blocks) under a sparse stream.
+const GEOMETRIES: [(usize, usize, Addresses); 11] = [
+    (1, 4, Addresses::Dense),
+    (8, 1, Addresses::Dense),
+    (1, 1, Addresses::Dense),
+    (3, 3, Addresses::Dense),
+    (5, 2, Addresses::Dense),
+    (6, 4, Addresses::Dense),
+    (16, 4, Addresses::Dense),
+    (64, 2, Addresses::Dense),
+    (37, 2, Addresses::Dense),
+    (100, 3, Addresses::Sparse),
+    (16384, 4, Addresses::Sparse),
 ];
 const OPS: usize = 6_000;
 /// Full comparison (counters, order, snapshot bytes) every this many ops.
@@ -399,11 +416,21 @@ fn lazy(sets: usize, ways: usize) -> Lazy {
     }
 }
 
-/// Draws the next operation. Addresses span three times the capacity, so
-/// sets fill, conflict and evict; `slots` is every slot a lookup reported
-/// so far, by address.
-fn draw(rng: &mut DeterministicRng, capacity: usize, slots: &[(BlockAddr, u32)]) -> Op {
-    let addr = BlockAddr::new(rng.next_below(3 * capacity as u64 + 1));
+/// Draws the next operation on a `sets` x `ways` cache, its address from
+/// `addresses`; `slots` is every slot a lookup reported so far, by address.
+fn draw(
+    rng: &mut DeterministicRng,
+    (sets, ways, addresses): (usize, usize, Addresses),
+    slots: &[(BlockAddr, u32)],
+) -> Op {
+    let capacity = sets * ways;
+    let addr = BlockAddr::new(match addresses {
+        Addresses::Dense => rng.next_below(3 * capacity as u64 + 1),
+        Addresses::Sparse => {
+            let set = rng.next_below(48) * 331 % sets as u64;
+            set + sets as u64 * rng.next_below(ways as u64 + 2)
+        }
+    });
     let state = rng.next_below(1 << 20) as u32;
     match rng.next_below(16) {
         0..=3 => Op::Insert(addr, state),
@@ -463,7 +490,8 @@ fn compare(a: &impl Subject, b: &impl Subject, context: &str) {
 
 #[test]
 fn lazy_sets_are_indistinguishable_from_eager_ones() {
-    for (case, &(sets, ways)) in GEOMETRIES.iter().enumerate() {
+    for (case, &geometry) in GEOMETRIES.iter().enumerate() {
+        let (sets, ways, _) = geometry;
         let mut rng = DeterministicRng::new(0x7A65 + case as u64);
         let mut new = lazy(sets, ways);
         let mut old = Flat {
@@ -473,7 +501,7 @@ fn lazy_sets_are_indistinguishable_from_eager_ones() {
         let mut slots = Vec::new();
         for i in 0..OPS {
             let context = format!("{sets}x{ways}, op {i}");
-            let op = draw(&mut rng, sets * ways, &slots);
+            let op = draw(&mut rng, geometry, &slots);
             step(&mut new, &mut old, op, &mut slots, &context);
             if i % CHECK_EVERY == 0 {
                 compare(&new, &old, &context);
@@ -489,13 +517,14 @@ fn lazy_sets_are_indistinguishable_from_eager_ones() {
 
 #[test]
 fn a_restored_cache_tracks_the_original() {
-    for (case, &(sets, ways)) in GEOMETRIES.iter().enumerate() {
+    for (case, &geometry) in GEOMETRIES.iter().enumerate() {
+        let (sets, ways, _) = geometry;
         let mut rng = DeterministicRng::new(0x5E70 + case as u64);
         let mut original = lazy(sets, ways);
         let mut slots = Vec::new();
         // Warm up: sets are filled in the order the stream touches them.
         for _ in 0..OPS / 4 {
-            let op = draw(&mut rng, sets * ways, &slots);
+            let op = draw(&mut rng, geometry, &slots);
             learn(op, &original.apply(op), &mut slots);
         }
         // Restore: the same lines arrive in slot order.
@@ -508,7 +537,7 @@ fn a_restored_cache_tracks_the_original() {
         compare(&original, &restored, &format!("{sets}x{ways}, restore"));
         for i in 0..OPS / 2 {
             let context = format!("{sets}x{ways}, op {i} after restore");
-            let op = draw(&mut rng, sets * ways, &slots);
+            let op = draw(&mut rng, geometry, &slots);
             step(&mut original, &mut restored, op, &mut slots, &context);
             if i % CHECK_EVERY == 0 {
                 compare(&original, &restored, &context);

@@ -2,6 +2,9 @@
 //! event loop with its checkpoint cut, the finish path both engines
 //! share, and the snapshot codec.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use tc_interconnect::{Adversary, FaultPlane, Interconnect};
 use tc_protocols::ProtocolRegistry;
 use tc_sim::{snap_state, EventQueue, SnapReader, SnapState, SnapWriter, SnapshotError};
@@ -792,36 +795,9 @@ impl System {
         drain_limit_hit: bool,
         livelock: Option<u64>,
     ) {
+        self.audit_held_blocks(in_flight_tokens, now);
         let verifier = &mut self.verifier;
         let controllers = &self.core.controllers;
-        let expected_tokens = match self.config.protocol {
-            ProtocolKind::TokenB => Some(self.config.token.tokens_per_block),
-            _ => None,
-        };
-
-        let mut blocks: Vec<BlockAddr> = Vec::new();
-        for controller in controllers {
-            blocks.extend(controller.audited_blocks());
-        }
-        blocks.sort_unstable();
-        blocks.dedup();
-
-        for addr in blocks {
-            let mut audits = Vec::new();
-            for controller in controllers {
-                audits.extend(controller.audit_block(addr));
-            }
-            let (in_flight, in_flight_owner) =
-                in_flight_tokens.get(&addr).copied().unwrap_or((0, 0));
-            verifier.audit_block(
-                addr,
-                &audits,
-                in_flight.max(0) as u32,
-                in_flight_owner.max(0) as u32,
-                expected_tokens,
-                now,
-            );
-        }
 
         // Liveness: after the drain, nothing may still be outstanding. A
         // stuck request is a deadlock if the drain limit cut the run off
@@ -871,6 +847,58 @@ impl System {
                     events_without_progress,
                 );
             }
+        }
+    }
+
+    /// Checks token conservation, single-writer and data versions on every
+    /// block some node holds state for, given per block the (total, owner)
+    /// tokens of deliveries still pending.
+    fn audit_held_blocks(
+        &mut self,
+        in_flight_tokens: &FastHashMap<BlockAddr, (i64, i64)>,
+        now: Cycle,
+    ) {
+        let verifier = &mut self.verifier;
+        let controllers = &self.core.controllers;
+        let expected_tokens = (self.config.protocol == ProtocolKind::TokenB)
+            .then_some(self.config.token.tokens_per_block);
+
+        // Each node is asked only about the blocks it lists: any other
+        // block's audit is empty there (the `audited_blocks` contract). A
+        // merge of the nodes' sorted lists hands out (block, node) in block
+        // order and, within a block, node order — the order a sweep of every
+        // block over every node would collect the answers in.
+        let mut lists: Vec<_> = (controllers.iter())
+            .map(|controller| {
+                let mut blocks = controller.audited_blocks();
+                blocks.sort_unstable();
+                blocks.dedup();
+                blocks.into_iter()
+            })
+            .collect();
+        let mut heads: BinaryHeap<_> = (lists.iter_mut().enumerate())
+            .filter_map(|(node, list)| Some(Reverse((list.next()?, node))))
+            .collect();
+        let mut audits = Vec::new();
+        while let Some(Reverse((addr, node))) = heads.pop() {
+            audits.extend(controllers[node].audit_block(addr));
+            if let Some(next) = lists[node].next() {
+                heads.push(Reverse((next, node)));
+            }
+            if heads.peek().is_some_and(|Reverse((next, _))| *next == addr) {
+                continue;
+            }
+            let (in_flight, in_flight_owner) =
+                in_flight_tokens.get(&addr).copied().unwrap_or((0, 0));
+            verifier.audit_block(
+                addr,
+                &audits,
+                in_flight.max(0) as u32,
+                in_flight_owner.max(0) as u32,
+                expected_tokens,
+                now,
+            );
+            audits.clear();
         }
     }
 }
@@ -1225,5 +1253,218 @@ mod regression_tests {
             ..RunOptions::default()
         });
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+    }
+}
+
+#[cfg(test)]
+mod audit_tests {
+    use super::*;
+    use tc_types::{AccessOutcome, BlockAudit, InvariantViolation, MemOp, Timer};
+
+    /// Every protocol after a short contended run on 4 nodes with small L2s
+    /// (so lines are evicted) — a handful of hot blocks, then OLTP's shared
+    /// and migratory ones — with the report.
+    fn contended_systems() -> impl Iterator<Item = (ProtocolKind, System, RunReport)> {
+        let profiles = [WorkloadProfile::hot_block(), WorkloadProfile::oltp()];
+        profiles.into_iter().flat_map(|profile| {
+            ProtocolKind::ALL.into_iter().map(move |protocol| {
+                let mut config = SystemConfig::isca03_default()
+                    .with_nodes(4)
+                    .with_protocol(protocol)
+                    .with_seed(12);
+                config.l2.size_bytes = 256 * 1024;
+                let mut system = System::build(&config, &profile);
+                let report = system.run(RunOptions {
+                    ops_per_node: 600,
+                    max_cycles: 50_000_000,
+                    ..RunOptions::default()
+                });
+                (protocol, system, report)
+            })
+        })
+    }
+
+    /// The contract the one-pass audit rests on: a node that does not list
+    /// a block in `audited_blocks` audits it as empty. Probed on every
+    /// block any node lists, the blocks the final audit visits.
+    #[test]
+    fn a_block_a_node_does_not_list_audits_empty_there() {
+        for (protocol, system, report) in contended_systems() {
+            assert!(
+                report.violations.is_empty(),
+                "{protocol:?}: {:?}",
+                report.violations
+            );
+            let controllers = &system.core.controllers;
+            let lists: Vec<Vec<BlockAddr>> =
+                controllers.iter().map(|c| c.audited_blocks()).collect();
+            let mut probes: Vec<BlockAddr> = lists.concat();
+            probes.sort_unstable();
+            probes.dedup();
+            let mut unlisted = 0;
+            for addr in probes {
+                for (controller, list) in controllers.iter().zip(&lists) {
+                    if list.contains(&addr) {
+                        continue;
+                    }
+                    assert!(
+                        controller.audit_block(addr).is_empty(),
+                        "{protocol:?}: node {} audits {addr:?} without listing it",
+                        controller.node().index()
+                    );
+                    unlisted += 1;
+                }
+            }
+            assert!(
+                unlisted > 0,
+                "{protocol:?}: every node held every block; the contract went unprobed"
+            );
+        }
+    }
+
+    /// A conformance mutant of the audit: it wraps a real controller and
+    /// misreports every audit it gives. Odd nodes claim one token too many,
+    /// every third block gains two writable copies wherever it is held, and each
+    /// node's data version is off by its node number, so the recorded
+    /// violations show the order the answers were collected in. An empty
+    /// audit stays empty, so the `audited_blocks` contract holds.
+    #[derive(Debug)]
+    struct MisreportedAudits(Box<dyn CoherenceController>);
+
+    impl CoherenceController for MisreportedAudits {
+        fn node(&self) -> NodeId {
+            self.0.node()
+        }
+        fn protocol_name(&self) -> &'static str {
+            self.0.protocol_name()
+        }
+        fn access(&mut self, now: Cycle, op: &MemOp, out: &mut Outbox) -> AccessOutcome {
+            self.0.access(now, op, out)
+        }
+        fn handle_message(&mut self, now: Cycle, msg: &Message, out: &mut Outbox) {
+            self.0.handle_message(now, msg, out)
+        }
+        fn handle_timer(&mut self, now: Cycle, timer: Timer, out: &mut Outbox) {
+            self.0.handle_timer(now, timer, out)
+        }
+        fn stats(&self) -> ControllerStats {
+            self.0.stats()
+        }
+        fn audit_block(&self, addr: BlockAddr) -> Vec<BlockAudit> {
+            let node = self.0.node().index();
+            let mut audits = self.0.audit_block(addr);
+            for audit in &mut audits {
+                audit.tokens += (node % 2) as u32;
+                audit.data_version += node as u64;
+            }
+            if addr.value().is_multiple_of(3) {
+                if let Some(&first) = audits.first() {
+                    let writer = BlockAudit {
+                        readable: true,
+                        writable: true,
+                        ..first
+                    };
+                    audits.push(writer);
+                    audits.push(writer);
+                }
+            }
+            audits
+        }
+        fn audited_blocks(&self) -> Vec<BlockAddr> {
+            self.0.audited_blocks()
+        }
+        fn outstanding_misses(&self) -> usize {
+            self.0.outstanding_misses()
+        }
+        fn save_state(&self, w: &mut SnapWriter) {
+            self.0.save_state(w)
+        }
+        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+            self.0.load_state(r)
+        }
+    }
+
+    /// The blocks x nodes sweep the one-pass audit replaced, kept as its
+    /// oracle: every node is asked about every block any node lists.
+    fn audit_by_sweep(
+        system: &mut System,
+        in_flight_tokens: &FastHashMap<BlockAddr, (i64, i64)>,
+        now: Cycle,
+    ) {
+        let expected_tokens = (system.config.protocol == ProtocolKind::TokenB)
+            .then_some(system.config.token.tokens_per_block);
+        let controllers = &system.core.controllers;
+        let mut blocks: Vec<BlockAddr> = controllers
+            .iter()
+            .flat_map(|c| c.audited_blocks())
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        for addr in blocks {
+            let audits: Vec<BlockAudit> = controllers
+                .iter()
+                .flat_map(|c| c.audit_block(addr))
+                .collect();
+            let (tokens, owners) = in_flight_tokens.get(&addr).copied().unwrap_or((0, 0));
+            system.verifier.audit_block(
+                addr,
+                &audits,
+                tokens.max(0) as u32,
+                owners.max(0) as u32,
+                expected_tokens,
+                now,
+            );
+        }
+    }
+
+    /// On states with planted violations, the one-pass audit records the
+    /// same violations as the full sweep, in the same order.
+    #[test]
+    fn the_one_pass_audit_records_what_the_full_sweep_records() {
+        let mut order_visible = false;
+        for (protocol, mut system, _) in contended_systems() {
+            system.core.controllers = std::mem::take(&mut system.core.controllers)
+                .into_iter()
+                .map(|c| Box::new(MisreportedAudits(c)) as Box<dyn CoherenceController>)
+                .collect();
+            // In-flight tokens planted on a few held blocks as well.
+            let in_flight: FastHashMap<BlockAddr, (i64, i64)> = (system.core.controllers[1])
+                .audited_blocks()
+                .into_iter()
+                .zip([(2, 1), (-1, 0), (1, 0)])
+                .collect();
+            let now = system.queue.now();
+
+            let start = system.verifier.violations().len();
+            system.audit_held_blocks(&in_flight, now);
+            let one_pass = system.verifier.violations()[start..].to_vec();
+            let start = system.verifier.violations().len();
+            audit_by_sweep(&mut system, &in_flight, now);
+            let sweep = &system.verifier.violations()[start..];
+
+            let planted = |kind: fn(&InvariantViolation) -> bool| one_pass.iter().any(kind);
+            assert!(
+                planted(|v| matches!(v, InvariantViolation::StaleDataRead { .. }))
+                    && planted(|v| matches!(v, InvariantViolation::WriteWithoutExclusive { .. })),
+                "{protocol:?}: the mutant planted too little: {one_pass:?}"
+            );
+            if protocol == ProtocolKind::TokenB {
+                assert!(planted(|v| matches!(
+                    v,
+                    InvariantViolation::TokenConservation { .. }
+                )));
+            }
+            assert_eq!(one_pass, sweep, "{protocol:?}");
+            order_visible |= one_pass.windows(2).any(|pair| {
+                matches!(pair, [
+                    InvariantViolation::StaleDataRead { addr: a, observed_version: x, .. },
+                    InvariantViolation::StaleDataRead { addr: b, observed_version: y, .. },
+                ] if a == b && x != y)
+            });
+        }
+        assert!(
+            order_visible,
+            "no block was audited on two nodes: a wrong node order would go unseen"
+        );
     }
 }

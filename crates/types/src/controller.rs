@@ -219,7 +219,12 @@ pub trait CoherenceController: fmt::Debug + Send {
 
     /// Every block this node currently holds state for (cache lines plus
     /// home-memory entries that differ from the initial all-tokens-at-home
-    /// state). Used by the verifier to bound its audit.
+    /// state), in any order and possibly more than once.
+    ///
+    /// The contract the end-of-run audit relies on: for every block *not*
+    /// listed here, [`CoherenceController::audit_block`] is empty. The audit
+    /// therefore asks each node only about the blocks it lists, one call per
+    /// held entry rather than one per (block, node) pair.
     fn audited_blocks(&self) -> Vec<BlockAddr>;
 
     /// Number of misses currently outstanding at this node.
