@@ -330,7 +330,7 @@ mod tests {
             // the miss already completed: no tokens may flow back.
             let mut home_out = Outbox::new();
             for msg in &reissued.messages {
-                if msg.dest.includes(0.into(), msg.src) {
+                if msg.dest.includes(0.into()) {
                     home.handle_message(late + 40, msg, &mut home_out);
                 }
             }
@@ -382,7 +382,7 @@ mod tests {
             // its response path must not conjure tokens from nowhere.
             let mut home_out = Outbox::new();
             for msg in &reissued.messages {
-                if msg.dest.includes(0.into(), msg.src) {
+                if msg.dest.includes(0.into()) {
                     home.handle_message(fire_at + 40, msg, &mut home_out);
                 }
             }

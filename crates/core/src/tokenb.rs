@@ -257,7 +257,7 @@ impl TokenBController {
         let kind = if write { MsgKind::GetM } else { MsgKind::GetS };
         let mut msg = Message::new(
             self.node,
-            Destination::Broadcast,
+            Destination::AllBut(self.node),
             addr,
             kind,
             Vnet::Request,
@@ -536,7 +536,7 @@ impl TokenBController {
                 } => {
                     let msg = Message::new(
                         self.node,
-                        Destination::Broadcast,
+                        Destination::AllBut(self.node),
                         addr,
                         MsgKind::PersistentActivate { requester, write },
                         Vnet::Persistent,
@@ -550,7 +550,7 @@ impl TokenBController {
                 ArbiterAction::BroadcastDeactivate { addr } => {
                     let msg = Message::new(
                         self.node,
-                        Destination::Broadcast,
+                        Destination::AllBut(self.node),
                         addr,
                         MsgKind::PersistentDeactivate,
                         Vnet::Persistent,
@@ -980,7 +980,7 @@ mod tests {
         assert_eq!(outcome, AccessOutcome::Miss);
         assert_eq!(out.messages.len(), 1);
         assert_eq!(out.messages[0].kind, MsgKind::GetS);
-        assert_eq!(out.messages[0].dest, Destination::Broadcast);
+        assert_eq!(out.messages[0].dest, Destination::AllBut(NodeId::new(1)));
         assert_eq!(c.outstanding_misses(), 1);
         // A reissue timer was armed.
         assert!(out.timers.iter().any(|(_, t)| t.kind == TimerKind::Reissue));
@@ -1125,7 +1125,7 @@ mod tests {
         // the rest (no migratory hand-off because the block is clean).
         let gets = Message::new(
             NodeId::new(2),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(2)),
             BlockAddr::new(0),
             MsgKind::GetS,
             Vnet::Request,
@@ -1165,7 +1165,7 @@ mod tests {
 
         let getm = Message::new(
             NodeId::new(3),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(3)),
             BlockAddr::new(0),
             MsgKind::GetM,
             Vnet::Request,
@@ -1195,7 +1195,7 @@ mod tests {
         );
         let gets = Message::new(
             NodeId::new(3),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(3)),
             BlockAddr::new(0),
             MsgKind::GetS,
             Vnet::Request,
@@ -1291,7 +1291,7 @@ mod tests {
         // An activation for requester node 3 arrives.
         let activate = Message::new(
             NodeId::new(0),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(0)),
             BlockAddr::new(0),
             MsgKind::PersistentActivate {
                 requester: NodeId::new(3),
@@ -1333,7 +1333,7 @@ mod tests {
         // After deactivation the holder keeps tokens again.
         let deactivate = Message::new(
             NodeId::new(0),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(0)),
             BlockAddr::new(0),
             MsgKind::PersistentDeactivate,
             Vnet::Persistent,
@@ -1372,7 +1372,7 @@ mod tests {
         );
         let activate = Message::new(
             NodeId::new(0),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(0)),
             BlockAddr::new(4),
             MsgKind::PersistentActivate {
                 requester: NodeId::new(3),
@@ -1388,7 +1388,7 @@ mod tests {
         // request owns every token for this block until deactivation.
         let getm = Message::new(
             NodeId::new(1),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(1)),
             BlockAddr::new(4),
             MsgKind::GetM,
             Vnet::Request,
@@ -1506,7 +1506,7 @@ mod tests {
         // writeback would double-count; simulate by draining memory first.
         let getm = Message::new(
             NodeId::new(2),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(2)),
             BlockAddr::new(0),
             MsgKind::GetM,
             Vnet::Request,

@@ -152,7 +152,7 @@ mod tests {
     fn request(src: usize, block: u64, kind: MsgKind) -> Message {
         Message::new(
             NodeId::new(src),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(src)),
             BlockAddr::new(block),
             kind,
             Vnet::Request,

@@ -137,14 +137,14 @@ pub struct Interconnect {
     /// Per-node injection port occupancy, modelling the node's single
     /// interface into the fabric.
     injection_free_at: Vec<Cycle>,
-    /// Each source's `Broadcast` tree at `2 * src` and its `All` tree at
-    /// `2 * src + 1`, built on first send: at most `2n` trees of at most `n`
-    /// deliveries each.
+    /// Each source's `AllBut(src)` tree (its broadcast) at `2 * src` and its
+    /// `All` tree at `2 * src + 1`, built on first send: at most `2n` trees
+    /// of at most `n` deliveries each.
     trees: Vec<Option<RouteTree>>,
-    /// Scratch: the tree of the `AllBut` send in progress. A source can
-    /// probe `n` different sets, so these trees are rebuilt per send (the
-    /// same order of work as the send's `n - 1` deliveries) instead of
-    /// growing fabric memory by `n²` trees of `n` deliveries.
+    /// Scratch: the tree of an `AllBut(d)` send, `d` not its source. A
+    /// source can probe `n` different sets, so these trees are rebuilt per
+    /// send (the same order of work as the send's `n - 1` deliveries)
+    /// instead of growing fabric memory by `n²` trees of `n` deliveries.
     probe_tree: RouteTree,
     /// Scratch: earliest arrival time per router for the send in progress.
     /// Entries are valid only when the matching `arrival_gen` stamp equals
@@ -279,13 +279,13 @@ impl Interconnect {
                 out.push((at, dst));
                 return;
             }
-            Destination::AllBut(_) => {
+            Destination::AllBut(except) if except != src => {
                 let mut tree = std::mem::take(&mut self.probe_tree);
                 self.build_tree(&mut tree, src, msg.dest);
                 self.probe_tree = tree;
                 &self.probe_tree
             }
-            Destination::Broadcast | Destination::All => {
+            Destination::AllBut(_) | Destination::All => {
                 let slot = 2 * src.index() + usize::from(msg.dest == Destination::All);
                 if self.trees[slot].is_none() {
                     let mut tree = RouteTree::default();
@@ -369,7 +369,7 @@ impl Interconnect {
         tree.tree_links.clear();
         tree.deliveries.clear();
         self.generation += 1;
-        for dst in dest.expand(self.topology.num_nodes(), src) {
+        for dst in dest.expand(self.topology.num_nodes()) {
             let path = self.topology.path(src, dst);
             for link in path {
                 if self.link_gen[link.index()] != self.generation {
@@ -485,7 +485,7 @@ mod tests {
     #[test]
     fn broadcast_reaches_all_other_nodes() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        let deliveries = net.send(0, request(0, Destination::Broadcast));
+        let deliveries = net.send(0, request(0, Destination::AllBut(NodeId::new(0))));
         assert_eq!(deliveries.len(), 15);
         let nodes: std::collections::HashSet<_> = deliveries.iter().map(|d| d.node).collect();
         assert_eq!(nodes.len(), 15);
@@ -495,7 +495,7 @@ mod tests {
     #[test]
     fn broadcast_on_tree_is_simultaneous_and_ordered() {
         let mut net = Interconnect::new(16, config(TopologyKind::Tree, BandwidthMode::Unlimited));
-        let deliveries = net.send(0, request(0, Destination::Broadcast));
+        let deliveries = net.send(0, request(0, Destination::AllBut(NodeId::new(0))));
         let times: std::collections::HashSet<_> = deliveries.iter().map(|d| d.at).collect();
         assert_eq!(times.len(), 1, "tree broadcast arrives everywhere at once");
     }
@@ -507,7 +507,7 @@ mod tests {
         // A broadcast on the tree uses: 1 up-node link, 1 up-switch link,
         // 4 down-switch links, 15 down-node links (sender excluded, but its
         // leaf still receives the broadcast for the other three nodes).
-        unlimited.send(0, request(0, Destination::Broadcast));
+        unlimited.send(0, request(0, Destination::AllBut(NodeId::new(0))));
         let traffic = unlimited.traffic();
         assert_eq!(traffic.messages(TrafficClass::Request), 1);
         assert_eq!(traffic.bytes(TrafficClass::Request), 8);
@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn torus_broadcast_uses_fewer_link_bytes_than_naive_unicasts() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        net.send(0, request(0, Destination::Broadcast));
+        net.send(0, request(0, Destination::AllBut(NodeId::new(0))));
         let tree_bytes = net.traffic().link_bytes(TrafficClass::Request);
         // Naive unicasts would pay sum of hop counts = 32 links * 8 bytes.
         assert!(tree_bytes < 32 * 8);
@@ -548,8 +548,8 @@ mod tests {
         // funnels through the root's downlinks, so the hottest tree link
         // carries far more bytes than the hottest torus link.
         for n in 0..16 {
-            tree.send(0, request(n, Destination::Broadcast));
-            torus.send(0, request(n, Destination::Broadcast));
+            tree.send(0, request(n, Destination::AllBut(NodeId::new(n))));
+            torus.send(0, request(n, Destination::AllBut(NodeId::new(n))));
         }
         let tree_hot = tree.max_link_bytes();
         let torus_hot = torus.max_link_bytes();
@@ -574,10 +574,11 @@ mod tests {
 
     #[test]
     fn the_fabric_keeps_two_trees_per_source() {
-        // Every source sends every pattern twice. The fabric keeps only the
-        // `Broadcast` and `All` trees, at most `2n` of at most `n` deliveries
-        // each; unicasts read their route and probe trees are rebuilt per
-        // send. The second round delivers what a fresh fabric does.
+        // Every source sends every pattern twice. The fabric keeps only each
+        // source's `AllBut(src)` and `All` trees, at most `2n` of at most `n`
+        // deliveries each; unicasts read their route and other `AllBut`
+        // trees are rebuilt per send. The second round delivers what a fresh
+        // fabric does.
         let n = 5;
         let patterns = (0..n)
             .flat_map(|d| {
@@ -586,7 +587,7 @@ mod tests {
                     Destination::AllBut(NodeId::new(d)),
                 ]
             })
-            .chain([Destination::Broadcast, Destination::All]);
+            .chain([Destination::All]);
         for topology in [TopologyKind::Tree, TopologyKind::Torus] {
             let config = config(topology, BandwidthMode::Unlimited);
             let mut net = Interconnect::new(n, config);
@@ -622,7 +623,7 @@ mod tests {
     #[test]
     fn empty_destination_produces_no_deliveries() {
         let mut net = Interconnect::new(1, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        let deliveries = net.send(0, request(0, Destination::Broadcast));
+        let deliveries = net.send(0, request(0, Destination::AllBut(NodeId::new(0))));
         assert!(deliveries.is_empty());
     }
 }

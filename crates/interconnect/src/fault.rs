@@ -182,10 +182,12 @@ mod tests {
     use super::*;
     use tc_types::{BlockAddr, Destination, MsgKind, Vnet};
 
-    fn request(src: usize, dest: Destination) -> Message {
+    /// TokenB's transient request from `src`: the plane reads only its
+    /// source and kind, the arrivals it is given are its destinations.
+    fn request(src: usize) -> Message {
         Message::new(
             NodeId::new(src),
-            dest,
+            Destination::AllBut(NodeId::new(src)),
             BlockAddr::new(7),
             MsgKind::GetM,
             Vnet::Request,
@@ -221,7 +223,7 @@ mod tests {
             let mut plane = FaultPlane::new(spec, ProtocolKind::TokenB, seed, 15);
             let mut log = Vec::new();
             for step in 0..200 {
-                let msg = request(step % 4, Destination::Broadcast);
+                let msg = request(step % 4);
                 let mut a = arrivals(4);
                 plane.apply(100, &msg, &mut a);
                 log.push(a);
@@ -237,7 +239,7 @@ mod tests {
         let base = FaultSpec::none().with_drop(0.5);
         let mut a = FaultPlane::new(base, ProtocolKind::TokenB, 12, 15);
         let mut b = FaultPlane::new(base.with_seed(99), ProtocolKind::TokenB, 12, 15);
-        let msg = request(0, Destination::Broadcast);
+        let msg = request(0);
         let (mut la, mut lb) = (Vec::new(), Vec::new());
         for _ in 0..64 {
             let mut x = arrivals(4);
@@ -263,7 +265,7 @@ mod tests {
 
         // A transient request under the same spec is always dropped.
         let mut a = arrivals(3);
-        plane.apply(100, &request(0, Destination::Broadcast), &mut a);
+        plane.apply(100, &request(0), &mut a);
         assert!(a.is_empty());
         assert_eq!(plane.stats().dropped, 3);
     }
@@ -273,7 +275,7 @@ mod tests {
         let spec = FaultSpec::none().with_dup(1.0);
         let mut plane = FaultPlane::new(spec, ProtocolKind::TokenB, 5, 15);
         let mut a = arrivals(2);
-        plane.apply(100, &request(0, Destination::Broadcast), &mut a);
+        plane.apply(100, &request(0), &mut a);
         assert_eq!(a.len(), 4);
         assert!(a[1].0 > a[0].0, "copy arrives strictly after the original");
         assert_eq!(a[0].1, a[1].1, "copy goes to the same node");
@@ -287,11 +289,7 @@ mod tests {
         for step in 0..100 {
             let before = arrivals(4);
             let mut after = before.clone();
-            plane.apply(
-                100 + step,
-                &request(step as usize % 4, Destination::Broadcast),
-                &mut after,
-            );
+            plane.apply(100 + step, &request(step as usize % 4), &mut after);
             assert_eq!(after.len(), before.len());
             for (b, a) in before.iter().zip(&after) {
                 assert!(a.0 >= b.0, "arrival moved earlier: {b:?} -> {a:?}");
@@ -308,22 +306,22 @@ mod tests {
 
         // src 0 -> node 2 inside the window: deferred past cycle 500.
         let mut a = vec![(100, NodeId::new(2))];
-        plane.apply(100, &request(0, Destination::Node(NodeId::new(2))), &mut a);
+        plane.apply(100, &request(0), &mut a);
         assert!(a[0].0 > 500, "arrival not deferred: {:?}", a);
 
         // Reverse direction is the same link.
         let mut a = vec![(100, NodeId::new(0))];
-        plane.apply(100, &request(2, Destination::Node(NodeId::new(0))), &mut a);
+        plane.apply(100, &request(2), &mut a);
         assert!(a[0].0 > 500);
 
         // Outside the window: untouched.
         let mut a = vec![(600, NodeId::new(2))];
-        plane.apply(600, &request(0, Destination::Node(NodeId::new(2))), &mut a);
+        plane.apply(600, &request(0), &mut a);
         assert_eq!(a, vec![(600, NodeId::new(2))]);
 
         // Unrelated pair: untouched.
         let mut a = vec![(100, NodeId::new(3))];
-        plane.apply(100, &request(0, Destination::Node(NodeId::new(3))), &mut a);
+        plane.apply(100, &request(0), &mut a);
         assert_eq!(a, vec![(100, NodeId::new(3))]);
 
         assert_eq!(plane.stats().link_deferred, 2);
@@ -333,7 +331,7 @@ mod tests {
     fn empty_spec_plane_is_a_no_op() {
         let mut plane = FaultPlane::new(FaultSpec::none(), ProtocolKind::TokenB, 3, 15);
         let mut a = arrivals(4);
-        plane.apply(100, &request(0, Destination::Broadcast), &mut a);
+        plane.apply(100, &request(0), &mut a);
         assert_eq!(a, arrivals(4));
         assert_eq!(plane.stats(), FaultStats::default());
     }

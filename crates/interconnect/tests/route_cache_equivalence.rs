@@ -1,19 +1,18 @@
-//! Property test: the fabric (unicasts on their route, broadcast trees
-//! kept per source, probe trees rebuilt per send, scratch arrival arrays)
-//! must be observationally identical to a naive fabric that walks every
-//! route on every send.
+//! Property test: the fabric (unicasts on their route, each source's
+//! `AllBut(src)` and `All` trees kept, every other `AllBut` tree rebuilt per
+//! send, scratch arrival arrays) must be observationally identical to a
+//! naive fabric that walks every route on every send.
 //!
 //! The reference implementation below is the pre-optimization `send`
 //! algorithm: `Topology::path` per destination per send, link deduplication
 //! through a hash set, and arrival times in a hash map. Both fabrics are
 //! driven with the same deterministic pseudo-random message stream across
 //! tree and torus topologies, every destination pattern (`Node` including
-//! self-sends, `Broadcast`, `All`, `AllBut`), and both bandwidth modes;
-//! every delivery (node, time, message), the traffic accounting, and the
-//! per-link utilization must
-//! match exactly. Cases are drawn from a [`DeterministicRng`] rather than
-//! proptest (unavailable in the offline build environment), so every run
-//! covers the same cases.
+//! self-sends, `AllBut` of the source and of any node, `All`), and both
+//! bandwidth modes; every delivery (node, time, message), the traffic
+//! accounting, and the per-link utilization must match exactly. Cases are
+//! drawn from a [`DeterministicRng`] rather than proptest (unavailable in
+//! the offline build environment), so every run covers the same cases.
 
 use std::collections::HashMap;
 
@@ -59,7 +58,7 @@ impl NaiveFabric {
     }
 
     fn send(&mut self, now: Cycle, msg: Message) -> Vec<Delivery> {
-        let destinations = msg.dest.expand(self.topology.num_nodes(), msg.src);
+        let destinations = msg.dest.expand(self.topology.num_nodes());
         if destinations.is_empty() {
             return Vec::new();
         }
@@ -146,14 +145,14 @@ impl NaiveFabric {
 }
 
 /// Draws a pseudo-random message: any source, any destination pattern
-/// (unicast incl. self-sends, broadcast, all nodes, all but one node),
-/// control or data size.
+/// (unicast incl. self-sends, all but the source, all nodes, all but any
+/// one node), control or data size.
 fn random_message(rng: &mut DeterministicRng, num_nodes: usize, at: Cycle) -> Message {
     let node = |rng: &mut DeterministicRng| NodeId::new(rng.next_below(num_nodes as u64) as usize);
     let src = node(rng);
     let dest = match rng.next_below(4) {
         0 => Destination::Node(node(rng)),
-        1 => Destination::Broadcast,
+        1 => Destination::AllBut(src),
         2 => Destination::All,
         _ => Destination::AllBut(node(rng)),
     };

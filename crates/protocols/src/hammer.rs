@@ -402,17 +402,7 @@ mod tests {
         let mut frontier = out;
         let mut completions = Vec::new();
         for step in 0..6 {
-            let produced = {
-                let mut next = Outbox::new();
-                for msg in &frontier.messages {
-                    for node in nodes.iter_mut() {
-                        if msg.dest.includes(node.node(), msg.src) {
-                            node.handle_message(10 * (step + 1), msg, &mut next);
-                        }
-                    }
-                }
-                next
-            };
+            let produced = deliver(&frontier.messages, nodes.iter_mut(), 10 * (step + 1));
             completions.extend(produced.completions.iter().copied());
             frontier = produced;
             if !completions.is_empty() {
@@ -432,15 +422,7 @@ mod tests {
         let mut frontier = Outbox::new();
         nodes[2].access(0, &store(0, 1), &mut frontier);
         for step in 0..6 {
-            let mut next = Outbox::new();
-            for msg in &frontier.messages {
-                for node in nodes.iter_mut() {
-                    if msg.dest.includes(node.node(), msg.src) {
-                        node.handle_message(100 * (step + 1), msg, &mut next);
-                    }
-                }
-            }
-            frontier = next;
+            frontier = deliver(&frontier.messages, nodes.iter_mut(), 100 * (step + 1));
         }
         assert_eq!(
             nodes[2].l2.peek(BlockAddr::new(0)).unwrap().state,
@@ -454,14 +436,11 @@ mod tests {
         nodes[3].access(1000, &load(0, 2), &mut frontier);
         let mut observed = None;
         for step in 0..6 {
-            let mut next = Outbox::new();
-            for msg in &frontier.messages {
-                for node in nodes.iter_mut() {
-                    if msg.dest.includes(node.node(), msg.src) {
-                        node.handle_message(1000 + 100 * (step + 1), msg, &mut next);
-                    }
-                }
-            }
+            let next = deliver(
+                &frontier.messages,
+                nodes.iter_mut(),
+                1000 + 100 * (step + 1),
+            );
             for c in &next.completions {
                 observed = Some(*c);
             }
@@ -489,7 +468,7 @@ mod tests {
         let mut acks = 0;
         for msg in &home_out.messages {
             if let MsgKind::HammerProbe { .. } = msg.kind {
-                for target in msg.dest.expand(4, msg.src) {
+                for target in msg.dest.expand(4) {
                     let mut reply = Outbox::new();
                     nodes[target.index()].handle_message(20, msg, &mut reply);
                     acks += reply

@@ -400,6 +400,12 @@ mod tests {
                 "points[0].config.token.tokens",
                 "unknown member",
             ),
+            (
+                "\"tokens_per_block\":16",
+                "\"tokens_per_block\":16,\"persistent_latency_multiplier\":10.0",
+                "points[0].config.token.persistent_latency_multiplier",
+                "unknown member",
+            ),
         ] {
             assert!(text.contains(from), "{from}");
             let err = Submission::parse(&text.replacen(from, to, 1)).unwrap_err();

@@ -48,7 +48,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 /// * v6 — a message's destination is one of four patterns: snooping's
 ///   all-nodes broadcast and Hammer's probe, which carried explicit node
 ///   lists (destination tag 2, now retired), write tags 3 and 4.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// * v7 — TokenB's broadcasts name their sender, `AllBut(sender)` (tag 4;
+///   destination tag 1 is retired); the verifier keeps a history only for
+///   written blocks; the fingerprint key's token configuration drops the
+///   persistent-request latency multiplier nothing read.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -32,13 +32,16 @@ pub fn token_count_violations(
     conservation.into_iter().chain(owner)
 }
 
-/// Recent write history for one block: which version was current when.
+/// Recent write history for one written block: which version was current
+/// when. A block that was never written has none; version 0 has been its
+/// current version since cycle 0.
 #[derive(Debug, Clone, Default)]
 struct BlockHistory {
-    /// (version, time it became current), oldest first; the last entry is the
-    /// currently visible version. Bounded to keep memory use constant; a
-    /// deque so trimming the oldest entry is O(1) rather than a memmove of
-    /// the whole window on every write to a hot block.
+    /// (version, time it became current), oldest first, starting from
+    /// `(0, 0)`; the last entry is the currently visible version. Bounded to
+    /// keep memory use constant; a deque so trimming the oldest entry is
+    /// O(1) rather than a memmove of the whole window on every write to a
+    /// hot block.
     versions: VecDeque<(u64, Cycle)>,
 }
 
@@ -47,15 +50,7 @@ snap_struct!(BlockHistory { versions });
 impl BlockHistory {
     const MAX_ENTRIES: usize = 128;
 
-    fn ensure_initial(&mut self) {
-        if self.versions.is_empty() {
-            // Version 0 (the never-written block) is current from time zero.
-            self.versions.push_back((0, 0));
-        }
-    }
-
     fn record(&mut self, version: u64, at: Cycle) {
-        self.ensure_initial();
         self.versions.push_back((version, at));
         while self.versions.len() > Self::MAX_ENTRIES {
             self.versions.pop_front();
@@ -74,9 +69,6 @@ impl BlockHistory {
     /// recent versions, so the reverse scan exits after a step or two where
     /// the forward scan walked the whole window.
     fn was_current_during(&self, version: u64, issued_at: Cycle, completed_at: Cycle) -> bool {
-        if self.versions.is_empty() {
-            return version == 0;
-        }
         let mut superseded_at = Cycle::MAX;
         for &(v, became_current) in self.versions.iter().rev() {
             if v == version && superseded_at >= issued_at && became_current <= completed_at {
@@ -179,7 +171,12 @@ impl Verifier {
 
     /// Records a completed store of `version` to `addr` at time `at`.
     pub fn record_write(&mut self, _node: NodeId, addr: BlockAddr, version: u64, at: Cycle) {
-        self.history.entry(addr).or_default().record(version, at);
+        self.history
+            .entry(addr)
+            .or_insert_with(|| BlockHistory {
+                versions: VecDeque::from([(0, 0)]),
+            })
+            .record(version, at);
     }
 
     /// Checks a load of `version` from `addr` that was issued at `issued_at`
@@ -198,20 +195,20 @@ impl Verifier {
         issued_at: Cycle,
         at: Cycle,
     ) {
-        let entry = self.history.entry(addr).or_default();
-        entry.ensure_initial();
+        let history = self.history.get(&addr);
+        let current = history.map_or(0, BlockHistory::current);
         // Observing the globally newest value is never stale (a write that
         // takes effect in the same event batch may carry a slightly later
         // completion timestamp than the read that already sees it).
-        if version == entry.current() {
+        if version == current {
             return;
         }
-        if !entry.was_current_during(version, issued_at, at) {
+        if !history.is_some_and(|h| h.was_current_during(version, issued_at, at)) {
             self.violations.push(InvariantViolation::StaleDataRead {
                 node,
                 addr,
                 observed_version: version,
-                expected_version: entry.current(),
+                expected_version: current,
                 at,
             });
         }
@@ -259,7 +256,7 @@ impl Verifier {
         // `AccessOutcome::Hit::valid_since`): transient skew-staleness is
         // legal while the invalidation is in flight, but nothing stale may
         // survive the drain.
-        let current = self.history.get(&addr).map(|h| h.current()).unwrap_or(0);
+        let current = self.history.get(&addr).map_or(0, BlockHistory::current);
         for audit in audits.iter().filter(|a| a.readable && !a.in_memory) {
             if audit.data_version != current {
                 self.violations.push(InvariantViolation::StaleDataRead {
@@ -497,10 +494,30 @@ mod tests {
 
     #[test]
     fn unwritten_blocks_read_as_version_zero() {
+        let bytes = |v: &Verifier| {
+            let mut w = SnapWriter::new();
+            v.save_state(&mut w);
+            w.into_bytes()
+        };
         let mut v = Verifier::new();
-        v.check_read(NodeId::new(0), BlockAddr::new(7), 0, 40, 50);
-        assert!(v.violations().is_empty());
+        for block in [7, 3, 9] {
+            v.check_read(NodeId::new(0), BlockAddr::new(block), 0, 40, 50);
+        }
+        // Reads keep no history: the verifier saves what an empty one does.
+        assert_eq!(bytes(&v), bytes(&Verifier::new()));
         v.check_read(NodeId::new(0), BlockAddr::new(7), 3, 55, 60);
+        assert!(matches!(
+            v.violations(),
+            [InvariantViolation::StaleDataRead {
+                observed_version: 3,
+                expected_version: 0,
+                ..
+            }]
+        ));
+        // Version 0 stays current until the first write, so a read issued
+        // before it may still observe version 0.
+        v.record_write(NodeId::new(1), BlockAddr::new(3), 5, 100);
+        v.check_read(NodeId::new(0), BlockAddr::new(3), 0, 90, 120);
         assert_eq!(v.violations().len(), 1);
     }
 

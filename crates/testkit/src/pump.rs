@@ -41,7 +41,7 @@ pub fn deliver<'a, C: CoherenceController + 'a>(
     let mut out = Outbox::new();
     for msg in messages {
         for node in nodes.iter_mut() {
-            if msg.dest.includes(node.node(), msg.src) {
+            if msg.dest.includes(node.node()) {
                 node.handle_message(now, msg, &mut out);
             }
         }
@@ -135,7 +135,7 @@ impl Pump {
     fn absorb(&mut self, node: NodeId, out: Outbox) {
         self.outcome.completions += out.completions.len() as u64;
         for msg in out.messages {
-            for dst in msg.dest.expand(self.controllers.len(), msg.src) {
+            for dst in msg.dest.expand(self.controllers.len()) {
                 self.pending.push(PendingDelivery {
                     node: dst,
                     msg: msg.clone(),
@@ -357,7 +357,7 @@ mod tests {
         let messages: Vec<Message> = [
             Destination::Node(NodeId::new(2)),
             Destination::AllBut(NodeId::new(3)),
-            Destination::Broadcast,
+            Destination::AllBut(sender),
             Destination::All,
         ]
         .into_iter()
@@ -384,7 +384,7 @@ mod tests {
             pairs.join(" ")
         };
 
-        // `AllBut` and `All` include the sender, a `Broadcast` does not.
+        // `AllBut(3)` and `All` include the sender, `AllBut(sender)` does not.
         let all = deliver(&messages, &mut nodes, 50);
         assert_eq!(
             received(&all),

@@ -229,9 +229,6 @@ pub struct TokenConfig {
     /// Multiplier applied to the recent average miss latency when computing
     /// the reissue timeout (the paper uses 2x).
     pub reissue_latency_multiplier: f64,
-    /// Multiplier applied to the recent average miss latency for the
-    /// persistent-request timeout (the paper uses roughly 10x).
-    pub persistent_latency_multiplier: f64,
     /// Whether the migratory-sharing optimization is enabled.
     pub migratory_optimization: bool,
 }
@@ -240,7 +237,6 @@ json_struct!(TokenConfig {
     tokens_per_block,
     reissues_before_persistent,
     reissue_latency_multiplier,
-    persistent_latency_multiplier,
     migratory_optimization,
 });
 
@@ -250,7 +246,6 @@ impl Default for TokenConfig {
             tokens_per_block: 16,
             reissues_before_persistent: 4,
             reissue_latency_multiplier: 2.0,
-            persistent_latency_multiplier: 10.0,
             migratory_optimization: true,
         }
     }

@@ -648,7 +648,7 @@ mod tests {
     fn only_tokenb_transient_requests_are_loss_eligible() {
         let req = Message::new(
             NodeId::new(0),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(0)),
             BlockAddr::new(4),
             MsgKind::GetM,
             Vnet::Request,

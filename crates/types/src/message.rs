@@ -72,30 +72,27 @@ impl Vnet {
     ];
 }
 
-/// Destination of a message: one of the four patterns the protocols send.
+/// Destination of a message: one of the three patterns the protocols send.
 ///
-/// Every pattern but `Node` is a fixed node set of the system, so the
-/// interconnect keeps one multicast tree per source and pattern.
+/// Each pattern names its node set outright, without reference to the
+/// sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Destination {
     /// Deliver to a single node.
     Node(NodeId),
-    /// Deliver to every node except the sender (TokenB's broadcast).
-    Broadcast,
     /// Deliver to every node, the sender included (snooping's totally
     /// ordered broadcast).
     All,
-    /// Deliver to every node except this one (Hammer's probe from the home).
+    /// Deliver to every node except this one: TokenB's broadcast names its
+    /// sender, Hammer's probe the requester.
     AllBut(NodeId),
 }
 
 impl Destination {
-    /// Returns `true` if `node` is covered by this destination, given the
-    /// original sender (broadcasts do not loop back to the sender).
-    pub fn includes(self, node: NodeId, sender: NodeId) -> bool {
+    /// Returns `true` if `node` is covered by this destination.
+    pub fn includes(self, node: NodeId) -> bool {
         match self {
             Destination::Node(n) => n == node,
-            Destination::Broadcast => node != sender,
             Destination::All => true,
             Destination::AllBut(n) => n != node,
         }
@@ -103,10 +100,10 @@ impl Destination {
 
     /// Expands the destination into the receiving nodes of a system of
     /// `num_nodes` nodes, in ascending order.
-    pub fn expand(self, num_nodes: usize, sender: NodeId) -> Vec<NodeId> {
+    pub fn expand(self, num_nodes: usize) -> Vec<NodeId> {
         (0..num_nodes)
             .map(NodeId::new)
-            .filter(|&n| self.includes(n, sender))
+            .filter(|&n| self.includes(n))
             .collect()
     }
 }
@@ -354,9 +351,10 @@ impl Message {
     }
 }
 
-// Wire layouts. Tags are append-only; `MsgKind` tag 3 is retired (a
-// shared-eviction notice no protocol ever sent), and so is `Destination`
-// tag 2 (an explicit node list, which snooping and Hammer sent until v6).
+// Wire layouts. Tags are append-only and a retired tag is never reused:
+// `MsgKind` tag 3 (a shared-eviction notice no protocol sent) and
+// `Destination` tags 1 (every node but the sender) and 2 (an explicit node
+// list), sets the remaining patterns spell.
 snap_struct!(DataPayload { version });
 snap_enum!(Vnet, "vnet" {
     0 => Request,
@@ -367,7 +365,6 @@ snap_enum!(Vnet, "vnet" {
 });
 snap_enum!(Destination, "destination" {
     0 => Node(node),
-    1 => Broadcast,
     3 => All,
     4 => AllBut(node),
 });
@@ -426,7 +423,7 @@ mod tests {
     fn msg(kind: MsgKind) -> Message {
         Message::new(
             NodeId::new(0),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(0)),
             BlockAddr::new(7),
             kind,
             Vnet::Request,
@@ -500,33 +497,21 @@ mod tests {
 
     #[test]
     fn destination_includes_and_expand_agree() {
-        let sender = NodeId::new(2);
-        let bcast = Destination::Broadcast;
-        let expanded = bcast.expand(4, sender);
-        assert_eq!(expanded.len(), 3);
-        for n in 0..4 {
-            let node = NodeId::new(n);
-            assert_eq!(bcast.includes(node, sender), expanded.contains(&node));
+        for (dest, expected) in [
+            (Destination::Node(NodeId::new(1)), vec![1]),
+            (Destination::All, vec![0, 1, 2, 3]),
+            (Destination::AllBut(NodeId::new(2)), vec![0, 1, 3]),
+        ] {
+            let expanded = dest.expand(4);
+            assert_eq!(
+                expanded,
+                expected.into_iter().map(NodeId::new).collect::<Vec<_>>()
+            );
+            for n in 0..4 {
+                let node = NodeId::new(n);
+                assert_eq!(dest.includes(node), expanded.contains(&node), "{dest:?}");
+            }
         }
-
-        let ucast = Destination::Node(NodeId::new(1));
-        assert!(ucast.includes(NodeId::new(1), sender));
-        assert!(!ucast.includes(NodeId::new(0), sender));
-        assert_eq!(ucast.expand(4, sender), vec![NodeId::new(1)]);
-
-        let all = Destination::All;
-        assert_eq!(
-            all.expand(4, sender),
-            (0..4).map(NodeId::new).collect::<Vec<_>>()
-        );
-
-        let all_but = Destination::AllBut(NodeId::new(0));
-        assert!(all_but.includes(sender, sender));
-        assert!(!all_but.includes(NodeId::new(0), sender));
-        assert_eq!(
-            all_but.expand(4, sender),
-            [1, 2, 3].map(NodeId::new).to_vec()
-        );
     }
 
     #[test]
@@ -585,7 +570,6 @@ mod tests {
         ];
         let dests = [
             Destination::Node(NodeId::new(2)),
-            Destination::Broadcast,
             Destination::All,
             Destination::AllBut(NodeId::new(1)),
         ];
@@ -615,11 +599,14 @@ mod tests {
 
     #[test]
     fn the_retired_destination_tag_loads_as_corrupt() {
-        // Tag 2 was an explicit node list; it never loads as a pattern.
-        assert_eq!(
-            Destination::load(&mut SnapReader::new(&[2, 0, 0, 0, 0])),
-            Err(SnapshotError::Corrupt("destination tag 2".into()))
-        );
+        // Tag 1 was every node but the sender, tag 2 an explicit node list;
+        // neither loads as a pattern.
+        for tag in [1, 2] {
+            assert_eq!(
+                Destination::load(&mut SnapReader::new(&[tag, 0, 0, 0, 0])),
+                Err(SnapshotError::Corrupt(format!("destination tag {tag}")))
+            );
+        }
     }
 
     #[test]

@@ -633,7 +633,7 @@ mod tests {
     fn msg(kind: MsgKind) -> Message {
         Message::new(
             NodeId::new(0),
-            Destination::Broadcast,
+            Destination::AllBut(NodeId::new(0)),
             BlockAddr::new(1),
             kind,
             Vnet::Request,

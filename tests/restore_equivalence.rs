@@ -162,10 +162,10 @@ fn first_checkpoint_of(
 #[test]
 fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
     for (protocol, pinned) in [
-        (ProtocolKind::TokenB, (800_229, 0x4d008830342e99e2)),
-        (ProtocolKind::Snooping, (826_704, 0xaef86cc7646a8893)),
-        (ProtocolKind::Directory, (949_154, 0xa18a45508dd162b2)),
-        (ProtocolKind::Hammer, (561_003, 0x9e151ead795ec391)),
+        (ProtocolKind::TokenB, (722_165, 0x169a9a64b7aa3d33)),
+        (ProtocolKind::Snooping, (749_616, 0x5e5f0568d908fdba)),
+        (ProtocolKind::Directory, (872_450, 0xa12b27f16dccc2b2)),
+        (ProtocolKind::Hammer, (492_683, 0xdd7522d220383b17)),
     ] {
         let bytes = first_checkpoint(protocol);
         let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
@@ -192,7 +192,7 @@ fn first_checkpoint_under_both_planes_keeps_its_bytes() {
     let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
     assert_eq!(
         (len, hash),
-        (795_922, 0x043c8db3405f676d),
+        (717_770, 0xe3c581e14493fd47),
         "planed TokenB: snapshot bytes changed ({len}, {hash:#x}): bump SNAPSHOT_VERSION \
          and re-record, or restore the format"
     );

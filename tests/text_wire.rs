@@ -17,9 +17,9 @@ use token_coherence::system::experiment::{faultsweep_points, figure5a_points};
 use token_coherence::system::run_to_json;
 use token_coherence::types::{AdversarySpec, FaultSpec, JobPriority};
 
-/// Length and `fnv1a64` of the dump, recorded at the commit before the
-/// `Wire` trait existed (hand-paired `to_json` / `parse`, `JsonWriter`).
-const PINNED: (usize, u64) = (85_699, 0x43dc85c77c4363ca);
+/// Length and `fnv1a64` of the dump. Only a change to a text layout moves
+/// them.
+const PINNED: (usize, u64) = (83_923, 0x13ae3c0fc41fe4e2);
 
 fn dump() -> String {
     let mut points = figure5a_points(&WorkloadProfile::oltp());
