@@ -7,7 +7,7 @@
 //! tc-bench list
 //! tc-bench table2
 //! tc-bench fig5-runtime --ops 12000 --threads 8
-//! tc-bench fig4-traffic --workload oltp --json /tmp/fig4b.json
+//! tc-bench fig4-traffic --workload oltp --runs-json /tmp/fig4b.ndjson
 //! tc-bench sweep64 --ops 20000 --threads 8 --serial-baseline
 //! ```
 //!
@@ -71,10 +71,6 @@ fn run_campaign_command(plan: CampaignPlan, args: Args) {
         "campaign wall-clock: {:.1} s across {} threads",
         report.wall_seconds, report.threads
     );
-    if let Some(path) = &args.json {
-        write_file(path, plan.to_json(&report));
-        eprintln!("wrote {path}");
-    }
     if let Some(path) = &args.runs_json {
         // One line per run in submission order — byte-identical to what the
         // campaign service streams for the same points (pinned by CI).

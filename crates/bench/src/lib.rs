@@ -30,7 +30,7 @@
 #![warn(missing_docs)]
 
 use tc_serve::{ServeOptions, Submission};
-use tc_system::campaign::{CampaignReport, CampaignRun};
+use tc_system::campaign::CampaignRun;
 use tc_system::experiment::{
     faultsweep_points, figure4a_points, figure4b_points, figure5a_points, figure5b_points,
     scalability_points, sweep64_points, table2_points, ExperimentPoint,
@@ -402,7 +402,6 @@ pub const CAMPAIGN: Subcommand = Subcommand {
             "inject faults, e.g. drop=0.01,dup=0.005,reorder=4,link=2-5@1000..5000\n\
              (points carrying their own spec, e.g. faultsweep's, keep it)",
         ),
-        ("--json PATH", "write the campaign report as JSON"),
         (
             "--runs-json PATH",
             "write one NDJSON line per run (the campaign service's wire format)",
@@ -607,7 +606,6 @@ pub struct Args {
     pub workload: Option<WorkloadProfile>,
     pub protocol: Option<ProtocolKind>,
     pub faults: Option<FaultSpec>,
-    pub json: Option<String>,
     pub runs_json: Option<String>,
     pub shards: Option<u32>,
     pub serial_baseline: bool,
@@ -650,7 +648,6 @@ fn set_flag(args: &mut Args, name: &str, text: &str) -> Result<(), String> {
             args.protocol = Some(ProtocolKind::by_name(text).ok_or("unknown protocol")?);
         }
         "--faults" => args.faults = Some(FaultSpec::parse(text).map_err(|e| e.to_string())?),
-        "--json" => args.json = owned(),
         "--runs-json" => args.runs_json = owned(),
         "--shards" => {
             args.shards = Some(u32::try_from(positive(text)?).map_err(|_| "too many shards")?);
@@ -782,17 +779,6 @@ impl CampaignPlan {
         }
         blocks.iter().map(|block| format!("\n{block}\n")).collect()
     }
-
-    /// The `--json` file: the runs, and per section its title, its place in
-    /// the runs and the aggregates over its own slice — the numbers of the
-    /// printed tables, from the same slices and column lists.
-    pub fn to_json(&self, report: &CampaignReport) -> String {
-        let sections = self.sections.iter();
-        let spans: Vec<(&str, usize)> = sections
-            .map(|s| (s.title.as_str(), s.points.len()))
-            .collect();
-        report.to_json_by_section(&spans)
-    }
 }
 
 /// Expands `spec` under `args` into a plan, or says why it cannot be run.
@@ -899,7 +885,7 @@ pub enum Command {
     /// Print this text on stdout and exit 0: a usage text, the catalog, or
     /// a campaign that simulates nothing.
     Print(String),
-    /// Run a campaign here; `Args` carries `threads`, the output paths and
+    /// Run a campaign here; `Args` carries `threads`, `runs_json` and
     /// `serial_baseline`.
     Campaign(CampaignPlan, Args),
     /// Send `submission` to the service at `addr`, streaming run lines to
@@ -1193,9 +1179,9 @@ mod tests {
             ("table2", Ok(&["Campaign(", "name: \"table2\"", "threads: None", "shards: 0 }"])),
             ("fig5b --ops 5", Ok(&["name: \"fig5-traffic\"", "ops_per_node: 5,"])),
             ("fig5-traffic --ops 400 --threads 2 --workload oltp --protocol tokenb \
-              --faults drop=0.01 --json a.json --runs-json b.ndjson --shards 2 --serial-baseline",
+              --faults drop=0.01 --runs-json b.ndjson --shards 2 --serial-baseline",
              Ok(&["Campaign(", "ops_per_node: 400,", "threads: Some(2)", "Workload: OLTP",
-                  "json: Some(\"a.json\")", "runs_json: Some(\"b.ndjson\")", "shards: 2 }",
+                  "runs_json: Some(\"b.ndjson\")", "shards: 2 }",
                   "serial_baseline: true"])),
             ("sweep64 --shards 4", Ok(&["name: \"sweep64\"", "shards: 4 }"])),
             ("run-one", Ok(&["RunOne(", "num_nodes: 4,", "protocol: TokenB", "seed: 12 }",
@@ -1231,6 +1217,7 @@ mod tests {
             ("table2 --ops", Err("--ops requires a value")),
             ("status --addr", Err("--addr requires a value")),
             ("table2 --bogus", Err("unknown option: --bogus")),
+            ("fig5-runtime --json x", Err("unknown option: --json")),
             ("run-one --threads 2", Err("unknown option: --threads")),
             ("submit table2 --shards 2", Err("unknown option: --shards")),
             ("status --bogus", Err("unknown option: --bogus")),
@@ -1308,59 +1295,6 @@ mod tests {
                 let name = flag.split(' ').next().unwrap();
                 let _ = set_flag(&mut Args::default(), name, "1");
                 assert!(!help.is_empty(), "{} {name} has no help", sub.name());
-            }
-        }
-    }
-
-    /// The `--json` file of a multi-section campaign: every aggregate row
-    /// sits in its section, normalized within it, and reads what the
-    /// printed table reads.
-    #[test]
-    fn json_file_attributes_every_aggregate_row_to_its_section() {
-        use tc_types::Json;
-        let Ok(Command::Campaign(plan, _)) = cli("fig4-runtime --ops 60") else {
-            panic!("fig4-runtime must plan");
-        };
-        let report = Campaign::new(plan.points())
-            .options(plan.options)
-            .threads(1)
-            .run();
-        let printed = plan.render(&report.runs);
-        let mut lines = printed.lines();
-        let json = Json::parse(&plan.to_json(&report)).unwrap();
-        let array =
-            |json: &Json, key: &str| json.get(key).and_then(Json::as_array).unwrap().to_vec();
-        let text = |json: &Json, key: &str| json.get(key).unwrap().to_string();
-        assert_eq!(array(&json, "runs").len(), 18);
-        assert!(json.get("normalized_runtime").is_none());
-        let sections = array(&json, "sections");
-        assert_eq!(sections.len(), 3);
-        for (i, (section, planned)) in sections.iter().zip(&plan.sections).enumerate() {
-            assert_eq!(text(section, "title"), format!("{:?}", planned.title));
-            assert_eq!(text(section, "first"), (6 * i).to_string());
-            assert_eq!(text(section, "count"), "6");
-            let rows = array(section, "normalized_runtime");
-            assert_eq!(rows.len(), 6);
-            assert_eq!(text(&rows[0], "normalized"), "1.0000");
-            lines.find(|line| *line == planned.title).unwrap();
-            lines.next(); // the header line
-            for (row, point) in rows.iter().zip(&planned.points) {
-                assert_eq!(text(row, "label"), format!("{:?}", point.label));
-                // The printed cells are the JSON numbers at fewer decimals.
-                let line = lines.next().unwrap();
-                let shown = line[38..]
-                    .split_whitespace()
-                    .map(|cell| cell.parse::<f64>());
-                for ((key, ulp), shown) in [("cycles_per_transaction", 1.0), ("normalized", 1e-3)]
-                    .into_iter()
-                    .zip(shown)
-                {
-                    let written: f64 = text(row, key).parse().unwrap();
-                    assert!(
-                        (shown.unwrap() - written).abs() <= 0.51 * ulp,
-                        "{line} vs {row}"
-                    );
-                }
             }
         }
     }

@@ -9,18 +9,6 @@ use tc_types::{
 
 use crate::topology::{LinkId, RouterId, Topology};
 
-/// A message delivery produced by the fabric: `msg` arrives at `node` at
-/// absolute time `at`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delivery {
-    /// Absolute arrival time.
-    pub at: Cycle,
-    /// Receiving node.
-    pub node: NodeId,
-    /// The message delivered.
-    pub msg: Message,
-}
-
 /// Per-link utilization summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkUtilization {
@@ -226,37 +214,12 @@ impl Interconnect {
         }
     }
 
-    /// Injects a message into the fabric at time `now`, returning the
-    /// deliveries it produces (one per destination node).
-    ///
-    /// Sending a message to an empty destination set (for example a broadcast
-    /// in a single-node system) returns no deliveries.
-    pub fn send(&mut self, now: Cycle, msg: Message) -> Vec<Delivery> {
-        let mut deliveries = Vec::new();
-        self.send_into(now, &msg, &mut deliveries);
-        deliveries
-    }
-
-    /// [`Interconnect::send`] writing into a caller-supplied buffer.
-    /// Deliveries are appended; the buffer is not cleared. Tests and tools
-    /// use this payload-carrying shape; the hot event loop uses
-    /// [`Interconnect::send_arrivals`] and never clones the message.
-    pub fn send_into(&mut self, now: Cycle, msg: &Message, out: &mut Vec<Delivery>) {
-        let mut arrivals = Vec::new();
-        self.send_arrivals(now, msg, &mut arrivals);
-        out.extend(arrivals.into_iter().map(|(at, node)| Delivery {
-            at,
-            node,
-            msg: msg.clone(),
-        }));
-    }
-
-    /// The routing/timing core of [`Interconnect::send_into`]: computes when
-    /// and where the message arrives without cloning it, appending
-    /// `(arrival time, node)` pairs. The hot event loop uses this so the
-    /// single in-flight copy of a message can live in a slab arena and queue
-    /// entries stay small; `send_into` keeps the delivery-with-payload shape
-    /// for tests and tools.
+    /// Injects `msg` into the fabric at time `now`, appending one
+    /// `(arrival time, node)` pair per destination node to `out` (the buffer
+    /// is not cleared). The message itself is not cloned: the event loop
+    /// keeps its one in-flight copy in a slab arena, so queue entries stay
+    /// small. A message to an empty destination set (a broadcast in a
+    /// single-node system) arrives nowhere.
     pub fn send_arrivals(&mut self, now: Cycle, msg: &Message, out: &mut Vec<(Cycle, NodeId)>) {
         let src = msg.src;
         let size = msg.size_bytes();
@@ -419,6 +382,13 @@ mod tests {
         )
     }
 
+    /// The arrivals of one send, as `(time, node)` pairs.
+    fn send(net: &mut Interconnect, now: Cycle, msg: Message) -> Vec<(Cycle, NodeId)> {
+        let mut arrivals = Vec::new();
+        net.send_arrivals(now, &msg, &mut arrivals);
+        arrivals
+    }
+
     fn data(src: usize, dst: usize) -> Message {
         Message::new(
             NodeId::new(src),
@@ -439,37 +409,37 @@ mod tests {
     fn unicast_latency_on_torus_matches_hop_count() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Unlimited));
         // Node 0 -> node 1 is one hop: one link latency.
-        let d = net.send(0, request(0, Destination::Node(NodeId::new(1))));
+        let d = send(&mut net, 0, request(0, Destination::Node(NodeId::new(1))));
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].at, 15);
+        assert_eq!(d[0].0, 15);
         // Node 0 -> node 10 is four hops.
-        let d = net.send(0, request(0, Destination::Node(NodeId::new(10))));
-        assert_eq!(d[0].at, 60);
+        let d = send(&mut net, 0, request(0, Destination::Node(NodeId::new(10))));
+        assert_eq!(d[0].0, 60);
     }
 
     #[test]
     fn unicast_latency_on_tree_is_four_crossings() {
         let mut net = Interconnect::new(16, config(TopologyKind::Tree, BandwidthMode::Unlimited));
-        let d = net.send(0, request(0, Destination::Node(NodeId::new(15))));
-        assert_eq!(d[0].at, 60);
+        let d = send(&mut net, 0, request(0, Destination::Node(NodeId::new(15))));
+        assert_eq!(d[0].0, 60);
         // Even nodes on the same leaf switch pay the full root round trip.
-        let d = net.send(0, request(0, Destination::Node(NodeId::new(1))));
-        assert_eq!(d[0].at, 60);
+        let d = send(&mut net, 0, request(0, Destination::Node(NodeId::new(1))));
+        assert_eq!(d[0].0, 60);
     }
 
     #[test]
     fn limited_bandwidth_adds_serialization_delay() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Limited));
         // A 72-byte data message takes ceil(72 / 3.2) = 23 ns per link.
-        let d = net.send(0, data(0, 1));
-        assert_eq!(d[0].at, 23 + 15);
+        let d = send(&mut net, 0, data(0, 1));
+        assert_eq!(d[0].0, 23 + 15);
     }
 
     #[test]
     fn back_to_back_messages_queue_on_the_same_link() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Limited));
-        let first = net.send(0, data(0, 1))[0].at;
-        let second = net.send(0, data(0, 1))[0].at;
+        let first = send(&mut net, 0, data(0, 1))[0].0;
+        let second = send(&mut net, 0, data(0, 1))[0].0;
         assert!(second > first, "second message must queue behind the first");
         assert_eq!(second - first, 23);
     }
@@ -477,17 +447,17 @@ mod tests {
     #[test]
     fn unlimited_bandwidth_never_queues() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        let first = net.send(0, data(0, 1))[0].at;
-        let second = net.send(0, data(0, 1))[0].at;
+        let first = send(&mut net, 0, data(0, 1))[0].0;
+        let second = send(&mut net, 0, data(0, 1))[0].0;
         assert_eq!(first, second);
     }
 
     #[test]
     fn broadcast_reaches_all_other_nodes() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        let deliveries = net.send(0, request(0, Destination::AllBut(NodeId::new(0))));
+        let deliveries = send(&mut net, 0, request(0, Destination::AllBut(NodeId::new(0))));
         assert_eq!(deliveries.len(), 15);
-        let nodes: std::collections::HashSet<_> = deliveries.iter().map(|d| d.node).collect();
+        let nodes: std::collections::HashSet<_> = deliveries.iter().map(|d| d.1).collect();
         assert_eq!(nodes.len(), 15);
         assert!(!nodes.contains(&NodeId::new(0)));
     }
@@ -495,8 +465,8 @@ mod tests {
     #[test]
     fn broadcast_on_tree_is_simultaneous_and_ordered() {
         let mut net = Interconnect::new(16, config(TopologyKind::Tree, BandwidthMode::Unlimited));
-        let deliveries = net.send(0, request(0, Destination::AllBut(NodeId::new(0))));
-        let times: std::collections::HashSet<_> = deliveries.iter().map(|d| d.at).collect();
+        let deliveries = send(&mut net, 0, request(0, Destination::AllBut(NodeId::new(0))));
+        let times: std::collections::HashSet<_> = deliveries.iter().map(|d| d.0).collect();
         assert_eq!(times.len(), 1, "tree broadcast arrives everywhere at once");
     }
 
@@ -507,7 +477,11 @@ mod tests {
         // A broadcast on the tree uses: 1 up-node link, 1 up-switch link,
         // 4 down-switch links, 15 down-node links (sender excluded, but its
         // leaf still receives the broadcast for the other three nodes).
-        unlimited.send(0, request(0, Destination::AllBut(NodeId::new(0))));
+        send(
+            &mut unlimited,
+            0,
+            request(0, Destination::AllBut(NodeId::new(0))),
+        );
         let traffic = unlimited.traffic();
         assert_eq!(traffic.messages(TrafficClass::Request), 1);
         assert_eq!(traffic.bytes(TrafficClass::Request), 8);
@@ -520,7 +494,7 @@ mod tests {
     #[test]
     fn torus_broadcast_uses_fewer_link_bytes_than_naive_unicasts() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        net.send(0, request(0, Destination::AllBut(NodeId::new(0))));
+        send(&mut net, 0, request(0, Destination::AllBut(NodeId::new(0))));
         let tree_bytes = net.traffic().link_bytes(TrafficClass::Request);
         // Naive unicasts would pay sum of hop counts = 32 links * 8 bytes.
         assert!(tree_bytes < 32 * 8);
@@ -531,13 +505,10 @@ mod tests {
     #[test]
     fn self_delivery_on_tree_costs_a_root_round_trip() {
         let mut net = Interconnect::new(16, config(TopologyKind::Tree, BandwidthMode::Unlimited));
-        let deliveries = net.send(0, request(0, Destination::All));
+        let deliveries = send(&mut net, 0, request(0, Destination::All));
         assert_eq!(deliveries.len(), 16);
-        let self_delivery = deliveries
-            .iter()
-            .find(|d| d.node == NodeId::new(0))
-            .unwrap();
-        assert_eq!(self_delivery.at, 60);
+        let self_delivery = deliveries.iter().find(|d| d.1 == NodeId::new(0)).unwrap();
+        assert_eq!(self_delivery.0, 60);
     }
 
     #[test]
@@ -548,8 +519,16 @@ mod tests {
         // funnels through the root's downlinks, so the hottest tree link
         // carries far more bytes than the hottest torus link.
         for n in 0..16 {
-            tree.send(0, request(n, Destination::AllBut(NodeId::new(n))));
-            torus.send(0, request(n, Destination::AllBut(NodeId::new(n))));
+            send(
+                &mut tree,
+                0,
+                request(n, Destination::AllBut(NodeId::new(n))),
+            );
+            send(
+                &mut torus,
+                0,
+                request(n, Destination::AllBut(NodeId::new(n))),
+            );
         }
         let tree_hot = tree.max_link_bytes();
         let torus_hot = torus.max_link_bytes();
@@ -564,8 +543,8 @@ mod tests {
     #[test]
     fn utilization_and_counters_accumulate() {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Limited));
-        assert_eq!(net.send(0, data(0, 1)).len(), 1);
-        assert_eq!(net.send(10, data(2, 3)).len(), 1);
+        assert_eq!(send(&mut net, 0, data(0, 1)).len(), 1);
+        assert_eq!(send(&mut net, 10, data(2, 3)).len(), 1);
         let util = net.link_utilization();
         let carried: u64 = util.iter().map(|u| u.bytes).sum();
         assert_eq!(carried, 144);
@@ -594,9 +573,10 @@ mod tests {
             for round in 0..2 {
                 for src in 0..n {
                     for dest in patterns.clone() {
-                        let got = net.send(0, request(src, dest));
+                        let got = send(&mut net, 0, request(src, dest));
                         if round == 1 {
-                            let fresh = Interconnect::new(n, config).send(0, request(src, dest));
+                            let fresh =
+                                send(&mut Interconnect::new(n, config), 0, request(src, dest));
                             assert_eq!(got, fresh, "{topology:?}: {src} -> {dest:?}");
                         }
                     }
@@ -623,7 +603,7 @@ mod tests {
     #[test]
     fn empty_destination_produces_no_deliveries() {
         let mut net = Interconnect::new(1, config(TopologyKind::Torus, BandwidthMode::Unlimited));
-        let deliveries = net.send(0, request(0, Destination::AllBut(NodeId::new(0))));
+        let deliveries = send(&mut net, 0, request(0, Destination::AllBut(NodeId::new(0))));
         assert!(deliveries.is_empty());
     }
 }

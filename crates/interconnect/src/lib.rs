@@ -39,9 +39,10 @@
 //!     Vnet::Request,
 //!     0,
 //! );
-//! let deliveries = network.send(0, msg);
-//! assert_eq!(deliveries.len(), 1);
-//! assert!(deliveries[0].at > 0);
+//! let mut arrivals = Vec::new();
+//! network.send_arrivals(0, &msg, &mut arrivals);
+//! assert_eq!(arrivals.len(), 1);
+//! assert!(arrivals[0].0 > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,6 +57,6 @@ mod torus;
 mod tree;
 
 pub use adversary::Adversary;
-pub use fabric::{Delivery, Interconnect, LinkUtilization};
+pub use fabric::{Interconnect, LinkUtilization};
 pub use fault::FaultPlane;
 pub use topology::{LinkId, RouterId, Topology};

@@ -60,6 +60,13 @@ fn unicast_noise(rng: &mut DeterministicRng, num_nodes: usize, at: Cycle) -> Mes
     )
 }
 
+/// The arrivals of one send, as `(time, node)` pairs.
+fn send(net: &mut Interconnect, now: Cycle, msg: &Message) -> Vec<(Cycle, NodeId)> {
+    let mut arrivals = Vec::new();
+    net.send_arrivals(now, msg, &mut arrivals);
+    arrivals
+}
+
 fn drive(bandwidth: BandwidthMode, num_nodes: usize, seed: u64) {
     let mut net = Interconnect::new(num_nodes, tree_config(bandwidth));
     let mut rng = DeterministicRng::new(seed);
@@ -74,13 +81,13 @@ fn drive(bandwidth: BandwidthMode, num_nodes: usize, seed: u64) {
             let src = rng.next_below(num_nodes as u64) as usize;
             let msg = ordered_broadcast(src, sequence, now);
             sequence += 1;
-            for delivery in net.send(now, msg) {
-                observed[delivery.node.index()].push((delivery.at, delivery.msg.addr.value()));
+            for (at, node) in send(&mut net, now, &msg) {
+                observed[node.index()].push((at, msg.addr.value()));
             }
         } else {
             // Noise traffic shifts link occupancy between broadcasts, which
             // is exactly what used to skew the (link-bypassing) self-send.
-            net.send(now, unicast_noise(&mut rng, num_nodes, now));
+            send(&mut net, now, &unicast_noise(&mut rng, num_nodes, now));
         }
     }
 
@@ -132,18 +139,18 @@ fn self_delivery_queues_behind_earlier_broadcasts() {
     let mut net = Interconnect::new(num_nodes, tree_config(BandwidthMode::Limited));
     // Node 0 broadcasts first; node 5 broadcasts immediately after. Node 5's
     // own copy must arrive after node 0's copy arrives at node 5.
-    let first = net.send(0, ordered_broadcast(0, 1, 0));
-    let second = net.send(1, ordered_broadcast(5, 2, 1));
+    let first = send(&mut net, 0, &ordered_broadcast(0, 1, 0));
+    let second = send(&mut net, 1, &ordered_broadcast(5, 2, 1));
     let first_at_5 = first
         .iter()
-        .find(|d| d.node == NodeId::new(5))
+        .find(|&&(_, node)| node == NodeId::new(5))
         .expect("broadcast reaches node 5")
-        .at;
+        .0;
     let own_at_5 = second
         .iter()
-        .find(|d| d.node == NodeId::new(5))
+        .find(|&&(_, node)| node == NodeId::new(5))
         .expect("self-delivery exists")
-        .at;
+        .0;
     assert!(
         own_at_5 > first_at_5,
         "node 5 observed its own broadcast (at {own_at_5}) before the \

@@ -9,14 +9,13 @@
 //! driven with the same deterministic pseudo-random message stream across
 //! tree and torus topologies, every destination pattern (`Node` including
 //! self-sends, `AllBut` of the source and of any node, `All`), and both
-//! bandwidth modes; every delivery (node, time, message), the traffic
-//! accounting, and the per-link utilization must match exactly. Cases are
+//! bandwidth modes; every arrival (time, node), the traffic accounting, and
+//! the per-link utilization must match exactly. Cases are
 //! drawn from a [`DeterministicRng`] rather than proptest (unavailable in
 //! the offline build environment), so every run covers the same cases.
 
 use std::collections::HashMap;
 
-use tc_interconnect::fabric::Delivery;
 use tc_interconnect::{Interconnect, LinkId, RouterId, Topology};
 use tc_sim::DeterministicRng;
 use tc_types::{
@@ -57,7 +56,7 @@ impl NaiveFabric {
         }
     }
 
-    fn send(&mut self, now: Cycle, msg: Message) -> Vec<Delivery> {
+    fn send(&mut self, now: Cycle, msg: &Message) -> Vec<(Cycle, NodeId)> {
         let destinations = msg.dest.expand(self.topology.num_nodes());
         if destinations.is_empty() {
             return Vec::new();
@@ -124,9 +123,9 @@ impl NaiveFabric {
         }
 
         self.traffic
-            .record(TrafficClass::of(&msg), size, tree_links.len() as u64);
+            .record(TrafficClass::of(msg), size, tree_links.len() as u64);
 
-        let mut deliveries = Vec::new();
+        let mut arrivals = Vec::new();
         for (dst, path) in paths {
             let at = if path.is_empty() {
                 inject_start
@@ -134,13 +133,9 @@ impl NaiveFabric {
                 let last = self.topology.links()[path.last().unwrap().index()];
                 arrival[&last.to]
             };
-            deliveries.push(Delivery {
-                at,
-                node: dst,
-                msg: msg.clone(),
-            });
+            arrivals.push((at, dst));
         }
-        deliveries
+        arrivals
     }
 }
 
@@ -195,12 +190,13 @@ fn drive_pair(topology: TopologyKind, bandwidth: BandwidthMode, num_nodes: usize
     for step in 0..400 {
         now += rng.next_below(40);
         let msg = random_message(&mut rng, num_nodes, now);
-        let expected = naive.send(now, msg.clone());
-        let got = cached.send(now, msg.clone());
+        let expected = naive.send(now, &msg);
+        let mut got = Vec::new();
+        cached.send_arrivals(now, &msg, &mut got);
         assert_eq!(
             got, expected,
             "{topology:?}/{bandwidth:?}/{num_nodes} nodes, seed {seed}, step {step}: \
-             deliveries diverged for {msg}"
+             arrivals diverged for {msg}"
         );
     }
     assert_eq!(

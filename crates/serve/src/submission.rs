@@ -65,6 +65,8 @@ fn point_from_json(json: &Json, path: &str) -> Result<ExperimentPoint, SubmitErr
 impl Submission {
     /// Serializes the submission to the wire form [`Submission::parse`]
     /// accepts. Round-trips exactly: enums by name, floats shortest-form.
+    /// A served run cuts no checkpoint, so `options.checkpoint_every` is not
+    /// part of the wire form.
     pub fn to_json(&self) -> String {
         let o = &self.options;
         Json::obj([
@@ -74,7 +76,6 @@ impl Submission {
             ("faults", o.faults.to_json()),
             ("adversary", o.adversary.to_json()),
             ("livelock_events_budget", o.livelock_events_budget.to_json()),
-            ("checkpoint_every", o.checkpoint_every.to_json()),
             (
                 "points",
                 Json::Arr(self.points.iter().map(point_to_json).collect()),
@@ -85,8 +86,7 @@ impl Submission {
 
     /// Parses and validates a submission from its JSON wire form.
     /// `priority`, `livelock_events_budget` and a point's `faults` may be
-    /// left out (their defaults apply); `checkpoint_every` may be left out
-    /// or `null`.
+    /// left out (their defaults apply).
     ///
     /// # Errors
     ///
@@ -110,7 +110,6 @@ impl Submission {
             livelock_events_budget: root
                 .member_opt("", "livelock_events_budget")?
                 .unwrap_or(defaults.livelock_events_budget),
-            checkpoint_every: root.member_opt("", "checkpoint_every")?.flatten(),
             ..defaults
         };
         // A zero bound would stop the run after its first event: no
@@ -157,7 +156,6 @@ impl Submission {
                 "faults",
                 "adversary",
                 "livelock_events_budget",
-                "checkpoint_every",
                 "points",
             ],
         )?;
@@ -236,15 +234,13 @@ mod tests {
     }
 
     #[test]
-    fn adversary_and_checkpoint_fields_round_trip() {
+    fn adversary_fields_round_trip() {
         let mut sub = sample();
         sub.options.adversary =
             AdversarySpec::parse("reorder=3,seed=9").expect("valid adversary spec");
-        sub.options.checkpoint_every = Some(50_000);
         let parsed = Submission::parse(&sub.to_json()).unwrap();
         assert_eq!(parsed.options.adversary.reorder_window, 3);
         assert_eq!(parsed.options.adversary.seed, 9);
-        assert_eq!(parsed.options.checkpoint_every, Some(50_000));
     }
 
     #[test]
@@ -342,7 +338,6 @@ mod tests {
         for member in [
             "\"priority\":\"normal\",",
             "\"livelock_events_budget\":50000000,",
-            "\"checkpoint_every\":null,",
             ",\"faults\":\"none\"}",
         ] {
             assert!(trimmed.contains(member), "{member}");

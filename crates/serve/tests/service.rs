@@ -219,24 +219,23 @@ fn served_results_are_byte_identical_and_resubmission_hits_the_cache() {
     std::fs::remove_dir_all(&cache_dir).ok();
 }
 
-/// `checkpoint_every` is an accepted member of a submission, but a served
-/// run has no checkpoint sink: the cadence cuts nothing, and the job streams
-/// the lines of the same submission without it, byte for byte. It is not
-/// part of the cache key either, so after the plain submission every
-/// cadenced point is a hit, not a second simulation.
+/// A served run has no checkpoint sink, so a checkpoint cadence is not part
+/// of the submission wire: a body that carries one is refused at that
+/// member, before it is queued, and the same body without it runs.
 #[test]
-fn a_checkpoint_cadence_on_the_wire_changes_no_served_byte() {
+fn a_checkpoint_cadence_on_the_wire_is_refused_as_an_unknown_member() {
     let (addr, handle) = start_server(one_worker());
-    let plain =
-        tc_serve::submit(&addr, &submission(small_points()), |_| {}).expect("the plain submission");
-    assert_eq!((plain.ran, plain.cache_hits), (3, 0));
-    let mut cadenced = submission(small_points());
-    cadenced.options.checkpoint_every = Some(1);
-    let mut lines = Vec::new();
-    let outcome = tc_serve::submit(&addr, &cadenced, |line| lines.push(format!("{line}\n")))
-        .expect("a submission with a checkpoint cadence");
-    assert_eq!(lines, one_shot_lines(small_points()));
-    assert_eq!((outcome.ran, outcome.cache_hits), (0, 3));
+    let plain = submission(small_points()).to_json();
+    let cadenced = plain.replacen("\"points\":", "\"checkpoint_every\":5000,\"points\":", 1);
+    assert_ne!(cadenced, plain);
+    let err = tc_serve::submit_json(&addr, &cadenced, |_| {}).expect_err("must reject");
+    assert!(
+        err.message
+            .contains("(400): unknown member (field: checkpoint_every)"),
+        "{err}"
+    );
+    let outcome = tc_serve::submit_json(&addr, &plain, |_| {}).expect("the plain submission");
+    assert_eq!((outcome.ran, outcome.cache_hits), (3, 0));
     tc_serve::shutdown(&addr).expect("shutdown");
     assert_eq!(handle.join().expect("server thread").jobs_failed, 0);
 }

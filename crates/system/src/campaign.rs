@@ -8,8 +8,8 @@
 //! never results. The returned [`CampaignReport`] holds the per-point
 //! [`RunReport`]s in submission order (whatever order the workers finished
 //! in); the tables the paper's figures are built from are declared in
-//! [`crate::table`] and rendered from those runs, and the report serializes
-//! to JSON through `tc_types::Json`, the workspace's one JSON codec.
+//! [`crate::table`] and rendered from those runs, and each run serializes
+//! to one JSON line through [`run_to_json`].
 //!
 //! ```no_run
 //! use tc_system::campaign::Campaign;
@@ -48,7 +48,6 @@ use tc_types::{InvariantViolation, Json, Wire};
 use crate::experiment::ExperimentPoint;
 use crate::report::RunReport;
 use crate::runner::RunOptions;
-use crate::table::{MISS_LATENCY, RUNTIME, TRAFFIC};
 
 /// A progress notification delivered to [`Campaign::on_progress`] callbacks.
 ///
@@ -196,7 +195,6 @@ impl Campaign {
         let summary = self.run_streaming(|_, run| runs.push(run.clone()));
         CampaignReport {
             runs,
-            options: summary.options,
             threads: summary.threads,
             wall_seconds: summary.wall_seconds,
         }
@@ -318,7 +316,6 @@ impl Campaign {
         debug_assert_eq!(reorder.next_emit, total);
         CampaignSummary {
             points: total,
-            options: self.options,
             threads: workers,
             wall_seconds: started.elapsed().as_secs_f64(),
             peak_reorder_buffer: reorder.peak_pending,
@@ -342,8 +339,6 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 pub struct CampaignSummary {
     /// Number of points that ran.
     pub points: usize,
-    /// The options every point ran under.
-    pub options: RunOptions,
     /// Worker threads actually used.
     pub threads: usize,
     /// Wall-clock seconds for the whole campaign.
@@ -356,13 +351,11 @@ pub struct CampaignSummary {
 }
 
 /// Everything a finished campaign measured: the per-point reports in
-/// submission order, and how they were run.
+/// submission order, and how many threads ran them for how long.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Per-point runs, in the order the points were submitted.
     pub runs: Vec<CampaignRun>,
-    /// The options every point ran under.
-    pub options: RunOptions,
     /// Worker threads actually used.
     pub threads: usize,
     /// Wall-clock seconds for the whole campaign.
@@ -370,11 +363,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// The per-point reports, in submission order.
-    pub fn reports(&self) -> impl Iterator<Item = &RunReport> {
-        self.runs.iter().map(|run| &run.report)
-    }
-
     /// `Ok` if every run passed verification; otherwise the first failing
     /// label and violation.
     ///
@@ -390,79 +378,15 @@ impl CampaignReport {
         }
         Ok(())
     }
-
-    /// Serializes the whole campaign as JSON: the per-point reports, then
-    /// the three aggregates over all of them, as one section.
-    pub fn to_json(&self) -> String {
-        self.json_with(aggregates(&self.runs))
-    }
-
-    /// Serializes a campaign of several sections — `(title, run count)`, in
-    /// run order — as JSON: the per-point reports, then one `sections`
-    /// entry each holding its title, the index of its first run, its run
-    /// count, and the three aggregates over its own runs (so "normalized"
-    /// is against the section's first run, as in its printed table).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counts add up to more runs than the campaign has.
-    pub fn to_json_by_section(&self, sections: &[(&str, usize)]) -> String {
-        let mut first = 0;
-        let sections = sections.iter().map(|&(title, count)| {
-            let mut members = vec![
-                ("title", Json::Str(title.to_string())),
-                ("first", first.to_json()),
-                ("count", count.to_json()),
-            ];
-            members.extend(aggregates(&self.runs[first..first + count]));
-            first += count;
-            Json::obj(members)
-        });
-        self.json_with(vec![("sections", Json::Arr(sections.collect()))])
-    }
-
-    /// The members every campaign JSON starts with, then `tail`.
-    fn json_with(&self, tail: Vec<(&'static str, Json)>) -> String {
-        let runs = self.runs.iter();
-        let mut members = vec![
-            ("points", self.runs.len().to_json()),
-            ("threads", self.threads.to_json()),
-            ("ops_per_node", self.options.ops_per_node.to_json()),
-            ("max_cycles", self.options.max_cycles.to_json()),
-            ("faults", self.options.faults.to_json()),
-            ("adversary", self.options.adversary.to_json()),
-            ("wall_seconds", Json::fixed(self.wall_seconds, 3)),
-            (
-                "runs",
-                Json::Arr(runs.map(|run| run_json(&run.label, &run.report)).collect()),
-            ),
-        ];
-        members.extend(tail);
-        Json::obj(members).to_string()
-    }
 }
 
-/// The three aggregates every campaign JSON carries for a slice of runs.
-fn aggregates(runs: &[CampaignRun]) -> Vec<(&'static str, Json)> {
-    vec![
-        ("normalized_runtime", RUNTIME.json_rows(runs)),
-        ("traffic_bytes_per_miss", TRAFFIC.json_rows(runs)),
-        ("miss_latency", MISS_LATENCY.json_rows(runs)),
-    ]
-}
-
-/// Serializes one run as a compact JSON object — the canonical per-run
-/// wire form. [`CampaignReport::to_json`]'s `runs` array is built from
-/// exactly these objects, and the campaign service streams them verbatim,
-/// which is what makes "served result == one-shot result" a *byte*-level
-/// contract rather than a semantic one. Every field is a deterministic
-/// function of the simulation (no wall-clock, no thread count).
-pub fn run_to_json(label: &str, report: &RunReport) -> String {
-    run_json(label, report).to_string()
-}
-
-/// The shared body behind [`run_to_json`] and [`CampaignReport::to_json`].
-fn run_json(label: &str, r: &RunReport) -> Json {
+/// Serializes one run as a compact JSON object — the one machine-readable
+/// form of a campaign's results. `tc-bench --runs-json` writes one line per
+/// run and the campaign service streams the same lines verbatim, which is
+/// what makes "served result == one-shot result" a *byte*-level contract
+/// rather than a semantic one. Every field is a deterministic function of
+/// the simulation (no wall-clock, no thread count).
+pub fn run_to_json(label: &str, r: &RunReport) -> String {
     let mut members = vec![
         ("label", Json::Str(label.to_string())),
         ("protocol", r.protocol.to_json()),
@@ -521,7 +445,7 @@ fn run_json(label: &str, r: &RunReport) -> Json {
         ]);
     }
     members.push(("violations", r.violations.len().to_json()));
-    Json::obj(members)
+    Json::obj(members).to_string()
 }
 
 #[cfg(test)]
@@ -596,31 +520,19 @@ mod tests {
 
     #[test]
     fn aggregates_are_normalized_against_the_first_point() {
+        use crate::table::{MISS_LATENCY, RUNTIME, TRAFFIC};
         let report = Campaign::new(small_points())
             .options(tiny_options())
             .threads(1)
             .run();
-        let json = Json::parse(&report.to_json()).unwrap();
-        let rows = |key: &str| json.get(key).and_then(Json::as_array).unwrap().to_vec();
-        let number = |row: &Json, key: &str| row.get(key).unwrap().to_string();
-        let runtime = rows("normalized_runtime");
-        assert_eq!(runtime.len(), 4);
-        assert_eq!(number(&runtime[0], "normalized"), "1.0000");
-        assert!(rows("traffic_bytes_per_miss")
-            .iter()
-            .all(|row| number(row, "total").parse::<f64>().unwrap() >= 0.0));
-        assert!(rows("miss_latency")
-            .iter()
-            .all(|row| number(row, "misses") != "0"));
-        // A section is normalized against its own first run, and the JSON
-        // and the printed table agree because they are one column list.
-        let by_section = report.to_json_by_section(&[("head", 1), ("tail", 3)]);
-        let by_section = Json::parse(&by_section).unwrap();
-        let tail = &by_section.get("sections").and_then(Json::as_array).unwrap()[1];
-        assert_eq!(tail.get("first").unwrap().to_string(), "1");
-        let tail_runtime = tail.get("normalized_runtime").and_then(Json::as_array);
-        assert_eq!(number(&tail_runtime.unwrap()[0], "normalized"), "1.0000");
-        assert!(RUNTIME.render("t", &report.runs[1..]).contains(" 1.000 "));
+        // A table is normalized against the first run of the slice it is
+        // handed: the whole campaign, or one section of it.
+        for runs in [&report.runs[..], &report.runs[1..]] {
+            let table = RUNTIME.render("t", runs);
+            let first_row = table.lines().nth(2).unwrap();
+            assert!(first_row.starts_with(&runs[0].label), "{table}");
+            assert!(first_row.contains(" 1.000 "), "{table}");
+        }
         // The renderers must not panic and must mention every label.
         let text = format!(
             "{}{}{}",
@@ -672,7 +584,6 @@ mod tests {
         let report = Campaign::new(Vec::new()).threads(8).run();
         assert!(report.runs.is_empty());
         assert!(report.verified().is_ok());
-        assert!(report.to_json().contains("\"points\":0"));
         let summary = Campaign::new(Vec::new())
             .threads(8)
             .run_streaming(|_, _| {});
@@ -702,7 +613,6 @@ mod tests {
             let streamed: Vec<CampaignRun> = seen.into_iter().map(|(_, run)| run).collect();
             assert_eq!(streamed, buffered.runs, "threads={threads}");
             assert_eq!(summary.points, buffered.runs.len());
-            assert_eq!(summary.options, buffered.options);
             assert_eq!(summary.threads, buffered.threads);
         }
     }
@@ -715,11 +625,12 @@ mod tests {
             .options(tiny_options())
             .threads(1)
             .run();
-        let json = report.to_json();
-        assert!(json.contains("\"peak_state_bytes\":"));
-        assert!(json.contains("\"peak_state_entries\":"));
-        assert!(report.runs[0].report.engine.state.state_bytes > 0);
-        assert!(report.runs[0].report.engine.state.mshr_peak > 0);
+        let run = &report.runs[0];
+        let line = run_to_json(&run.label, &run.report);
+        assert!(line.contains("\"peak_state_bytes\":"));
+        assert!(line.contains("\"peak_state_entries\":"));
+        assert!(run.report.engine.state.state_bytes > 0);
+        assert!(run.report.engine.state.mshr_peak > 0);
     }
 
     #[test]
@@ -728,32 +639,29 @@ mod tests {
             .options(tiny_options())
             .threads(2)
             .run();
-        let json = report.to_json();
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
-        );
         for run in &report.runs {
-            assert!(json.contains(&format!("\"label\":\"{}\"", run.label)));
+            let line = run_to_json(&run.label, &run.report);
+            assert_eq!(line.matches('{').count(), line.matches('}').count());
+            assert_eq!(line.matches('[').count(), line.matches(']').count());
+            assert!(line.starts_with(&format!("{{\"label\":\"{}\",", run.label)));
+            assert!(line.contains(&format!(
+                "\"events_delivered\":{},",
+                run.report.engine.events_delivered
+            )));
+            assert!(line.ends_with(&format!("\"violations\":{}}}", run.report.violations.len())));
         }
-        assert!(json.contains("\"normalized_runtime\":["));
-        assert!(json.contains("\"traffic_bytes_per_miss\":["));
-        assert!(json.contains("\"miss_latency\":["));
-        assert!(json.contains("\"events_delivered\":"));
     }
 
     #[test]
     fn json_escapes_quotes_and_backslashes_in_labels() {
-        let json = Json::obj([("label", Json::Str("a \"quoted\\label\"\n".to_string()))]);
-        assert_eq!(
-            json.to_string(),
-            "{\"label\":\"a \\\"quoted\\\\label\\\"\\n\"}"
+        let report = small_points()[0].run(RunOptions {
+            ops_per_node: 20,
+            ..tiny_options()
+        });
+        let line = run_to_json("a \"quoted\\label\"\n", &report);
+        assert!(
+            line.starts_with("{\"label\":\"a \\\"quoted\\\\label\\\"\\n\",\"protocol\":"),
+            "{line}"
         );
     }
 
@@ -792,25 +700,21 @@ mod tests {
         );
     }
 
-    /// The wire-format satellite: the hand-rolled writer's output must be
-    /// accepted by the hand-rolled reader, and re-serialize byte-identically
-    /// (the reader preserves member order and raw number tokens).
+    /// The run line's writer and the workspace's JSON reader agree: every
+    /// line parses, and re-serializes byte-identically (the reader
+    /// preserves member order and raw number tokens).
     #[test]
     fn campaign_json_parses_and_reserializes_byte_identically() {
         let report = Campaign::new(small_points())
             .options(tiny_options())
             .threads(2)
             .run();
-        let json = report.to_json();
-        let parsed = tc_types::Json::parse(&json).expect("writer output must parse");
-        assert_eq!(parsed.to_string(), json);
-        // Same contract for the per-run wire form the campaign service streams.
         for run in &report.runs {
             let line = run_to_json(&run.label, &run.report);
-            let parsed = tc_types::Json::parse(&line).expect("run line must parse");
+            let parsed = Json::parse(&line).expect("run line must parse");
             assert_eq!(parsed.to_string(), line);
             assert_eq!(
-                parsed.get("label").and_then(tc_types::Json::as_str),
+                parsed.get("label").and_then(Json::as_str),
                 Some(run.label.as_str())
             );
         }

@@ -321,8 +321,7 @@ snap_state!(RunProgress {
 /// form. The snapshot fingerprint hashes it and the service's result cache
 /// keys on it. `checkpoint_every` is excluded: checkpointing is
 /// observational, so a snapshot taken at one cadence restores under
-/// another (or under none), and a served result is the same with or
-/// without one. `shards` is included even though windowed runs never
+/// another (or under none). `shards` is included even though windowed runs never
 /// snapshot: a snapshot taken serially then restored under `shards > 0`
 /// must fail as a structured `Corrupt`, not resume on a different
 /// schedule.

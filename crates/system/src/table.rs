@@ -1,15 +1,14 @@
 //! The evaluation's tables, each declared once.
 //!
 //! A [`Table`] is a column list: a [`Column`] names its printed header,
-//! width, decimals and unit, its JSON member (when it has one), and the
-//! function that reads its value off a [`RunReport`]. [`Table::render`]
-//! prints the aligned text table and [`Table::json_rows`] writes the JSON
-//! rows from that one list, so a column added to a declaration below shows
-//! up in both and nowhere else has to hear of it. Both work on a slice of
-//! runs — a whole campaign or one section of it — and hand every column the
-//! slice's first run, which is what "normalized" is normalized against.
+//! width and decimals, and the function that reads its value off a
+//! [`RunReport`]. [`Table::render`] prints the aligned text table from that
+//! one list, so a column added to a declaration below shows up in the
+//! printed table and nowhere else has to hear of it. It works on a slice of
+//! runs — a whole campaign or one section of it — and hands every column
+//! the slice's first run, which is what "normalized" is normalized against.
 
-use tc_types::{Json, TrafficClass, Wire};
+use tc_types::TrafficClass;
 
 use crate::campaign::CampaignRun;
 use crate::report::RunReport;
@@ -17,7 +16,7 @@ use crate::report::RunReport;
 /// One cell of a table, before it is formatted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
-    /// A counter, printed and serialized exactly.
+    /// A counter, printed exactly.
     Count(u64),
     /// A measurement, rounded to the column's decimals.
     Real(f64),
@@ -37,15 +36,13 @@ pub struct Column {
     pub width: usize,
     /// Decimals of a printed measurement.
     pub decimals: usize,
-    /// The member name and decimals of this column in a JSON row; `None`
-    /// for a column that is only printed.
-    pub json: Option<(&'static str, usize)>,
     /// Reads the cell of `run`, a run of a slice whose first run is `first`.
     pub value: fn(run: &RunReport, first: &RunReport) -> Value,
 }
 
 impl Column {
-    /// A column that is only printed.
+    /// A column under `header`, `width` wide, printing measurements with
+    /// `decimals` decimals.
     pub const fn new(
         header: &'static str,
         width: usize,
@@ -56,15 +53,8 @@ impl Column {
             header,
             width,
             decimals,
-            json: None,
             value,
         }
-    }
-
-    /// This column, also written to JSON rows as `key` with `decimals`.
-    pub const fn json(mut self, key: &'static str, decimals: usize) -> Column {
-        self.json = Some((key, decimals));
-        self
     }
 
     fn cell(&self, value: Value) -> String {
@@ -80,14 +70,10 @@ impl Column {
 /// A table of the evaluation: a label column and a list of value columns.
 #[derive(Debug, Clone, Copy)]
 pub struct Table {
-    /// Header and width of the left-aligned label column (the run's label;
-    /// always the `label` member of a JSON row).
+    /// Header and width of the left-aligned label column (the run's label).
     pub label: (&'static str, usize),
     /// The value columns, in printed order.
     pub columns: &'static [Column],
-    /// Member order of a JSON row, as indices into `columns`, for the one
-    /// table whose wire order is not its printed order.
-    pub wire_order: Option<&'static [usize]>,
     /// Label of a closing row that holds every column's mean over the runs.
     pub mean_row: Option<&'static str>,
 }
@@ -128,30 +114,6 @@ impl Table {
         }
         out
     }
-
-    /// The JSON rows of `runs`: per run, `label` and every column that has a
-    /// JSON member.
-    pub fn json_rows(&self, runs: &[CampaignRun]) -> Json {
-        let printed: Vec<usize> = (0..self.columns.len()).collect();
-        let order = self.wire_order.unwrap_or(&printed);
-        let row = |run: &CampaignRun| {
-            let mut members = vec![("label", run.label.to_json())];
-            for column in order.iter().map(|&i| &self.columns[i]) {
-                if let Some((key, decimals)) = column.json {
-                    members.push((
-                        key,
-                        match (column.value)(&run.report, &runs[0].report) {
-                            Count(n) => n.to_json(),
-                            Real(x) | Pct(x) => Json::fixed(x, decimals),
-                            Word(word) => Json::Str(word.to_string()),
-                        },
-                    ));
-                }
-            }
-            Json::obj(members)
-        };
-        Json::Arr(runs.iter().map(row).collect())
-    }
 }
 
 const C2C_MISSES: Column = Column::new("c2c misses", 12, 1, |r, _| {
@@ -163,15 +125,12 @@ const C2C_MISSES: Column = Column::new("c2c misses", 12, 1, |r, _| {
 pub const RUNTIME: Table = Table {
     label: ("configuration", 38),
     columns: &[
-        Column::new("cycles/txn", 16, 0, |r, _| Real(r.cycles_per_transaction()))
-            .json("cycles_per_transaction", 2),
+        Column::new("cycles/txn", 16, 0, |r, _| Real(r.cycles_per_transaction())),
         Column::new("normalized", 12, 3, |r, first| {
             Real(r.cycles_per_transaction() / first.cycles_per_transaction())
-        })
-        .json("normalized", 4),
+        }),
         C2C_MISSES,
     ],
-    wire_order: None,
     mean_row: None,
 };
 
@@ -180,33 +139,27 @@ fn class_bytes(run: &RunReport, class: TrafficClass) -> Value {
 }
 
 /// Traffic in link-crossing bytes per miss by message class, the stacked
-/// bars of Figures 4b / 5b. A JSON row keeps [`TrafficClass::ALL`] order.
+/// bars of Figures 4b / 5b.
 pub const TRAFFIC: Table = Table {
     label: ("configuration", 24),
     columns: &[
         Column::new("data+wb", 12, 1, |r, _| {
             class_bytes(r, TrafficClass::DataResponseOrWriteback)
-        })
-        .json("data_or_writeback", 2),
+        }),
         Column::new("requests", 12, 1, |r, _| {
             class_bytes(r, TrafficClass::Request)
-        })
-        .json("requests", 2),
+        }),
         Column::new("fwd+inv", 12, 1, |r, _| {
             class_bytes(r, TrafficClass::ForwardedOrInvalidation)
-        })
-        .json("forwarded_or_invalidation", 2),
+        }),
         Column::new("other", 12, 1, |r, _| {
             class_bytes(r, TrafficClass::OtherControl)
-        })
-        .json("other_control", 2),
+        }),
         Column::new("reissue+per", 12, 1, |r, _| {
             class_bytes(r, TrafficClass::ReissueOrPersistent)
-        })
-        .json("reissue_or_persistent", 2),
-        Column::new("total", 12, 1, |r, _| Real(r.bytes_per_miss())).json("total", 2),
+        }),
+        Column::new("total", 12, 1, |r, _| Real(r.bytes_per_miss())),
     ],
-    wire_order: Some(&[0, 3, 2, 1, 4, 5]),
     mean_row: None,
 };
 
@@ -215,24 +168,20 @@ pub const TRAFFIC: Table = Table {
 pub const MISS_LATENCY: Table = Table {
     label: ("configuration", 38),
     columns: &[
-        Column::new("misses", 10, 0, |r, _| Count(r.misses.total_misses())).json("misses", 0),
+        Column::new("misses", 10, 0, |r, _| Count(r.misses.total_misses())),
         Column::new("avg lat (ns)", 14, 1, |r, _| {
             Real(r.misses.average_miss_latency())
-        })
-        .json("avg_latency_ns", 2),
-        Column::new("p50", 9, 0, |r, _| Count(r.miss_latency_p50)).json("p50_latency_ns", 0),
-        Column::new("p99", 9, 0, |r, _| Count(r.miss_latency_p99)).json("p99_latency_ns", 0),
-        Column::new("max", 9, 0, |r, _| Count(r.miss_latency_max)).json("max_latency_ns", 0),
-        Column::new("skew ppm", 10, 0, |r, _| Count(r.completion_skew_ppm))
-            .json("completion_skew_ppm", 0),
-        C2C_MISSES.json("cache_to_cache_pct", 2),
+        }),
+        Column::new("p50", 9, 0, |r, _| Count(r.miss_latency_p50)),
+        Column::new("p99", 9, 0, |r, _| Count(r.miss_latency_p99)),
+        Column::new("max", 9, 0, |r, _| Count(r.miss_latency_max)),
+        Column::new("skew ppm", 10, 0, |r, _| Count(r.completion_skew_ppm)),
+        C2C_MISSES,
         Column::new("reissued", 10, 2, |r, _| {
             let [_, once, more, persistent] = r.reissue.percentages();
             Pct(once + more + persistent)
-        })
-        .json("reissued_pct", 3),
+        }),
     ],
-    wire_order: None,
     mean_row: None,
 };
 
@@ -247,7 +196,6 @@ pub const REISSUE: Table = Table {
         Column::new("reissued > once", 15, 2, |r, _| Pct(r.table2_row()[2])),
         Column::new("persistent", 14, 2, |r, _| Pct(r.table2_row()[3])),
     ],
-    wire_order: None,
     mean_row: Some("Average"),
 };
 
@@ -280,7 +228,6 @@ pub const FAULT: Table = Table {
             })
         }),
     ],
-    wire_order: None,
     mean_row: None,
 };
 

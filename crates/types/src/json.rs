@@ -359,19 +359,6 @@ impl Wire for String {
     }
 }
 
-/// `None` is `null`.
-impl<T: Wire> Wire for Option<T> {
-    fn to_json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::to_json)
-    }
-    fn from_json(json: &Json, path: &str) -> Result<Self, WireError> {
-        match json {
-            Json::Null => Ok(None),
-            value => T::from_json(value, path).map(Some),
-        }
-    }
-}
-
 /// Declares a struct's text layout — an object with one member per field,
 /// named after the field, in the order given — and generates [`Wire`] for
 /// it. Every member is required on reading, once; a member the declaration
@@ -862,14 +849,6 @@ mod tests {
         assert_eq!(2.0f64.to_json().to_string(), "2.0");
         assert_eq!(bool::from_json(&true.to_json(), "b"), Ok(true));
         assert_eq!(String::from_json(&Json::Null, "s").unwrap_err().field, "s");
-        assert_eq!(Some(7u64).to_json().to_string(), "7");
-        assert_eq!(None::<u64>.to_json(), Json::Null);
-        assert_eq!(Option::<u64>::from_json(&Json::Null, "o"), Ok(None));
-        assert_eq!(
-            Option::<u64>::from_json(&Json::Num("7".into()), "o"),
-            Ok(Some(7))
-        );
-        assert!(Option::<u64>::from_json(&Json::Bool(true), "o").is_err());
     }
 
     #[test]

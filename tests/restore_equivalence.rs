@@ -346,8 +346,8 @@ fn pinned_benchmark_configuration_resumes_to_the_pinned_event_count() {
 }
 
 /// A cadence with no sink cuts nothing. `System::run` has nowhere to hand a
-/// snapshot, and `checkpoint_every` reaches it off the wire in a `tc-serve`
-/// submission, so it must cost the run nothing and change nothing. Sealing
+/// snapshot, so a `checkpoint_every` in its options must cost the run
+/// nothing and change nothing. Sealing
 /// one 0.8 MB snapshot per delivered event for no reader took this run 600
 /// times as long as the plain one (5.07 s against 8.4 ms); the bound is 100
 /// times, and no less than a second so that a loaded host cannot trip it.

@@ -2,13 +2,12 @@
 //! `restore_equivalence.rs`, for the bytes that cross the *text* boundary.
 //!
 //! One dump holds every text form the workspace emits: a submission (all of
-//! `SystemConfig`, every enum name, both spec strings, a nullable option and
-//! a label that needs every escape), the same submission after
-//! `parse -> to_json`, the NDJSON run lines the campaign service streams, and
-//! the campaign JSON (minus `wall_seconds`, the one member that is not a
-//! function of the simulation). A change to a `json_struct!` /
-//! `named_enum!` declaration, to the clause writer behind the two spec
-//! strings, or to `Json`'s serializer moves the pin; nothing else should.
+//! `SystemConfig`, every enum name, both spec strings and a label that needs
+//! every escape), the same submission after `parse -> to_json`, and the
+//! NDJSON run lines the campaign service streams. A change to a
+//! `json_struct!` / `named_enum!` declaration, to the clause writer behind
+//! the two spec strings, or to `Json`'s serializer moves the pin; nothing
+//! else should.
 
 use tc_serve::Submission;
 use token_coherence::prelude::*;
@@ -18,8 +17,10 @@ use token_coherence::system::run_to_json;
 use token_coherence::types::{AdversarySpec, FaultSpec, JobPriority};
 
 /// Length and `fnv1a64` of the dump. Only a change to a text layout moves
-/// them.
-const PINNED: (usize, u64) = (83_923, 0x13ae3c0fc41fe4e2);
+/// them. Last re-recorded when the campaign JSON document (the dump's last
+/// line) and the submission's `checkpoint_every` member left the wire: the
+/// rest of the dump is byte for byte what it was.
+const PINNED: (usize, u64) = (52_650, 0x7a96f09093a0284e);
 
 fn dump() -> String {
     let mut points = figure5a_points(&WorkloadProfile::oltp());
@@ -33,7 +34,6 @@ fn dump() -> String {
             max_cycles: 50_000_000,
             faults: FaultSpec::parse("delay=0.02@40,reorder=2,seed=3").unwrap(),
             adversary: AdversarySpec::parse("reorder=2,victim=1@7,delay=30").unwrap(),
-            checkpoint_every: Some(5000),
             ..RunOptions::default()
         },
         points,
@@ -44,24 +44,13 @@ fn dump() -> String {
     let mut out = format!("{text}\n{}\n", reparsed.to_json());
 
     let report = Campaign::new(reparsed.points)
-        .options(RunOptions {
-            checkpoint_every: None,
-            ..reparsed.options
-        })
+        .options(reparsed.options)
         .threads(1)
         .run();
     for run in &report.runs {
         out.push_str(&run_to_json(&run.label, &run.report));
         out.push('\n');
     }
-    let campaign = report.to_json();
-    let (head, tail) = campaign
-        .split_once("\"wall_seconds\":")
-        .expect("campaign JSON carries wall_seconds");
-    let (_, tail) = tail.split_once(',').expect("wall_seconds is not last");
-    out.push_str(head);
-    out.push_str(tail);
-    out.push('\n');
     out
 }
 
