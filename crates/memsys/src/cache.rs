@@ -22,13 +22,16 @@ pub struct CacheLine<S> {
 /// stable/transient state enum. The cache itself knows nothing about
 /// coherence; it only finds, inserts, and evicts lines.
 ///
-/// Storage is proportional to the sets that have ever been filled, not to
-/// the configured capacity: a set is appended to the line arrays by the
-/// first fill that lands in it, and its rank there is kept in a two-level
-/// index whose second level is appended the same way, so building a cache
-/// writes only the group table (one `u32` per 16 sets). A line's
-/// *slot* — what hints remember and snapshots record — is
-/// `set * ways + way`, whatever order the sets were filled in.
+/// Storage is proportional to the lines a node has held, not to the
+/// configured capacity. A set's first fill gives it a *run* of one way in
+/// the line arrays; only when a second line must go in does the set move to
+/// a run of all its ways, its line keeping its way index, and the one-way
+/// run it leaves goes on a free list for the next first fill. Where each
+/// set's run lies is kept in a two-level index whose second level is
+/// appended the same way, so building a cache writes only the group table
+/// (one `u32` per 16 sets). A line's *slot* — what hints remember and
+/// snapshots record — is `set * ways + way`, whatever order the sets were
+/// filled or promoted in.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<S> {
     /// `num_sets - 1` when the set count is a power of two (the common case:
@@ -43,11 +46,15 @@ pub struct SetAssocCache<S> {
     /// The only capacity-sized allocation (4 KiB for a Table 1 L2), zeroed
     /// rather than written.
     groups: Vec<u32>,
-    /// Rank pages, appended on their group's first fill. Entry `set %
-    /// GROUP` is 0 while that set has never been filled, else 1 + its rank
-    /// in the line arrays below (its ways start at `rank * ways`).
+    /// Run pages, appended on their group's first fill. Entry `set %
+    /// GROUP` is 0 while that set has never been filled, else its run
+    /// packed by [`SetAssocCache::place`].
     pages: Vec<[u32; GROUP]>,
-    /// Block tags, `ways` consecutive entries per filled set,
+    /// One-way runs left behind when their set was promoted to all its ways, each
+    /// empty and waiting for the next set's first fill (by index into the
+    /// line arrays).
+    spare: Vec<u32>,
+    /// Block tags, one run of consecutive entries per filled set,
     /// struct-of-arrays against `states`/`last_use`: a set probe scans one
     /// contiguous run of bare `u64`s (a whole 4-way set fits in a single
     /// host cache line) and touches the bulkier state arrays only on a hit.
@@ -68,10 +75,19 @@ pub struct SetAssocCache<S> {
 /// size; [`SetAssocCache::insert`] debug-asserts against it.
 const EMPTY_TAG: u64 = u64::MAX;
 
-/// Sets per entry of a [`SetAssocCache`]'s group table, and entries per rank
+/// Sets per entry of a [`SetAssocCache`]'s group table, and entries per run
 /// page. A probe of a set whose group was never filled reads the group table
 /// only; a full cache's index is `1 + 1 / GROUP` times one `u32` per set.
 const GROUP: usize = 16;
+
+/// Where one filled set's ways are in the line arrays: way `w` at `base +
+/// w`, for `w < width`. `width` is 1 until the set holds a second line,
+/// then the cache's `ways`; a way past the run has never been filled.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    base: usize,
+    width: usize,
+}
 
 /// Outcome of [`SetAssocCache::probe_for_fill`]; each carries an index into
 /// the line arrays.
@@ -111,6 +127,7 @@ impl<S> SetAssocCache<S> {
             ways,
             groups: vec![0; num_sets.div_ceil(GROUP)],
             pages: Vec::new(),
+            spare: Vec::new(),
             tags: Vec::new(),
             states: Vec::new(),
             last_use: Vec::new(),
@@ -119,53 +136,112 @@ impl<S> SetAssocCache<S> {
         }
     }
 
-    /// Index of `set`'s first way in the line arrays, or `None` while
-    /// nothing has ever been filled into it (every way is free, no block is
-    /// resident) — the answer a probe of an unfilled set stops at.
+    /// `set`'s run, or `None` while nothing has ever been filled into it
+    /// (every way is free, no block is resident) — the answer a probe of an
+    /// unfilled set stops at.
     #[inline]
-    fn base_of(&self, set: usize) -> Option<usize> {
+    fn run_of(&self, set: usize) -> Option<Run> {
         match self.groups[set / GROUP] {
             0 => None,
-            page => match self.pages[page as usize - 1][set % GROUP] {
-                0 => None,
-                rank => Some((rank as usize - 1) * self.ways),
-            },
+            page => self.unpack(self.pages[page as usize - 1][set % GROUP]),
         }
     }
 
-    /// [`SetAssocCache::base_of`] for an operation about to fill `set`:
-    /// appends the set, every way empty, if this is its first fill (and its
-    /// group's rank page, if this is the group's first fill).
-    fn base_for_fill(&mut self, set: usize) -> usize {
-        if let Some(base) = self.base_of(set) {
-            return base;
-        }
+    /// The run a run-page entry packs (see [`SetAssocCache::place`]).
+    #[inline]
+    fn unpack(&self, entry: u32) -> Option<Run> {
+        let packed = (entry as usize).checked_sub(1)?;
+        Some(Run {
+            base: packed >> 1,
+            width: if packed & 1 == 1 { self.ways } else { 1 },
+        })
+    }
+
+    /// Records `run` as `set`'s, appending the group's run page if this is
+    /// the group's first fill. The entry is 1 + the run's base shifted left
+    /// one, with the low bit set when the run spans every way; 0 is no run.
+    fn place(&mut self, set: usize, run: Run) {
+        let wide = usize::from(run.width == self.ways);
+        let entry =
+            u32::try_from(1 + (run.base << 1 | wide)).expect("a cache has fewer than 2^31 ways");
         let group = &mut self.groups[set / GROUP];
         if *group == 0 {
             self.pages.push([0; GROUP]);
             *group = self.pages.len() as u32;
         }
+        self.pages[*group as usize - 1][set % GROUP] = entry;
+    }
+
+    /// Appends `n` empty ways to the line arrays and returns the first.
+    fn append_ways(&mut self, n: usize) -> usize {
         let base = self.tags.len();
-        self.pages[*group as usize - 1][set % GROUP] =
-            u32::try_from(base / self.ways + 1).expect("a cache has fewer than 2^32 sets");
-        self.tags.resize(base + self.ways, EMPTY_TAG);
-        self.states.resize_with(base + self.ways, || None);
-        self.last_use.resize(base + self.ways, 0);
+        self.tags.resize(base + n, EMPTY_TAG);
+        self.states.resize_with(base + n, || None);
+        self.last_use.resize(base + n, 0);
         base
     }
 
-    /// Where a fill of `tag` would land in the filled set starting at
-    /// `base`: the resident way if the block is already cached, otherwise
-    /// the first free way, otherwise the LRU way. One probe discipline shared
-    /// by every filling operation ([`SetAssocCache::insert`],
-    /// [`SetAssocCache::touch`], [`SetAssocCache::victim_for`]) so eviction
-    /// order can never silently diverge between them — `events_delivered`
-    /// determinism rides on it.
+    /// [`SetAssocCache::run_of`] for an operation about to fill `set`: on
+    /// its first fill, gives it a one-way run, from the free list if one
+    /// waits there.
+    fn run_for_fill(&mut self, set: usize) -> Run {
+        if let Some(run) = self.run_of(set) {
+            return run;
+        }
+        let base = match self.spare.pop() {
+            Some(base) => base as usize,
+            None => self.append_ways(1),
+        };
+        let run = Run { base, width: 1 };
+        self.place(set, run);
+        run
+    }
+
+    /// Moves `set` from its one-way run at `from` to a run of every way,
+    /// its way 0 keeping its index, and puts the emptied run on the free
+    /// list. Returns the new run.
+    fn promote(&mut self, set: usize, from: usize) -> Run {
+        let base = self.append_ways(self.ways);
+        self.tags.swap(from, base);
+        self.states.swap(from, base);
+        self.last_use.swap(from, base);
+        // `place` checked that the run's base fits.
+        self.spare.push(from as u32);
+        let run = Run {
+            base,
+            width: self.ways,
+        };
+        self.place(set, run);
+        run
+    }
+
+    /// Where a fill of `addr` lands: [`SetAssocCache::probe_for_fill`] over
+    /// its set's run, promoting the run first when the set's one way is taken
+    /// — a fill that then lands in way 1, the first free way of the flat
+    /// set the cache stands for.
+    fn slot_for_fill(&mut self, addr: BlockAddr) -> FillSlot {
+        let set = self.set_index(addr);
+        let run = self.run_for_fill(set);
+        match self.probe_for_fill(run, addr.value()) {
+            FillSlot::Evict(_) if run.width < self.ways => {
+                FillSlot::Free(self.promote(set, run.base).base + 1)
+            }
+            slot => slot,
+        }
+    }
+
+    /// Where a fill of `tag` would land in `run`: the resident way if the
+    /// block is already cached, otherwise the first free way, otherwise the
+    /// LRU way (which [`SetAssocCache::slot_for_fill`] overrules in a
+    /// one-way run). One probe discipline shared by every filling operation
+    /// ([`SetAssocCache::insert`], [`SetAssocCache::touch`],
+    /// [`SetAssocCache::victim_for`]) so eviction order can never silently
+    /// diverge between them — `events_delivered` determinism rides on it.
     #[inline]
-    fn probe_for_fill(&self, base: usize, tag: u64) -> FillSlot {
+    fn probe_for_fill(&self, run: Run, tag: u64) -> FillSlot {
         let mut free: Option<usize> = None;
         let mut lru: Option<usize> = None;
-        for i in base..base + self.ways {
+        for i in run.base..run.base + run.width {
             let t = self.tags[i];
             if t == tag {
                 return FillSlot::Resident(i);
@@ -191,12 +267,12 @@ impl<S> SetAssocCache<S> {
     #[inline]
     fn find(&self, addr: BlockAddr) -> Option<(usize, usize)> {
         let set = self.set_index(addr);
-        let base = self.base_of(set)?;
+        let run = self.run_of(set)?;
         let tag = addr.value();
-        self.tags[base..base + self.ways]
+        self.tags[run.base..run.base + run.width]
             .iter()
             .position(|&t| t == tag)
-            .map(|way| (set * self.ways + way, base + way))
+            .map(|way| (set * self.ways + way, run.base + way))
     }
 
     #[inline]
@@ -210,18 +286,20 @@ impl<S> SetAssocCache<S> {
 
     /// `(slot, index into the line arrays)` of every resident line, in slot
     /// order — the order [`SetAssocCache::iter`] and
-    /// [`SetAssocCache::save_state`] promise. Reads the rank pages of filled
+    /// [`SetAssocCache::save_state`] promise. Reads the run pages of filled
     /// groups only.
     fn resident(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let ways = self.ways;
         (self.groups.iter().enumerate())
             .filter(|&(_, &page)| page != 0)
             .flat_map(move |(group, &page)| {
-                (self.pages[page as usize - 1].iter().enumerate())
-                    .filter(|&(_, &rank)| rank != 0)
-                    .map(move |(i, &rank)| ((group * GROUP + i) * ways, (rank as usize - 1) * ways))
+                (self.pages[page as usize - 1].iter().enumerate()).filter_map(move |(i, &entry)| {
+                    Some(((group * GROUP + i) * ways, self.unpack(entry)?))
+                })
             })
-            .flat_map(move |(first_slot, base)| (0..ways).map(move |w| (first_slot + w, base + w)))
+            .flat_map(move |(first_slot, run)| {
+                (0..run.width).map(move |w| (first_slot + w, run.base + w))
+            })
             .filter(|&(_, i)| self.tags[i] != EMPTY_TAG)
     }
 
@@ -230,7 +308,14 @@ impl<S> SetAssocCache<S> {
         self.num_sets * self.ways
     }
 
-    /// Bytes of the set index: the group table plus the rank pages filled
+    /// Ways in the line arrays: every filled set's run, plus the one-way
+    /// runs on the free list. What the lines cost is this many tags, states
+    /// and LRU stamps.
+    pub fn line_slots(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Bytes of the set index: the group table plus the run pages filled
     /// so far (spare `Vec` capacity, never written, is not counted). What
     /// the cache costs beside its lines; no line-state figure includes it.
     pub fn index_bytes(&self) -> usize {
@@ -263,7 +348,7 @@ impl<S> SetAssocCache<S> {
     /// Validates a remembered slot hint: returns where the line is (for
     /// [`SetAssocCache::get_at`]) if slot `hint` still holds `addr`'s line.
     /// A tag can only ever live in its own set, so the hint is valid exactly
-    /// when it names a way of that set and the way's tag matches.
+    /// when it names a way of that set's run and the way's tag matches.
     #[inline]
     pub fn hinted_slot(&self, hint: u32, addr: BlockAddr) -> Option<usize> {
         let set = self.set_index(addr);
@@ -271,8 +356,9 @@ impl<S> SetAssocCache<S> {
         if way >= self.ways {
             return None;
         }
-        let i = self.base_of(set)? + way;
-        (self.tags[i] == addr.value()).then_some(i)
+        let run = self.run_of(set)?;
+        let i = run.base + way;
+        (way < run.width && self.tags[i] == addr.value()).then_some(i)
     }
 
     /// Accesses a resident line directly where [`SetAssocCache::hinted_slot`]
@@ -324,8 +410,7 @@ impl<S> SetAssocCache<S> {
         );
         self.use_counter += 1;
         let counter = self.use_counter;
-        let base = self.base_for_fill(self.set_index(addr));
-        let (i, victim) = match self.probe_for_fill(base, addr.value()) {
+        let (i, victim) = match self.slot_for_fill(addr) {
             FillSlot::Resident(i) => {
                 self.states[i] = Some(state);
                 self.last_use[i] = counter;
@@ -371,8 +456,7 @@ impl<S> SetAssocCache<S> {
     {
         self.use_counter += 1;
         let counter = self.use_counter;
-        let base = self.base_for_fill(self.set_index(addr));
-        let (hit, i) = match self.probe_for_fill(base, addr.value()) {
+        let (hit, i) = match self.slot_for_fill(addr) {
             FillSlot::Resident(i) => {
                 self.last_use[i] = counter;
                 (true, i)
@@ -403,15 +487,16 @@ impl<S> SetAssocCache<S> {
     }
 
     /// Chooses the line that would be evicted if `addr` were inserted now,
-    /// without inserting. Returns `None` if there is a free way.
+    /// without inserting. Returns `None` if there is a free way (always, in
+    /// a set that has never held two lines at once).
     pub fn victim_for(&self, addr: BlockAddr) -> Option<(BlockAddr, &S)> {
-        let base = self.base_of(self.set_index(addr))?;
-        match self.probe_for_fill(base, addr.value()) {
-            FillSlot::Resident(_) | FillSlot::Free(_) => None,
-            FillSlot::Evict(i) => Some((
+        let run = self.run_of(self.set_index(addr))?;
+        match self.probe_for_fill(run, addr.value()) {
+            FillSlot::Evict(i) if run.width == self.ways => Some((
                 BlockAddr::new(self.tags[i]),
                 self.states[i].as_ref().expect("occupied tag has state"),
             )),
+            _ => None,
         }
     }
 
@@ -434,7 +519,8 @@ impl<S> SetAssocCache<S> {
 /// The LRU clock and resident lines (slot, tag, LRU stamp, state);
 /// geometry is config-derived. The load checks the population against the
 /// capacity and each slot against its bounds, the empty-way tag and the
-/// slots already filled.
+/// slots already filled. A line past way 0 promotes its set's run, as a
+/// second line would.
 impl<S: Snap> SnapState for SetAssocCache<S> {
     fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.len);
@@ -453,6 +539,7 @@ impl<S: Snap> SnapState for SetAssocCache<S> {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.groups.fill(0);
         self.pages.clear();
+        self.spare.clear();
         self.tags.clear();
         self.states.clear();
         self.last_use.clear();
@@ -467,7 +554,12 @@ impl<S: Snap> SnapState for SetAssocCache<S> {
             if slot >= self.capacity() || tag == EMPTY_TAG {
                 return Err(SnapshotError::Corrupt("cache slot".into()));
             }
-            let i = self.base_for_fill(slot / self.ways) + slot % self.ways;
+            let (set, way) = (slot / self.ways, slot % self.ways);
+            let mut run = self.run_for_fill(set);
+            if way >= run.width {
+                run = self.promote(set, run.base);
+            }
+            let i = run.base + way;
             if self.tags[i] != EMPTY_TAG {
                 return Err(SnapshotError::Corrupt("cache slot".into()));
             }

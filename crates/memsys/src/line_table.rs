@@ -137,10 +137,12 @@ impl<V> LineTable<V> {
         (key.wrapping_mul(PHI) >> shift) as usize
     }
 
-    /// Finds the slot holding `key`, if present.
+    /// Finds the slot holding `key`, if present. An empty table answers
+    /// without probing: TokenB's persistent table is asked on every
+    /// transient request and token receipt, and is empty almost always.
     #[inline]
     fn find(&self, key: u64) -> Option<usize> {
-        if self.keys.is_empty() {
+        if self.len == 0 {
             return None;
         }
         let mask = self.mask();

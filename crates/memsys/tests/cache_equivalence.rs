@@ -1,6 +1,6 @@
-//! Property test: `SetAssocCache`, whose line arrays hold only the sets that
-//! have been filled, must be observationally identical to a cache that
-//! allocates and initialises every way when it is built.
+//! Property test: `SetAssocCache`, whose line arrays hold one way per set
+//! until the set needs a second, must be observationally identical to a
+//! cache that allocates and initialises every way when it is built.
 //!
 //! The reference below is that eager flat cache, kept as the test's oracle:
 //! `num_sets * ways` tags, states and LRU stamps written at construction, a
@@ -13,7 +13,8 @@
 //! bytes, must match exactly. A
 //! second test holds a cache restored from its own snapshot to the same
 //! standard against the original: restoring fills sets in slot order, a run
-//! fills them in touch order, and nothing outside the cache may see that.
+//! fills them in touch order, and nothing outside the cache may see that. A
+//! third walks one scripted stream through every move of a set's run.
 //! Cases come from a [`DeterministicRng`] rather than proptest (unavailable
 //! in the offline build environment), so every run covers the same cases.
 
@@ -545,4 +546,109 @@ fn a_restored_cache_tracks_the_original() {
         }
         compare(&original, &restored, &format!("{sets}x{ways}, end"));
     }
+}
+
+/// Applies `ops` to both subjects, requiring equal answers, then compares
+/// them whole; returns the answers.
+fn script(a: &mut impl Subject, b: &mut impl Subject, ops: &[Op], what: &str) -> Vec<String> {
+    let answers = (ops.iter())
+        .map(|&op| {
+            let answer = a.apply(op);
+            assert_eq!(answer, b.apply(op), "{what}: {op:?}");
+            answer
+        })
+        .collect();
+    compare(a, b, what);
+    answers
+}
+
+/// A scripted stream through every move of a set's run, against the flat
+/// oracle: one-way sets are promoted to all their ways, the run a promoted
+/// set leaves is taken by the next set's first fill, way 0 of a promoted
+/// set is emptied and refilled, `victim_for` on a one-way set answers
+/// `None`, and a snapshot holding a set's only line at way 1 restores by
+/// promoting that set.
+#[test]
+fn one_way_runs_promote_refill_and_restore_like_flat_sets() {
+    const SETS: usize = 8;
+    const WAYS: usize = 4;
+    let block = |set: u64, k: u64| BlockAddr::new(set + SETS as u64 * k);
+    let mut new = lazy(SETS, WAYS);
+    let mut old = Flat {
+        l1: FlatCache::with_geometry(L1.num_sets(BLOCK_BYTES), L1.associativity),
+        l2: FlatCache::with_geometry(SETS, WAYS),
+    };
+
+    let answers = script(
+        &mut new,
+        &mut old,
+        &[
+            Op::Insert(block(0, 0), 1),
+            Op::Insert(block(1, 0), 2),
+            Op::VictimFor(block(0, 1)),
+        ],
+        "one-way sets",
+    );
+    assert_eq!(answers[2], "None", "a one-way set has a free way");
+    assert_eq!(new.l2.line_slots(), 2);
+
+    let answers = script(
+        &mut new,
+        &mut old,
+        &[
+            Op::Insert(block(0, 1), 3),
+            Op::Insert(block(0, 2), 4),
+            Op::Insert(block(0, 3), 5),
+            Op::VictimFor(block(0, 4)),
+        ],
+        "set 0 promoted and full",
+    );
+    assert_eq!(answers[3], "Some((BlockAddr(0), 1))");
+    assert_eq!(
+        new.l2.line_slots(),
+        2 + WAYS,
+        "one run of every way, one spare"
+    );
+
+    let answers = script(
+        &mut new,
+        &mut old,
+        &[
+            Op::Remove(block(0, 0)),
+            Op::Insert(block(0, 4), 6),
+            Op::GetWithSlot(block(0, 4)),
+            Op::Insert(block(2, 0), 7),
+        ],
+        "way 0 refilled, the spare run reused",
+    );
+    assert_eq!(answers[2], "Some((0, 6))", "the refill takes way 0");
+    assert_eq!(new.l2.line_slots(), 2 + WAYS, "set 2 took the spare run");
+
+    script(
+        &mut new,
+        &mut old,
+        &[Op::Insert(block(1, 1), 8), Op::Remove(block(1, 0))],
+        "set 1's only line at way 1",
+    );
+    let bytes = new.snapshot();
+    let mut restored = lazy(SETS, WAYS);
+    let mut r = SnapReader::new(&bytes);
+    restored.l1.load_state(&mut r).expect("own L1 bytes");
+    restored.l2.load_state(&mut r).expect("own L2 bytes");
+    r.finish().expect("nothing left over");
+    compare(&restored, &old, "restored");
+    assert_eq!(
+        restored.l2.line_slots(),
+        1 + 2 * WAYS,
+        "the load promoted sets 0 and 1 and gave set 2 the spare run"
+    );
+    let after = [
+        Op::Insert(block(1, 2), 9),
+        Op::GetWithSlot(block(1, 2)),
+        Op::GetWithSlot(block(1, 1)),
+        Op::VictimFor(block(1, 3)),
+    ];
+    let answers = script(&mut restored, &mut old, &after, "after restore");
+    assert_eq!(answers[1], "Some((4, 9))", "set 1's way 0 is free again");
+    assert_eq!(answers[2], "Some((5, 8))", "set 1's line kept way 1");
 }

@@ -187,17 +187,39 @@ impl<T> Default for FifoPool<T> {
 /// of the pool and refuses a list the `u32` index space cannot hold.
 impl<T: Snap> SnapWith<FifoPool<T>> for Fifo {
     fn save_with(&self, w: &mut SnapWriter, pool: &FifoPool<T>) {
-        w.seq(pool.iter(self), |w, value| value.save(w));
+        self.save_each(w, pool, |w, value| value.save(w));
     }
 
     fn load_with(r: &mut SnapReader<'_>, pool: &mut FifoPool<T>) -> Result<Fifo, SnapshotError> {
+        Fifo::load_each(r, pool, T::load)
+    }
+}
+
+impl Fifo {
+    /// [`SnapWith::save_with`] with each value written by `save`, for
+    /// values whose bytes go through a context of their own.
+    pub fn save_each<T>(
+        &self,
+        w: &mut SnapWriter,
+        pool: &FifoPool<T>,
+        mut save: impl FnMut(&mut SnapWriter, &T),
+    ) {
+        w.seq(pool.iter(self), |w, value| save(w, value));
+    }
+
+    /// [`SnapWith::load_with`] with each value read by `load`.
+    pub fn load_each<T>(
+        r: &mut SnapReader<'_>,
+        pool: &mut FifoPool<T>,
+        mut load: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<Fifo, SnapshotError> {
         let len = r.bounded_len(1)?;
         if pool.nodes.len().saturating_add(len) >= NIL as usize {
             return Err(SnapshotError::Corrupt(format!("list of {len} values")));
         }
         let mut list = Fifo::new();
         for _ in 0..len {
-            pool.push(&mut list, T::load(r)?);
+            pool.push(&mut list, load(r)?);
         }
         Ok(list)
     }

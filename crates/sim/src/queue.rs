@@ -57,7 +57,7 @@
 use std::collections::BTreeMap;
 
 use crate::fifo::{Fifo, FifoPool};
-use crate::snapshot::{Snap, SnapReader, SnapWith, SnapWriter, SnapshotError};
+use crate::snapshot::{SnapReader, SnapWith, SnapWriter, SnapshotError};
 use crate::Cycle;
 
 /// Length of the calendar window in cycles (must be a power of two).
@@ -313,11 +313,16 @@ impl<E> EventQueue<E> {
 
 /// The queue exactly: clock, counters, then one `(cycle, events)` entry per
 /// pending cycle in time order, each list head first (see the module
-/// documentation, "The wire"). The load refuses a cycle before the clock or
-/// not after the one before it, an empty list, and a depth high-water mark
-/// below the pending events.
-impl<E: Snap> Snap for EventQueue<E> {
-    fn save(&self, w: &mut SnapWriter) {
+/// documentation, "The wire"). Each event is written through `ctx`, its
+/// [`SnapWith`] context: the `queue in ctx` field of a `snap_state!`. The
+/// load refuses a cycle before the clock or not after the one before it, an
+/// empty list, and a depth high-water mark below the pending events.
+impl<E> EventQueue<E> {
+    /// Appends the queue's bytes to `w`, each event through `ctx`.
+    pub fn save_state<C>(&self, w: &mut SnapWriter, ctx: &C)
+    where
+        E: SnapWith<C>,
+    {
         w.u64(self.now);
         w.u64(self.delivered);
         w.usize(self.max_depth);
@@ -325,11 +330,22 @@ impl<E: Snap> Snap for EventQueue<E> {
         let pending: Vec<_> = self.ring().chain(overflow).collect();
         w.seq(pending.into_iter(), |w, (time, fifo)| {
             w.u64(time);
-            fifo.save_with(w, &self.pool);
+            fifo.save_each(w, &self.pool, |w, event| event.save_with(w, ctx));
         });
     }
 
-    fn load(r: &mut SnapReader<'_>) -> Result<EventQueue<E>, SnapshotError> {
+    /// Replaces the queue with [`EventQueue::save_state`] bytes. `ctx`
+    /// holds exactly what this queue's events keep there, so it is emptied
+    /// and every event's part minted afresh.
+    pub fn load_state<C: Default>(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        ctx: &mut C,
+    ) -> Result<(), SnapshotError>
+    where
+        E: SnapWith<C>,
+    {
+        *ctx = C::default();
         let mut q = EventQueue::new();
         q.now = r.u64()?;
         q.delivered = r.u64()?;
@@ -344,7 +360,11 @@ impl<E: Snap> Snap for EventQueue<E> {
                 )));
             }
             last = Some(time);
-            let fifo = load_cycle(r, &mut q.pool)?;
+            let fifo = Fifo::load_each(r, &mut q.pool, |r| E::load_with(r, ctx))?;
+            // No cycle is saved without an event.
+            if fifo.is_empty() {
+                return Err(SnapshotError::Corrupt("queue cycle of 0 events".into()));
+            }
             if in_window(q.now, time) {
                 q.place_bucket(time, fifo);
             } else {
@@ -356,21 +376,9 @@ impl<E: Snap> Snap for EventQueue<E> {
         if q.max_depth < q.len {
             return Err(SnapshotError::Corrupt("queue depth accounting".into()));
         }
-        Ok(q)
+        *self = q;
+        Ok(())
     }
-}
-
-/// One pending cycle's list, read into `pool`. No cycle is saved without
-/// an event, so an empty list is corrupt.
-fn load_cycle<E: Snap>(
-    r: &mut SnapReader<'_>,
-    pool: &mut FifoPool<E>,
-) -> Result<Fifo, SnapshotError> {
-    let fifo = Fifo::load_with(r, pool)?;
-    if fifo.is_empty() {
-        return Err(SnapshotError::Corrupt("queue cycle of 0 events".into()));
-    }
-    Ok(fifo)
 }
 
 impl<E> Default for EventQueue<E> {
@@ -678,8 +686,17 @@ mod tests {
     /// The queue's wire bytes.
     fn saved(q: &EventQueue<u64>) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        q.save(&mut w);
+        q.save_state(&mut w, &());
         w.into_bytes()
+    }
+
+    /// A queue of `u64`s loaded from `bytes`, all of them.
+    fn loaded(bytes: &[u8]) -> Result<EventQueue<u64>, SnapshotError> {
+        let mut r = SnapReader::new(bytes);
+        let mut q = EventQueue::new();
+        q.load_state(&mut r, &mut ())?;
+        r.finish()?;
+        Ok(q)
     }
 
     /// Saves `q`, loads the bytes back (all of them), and checks the
@@ -687,9 +704,7 @@ mod tests {
     /// bytes.
     fn round_trip(q: &EventQueue<u64>) -> EventQueue<u64> {
         let bytes = saved(q);
-        let mut r = SnapReader::new(&bytes);
-        let restored = EventQueue::load(&mut r).expect("a saved queue loads");
-        r.finish().unwrap();
+        let restored = loaded(&bytes).expect("a saved queue loads");
         let view = |q: &EventQueue<u64>| {
             let counters = (q.total_scheduled(), q.total_delivered(), q.max_depth());
             (q.now(), q.len(), q.overflow_len(), counters)
@@ -840,7 +855,7 @@ mod tests {
     #[test]
     fn a_hand_built_queue_that_keeps_the_invariants_loads() {
         let bytes = queue_bytes(100, 5, &[(105, 2), (100 + 20_000, 1)]);
-        let mut q = EventQueue::<u64>::load(&mut SnapReader::new(&bytes)).unwrap();
+        let mut q = loaded(&bytes).unwrap();
         assert_eq!(q.overflow_len(), 1);
         assert_eq!(q.total_scheduled(), 8);
         assert_eq!(q.pop(), Some((105, 0)));
@@ -861,7 +876,7 @@ mod tests {
             ("empty", &[(105, 0)]),
         ] {
             let bytes = queue_bytes(100, 0, cycles);
-            match EventQueue::<u64>::load(&mut SnapReader::new(&bytes)) {
+            match loaded(&bytes) {
                 Err(SnapshotError::Corrupt(why)) => {
                     assert!(why.starts_with("queue cycle"), "{what}: {why}")
                 }

@@ -686,9 +686,10 @@ impl<T: SnapState> SnapEach for Option<T> {
 /// wire order — and generates [`SnapState`] for it. A field is `a.b` (any
 /// [`SnapState`]: a value is replaced, a nested skeleton restored in place),
 /// `[a.b]` (a [`SnapEach`]: as many skeletons as the configuration built),
-/// or `a in b` (a table whose entries decode through its sibling `b`, by
-/// `a.save_state(w, &b)` / `a.load_state(r, &mut b)`: an MSHR table and the
-/// op pool its pending lists live in). `snap_state!(fn { .. })` is just the
+/// or `a in b.c` (a table whose entries decode through another field, by
+/// `a.save_state(w, &b.c)` / `a.load_state(r, &mut b.c)`: an MSHR table and
+/// the op pool its pending lists live in, an event queue and the arena its
+/// timers are parked in). `snap_state!(fn { .. })` is just the
 /// two methods, for an impl of a trait with the same ones (a controller's).
 ///
 /// ```
@@ -725,10 +726,10 @@ macro_rules! snap_state {
             $($($rest)*)?);
     };
     (@ $s:tt $w:tt $r:tt [$($save:tt)*] [$($load:tt)*]
-        $($p:ident).+ in $ctx:ident $(, $($rest:tt)*)?) => {
+        $($p:ident).+ in $($c:ident).+ $(, $($rest:tt)*)?) => {
         $crate::snap_state!(@ $s $w $r
-            [$($save)* $s.$($p).+.save_state($w, &$s.$ctx);]
-            [$($load)* $s.$($p).+.load_state($r, &mut $s.$ctx)?;]
+            [$($save)* $s.$($p).+.save_state($w, &$s.$($c).+);]
+            [$($load)* $s.$($p).+.load_state($r, &mut $s.$($c).+)?;]
             $($($rest)*)?);
     };
     (@ $s:tt $w:tt $r:tt [$($save:tt)*] [$($load:tt)*]

@@ -3,7 +3,8 @@
 //!
 //! A [`StepCore`] owns a contiguous node range `[lo, hi)` — controllers,
 //! processors (each with its own outstanding misses and completion count),
-//! latency samples — and the arena its in-flight messages are parked in.
+//! latency samples — and the arenas its in-flight messages and armed timers
+//! are parked in.
 //! The serial engine runs one core over every node; the windowed engine
 //! runs one per shard. The engines differ in exactly two decisions, which the core takes
 //! as a statically dispatched [`Scheduler`]: where a scheduled event goes,
@@ -11,7 +12,7 @@
 //! is the third difference, and it stays with the caller: [`StepCore::step`]
 //! hands the message's handle back.
 
-use tc_sim::{snap_enum, Arena, ArenaRef};
+use tc_sim::{Arena, ArenaRef, Snap, SnapReader, SnapWith, SnapWriter, SnapshotError};
 use tc_types::{
     AccessOutcome, BlockAddr, CoherenceController, Cycle, FastHashMap, Message, MissKind, MsgKind,
     NodeId, Outbox, Timer,
@@ -27,13 +28,14 @@ pub(crate) type MsgRef = ArenaRef;
 
 /// Events driving the system.
 ///
-/// Deliberately small plain-old-data: the queues move entries on every
-/// push/pop/migration, so the (large) `Message` payloads live in the core's
-/// [`Arena`] and events carry only a [`MsgRef`]. A message's slot is
+/// Deliberately small plain-old-data (12 bytes): the queues move entries on
+/// every push/pop/migration, so the (large) `Message` payloads live in the
+/// core's [`Arena`] and events carry only a [`MsgRef`]. A message's slot is
 /// occupied from the moment its `Send` is scheduled until its last `Deliver`
 /// is handled; a fan-out (multicast/broadcast) parks one shared slot for all
 /// of its deliveries — controllers receive `&Message`, so nothing is ever
-/// cloned on the delivery path.
+/// cloned on the delivery path. A 24-byte [`Timer`] is parked the same way,
+/// in an arena of its own, from its scheduling to its firing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Event {
     /// A processor is ready to issue its next operation.
@@ -43,15 +45,55 @@ pub(crate) enum Event {
     /// The interconnect delivers a message to a node.
     Deliver { node: NodeId, msg: MsgRef },
     /// A controller timer fires.
-    Timer { node: NodeId, timer: Timer },
+    Timer { node: NodeId, timer: ArenaRef },
 }
 
-snap_enum!(Event, "system event" {
-    0 => Wakeup(node),
-    1 => Send(msg),
-    2 => Deliver { node, msg },
-    3 => Timer { node, timer },
-});
+// Every queue node is an event beside a `u32` link: 16 bytes.
+const _: () = assert!(std::mem::size_of::<Event>() == 12);
+
+/// One tag byte, then the variant's fields; a timer is written out of, and
+/// re-parked into, the arena it waits in, so the bytes are the timer's own
+/// (node, id, addr, kind) wherever it was parked.
+impl SnapWith<Arena<Timer>> for Event {
+    fn save_with(&self, w: &mut SnapWriter, timers: &Arena<Timer>) {
+        match *self {
+            Event::Wakeup(node) => {
+                w.u8(0);
+                node.save(w);
+            }
+            Event::Send(msg) => {
+                w.u8(1);
+                msg.save(w);
+            }
+            Event::Deliver { node, msg } => {
+                w.u8(2);
+                node.save(w);
+                msg.save(w);
+            }
+            Event::Timer { node, timer } => {
+                w.u8(3);
+                node.save(w);
+                timers.get(timer).save(w);
+            }
+        }
+    }
+
+    fn load_with(r: &mut SnapReader<'_>, timers: &mut Arena<Timer>) -> Result<Self, SnapshotError> {
+        Ok(match r.u8()? {
+            0 => Event::Wakeup(NodeId::load(r)?),
+            1 => Event::Send(MsgRef::load(r)?),
+            2 => Event::Deliver {
+                node: NodeId::load(r)?,
+                msg: MsgRef::load(r)?,
+            },
+            3 => Event::Timer {
+                node: NodeId::load(r)?,
+                timer: timers.insert(Timer::load(r)?),
+            },
+            tag => return Err(SnapshotError::Corrupt(format!("system event tag {tag}"))),
+        })
+    }
+}
 
 /// The two decisions an engine makes for the step core.
 pub(crate) trait Scheduler {
@@ -83,6 +125,10 @@ pub(crate) struct StepCore {
     pub(crate) completed_ops: u64,
     /// In-flight message payloads; events reference them by [`MsgRef`].
     pub(crate) messages: Arena<Message>,
+    /// Armed timers, referenced by their `Timer` events. Kept apart from
+    /// `messages`, whose high-water mark the report carries, and not
+    /// saved: a snapshot writes each timer in its event.
+    pub(crate) timers: Arena<Timer>,
     /// Every completed miss's end-to-end latency, for the report's
     /// p50/p99/max percentiles (the max doubles as the worst-case recovery
     /// latency under fault injection). Bounded by the op count, not the
@@ -108,6 +154,7 @@ impl StepCore {
             processors,
             completed_ops: 0,
             messages: Arena::new(),
+            timers: Arena::new(),
             miss_latency_samples: Vec::new(),
         }
     }
@@ -137,8 +184,8 @@ impl StepCore {
             .collect()
     }
 
-    /// Appends `part`'s nodes and tallies after this core's own. The arena
-    /// does not merge (handles are per-arena): read its marks off `part`
+    /// Appends `part`'s nodes and tallies after this core's own. The arenas
+    /// do not merge (handles are per-arena): read their marks off `part`
     /// first.
     pub(crate) fn absorb(&mut self, part: StepCore) {
         self.controllers.extend(part.controllers);
@@ -227,6 +274,7 @@ impl StepCore {
                 self.process_outbox(now, node, sched, out);
             }
             Event::Timer { node, timer } => {
+                let timer = self.timers.take(timer);
                 self.controllers[node.index() - self.lo].handle_timer(now, timer, out);
                 self.process_outbox(now, node, sched, out);
             }
@@ -302,6 +350,7 @@ impl StepCore {
             sched.schedule(at, node, Event::Send(parked));
         }
         for (at, timer) in out.timers.drain(..) {
+            let timer = self.timers.insert(timer);
             sched.schedule(at.max(now), node, Event::Timer { node, timer });
         }
         for completion in out.completions.drain(..) {
