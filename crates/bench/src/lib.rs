@@ -813,7 +813,17 @@ fn plan_campaign(spec: &'static CampaignSpec, args: &Args) -> Result<CampaignPla
     }
     // Campaign-wide fault injection; a point carrying its own spec (the
     // faultsweep catalog's per-class points) overrides this at run time.
+    // Every other point's protocol must contract to survive it.
     if let Some(faults) = args.faults {
+        let plain = sections
+            .iter()
+            .flat_map(|s| &s.points)
+            .filter(|p| p.faults.is_none());
+        for point in plain {
+            faults
+                .within_contract(point.config.protocol)
+                .map_err(|e| format!("--faults: {e}"))?;
+        }
         options.faults = faults;
     }
     if let Some(shards) = args.shards {
@@ -858,6 +868,9 @@ fn plan_run_one(args: Args) -> Result<RunOnePlan, String> {
         ..RunOptions::default()
     };
     if let Some(faults) = args.faults {
+        faults
+            .within_contract(config.protocol)
+            .map_err(|e| format!("--faults: {e}"))?;
         options.faults = faults;
     }
     if let Some(every) = args.checkpoint_every {
@@ -1190,6 +1203,10 @@ mod tests {
             ("run-one --protocol directory --workload apache --nodes 8 --seed 3 --ops 50 \
               --max-cycles 9000 --faults drop=0.01 --checkpoint-every 100 --checkpoint-dir d \
               --crash-after 2 --report-out r.txt",
+             Err("--faults: Directory does not tolerate drop faults")),
+            ("run-one --protocol directory --workload apache --nodes 8 --seed 3 --ops 50 \
+              --max-cycles 9000 --faults reorder=2 --checkpoint-every 100 --checkpoint-dir d \
+              --crash-after 2 --report-out r.txt",
              Ok(&["protocol: Directory", "name: \"Apache\"", "num_nodes: 8,", "seed: 3 }",
                   "ops_per_node: 50,", "max_cycles: 9000,", "checkpoint_every: Some(100)",
                   "checkpoint_dir: Some(\"d\")", "crash_after: Some(2)",
@@ -1208,6 +1225,9 @@ mod tests {
                                    "runs_json: None"])),
             ("submit fig4a --addr h:1 --priority high --ops 9 --workload specjbb \
               --protocol snooping --faults dup=0.5 --runs-json s.ndjson",
+             Err("--faults: Snooping does not tolerate dup faults (it tolerates: none)")),
+            ("submit fig4a --addr h:1 --priority high --ops 9 --workload specjbb \
+              --protocol snooping --runs-json s.ndjson",
              Ok(&["addr: \"h:1\"", "priority: High", "ops_per_node: 9,", "protocol: Snooping",
                   "runs_json: Some(\"s.ndjson\")"])),
             ("status", Ok(&["Status(\"127.0.0.1:7533\")"])),
@@ -1321,11 +1341,16 @@ mod tests {
 
     /// The byte-identity CI gate (served stream == one-shot `--runs-json`)
     /// rests on `submit` sending exactly the points, under exactly the run
-    /// options, that the one-shot path runs.
+    /// options, that the one-shot path runs, and refusing exactly what it
+    /// refuses: a campaign-wide drop spec is outside the contract of every
+    /// protocol but TokenB.
     #[test]
     fn submit_sends_exactly_what_the_one_shot_path_runs() {
-        for spec in CAMPAIGNS {
-            let mut flags = String::from("--ops 200 --faults drop=0.01");
+        for (spec, faults) in CAMPAIGNS
+            .iter()
+            .flat_map(|s| [(s, " --faults drop=0.01"), (s, "")])
+        {
+            let mut flags = format!("--ops 200{faults}");
             if spec.takes_workload {
                 flags.push_str(" --workload oltp");
             }
@@ -1339,10 +1364,21 @@ mod tests {
                 assert!(one_shot.is_err() && submitted.is_err());
                 continue;
             }
+            let only_tokenb = (spec.sections)(None)
+                .iter()
+                .flat_map(|s| &s.points)
+                .all(|p| p.config.protocol == ProtocolKind::TokenB || !p.faults.is_none());
+            if let (Err(a), Err(b)) = (&one_shot, &submitted) {
+                let refusal = |e: &str| e.lines().next().map(str::to_string);
+                assert_eq!(refusal(a), refusal(b), "{}", spec.name);
+                assert!(a.starts_with("--faults: "), "{}: {a}", spec.name);
+                assert!(!faults.is_empty() && !spec.takes_protocol && !only_tokenb);
+                continue;
+            }
             let (Ok(Command::Campaign(plan, _)), Ok(Command::Submit { submission, .. })) =
                 (one_shot, submitted)
             else {
-                panic!("{}: both paths must expand", spec.name);
+                panic!("{}: both paths must expand, or refuse alike", spec.name);
             };
             assert_eq!(plan.options, submission.options, "{}", spec.name);
             assert_eq!(plan.options.ops_per_node, 200);

@@ -77,7 +77,6 @@ snap_enum!(ArbiterState, "arbiter state" {
 /// The persistent-request arbiter at one home node.
 #[derive(Debug, Clone)]
 pub struct PersistentArbiter {
-    node: NodeId,
     num_nodes: usize,
     state: ArbiterState,
     queue: VecDeque<QueuedRequest>,
@@ -89,10 +88,9 @@ pub struct PersistentArbiter {
 }
 
 impl PersistentArbiter {
-    /// Creates the arbiter for home node `node` in a `num_nodes` system.
-    pub fn new(node: NodeId, num_nodes: usize) -> Self {
+    /// Creates the arbiter for one home node in a `num_nodes` system.
+    pub fn new(num_nodes: usize) -> Self {
         PersistentArbiter {
-            node,
             num_nodes: num_nodes.max(1),
             state: ArbiterState::Idle,
             queue: VecDeque::new(),
@@ -269,14 +267,9 @@ impl PersistentArbiter {
             _ => None,
         }
     }
-
-    /// The arbiter's own node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
 }
 
-// Node and node count are config-derived.
+// The node count is config-derived.
 snap_state!(PersistentArbiter {
     activations,
     sabotaged,
@@ -305,7 +298,7 @@ mod tests {
 
     #[test]
     fn single_request_activates_immediately() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut arb = PersistentArbiter::new(4);
         let actions = arb.request(BlockAddr::new(7), NodeId::new(2), true);
         assert_eq!(activate_addr(&actions), Some(BlockAddr::new(7)));
         assert_eq!(
@@ -317,7 +310,7 @@ mod tests {
 
     #[test]
     fn full_activation_completion_deactivation_cycle() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut arb = PersistentArbiter::new(4);
         arb.request(BlockAddr::new(7), NodeId::new(2), true);
         // Three other nodes acknowledge the activation.
         for n in 1..4 {
@@ -335,7 +328,7 @@ mod tests {
 
     #[test]
     fn second_request_waits_for_the_first() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut arb = PersistentArbiter::new(4);
         arb.request(BlockAddr::new(1), NodeId::new(1), true);
         let actions = arb.request(BlockAddr::new(2), NodeId::new(2), false);
         assert!(actions.is_empty(), "second request must queue");
@@ -356,7 +349,7 @@ mod tests {
 
     #[test]
     fn completion_before_all_activation_acks_still_deactivates() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut arb = PersistentArbiter::new(4);
         arb.request(BlockAddr::new(3), NodeId::new(1), false);
         // Requester completes before anyone acks.
         assert!(arb.complete(BlockAddr::new(3), NodeId::new(1)).is_empty());
@@ -370,7 +363,7 @@ mod tests {
 
     #[test]
     fn duplicate_requests_are_not_double_queued() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut arb = PersistentArbiter::new(4);
         arb.request(BlockAddr::new(5), NodeId::new(1), true);
         arb.request(BlockAddr::new(5), NodeId::new(1), true);
         assert_eq!(
@@ -385,7 +378,7 @@ mod tests {
 
     #[test]
     fn completion_of_a_queued_request_removes_it() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut arb = PersistentArbiter::new(4);
         arb.request(BlockAddr::new(1), NodeId::new(1), true);
         arb.request(BlockAddr::new(2), NodeId::new(2), true);
         assert_eq!(arb.queued(), 1);
@@ -395,7 +388,7 @@ mod tests {
 
     #[test]
     fn single_node_system_needs_no_acks() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 1);
+        let mut arb = PersistentArbiter::new(1);
         let actions = arb.request(BlockAddr::new(1), NodeId::new(0), true);
         assert_eq!(activate_addr(&actions), Some(BlockAddr::new(1)));
         let actions = arb.complete(BlockAddr::new(1), NodeId::new(0));
@@ -409,7 +402,7 @@ mod tests {
     fn competing_requests_on_one_block_are_served_in_arrival_order() {
         let num_nodes = 6;
         let block = BlockAddr::new(42);
-        let mut arb = PersistentArbiter::new(NodeId::new(0), num_nodes);
+        let mut arb = PersistentArbiter::new(num_nodes);
         // Nodes 5, 3, 1, 4, 2 all starve on the same block, in that order.
         let arrival_order = [5usize, 3, 1, 4, 2];
         let mut served = Vec::new();
@@ -450,7 +443,7 @@ mod tests {
     fn no_node_is_served_twice_before_all_served_once() {
         let num_nodes = 4;
         let block = BlockAddr::new(9);
-        let mut arb = PersistentArbiter::new(NodeId::new(0), num_nodes);
+        let mut arb = PersistentArbiter::new(num_nodes);
         let mut service_counts = vec![0u32; num_nodes];
         let mut actions = Vec::new();
         for n in 0..num_nodes {
@@ -484,7 +477,7 @@ mod tests {
 
     #[test]
     fn sabotaged_arbiter_drops_requests_silently() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut arb = PersistentArbiter::new(4);
         arb.set_sabotage(true);
         let actions = arb.request(BlockAddr::new(7), NodeId::new(2), true);
         assert!(actions.is_empty());
@@ -522,12 +515,12 @@ mod tests {
 
     #[test]
     fn sabotage_flag_survives_a_snapshot_round_trip() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut arb = PersistentArbiter::new(4);
         arb.set_sabotage(true);
         let mut w = SnapWriter::new();
         arb.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut restored = PersistentArbiter::new(NodeId::new(0), 4);
+        let mut restored = PersistentArbiter::new(4);
         restored.load_state(&mut SnapReader::new(&bytes)).unwrap();
         assert!(restored
             .request(BlockAddr::new(1), NodeId::new(1), true)
@@ -536,7 +529,7 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved_across_many_requests() {
-        let mut arb = PersistentArbiter::new(NodeId::new(0), 2);
+        let mut arb = PersistentArbiter::new(2);
         arb.request(BlockAddr::new(10), NodeId::new(1), true);
         for b in 11..15 {
             arb.request(BlockAddr::new(b), NodeId::new(1), false);

@@ -12,19 +12,20 @@
 //!   persistent request. Performance-protocol bugs can cost performance but
 //!   never correctness.
 //!
-//! This crate is cut along that line. The substrate is [`state`] (a cache
-//! line, the home memory and a message in flight are the same kind of token
-//! holder, [`Holding`], and tokens leave one by exactly two rules that
-//! conserve them and keep data with the owner token), [`persistent`] and
-//! [`arbiter`]. **TokenB** ([`TokenBController`]), the broadcast performance
-//! protocol the paper evaluates, decides only which holder is asked, by
-//! which rule, when and for whom: transient requests are broadcast to all
-//! nodes, components respond as a MOSI snooping protocol would (including
-//! the migratory-sharing optimization), and unsatisfied requests are
-//! reissued after roughly twice the average miss latency plus a randomized
-//! backoff, escalating to a persistent request after about four reissues.
-//! DESIGN.md, "Token substrate and TokenB", maps each invariant to the line
-//! that enforces it.
+//! This crate is cut along that line. The substrate is [`state`], where a
+//! cache line, the home memory and a message in flight are the same kind of
+//! token holder, [`Holding`], and [`TokenSubstrate`] holds one node's
+//! holders, misses and persistent-request state ([`persistent`],
+//! [`arbiter`]): its methods are the only code that moves a token.
+//! **TokenB** ([`TokenBController`]), the broadcast performance protocol the
+//! paper evaluates, is a policy shell over one: it decides which holder is
+//! asked, by which rule, when and for whom. Transient requests are broadcast
+//! to all nodes, components respond as a MOSI snooping protocol would
+//! (including the migratory-sharing optimization), and unsatisfied requests
+//! are reissued after roughly twice the average miss latency plus a
+//! randomized backoff, escalating to a persistent request after about four
+//! reissues. DESIGN.md, "Token substrate and TokenB", maps each invariant to
+//! the substrate method that enforces it.
 //!
 //! The controller implements the protocol-agnostic
 //! [`tc_types::CoherenceController`] interface, so the system runner can
@@ -54,6 +55,6 @@ pub mod tokenb;
 
 pub use arbiter::{ArbiterAction, PersistentArbiter};
 pub use persistent::{PersistentEntry, PersistentTable};
-pub use state::{Holding, MemTokens, TokenLine, TokenTransfer};
+pub use state::{Holding, MemTokens, TokenLine, TokenSubstrate, TokenTransfer};
 pub use timeout::MissLatencyTracker;
 pub use tokenb::TokenBController;

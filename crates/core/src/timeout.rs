@@ -246,7 +246,7 @@ mod tests {
             assert!(stale.messages.is_empty(), "stale timeout must be inert");
             assert!(stale.completions.is_empty());
             assert!(stale.timers.is_empty());
-            assert_eq!(requester.tokens_held(BlockAddr::new(0)), 16);
+            assert_eq!(requester.substrate().tokens_held(BlockAddr::new(0)), 16);
             assert_eq!(total_tokens(&requester, &home), 16);
         }
 
@@ -300,7 +300,7 @@ mod tests {
             let mut done = Outbox::new();
             requester.handle_message(80, &data, &mut done);
             assert_eq!(done.completions.len(), 1);
-            assert_eq!(requester.tokens_held(BlockAddr::new(0)), 16);
+            assert_eq!(requester.substrate().tokens_held(BlockAddr::new(0)), 16);
             assert_eq!(total_tokens(&requester, &home), 16);
         }
 
@@ -324,7 +324,7 @@ mod tests {
             let mut out = Outbox::new();
             requester.handle_message(late, &data, &mut out);
             assert_eq!(out.completions.len(), 1, "late data still completes");
-            assert_eq!(requester.tokens_held(BlockAddr::new(0)), 16);
+            assert_eq!(requester.substrate().tokens_held(BlockAddr::new(0)), 16);
 
             // The reissue (also delayed) reaches the token-less home after
             // the miss already completed: no tokens may flow back.
@@ -376,7 +376,7 @@ mod tests {
             let mut out = Outbox::new();
             requester.handle_message(fire_at, &data, &mut out);
             assert_eq!(out.completions.len(), 1);
-            assert_eq!(requester.tokens_held(BlockAddr::new(0)), 16);
+            assert_eq!(requester.substrate().tokens_held(BlockAddr::new(0)), 16);
 
             // The stale reissue reaches the home, which has no tokens left;
             // its response path must not conjure tokens from nowhere.

@@ -1,28 +1,25 @@
 //! TokenB: the broadcast performance protocol on top of the token-counting
 //! correctness substrate.
 
-use tc_memsys::{
-    hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, PendingOp, SetAssocCache,
-};
+use tc_memsys::{version_node_bits, PendingOp};
 use tc_sim::{snap_state, snap_struct, DeterministicRng, Fifo, FifoPool};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Counter, Cycle,
-    DataPayload, Destination, HomeMap, LineStateStats, MemOp, Message, MissCompletion, MissKind,
-    MsgKind, NodeId, Outbox, SystemConfig, Timer, TimerKind, Vnet,
+    DataPayload, Destination, LineStateStats, MemOp, Message, MissCompletion, MissKind, MsgKind,
+    NodeId, Outbox, SystemConfig, Timer, TimerKind, Vnet,
 };
 
-use crate::arbiter::{ArbiterAction, PersistentArbiter};
-use crate::persistent::PersistentTable;
-use crate::state::{Holding, MemTokens, TokenLine, TokenTransfer};
+use crate::arbiter::ArbiterAction;
+use crate::state::{Arrival, Holding, TokenSubstrate, TokenTransfer};
 use crate::timeout::MissLatencyTracker;
 
 /// Bookkeeping for one outstanding TokenB miss. The pending-op list lives
-/// in the controller's [`FifoPool`].
+/// in the substrate's [`FifoPool`].
 #[derive(Debug)]
-struct TokenMshr {
+pub(crate) struct TokenMshr {
     pending: Fifo,
     /// Whether the miss needs all tokens (any pending store).
-    write: bool,
+    pub(crate) write: bool,
     /// Whether the processor already held a readable copy (upgrade miss).
     upgrade: bool,
     issued_at: Cycle,
@@ -48,7 +45,9 @@ snap_struct!(TokenMshr in FifoPool<PendingOp> {
     data_from_cache,
 });
 
-/// The TokenB coherence controller for one node.
+/// The TokenB coherence controller for one node: a policy shell over the
+/// node's [`TokenSubstrate`], which holds every token and applies every
+/// rule that moves one.
 ///
 /// The controller plays three roles, because the target system integrates
 /// them on one chip:
@@ -61,18 +60,10 @@ snap_struct!(TokenMshr in FifoPool<PendingOp> {
 /// * the **persistent-request arbiter** for blocks homed at this node.
 #[derive(Debug)]
 pub struct TokenBController {
-    node: NodeId,
-    home_map: HomeMap,
-    total_tokens: u32,
-    l1: L1Filter,
-    l2: SetAssocCache<TokenLine>,
+    substrate: TokenSubstrate,
     l2_latency: Cycle,
     controller_latency: Cycle,
     dram_latency: Cycle,
-    memory: HomeMemory<MemTokens>,
-    mshrs: MshrTable<TokenMshr>,
-    persistent_table: PersistentTable,
-    arbiter: PersistentArbiter,
     latency: MissLatencyTracker,
     rng: DeterministicRng,
     stats: ControllerStats,
@@ -80,8 +71,6 @@ pub struct TokenBController {
     migratory_optimization: bool,
     store_counter: u64,
     timer_seq: u64,
-    /// Pooled storage for every MSHR entry's pending-op list.
-    pending_ops: FifoPool<PendingOp>,
 }
 
 impl TokenBController {
@@ -92,25 +81,12 @@ impl TokenBController {
     /// Panics if the configuration has fewer tokens per block than nodes
     /// (call [`SystemConfig::validate`] first to get an error instead).
     pub fn new(node: NodeId, config: &SystemConfig) -> Self {
-        assert!(
-            config.token.tokens_per_block as usize >= config.num_nodes,
-            "tokens per block must be at least the number of nodes"
-        );
-        let home_map = HomeMap::new(config.num_nodes, config.block_bytes);
         let mut seed_rng = DeterministicRng::new(config.seed ^ 0x70_6b_65_6e);
         TokenBController {
-            node,
-            home_map,
-            total_tokens: config.token.tokens_per_block,
-            l1: L1Filter::new(&config.l1, config.block_bytes),
-            l2: SetAssocCache::new(&config.l2, config.block_bytes),
+            substrate: TokenSubstrate::new(node, config),
             l2_latency: config.l2.latency_ns,
             controller_latency: config.controller_latency_ns,
             dram_latency: config.dram_latency_ns,
-            memory: HomeMemory::new(node, home_map, config.dram_latency_ns),
-            mshrs: MshrTable::new(config.processor.max_outstanding_misses.max(1)),
-            persistent_table: PersistentTable::new(),
-            arbiter: PersistentArbiter::new(node, config.num_nodes),
             latency: MissLatencyTracker::new(config.token.reissue_latency_multiplier),
             rng: seed_rng.fork(node.index() as u64 + 17),
             stats: ControllerStats::new(),
@@ -118,41 +94,13 @@ impl TokenBController {
             migratory_optimization: config.token.migratory_optimization,
             store_counter: 0,
             timer_seq: 0,
-            pending_ops: FifoPool::new(),
         }
     }
 
-    /// Total tokens per block, `T`.
-    pub fn total_tokens(&self) -> u32 {
-        self.total_tokens
-    }
-
-    /// The MOESI-equivalent state of a block in this node's cache (for tests
-    /// and traces).
-    pub fn cache_state_name(&self, addr: BlockAddr) -> &'static str {
-        self.l2
-            .peek(addr)
-            .map(|l| l.moesi_name(self.total_tokens))
-            .unwrap_or("I")
-    }
-
-    /// Tokens currently held for `addr` by this node (cache plus memory).
-    pub fn tokens_held(&self, addr: BlockAddr) -> u32 {
-        let cache = self.l2.peek(addr).map(|l| l.tokens).unwrap_or(0);
-        let memory = self
-            .memory
-            .state(addr)
-            .map(|m| if m.initialized { m.tokens } else { 0 })
-            .unwrap_or(0);
-        cache + memory
-    }
-
-    fn is_home(&self, addr: BlockAddr) -> bool {
-        self.home_map.is_home(self.node, addr)
-    }
-
-    fn home_of(&self, addr: BlockAddr) -> NodeId {
-        self.home_map.home_of(addr)
+    /// The node's token substrate: its holders, misses and persistent
+    /// requests (for tests and traces).
+    pub fn substrate(&self) -> &TokenSubstrate {
+        &self.substrate
     }
 
     fn send(&mut self, out: &mut Outbox, msg: Message) {
@@ -193,53 +141,32 @@ impl TokenBController {
                 tokens: transfer.tokens,
             }
         };
-        let msg = Message::new(self.node, Destination::Node(dest), addr, kind, vnet, at);
+        let msg = Message::new(self.node(), Destination::Node(dest), addr, kind, vnet, at);
         self.send(out, msg);
     }
 
-    /// This node's memory as the token holder for `addr`, which it homes.
-    fn memory_holding(&mut self, addr: BlockAddr) -> Holding<'_> {
-        let version = self.memory.data_version(addr);
-        self.memory
-            .state_mut(addr)
-            .holding(self.total_tokens, version)
-    }
-
-    // ------------------------------------------------------------------
-    // Cache/eviction helpers.
-    // ------------------------------------------------------------------
-
-    /// Ensures a cache line exists for `addr`, evicting a victim if needed.
-    /// Victim tokens (and data, with the owner token) are sent home.
-    fn allocate_line(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        if self.l2.contains(addr) {
-            return;
-        }
-        if let Some(victim) = self.l2.insert(addr, TokenLine::empty()) {
-            self.evict_line(now, victim.addr, victim.state, out);
-        }
-    }
-
-    fn evict_line(&mut self, now: Cycle, addr: BlockAddr, mut line: TokenLine, out: &mut Outbox) {
-        self.l1.invalidate(addr);
-        let Some(transfer) = line.holding().take_all() else {
-            return;
-        };
-        self.stats.misses.writebacks += 1;
-        let home = self.home_of(addr);
+    /// Puts `rule` to this node's holders of `addr`, the cache and (at the
+    /// home) memory, and sends what each gives up to `dest` once it has
+    /// been read: after the L2 and the DRAM latency.
+    fn ask_holders(
+        &mut self,
+        now: Cycle,
+        addr: BlockAddr,
+        dest: NodeId,
+        rule: impl Fn(Holding<'_>) -> Option<TokenTransfer> + Copy,
+        out: &mut Outbox,
+    ) {
         let at = now + self.controller_latency;
-        // If a persistent request is active for this block, the tokens go to
-        // the starving requester instead of home.
-        let dest = self
-            .persistent_table
-            .forward_target(addr, self.node)
-            .unwrap_or(home);
-        let vnet = if dest == home {
-            Vnet::Writeback
-        } else {
-            Vnet::Response
-        };
-        self.send_tokens(at, dest, addr, transfer, vnet, out);
+        if let Some(transfer) = self.substrate.ask_cache(addr, rule) {
+            let at = at + self.l2_latency;
+            self.send_tokens(at, dest, addr, transfer, Vnet::Response, out);
+        }
+        if self.substrate.is_home(addr) {
+            if let Some(transfer) = self.substrate.ask_memory(addr, rule) {
+                let at = at + self.dram_latency;
+                self.send_tokens(at, dest, addr, transfer, Vnet::Response, out);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -254,76 +181,59 @@ impl TokenBController {
         reissue: bool,
         out: &mut Outbox,
     ) {
+        let (node, at) = (self.substrate.node, now + self.controller_latency);
         let kind = if write { MsgKind::GetM } else { MsgKind::GetS };
-        let mut msg = Message::new(
-            self.node,
-            Destination::AllBut(self.node),
-            addr,
-            kind,
-            Vnet::Request,
-            now + self.controller_latency,
-        );
-        if reissue {
-            msg = msg.as_reissue();
-        }
-        self.send(out, msg);
+        let all = Destination::AllBut(node);
+        let msg = Message::new(node, all, addr, kind, Vnet::Request, at);
+        self.send(out, if reissue { msg.as_reissue() } else { msg });
         // The broadcast does not loop back to this node, so if we are the
         // block's home we consult our own memory after the DRAM latency.
-        if self.is_home(addr) {
-            self.timer_seq += 1;
-            out.arm_timer(
-                now + self.controller_latency + self.dram_latency,
-                Timer {
-                    id: self.timer_seq,
-                    addr,
-                    kind: TimerKind::MemoryAccess,
-                },
-            );
+        if self.substrate.is_home(addr) {
+            self.arm(at + self.dram_latency, addr, TimerKind::MemoryAccess, out);
         }
         self.arm_reissue_timer(now, addr, out);
     }
 
+    /// Arms a `kind` timer for `addr` at `at`; returns its id.
+    fn arm(&mut self, at: Cycle, addr: BlockAddr, kind: TimerKind, out: &mut Outbox) -> u64 {
+        self.timer_seq += 1;
+        let id = self.timer_seq;
+        out.arm_timer(at, Timer { id, addr, kind });
+        id
+    }
+
     fn arm_reissue_timer(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let Some(mshr) = self.mshrs.get(addr) else {
+        let Some(mshr) = self.substrate.mshrs.get(addr) else {
             return;
         };
         let timeout = self
             .latency
             .reissue_timeout(mshr.issue_count, &mut self.rng);
-        self.timer_seq += 1;
-        let seq = self.timer_seq;
-        if let Some(mshr) = self.mshrs.get_mut(addr) {
-            mshr.timer_seq = seq;
+        let id = self.arm(now + timeout, addr, TimerKind::Reissue, out);
+        if let Some(mshr) = self.substrate.mshrs.get_mut(addr) {
+            mshr.timer_seq = id;
         }
-        out.arm_timer(
-            now + timeout,
-            Timer {
-                id: seq,
-                addr,
-                kind: TimerKind::Reissue,
-            },
-        );
     }
 
     fn escalate_to_persistent(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let Some(mshr) = self.mshrs.get_mut(addr) else {
+        let Some(mshr) = self.substrate.mshrs.get_mut(addr) else {
             return;
         };
         if mshr.persistent {
             return;
         }
         mshr.persistent = true;
-        let write = mshr.write;
+        let kind = MsgKind::PersistentRequest { write: mshr.write };
         self.stats.persistent_requests_initiated += 1;
-        let home = self.home_of(addr);
-        let msg = Message::new(
-            self.node,
-            Destination::Node(home),
-            addr,
-            MsgKind::PersistentRequest { write },
-            Vnet::Persistent,
-            now + self.controller_latency,
-        );
+        self.tell_arbiter(now, addr, kind, out);
+    }
+
+    /// Sends `kind` to the arbiter at `addr`'s home, after the controller
+    /// latency.
+    fn tell_arbiter(&mut self, now: Cycle, addr: BlockAddr, kind: MsgKind, out: &mut Outbox) {
+        let at = now + self.controller_latency;
+        let home = Destination::Node(self.substrate.home_map.home_of(addr));
+        let msg = Message::new(self.node(), home, addr, kind, Vnet::Persistent, at);
         self.send(out, msg);
     }
 
@@ -342,13 +252,13 @@ impl TokenBController {
         // Active persistent requests override the performance protocol: while
         // one is active for this block, transient requests are ignored and
         // tokens flow only to the persistent requester.
-        if self.persistent_table.active(addr).is_some() {
+        if self.substrate.persistent_table.active(addr).is_some() {
             return;
         }
 
         // The substrate's rule for this request; TokenB only decides which
         // holders it is put to, and when the answer leaves.
-        let (total, migratory) = (self.total_tokens, self.migratory_optimization);
+        let (total, migratory) = (self.substrate.total_tokens, self.migratory_optimization);
         let rule = move |holder: Holding<'_>| {
             if write {
                 holder.take_all()
@@ -356,29 +266,7 @@ impl TokenBController {
                 holder.take_for_read(total, migratory)
             }
         };
-
-        // The cache answers from a copy of its line (the rule's verdict first,
-        // then one L2 write: a removal, or the line with one token fewer).
-        if let Some(mut line) = self.l2.get(addr).copied() {
-            if let Some(transfer) = rule(line.holding()) {
-                let at = now + self.controller_latency + self.l2_latency;
-                self.send_tokens(at, requester, addr, transfer, Vnet::Response, out);
-                if line.tokens == 0 {
-                    self.l2.remove(addr);
-                    self.l1.invalidate(addr);
-                } else if let Some(l) = self.l2.get(addr) {
-                    *l = line;
-                }
-            }
-        }
-
-        // The home memory answers too, after the DRAM latency.
-        if self.is_home(addr) {
-            if let Some(transfer) = rule(self.memory_holding(addr)) {
-                let at = now + self.controller_latency + self.dram_latency;
-                self.send_tokens(at, requester, addr, transfer, Vnet::Response, out);
-            }
-        }
+        self.ask_holders(now, addr, requester, rule, out);
     }
 
     // ------------------------------------------------------------------
@@ -389,75 +277,45 @@ impl TokenBController {
         &mut self,
         now: Cycle,
         addr: BlockAddr,
-        mut transfer: TokenTransfer,
+        transfer: TokenTransfer,
         vnet: Vnet,
         out: &mut Outbox,
     ) {
-        // A persistent request by another node overrides everything: forward
-        // the tokens straight to the starving requester.
-        if let Some(target) = self.persistent_table.forward_target(addr, self.node) {
-            if let Some(passed_on) = transfer.holding().take_all() {
-                let at = now + self.controller_latency;
-                self.send_tokens(at, target, addr, passed_on, Vnet::Response, out);
+        let (at, writeback) = (now + self.controller_latency, vnet == Vnet::Writeback);
+        match self.substrate.arrive(addr, transfer, writeback) {
+            Arrival::Forward(starver, passed_on) => {
+                self.send_tokens(at, starver, addr, passed_on, Vnet::Response, out);
             }
-            return;
+            Arrival::Cached(victim) => {
+                // A victim's tokens go home as a writeback, unless another
+                // node's persistent request claims them.
+                if let Some((victim, dest, evicted)) = victim {
+                    self.stats.misses.writebacks += 1;
+                    let vnet = if dest == self.substrate.home_map.home_of(victim) {
+                        Vnet::Writeback
+                    } else {
+                        Vnet::Response
+                    };
+                    self.send_tokens(at, dest, victim, evicted, vnet, out);
+                }
+                if transfer.data {
+                    if let Some(mshr) = self.substrate.mshrs.get_mut(addr) {
+                        mshr.data_from_cache |= !transfer.from_memory;
+                    }
+                }
+                self.try_complete(now, addr, out);
+            }
+            Arrival::Settled => {}
         }
-
-        // Writebacks addressed to the home are absorbed by memory.
-        if vnet == Vnet::Writeback && self.is_home(addr) {
-            let total = self.total_tokens;
-            if transfer.owner {
-                self.memory.write_data(addr, transfer.version);
-            }
-            let mem = self.memory.state_mut(addr);
-            mem.ensure_initialized(total);
-            mem.tokens += transfer.tokens;
-            mem.owner |= transfer.owner;
-            debug_assert!(mem.tokens <= total, "memory over-collected tokens");
-            return;
-        }
-
-        // Otherwise the tokens join this node's cache.
-        self.allocate_line(now, addr, out);
-        let line = self.l2.get(addr).expect("line allocated immediately above");
-        line.tokens += transfer.tokens;
-        line.owner |= transfer.owner;
-        if transfer.data {
-            if !line.dirty || !line.valid_data {
-                line.version = transfer.version;
-            }
-            line.valid_data = true;
-            if let Some(mshr) = self.mshrs.get_mut(addr) {
-                mshr.data_from_cache |= !transfer.from_memory;
-            }
-        }
-        line.dirty |= transfer.dirty;
-        self.try_complete(now, addr, out);
     }
 
     /// Completes the outstanding miss for `addr` if the substrate now permits
     /// the pending operations.
     fn try_complete(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let total = self.total_tokens;
-        let Some(mshr) = self.mshrs.get(addr) else {
+        let (total, node_bits) = (self.substrate.total_tokens, version_node_bits(self.node()));
+        let Some((mut mshr, line, pending_ops)) = self.substrate.completing(addr) else {
             return;
         };
-        let Some(line) = self.l2.peek(addr) else {
-            return;
-        };
-        let satisfied = if mshr.write {
-            line.writable(total)
-        } else {
-            line.readable()
-        };
-        if !satisfied {
-            return;
-        }
-        let mut mshr = self
-            .mshrs
-            .release(addr)
-            .expect("checked present immediately above");
-
         let kind = match (mshr.write, mshr.upgrade) {
             (false, _) => MissKind::Read,
             (true, false) => MissKind::Write,
@@ -468,25 +326,23 @@ impl TokenBController {
         // completing each directly into the outbox (the MSHR is owned here,
         // so no borrow forces an intermediate collection), with one L2
         // lookup for the whole batch.
-        let node_bits = version_node_bits(self.node);
-        let line = self.l2.get(addr).expect("line present");
-        for op in self.pending_ops.iter(&mshr.pending) {
-            if op.write {
+        for op in pending_ops.iter(&mshr.pending) {
+            let store = || {
                 self.store_counter += 1;
-                line.version = node_bits | self.store_counter;
-                line.dirty = true;
-            }
+                node_bits | self.store_counter
+            };
+            let version = line.perform(total, op.write, store);
             out.complete(MissCompletion {
                 req_id: op.req_id,
                 addr,
                 kind,
                 issued_at: mshr.issued_at,
                 completed_at: now,
-                data_version: line.version,
+                data_version: version.expect("the line permits every pending op"),
                 cache_to_cache,
             });
         }
-        self.pending_ops.clear(&mut mshr.pending);
+        pending_ops.clear(&mut mshr.pending);
 
         // Statistics: miss class, latency, reissue histogram (Table 2).
         let miss_latency = now.saturating_sub(mshr.issued_at);
@@ -509,16 +365,7 @@ impl TokenBController {
         // If this miss had escalated, tell the arbiter we are satisfied so it
         // can deactivate the persistent request.
         if mshr.persistent {
-            let home = self.home_of(addr);
-            let msg = Message::new(
-                self.node,
-                Destination::Node(home),
-                addr,
-                MsgKind::PersistentComplete,
-                Vnet::Persistent,
-                now + self.controller_latency,
-            );
-            self.send(out, msg);
+            self.tell_arbiter(now, addr, MsgKind::PersistentComplete, out);
         }
     }
 
@@ -527,6 +374,8 @@ impl TokenBController {
     // ------------------------------------------------------------------
 
     fn apply_arbiter_actions(&mut self, now: Cycle, actions: Vec<ArbiterAction>, out: &mut Outbox) {
+        let at = now + self.controller_latency;
+        let all = Destination::AllBut(self.node());
         for action in actions {
             match action {
                 ArbiterAction::BroadcastActivate {
@@ -534,30 +383,18 @@ impl TokenBController {
                     requester,
                     write,
                 } => {
-                    let msg = Message::new(
-                        self.node,
-                        Destination::AllBut(self.node),
-                        addr,
-                        MsgKind::PersistentActivate { requester, write },
-                        Vnet::Persistent,
-                        now + self.controller_latency,
-                    );
+                    let kind = MsgKind::PersistentActivate { requester, write };
+                    let msg = Message::new(self.node(), all, addr, kind, Vnet::Persistent, at);
                     self.send(out, msg);
                     // Apply locally (the arbiter's own node does not message
                     // itself and does not ack).
                     self.activate_locally(now, addr, requester, write, out);
                 }
                 ArbiterAction::BroadcastDeactivate { addr } => {
-                    let msg = Message::new(
-                        self.node,
-                        Destination::AllBut(self.node),
-                        addr,
-                        MsgKind::PersistentDeactivate,
-                        Vnet::Persistent,
-                        now + self.controller_latency,
-                    );
+                    let kind = MsgKind::PersistentDeactivate;
+                    let msg = Message::new(self.node(), all, addr, kind, Vnet::Persistent, at);
                     self.send(out, msg);
-                    self.persistent_table.deactivate(addr);
+                    self.substrate.persistent_table.deactivate(addr);
                 }
             }
         }
@@ -573,61 +410,25 @@ impl TokenBController {
         write: bool,
         out: &mut Outbox,
     ) {
-        self.persistent_table.activate(addr, requester, write);
-        if requester == self.node {
-            return;
-        }
-        // Forward cache tokens.
-        if let Some(mut line) = self.l2.get(addr).copied() {
-            if let Some(transfer) = line.holding().take_all() {
-                let at = now + self.controller_latency + self.l2_latency;
-                self.send_tokens(at, requester, addr, transfer, Vnet::Response, out);
-            }
-            self.l2.remove(addr);
-            self.l1.invalidate(addr);
-        }
-        // Forward memory tokens if this node is the home.
-        if self.is_home(addr) {
-            if let Some(transfer) = self.memory_holding(addr).take_all() {
-                let at = now + self.controller_latency + self.dram_latency;
-                self.send_tokens(at, requester, addr, transfer, Vnet::Response, out);
-            }
+        self.substrate
+            .persistent_table
+            .activate(addr, requester, write);
+        if let Some(starver) = self.substrate.starver(addr) {
+            self.ask_holders(now, addr, starver, |holder| holder.take_all(), out);
         }
     }
 
-    fn ack_arbiter(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        let arbiter_node = self.home_of(addr);
-        let msg = Message::new(
-            self.node,
-            Destination::Node(arbiter_node),
-            addr,
-            MsgKind::PersistentAck,
-            Vnet::Persistent,
-            now + self.controller_latency,
-        );
-        self.send(out, msg);
-    }
-
-    /// Supplies tokens from this node's own memory to its own cache (used
+    /// Supplies tokens from this node's own memory to its own miss (used
     /// when the requester is also the home: the broadcast does not loop back,
     /// so the local memory is consulted directly after the DRAM latency).
+    /// They arrive like any others, so while another node's persistent
+    /// request is active they go to that starver instead, miss or no miss.
     fn supply_from_local_memory(&mut self, now: Cycle, addr: BlockAddr, out: &mut Outbox) {
-        if !self.is_home(addr) {
+        let wanted = self.substrate.mshrs.contains(addr) || self.substrate.starver(addr).is_some();
+        if !self.substrate.is_home(addr) || !wanted {
             return;
         }
-        // If someone else's persistent request is active, memory tokens go to
-        // them, not to us.
-        if let Some(target) = self.persistent_table.forward_target(addr, self.node) {
-            if let Some(transfer) = self.memory_holding(addr).take_all() {
-                let at = now + self.controller_latency;
-                self.send_tokens(at, target, addr, transfer, Vnet::Response, out);
-            }
-            return;
-        }
-        if self.mshrs.get(addr).is_none() {
-            return;
-        }
-        if let Some(transfer) = self.memory_holding(addr).take_all() {
+        if let Some(transfer) = self.substrate.ask_memory(addr, |holder| holder.take_all()) {
             self.receive_tokens(now, addr, transfer, Vnet::Response, out);
         }
     }
@@ -635,7 +436,7 @@ impl TokenBController {
 
 impl CoherenceController for TokenBController {
     fn node(&self) -> NodeId {
-        self.node
+        self.substrate.node
     }
 
     fn protocol_name(&self) -> &'static str {
@@ -643,32 +444,26 @@ impl CoherenceController for TokenBController {
     }
 
     fn access(&mut self, now: Cycle, op: &MemOp, out: &mut Outbox) -> AccessOutcome {
-        let addr = op.addr.block(self.home_map.block_bytes());
+        let addr = op.addr.block(self.substrate.home_map.block_bytes());
         let write = op.kind.is_write();
-        let total = self.total_tokens;
+        let (total, node) = (self.substrate.total_tokens, self.substrate.node);
         // One L1-hinted L2 access serves the whole hit path: the hint skips
         // the L2 tag probe on hits, and the version bump for a write hit
         // touches `store_counter` and `stats` directly (disjoint fields), so
         // the mutable line borrow never needs re-establishing.
         let mut had_readable_copy = false;
-        let (l1_hit, line) = hinted_get(&mut self.l1, &mut self.l2, addr);
+        let (l1_hit, l1_latency, line) = self.substrate.lookup(addr);
         let hit_latency = if l1_hit {
-            self.l1.latency_ns()
+            l1_latency
         } else {
-            self.l1.latency_ns() + self.l2_latency
+            l1_latency + self.l2_latency
         };
         if let Some(line) = line {
-            let hit = if write {
-                line.writable(total)
-            } else {
-                line.readable()
+            let store = || {
+                self.store_counter += 1;
+                version_node_bits(node) | self.store_counter
             };
-            if hit {
-                if write {
-                    self.store_counter += 1;
-                    line.version = version_node_bits(self.node) | self.store_counter;
-                    line.dirty = true;
-                }
+            if let Some(version) = line.perform(total, write, store) {
                 if l1_hit {
                     self.stats.misses.l1_hits += 1;
                 } else {
@@ -676,7 +471,7 @@ impl CoherenceController for TokenBController {
                 }
                 return AccessOutcome::Hit {
                     latency: hit_latency,
-                    version: line.version,
+                    version,
                     valid_since: now,
                 };
             }
@@ -684,14 +479,14 @@ impl CoherenceController for TokenBController {
         }
 
         // Miss: merge into an existing MSHR or allocate a new one.
-        if let Some(mshr) = self.mshrs.get_mut(addr) {
-            self.pending_ops.push(
-                &mut mshr.pending,
-                PendingOp {
-                    req_id: op.id,
-                    write,
-                },
-            );
+        let pending_op = PendingOp {
+            req_id: op.id,
+            write,
+        };
+        if let Some(mshr) = self.substrate.mshrs.get_mut(addr) {
+            self.substrate
+                .pending_ops
+                .push(&mut mshr.pending, pending_op);
             if write && !mshr.write {
                 // A read miss gains a write requirement: issue a GetM now.
                 mshr.write = true;
@@ -702,10 +497,7 @@ impl CoherenceController for TokenBController {
         }
 
         let mshr = TokenMshr {
-            pending: self.pending_ops.singleton(PendingOp {
-                req_id: op.id,
-                write,
-            }),
+            pending: self.substrate.pending_ops.singleton(pending_op),
             write,
             upgrade: write && had_readable_copy,
             issued_at: now,
@@ -714,9 +506,10 @@ impl CoherenceController for TokenBController {
             timer_seq: 0,
             data_from_cache: false,
         };
-        self.mshrs
+        self.substrate
+            .mshrs
             .allocate(addr, mshr)
-            .unwrap_or_else(|_| panic!("MSHR overflow at {}", self.node));
+            .unwrap_or_else(|_| panic!("MSHR overflow at {node}"));
         self.issue_transient(now, addr, write, false, out);
         AccessOutcome::Miss
     }
@@ -756,24 +549,25 @@ impl CoherenceController for TokenBController {
                 self.receive_tokens(now, addr, transfer, msg.vnet, out)
             }
             MsgKind::PersistentRequest { write } => {
-                debug_assert!(self.is_home(addr), "persistent request at non-home node");
-                let actions = self.arbiter.request(addr, msg.src, *write);
+                let home = self.substrate.is_home(addr);
+                debug_assert!(home, "persistent request at non-home node");
+                let actions = self.substrate.arbiter.request(addr, msg.src, *write);
                 self.apply_arbiter_actions(now, actions, out);
             }
             MsgKind::PersistentActivate { requester, write } => {
                 self.activate_locally(now, addr, *requester, *write, out);
-                self.ack_arbiter(now, addr, out);
+                self.tell_arbiter(now, addr, MsgKind::PersistentAck, out);
             }
             MsgKind::PersistentDeactivate => {
-                self.persistent_table.deactivate(addr);
-                self.ack_arbiter(now, addr, out);
+                self.substrate.persistent_table.deactivate(addr);
+                self.tell_arbiter(now, addr, MsgKind::PersistentAck, out);
             }
             MsgKind::PersistentAck => {
-                let actions = self.arbiter.ack(msg.src);
+                let actions = self.substrate.arbiter.ack(msg.src);
                 self.apply_arbiter_actions(now, actions, out);
             }
             MsgKind::PersistentComplete => {
-                let actions = self.arbiter.complete(addr, msg.src);
+                let actions = self.substrate.arbiter.complete(addr, msg.src);
                 self.apply_arbiter_actions(now, actions, out);
             }
             other => {
@@ -788,7 +582,7 @@ impl CoherenceController for TokenBController {
     fn handle_timer(&mut self, now: Cycle, timer: Timer, out: &mut Outbox) {
         match timer.kind {
             TimerKind::Reissue => {
-                let Some(mshr) = self.mshrs.get(timer.addr) else {
+                let Some(mshr) = self.substrate.mshrs.get_mut(timer.addr) else {
                     return;
                 };
                 if mshr.timer_seq != timer.id || mshr.persistent {
@@ -798,10 +592,8 @@ impl CoherenceController for TokenBController {
                     self.escalate_to_persistent(now, timer.addr, out);
                     return;
                 }
+                mshr.issue_count += 1;
                 let write = mshr.write;
-                if let Some(mshr) = self.mshrs.get_mut(timer.addr) {
-                    mshr.issue_count += 1;
-                }
                 self.issue_transient(now, timer.addr, write, true, out);
             }
             TimerKind::MemoryAccess => {
@@ -812,79 +604,35 @@ impl CoherenceController for TokenBController {
 
     fn stats(&self) -> ControllerStats {
         let mut stats = self.stats.clone();
-        stats.bump(
-            Counter::PersistentActivationsObserved,
-            self.persistent_table.activations_seen(),
-        );
-        stats.bump(Counter::ArbiterActivations, self.arbiter.activations());
+        let substrate = &self.substrate;
+        let seen = substrate.persistent_table.activations_seen();
+        stats.bump(Counter::PersistentActivationsObserved, seen);
+        stats.bump(Counter::ArbiterActivations, substrate.arbiter.activations());
         stats
     }
 
     fn audit_block(&self, addr: BlockAddr) -> Vec<BlockAudit> {
-        let mut audits = Vec::new();
-        if let Some(line) = self.l2.peek(addr) {
-            audits.push(BlockAudit {
-                tokens: line.tokens,
-                owner_token: line.owner,
-                readable: line.readable(),
-                writable: line.writable(self.total_tokens),
-                data_version: line.version,
-                in_memory: false,
-            });
-        }
-        if self.is_home(addr) {
-            if let Some(mem) = self.memory.state(addr) {
-                if mem.initialized {
-                    audits.push(BlockAudit {
-                        tokens: mem.tokens,
-                        owner_token: mem.owner,
-                        readable: false,
-                        writable: false,
-                        data_version: self.memory.data_version(addr),
-                        in_memory: true,
-                    });
-                }
-            }
-        }
-        audits
+        self.substrate.audit_block(addr)
     }
 
     fn audited_blocks(&self) -> Vec<BlockAddr> {
-        let mut blocks = self.l2.blocks();
-        blocks.extend(
-            (self.memory.touched_blocks())
-                .filter(|(_, state)| state.initialized)
-                .map(|(addr, _)| addr),
-        );
-        blocks
+        self.substrate.audited_blocks()
     }
 
     fn outstanding_misses(&self) -> usize {
-        self.mshrs.len()
+        self.substrate.mshrs.len()
     }
 
     fn outstanding_blocks(&self) -> Vec<BlockAddr> {
-        self.mshrs.blocks_sorted()
+        self.substrate.mshrs.blocks_sorted()
     }
 
     fn set_arbiter_sabotage(&mut self, on: bool) {
-        self.arbiter.set_sabotage(on);
+        self.substrate.arbiter.set_sabotage(on);
     }
 
     fn line_state_stats(&self) -> LineStateStats {
-        LineStateStats {
-            mshr_peak: self.mshrs.high_water() as u64,
-            wb_buffer_peak: 0,
-            wb_window_peak: 0,
-            home_peak: self.memory.entries_high_water(),
-            persistent_peak: self.persistent_table.high_water() as u64,
-            state_bytes: self.mshrs.state_bytes()
-                + self.memory.state_bytes()
-                + self.persistent_table.state_bytes(),
-            retired_bytes_est: self.mshrs.retired_bytes_estimate()
-                + self.memory.retired_bytes_estimate()
-                + self.persistent_table.retired_bytes_estimate(),
-        }
+        self.substrate.line_state_stats()
     }
 
     snap_state!(fn {
@@ -893,12 +641,7 @@ impl CoherenceController for TokenBController {
         timer_seq,
         stats,
         latency,
-        l1,
-        l2,
-        memory,
-        mshrs in pending_ops,
-        persistent_table,
-        arbiter,
+        substrate,
     });
 }
 
@@ -930,6 +673,35 @@ mod tests {
         TokenBController::new(NodeId::new(node), &config(nodes))
     }
 
+    /// Hands `c` tokens directly, through its substrate's arrival rule.
+    fn seed(c: &mut TokenBController, addr: BlockAddr, t: TokenTransfer) {
+        let arrival = c.substrate.arrive(addr, t, false);
+        assert!(matches!(arrival, Arrival::Cached(None)), "{arrival:?}");
+    }
+
+    /// `t` arriving at `c` at `at` as the `TokenData` message carrying it.
+    fn token_data(
+        c: &mut TokenBController,
+        at: Cycle,
+        addr: BlockAddr,
+        t: TokenTransfer,
+        out: &mut Outbox,
+    ) {
+        let kind = MsgKind::TokenData {
+            tokens: t.tokens,
+            owner: t.owner,
+            dirty: t.dirty,
+            from_memory: t.from_memory,
+            payload: DataPayload::new(t.version),
+        };
+        let dest = Destination::Node(c.node());
+        c.handle_message(
+            at,
+            &Message::new(NodeId::new(0), dest, addr, kind, Vnet::Response, at),
+            out,
+        );
+    }
+
     fn load(addr: u64, id: u64) -> MemOp {
         MemOp::new(ReqId::new(id), Address::new(addr), MemOpKind::Load)
     }
@@ -949,7 +721,7 @@ mod tests {
         let home_out = deliver(&out.messages, [&mut home], 20);
         deliver(&home_out.messages, [&mut requester], 120);
         assert_eq!(requester.outstanding_misses(), 0);
-        let nodes_after_warmup = requester.pending_ops.nodes();
+        let nodes_after_warmup = requester.substrate.pending_ops.nodes();
         assert_eq!(nodes_after_warmup, 1);
 
         // Steady state: churn many more misses (distinct home-0 blocks so
@@ -965,11 +737,11 @@ mod tests {
         }
 
         assert_eq!(
-            requester.pending_ops.nodes(),
+            requester.substrate.pending_ops.nodes(),
             nodes_after_warmup,
             "steady-state misses must recycle pending-op storage, not grow it"
         );
-        assert_eq!(requester.pending_ops.values().count(), 0);
+        assert_eq!(requester.substrate.pending_ops.values().count(), 0);
     }
 
     #[test]
@@ -1012,14 +784,14 @@ mod tests {
             other => panic!("expected TokenData, got {other:?}"),
         }
         // Memory kept T-1 tokens.
-        assert_eq!(home.tokens_held(BlockAddr::new(0)), 15);
+        assert_eq!(home.substrate.tokens_held(BlockAddr::new(0)), 15);
 
         // Deliver the response back: the requester's miss completes.
         let final_out = deliver(&home_out.messages, [&mut requester], 120);
         assert_eq!(final_out.completions.len(), 1);
         assert_eq!(final_out.completions[0].kind, MissKind::Read);
         assert!(!final_out.completions[0].cache_to_cache);
-        assert_eq!(requester.cache_state_name(BlockAddr::new(0)), "S");
+        assert_eq!(requester.substrate.cache_state_name(BlockAddr::new(0)), "S");
         assert_eq!(requester.outstanding_misses(), 0);
     }
 
@@ -1042,12 +814,12 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(home.tokens_held(BlockAddr::new(0)), 0);
+        assert_eq!(home.substrate.tokens_held(BlockAddr::new(0)), 0);
 
         let done = deliver(&home_out.messages, [&mut writer], 130);
         assert_eq!(done.completions.len(), 1);
         assert_eq!(done.completions[0].kind, MissKind::Write);
-        assert_eq!(writer.cache_state_name(BlockAddr::new(0)), "M");
+        assert_eq!(writer.substrate.cache_state_name(BlockAddr::new(0)), "M");
         assert!(done.completions[0].data_version > 0);
     }
 
@@ -1098,17 +870,16 @@ mod tests {
         let reader_done = deliver(&writer_out.messages, [&mut reader], 420);
         assert_eq!(reader_done.completions.len(), 1);
         assert!(reader_done.completions[0].cache_to_cache);
-        assert_eq!(reader.cache_state_name(BlockAddr::new(0)), "M");
-        assert_eq!(writer.cache_state_name(BlockAddr::new(0)), "I");
+        assert_eq!(reader.substrate.cache_state_name(BlockAddr::new(0)), "M");
+        assert_eq!(writer.substrate.cache_state_name(BlockAddr::new(0)), "I");
     }
 
     #[test]
     fn non_migratory_owner_shares_a_single_token() {
         let mut c = controller(1, 4);
         // Construct an owned-but-clean line directly: 16 tokens, not dirty.
-        let mut out = Outbox::new();
-        c.receive_tokens(
-            0,
+        seed(
+            &mut c,
             BlockAddr::new(0),
             TokenTransfer {
                 tokens: 16,
@@ -1116,10 +887,8 @@ mod tests {
                 version: 7,
                 ..SHARED_FROM_MEMORY
             },
-            Vnet::Response,
-            &mut out,
         );
-        assert_eq!(c.cache_state_name(BlockAddr::new(0)), "E");
+        assert_eq!(c.substrate.cache_state_name(BlockAddr::new(0)), "E");
 
         // A GetS arrives: the clean owner shares one token + data and keeps
         // the rest (no migratory hand-off because the block is clean).
@@ -1141,27 +910,24 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(c.tokens_held(BlockAddr::new(0)), 15);
-        assert_eq!(c.cache_state_name(BlockAddr::new(0)), "O");
+        assert_eq!(c.substrate.tokens_held(BlockAddr::new(0)), 15);
+        assert_eq!(c.substrate.cache_state_name(BlockAddr::new(0)), "O");
     }
 
     #[test]
     fn shared_copies_send_dataless_acks_on_getm() {
         let mut c = controller(1, 4);
-        let mut out = Outbox::new();
         // Hold two non-owner tokens with data (state S).
-        c.receive_tokens(
-            0,
+        seed(
+            &mut c,
             BlockAddr::new(0),
             TokenTransfer {
                 tokens: 2,
                 version: 3,
                 ..SHARED_FROM_MEMORY
             },
-            Vnet::Response,
-            &mut out,
         );
-        assert_eq!(c.cache_state_name(BlockAddr::new(0)), "S");
+        assert_eq!(c.substrate.cache_state_name(BlockAddr::new(0)), "S");
 
         let getm = Message::new(
             NodeId::new(3),
@@ -1175,23 +941,20 @@ mod tests {
         c.handle_message(50, &getm, &mut out);
         assert_eq!(out.messages.len(), 1);
         assert_eq!(out.messages[0].kind, MsgKind::TokenOnly { tokens: 2 });
-        assert_eq!(c.cache_state_name(BlockAddr::new(0)), "I");
+        assert_eq!(c.substrate.cache_state_name(BlockAddr::new(0)), "I");
     }
 
     #[test]
     fn sharers_ignore_gets_requests() {
         let mut c = controller(1, 4);
-        let mut out = Outbox::new();
-        c.receive_tokens(
-            0,
+        seed(
+            &mut c,
             BlockAddr::new(0),
             TokenTransfer {
                 tokens: 2,
                 version: 3,
                 ..SHARED_FROM_MEMORY
             },
-            Vnet::Response,
-            &mut out,
         );
         let gets = Message::new(
             NodeId::new(3),
@@ -1272,10 +1035,9 @@ mod tests {
     #[test]
     fn persistent_activation_forwards_tokens_from_every_holder() {
         let mut holder = controller(2, 4);
-        let mut out = Outbox::new();
         // The holder has all 16 tokens.
-        holder.receive_tokens(
-            0,
+        seed(
+            &mut holder,
             BlockAddr::new(0),
             TokenTransfer {
                 tokens: 16,
@@ -1285,8 +1047,6 @@ mod tests {
                 version: 9,
                 ..SHARED_FROM_MEMORY
             },
-            Vnet::Response,
-            &mut out,
         );
         // An activation for requester node 3 arrives.
         let activate = Message::new(
@@ -1313,7 +1073,7 @@ mod tests {
             .messages
             .iter()
             .any(|m| m.kind == MsgKind::PersistentAck));
-        assert_eq!(holder.cache_state_name(BlockAddr::new(0)), "I");
+        assert_eq!(holder.substrate.cache_state_name(BlockAddr::new(0)), "I");
 
         // Tokens that arrive later are forwarded as well, because the table
         // entry persists until deactivation.
@@ -1352,23 +1112,20 @@ mod tests {
         let mut out = Outbox::new();
         holder.handle_message(400, &late2, &mut out);
         assert!(out.messages.is_empty());
-        assert_eq!(holder.tokens_held(BlockAddr::new(0)), 1);
+        assert_eq!(holder.substrate.tokens_held(BlockAddr::new(0)), 1);
     }
 
     #[test]
     fn transient_requests_are_ignored_while_a_persistent_request_is_active() {
         let mut holder = controller(2, 4);
-        let mut out = Outbox::new();
-        holder.receive_tokens(
-            0,
+        seed(
+            &mut holder,
             BlockAddr::new(4),
             TokenTransfer {
                 tokens: 4,
                 version: 1,
                 ..SHARED_FROM_MEMORY
             },
-            Vnet::Response,
-            &mut out,
         );
         let activate = Message::new(
             NodeId::new(0),
@@ -1406,25 +1163,21 @@ mod tests {
         small_config.l2.size_bytes = 8 * 64;
         small_config.l2.associativity = 4;
         let mut c = TokenBController::new(NodeId::new(1), &small_config);
-        let mut out = Outbox::new();
-        // Fill one set (blocks congruent mod 2) with owned lines.
-        for i in 0..5u64 {
-            let addr = BlockAddr::new(i * 2);
-            c.receive_tokens(
-                0,
-                addr,
-                TokenTransfer {
-                    tokens: 16,
-                    owner: true,
-                    dirty: true,
-                    from_memory: false,
-                    version: i + 1,
-                    ..SHARED_FROM_MEMORY
-                },
-                Vnet::Response,
-                &mut out,
-            );
+        let owned = |i: u64| TokenTransfer {
+            tokens: 16,
+            owner: true,
+            dirty: true,
+            from_memory: false,
+            version: i + 1,
+            ..SHARED_FROM_MEMORY
+        };
+        // Fill one set (blocks congruent mod 2) with owned lines, then
+        // deliver a fifth.
+        for i in 0..4u64 {
+            seed(&mut c, BlockAddr::new(i * 2), owned(i));
         }
+        let mut out = Outbox::new();
+        token_data(&mut c, 0, BlockAddr::new(8), owned(4), &mut out);
         let writebacks: Vec<_> = out
             .messages
             .iter()
@@ -1444,7 +1197,6 @@ mod tests {
         small_config.l2.size_bytes = 8 * 64;
         small_config.l2.associativity = 4;
         let mut c = TokenBController::new(NodeId::new(1), &small_config);
-        let mut out = Outbox::new();
         let owned = |i: u64| TokenTransfer {
             tokens: 16,
             owner: true,
@@ -1454,16 +1206,22 @@ mod tests {
             ..SHARED_FROM_MEMORY
         };
         for i in 0..4u64 {
-            c.receive_tokens(0, BlockAddr::new(i * 2), owned(i), Vnet::Response, &mut out);
+            seed(&mut c, BlockAddr::new(i * 2), owned(i));
         }
-        assert!(out.messages.is_empty(), "the set holds four lines");
+        assert_eq!(
+            c.substrate.tokens_held(BlockAddr::new(6)),
+            16,
+            "the set holds four lines"
+        );
         // An activation flushes the block's line, so no message sequence
         // leaves a cached line under another node's table entry; enter one
         // by hand to show the eviction rule is safe even then.
         let starver = NodeId::new(3);
-        c.persistent_table
+        c.substrate
+            .persistent_table
             .activate(BlockAddr::new(0), starver, true);
-        c.receive_tokens(0, BlockAddr::new(8), owned(4), Vnet::Response, &mut out);
+        let mut out = Outbox::new();
+        token_data(&mut c, 0, BlockAddr::new(8), owned(4), &mut out);
 
         assert_eq!(out.messages.len(), 1, "block 0, the LRU line, is evicted");
         let evicted = &out.messages[0];
@@ -1481,7 +1239,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(c.tokens_held(BlockAddr::new(0)), 0);
+        assert_eq!(c.substrate.tokens_held(BlockAddr::new(0)), 0);
     }
 
     #[test]
@@ -1513,12 +1271,12 @@ mod tests {
             10,
         );
         home.handle_message(10, &getm, &mut out);
-        assert_eq!(home.tokens_held(BlockAddr::new(0)), 0);
+        assert_eq!(home.substrate.tokens_held(BlockAddr::new(0)), 0);
 
         let mut out = Outbox::new();
         home.handle_message(500, &wb, &mut out);
         assert!(out.messages.is_empty());
-        assert_eq!(home.tokens_held(BlockAddr::new(0)), 16);
+        assert_eq!(home.substrate.tokens_held(BlockAddr::new(0)), 16);
         let audit = home.audit_block(BlockAddr::new(0));
         let mem_audit = audit.iter().find(|a| a.in_memory).expect("memory audit");
         assert_eq!(mem_audit.data_version, 77);
@@ -1527,20 +1285,17 @@ mod tests {
     #[test]
     fn upgrade_miss_is_reported_as_upgrade() {
         let mut c = controller(1, 4);
-        let mut out = Outbox::new();
         // Hold a readable shared copy first.
-        c.receive_tokens(
-            0,
+        seed(
+            &mut c,
             BlockAddr::new(0),
             TokenTransfer {
                 tokens: 1,
                 version: 5,
                 ..SHARED_FROM_MEMORY
             },
-            Vnet::Response,
-            &mut out,
         );
-        assert_eq!(c.cache_state_name(BlockAddr::new(0)), "S");
+        assert_eq!(c.substrate.cache_state_name(BlockAddr::new(0)), "S");
 
         // A store to the same block misses (needs all tokens).
         let mut out = Outbox::new();
@@ -1549,7 +1304,8 @@ mod tests {
 
         // The remaining 15 tokens arrive with the owner token.
         let mut out2 = Outbox::new();
-        c.receive_tokens(
+        token_data(
+            &mut c,
             200,
             BlockAddr::new(0),
             TokenTransfer {
@@ -1558,13 +1314,12 @@ mod tests {
                 version: 5,
                 ..SHARED_FROM_MEMORY
             },
-            Vnet::Response,
             &mut out2,
         );
         assert_eq!(out2.completions.len(), 1);
         assert_eq!(out2.completions[0].kind, MissKind::Upgrade);
         assert_eq!(c.stats().misses.upgrade_misses, 1);
-        assert_eq!(c.cache_state_name(BlockAddr::new(0)), "M");
+        assert_eq!(c.substrate.cache_state_name(BlockAddr::new(0)), "M");
     }
 
     #[test]
@@ -1608,15 +1363,16 @@ mod tests {
         // As above: an activation drains the home's memory, so the table
         // entry is entered by hand with memory still holding all 16 tokens.
         let starver = NodeId::new(2);
-        home.persistent_table
+        home.substrate
+            .persistent_table
             .activate(BlockAddr::new(0), starver, false);
 
         let mut out = Outbox::new();
         home.handle_timer(fire_at, timer, &mut out);
         assert!(out.completions.is_empty(), "the home's own miss stays open");
         assert_eq!(home.outstanding_misses(), 1);
-        assert_eq!(home.cache_state_name(BlockAddr::new(0)), "I");
-        assert_eq!(home.tokens_held(BlockAddr::new(0)), 0);
+        assert_eq!(home.substrate.cache_state_name(BlockAddr::new(0)), "I");
+        assert_eq!(home.substrate.tokens_held(BlockAddr::new(0)), 0);
         assert_eq!(out.messages.len(), 1);
         let forwarded = &out.messages[0];
         assert_eq!(forwarded.dest, Destination::Node(starver));

@@ -92,8 +92,9 @@ impl Submission {
     ///
     /// Returns a [`SubmitError`] naming the offending field for syntax
     /// errors, missing, repeated or unknown members, unknown
-    /// protocol/workload/topology names, out-of-range values, and
-    /// configurations that fail [`SystemConfig::validate`].
+    /// protocol/workload/topology names, out-of-range values,
+    /// configurations that fail [`SystemConfig::validate`], and fault specs
+    /// outside a point's protocol contract ([`FaultSpec::within_contract`]).
     pub fn parse(text: &str) -> Result<Submission, SubmitError> {
         let root = Json::parse(text)
             .map_err(|e| SubmitError::new("body", format!("invalid JSON: {e}")))?;
@@ -142,7 +143,7 @@ impl Submission {
                 ),
             ));
         }
-        let points = raw_points
+        let points: Vec<ExperimentPoint> = raw_points
             .iter()
             .enumerate()
             .map(|(i, point)| point_from_json(point, &format!("points[{i}]")))
@@ -159,6 +160,18 @@ impl Submission {
                 "points",
             ],
         )?;
+        // Each point runs under its own spec, else the campaign-wide one,
+        // which must be inside its protocol's contract.
+        for (i, point) in points.iter().enumerate() {
+            let (field, faults) = if point.faults.is_none() {
+                ("faults".to_string(), options.faults)
+            } else {
+                (format!("points[{i}].faults"), point.faults)
+            };
+            faults
+                .within_contract(point.config.protocol)
+                .map_err(|e| SubmitError::new(field, e))?;
+        }
 
         Ok(Submission {
             priority,
@@ -202,7 +215,7 @@ mod tests {
                 config.with_protocol(ProtocolKind::Directory),
                 WorkloadProfile::oltp(),
             )
-            .with_faults(FaultSpec::parse("drop=0.0001").unwrap()),
+            .with_faults(FaultSpec::parse("delay=0.0001@20").unwrap()),
         ];
         Submission {
             priority: JobPriority::High,
@@ -313,6 +326,23 @@ mod tests {
                 (field, "must be at least 1")
             );
         }
+    }
+
+    #[test]
+    fn faults_outside_a_points_contract_are_refused_by_name() {
+        // Point `a` is TokenB, point `b` Directory with its own delay spec.
+        let mut sub = sample();
+        sub.options.faults = FaultSpec::parse("drop=0.01").unwrap();
+        assert!(Submission::parse(&sub.to_json()).is_ok(), "b keeps its own");
+        sub.points[1].faults = FaultSpec::none();
+        let err = Submission::parse(&sub.to_json()).unwrap_err();
+        assert_eq!(err.field, "faults");
+        assert!(err.message.starts_with("Directory does not tolerate drop"));
+        let mut sub = sample();
+        sub.points[1].faults = FaultSpec::parse("dup=0.5").unwrap();
+        let err = Submission::parse(&sub.to_json()).unwrap_err();
+        assert_eq!(err.field, "points[1].faults");
+        assert!(err.message.starts_with("Directory does not tolerate dup"));
     }
 
     #[test]

@@ -240,6 +240,38 @@ fn a_checkpoint_cadence_on_the_wire_is_refused_as_an_unknown_member() {
     assert_eq!(handle.join().expect("server thread").jobs_failed, 0);
 }
 
+/// A fault spec outside a point's protocol contract is refused before the
+/// queue with a 400 naming the field and the protocol: Snooping tolerates no
+/// fault class, so a reorder window is not silently gated away or run.
+#[test]
+fn faults_outside_a_protocols_contract_are_refused_with_a_400() {
+    let (addr, handle) = start_server(one_worker());
+    let mut points = small_points();
+    points[1].config = points[1]
+        .config
+        .clone()
+        .with_protocol(ProtocolKind::Snooping);
+    let plain = submission(points).to_json();
+    assert!(plain.contains("\"protocol\":\"Snooping\""), "{plain}");
+    let own = plain.replacen("\"faults\":\"none\"}", "\"faults\":\"reorder=2\"}", 2);
+    let err = tc_serve::submit_json(&addr, &own, |_| {}).expect_err("must reject");
+    assert!(err.message.contains("(400)"), "{err}");
+    assert!(
+        err.message.contains("Snooping does not tolerate reorder"),
+        "{err}"
+    );
+    assert!(err.message.contains("(field: points[1].faults)"), "{err}");
+    // The same spec campaign-wide is refused at the Snooping point too.
+    let wide = plain.replacen("\"faults\":\"none\"", "\"faults\":\"reorder=2\"", 1);
+    let err = tc_serve::submit_json(&addr, &wide, |_| {}).expect_err("must reject");
+    assert!(err.message.contains("(400): Snooping"), "{err}");
+    assert!(err.message.contains("(field: faults)"), "{err}");
+    let outcome = tc_serve::submit_json(&addr, &plain, |_| {}).expect("the plain submission");
+    assert_eq!((outcome.ran, outcome.cache_hits), (3, 0));
+    tc_serve::shutdown(&addr).expect("shutdown");
+    assert_eq!(handle.join().expect("server thread").jobs_failed, 0);
+}
+
 #[test]
 fn poisoned_submissions_are_rejected_and_the_queue_keeps_serving() {
     let (addr, handle) = start_server(ServeOptions {

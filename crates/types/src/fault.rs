@@ -230,6 +230,31 @@ impl FaultSpec {
         (gated, gaps)
     }
 
+    /// Refuses this spec for `protocol` when it enables a class outside the
+    /// protocol's contract ([`ProtocolKind::tolerated_faults`]): the check
+    /// wherever a caller hands one protocol's run a spec, which
+    /// [`FaultSpec::gated_for`] would otherwise silently strip. The error
+    /// names the protocol and the refused classes.
+    pub fn within_contract(&self, protocol: ProtocolKind) -> Result<(), String> {
+        let (_, gaps) = self.gated_for(protocol);
+        if gaps.is_empty() {
+            return Ok(());
+        }
+        let names = |kinds: &[FaultKind]| {
+            let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
+            if names.is_empty() {
+                "none".to_string()
+            } else {
+                names.join(", ")
+            }
+        };
+        Err(format!(
+            "{protocol} does not tolerate {} faults (it tolerates: {})",
+            names(&gaps),
+            names(protocol.tolerated_faults())
+        ))
+    }
+
     /// This spec with one fault class disabled.
     pub fn without(mut self, kind: FaultKind) -> FaultSpec {
         match kind {
@@ -642,6 +667,28 @@ mod tests {
         let (snoop, gaps) = spec.gated_for(ProtocolKind::Snooping);
         assert!(snoop.is_none());
         assert_eq!(gaps, vec![FaultKind::Drop, FaultKind::Reorder]);
+    }
+
+    #[test]
+    fn specs_outside_a_contract_are_refused_by_name() {
+        let spec = FaultSpec::none().with_drop(0.01).with_reorder(4);
+        assert_eq!(spec.within_contract(ProtocolKind::TokenB), Ok(()));
+        assert_eq!(
+            spec.within_contract(ProtocolKind::Hammer),
+            Err("Hammer does not tolerate drop faults (it tolerates: delay, reorder, link)".into())
+        );
+        assert_eq!(
+            spec.within_contract(ProtocolKind::Snooping),
+            Err("Snooping does not tolerate drop, reorder faults (it tolerates: none)".into())
+        );
+        for protocol in ProtocolKind::ALL {
+            assert_eq!(
+                FaultSpec::none().with_seed(9).within_contract(protocol),
+                Ok(())
+            );
+            let (gated, _) = spec.gated_for(protocol);
+            assert_eq!(gated.within_contract(protocol), Ok(()), "{protocol}");
+        }
     }
 
     #[test]

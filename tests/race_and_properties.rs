@@ -67,8 +67,8 @@ fn figure2_race_is_resolved_by_reissue_without_violating_safety() {
         writer_partial.completions.is_empty(),
         "the writer must NOT complete with only part of the tokens"
     );
-    assert_eq!(nodes[1].tokens_held(block), 15);
-    assert_eq!(nodes[2].tokens_held(block), 1);
+    assert_eq!(nodes[1].substrate().tokens_held(block), 15);
+    assert_eq!(nodes[2].substrate().tokens_held(block), 1);
 
     // The writer's reissue timer fires and it rebroadcasts its GetM; this
     // time the reader hands over its token (plus data), and the writer
@@ -85,9 +85,9 @@ fn figure2_race_is_resolved_by_reissue_without_violating_safety() {
     let replies = deliver(&reissue.messages, &mut nodes, fire_at + 40);
     let done = deliver(&replies.messages, &mut nodes, fire_at + 80);
     assert_eq!(done.completions.len(), 1, "the writer finally completes");
-    assert_eq!(nodes[1].tokens_held(block), 16);
-    assert_eq!(nodes[1].cache_state_name(block), "M");
-    assert_eq!(nodes[2].tokens_held(block), 0);
+    assert_eq!(nodes[1].substrate().tokens_held(block), 16);
+    assert_eq!(nodes[1].substrate().cache_state_name(block), "M");
+    assert_eq!(nodes[2].substrate().tokens_held(block), 0);
 }
 
 /// Token conservation and read-your-writes hold for arbitrary seeds and
