@@ -88,11 +88,6 @@ impl PersistentTable {
     pub fn state_bytes(&self) -> u64 {
         self.entries.allocated_bytes()
     }
-
-    /// The retired-`BTreeMap` cost estimate for the same peak population.
-    pub fn retired_bytes_estimate(&self) -> u64 {
-        self.entries.retired_container_bytes_estimate()
-    }
 }
 
 snap_struct!(PersistentTable {

@@ -520,9 +520,6 @@ impl TokenSubstrate {
             state_bytes: self.mshrs.state_bytes()
                 + self.memory.state_bytes()
                 + self.persistent_table.state_bytes(),
-            retired_bytes_est: self.mshrs.retired_bytes_estimate()
-                + self.memory.retired_bytes_estimate()
-                + self.persistent_table.retired_bytes_estimate(),
         }
     }
 }

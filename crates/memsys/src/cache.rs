@@ -29,7 +29,8 @@ pub struct CacheLine<S> {
 /// run it leaves goes on a free list for the next first fill. Where each
 /// set's run lies is kept in a two-level index whose second level is
 /// appended the same way, so building a cache writes only the group table
-/// (one `u32` per 16 sets). A line's *slot* — what hints remember and
+/// (one `u32` per 16 sets) and one bit per set saying whether it holds a
+/// line, both zeroed. A line's *slot* — what hints remember and
 /// snapshots record — is `set * ways + way`, whatever order the sets were
 /// filled or promoted in.
 #[derive(Debug, Clone)]
@@ -43,9 +44,14 @@ pub struct SetAssocCache<S> {
     ways: usize,
     /// One entry per [`GROUP`] consecutive sets: 0 while no set of the group
     /// has been filled, else 1 + the number of the group's page in `pages`.
-    /// The only capacity-sized allocation (4 KiB for a Table 1 L2), zeroed
-    /// rather than written.
+    /// With `occupied`, the only capacity-sized allocation (4 KiB for a
+    /// Table 1 L2; the bits are 2 KiB), zeroed rather than written.
     groups: Vec<u32>,
+    /// One bit per set, set while the set holds a line: most probes of a
+    /// non-holder's L2 find an empty set, and stop at this one word instead
+    /// of loading the group table and a run page. Never saved; a load
+    /// rebuilds it as it fills the sets.
+    occupied: Vec<u64>,
     /// Run pages, appended on their group's first fill. Entry `set %
     /// GROUP` is 0 while that set has never been filled, else its run
     /// packed by [`SetAssocCache::place`].
@@ -126,6 +132,7 @@ impl<S> SetAssocCache<S> {
             num_sets,
             ways,
             groups: vec![0; num_sets.div_ceil(GROUP)],
+            occupied: vec![0; num_sets.div_ceil(64)],
             pages: Vec::new(),
             spare: Vec::new(),
             tags: Vec::new(),
@@ -181,10 +188,18 @@ impl<S> SetAssocCache<S> {
         base
     }
 
-    /// [`SetAssocCache::run_of`] for an operation about to fill `set`: on
-    /// its first fill, gives it a one-way run, from the free list if one
-    /// waits there.
+    /// Whether `set` holds a line now: what a probe checks before it looks
+    /// for the set's run.
+    #[inline]
+    pub fn set_holds_lines(&self, set: usize) -> bool {
+        self.occupied[set / 64] >> (set % 64) & 1 != 0
+    }
+
+    /// [`SetAssocCache::run_of`] for an operation about to fill `set`,
+    /// which holds a line from here on: on its first fill, gives it a
+    /// one-way run, from the free list if one waits there.
     fn run_for_fill(&mut self, set: usize) -> Run {
+        self.occupied[set / 64] |= 1 << (set % 64);
         if let Some(run) = self.run_of(set) {
             return run;
         }
@@ -267,6 +282,9 @@ impl<S> SetAssocCache<S> {
     #[inline]
     fn find(&self, addr: BlockAddr) -> Option<(usize, usize)> {
         let set = self.set_index(addr);
+        if !self.set_holds_lines(set) {
+            return None;
+        }
         let run = self.run_of(set)?;
         let tag = addr.value();
         self.tags[run.base..run.base + run.width]
@@ -316,8 +334,9 @@ impl<S> SetAssocCache<S> {
     }
 
     /// Bytes of the set index: the group table plus the run pages filled
-    /// so far (spare `Vec` capacity, never written, is not counted). What
-    /// the cache costs beside its lines; no line-state figure includes it.
+    /// so far (spare `Vec` capacity, never written, is not counted). With
+    /// one occupancy bit per set, what the cache costs beside its lines; no
+    /// line-state figure includes it.
     pub fn index_bytes(&self) -> usize {
         std::mem::size_of_val(self.groups.as_slice()) + std::mem::size_of_val(self.pages.as_slice())
     }
@@ -480,9 +499,17 @@ impl<S> SetAssocCache<S> {
 
     /// Removes a block, returning its state if it was resident.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<S> {
-        let (_, i) = self.find(addr)?;
+        let (slot, i) = self.find(addr)?;
         self.tags[i] = EMPTY_TAG;
         self.len -= 1;
+        let set = slot / self.ways;
+        let run = self.run_of(set).expect("a resident line's set has a run");
+        if self.tags[run.base..run.base + run.width]
+            .iter()
+            .all(|&t| t == EMPTY_TAG)
+        {
+            self.occupied[set / 64] &= !(1 << (set % 64));
+        }
         self.states[i].take()
     }
 
@@ -538,6 +565,7 @@ impl<S: Snap> SnapState for SetAssocCache<S> {
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         self.groups.fill(0);
+        self.occupied.fill(0);
         self.pages.clear();
         self.spare.clear();
         self.tags.clear();

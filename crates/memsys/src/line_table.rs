@@ -112,17 +112,6 @@ impl<V> LineTable<V> {
         self.keys.len()
     }
 
-    /// What this table's *peak* entry population would have cost on the
-    /// retired `std::collections::BTreeMap` plane, for the before/after
-    /// state-bytes comparison (DESIGN.md, line-state plane). Estimate: B=6 B-tree
-    /// leaves hold up to 11 `(key, value)` pairs at ~8/11 typical fill
-    /// (×11/8 slack) plus ~24 amortized bytes per entry of node headers,
-    /// parent edges, and internal nodes.
-    pub fn retired_container_bytes_estimate(&self) -> u64 {
-        let entry_bytes = (std::mem::size_of::<u64>() + std::mem::size_of::<V>()) as u64;
-        self.high_water as u64 * (entry_bytes * 11 / 8 + 24)
-    }
-
     #[inline]
     fn mask(&self) -> usize {
         debug_assert!(self.keys.len().is_power_of_two());

@@ -102,13 +102,6 @@ impl<S: Default + Clone> HomeMemory<S> {
     pub fn state_bytes(&self) -> u64 {
         self.state.allocated_bytes() + self.data.allocated_bytes()
     }
-
-    /// The retired-container cost estimate for the same peak populations
-    /// (the home maps were `FastHashMap`s; the B-tree formula is within the
-    /// same ballpark and keeps one documented estimator).
-    pub fn retired_bytes_estimate(&self) -> u64 {
-        self.state.retired_container_bytes_estimate() + self.data.retired_container_bytes_estimate()
-    }
 }
 
 // Node, home map and latency are config-derived.

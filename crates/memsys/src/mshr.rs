@@ -107,12 +107,6 @@ impl<E> MshrTable<E> {
     pub fn state_bytes(&self) -> u64 {
         self.entries.allocated_bytes()
     }
-
-    /// The retired-`BTreeMap` cost estimate for the same peak population
-    /// (see [`LineTable::retired_container_bytes_estimate`]).
-    pub fn retired_bytes_estimate(&self) -> u64 {
-        self.entries.retired_container_bytes_estimate()
-    }
 }
 
 /// The `mshrs in pending_ops` field of a controller's `snap_state!`: the

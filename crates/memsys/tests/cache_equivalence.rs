@@ -9,8 +9,8 @@
 //! that include non-power-of-two set and way counts, a single set, a single
 //! way, and the Table 1 L2 under a sparse stream. Every return value
 //! (evicted lines and reported slots included), and after every few
-//! operations the population, the iteration order and the `save_state`
-//! bytes, must match exactly. A
+//! operations the population, the iteration order, the sets holding a line
+//! and the `save_state` bytes, must match exactly. A
 //! second test holds a cache restored from its own snapshot to the same
 //! standard against the original: restoring fills sets in slot order, a run
 //! fills them in touch order, and nothing outside the cache may see that. A
@@ -274,6 +274,8 @@ fn swap(line: Option<&mut u32>, new: u32) -> Option<u32> {
 struct Lazy {
     l1: L1Filter,
     l2: SetAssocCache<u32>,
+    /// The L2's set count, for the sets holding a line.
+    sets: usize,
 }
 
 impl Subject for Lazy {
@@ -305,7 +307,10 @@ impl Subject for Lazy {
 
     fn observe(&self) -> String {
         let lines: Vec<_> = self.l2.iter().collect();
-        show((self.l2.len(), self.l2.blocks(), lines))
+        let holding: Vec<_> = (0..self.sets)
+            .filter(|&set| self.l2.set_holds_lines(set))
+            .collect();
+        show((self.l2.len(), self.l2.blocks(), lines, holding))
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -359,7 +364,11 @@ impl Subject for Flat {
     fn observe(&self) -> String {
         let lines: Vec<_> = self.l2.iter().collect();
         let blocks: Vec<_> = self.l2.iter().map(|(a, _)| a).collect();
-        show((self.l2.len, blocks, lines))
+        let ways = self.l2.ways;
+        let holding: Vec<_> = (0..self.l2.num_sets)
+            .filter(|&set| (self.l2.tags[set * ways..][..ways].iter()).any(|&t| t != EMPTY_TAG))
+            .collect();
+        show((self.l2.len, blocks, lines, holding))
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -414,6 +423,7 @@ fn lazy(sets: usize, ways: usize) -> Lazy {
     Lazy {
         l1: L1Filter::new(&L1, BLOCK_BYTES),
         l2: SetAssocCache::with_geometry(sets, ways),
+        sets,
     }
 }
 
@@ -566,8 +576,9 @@ fn script(a: &mut impl Subject, b: &mut impl Subject, ops: &[Op], what: &str) ->
 /// oracle: one-way sets are promoted to all their ways, the run a promoted
 /// set leaves is taken by the next set's first fill, way 0 of a promoted
 /// set is emptied and refilled, `victim_for` on a one-way set answers
-/// `None`, and a snapshot holding a set's only line at way 1 restores by
-/// promoting that set.
+/// `None`, a snapshot holding a set's only line at way 1 restores by
+/// promoting that set, and a promoted set emptied line by line stops
+/// holding lines.
 #[test]
 fn one_way_runs_promote_refill_and_restore_like_flat_sets() {
     const SETS: usize = 8;
@@ -651,4 +662,12 @@ fn one_way_runs_promote_refill_and_restore_like_flat_sets() {
     let answers = script(&mut restored, &mut old, &after, "after restore");
     assert_eq!(answers[1], "Some((4, 9))", "set 1's way 0 is free again");
     assert_eq!(answers[2], "Some((5, 8))", "set 1's line kept way 1");
+
+    let emptied = [
+        Op::Remove(block(1, 1)),
+        Op::Remove(block(1, 2)),
+        Op::Peek(block(1, 1)),
+    ];
+    script(&mut restored, &mut old, &emptied, "set 1 emptied");
+    assert!(!restored.l2.set_holds_lines(1) && restored.l2.set_holds_lines(0));
 }

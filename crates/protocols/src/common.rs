@@ -428,12 +428,6 @@ impl WritebackPlane {
     pub fn state_bytes(&self) -> u64 {
         self.buffer.allocated_bytes() + self.windows.allocated_bytes()
     }
-
-    /// The retired-`BTreeMap` cost estimate for the same peak populations.
-    pub fn retired_bytes_estimate(&self) -> u64 {
-        self.buffer.retired_container_bytes_estimate()
-            + self.windows.retired_container_bytes_estimate()
-    }
 }
 
 // The buffered lines, then the handshake windows.
@@ -728,6 +722,5 @@ mod tests {
         assert_eq!(buffer_peak, 6);
         assert_eq!(window_peak, 0);
         assert!(plane.state_bytes() > 0);
-        assert!(plane.retired_bytes_estimate() > 0);
     }
 }

@@ -509,9 +509,6 @@ impl<P: MosiPolicy> CoherenceController for MosiNode<P> {
             state_bytes: self.mshrs.state_bytes()
                 + self.wb.state_bytes()
                 + self.memory.state_bytes(),
-            retired_bytes_est: self.mshrs.retired_bytes_estimate()
-                + self.wb.retired_bytes_estimate()
-                + self.memory.retired_bytes_estimate(),
         }
     }
 

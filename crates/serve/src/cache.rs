@@ -199,11 +199,11 @@ mod tests {
         assert!(warning.is_none());
         assert_eq!(restored.len(), 1);
 
-        // What servers built before snapshot versions 4, 5 and 6 persisted:
-        // the same entries sealed with version 3, 4 or 5, refused by the
-        // version alone.
+        // What servers built before snapshot versions 4 to 8 persisted: the
+        // same entries sealed with version 3 to 7, refused by the version
+        // alone.
         let bytes = std::fs::read(&good).unwrap();
-        for version in [3, 4, 5] {
+        for version in 3..=7 {
             let old_file = dir.join(format!("v{version}.snap"));
             std::fs::write(&old_file, seal(version, open(&bytes).unwrap().1)).unwrap();
             let (old, warning) = ResultCache::load_or_empty(&old_file);

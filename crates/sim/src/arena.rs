@@ -18,6 +18,8 @@
 //!   handle — the zero-clone multicast fan-out path. Each consumer reads
 //!   through [`Arena::get`] and then [`Arena::release`]s; the `n`-th
 //!   release frees the slot (and bumps the generation) exactly like `take`.
+//! * [`Arena::reshare`] is `take` then `insert_shared` without moving the
+//!   value: a sent message's slot is re-stamped for its fan-out in place.
 //! * Slots are recycled LIFO through a free list; steady-state insert/take
 //!   cycles allocate nothing.
 //!
@@ -162,6 +164,20 @@ impl<T> Arena<T> {
     /// out from under them would turn their releases into stale-handle
     /// panics with the blame on the wrong call site.
     pub fn take(&mut self, handle: ArenaRef) -> T {
+        let slot = self.sole_slot(handle);
+        let value = slot
+            .value
+            .take()
+            .expect("arena handle with matching generation must hold a value");
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(handle.index);
+        self.len -= 1;
+        value
+    }
+
+    /// The slot of a value about to leave `handle`'s hands: panics (see
+    /// [`Arena::take`]) if the handle is stale or the value still shared.
+    fn sole_slot(&mut self, handle: ArenaRef) -> &mut Slot<T> {
         let slot = &mut self.slots[handle.index as usize];
         assert_eq!(
             slot.generation, handle.generation,
@@ -174,14 +190,31 @@ impl<T> Arena<T> {
             "cannot take a value still shared by {} other handle uses",
             slot.remaining.saturating_sub(1)
         );
-        let value = slot
-            .value
-            .take()
-            .expect("arena handle with matching generation must hold a value");
+        slot
+    }
+
+    /// [`Arena::take`] then [`Arena::insert_shared`] of the same value
+    /// without moving it: the slot is re-stamped for `copies` uses and
+    /// comes back under the handle that pair would return (the take frees
+    /// the slot to the top of the free list, the insert pops it). With
+    /// `copies` 0 the value is dropped and its slot freed, as a take whose
+    /// value nobody re-parks.
+    ///
+    /// # Panics
+    ///
+    /// As [`Arena::take`]: on a stale handle or a value still shared.
+    pub fn reshare(&mut self, handle: ArenaRef, copies: u32) -> Option<ArenaRef> {
+        if copies == 0 {
+            drop(self.take(handle));
+            return None;
+        }
+        let slot = self.sole_slot(handle);
         slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(handle.index);
-        self.len -= 1;
-        value
+        slot.remaining = copies;
+        Some(ArenaRef {
+            index: handle.index,
+            generation: slot.generation,
+        })
     }
 
     /// Consumes one use of a shared handle, freeing the slot (and dropping
@@ -341,6 +374,50 @@ mod tests {
         assert_eq!(arena.take(b), "beta");
         assert_eq!(arena.take(a), "alpha");
         assert!(arena.is_empty());
+    }
+
+    /// `reshare(h, k)` is `take(h)` then `insert_shared(value, k)` (or the
+    /// take alone for `k == 0`): the same handle, and the same slots,
+    /// generations, free list, occupancy and high-water mark after, on a
+    /// free list that is empty or already holds slots.
+    #[test]
+    fn reshare_equals_take_then_insert_shared() {
+        let bytes = |arena: &Arena<u64>| {
+            let mut w = SnapWriter::new();
+            arena.save(&mut w);
+            w.into_bytes()
+        };
+        for freed_before in [0, 2] {
+            for copies in 0..4 {
+                let mut arena = Arena::new();
+                let handles: Vec<_> = (0..4).map(|v| arena.insert(v * 10)).collect();
+                for &h in &handles[..freed_before] {
+                    arena.take(h);
+                }
+                let sent = arena.insert(77);
+                let mut moved = Arena::load(&mut SnapReader::new(&bytes(&arena))).unwrap();
+                let reshared = arena.reshare(sent, copies);
+                let value = moved.take(sent);
+                let reinserted = (copies > 0).then(|| moved.insert_shared(value, copies));
+                let case = format!("{freed_before} freed, {copies} copies");
+                assert_eq!(reshared, reinserted, "{case}");
+                assert_eq!(
+                    reshared.map(ArenaRef::to_bits),
+                    reinserted.map(ArenaRef::to_bits),
+                    "{case}"
+                );
+                assert_eq!(
+                    (arena.len(), arena.high_water(), arena.capacity()),
+                    (moved.len(), moved.high_water(), moved.capacity()),
+                    "{case}"
+                );
+                assert_eq!(bytes(&arena), bytes(&moved), "{case}");
+                if let Some(h) = reshared {
+                    assert_eq!(arena.get(h), &77, "{case}");
+                    assert!((1..copies).all(|_| !arena.release(h)) && arena.release(h));
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 ///   destination tag 1 is retired); the verifier keeps a history only for
 ///   written blocks; the fingerprint key's token configuration drops the
 ///   persistent-request latency multiplier nothing read.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// * v8 — the miss latencies are a histogram, sorted `(latency, count)`
+///   pairs, not one entry per completed miss; the line-state statistics
+///   drop the retired-plane byte estimate.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

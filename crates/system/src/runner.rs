@@ -598,14 +598,14 @@ impl System {
                 .core
                 .step(now, event, progress.draining(), &mut sched, &mut out);
             if let Some(msg_ref) = sent {
-                let msg = self.core.messages.take(msg_ref);
-                progress.commit_send(&mut self.interconnect, now, &msg, &mut arrivals);
-                // Park the payload once, shared by every delivery of the
-                // fan-out; the last delivery's release frees it. Nothing is
-                // cloned, broadcast or not, and a fully-dropped message is
-                // never parked.
-                if !arrivals.is_empty() {
-                    let parked = self.core.messages.insert_shared(msg, arrivals.len() as u32);
+                let msg = self.core.messages.get(msg_ref);
+                progress.commit_send(&mut self.interconnect, now, msg, &mut arrivals);
+                // Re-park the payload where it is, shared by every delivery
+                // of the fan-out; the last delivery's release frees it.
+                // Nothing is cloned or moved, broadcast or not, and a
+                // fully-dropped message's slot is freed here.
+                let copies = arrivals.len() as u32;
+                if let Some(parked) = self.core.messages.reshare(msg_ref, copies) {
                     for &(at, node) in &arrivals {
                         self.queue
                             .schedule(at, Event::Deliver { node, msg: parked });
@@ -673,7 +673,7 @@ impl System {
             merge_controller_stats(&self.core.controllers);
 
         let (miss_latency_p50, miss_latency_p99, miss_latency_max) =
-            latency_percentiles(&mut self.core.miss_latency_samples);
+            self.core.miss_latency_samples.percentiles();
 
         // Recovery-side fault numbers: how hard the correctness substrate
         // had to work. Left all-zero on faultless runs so the default
@@ -931,23 +931,6 @@ fn merge_controller_stats(
         line_state.merge(&controller.line_state_stats());
     }
     (misses, reissue, merged, line_state)
-}
-
-/// Miss-latency percentiles `(p50, p99, max)` over every completed miss.
-/// Sorts in place: the run is over and the samples have no other consumer.
-fn latency_percentiles(samples: &mut [Cycle]) -> (Cycle, Cycle, Cycle) {
-    samples.sort_unstable();
-    let percentile = |p: usize| -> Cycle {
-        match samples.len() {
-            0 => 0,
-            n => samples[(n - 1) * p / 100],
-        }
-    };
-    (
-        percentile(50),
-        percentile(99),
-        samples.last().copied().unwrap_or(0),
-    )
 }
 
 /// Completion-share skew: (max - min) per-node completions relative to the

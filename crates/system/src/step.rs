@@ -3,7 +3,7 @@
 //!
 //! A [`StepCore`] owns a contiguous node range `[lo, hi)` — controllers,
 //! processors (each with its own outstanding misses and completion count),
-//! latency samples — and the arenas its in-flight messages and armed timers
+//! the miss-latency histogram — and the arenas its in-flight messages and armed timers
 //! are parked in.
 //! The serial engine runs one core over every node; the windowed engine
 //! runs one per shard. The engines differ in exactly two decisions, which the core takes
@@ -131,10 +131,9 @@ pub(crate) struct StepCore {
     pub(crate) timers: Arena<Timer>,
     /// Every completed miss's end-to-end latency, for the report's
     /// p50/p99/max percentiles (the max doubles as the worst-case recovery
-    /// latency under fault injection). Bounded by the op count, not the
-    /// event count, so a full OLTP calibration stays in the hundreds of
-    /// kilobytes.
-    pub(crate) miss_latency_samples: Vec<Cycle>,
+    /// latency under fault injection). Sized by the distinct latencies, not
+    /// by the misses, so it stops growing once a run has seen its spread.
+    pub(crate) miss_latency_samples: LatencyHistogram,
 }
 
 impl StepCore {
@@ -155,7 +154,7 @@ impl StepCore {
             completed_ops: 0,
             messages: Arena::new(),
             timers: Arena::new(),
-            miss_latency_samples: Vec::new(),
+            miss_latency_samples: LatencyHistogram::default(),
         }
     }
 
@@ -191,7 +190,7 @@ impl StepCore {
         self.controllers.extend(part.controllers);
         self.processors.extend(part.processors);
         self.completed_ops += part.completed_ops;
-        self.miss_latency_samples.extend(part.miss_latency_samples);
+        self.miss_latency_samples.absorb(part.miss_latency_samples);
     }
 
     /// The node indices this core owns.
@@ -222,8 +221,9 @@ impl StepCore {
     }
 
     /// Handles one popped event. A popped `Send` returns its message's
-    /// handle, still parked: the caller must `take` it out of `messages` and
-    /// decides when it reaches the fabric (now, or at the window boundary).
+    /// handle, still parked: the caller decides when it reaches the fabric
+    /// (now, re-parked in place for its deliveries, or taken out for the
+    /// window boundary).
     /// The handle rather than the message, because an 80-byte `Message`
     /// returned by value is copied twice more on the way to its next parking
     /// slot, which measured several percent on send-heavy protocols (Hammer
@@ -343,6 +343,9 @@ impl StepCore {
         sched: &mut S,
         out: &mut Outbox,
     ) {
+        if out.is_empty() {
+            return;
+        }
         let local = node.index() - self.lo;
         for msg in out.messages.drain(..) {
             let at = msg.sent_at.max(now);
@@ -355,7 +358,7 @@ impl StepCore {
         }
         for completion in out.completions.drain(..) {
             let latency = completion.completed_at.saturating_sub(completion.issued_at);
-            self.miss_latency_samples.push(latency);
+            self.miss_latency_samples.record(latency);
             let outcome = self.processors[local].note_completion(completion.req_id);
             // Fairness oracle: a completion on this (node, block) pair
             // stops its bounded-wait clock, if one was running.
@@ -386,6 +389,66 @@ impl StepCore {
     }
 }
 
+/// A multiset of miss latencies, kept exactly as `latency -> count`: what
+/// the sorted list of every sample would give, in memory that grows with the
+/// distinct latencies only. Hashed, not ordered: a completion counts in
+/// O(1), and only the report and a snapshot sort the distinct latencies.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LatencyHistogram(FastHashMap<Cycle, u64>);
+
+impl LatencyHistogram {
+    /// Counts one sample.
+    pub(crate) fn record(&mut self, latency: Cycle) {
+        *self.0.entry(latency).or_insert(0) += 1;
+    }
+
+    /// Adds every sample of `other`.
+    pub(crate) fn absorb(&mut self, other: LatencyHistogram) {
+        for (latency, count) in other.0 {
+            *self.0.entry(latency).or_insert(0) += count;
+        }
+    }
+
+    /// `(p50, p99, max)`, each the sample at nearest rank `(n - 1) * p /
+    /// 100` of the sorted samples; all 0 when there are none.
+    pub(crate) fn percentiles(&self) -> (Cycle, Cycle, Cycle) {
+        let mut sorted: Vec<(Cycle, u64)> = self.0.iter().map(|(&l, &c)| (l, c)).collect();
+        sorted.sort_unstable();
+        let n: u64 = sorted.iter().map(|&(_, count)| count).sum();
+        let percentile = |p: u64| -> Cycle {
+            let rank = n.saturating_sub(1) * p / 100;
+            let mut seen = 0;
+            for &(latency, count) in &sorted {
+                seen += count;
+                if seen > rank {
+                    return latency;
+                }
+            }
+            0
+        };
+        let max = sorted.last().map_or(0, |&(latency, _)| latency);
+        (percentile(50), percentile(99), max)
+    }
+}
+
+/// On the wire, the `(latency, count)` pairs in latency order. The load
+/// refuses a latency out of order or repeated (the map's rule) and a zero
+/// count: no writer makes either, and each would re-save to other bytes.
+impl Snap for LatencyHistogram {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let counts = FastHashMap::<Cycle, u64>::load(r)?;
+        if counts.values().any(|&count| count == 0) {
+            return Err(SnapshotError::Corrupt(
+                "miss-latency histogram count 0".into(),
+            ));
+        }
+        Ok(LatencyHistogram(counts))
+    }
+}
+
 /// Accumulates one in-flight message's token counts into the final-audit
 /// map (total tokens, owner tokens) for its block.
 pub(crate) fn add_in_flight_tokens(
@@ -398,6 +461,92 @@ pub(crate) fn add_in_flight_tokens(
         entry.0 += tokens;
         if msg.kind.carries_owner_token() {
             entry.1 += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tc_sim::DeterministicRng;
+
+    /// The report's percentiles as the sorted list of every sample gives
+    /// them: nearest rank `(n - 1) * p / 100`, and the last sample.
+    fn sorted_oracle(samples: &[Cycle]) -> (Cycle, Cycle, Cycle) {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let percentile = |p: usize| match sorted.len() {
+            0 => 0,
+            n => sorted[(n - 1) * p / 100],
+        };
+        let max = sorted.last().copied().unwrap_or(0);
+        (percentile(50), percentile(99), max)
+    }
+
+    #[test]
+    fn latency_histogram_percentiles_match_sorted_samples() {
+        let mut rng = DeterministicRng::new(0x4157);
+        let seeded: Vec<Cycle> = (0..5000)
+            .map(|_| match rng.next_below(10) {
+                0 => rng.next_range(1000, 40_000),
+                _ => rng.next_range(40, 400),
+            })
+            .collect();
+        let mut outlier = vec![120; 999];
+        outlier.push(u64::MAX / 3);
+        let cases: [(&str, Vec<Cycle>); 6] = [
+            ("empty", vec![]),
+            ("one sample", vec![77]),
+            ("all ties", vec![250; 333]),
+            ("two samples", vec![9, 3]),
+            ("seeded", seeded),
+            ("one huge outlier", outlier),
+        ];
+        for (what, samples) in cases {
+            let mut whole = LatencyHistogram::default();
+            samples.iter().for_each(|&l| whole.record(l));
+            assert_eq!(whole.percentiles(), sorted_oracle(&samples), "{what}");
+            // Split across two cores and absorbed, in either order.
+            let (left, right) = samples.split_at(samples.len() / 3);
+            let (mut a, mut b) = (LatencyHistogram::default(), LatencyHistogram::default());
+            left.iter().for_each(|&l| a.record(l));
+            right.iter().for_each(|&l| b.record(l));
+            let mut ba = b.clone();
+            ba.absorb(a.clone());
+            a.absorb(b);
+            assert_eq!((&a, &ba), (&whole, &whole), "{what}");
+        }
+    }
+
+    #[test]
+    fn latency_histogram_round_trips_and_refuses_corrupt_bytes() {
+        let mut histogram = LatencyHistogram::default();
+        for latency in [300, 12, 300, 7, 4_000_000, 12, 300] {
+            histogram.record(latency);
+        }
+        tc_testkit::assert_snap_round_trip(&histogram);
+        let mut w = SnapWriter::new();
+        histogram.save(&mut w);
+        let pairs = [(7u64, 1u64), (12, 2), (300, 3), (4_000_000, 1)];
+        let mut expected = SnapWriter::new();
+        pairs.to_vec().save(&mut expected);
+        assert_eq!(
+            w.into_bytes(),
+            expected.into_bytes(),
+            "sorted (latency, count) pairs"
+        );
+        for (what, pairs) in [
+            ("out of order", vec![(12u64, 1u64), (7, 1)]),
+            ("repeated latency", vec![(12, 1), (12, 1)]),
+            ("zero count", vec![(7, 1), (12, 0)]),
+        ] {
+            let mut w = SnapWriter::new();
+            pairs.save(&mut w);
+            let loaded = LatencyHistogram::load(&mut SnapReader::new(&w.into_bytes()));
+            assert!(
+                matches!(loaded, Err(SnapshotError::Corrupt(_))),
+                "{what}: {loaded:?}"
+            );
         }
     }
 }

@@ -39,9 +39,9 @@ pub fn token_count_violations(
 struct BlockHistory {
     /// (version, time it became current), oldest first, starting from
     /// `(0, 0)`; the last entry is the currently visible version. Bounded to
-    /// keep memory use constant; a deque so trimming the oldest entry is
-    /// O(1) rather than a memmove of the whole window on every write to a
-    /// hot block.
+    /// the newest [`BlockHistory::MAX_ENTRIES`], in as many slots; a deque so
+    /// trimming the oldest entry is O(1) rather than a memmove of the whole
+    /// window on every write to a hot block.
     versions: VecDeque<(u64, Cycle)>,
 }
 
@@ -50,11 +50,13 @@ snap_struct!(BlockHistory { versions });
 impl BlockHistory {
     const MAX_ENTRIES: usize = 128;
 
+    /// Appends `version`, first dropping the oldest entries that would push
+    /// the window past its bound, so a full window never asks for more room.
     fn record(&mut self, version: u64, at: Cycle) {
-        self.versions.push_back((version, at));
-        while self.versions.len() > Self::MAX_ENTRIES {
+        while self.versions.len() >= Self::MAX_ENTRIES {
             self.versions.pop_front();
         }
+        self.versions.push_back((version, at));
     }
 
     fn current(&self) -> u64 {
@@ -519,6 +521,33 @@ mod tests {
         v.record_write(NodeId::new(1), BlockAddr::new(3), 5, 100);
         v.check_read(NodeId::new(0), BlockAddr::new(3), 0, 90, 120);
         assert_eq!(v.violations().len(), 1);
+    }
+
+    /// A hot block's history holds its newest `MAX_ENTRIES` writes in at
+    /// most as many slots, written fresh or restored and written on.
+    #[test]
+    fn block_history_capacity_stays_at_its_entry_bound() {
+        let (addr, max) = (BlockAddr::new(1), BlockHistory::MAX_ENTRIES);
+        let newest = |v: &Verifier, last: u64| {
+            let history = &v.history[&addr].versions;
+            assert!(history.capacity() <= max, "{}", history.capacity());
+            let expected: Vec<_> = (last + 1 - max as u64..=last)
+                .map(|i| (i, i * 10))
+                .collect();
+            assert!(history.iter().copied().eq(expected));
+        };
+        let mut v = Verifier::new();
+        for i in 1..=1000u64 {
+            v.record_write(NodeId::new(0), addr, i, i * 10);
+        }
+        newest(&v, 1000);
+        let mut w = SnapWriter::new();
+        v.save(&mut w);
+        let mut restored = Verifier::load(&mut SnapReader::new(&w.into_bytes())).unwrap();
+        for i in 1001..=1100u64 {
+            restored.record_write(NodeId::new(0), addr, i, i * 10);
+        }
+        newest(&restored, 1100);
     }
 
     #[test]

@@ -345,11 +345,6 @@ pub struct LineStateStats {
     pub persistent_peak: u64,
     /// Bytes allocated by the line-state tables backing the above.
     pub state_bytes: u64,
-    /// What the same peak populations would have cost on the retired
-    /// `BTreeMap`/`HashMap` plane (documented estimate; see
-    /// `tc_memsys::LineTable::retired_container_bytes_estimate`) — the
-    /// before/after comparison DESIGN.md's line-state section quotes.
-    pub retired_bytes_est: u64,
 }
 
 impl LineStateStats {
@@ -363,7 +358,6 @@ impl LineStateStats {
         self.home_peak += other.home_peak;
         self.persistent_peak += other.persistent_peak;
         self.state_bytes += other.state_bytes;
-        self.retired_bytes_est += other.retired_bytes_est;
     }
 
     /// Total peak entries across every structure.
@@ -383,7 +377,6 @@ snap_struct!(LineStateStats {
     home_peak,
     persistent_peak,
     state_bytes,
-    retired_bytes_est,
 });
 
 /// Engine-level (simulator, not simulated-system) statistics for one run.
@@ -806,7 +799,6 @@ mod tests {
             home_peak: 4,
             persistent_peak: 5,
             state_bytes: 6,
-            retired_bytes_est: 7,
         };
         assert_snap_round_trip(&state);
         let sharding = ShardStats {

@@ -162,10 +162,10 @@ fn first_checkpoint_of(
 #[test]
 fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
     for (protocol, pinned) in [
-        (ProtocolKind::TokenB, (722_165, 0x169a9a64b7aa3d33)),
-        (ProtocolKind::Snooping, (749_616, 0x5e5f0568d908fdba)),
-        (ProtocolKind::Directory, (872_450, 0xa12b27f16dccc2b2)),
-        (ProtocolKind::Hammer, (492_683, 0xdd7522d220383b17)),
+        (ProtocolKind::TokenB, (630_197, 0x31aa88cd0371b483)),
+        (ProtocolKind::Snooping, (652_832, 0xb89f2be1820d9f57)),
+        (ProtocolKind::Directory, (766_410, 0xc612c3364f072714)),
+        (ProtocolKind::Hammer, (443_939, 0x761b902225429347)),
     ] {
         let bytes = first_checkpoint(protocol);
         let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
@@ -192,7 +192,7 @@ fn first_checkpoint_under_both_planes_keeps_its_bytes() {
     let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
     assert_eq!(
         (len, hash),
-        (717_770, 0xe3c581e14493fd47),
+        (628_290, 0xaa571325f1f881e7),
         "planed TokenB: snapshot bytes changed ({len}, {hash:#x}): bump SNAPSHOT_VERSION \
          and re-record, or restore the format"
     );
@@ -218,6 +218,28 @@ fn restored_snapshots_re_save_their_exact_bytes() {
             config.protocol
         );
     }
+}
+
+/// A checkpoint sealed as version 7 (one latency per completed miss, the
+/// retired-plane byte estimate) is refused by its version, before any of
+/// its payload is read: v8 reads none of the older layouts.
+#[test]
+fn a_version_7_checkpoint_is_refused_with_bad_version() {
+    use token_coherence::sim::{open, seal, SnapshotError, SNAPSHOT_VERSION};
+    assert_eq!(SNAPSHOT_VERSION, 8);
+    let (config, profile, options) = pinned_configuration(ProtocolKind::TokenB);
+    let sealed = first_checkpoint(ProtocolKind::TokenB);
+    let (_, payload) = open(&sealed).expect("a checkpoint opens");
+    let err = System::build(&config, &profile)
+        .restore(&options, &seal(7, payload))
+        .expect_err("a version 7 checkpoint must not restore");
+    assert_eq!(
+        err,
+        SnapshotError::BadVersion {
+            found: 7,
+            expected: 8
+        }
+    );
 }
 
 /// A snapshot that lost a plane the options arm must not restore: a run
@@ -260,22 +282,21 @@ fn a_snapshot_missing_an_armed_plane_is_rejected() {
 /// The report codec, pinned the same way: `RunReport::save_state` of the
 /// pinned configuration's final report is what `tc-serve`'s cache file
 /// stores and what the benchmark's `sim.fingerprint` hashes, so a drift in
-/// its bytes must fail here, not nine minutes into the benchmark. The two
-/// line-state byte estimates are priced at `size_of` and move with the
-/// toolchain (`tests/conformance.rs` holds them under a ceiling), so they are
+/// its bytes must fail here, not nine minutes into the benchmark. The
+/// line-state byte figure is priced at `size_of` and moves with the
+/// toolchain (`tests/conformance.rs` holds it under a ceiling), so it is
 /// zeroed before hashing; every other field is a count or an id.
 #[test]
 fn final_report_of_the_pinned_configuration_keeps_its_bytes() {
     for (protocol, pinned) in [
-        (ProtocolKind::TokenB, (805, 0xf33b2e857dbba821)),
-        (ProtocolKind::Snooping, (863, 0x1a471d09627f6a8a)),
-        (ProtocolKind::Directory, (861, 0x94c6b39bfa1bb083)),
-        (ProtocolKind::Hammer, (789, 0x93c85d2b6002f0)),
+        (ProtocolKind::TokenB, (797, 0xe6f0b343198c9e01)),
+        (ProtocolKind::Snooping, (855, 0x2f3e2b45faa65d4a)),
+        (ProtocolKind::Directory, (853, 0xa012f2b541fece23)),
+        (ProtocolKind::Hammer, (781, 0x2f766323a5a204f0)),
     ] {
         let (config, profile, options) = pinned_configuration(protocol);
         let mut report = System::build(&config, &profile).run(options);
         report.engine.state.state_bytes = 0;
-        report.engine.state.retired_bytes_est = 0;
         let mut w = token_coherence::sim::SnapWriter::new();
         report.save_state(&mut w);
         let bytes = w.into_bytes();
