@@ -1,95 +1,22 @@
-//! The adversary plane: deterministic, seeded worst-case scheduling inside
-//! the fabric's legal latitude.
-//!
-//! The plane sits in the same seam as the fault plane — between
-//! [`Interconnect::send_arrivals`](crate::Interconnect::send_arrivals) and
-//! the runner's arena parking step — but is strictly weaker than a fault:
-//! it never adds or removes arrivals, it only moves them **later**. Every
-//! schedule it produces is one an unordered interconnect could have
-//! produced on its own (congestion, routing, buffering), so a protocol that
-//! breaks under the adversary is broken, full stop — there is no fault
-//! contract to hide behind.
-//!
-//! # Determinism contract
-//!
-//! The plane owns a [`DeterministicRng`] stream forked from
-//! `(run seed, AdversarySpec::seed)` on its own stream tag, independent of
-//! the workload and fault streams. Arrivals are processed in the order the
-//! topology emitted them and a draw happens only for enabled classes, so a
-//! `(seed, AdversarySpec)` pair reproduces the exact same schedule
-//! bit-for-bit regardless of host, thread count, or wall-clock.
-//!
-//! [`DeterministicRng`]: tc_sim::DeterministicRng
+//! The perturbation plane's second stage; [`crate::fault`] describes both
+//! stages, their order and their determinism contract.
 
-use tc_sim::snap_state;
 use tc_types::adversary::{AdversarySpec, AdversaryStats};
 use tc_types::{BlockAddr, Cycle, Message, MsgKind, NodeId};
 
 use crate::plane_rng::PlaneRng;
 
-/// Distinct stream tag so the adversary RNG never collides with the
-/// workload, pump, or fault streams forked from the same run seed.
-const ADVERSARY_STREAM: u64 = 0xAD_5E_47_21;
-
-/// Executes an [`AdversarySpec`] against every send's computed arrival
-/// list. One plane exists per run (only when the spec is non-empty); it
-/// carries the spec, its private RNG stream, and the accumulated
-/// [`AdversaryStats`].
+/// An armed [`AdversarySpec`]: its spec, private RNG stream and counters.
 #[derive(Debug)]
-pub struct Adversary {
-    spec: AdversarySpec,
-    rngs: PlaneRng,
-    stats: AdversaryStats,
-    /// Skew quantum for reorder scheduling, set to the link latency so one
-    /// reorder step is one link hop of displacement — the same "legal
-    /// latitude" unit the fault plane uses.
-    quantum: u64,
+pub(crate) struct AdversaryStage {
+    pub(crate) spec: AdversarySpec,
+    pub(crate) rngs: PlaneRng,
+    pub(crate) stats: AdversaryStats,
 }
 
-impl Adversary {
-    /// Creates the plane for one run. `run_seed` is the system config's
-    /// seed; the spec's own seed is folded in so adversarial schedules can
-    /// be varied independently of the workload. `link_latency_ns` becomes
-    /// the reorder skew quantum.
-    pub fn new(spec: AdversarySpec, run_seed: u64, link_latency_ns: u64) -> Self {
-        Adversary {
-            spec,
-            rngs: PlaneRng::new(run_seed, spec.seed, ADVERSARY_STREAM),
-            stats: AdversaryStats::default(),
-            quantum: link_latency_ns.max(1),
-        }
-    }
-
-    /// [`Adversary::new`] in per-source-node stream mode, for the sharded
-    /// runner (see `PlaneRng::new_per_node`): the perturbation schedule
-    /// depends only on each node's own message sequence — identical at any
-    /// shard count.
-    pub fn new_per_node(
-        spec: AdversarySpec,
-        run_seed: u64,
-        link_latency_ns: u64,
-        num_nodes: usize,
-    ) -> Self {
-        Adversary {
-            rngs: PlaneRng::new_per_node(run_seed, spec.seed, ADVERSARY_STREAM, num_nodes),
-            ..Adversary::new(spec, run_seed, link_latency_ns)
-        }
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> AdversaryStats {
-        self.stats
-    }
-
-    /// Rewrites the arrival times in `arrivals` (as produced by
-    /// `send_arrivals` for `msg` at time `now`) according to the spec.
-    /// Entries are never added or removed, and arrival times never move
-    /// earlier than the fault-free schedule — the adversary stays inside
-    /// the latitude the unordered fabric already grants.
-    pub fn apply(&mut self, now: Cycle, msg: &Message, arrivals: &mut [(Cycle, NodeId)]) {
-        let _ = now;
-        let victim_block = BlockAddr::new(self.spec.victim_block);
-        let on_victim_block = msg.addr == victim_block;
+impl AdversaryStage {
+    pub(crate) fn apply(&mut self, quantum: u64, msg: &Message, arrivals: &mut [(Cycle, NodeId)]) {
+        let on_victim_block = msg.addr == BlockAddr::new(self.spec.victim_block);
         let victim_node = self.spec.victim_node as usize;
         // A competing request: write-racing traffic for the victim block
         // from anyone *other* than the victim — the raw material of a
@@ -102,12 +29,11 @@ impl Adversary {
         for (at, node) in arrivals.iter_mut() {
             let original_at = *at;
 
-            // Reorder: skew every arrival by up to `window` link quanta, so
-            // messages on the same path can overtake each other.
+            // Reorder: skew every arrival by up to `window` link quanta.
             if self.spec.reorder_window > 0 {
                 let skew = rng.next_below(u64::from(self.spec.reorder_window) + 1);
                 if skew > 0 {
-                    *at += skew * self.quantum;
+                    *at += skew * quantum;
                     self.stats.reordered += 1;
                 }
             }
@@ -140,14 +66,25 @@ impl Adversary {
     }
 }
 
-// Spec and quantum are config-derived.
-snap_state!(Adversary { rngs, stats });
-
 #[cfg(test)]
 mod tests {
+    //! The stage's own tests, on a plane with no fault stage.
     use super::*;
+    use crate::FaultPlane;
     use tc_sim::{SnapReader, SnapState, SnapWriter};
-    use tc_types::{Destination, Vnet};
+    use tc_types::fault::FaultSpec;
+    use tc_types::{Destination, ProtocolKind, Vnet};
+
+    fn arrivals(n: usize) -> Vec<(Cycle, NodeId)> {
+        (0..n)
+            .map(|i| (100 + 15 * i as u64, NodeId::new(i)))
+            .collect()
+    }
+
+    fn adversary(spec: AdversarySpec, seed: u64, link_latency_ns: u64) -> FaultPlane {
+        let none = FaultSpec::none();
+        FaultPlane::armed(none, spec, ProtocolKind::TokenB, seed, link_latency_ns, 0)
+    }
 
     fn request(src: usize, block: u64, kind: MsgKind) -> Message {
         Message::new(
@@ -160,12 +97,6 @@ mod tests {
         )
     }
 
-    fn arrivals(n: usize) -> Vec<(Cycle, NodeId)> {
-        (0..n)
-            .map(|i| (100 + 15 * i as u64, NodeId::new(i)))
-            .collect()
-    }
-
     #[test]
     fn same_seed_and_spec_replay_identically() {
         let spec = AdversarySpec::none()
@@ -174,7 +105,7 @@ mod tests {
             .with_target_delay(200)
             .with_storm(450);
         let run = |seed: u64| {
-            let mut plane = Adversary::new(spec, seed, 15);
+            let mut plane = adversary(spec, seed, 15);
             let mut log = Vec::new();
             for step in 0..200 {
                 let msg = request(step % 4, 7, MsgKind::GetM);
@@ -182,7 +113,7 @@ mod tests {
                 plane.apply(100, &msg, &mut a);
                 log.push(a);
             }
-            (log, plane.stats())
+            (log, plane.adversary_stats())
         };
         assert_eq!(run(12), run(12));
         assert_ne!(run(12), run(13), "different seeds should differ");
@@ -191,8 +122,8 @@ mod tests {
     #[test]
     fn adversary_seed_varies_the_schedule_independently() {
         let base = AdversarySpec::none().with_reorder(4);
-        let mut a = Adversary::new(base, 12, 15);
-        let mut b = Adversary::new(base.with_seed(99), 12, 15);
+        let mut a = adversary(base, 12, 15);
+        let mut b = adversary(base.with_seed(99), 12, 15);
         let msg = request(0, 7, MsgKind::GetM);
         let (mut la, mut lb) = (Vec::new(), Vec::new());
         for _ in 0..64 {
@@ -213,7 +144,7 @@ mod tests {
             .with_victim(2, 7)
             .with_target_delay(300)
             .with_storm(500);
-        let mut plane = Adversary::new(spec, 5, 15);
+        let mut plane = adversary(spec, 5, 15);
         for step in 0..200 {
             let before = arrivals(4);
             let mut after = before.clone();
@@ -229,10 +160,10 @@ mod tests {
                 assert_eq!(a.1, b.1, "adversary must not reroute arrivals");
             }
         }
-        assert!(plane.stats().reordered > 0);
-        assert!(plane.stats().targeted > 0);
-        assert!(plane.stats().stormed > 0);
-        assert!(plane.stats().max_skew_ns > 0);
+        assert!(plane.adversary_stats().reordered > 0);
+        assert!(plane.adversary_stats().targeted > 0);
+        assert!(plane.adversary_stats().stormed > 0);
+        assert!(plane.adversary_stats().max_skew_ns > 0);
     }
 
     #[test]
@@ -240,7 +171,7 @@ mod tests {
         let spec = AdversarySpec::none()
             .with_victim(2, 7)
             .with_target_delay(300);
-        let mut plane = Adversary::new(spec, 9, 15);
+        let mut plane = adversary(spec, 9, 15);
 
         // Victim's own request on the victim block: delayed at every node.
         let mut a = arrivals(4);
@@ -268,7 +199,7 @@ mod tests {
     #[test]
     fn storms_align_competing_requests_to_window_boundaries() {
         let spec = AdversarySpec::none().with_victim(2, 7).with_storm(500);
-        let mut plane = Adversary::new(spec, 9, 15);
+        let mut plane = adversary(spec, 9, 15);
 
         // Competing GetM from a non-victim: aligned to just before the next
         // 500 ns boundary.
@@ -286,22 +217,22 @@ mod tests {
         let mut a = vec![(120, NodeId::new(1))];
         plane.apply(100, &request(0, 7, MsgKind::PutM), &mut a);
         assert_eq!(a[0].0, 120);
-        assert_eq!(plane.stats().stormed, 2);
+        assert_eq!(plane.adversary_stats().stormed, 2);
     }
 
     #[test]
     fn empty_spec_plane_is_a_no_op() {
-        let mut plane = Adversary::new(AdversarySpec::none(), 3, 15);
+        let mut plane = adversary(AdversarySpec::none(), 3, 15);
         let mut a = arrivals(4);
         plane.apply(100, &request(0, 7, MsgKind::GetM), &mut a);
         assert_eq!(a, arrivals(4));
-        assert_eq!(plane.stats(), AdversaryStats::default());
+        assert_eq!(plane.adversary_stats(), AdversaryStats::default());
     }
 
     #[test]
     fn state_round_trips_and_resumes_the_stream() {
         let spec = AdversarySpec::none().with_reorder(4);
-        let mut plane = Adversary::new(spec, 21, 15);
+        let mut plane = adversary(spec, 21, 15);
         for _ in 0..32 {
             let mut a = arrivals(4);
             plane.apply(100, &request(0, 7, MsgKind::GetM), &mut a);
@@ -310,11 +241,11 @@ mod tests {
         plane.save_state(&mut w);
         let bytes = w.into_bytes();
 
-        let mut restored = Adversary::new(spec, 21, 15);
+        let mut restored = adversary(spec, 21, 15);
         let mut r = SnapReader::new(&bytes);
         restored.load_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(restored.stats(), plane.stats());
+        assert_eq!(restored.adversary_stats(), plane.adversary_stats());
 
         // Both planes continue identically from the restored stream.
         for _ in 0..32 {

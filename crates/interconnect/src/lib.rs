@@ -14,6 +14,8 @@
 //! [`Interconnect`] models both with per-link serialization (store-and-
 //! forward contention), bandwidth-efficient tree-based multicast routing, and
 //! traffic accounting by message class.
+//! [`FaultPlane`] is the one hook that perturbs what the fabric computed:
+//! a fault stage, then an adversary stage, over each send's arrivals.
 //!
 //! # Example
 //!
@@ -48,7 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod adversary;
+mod adversary;
 pub mod fabric;
 pub mod fault;
 mod plane_rng;
@@ -56,7 +58,6 @@ pub mod topology;
 mod torus;
 mod tree;
 
-pub use adversary::Adversary;
 pub use fabric::{Interconnect, LinkUtilization};
 pub use fault::FaultPlane;
 pub use topology::{LinkId, RouterId, Topology};

@@ -13,8 +13,8 @@
 //! impossible systems (for example Snooping on the unordered torus) without
 //! knowing anything about controller implementations. The registry opens the
 //! *construction* side: several factories may be registered under the same
-//! kind (an experimental TokenB variant still validates as TokenB), and
-//! lookup by name picks between them.
+//! kind (an experimental TokenB variant still validates as TokenB), and the
+//! newest registration of a kind is the one built.
 //!
 //! The four paper protocols are registered in
 //! [`ProtocolRegistry::with_defaults`], which also backs the process-wide
@@ -32,8 +32,7 @@
 //!
 //! let mut registry = ProtocolRegistry::with_defaults();
 //! registry.register("TokenB-noisy", ProtocolKind::TokenB, noisy_tokenb);
-//! assert_eq!(registry.resolve_name("tokenb-noisy").unwrap().kind, ProtocolKind::TokenB);
-//! // The plain kind lookup now resolves to the latest registration.
+//! // The kind lookup now resolves to the latest registration.
 //! assert_eq!(registry.resolve(ProtocolKind::TokenB).unwrap().name, "TokenB-noisy");
 //! ```
 
@@ -63,12 +62,12 @@ pub struct ProtocolEntry {
     pub factory: ProtocolFactory,
 }
 
-/// A table of protocol constructors keyed by [`ProtocolKind`] and by name.
+/// A table of protocol constructors keyed by [`ProtocolKind`].
 ///
-/// Registration order matters for kind lookup: [`ProtocolRegistry::resolve`]
-/// returns the *most recently registered* entry of a kind, so registering a
-/// variant under an existing kind overrides the stock implementation without
-/// removing it from name lookup.
+/// Registration order matters: [`ProtocolRegistry::resolve`] returns the
+/// *most recently registered* entry of a kind, so registering a variant
+/// under an existing kind overrides the stock implementation without
+/// removing it from the table.
 #[derive(Debug, Clone, Default)]
 pub struct ProtocolRegistry {
     entries: Vec<ProtocolEntry>,
@@ -124,13 +123,6 @@ impl ProtocolRegistry {
         self.entries.iter().rev().find(|e| e.kind == kind)
     }
 
-    /// The entry registered under `name` (case-insensitive), if any.
-    pub fn resolve_name(&self, name: &str) -> Option<&ProtocolEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.name.eq_ignore_ascii_case(name))
-    }
-
     /// Builds a controller for `node` running `config.protocol`.
     ///
     /// # Panics
@@ -147,21 +139,6 @@ impl ProtocolRegistry {
             )
         });
         (entry.factory)(node, config)
-    }
-
-    /// Every registered entry, in registration order.
-    pub fn entries(&self) -> &[ProtocolEntry] {
-        &self.entries
-    }
-
-    /// Number of registered variants.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -181,7 +158,6 @@ mod tests {
     #[test]
     fn defaults_cover_every_protocol_kind() {
         let registry = ProtocolRegistry::with_defaults();
-        assert_eq!(registry.len(), ProtocolKind::ALL.len());
         for kind in ProtocolKind::ALL {
             let entry = registry.resolve(kind).expect("kind registered");
             assert_eq!(entry.kind, kind);
@@ -194,36 +170,40 @@ mod tests {
         }
     }
 
+    fn tokenb_variant(node: NodeId, config: &SystemConfig) -> Box<dyn CoherenceController> {
+        Box::new(TokenBController::new(node, config))
+    }
+
     #[test]
-    fn name_lookup_is_case_insensitive() {
-        let registry = ProtocolRegistry::with_defaults();
-        assert!(registry.resolve_name("tokenb").is_some());
-        assert!(registry.resolve_name("HAMMER").is_some());
-        assert!(registry.resolve_name("mesi-2024").is_none());
+    fn re_registering_a_name_replaces_it_case_insensitively() {
+        let mut registry = ProtocolRegistry::empty();
+        registry.register("TokenB-experimental", ProtocolKind::TokenB, tokenb_variant);
+        registry.register("tokenb-EXPERIMENTAL", ProtocolKind::Hammer, tokenb_variant);
+        // The TokenB entry was replaced, not shadowed.
+        assert!(registry.resolve(ProtocolKind::TokenB).is_none());
+        assert_eq!(
+            registry.resolve(ProtocolKind::Hammer).unwrap().name,
+            "tokenb-EXPERIMENTAL"
+        );
     }
 
     #[test]
     fn a_fifth_variant_is_a_registration_not_an_engine_edit() {
-        fn tokenb_variant(node: NodeId, config: &SystemConfig) -> Box<dyn CoherenceController> {
-            Box::new(TokenBController::new(node, config))
-        }
         let mut registry = ProtocolRegistry::with_defaults();
         registry.register("TokenB-experimental", ProtocolKind::TokenB, tokenb_variant);
-        assert_eq!(registry.len(), 5);
-        // Kind lookup now prefers the newest registration...
+        // Kind lookup now prefers the newest registration, and builds it.
         assert_eq!(
             registry.resolve(ProtocolKind::TokenB).unwrap().name,
             "TokenB-experimental"
         );
-        // ...while the stock entry stays reachable by name.
-        assert_eq!(registry.resolve_name("TokenB").unwrap().name, "TokenB");
-        // Re-registering the same name replaces instead of duplicating.
-        registry.register("tokenb-EXPERIMENTAL", ProtocolKind::TokenB, tokenb_variant);
-        assert_eq!(registry.len(), 5);
+        let config = SystemConfig::isca03_default();
+        assert_eq!(
+            registry.build(NodeId::new(0), &config).protocol_name(),
+            "TokenB"
+        );
         // A replacement moves to the end of the table, so re-registering the
         // stock name restores it as the kind's most-recent entry.
         registry.register("TokenB", ProtocolKind::TokenB, tokenb_variant);
-        assert_eq!(registry.len(), 5);
         assert_eq!(
             registry.resolve(ProtocolKind::TokenB).unwrap().name,
             "TokenB"
@@ -233,7 +213,6 @@ mod tests {
     #[test]
     fn empty_registry_reports_nothing() {
         let registry = ProtocolRegistry::empty();
-        assert!(registry.is_empty());
         assert!(registry.resolve(ProtocolKind::TokenB).is_none());
     }
 

@@ -5,7 +5,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use tc_interconnect::{Adversary, FaultPlane, Interconnect};
+use tc_interconnect::{FaultPlane, Interconnect};
 use tc_protocols::ProtocolRegistry;
 use tc_sim::{snap_state, EventQueue, SnapReader, SnapState, SnapWriter, SnapshotError};
 use tc_types::{
@@ -28,7 +28,7 @@ pub struct RunOptions {
     /// Hard ceiling on simulated time, in cycles, to bound runaway runs.
     pub max_cycles: Cycle,
     /// Fault-injection spec for the fabric. The default,
-    /// [`FaultSpec::none`], instantiates no fault plane at all: faultless
+    /// [`FaultSpec::none`], arms no fault stage in the plane: faultless
     /// runs stay bit-identical to runs before fault injection existed.
     pub faults: FaultSpec,
     /// Livelock watchdog: if this many events are processed without a
@@ -44,9 +44,9 @@ pub struct RunOptions {
     /// checkpoints enabled is bit-identical to the same run without.
     pub checkpoint_every: Option<u64>,
     /// Adversarial-scheduling spec for the fabric. Like `faults`, the
-    /// default [`AdversarySpec::none`] instantiates no adversary plane at
-    /// all, so unadversarial runs stay bit-identical to runs before the
-    /// adversary existed.
+    /// default [`AdversarySpec::none`] arms no adversary stage at all, so
+    /// unadversarial runs stay bit-identical to runs before the adversary
+    /// existed.
     pub adversary: AdversarySpec,
     /// Number of spatial shards (worker threads) to split the run across.
     /// `0` (the default) runs the serial schedule: one calendar queue, each
@@ -113,17 +113,8 @@ impl RunOptions {
         let link = config.interconnect.link_latency_ns;
         let per_waiter = 8 * link + 2 * config.controller_latency_ns + config.dram_latency_ns;
         let base = (config.num_nodes as Cycle) * per_waiter;
-        let fault_extra = self.faults.delay_max_ns
-            + self
-                .faults
-                .outages
-                .iter()
-                .flatten()
-                .map(|o| o.until.saturating_sub(o.from))
-                .max()
-                .unwrap_or(0);
-        let adversary_extra = self.adversary.max_extra_delay_ns(link);
-        (base + fault_extra + adversary_extra).saturating_mul(64)
+        let extra = self.faults.max_extra_delay_ns(link) + self.adversary.max_extra_delay_ns(link);
+        (base + extra).saturating_mul(64)
     }
 }
 
@@ -162,23 +153,17 @@ pub struct RunProgress {
     /// completed.
     events_since_progress: u64,
     livelock_hit: bool,
-    /// The fault plane only exists when the spec injects something, so the
-    /// (default) reliable-fabric path takes no extra branches beyond one
-    /// `Option` check per send and stays bit-identical.
-    fault_plane: Option<FaultPlane>,
-    /// Same construction discipline as the fault plane: the adversary only
-    /// exists when the spec perturbs something, so
-    /// [`AdversarySpec::none`] runs pay one `Option` check and nothing
-    /// else.
-    adversary_plane: Option<Adversary>,
+    /// The perturbation plane: a fault stage and an adversary stage, each
+    /// armed only when its spec perturbs something, so the (default)
+    /// reliable-fabric path pays two `Option` checks per send and stays
+    /// bit-identical.
+    plane: FaultPlane,
 }
 
 impl RunProgress {
-    /// A fresh run's state. Each plane exists only when its spec perturbs
-    /// something; `per_node` selects its RNG streams (see the two callers).
+    /// A fresh run's state. `per_node` selects the plane's RNG streams (see
+    /// the two callers).
     fn new(options: &RunOptions, config: &SystemConfig, per_node: bool) -> Self {
-        let (seed, link_latency) = (config.seed, config.interconnect.link_latency_ns);
-        let (faults, adversary, nodes) = (options.faults, options.adversary, config.num_nodes);
         RunProgress {
             drain_limit_hit: false,
             reached_target_at: None,
@@ -186,32 +171,26 @@ impl RunProgress {
             transactions_at_target: 0,
             events_since_progress: 0,
             livelock_hit: false,
-            fault_plane: (!faults.is_none()).then(|| {
-                if per_node {
-                    FaultPlane::new_per_node(faults, config.protocol, seed, link_latency, nodes)
-                } else {
-                    FaultPlane::new(faults, config.protocol, seed, link_latency)
-                }
-            }),
-            adversary_plane: (!adversary.is_none()).then(|| {
-                if per_node {
-                    Adversary::new_per_node(adversary, seed, link_latency, nodes)
-                } else {
-                    Adversary::new(adversary, seed, link_latency)
-                }
-            }),
+            plane: FaultPlane::armed(
+                options.faults,
+                options.adversary,
+                config.protocol,
+                config.seed,
+                config.interconnect.link_latency_ns,
+                if per_node { config.num_nodes } else { 0 },
+            ),
         }
     }
 
-    /// A fresh serial run: each plane draws from one RNG stream.
+    /// A fresh serial run: each plane stage draws from one RNG stream.
     fn start(options: &RunOptions, config: &SystemConfig) -> Self {
         RunProgress::new(options, config, false)
     }
 
-    /// A fresh windowed run: the planes fork one RNG stream per *source
-    /// node*, so the dice a message sees depend on which node sent it, never
-    /// on which shard the node landed on — fault and adversary decisions
-    /// reproduce (seed, spec) exactly at any shard count.
+    /// A fresh windowed run: the plane's stages fork one RNG stream per
+    /// *source node*, so the dice a message sees depend on which node sent
+    /// it, never on which shard the node landed on — fault and adversary
+    /// decisions reproduce (seed, specs) exactly at any shard count.
     pub(crate) fn start_per_node(options: &RunOptions, config: &SystemConfig) -> Self {
         RunProgress::new(options, config, true)
     }
@@ -278,9 +257,9 @@ impl RunProgress {
 
     /// Commits one send to the fabric at cycle `now`, leaving in `arrivals`
     /// when and where it arrives: the fabric's routing and bandwidth model
-    /// first, then the fault plane, then the adversary (which perturbs the
-    /// arrivals that actually survived injection). Fault-dropped arrivals
-    /// shrink the fan-out (possibly to nothing); duplicates grow it.
+    /// first, then the plane (faults, then the adversary over the arrivals
+    /// that survived them). Fault-dropped arrivals shrink the fan-out
+    /// (possibly to nothing); duplicates grow it.
     pub(crate) fn commit_send(
         &mut self,
         fabric: &mut Interconnect,
@@ -290,20 +269,10 @@ impl RunProgress {
     ) {
         arrivals.clear();
         fabric.send_arrivals(now, msg, arrivals);
-        if let Some(plane) = self.fault_plane.as_mut() {
-            if msg.reissue {
-                plane.stats_mut().reissue_timeouts += 1;
-            }
-            plane.apply(now, msg, arrivals);
-        }
-        if let Some(plane) = self.adversary_plane.as_mut() {
-            plane.apply(now, msg, arrivals);
-        }
+        self.plane.apply(now, msg, arrivals);
     }
 }
 
-// The planes are restored onto the ones the run options arm: a snapshot that
-// has a plane the options do not arm, or lacks one they do, is corrupt.
 snap_state!(RunProgress {
     drain_limit_hit,
     reached_target_at,
@@ -311,8 +280,7 @@ snap_state!(RunProgress {
     transactions_at_target,
     events_since_progress,
     livelock_hit,
-    [fault_plane],
-    [adversary_plane],
+    plane,
 });
 
 /// Everything that determines a run, as one string: the system
@@ -678,12 +646,8 @@ impl System {
         // Recovery-side fault numbers: how hard the correctness substrate
         // had to work. Left all-zero on faultless runs so the default
         // report is unchanged.
-        let mut fault_stats = progress
-            .fault_plane
-            .as_ref()
-            .map(|p| p.stats())
-            .unwrap_or_default();
-        if progress.fault_plane.is_some() {
+        let mut fault_stats = progress.plane.stats();
+        if !options.faults.is_none() {
             fault_stats.persistent_activations = controllers.persistent_requests_initiated;
             fault_stats.max_recovery_ns = miss_latency_max;
         }
@@ -695,12 +659,6 @@ impl System {
             .map(|p| p.completed_ops())
             .collect();
         let completion_skew_ppm = completion_skew_ppm(&completions_per_node);
-
-        let adversary_stats = progress
-            .adversary_plane
-            .as_ref()
-            .map(|p| p.stats())
-            .unwrap_or_default();
 
         RunReport {
             protocol: self.config.protocol,
@@ -725,7 +683,7 @@ impl System {
                 events_delivered: self.events_delivered(),
                 state: line_state,
                 faults: fault_stats,
-                adversary: adversary_stats,
+                adversary: progress.plane.adversary_stats(),
                 ..engine
             },
             violations: self.verifier.violations().to_vec(),
@@ -954,7 +912,46 @@ fn completion_skew_ppm(completions_per_node: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_types::{BandwidthMode, TopologyKind, TrafficClass};
+    use tc_types::{AdversaryStats, BandwidthMode, FaultStats, TopologyKind, TrafficClass};
+
+    #[test]
+    fn the_fault_specs_reorder_widens_the_starvation_bound() {
+        let config = SystemConfig::isca03_default();
+        let link = config.interconnect.link_latency_ns;
+        let faults = FaultSpec::none().with_drop(0.01).with_delay(0.02, 40);
+        let bound = |faults| {
+            RunOptions::default()
+                .with_faults(faults)
+                .starvation_bound(&config)
+        };
+        assert_eq!(bound(faults.with_reorder(4)) - bound(faults), 4 * link * 64);
+    }
+
+    /// Each stage of the plane reports only its own counters: arming one
+    /// spec leaves the other's stats (the fault stats' recovery-side
+    /// numbers included) all zero.
+    #[test]
+    fn a_plane_stage_that_is_not_armed_reports_zero_stats() {
+        let config = SystemConfig::isca03_default().with_nodes(4).with_seed(12);
+        let profile = tc_workloads::WorkloadProfile::hot_block();
+        let options = RunOptions {
+            ops_per_node: 300,
+            ..RunOptions::default()
+        };
+        let adversary = AdversarySpec::none()
+            .with_reorder(2)
+            .with_victim(1, 0)
+            .with_target_delay(300);
+        let report = System::build(&config, &profile).run(options.with_adversary(adversary));
+        assert!(report.engine.adversary.total_perturbed() > 0);
+        assert!(report.reissue.reissued_once > 0, "reissues happen");
+        assert_eq!(report.engine.faults, FaultStats::default());
+
+        let faults = FaultSpec::none().with_drop(0.01).with_reorder(2);
+        let report = System::build(&config, &profile).run(options.with_faults(faults));
+        assert!(report.engine.faults.total_injected() > 0);
+        assert_eq!(report.engine.adversary, AdversaryStats::default());
+    }
 
     #[test]
     fn every_event_kind_round_trips() {

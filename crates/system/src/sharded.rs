@@ -31,8 +31,8 @@
 //! boundary never delivers into the past. The one exception is a node
 //! sending to *itself* (zero links crossed); those arrivals are clamped to
 //! the boundary, a legal extra delay on an unordered fabric that every
-//! protocol already tolerates (it is exactly what the fault and adversary
-//! planes inject on purpose).
+//! protocol already tolerates (it is exactly what the perturbation plane
+//! injects on purpose).
 //!
 //! # Why `shards(1) == shards(N)`, bit for bit
 //!
@@ -47,10 +47,10 @@
 //! * Shards only exchange *logs* (sends and verifier operations), each
 //!   entry tagged with the originating event's `(cycle, key)` and its index
 //!   within that event; the coordinator merges them into one canonical
-//!   order before touching shared state (fabric, fault/adversary planes,
+//!   order before touching shared state (fabric, perturbation plane,
 //!   verifier).
-//! * Fault and adversary RNG streams are forked *per source node* (see
-//!   [`tc_interconnect::FaultPlane::new_per_node`]), so the dice a message
+//! * The perturbation plane's RNG streams are forked *per source node*
+//!   (see [`tc_interconnect::FaultPlane::armed`]), so the dice a message
 //!   sees depend on which node sent it, never on which shard or thread.
 //! * All run-control decisions (draining, drain limit, livelock budget,
 //!   termination) are made by the coordinator at window boundaries from
@@ -441,7 +441,7 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
 
             // Log merge: every shard's logged verifier calls and sends,
             // applied to the one verifier and the one global fabric (and
-            // fault/adversary planes) in canonical (cycle, key, sub) order.
+            // perturbation plane) in canonical (cycle, key, sub) order.
             // Arrivals are clamped to the boundary — a no-op for anything
             // that crossed a link (the lookahead guarantees it) and a legal
             // delay for self-sends.

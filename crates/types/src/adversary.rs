@@ -19,7 +19,7 @@ use tc_sim::snap_struct;
 use crate::clauses::{clauses, number, spec_string, split, ClauseWriter};
 use crate::named_enum;
 
-/// The classes of perturbation the adversary plane can apply. Unlike fault
+/// The classes of perturbation the plane's adversary stage can apply. Unlike fault
 /// classes, none of these violate the fabric's delivery contract: every
 /// arrival still happens, exactly once, never earlier than scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,9 +47,9 @@ named_enum!(AdversaryKind, "perturbation class" {
 /// Declarative description of an adversarial (but legal) delivery schedule.
 ///
 /// The default ([`AdversarySpec::none`]) perturbs nothing and costs
-/// nothing: the runner only instantiates an adversary plane when the spec
-/// is non-empty, so unperturbed runs remain bit-identical to runs before
-/// the adversary existed (the 317430 events-delivered pin).
+/// nothing: the perturbation plane arms its adversary stage only when the
+/// spec is non-empty, so unperturbed runs remain bit-identical to runs
+/// before the adversary existed (the 317430 events-delivered pin).
 ///
 /// The victim `(node, block)` pair aims the targeted-delay and retry-storm
 /// classes; it is inert unless one of those classes is enabled. The spec's
@@ -77,7 +77,7 @@ pub struct AdversarySpec {
     /// deliberately broken arbiter the starvation oracle must catch. Never
     /// part of a hunt's search space.
     pub sabotage: u32,
-    /// Extra seed folded into the adversary plane's RNG stream.
+    /// Extra seed folded into the adversary stage's RNG stream.
     pub seed: u64,
 }
 
@@ -220,7 +220,7 @@ impl fmt::Display for AdversarySpec {
     }
 }
 
-/// Counters reported by the adversary plane for one run. All-integer and
+/// Counters reported by the plane's adversary stage for one run. All-integer and
 /// `Copy + Eq` so they join `EngineStats` and the bit-identical `RunReport`
 /// comparison without ceremony.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

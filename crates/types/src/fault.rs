@@ -108,8 +108,8 @@ pub const MAX_OUTAGES: usize = 4;
 /// Declarative description of an unreliable fabric.
 ///
 /// The default ([`FaultSpec::none`]) injects nothing and costs nothing: the
-/// runner only instantiates a fault plane when the spec is non-empty, so
-/// faultless runs remain bit-identical to runs before fault injection
+/// perturbation plane arms its fault stage only when the spec is non-empty,
+/// so faultless runs remain bit-identical to runs before fault injection
 /// existed.
 ///
 /// Probabilities are parts-per-million (see [`PPM`]); use the builder
@@ -133,7 +133,7 @@ pub struct FaultSpec {
     /// Scheduled link outages ([`MAX_OUTAGES`] at most; unused slots are
     /// `None`).
     pub outages: [Option<LinkOutage>; MAX_OUTAGES],
-    /// Extra seed folded into the fault plane's RNG stream.
+    /// Extra seed folded into the fault stage's RNG stream.
     pub seed: u64,
 }
 
@@ -159,6 +159,21 @@ impl FaultSpec {
             && self.delay_ppm == 0
             && self.reorder_depth == 0
             && self.outages.iter().all(|o| o.is_none())
+    }
+
+    /// Upper bound, in ns, on how much later than the fault-free schedule
+    /// this spec can push any single arrival: the delay bound, the longest
+    /// outage plus one quantum of deferral jitter, and the reorder window.
+    /// Beside [`AdversarySpec::max_extra_delay_ns`](
+    /// crate::adversary::AdversarySpec::max_extra_delay_ns), the latitude
+    /// the starvation oracle's bounded-wait derivation allows.
+    pub fn max_extra_delay_ns(&self, link_latency_ns: u64) -> u64 {
+        let quantum = link_latency_ns.max(1);
+        let outages = self.outages.iter().flatten();
+        let longest_outage = outages.map(|o| o.until.saturating_sub(o.from)).max();
+        self.delay_max_ns
+            + longest_outage.map_or(0, |ns| ns + quantum)
+            + u64::from(self.reorder_depth) * quantum
     }
 
     /// Sets the drop probability (clamped to `[0, 1]`).
@@ -492,6 +507,17 @@ mod tests {
         assert_eq!(spec.to_string(), "none");
         // A bare seed does not activate the plane.
         assert!(FaultSpec::none().with_seed(7).is_none());
+    }
+
+    #[test]
+    fn max_extra_delay_bounds_every_class() {
+        let spec = FaultSpec::none()
+            .with_delay(0.1, 400)
+            .with_reorder(4)
+            .with_outage(0, 1, 100, 600)
+            .with_outage(2, 3, 0, 900);
+        assert_eq!(spec.max_extra_delay_ns(15), 400 + (900 + 15) + 4 * 15);
+        assert_eq!(FaultSpec::none().max_extra_delay_ns(15), 0);
     }
 
     #[test]

@@ -112,10 +112,10 @@ fn pinned_configuration(
     (config, WorkloadProfile::oltp(), options)
 }
 
-/// The pinned TokenB configuration with both perturbation planes armed: a
-/// fault spec that drops, duplicates and reorders, and an adversary that
-/// reorders, delays the victim (node 1 on the first migratory block) and
-/// aligns retry storms.
+/// The pinned TokenB configuration with both stages of the perturbation
+/// plane armed: a fault spec that drops, duplicates and reorders, and an
+/// adversary that reorders, delays the victim (node 1 on the first
+/// migratory block) and aligns retry storms.
 fn planed_configuration() -> (
     SystemConfig,
     WorkloadProfile,
@@ -178,8 +178,8 @@ fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
     }
 }
 
-/// The same pin with both perturbation planes armed, so the bytes of the
-/// fault plane, the adversary, their RNG streams and the plane options
+/// The same pin with both plane stages armed, so the bytes of the fault
+/// stage, the adversary stage, their RNG streams and the plane options
 /// `RunProgress` carries are held too. The run must really perturb: every
 /// adversary class and the three fault classes fire before the cut.
 #[test]
@@ -242,11 +242,11 @@ fn a_version_7_checkpoint_is_refused_with_bad_version() {
     );
 }
 
-/// A snapshot that lost a plane the options arm must not restore: a run
-/// resumed from it would inject nothing from there on. The faulted
-/// checkpoint's payload ends `fault presence (1) | fault plane (80 bytes:
+/// A snapshot that lost a plane stage the options arm must not restore: a
+/// run resumed from it would inject nothing from there on. The faulted
+/// checkpoint's payload ends `fault presence (1) | fault stage (80 bytes:
 /// the one RNG stream, an empty per-node stream list, eight counters) |
-/// adversary presence (0)`; the tampered copy says "no fault plane" and is
+/// adversary presence (0)`; the tampered copy says "no fault stage" and is
 /// resealed so the checksum passes.
 #[test]
 fn a_snapshot_missing_an_armed_plane_is_rejected() {
@@ -285,16 +285,21 @@ fn a_snapshot_missing_an_armed_plane_is_rejected() {
 /// its bytes must fail here, not nine minutes into the benchmark. The
 /// line-state byte figure is priced at `size_of` and moves with the
 /// toolchain (`tests/conformance.rs` holds it under a ceiling), so it is
-/// zeroed before hashing; every other field is a count or an id.
+/// zeroed before hashing; every other field is a count or an id. The
+/// planed row holds both stages of the perturbation plane to every report
+/// byte, not only to the first checkpoint's.
 #[test]
 fn final_report_of_the_pinned_configuration_keeps_its_bytes() {
-    for (protocol, pinned) in [
+    let rows = [
         (ProtocolKind::TokenB, (797, 0xe6f0b343198c9e01)),
         (ProtocolKind::Snooping, (855, 0x2f3e2b45faa65d4a)),
         (ProtocolKind::Directory, (853, 0xa012f2b541fece23)),
         (ProtocolKind::Hammer, (781, 0x2f766323a5a204f0)),
-    ] {
-        let (config, profile, options) = pinned_configuration(protocol);
+    ]
+    .map(|(protocol, pinned)| (pinned_configuration(protocol), pinned));
+    let planed = (planed_configuration(), (867, 0x390f5780bfc026ea));
+    for ((config, profile, options), pinned) in rows.into_iter().chain([planed]) {
+        let protocol = config.protocol;
         let mut report = System::build(&config, &profile).run(options);
         report.engine.state.state_bytes = 0;
         let mut w = token_coherence::sim::SnapWriter::new();
