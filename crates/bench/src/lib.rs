@@ -813,18 +813,11 @@ fn plan_campaign(spec: &'static CampaignSpec, args: &Args) -> Result<CampaignPla
     }
     // Campaign-wide fault injection; a point carrying its own spec (the
     // faultsweep catalog's per-class points) overrides this at run time.
-    // Every other point's protocol must contract to survive it.
     if let Some(faults) = args.faults {
-        let plain = sections
-            .iter()
-            .flat_map(|s| &s.points)
-            .filter(|p| p.faults.is_none());
-        for point in plain {
-            faults
-                .within_contract(point.config.protocol)
-                .map_err(|e| format!("--faults: {e}"))?;
-        }
         options.faults = faults;
+        for point in sections.iter().flat_map(|s| &s.points) {
+            admit(point.config.protocol, &point.effective_options(&options))?;
+        }
     }
     if let Some(shards) = args.shards {
         options = options.with_shards(shards);
@@ -834,6 +827,13 @@ fn plan_campaign(spec: &'static CampaignSpec, args: &Args) -> Result<CampaignPla
         sections,
         options,
     })
+}
+
+/// Refuses run options outside `protocol`'s contract, naming `--faults`:
+/// no flag sets an adversary.
+fn admit(protocol: ProtocolKind, options: &RunOptions) -> Result<(), String> {
+    let refusal = protocol.admits(&options.faults, &options.adversary);
+    refusal.map_err(|r| format!("--faults: {}", r.message))
 }
 
 /// `tc-bench run-one`, resolved: one validated point plus where its
@@ -868,10 +868,8 @@ fn plan_run_one(args: Args) -> Result<RunOnePlan, String> {
         ..RunOptions::default()
     };
     if let Some(faults) = args.faults {
-        faults
-            .within_contract(config.protocol)
-            .map_err(|e| format!("--faults: {e}"))?;
         options.faults = faults;
+        admit(config.protocol, &options)?;
     }
     if let Some(every) = args.checkpoint_every {
         options = options.with_checkpoint_every(every);
@@ -1000,13 +998,17 @@ pub fn parse_cli(argv: &[String]) -> Result<Command, String> {
                 defaults.budget = 8;
                 defaults.ops_per_node = 150;
             }
-            Ok(Command::Hunt(HuntOptions {
+            let options = HuntOptions {
                 protocol: args.protocol.unwrap_or(defaults.protocol),
                 scenario: args.scenario.unwrap_or(defaults.scenario),
                 seed: args.seed.unwrap_or(defaults.seed),
                 budget: args.budget.unwrap_or(defaults.budget),
                 ops_per_node: args.ops.unwrap_or(defaults.ops_per_node),
-            }))
+            };
+            match options.admitted() {
+                Ok(()) => Ok(Command::Hunt(options)),
+                Err(refusal) => Err(format!("--protocol: {}", refusal.message)),
+            }
         }
         ("serve", _) => Ok(Command::Serve(ServeOptions {
             addr,
@@ -1218,6 +1220,8 @@ mod tests {
              Ok(&["protocol: Hammer", "scenario: \"migratory_ring\"", "seed: 9,", "budget: 3,",
                   "ops_per_node: 70"])),
             ("hunt --smoke", Ok(&["seed: 44382,", "budget: 8,", "ops_per_node: 150"])),
+            ("hunt --protocol snooping --budget 8 --ops 150",
+             Err("--protocol: Snooping does not tolerate delay, reorder faults (it tolerates: none)")),
             ("serve", Ok(&["Serve(", "addr: \"127.0.0.1:7533\"", "workers: 2,", "cache_path: None"])),
             ("serve --addr 0.0.0.0:9 --workers 5 --cache c.snap",
              Ok(&["addr: \"0.0.0.0:9\"", "workers: 5,", "cache_path: Some(\"c.snap\")"])),

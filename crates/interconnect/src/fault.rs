@@ -28,11 +28,10 @@
 //! spec seed)` on its own stream tag, independent of the workload streams
 //! and of the other stage. Arrivals are processed in the order the topology
 //! emitted them, and an RNG draw happens *only* when the corresponding
-//! class is enabled in the spec, tolerated by the protocol, and (for
-//! loss/duplication) the message is eligible — all deterministic per
-//! `(protocol, message)` — so a `(seed, FaultSpec, AdversarySpec)` triple
-//! reproduces the exact same schedule bit-for-bit regardless of host,
-//! thread count, or wall-clock.
+//! class is enabled in the spec and (for loss/duplication) the message is
+//! eligible — all deterministic per message — so a `(seed, FaultSpec,
+//! AdversarySpec)` triple reproduces the exact same schedule bit-for-bit
+//! regardless of host, thread count, or wall-clock.
 
 use tc_sim::{snap_state, DeterministicRng};
 use tc_types::adversary::{AdversarySpec, AdversaryStats};
@@ -66,7 +65,6 @@ pub struct FaultPlane {
 #[derive(Debug)]
 struct FaultStage {
     spec: FaultSpec,
-    protocol: ProtocolKind,
     rngs: PlaneRng,
     stats: FaultStats,
 }
@@ -99,7 +97,10 @@ impl FaultPlane {
     /// `per_node_streams` is 0 for one RNG stream per stage (the serial
     /// engine), or the node count for one stream per source node (the
     /// sharded runner, see `PlaneRng::new`): same `(seed, specs)` ⇒ same
-    /// per-node schedule, at any shard count.
+    /// per-node schedule, at any shard count. Every run, serial, windowed
+    /// or restored, arms its plane here, so here the contract holds: it
+    /// panics when `protocol` does not [admit](ProtocolKind::admits) the
+    /// specs, which every boundary refuses first.
     pub fn armed(
         faults: FaultSpec,
         adversary: AdversarySpec,
@@ -108,11 +109,13 @@ impl FaultPlane {
         link_latency_ns: u64,
         per_node_streams: usize,
     ) -> Self {
+        if let Err(refusal) = protocol.admits(&faults, &adversary) {
+            panic!("{}: {}", refusal.spec, refusal.message);
+        }
         let rngs = |seed, stream| PlaneRng::new(run_seed, seed, stream, per_node_streams);
         FaultPlane {
             fault_stage: (!faults.is_none()).then(|| FaultStage {
                 spec: faults,
-                protocol,
                 rngs: rngs(faults.seed, FAULT_STREAM),
                 stats: FaultStats::default(),
             }),
@@ -179,8 +182,8 @@ impl FaultStage {
         if msg.reissue {
             self.stats.reissue_timeouts += 1;
         }
-        let loss_ok = (self.spec.drop_ppm > 0 || self.spec.dup_ppm > 0)
-            && FaultSpec::loss_eligible(self.protocol, msg);
+        let loss_ok =
+            (self.spec.drop_ppm > 0 || self.spec.dup_ppm > 0) && FaultSpec::loss_eligible(msg);
         let src = msg.src.index() as u32;
         let rng = self.rngs.stream(msg.src);
 
@@ -231,7 +234,7 @@ impl FaultStage {
     }
 }
 
-// Specs, protocol and quantum are config-derived. Each stage is restored
+// Specs and quantum are config-derived. Each stage is restored
 // onto the one the run's specs arm: a snapshot that has a stage the specs
 // do not arm, or lacks one they do, is corrupt.
 snap_state!(FaultStage { rngs, stats });
@@ -410,6 +413,22 @@ mod tests {
         plane.apply(100, &request(0), &mut a);
         assert_eq!(a, arrivals(4));
         assert_eq!(plane.stats(), FaultStats::default());
+    }
+
+    /// The contract is checked where the plane is armed, for both stages.
+    #[test]
+    #[should_panic(expected = "adversary: Snooping does not tolerate reorder faults")]
+    fn an_out_of_contract_spec_panics_where_the_plane_is_armed() {
+        let (none, snooping) = (FaultSpec::none(), ProtocolKind::Snooping);
+        let reorder = AdversarySpec::none().with_reorder(3);
+        FaultPlane::armed(none, reorder, snooping, 1, 15, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "faults: Hammer does not tolerate drop faults")]
+    fn an_out_of_contract_fault_spec_panics_on_the_benchmarks_constructor() {
+        let drop = FaultSpec::none().with_drop(0.1);
+        FaultPlane::new(drop, ProtocolKind::Hammer, 1, 15);
     }
 
     /// The two stages compose exactly as two planes applied in turn: the

@@ -93,8 +93,10 @@ impl Submission {
     /// Returns a [`SubmitError`] naming the offending field for syntax
     /// errors, missing, repeated or unknown members, unknown
     /// protocol/workload/topology names, out-of-range values,
-    /// configurations that fail [`SystemConfig::validate`], and fault specs
-    /// outside a point's protocol contract ([`FaultSpec::within_contract`]).
+    /// configurations that fail [`SystemConfig::validate`], fault or
+    /// adversary specs outside a point's protocol contract
+    /// ([`ProtocolKind::admits`](tc_types::ProtocolKind::admits)), and an
+    /// adversary armed with the test-only arbiter sabotage.
     pub fn parse(text: &str) -> Result<Submission, SubmitError> {
         let root = Json::parse(text)
             .map_err(|e| SubmitError::new("body", format!("invalid JSON: {e}")))?;
@@ -160,17 +162,23 @@ impl Submission {
                 "points",
             ],
         )?;
-        // Each point runs under its own spec, else the campaign-wide one,
-        // which must be inside its protocol's contract.
+        // The sabotage breaks the victim's arbiter on purpose: an oracle
+        // trigger for tests, never a result to run and cache for a client.
+        if options.adversary.sabotage != 0 {
+            let message = "sabotage is a test-only oracle trigger";
+            return Err(SubmitError::new("adversary", message));
+        }
+        // Each point runs inside its protocol's contract, under its own
+        // fault spec or else the campaign-wide one.
         for (i, point) in points.iter().enumerate() {
-            let (field, faults) = if point.faults.is_none() {
-                ("faults".to_string(), options.faults)
-            } else {
-                (format!("points[{i}].faults"), point.faults)
-            };
-            faults
-                .within_contract(point.config.protocol)
-                .map_err(|e| SubmitError::new(field, e))?;
+            let run = point.effective_options(&options);
+            let refusal = point.config.protocol.admits(&run.faults, &run.adversary);
+            refusal.map_err(|r| match r.spec {
+                "faults" if !point.faults.is_none() => {
+                    SubmitError::new(format!("points[{i}].faults"), r.message)
+                }
+                spec => SubmitError::new(spec, r.message),
+            })?;
         }
 
         Ok(Submission {

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use tc_serve::{ServeOptions, ServeStats, Server, Submission};
 use tc_system::{run_to_json, Campaign, ExperimentPoint, RunOptions};
-use tc_types::{FaultSpec, JobPriority, ProtocolKind, SystemConfig};
+use tc_types::{AdversarySpec, FaultSpec, JobPriority, ProtocolKind, SystemConfig};
 use tc_workloads::WorkloadProfile;
 
 fn tiny_options() -> RunOptions {
@@ -270,6 +270,35 @@ fn faults_outside_a_protocols_contract_are_refused_with_a_400() {
     assert_eq!((outcome.ran, outcome.cache_hits), (3, 0));
     tc_serve::shutdown(&addr).expect("shutdown");
     assert_eq!(handle.join().expect("server thread").jobs_failed, 0);
+}
+
+/// The adversary crosses the same boundary: one outside a point's contract,
+/// or one armed with the test-only arbiter sabotage, is a 400 at
+/// `adversary`, and nothing runs.
+#[test]
+fn adversaries_outside_a_contract_or_sabotaged_are_refused_with_a_400() {
+    let (addr, handle) = start_server(one_worker());
+    let mut points = small_points();
+    points[1].config = points[1]
+        .config
+        .clone()
+        .with_protocol(ProtocolKind::Snooping);
+    let mut snooping = submission(points);
+    snooping.options.adversary = AdversarySpec::parse("reorder=2,seed=3").unwrap();
+    let mut sabotaged = submission(small_points());
+    sabotaged.options.adversary = AdversarySpec::none().with_victim(1, 0).with_sabotage();
+    for (sub, reason) in [
+        (snooping, "Snooping does not tolerate reorder"),
+        (sabotaged, "sabotage is a test-only oracle trigger"),
+    ] {
+        let err = tc_serve::submit_json(&addr, &sub.to_json(), |_| {}).expect_err("must reject");
+        assert!(err.message.contains("(400)"), "{err}");
+        assert!(err.message.contains(reason), "{err}");
+        assert!(err.message.contains("(field: adversary)"), "{err}");
+    }
+    tc_serve::shutdown(&addr).expect("shutdown");
+    let stats = handle.join().expect("server thread");
+    assert_eq!((stats.jobs_failed, stats.points_run), (0, 0));
 }
 
 #[test]

@@ -281,7 +281,7 @@ pub fn faultsweep_reference_spec() -> FaultSpec {
 
 /// The `faultsweep` campaign: for each protocol that contracts to survive
 /// any fault class, a fault-free baseline, one point per tolerated class,
-/// and a combined point (the reference mix gated to the protocol's
+/// and a combined point (the reference mix restricted to the protocol's
 /// contract). A contended hot-block workload on a small system keeps every
 /// point fast while making the recovery machinery — reissue timeouts and
 /// persistent requests — actually work for its living.
@@ -320,7 +320,7 @@ pub fn faultsweep_points() -> Vec<ExperimentPoint> {
                 .with_faults(spec),
             );
         }
-        let (combined, _gaps) = faultsweep_reference_spec().gated_for(protocol);
+        let combined = faultsweep_reference_spec().restricted_to(protocol);
         points.push(
             ExperimentPoint::new(
                 format!("{protocol}+combined"),

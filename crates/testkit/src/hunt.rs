@@ -31,11 +31,14 @@
 //! bit-for-bit reproducible — which is what lets CI assert on a hunt's
 //! output instead of merely tolerating it.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use tc_sim::DeterministicRng;
 use tc_system::RunReport;
-use tc_types::{AdversarySpec, ProtocolKind};
+use tc_types::fault::ContractRefusal;
+use tc_types::{AdversarySpec, FaultSpec, NodeId, ProtocolKind, SystemConfig};
+use tc_workloads::WorkloadGenerator;
 
 use crate::scenario::Scenario;
 use crate::{check, shrink, Failure};
@@ -61,6 +64,18 @@ pub struct HuntOptions {
     /// Per-node operation count for every evaluation (smaller than the
     /// scenario default keeps a budgeted hunt cheap).
     pub ops_per_node: u64,
+}
+
+impl HuntOptions {
+    /// Refuses a protocol whose contract does not cover what a probe may
+    /// do: reorder, delay a victim, align a storm.
+    pub fn admitted(&self) -> Result<(), ContractRefusal> {
+        let probe = AdversarySpec::none()
+            .with_reorder(1)
+            .with_target_delay(1)
+            .with_storm(1);
+        self.protocol.admits(&FaultSpec::none(), &probe)
+    }
 }
 
 impl Default for HuntOptions {
@@ -130,58 +145,65 @@ pub fn objective(report: &RunReport) -> u64 {
         + report.completion_skew_ppm / 100
 }
 
-/// One probe of the search space: a fresh spec with each class enabled with
-/// the probability the comment states, aimed at a random victim pair.
-fn random_spec(rng: &mut DeterministicRng, num_nodes: u64) -> AdversarySpec {
-    let mut spec = AdversarySpec::none()
-        .with_victim(rng.next_below(num_nodes) as u32, rng.next_below(64))
-        .with_seed(rng.next_below(1 << 16));
-    // Reorder is the cheapest, most broadly legal pressure: on 3/4 of probes.
-    if rng.next_below(4) > 0 {
-        spec.reorder_window = rng.next_range(1, 9) as u32;
-    }
-    // Targeted delay and storms each on half the probes, so single-class and
-    // combined schedules both appear early.
-    if rng.next_below(2) > 0 {
-        spec.target_delay_ns = rng.next_range(50, 801) as u32;
-    }
-    if rng.next_below(2) > 0 {
-        spec.storm_window_ns = rng.next_range(100, 2_001) as u32;
-    }
-    spec
+/// Where a hunt's schedules aim: any of the scenario's nodes, and a block
+/// that at least two of them touch in the hunt's run. A targeted delay
+/// fires only on traffic for the victim block, and a storm only on other
+/// nodes' requests for it.
+struct Victims {
+    nodes: u64,
+    blocks: Vec<u64>,
 }
 
-/// One greedy step: redraw a single knob of `spec`. Sabotage is never drawn
-/// — it is a test-only oracle trigger, not a legal schedule.
-fn mutate(rng: &mut DeterministicRng, spec: AdversarySpec, num_nodes: u64) -> AdversarySpec {
-    let mut s = spec;
-    match rng.next_below(6) {
-        0 => s.reorder_window = rng.next_below(9) as u32,
-        1 => s.victim_node = rng.next_below(num_nodes) as u32,
-        2 => s.victim_block = rng.next_below(64),
-        3 => {
-            s.target_delay_ns = if rng.next_below(4) == 0 {
-                0
-            } else {
-                rng.next_range(50, 801) as u32
-            };
+impl Victims {
+    fn new(scenario: &Scenario, config: &SystemConfig) -> Victims {
+        let mut sharers = BTreeMap::<u64, BTreeSet<usize>>::new();
+        for node in 0..config.num_nodes {
+            let (id, nodes) = (NodeId::new(node), config.num_nodes);
+            let mut ops = WorkloadGenerator::new(&scenario.workload, id, nodes, config.seed);
+            for _ in 0..scenario.ops_per_node {
+                let block = ops.next_op().op.addr.block(config.block_bytes).value();
+                sharers.entry(block).or_default().insert(node);
+            }
         }
-        4 => {
-            s.storm_window_ns = if rng.next_below(4) == 0 {
-                0
-            } else {
-                rng.next_range(100, 2_001) as u32
-            };
+        sharers.retain(|_, nodes| nodes.len() > 1);
+        assert!(
+            !sharers.is_empty(),
+            "scenario '{}' shares no block",
+            scenario.name
+        );
+        Victims {
+            nodes: config.num_nodes as u64,
+            blocks: sharers.into_keys().collect(),
         }
-        _ => s.seed = rng.next_below(1 << 16),
     }
-    s
+
+    /// Redraws knob `knob` (0-5) of `spec`; a fresh probe draws all six.
+    /// A class knob comes back zero (disabled) on one draw in nine or four.
+    /// Sabotage is never drawn — it is a test-only oracle trigger, not a
+    /// legal schedule.
+    fn redraw(&self, rng: &mut DeterministicRng, spec: AdversarySpec, knob: u64) -> AdversarySpec {
+        let mut s = spec;
+        let mut class = |lo: u64, hi: u64| match rng.next_below(4) {
+            0 => 0,
+            _ => rng.next_range(lo, hi) as u32,
+        };
+        match knob {
+            0 => s.reorder_window = rng.next_below(9) as u32,
+            1 => s.target_delay_ns = class(50, 801),
+            2 => s.storm_window_ns = class(100, 2_001),
+            3 => s.victim_node = rng.next_below(self.nodes) as u32,
+            4 => s.victim_block = self.blocks[rng.next_below(self.blocks.len() as u64) as usize],
+            _ => s.seed = rng.next_below(1 << 16),
+        }
+        s
+    }
 }
 
 /// Runs one budgeted hunt. Deterministic in `options` (see the module docs
 /// for the contract). The first half of the budget randomly probes the
 /// schedule space; the second half greedily mutates the best probe one knob
-/// at a time, keeping strict improvements.
+/// at a time, keeping strict improvements. A draw that equals the incumbent
+/// or perturbs nothing spends no simulation.
 ///
 /// # Panics
 ///
@@ -194,63 +216,42 @@ pub fn hunt(options: &HuntOptions) -> HuntOutcome {
         ..Scenario::by_name(&options.scenario)
             .unwrap_or_else(|| panic!("unknown scenario '{}'", options.scenario))
     };
-    let num_nodes = scenario.num_nodes as u64;
-    let mut rng = DeterministicRng::new(options.seed).fork(HUNT_STREAM);
-
-    let base = scenario.run_options();
-    let mut evaluations = 0u64;
-    let mut failure: Option<Failure> = None;
-    let evaluate =
-        |spec: AdversarySpec, evaluations: &mut u64, failure: &mut Option<Failure>| -> u64 {
-            let run_options = base.with_adversary(spec);
-            let report = scenario.run_under(options.protocol, options.seed, run_options);
-            *evaluations += 1;
-            if failure.is_none() {
-                *failure = check(
-                    options.protocol,
-                    &scenario,
-                    options.seed,
-                    run_options,
-                    &report,
-                );
-            }
-            objective(&report)
-        };
+    let (protocol, seed) = (options.protocol, options.seed);
+    let victims = Victims::new(&scenario, &scenario.config(protocol, seed));
+    let mut rng = DeterministicRng::new(seed).fork(HUNT_STREAM);
 
     // The baseline anchors the objective scale and is not charged against
     // the adversarial budget.
-    let baseline_objective = objective(&scenario.run_under(options.protocol, options.seed, base));
-
-    let budget = options.budget.max(1);
-    let probes = budget.div_ceil(2);
+    let base = scenario.run_options();
+    let baseline_objective = objective(&scenario.run_under(protocol, seed, base));
     let mut best = AdversarySpec::none();
     let mut best_objective = baseline_objective;
-
-    // Phase 1: seeded random probing.
-    for _ in 0..probes {
-        let spec = random_spec(&mut rng, num_nodes);
-        let score = evaluate(spec, &mut evaluations, &mut failure);
-        if score > best_objective {
-            best_objective = score;
-            best = spec;
-        }
-    }
-
-    // Phase 2: greedy single-knob mutation around the incumbent. Strict
-    // improvement only, so the walk cannot cycle.
-    for _ in probes..budget {
-        let candidate = mutate(&mut rng, best, num_nodes);
+    let mut evaluations = 0u64;
+    let mut failure: Option<Failure> = None;
+    let budget = options.budget.max(1);
+    for step in 0..budget {
+        let candidate = if step < budget.div_ceil(2) {
+            let none = AdversarySpec::none();
+            (0..6).fold(none, |spec, knob| victims.redraw(&mut rng, spec, knob))
+        } else {
+            let knob = rng.next_below(6);
+            victims.redraw(&mut rng, best, knob)
+        };
         if candidate == best || candidate.is_none() {
-            continue; // a no-op draw spends no simulation
+            continue;
         }
-        let score = evaluate(candidate, &mut evaluations, &mut failure);
+        let run_options = base.with_adversary(candidate);
+        let report = scenario.run_under(protocol, seed, run_options);
+        evaluations += 1;
+        if failure.is_none() {
+            failure = check(protocol, &scenario, seed, run_options, &report);
+        }
+        // Strict improvement only, so the greedy walk cannot cycle.
+        let score = objective(&report);
         if score > best_objective {
-            best_objective = score;
-            best = candidate;
+            (best, best_objective) = (candidate, score);
         }
     }
-
-    let failure = failure.map(|found| shrink(&found, &scenario));
 
     HuntOutcome {
         options: options.clone(),
@@ -258,7 +259,7 @@ pub fn hunt(options: &HuntOptions) -> HuntOutcome {
         best,
         best_objective,
         evaluations,
-        failure,
+        failure: failure.map(|found| shrink(&found, &scenario)),
     }
 }
 
@@ -317,27 +318,28 @@ impl Pathology {
 /// tolerated.
 pub fn pathology_catalog() -> Vec<Pathology> {
     vec![
-        // `tc-bench hunt --budget 30 --ops 200`: +25% objective over the
-        // unperturbed baseline (31205 vs 24993) from reordering alone.
+        // `tc-bench hunt --smoke`: objective 38459 vs the unperturbed
+        // baseline's 24942 — a deep reorder window with a targeted delay
+        // and a retry storm aimed at node 1 on a migratory block.
         Pathology {
             name: "reorder_overtake_on_hot_block",
             protocol: ProtocolKind::TokenB,
             scenario: "hot_block_contention",
             seed: 0xAD5E,
-            ops_per_node: 200,
-            spec: "reorder=4,victim=0@42,seed=40062",
+            ops_per_node: 150,
+            spec: "reorder=7,victim=1@150994944,delay=672,storm=1754,seed=24464",
         },
         // `tc-bench hunt --scenario eviction_storm --seed 7 --budget 30
-        // --ops 200`: objective 2717 vs baseline 1211 — a deep reorder
-        // window plus targeted delay and a retry storm aimed at one
-        // (node, block) pair while the tiny L2 keeps dirty evictions racing.
+        // --ops 200`: objective 5065 vs baseline 1211 — a targeted delay
+        // and a retry storm aimed at one (node, producer-consumer block)
+        // pair while the tiny L2 keeps dirty evictions racing.
         Pathology {
             name: "targeted_delay_eviction_storm",
             protocol: ProtocolKind::TokenB,
             scenario: "eviction_storm",
             seed: 7,
             ops_per_node: 200,
-            spec: "reorder=7,victim=2@36,delay=669,storm=1337,seed=18779",
+            spec: "reorder=4,victim=2@167773584,delay=634,storm=1847,seed=26283",
         },
     ]
 }

@@ -14,21 +14,14 @@
 //!   storms, the OLTP calibration, eviction storms on a deliberately tiny
 //!   L2). Scenarios are pure data; [`Scenario::run`] is deterministic in
 //!   `(protocol, seed)`, which is what makes every failure replayable.
-//! * [`stress`] — the protocol × scenario × seed sweep, collecting every
+//! * [`stress`] — the protocol × scenario × seed sweep under one
+//!   [`FaultSpec`] inside every swept protocol's contract, collecting every
 //!   run whose report contains an invariant violation (safety) or a
 //!   starvation/deadlock (liveness) as a [`Failure`].
-//! * [`stress_faulted`] — the same sweep under an adversarial
-//!   [`FaultSpec`]. Each protocol is injected with only the fault classes it
-//!   contracts to survive (`FaultSpec::gated_for`); classes outside the
-//!   contract come back as structured [`CapabilityGap`]s instead of false
-//!   failures. This is the paper's decoupling claim under fire: TokenB must
-//!   stay safe *and live* under loss, duplication, and reordering, while the
-//!   ordered-interconnect baselines declare what they cannot promise.
-//! * [`Failure`] — a replayable failing cell (including the fault spec it
-//!   failed under). Its `Display` prints the exact replay recipe; [`shrink`]
-//!   minimizes the per-node operation count *and* the fault schedule while
-//!   the failure still reproduces, so the reported case is the smallest
-//!   `(ops, faults)` pair the harness can find.
+//! * [`Failure`] — a replayable failing cell (including the specs it failed
+//!   under). Its `Display` prints the exact replay recipe; [`shrink`]
+//!   minimizes the per-node operation count *and* both perturbation specs
+//!   while the failure still reproduces.
 //! * [`token_pump`] — a controller-level interleaving pump for TokenB that
 //!   randomizes delivery order and timer firing (timeout/retry storms) while
 //!   asserting token conservation after every step, independent of the
@@ -174,30 +167,6 @@ impl fmt::Display for Failure {
     }
 }
 
-/// A fault class a protocol does not contract to survive, reported by
-/// [`stress_faulted`] when the requested spec enables it. A gap is a
-/// documented capability boundary — snooping's total-order assumption, the
-/// baselines' lack of retry machinery — not a conformance failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapabilityGap {
-    /// The protocol that declines the class.
-    pub protocol: ProtocolKind,
-    /// The fault class outside its contract.
-    pub class: FaultKind,
-}
-
-impl fmt::Display for CapabilityGap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} does not contract to survive fault class '{}' (tolerated: {:?})",
-            self.protocol,
-            self.class.name(),
-            self.protocol.tolerated_faults()
-        )
-    }
-}
-
 /// Extracts the failure (if any) from a finished run of `scenario` under
 /// `options`: any invariant violation, including the structured
 /// starvation/deadlock liveness violations the runner emits for stuck
@@ -218,47 +187,28 @@ pub fn check(
     })
 }
 
-/// Runs every protocol through every scenario for every seed, returning the
-/// failing cells (empty means full conformance). Deterministic: the same
+/// Runs every protocol through every scenario for every seed under
+/// `faults`, returning the failing cells (empty means full conformance).
+/// The spec is run as given, so it must be inside every listed protocol's
+/// contract: the plane refuses to arm outside one. Deterministic: the same
 /// inputs always produce the same failures.
-pub fn stress(protocols: &[ProtocolKind], scenarios: &[Scenario], seeds: &[u64]) -> Vec<Failure> {
-    let (failures, _) = stress_faulted(protocols, scenarios, seeds, FaultSpec::none());
-    failures
-}
-
-/// The fault-campaign sweep: every protocol through every scenario for every
-/// seed under `spec`, with per-protocol contract gating. Each protocol is
-/// injected with `spec.gated_for(protocol)` — only the fault classes it
-/// contracts to survive — and every class the spec requested but the
-/// protocol declines is reported as a [`CapabilityGap`] (once per
-/// protocol × class), not a failure. A [`Failure`] here therefore always
-/// means a protocol broke *inside* its declared contract. Deterministic in
-/// all inputs.
-pub fn stress_faulted(
+pub fn stress(
     protocols: &[ProtocolKind],
     scenarios: &[Scenario],
     seeds: &[u64],
-    spec: FaultSpec,
-) -> (Vec<Failure>, Vec<CapabilityGap>) {
+    faults: FaultSpec,
+) -> Vec<Failure> {
     let mut failures = Vec::new();
-    let mut gaps = Vec::new();
     for &protocol in protocols {
-        let (gated, declined) = spec.gated_for(protocol);
-        for class in declined {
-            let gap = CapabilityGap { protocol, class };
-            if !gaps.contains(&gap) {
-                gaps.push(gap);
-            }
-        }
         for scenario in scenarios {
-            let options = scenario.run_options().with_faults(gated);
+            let options = scenario.run_options().with_faults(faults);
             for &seed in seeds {
                 let report = scenario.run_under(protocol, seed, options);
                 failures.extend(check(protocol, scenario, seed, options, &report));
             }
         }
     }
-    (failures, gaps)
+    failures
 }
 
 /// Returns `spec` with every intensity knob halved (probabilities, jitter
@@ -458,8 +408,8 @@ mod tests {
     #[test]
     fn stress_sweep_is_deterministic() {
         let s = vec![scenario()];
-        let a = stress(&[ProtocolKind::TokenB], &s, &[1, 2]);
-        let b = stress(&[ProtocolKind::TokenB], &s, &[1, 2]);
+        let a = stress(&[ProtocolKind::TokenB], &s, &[1, 2], FaultSpec::none());
+        let b = stress(&[ProtocolKind::TokenB], &s, &[1, 2], FaultSpec::none());
         assert_eq!(a.len(), b.len());
     }
 
@@ -520,58 +470,42 @@ mod tests {
     }
 
     #[test]
-    fn gated_sweep_reports_capability_gaps_not_false_failures() {
-        // Snooping contracts to survive no fault class at all, so a spec
-        // requesting drops and delays must produce only gaps for it: the
-        // gated run is a reliable-fabric run, which passes.
-        let s = vec![scenario()];
-        let spec = FaultSpec::none().with_drop(0.01).with_delay(0.02, 100);
-        let (failures, gaps) = stress_faulted(&[ProtocolKind::Snooping], &s, &[1, 2], spec);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(
-            gaps,
-            vec![
-                CapabilityGap {
-                    protocol: ProtocolKind::Snooping,
-                    class: FaultKind::Drop
-                },
-                CapabilityGap {
-                    protocol: ProtocolKind::Snooping,
-                    class: FaultKind::Delay
-                },
-            ]
-        );
-        assert!(gaps[0].to_string().contains("drop"));
-    }
-
-    #[test]
     fn shrink_minimizes_the_fault_schedule_alongside_the_op_count() {
-        // Drive snooping *outside* its contract on purpose (run_under
-        // injects the spec as given): delay jitter breaks its total-order
-        // assumption. The drop class rides along but never fires for
-        // snooping (loss is gated to TokenB transient requests), so the
-        // shrinker must discard it and keep delay.
-        let s = scenario();
-        let spec = FaultSpec::none().with_drop(0.01).with_delay(0.05, 200);
-        let options = s.run_options().with_faults(spec);
-        let failure = [1u64, 2, 3, 7]
-            .iter()
-            .find_map(|&seed| {
-                let report = s.run_under(ProtocolKind::Snooping, seed, options);
-                check(ProtocolKind::Snooping, &s, seed, options, &report)
+        // A sabotaged TokenB arbiter swallows persistent requests, and loss
+        // is what drives requesters into them. Duplication rides along; a
+        // duplicated request is at worst redundant work, so the shrinker
+        // must discard it and keep the loss and the sabotage.
+        let s = Scenario {
+            ops_per_node: 400,
+            ..scenario()
+        };
+        let faults = FaultSpec::none().with_drop(0.02).with_dup(0.01);
+        let failure = (0..s.num_nodes as u32)
+            .flat_map(|victim| [1u64, 2, 3].map(|seed| (victim, seed)))
+            .find_map(|(victim, seed)| {
+                let adversary = AdversarySpec::none().with_victim(victim, 0).with_sabotage();
+                let options = s
+                    .run_options()
+                    .with_faults(faults)
+                    .with_adversary(adversary);
+                let report = s.run_under(ProtocolKind::TokenB, seed, options);
+                check(ProtocolKind::TokenB, &s, seed, options, &report)
             })
-            .expect("snooping under delay jitter must violate on some probe seed");
+            .expect("a sabotaged arbiter under loss must violate on some probe");
         let minimal = shrink(&failure, &s);
-        assert!(minimal.options.ops_per_node <= failure.options.ops_per_node);
+        assert!(minimal.options.ops_per_node < failure.options.ops_per_node);
         let faults = minimal.options.faults;
-        assert_eq!(faults.drop_ppm, 0, "needless class not discarded");
         assert!(
-            faults.enables(FaultKind::Delay),
-            "the class that causes the failure must survive shrinking"
+            !faults.enables(FaultKind::Duplicate),
+            "needless class not discarded"
+        );
+        assert!(
+            faults.enables(FaultKind::Drop) && minimal.options.adversary.sabotage != 0,
+            "what causes the failure must survive shrinking"
         );
         assert!(!minimal.violations.is_empty());
         // And the shrunk recipe still reproduces bit-for-bit.
-        let replay = s.run_under(ProtocolKind::Snooping, minimal.seed, minimal.options);
+        let replay = s.run_under(ProtocolKind::TokenB, minimal.seed, minimal.options);
         assert_eq!(replay.violations, minimal.violations);
     }
 }

@@ -148,9 +148,8 @@ impl Scenario {
 
     /// Runs the scenario's [`Scenario::experiment_point`] under `options`,
     /// *as given*: a shorter run (the shrinking hook), a fault or adversary
-    /// spec (the per-protocol tolerance gating lives in `stress_faulted`, so
-    /// tests can also drive a protocol outside its contract deliberately),
-    /// a shard count. Deterministic in every argument.
+    /// spec inside `protocol`'s contract (the plane refuses to arm outside
+    /// it), a shard count. Deterministic in every argument.
     pub fn run_under(&self, protocol: ProtocolKind, seed: u64, options: RunOptions) -> RunReport {
         self.experiment_point(protocol, seed).run(options)
     }

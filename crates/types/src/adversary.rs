@@ -17,6 +17,7 @@ use std::fmt;
 use tc_sim::snap_struct;
 
 use crate::clauses::{clauses, number, spec_string, split, ClauseWriter};
+use crate::fault::FaultKind;
 use crate::named_enum;
 
 /// The classes of perturbation the plane's adversary stage can apply. Unlike fault
@@ -147,6 +148,17 @@ impl AdversarySpec {
             AdversaryKind::Reorder => self.reorder_window > 0,
             AdversaryKind::TargetedDelay => self.target_delay_ns > 0,
             AdversaryKind::RetryStorm => self.storm_window_ns > 0,
+        }
+    }
+
+    /// Does this spec perturb as fault class `kind` does, in a protocol's
+    /// contract? A targeted delay or a storm moves an arrival later as
+    /// delay jitter does.
+    pub fn perturbs_as(&self, kind: FaultKind) -> bool {
+        match kind {
+            FaultKind::Reorder => self.reorder_window > 0,
+            FaultKind::Delay => self.target_delay_ns > 0 || self.storm_window_ns > 0,
+            _ => false,
         }
     }
 

@@ -12,11 +12,13 @@
 //!
 //! Two gates bound what is ever injected:
 //!
-//! * **Protocol granularity** — [`ProtocolKind::tolerates`] declares the
-//!   fault classes a protocol contracts to survive. Snooping assumes a
-//!   reliable totally-ordered tree, so it contracts for nothing; injecting
-//!   faults it never claimed to survive would produce false failures, so the
-//!   harness reports those combinations as capability gaps instead.
+//! * **Protocol granularity** — [`ProtocolKind::tolerated_faults`] declares
+//!   the fault classes a protocol contracts to survive, and
+//!   [`ProtocolKind::admits`] is the one check of a run's fault *and*
+//!   adversary specs against it. Snooping assumes a reliable totally-ordered
+//!   tree, so it contracts for nothing. The plane refuses to arm outside a
+//!   contract, and every outside boundary asks first, for an error naming
+//!   the field.
 //! * **Message granularity** — even TokenB only tolerates loss and
 //!   duplication of *transient requests* (the paper's "requests are hints").
 //!   Token-carrying messages must never be dropped (destroys tokens) or
@@ -28,6 +30,7 @@ use std::fmt;
 
 use tc_sim::snap_struct;
 
+use crate::adversary::AdversarySpec;
 use crate::clauses::{clauses, number, spec_string, split, ClauseWriter};
 use crate::config::ProtocolKind;
 use crate::ids::Cycle;
@@ -230,44 +233,12 @@ impl FaultSpec {
         }
     }
 
-    /// Restricts this spec to the fault classes `protocol` contracts to
-    /// survive, returning the gated spec and the classes that were enabled
-    /// but had to be removed (the protocol's capability gaps).
-    pub fn gated_for(&self, protocol: ProtocolKind) -> (FaultSpec, Vec<FaultKind>) {
-        let mut gated = *self;
-        let mut gaps = Vec::new();
-        for kind in FaultKind::ALL {
-            if self.enables(kind) && !protocol.tolerates(kind) {
-                gaps.push(kind);
-                gated = gated.without(kind);
-            }
-        }
-        (gated, gaps)
-    }
-
-    /// Refuses this spec for `protocol` when it enables a class outside the
-    /// protocol's contract ([`ProtocolKind::tolerated_faults`]): the check
-    /// wherever a caller hands one protocol's run a spec, which
-    /// [`FaultSpec::gated_for`] would otherwise silently strip. The error
-    /// names the protocol and the refused classes.
-    pub fn within_contract(&self, protocol: ProtocolKind) -> Result<(), String> {
-        let (_, gaps) = self.gated_for(protocol);
-        if gaps.is_empty() {
-            return Ok(());
-        }
-        let names = |kinds: &[FaultKind]| {
-            let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
-            if names.is_empty() {
-                "none".to_string()
-            } else {
-                names.join(", ")
-            }
-        };
-        Err(format!(
-            "{protocol} does not tolerate {} faults (it tolerates: {})",
-            names(&gaps),
-            names(protocol.tolerated_faults())
-        ))
+    /// The part of this spec `protocol` contracts to survive.
+    pub fn restricted_to(&self, protocol: ProtocolKind) -> FaultSpec {
+        let refused = FaultKind::ALL
+            .into_iter()
+            .filter(|&k| self.enables(k) && !protocol.tolerates(k));
+        refused.fold(*self, FaultSpec::without)
     }
 
     /// This spec with one fault class disabled.
@@ -295,14 +266,11 @@ impl FaultSpec {
     /// request handshake is part of the correctness substrate and must ride
     /// a reliable channel (dropping it destroys tokens, duplicating it
     /// mints them — both conservation violations the verifier would
-    /// rightly flag).
-    pub fn loss_eligible(protocol: ProtocolKind, msg: &Message) -> bool {
-        match protocol {
-            ProtocolKind::TokenB => matches!(msg.kind, MsgKind::GetS | MsgKind::GetM),
-            // No other protocol has retry machinery, so none contracts for
-            // loss or duplication of anything.
-            _ => false,
-        }
+    /// rightly flag). Only TokenB contracts for loss and duplication at all
+    /// ([`ProtocolKind::admits`]), so no other protocol's message reaches
+    /// this line.
+    pub fn loss_eligible(msg: &Message) -> bool {
+        matches!(msg.kind, MsgKind::GetS | MsgKind::GetM)
     }
 
     /// Parses the `--faults` spec syntax: comma-separated
@@ -403,7 +371,7 @@ impl ProtocolKind {
     /// The fault classes this protocol contracts to survive.
     ///
     /// * **TokenB** — everything: the paper's claim. Loss and duplication
-    ///   are still gated per-message by [`FaultSpec::loss_eligible`].
+    ///   still reach only [`FaultSpec::loss_eligible`] messages.
     /// * **Hammer** — delay, reorder, and link outages only: its broadcast
     ///   probe/ack counting assumes every probe is answered exactly once,
     ///   and it has no retry machinery, so loss wedges it and duplication
@@ -427,6 +395,56 @@ impl ProtocolKind {
     pub fn tolerates(self, kind: FaultKind) -> bool {
         self.tolerated_faults().contains(&kind)
     }
+
+    /// The perturbation contract, decided once for both stages of the
+    /// plane: refuses `faults` or `adversary` when either enables a class
+    /// outside [`ProtocolKind::tolerated_faults`] (an adversary as the
+    /// classes it [perturbs as](AdversarySpec::perturbs_as)).
+    /// `FaultPlane::armed` panics on a refusal; every boundary that takes a
+    /// spec from outside asks here first.
+    pub fn admits(
+        self,
+        faults: &FaultSpec,
+        adversary: &AdversarySpec,
+    ) -> Result<(), ContractRefusal> {
+        let names = |kinds: &[FaultKind]| match kinds {
+            [] => "none".to_string(),
+            _ => kinds
+                .iter()
+                .map(|k| k.name())
+                .collect::<Vec<_>>()
+                .join(", "),
+        };
+        let refused = |enables: &dyn Fn(FaultKind) -> bool| -> Vec<FaultKind> {
+            let kinds = FaultKind::ALL.into_iter();
+            kinds
+                .filter(|&k| enables(k) && !self.tolerates(k))
+                .collect()
+        };
+        for (spec, refused) in [
+            ("faults", refused(&|k| faults.enables(k))),
+            ("adversary", refused(&|k| adversary.perturbs_as(k))),
+        ] {
+            if !refused.is_empty() {
+                let message = format!(
+                    "{self} does not tolerate {} faults (it tolerates: {})",
+                    names(&refused),
+                    names(self.tolerated_faults())
+                );
+                return Err(ContractRefusal { spec, message });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A run's perturbation spec refused by its protocol's contract.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ContractRefusal {
+    /// The refused spec: `"faults"` or `"adversary"`.
+    pub spec: &'static str,
+    /// Names the protocol, the refused classes and the tolerated ones.
+    pub message: String,
 }
 
 /// Counters reported by the fault plane and the recovery machinery for one
@@ -679,42 +697,110 @@ mod tests {
     }
 
     #[test]
-    fn gating_removes_untolerated_classes_and_reports_gaps() {
+    fn restriction_removes_untolerated_classes() {
         let spec = FaultSpec::none().with_drop(0.01).with_reorder(4);
-        let (tokenb, gaps) = spec.gated_for(ProtocolKind::TokenB);
-        assert_eq!(tokenb, spec);
-        assert!(gaps.is_empty());
-
-        let (hammer, gaps) = spec.gated_for(ProtocolKind::Hammer);
-        assert_eq!(hammer.drop_ppm, 0);
-        assert_eq!(hammer.reorder_depth, 4);
-        assert_eq!(gaps, vec![FaultKind::Drop]);
-
-        let (snoop, gaps) = spec.gated_for(ProtocolKind::Snooping);
-        assert!(snoop.is_none());
-        assert_eq!(gaps, vec![FaultKind::Drop, FaultKind::Reorder]);
+        assert_eq!(spec.restricted_to(ProtocolKind::TokenB), spec);
+        let hammer = spec.restricted_to(ProtocolKind::Hammer);
+        assert_eq!((hammer.drop_ppm, hammer.reorder_depth), (0, 4));
+        assert!(spec.restricted_to(ProtocolKind::Snooping).is_none());
+        for protocol in ProtocolKind::ALL {
+            let none = AdversarySpec::none();
+            assert_eq!(
+                protocol.admits(&spec.restricted_to(protocol), &none),
+                Ok(())
+            );
+        }
     }
 
     #[test]
     fn specs_outside_a_contract_are_refused_by_name() {
         let spec = FaultSpec::none().with_drop(0.01).with_reorder(4);
-        assert_eq!(spec.within_contract(ProtocolKind::TokenB), Ok(()));
+        let none = AdversarySpec::none();
+        let refusal = |spec, message: &str| {
+            Err(ContractRefusal {
+                spec,
+                message: message.into(),
+            })
+        };
+        assert_eq!(ProtocolKind::TokenB.admits(&spec, &none), Ok(()));
         assert_eq!(
-            spec.within_contract(ProtocolKind::Hammer),
-            Err("Hammer does not tolerate drop faults (it tolerates: delay, reorder, link)".into())
+            ProtocolKind::Hammer.admits(&spec, &none),
+            refusal(
+                "faults",
+                "Hammer does not tolerate drop faults (it tolerates: delay, reorder, link)"
+            )
         );
         assert_eq!(
-            spec.within_contract(ProtocolKind::Snooping),
-            Err("Snooping does not tolerate drop, reorder faults (it tolerates: none)".into())
+            ProtocolKind::Snooping.admits(&spec, &none),
+            refusal(
+                "faults",
+                "Snooping does not tolerate drop, reorder faults (it tolerates: none)"
+            )
         );
+        let storm = AdversarySpec::none().with_reorder(2).with_storm(500);
+        assert_eq!(
+            ProtocolKind::Snooping.admits(&FaultSpec::none(), &storm),
+            refusal(
+                "adversary",
+                "Snooping does not tolerate delay, reorder faults (it tolerates: none)"
+            )
+        );
+        // Inert specs and the test-only sabotage move no arrival.
+        let inert = AdversarySpec::none().with_victim(1, 7).with_seed(3);
         for protocol in ProtocolKind::ALL {
-            assert_eq!(
-                FaultSpec::none().with_seed(9).within_contract(protocol),
-                Ok(())
-            );
-            let (gated, _) = spec.gated_for(protocol);
-            assert_eq!(gated.within_contract(protocol), Ok(()), "{protocol}");
+            let faults = FaultSpec::none().with_seed(9);
+            assert_eq!(protocol.admits(&faults, &inert.with_sabotage()), Ok(()));
         }
+    }
+
+    /// Every protocol against every single class of either stage: a fault
+    /// class is admitted exactly when it is tolerated, and an adversary
+    /// class exactly when the fault class it counts as is.
+    #[test]
+    fn the_contract_covers_every_protocol_and_every_class() {
+        use crate::adversary::AdversaryKind;
+        let fault = |kind| match kind {
+            FaultKind::Drop => FaultSpec::none().with_drop(0.1),
+            FaultKind::Duplicate => FaultSpec::none().with_dup(0.1),
+            FaultKind::Delay => FaultSpec::none().with_delay(0.1, 50),
+            FaultKind::Reorder => FaultSpec::none().with_reorder(2),
+            FaultKind::LinkDown => FaultSpec::none().with_outage(0, 1, 5, 9),
+        };
+        let adversary = |kind| match kind {
+            AdversaryKind::Reorder => AdversarySpec::none().with_reorder(2),
+            AdversaryKind::TargetedDelay => AdversarySpec::none().with_target_delay(50),
+            AdversaryKind::RetryStorm => AdversarySpec::none().with_storm(500),
+        };
+        let mut admitted = Vec::new();
+        let mut record = |verdict: Result<(), ContractRefusal>, spec| {
+            assert!(verdict.as_ref().err().is_none_or(|r| r.spec == spec));
+            admitted.push(verdict.is_ok());
+        };
+        for protocol in ProtocolKind::ALL {
+            for kind in FaultKind::ALL {
+                record(
+                    protocol.admits(&fault(kind), &AdversarySpec::none()),
+                    "faults",
+                );
+            }
+            for kind in AdversaryKind::ALL {
+                record(
+                    protocol.admits(&FaultSpec::none(), &adversary(kind)),
+                    "adversary",
+                );
+            }
+        }
+        // Rows: TokenB, Snooping, Directory, Hammer (`ProtocolKind::ALL`);
+        // columns: drop, dup, delay, reorder, link, then the adversary's
+        // reorder, delay and storm.
+        #[rustfmt::skip]
+        let expected = [
+            true,  true,  true,  true,  true,   true,  true,  true,
+            false, false, false, false, false,  false, false, false,
+            false, false, true,  true,  true,   true,  true,  true,
+            false, false, true,  true,  true,   true,  true,  true,
+        ];
+        assert_eq!(admitted, expected);
     }
 
     #[test]
@@ -727,8 +813,13 @@ mod tests {
             Vnet::Request,
             10,
         );
-        assert!(FaultSpec::loss_eligible(ProtocolKind::TokenB, &req));
-        assert!(!FaultSpec::loss_eligible(ProtocolKind::Hammer, &req));
+        assert!(FaultSpec::loss_eligible(&req));
+        // Loss reaches no other protocol's message: its contract refuses it.
+        let loss = FaultSpec::none().with_drop(0.1).with_dup(0.1);
+        for protocol in ProtocolKind::ALL {
+            let admitted = protocol.admits(&loss, &AdversarySpec::none()).is_ok();
+            assert_eq!(admitted, protocol == ProtocolKind::TokenB, "{protocol}");
+        }
 
         let tokens = Message::new(
             NodeId::new(1),
@@ -738,6 +829,6 @@ mod tests {
             Vnet::Response,
             10,
         );
-        assert!(!FaultSpec::loss_eligible(ProtocolKind::TokenB, &tokens));
+        assert!(!FaultSpec::loss_eligible(&tokens));
     }
 }

@@ -14,11 +14,13 @@
 //! is hit — fails the sweep.
 
 use token_coherence::prelude::*;
-use token_coherence::types::{AdversarySpec, FaultKind, FaultSpec, InvariantViolation};
+use token_coherence::types::{
+    AdversaryKind, AdversarySpec, FaultKind, FaultSpec, InvariantViolation,
+};
 
 use tc_testkit::{
-    check, failure_report, hunt, pathology_catalog, shrink, stress, stress_faulted, token_pump,
-    CapabilityGap, HuntOptions, PumpOptions, Scenario,
+    check, failure_report, hunt, pathology_catalog, shrink, stress, token_pump, HuntOptions,
+    PumpOptions, Scenario,
 };
 
 /// The fixed seed set for the sweep: 16 seeds, deliberately spanning small
@@ -36,7 +38,7 @@ const SEEDS: [u64; 16] = [
 fn all_protocols_conform_on_all_contended_scenarios() {
     let scenarios = Scenario::standard();
     assert!(scenarios.len() >= 3);
-    let failures = stress(&ProtocolKind::ALL, &scenarios, &SEEDS);
+    let failures = stress(&ProtocolKind::ALL, &scenarios, &SEEDS, FaultSpec::none());
     assert!(
         failures.is_empty(),
         "{}",
@@ -302,9 +304,9 @@ fn fault_tokenb_stays_safe_and_live_under_loss_duplication_and_reorder() {
 }
 
 /// The full four-protocol matrix under a spec enabling *every* fault class:
-/// each protocol is injected with exactly what it contracts to survive
-/// (`FaultSpec::gated_for`), and everything it declines surfaces as a
-/// structured capability gap, never a false failure. TokenB takes all five
+/// each protocol runs exactly the part it contracts to survive
+/// (`FaultSpec::restricted_to`) and must pass, and the whole spec is refused
+/// for every protocol whose contract it exceeds. TokenB takes all five
 /// classes; the ordered baselines take delay/reorder/outage but decline
 /// loss and duplication (no retry machinery); snooping declines everything
 /// (its correctness argument *is* the totally ordered fabric).
@@ -315,35 +317,29 @@ fn fault_contract_matrix_gates_injection_per_protocol() {
     let spec = adversarial_spec()
         .with_delay(0.02, 150)
         .with_outage(1, 2, 2_000, 30_000);
-    let (failures, gaps) = stress_faulted(&ProtocolKind::ALL, &[scenario.clone()], &SEEDS, spec);
-    assert!(
-        failures.is_empty(),
-        "a protocol broke inside its declared fault contract:\n{}",
-        failure_report(&failures, &[scenario])
-    );
-    let gaps_for = |p: ProtocolKind| -> Vec<FaultKind> {
-        gaps.iter()
-            .filter(|g| g.protocol == p)
-            .map(|g| g.class)
-            .collect()
-    };
-    assert_eq!(gaps_for(ProtocolKind::TokenB), vec![]);
-    assert_eq!(
-        gaps_for(ProtocolKind::Snooping),
-        FaultKind::ALL.to_vec(),
-        "snooping tolerates nothing: every requested class is a gap"
-    );
-    for p in [ProtocolKind::Directory, ProtocolKind::Hammer] {
-        assert_eq!(
-            gaps_for(p),
-            vec![FaultKind::Drop, FaultKind::Duplicate],
-            "{p}: the unordered baselines decline only loss and duplication"
+    let all = FaultKind::ALL.to_vec();
+    let loss = vec![FaultKind::Drop, FaultKind::Duplicate];
+    for (protocol, declined) in [
+        (ProtocolKind::TokenB, vec![]),
+        (ProtocolKind::Snooping, all),
+        (ProtocolKind::Directory, loss.clone()),
+        (ProtocolKind::Hammer, loss),
+    ] {
+        let restricted = spec.restricted_to(protocol);
+        let removed: Vec<FaultKind> = FaultKind::ALL
+            .into_iter()
+            .filter(|&k| !restricted.enables(k))
+            .collect();
+        assert_eq!(removed, declined, "{protocol}");
+        let refused = protocol.admits(&spec, &AdversarySpec::none()).is_err();
+        assert_eq!(refused, !declined.is_empty(), "{protocol}");
+        let failures = stress(&[protocol], &[scenario.clone()], &SEEDS, restricted);
+        assert!(
+            failures.is_empty(),
+            "{protocol} broke inside its declared fault contract:\n{}",
+            failure_report(&failures, &[scenario.clone()])
         );
     }
-    for gap in &gaps {
-        assert!(!gap.to_string().is_empty());
-    }
-    let _: &CapabilityGap = &gaps[0];
 }
 
 /// The fault plane's determinism contract: `(seed, FaultSpec)` fully
@@ -356,8 +352,9 @@ fn fault_same_seed_fault_runs_replay_bit_identically() {
     scenario.ops_per_node = 300;
     let spec = adversarial_spec().with_seed(0xF457);
     for protocol in [ProtocolKind::TokenB, ProtocolKind::Hammer] {
-        let (gated, _) = spec.gated_for(protocol);
-        let options = scenario.run_options().with_faults(gated);
+        let options = scenario
+            .run_options()
+            .with_faults(spec.restricted_to(protocol));
         let a = scenario.run_under(protocol, 12, options);
         let b = scenario.run_under(protocol, 12, options);
         assert_eq!(a, b, "{protocol}: same (seed, FaultSpec) diverged");
@@ -467,6 +464,21 @@ fn pathology_pinned_schedules_run_clean_with_live_adversary_machinery() {
             "{}: the adversary plane never fired — the pin is inert",
             pathology.name
         );
+        // Each class the pin enables fires: a victim block no node touches
+        // would leave the targeted delay and the storm inert.
+        let stats = report.engine.adversary;
+        let spec = pathology.adversary();
+        for (kind, fired) in [
+            (AdversaryKind::Reorder, stats.reordered),
+            (AdversaryKind::TargetedDelay, stats.targeted),
+            (AdversaryKind::RetryStorm, stats.stormed),
+        ] {
+            assert!(
+                !spec.enables(kind) || fired > 0,
+                "{}: {kind} is enabled but never fired",
+                pathology.name
+            );
+        }
         assert!(
             report.engine.adversary.max_skew_ns > 0,
             "{}: no arrival was actually displaced",
