@@ -4,7 +4,7 @@
 use tc_sim::{snap_state, snap_struct};
 use tc_types::{
     BandwidthMode, Cycle, Destination, InterconnectConfig, Message, NodeId, TrafficClass,
-    TrafficStats,
+    TrafficStats, CONTROL_MSG_BYTES, DATA_MSG_BYTES,
 };
 
 use crate::topology::{LinkId, RouterId, Topology};
@@ -56,7 +56,7 @@ impl LinkState {
     }
 }
 
-/// What crossing one link costs a message of the send in progress.
+/// What crossing one link costs a message of one size.
 #[derive(Debug, Clone, Copy)]
 struct LinkTiming {
     limited: bool,
@@ -65,6 +65,21 @@ struct LinkTiming {
 }
 
 impl LinkTiming {
+    /// The timing of a `bytes`-long message on links configured by `config`.
+    fn of(config: &InterconnectConfig, bytes: u64) -> Self {
+        let limited = matches!(config.bandwidth, BandwidthMode::Limited);
+        let serialization = if limited {
+            (bytes as f64 / config.link_bandwidth_bytes_per_ns).ceil() as Cycle
+        } else {
+            0
+        };
+        LinkTiming {
+            limited,
+            serialization,
+            latency: config.link_latency_ns,
+        }
+    }
+
     /// Injection port: the node serializes the message onto the fabric once,
     /// regardless of fan-out. Returns when the message enters the source
     /// router.
@@ -120,6 +135,9 @@ struct RouteTree {
 pub struct Interconnect {
     topology: Topology,
     config: InterconnectConfig,
+    /// Link timing of a control message (`[0]`) and of a data message
+    /// (`[1]`), the only two sizes, computed once.
+    timing: [LinkTiming; 2],
     links: Vec<LinkState>,
     traffic: TrafficStats,
     /// Per-node injection port occupancy, modelling the node's single
@@ -154,6 +172,7 @@ impl Interconnect {
         let num_links = topology.links().len();
         Interconnect {
             topology,
+            timing: [CONTROL_MSG_BYTES, DATA_MSG_BYTES].map(|bytes| LinkTiming::of(&config, bytes)),
             config,
             links: vec![LinkState::default(); num_links],
             traffic: TrafficStats::new(),
@@ -204,16 +223,6 @@ impl Interconnect {
         self.links.iter().map(|l| l.bytes).max().unwrap_or(0)
     }
 
-    fn serialization_ns(&self, bytes: u64) -> Cycle {
-        match self.config.bandwidth {
-            BandwidthMode::Unlimited => 0,
-            BandwidthMode::Limited => {
-                let ns = bytes as f64 / self.config.link_bandwidth_bytes_per_ns;
-                ns.ceil() as Cycle
-            }
-        }
-    }
-
     /// Injects `msg` into the fabric at time `now`, appending one
     /// `(arrival time, node)` pair per destination node to `out` (the buffer
     /// is not cleared). The message itself is not cloned: the event loop
@@ -223,11 +232,7 @@ impl Interconnect {
     pub fn send_arrivals(&mut self, now: Cycle, msg: &Message, out: &mut Vec<(Cycle, NodeId)>) {
         let src = msg.src;
         let size = msg.size_bytes();
-        let timing = LinkTiming {
-            limited: matches!(self.config.bandwidth, BandwidthMode::Limited),
-            serialization: self.serialization_ns(size),
-            latency: self.config.link_latency_ns,
-        };
+        let timing = self.timing[usize::from(msg.kind.carries_data())];
         let tree = match msg.dest {
             Destination::Node(dst) => {
                 // A unicast crosses its source route link by link; no router

@@ -70,6 +70,37 @@ const FINISHED_JOBS_KEPT: usize = 256;
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 const WAKE_ATTEMPTS: usize = 5;
 
+/// How long the accept loop waits after the process or host ran out of
+/// descriptors, socket buffers or memory, for finishing connections to give
+/// some back.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// The errno values of that exhaustion: ENOMEM, ENFILE, EMFILE and ENOBUFS
+/// (105 on Linux, 55 on macOS and the BSDs).
+const EXHAUSTED: [i32; 4] = [12, 23, 24, if cfg!(target_os = "linux") { 105 } else { 55 }];
+
+/// What the accept loop does after `accept` fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptFailure {
+    /// Only that connection failed (a signal, or a peer that went away while
+    /// queued): accept the next at once.
+    Retry,
+    /// A resource ran out ([`EXHAUSTED`]): accept again after
+    /// [`ACCEPT_BACKOFF`].
+    Backoff,
+    /// The listener itself failed: `run` returns the error.
+    Fatal,
+}
+
+fn classify_accept_error(e: &io::Error) -> AcceptFailure {
+    use io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted};
+    match (e.kind(), e.raw_os_error()) {
+        (Interrupted | ConnectionAborted | ConnectionReset, _) => AcceptFailure::Retry,
+        (_, Some(errno)) if EXHAUSTED.contains(&errno) => AcceptFailure::Backoff,
+        _ => AcceptFailure::Fatal,
+    }
+}
+
 /// Server construction options.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -334,8 +365,13 @@ impl Server {
                         handle_connection(stream, &shared);
                     }));
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                // A failed accept ends the server only if the listener is
+                // broken: returning abandons the workers and queued jobs.
+                Err(e) => match classify_accept_error(&e) {
+                    AcceptFailure::Retry => {}
+                    AcceptFailure::Backoff => std::thread::sleep(ACCEPT_BACKOFF),
+                    AcceptFailure::Fatal => return Err(e),
+                },
             }
             // A completed drain is announced by a connect (see
             // `wake_accept_loop`), so this is the one place it is noticed.
@@ -746,6 +782,26 @@ mod tests {
         let mut config = SystemConfig::isca03_default().with_nodes(4).with_seed(seed);
         config.l2.size_bytes = 256 * 1024;
         ExperimentPoint::new(label, config, WorkloadProfile::specjbb())
+    }
+
+    /// Only a broken listener ends the accept loop: a connection that failed
+    /// is skipped and an exhausted resource is waited out.
+    #[test]
+    fn accept_errors_end_the_server_only_when_the_listener_fails() {
+        use io::ErrorKind::*;
+        let retry = [Interrupted, ConnectionAborted, ConnectionReset].map(io::Error::from);
+        // ENOMEM, ENFILE and EMFILE are numbered alike on every Unix.
+        let backoff = [12, 23, 24, EXHAUSTED[3]].map(io::Error::from_raw_os_error);
+        let fatal = [InvalidInput, PermissionDenied, Other].map(io::Error::from);
+        for (errors, expected) in [
+            (&retry[..], AcceptFailure::Retry),
+            (&backoff[..], AcceptFailure::Backoff),
+            (&fatal[..], AcceptFailure::Fatal),
+        ] {
+            for error in errors {
+                assert_eq!(classify_accept_error(error), expected, "{error:?}");
+            }
+        }
     }
 
     fn record(state: JobState, points_total: usize) -> JobRecord {

@@ -98,6 +98,9 @@ pub struct EventQueue<E> {
     occupied: [u64; WORDS],
     /// Far-future cycles' lists, sorted by cycle.
     overflow: BTreeMap<Cycle, Fifo>,
+    /// `overflow`'s first cycle, `Cycle::MAX` while it is empty, so a clock
+    /// advance that migrates nothing compares one integer.
+    overflow_first: Cycle,
     now: Cycle,
     len: usize,
     delivered: u64,
@@ -115,6 +118,7 @@ impl<E> EventQueue<E> {
             buckets: (0..HORIZON_CYCLES).map(|_| Fifo::new()).collect(),
             occupied: [0; WORDS],
             overflow: BTreeMap::new(),
+            overflow_first: Cycle::MAX,
             now: 0,
             len: 0,
             delivered: 0,
@@ -136,6 +140,7 @@ impl<E> EventQueue<E> {
         } else {
             let fifo = self.overflow.entry(time).or_default();
             self.pool.push(fifo, event);
+            self.overflow_first = self.overflow_first.min(time);
             self.overflowed += 1;
         }
         self.len += 1;
@@ -184,16 +189,22 @@ impl<E> EventQueue<E> {
     /// order between migrated events and later direct schedules: a cycle can
     /// only be scheduled into directly once it is inside the window, and it
     /// enters the window in the same instant its overflow events migrate.
+    #[inline]
     fn migrate_overflow(&mut self) {
         let now = self.now;
+        if !in_window(now, self.overflow_first) {
+            return;
+        }
         while let Some(entry) = self.overflow.first_entry() {
             let time = *entry.key();
             if !in_window(now, time) {
-                break;
+                self.overflow_first = time;
+                return;
             }
             let fifo = entry.remove();
             self.place_bucket(time, fifo);
         }
+        self.overflow_first = Cycle::MAX;
     }
 
     /// Puts in-window cycle `time`'s whole list in its (empty) bucket.
@@ -369,6 +380,7 @@ impl<E> EventQueue<E> {
                 q.place_bucket(time, fifo);
             } else {
                 q.overflow.insert(time, fifo);
+                q.overflow_first = q.overflow_first.min(time);
             }
         }
         // A freshly loaded pool has no free node: one per pending event.

@@ -317,11 +317,13 @@ pub(crate) fn drain_limit(options: &RunOptions) -> Cycle {
 
 /// The serial engine's two answers to the step core: events go onto the one
 /// calendar queue (same-cycle ties pop FIFO, so `origin` is not needed), and
-/// verifier calls are applied on the spot.
+/// verifier calls are applied on the spot, at the cycle `now` of the event
+/// being stepped.
 struct Serial<'a> {
     queue: &'a mut EventQueue<Event>,
     verifier: &'a mut Verifier,
     starvation_bound: Cycle,
+    now: Cycle,
 }
 
 impl Scheduler for Serial<'_> {
@@ -332,7 +334,7 @@ impl Scheduler for Serial<'_> {
 
     #[inline]
     fn verify(&mut self, op: VerifyOp) {
-        self.verifier.apply(op, self.starvation_bound);
+        self.verifier.apply(op, self.starvation_bound, self.now);
     }
 }
 
@@ -561,6 +563,7 @@ impl System {
                 queue: &mut self.queue,
                 verifier: &mut self.verifier,
                 starvation_bound,
+                now,
             };
             let sent = self
                 .core
@@ -925,6 +928,26 @@ mod tests {
                 .starvation_bound(&config)
         };
         assert_eq!(bound(faults.with_reorder(4)) - bound(faults), 4 * link * 64);
+    }
+
+    /// Tripwire: the verifier keeps what a legal load can still read, not
+    /// every block's newest writes, so its history does not grow with run
+    /// length. The pinned configuration (TokenB, torus, OLTP, 4 nodes, seed
+    /// 12) held about 7600 live entries at 20k ops/node and 8900 at 75k;
+    /// with no horizon it held 86522 at 75k. It counts, times nothing.
+    #[test]
+    fn verifier_history_stays_within_the_liveness_horizon() {
+        let config = SystemConfig::isca03_default().with_nodes(4).with_seed(12);
+        for ops_per_node in [20_000, 75_000] {
+            let mut system = System::build(&config, &tc_workloads::WorkloadProfile::oltp());
+            let report = system.run(RunOptions {
+                ops_per_node,
+                ..RunOptions::default()
+            });
+            assert!(report.violations.is_empty());
+            let live = system.verifier.history_entries();
+            assert!(live <= 12_000, "{ops_per_node} ops/node: {live} entries");
+        }
     }
 
     /// Each stage of the plane reports only its own counters: arming one

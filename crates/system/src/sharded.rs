@@ -453,7 +453,7 @@ pub(crate) fn run_sharded(system: &mut System, options: &RunOptions) -> RunRepor
             for Rec { pos, what } in log {
                 let msg = match what {
                     Logged::Verify(op) => {
-                        system.verifier.apply(op, bound);
+                        system.verifier.apply(op, bound, pos.0);
                         continue;
                     }
                     Logged::Send(msg) => msg,

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use tc_sim::snap_struct;
+use tc_sim::{snap_state, snap_struct};
 use tc_types::{BlockAddr, BlockAudit, Cycle, FastHashMap, InvariantViolation, NodeId};
 
 /// The token-counting rule (invariant #1') for one block: the tokens the
@@ -38,8 +38,10 @@ pub fn token_count_violations(
 #[derive(Debug, Clone, Default)]
 struct BlockHistory {
     /// (version, time it became current), oldest first, starting from
-    /// `(0, 0)`; the last entry is the currently visible version. Bounded to
-    /// the newest [`BlockHistory::MAX_ENTRIES`], in as many slots; a deque so
+    /// `(0, 0)`; the last entry is the currently visible version. A suffix
+    /// of every write: entries no legal load can still read leave (see
+    /// [`BlockHistory::record`]), and at most the newest
+    /// [`BlockHistory::MAX_ENTRIES`] stay, in as many slots; a deque so
     /// trimming the oldest entry is O(1) rather than a memmove of the whole
     /// window on every write to a hot block.
     versions: VecDeque<(u64, Cycle)>,
@@ -51,9 +53,16 @@ impl BlockHistory {
     const MAX_ENTRIES: usize = 128;
 
     /// Appends `version`, first dropping the oldest entries that would push
-    /// the window past its bound, so a full window never asks for more room.
-    fn record(&mut self, version: u64, at: Cycle) {
-        while self.versions.len() >= Self::MAX_ENTRIES {
+    /// the window past its bound, so a full window never asks for more room,
+    /// and every entry superseded before `floor`: a load whose window opens
+    /// at or after `floor` cannot have read it.
+    fn record(&mut self, version: u64, at: Cycle, floor: Cycle) {
+        while self.versions.len() >= Self::MAX_ENTRIES
+            || self
+                .versions
+                .get(1)
+                .is_some_and(|&(_, superseded_at)| superseded_at < floor)
+        {
             self.versions.pop_front();
         }
         self.versions.push_back((version, at));
@@ -108,6 +117,14 @@ pub struct Verifier {
     /// unordered map stays deterministic.
     escalations: FastHashMap<(NodeId, BlockAddr), Cycle>,
     violations: Vec<InvariantViolation>,
+    /// The liveness horizon: the cycle of the event [`Verifier::apply`]
+    /// applies, less twice the run's starvation bound. A load whose window
+    /// opened before it belongs to a miss outstanding, or a copy left stale,
+    /// past what the fairness oracle allows, so a write drops the history
+    /// entries superseded before it. What stays is a suffix of every write:
+    /// a load finds fewer legal windows, never more. Not saved: `apply` sets
+    /// it before every engine write; `record_write` alone leaves it at 0.
+    horizon: Cycle,
 }
 
 /// One verifier call made while stepping an event: the vocabulary the step
@@ -148,9 +165,11 @@ impl Verifier {
         Verifier::default()
     }
 
-    /// Applies one stepped call; `bound` is the run's starvation bound.
+    /// Applies one stepped call made by the event at cycle `now`; `bound`
+    /// is the run's starvation bound.
     #[inline]
-    pub(crate) fn apply(&mut self, op: VerifyOp, bound: Cycle) {
+    pub(crate) fn apply(&mut self, op: VerifyOp, bound: Cycle, now: Cycle) {
+        self.horizon = now.saturating_sub(bound.saturating_mul(2));
         match op {
             VerifyOp::Access {
                 node,
@@ -171,14 +190,17 @@ impl Verifier {
         }
     }
 
-    /// Records a completed store of `version` to `addr` at time `at`.
+    /// Records a completed store of `version` to `addr` at time `at`,
+    /// dropping the block's entries superseded before the liveness horizon:
+    /// twice the run's starvation bound before the event that made the last
+    /// engine call, or never for a verifier the engine has not driven.
     pub fn record_write(&mut self, _node: NodeId, addr: BlockAddr, version: u64, at: Cycle) {
         self.history
             .entry(addr)
             .or_insert_with(|| BlockHistory {
                 versions: VecDeque::from([(0, 0)]),
             })
-            .record(version, at);
+            .record(version, at, self.horizon);
     }
 
     /// Checks a load of `version` from `addr` that was issued at `issued_at`
@@ -387,11 +409,17 @@ impl Verifier {
     pub fn into_violations(self) -> Vec<InvariantViolation> {
         self.violations
     }
+
+    /// Write-history entries held across every block.
+    #[cfg(test)]
+    pub(crate) fn history_entries(&self) -> usize {
+        self.history.values().map(|h| h.versions.len()).sum()
+    }
 }
 
 // Both maps are written in key order, so identical verifier states always
 // produce identical bytes.
-snap_struct!(Verifier {
+snap_state!(Verifier {
     history,
     violations,
     escalations,
@@ -423,10 +451,13 @@ mod tests {
 
     #[test]
     fn verifier_loads_refuse_repeated_or_out_of_order_keys() {
+        let load = |bytes: &[u8]| {
+            let mut v = Verifier::new();
+            v.load_state(&mut SnapReader::new(bytes)).map(|()| v)
+        };
         let good = verifier_bytes(&[1, 4], &[(0, 9), (1, 2)]);
-        let loaded = Verifier::load(&mut SnapReader::new(&good)).unwrap();
         let mut w = SnapWriter::new();
-        loaded.save(&mut w);
+        load(&good).unwrap().save_state(&mut w);
         assert_eq!(w.into_bytes(), good);
         for (what, bad) in [
             ("repeated block", verifier_bytes(&[4, 4], &[])),
@@ -440,7 +471,7 @@ mod tests {
                 verifier_bytes(&[], &[(1, 2), (0, 9)]),
             ),
         ] {
-            let loaded = Verifier::load(&mut SnapReader::new(&bad));
+            let loaded = load(&bad);
             assert!(
                 matches!(loaded, Err(SnapshotError::Corrupt(_))),
                 "{what}: {loaded:?}"
@@ -542,12 +573,79 @@ mod tests {
         }
         newest(&v, 1000);
         let mut w = SnapWriter::new();
-        v.save(&mut w);
-        let mut restored = Verifier::load(&mut SnapReader::new(&w.into_bytes())).unwrap();
+        v.save_state(&mut w);
+        let mut restored = Verifier::new();
+        restored
+            .load_state(&mut SnapReader::new(&w.into_bytes()))
+            .unwrap();
         for i in 1001..=1100u64 {
             restored.record_write(NodeId::new(0), addr, i, i * 10);
         }
         newest(&restored, 1100);
+    }
+
+    /// Seeded property: random writes and loads through [`Verifier::apply`]
+    /// against a reference that keeps every write and runs the same scan. A
+    /// load whose window opens within the horizon (twice the starvation
+    /// bound before its event) gets the reference's verdict; one whose
+    /// window opens further back is flagged whenever the reference flags
+    /// it. No block ever holds [`BlockHistory::MAX_ENTRIES`], so the horizon
+    /// is the only thing that drops entries here.
+    #[test]
+    fn horizon_pruning_keeps_every_verdict_within_the_horizon() {
+        let (bound, blocks) = (500, 3);
+        let mut rng = tc_sim::DeterministicRng::new(0x5eed);
+        let mut v = Verifier::new();
+        let mut reference: FastHashMap<BlockAddr, BlockHistory> = FastHashMap::default();
+        let (mut now, mut last_version) = (0, 0);
+        // [window within the horizon, older] x [legal, stale]
+        let mut seen = [[0u32; 2]; 2];
+        for _ in 0..20_000 {
+            now += rng.next_below(40);
+            let addr = BlockAddr::new(rng.next_below(blocks));
+            let at = now + rng.next_below(20);
+            let history = reference.entry(addr).or_insert_with(|| BlockHistory {
+                versions: VecDeque::from([(0, 0)]),
+            });
+            let access = |version, is_write, valid_since| VerifyOp::Access {
+                node: NodeId::new(0),
+                addr,
+                version,
+                is_write,
+                valid_since,
+                at,
+            };
+            if rng.chance(0.3) {
+                last_version += 1;
+                history.versions.push_back((last_version, at));
+                v.apply(access(last_version, true, at), bound, now);
+                continue;
+            }
+            let back = rng.next_below(history.versions.len().min(16) as u64) as usize;
+            let version = history.versions[history.versions.len() - 1 - back].0;
+            let issued_at = now.saturating_sub(rng.next_below(4 * bound));
+            let legal =
+                version == history.current() || history.was_current_during(version, issued_at, at);
+            let before = v.violations().len();
+            v.apply(access(version, false, issued_at), bound, now);
+            let flagged = v.violations().len() > before;
+            let within = issued_at >= now.saturating_sub(2 * bound);
+            if within {
+                assert_eq!(
+                    flagged, !legal,
+                    "load of {version} issued at {issued_at}, now {now}"
+                );
+            } else {
+                assert!(
+                    flagged || legal,
+                    "load of {version} issued at {issued_at}, now {now}"
+                );
+            }
+            seen[usize::from(!within)][usize::from(!legal)] += 1;
+        }
+        assert!(seen.iter().flatten().all(|&n| n > 0), "{seen:?}");
+        let longest = v.history.values().map(|h| h.versions.len()).max();
+        assert!(longest < Some(BlockHistory::MAX_ENTRIES / 4), "{longest:?}");
     }
 
     #[test]
