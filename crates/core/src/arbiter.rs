@@ -7,25 +7,35 @@
 //! and deactivates the request when the starving requester reports that it
 //! has been satisfied. Queued requests are served in FIFO order, which makes
 //! the mechanism fair and therefore starvation-free.
+//!
+//! The persistent network is unordered, so a node's completion may reach
+//! the arbiter before the request it completes; the arbiter assumes no
+//! order between them. A node's persistent requests for one block are
+//! interchangeable: every activation sends the requester all tokens,
+//! whatever its miss wanted. So completions are matched to requests by
+//! count, not identity. A completion that finds its `(block, requester)`
+//! pair in force deactivates it; any other completion is parked, and
+//! cancels one request of its pair at the point that request would go into
+//! force (leaving the queue, or on its last activation ack). A node sends
+//! request, completion, request, ... per block (one miss per block, one
+//! escalation per miss, a completion on every escalated release), so the
+//! parked list is bounded by the requests still in flight.
 
 use std::collections::VecDeque;
 
 use tc_sim::{snap_enum, snap_state, snap_struct};
 use tc_types::{BlockAddr, NodeId};
 
-/// A request waiting at (or being served by) the arbiter.
+/// A `(block, requester)` pair: a request waiting at (or being served by)
+/// the arbiter, or a completion parked until one of its pair's requests
+/// would go into force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct QueuedRequest {
     addr: BlockAddr,
     requester: NodeId,
-    write: bool,
 }
 
-snap_struct!(QueuedRequest {
-    addr,
-    requester,
-    write,
-});
+snap_struct!(QueuedRequest { addr, requester });
 
 /// What the controller hosting the arbiter must do next: broadcast an
 /// activation or deactivation to every node (and apply it locally).
@@ -37,8 +47,6 @@ pub enum ArbiterAction {
         addr: BlockAddr,
         /// Starving node that must receive all tokens.
         requester: NodeId,
-        /// Whether the requester needs write permission.
-        write: bool,
     },
     /// Tell every node to deactivate the persistent request for `addr`.
     BroadcastDeactivate {
@@ -54,7 +62,6 @@ enum ArbiterState {
     Activating {
         request: QueuedRequest,
         acks_remaining: usize,
-        complete_received: bool,
     },
     /// All nodes have acknowledged; the request is in force.
     Active {
@@ -69,7 +76,7 @@ enum ArbiterState {
 
 snap_enum!(ArbiterState, "arbiter state" {
     0 => Idle,
-    1 => Activating { request, acks_remaining, complete_received },
+    1 => Activating { request, acks_remaining },
     2 => Active { request },
     3 => Deactivating { addr, acks_remaining },
 });
@@ -80,6 +87,9 @@ pub struct PersistentArbiter {
     num_nodes: usize,
     state: ArbiterState,
     queue: VecDeque<QueuedRequest>,
+    /// Completions that found their pair not in force; each cancels one
+    /// later request of its pair (see the module doc).
+    parked: Vec<QueuedRequest>,
     activations: u64,
     /// Test-only sabotage: when set, incoming requests are silently
     /// dropped, manufacturing the starvation the fairness oracle must
@@ -94,6 +104,7 @@ impl PersistentArbiter {
             num_nodes: num_nodes.max(1),
             state: ArbiterState::Idle,
             queue: VecDeque::new(),
+            parked: Vec::new(),
             activations: 0,
             sabotaged: false,
         }
@@ -115,45 +126,14 @@ impl PersistentArbiter {
         self.activations
     }
 
-    /// Number of requests waiting to be activated.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Returns `true` if the arbiter has nothing in flight or queued.
-    pub fn is_idle(&self) -> bool {
-        matches!(self.state, ArbiterState::Idle) && self.queue.is_empty()
-    }
-
     /// A starving node asks for a persistent request on `addr`.
-    pub fn request(
-        &mut self,
-        addr: BlockAddr,
-        requester: NodeId,
-        write: bool,
-    ) -> Vec<ArbiterAction> {
+    pub fn request(&mut self, addr: BlockAddr, requester: NodeId) -> Vec<ArbiterAction> {
         if self.sabotaged {
             // A broken arbiter that loses requests: the starving node never
             // hears back, and only the fairness oracle can tell.
             return Vec::new();
         }
-        let request = QueuedRequest {
-            addr,
-            requester,
-            write,
-        };
-        // Ignore exact duplicates (a node may re-send if its first persistent
-        // request raced with a deactivation).
-        let duplicate_queued = self.queue.contains(&request);
-        let duplicate_inflight = match &self.state {
-            ArbiterState::Activating { request: r, .. } | ArbiterState::Active { request: r } => {
-                *r == request
-            }
-            _ => false,
-        };
-        if !duplicate_queued && !duplicate_inflight {
-            self.queue.push_back(request);
-        }
+        self.queue.push_back(QueuedRequest { addr, requester });
         self.try_activate()
     }
 
@@ -161,111 +141,93 @@ impl PersistentArbiter {
     pub fn ack(&mut self, _from: NodeId) -> Vec<ArbiterAction> {
         match &mut self.state {
             ArbiterState::Activating {
-                acks_remaining,
-                complete_received,
                 request,
+                acks_remaining,
             } => {
                 *acks_remaining = acks_remaining.saturating_sub(1);
-                if *acks_remaining == 0 {
-                    let request = *request;
-                    if *complete_received {
-                        // The requester was satisfied before activation even
-                        // finished; tear the request down immediately.
-                        self.state = ArbiterState::Deactivating {
-                            addr: request.addr,
-                            acks_remaining: self.acks_expected(),
-                        };
-                        return self.broadcast_deactivate(request.addr);
-                    }
-                    self.state = ArbiterState::Active { request };
+                if *acks_remaining > 0 {
+                    return Vec::new();
                 }
+                let request = *request;
+                if self.cancel(request) {
+                    // The requester was satisfied before activation even
+                    // finished; tear the request down immediately.
+                    return self.deactivate(request.addr);
+                }
+                self.state = ArbiterState::Active { request };
                 Vec::new()
             }
             ArbiterState::Deactivating { acks_remaining, .. } => {
                 *acks_remaining = acks_remaining.saturating_sub(1);
-                if *acks_remaining == 0 {
-                    self.state = ArbiterState::Idle;
-                    return self.try_activate();
+                if *acks_remaining > 0 {
+                    return Vec::new();
                 }
-                Vec::new()
+                self.state = ArbiterState::Idle;
+                self.try_activate()
             }
             _ => Vec::new(),
         }
     }
 
-    /// The requester reports that its persistent request has been satisfied.
+    /// The requester reports that a persistent request of its own on `addr`
+    /// has been satisfied.
     pub fn complete(&mut self, addr: BlockAddr, requester: NodeId) -> Vec<ArbiterAction> {
-        match &mut self.state {
-            ArbiterState::Active { request }
-                if request.addr == addr && request.requester == requester =>
-            {
-                self.state = ArbiterState::Deactivating {
-                    addr,
-                    acks_remaining: self.acks_expected(),
-                };
-                self.broadcast_deactivate(addr)
-            }
-            ArbiterState::Activating {
-                request,
-                complete_received,
-                ..
-            } if request.addr == addr && request.requester == requester => {
-                *complete_received = true;
-                Vec::new()
-            }
-            _ => {
-                // The request may still be queued (satisfied by a late
-                // transient response before activation); just drop it.
-                self.queue
-                    .retain(|r| !(r.addr == addr && r.requester == requester));
-                Vec::new()
-            }
+        let done = QueuedRequest { addr, requester };
+        if self.state == (ArbiterState::Active { request: done }) {
+            return self.deactivate(addr);
         }
+        self.parked.push(done);
+        Vec::new()
+    }
+
+    /// Consumes one parked completion of `request`'s pair, if there is one.
+    fn cancel(&mut self, request: QueuedRequest) -> bool {
+        let Some(i) = self.parked.iter().position(|&done| done == request) else {
+            return false;
+        };
+        self.parked.swap_remove(i);
+        true
     }
 
     fn try_activate(&mut self) -> Vec<ArbiterAction> {
-        if !matches!(self.state, ArbiterState::Idle) {
+        if self.state != ArbiterState::Idle {
             return Vec::new();
         }
-        let Some(request) = self.queue.pop_front() else {
-            return Vec::new();
-        };
-        self.activations += 1;
-        let acks = self.acks_expected();
-        if acks == 0 {
-            self.state = ArbiterState::Active { request };
+        while let Some(request) = self.queue.pop_front() {
+            if self.cancel(request) {
+                continue;
+            }
+            self.activations += 1;
+            let acks_remaining = self.acks_expected();
+            self.state = if acks_remaining == 0 {
+                ArbiterState::Active { request }
+            } else {
+                ArbiterState::Activating {
+                    request,
+                    acks_remaining,
+                }
+            };
+            return vec![ArbiterAction::BroadcastActivate {
+                addr: request.addr,
+                requester: request.requester,
+            }];
+        }
+        Vec::new()
+    }
+
+    fn deactivate(&mut self, addr: BlockAddr) -> Vec<ArbiterAction> {
+        let mut actions = vec![ArbiterAction::BroadcastDeactivate { addr }];
+        let acks_remaining = self.acks_expected();
+        if acks_remaining == 0 {
+            self.state = ArbiterState::Idle;
+            actions.extend(self.try_activate());
         } else {
-            self.state = ArbiterState::Activating {
-                request,
-                acks_remaining: acks,
-                complete_received: false,
+            self.state = ArbiterState::Deactivating {
+                addr,
+                acks_remaining,
             };
         }
-        vec![ArbiterAction::BroadcastActivate {
-            addr: request.addr,
-            requester: request.requester,
-            write: request.write,
-        }]
-    }
-
-    fn broadcast_deactivate(&mut self, addr: BlockAddr) -> Vec<ArbiterAction> {
-        if self.acks_expected() == 0 {
-            self.state = ArbiterState::Idle;
-            let mut actions = vec![ArbiterAction::BroadcastDeactivate { addr }];
-            actions.extend(self.try_activate());
-            return actions;
-        }
-        vec![ArbiterAction::BroadcastDeactivate { addr }]
-    }
-
-    /// The node whose persistent request is currently being served, if any.
-    pub fn active_requester(&self) -> Option<(BlockAddr, NodeId)> {
-        match &self.state {
-            ArbiterState::Activating { request, .. } | ArbiterState::Active { request } => {
-                Some((request.addr, request.requester))
-            }
-            _ => None,
-        }
+        actions
     }
 }
 
@@ -275,12 +237,35 @@ snap_state!(PersistentArbiter {
     sabotaged,
     state,
     queue,
+    parked,
 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tc_sim::{SnapReader, SnapState, SnapWriter};
+
+    impl PersistentArbiter {
+        /// Number of requests waiting to leave the queue (cancelled or not).
+        fn queued(&self) -> usize {
+            self.queue.len()
+        }
+
+        /// Returns `true` if nothing is in flight, queued or parked.
+        fn is_idle(&self) -> bool {
+            self.state == ArbiterState::Idle && self.queue.is_empty() && self.parked.is_empty()
+        }
+
+        /// The node whose persistent request is currently being served.
+        fn active_requester(&self) -> Option<(BlockAddr, NodeId)> {
+            match &self.state {
+                ArbiterState::Activating { request, .. } | ArbiterState::Active { request } => {
+                    Some((request.addr, request.requester))
+                }
+                _ => None,
+            }
+        }
+    }
 
     fn activate_addr(actions: &[ArbiterAction]) -> Option<BlockAddr> {
         actions.iter().find_map(|a| match a {
@@ -299,7 +284,7 @@ mod tests {
     #[test]
     fn single_request_activates_immediately() {
         let mut arb = PersistentArbiter::new(4);
-        let actions = arb.request(BlockAddr::new(7), NodeId::new(2), true);
+        let actions = arb.request(BlockAddr::new(7), NodeId::new(2));
         assert_eq!(activate_addr(&actions), Some(BlockAddr::new(7)));
         assert_eq!(
             arb.active_requester(),
@@ -311,7 +296,7 @@ mod tests {
     #[test]
     fn full_activation_completion_deactivation_cycle() {
         let mut arb = PersistentArbiter::new(4);
-        arb.request(BlockAddr::new(7), NodeId::new(2), true);
+        arb.request(BlockAddr::new(7), NodeId::new(2));
         // Three other nodes acknowledge the activation.
         for n in 1..4 {
             assert!(arb.ack(NodeId::new(n)).is_empty());
@@ -329,8 +314,8 @@ mod tests {
     #[test]
     fn second_request_waits_for_the_first() {
         let mut arb = PersistentArbiter::new(4);
-        arb.request(BlockAddr::new(1), NodeId::new(1), true);
-        let actions = arb.request(BlockAddr::new(2), NodeId::new(2), false);
+        arb.request(BlockAddr::new(1), NodeId::new(1));
+        let actions = arb.request(BlockAddr::new(2), NodeId::new(2));
         assert!(actions.is_empty(), "second request must queue");
         assert_eq!(arb.queued(), 1);
 
@@ -350,7 +335,7 @@ mod tests {
     #[test]
     fn completion_before_all_activation_acks_still_deactivates() {
         let mut arb = PersistentArbiter::new(4);
-        arb.request(BlockAddr::new(3), NodeId::new(1), false);
+        arb.request(BlockAddr::new(3), NodeId::new(1));
         // Requester completes before anyone acks.
         assert!(arb.complete(BlockAddr::new(3), NodeId::new(1)).is_empty());
         // Once the activation acks arrive, deactivation goes out.
@@ -362,34 +347,115 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_requests_are_not_double_queued() {
-        let mut arb = PersistentArbiter::new(4);
-        arb.request(BlockAddr::new(5), NodeId::new(1), true);
-        arb.request(BlockAddr::new(5), NodeId::new(1), true);
-        assert_eq!(
-            arb.queued(),
-            0,
-            "duplicate of the in-flight request is dropped"
-        );
-        arb.request(BlockAddr::new(6), NodeId::new(2), true);
-        arb.request(BlockAddr::new(6), NodeId::new(2), true);
-        assert_eq!(arb.queued(), 1);
-    }
-
-    #[test]
     fn completion_of_a_queued_request_removes_it() {
         let mut arb = PersistentArbiter::new(4);
-        arb.request(BlockAddr::new(1), NodeId::new(1), true);
-        arb.request(BlockAddr::new(2), NodeId::new(2), true);
+        arb.request(BlockAddr::new(1), NodeId::new(1));
+        arb.request(BlockAddr::new(2), NodeId::new(2));
         assert_eq!(arb.queued(), 1);
-        arb.complete(BlockAddr::new(2), NodeId::new(2));
-        assert_eq!(arb.queued(), 0);
+        assert!(arb.complete(BlockAddr::new(2), NodeId::new(2)).is_empty());
+        // The cancelled request stays queued until it would go into force.
+        assert_eq!(arb.queued(), 1);
+        let mut actions = Vec::new();
+        for n in 1..4 {
+            actions.extend(arb.ack(NodeId::new(n)));
+        }
+        actions.extend(arb.complete(BlockAddr::new(1), NodeId::new(1)));
+        for n in 1..4 {
+            actions.extend(arb.ack(NodeId::new(n)));
+        }
+        assert_eq!(activate_addr(&actions), None, "{actions:?}");
+        assert_eq!(arb.activations(), 1);
+        assert!(arb.is_idle());
+    }
+
+    /// Every delivery order of one node's persistent stream on a block,
+    /// interleaved with a second node's request and completion on that
+    /// block and with the acks of each broadcast. At quiescence the
+    /// arbiter is idle iff every request has its completion, and otherwise
+    /// serves the node whose miss is still live. The orders include a
+    /// second request arriving while the first is in force and a second
+    /// completion arriving while the first pair is still activating.
+    #[test]
+    fn every_delivery_order_leaves_exactly_the_live_miss_in_force() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Step {
+            Request(NodeId),
+            Complete(NodeId),
+            Ack,
+        }
+        fn explore(
+            arb: &PersistentArbiter,
+            pending: &[Step],
+            live: Option<NodeId>,
+            trace: &mut Vec<Step>,
+            leaves: &mut usize,
+        ) {
+            let block = BlockAddr::new(4);
+            let broadcasting = matches!(
+                arb.state,
+                ArbiterState::Activating { .. } | ArbiterState::Deactivating { .. }
+            );
+            if !broadcasting && pending.is_empty() {
+                *leaves += 1;
+                match live {
+                    None => assert!(arb.is_idle(), "{trace:?} left {arb:?}"),
+                    Some(node) => assert_eq!(
+                        arb.active_requester(),
+                        Some((block, node)),
+                        "{trace:?} left {arb:?}"
+                    ),
+                }
+                return;
+            }
+            let mut moves = if broadcasting {
+                vec![Step::Ack]
+            } else {
+                Vec::new()
+            };
+            for (i, &step) in pending.iter().enumerate() {
+                // Equal messages are indistinguishable: try one of them.
+                if !pending[..i].contains(&step) {
+                    moves.push(step);
+                }
+            }
+            for step in moves {
+                let mut next = arb.clone();
+                let mut rest = pending.to_vec();
+                match step {
+                    Step::Request(node) => next.request(block, node),
+                    Step::Complete(node) => next.complete(block, node),
+                    Step::Ack => next.ack(NodeId::new(0)),
+                };
+                if let Some(i) = rest.iter().position(|&s| s == step) {
+                    rest.remove(i);
+                }
+                trace.push(step);
+                explore(&next, &rest, live, trace, leaves);
+                trace.pop();
+            }
+        }
+
+        let (a, b) = (NodeId::new(1), NodeId::new(2));
+        let (ra, ca) = (Step::Request(a), Step::Complete(a));
+        for (stream, live) in [(vec![ra, ca, ra], Some(a)), (vec![ra, ca, ra, ca], None)] {
+            let mut pending = stream;
+            pending.extend([Step::Request(b), Step::Complete(b)]);
+            let mut leaves = 0;
+            explore(
+                &PersistentArbiter::new(3),
+                &pending,
+                live,
+                &mut Vec::new(),
+                &mut leaves,
+            );
+            assert!(leaves > 0);
+        }
     }
 
     #[test]
     fn single_node_system_needs_no_acks() {
         let mut arb = PersistentArbiter::new(1);
-        let actions = arb.request(BlockAddr::new(1), NodeId::new(0), true);
+        let actions = arb.request(BlockAddr::new(1), NodeId::new(0));
         assert_eq!(activate_addr(&actions), Some(BlockAddr::new(1)));
         let actions = arb.complete(BlockAddr::new(1), NodeId::new(0));
         assert_eq!(deactivate_addr(&actions), Some(BlockAddr::new(1)));
@@ -408,7 +474,7 @@ mod tests {
         let mut served = Vec::new();
         let mut actions = Vec::new();
         for &n in &arrival_order {
-            actions.extend(arb.request(block, NodeId::new(n), true));
+            actions.extend(arb.request(block, NodeId::new(n)));
         }
         // Drive activation/completion/deactivation cycles until idle.
         while let Some(ArbiterAction::BroadcastActivate {
@@ -447,7 +513,7 @@ mod tests {
         let mut service_counts = vec![0u32; num_nodes];
         let mut actions = Vec::new();
         for n in 0..num_nodes {
-            actions.extend(arb.request(block, NodeId::new(n), true));
+            actions.extend(arb.request(block, NodeId::new(n)));
         }
         for _round in 0..3 {
             for _grant in 0..num_nodes {
@@ -466,7 +532,7 @@ mod tests {
                 }
                 actions.extend(arb.complete(addr, requester));
                 // The served node immediately starves again.
-                actions.extend(arb.request(block, requester, true));
+                actions.extend(arb.request(block, requester));
                 for n in 1..num_nodes {
                     actions.extend(arb.ack(NodeId::new(n)));
                 }
@@ -479,13 +545,13 @@ mod tests {
     fn sabotaged_arbiter_drops_requests_silently() {
         let mut arb = PersistentArbiter::new(4);
         arb.set_sabotage(true);
-        let actions = arb.request(BlockAddr::new(7), NodeId::new(2), true);
+        let actions = arb.request(BlockAddr::new(7), NodeId::new(2));
         assert!(actions.is_empty());
         assert!(arb.is_idle(), "nothing may be queued or in flight");
         assert_eq!(arb.activations(), 0);
         // Disabling sabotage restores normal service.
         arb.set_sabotage(false);
-        let actions = arb.request(BlockAddr::new(7), NodeId::new(2), true);
+        let actions = arb.request(BlockAddr::new(7), NodeId::new(2));
         assert_eq!(activate_addr(&actions), Some(BlockAddr::new(7)));
     }
 
@@ -494,14 +560,12 @@ mod tests {
         let request = QueuedRequest {
             addr: BlockAddr::new(5),
             requester: NodeId::new(2),
-            write: true,
         };
         for state in [
             ArbiterState::Idle,
             ArbiterState::Activating {
                 request,
                 acks_remaining: 3,
-                complete_received: true,
             },
             ArbiterState::Active { request },
             ArbiterState::Deactivating {
@@ -511,6 +575,17 @@ mod tests {
         ] {
             tc_testkit::assert_snap_round_trip(&state);
         }
+        // A parked completion survives a save and still cancels its request.
+        let mut arb = PersistentArbiter::new(4);
+        arb.complete(request.addr, request.requester);
+        let mut w = SnapWriter::new();
+        arb.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = PersistentArbiter::new(4);
+        restored.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(restored.parked, [request]);
+        assert!(restored.request(request.addr, request.requester).is_empty());
+        assert!(restored.is_idle());
     }
 
     #[test]
@@ -523,16 +598,16 @@ mod tests {
         let mut restored = PersistentArbiter::new(4);
         restored.load_state(&mut SnapReader::new(&bytes)).unwrap();
         assert!(restored
-            .request(BlockAddr::new(1), NodeId::new(1), true)
+            .request(BlockAddr::new(1), NodeId::new(1))
             .is_empty());
     }
 
     #[test]
     fn fifo_order_is_preserved_across_many_requests() {
         let mut arb = PersistentArbiter::new(2);
-        arb.request(BlockAddr::new(10), NodeId::new(1), true);
+        arb.request(BlockAddr::new(10), NodeId::new(1));
         for b in 11..15 {
-            arb.request(BlockAddr::new(b), NodeId::new(1), false);
+            arb.request(BlockAddr::new(b), NodeId::new(1));
         }
         let mut served = vec![BlockAddr::new(10)];
         for b in 11..15 {

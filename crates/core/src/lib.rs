@@ -54,7 +54,7 @@ pub mod timeout;
 pub mod tokenb;
 
 pub use arbiter::{ArbiterAction, PersistentArbiter};
-pub use persistent::{PersistentEntry, PersistentTable};
+pub use persistent::PersistentTable;
 pub use state::{Holding, MemTokens, TokenLine, TokenSubstrate, TokenTransfer};
 pub use timeout::MissLatencyTracker;
 pub use tokenb::TokenBController;

@@ -4,30 +4,18 @@ use tc_memsys::LineTable;
 use tc_sim::snap_struct;
 use tc_types::{BlockAddr, NodeId};
 
-/// One active persistent request, as remembered by every node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PersistentEntry {
-    /// The starving node that must receive all tokens for the block.
-    pub requester: NodeId,
-    /// Whether the requester needs write permission (it is sent all tokens
-    /// either way; the flag is kept for reporting).
-    pub write: bool,
-}
-
-snap_struct!(PersistentEntry { requester, write });
-
 /// The hardware table each node keeps of activated persistent requests
 /// (Section 3.2: an 8-byte entry per home-memory arbiter).
 ///
-/// While an entry for a block is present, the node must forward every token
-/// it holds for that block — and every token it receives later — to the
-/// entry's requester, until the arbiter broadcasts a deactivation. Entries
-/// live on the shared [`LineTable`] plane: the table is probed on every
-/// token receipt and every transient-request snoop, and nothing depends on
-/// iteration order.
+/// An entry is the starving node that must receive all tokens for its
+/// block. While it is present, the node must forward every token it holds
+/// for that block — and every token it receives later — to that requester,
+/// until the arbiter broadcasts a deactivation. Entries live on the shared
+/// [`LineTable`] plane: the table is probed on every token receipt and
+/// every transient-request snoop, and nothing depends on iteration order.
 #[derive(Debug, Clone, Default)]
 pub struct PersistentTable {
-    entries: LineTable<PersistentEntry>,
+    entries: LineTable<NodeId>,
     activations_seen: u64,
 }
 
@@ -38,20 +26,19 @@ impl PersistentTable {
     }
 
     /// Records an activation broadcast by an arbiter.
-    pub fn activate(&mut self, addr: BlockAddr, requester: NodeId, write: bool) {
+    pub fn activate(&mut self, addr: BlockAddr, requester: NodeId) {
         self.activations_seen += 1;
-        self.entries
-            .insert(addr, PersistentEntry { requester, write });
+        self.entries.insert(addr, requester);
     }
 
     /// Removes the entry for `addr` (a deactivation broadcast). Returns the
-    /// entry that was active, if any.
-    pub fn deactivate(&mut self, addr: BlockAddr) -> Option<PersistentEntry> {
+    /// requester that was active, if any.
+    pub fn deactivate(&mut self, addr: BlockAddr) -> Option<NodeId> {
         self.entries.remove(addr)
     }
 
-    /// The active persistent request for `addr`, if any.
-    pub fn active(&self, addr: BlockAddr) -> Option<PersistentEntry> {
+    /// The requester of the active persistent request for `addr`, if any.
+    pub fn active(&self, addr: BlockAddr) -> Option<NodeId> {
         self.entries.get(addr).copied()
     }
 
@@ -59,7 +46,7 @@ impl PersistentTable {
     /// it is some node other than `me`.
     pub fn forward_target(&self, addr: BlockAddr, me: NodeId) -> Option<NodeId> {
         match self.entries.get(addr) {
-            Some(entry) if entry.requester != me => Some(entry.requester),
+            Some(&requester) if requester != me => Some(requester),
             _ => None,
         }
     }
@@ -98,37 +85,35 @@ snap_struct!(PersistentTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_sim::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn entry_round_trips() {
-        tc_testkit::assert_snap_round_trip(&PersistentEntry {
-            requester: NodeId::new(2),
-            write: true,
-        });
+        let mut table = PersistentTable::new();
+        table.activate(BlockAddr::new(5), NodeId::new(2));
+        let mut w = SnapWriter::new();
+        table.save(&mut w);
+        let bytes = w.into_bytes();
+        let back = PersistentTable::load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.active(BlockAddr::new(5)), Some(NodeId::new(2)));
+        assert_eq!(back.activations_seen(), 1);
     }
 
     #[test]
     fn activate_then_deactivate_round_trips() {
         let mut table = PersistentTable::new();
         assert!(table.is_empty());
-        table.activate(BlockAddr::new(5), NodeId::new(2), true);
+        table.activate(BlockAddr::new(5), NodeId::new(2));
         assert_eq!(table.len(), 1);
-        assert_eq!(
-            table.active(BlockAddr::new(5)),
-            Some(PersistentEntry {
-                requester: NodeId::new(2),
-                write: true
-            })
-        );
-        let removed = table.deactivate(BlockAddr::new(5)).unwrap();
-        assert_eq!(removed.requester, NodeId::new(2));
+        assert_eq!(table.active(BlockAddr::new(5)), Some(NodeId::new(2)));
+        assert_eq!(table.deactivate(BlockAddr::new(5)), Some(NodeId::new(2)));
         assert!(table.active(BlockAddr::new(5)).is_none());
     }
 
     #[test]
     fn forward_target_excludes_the_requester_itself() {
         let mut table = PersistentTable::new();
-        table.activate(BlockAddr::new(9), NodeId::new(3), false);
+        table.activate(BlockAddr::new(9), NodeId::new(3));
         assert_eq!(
             table.forward_target(BlockAddr::new(9), NodeId::new(1)),
             Some(NodeId::new(3))
@@ -146,13 +131,10 @@ mod tests {
     #[test]
     fn one_entry_per_block_with_replacement() {
         let mut table = PersistentTable::new();
-        table.activate(BlockAddr::new(1), NodeId::new(0), false);
-        table.activate(BlockAddr::new(1), NodeId::new(4), true);
+        table.activate(BlockAddr::new(1), NodeId::new(0));
+        table.activate(BlockAddr::new(1), NodeId::new(4));
         assert_eq!(table.len(), 1);
-        assert_eq!(
-            table.active(BlockAddr::new(1)).unwrap().requester,
-            NodeId::new(4)
-        );
+        assert_eq!(table.active(BlockAddr::new(1)), Some(NodeId::new(4)));
         assert_eq!(table.activations_seen(), 2);
     }
 

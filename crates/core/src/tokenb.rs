@@ -223,9 +223,8 @@ impl TokenBController {
             return;
         }
         mshr.persistent = true;
-        let kind = MsgKind::PersistentRequest { write: mshr.write };
         self.stats.persistent_requests_initiated += 1;
-        self.tell_arbiter(now, addr, kind, out);
+        self.tell_arbiter(now, addr, MsgKind::PersistentRequest, out);
     }
 
     /// Sends `kind` to the arbiter at `addr`'s home, after the controller
@@ -378,17 +377,13 @@ impl TokenBController {
         let all = Destination::AllBut(self.node());
         for action in actions {
             match action {
-                ArbiterAction::BroadcastActivate {
-                    addr,
-                    requester,
-                    write,
-                } => {
-                    let kind = MsgKind::PersistentActivate { requester, write };
+                ArbiterAction::BroadcastActivate { addr, requester } => {
+                    let kind = MsgKind::PersistentActivate { requester };
                     let msg = Message::new(self.node(), all, addr, kind, Vnet::Persistent, at);
                     self.send(out, msg);
                     // Apply locally (the arbiter's own node does not message
                     // itself and does not ack).
-                    self.activate_locally(now, addr, requester, write, out);
+                    self.activate_locally(now, addr, requester, out);
                 }
                 ArbiterAction::BroadcastDeactivate { addr } => {
                     let kind = MsgKind::PersistentDeactivate;
@@ -407,12 +402,9 @@ impl TokenBController {
         now: Cycle,
         addr: BlockAddr,
         requester: NodeId,
-        write: bool,
         out: &mut Outbox,
     ) {
-        self.substrate
-            .persistent_table
-            .activate(addr, requester, write);
+        self.substrate.persistent_table.activate(addr, requester);
         if let Some(starver) = self.substrate.starver(addr) {
             self.ask_holders(now, addr, starver, |holder| holder.take_all(), out);
         }
@@ -548,14 +540,14 @@ impl CoherenceController for TokenBController {
                 };
                 self.receive_tokens(now, addr, transfer, msg.vnet, out)
             }
-            MsgKind::PersistentRequest { write } => {
+            MsgKind::PersistentRequest => {
                 let home = self.substrate.is_home(addr);
                 debug_assert!(home, "persistent request at non-home node");
-                let actions = self.substrate.arbiter.request(addr, msg.src, *write);
+                let actions = self.substrate.arbiter.request(addr, msg.src);
                 self.apply_arbiter_actions(now, actions, out);
             }
-            MsgKind::PersistentActivate { requester, write } => {
-                self.activate_locally(now, addr, *requester, *write, out);
+            MsgKind::PersistentActivate { requester } => {
+                self.activate_locally(now, addr, *requester, out);
                 self.tell_arbiter(now, addr, MsgKind::PersistentAck, out);
             }
             MsgKind::PersistentDeactivate => {
@@ -1016,7 +1008,7 @@ mod tests {
             if step
                 .messages
                 .iter()
-                .any(|m| matches!(m.kind, MsgKind::PersistentRequest { .. }))
+                .any(|m| matches!(m.kind, MsgKind::PersistentRequest))
             {
                 persistent_sent = true;
                 break;
@@ -1055,7 +1047,6 @@ mod tests {
             BlockAddr::new(0),
             MsgKind::PersistentActivate {
                 requester: NodeId::new(3),
-                write: true,
             },
             Vnet::Persistent,
             100,
@@ -1133,7 +1124,6 @@ mod tests {
             BlockAddr::new(4),
             MsgKind::PersistentActivate {
                 requester: NodeId::new(3),
-                write: true,
             },
             Vnet::Persistent,
             10,
@@ -1219,7 +1209,7 @@ mod tests {
         let starver = NodeId::new(3);
         c.substrate
             .persistent_table
-            .activate(BlockAddr::new(0), starver, true);
+            .activate(BlockAddr::new(0), starver);
         let mut out = Outbox::new();
         token_data(&mut c, 0, BlockAddr::new(8), owned(4), &mut out);
 
@@ -1365,7 +1355,7 @@ mod tests {
         let starver = NodeId::new(2);
         home.substrate
             .persistent_table
-            .activate(BlockAddr::new(0), starver, false);
+            .activate(BlockAddr::new(0), starver);
 
         let mut out = Outbox::new();
         home.handle_timer(fire_at, timer, &mut out);

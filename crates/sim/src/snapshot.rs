@@ -55,7 +55,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 /// * v8 — the miss latencies are a histogram, sorted `(latency, count)`
 ///   pairs, not one entry per completed miss; the line-state statistics
 ///   drop the retired-plane byte estimate.
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// * v9 — the persistent path carries no read/write flag (message tags 6
+///   and 7, the arbiter's requests, the persistent table's entries); the
+///   arbiter saves the completions it has parked.
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

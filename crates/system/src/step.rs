@@ -252,7 +252,7 @@ impl StepCore {
                 if self.trace_block == Some(msg.addr) {
                     eprintln!("[{now}] SEND {msg} kind={:?}", msg.kind);
                 }
-                if matches!(msg.kind, MsgKind::PersistentRequest { .. }) {
+                if matches!(msg.kind, MsgKind::PersistentRequest) {
                     // Fairness oracle: the bounded-wait clock starts at
                     // the first persistent request a (node, block) pair
                     // puts on the wire.

@@ -341,6 +341,30 @@ pub fn pathology_catalog() -> Vec<Pathology> {
             ops_per_node: 200,
             spec: "reorder=4,victim=2@167773584,delay=634,storm=1847,seed=26283",
         },
+        // `tc-bench hunt --budget 30 --ops 200`, shrunk: a node's
+        // persistent completion overtakes its own request. An arbiter that
+        // drops an unmatched completion activates the stale request and
+        // never retires it; the run ended in `Starvation` (node 2 on
+        // 0x9000000 after 4434 cycles) before completions were parked.
+        Pathology {
+            name: "completion_overtakes_request_on_hot_block",
+            protocol: ProtocolKind::TokenB,
+            scenario: "hot_block_contention",
+            seed: 44382,
+            ops_per_node: 23,
+            spec: "reorder=3,victim=0@150994944,delay=191,storm=744,seed=31608",
+        },
+        // The same wedge on a migratory ring with reordering alone, no
+        // targeted delay: `Starvation` (node 2 on 0x9000004 after 4305
+        // cycles) before completions were parked.
+        Pathology {
+            name: "completion_overtakes_request_on_migratory_ring",
+            protocol: ProtocolKind::TokenB,
+            scenario: "migratory_ring",
+            seed: 1,
+            ops_per_node: 180,
+            spec: "reorder=4,victim=3@150994948,storm=1768,seed=90",
+        },
     ]
 }
 

@@ -147,17 +147,14 @@ pub enum MsgKind {
         /// Number of non-owner tokens carried.
         tokens: u32,
     },
-    /// A starving node asks the home arbiter to activate a persistent request.
-    PersistentRequest {
-        /// Whether the requester needs write (all tokens) or read permission.
-        write: bool,
-    },
+    /// A starving node asks the home arbiter to activate a persistent
+    /// request. It carries no read/write flag: an activation sends the
+    /// requester all tokens either way.
+    PersistentRequest,
     /// The arbiter activates a persistent request on behalf of `requester`.
     PersistentActivate {
         /// Node that will receive all tokens for the block.
         requester: NodeId,
-        /// Whether the requester needs write permission.
-        write: bool,
     },
     /// The arbiter deactivates the currently active persistent request.
     PersistentDeactivate,
@@ -267,7 +264,7 @@ impl MsgKind {
             MsgKind::PutM => "PutM",
             MsgKind::TokenData { .. } => "TokenData",
             MsgKind::TokenOnly { .. } => "TokenOnly",
-            MsgKind::PersistentRequest { .. } => "PersistentRequest",
+            MsgKind::PersistentRequest => "PersistentRequest",
             MsgKind::PersistentActivate { .. } => "PersistentActivate",
             MsgKind::PersistentDeactivate => "PersistentDeactivate",
             MsgKind::PersistentAck => "PersistentAck",
@@ -374,8 +371,8 @@ snap_enum!(MsgKind, "msg kind" {
     2 => PutM,
     4 => TokenData { tokens, owner, dirty, from_memory, payload },
     5 => TokenOnly { tokens },
-    6 => PersistentRequest { write },
-    7 => PersistentActivate { requester, write },
+    6 => PersistentRequest,
+    7 => PersistentActivate { requester },
     8 => PersistentDeactivate,
     9 => PersistentAck,
     10 => PersistentComplete,
@@ -534,10 +531,9 @@ mod tests {
                 payload: DataPayload::new(42),
             },
             MsgKind::TokenOnly { tokens: 2 },
-            MsgKind::PersistentRequest { write: true },
+            MsgKind::PersistentRequest,
             MsgKind::PersistentActivate {
                 requester: NodeId::new(3),
-                write: false,
             },
             MsgKind::PersistentDeactivate,
             MsgKind::PersistentAck,

@@ -64,7 +64,7 @@ impl TrafficClass {
             MsgKind::TokenData { .. } | MsgKind::Data { .. } | MsgKind::PutM => {
                 TrafficClass::DataResponseOrWriteback
             }
-            MsgKind::PersistentRequest { .. }
+            MsgKind::PersistentRequest
             | MsgKind::PersistentActivate { .. }
             | MsgKind::PersistentDeactivate
             | MsgKind::PersistentAck
@@ -658,7 +658,7 @@ mod tests {
             TrafficClass::OtherControl
         );
         assert_eq!(
-            TrafficClass::of(&msg(MsgKind::PersistentRequest { write: true })),
+            TrafficClass::of(&msg(MsgKind::PersistentRequest)),
             TrafficClass::ReissueOrPersistent
         );
     }

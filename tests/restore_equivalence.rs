@@ -164,10 +164,10 @@ fn first_checkpoint_of(
 #[test]
 fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
     for (protocol, pinned) in [
-        (ProtocolKind::TokenB, (595_109, 0x42aaa5656fbd5e54)),
-        (ProtocolKind::Snooping, (605_968, 0x2059a979ae287e6f)),
-        (ProtocolKind::Directory, (716_730, 0xb122b5f190e742d8)),
-        (ProtocolKind::Hammer, (440_723, 0xc2bb65f152c2ceb6)),
+        (ProtocolKind::TokenB, (595_141, 0x10ded77f9857a8c8)),
+        (ProtocolKind::Snooping, (605_968, 0x0c69acb99354dc2e)),
+        (ProtocolKind::Directory, (716_730, 0x27a324b74729e9f9)),
+        (ProtocolKind::Hammer, (440_723, 0x40f7ff478c2ef4f1)),
     ] {
         let bytes = first_checkpoint(protocol);
         let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
@@ -194,7 +194,7 @@ fn first_checkpoint_under_both_planes_keeps_its_bytes() {
     let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
     assert_eq!(
         (len, hash),
-        (623_570, 0xc92a33cd2956d652),
+        (623_602, 0xb6740821400ca6d8),
         "planed TokenB: snapshot bytes changed ({len}, {hash:#x}): re-record (bumping \
          SNAPSHOT_VERSION if the layout changed), or restore the bytes"
     );
@@ -222,24 +222,24 @@ fn restored_snapshots_re_save_their_exact_bytes() {
     }
 }
 
-/// A checkpoint sealed as version 7 (one latency per completed miss, the
-/// retired-plane byte estimate) is refused by its version, before any of
-/// its payload is read: v8 reads none of the older layouts.
+/// A checkpoint sealed as version 8 (the persistent path's read/write
+/// flag, no parked arbiter completions) is refused by its version, before
+/// any of its payload is read: v9 reads none of the older layouts.
 #[test]
-fn a_version_7_checkpoint_is_refused_with_bad_version() {
+fn a_version_8_checkpoint_is_refused_with_bad_version() {
     use token_coherence::sim::{open, seal, SnapshotError, SNAPSHOT_VERSION};
-    assert_eq!(SNAPSHOT_VERSION, 8);
+    assert_eq!(SNAPSHOT_VERSION, 9);
     let (config, profile, options) = pinned_configuration(ProtocolKind::TokenB);
     let sealed = first_checkpoint(ProtocolKind::TokenB);
     let (_, payload) = open(&sealed).expect("a checkpoint opens");
     let err = System::build(&config, &profile)
-        .restore(&options, &seal(7, payload))
-        .expect_err("a version 7 checkpoint must not restore");
+        .restore(&options, &seal(8, payload))
+        .expect_err("a version 8 checkpoint must not restore");
     assert_eq!(
         err,
         SnapshotError::BadVersion {
-            found: 7,
-            expected: 8
+            found: 8,
+            expected: 9
         }
     );
 }
