@@ -42,7 +42,8 @@ use crate::adversary::AdversaryStage;
 use crate::plane_rng::PlaneRng;
 
 /// Distinct stream tags so neither stage's RNG collides with the workload
-/// or pump streams forked from the same run seed, nor with each other.
+/// or explorer-walk streams forked from the same run seed, nor with each
+/// other.
 const FAULT_STREAM: u64 = 0xFA_17_B1_A5;
 const ADVERSARY_STREAM: u64 = 0xAD_5E_47_21;
 

@@ -19,9 +19,9 @@ snap_struct!(PlaneRng { rng, node_rngs });
 
 impl PlaneRng {
     /// A stage's streams, forked on its `stream` tag so they never collide
-    /// with the workload, pump, or the other stage's streams, off a base of
-    /// the run seed with the spec's own seed folded in (so schedules vary
-    /// independently of the workload). `per_node_streams` is 0 for the one
+    /// with the workload, explorer-walk, or the other stage's streams, off a
+    /// base of the run seed with the spec's own seed folded in (so schedules
+    /// vary independently of the workload). `per_node_streams` is 0 for the one
     /// stream; otherwise node `n` also gets a stream forked off a fresh
     /// base on tag `stream ^ (n + 1)`, the stream-id scheme the workload
     /// generators use.

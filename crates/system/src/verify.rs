@@ -9,9 +9,8 @@ use tc_types::{BlockAddr, BlockAudit, Cycle, FastHashMap, InvariantViolation, No
 /// `audits` hold plus `in_flight_tokens` must equal `expected`, and their
 /// owner tokens plus `in_flight_owners` must number exactly one. Yields a
 /// `TokenConservation` violation, then a `DuplicateOwner` one, for each
-/// half that fails. [`Verifier::audit_block`] records them; the
-/// interleaving pump of `tc-testkit` asserts there are none after every
-/// step.
+/// half that fails. [`Verifier::audit_block`] records them; the explorer
+/// of `tc-testkit` asserts there are none on every state it reaches.
 pub fn token_count_violations(
     addr: BlockAddr,
     audits: &[BlockAudit],

@@ -22,9 +22,9 @@
 //!   under). Its `Display` prints the exact replay recipe; [`shrink`]
 //!   minimizes the per-node operation count *and* both perturbation specs
 //!   while the failure still reproduces.
-//! * [`token_pump`] — a controller-level interleaving pump for TokenB that
-//!   randomizes delivery order and timer firing (timeout/retry storms) while
-//!   asserting token conservation after every step, independent of the
+//! * [`Explorer`] — every interleaving of a few bare TokenB controllers, or
+//!   a seeded random walk, checking token conservation on every state and
+//!   that a fair drain from it completes every miss, independent of the
 //!   system runner; [`deliver`] is its deterministic one-round counterpart
 //!   for any protocol's controllers.
 //! * [`assert_snap_round_trip`] — the one check every [`tc_sim::Snap`]
@@ -33,12 +33,12 @@
 //!   text layout: round trip, every missing member named, no integer
 //!   silently narrowed.
 
+mod explore;
 mod hunt;
-mod pump;
 mod scenario;
 
+pub use explore::{Action, Counterexample, Explorer};
 pub use hunt::{hunt, pathology_catalog, HuntOptions, HuntOutcome, Pathology};
-pub use pump::{deliver, token_pump, PumpOptions, PumpOutcome};
 pub use scenario::Scenario;
 
 use std::fmt;
@@ -46,6 +46,29 @@ use std::fmt;
 use tc_sim::{Snap, SnapReader, SnapWriter, SnapshotError};
 use tc_system::{RunOptions, RunReport};
 use tc_types::{AdversarySpec, FaultKind, FaultSpec, InvariantViolation, Json, ProtocolKind, Wire};
+use tc_types::{CoherenceController, Cycle, Message, Outbox};
+
+/// Delivers each of `messages` at time `now` to every controller in `nodes`
+/// it addresses, and returns the merged outbox. Message-major, node-minor:
+/// a message reaches its receivers in the order `nodes` yields them before
+/// the next message is delivered (for a snooping broadcast, one fixed
+/// global order).
+pub fn deliver<'a, C: CoherenceController + 'a>(
+    messages: &[Message],
+    nodes: impl IntoIterator<Item = &'a mut C>,
+    now: Cycle,
+) -> Outbox {
+    let mut nodes: Vec<&mut C> = nodes.into_iter().collect();
+    let mut out = Outbox::new();
+    for msg in messages {
+        for node in nodes.iter_mut() {
+            if msg.dest.includes(node.node()) {
+                node.handle_message(now, msg, &mut out);
+            }
+        }
+    }
+    out
+}
 
 /// Asserts `value`'s wire layout is sound: `load(save(x)) == x` consuming
 /// every byte, and every strict prefix of the encoding loads as
@@ -349,7 +372,101 @@ pub fn failure_report(failures: &[Failure], scenarios: &[Scenario]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_types::{BlockAddr, NodeId};
+    use tc_types::{
+        AccessOutcome, BlockAddr, BlockAudit, ControllerStats, Destination, MemOp, MsgKind, NodeId,
+        Timer, Vnet,
+    };
+
+    /// Answers every message it receives with a copy sent from itself.
+    #[derive(Debug)]
+    struct Echo(NodeId);
+
+    impl CoherenceController for Echo {
+        fn node(&self) -> NodeId {
+            self.0
+        }
+        fn protocol_name(&self) -> &'static str {
+            "Echo"
+        }
+        fn access(&mut self, _: Cycle, _: &MemOp, _: &mut Outbox) -> AccessOutcome {
+            unreachable!()
+        }
+        fn handle_message(&mut self, now: Cycle, msg: &Message, out: &mut Outbox) {
+            out.send(Message {
+                src: self.0,
+                sent_at: now,
+                ..msg.clone()
+            });
+        }
+        fn handle_timer(&mut self, _: Cycle, _: Timer, _: &mut Outbox) {
+            unreachable!()
+        }
+        fn stats(&self) -> ControllerStats {
+            ControllerStats::default()
+        }
+        fn audit_block(&self, _: BlockAddr) -> Vec<BlockAudit> {
+            Vec::new()
+        }
+        fn audited_blocks(&self) -> Vec<BlockAddr> {
+            Vec::new()
+        }
+        fn outstanding_misses(&self) -> usize {
+            0
+        }
+        fn save_state(&self, _: &mut SnapWriter) {}
+        fn load_state(&mut self, _: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn deliver_addresses_each_message_and_merges_in_message_then_node_order() {
+        let mut nodes: Vec<Echo> = (0..4).map(|n| Echo(NodeId::new(n))).collect();
+        let sender = NodeId::new(1);
+        let messages: Vec<Message> = [
+            Destination::Node(NodeId::new(2)),
+            Destination::AllBut(NodeId::new(3)),
+            Destination::AllBut(sender),
+            Destination::All,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, dest)| {
+            Message::new(
+                sender,
+                dest,
+                BlockAddr::new(i as u64),
+                MsgKind::GetS,
+                Vnet::Request,
+                0,
+            )
+        })
+        .collect();
+        // "message>receiver" for every reply, in the order merged.
+        let received = |out: &Outbox| {
+            assert!(out.messages.iter().all(|m| m.sent_at == 50));
+            let pairs: Vec<String> = out
+                .messages
+                .iter()
+                .map(|m| format!("{}>{}", m.addr.value(), m.src.index()))
+                .collect();
+            pairs.join(" ")
+        };
+
+        // `AllBut(3)` and `All` include the sender, `AllBut(sender)` does not.
+        let all = deliver(&messages, &mut nodes, 50);
+        assert_eq!(
+            received(&all),
+            "0>2 1>0 1>1 1>2 2>0 2>2 2>3 3>0 3>1 3>2 3>3"
+        );
+        // Receivers go in the order they are passed; nodes left out get
+        // nothing.
+        let [a, b, c, _] = &mut nodes[..] else {
+            unreachable!()
+        };
+        let some = deliver(&messages, [c, a, b], 50);
+        assert_eq!(received(&some), "0>2 1>2 1>0 1>1 2>2 2>0 3>2 3>0 3>1");
+    }
 
     #[test]
     fn the_wire_primitives_round_trip() {

@@ -19,8 +19,8 @@ use token_coherence::types::{
 };
 
 use tc_testkit::{
-    check, failure_report, hunt, pathology_catalog, shrink, stress, token_pump, HuntOptions,
-    PumpOptions, Scenario,
+    check, failure_report, hunt, pathology_catalog, shrink, stress, Action, Explorer, HuntOptions,
+    Scenario,
 };
 
 /// The fixed seed set for the sweep: 16 seeds, deliberately spanning small
@@ -89,30 +89,100 @@ fn drain_limit_hits_surface_as_structured_deadlock_violations() {
 
 /// Satellite: token conservation as a *continuous* property under random
 /// message interleavings and timeout/retry storms, not just at quiescence.
-/// The pump delivers messages in adversarial random order and fires reissue
-/// timers as soon as they are due, auditing `sum(tokens) == T` and
-/// single-owner after every step (hand-rolled on `DeterministicRng`, per the
+/// The explorer's random walk delivers messages in random order and fires
+/// reissue timers at any step, auditing `sum(tokens) == T` and single-owner
+/// after every step, then drains fairly and fails on any miss still
+/// outstanding (hand-rolled on `DeterministicRng`, per the
 /// offline-dependency policy).
 #[test]
 fn tokenb_conserves_tokens_across_random_interleavings_and_retry_storms() {
     let mut seeds = token_coherence::sim::DeterministicRng::new(0x70_6b_73);
     for _ in 0..8 {
         let seed = seeds.next_below(1_000_000);
-        let outcome = token_pump(
-            PumpOptions {
-                num_nodes: 4,
-                num_blocks: 4,
-                steps: 1_500,
-                issue_chance: 0.25,
-            },
-            seed,
-        );
-        assert!(outcome.issued > 0, "seed {seed}: pump issued nothing");
+        let config = SystemConfig::isca03_default().with_nodes(4).with_seed(seed);
+        let walk = Explorer::new(&config, 4)
+            .walk(seed, 1_500)
+            .unwrap_or_else(|found| panic!("seed {seed}: {found}"));
+        let count = |kind: fn(&Action) -> bool| walk.iter().filter(|a| kind(a)).count();
         assert!(
-            outcome.timer_firings > 0,
+            count(|a| matches!(a, Action::Issue(..))) > 0,
+            "seed {seed}: the walk issued nothing"
+        );
+        assert!(
+            count(|a| matches!(a, Action::Fire(..))) > 0,
             "seed {seed}: no retry storm materialized"
         );
-        assert!(outcome.audits > outcome.issued);
+    }
+}
+
+/// States the exhaustive search may reach before it gives up unfinished.
+const EXPLORE_BUDGET: usize = 500_000;
+
+/// The smallest system on which the explorer finishes: 2 nodes, `tokens`
+/// tokens per block, a persistent request on the first timeout, and
+/// one-set 256-byte L1s and L2s.
+fn small_system(tokens: u32) -> SystemConfig {
+    let mut config = SystemConfig::isca03_default().with_nodes(2);
+    config.token.tokens_per_block = tokens;
+    config.token.reissues_before_persistent = 0;
+    config.l1.size_bytes = 256;
+    config.l2.size_bytes = 256;
+    config
+}
+
+/// Every interleaving of one operation per node on `blocks` blocks of
+/// `small_system(tokens)` is safe and live, and the search finishes.
+fn explore_clean(tokens: u32, blocks: u64) {
+    let states = Explorer::new(&small_system(tokens), blocks)
+        .exhaustive(1, EXPLORE_BUDGET)
+        .unwrap_or_else(|found| panic!("T = {tokens}, {blocks} block(s): {found}"))
+        .unwrap_or_else(|| panic!("T = {tokens}, {blocks} block(s): over {EXPLORE_BUDGET} states"));
+    println!("T = {tokens}, {blocks} block(s): {states} states, all safe and live");
+}
+
+/// The token substrate is safe and live on *every* interleaving of a
+/// 2-node, 1-block system, not only on sampled ones.
+#[test]
+fn every_interleaving_of_two_nodes_on_one_block_is_safe_and_live_at_two_tokens() {
+    explore_clean(2, 1);
+}
+
+/// The same with a token to spare: a shared copy no longer needs them all.
+#[test]
+fn every_interleaving_of_two_nodes_on_one_block_is_safe_and_live_at_three_tokens() {
+    explore_clean(3, 1);
+}
+
+/// The same on two blocks, each homed at a different node. About five times
+/// the states of one block, so only in release builds (the CI conformance
+/// step).
+#[test]
+fn every_interleaving_of_two_nodes_on_two_blocks_is_safe_and_live() {
+    if !cfg!(debug_assertions) {
+        explore_clean(2, 2);
+    }
+}
+
+/// Positive control: an arbiter that drops persistent requests leaves its
+/// requester starving, and the search says so with the path that gets
+/// there.
+#[test]
+fn the_explorer_finds_a_sabotaged_arbiter_stuck() {
+    let mut explorer = Explorer::new(&small_system(2), 1);
+    // Node 0 homes block 0, so it arbitrates the block's persistent requests.
+    explorer.controller_mut(0).set_arbiter_sabotage(true);
+    let found = explorer
+        .exhaustive(1, EXPLORE_BUDGET)
+        .expect_err("a sabotaged arbiter starves a requester");
+    println!("{found}");
+    assert!(found.stuck, "{found}");
+    assert!(!found.path.is_empty());
+    let printed = found.to_string();
+    for (i, action) in found.path.iter().enumerate() {
+        assert!(
+            printed.contains(&format!("{:>4}. {action:?}", i + 1)),
+            "{printed}"
+        );
     }
 }
 
