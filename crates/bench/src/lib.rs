@@ -323,7 +323,7 @@ fn render_table1(_: &SectionRuns<'_>) -> String {
          \n\
          Token Coherence\n\
          \x20 tokens per block (T)     {}\n\
-         \x20 reissue timeout          {}x average miss latency + randomized backoff\n\
+         \x20 reissue timeout          2x average miss latency + randomized backoff\n\
          \x20 persistent escalation    after ~{} reissues\n\
          \x20 token state per block    {} bits\n",
         c.l1.size_bytes / 1024,
@@ -342,7 +342,6 @@ fn render_table1(_: &SectionRuns<'_>) -> String {
         c.processor.overlap_window,
         c.processor.ops_per_transaction,
         c.token.tokens_per_block,
-        c.token.reissue_latency_multiplier,
         c.token.reissues_before_persistent,
         c.token_state_bits()
     )

@@ -250,14 +250,15 @@ impl Holding<'_> {
     /// The answer to a shared request. Only the owner answers (its copy is
     /// the current one): with one non-owner token plus data while it has
     /// one to spare, else with the owner token itself rather than refusing.
-    /// With `migratory` set, a holder with all `total` tokens and a dirty
-    /// copy hands over everything, passing read/write permission along.
+    /// Under the migratory optimization, a holder with all `total` tokens and
+    /// a dirty copy hands over everything, passing read/write permission
+    /// along.
     #[inline]
-    pub fn take_for_read(self, total: u32, migratory: bool) -> Option<TokenTransfer> {
+    pub fn take_for_read(self, total: u32) -> Option<TokenTransfer> {
         if !*self.owner {
             return None;
         }
-        let hand_over = migratory && *self.tokens == total && self.dirty;
+        let hand_over = *self.tokens == total && self.dirty;
         if *self.tokens <= 1 || hand_over {
             return self.take_all();
         }
@@ -548,7 +549,7 @@ mod tests {
     fn empty_line_is_invalid_and_unreadable() {
         let mut line = TokenLine::default();
         assert_eq!(line.holding().take_all(), None, "nothing to give up");
-        assert_eq!(line.holding().take_for_read(16, true), None);
+        assert_eq!(line.holding().take_for_read(16), None);
         assert!(!line.readable());
         assert!(!line.writable(16));
         assert_eq!(line.moesi_name(16), "I");
@@ -632,21 +633,21 @@ mod tests {
     #[test]
     fn memory_supplies_data_only_with_owner_token() {
         let mut mem = MemTokens::default();
-        let shared = mem.holding(8, 5).take_for_read(8, true).unwrap();
+        let shared = mem.holding(8, 5).take_for_read(8).unwrap();
         assert!(shared.data && shared.from_memory && !shared.owner);
         assert_eq!((shared.tokens, shared.version, mem.tokens), (1, 5, 7));
         mem.owner = false;
-        assert_eq!(mem.holding(8, 5).take_for_read(8, true), None);
+        assert_eq!(mem.holding(8, 5).take_for_read(8), None);
         let acks = mem.holding(8, 5).take_all().unwrap();
         assert!(!acks.data, "without the owner token memory's copy is stale");
         mem.owner = true;
-        assert_eq!(mem.holding(8, 5).take_for_read(8, true), None);
+        assert_eq!(mem.holding(8, 5).take_for_read(8), None);
     }
 
     #[derive(Debug, Clone, Copy)]
     enum Rule {
         All,
-        Read { migratory: bool },
+        Read,
     }
 
     fn line((tokens, owner, dirty): (u32, bool, bool)) -> TokenLine {
@@ -671,7 +672,7 @@ mod tests {
     ) -> ((u32, bool), Option<TokenTransfer>, bool) {
         let take = |holder: Holding<'_>| match rule {
             Rule::All => holder.take_all(),
-            Rule::Read { migratory } => holder.take_for_read(total, migratory),
+            Rule::Read => holder.take_for_read(total),
         };
         if in_memory {
             let before = MemTokens {
@@ -698,11 +699,7 @@ mod tests {
 
     #[test]
     fn transfer_rules_hold_on_every_holder_state() {
-        let rules = [
-            Rule::All,
-            Rule::Read { migratory: false },
-            Rule::Read { migratory: true },
-        ];
+        let rules = [Rule::All, Rule::Read];
         let (mut checked, mut writes) = (0, 0);
         for total in 1..=4u32 {
             for tokens in 0..=total {
@@ -752,12 +749,12 @@ mod tests {
                             match (rule, out) {
                                 (Rule::All, None) => assert_eq!(tokens, 0, "{ctx}"),
                                 (Rule::All, Some(_)) => assert_eq!(after, (0, false), "{ctx}"),
-                                (Rule::Read { .. }, None) => {
+                                (Rule::Read, None) => {
                                     assert!(!owner, "the owner always answers a read: {ctx}")
                                 }
-                                (Rule::Read { migratory }, Some(t)) => {
+                                (Rule::Read, Some(t)) => {
                                     assert!(owner && t.data, "only the owner answers: {ctx}");
-                                    let all = tokens == 1 || migratory && dirty && tokens == total;
+                                    let all = tokens == 1 || dirty && tokens == total;
                                     let want = if all { (tokens, true) } else { (1, false) };
                                     assert_eq!(sent, want, "{ctx}");
                                 }
@@ -781,8 +778,8 @@ mod tests {
             }
         }
         // 5T + 2 holder states per T (2 per non-owner count, 3 per owner
-        // count), three requests each; 3T + 1 of them cache lines.
-        assert_eq!(checked, 3 * (7 + 12 + 17 + 22));
+        // count), two requests each; 3T + 1 of them cache lines.
+        assert_eq!(checked, 2 * (7 + 12 + 17 + 22));
         assert_eq!(writes, 4 + 7 + 10 + 13);
     }
 

@@ -15,8 +15,6 @@ use tc_types::Cycle;
 pub struct MissLatencyTracker {
     average: f64,
     samples: u64,
-    reissue_multiplier: f64,
-    backoff_fraction: f64,
 }
 
 impl MissLatencyTracker {
@@ -25,16 +23,12 @@ impl MissLatencyTracker {
     /// crossings plus controller occupancy).
     pub const INITIAL_AVERAGE_NS: f64 = 200.0;
 
-    /// Creates a tracker using the given reissue multiplier (the paper
-    /// uses 2.0).
-    pub fn new(reissue_multiplier: f64) -> Self {
-        MissLatencyTracker {
-            average: Self::INITIAL_AVERAGE_NS,
-            samples: 0,
-            reissue_multiplier: reissue_multiplier.max(1.0),
-            backoff_fraction: 0.25,
-        }
-    }
+    /// The reissue timeout's multiple of the average miss latency (the
+    /// paper's 2x).
+    const REISSUE_MULTIPLIER: f64 = 2.0;
+
+    /// The backoff window's first width, as a fraction of the average.
+    const BACKOFF_FRACTION: f64 = 0.25;
 
     /// Records a completed miss latency.
     pub fn record(&mut self, latency: Cycle) {
@@ -63,9 +57,9 @@ impl MissLatencyTracker {
     /// with a small random jitter so that two racing processors do not
     /// reissue in lock step (the "much like ethernet" behaviour).
     pub fn reissue_timeout(&self, issue_count: u32, rng: &mut DeterministicRng) -> Cycle {
-        let base = self.reissue_multiplier * self.average;
+        let base = Self::REISSUE_MULTIPLIER * self.average;
         let exponent = issue_count.saturating_sub(1).min(8);
-        let window = (self.average * self.backoff_fraction) * f64::from(1u32 << exponent);
+        let window = (self.average * Self::BACKOFF_FRACTION) * f64::from(1u32 << exponent);
         let jitter = if window >= 1.0 {
             rng.next_below(window as u64 + 1)
         } else {
@@ -75,7 +69,15 @@ impl MissLatencyTracker {
     }
 }
 
-// The multiplier and backoff fraction are config-derived.
+impl Default for MissLatencyTracker {
+    fn default() -> Self {
+        MissLatencyTracker {
+            average: Self::INITIAL_AVERAGE_NS,
+            samples: 0,
+        }
+    }
+}
+
 snap_state!(MissLatencyTracker { average, samples });
 
 #[cfg(test)]
@@ -84,7 +86,7 @@ mod tests {
 
     #[test]
     fn first_sample_replaces_the_initial_guess() {
-        let mut t = MissLatencyTracker::new(2.0);
+        let mut t = MissLatencyTracker::default();
         assert!((t.average() - MissLatencyTracker::INITIAL_AVERAGE_NS).abs() < 1e-9);
         t.record(100);
         assert!((t.average() - 100.0).abs() < 1e-9);
@@ -93,7 +95,7 @@ mod tests {
 
     #[test]
     fn average_tracks_recent_latencies() {
-        let mut t = MissLatencyTracker::new(2.0);
+        let mut t = MissLatencyTracker::default();
         for _ in 0..100 {
             t.record(50);
         }
@@ -106,7 +108,7 @@ mod tests {
 
     #[test]
     fn timeout_is_at_least_twice_the_average() {
-        let mut t = MissLatencyTracker::new(2.0);
+        let mut t = MissLatencyTracker::default();
         for _ in 0..10 {
             t.record(80);
         }
@@ -119,7 +121,7 @@ mod tests {
 
     #[test]
     fn backoff_window_grows_with_reissues() {
-        let mut t = MissLatencyTracker::new(2.0);
+        let mut t = MissLatencyTracker::default();
         for _ in 0..10 {
             t.record(100);
         }
@@ -138,18 +140,11 @@ mod tests {
 
     #[test]
     fn timeout_is_randomized() {
-        let t = MissLatencyTracker::new(2.0);
+        let t = MissLatencyTracker::default();
         let mut rng = DeterministicRng::new(9);
         let values: std::collections::HashSet<_> =
             (0..50).map(|_| t.reissue_timeout(2, &mut rng)).collect();
         assert!(values.len() > 1, "timeouts should not be constant");
-    }
-
-    #[test]
-    fn degenerate_multiplier_is_clamped() {
-        let t = MissLatencyTracker::new(0.0);
-        let mut rng = DeterministicRng::new(4);
-        assert!(t.reissue_timeout(1, &mut rng) >= MissLatencyTracker::INITIAL_AVERAGE_NS as Cycle);
     }
 
     #[test]
@@ -158,7 +153,7 @@ mod tests {
         // starvation) must not overflow the backoff window computation; the
         // exponent is capped, so the timeout stays finite and the cap equals
         // the value at the cap boundary.
-        let mut t = MissLatencyTracker::new(2.0);
+        let mut t = MissLatencyTracker::default();
         for _ in 0..10 {
             t.record(100);
         }

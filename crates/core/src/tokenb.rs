@@ -68,7 +68,6 @@ pub struct TokenBController {
     rng: DeterministicRng,
     stats: ControllerStats,
     reissues_before_persistent: u32,
-    migratory_optimization: bool,
     store_counter: u64,
     timer_seq: u64,
 }
@@ -87,11 +86,10 @@ impl TokenBController {
             l2_latency: config.l2.latency_ns,
             controller_latency: config.controller_latency_ns,
             dram_latency: config.dram_latency_ns,
-            latency: MissLatencyTracker::new(config.token.reissue_latency_multiplier),
+            latency: MissLatencyTracker::default(),
             rng: seed_rng.fork(node.index() as u64 + 17),
             stats: ControllerStats::new(),
             reissues_before_persistent: config.token.reissues_before_persistent,
-            migratory_optimization: config.token.migratory_optimization,
             store_counter: 0,
             timer_seq: 0,
         }
@@ -257,12 +255,12 @@ impl TokenBController {
 
         // The substrate's rule for this request; TokenB only decides which
         // holders it is put to, and when the answer leaves.
-        let (total, migratory) = (self.substrate.total_tokens, self.migratory_optimization);
+        let total = self.substrate.total_tokens;
         let rule = move |holder: Holding<'_>| {
             if write {
                 holder.take_all()
             } else {
-                holder.take_for_read(total, migratory)
+                holder.take_for_read(total)
             }
         };
         self.ask_holders(now, addr, requester, rule, out);

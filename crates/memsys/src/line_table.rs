@@ -3,11 +3,9 @@
 //!
 //! Every coherence protocol in this workspace keeps several *sparse* maps
 //! keyed by block address — MSHRs, writeback buffers, writeback-handshake
-//! windows, home-memory state, persistent-request entries. These used to be
-//! independent `BTreeMap`s / `HashMap`s scattered across the protocol crates,
-//! and the `EngineStats` high-water marks showed exactly that working set
-//! dominating the simulator's memory traffic. [`LineTable`] replaces them all
-//! with one open-addressed layout:
+//! windows, home-memory state, persistent-request entries — and they are
+//! the simulator's dominant simulated-state working set. [`LineTable`] holds
+//! them all in one open-addressed layout:
 //!
 //! * **Bare-`u64` keys, no hasher state.** Keys are block addresses; the slot
 //!   is the high bits of a single Fibonacci multiply, so a probe is one

@@ -297,8 +297,7 @@ impl MosiNode<Directory> {
         // A write takes the block whole; so does a read of a dirty Modified
         // line under the migratory optimization. Otherwise the owner keeps
         // an Owned copy.
-        let exclusive = write
-            || (self.migratory_optimization && line.state == MosiState::Modified && line.dirty);
+        let exclusive = write || (line.state == MosiState::Modified && line.dirty);
         let data = self.unicast(
             now + self.controller_latency + self.l2_latency,
             requester,

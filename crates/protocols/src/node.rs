@@ -126,7 +126,6 @@ pub struct MosiNode<P: MosiPolicy> {
     /// In-flight writebacks (and, where the policy uses them, the home-side
     /// ordered-PutM handshake windows) on the shared line-state plane.
     pub(crate) wb: WritebackPlane,
-    pub(crate) migratory_optimization: bool,
     pub(crate) stats: ControllerStats,
     store_counter: u64,
     /// Pooled storage for every MSHR entry's pending-op list.
@@ -153,7 +152,6 @@ impl<P: MosiPolicy> MosiNode<P> {
             memory: HomeMemory::new(node, home_map, config.dram_latency_ns),
             mshrs: MshrTable::new(config.processor.max_outstanding_misses.max(1)),
             wb: WritebackPlane::new(),
-            migratory_optimization: config.token.migratory_optimization,
             stats: ControllerStats::new(),
             store_counter: 0,
             pending_ops: FifoPool::new(),
@@ -227,8 +225,8 @@ impl<P: MosiPolicy> MosiNode<P> {
 
     /// The owner's answer to `request`: the data goes straight to the
     /// requester — exclusively for a write, and for a read of a dirty
-    /// Modified line when the migratory optimization applies (`migratory_ok`
-    /// lets the caller rule it out) — and the cached copy is given up or
+    /// Modified line under the migratory optimization (`migratory_ok` lets
+    /// the caller rule it out) — and the cached copy is given up or
     /// demoted to Owned accordingly. Returns whether the answer was
     /// exclusive.
     pub(crate) fn answer_as_owner(
@@ -240,10 +238,7 @@ impl<P: MosiPolicy> MosiNode<P> {
         migratory_ok: bool,
         out: &mut Outbox,
     ) -> bool {
-        let migratory = migratory_ok
-            && self.migratory_optimization
-            && line.state == MosiState::Modified
-            && line.dirty;
+        let migratory = migratory_ok && line.state == MosiState::Modified && line.dirty;
         let exclusive = request.write || migratory;
         let mut data = self.unicast(
             now + self.controller_latency + self.l2_latency,

@@ -2,18 +2,17 @@
 //!
 //! # The determinism contract
 //!
-//! Every implementation of this queue — past (binary heap) and present
-//! (calendar queue) — must preserve exactly three properties, because the
-//! whole evaluation compares protocols on bit-identical event streams:
+//! The queue, and the binary-heap reference its tests compare it with,
+//! preserve exactly three properties, because the whole evaluation compares
+//! protocols on bit-identical event streams:
 //!
 //! 1. **Time order.** `pop` always returns the pending event with the
 //!    smallest delivery time.
 //! 2. **FIFO ties.** Events scheduled for the same time are delivered in the
 //!    order they were scheduled, regardless of internal layout. The calendar
 //!    queue gets this *structurally*: the events of one cycle form one FIFO
-//!    list, in a calendar bucket and in the overflow level alike — no global
-//!    monotonically-growing sequence counter is needed (the old heap
-//!    implementation carried a `u64` tie-break per entry forever).
+//!    list, in a calendar bucket and in the overflow level alike, so no
+//!    global sequence counter is needed.
 //! 3. **Clamp to now.** Scheduling in the past is clamped to the current
 //!    time rather than panicking; protocol code computes firing times from
 //!    latencies and a zero-latency component is legitimate.

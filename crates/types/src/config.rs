@@ -226,18 +226,11 @@ pub struct TokenConfig {
     /// Number of reissued transient requests before escalating to a
     /// persistent request (the paper uses approximately 4).
     pub reissues_before_persistent: u32,
-    /// Multiplier applied to the recent average miss latency when computing
-    /// the reissue timeout (the paper uses 2x).
-    pub reissue_latency_multiplier: f64,
-    /// Whether the migratory-sharing optimization is enabled.
-    pub migratory_optimization: bool,
 }
 
 json_struct!(TokenConfig {
     tokens_per_block,
     reissues_before_persistent,
-    reissue_latency_multiplier,
-    migratory_optimization,
 });
 
 impl Default for TokenConfig {
@@ -245,8 +238,6 @@ impl Default for TokenConfig {
         TokenConfig {
             tokens_per_block: 16,
             reissues_before_persistent: 4,
-            reissue_latency_multiplier: 2.0,
-            migratory_optimization: true,
         }
     }
 }

@@ -117,14 +117,17 @@ fn tokenb_invariants_hold_for_random_seeds() {
     }
 }
 
-/// The baselines must also be coherent for arbitrary seeds (they resolve
-/// races with indirection rather than tokens). The snooping baseline is
-/// exercised separately (unit tests and 4-node system tests) because of
-/// the residual race documented in DESIGN.md.
+/// The baselines must also be coherent for arbitrary seeds: they resolve
+/// races with indirection (Directory, Hammer) or a total order (Snooping,
+/// on the tree) rather than tokens.
 #[test]
 fn baseline_protocols_stay_coherent_for_random_seeds() {
     let mut cases = DeterministicRng::new(0xB0B);
-    for protocol in [ProtocolKind::Directory, ProtocolKind::Hammer] {
+    for protocol in [
+        ProtocolKind::Directory,
+        ProtocolKind::Hammer,
+        ProtocolKind::Snooping,
+    ] {
         for _ in 0..4 {
             let seed = cases.next_below(10_000);
             let mut config = SystemConfig::isca03_default()

@@ -159,15 +159,17 @@ fn first_checkpoint_of(
 /// caches and checkpoint directories hold bytes in the old layout. They also
 /// move, with the version kept, when the same layout carries less state
 /// (the verifier's history dropping entries no legal load can read): an
-/// older checkpoint still loads. A refactor that moves serialized fields
+/// older checkpoint still loads. The hashes alone move when the determinism
+/// key does (a `SystemConfig` field added or removed), because the payload
+/// embeds its fingerprint. A refactor that moves serialized fields
 /// between structs must leave this test passing unchanged.
 #[test]
 fn first_checkpoint_of_the_pinned_configuration_keeps_its_bytes() {
     for (protocol, pinned) in [
-        (ProtocolKind::TokenB, (595_141, 0x10ded77f9857a8c8)),
-        (ProtocolKind::Snooping, (605_968, 0x0c69acb99354dc2e)),
-        (ProtocolKind::Directory, (716_730, 0x27a324b74729e9f9)),
-        (ProtocolKind::Hammer, (440_723, 0x40f7ff478c2ef4f1)),
+        (ProtocolKind::TokenB, (595_141, 0x482532ec5c7a6441)),
+        (ProtocolKind::Snooping, (605_968, 0x4fa8a254a05600b4)),
+        (ProtocolKind::Directory, (716_730, 0x2468a8ec80f52030)),
+        (ProtocolKind::Hammer, (440_723, 0x9576573a79457205)),
     ] {
         let bytes = first_checkpoint(protocol);
         let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
@@ -194,7 +196,7 @@ fn first_checkpoint_under_both_planes_keeps_its_bytes() {
     let (len, hash) = (bytes.len(), token_coherence::sim::fnv1a64(&bytes));
     assert_eq!(
         (len, hash),
-        (623_602, 0xb6740821400ca6d8),
+        (623_602, 0xa161bfb2fda44960),
         "planed TokenB: snapshot bytes changed ({len}, {hash:#x}): re-record (bumping \
          SNAPSHOT_VERSION if the layout changed), or restore the bytes"
     );

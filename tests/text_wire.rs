@@ -17,10 +17,11 @@ use token_coherence::system::run_to_json;
 use token_coherence::types::{AdversarySpec, FaultSpec, JobPriority};
 
 /// Length and `fnv1a64` of the dump. Only a change to a text layout moves
-/// them. Last re-recorded when the campaign JSON document (the dump's last
-/// line) and the submission's `checkpoint_every` member left the wire: the
-/// rest of the dump is byte for byte what it was.
-const PINNED: (usize, u64) = (52_650, 0x7a96f09093a0284e);
+/// them. Last re-recorded when `TokenConfig` lost the reissue multiplier and
+/// the migratory switch, now constants of TokenB: every `token` member is
+/// two members shorter, and the rest of the dump is byte for byte what it
+/// was.
+const PINNED: (usize, u64) = (49_626, 0xa9645b30c31b8e26);
 
 fn dump() -> String {
     let mut points = figure5a_points(&WorkloadProfile::oltp());
