@@ -17,7 +17,7 @@
 //! (line.tokens, line.owner, line.version) = (16, true, 7);
 //! ```
 
-use tc_memsys::{hinted_get, HomeMemory, L1Filter, MshrTable, PendingOp, SetAssocCache};
+use tc_memsys::{HomeMemory, L1Filter, MshrTable, PendingOp, SetAssocCache};
 use tc_sim::{snap_state, snap_struct, FifoPool};
 use tc_types::{BlockAddr, BlockAudit, Cycle, HomeMap, LineStateStats, NodeId, SystemConfig};
 
@@ -364,11 +364,11 @@ impl TokenSubstrate {
         self.persistent_table.forward_target(addr, self.node)
     }
 
-    /// The processor's L1-hinted L2 access: L1 hit?, L1 latency, the line.
+    /// The processor's access: L1 hit?, L1 latency, the L2 line.
     #[inline]
     pub(crate) fn lookup(&mut self, addr: BlockAddr) -> (bool, Cycle, Option<&mut TokenLine>) {
-        let (l1_hit, line) = hinted_get(&mut self.l1, &mut self.l2, addr);
-        (l1_hit, self.l1.latency_ns(), line)
+        let l1_hit = self.l1.touch(addr);
+        (l1_hit, self.l1.latency_ns(), self.l2.get(addr))
     }
 
     /// Once the line permits the pending ops of the miss on `addr`, the

@@ -437,10 +437,9 @@ impl CoherenceController for TokenBController {
         let addr = op.addr.block(self.substrate.home_map.block_bytes());
         let write = op.kind.is_write();
         let (total, node) = (self.substrate.total_tokens, self.substrate.node);
-        // One L1-hinted L2 access serves the whole hit path: the hint skips
-        // the L2 tag probe on hits, and the version bump for a write hit
-        // touches `store_counter` and `stats` directly (disjoint fields), so
-        // the mutable line borrow never needs re-establishing.
+        // One L2 access serves the whole hit path: the version bump for a
+        // write hit touches `store_counter` and `stats` directly (disjoint
+        // fields), so the mutable line borrow never needs re-establishing.
         let mut had_readable_copy = false;
         let (l1_hit, l1_latency, line) = self.substrate.lookup(addr);
         let hit_latency = if l1_hit {

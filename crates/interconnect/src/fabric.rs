@@ -1,60 +1,13 @@
 //! The interconnect fabric: link contention, multicast routing, and traffic
 //! accounting on top of a [`Topology`].
 
-use tc_sim::{snap_state, snap_struct};
+use tc_sim::snap_state;
 use tc_types::{
     BandwidthMode, Cycle, Destination, InterconnectConfig, Message, NodeId, TrafficClass,
     TrafficStats, CONTROL_MSG_BYTES, DATA_MSG_BYTES,
 };
 
 use crate::topology::{LinkId, RouterId, Topology};
-
-/// Per-link utilization summary.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkUtilization {
-    /// Bytes carried by the link.
-    pub bytes: u64,
-    /// Messages carried by the link.
-    pub messages: u64,
-    /// Total time the link spent serializing messages, in nanoseconds.
-    pub busy_ns: Cycle,
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct LinkState {
-    free_at: Cycle,
-    bytes: u64,
-    messages: u64,
-    busy_ns: Cycle,
-}
-
-snap_struct!(LinkState {
-    free_at,
-    bytes,
-    messages,
-    busy_ns,
-});
-
-impl LinkState {
-    /// Carries one message that reaches the link's upstream router at
-    /// `upstream`, returning when it reaches the downstream router.
-    #[inline]
-    fn carry(&mut self, upstream: Cycle, size: u64, timing: LinkTiming) -> Cycle {
-        let start = if timing.limited {
-            upstream.max(self.free_at)
-        } else {
-            upstream
-        };
-        let done = start + timing.serialization;
-        if timing.limited {
-            self.free_at = done;
-        }
-        self.bytes += size;
-        self.messages += 1;
-        self.busy_ns += timing.serialization;
-        done + timing.latency
-    }
-}
 
 /// What crossing one link costs a message of one size.
 #[derive(Debug, Clone, Copy)]
@@ -80,17 +33,26 @@ impl LinkTiming {
         }
     }
 
-    /// Injection port: the node serializes the message onto the fabric once,
-    /// regardless of fan-out. Returns when the message enters the source
-    /// router.
-    fn inject(self, port_free_at: &mut Cycle, now: Cycle) -> Cycle {
+    /// When a message that reaches a port or link at `at` starts
+    /// serializing onto it, the port or link being free from `free_at`;
+    /// under limited bandwidth it stays busy until the message is on. A
+    /// node's injection port takes each message once, whatever its fan-out.
+    fn occupy(self, free_at: &mut Cycle, at: Cycle) -> Cycle {
         if self.limited {
-            let start = now.max(*port_free_at);
-            *port_free_at = start + self.serialization;
+            let start = at.max(*free_at);
+            *free_at = start + self.serialization;
             start
         } else {
-            now
+            at
         }
+    }
+
+    /// When a message that reaches a link's upstream router at `upstream`
+    /// reaches the downstream one: it waits for the link, serializes, then
+    /// flies.
+    #[inline]
+    fn carry(self, link_free_at: &mut Cycle, upstream: Cycle) -> Cycle {
+        self.occupy(link_free_at, upstream) + self.serialization + self.latency
     }
 }
 
@@ -138,7 +100,8 @@ pub struct Interconnect {
     /// Link timing of a control message (`[0]`) and of a data message
     /// (`[1]`), the only two sizes, computed once.
     timing: [LinkTiming; 2],
-    links: Vec<LinkState>,
+    /// When each link is next free to start serializing, by link.
+    link_free_at: Vec<Cycle>,
     traffic: TrafficStats,
     /// Per-node injection port occupancy, modelling the node's single
     /// interface into the fabric.
@@ -174,7 +137,7 @@ impl Interconnect {
             topology,
             timing: [CONTROL_MSG_BYTES, DATA_MSG_BYTES].map(|bytes| LinkTiming::of(&config, bytes)),
             config,
-            links: vec![LinkState::default(); num_links],
+            link_free_at: vec![0; num_links],
             traffic: TrafficStats::new(),
             injection_free_at: vec![0; num_nodes],
             trees: (0..2 * num_nodes).map(|_| None).collect(),
@@ -205,24 +168,6 @@ impl Interconnect {
         &self.traffic
     }
 
-    /// Per-link utilization, indexed by link.
-    pub fn link_utilization(&self) -> Vec<LinkUtilization> {
-        self.links
-            .iter()
-            .map(|l| LinkUtilization {
-                bytes: l.bytes,
-                messages: l.messages,
-                busy_ns: l.busy_ns,
-            })
-            .collect()
-    }
-
-    /// The highest single-link byte count, a proxy for the bottleneck link
-    /// (the tree's root links saturate long before torus links do).
-    pub fn max_link_bytes(&self) -> u64 {
-        self.links.iter().map(|l| l.bytes).max().unwrap_or(0)
-    }
-
     /// Injects `msg` into the fabric at time `now`, appending one
     /// `(arrival time, node)` pair per destination node to `out` (the buffer
     /// is not cleared). The message itself is not cloned: the event loop
@@ -237,10 +182,10 @@ impl Interconnect {
             Destination::Node(dst) => {
                 // A unicast crosses its source route link by link; no router
                 // repeats on a route, so each hop starts from the last.
-                let mut at = timing.inject(&mut self.injection_free_at[src.index()], now);
+                let mut at = timing.occupy(&mut self.injection_free_at[src.index()], now);
                 let path = self.topology.path(src, dst);
                 for link in path {
-                    at = self.links[link.index()].carry(at, size, timing);
+                    at = timing.carry(&mut self.link_free_at[link.index()], at);
                 }
                 self.traffic
                     .record(TrafficClass::of(msg), size, path.len() as u64);
@@ -266,7 +211,7 @@ impl Interconnect {
         if tree.deliveries.is_empty() {
             return;
         }
-        let inject_start = timing.inject(&mut self.injection_free_at[src.index()], now);
+        let inject_start = timing.occupy(&mut self.injection_free_at[src.index()], now);
 
         // Stamp-based scratch: bumping the generation invalidates every
         // router's arrival entry at once, so nothing is cleared per send.
@@ -293,7 +238,7 @@ impl Interconnect {
                 "multicast tree processed out of order"
             );
             let upstream = self.arrival_time[descriptor.from.index()];
-            let reach = self.links[link_id.index()].carry(upstream, size, timing);
+            let reach = timing.carry(&mut self.link_free_at[link_id.index()], upstream);
             let to = descriptor.to.index();
             if to == src_router {
                 // The link back into the source router (the tail of an
@@ -358,7 +303,7 @@ impl Interconnect {
 // per pattern, so an empty table refills identically).
 snap_state!(Interconnect {
     traffic,
-    [links],
+    [link_free_at],
     [injection_free_at],
 });
 
@@ -518,31 +463,27 @@ mod tests {
 
     #[test]
     fn tree_root_is_a_bottleneck_under_load() {
+        let broadcast = |n: usize| request(n, Destination::AllBut(NodeId::new(n)));
+        // Every tree broadcast crosses the root's downlinks, which serialize
+        // them all: of sixteen simultaneous broadcasts, the k-th arrives
+        // everywhere one 3 ns serialization after the one before it.
         let mut tree = Interconnect::new(16, config(TopologyKind::Tree, BandwidthMode::Limited));
-        let mut torus = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Limited));
-        // Every node broadcasts at time zero. On the tree, every broadcast
-        // funnels through the root's downlinks, so the hottest tree link
-        // carries far more bytes than the hottest torus link.
         for n in 0..16 {
-            send(
-                &mut tree,
-                0,
-                request(n, Destination::AllBut(NodeId::new(n))),
-            );
-            send(
-                &mut torus,
-                0,
-                request(n, Destination::AllBut(NodeId::new(n))),
+            let arrivals = send(&mut tree, 0, broadcast(n));
+            assert!(
+                arrivals.iter().all(|&(at, _)| at == 72 + 3 * n as Cycle),
+                "broadcast {n} on the tree: {arrivals:?}"
             );
         }
-        let tree_hot = tree.max_link_bytes();
-        let torus_hot = torus.max_link_bytes();
-        assert!(
-            tree_hot > torus_hot,
-            "tree bottleneck ({tree_hot} bytes) should exceed torus bottleneck ({torus_hot} bytes)"
-        );
-        // Each of the root's downlinks carries all sixteen 8-byte broadcasts.
-        assert_eq!(tree_hot, 16 * 8);
+        // A torus broadcast spreads over links another source's tree can
+        // leave idle: some other node's broadcast delays none of node 0's.
+        let torus = config(TopologyKind::Torus, BandwidthMode::Limited);
+        let alone = send(&mut Interconnect::new(16, torus), 0, broadcast(0));
+        assert!((1..16).any(|other| {
+            let mut net = Interconnect::new(16, torus);
+            send(&mut net, 0, broadcast(other));
+            send(&mut net, 0, broadcast(0)) == alone
+        }));
     }
 
     #[test]
@@ -550,10 +491,10 @@ mod tests {
         let mut net = Interconnect::new(16, config(TopologyKind::Torus, BandwidthMode::Limited));
         assert_eq!(send(&mut net, 0, data(0, 1)).len(), 1);
         assert_eq!(send(&mut net, 10, data(2, 3)).len(), 1);
-        let util = net.link_utilization();
-        let carried: u64 = util.iter().map(|u| u.bytes).sum();
-        assert_eq!(carried, 144);
-        assert!(net.max_link_bytes() >= 72);
+        // Two one-hop 72-byte messages.
+        let class = TrafficClass::of(&data(0, 1));
+        assert_eq!(net.traffic().bytes(class), 144);
+        assert_eq!(net.traffic().link_bytes(class), 144);
     }
 
     #[test]
@@ -597,12 +538,34 @@ mod tests {
 
     #[test]
     fn link_state_round_trips() {
-        tc_testkit::assert_snap_round_trip(&LinkState {
-            free_at: 1,
-            bytes: 2,
-            messages: 3,
-            busy_ns: 4,
-        });
+        // Under limited bandwidth a send waits for its port's and links'
+        // free times, so a fabric restored from a snapshot of a busy one
+        // must deliver the next sends exactly as the original does.
+        use tc_sim::{SnapReader, SnapState, SnapWriter};
+        let config = config(TopologyKind::Torus, BandwidthMode::Limited);
+        let mut original = Interconnect::new(16, config);
+        for n in 0..16 {
+            send(
+                &mut original,
+                0,
+                request(n, Destination::AllBut(NodeId::new(n))),
+            );
+        }
+        let mut w = SnapWriter::new();
+        original.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Interconnect::new(16, config);
+        let mut r = SnapReader::new(&bytes);
+        restored.load_state(&mut r).expect("own bytes");
+        r.finish().expect("nothing left over");
+        for n in 0..16 {
+            let msg = data(n, (n + 5) % 16);
+            assert_eq!(
+                send(&mut restored, 10, msg.clone()),
+                send(&mut original, 10, msg)
+            );
+        }
+        assert_eq!(restored.traffic(), original.traffic());
     }
 
     #[test]

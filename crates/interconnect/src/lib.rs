@@ -58,6 +58,6 @@ pub mod topology;
 mod torus;
 mod tree;
 
-pub use fabric::{Interconnect, LinkUtilization};
+pub use fabric::Interconnect;
 pub use fault::FaultPlane;
 pub use topology::{LinkId, RouterId, Topology};

@@ -9,8 +9,8 @@
 //! driven with the same deterministic pseudo-random message stream across
 //! tree and torus topologies, every destination pattern (`Node` including
 //! self-sends, `AllBut` of the source and of any node, `All`), and both
-//! bandwidth modes; every arrival (time, node), the traffic accounting, and
-//! the per-link utilization must match exactly. Cases are
+//! bandwidth modes; every arrival (time, node) and the traffic accounting
+//! must match exactly. Cases are
 //! drawn from a [`DeterministicRng`] rather than proptest (unavailable in
 //! the offline build environment), so every run covers the same cases.
 
@@ -28,7 +28,6 @@ struct NaiveFabric {
     topology: Topology,
     config: InterconnectConfig,
     free_at: Vec<Cycle>,
-    bytes: Vec<u64>,
     traffic: TrafficStats,
     injection_free_at: Vec<Cycle>,
 }
@@ -41,7 +40,6 @@ impl NaiveFabric {
             topology,
             config,
             free_at: vec![0; links],
-            bytes: vec![0; links],
             traffic: TrafficStats::new(),
             injection_free_at: vec![0; num_nodes],
         }
@@ -108,7 +106,6 @@ impl NaiveFabric {
             if limited {
                 self.free_at[link_id.index()] = done;
             }
-            self.bytes[link_id.index()] += size;
             let reach = done + latency;
             if descriptor.to == src_router {
                 // The tail link of a self-route must not `min` against the
@@ -203,11 +200,6 @@ fn drive_pair(topology: TopologyKind, bandwidth: BandwidthMode, num_nodes: usize
         cached.traffic(),
         &naive.traffic,
         "{topology:?}/{bandwidth:?}/{num_nodes} nodes, seed {seed}: traffic stats diverged"
-    );
-    let cached_bytes: Vec<u64> = cached.link_utilization().iter().map(|u| u.bytes).collect();
-    assert_eq!(
-        cached_bytes, naive.bytes,
-        "{topology:?}/{bandwidth:?}/{num_nodes} nodes, seed {seed}: per-link bytes diverged"
     );
 }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tc_sim::{snap_state, snap_struct, Snap, SnapReader, SnapState, SnapWriter, SnapshotError};
+use tc_sim::{snap_state, Snap, SnapReader, SnapState, SnapWriter, SnapshotError};
 use tc_types::{BlockAddr, CacheConfig};
 
 /// One cache line: the block it holds and the protocol-defined state.
@@ -30,9 +30,8 @@ pub struct CacheLine<S> {
 /// set's run lies is kept in a two-level index whose second level is
 /// appended the same way, so building a cache writes only the group table
 /// (one `u32` per 16 sets) and one bit per set saying whether it holds a
-/// line, both zeroed. A line's *slot* — what hints remember and
-/// snapshots record — is `set * ways + way`, whatever order the sets were
-/// filled or promoted in.
+/// line, both zeroed. A line's *slot* — what snapshots record — is `set *
+/// ways + way`, whatever order the sets were filled or promoted in.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<S> {
     /// `num_sets - 1` when the set count is a power of two (the common case:
@@ -278,9 +277,9 @@ impl<S> SetAssocCache<S> {
         }
     }
 
-    /// `(slot, index into the line arrays)` of `addr`'s line, if resident.
+    /// Where `addr`'s line is in the line arrays, if resident.
     #[inline]
-    fn find(&self, addr: BlockAddr) -> Option<(usize, usize)> {
+    fn find(&self, addr: BlockAddr) -> Option<usize> {
         let set = self.set_index(addr);
         if !self.set_holds_lines(set) {
             return None;
@@ -290,7 +289,7 @@ impl<S> SetAssocCache<S> {
         self.tags[run.base..run.base + run.width]
             .iter()
             .position(|&t| t == tag)
-            .map(|way| (set * self.ways + way, run.base + way))
+            .map(|way| run.base + way)
     }
 
     #[inline]
@@ -354,65 +353,16 @@ impl<S> SetAssocCache<S> {
     /// Looks up a block without affecting LRU state.
     pub fn peek(&self, addr: BlockAddr) -> Option<&S> {
         self.find(addr)
-            .map(|(_, i)| self.states[i].as_ref().expect("occupied tag has state"))
-    }
-
-    /// Looks up a block mutably without affecting LRU state (used to
-    /// refresh slot hints, never on the simulated access path).
-    pub fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut S> {
-        let (_, i) = self.find(addr)?;
-        Some(self.states[i].as_mut().expect("occupied tag has state"))
-    }
-
-    /// Validates a remembered slot hint: returns where the line is (for
-    /// [`SetAssocCache::get_at`]) if slot `hint` still holds `addr`'s line.
-    /// A tag can only ever live in its own set, so the hint is valid exactly
-    /// when it names a way of that set's run and the way's tag matches.
-    #[inline]
-    pub fn hinted_slot(&self, hint: u32, addr: BlockAddr) -> Option<usize> {
-        let set = self.set_index(addr);
-        let way = (hint as usize).wrapping_sub(set * self.ways);
-        if way >= self.ways {
-            return None;
-        }
-        let run = self.run_of(set)?;
-        let i = run.base + way;
-        (way < run.width && self.tags[i] == addr.value()).then_some(i)
-    }
-
-    /// Accesses a resident line directly where [`SetAssocCache::hinted_slot`]
-    /// found it, updating LRU order exactly as a tag-probe hit in
-    /// [`SetAssocCache::get`] would — the hinted fast path
-    /// is behaviourally indistinguishable from the full probe, it only skips
-    /// the set scan.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the way is occupied; callers validate with
-    /// [`SetAssocCache::hinted_slot`] first.
-    #[inline]
-    pub fn get_at(&mut self, at: usize) -> &mut S {
-        debug_assert!(self.tags[at] != EMPTY_TAG, "hinted slot is empty");
-        self.use_counter += 1;
-        self.last_use[at] = self.use_counter;
-        self.states[at].as_mut().expect("occupied tag has state")
-    }
-
-    /// [`SetAssocCache::get`] that also reports which slot the line occupies,
-    /// so the caller can remember it as a hint for the next access.
-    pub fn get_with_slot(&mut self, addr: BlockAddr) -> Option<(usize, &mut S)> {
-        self.use_counter += 1;
-        let counter = self.use_counter;
-        let (slot, i) = self.find(addr)?;
-        self.last_use[i] = counter;
-        let state = self.states[i].as_mut().expect("occupied tag has state");
-        Some((slot, state))
+            .map(|i| self.states[i].as_ref().expect("occupied tag has state"))
     }
 
     /// Looks up a block, updating LRU order, and returns a mutable reference
-    /// to its state.
+    /// to its state. Every call advances the LRU clock, hit or miss.
     pub fn get(&mut self, addr: BlockAddr) -> Option<&mut S> {
-        self.get_with_slot(addr).map(|(_, state)| state)
+        self.use_counter += 1;
+        let i = self.find(addr)?;
+        self.last_use[i] = self.use_counter;
+        Some(self.states[i].as_mut().expect("occupied tag has state"))
     }
 
     /// Returns `true` if the block is resident (without touching LRU state).
@@ -463,46 +413,31 @@ impl<S> SetAssocCache<S> {
     where
         S: Default,
     {
-        self.touch_entry(addr).0
-    }
-
-    /// [`SetAssocCache::touch`] that also returns the (possibly
-    /// just-defaulted) per-line state, so presence caches can piggyback a
-    /// payload — the L1 filter's L2 slot hint — on the same single set pass.
-    pub fn touch_entry(&mut self, addr: BlockAddr) -> (bool, &mut S)
-    where
-        S: Default,
-    {
         self.use_counter += 1;
         let counter = self.use_counter;
-        let (hit, i) = match self.slot_for_fill(addr) {
+        let i = match self.slot_for_fill(addr) {
             FillSlot::Resident(i) => {
                 self.last_use[i] = counter;
-                (true, i)
+                return true;
             }
             FillSlot::Free(i) => {
                 self.len += 1;
-                (false, i)
+                i
             }
-            FillSlot::Evict(i) => (false, i),
+            FillSlot::Evict(i) => i,
         };
-        if !hit {
-            self.tags[i] = addr.value();
-            self.states[i] = Some(S::default());
-            self.last_use[i] = counter;
-        }
-        (
-            hit,
-            self.states[i].as_mut().expect("occupied tag has state"),
-        )
+        self.tags[i] = addr.value();
+        self.states[i] = Some(S::default());
+        self.last_use[i] = counter;
+        false
     }
 
     /// Removes a block, returning its state if it was resident.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<S> {
-        let (slot, i) = self.find(addr)?;
+        let i = self.find(addr)?;
         self.tags[i] = EMPTY_TAG;
         self.len -= 1;
-        let set = slot / self.ways;
+        let set = self.set_index(addr);
         let run = self.run_of(set).expect("a resident line's set has a run");
         if self.tags[run.base..run.base + run.width]
             .iter()
@@ -613,39 +548,15 @@ impl<S> fmt::Display for SetAssocCache<S> {
     }
 }
 
-/// An L1 filter entry: the remembered L2 slot of the block, or
-/// [`SlotHint::NONE`] when unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotHint(u32);
-
-impl SlotHint {
-    /// "No hint yet" sentinel — never a valid slot (the L2 would need 2^32
-    /// lines).
-    const NONE: u32 = u32::MAX;
-}
-
-// On the wire a hint is its raw `u32`.
-snap_struct!(SlotHint(slot));
-
-impl Default for SlotHint {
-    fn default() -> Self {
-        SlotHint(SlotHint::NONE)
-    }
-}
-
-/// A presence filter standing in for the split L1 instruction/data caches,
-/// doubling as the front-side fast path of every controller.
+/// A presence filter standing in for the split L1 instruction/data caches.
 ///
 /// Coherence permissions live in the (inclusive) L2; the L1 filter decides
 /// whether an access that the L2 can satisfy pays L1 latency or L1 + L2
 /// latency, and it is kept inclusive by removing blocks whenever the L2
-/// loses them. Each entry additionally remembers the block's L2 *slot* so
-/// the shared [`hinted_get`] front path can skip the L2 set scan on hits —
-/// the hint is advisory (validated by a single tag compare, repaired by a
-/// full probe on mismatch) and never affects simulated behaviour.
+/// loses them. Its lines carry no state.
 #[derive(Debug, Clone)]
 pub struct L1Filter {
-    cache: SetAssocCache<SlotHint>,
+    cache: SetAssocCache<()>,
     latency_ns: u64,
 }
 
@@ -667,22 +578,7 @@ impl L1Filter {
     /// (an L1 hit) and ensures it is present afterwards. One set lookup for
     /// both the probe and the fill (this runs on every processor access).
     pub fn touch(&mut self, addr: BlockAddr) -> bool {
-        self.touch_hint(addr).0
-    }
-
-    /// [`L1Filter::touch`] that also returns the remembered L2 slot hint
-    /// ([`u32::MAX`] when none has been learned yet) in the same set pass.
-    pub fn touch_hint(&mut self, addr: BlockAddr) -> (bool, u32) {
-        let (hit, hint) = self.cache.touch_entry(addr);
-        (hit, hint.0)
-    }
-
-    /// Remembers `slot` as `addr`'s L2 home for the next access. A pure
-    /// host-side memo: no LRU change.
-    pub fn remember(&mut self, addr: BlockAddr, slot: u32) {
-        if let Some(hint) = self.cache.peek_mut(addr) {
-            hint.0 = slot;
-        }
+        self.cache.touch(addr)
     }
 
     /// Removes a block (called when the L2 loses the block, to preserve
@@ -697,36 +593,8 @@ impl L1Filter {
     }
 }
 
-// The resident set and slot hints; the latency is config-derived.
+// The resident set; the latency is config-derived.
 snap_state!(L1Filter { cache });
-
-/// The shared front-side fast path of all four coherence controllers: one
-/// L1-filter touch plus a hint-validated L2 access.
-///
-/// Returns the L1 hit flag (latency classification) and the L2 line, if
-/// resident. When the L1 holds a valid slot hint the L2 set scan is skipped
-/// entirely — a single tag compare replaces the dependent-load probe chain —
-/// and a stale or missing hint falls back to the full probe and re-learns
-/// the slot. LRU order is updated identically on both paths (see
-/// [`SetAssocCache::get_at`]), so the fast path is invisible to the
-/// simulation: `events_delivered` is pinned across it.
-pub fn hinted_get<'a, S>(
-    l1: &mut L1Filter,
-    l2: &'a mut SetAssocCache<S>,
-    addr: BlockAddr,
-) -> (bool, Option<&'a mut S>) {
-    let (l1_hit, hint) = l1.touch_hint(addr);
-    if let Some(slot) = l2.hinted_slot(hint, addr) {
-        return (l1_hit, Some(l2.get_at(slot)));
-    }
-    match l2.get_with_slot(addr) {
-        Some((slot, line)) => {
-            l1.remember(addr, slot as u32);
-            (l1_hit, Some(line))
-        }
-        None => (l1_hit, None),
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -855,58 +723,6 @@ mod tests {
         let _: SetAssocCache<u8> = SetAssocCache::with_geometry(4, 0);
     }
 
-    #[test]
-    fn hinted_get_matches_full_probe_behaviour() {
-        let l1_config = CacheConfig {
-            size_bytes: 1024,
-            associativity: 2,
-            latency_ns: 2,
-        };
-        let mut l1 = L1Filter::new(&l1_config, 64);
-        let mut l2: SetAssocCache<u32> = SetAssocCache::with_geometry(4, 2);
-        // Cold: L1 miss, L2 miss.
-        let (l1_hit, line) = hinted_get(&mut l1, &mut l2, BlockAddr::new(8));
-        assert!(!l1_hit);
-        assert!(line.is_none());
-        l2.insert(BlockAddr::new(8), 80);
-        // Second access: L1 hit (touched above), full probe learns the slot.
-        let (l1_hit, line) = hinted_get(&mut l1, &mut l2, BlockAddr::new(8));
-        assert!(l1_hit);
-        assert_eq!(line.copied(), Some(80));
-        // Third access rides the hint; the LRU clock advances and stamps
-        // the line exactly like a tag-probe hit would.
-        let clock_before = l2.use_counter;
-        let (l1_hit, line) = hinted_get(&mut l1, &mut l2, BlockAddr::new(8));
-        assert!(l1_hit);
-        assert_eq!(line.copied(), Some(80));
-        assert_eq!(l2.use_counter, clock_before + 1);
-        assert!(l2.last_use.contains(&l2.use_counter));
-    }
-
-    #[test]
-    fn stale_hints_fall_back_to_the_full_probe() {
-        let l1_config = CacheConfig {
-            size_bytes: 1024,
-            associativity: 2,
-            latency_ns: 2,
-        };
-        let mut l1 = L1Filter::new(&l1_config, 64);
-        let mut l2: SetAssocCache<u32> = SetAssocCache::with_geometry(2, 1);
-        l2.insert(BlockAddr::new(0), 1);
-        hinted_get(&mut l1, &mut l2, BlockAddr::new(0)); // learn slot
-        hinted_get(&mut l1, &mut l2, BlockAddr::new(0)); // ride hint
-                                                         // Evict block 0 by filling its (single-way) set with block 2; the L2
-                                                         // slot now holds a different tag, so the hint must fail validation.
-        l2.insert(BlockAddr::new(2), 2);
-        let (_, line) = hinted_get(&mut l1, &mut l2, BlockAddr::new(0));
-        assert!(line.is_none(), "stale hint must not resurrect the line");
-        // Re-insert into the same slot: the repaired hint works again.
-        l2.remove(BlockAddr::new(2));
-        l2.insert(BlockAddr::new(0), 10);
-        let (_, line) = hinted_get(&mut l1, &mut l2, BlockAddr::new(0));
-        assert_eq!(line.copied(), Some(10));
-    }
-
     /// `save_state` bytes for a `SetAssocCache<u32>` claiming `len` lines and
     /// carrying `lines` as (slot, tag).
     fn snapshot_of(len: usize, lines: &[(usize, u64)]) -> Vec<u8> {
@@ -966,32 +782,5 @@ mod tests {
             .expect("consistent");
         assert_eq!(c.blocks(), vec![BlockAddr::new(1), BlockAddr::new(2)]);
         assert_eq!(c.use_counter, 9);
-    }
-
-    #[test]
-    fn hinted_lru_order_matches_unhinted_lru_order() {
-        // Two caches, same insert/access sequence — one driven through the
-        // hinted front, one through plain get(). Eviction victims must agree.
-        let l1_config = CacheConfig {
-            size_bytes: 1024,
-            associativity: 2,
-            latency_ns: 2,
-        };
-        let mut l1 = L1Filter::new(&l1_config, 64);
-        let mut hinted: SetAssocCache<u32> = SetAssocCache::with_geometry(2, 2);
-        let mut plain: SetAssocCache<u32> = SetAssocCache::with_geometry(2, 2);
-        for block in [0u64, 2] {
-            hinted.insert(BlockAddr::new(block), block as u32);
-            plain.insert(BlockAddr::new(block), block as u32);
-        }
-        // Touch block 0 twice through each front so block 2 is LRU.
-        for _ in 0..2 {
-            hinted_get(&mut l1, &mut hinted, BlockAddr::new(0));
-            plain.get(BlockAddr::new(0));
-        }
-        let hv = hinted.insert(BlockAddr::new(4), 4).expect("eviction").addr;
-        let pv = plain.insert(BlockAddr::new(4), 4).expect("eviction").addr;
-        assert_eq!(hv, pv);
-        assert_eq!(hv, BlockAddr::new(2));
     }
 }

@@ -12,9 +12,8 @@
 //! * [`L1Filter`] — a small presence cache used to decide whether a hit
 //!   costs L1 latency or L1+L2 latency. Coherence state is kept only at the
 //!   (inclusive) L2, which matches how the paper's protocols are described
-//!   and keeps the four protocol implementations focused on coherence. Each
-//!   entry carries an L2 slot hint so the shared [`hinted_get`] front path
-//!   skips the L2 tag probe on hits.
+//!   and keeps the four protocol implementations focused on coherence. Every
+//!   controller's access touches it, then looks the block up in the L2.
 //! * [`MshrTable`] — bookkeeping for outstanding misses (miss status holding
 //!   registers), with a configurable capacity.
 //! * [`PendingOp`] — the record an MSHR entry keeps per processor op merged
@@ -46,7 +45,7 @@ pub mod memory;
 pub mod mshr;
 pub mod pending;
 
-pub use cache::{hinted_get, CacheLine, L1Filter, SetAssocCache};
+pub use cache::{CacheLine, L1Filter, SetAssocCache};
 pub use line_table::LineTable;
 pub use memory::HomeMemory;
 pub use mshr::MshrTable;

@@ -4,13 +4,13 @@
 //!
 //! The reference below is that eager flat cache, kept as the test's oracle:
 //! `num_sets * ways` tags, states and LRU stamps written at construction, a
-//! slot *is* the array index. Both are driven, behind the L1 filter each
-//! needs for `hinted_get`, by one seeded operation stream over geometries
-//! that include non-power-of-two set and way counts, a single set, a single
-//! way, and the Table 1 L2 under a sparse stream. Every return value
-//! (evicted lines and reported slots included), and after every few
+//! slot *is* the array index. Both are driven, behind an L1 filter touched
+//! as the controllers' front path touches it, by one seeded operation
+//! stream over geometries that include non-power-of-two set and way counts,
+//! a single set, a single way, and the Table 1 L2 under a sparse stream.
+//! Every return value (evicted lines included), and after every few
 //! operations the population, the iteration order, the sets holding a line
-//! and the `save_state` bytes, must match exactly. A
+//! and the `save_state` bytes (slots included), must match exactly. A
 //! second test holds a cache restored from its own snapshot to the same
 //! standard against the original: restoring fills sets in slot order, a run
 //! fills them in touch order, and nothing outside the cache may see that. A
@@ -20,8 +20,8 @@
 
 use std::fmt::Debug;
 
-use tc_memsys::{hinted_get, L1Filter, SetAssocCache};
-use tc_sim::snapshot::{Snap, SnapReader, SnapState, SnapWriter, SnapshotError};
+use tc_memsys::{L1Filter, SetAssocCache};
+use tc_sim::snapshot::{Snap, SnapReader, SnapState, SnapWriter};
 use tc_sim::DeterministicRng;
 use tc_types::{BlockAddr, CacheConfig};
 
@@ -104,27 +104,11 @@ impl<S> FlatCache<S> {
         self.find(addr).map(|i| self.states[i].as_ref().unwrap())
     }
 
-    fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut S> {
-        let i = self.find(addr)?;
-        self.states[i].as_mut()
-    }
-
-    fn hinted_slot(&self, hint: u32, addr: BlockAddr) -> Option<usize> {
-        let i = hint as usize;
-        (i < self.tags.len() && self.tags[i] == addr.value()).then_some(i)
-    }
-
-    fn get_at(&mut self, slot: usize) -> &mut S {
-        self.use_counter += 1;
-        self.last_use[slot] = self.use_counter;
-        self.states[slot].as_mut().unwrap()
-    }
-
-    fn get_with_slot(&mut self, addr: BlockAddr) -> Option<(usize, &mut S)> {
+    fn get(&mut self, addr: BlockAddr) -> Option<&mut S> {
         self.use_counter += 1;
         let i = self.find(addr)?;
         self.last_use[i] = self.use_counter;
-        Some((i, self.states[i].as_mut().unwrap()))
+        self.states[i].as_mut()
     }
 
     fn insert(&mut self, addr: BlockAddr, state: S) -> Option<CacheLine<S>> {
@@ -151,7 +135,7 @@ impl<S> FlatCache<S> {
         victim
     }
 
-    fn touch_entry(&mut self, addr: BlockAddr) -> (bool, &mut S)
+    fn touch(&mut self, addr: BlockAddr) -> bool
     where
         S: Default,
     {
@@ -172,7 +156,7 @@ impl<S> FlatCache<S> {
             self.states[i] = Some(S::default());
         }
         self.last_use[i] = self.use_counter;
-        (hit, self.states[i].as_mut().unwrap())
+        hit
     }
 
     fn remove(&mut self, addr: BlockAddr) -> Option<S> {
@@ -215,37 +199,14 @@ impl<S> FlatCache<S> {
     }
 }
 
-/// The reference L1 filter's entry: a remembered L2 slot, `u32::MAX` until
-/// one is learned, a raw `u32` on the wire — as `L1Filter` keeps it.
-struct Hint(u32);
-
-impl Default for Hint {
-    fn default() -> Self {
-        Hint(u32::MAX)
-    }
-}
-
-impl Snap for Hint {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Hint(r.u32()?))
-    }
-}
-
-/// One operation of the stream. Slot hints are drawn by the driver from
-/// slots earlier `GetWithSlot`s reported, so they are valid, stale, foreign
-/// to the set, past the end or `u32::MAX` as the stream goes.
+/// One operation of the stream.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Insert(BlockAddr, u32),
     Get(BlockAddr),
-    GetWithSlot(BlockAddr),
-    HintedGet(BlockAddr),
-    GetAtHint(u32, BlockAddr),
-    TouchEntry(BlockAddr, u32),
-    PeekMut(BlockAddr, u32),
+    /// The controllers' front path: touch the L1, then look up the L2.
+    Access(BlockAddr),
+    Touch(BlockAddr),
     Remove(BlockAddr),
     VictimFor(BlockAddr),
     Peek(BlockAddr),
@@ -266,11 +227,6 @@ fn show(value: impl Debug) -> String {
     format!("{value:?}")
 }
 
-/// Writes `new` through a looked-up line and reports what it held.
-fn swap(line: Option<&mut u32>, new: u32) -> Option<u32> {
-    line.map(|state| std::mem::replace(state, new))
-}
-
 struct Lazy {
     l1: L1Filter,
     l2: SetAssocCache<u32>,
@@ -284,17 +240,8 @@ impl Subject for Lazy {
         match op {
             Op::Insert(a, s) => show(l2.insert(a, s)),
             Op::Get(a) => show(l2.get(a).map(|s| *s)),
-            Op::GetWithSlot(a) => show(l2.get_with_slot(a).map(|(slot, s)| (slot, *s))),
-            Op::HintedGet(a) => {
-                let (l1_hit, line) = hinted_get(&mut self.l1, l2, a);
-                show((l1_hit, line.map(|s| *s)))
-            }
-            Op::GetAtHint(hint, a) => show(l2.hinted_slot(hint, a).map(|at| *l2.get_at(at))),
-            Op::TouchEntry(a, s) => {
-                let (hit, state) = l2.touch_entry(a);
-                show((hit, std::mem::replace(state, s)))
-            }
-            Op::PeekMut(a, s) => show(swap(l2.peek_mut(a), s)),
+            Op::Access(a) => show((self.l1.touch(a), l2.get(a).map(|s| *s))),
+            Op::Touch(a) => show(l2.touch(a)),
             Op::Remove(a) => show(l2.remove(a)),
             Op::VictimFor(a) => show(l2.victim_for(a)),
             Op::Peek(a) => show((l2.peek(a), l2.contains(a))),
@@ -322,7 +269,7 @@ impl Subject for Lazy {
 }
 
 struct Flat {
-    l1: FlatCache<Hint>,
+    l1: FlatCache<()>,
     l2: FlatCache<u32>,
 }
 
@@ -331,26 +278,9 @@ impl Subject for Flat {
         let l2 = &mut self.l2;
         match op {
             Op::Insert(a, s) => show(l2.insert(a, s)),
-            Op::Get(a) => show(l2.get_with_slot(a).map(|(_, s)| *s)),
-            Op::GetWithSlot(a) => show(l2.get_with_slot(a).map(|(slot, s)| (slot, *s))),
-            Op::HintedGet(a) => {
-                let (l1_hit, hint) = self.l1.touch_entry(a);
-                let hint = hint.0;
-                let line = match l2.hinted_slot(hint, a) {
-                    Some(slot) => Some(*l2.get_at(slot)),
-                    None => l2.get_with_slot(a).map(|(slot, s)| {
-                        self.l1.peek_mut(a).expect("touched above").0 = slot as u32;
-                        *s
-                    }),
-                };
-                show((l1_hit, line))
-            }
-            Op::GetAtHint(hint, a) => show(l2.hinted_slot(hint, a).map(|at| *l2.get_at(at))),
-            Op::TouchEntry(a, s) => {
-                let (hit, state) = l2.touch_entry(a);
-                show((hit, std::mem::replace(state, s)))
-            }
-            Op::PeekMut(a, s) => show(swap(l2.peek_mut(a), s)),
+            Op::Get(a) => show(l2.get(a).map(|s| *s)),
+            Op::Access(a) => show((self.l1.touch(a), l2.get(a).map(|s| *s))),
+            Op::Touch(a) => show(l2.touch(a)),
             Op::Remove(a) => show(l2.remove(a)),
             Op::VictimFor(a) => show(l2.victim_for(a)),
             Op::Peek(a) => show((l2.peek(a), l2.peek(a).is_some())),
@@ -428,12 +358,8 @@ fn lazy(sets: usize, ways: usize) -> Lazy {
 }
 
 /// Draws the next operation on a `sets` x `ways` cache, its address from
-/// `addresses`; `slots` is every slot a lookup reported so far, by address.
-fn draw(
-    rng: &mut DeterministicRng,
-    (sets, ways, addresses): (usize, usize, Addresses),
-    slots: &[(BlockAddr, u32)],
-) -> Op {
+/// `addresses`.
+fn draw(rng: &mut DeterministicRng, (sets, ways, addresses): (usize, usize, Addresses)) -> Op {
     let capacity = sets * ways;
     let addr = BlockAddr::new(match addresses {
         Addresses::Dense => rng.next_below(3 * capacity as u64 + 1),
@@ -442,28 +368,11 @@ fn draw(
             set + sets as u64 * rng.next_below(ways as u64 + 2)
         }
     });
-    let state = rng.next_below(1 << 20) as u32;
     match rng.next_below(16) {
-        0..=3 => Op::Insert(addr, state),
-        4 => Op::Get(addr),
-        5 => Op::GetWithSlot(addr),
-        6..=7 => Op::HintedGet(addr),
-        8..=9 => {
-            let remembered =
-                (!slots.is_empty()).then(|| slots[rng.next_below(slots.len() as u64) as usize]);
-            match (rng.next_below(5), remembered) {
-                // The slot this address was last seen at: valid or stale.
-                (0 | 1, Some((seen, slot))) => Op::GetAtHint(slot, seen),
-                // Another address's slot: usually a foreign set.
-                (2, Some((_, slot))) => Op::GetAtHint(slot, addr),
-                // "No hint yet".
-                (3, _) => Op::GetAtHint(u32::MAX, addr),
-                // Anywhere up to just past the last slot.
-                _ => Op::GetAtHint(rng.next_below(capacity as u64 + 3) as u32, addr),
-            }
-        }
-        10 => Op::TouchEntry(addr, state),
-        11 => Op::PeekMut(addr, state),
+        0..=3 => Op::Insert(addr, rng.next_below(1 << 20) as u32),
+        4..=5 => Op::Get(addr),
+        6..=9 => Op::Access(addr),
+        10..=11 => Op::Touch(addr),
         12 => Op::Remove(addr),
         13 => Op::VictimFor(addr),
         14 => Op::Peek(addr),
@@ -471,27 +380,9 @@ fn draw(
     }
 }
 
-/// Applies `op` to both subjects, requires equal answers, and records the
-/// slot if a lookup reported one.
-fn step(
-    a: &mut impl Subject,
-    b: &mut impl Subject,
-    op: Op,
-    slots: &mut Vec<(BlockAddr, u32)>,
-    context: &str,
-) {
-    let answer = a.apply(op);
-    assert_eq!(answer, b.apply(op), "{context}: {op:?}");
-    learn(op, &answer, slots);
-}
-
-/// Records the slot out of a `GetWithSlot`'s rendered `Some((slot, state))`.
-fn learn(op: Op, answer: &str, slots: &mut Vec<(BlockAddr, u32)>) {
-    let Op::GetWithSlot(addr) = op else { return };
-    let slot = answer
-        .strip_prefix("Some((")
-        .and_then(|rest| rest.split(',').next());
-    slots.extend(slot.map(|digits| (addr, digits.parse::<u32>().expect("a slot number"))));
+/// Applies `op` to both subjects and requires equal answers.
+fn step(a: &mut impl Subject, b: &mut impl Subject, op: Op, context: &str) {
+    assert_eq!(a.apply(op), b.apply(op), "{context}: {op:?}");
 }
 
 fn compare(a: &impl Subject, b: &impl Subject, context: &str) {
@@ -509,19 +400,17 @@ fn lazy_sets_are_indistinguishable_from_eager_ones() {
             l1: FlatCache::with_geometry(L1.num_sets(BLOCK_BYTES), L1.associativity),
             l2: FlatCache::with_geometry(sets, ways),
         };
-        let mut slots = Vec::new();
         for i in 0..OPS {
             let context = format!("{sets}x{ways}, op {i}");
-            let op = draw(&mut rng, geometry, &slots);
-            step(&mut new, &mut old, op, &mut slots, &context);
+            step(&mut new, &mut old, draw(&mut rng, geometry), &context);
             if i % CHECK_EVERY == 0 {
                 compare(&new, &old, &context);
             }
         }
         compare(&new, &old, &format!("{sets}x{ways}, end"));
         assert!(
-            old.l2.evictions > 0 && !slots.is_empty(),
-            "{sets}x{ways}: the stream never evicted or never learned a slot"
+            old.l2.evictions > 0,
+            "{sets}x{ways}: the stream never evicted"
         );
     }
 }
@@ -532,11 +421,9 @@ fn a_restored_cache_tracks_the_original() {
         let (sets, ways, _) = geometry;
         let mut rng = DeterministicRng::new(0x5E70 + case as u64);
         let mut original = lazy(sets, ways);
-        let mut slots = Vec::new();
         // Warm up: sets are filled in the order the stream touches them.
         for _ in 0..OPS / 4 {
-            let op = draw(&mut rng, geometry, &slots);
-            learn(op, &original.apply(op), &mut slots);
+            original.apply(draw(&mut rng, geometry));
         }
         // Restore: the same lines arrive in slot order.
         let bytes = original.snapshot();
@@ -548,8 +435,12 @@ fn a_restored_cache_tracks_the_original() {
         compare(&original, &restored, &format!("{sets}x{ways}, restore"));
         for i in 0..OPS / 2 {
             let context = format!("{sets}x{ways}, op {i} after restore");
-            let op = draw(&mut rng, geometry, &slots);
-            step(&mut original, &mut restored, op, &mut slots, &context);
+            step(
+                &mut original,
+                &mut restored,
+                draw(&mut rng, geometry),
+                &context,
+            );
             if i % CHECK_EVERY == 0 {
                 compare(&original, &restored, &context);
             }
@@ -627,12 +518,15 @@ fn one_way_runs_promote_refill_and_restore_like_flat_sets() {
         &[
             Op::Remove(block(0, 0)),
             Op::Insert(block(0, 4), 6),
-            Op::GetWithSlot(block(0, 4)),
+            Op::Get(block(0, 4)),
             Op::Insert(block(2, 0), 7),
         ],
         "way 0 refilled, the spare run reused",
     );
-    assert_eq!(answers[2], "Some((0, 6))", "the refill takes way 0");
+    // The snapshot bytes compared equal, so the lazy cache saved the same
+    // slot the flat one holds the line at.
+    assert_eq!(answers[2], "Some(6)");
+    assert_eq!(old.l2.find(block(0, 4)), Some(0), "the refill takes way 0");
     assert_eq!(new.l2.line_slots(), 2 + WAYS, "set 2 took the spare run");
 
     script(
@@ -655,13 +549,18 @@ fn one_way_runs_promote_refill_and_restore_like_flat_sets() {
     );
     let after = [
         Op::Insert(block(1, 2), 9),
-        Op::GetWithSlot(block(1, 2)),
-        Op::GetWithSlot(block(1, 1)),
+        Op::Get(block(1, 2)),
+        Op::Get(block(1, 1)),
         Op::VictimFor(block(1, 3)),
     ];
     let answers = script(&mut restored, &mut old, &after, "after restore");
-    assert_eq!(answers[1], "Some((4, 9))", "set 1's way 0 is free again");
-    assert_eq!(answers[2], "Some((5, 8))", "set 1's line kept way 1");
+    assert_eq!(answers[1..3], ["Some(9)", "Some(8)"]);
+    assert_eq!(
+        old.l2.find(block(1, 2)),
+        Some(4),
+        "set 1's way 0 is free again"
+    );
+    assert_eq!(old.l2.find(block(1, 1)), Some(5), "set 1's line kept way 1");
 
     let emptied = [
         Op::Remove(block(1, 1)),

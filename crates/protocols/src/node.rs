@@ -22,9 +22,7 @@
 
 use std::fmt;
 
-use tc_memsys::{
-    hinted_get, version_node_bits, HomeMemory, L1Filter, MshrTable, PendingOp, SetAssocCache,
-};
+use tc_memsys::{version_node_bits, HomeMemory, L1Filter, MshrTable, PendingOp, SetAssocCache};
 use tc_sim::{snap_state, Fifo, FifoPool, Snap, SnapWith};
 use tc_types::{
     AccessOutcome, BlockAddr, BlockAudit, CoherenceController, ControllerStats, Counter, Cycle,
@@ -263,12 +261,13 @@ impl<P: MosiPolicy> MosiNode<P> {
         exclusive
     }
 
-    /// The hit path: one L1-hinted L2 access serving both the permission
-    /// check and (for write hits) the in-place version bump. `None` sends
-    /// the access down the miss path.
+    /// The hit path: one L1 touch and one L2 access serving both the
+    /// permission check and (for write hits) the in-place version bump.
+    /// `None` sends the access down the miss path.
     #[inline]
     fn hit_path(&mut self, addr: BlockAddr, write: bool, now: Cycle) -> Option<AccessOutcome> {
-        let (l1_hit, line) = hinted_get(&mut self.l1, &mut self.l2, addr);
+        let l1_hit = self.l1.touch(addr);
+        let line = self.l2.get(addr);
         let latency = if l1_hit {
             self.l1.latency_ns()
         } else {

@@ -58,7 +58,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TCSNAP\x00\x01";
 /// * v9 — the persistent path carries no read/write flag (message tags 6
 ///   and 7, the arbiter's requests, the persistent table's entries); the
 ///   arbiter saves the completions it has parked.
-pub const SNAPSHOT_VERSION: u32 = 9;
+/// * v10 — an L1 filter's lines carry no state (the 4-byte L2 slot hint
+///   goes); a fabric link saves only its free time (the per-link byte,
+///   message and busy-time counters go).
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -366,6 +369,14 @@ macro_rules! snap_primitive {
     )*};
 }
 snap_primitive!(u8, u32, u64, usize, bool, f64);
+
+/// The unit value is zero bytes: the line state of a presence-only cache.
+impl Snap for () {
+    fn save(&self, _: &mut SnapWriter) {}
+    fn load(_: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(())
+    }
+}
 
 impl Snap for String {
     fn save(&self, w: &mut SnapWriter) {

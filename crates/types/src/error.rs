@@ -76,23 +76,6 @@ pub enum InvariantViolation {
         /// Time of the write.
         at: Cycle,
     },
-    /// A node read a block without holding a token / valid copy
-    /// (invariant #3').
-    ReadWithoutToken {
-        /// Offending node.
-        node: NodeId,
-        /// Block that was read.
-        addr: BlockAddr,
-        /// Time of the read.
-        at: Cycle,
-    },
-    /// A message carried the owner token without data (invariant #4').
-    OwnerTokenWithoutData {
-        /// Block concerned.
-        addr: BlockAddr,
-        /// Time the message was sent.
-        at: Cycle,
-    },
     /// A load observed a value other than the one written by the most recent
     /// store (the single-writer/valid-data safety property).
     StaleDataRead {
@@ -153,14 +136,13 @@ pub enum InvariantViolation {
     },
 }
 
-// Tag 6 was the four-field `Starvation` of snapshot v1, before `waited`;
-// tag 9 replaced it. Never reuse 6.
+// Retired tags, never reused: 3 and 4 were a read without a token (#3')
+// and an owner token sent without data (#4'), which nothing raised, and 6
+// was the four-field `Starvation` of snapshot v1, before `waited` (tag 9).
 snap_enum!(InvariantViolation, "violation" {
     0 => TokenConservation { addr, expected, found, at },
     1 => DuplicateOwner { addr, at },
     2 => WriteWithoutExclusive { node, addr, held, required, at },
-    3 => ReadWithoutToken { node, addr, at },
-    4 => OwnerTokenWithoutData { addr, at },
     5 => StaleDataRead { node, addr, observed_version, expected_version, at },
     7 => Livelock { node, addr, issued_at, at, events_without_progress },
     8 => Deadlock { node, addr, issued_at, at },
@@ -192,12 +174,6 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "{node} wrote {addr} holding {held}/{required} tokens at cycle {at}"
             ),
-            InvariantViolation::ReadWithoutToken { node, addr, at } => {
-                write!(f, "{node} read {addr} without a token at cycle {at}")
-            }
-            InvariantViolation::OwnerTokenWithoutData { addr, at } => {
-                write!(f, "owner token for {addr} sent without data at cycle {at}")
-            }
             InvariantViolation::StaleDataRead {
                 node,
                 addr,
@@ -301,8 +277,6 @@ mod tests {
                 required: 16,
                 at: 3,
             },
-            InvariantViolation::ReadWithoutToken { node, addr, at: 4 },
-            InvariantViolation::OwnerTokenWithoutData { addr, at: 5 },
             InvariantViolation::StaleDataRead {
                 node,
                 addr,
@@ -333,11 +307,13 @@ mod tests {
         ] {
             tc_testkit::assert_snap_round_trip(&v);
         }
-        // The pre-`waited` Starvation's tag is retired, not reassigned.
-        assert_eq!(
-            InvariantViolation::load(&mut SnapReader::new(&[6; 29])),
-            Err(SnapshotError::Corrupt("violation tag 6".into()))
-        );
+        // Retired tags are not reassigned.
+        for tag in [3, 4, 6] {
+            assert_eq!(
+                InvariantViolation::load(&mut SnapReader::new(&[tag; 29])),
+                Err(SnapshotError::Corrupt(format!("violation tag {tag}")))
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Two kinds of reference rot silently when a section is renamed or a file
 //! moves: a quoted DESIGN.md section name in README.md or in a Rust source
-//! comment, and a repo path written in DESIGN.md or README.md. This test
-//! reads the files and checks both.
+//! comment, and a repo path written in DESIGN.md, README.md or the verify
+//! skill's recipes. This test reads the files and checks both. ROADMAP.md
+//! is not scanned: it names files that are planned, not yet written.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -134,7 +135,7 @@ fn repo_paths_in_the_docs_exist() {
     let root = root();
     let mut checked = 0;
     let mut missing = Vec::new();
-    for doc in ["DESIGN.md", "README.md"] {
+    for doc in ["DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"] {
         for path in repo_paths(&read(&root.join(doc))) {
             checked += 1;
             if !root.join(&path).exists() {
